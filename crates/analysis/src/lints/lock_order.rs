@@ -106,7 +106,7 @@ pub const LOCK_CLASSES: &[LockClass] = &[
     LockClass {
         rank: 100,
         name: "policy",
-        fields: &["rebalance_policy", "pool_policy"],
+        fields: &["rebalance_policy"],
         multi: false,
     },
     LockClass {

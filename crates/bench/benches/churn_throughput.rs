@@ -13,12 +13,8 @@
 //!   perf-smoke's `--assert-budget` gates at ≥1.5× for 4 vs 1 shards on
 //!   multi-core machines).
 //!
-//! Two further groups cover the PR-5 machinery:
+//! One further group covers online rebalancing:
 //!
-//! * `parallel_dispatch` — one covering query per iteration through the
-//!   sequential sweep, the per-call scoped-thread fan-out and the
-//!   persistent worker pool (the pool must beat scoped threads at this
-//!   micro-query size);
 //! * `drift_updates` — paired insert/remove churn on a drifted skewed
 //!   population with frozen boundaries vs the auto-rebalance policy armed.
 
@@ -68,7 +64,7 @@ fn bench_churn(c: &mut Criterion) {
             b.iter(|| {
                 let mut hits = 0usize;
                 for q in &queries {
-                    hits += usize::from(index.find_covering_ref(q).unwrap().is_covered());
+                    hits += usize::from(index.find_covering(q).unwrap().is_covered());
                 }
                 std::hint::black_box(hits)
             });
@@ -110,9 +106,7 @@ fn bench_churn(c: &mut Criterion) {
                                     let mut n = 0usize;
                                     for _ in 0..4 {
                                         for q in &queries {
-                                            std::hint::black_box(
-                                                index.find_covering_ref(q).unwrap(),
-                                            );
+                                            std::hint::black_box(index.find_covering(q).unwrap());
                                             n += 1;
                                         }
                                     }
@@ -130,60 +124,6 @@ fn bench_churn(c: &mut Criterion) {
             },
         );
     }
-    group.finish();
-}
-
-fn bench_parallel_dispatch(c: &mut Criterion) {
-    let config = WorkloadConfig::builder()
-        .attributes(3)
-        .bits_per_attribute(10)
-        .seed(404)
-        .build()
-        .unwrap();
-    let mut workload = SubscriptionWorkload::new(&config).unwrap();
-    let schema = workload.schema().clone();
-    let population = workload.take(10_000);
-    let queries = workload.take(64);
-
-    let index = ShardedCoveringIndex::build_from(
-        &schema,
-        ApproxConfig::exhaustive(),
-        CurveKind::Z,
-        4,
-        &population,
-    )
-    .unwrap();
-    // Warm the pool outside the measurement.
-    index.find_covering_parallel(&queries[0]).unwrap();
-
-    let mut group = c.benchmark_group("parallel_dispatch");
-    group.measurement_time(Duration::from_secs(3));
-    group.warm_up_time(Duration::from_secs(1));
-    group.sample_size(10);
-    group.bench_function("sequential", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let q = &queries[i % queries.len()];
-            i += 1;
-            std::hint::black_box(index.find_covering_ref(q).unwrap())
-        });
-    });
-    group.bench_function("scoped-threads", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let q = &queries[i % queries.len()];
-            i += 1;
-            std::hint::black_box(index.find_covering_scoped(q).unwrap())
-        });
-    });
-    group.bench_function("worker-pool", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let q = &queries[i % queries.len()];
-            i += 1;
-            std::hint::black_box(index.find_covering_parallel(q).unwrap())
-        });
-    });
     group.finish();
 }
 
@@ -210,10 +150,5 @@ fn bench_drift_updates(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_churn,
-    bench_parallel_dispatch,
-    bench_drift_updates
-);
+criterion_group!(benches, bench_churn, bench_drift_updates);
 criterion_main!(benches);

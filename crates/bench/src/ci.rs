@@ -22,12 +22,11 @@
 //! `publish_batch` throughput that keeps the batched execution path from
 //! degenerating back to one overlay walk per event), and the restart gates
 //! (a floor on the durable-segment cold-open speedup over a full journal
-//! replay, and a ceiling on the cold-open time itself). The report also
-//! records pool-vs-scoped
-//! parallel dispatch latencies, and [`trend_table`] renders the
-//! run-over-run delta table the nightly workflow posts to its job summary.
+//! replay, and a ceiling on the cold-open time itself). [`trend_table`]
+//! renders the run-over-run delta table the nightly workflow posts to its
+//! job summary.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use acd_broker::{
@@ -104,22 +103,6 @@ pub struct DriftCost {
     pub rebalances: u64,
     /// Subscriptions moved between shards by those passes.
     pub subscriptions_migrated: u64,
-}
-
-/// Mean covering-query latency through the three dispatch strategies of the
-/// sharded index at one population size: the sequential early-exit sweep,
-/// the per-call scoped-thread fan-out the worker pool replaced, and the
-/// persistent worker pool.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ParallelDispatchCost {
-    /// Indexed subscriptions.
-    pub subscriptions: usize,
-    /// Mean latency of the sequential sweep, in microseconds.
-    pub sequential_us: f64,
-    /// Mean latency of the scoped-thread fan-out, in microseconds.
-    pub scoped_us: f64,
-    /// Mean latency of the worker-pool fan-out, in microseconds.
-    pub pool_us: f64,
 }
 
 /// End-to-end daemon throughput: an in-process `acd-brokerd` serving a
@@ -279,12 +262,6 @@ pub struct PerfSmokeReport {
     /// Rebalanced over frozen drift update throughput (0 when the drift
     /// phase was skipped).
     pub drift_rebalance_speedup: f64,
-    /// Sharded-query dispatch latencies at a micro and at the full
-    /// population size.
-    pub parallel: Vec<ParallelDispatchCost>,
-    /// Worker threads in the persistent query pool during the dispatch
-    /// measurement.
-    pub pool_workers: usize,
     /// End-to-end daemon throughput over loopback TCP (`None` when the
     /// timed phases were skipped with `churn_millis == 0`, and in reports
     /// written before the daemon existed).
@@ -493,7 +470,7 @@ pub fn run_churn(
                             if stop.load(Ordering::Acquire) {
                                 break 'outer;
                             }
-                            std::hint::black_box(index.find_covering_ref(q).expect("churn query"));
+                            std::hint::black_box(index.find_covering(q).expect("churn query"));
                             count += 1;
                         }
                     }
@@ -621,57 +598,6 @@ impl DriftHarness {
             subscriptions_migrated: stats.subscriptions_migrated,
         }
     }
-}
-
-/// Measures the three covering-query dispatch strategies of a 4-shard
-/// bulk-built index at `subscriptions`, over `queries` query subscriptions.
-/// Returns the cost row plus the pool's worker count.
-pub fn run_parallel_dispatch(
-    subscriptions: usize,
-    queries: usize,
-) -> (ParallelDispatchCost, usize) {
-    let config = WorkloadConfig::builder()
-        .attributes(3)
-        .bits_per_attribute(10)
-        .seed(505)
-        .build()
-        .unwrap();
-    let mut workload = SubscriptionWorkload::new(&config).unwrap();
-    let schema = workload.schema().clone();
-    let population = workload.take(subscriptions);
-    let query_subs = workload.take(queries.max(1));
-    let index = ShardedCoveringIndex::build_from(
-        &schema,
-        ApproxConfig::exhaustive(),
-        CurveKind::Z,
-        4,
-        &population,
-    )
-    .expect("dispatch index build");
-    // Warm the pool outside the measurement.
-    index
-        .find_covering_parallel(&query_subs[0])
-        .expect("pool warm-up");
-    let measure = |f: &dyn Fn(&acd_subscription::Subscription)| -> f64 {
-        let start = Instant::now();
-        for q in &query_subs {
-            f(q);
-        }
-        start.elapsed().as_secs_f64() * 1e6 / query_subs.len() as f64
-    };
-    let cost = ParallelDispatchCost {
-        subscriptions,
-        sequential_us: measure(&|q| {
-            std::hint::black_box(index.find_covering_ref(q).expect("sequential query"));
-        }),
-        scoped_us: measure(&|q| {
-            std::hint::black_box(index.find_covering_scoped(q).expect("scoped query"));
-        }),
-        pool_us: measure(&|q| {
-            std::hint::black_box(index.find_covering_parallel(q).expect("pool query"));
-        }),
-    };
-    (cost, index.pool_workers())
 }
 
 /// E2e phase: start an in-process [`BrokerDaemon`] on a loopback ephemeral
@@ -981,7 +907,14 @@ fn run_restart(subscriptions: usize) -> RestartCost {
         &population,
     )
     .expect("restart build");
-    let dir = std::env::temp_dir().join(format!("acd-perf-restart-{}", std::process::id()));
+    // Unique per call, not just per process: unit tests run several
+    // harness passes concurrently in one process.
+    static RESTART_RUNS: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "acd-perf-restart-{}-{}",
+        std::process::id(),
+        RESTART_RUNS.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::remove_dir_all(&dir).ok();
     let save_start = Instant::now();
     index.save_segments(&dir).expect("save segments");
@@ -1173,20 +1106,6 @@ pub fn run(
         }
     };
 
-    // Dispatch phase: pool vs scoped threads, at a micro population (where
-    // spawn overhead dominates) and at the full one.
-    let mut parallel = Vec::new();
-    let mut pool_workers = 0usize;
-    let mut dispatch_sizes = vec![subscriptions.min(1_000)];
-    if subscriptions > 1_000 {
-        dispatch_sizes.push(subscriptions);
-    }
-    for n in dispatch_sizes {
-        let (cost, workers) = run_parallel_dispatch(n, queries.min(100));
-        pool_workers = workers;
-        parallel.push(cost);
-    }
-
     // E2e phase: the daemon path over loopback TCP (same wall-clock window
     // as the churn phase; skipped together with it).
     let (e2e, resilience) = if churn_millis == 0 {
@@ -1236,8 +1155,6 @@ pub fn run(
         sharded_update_speedup,
         drift,
         drift_rebalance_speedup,
-        parallel,
-        pool_workers,
         e2e,
         resilience,
         chaos,
@@ -1398,7 +1315,6 @@ fn trend_metrics(report: &PerfSmokeReport) -> Vec<(&'static str, Option<f64>, bo
     let exact = report.policy("sfc-z-exhaustive");
     let churn4 = report.churn.iter().find(|c| c.shards == 4);
     let rebalanced = report.drift.iter().find(|d| d.rebalance_enabled);
-    let micro = report.parallel.first();
     vec![
         (
             "exact-SFC mean query latency (us)",
@@ -1434,16 +1350,6 @@ fn trend_metrics(report: &PerfSmokeReport) -> Vec<(&'static str, Option<f64>, bo
         (
             "imbalance after rebalance",
             rebalanced.map(|d| d.final_imbalance),
-            true,
-        ),
-        (
-            "pool micro-query latency (us)",
-            micro.map(|p| p.pool_us),
-            true,
-        ),
-        (
-            "scoped micro-query latency (us)",
-            micro.map(|p| p.scoped_us),
             true,
         ),
         (
@@ -1667,14 +1573,6 @@ mod tests {
         assert!(rebalanced.subscriptions_migrated > 0);
         assert!(rebalanced.final_imbalance <= frozen.final_imbalance);
         assert!(report.drift_rebalance_speedup > 0.0);
-        // The dispatch phase measured real latencies and a live pool.
-        assert!(!report.parallel.is_empty());
-        for cost in &report.parallel {
-            assert!(cost.sequential_us > 0.0);
-            assert!(cost.scoped_us > 0.0);
-            assert!(cost.pool_us > 0.0);
-        }
-        assert!(report.pool_workers >= 1);
         // The e2e phase drove real publishes through the loopback daemon.
         let e2e = report.e2e.as_ref().expect("e2e phase ran");
         assert_eq!(e2e.connections, 4);
@@ -1734,7 +1632,24 @@ mod tests {
         assert_eq!(back.chaos, None);
         assert_eq!(back.batched_publish, None);
         assert_eq!(back.restart, None);
-        assert_eq!(back.pool_workers, report.pool_workers);
+        assert_eq!(back.drift_rebalance_speedup, report.drift_rebalance_speedup);
+    }
+
+    #[test]
+    fn a_report_from_before_the_dispatch_phase_was_removed_still_compares() {
+        // Nightly `--compare` reads the last five artifacts, and those
+        // written before the pool/scoped fan-outs were removed still carry
+        // the dispatch-phase fields. Such a report (a real one, from the
+        // last commit that measured the fan-outs) must keep parsing — the
+        // extra keys are ignored — and keep feeding the trend table.
+        let text = include_str!("../../../perf/report_before_pr12.json");
+        let old: PerfSmokeReport = serde_json::from_str(text).unwrap();
+        assert_eq!(old.subscriptions, 300);
+        assert!(old.e2e.is_some() && old.restart.is_some());
+        let current = run(200, 10, false, 0);
+        let table = trend_table_median(&[old.clone(), old], &current);
+        assert!(table.contains("exact-SFC mean query latency"), "{table}");
+        assert!(!table.contains("micro-query"), "{table}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! churn rate, and online shard rebalancing under a drifting hot region.
 //!
 //! This experiment promotes the churn scenario from an end-to-end test into
-//! the harness, with three tables:
+//! the harness, with two tables:
 //!
 //! 1. **Suppression vs churn rate** — the broker overlay driven by the
 //!    mixed subscribe/unsubscribe/publish stream at increasing unsubscribe
@@ -14,18 +14,13 @@
 //!    4-shard index with frozen boundaries vs one with the auto-rebalance
 //!    policy armed: update throughput and final imbalance once the hot
 //!    region has moved.
-//! 3. **Parallel query dispatch** — the sequential sweep, the per-call
-//!    scoped-thread fan-out and the persistent worker pool answering the
-//!    same covering queries, at a micro population (where spawn overhead
-//!    dominates) and at the full population.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use acd_broker::{BrokerConfig, Topology};
-use acd_covering::{ApproxConfig, CoveringPolicy, ShardedCoveringIndex};
-use acd_sfc::CurveKind;
-use acd_workload::{ChurnConfig, ChurnOp, ChurnWorkload, Scenario, SubscriptionWorkload};
+use acd_covering::CoveringPolicy;
+use acd_workload::{ChurnConfig, ChurnOp, ChurnWorkload, Scenario};
 
 use crate::ci::DriftHarness;
 use crate::table::{fmt_f64, Table};
@@ -36,7 +31,6 @@ pub fn run(scale: RunScale) -> Vec<Table> {
     vec![
         suppression_vs_churn_rate(scale),
         rebalance_under_drift(scale),
-        parallel_dispatch(scale),
     ]
 }
 
@@ -169,62 +163,6 @@ fn rebalance_under_drift(scale: RunScale) -> Table {
             cost.rebalances.to_string(),
             cost.subscriptions_migrated.to_string(),
         ]);
-    }
-    table
-}
-
-/// Table 3: covering-query latency through the three dispatch strategies.
-fn parallel_dispatch(scale: RunScale) -> Table {
-    let queries = scale.queries.clamp(40, 400);
-    let mut table = Table::new(
-        format!(
-            "E13c — parallel dispatch: sequential vs scoped threads vs worker pool (4 shards, {queries} queries)"
-        ),
-        &["population", "strategy", "mean latency (us)", "hits"],
-    );
-    for n in [1_000usize, scale.subscriptions.clamp(2_000, 20_000)] {
-        let config = Scenario::UniformBaseline.workload_config(55);
-        let mut workload = SubscriptionWorkload::new(&config).unwrap();
-        let schema = workload.schema().clone();
-        let population = workload.take(n);
-        let query_subs = workload.take(queries);
-        let index = ShardedCoveringIndex::build_from(
-            &schema,
-            ApproxConfig::exhaustive(),
-            CurveKind::Z,
-            4,
-            &population,
-        )
-        .unwrap();
-        // Warm the pool outside the measurement.
-        index.find_covering_parallel(&query_subs[0]).unwrap();
-
-        type Strategy = fn(&ShardedCoveringIndex, &acd_subscription::Subscription) -> bool;
-        let strategies: [(&str, Strategy); 3] = [
-            ("sequential sweep", |idx, q| {
-                idx.find_covering_ref(q).unwrap().is_covered()
-            }),
-            ("scoped threads", |idx, q| {
-                idx.find_covering_scoped(q).unwrap().is_covered()
-            }),
-            ("worker pool", |idx, q| {
-                idx.find_covering_parallel(q).unwrap().is_covered()
-            }),
-        ];
-        for (label, strategy) in strategies {
-            let start = Instant::now();
-            let mut hits = 0usize;
-            for q in &query_subs {
-                hits += usize::from(strategy(&index, q));
-            }
-            let elapsed = start.elapsed();
-            table.add_row(vec![
-                n.to_string(),
-                label.to_string(),
-                fmt_f64(elapsed.as_secs_f64() * 1e6 / query_subs.len() as f64),
-                hits.to_string(),
-            ]);
-        }
     }
     table
 }

@@ -64,6 +64,7 @@ mod error;
 pub mod faults;
 pub mod metrics;
 pub mod network;
+mod pool;
 pub mod resilient;
 pub mod service;
 pub mod topology;

@@ -1,130 +1,71 @@
-//! A persistent query worker pool.
+//! The daemon's connection worker team.
 //!
-//! [`ShardedCoveringIndex`](crate::ShardedCoveringIndex) used to fan a
-//! parallel covering query out over *scoped threads spawned per call*. A
-//! thread spawn costs tens of microseconds — more than an entire covering
-//! query against a 10k-subscription shard — so per-call spawning priced
-//! parallelism out of exactly the micro-queries a broker issues most.
-//! [`QueryPool`] replaces it with a small team of long-lived worker threads
-//! fed through a channel: submitting a job is one channel send (a few
-//! hundred nanoseconds), so the parallel path wins even when the per-shard
-//! work is tiny.
+//! [`WorkerPool`] is a small team of long-lived worker threads fed through
+//! a channel. The accept thread submits one job per admitted connection
+//! (one channel send); whichever worker is free serves that connection to
+//! completion, so the team size bounds the number of concurrently *served*
+//! clients while further admitted connections wait in the queue.
 //!
 //! The pool is deliberately minimal: jobs are `FnOnce() + Send + 'static`
-//! closures, results travel back over whatever channel the caller baked into
-//! the closure, and a panicking job is caught so the worker survives to
-//! serve the next one (the caller observes the lost result as a disconnected
-//! result channel and falls back to querying inline).
+//! closures, and a panicking job is caught so the worker survives to serve
+//! the next connection (the job's own drop guards release whatever the
+//! dead session held — see `service.rs`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// A boxed unit of work executed by one pool worker.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Default worker-team size: one worker per available core, capped at 8 (a
-/// covering query rarely fans out over more shards than that, and an
-/// oversized idle team only costs memory).
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .clamp(1, 8)
-}
-
 /// A fixed-size team of long-lived worker threads fed by a channel.
 ///
 /// Dropping the pool closes the channel and joins every worker; jobs already
 /// queued still run to completion first.
-///
-/// # Example
-///
-/// ```
-/// use acd_covering::pool::QueryPool;
-/// use std::sync::mpsc;
-///
-/// let pool = QueryPool::new(2);
-/// let (tx, rx) = mpsc::channel();
-/// for i in 0..4u32 {
-///     let tx = tx.clone();
-///     pool.execute(move || tx.send(i * i).unwrap());
-/// }
-/// drop(tx);
-/// let mut squares: Vec<u32> = rx.iter().collect();
-/// squares.sort_unstable();
-/// assert_eq!(squares, vec![0, 1, 4, 9]);
-/// ```
 #[derive(Debug)]
-pub struct QueryPool {
+pub(crate) struct WorkerPool {
     /// `Some` while the pool accepts work; taken (closing the channel) on
     /// drop so the workers run dry and exit.
     sender: Option<mpsc::Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
-    /// Jobs that panicked inside a worker (the worker itself survives).
-    /// Exposed via [`panicked_workers`](Self::panicked_workers) so callers
-    /// can tell "results missing because a job died" from ordinary timing.
-    panics: Arc<AtomicUsize>,
 }
 
-impl QueryPool {
-    /// Spawns a pool with `workers` threads (at least one; pass
-    /// [`default_workers`] to size it to the machine).
-    pub fn new(workers: usize) -> Self {
+impl WorkerPool {
+    /// Spawns a pool with `workers` threads (at least one).
+    pub(crate) fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let (sender, receiver) = mpsc::channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
-        let panics = Arc::new(AtomicUsize::new(0));
         let workers = (0..workers)
             .map(|i| {
                 let receiver = Arc::clone(&receiver);
-                let panics = Arc::clone(&panics);
                 std::thread::Builder::new()
-                    .name(format!("acd-query-{i}"))
+                    .name(format!("acd-brokerd-conn-{i}"))
                     .spawn(move || loop {
                         // Hold the receiver lock only for the dequeue, not
                         // while running the job.
                         let job = receiver.lock().unwrap_or_else(|e| e.into_inner()).recv();
                         match job {
                             // A panicking job must not kill the worker: the
-                            // pool is shared by every query of the index's
-                            // lifetime. Count it so callers can attribute
-                            // missing results.
+                            // team serves every connection of the daemon's
+                            // lifetime.
                             Ok(job) => {
-                                if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                                    panics.fetch_add(1, Ordering::Relaxed);
-                                }
+                                let _ = catch_unwind(AssertUnwindSafe(job));
                             }
                             Err(_) => break,
                         }
                     })
-                    .expect("spawn query pool worker")
+                    .expect("spawn connection worker")
             })
             .collect();
-        QueryPool {
+        WorkerPool {
             sender: Some(sender),
             workers,
-            panics,
         }
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Number of jobs that have panicked inside a worker since the pool was
-    /// created. Workers survive job panics, so this is a cumulative health
-    /// counter: a nonzero value explains result channels that disconnected
-    /// without delivering.
-    pub fn panicked_workers(&self) -> usize {
-        self.panics.load(Ordering::Relaxed)
-    }
-
     /// Enqueues a job; some worker runs it as soon as one is free.
-    pub fn execute<F>(&self, job: F)
+    pub(crate) fn execute<F>(&self, job: F)
     where
         F: FnOnce() + Send + 'static,
     {
@@ -136,7 +77,7 @@ impl QueryPool {
     }
 }
 
-impl Drop for QueryPool {
+impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Closing the channel makes every worker's next recv fail.
         self.sender.take();
@@ -154,8 +95,7 @@ mod tests {
 
     #[test]
     fn runs_every_job_exactly_once() {
-        let pool = QueryPool::new(3);
-        assert_eq!(pool.workers(), 3);
+        let pool = WorkerPool::new(3);
         let counter = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();
         for _ in 0..64 {
@@ -175,7 +115,7 @@ mod tests {
     fn jobs_run_concurrently_across_workers() {
         // Two jobs that each wait for the other can only finish if two
         // workers run them at the same time.
-        let pool = QueryPool::new(2);
+        let pool = WorkerPool::new(2);
         let barrier = Arc::new(std::sync::Barrier::new(2));
         let (tx, rx) = mpsc::channel();
         for _ in 0..2 {
@@ -197,7 +137,7 @@ mod tests {
 
     #[test]
     fn a_panicking_job_does_not_kill_the_worker() {
-        let pool = QueryPool::new(1);
+        let pool = WorkerPool::new(1);
         let (tx, rx) = mpsc::channel();
         pool.execute(|| panic!("job panic must be contained"));
         pool.execute(move || tx.send(7u32).unwrap());
@@ -205,23 +145,8 @@ mod tests {
     }
 
     #[test]
-    fn panicked_jobs_are_counted() {
-        let pool = QueryPool::new(1);
-        assert_eq!(pool.panicked_workers(), 0);
-        let (tx, rx) = mpsc::channel();
-        pool.execute(|| panic!("first panic"));
-        pool.execute(|| panic!("second panic"));
-        // A single worker runs jobs in order, so once this sentinel lands
-        // both panics have been counted.
-        pool.execute(move || tx.send(()).unwrap());
-        assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(()));
-        assert_eq!(pool.panicked_workers(), 2);
-    }
-
-    #[test]
     fn zero_workers_is_clamped_to_one() {
-        let pool = QueryPool::new(0);
-        assert_eq!(pool.workers(), 1);
+        let pool = WorkerPool::new(0);
         let (tx, rx) = mpsc::channel();
         pool.execute(move || tx.send(1u8).unwrap());
         assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(1));
@@ -231,7 +156,7 @@ mod tests {
     fn drop_joins_workers_after_draining_queued_jobs() {
         let counter = Arc::new(AtomicUsize::new(0));
         {
-            let pool = QueryPool::new(2);
+            let pool = WorkerPool::new(2);
             for _ in 0..32 {
                 let counter = Arc::clone(&counter);
                 pool.execute(move || {
@@ -241,11 +166,5 @@ mod tests {
             // Drop without waiting: queued jobs must still complete.
         }
         assert_eq!(counter.load(Ordering::Relaxed), 32);
-    }
-
-    #[test]
-    fn default_workers_is_sane() {
-        let w = default_workers();
-        assert!((1..=8).contains(&w));
     }
 }

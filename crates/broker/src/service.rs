@@ -7,9 +7,9 @@
 //!   observed without a wake-up connection), applies the connection cap —
 //!   over-cap peers get a typed [`Frame::Rejected`] answer instead of an
 //!   accept-then-stall — and hands each admitted socket to
-//! * a **connection worker team** — the same long-lived channel-fed
-//!   [`QueryPool`] the sharded index uses for queries — where each
-//!   connection is served to completion by one worker;
+//! * a **connection worker team** — a long-lived channel-fed
+//!   `WorkerPool` — where each connection is served to completion by one
+//!   worker;
 //! * every worker drives the **shared network through `&self`**: the
 //!   overlay's interior locking (see `LOCKING.md`) is what lets N
 //!   connections subscribe, unsubscribe and publish concurrently.
@@ -27,8 +27,9 @@
 //!
 //! * **Sessions are connection-scoped.** Every subscription registered over
 //!   a connection is tracked in a session map; when the connection ends —
-//!   clean EOF, protocol error, slow-consumer eviction or idle reap — its
-//!   surviving registrations are retracted exactly like `unsubscribe`
+//!   clean EOF, protocol error, slow-consumer eviction, idle reap or a
+//!   panic in its worker — its surviving registrations are retracted
+//!   exactly like `unsubscribe`
 //!   (the *drained-state invariant*: a dead client leaves no routing
 //!   entries behind).
 //! * **Replay is idempotent.** [`Frame::Resubscribe`]/[`Frame::Retract`]
@@ -59,7 +60,6 @@ use acd_covering::ordered::{OrderedMutex, RANK_JOURNAL, RANK_SESSION};
 use acd_covering::storage::{
     read_snapshot, write_snapshot, JournalRecord, StorageError, SubscriptionJournal,
 };
-use acd_covering::QueryPool;
 use acd_subscription::{Event, Schema, SubId, Subscription, SubscriptionBuilder};
 
 use crate::broker::BrokerId;
@@ -67,6 +67,7 @@ use crate::error::{BrokerError, ServiceError};
 use crate::faults::{FaultPlan, FaultyStream};
 use crate::metrics::MetricCounters;
 use crate::network::BrokerNetwork;
+use crate::pool::WorkerPool;
 use crate::wire::{buffered_publish, encode_frame, read_frame, Frame};
 
 /// How long a blocked connection read waits before re-checking the
@@ -420,7 +421,7 @@ impl Drop for BrokerDaemon {
 /// Accepts until shutdown, dispatching each admitted connection to the
 /// worker team and answering over-cap peers with [`Frame::Rejected`].
 fn accept_loop(listener: TcpListener, state: Arc<DaemonState>) {
-    let pool = QueryPool::new(state.options.workers);
+    let pool = WorkerPool::new(state.options.workers);
     let mut next_conn: u64 = 0;
     while !state.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -432,17 +433,15 @@ fn accept_loop(listener: TcpListener, state: Arc<DaemonState>) {
                 }
                 let conn = next_conn;
                 next_conn += 1;
-                // Counted at accept (not at first service) so queued
+                // Admitted at accept (not at first service) so queued
                 // connections hold a slot — the cap bounds admission, and
                 // over-cap peers learn it immediately instead of stalling
                 // in the worker queue.
-                state.active.fetch_add(1, Ordering::SeqCst);
-                let state = Arc::clone(&state);
+                let session = SessionGuard::admit(Arc::clone(&state), conn);
                 pool.execute(move || {
                     // A connection failing (corrupt frames, peer reset) only
                     // closes that connection; the daemon keeps serving.
-                    let _ = serve_connection(&state, stream, conn);
-                    state.active.fetch_sub(1, Ordering::SeqCst);
+                    let _ = serve_connection(session, stream);
                 });
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -474,45 +473,76 @@ fn reject_connection(state: &DaemonState, stream: TcpStream, cap: usize) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Configures the admitted socket and serves it, applying the chaos
-/// schedule when one is installed.
-fn serve_connection(state: &DaemonState, stream: TcpStream, conn: u64) -> Result<(), ServiceError> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(READ_POLL))?;
-    if state.options.write_timeout.is_some() {
-        // try_clone shares the fd, so one call covers both halves.
-        stream.set_write_timeout(state.options.write_timeout)?;
-    }
-    let read_half = stream.try_clone()?;
-    match &state.chaos {
-        Some(plan) => {
-            // Separate per-direction salts: the two halves draw
-            // independent, reproducible fault schedules.
-            let reader = FaultyStream::new(read_half, Arc::clone(plan), conn * 2);
-            let writer = FaultyStream::new(stream, Arc::clone(plan), conn * 2 + 1);
-            serve_session(state, reader, writer, conn)
+/// One admitted connection's claim on the daemon: its `max_connections`
+/// slot and whatever its session registers. Dropping the guard releases
+/// both, so the drained-state invariant and the connection gauge hold on
+/// *every* exit path: clean EOF, corrupt frame, slow-consumer eviction,
+/// idle reap, daemon shutdown, or a panic unwinding out of the session
+/// loop (which the worker pool contains, so nothing else would notice).
+#[derive(Debug)]
+struct SessionGuard {
+    state: Arc<DaemonState>,
+    conn: u64,
+    /// Whether the *daemon* ended the session (see [`cleanup_sessions`]);
+    /// `false` until the session loop says otherwise, so a panicked
+    /// session is cleaned up like a vanished client.
+    daemon_teardown: bool,
+}
+
+impl SessionGuard {
+    /// Takes a connection slot for `conn`.
+    fn admit(state: Arc<DaemonState>, conn: u64) -> SessionGuard {
+        state.active.fetch_add(1, Ordering::SeqCst);
+        SessionGuard {
+            state,
+            conn,
+            daemon_teardown: false,
         }
-        None => serve_session(state, read_half, stream, conn),
     }
 }
 
-/// Serves one connection over any transport, then retracts whatever the
-/// session still has registered — the drained-state invariant holds on
-/// *every* exit path: clean EOF, corrupt frame, slow-consumer eviction,
-/// idle reap, or daemon shutdown.
+impl Drop for SessionGuard {
+    fn drop(&mut self) {
+        cleanup_sessions(&self.state, self.conn, self.daemon_teardown);
+        self.state.active.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Configures the admitted socket and serves it, applying the chaos
+/// schedule when one is installed.
+fn serve_connection(session: SessionGuard, stream: TcpStream) -> Result<(), ServiceError> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(READ_POLL))?;
+    if session.state.options.write_timeout.is_some() {
+        // try_clone shares the fd, so one call covers both halves.
+        stream.set_write_timeout(session.state.options.write_timeout)?;
+    }
+    let read_half = stream.try_clone()?;
+    match session.state.chaos.clone() {
+        Some(plan) => {
+            // Separate per-direction salts: the two halves draw
+            // independent, reproducible fault schedules.
+            let reader = FaultyStream::new(read_half, Arc::clone(&plan), session.conn * 2);
+            let writer = FaultyStream::new(stream, plan, session.conn * 2 + 1);
+            serve_session(session, reader, writer)
+        }
+        None => serve_session(session, read_half, stream),
+    }
+}
+
+/// Serves one connection over any transport; the guard then retracts
+/// whatever the session still has registered.
 fn serve_session<S: Read, W: Write>(
-    state: &DaemonState,
+    mut session: SessionGuard,
     transport: S,
     sink: W,
-    conn: u64,
 ) -> Result<(), ServiceError> {
-    let result = session_loop(state, transport, sink, conn);
+    let result = session_loop(&session.state, transport, sink, session.conn);
     // Only a session the *daemon* tore down (the shutdown flag synthesized
     // its EOF) keeps its registrations out of the journal; a client that
     // genuinely vanished — real EOF, corrupt frame, eviction — is cleaned
     // up like an unsubscribe even if a graceful shutdown is racing us.
-    let daemon_teardown = matches!(result, Ok(true));
-    cleanup_sessions(state, conn, daemon_teardown);
+    session.daemon_teardown = matches!(result, Ok(true));
     result.map(|_| ())
 }
 
@@ -1045,8 +1075,13 @@ mod tests {
         BrokerDaemon::start(test_network(policy), "127.0.0.1:0", 2).unwrap()
     }
 
-    fn state_with(options: DaemonOptions) -> DaemonState {
-        DaemonState::new(test_network(CoveringPolicy::ExactSfc), options).unwrap()
+    fn state_with(options: DaemonOptions) -> Arc<DaemonState> {
+        Arc::new(DaemonState::new(test_network(CoveringPolicy::ExactSfc), options).unwrap())
+    }
+
+    /// Admits connection `conn` the way the accept loop does.
+    fn admit(state: &Arc<DaemonState>, conn: u64) -> SessionGuard {
+        SessionGuard::admit(Arc::clone(state), conn)
     }
 
     /// Encodes `frames` as one pipelined request stream.
@@ -1293,7 +1328,7 @@ mod tests {
             },
         ]);
         let mut sink = Vec::new();
-        serve_session(&state, burst.as_slice(), &mut sink, 1).unwrap();
+        serve_session(admit(&state, 1), burst.as_slice(), &mut sink).unwrap();
         let frames = responses(&sink);
         assert!(matches!(frames[0], Frame::Hello { .. }));
         assert!(matches!(frames[1], Frame::Deliveries { .. }));
@@ -1336,7 +1371,7 @@ mod tests {
             },
         ]);
         let mut sink = Vec::new();
-        serve_session(&state, burst.as_slice(), &mut sink, 1).unwrap();
+        serve_session(admit(&state, 1), burst.as_slice(), &mut sink).unwrap();
         let frames = responses(&sink);
         assert!(matches!(frames[0], Frame::Hello { .. }));
         assert!(matches!(frames[1], Frame::Deliveries { .. }));
@@ -1368,7 +1403,7 @@ mod tests {
             },
         ]);
         let mut sink = Vec::new();
-        serve_session(&state, burst.as_slice(), &mut sink, 2).unwrap();
+        serve_session(admit(&state, 2), burst.as_slice(), &mut sink).unwrap();
         let frames = responses(&sink);
         assert!(matches!(frames[1], Frame::Err { .. }));
         assert!(matches!(frames[2], Frame::Err { .. }));
@@ -1407,7 +1442,7 @@ mod tests {
             },
         ]);
         let mut sink = Vec::new();
-        serve_session(&state, burst.as_slice(), &mut sink, 1).unwrap();
+        serve_session(admit(&state, 1), burst.as_slice(), &mut sink).unwrap();
         let frames = responses(&sink);
         assert_eq!(
             frames[1],
@@ -1438,7 +1473,7 @@ mod tests {
         let mut sink = Vec::new();
         // The transport ends (EOF) right after the subscribe — a client
         // that vanished without unsubscribing.
-        serve_session(&state, stream.as_slice(), &mut sink, 1).unwrap();
+        serve_session(admit(&state, 1), stream.as_slice(), &mut sink).unwrap();
         let frames = responses(&sink);
         assert!(matches!(frames[1], Frame::Ok));
         // Drained-state invariant: the registration was retracted exactly
@@ -1698,7 +1733,7 @@ mod tests {
             offset: 0,
         };
         let mut sink = Vec::new();
-        serve_session(&state, transport, &mut sink, 1).unwrap();
+        serve_session(admit(&state, 1), transport, &mut sink).unwrap();
         let metrics = state.network.metrics();
         assert_eq!(metrics.connections_evicted, 1, "reap counts as eviction");
         assert_eq!(metrics.routing_table_entries, 0, "session drained");
@@ -1747,7 +1782,7 @@ mod tests {
             shutdown: &state.shutdown,
         };
         let mut sink = Vec::new();
-        serve_session(&state, transport, &mut sink, 1).unwrap();
+        serve_session(admit(&state, 1), transport, &mut sink).unwrap();
         assert_eq!(state.network.metrics().routing_table_entries, 0);
         {
             let journal = state.journal.lock();
@@ -1761,6 +1796,61 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Regression: the worker pool contains a panicking connection job, so
+    /// nothing after the call site runs — the slot and the session's
+    /// registrations must be released by the guard as the panic unwinds.
+    #[test]
+    fn a_panicking_session_releases_its_slot_and_its_subscriptions() {
+        let state = state_with(DaemonOptions::default());
+        /// Delivers its bytes, then panics on the next read — after noting
+        /// how many sessions the daemon holds at that point.
+        struct PanicsAfter {
+            data: Vec<u8>,
+            delivered: bool,
+            state: Arc<DaemonState>,
+            sessions_seen: Arc<AtomicUsize>,
+        }
+        impl Read for PanicsAfter {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if !self.delivered {
+                    self.delivered = true;
+                    buf[..self.data.len()].copy_from_slice(&self.data);
+                    return Ok(self.data.len());
+                }
+                let live = self.state.sessions.lock().len();
+                self.sessions_seen.store(live, Ordering::SeqCst);
+                panic!("transport panic must not leak the session");
+            }
+        }
+        let sessions_seen = Arc::new(AtomicUsize::new(0));
+        let transport = PanicsAfter {
+            data: requests(&[Frame::Subscribe {
+                at: 0,
+                client: 7,
+                id: 1,
+                bounds: vec![(0.0, 50.0)],
+            }]),
+            delivered: false,
+            state: Arc::clone(&state),
+            sessions_seen: Arc::clone(&sessions_seen),
+        };
+        let active_before = state.active.load(Ordering::SeqCst);
+        let session = admit(&state, 1);
+        assert_eq!(state.active.load(Ordering::SeqCst), active_before + 1);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve_session(session, transport, Vec::new())
+        }));
+        assert!(outcome.is_err(), "the transport panic must propagate");
+        assert_eq!(
+            sessions_seen.load(Ordering::SeqCst),
+            1,
+            "the subscribe must have registered before the panic"
+        );
+        assert!(state.sessions.lock().is_empty(), "session map drained");
+        assert_eq!(state.network.metrics().routing_table_entries, 0);
+        assert_eq!(state.active.load(Ordering::SeqCst), active_before);
+    }
+
     #[test]
     fn corrupt_request_frames_are_counted_and_close_the_connection() {
         let state = state_with(DaemonOptions::default());
@@ -1771,7 +1861,7 @@ mod tests {
         let last = garbage.len() - 1;
         garbage[last] ^= 0xff; // break the checksum
         let mut sink = Vec::new();
-        let result = serve_session(&state, garbage.as_slice(), &mut sink, 1);
+        let result = serve_session(admit(&state, 1), garbage.as_slice(), &mut sink);
         assert!(matches!(result, Err(ServiceError::CorruptFrame { .. })));
         assert_eq!(state.network.metrics().frames_corrupt, 1);
         assert_eq!(

@@ -31,10 +31,15 @@
 
 use std::io::Read;
 
+use acd_covering::storage::crc32_update;
 use acd_subscription::{SubId, Subscription};
 
 use crate::broker::{BrokerId, ClientId};
 use crate::error::ServiceError;
+
+/// The frame checksum: the storage codec's slice-by-16 CRC-32 (IEEE), so
+/// the repo carries one CRC kernel.
+pub use acd_covering::storage::crc32;
 
 /// First four bytes of every frame: `"ACDB"` read as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"ACDB");
@@ -216,39 +221,6 @@ impl Frame {
     }
 }
 
-// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Built at compile
-// time so the hot path is one table lookup per byte.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        // acd-lint: allow(panic-hygiene) const-fn table builder; `i` is the loop bound over table.len()
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        // acd-lint: allow(panic-hygiene) index is masked to 0..256 on a 256-entry table
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
 /// Validates a frame's fixed header: magic, version, and a sane payload
 /// length. Returns `(kind, payload_len)`.
 ///
@@ -403,22 +375,10 @@ pub fn read_frame<R: Read>(reader: &mut R, scratch: &mut Vec<u8>) -> Result<Fram
     reader.read_exact(scratch).map_err(truncated)?;
     let mut footer = [0u8; FOOTER_LEN];
     reader.read_exact(&mut footer).map_err(truncated)?;
-    let mut crc = crc32(&header);
-    // One-shot CRC over two spans: continue the running value by hand.
-    crc = continue_crc32(crc, scratch);
+    // The checksum covers header + payload, which arrive as two spans.
+    let crc = crc32_update(crc32(&header), scratch);
     check_footer(u32::from_le_bytes(footer), crc)?;
     decode_payload(kind, scratch)
-}
-
-/// Continues a finished CRC-32 value over more bytes (equivalent to hashing
-/// the concatenation).
-fn continue_crc32(finished: u32, bytes: &[u8]) -> u32 {
-    let mut crc = !finished;
-    for &b in bytes {
-        // acd-lint: allow(panic-hygiene) index is masked to 0..256 on a 256-entry table
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
 }
 
 /// Peeks at the frame heading `buf` without consuming anything: returns the
@@ -800,7 +760,7 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         // Split computation agrees with one-shot.
         let whole = crc32(b"hello world");
-        assert_eq!(continue_crc32(crc32(b"hello "), b"world"), whole);
+        assert_eq!(crc32_update(crc32(b"hello "), b"world"), whole);
     }
 
     #[test]

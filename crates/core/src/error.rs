@@ -33,7 +33,7 @@ pub enum CoveringError {
         /// The offending identifier.
         id: u64,
     },
-    /// A rebalance or pool policy has unusable parameters.
+    /// A rebalance policy has unusable parameters.
     InvalidPolicy {
         /// What is wrong with the policy.
         reason: String,

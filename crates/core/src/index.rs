@@ -14,7 +14,12 @@ use crate::Result;
 /// * [`crate::LinearScanIndex`] scans every stored subscription — exact but
 ///   O(n) per query;
 /// * [`crate::SfcCoveringIndex`] runs the paper's SFC-based point-dominance
-///   query — exhaustive or ε-approximate.
+///   query — exhaustive or ε-approximate;
+/// * [`crate::ShardedCoveringIndex`] partitions subscriptions over
+///   key-range shards of `SfcCoveringIndex` and sweeps the candidate shards
+///   in key order. Its inherent `insert`/`remove`/`find_covering`/
+///   `find_covering_batch`/`find_covered_by` take `&self` (interior
+///   locking); the trait methods forward to them.
 ///
 /// All implementations must satisfy the safety property the broker relies
 /// on: a returned identifier always refers to a stored subscription that

@@ -69,7 +69,6 @@ pub mod index;
 pub mod linear;
 pub mod ordered;
 pub mod policy;
-pub mod pool;
 pub mod rebalance;
 pub mod sfc_index;
 pub mod sharded;
@@ -81,8 +80,7 @@ pub use error::CoveringError;
 pub use index::CoveringIndex;
 pub use linear::LinearScanIndex;
 pub use ordered::{OrderedMutex, OrderedRwLock};
-pub use policy::{CoveringPolicy, PoolPolicy, RebalancePolicy};
-pub use pool::QueryPool;
+pub use policy::{CoveringPolicy, RebalancePolicy};
 pub use rebalance::RebalanceOutcome;
 pub use sfc_index::SfcCoveringIndex;
 pub use sharded::ShardedCoveringIndex;

@@ -67,9 +67,6 @@ pub const RANK_SHARD_BASE: u32 = 30;
 pub const RANK_SEGMENTS: u32 = 95;
 /// Rank of the rebalance-policy lock.
 pub const RANK_POLICY: u32 = 100;
-/// Rank of the pool-policy lock (same class as [`RANK_POLICY`], ordered
-/// after it so holding both in that order is legal).
-pub const RANK_POOL_POLICY: u32 = 101;
 /// Rank of the aggregate-statistics lock.
 pub const RANK_STATS: u32 = 110;
 

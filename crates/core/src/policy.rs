@@ -95,26 +95,6 @@ impl RebalancePolicy {
     }
 }
 
-/// Sizing of the persistent worker pool behind
-/// [`ShardedCoveringIndex::find_covering_parallel`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PoolPolicy {
-    /// Worker threads; `0` (the default) sizes the pool to the machine
-    /// ([`crate::pool::default_workers`]).
-    pub workers: usize,
-}
-
-impl PoolPolicy {
-    /// The concrete worker count this policy resolves to.
-    pub fn resolved_workers(&self) -> usize {
-        if self.workers == 0 {
-            crate::pool::default_workers()
-        } else {
-            self.workers
-        }
-    }
-}
-
 impl CoveringPolicy {
     /// Whether the policy performs any covering detection at all.
     pub fn detects_covering(&self) -> bool {
@@ -245,12 +225,6 @@ mod tests {
         ] {
             assert!(bad.validate().is_err(), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn pool_policy_resolves_workers() {
-        assert!(PoolPolicy::default().resolved_workers() >= 1);
-        assert_eq!(PoolPolicy { workers: 3 }.resolved_workers(), 3);
     }
 
     #[test]

@@ -43,28 +43,21 @@
 //! [`RebalancePolicy`], and [`set_rebalance_policy`] arms an automatic
 //! check every `check_interval` updates.
 //!
-//! # The parallel query path
+//! # One query path
 //!
-//! [`find_covering_parallel`](ShardedCoveringIndex::find_covering_parallel)
-//! fans the candidate shards out over a persistent
-//! [`QueryPool`] — long-lived worker threads fed by
-//! a channel — created lazily on the first parallel query and sized by
-//! [`PoolPolicy`]. The pool replaces the scoped-thread-per-call fan-out of
-//! earlier revisions (kept as
-//! [`find_covering_scoped`](ShardedCoveringIndex::find_covering_scoped) for
-//! comparison): dispatching to a live worker costs well under a
-//! microsecond, so the parallel path pays off even for micro-queries where
-//! a thread spawn used to cost more than the whole query.
+//! A covering query is a sequential, early-exit sweep over the candidate
+//! shards in ascending key order, run on the calling thread. There is
+//! deliberately no parallel fan-out: a query is a few microseconds of
+//! work, less than one cross-thread hand-off, so fanning out loses at
+//! every population size (measurements in README "Rebalancing").
 //!
 //! [`maybe_rebalance`]: ShardedCoveringIndex::maybe_rebalance
 //! [`set_rebalance_policy`]: ShardedCoveringIndex::set_rebalance_policy
-//! [`QueryPool`]: crate::pool::QueryPool
 
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Once, OnceLock};
 
 use acd_sfc::{CurveKind, Key, SpaceFillingCurve};
 use acd_storage::{
@@ -77,11 +70,10 @@ use crate::config::ApproxConfig;
 use crate::error::CoveringError;
 use crate::index::CoveringIndex;
 use crate::ordered::{
-    OrderedMutex, OrderedRwLock, RANK_LAYOUT, RANK_POLICY, RANK_POOL_POLICY, RANK_REGISTRY,
-    RANK_SEGMENTS, RANK_SHARD_BASE, RANK_STATS,
+    OrderedMutex, OrderedRwLock, RANK_LAYOUT, RANK_POLICY, RANK_REGISTRY, RANK_SEGMENTS,
+    RANK_SHARD_BASE, RANK_STATS,
 };
-use crate::policy::{PoolPolicy, RebalancePolicy};
-use crate::pool::QueryPool;
+use crate::policy::RebalancePolicy;
 use crate::rebalance::{imbalance_of, quantile_starts, shard_of_prefix, RebalanceOutcome};
 use crate::sfc_index::{decode_json, encode_json, SfcCoveringIndex};
 use crate::stats::{IndexStats, QueryOutcome, QueryStats};
@@ -120,8 +112,8 @@ fn key_prefix(key: &Key) -> u64 {
 
 /// A sharded covering index: key-range partitioned [`SfcCoveringIndex`]
 /// shards behind per-shard read/write locks, with shard pruning for
-/// dominance queries, online boundary rebalancing and a persistent parallel
-/// query pool (see the [module docs](self)).
+/// dominance queries and online boundary rebalancing (see the
+/// [module docs](self)).
 ///
 /// All operations take `&self`; interior locking makes the index safe to
 /// share across threads (`&ShardedCoveringIndex` is `Send + Sync`). It also
@@ -152,7 +144,7 @@ fn key_prefix(key: &Key) -> u64 {
 ///     .range("y", 40.0, 60.0)
 ///     .build(2)?;
 /// index.insert(&wide)?;
-/// assert_eq!(index.find_covering_ref(&narrow)?.covering, Some(1));
+/// assert_eq!(index.find_covering(&narrow)?.covering, Some(1));
 /// # Ok(())
 /// # }
 /// ```
@@ -176,11 +168,10 @@ pub struct ShardedCoveringIndex {
     /// debug builds, and `acd-lint`'s `lock-order` pass checks it
     /// statically.
     starts: OrderedRwLock<Vec<u64>>,
-    /// The shard array itself never changes length; the `Arc` lets pool
-    /// workers (which need `'static` jobs) share it without borrowing
-    /// `self`. Shard `i`'s lock carries rank `RANK_SHARD_BASE + i`, so the
-    /// ascending-order rule is machine-checked too.
-    shards: Arc<Vec<OrderedRwLock<SfcCoveringIndex>>>,
+    /// The shard array itself never changes length. Shard `i`'s lock
+    /// carries rank `RANK_SHARD_BASE + i`, so the ascending-order rule is
+    /// machine-checked too.
+    shards: Vec<OrderedRwLock<SfcCoveringIndex>>,
     /// Which shard holds each stored identifier. The single writer-side
     /// rendezvous point: readers (covering queries) never touch it.
     registry: OrderedMutex<HashMap<SubId, u32>>,
@@ -194,17 +185,6 @@ pub struct ShardedCoveringIndex {
     /// Updates since construction, counted only while a policy is armed
     /// (drives the `check_interval` trigger).
     ops_since_check: AtomicU64,
-    /// The persistent parallel-query pool, created on first use.
-    pool: OnceLock<QueryPool>,
-    /// Sizing for the pool; `committed` flips (under the same lock) the
-    /// moment pool creation reads the policy, so a concurrent
-    /// [`set_pool_policy`](Self::set_pool_policy) can never report success
-    /// for a policy the pool did not use.
-    pool_policy: OrderedMutex<PoolPolicyState>,
-    /// Fires on the first parallel query that had to re-run shards inline
-    /// (a pool job panicked and never reported); logging only the first
-    /// occurrence keeps a sick pool from flooding stderr.
-    fallback_logged: Once,
     /// The attached durable-segment directory, if the index was saved to or
     /// opened from one: the directory path plus the last committed manifest
     /// (whose shard refs a compaction reuses for clean shards). Rank
@@ -224,36 +204,6 @@ pub struct ShardedCoveringIndex {
 struct SegmentAttachment {
     dir: PathBuf,
     manifest: CommitManifest,
-}
-
-/// See [`ShardedCoveringIndex::set_pool_policy`].
-#[derive(Debug, Default)]
-struct PoolPolicyState {
-    policy: PoolPolicy,
-    committed: bool,
-}
-
-/// Merges per-shard covering outcomes in ascending shard order: counters
-/// sum ([`QueryStats::absorb`]), and the hit from the lowest-keyed shard
-/// wins, so every fan-out strategy returns exactly the sequential sweep's
-/// answer.
-fn merge_outcomes<I>(results: I) -> Result<QueryOutcome>
-where
-    I: IntoIterator<Item = Result<QueryOutcome>>,
-{
-    let mut merged = QueryStats::default();
-    let mut hit = None;
-    for result in results {
-        let outcome = result?;
-        merged.absorb(&outcome.stats);
-        if hit.is_none() {
-            hit = outcome.covering;
-        }
-    }
-    Ok(match hit {
-        Some(id) => QueryOutcome::found(id, merged),
-        None => QueryOutcome::empty(merged),
-    })
 }
 
 impl fmt::Debug for ShardedCoveringIndex {
@@ -370,14 +320,11 @@ impl ShardedCoveringIndex {
             curve,
             keyer: curve.build(universe),
             starts: OrderedRwLock::new(RANK_LAYOUT, "layout", starts),
-            shards: Arc::new(shards),
+            shards,
             registry: OrderedMutex::new(RANK_REGISTRY, "registry", HashMap::new()),
             stats: OrderedMutex::new(RANK_STATS, "stats", IndexStats::default()),
             rebalance_policy: OrderedRwLock::new(RANK_POLICY, "policy", None),
             ops_since_check: AtomicU64::new(0),
-            pool: OnceLock::new(),
-            pool_policy: OrderedMutex::new(RANK_POOL_POLICY, "policy", PoolPolicyState::default()),
-            fallback_logged: Once::new(),
             segments: OrderedMutex::new(RANK_SEGMENTS, "segments", None),
             modified: (0..shard_count).map(|_| AtomicBool::new(false)).collect(),
         })
@@ -578,102 +525,63 @@ impl ShardedCoveringIndex {
         result
     }
 
-    /// Sequential early-exit sweep over `candidates` (caller holds the
-    /// layout guard). Returns the merged outcome plus per-shard stats.
-    fn sweep_covering(
-        &self,
-        candidates: std::ops::RangeInclusive<usize>,
-        query: &Subscription,
-    ) -> Result<(QueryOutcome, Vec<QueryStats>)> {
+    /// Covering query: a sequential early-exit sweep over the candidate
+    /// shards, run on the calling thread under the shards' read locks.
+    /// Candidates are visited in ascending key order and the sweep stops at
+    /// the first hit (any reported identifier is a true cover); the returned
+    /// counters are the sums over the shards visited, except
+    /// `volume_fraction_searched`, which is their maximum. Takes `&self`, so
+    /// concurrent readers proceed in parallel; the outcome is recorded in
+    /// the sharded-level statistics, so returned outcomes sum to the
+    /// [`stats`](Self::stats) totals.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the query's schema does not match the index.
+    // acd-lint: hot
+    pub fn find_covering(&self, query: &Subscription) -> Result<QueryOutcome> {
+        self.check_schema(query)?;
+        let prefix = self.prefix_of(query)?;
         let mut merged = QueryStats::default();
-        let mut per_shard = Vec::new();
         let mut hit = None;
-        for shard in candidates {
-            let outcome = self.shards[shard].read().find_covering_ref(query)?;
-            merged.absorb(&outcome.stats);
-            per_shard.push(outcome.stats);
-            if let Some(id) = outcome.covering {
-                hit = Some(id);
-                break;
+        {
+            let starts = self.starts.read();
+            for shard in self.covering_candidates(&starts, prefix) {
+                let outcome = self.shards[shard].read().find_covering_ref(query)?;
+                merged.absorb(&outcome.stats);
+                if outcome.covering.is_some() {
+                    hit = outcome.covering;
+                    break;
+                }
             }
         }
         let outcome = match hit {
             Some(id) => QueryOutcome::found(id, merged),
             None => QueryOutcome::empty(merged),
         };
-        Ok((outcome, per_shard))
-    }
-
-    /// Covering query under the shards' read locks, returning both the
-    /// merged outcome and the per-shard query statistics of every shard
-    /// visited (in visit order). The merged counters are exactly the sums of
-    /// the per-shard counters — the invariant the differential tests pin —
-    /// except `volume_fraction_searched`, which is their maximum.
-    ///
-    /// Candidate shards are visited in ascending key order and the sweep
-    /// stops at the first hit (any reported identifier is a true cover).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the query's schema does not match the index.
-    pub fn find_covering_with_shard_stats(
-        &self,
-        query: &Subscription,
-    ) -> Result<(QueryOutcome, Vec<QueryStats>)> {
-        self.check_schema(query)?;
-        let prefix = self.prefix_of(query)?;
-        let (outcome, per_shard) = {
-            let starts = self.starts.read();
-            let candidates = self.covering_candidates(&starts, prefix);
-            self.sweep_covering(candidates, query)?
-        };
         self.record(&outcome);
-        Ok((outcome, per_shard))
-    }
-
-    /// Covering query through the sequential shard sweep (see
-    /// [`find_covering_with_shard_stats`](Self::find_covering_with_shard_stats)).
-    /// Takes `&self`, so concurrent readers proceed in parallel; the outcome
-    /// is recorded in the sharded-level statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the query's schema does not match the index.
-    pub fn find_covering_ref(&self, query: &Subscription) -> Result<QueryOutcome> {
-        Ok(self.find_covering_with_shard_stats(query)?.0)
+        Ok(outcome)
     }
 
     /// Batched covering query: answers every query in `queries` under one
     /// layout guard, visiting each candidate shard **once** and serving all
     /// still-pending queries against it through the shard's batched kernel
     /// ([`SfcCoveringIndex::find_covering_batch_ref`]). Returns one merged
-    /// outcome per query, in input order, plus the per-shard statistics each
-    /// query accumulated (in shard visit order).
+    /// outcome per query, in input order.
     ///
-    /// Answers and the stats invariant match the serial sweep exactly: every
-    /// query visits the same ascending shard range
-    /// (`covering_candidates`) and retires at
-    /// its first hit, and each query's merged counters are the sums of its
-    /// per-shard counters (`volume_fraction_searched` their maximum). The
-    /// batched kernel may *reduce* per-query probe work inside a shard
-    /// (shared Z sweep), never change answers. Each outcome is recorded in
-    /// the sharded-level statistics, so per-query outcomes still sum to the
-    /// [`IndexStats`] totals.
-    ///
-    /// The sweep is sequential rather than routed through the
-    /// [`QueryPool`]: each shard's pending set depends on the hits of every
-    /// lower-keyed shard (the early exit), so shards form a dependency chain
-    /// and the batch already amortises lock and decomposition work.
+    /// Answers match the serial sweep exactly: every query visits the same
+    /// ascending shard range (`covering_candidates`) and retires at its
+    /// first hit. The batched kernel may *reduce* per-query probe work
+    /// inside a shard (shared Z sweep), never change answers. Each outcome
+    /// is recorded in the sharded-level statistics, so per-query outcomes
+    /// still sum to the [`IndexStats`] totals.
     ///
     /// # Errors
     ///
     /// Returns an error if any query's schema does not match the index; the
     /// whole batch is validated up front, so on error no query has executed
     /// or been recorded.
-    pub fn find_covering_batch_with_shard_stats(
-        &self,
-        queries: &[Subscription],
-    ) -> Result<(Vec<QueryOutcome>, Vec<Vec<QueryStats>>)> {
+    pub fn find_covering_batch(&self, queries: &[Subscription]) -> Result<Vec<QueryOutcome>> {
         for query in queries {
             self.check_schema(query)?;
         }
@@ -683,9 +591,7 @@ impl ShardedCoveringIndex {
         }
         let n = queries.len();
         let mut hits: Vec<Option<SubId>> = vec![None; n];
-        let mut done = vec![false; n];
         let mut merged = vec![QueryStats::default(); n];
-        let mut per_shard: Vec<Vec<QueryStats>> = vec![Vec::new(); n];
         {
             // One layout guard across the whole batch: every query routes
             // against the same shard boundaries.
@@ -700,7 +606,7 @@ impl ShardedCoveringIndex {
                 sub_batch.clear();
                 batch_idx.clear();
                 for i in 0..n {
-                    if !done[i] && first_shard[i] <= shard {
+                    if hits[i].is_none() && first_shard[i] <= shard {
                         sub_batch.push(queries[i].clone());
                         batch_idx.push(i);
                     }
@@ -713,13 +619,10 @@ impl ShardedCoveringIndex {
                     .find_covering_batch_ref(&sub_batch)?;
                 for (outcome, &i) in outcomes.iter().zip(&batch_idx) {
                     merged[i].absorb(&outcome.stats);
-                    per_shard[i].push(outcome.stats);
-                    if let Some(id) = outcome.covering {
-                        hits[i] = Some(id);
-                        // Early exit: a hit from the lowest-keyed shard wins,
-                        // exactly like the serial sweep's break.
-                        done[i] = true;
-                    }
+                    // A hit retires the query (it is not batched again), so
+                    // the lowest-keyed shard's hit wins, exactly like the
+                    // serial sweep's break.
+                    hits[i] = outcome.covering;
                 }
             }
         }
@@ -734,165 +637,7 @@ impl ShardedCoveringIndex {
         for outcome in &outcomes {
             self.record(outcome);
         }
-        Ok((outcomes, per_shard))
-    }
-
-    /// Batched covering query through the shared-sweep shard walk (see
-    /// [`find_covering_batch_with_shard_stats`](Self::find_covering_batch_with_shard_stats)).
-    /// Takes `&self`, so concurrent readers proceed in parallel; every
-    /// outcome is recorded in the sharded-level statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any query's schema does not match the index (the
-    /// batch is validated up front; nothing executes on error).
-    pub fn find_covering_batch_ref(&self, queries: &[Subscription]) -> Result<Vec<QueryOutcome>> {
-        Ok(self.find_covering_batch_with_shard_stats(queries)?.0)
-    }
-
-    /// The persistent query pool, created on first use with the current
-    /// [`PoolPolicy`].
-    fn pool(&self) -> &QueryPool {
-        self.pool.get_or_init(|| {
-            let workers = {
-                let mut state = self.pool_policy.lock();
-                // Committing under the lock closes the race with a
-                // concurrent set_pool_policy: once this flag is set, the
-                // setter refuses, so a `true` return always means the pool
-                // was (or will be) built with that policy.
-                state.committed = true;
-                state.policy.resolved_workers()
-            }
-            // One candidate shard always runs inline on the caller.
-            .min(self.shards.len().saturating_sub(1).max(1));
-            QueryPool::new(workers)
-        })
-    }
-
-    /// Sets the pool sizing policy. Returns `false` (and changes nothing)
-    /// if the pool was already created by an earlier parallel query.
-    pub fn set_pool_policy(&self, policy: PoolPolicy) -> bool {
-        let mut state = self.pool_policy.lock();
-        if state.committed {
-            return false;
-        }
-        state.policy = policy;
-        true
-    }
-
-    /// Number of worker threads the parallel path will use (creates the
-    /// pool if it does not exist yet).
-    pub fn pool_workers(&self) -> usize {
-        self.pool().workers()
-    }
-
-    /// Covering query with parallel fan-out over the persistent worker
-    /// pool: every candidate shard beyond the first is dispatched to a
-    /// pool worker (one channel send each) while the lowest-keyed shard —
-    /// whose hit decides the query — runs inline on the caller. Results are
-    /// merged in shard order, so the answer is deterministic regardless of
-    /// scheduling and identical to the sequential sweep's.
-    ///
-    /// Compared to the scoped-thread fan-out this replaces
-    /// ([`find_covering_scoped`](Self::find_covering_scoped)), dispatch
-    /// costs a channel send instead of a thread spawn, which keeps the
-    /// parallel path profitable even for micro-queries.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the query's schema does not match the index.
-    pub fn find_covering_parallel(&self, query: &Subscription) -> Result<QueryOutcome> {
-        self.check_schema(query)?;
-        let prefix = self.prefix_of(query)?;
-        let outcome = {
-            let starts = self.starts.read();
-            let candidates = self.covering_candidates(&starts, prefix);
-            let (first, last) = (*candidates.start(), *candidates.end());
-            if first == last {
-                self.sweep_covering(candidates, query)?.0
-            } else {
-                let pool = self.pool();
-                let (tx, rx) = mpsc::channel::<(usize, Result<QueryOutcome>)>();
-                for shard in (first + 1)..=last {
-                    let shards = Arc::clone(&self.shards);
-                    let query = query.clone();
-                    let tx = tx.clone();
-                    pool.execute(move || {
-                        let result = shards[shard].read().find_covering_ref(&query);
-                        let _ = tx.send((shard, result));
-                    });
-                }
-                drop(tx);
-                let mut results: Vec<Option<Result<QueryOutcome>>> =
-                    (first..=last).map(|_| None).collect();
-                results[0] = Some(self.shards[first].read().find_covering_ref(query));
-                for (shard, result) in rx {
-                    results[shard - first] = Some(result);
-                }
-                // A worker lost to a panicking job never reports; fall back
-                // to querying those shards inline so the answer stays
-                // complete.
-                let mut fell_back = false;
-                for (offset, slot) in results.iter_mut().enumerate() {
-                    if slot.is_none() {
-                        fell_back = true;
-                        *slot = Some(self.shards[first + offset].read().find_covering_ref(query));
-                    }
-                }
-                if fell_back {
-                    self.fallback_logged.call_once(|| {
-                        eprintln!(
-                            "acd-covering: a parallel covering query re-ran shard(s) \
-                             inline because pool workers did not report ({} panicked \
-                             job(s) so far); further fallbacks will not be logged",
-                            pool.panicked_workers()
-                        );
-                    });
-                }
-                merge_outcomes(
-                    results
-                        .into_iter()
-                        .map(|r| r.expect("every candidate slot is filled")),
-                )?
-            }
-        };
-        self.record(&outcome);
-        Ok(outcome)
-    }
-
-    /// Covering query with the per-call scoped-thread fan-out the pool
-    /// replaced. Kept for benchmarking the two strategies against each
-    /// other; prefer [`find_covering_parallel`](Self::find_covering_parallel).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the query's schema does not match the index.
-    pub fn find_covering_scoped(&self, query: &Subscription) -> Result<QueryOutcome> {
-        self.check_schema(query)?;
-        let prefix = self.prefix_of(query)?;
-        let outcome = {
-            let starts = self.starts.read();
-            let candidates = self.covering_candidates(&starts, prefix);
-            if candidates.clone().count() <= 1 {
-                self.sweep_covering(candidates, query)?.0
-            } else {
-                let results: Vec<Result<QueryOutcome>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = candidates
-                        .map(|shard| {
-                            let shards = &self.shards;
-                            scope.spawn(move || shards[shard].read().find_covering_ref(query))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard query thread panicked"))
-                        .collect()
-                });
-                merge_outcomes(results)?
-            }
-        };
-        self.record(&outcome);
-        Ok(outcome)
+        Ok(outcomes)
     }
 
     /// Reverse query: identifiers of every stored subscription `query`
@@ -901,7 +646,7 @@ impl ShardedCoveringIndex {
     /// # Errors
     ///
     /// Returns an error if the query's schema does not match the index.
-    pub fn find_covered_by_ref(&self, query: &Subscription) -> Result<Vec<SubId>> {
+    pub fn find_covered_by(&self, query: &Subscription) -> Result<Vec<SubId>> {
         self.check_schema(query)?;
         let prefix = self.prefix_of(query)?;
         let starts = self.starts.read();
@@ -1263,15 +1008,15 @@ impl CoveringIndex for ShardedCoveringIndex {
     }
 
     fn find_covering(&mut self, query: &Subscription) -> Result<QueryOutcome> {
-        self.find_covering_ref(query)
+        ShardedCoveringIndex::find_covering(self, query)
     }
 
     fn find_covering_batch(&mut self, queries: &[Subscription]) -> Result<Vec<QueryOutcome>> {
-        ShardedCoveringIndex::find_covering_batch_ref(self, queries)
+        ShardedCoveringIndex::find_covering_batch(self, queries)
     }
 
     fn find_covered_by(&mut self, query: &Subscription) -> Result<Vec<SubId>> {
-        self.find_covered_by_ref(query)
+        ShardedCoveringIndex::find_covered_by(self, query)
     }
 
     fn len(&self) -> usize {
@@ -1406,7 +1151,7 @@ mod tests {
                     SfcCoveringIndex::with_curve(&s, ApproxConfig::exhaustive(), curve).unwrap();
                 let mut linear = LinearScanIndex::new(&s);
                 for sub in &subs {
-                    let a = sharded.find_covering_ref(sub).unwrap().is_covered();
+                    let a = sharded.find_covering(sub).unwrap().is_covered();
                     let b = single.find_covering(sub).unwrap().is_covered();
                     let c = linear.find_covering(sub).unwrap().is_covered();
                     assert_eq!(a, b, "{curve:?}/{shards}: sharded vs single {}", sub.id());
@@ -1423,52 +1168,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fan_out_matches_sequential_sweep() {
-        let s = schema();
-        let subs = random_subs(&s, 150, 23);
-        let queries = random_subs(&s, 60, 29);
-        let sharded = ShardedCoveringIndex::build_from(
-            &s,
-            ApproxConfig::exhaustive(),
-            CurveKind::Z,
-            4,
-            &subs,
-        )
-        .unwrap();
-        for q in &queries {
-            let seq = sharded.find_covering_ref(q).unwrap();
-            let par = sharded.find_covering_parallel(q).unwrap();
-            let scoped = sharded.find_covering_scoped(q).unwrap();
-            assert_eq!(seq.is_covered(), par.is_covered(), "query {}", q.id());
-            assert_eq!(par, scoped, "pool vs scoped disagree on {}", q.id());
-            if let Some(id) = par.covering {
-                assert!(sharded.get(id).unwrap().covers(q));
-            }
-        }
-        assert!(sharded.pool_workers() >= 1);
-    }
-
-    #[test]
-    fn pool_policy_is_settable_until_first_use() {
-        let s = schema();
-        let subs = random_subs(&s, 60, 31);
-        let sharded = ShardedCoveringIndex::build_from(
-            &s,
-            ApproxConfig::exhaustive(),
-            CurveKind::Z,
-            4,
-            &subs,
-        )
-        .unwrap();
-        assert!(sharded.set_pool_policy(PoolPolicy { workers: 2 }));
-        assert_eq!(sharded.pool_workers(), 2);
-        // The pool exists now; re-sizing is refused.
-        assert!(!sharded.set_pool_policy(PoolPolicy { workers: 5 }));
-        assert_eq!(sharded.pool_workers(), 2);
-    }
-
-    #[test]
-    fn merged_stats_equal_per_shard_sums() {
+    fn returned_outcomes_sum_to_the_stats_totals() {
         let s = schema();
         let subs = random_subs(&s, 200, 41);
         let sharded = ShardedCoveringIndex::build_from(
@@ -1480,57 +1180,25 @@ mod tests {
         )
         .unwrap();
         let queries = random_subs(&s, 50, 43);
+        // Σ returned outcomes == stats() totals, for the serial sweep …
+        let mut expected = sharded.stats();
         let mut serial = Vec::new();
-        for q in queries.iter() {
-            let (outcome, per_shard) = sharded.find_covering_with_shard_stats(q).unwrap();
-            assert!(!per_shard.is_empty());
-            assert_eq!(
-                outcome.stats.probes,
-                per_shard.iter().map(|s| s.probes).sum::<usize>()
-            );
-            assert_eq!(
-                outcome.stats.runs_probed,
-                per_shard.iter().map(|s| s.runs_probed).sum::<usize>()
-            );
-            assert_eq!(
-                outcome.stats.candidates_inspected,
-                per_shard
-                    .iter()
-                    .map(|s| s.candidates_inspected)
-                    .sum::<usize>()
-            );
+        for q in &queries {
+            let outcome = sharded.find_covering(q).unwrap();
+            expected.record_query(&outcome);
             serial.push(outcome);
         }
-        // The batched path keeps the same invariant: each query's merged
-        // counters are exactly the sums of its per-shard counters, the
-        // answers match the serial sweep, and the shared Z sweep may only
-        // *reduce* per-query probe work.
-        let before = sharded.stats().queries;
-        let (batched, batched_per_shard) = sharded
-            .find_covering_batch_with_shard_stats(&queries)
-            .unwrap();
+        assert_eq!(sharded.stats(), expected);
+        // … and for the batched walk, whose answers match the serial sweep
+        // and whose shared Z sweep may only *reduce* per-query probe work.
+        let batched = sharded.find_covering_batch(&queries).unwrap();
         assert_eq!(batched.len(), queries.len());
-        assert_eq!(sharded.stats().queries, before + queries.len() as u64);
-        for ((outcome, per_shard), serial) in batched.iter().zip(&batched_per_shard).zip(&serial) {
+        for (outcome, serial) in batched.iter().zip(&serial) {
             assert_eq!(outcome.covering, serial.covering);
-            assert!(!per_shard.is_empty());
-            assert_eq!(
-                outcome.stats.probes,
-                per_shard.iter().map(|s| s.probes).sum::<usize>()
-            );
-            assert_eq!(
-                outcome.stats.runs_probed,
-                per_shard.iter().map(|s| s.runs_probed).sum::<usize>()
-            );
-            assert_eq!(
-                outcome.stats.candidates_inspected,
-                per_shard
-                    .iter()
-                    .map(|s| s.candidates_inspected)
-                    .sum::<usize>()
-            );
             assert!(outcome.stats.probes <= serial.stats.probes);
+            expected.record_query(outcome);
         }
+        assert_eq!(sharded.stats(), expected);
     }
 
     #[test]
@@ -1550,7 +1218,7 @@ mod tests {
             single.insert(sub).unwrap();
         }
         for q in subs.iter().step_by(6) {
-            let mut a = sharded.find_covered_by_ref(q).unwrap();
+            let mut a = sharded.find_covered_by(q).unwrap();
             let mut b = single.find_covered_by(q).unwrap();
             a.sort_unstable();
             b.sort_unstable();
@@ -1577,8 +1245,8 @@ mod tests {
         }
         for q in random_subs(&s, 40, 9).iter() {
             assert_eq!(
-                bulk.find_covering_ref(q).unwrap().is_covered(),
-                incremental.find_covering_ref(q).unwrap().is_covered(),
+                bulk.find_covering(q).unwrap().is_covered(),
+                incremental.find_covering(q).unwrap().is_covered(),
                 "bulk/incremental disagree on {}",
                 q.id()
             );
@@ -1632,13 +1300,13 @@ mod tests {
         );
         for q in &queries {
             assert_eq!(
-                reopened.find_covering_ref(q).unwrap().is_covered(),
-                index.find_covering_ref(q).unwrap().is_covered(),
+                reopened.find_covering(q).unwrap().is_covered(),
+                index.find_covering(q).unwrap().is_covered(),
                 "reopened sharded index disagrees on {}",
                 q.id()
             );
-            let mut a = reopened.find_covered_by_ref(q).unwrap();
-            let mut b = index.find_covered_by_ref(q).unwrap();
+            let mut a = reopened.find_covered_by(q).unwrap();
+            let mut b = index.find_covered_by(q).unwrap();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b);
@@ -1664,8 +1332,8 @@ mod tests {
         }
         for q in queries.iter().chain(drifted.iter().take(10)) {
             assert_eq!(
-                after.find_covering_ref(q).unwrap().is_covered(),
-                reopened.find_covering_ref(q).unwrap().is_covered(),
+                after.find_covering(q).unwrap().is_covered(),
+                reopened.find_covering(q).unwrap().is_covered(),
                 "compacted generation disagrees on {}",
                 q.id()
             );
@@ -1793,8 +1461,8 @@ mod tests {
         }
         for q in random_subs(&s, 60, 48) {
             assert_eq!(
-                after.find_covering_ref(&q).unwrap().is_covered(),
-                index.find_covering_ref(&q).unwrap().is_covered(),
+                after.find_covering(&q).unwrap().is_covered(),
+                index.find_covering(&q).unwrap().is_covered(),
                 "reopened compacted generation disagrees on {}",
                 q.id()
             );
@@ -1861,7 +1529,7 @@ mod tests {
             .chain(drifted.iter().take(20))
         {
             assert_eq!(
-                index.find_covering_ref(q).unwrap().is_covered(),
+                index.find_covering(q).unwrap().is_covered(),
                 linear.find_covering(q).unwrap().is_covered(),
                 "post-rebalance disagreement on {}",
                 q.id()
@@ -1977,11 +1645,11 @@ mod tests {
             idx.insert(&wide),
             Err(CoveringError::DuplicateSubscription { id: 1 })
         ));
-        assert_eq!(idx.find_covering_ref(&narrow).unwrap().covering, Some(1));
+        assert_eq!(idx.find_covering(&narrow).unwrap().covering, Some(1));
         idx.remove(1).unwrap();
         assert!(!idx.contains(1));
         assert!(idx.get(1).is_none());
-        assert!(!idx.find_covering_ref(&narrow).unwrap().is_covered());
+        assert!(!idx.find_covering(&narrow).unwrap().is_covered());
         assert!(matches!(
             idx.remove(1),
             Err(CoveringError::UnknownSubscription { id: 1 })
@@ -1995,7 +1663,7 @@ mod tests {
             Err(CoveringError::SchemaMismatch)
         ));
         assert!(matches!(
-            idx.find_covering_ref(&foreign),
+            idx.find_covering(&foreign),
             Err(CoveringError::SchemaMismatch)
         ));
     }
@@ -2010,7 +1678,7 @@ mod tests {
             idx.insert(sub).unwrap();
         }
         for q in subs.iter().take(10) {
-            idx.find_covering_ref(q).unwrap();
+            idx.find_covering(q).unwrap();
         }
         idx.remove(subs[0].id()).unwrap();
         let stats = ShardedCoveringIndex::stats(&idx);
@@ -2061,7 +1729,7 @@ mod tests {
             for _ in 0..2 {
                 scope.spawn(|| {
                     for q in &queries {
-                        let outcome = idx.find_covering_ref(q).unwrap();
+                        let outcome = idx.find_covering(q).unwrap();
                         if let Some(id) = outcome.covering {
                             assert!(idx.get(id).unwrap().covers(q));
                         }

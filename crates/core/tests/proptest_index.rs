@@ -249,7 +249,7 @@ proptest! {
                 &subs,
             )
             .unwrap();
-            let sharded_out = sharded.find_covering_batch_ref(&batch).unwrap();
+            let sharded_out = sharded.find_covering_batch(&batch).unwrap();
             for (got, expect) in sharded_out.iter().zip(&serial_out) {
                 prop_assert_eq!(
                     got.is_covered(),
@@ -258,7 +258,7 @@ proptest! {
                     kind.name()
                 );
             }
-            prop_assert!(sharded.find_covering_batch_ref(&[]).unwrap().is_empty());
+            prop_assert!(sharded.find_covering_batch(&[]).unwrap().is_empty());
         }
 
         // The trait entry point, through each policy's boxed index.

@@ -1,13 +1,14 @@
 //! Differential property tests of the sharded covering index: on random
 //! interleaved insert/remove/query sequences, [`ShardedCoveringIndex`] at
 //! 1, 2, 4 and 7 shards must agree with a single [`SfcCoveringIndex`] and
-//! with the [`LinearScanIndex`] ground truth, and the merged query counters
-//! must equal the sums of the per-shard counters.
+//! with the [`LinearScanIndex`] ground truth, and the outcomes it returns —
+//! serial and batched — must sum to exactly the totals `stats()` reports.
 
 use proptest::prelude::*;
 
 use acd_covering::{
-    ApproxConfig, CoveringIndex, LinearScanIndex, SfcCoveringIndex, ShardedCoveringIndex,
+    ApproxConfig, CoveringIndex, IndexStats, LinearScanIndex, SfcCoveringIndex,
+    ShardedCoveringIndex,
 };
 use acd_sfc::CurveKind;
 use acd_subscription::{Schema, SubId, Subscription, SubscriptionBuilder};
@@ -88,6 +89,8 @@ proptest! {
         let mut single = SfcCoveringIndex::exhaustive(&s).unwrap();
         let mut linear = LinearScanIndex::new(&s);
         let mut live = std::collections::HashSet::new();
+        // Running sum of every outcome each sharded index has returned.
+        let mut expected = vec![IndexStats::default(); sharded.len()];
 
         for op in ops {
             match op {
@@ -149,9 +152,20 @@ proptest! {
                     let truth = linear.find_covering(q).unwrap().is_covered();
                     let exact = single.find_covering(q).unwrap().is_covered();
                     prop_assert_eq!(truth, exact, "single vs linear on {}", q.id());
-                    for (shards, idx) in shard_counts.iter().zip(&sharded) {
-                        let (outcome, per_shard) =
-                            idx.find_covering_with_shard_stats(q).unwrap();
+                    // The batch walk answers a few pool neighbours of `q`
+                    // alongside it.
+                    let batch: Vec<Subscription> = [0, 1, 7]
+                        .iter()
+                        .map(|off| subs[((i + off) % POOL) as usize].clone())
+                        .collect();
+                    let batch_truth: Vec<bool> = batch
+                        .iter()
+                        .map(|b| linear.find_covering(b).unwrap().is_covered())
+                        .collect();
+                    for ((shards, idx), expected) in
+                        shard_counts.iter().zip(&sharded).zip(&mut expected)
+                    {
+                        let outcome = idx.find_covering(q).unwrap();
                         prop_assert_eq!(
                             outcome.is_covered(),
                             truth,
@@ -164,29 +178,29 @@ proptest! {
                             prop_assert!(live.contains(&id));
                             prop_assert!(idx.get(id).unwrap().covers(q));
                         }
-                        // Stats invariant: the merged counters are exactly
-                        // the per-shard sums.
-                        prop_assert_eq!(
-                            outcome.stats.probes,
-                            per_shard.iter().map(|st| st.probes).sum::<usize>()
-                        );
-                        prop_assert_eq!(
-                            outcome.stats.runs_probed,
-                            per_shard.iter().map(|st| st.runs_probed).sum::<usize>()
-                        );
-                        prop_assert_eq!(
-                            outcome.stats.runs_skipped,
-                            per_shard.iter().map(|st| st.runs_skipped).sum::<usize>()
-                        );
-                        prop_assert_eq!(
-                            outcome.stats.candidates_inspected,
-                            per_shard
-                                .iter()
-                                .map(|st| st.candidates_inspected)
-                                .sum::<usize>()
-                        );
-                        // The sweep never visits more shards than exist.
-                        prop_assert!(per_shard.len() <= *shards);
+                        expected.record_query(&outcome);
+                        let outcomes = idx.find_covering_batch(&batch).unwrap();
+                        prop_assert_eq!(outcomes.len(), batch.len());
+                        for (outcome, want) in outcomes.iter().zip(&batch_truth) {
+                            prop_assert_eq!(
+                                outcome.is_covered(),
+                                *want,
+                                "{} shards: batch disagrees with linear",
+                                shards
+                            );
+                            expected.record_query(outcome);
+                        }
+                        // Stats invariant: the outcomes handed back, serial
+                        // and batched, sum to exactly the recorded totals
+                        // (across any rebalances so far).
+                        let query_totals = IndexStats {
+                            inserts: 0,
+                            removes: 0,
+                            rebalances: 0,
+                            subscriptions_migrated: 0,
+                            ..ShardedCoveringIndex::stats(idx)
+                        };
+                        prop_assert_eq!(&query_totals, &*expected);
                     }
                 }
             }
@@ -202,7 +216,7 @@ proptest! {
             let mut want = linear.find_covered_by(q).unwrap();
             want.sort_unstable();
             for idx in &sharded {
-                let mut got = idx.find_covered_by_ref(q).unwrap();
+                let mut got = idx.find_covered_by(q).unwrap();
                 got.sort_unstable();
                 prop_assert_eq!(&got, &want, "covered-by mismatch for {}", q.id());
             }
@@ -224,7 +238,7 @@ proptest! {
         .unwrap();
         for q in subs.iter().step_by(7) {
             prop_assert_eq!(
-                bulk.find_covering_ref(q).unwrap().is_covered(),
+                bulk.find_covering(q).unwrap().is_covered(),
                 linear.find_covering(q).unwrap().is_covered(),
                 "bulk sharded disagrees with linear on {}",
                 q.id()

@@ -1,9 +1,9 @@
 //! Multi-threaded stress test of online shard rebalancing: covering
-//! queries (sequential, pooled-parallel and scoped) race a writer that
-//! drifts the population into a hot key region and a maintenance thread
-//! that keeps re-cutting the shard boundaries. Every answer a reader
-//! observes must equal a legal snapshot of the sequential model — boundary
-//! migration must be completely invisible to correctness.
+//! queries (serial and batched) race a writer that drifts the population
+//! into a hot key region and a maintenance thread that keeps re-cutting the
+//! shard boundaries. Every answer a reader observes must equal a legal
+//! snapshot of the sequential model — boundary migration must be completely
+//! invisible to correctness.
 //!
 //! The legality envelope is the same construction as `stress_sharded.rs`:
 //!
@@ -19,7 +19,7 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use acd_covering::{ApproxConfig, ShardedCoveringIndex};
+use acd_covering::{ApproxConfig, IndexStats, QueryOutcome, ShardedCoveringIndex};
 use acd_sfc::CurveKind;
 use acd_subscription::{Schema, SubId, Subscription, SubscriptionBuilder};
 
@@ -158,8 +158,9 @@ fn queries_racing_an_active_migration_observe_only_legal_snapshots() {
             }
         });
 
-        // Readers: hammer the query set through all three query paths and
-        // check every answer against the legal-snapshot envelope.
+        // Readers: hammer the query set through the serial sweep and the
+        // shared-sweep batch walk alternately, and check every answer
+        // against the legal-snapshot envelope.
         for reader in 0..2 {
             let s = &s;
             let queries = &queries;
@@ -170,12 +171,16 @@ fn queries_racing_an_active_migration_observe_only_legal_snapshots() {
             scope.spawn(move || {
                 let mut pass = 0usize;
                 while !done.load(Ordering::Acquire) || pass == 0 {
-                    for (q, covers) in queries.iter().zip(anchor_covers) {
-                        let outcome = match (pass + reader) % 3 {
-                            0 => index.find_covering_ref(q).unwrap(),
-                            1 => index.find_covering_parallel(q).unwrap(),
-                            _ => index.find_covering_scoped(q).unwrap(),
-                        };
+                    let outcomes: Vec<QueryOutcome> = if (pass + reader).is_multiple_of(2) {
+                        queries
+                            .iter()
+                            .map(|q| index.find_covering(q).unwrap())
+                            .collect()
+                    } else {
+                        index.find_covering_batch(queries).unwrap()
+                    };
+                    assert_eq!(outcomes.len(), queries.len());
+                    for ((q, covers), outcome) in queries.iter().zip(anchor_covers).zip(outcomes) {
                         match outcome.covering {
                             Some(id) if id >= CHURN_BASE => {
                                 // A churn subscription. Its content is
@@ -226,7 +231,7 @@ fn queries_racing_an_active_migration_observe_only_legal_snapshots() {
     }
     assert_eq!(index.len(), anchors.len());
     for (q, covers) in queries.iter().zip(&anchor_covers) {
-        let outcome = index.find_covering_ref(q).unwrap();
+        let outcome = index.find_covering(q).unwrap();
         assert_eq!(outcome.is_covered(), !covers.is_empty());
         if let Some(id) = outcome.covering {
             assert!(covers.contains(&id));
@@ -244,11 +249,12 @@ fn queries_racing_an_active_migration_observe_only_legal_snapshots() {
 }
 
 #[test]
-fn per_shard_query_stats_sum_to_merged_totals_during_migration() {
-    // The satellite invariant: per-shard sums equal the merged totals
-    // before, during and after boundary migration. A maintenance thread
-    // migrates continuously while the main thread asserts the invariant on
-    // every query.
+fn returned_outcomes_sum_to_the_stats_totals_during_migration() {
+    // The accounting invariant: the outcomes the index hands back sum to
+    // exactly the query totals `stats()` reports — before, during and after
+    // boundary migration, for the serial sweep and the batch walk alike. A
+    // maintenance thread churns and migrates continuously while the main
+    // thread (the only querier) keeps the running sum.
     let s = schema();
     let population = random_subs(&s, 300, 1, 0xabcd);
     let index = ShardedCoveringIndex::build_from(
@@ -261,29 +267,23 @@ fn per_shard_query_stats_sum_to_merged_totals_during_migration() {
     .unwrap();
     let queries = random_subs(&s, 60, 700_000, 0xef01);
 
-    // Before any migration.
-    let check = |label: &str| {
+    let mut expected = IndexStats::default();
+    let mut check = |label: &str| {
         for q in &queries {
-            let (outcome, per_shard) = index.find_covering_with_shard_stats(q).unwrap();
-            assert_eq!(
-                outcome.stats.probes,
-                per_shard.iter().map(|st| st.probes).sum::<usize>(),
-                "{label}: probes"
-            );
-            assert_eq!(
-                outcome.stats.runs_probed,
-                per_shard.iter().map(|st| st.runs_probed).sum::<usize>(),
-                "{label}: runs_probed"
-            );
-            assert_eq!(
-                outcome.stats.candidates_inspected,
-                per_shard
-                    .iter()
-                    .map(|st| st.candidates_inspected)
-                    .sum::<usize>(),
-                "{label}: candidates"
-            );
+            expected.record_query(&index.find_covering(q).unwrap());
         }
+        for outcome in index.find_covering_batch(&queries).unwrap() {
+            expected.record_query(&outcome);
+        }
+        // Only the query-side counters: the churn thread owns the rest.
+        let query_totals = IndexStats {
+            inserts: 0,
+            removes: 0,
+            rebalances: 0,
+            subscriptions_migrated: 0,
+            ..index.stats()
+        };
+        assert_eq!(query_totals, expected, "{label}");
     };
     check("before");
 

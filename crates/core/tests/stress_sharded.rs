@@ -1,8 +1,9 @@
 //! Multi-threaded stress test of [`ShardedCoveringIndex`] (plain `std`
-//! threads, no loom): concurrent readers run covering queries while a
-//! writer storms inserts and removals. Every answer a reader observes must
-//! equal a legal snapshot of the sequential model — the state before or
-//! after some prefix of the writer's operations — and never a torn mixture.
+//! threads, no loom): concurrent readers run covering queries — serial and
+//! batched — while a writer storms inserts and removals. Every answer a
+//! reader observes must equal a legal snapshot of the sequential model — the
+//! state before or after some prefix of the writer's operations — and never
+//! a torn mixture.
 //!
 //! The workload is constructed so that snapshot validity is checkable
 //! without freezing the index:
@@ -20,7 +21,7 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use acd_covering::{ApproxConfig, ShardedCoveringIndex};
+use acd_covering::{ApproxConfig, QueryOutcome, ShardedCoveringIndex};
 use acd_sfc::CurveKind;
 use acd_subscription::{Schema, SubId, Subscription, SubscriptionBuilder};
 
@@ -136,12 +137,19 @@ fn concurrent_readers_never_observe_torn_answers() {
             scope.spawn(move || {
                 let mut pass = 0usize;
                 while !done.load(Ordering::Acquire) || pass == 0 {
-                    for (q, covers) in queries.iter().zip(anchor_covers) {
-                        let outcome = if (pass + reader).is_multiple_of(2) {
-                            index.find_covering_ref(q).unwrap()
-                        } else {
-                            index.find_covering_parallel(q).unwrap()
-                        };
+                    // Alternate the serial sweep with the shared-sweep batch
+                    // walk over the same query set; every element of either
+                    // must sit inside the legal-snapshot envelope.
+                    let outcomes: Vec<QueryOutcome> = if (pass + reader).is_multiple_of(2) {
+                        queries
+                            .iter()
+                            .map(|q| index.find_covering(q).unwrap())
+                            .collect()
+                    } else {
+                        index.find_covering_batch(queries).unwrap()
+                    };
+                    assert_eq!(outcomes.len(), queries.len());
+                    for ((q, covers), outcome) in queries.iter().zip(anchor_covers).zip(outcomes) {
                         match outcome.covering {
                             Some(id) if id >= CHURN_BASE => {
                                 // A churn subscription: covers everything by
@@ -175,7 +183,7 @@ fn concurrent_readers_never_observe_torn_answers() {
     // exactly like the anchors-only sequential model.
     assert_eq!(index.len(), anchors.len());
     for (q, covers) in queries.iter().zip(&anchor_covers) {
-        let outcome = index.find_covering_ref(q).unwrap();
+        let outcome = index.find_covering(q).unwrap();
         assert_eq!(outcome.is_covered(), !covers.is_empty());
         if let Some(id) = outcome.covering {
             assert!(covers.contains(&id));

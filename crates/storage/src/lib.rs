@@ -48,7 +48,7 @@ mod error;
 mod journal;
 mod segment;
 
-pub use codec::{check_footer, check_index_header, crc32, file_kind, MAGIC, VERSION};
+pub use codec::{check_footer, check_index_header, crc32, crc32_update, file_kind, MAGIC, VERSION};
 pub use commit::{
     commit_file_name, latest_commit, prune, read_commit, segment_stem, write_commit,
     CommitManifest, ShardRef,
