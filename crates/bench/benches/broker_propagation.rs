@@ -1,7 +1,7 @@
 //! Criterion bench for E7: subscription-propagation throughput of the broker
 //! overlay under the different covering policies, plus event-delivery
-//! fan-out (which exercises the allocation-free
-//! `matching_local_clients_iter` path).
+//! fan-out (which exercises the serial match-table kernel,
+//! `Broker::matching_clients`).
 
 use std::time::Duration;
 
@@ -52,7 +52,7 @@ fn bench_propagation(c: &mut Criterion) {
 
 /// Event fan-out: a populated overlay delivering a stream of events. The
 /// per-event cost is dominated by local matching
-/// (`matching_local_clients_iter`) and per-neighbor interest checks.
+/// (`Broker::matching_clients`) and per-neighbor interest checks.
 fn bench_delivery(c: &mut Criterion) {
     let config = Scenario::StockTicker.workload_config(13);
     let mut workload = SubscriptionWorkload::new(&config).unwrap();

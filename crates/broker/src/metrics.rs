@@ -36,8 +36,9 @@ pub struct NetworkMetrics {
     pub events_published: u64,
     /// Event messages sent across overlay links.
     pub event_messages: u64,
-    /// Events delivered to local subscribers (a client counts once per
-    /// matching subscription).
+    /// Events delivered to local subscribers: one per `(broker, client)`
+    /// with at least one matching subscription, however many of the
+    /// client's subscriptions match.
     pub deliveries: u64,
     /// Connections the daemon refused at the accept gate (connection cap)
     /// or requests it declined to execute (per-connection in-flight cap).

@@ -1,0 +1,164 @@
+//! Differential property test for the brokers' match tables: under
+//! interleaved subscribe / unsubscribe / publish / publish_batch, serial
+//! delivery == batched delivery == a linear `Subscription::matches` scan
+//! over the live set (pairs deduped).
+//!
+//! Every bound and event value is an integer in `0..=63` on a `[0, 64]` x 6
+//! bit schema, so a value sits in grid cell `value` exactly: grid covering
+//! equals raw covering and the oracle is exact under `ExactSfc` too (no
+//! cell-boundary slack).
+
+use acd_broker::{BrokerConfig, BrokerId, BrokerNetwork, ClientId, Topology};
+use acd_covering::CoveringPolicy;
+use acd_subscription::{Event, Schema, SubId, Subscription};
+use proptest::prelude::*;
+
+const BROKERS: usize = 3;
+
+fn schema() -> Schema {
+    Schema::builder()
+        .attribute("x", 0.0, 64.0)
+        .attribute("y", 0.0, 64.0)
+        .bits_per_attribute(6)
+        .build()
+        .unwrap()
+}
+
+/// The live set, as the oracle sees it.
+struct Model {
+    schema: Schema,
+    live: Vec<(BrokerId, ClientId, Subscription)>,
+    next_id: SubId,
+    /// One client per subscription (nothing dedups) or five shared clients
+    /// (a client's matches are adjacent slots and must collapse). A client's
+    /// subscriptions share one local table, so the shared client that owns
+    /// the initial population takes that table across the block seams.
+    shared_clients: bool,
+}
+
+impl Model {
+    /// Registers a fresh subscription with bounds derived from `a`, `b`.
+    fn subscribe(&mut self, net: &BrokerNetwork, at: BrokerId, a: u64, b: u64) {
+        let range = |r: u64| {
+            let (p, q) = (r % 64, (r >> 8) % 64);
+            (p.min(q) as f64, p.max(q) as f64)
+        };
+        let id = self.next_id;
+        self.next_id += 1;
+        let client = if self.shared_clients { a % 5 } else { id };
+        let sub = Subscription::from_raw_bounds(&self.schema, id, &[range(a), range(b)]).unwrap();
+        net.subscribe(at, client, &sub).unwrap();
+        self.live.push((at, client, sub));
+    }
+
+    fn unsubscribe(&mut self, net: &BrokerNetwork, pick: u64) {
+        if self.live.is_empty() {
+            return;
+        }
+        let (at, _, sub) = self.live.swap_remove(pick as usize % self.live.len());
+        net.unsubscribe(at, sub.id()).unwrap();
+    }
+
+    /// Three events: one on every `lo` of a live subscription, one on every
+    /// `hi`, one anywhere.
+    fn events(&self, pick: u64, anywhere: u64) -> Vec<Event> {
+        let mut values = vec![vec![(anywhere % 64) as f64, ((anywhere >> 8) % 64) as f64]];
+        if !self.live.is_empty() {
+            let bounds = self.live[pick as usize % self.live.len()].2.raw_bounds();
+            values.push(bounds.iter().map(|&(lo, _)| lo).collect());
+            values.push(bounds.iter().map(|&(_, hi)| hi).collect());
+        }
+        values
+            .into_iter()
+            .map(|v| Event::new(&self.schema, v).unwrap())
+            .collect()
+    }
+
+    fn oracle(&self, event: &Event) -> Vec<(BrokerId, ClientId)> {
+        let mut pairs: Vec<(BrokerId, ClientId)> = self
+            .live
+            .iter()
+            .filter(|(_, _, sub)| sub.matches(event))
+            .map(|&(at, client, _)| (at, client))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+    }
+
+    /// Serial == batch == oracle for `events` published at `at`.
+    fn check(&self, net: &BrokerNetwork, at: BrokerId, events: &[Event]) {
+        let batched = net.publish_batch(at, events).unwrap();
+        for (event, batch) in events.iter().zip(&batched) {
+            let expected = self.oracle(event);
+            assert_eq!(net.publish(at, event).unwrap(), expected, "serial, {event}");
+            assert_eq!(batch, &expected, "batched, {event}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn serial_batch_and_linear_scan_agree_under_churn(
+        // Slots per table before the interleaving starts, on and around the
+        // 64-slot block seams so the churn below crosses them: in broker
+        // 1's routing table, and in a local table of broker 0 — with shared
+        // clients all owned by client 0, hence in one table; with one
+        // client each spread over the broker's 4 local tables, hence 4x.
+        initial in prop_oneof![Just(0usize), Just(1), Just(63), Just(64), Just(65), Just(129)],
+        shared_clients in any::<bool>(),
+        covering in any::<bool>(),
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0u8..5, any::<u64>(), any::<u64>()), 1..40),
+    ) {
+        let schema = schema();
+        let policy = if covering { CoveringPolicy::ExactSfc } else { CoveringPolicy::None };
+        let net = BrokerConfig::new(Topology::line(BROKERS).unwrap(), &schema)
+            .policy(policy)
+            .build()
+            .unwrap();
+        let mut model = Model { schema, live: Vec::new(), next_id: 1, shared_clients };
+        let mut mix = seed;
+        let mut next = || {
+            mix = mix.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            mix >> 16
+        };
+        for _ in 0..initial * if shared_clients { 1 } else { 4 } {
+            model.subscribe(&net, 0, next() / 5 * 5, next());
+        }
+        model.check(&net, 2, &model.events(next(), next()));
+
+        for (kind, a, b) in ops {
+            let at = a as usize % BROKERS;
+            match kind {
+                // Subscribes at broker 0 and unsubscribes move its local
+                // table (and its neighbors' routing tables) across a seam.
+                0 => model.subscribe(&net, 0, a, b),
+                1 => model.subscribe(&net, at, a, b),
+                2 => model.unsubscribe(&net, a),
+                _ => model.check(&net, at, &model.events(a, b)),
+            }
+        }
+
+        // Every live subscription's own corners, in one batch longer than
+        // one 64-event chunk when the table is.
+        let corners: Vec<Event> = (0..model.live.len() as u64)
+            .flat_map(|i| model.events(i, i))
+            .collect();
+        model.check(&net, 1, &corners);
+
+        // A foreign-schema event is delivered nowhere, alone or in a batch.
+        let other = Schema::builder().attribute("x", 0.0, 64.0).attribute("y", 0.0, 64.0)
+            .bits_per_attribute(5).build().unwrap();
+        let foreign = Event::new(&other, vec![1.0, 1.0]).unwrap();
+        prop_assert!(net.publish(0, &foreign).unwrap().is_empty());
+        let mut mixed = model.events(0, 0);
+        mixed.insert(1, foreign);
+        let out = net.publish_batch(0, &mixed).unwrap();
+        prop_assert!(out[1].is_empty());
+        prop_assert_eq!(&out[0], &model.oracle(&mixed[0]));
+        prop_assert_eq!(out.last().unwrap(), &model.oracle(mixed.last().unwrap()));
+    }
+}

@@ -154,12 +154,8 @@ impl Subscription {
     }
 
     /// Whether the event satisfies every range constraint (the paper's
-    /// `e ∈ N(s)`), evaluated on raw values.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubscriptionError::SchemaMismatch`] if the event belongs to
-    /// a different schema.
+    /// `e ∈ N(s)`), evaluated on raw values. An event of a different schema
+    /// matches nothing.
     pub fn matches(&self, event: &Event) -> bool {
         if event.schema() != &self.schema {
             return false;
