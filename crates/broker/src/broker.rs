@@ -169,49 +169,150 @@ fn local_shard(client: ClientId) -> usize {
     (client.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - LOCAL_SHARDS.ilog2())) as usize
 }
 
+/// Everything a broker remembers about the link to one neighbor: what
+/// arrived over it, what went out over it, and what covering held back.
+///
+/// Invariant: `suppressed` holds live subscriptions, once each, none of
+/// them in `sent_ids`, and `suppressed_ids` is exactly its id set. Nothing
+/// sweeps the list to keep that true, because the two ways in and the two
+/// ways out already do. An id enters only in [`offer`](Self::offer), at a
+/// broker the subscription reached, when it is not sent and not already
+/// listed. It leaves through [`retract`](Self::retract)'s `extract_if`
+/// (each extracted candidate is offered again, so it ends sent or listed
+/// once) or through the unsubscribe walk, which visits every broker the
+/// subscription reached — a sent record is removed only by its own
+/// subscription's retraction, so the walk can always follow them — and
+/// there either retracts it or drops its entry. (The argument is about
+/// completed operations. An unsubscribe that overtakes a concurrent
+/// re-advertisement of the same subscription leaves a stale *sent* record
+/// and routing entry downstream, which no sweep of this list ever mended.)
+#[derive(Debug)]
+struct Link {
+    /// Routing table: the bounds of the subscriptions received from the
+    /// neighbor, deciding whether an event is forwarded to it.
+    routing: MatchTable,
+    /// Covering index over the subscriptions already sent to the neighbor
+    /// (`None` when the policy disables covering).
+    sent: Option<Box<dyn CoveringIndex>>,
+    /// Identifiers sent on the link — the authoritative record
+    /// unsubscription follows, and the neighbor's routing entries for it.
+    sent_ids: HashSet<SubId>,
+    /// Subscriptions held back because a covering one had already been
+    /// sent, in arrival order, so that retracting the coverer re-advertises
+    /// exactly what it masked.
+    suppressed: Vec<Subscription>,
+    /// The identifiers in `suppressed`, so the dedup check is O(1).
+    suppressed_ids: HashSet<SubId>,
+}
+
+impl Link {
+    /// Decides whether `subscription` goes out on the link and records the
+    /// verdict: sent (index and id set) or suppressed (list and mirror).
+    fn offer(&mut self, subscription: &Subscription) -> Result<ForwardDecision> {
+        let decision = match &mut self.sent {
+            // No covering detection: always forward.
+            None => ForwardDecision {
+                forward: true,
+                covering_query: false,
+                runs_probed: 0,
+                comparisons: 0,
+            },
+            Some(index) => {
+                let outcome = index.find_covering(subscription)?;
+                let forward = !outcome.is_covered();
+                if forward {
+                    index.insert(subscription)?;
+                }
+                ForwardDecision {
+                    forward,
+                    covering_query: true,
+                    runs_probed: outcome.stats.runs_probed,
+                    comparisons: outcome.stats.subscriptions_compared,
+                }
+            }
+        };
+        if decision.forward {
+            self.sent_ids.insert(subscription.id());
+        } else if self.suppressed_ids.insert(subscription.id()) {
+            self.suppressed.push(subscription.clone());
+        }
+        Ok(decision)
+    }
+
+    /// Takes `removed` off the link (see [`Broker::retract`]). The
+    /// suppressed subscriptions it covers are pulled out in place — the
+    /// rest cannot have been masked by it and stay untouched.
+    fn retract(
+        &mut self,
+        removed: &Subscription,
+    ) -> Result<Option<Vec<(Subscription, ForwardDecision)>>> {
+        let id = removed.id();
+        if !self.sent_ids.remove(&id) {
+            if self.suppressed_ids.remove(&id) {
+                self.suppressed.retain(|s| s.id() != id);
+            }
+            return Ok(None);
+        }
+        if let Some(index) = &mut self.sent {
+            if index.contains(id) {
+                index.remove(id)?;
+            }
+        }
+        let ids = &mut self.suppressed_ids;
+        let candidates: Vec<Subscription> = self
+            .suppressed
+            .extract_if(.., |sub| removed.covers(sub))
+            .inspect(|sub| {
+                ids.remove(&sub.id());
+            })
+            .collect();
+        let mut decisions = Vec::with_capacity(candidates.len());
+        for candidate in candidates {
+            let decision = self.offer(&candidate)?;
+            decisions.push((candidate, decision));
+        }
+        Ok(Some(decisions))
+    }
+}
+
+/// The identifiers one link holds, for tests and diagnostics (see
+/// [`Broker::link_ids`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinkIds {
+    /// Sent on the link, ascending.
+    pub sent: Vec<SubId>,
+    /// The suppressed list, in arrival order.
+    pub suppressed: Vec<SubId>,
+    /// The suppressed list's O(1) id mirror, ascending.
+    pub suppressed_mirror: Vec<SubId>,
+}
+
 /// One broker of the overlay.
 ///
-/// A broker keeps three kinds of state:
+/// A broker keeps two kinds of state:
 ///
 /// * `local`: the match table of subscriptions registered by clients
 ///   attached to it (with the owning client, so deliveries can be
 ///   attributed), spread over a few tables by client;
-/// * `received`: per-interface routing tables — the bounds of the
-///   subscriptions received from each neighbor, used to decide where an
-///   event must be forwarded;
-/// * `sent`: per-neighbor covering indexes over the subscriptions this broker
-///   has already forwarded to that neighbor; a new subscription is only
-///   forwarded if no already-sent subscription covers it (sender-side
-///   suppression).
+/// * `links`: one `Link` record per neighbor — `routing`, the bounds of
+///   the subscriptions received from it, used to decide where an event must
+///   be forwarded; `sent` + `sent_ids`, the covering index and id set of
+///   the subscriptions already forwarded to it (a new subscription is only
+///   forwarded if no already-sent one covers it: sender-side suppression);
+///   `suppressed` + `suppressed_ids`, the ones held back, kept so that
+///   retracting their coverer re-advertises them.
 #[derive(Debug)]
 pub struct Broker {
     id: BrokerId,
     /// Subscriptions registered by local clients: client `c`'s live in
     /// table [`local_shard`]`(c)`, slots ordered by client.
     local: [MatchTable; LOCAL_SHARDS],
-    /// Routing tables: subscriptions received from each neighbor.
-    received: HashMap<BrokerId, MatchTable>,
-    /// Covering indexes over subscriptions already sent to each neighbor
-    /// (`None` when the policy disables covering).
-    sent: HashMap<BrokerId, Option<Box<dyn CoveringIndex>>>,
-    /// Number of subscriptions sent to each neighbor (equals the neighbor's
-    /// routing-table entries for this link).
-    sent_counts: HashMap<BrokerId, u64>,
-    /// Identifiers actually sent on each link — the authoritative record
-    /// unsubscription uses to know which links must retract.
-    sent_ids: HashMap<BrokerId, HashSet<SubId>>,
-    /// Subscriptions this broker wanted to send on each link but suppressed
-    /// because a covering subscription had already been sent. Kept (in
-    /// arrival order) so that removing the covering subscription can
-    /// re-advertise exactly the ones it was masking.
-    suppressed: HashMap<BrokerId, Vec<Subscription>>,
-    /// Identifiers currently in each link's suppressed list, mirrored so
-    /// the dedup check on suppression is O(1) instead of a list scan.
-    suppressed_ids: HashMap<BrokerId, HashSet<SubId>>,
+    /// Per-neighbor state, created at construction for every neighbor.
+    links: HashMap<BrokerId, Link>,
 }
 
 impl Broker {
-    /// Creates a broker with suppression state for each of its neighbors.
+    /// Creates a broker with a link record for each of its neighbors.
     ///
     /// # Errors
     ///
@@ -223,30 +324,35 @@ impl Broker {
         policy: CoveringPolicy,
     ) -> Result<Self> {
         let arity = schema.arity();
-        let mut sent = HashMap::new();
-        let mut sent_counts = HashMap::new();
+        let mut links = HashMap::with_capacity(neighbors.len());
         for &n in neighbors {
-            sent.insert(n, policy.build_index(schema)?);
-            sent_counts.insert(n, 0);
+            let link = Link {
+                routing: MatchTable::new(arity),
+                sent: policy.build_index(schema)?,
+                sent_ids: HashSet::new(),
+                suppressed: Vec::new(),
+                suppressed_ids: HashSet::new(),
+            };
+            links.insert(n, link);
         }
         Ok(Broker {
             id,
             local: std::array::from_fn(|_| MatchTable::new(arity)),
-            received: neighbors
-                .iter()
-                .map(|&n| (n, MatchTable::new(arity)))
-                .collect(),
-            sent,
-            sent_counts,
-            sent_ids: neighbors.iter().map(|&n| (n, HashSet::new())).collect(),
-            suppressed: neighbors.iter().map(|&n| (n, Vec::new())).collect(),
-            suppressed_ids: neighbors.iter().map(|&n| (n, HashSet::new())).collect(),
+            links,
         })
     }
 
     /// This broker's identifier.
     pub fn id(&self) -> BrokerId {
         self.id
+    }
+
+    /// The record of the link to `neighbor`, which the overlay only ever
+    /// names from the topology's adjacency lists.
+    fn link_mut(&mut self, neighbor: BrokerId) -> &mut Link {
+        self.links
+            .get_mut(&neighbor)
+            .expect("neighbor links are created at construction")
     }
 
     /// Registers a subscription from a local client. The subscription must
@@ -261,10 +367,7 @@ impl Broker {
     /// Records a subscription received from a neighbor (a routing-table
     /// entry: its bounds and identifier, no handle).
     pub fn add_received(&mut self, from: BrokerId, subscription: &Subscription) {
-        let table = self
-            .received
-            .get_mut(&from)
-            .expect("neighbor interfaces are created at construction");
+        let table = &mut self.link_mut(from).routing;
         // Routing slots carry no order: append.
         table.insert_bounds(table.len(), subscription);
     }
@@ -277,13 +380,12 @@ impl Broker {
     /// Total routing-table entries (received subscriptions over all
     /// interfaces).
     pub fn routing_table_entries(&self) -> usize {
-        self.received.values().map(MatchTable::len).sum()
+        self.links.values().map(|link| link.routing.len()).sum()
     }
 
     /// Decides whether `subscription` must be forwarded to `neighbor`,
-    /// consulting (and updating) the per-neighbor covering index.
-    ///
-    /// Returns `(forward, query_was_issued, runs_probed, comparisons)`.
+    /// consulting (and updating) the link's covering index; a suppressed
+    /// subscription is remembered on the link.
     ///
     /// # Errors
     ///
@@ -293,74 +395,7 @@ impl Broker {
         neighbor: BrokerId,
         subscription: &Subscription,
     ) -> Result<ForwardDecision> {
-        let slot = self
-            .sent
-            .get_mut(&neighbor)
-            .expect("neighbor interfaces are created at construction");
-        let decision = match slot {
-            None => {
-                // No covering detection: always forward.
-                ForwardDecision {
-                    forward: true,
-                    covering_query: false,
-                    runs_probed: 0,
-                    comparisons: 0,
-                }
-            }
-            Some(index) => {
-                let outcome = index.find_covering(subscription)?;
-                if outcome.is_covered() {
-                    ForwardDecision {
-                        forward: false,
-                        covering_query: true,
-                        runs_probed: outcome.stats.runs_probed,
-                        comparisons: outcome.stats.subscriptions_compared,
-                    }
-                } else {
-                    index.insert(subscription)?;
-                    ForwardDecision {
-                        forward: true,
-                        covering_query: true,
-                        runs_probed: outcome.stats.runs_probed,
-                        comparisons: outcome.stats.subscriptions_compared,
-                    }
-                }
-            }
-        };
-        if decision.forward {
-            *self
-                .sent_counts
-                .get_mut(&neighbor)
-                .expect("interface exists") += 1;
-            self.sent_ids
-                .get_mut(&neighbor)
-                .expect("interface exists")
-                .insert(subscription.id());
-        } else {
-            // Covered chains can re-suppress a subscription that is already
-            // recorded (e.g. a retraction's re-advertisement masked by
-            // another still-sent cover); keep one entry per identifier so
-            // the list is bounded by the live suppressed population.
-            if self
-                .suppressed_ids
-                .get_mut(&neighbor)
-                .expect("interface exists")
-                .insert(subscription.id())
-            {
-                self.suppressed
-                    .get_mut(&neighbor)
-                    .expect("interface exists")
-                    .push(subscription.clone());
-            }
-        }
-        Ok(decision)
-    }
-
-    /// Whether `id` was actually sent on the link to `neighbor`.
-    pub fn was_sent(&self, neighbor: BrokerId, id: SubId) -> bool {
-        self.sent_ids
-            .get(&neighbor)
-            .is_some_and(|ids| ids.contains(&id))
+        self.link_mut(neighbor).offer(subscription)
     }
 
     /// Removes a local subscription by identifier, returning it (with its
@@ -374,102 +409,53 @@ impl Broker {
     /// Removes a routing-table entry received from `neighbor`, returning
     /// whether it was present.
     pub fn remove_received(&mut self, from: BrokerId, id: SubId) -> bool {
-        self.received
+        self.links
             .get_mut(&from)
-            .is_some_and(|table| table.swap_remove_routing(id))
+            .is_some_and(|link| link.routing.swap_remove_routing(id))
     }
 
-    /// Drops `id` from the suppressed list of the link to `neighbor` (used
-    /// when the unsubscribed subscription itself never made it onto the
-    /// link).
-    pub fn drop_suppressed(&mut self, neighbor: BrokerId, id: SubId) {
-        if let Some(ids) = self.suppressed_ids.get_mut(&neighbor) {
-            if ids.remove(&id) {
-                self.suppressed
-                    .get_mut(&neighbor)
-                    .expect("lists and id sets cover the same links")
-                    .retain(|s| s.id() != id);
-            }
-        }
-    }
-
-    /// Total suppressed entries across every link (diagnostics: under a
-    /// compacted broker this is bounded by the live suppressed population,
-    /// not by the churn history).
+    /// Total suppressed entries across every link (diagnostics: bounded by
+    /// the live suppressed population, not by the churn history — see the
+    /// `Link` invariant).
     pub fn suppressed_entries(&self) -> usize {
-        self.suppressed.values().map(|v| v.len()).sum()
+        self.links.values().map(|link| link.suppressed.len()).sum()
     }
 
-    /// Compacts every link's suppressed list: drops entries whose
-    /// subscription is no longer live (the `live` predicate says which
-    /// still are) and collapses duplicate identifiers left by covered
-    /// chains. Called by the network on the unsubscribe path — while
-    /// holding this broker's lock, with the predicate reading the live
-    /// registration map — so suppressed state tracks the live population
-    /// instead of the churn history.
-    pub fn compact_suppressed<F: Fn(SubId) -> bool>(&mut self, live: F) {
-        for (neighbor, list) in &mut self.suppressed {
-            let ids = self
-                .suppressed_ids
-                .get_mut(neighbor)
-                .expect("lists and id sets cover the same links");
-            ids.clear();
-            list.retain(|s| live(s.id()) && ids.insert(s.id()));
-        }
-    }
-
-    /// Retracts `removed` from the link to `neighbor`: deletes it from the
-    /// per-link covering index and sent set, then re-checks every suppressed
-    /// subscription the removed one was covering. Each candidate is re-run
-    /// through [`should_forward`](Self::should_forward) — it either goes out
-    /// now (appearing in the returned list with its decision) or is
-    /// re-suppressed by another still-sent cover.
+    /// The unsubscribe walk's one step per link: takes `removed` off the
+    /// link to `neighbor`. `Some(list)` when it had been sent there — it is
+    /// gone from the link's covering index and sent set, and every
+    /// suppressed subscription it was covering has been re-run through
+    /// [`should_forward`](Self::should_forward): each appears in the list
+    /// with its decision, either going out now or re-suppressed by another
+    /// still-sent cover. `None` when it was never sent on the link, where
+    /// at most its suppressed entry had to go.
     ///
     /// # Errors
     ///
     /// Returns an error if the covering index rejects a removal or a
     /// re-advertisement query.
-    pub fn retract_sent(
+    pub fn retract(
         &mut self,
         neighbor: BrokerId,
         removed: &Subscription,
-    ) -> Result<Vec<(Subscription, ForwardDecision)>> {
-        let id = removed.id();
-        debug_assert!(self.was_sent(neighbor, id));
-        self.sent_ids
-            .get_mut(&neighbor)
-            .expect("interface exists")
-            .remove(&id);
-        if let Some(count) = self.sent_counts.get_mut(&neighbor) {
-            *count = count.saturating_sub(1);
-        }
-        if let Some(Some(index)) = self.sent.get_mut(&neighbor) {
-            if index.contains(id) {
-                index.remove(id)?;
-            }
-        }
-        // Pull out (in place) the suppressed subscriptions the removed one
-        // covers; the rest cannot have been masked by it and stay untouched.
-        let list = self
-            .suppressed
-            .get_mut(&neighbor)
-            .expect("interface exists");
-        let ids = self
-            .suppressed_ids
-            .get_mut(&neighbor)
-            .expect("lists and id sets cover the same links");
-        let candidates: Vec<Subscription> = list
-            .extract_if(.., |sub| removed.covers(sub))
-            .inspect(|sub| {
-                ids.remove(&sub.id());
-            })
-            .collect();
-        let mut decisions = Vec::with_capacity(candidates.len());
-        for candidate in candidates {
-            let decision = self.should_forward(neighbor, &candidate)?;
-            decisions.push((candidate, decision));
-        }
-        Ok(decisions)
+    ) -> Result<Option<Vec<(Subscription, ForwardDecision)>>> {
+        self.link_mut(neighbor).retract(removed)
+    }
+
+    /// The identifiers held on the link to `neighbor` (`None` for a broker
+    /// that is not a neighbor).
+    pub fn link_ids(&self, neighbor: BrokerId) -> Option<LinkIds> {
+        let link = self.links.get(&neighbor)?;
+        let sorted = |ids: &HashSet<SubId>| {
+            let mut ids: Vec<SubId> = ids.iter().copied().collect();
+            ids.sort_unstable();
+            ids
+        };
+        Some(LinkIds {
+            sent: sorted(&link.sent_ids),
+            suppressed: link.suppressed.iter().map(Subscription::id).collect(),
+            suppressed_mirror: sorted(&link.suppressed_ids),
+        })
     }
 
     /// Calls `deliver(client)` once for every local client with at least
@@ -538,7 +524,7 @@ impl Broker {
         chunk: &EventChunk<'_>,
         active: u64,
     ) -> u64 {
-        let Some(table) = self.received.get(&neighbor) else {
+        let Some(table) = self.links.get(&neighbor).map(|link| &link.routing) else {
             return 0;
         };
         let mut interested = 0u64;
@@ -558,7 +544,8 @@ impl Broker {
     /// the event's schema.
     // acd-lint: hot
     pub fn neighbor_interested(&self, neighbor: BrokerId, values: &[f64]) -> bool {
-        self.received.get(&neighbor).is_some_and(|table| {
+        self.links.get(&neighbor).is_some_and(|link| {
+            let table = &link.routing;
             let mut blocks = (0..table.len()).step_by(MatchTable::BLOCK);
             blocks.any(|start| table.block_mask(values, start) != 0)
         })
@@ -566,7 +553,9 @@ impl Broker {
 
     /// Number of subscriptions this broker has sent to `neighbor`.
     pub fn sent_to(&self, neighbor: BrokerId) -> u64 {
-        self.sent_counts.get(&neighbor).copied().unwrap_or(0)
+        self.links
+            .get(&neighbor)
+            .map_or(0, |link| link.sent_ids.len() as u64)
     }
 }
 
@@ -855,7 +844,7 @@ mod tests {
         assert_eq!(b.suppressed_entries(), 1);
 
         // Retracting the cover re-advertises the one it masked, in place.
-        let readvertised = b.retract_sent(1, &wide).unwrap();
+        let readvertised = b.retract(1, &wide).unwrap().expect("wide was sent");
         assert_eq!(readvertised.len(), 1);
         assert_eq!(readvertised[0].0, narrow);
         assert!(readvertised[0].1.forward);

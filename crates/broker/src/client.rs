@@ -245,7 +245,9 @@ impl BrokerClient {
     /// Fails with a [`BatchError`] carrying every delivery list that was
     /// acknowledged before the failure, so callers can resume from
     /// `acked.len()` instead of blindly re-publishing the whole batch. The
-    /// first rejected publish fails the rest of the batch the same way.
+    /// first rejected publish fails the rest of the batch the same way; the
+    /// responses behind it are read and discarded, so the connection stays
+    /// in step for the next request. A transport error returns at once.
     pub fn publish_batch(
         &mut self,
         at: BrokerId,
@@ -275,8 +277,17 @@ impl BrokerClient {
             match read_frame(&mut self.reader, &mut self.scratch) {
                 Ok(Frame::Deliveries { pairs }) => acked.push(pairs),
                 Ok(other) => {
-                    let error = unexpected(other);
-                    return Err(fail(&mut acked, error));
+                    // The daemon answers every request, so the responses to
+                    // the rest of the burst are still coming: read them off
+                    // (they stay in limbo) or the next request on this
+                    // connection would take one of them for its own. If the
+                    // transport dies meanwhile, so does the next request.
+                    for _ in acked.len() + 1..events.len() {
+                        if read_frame(&mut self.reader, &mut self.scratch).is_err() {
+                            break;
+                        }
+                    }
+                    return Err(fail(&mut acked, unexpected(other)));
                 }
                 Err(e) => return Err(fail(&mut acked, e)),
             }

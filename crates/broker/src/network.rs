@@ -1,11 +1,10 @@
 //! The concurrent broker overlay: a routing-table service behind interior
 //! locking.
 //!
-//! [`BrokerNetwork`] used to be a single-threaded simulator whose operations
-//! took `&mut self`; it is now a service layer: [`subscribe`], [`unsubscribe`]
-//! and [`publish`] take `&self` and are callable from many threads at once
-//! (the TCP daemon in [`crate::service`] drives one network from a whole
-//! worker team). Concurrency control is two lock classes registered in
+//! [`BrokerNetwork`] is a service layer: [`subscribe`], [`unsubscribe`] and
+//! [`publish`] take `&self` and are callable from many threads at once (the
+//! TCP daemon in [`crate::service`] drives one network from a whole worker
+//! team). Concurrency control is two lock classes registered in
 //! `LOCKING.md` and the `acd-lint` rank table:
 //!
 //! * every broker sits behind its own [`OrderedRwLock`] (class `broker`,
@@ -16,8 +15,8 @@
 //!   its own — which is what makes per-broker locking deadlock-free on any
 //!   topology;
 //! * the network-wide registration map sits behind an [`OrderedMutex`]
-//!   (class `netreg`, rank 8, above `broker` so compaction can consult it
-//!   while holding the broker being compacted).
+//!   (class `netreg`, rank 8). It is taken alone — never while a broker
+//!   lock is held — and released before the overlay walk starts.
 //!
 //! Counters are plain relaxed atomics (see [`crate::metrics`]).
 //!
@@ -350,7 +349,8 @@ impl BrokerNetwork {
 
         // Walk the links the subscription was actually sent on (a subtree of
         // the overlay). On each such link: retract it, re-advertise whatever
-        // it was masking, and continue into the neighbor.
+        // it was masking, and continue into the neighbor. A link it was
+        // never sent on only loses its suppressed entry, inside `retract`.
         let mut queue: VecDeque<(BrokerId, Option<BrokerId>)> = VecDeque::new();
         queue.push_back((at, None));
         while let Some((broker_id, from)) = queue.pop_front() {
@@ -358,42 +358,29 @@ impl BrokerNetwork {
                 if Some(neighbor) == from {
                     continue;
                 }
-                let sent = self.cell(broker_id).read().was_sent(neighbor, id);
-                if sent {
-                    let readvertised = self
-                        .cell(broker_id)
-                        .write()
-                        .retract_sent(neighbor, &subscription)?;
-                    MetricCounters::bump(&self.counters.unsubscription_messages);
-                    for (candidate, decision) in readvertised {
-                        self.record_decision(&decision);
-                        if decision.forward {
-                            MetricCounters::bump(&self.counters.subscription_messages);
-                            self.cell(neighbor)
-                                .write()
-                                .add_received(broker_id, &candidate);
-                            self.propagate(neighbor, Some(broker_id), &candidate)?;
-                        } else {
-                            MetricCounters::bump(&self.counters.subscriptions_suppressed);
-                        }
+                let retracted = self
+                    .cell(broker_id)
+                    .write()
+                    .retract(neighbor, &subscription)?;
+                let Some(readvertised) = retracted else {
+                    continue;
+                };
+                MetricCounters::bump(&self.counters.unsubscription_messages);
+                for (candidate, decision) in readvertised {
+                    self.record_decision(&decision);
+                    if decision.forward {
+                        MetricCounters::bump(&self.counters.subscription_messages);
+                        self.cell(neighbor)
+                            .write()
+                            .add_received(broker_id, &candidate);
+                        self.propagate(neighbor, Some(broker_id), &candidate)?;
+                    } else {
+                        MetricCounters::bump(&self.counters.subscriptions_suppressed);
                     }
-                    self.cell(neighbor).write().remove_received(broker_id, id);
-                    queue.push_back((neighbor, Some(broker_id)));
-                } else {
-                    // Never sent on this link: at most sitting in its
-                    // suppressed list.
-                    self.cell(broker_id).write().drop_suppressed(neighbor, id);
                 }
+                self.cell(neighbor).write().remove_received(broker_id, id);
+                queue.push_back((neighbor, Some(broker_id)));
             }
-            // Compact the visited broker's suppressed state so the per-link
-            // lists stay bounded by the live population under arbitrarily
-            // long churn histories. The live map is consulted *while the
-            // broker lock is held* (the documented `broker → netreg`
-            // nesting): an entry is only retired when its subscription is
-            // truly unregistered at that moment.
-            let mut broker = self.cell(broker_id).write();
-            let registered = self.registered.lock();
-            broker.compact_suppressed(|sub| registered.contains_key(&sub));
         }
         Ok(())
     }
@@ -769,10 +756,12 @@ mod tests {
     fn suppressed_sets_stay_bounded_under_long_churn_histories() {
         // A long alternating churn history on a line overlay: every round
         // registers one wide cover and a few narrow subscriptions it masks,
-        // then retires the whole round. Without compaction the per-link
-        // suppressed lists accumulate one clone per *historical* suppression;
-        // with it they must stay bounded by the live population at every
-        // step (and empty at quiescence).
+        // then retires the whole round. A suppressed entry leaves its link
+        // when its coverer's retraction re-checks it or when its own
+        // unsubscribe walk passes (`Broker::retract`), so the per-link lists
+        // must stay bounded by the live population at every step — not by
+        // one clone per *historical* suppression — and be empty at
+        // quiescence.
         let s = schema();
         let net = network(Topology::line(4).unwrap(), &s, CoveringPolicy::ExactSfc);
         let total_links = 2 * (net.topology().brokers() - 1);

@@ -488,7 +488,7 @@ impl ResilientClient {
 mod tests {
     use super::*;
     use crate::network::BrokerConfig;
-    use crate::service::BrokerDaemon;
+    use crate::service::{BrokerDaemon, DaemonOptions};
     use crate::topology::Topology;
     use acd_covering::CoveringPolicy;
     use acd_subscription::SubscriptionBuilder;
@@ -506,6 +506,14 @@ mod tests {
     }
 
     fn start_daemon(addr: &str) -> BrokerDaemon {
+        let options = DaemonOptions {
+            workers: 2,
+            ..DaemonOptions::default()
+        };
+        start_daemon_with(addr, options)
+    }
+
+    fn start_daemon_with(addr: &str, options: DaemonOptions) -> BrokerDaemon {
         let schema = Schema::builder()
             .attribute("x", 0.0, 100.0)
             .bits_per_attribute(8)
@@ -517,7 +525,49 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        BrokerDaemon::start(net, addr, 2).unwrap()
+        BrokerDaemon::start_with(net, addr, options).unwrap()
+    }
+
+    /// A daemon that sheds a pipelined burst beyond its second response, and
+    /// a four-event burst for it: two `Deliveries`, then two `Rejected`.
+    fn capped_daemon_and_burst() -> (BrokerDaemon, Vec<Event>) {
+        let options = DaemonOptions {
+            workers: 2,
+            max_inflight: 2,
+            ..DaemonOptions::default()
+        };
+        let daemon = start_daemon_with("127.0.0.1:0", options);
+        let schema = daemon.network().schema().clone();
+        let events = (1..=4).map(|i| Event::new(&schema, vec![f64::from(i) * 10.0]).unwrap());
+        (daemon, events.collect())
+    }
+
+    #[test]
+    fn a_shed_batch_leaves_the_plain_client_in_step() {
+        let (daemon, events) = capped_daemon_and_burst();
+        let mut client = BrokerClient::connect(daemon.local_addr()).unwrap();
+        let failed = client
+            .publish_batch(0, &events)
+            .expect_err("the in-flight cap sheds the burst's tail");
+        assert_eq!(failed.acked.len(), 2);
+        assert!(matches!(failed.error, ServiceError::Overloaded { .. }));
+        // The fourth response was read off behind the third, so the next
+        // request gets its own answer and not the burst's stale `Rejected`.
+        assert_eq!(client.publish(0, &events[0]).unwrap(), vec![]);
+        assert_eq!(daemon.network().metrics().events_published, 3);
+    }
+
+    #[test]
+    fn a_shed_batch_is_resumed_without_publishing_twice() {
+        let (daemon, events) = capped_daemon_and_burst();
+        let mut client = ResilientClient::connect(daemon.local_addr(), fast_policy()).unwrap();
+        let deliveries = client.publish_batch(0, &events).unwrap();
+        assert_eq!(deliveries, vec![vec![]; 4]);
+        // One retry on the same connection resumes at the acked prefix. A
+        // retry that read the previous attempt's responses as its own would
+        // need a third attempt and publish the tail twice (6 events).
+        assert_eq!(daemon.network().metrics().events_published, 4);
+        assert_eq!(client.stats().retries, 1);
     }
 
     #[test]

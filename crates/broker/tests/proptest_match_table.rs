@@ -1,7 +1,10 @@
 //! Differential property test for the brokers' match tables: under
 //! interleaved subscribe / unsubscribe / publish / publish_batch, serial
 //! delivery == batched delivery == a linear `Subscription::matches` scan
-//! over the live set (pairs deduped).
+//! over the live set (pairs deduped). After every subscribe and unsubscribe
+//! the per-link covering bookkeeping is checked against the live set too
+//! (`Model::check_links`), and it must all be empty once everything is
+//! unsubscribed.
 //!
 //! Every bound and event value is an integer in `0..=63` on a `[0, 64]` x 6
 //! bit schema, so a value sits in grid cell `value` exactly: grid covering
@@ -12,6 +15,7 @@ use acd_broker::{BrokerConfig, BrokerId, BrokerNetwork, ClientId, Topology};
 use acd_covering::CoveringPolicy;
 use acd_subscription::{Event, Schema, SubId, Subscription};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 const BROKERS: usize = 3;
 
@@ -49,6 +53,7 @@ impl Model {
         let sub = Subscription::from_raw_bounds(&self.schema, id, &[range(a), range(b)]).unwrap();
         net.subscribe(at, client, &sub).unwrap();
         self.live.push((at, client, sub));
+        self.check_links(net);
     }
 
     fn unsubscribe(&mut self, net: &BrokerNetwork, pick: u64) {
@@ -57,6 +62,45 @@ impl Model {
         }
         let (at, _, sub) = self.live.swap_remove(pick as usize % self.live.len());
         net.unsubscribe(at, sub.id()).unwrap();
+        self.check_links(net);
+    }
+
+    /// What the brokers rely on without re-deriving it, on every link of
+    /// every broker: the suppressed list holds live ids, once each, mirrored exactly by its
+    /// id set and disjoint from the link's sent ids; the sent ids are live,
+    /// `sent_to` counts them, and over a broker's links they add up to its
+    /// routing-table entries.
+    fn check_links(&self, net: &BrokerNetwork) {
+        let live: HashSet<SubId> = self.live.iter().map(|(_, _, sub)| sub.id()).collect();
+        for b in 0..BROKERS {
+            let mut received = 0;
+            for &n in net.topology().neighbors(b) {
+                let link = net.broker(b).unwrap().link_ids(n).unwrap();
+                let mut listed = link.suppressed.clone();
+                listed.sort_unstable();
+                assert_eq!(listed, link.suppressed_mirror, "{b}->{n}: list != mirror");
+                listed.dedup();
+                assert_eq!(listed.len(), link.suppressed.len(), "{b}->{n}: duplicate");
+                for id in &link.suppressed {
+                    assert!(live.contains(id), "{b}->{n}: dead {id} suppressed");
+                    assert!(
+                        link.sent.binary_search(id).is_err(),
+                        "{b}->{n}: {id} sent and suppressed"
+                    );
+                }
+                assert!(
+                    link.sent.iter().all(|id| live.contains(id)),
+                    "{b}->{n}: dead id sent"
+                );
+                assert_eq!(net.broker(b).unwrap().sent_to(n), link.sent.len() as u64);
+                received += net.broker(n).unwrap().sent_to(b);
+            }
+            let entries = net.broker(b).unwrap().routing_table_entries();
+            assert_eq!(
+                received, entries as u64,
+                "broker {b}: sent to it != received"
+            );
+        }
     }
 
     /// Three events: one on every `lo` of a live subscription, one on every
@@ -160,5 +204,18 @@ proptest! {
         prop_assert!(out[1].is_empty());
         prop_assert_eq!(&out[0], &model.oracle(&mixed[0]));
         prop_assert_eq!(out.last().unwrap(), &model.oracle(mixed.last().unwrap()));
+
+        // Quiescence: nothing live, so nothing sent, suppressed or routed.
+        while !model.live.is_empty() {
+            model.unsubscribe(&net, next());
+        }
+        for b in 0..BROKERS {
+            let broker = net.broker(b).unwrap();
+            prop_assert_eq!(broker.suppressed_entries(), 0);
+            prop_assert_eq!(broker.routing_table_entries(), 0);
+            for &n in net.topology().neighbors(b) {
+                prop_assert_eq!(broker.sent_to(n), 0);
+            }
+        }
     }
 }

@@ -48,8 +48,10 @@ pub const RANK_JOURNAL: u32 = 4;
 /// overlay never holds two broker locks at once.
 pub const RANK_BROKER: u32 = 5;
 /// Rank of the broker-network subscription-registration lock (`registered`).
-/// Above [`RANK_BROKER`] so suppressed-state compaction can consult the
-/// live-id map while holding the broker being compacted.
+/// Above [`RANK_SESSION`] and [`RANK_JOURNAL`], whose holders call into the
+/// overlay's subscribe/unsubscribe. The overlay takes it alone and releases
+/// it before touching a broker, so it never nests with [`RANK_BROKER`] or
+/// any index class; its slot between them is only a place in the table.
 pub const RANK_NET_REGISTRY: u32 = 8;
 /// Rank of the shard-layout lock (`starts`).
 pub const RANK_LAYOUT: u32 = 10;
