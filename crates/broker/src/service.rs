@@ -379,7 +379,9 @@ impl BrokerDaemon {
     }
 
     /// The served network — callers can inspect metrics or drive it
-    /// in-process alongside the remote clients.
+    /// in-process alongside the remote clients. After
+    /// [`shutdown`](Self::shutdown) it still holds every registration the
+    /// shutdown snapshot holds.
     pub fn network(&self) -> &Arc<BrokerNetwork> {
         &self.state.network
     }
@@ -388,7 +390,9 @@ impl BrokerDaemon {
     /// connection worker has exited. With a data directory, the live
     /// subscription set is then compacted into an atomic snapshot and the
     /// journal reset, so the next start loads one small file instead of
-    /// replaying the full log. Idempotent; also runs on drop.
+    /// replaying the full log. Sessions the shutdown ends are not
+    /// retracted: the in-process network keeps the registrations the
+    /// snapshot keeps. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept_thread.take() {
@@ -477,8 +481,9 @@ fn reject_connection(state: &DaemonState, stream: TcpStream, cap: usize) {
 /// slot and whatever its session registers. Dropping the guard releases
 /// both, so the drained-state invariant and the connection gauge hold on
 /// *every* exit path: clean EOF, corrupt frame, slow-consumer eviction,
-/// idle reap, daemon shutdown, or a panic unwinding out of the session
-/// loop (which the worker pool contains, so nothing else would notice).
+/// idle reap, or a panic unwinding out of the session loop (which the
+/// worker pool contains, so nothing else would notice). A daemon shutdown
+/// releases the slot and the ownership but keeps the registrations.
 #[derive(Debug)]
 struct SessionGuard {
     state: Arc<DaemonState>,
@@ -743,8 +748,9 @@ fn classify_write_error(state: &DaemonState, e: std::io::Error) -> ServiceError 
 
 /// Retracts every registration still owned by connection `conn` — exactly
 /// like `unsubscribe`, so an evicted or vanished client leaves no routing
-/// entries behind. Sessions taken over by a reconnected client (different
-/// `conn`) are left alone.
+/// entries behind — unless the daemon itself ended the session, which only
+/// forgets the ownership. Sessions taken over by a reconnected client
+/// (different `conn`) are left alone.
 ///
 /// `daemon_teardown` is the session's *own* end cause, not the global
 /// shutdown flag: keying off the flag would let a genuine client
@@ -759,17 +765,18 @@ fn cleanup_sessions(state: &DaemonState, conn: u64, daemon_teardown: bool) {
         .collect();
     for (id, at) in owned {
         sessions.remove(&id);
-        // Racing an in-process unsubscribe is benign: the entry is gone
-        // either way.
-        let _ = state.network.unsubscribe(at, id);
-        // A vanished *client* is journaled (best-effort) like an
-        // unsubscribe. A daemon-initiated teardown is not: those sessions
-        // end because the daemon is stopping, and their registrations
-        // must survive into the shutdown snapshot so a restarted daemon
-        // serves them again (clients take them over by resubscribing).
-        if !daemon_teardown {
-            let _ = journal_append(state, JournalRecord::Unsubscribe { at: at as u64, id });
+        // A daemon-initiated teardown retracts nothing: those sessions end
+        // because the daemon is stopping, and their registrations must
+        // survive into the shutdown snapshot so a restarted daemon serves
+        // them again (clients take them over by resubscribing).
+        if daemon_teardown {
+            continue;
         }
+        // A vanished *client* is retracted and journaled (best-effort)
+        // like an unsubscribe; racing an in-process unsubscribe is benign:
+        // the entry is gone either way.
+        let _ = state.network.unsubscribe(at, id);
+        let _ = journal_append(state, JournalRecord::Unsubscribe { at: at as u64, id });
     }
 }
 
@@ -1793,6 +1800,44 @@ mod tests {
                  the shutdown snapshot: {live:?}"
             );
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A daemon-initiated teardown forgets who owned the registrations and
+    /// nothing else: the network and the set the shutdown snapshot is
+    /// written from are left as they were.
+    #[test]
+    fn daemon_teardown_keeps_the_registrations_the_snapshot_keeps() {
+        let dir = std::env::temp_dir().join(format!("acd-teardown-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let state = state_with(DaemonOptions {
+            data_dir: Some(dir.clone()),
+            ..DaemonOptions::default()
+        });
+        for id in 1..=3u64 {
+            let subscribe = Frame::Subscribe {
+                at: 0,
+                client: 7,
+                id,
+                bounds: vec![(0.0, 10.0 * id as f64)],
+            };
+            assert!(matches!(
+                handle_request(&state, 1, subscribe).unwrap(),
+                Frame::Ok
+            ));
+        }
+        let entries = state.network.metrics().routing_table_entries;
+        assert!(entries > 0);
+        let live = state.journal.lock().as_ref().unwrap().live.clone();
+        assert_eq!(live.len(), 3);
+
+        cleanup_sessions(&state, 1, true);
+
+        assert!(state.sessions.lock().is_empty(), "session map drained");
+        let metrics = state.network.metrics();
+        assert_eq!(metrics.routing_table_entries, entries);
+        assert_eq!(metrics.unsubscriptions, 0);
+        assert_eq!(state.journal.lock().as_ref().unwrap().live, live);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -137,44 +137,6 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         &self.universe
     }
 
-    /// Z-curve bulk construction of a *pair* of indexes — one over
-    /// `entries`, one over their mirrored points — sharing a single keying
-    /// pass and sort (on the Z curve the mirrored key is the bitwise
-    /// complement of the forward key, so the mirrored array is the forward
-    /// order reversed; see [`SfcArray::from_sorted_mirrored`]). This is the
-    /// fast path for covering indexes, which maintain both dominance
-    /// directions.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any point lies outside the curve's universe.
-    pub fn build_from_with_mirror(
-        curve: acd_sfc::ZCurve,
-        config: ApproxConfig,
-        entries: Vec<(Point, V)>,
-    ) -> Result<(
-        PointDominanceIndex<V, acd_sfc::ZCurve>,
-        PointDominanceIndex<V, acd_sfc::ZCurve>,
-    )>
-    where
-        C: Sized,
-    {
-        let universe = curve.universe().clone();
-        let (fwd, mir) = SfcArray::from_sorted_mirrored(curve, entries)?;
-        Ok((
-            PointDominanceIndex {
-                array: fwd,
-                universe: universe.clone(),
-                config,
-            },
-            PointDominanceIndex {
-                array: mir,
-                universe,
-                config,
-            },
-        ))
-    }
-
     /// The query configuration.
     pub fn config(&self) -> &ApproxConfig {
         &self.config
@@ -690,24 +652,6 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         stats.volume_fraction_searched = 1.0;
         Ok((None, stats))
     }
-
-    /// Returns every stored value whose point dominates `query`
-    /// (an exhaustive enumeration used by tests and by routing-table
-    /// pruning).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the query point lies outside the universe.
-    pub fn all_dominating(&self, query: &Point) -> Result<Vec<V>> {
-        self.universe.validate_point(query)?;
-        let mut out = Vec::new();
-        for entry in self.array.iter() {
-            if entry.point.dominates(query) {
-                out.push(entry.value.clone());
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -721,6 +665,11 @@ mod tests {
 
     fn p(coords: &[u64]) -> Point {
         Point::new(coords.to_vec()).unwrap()
+    }
+
+    /// The brute-force oracle: whether any stored point dominates `query`.
+    fn dominated<C: SpaceFillingCurve>(idx: &PointDominanceIndex<u64, C>, query: &Point) -> bool {
+        idx.array().iter().any(|e| e.point.dominates(query))
     }
 
     #[test]
@@ -766,7 +715,7 @@ mod tests {
     #[test]
     fn exhaustive_query_agrees_with_brute_force() {
         // Randomized (but deterministic) comparison against the brute-force
-        // all_dominating scan, on all three curves.
+        // scan, on all three curves.
         let u = universe(3, 4);
         let mut state = 0xfeed_beefu64;
         let mut next = move || {
@@ -796,7 +745,7 @@ mod tests {
             g_idx.insert(point.clone(), i as u64).unwrap();
         }
         for q in &queries {
-            let brute = !z_idx.all_dominating(q).unwrap().is_empty();
+            let brute = dominated(&z_idx, q);
             let (z, _) = z_idx.query_dominating(q).unwrap();
             let (h, _) = h_idx.query_dominating(q).unwrap();
             let (g, _) = g_idx.query_dominating(q).unwrap();
@@ -829,7 +778,7 @@ mod tests {
             match hit {
                 Some(_) => {
                     // A positive answer must be correct.
-                    assert!(!idx.all_dominating(&q).unwrap().is_empty());
+                    assert!(dominated(&idx, &q));
                 }
                 None => {
                     // A negative answer must have searched at least 1 - eps
@@ -904,7 +853,7 @@ mod tests {
         }
         for _ in 0..40 {
             let q = p(&[next(), next(), next(), next()]);
-            let brute = !idx.all_dominating(&q).unwrap().is_empty();
+            let brute = dominated(&idx, &q);
             let (hit, stats) = idx.query_dominating(&q).unwrap();
             assert_eq!(hit.is_some(), brute, "fallback must stay exact for {q}");
             if stats.fell_back_to_scan {
@@ -1069,7 +1018,7 @@ mod tests {
         }
         for _ in 0..30 {
             let q = p(&[next(), next(), next()]);
-            let brute = !idx.all_dominating(&q).unwrap().is_empty();
+            let brute = dominated(&idx, &q);
             let (hit, stats) = idx.query_dominating(&q).unwrap();
             assert_eq!(hit.is_some(), brute, "fallback must stay exact for {q}");
             assert!(stats.fell_back_to_scan);
@@ -1196,6 +1145,5 @@ mod tests {
         let idx: PointDominanceIndex<u64, ZCurve> =
             PointDominanceIndex::new(ZCurve::new(u), ApproxConfig::exhaustive());
         assert!(idx.query_dominating(&p(&[16, 0])).is_err());
-        assert!(idx.all_dominating(&p(&[0])).is_err());
     }
 }

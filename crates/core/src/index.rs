@@ -71,7 +71,13 @@ pub trait CoveringIndex: std::fmt::Debug + Send + Sync {
     }
 
     /// Returns the identifiers of every stored subscription that the query
-    /// covers (the reverse relation, used for routing-table pruning).
+    /// covers (the reverse relation, used for routing-table pruning), in
+    /// unspecified order.
+    ///
+    /// No implementation keeps a second structure for this direction: the
+    /// answer is exact and costs a scan linear in the stored set (the
+    /// sharded index skips the shards that cannot hold a covered
+    /// subscription, then scans the rest).
     ///
     /// # Errors
     ///

@@ -1,31 +1,27 @@
 //! The SFC-based covering index — the paper's contribution, packaged for a
 //! router.
 //!
-//! [`SfcCoveringIndex`] maintains two [`PointDominanceIndex`]es over the
-//! 2β-dimensional dominance space:
+//! [`SfcCoveringIndex`] maintains the paper's one structure: a
+//! [`PointDominanceIndex`] over the 2β-dimensional dominance space that
+//! stores each subscription's Edelsbrunner–Overmars point `p(s)` and answers
+//! "is the new subscription covered by an existing one?" (a dominance query
+//! for `p(query)`). That query honours the configured [`ApproxConfig`]:
+//! exhaustive queries are exact, ε-approximate queries trade a bounded
+//! detection loss for the dramatically lower cost analysed in Theorem 3.1.
 //!
-//! * the *forward* index stores each subscription's Edelsbrunner–Overmars
-//!   point `p(s)` and answers "is the new subscription covered by an existing
-//!   one?" (a dominance query for `p(query)`);
-//! * the *mirrored* index stores the reflected points and answers the reverse
-//!   question "which existing subscriptions does the new one cover?"
-//!   (needed when a router prunes its routing table).
-//!
-//! Both directions honour the configured [`ApproxConfig`]: exhaustive queries
-//! are exact, ε-approximate queries trade a bounded detection loss for the
-//! dramatically lower cost analysed in Theorem 3.1.
+//! The reverse question "which existing subscriptions does the new one
+//! cover?" ([`CoveringIndex::find_covered_by`]) has no structure of its own:
+//! it is an exact linear scan of the stored subscriptions.
 
 use std::collections::HashMap;
 use std::path::Path;
 
-use acd_sfc::{CurveKind, GrayCurve, HilbertCurve, Point, Universe, ZCurve};
+use acd_sfc::{CurveKind, GrayCurve, HilbertCurve, Point, SfcEntry, Universe, ZCurve};
 use acd_storage::{
     commit_file_name, curve_from_tag, curve_tag, latest_commit, prune, read_commit, segment_stem,
     write_commit, CommitManifest, SegmentReader, SegmentWriter, ShardRef, StorageError,
 };
-use acd_subscription::{
-    dominance_point, dominance_universe, mirrored_dominance_point, Schema, SubId, Subscription,
-};
+use acd_subscription::{dominance_point, dominance_universe, Schema, SubId, Subscription};
 
 use crate::config::ApproxConfig;
 use crate::dominance::PointDominanceIndex;
@@ -46,21 +42,8 @@ enum Engine {
 }
 
 impl Engine {
-    fn new(kind: CurveKind, universe: Universe, config: ApproxConfig) -> Self {
-        match kind {
-            CurveKind::Z => Engine::Z(PointDominanceIndex::new(ZCurve::new(universe), config)),
-            CurveKind::Hilbert => Engine::Hilbert(PointDominanceIndex::new(
-                HilbertCurve::new(universe),
-                config,
-            )),
-            CurveKind::Gray => {
-                Engine::Gray(PointDominanceIndex::new(GrayCurve::new(universe), config))
-            }
-        }
-    }
-
     /// Bulk-builds an engine from a batch of dominance points (one sort
-    /// instead of `n` ordered inserts).
+    /// instead of `n` ordered inserts); an empty batch is an empty engine.
     fn build_from(
         kind: CurveKind,
         universe: Universe,
@@ -128,11 +111,12 @@ impl Engine {
         }
     }
 
-    fn all_dominating(&self, query: &Point) -> Result<Vec<SubId>> {
+    /// Every stored entry, in key order.
+    fn entries(&self) -> Box<dyn Iterator<Item = &SfcEntry<SubId>> + '_> {
         match self {
-            Engine::Z(i) => i.all_dominating(query),
-            Engine::Hilbert(i) => i.all_dominating(query),
-            Engine::Gray(i) => i.all_dominating(query),
+            Engine::Z(i) => Box::new(i.array().iter()),
+            Engine::Hilbert(i) => Box::new(i.array().iter()),
+            Engine::Gray(i) => Box::new(i.array().iter()),
         }
     }
 
@@ -164,7 +148,6 @@ pub struct SfcCoveringIndex {
     config: ApproxConfig,
     curve: CurveKind,
     forward: Engine,
-    mirrored: Engine,
     /// Stored subscriptions by identifier (needed for removal and for
     /// verifying candidate hits).
     subscriptions: HashMap<SubId, Subscription>,
@@ -215,16 +198,15 @@ impl SfcCoveringIndex {
             schema: schema.clone(),
             config,
             curve,
-            forward: Engine::new(curve, universe.clone(), config),
-            mirrored: Engine::new(curve, universe, config),
+            forward: Engine::build_from(curve, universe, config, Vec::new())?,
             subscriptions: HashMap::new(),
             stats: IndexStats::default(),
         })
     }
 
-    /// Bulk-builds an index over a known subscription set: both dominance
-    /// directions are keyed and sorted once ([`acd_sfc::SfcArray::from_sorted`]
-    /// under the hood) instead of paying `2n` incremental ordered inserts —
+    /// Bulk-builds an index over a known subscription set: the dominance
+    /// points are keyed and sorted once ([`acd_sfc::SfcArray::from_sorted`]
+    /// under the hood) instead of paying `n` incremental ordered inserts —
     /// several times faster when the subscription set is available up front
     /// (workload replay, routing-table snapshots, benchmark setup).
     ///
@@ -243,40 +225,19 @@ impl SfcCoveringIndex {
         I: IntoIterator<Item = &'a Subscription>,
     {
         let universe = dominance_universe(schema)?;
-        let mut stored = HashMap::new();
-        let mut forward = Vec::new();
+        let subscriptions = subscriptions.into_iter();
+        let mut stored = HashMap::with_capacity(subscriptions.size_hint().0);
+        let mut points = Vec::with_capacity(subscriptions.size_hint().0);
         for sub in subscriptions {
             if sub.schema() != schema {
                 return Err(CoveringError::SchemaMismatch);
             }
-            forward.push((dominance_point(sub)?, sub.id()));
+            points.push((dominance_point(sub)?, sub.id()));
             if stored.insert(sub.id(), sub.clone()).is_some() {
                 return Err(CoveringError::DuplicateSubscription { id: sub.id() });
             }
         }
-        let (forward_engine, mirrored_engine) = match curve {
-            // Z fast path: one keying pass and one sort build both
-            // dominance directions (the mirrored Z key is the complement of
-            // the forward key).
-            CurveKind::Z => {
-                let (fwd, mir) = PointDominanceIndex::<SubId, ZCurve>::build_from_with_mirror(
-                    ZCurve::new(universe),
-                    config,
-                    forward,
-                )?;
-                (Engine::Z(fwd), Engine::Z(mir))
-            }
-            _ => {
-                let mirrored: Vec<(Point, SubId)> = stored
-                    .values()
-                    .map(|sub| Ok((mirrored_dominance_point(sub)?, sub.id())))
-                    .collect::<Result<_>>()?;
-                (
-                    Engine::build_from(curve, universe.clone(), config, forward)?,
-                    Engine::build_from(curve, universe, config, mirrored)?,
-                )
-            }
-        };
+        let forward = Engine::build_from(curve, universe, config, points)?;
         let stats = IndexStats {
             inserts: stored.len() as u64,
             ..IndexStats::default()
@@ -285,8 +246,7 @@ impl SfcCoveringIndex {
             schema: schema.clone(),
             config,
             curve,
-            forward: forward_engine,
-            mirrored: mirrored_engine,
+            forward,
             subscriptions: stored,
             stats,
         })
@@ -311,7 +271,6 @@ impl SfcCoveringIndex {
     pub fn set_config(&mut self, config: ApproxConfig) {
         self.config = config;
         self.forward.set_config(config);
-        self.mirrored.set_config(config);
     }
 
     /// The subscription stored under `id`, if any.
@@ -339,16 +298,6 @@ impl SfcCoveringIndex {
             return Err(CoveringError::SchemaMismatch);
         }
         Ok(())
-    }
-
-    /// Exact reverse query used by pruning: identifiers of all stored
-    /// subscriptions covered by `query`, found by an exhaustive scan of the
-    /// mirrored dominance index.
-    fn covered_by_exact(&self, query: &Subscription) -> Result<Vec<SubId>> {
-        let mirrored_query = mirrored_dominance_point(query)?;
-        let mut ids = self.mirrored.all_dominating(&mirrored_query)?;
-        ids.retain(|&id| id != query.id());
-        Ok(ids)
     }
 
     /// Read-only covering query: the same answer as
@@ -437,7 +386,12 @@ impl SfcCoveringIndex {
     /// Returns an error if the query's schema does not match the index.
     pub fn find_covered_by_ref(&self, query: &Subscription) -> Result<Vec<SubId>> {
         self.check_schema(query)?;
-        self.covered_by_exact(query)
+        Ok(self
+            .subscriptions
+            .values()
+            .filter(|s| s.id() != query.id() && query.covers(s))
+            .map(Subscription::id)
+            .collect())
     }
 
     /// Persists the index into `dir` as one immutable segment under a fresh
@@ -508,16 +462,18 @@ impl SfcCoveringIndex {
         generation: u64,
     ) -> Result<ShardRef> {
         let mut writer = SegmentWriter::new(generation);
-        writer.subscriptions(self.schema.arity(), self.subscriptions.values());
+        // The table is stored in array order — row `i` describes entry `i` —
+        // which is what lets `open_shard_segment` check one against the
+        // other in a single zip.
+        let rows = self
+            .forward
+            .entries()
+            .filter_map(|e| self.subscriptions.get(&e.value));
+        writer.subscriptions(self.schema.arity(), rows);
         match &self.forward {
             Engine::Z(i) => writer.forward_array(i.array()),
             Engine::Hilbert(i) => writer.forward_array(i.array()),
             Engine::Gray(i) => writer.forward_array(i.array()),
-        }
-        match &self.mirrored {
-            Engine::Z(i) => writer.mirrored_array(i.array()),
-            Engine::Hilbert(i) => writer.mirrored_array(i.array()),
-            Engine::Gray(i) => writer.mirrored_array(i.array()),
         }
         Ok(writer.write(dir, stem)?)
     }
@@ -557,41 +513,33 @@ impl SfcCoveringIndex {
             )
             .into());
         }
-        if reader.meta.forward_entries != reader.meta.sub_count
-            || reader.meta.mirrored_entries != reader.meta.sub_count
-        {
-            return Err(StorageError::corrupt(
-                &data_file,
-                "array sections disagree with the subscription table",
-            )
-            .into());
-        }
 
-        // The three sections are independent once the reader has verified
+        // The two sections are independent once the reader has verified
         // the envelopes and checksums, so the subscription table and the
-        // two dominance arrays decode on their own threads: a cold open's
-        // wall clock is the *longest* section, not the sum. (Restart time
-        // is the whole point of segments — a daemon is unavailable until
-        // this returns.)
+        // dominance array decode on their own threads: a cold open's wall
+        // clock is the *longer* section, not the sum. (Restart time is the
+        // whole point of segments — a daemon is unavailable until this
+        // returns.)
         let universe = dominance_universe(&schema)?;
-        let engine = |mirrored: bool| -> Result<Engine> {
+        let decode_array = || -> Result<Engine> {
             Ok(match curve {
                 CurveKind::Z => Engine::Z(PointDominanceIndex::from_array(
-                    reader.array(mirrored, ZCurve::new(universe.clone()))?,
+                    reader.array(ZCurve::new(universe))?,
                     config,
                 )),
                 CurveKind::Hilbert => Engine::Hilbert(PointDominanceIndex::from_array(
-                    reader.array(mirrored, HilbertCurve::new(universe.clone()))?,
+                    reader.array(HilbertCurve::new(universe))?,
                     config,
                 )),
                 CurveKind::Gray => Engine::Gray(PointDominanceIndex::from_array(
-                    reader.array(mirrored, GrayCurve::new(universe.clone()))?,
+                    reader.array(GrayCurve::new(universe))?,
                     config,
                 )),
             })
         };
-        let decode_subscriptions = || -> Result<HashMap<SubId, Subscription>> {
+        let decode_subscriptions = || -> Result<(HashMap<SubId, Subscription>, Vec<_>)> {
             let mut subscriptions = HashMap::with_capacity(reader.meta.sub_count as usize);
+            let mut rows = Vec::with_capacity(reader.meta.sub_count as usize);
             reader.for_each_subscription_row(|id, bounds| {
                 // Checksums catch accidents; a crafted checksum-valid file
                 // can still carry impossible bounds (wrong arity, inverted
@@ -599,9 +547,12 @@ impl SfcCoveringIndex {
                 // corruption rather than as a schema error.
                 // `from_raw_bounds` validates all of that without the
                 // per-attribute name lookups of the builder path.
-                let sub = Subscription::from_raw_bounds(&schema, id, bounds).map_err(|e| {
+                let sub = Subscription::from_raw_bounds(&schema, id, bounds)
+                    .and_then(|sub| Ok((dominance_point(&sub)?, sub)));
+                let (point, sub) = sub.map_err(|e| {
                     StorageError::corrupt(&data_file, format!("stored bounds are invalid: {e}"))
                 })?;
+                rows.push((id, point));
                 if subscriptions.insert(id, sub).is_some() {
                     return Err(StorageError::corrupt(
                         &data_file,
@@ -610,19 +561,31 @@ impl SfcCoveringIndex {
                 }
                 Ok(())
             })?;
-            Ok(subscriptions)
+            Ok((subscriptions, rows))
         };
-        let (subscriptions, forward, mirrored) = std::thread::scope(|s| {
-            let forward = s.spawn(|| engine(false));
-            let mirrored = s.spawn(|| engine(true));
+        let (subscriptions, forward) = std::thread::scope(|s| {
+            let forward = s.spawn(decode_array);
             let subscriptions = decode_subscriptions();
             (
                 subscriptions,
                 forward.join().expect("array decode does not panic"),
-                mirrored.join().expect("array decode does not panic"),
             )
         });
-        let (subscriptions, forward, mirrored) = (subscriptions?, forward?, mirrored?);
+        let ((subscriptions, rows), forward) = (subscriptions?, forward?);
+        // The array must index exactly the table: entry `i` carries row
+        // `i`'s id (unique, the decode above saw to that) at row `i`'s
+        // dominance point, and neither side has entries left over. A
+        // checksum-valid segment pairing another population's array with
+        // this table would otherwise answer covering queries with false
+        // covers.
+        let stored = forward.entries().map(|e| (e.value, &e.point));
+        if !stored.eq(rows.iter().map(|(id, point)| (*id, point))) {
+            return Err(StorageError::corrupt(
+                &data_file,
+                "array section disagrees with the subscription table",
+            )
+            .into());
+        }
         let stats = IndexStats {
             inserts: subscriptions.len() as u64,
             ..IndexStats::default()
@@ -632,7 +595,6 @@ impl SfcCoveringIndex {
             config,
             curve,
             forward,
-            mirrored,
             subscriptions,
             stats,
         })
@@ -671,10 +633,8 @@ impl CoveringIndex for SfcCoveringIndex {
                 id: subscription.id(),
             });
         }
-        let forward_point = dominance_point(subscription)?;
-        let mirrored_point = mirrored_dominance_point(subscription)?;
-        self.forward.insert(forward_point, subscription.id())?;
-        self.mirrored.insert(mirrored_point, subscription.id())?;
+        self.forward
+            .insert(dominance_point(subscription)?, subscription.id())?;
         self.subscriptions
             .insert(subscription.id(), subscription.clone());
         self.stats.inserts += 1;
@@ -682,24 +642,15 @@ impl CoveringIndex for SfcCoveringIndex {
     }
 
     fn remove(&mut self, id: SubId) -> Result<()> {
-        // Removal must leave the three structures (subscription map, forward
-        // and mirrored dominance indexes) consistent even if a step fails:
-        // compute both points up front (before mutating anything), and if
-        // the mirrored removal fails after the forward one succeeded,
-        // re-insert the forward entry before reporting the error.
         let subscription = self
             .subscriptions
             .get(&id)
             .ok_or(CoveringError::UnknownSubscription { id })?;
-        let forward_point = dominance_point(subscription)?;
-        let mirrored_point = mirrored_dominance_point(subscription)?;
-        let removed_forward = self.forward.remove(&forward_point, id)?;
-        if let Err(e) = self.mirrored.remove(&mirrored_point, id) {
-            if removed_forward.is_some() {
-                self.forward.insert(forward_point, id)?;
-            }
-            return Err(e);
-        }
+        let removed = self.forward.remove(&dominance_point(subscription)?, id)?;
+        debug_assert!(
+            removed.is_some(),
+            "subscription {id} is in the table but not in the array"
+        );
         self.subscriptions.remove(&id);
         self.stats.removes += 1;
         Ok(())
@@ -723,8 +674,7 @@ impl CoveringIndex for SfcCoveringIndex {
     }
 
     fn find_covered_by(&mut self, query: &Subscription) -> Result<Vec<SubId>> {
-        self.check_schema(query)?;
-        self.covered_by_exact(query)
+        self.find_covered_by_ref(query)
     }
 
     fn len(&self) -> usize {
@@ -870,9 +820,8 @@ mod tests {
 
     #[test]
     fn bulk_build_matches_incremental_inserts_on_all_curves() {
-        // `build_from` (including the Z mirrored-pair fast path) must be
-        // indistinguishable from inserting one by one: same covering
-        // answers, same covered-by sets, removals still work.
+        // `build_from` must be indistinguishable from inserting one by one:
+        // same covering answers, same covered-by sets, removals still work.
         let s = schema();
         let subs = random_subs(&s, 120, 41);
         let queries = random_subs(&s, 40, 43);
@@ -899,7 +848,7 @@ mod tests {
                 b.sort_unstable();
                 assert_eq!(a, b, "{curve:?} covered-by disagrees on {}", q.id());
             }
-            // Removal from a bulk-built index works on both directions.
+            // Removal from a bulk-built index works.
             let victim = subs[7].id();
             bulk.remove(victim).unwrap();
             assert!(!bulk.contains(victim));
@@ -958,15 +907,15 @@ mod tests {
         ));
         assert_eq!(idx.len(), 1);
         assert!(idx.contains(1));
-        // Forward index still answers...
+        // Covering still answers...
         assert_eq!(idx.find_covering(&narrow).unwrap().covering, Some(1));
-        // ...and so does the mirrored one.
+        // ...and so does covered-by.
         assert_eq!(idx.find_covered_by(&wide).unwrap(), Vec::<SubId>::new());
         idx.insert(&narrow).unwrap();
         assert_eq!(idx.find_covered_by(&wide).unwrap(), vec![2]);
 
-        // A successful removal clears the subscription from both dominance
-        // directions and the subscription map atomically.
+        // A successful removal clears the subscription from the dominance
+        // array and the subscription map together.
         idx.remove(2).unwrap();
         assert!(!idx.contains(2));
         assert!(idx.find_covered_by(&wide).unwrap().is_empty());

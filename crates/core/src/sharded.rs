@@ -706,7 +706,7 @@ impl ShardedCoveringIndex {
     }
 
     /// Reopens the most recent [`save_segments`](Self::save_segments)
-    /// generation in `dir` without rebuilding: each shard's arrays are
+    /// generation in `dir` without rebuilding: each shard's array is
     /// gathered straight from its segment's sorted columns (no keying pass,
     /// no sort), the registry is refilled from the loaded shards, and the
     /// index comes back attached to `dir` for incremental compaction.

@@ -48,8 +48,8 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    /// Merges the counters of `other` into `self` (used when a query probes
-    /// both the forward and the mirrored index).
+    /// Merges the counters of `other` into `self` (used by the sharded
+    /// index to fold per-shard query costs into one outcome).
     pub fn absorb(&mut self, other: &QueryStats) {
         self.cubes_enumerated += other.cubes_enumerated;
         self.runs_probed += other.runs_probed;

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 
+use acd_covering::storage::{segment_stem, SegmentReader};
 use acd_covering::{
     ApproxConfig, CoveringIndex, CoveringPolicy, LinearScanIndex, QueryEngine, SfcCoveringIndex,
     ShardedCoveringIndex,
@@ -294,31 +295,51 @@ proptest! {
         }
     }
 
-    /// The reverse (covered-by) query matches the brute-force answer.
+    /// The reverse (covered-by) query matches the brute-force answer on
+    /// every curve after interleaved inserts and removals, and the index's
+    /// one dominance array holds exactly the live set.
     #[test]
     fn covered_by_matches_brute_force(
         population in bounds_strategy(30),
         query in bounds_strategy(1),
+        curve in 0usize..CurveKind::all().len(),
+        remove_mask in prop::collection::vec(any::<bool>(), 30),
     ) {
         let schema = schema(6);
-        let mut sfc = SfcCoveringIndex::exhaustive(&schema).unwrap();
+        let mut sfc =
+            SfcCoveringIndex::with_curve(&schema, ApproxConfig::exhaustive(), CurveKind::all()[curve])
+                .unwrap();
         let subs: Vec<Subscription> = population
             .iter()
             .enumerate()
             .map(|(i, b)| build_sub(&schema, i as u64 + 1, b))
             .collect();
-        for s in &subs {
+        for (i, s) in subs.iter().enumerate() {
             sfc.insert(s).unwrap();
+            // A set mask bit retracts an earlier (or this very) insert.
+            let victim = subs[i / 2].id();
+            if remove_mask[i] && sfc.contains(victim) {
+                sfc.remove(victim).unwrap();
+            }
         }
         let q = build_sub(&schema, 9_999, &query[0]);
         let mut got = sfc.find_covered_by(&q).unwrap();
         got.sort_unstable();
         let mut expected: Vec<u64> = subs
             .iter()
-            .filter(|s| q.covers(s))
+            .filter(|s| sfc.contains(s.id()) && q.covers(s))
             .map(|s| s.id())
             .collect();
         expected.sort_unstable();
         prop_assert_eq!(got, expected);
+
+        // The saved segment's array section is the array as it stands
+        // (cases run one after another, so one directory serves them all).
+        let dir = std::env::temp_dir().join(format!("acd-proptest-index-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        sfc.save_segments(&dir).unwrap();
+        let saved = SegmentReader::open(&dir, &segment_stem(1, 0)).unwrap();
+        prop_assert_eq!(saved.meta.forward_entries, sfc.len() as u64);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,10 +10,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use acd_covering::storage::StorageError;
-use acd_covering::{ApproxConfig, CoveringError, CoveringIndex, SfcCoveringIndex};
-use acd_sfc::CurveKind;
-use acd_subscription::{RangePredicate, Schema, Subscription};
+use acd_covering::storage::{
+    latest_commit, read_commit, segment_stem, write_commit, CommitManifest, SegmentWriter,
+    StorageError,
+};
+use acd_covering::{
+    ApproxConfig, CoveringError, CoveringIndex, SfcCoveringIndex, ShardedCoveringIndex,
+};
+use acd_sfc::{CurveKind, SfcArray, ZCurve};
+use acd_subscription::{dominance_point, dominance_universe, RangePredicate, Schema, Subscription};
 
 fn schema() -> Schema {
     Schema::builder()
@@ -120,7 +125,7 @@ fn assert_identical(
 /// byte of a checksum-intact file — impossible for bit flips, which break
 /// the checksum, but allowed for garbage) — never a schema error, never a
 /// duplicate-id error, never anything that suggests partial interpretation.
-fn assert_corrupt(result: Result<SfcCoveringIndex, CoveringError>) {
+fn assert_corrupt<T>(result: Result<T, CoveringError>) {
     let err = match result {
         Ok(_) => panic!("damaged directory opened cleanly"),
         Err(err) => err,
@@ -132,6 +137,54 @@ fn assert_corrupt(result: Result<SfcCoveringIndex, CoveringError>) {
         }),
         "damage must surface as a typed storage corruption, got: {err}"
     );
+}
+
+/// A segment whose every envelope, checksum, pin and count is valid — it is
+/// written through the public writer and committed — but whose dominance
+/// array belongs to another population than its subscription table. Opened
+/// on trust it would answer covering queries with ids the table does not
+/// hold (a false cover); it must be refused as corruption, in the single
+/// layout and in a one-shard sharded layout alike.
+#[test]
+fn an_array_of_another_population_is_a_typed_corruption() {
+    let s = schema();
+    let narrow: Vec<Subscription> = (1..=3u64)
+        .map(|id| build_sub(&s, id, &[(40.0, 45.0), (40.0, 45.0)]))
+        .collect();
+    let wide: Vec<Subscription> = (101..=103u64)
+        .map(|id| build_sub(&s, id, &[(0.0, 100.0), (0.0, 100.0)]))
+        .collect();
+    let array = SfcArray::from_sorted(
+        ZCurve::new(dominance_universe(&s).unwrap()),
+        wide.iter()
+            .map(|sub| (dominance_point(sub).unwrap(), sub.id()))
+            .collect(),
+    )
+    .unwrap();
+    for starts in [vec![], vec![0]] {
+        let dir = fresh_dir("crafted");
+        // A real save supplies the manifest's schema and config fields.
+        let (index, _) = build_index(&s, CurveKind::Z, &[]);
+        index.save_segments(&dir).unwrap();
+        let saved = read_commit(&latest_commit(&dir).unwrap().unwrap().1).unwrap();
+        let mut writer = SegmentWriter::new(2);
+        writer.subscriptions(s.arity(), &narrow);
+        writer.forward_array(&array);
+        let shard = writer.write(&dir, &segment_stem(2, 0)).unwrap();
+        write_commit(
+            &dir,
+            &CommitManifest {
+                generation: 2,
+                starts,
+                shards: vec![shard],
+                ..saved
+            },
+        )
+        .unwrap();
+        assert_corrupt(SfcCoveringIndex::open_segments(&dir));
+        assert_corrupt(ShardedCoveringIndex::open_segments(&dir));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 proptest! {

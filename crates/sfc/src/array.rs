@@ -838,105 +838,6 @@ impl<V, C: SpaceFillingCurve> SfcArray<V, C> {
     }
 }
 
-impl<V: Clone> SfcArray<V, crate::zorder::ZCurve> {
-    /// Builds, with one keying pass and one sort, both the array over
-    /// `entries` and the array over their component-wise *mirrored* points
-    /// (each coordinate `c` becomes `2^k − 1 − c`).
-    ///
-    /// On the Z curve mirroring complements every coordinate bit, and
-    /// interleaving preserves complement, so the mirrored key is the
-    /// bitwise NOT of the forward key within the key width — the mirrored
-    /// array is exactly the forward array traversed in reverse with
-    /// complemented keys. This is the bulk-build fast path for dominance
-    /// indexes that maintain a forward and a mirrored direction (covering
-    /// and covered-by queries): the second direction costs one gather pass,
-    /// not a second keying-and-sort.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any point is outside the curve's universe.
-    pub fn from_sorted_mirrored(
-        curve: crate::zorder::ZCurve,
-        entries: Vec<(Point, V)>,
-    ) -> Result<(Self, Self)> {
-        use crate::curve::SpaceFillingCurve as _;
-        let universe = curve.universe().clone();
-        let total = universe.key_bits();
-        if total > 128 {
-            // Wide universes take the generic two-pass path.
-            let mirrored: Vec<(Point, V)> = entries
-                .iter()
-                .map(|(p, v)| Ok((p.mirrored(&universe)?, v.clone())))
-                .collect::<Result<_>>()?;
-            let fwd = Self::from_sorted(curve.clone(), entries)?;
-            let mir = Self::from_sorted(curve, mirrored)?;
-            return Ok((fwd, mir));
-        }
-        let mask = if total == 128 {
-            u128::MAX
-        } else {
-            (1u128 << total) - 1
-        };
-        let len = entries.len();
-        let mut order: Vec<(u128, u32)> = Vec::with_capacity(len);
-        let mut payload: Vec<Option<SfcEntry<V>>> = Vec::with_capacity(len);
-        for (i, (point, value)) in entries.into_iter().enumerate() {
-            let key = curve.key_of_point(&point)?;
-            order.push((key.to_u128().expect("≤128-bit keys fit"), i as u32));
-            payload.push(Some(SfcEntry { point, value }));
-        }
-        order.sort_unstable();
-
-        let mut fwd = Level::new(true);
-        fwd.keys.reserve(len);
-        fwd.packed.reserve(len);
-        fwd.buckets.reserve(len);
-        // Mirrored entries in forward key order; consumed in reverse below.
-        let mut mir_entries: Vec<SfcEntry<V>> = Vec::with_capacity(len);
-        for &(packed, i) in &order {
-            let entry = payload[i as usize].take().expect("each index taken once");
-            mir_entries.push(SfcEntry {
-                point: entry
-                    .point
-                    .mirrored(&universe)
-                    .expect("stored points are in the universe"),
-                value: entry.value.clone(),
-            });
-            fwd.push_packed_grouped(packed, total, entry);
-        }
-
-        let mut mir = Level::new(true);
-        mir.keys.reserve(len);
-        mir.packed.reserve(len);
-        mir.buckets.reserve(len);
-        for (&(packed, _), entry) in order.iter().rev().zip(mir_entries.into_iter().rev()) {
-            mir.push_packed_grouped(!packed & mask, total, entry);
-        }
-        // The reverse traversal reverses within-cell entry order; restore
-        // the batch order inside duplicate cells.
-        for bucket in mir.buckets.iter_mut() {
-            if let Bucket::Many(v) = bucket {
-                v.reverse();
-            }
-        }
-
-        Ok((
-            SfcArray {
-                curve: curve.clone(),
-                main: fwd,
-                staging: Staging::new(true),
-                len,
-            },
-            SfcArray {
-                curve,
-                main: mir,
-                staging: Staging::new(true),
-                len,
-            },
-        ))
-    }
-}
-
 /// Forward-only galloping cursor created by [`SfcArray::sweep_cursor`].
 ///
 /// The probe keys passed to

@@ -258,7 +258,7 @@ impl Point {
 
     /// Creates a point whose coordinate along dimension `i` is `f(i)` —
     /// allocation-free when `dims` fits the inline buffer. The hot-path
-    /// constructor for derived points (dominance transforms, mirrors).
+    /// constructor for derived points (dominance transforms).
     ///
     /// `f` is called exactly once per dimension, in ascending order —
     /// callers may drive a stateful iterator from it (the segment decoder
@@ -338,23 +338,6 @@ impl Point {
             .iter()
             .zip(other.coords().iter())
             .all(|(a, b)| a >= b)
-    }
-
-    /// Component-wise mirror of the point inside `universe`:
-    /// each coordinate `x` becomes `2^k − 1 − x`.
-    ///
-    /// Mirroring converts a "find a point dominating q" query into a
-    /// "find a point dominated by q" query on the mirrored data, which the
-    /// covering index uses for reverse (covered-by) queries.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the point does not belong to `universe`.
-    pub fn mirrored(&self, universe: &Universe) -> Result<Point> {
-        universe.validate_point(self)?;
-        let max = universe.max_coord();
-        let coords = self.coords();
-        Ok(Point::from_fn(coords.len(), |i| max - coords[i]))
     }
 }
 
@@ -512,25 +495,6 @@ mod tests {
         assert!(a.dominates(&a), "dominance is reflexive");
         assert!(!a.dominates(&c));
         assert!(!c.dominates(&a));
-    }
-
-    #[test]
-    fn mirroring_is_an_involution() {
-        let u = Universe::new(3, 5).unwrap();
-        let p = Point::new(vec![0, 13, 31]).unwrap();
-        let m = p.mirrored(&u).unwrap();
-        assert_eq!(m.coords(), &[31, 18, 0]);
-        assert_eq!(m.mirrored(&u).unwrap(), p);
-    }
-
-    #[test]
-    fn mirroring_reverses_dominance() {
-        let u = Universe::new(2, 4).unwrap();
-        let a = Point::new(vec![9, 7]).unwrap();
-        let b = Point::new(vec![4, 2]).unwrap();
-        assert!(a.dominates(&b));
-        let (ma, mb) = (a.mirrored(&u).unwrap(), b.mirrored(&u).unwrap());
-        assert!(mb.dominates(&ma));
     }
 
     #[test]

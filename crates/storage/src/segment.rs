@@ -2,18 +2,20 @@
 //! arrays, split into a thin `.meta` descriptor and a fat `.dat` payload.
 //!
 //! One segment persists one `SfcCoveringIndex` (one shard of a sharded
-//! index): the subscription table plus the *forward* and *mirrored*
-//! dominance arrays. Each array section stores three contiguous columns in
-//! key order — the packed key mirror, the point coordinates, and the
-//! values — exactly the stream [`SfcArray::sorted_cells`] exports and
+//! index): the subscription table plus the index's one dominance array
+//! (the *forward* array of points `p(s)`), the table's rows in the array's
+//! entry order — the index checks row `i` against entry `i` when it opens
+//! the segment. The array section stores three contiguous columns in key
+//! order — the packed key mirror, the point coordinates, and the values —
+//! exactly the stream [`SfcArray::sorted_cells`] exports and
 //! [`SfcArray::from_sorted_packed`] gathers back, so opening a segment
 //! skips both the keying pass and the sort that a cold rebuild pays.
 //! Keys and coordinates are stored at the minimal byte width their
 //! universe needs (e.g. 2-byte coordinates for a 10-bit dimension), which
 //! nearly halves typical segments and with them the cold open's read and
 //! checksum cost.
-//! (Universes wider than 128 bits have no packed mirror; their sections
-//! store points and values only and reload through the generic
+//! (Universes wider than 128 bits have no packed mirror; their array
+//! section stores points and values only and reloads through the generic
 //! [`SfcArray::from_sorted`] path.)
 //!
 //! The meta file **pins** the data file: it records the data file's exact
@@ -38,8 +40,6 @@ mod section {
     pub const SUBS: u8 = 1;
     /// The forward dominance array's columns.
     pub const FORWARD: u8 = 2;
-    /// The mirrored dominance array's columns.
-    pub const MIRRORED: u8 = 3;
 }
 
 /// The on-disk tag of a curve family (recorded in commit manifests).
@@ -76,8 +76,6 @@ pub struct SegmentMeta {
     pub sub_count: u64,
     /// Entries in the forward array section.
     pub forward_entries: u64,
-    /// Entries in the mirrored array section.
-    pub mirrored_entries: u64,
 }
 
 /// Builds one segment (a `.meta`/`.dat` pair) in memory and writes it
@@ -90,7 +88,6 @@ pub struct SegmentWriter {
     sections: u8,
     sub_count: u64,
     forward_entries: u64,
-    mirrored_entries: u64,
 }
 
 impl SegmentWriter {
@@ -104,7 +101,6 @@ impl SegmentWriter {
             sections: 0,
             sub_count: 0,
             forward_entries: 0,
-            mirrored_entries: 0,
         }
     }
 
@@ -157,16 +153,6 @@ impl SegmentWriter {
     /// Appends the forward dominance array's columns.
     pub fn forward_array<C: SpaceFillingCurve>(&mut self, array: &SfcArray<SubId, C>) {
         self.forward_entries = array.len() as u64;
-        self.array_section(section::FORWARD, array);
-    }
-
-    /// Appends the mirrored dominance array's columns.
-    pub fn mirrored_array<C: SpaceFillingCurve>(&mut self, array: &SfcArray<SubId, C>) {
-        self.mirrored_entries = array.len() as u64;
-        self.array_section(section::MIRRORED, array);
-    }
-
-    fn array_section<C: SpaceFillingCurve>(&mut self, kind: u8, array: &SfcArray<SubId, C>) {
         let universe = array.curve().universe();
         let dims = universe.dims();
         let bits = universe.key_bits();
@@ -179,7 +165,7 @@ impl SegmentWriter {
         // cold open's read + checksum time.
         let key_width = key_byte_width(bits);
         let coord_width = coord_byte_width(universe.bits_per_dim());
-        let len_at = self.begin_section(kind, array.len() as u64);
+        let len_at = self.begin_section(section::FORWARD, array.len() as u64);
         self.data.extend_from_slice(&(dims as u16).to_le_bytes());
         self.data
             .extend_from_slice(&universe.bits_per_dim().to_le_bytes());
@@ -233,7 +219,6 @@ impl SegmentWriter {
         meta.extend_from_slice(&data_crc.to_le_bytes());
         meta.extend_from_slice(&self.sub_count.to_le_bytes());
         meta.extend_from_slice(&self.forward_entries.to_le_bytes());
-        meta.extend_from_slice(&self.mirrored_entries.to_le_bytes());
         let meta = codec::finish_file(meta);
 
         codec::write_atomic(&dir.join(format!("{stem}.dat")), &data)?;
@@ -293,7 +278,6 @@ impl SegmentReader {
             data_crc: c.take_u32()?,
             sub_count: c.take_u64()?,
             forward_entries: c.take_u64()?,
-            mirrored_entries: c.take_u64()?,
         };
         c.finish()?;
 
@@ -435,26 +419,17 @@ impl SegmentReader {
         Ok(())
     }
 
-    /// Decodes one dominance array section into an [`SfcArray`] ordered by
+    /// Decodes the dominance array section into an [`SfcArray`] ordered by
     /// `curve`, through the no-sort gather path when the universe packs
     /// into 128 bits.
-    pub fn array<C: SpaceFillingCurve>(
-        &self,
-        mirrored: bool,
-        curve: C,
-    ) -> Result<SfcArray<SubId, C>> {
-        let (kind, pinned) = if mirrored {
-            (section::MIRRORED, self.meta.mirrored_entries)
-        } else {
-            (section::FORWARD, self.meta.forward_entries)
-        };
-        let s = self.section(kind)?;
-        if s.entries != pinned {
+    pub fn array<C: SpaceFillingCurve>(&self, curve: C) -> Result<SfcArray<SubId, C>> {
+        let s = self.section(section::FORWARD)?;
+        if s.entries != self.meta.forward_entries {
             return Err(StorageError::corrupt(
                 &self.file,
                 format!(
-                    "array section claims {} entries but the meta file pins {pinned}",
-                    s.entries
+                    "array section claims {} entries but the meta file pins {}",
+                    s.entries, self.meta.forward_entries
                 ),
             ));
         }
@@ -586,10 +561,10 @@ mod tests {
     use super::*;
     use acd_sfc::{Universe, ZCurve};
 
-    fn sample_array() -> SfcArray<SubId, ZCurve> {
+    fn sample_array(n: u64) -> SfcArray<SubId, ZCurve> {
         let universe = Universe::new(4, 8).unwrap();
         let curve = ZCurve::new(universe);
-        let entries: Vec<(Point, SubId)> = (0..200u64)
+        let entries: Vec<(Point, SubId)> = (0..n)
             .map(|i| {
                 let p = Point::new(vec![i % 17, (i * 7) % 31, i % 5, (i * 3) % 29]).unwrap();
                 (p, i)
@@ -600,21 +575,18 @@ mod tests {
 
     #[test]
     fn array_sections_round_trip_without_resorting() {
-        let array = sample_array();
+        let array = sample_array(200);
         let dir = std::env::temp_dir().join(format!("acd-storage-seg-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mut w = SegmentWriter::new(1);
         w.forward_array(&array);
-        w.mirrored_array(&array);
         let shard = w.write(&dir, "seg-0000000001-000").unwrap();
         assert_eq!(shard.stem, "seg-0000000001-000");
 
         let r = SegmentReader::open(&dir, "seg-0000000001-000").unwrap();
         assert_eq!(r.meta.generation, 1);
         assert_eq!(r.meta.forward_entries, 200);
-        let loaded = r
-            .array(false, ZCurve::new(Universe::new(4, 8).unwrap()))
-            .unwrap();
+        let loaded = r.array(ZCurve::new(Universe::new(4, 8).unwrap())).unwrap();
         assert_eq!(loaded.len(), array.len());
         assert_eq!(loaded.occupied_cells(), array.occupied_cells());
         let a: Vec<_> = array
@@ -631,7 +603,7 @@ mod tests {
 
     #[test]
     fn meta_pins_its_data_file() {
-        let array = sample_array();
+        let array = sample_array(200);
         let dir = std::env::temp_dir().join(format!("acd-storage-pin-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mut w = SegmentWriter::new(3);
@@ -641,12 +613,36 @@ mod tests {
         // Rewriting the data file under the same meta must be refused,
         // even though the replacement is itself a well-formed data file.
         let mut other = SegmentWriter::new(3);
-        other.forward_array(&sample_array());
-        other.mirrored_array(&sample_array());
+        other.forward_array(&sample_array(150));
         other.write(&dir, "other").unwrap();
         std::fs::copy(dir.join("other.dat"), dir.join("pin.dat")).unwrap();
         let err = SegmentReader::open(&dir, "pin").unwrap_err();
         assert!(err.is_corrupt(), "swapped data file must be corrupt: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_retired_three_section_layout_is_refused_as_corrupt() {
+        // What a writer from before the mirrored array was dropped left on
+        // disk: a third section (kind 3) in the data file and its entry
+        // count as a fifth meta field, all checksums valid.
+        let array = sample_array(200);
+        let dir = std::env::temp_dir().join(format!("acd-storage-old-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut w = SegmentWriter::new(1);
+        w.forward_array(&array);
+        let third = w.data.len();
+        w.forward_array(&array);
+        w.data[third] = 3;
+        w.write(&dir, "old").unwrap();
+        let meta_path = dir.join("old.meta");
+        let mut meta = std::fs::read(&meta_path).unwrap();
+        meta.truncate(meta.len() - codec::FOOTER_LEN);
+        meta.extend_from_slice(&200u64.to_le_bytes());
+        std::fs::write(&meta_path, codec::finish_file(meta)).unwrap();
+
+        let err = SegmentReader::open(&dir, "old").unwrap_err();
+        assert!(err.is_corrupt(), "old layout must read as corrupt: {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -61,7 +61,7 @@ pub use event::Event;
 pub use predicate::RangePredicate;
 pub use schema::{AttributeDef, Schema, SchemaBuilder};
 pub use subscription::{SubId, Subscription};
-pub use transform::{dominance_point, dominance_universe, mirrored_dominance_point};
+pub use transform::{dominance_point, dominance_universe};
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T, E = SubscriptionError> = std::result::Result<T, E>;

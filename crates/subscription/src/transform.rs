@@ -60,38 +60,6 @@ pub fn dominance_point(subscription: &Subscription) -> Result<Point> {
     }))
 }
 
-/// The mirrored dominance point: every coordinate of [`dominance_point`]
-/// reflected through the universe's midpoint.
-///
-/// Mirroring swaps the direction of dominance, which turns "find a
-/// subscription that covers `s`" into "find a subscription that is covered by
-/// `s`" on the mirrored index — the primitive used for routing-table pruning.
-///
-/// # Errors
-///
-/// Returns an error if the dominance universe cannot be constructed.
-pub fn mirrored_dominance_point(subscription: &Subscription) -> Result<Point> {
-    // Mirroring `max − lo` through the universe midpoint gives back `lo`
-    // (and `hi` gives `max − hi`), so the mirrored point is built directly
-    // from the grid bounds — one pass, no intermediate point. The universe
-    // is still constructed to preserve the documented error for schemas
-    // whose dominance universe is unrepresentable.
-    let universe = dominance_universe(subscription.schema())?;
-    let max = universe.max_coord();
-    let bounds = subscription.grid_bounds();
-    if bounds.is_empty() {
-        return Err(acd_sfc::SfcError::Empty.into());
-    }
-    Ok(Point::build(bounds.len() * 2, |i| {
-        let (lo, hi) = bounds[i / 2];
-        if i % 2 == 0 {
-            lo
-        } else {
-            max - hi
-        }
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,20 +136,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn mirrored_point_reverses_dominance() {
-        let s = schema(5);
-        let wide = sub(&s, 1, &[(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]);
-        let narrow = sub(&s, 2, &[(0.2, 0.8), (0.3, 0.7), (0.1, 0.9)]);
-        assert!(wide.covers(&narrow));
-        let pw = dominance_point(&wide).unwrap();
-        let pn = dominance_point(&narrow).unwrap();
-        assert!(pw.dominates(&pn));
-        let mw = mirrored_dominance_point(&wide).unwrap();
-        let mn = mirrored_dominance_point(&narrow).unwrap();
-        assert!(mn.dominates(&mw), "mirroring reverses the dominance order");
     }
 
     #[test]
