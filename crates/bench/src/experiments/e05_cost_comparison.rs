@@ -8,12 +8,64 @@
 //! work (runs probed / subscriptions compared) and wall-clock latency,
 //! broken down by whether the arriving subscription was actually covered.
 
+use std::time::Instant;
+
 use acd_covering::{ApproxConfig, CoveringIndex, LinearScanIndex, QueryEngine, SfcCoveringIndex};
+use acd_subscription::Subscription;
 use acd_workload::{SubscriptionWorkload, WorkloadConfig};
 
-use crate::ci::measure_policy;
 use crate::table::{fmt_f64, Table};
 use crate::RunScale;
+
+/// Cost counters of one measured index: one row of the table.
+struct PolicyCost {
+    /// Index name, e.g. `sfc-z-exhaustive`.
+    name: String,
+    /// Mean runs probed per query.
+    mean_runs_probed: f64,
+    /// Mean ordered-array probes (gallops plus run probes) per query.
+    mean_probes: f64,
+    /// Mean gap-crossing skips per query.
+    mean_runs_skipped: f64,
+    /// Mean subscriptions compared per query (linear baseline only).
+    mean_comparisons: f64,
+    /// Mean per-query latency in microseconds.
+    mean_latency_us: f64,
+    /// Total wall-clock time for the whole query batch, in milliseconds.
+    total_time_ms: f64,
+    /// Number of queries that found a covering subscription.
+    covered_found: u64,
+}
+
+/// Populates `index`, times the query batch, and extracts the cost counters.
+fn measure_policy(
+    index: &mut dyn CoveringIndex,
+    population: &[Subscription],
+    queries: &[Subscription],
+) -> PolicyCost {
+    for s in population {
+        index.insert(s).expect("insert population");
+    }
+    let start = Instant::now();
+    let mut covered_found = 0u64;
+    for q in queries {
+        if index.find_covering(q).expect("query").is_covered() {
+            covered_found += 1;
+        }
+    }
+    let elapsed = start.elapsed();
+    let stats = index.stats();
+    PolicyCost {
+        name: index.name().to_string(),
+        mean_runs_probed: stats.mean_runs_per_query(),
+        mean_probes: stats.mean_probes_per_query(),
+        mean_runs_skipped: stats.mean_skips_per_query(),
+        mean_comparisons: stats.mean_comparisons_per_query(),
+        mean_latency_us: elapsed.as_secs_f64() * 1e6 / queries.len() as f64,
+        total_time_ms: elapsed.as_secs_f64() * 1e3,
+        covered_found,
+    }
+}
 
 /// Runs the experiment.
 pub fn run(scale: RunScale) -> Vec<Table> {
@@ -124,8 +176,10 @@ mod tests {
             .map(|l| l.split(',').map(|s| s.to_string()).collect())
             .collect();
         assert_eq!(rows.len(), 6);
+        let linear_comparisons: f64 = rows[0][4].parse().unwrap();
         let linear_covered: f64 = rows[0][5].parse().unwrap();
         let exhaustive_runs: f64 = rows[1][1].parse().unwrap();
+        let exhaustive_probes: f64 = rows[1][2].parse().unwrap();
         let exhaustive_covered: f64 = rows[1][5].parse().unwrap();
         let eager_runs: f64 = rows[2][1].parse().unwrap();
         let eager_covered: f64 = rows[2][5].parse().unwrap();
@@ -135,6 +189,9 @@ mod tests {
         // engines.
         assert_eq!(linear_covered, exhaustive_covered);
         assert_eq!(linear_covered, eager_covered);
+        // The skip engine's whole point: per-query probes well below the
+        // linear baseline's comparisons.
+        assert!(exhaustive_probes < linear_comparisons);
         // The populated-key sweep probes an order of magnitude fewer runs
         // than the eager enumeration it replaced.
         assert!(

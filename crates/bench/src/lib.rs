@@ -10,11 +10,14 @@
 //! Criterion benches under `benches/`; the harness versions report the same
 //! quantities in coarse form so that a single `cargo run -p acd-bench --bin
 //! experiments --release` regenerates every table.
+//!
+//! The crate's second binary, `exact_gate`, is the CI perf gate: it reads the
+//! stdout of the repository benchmark (`benchmark/`) and compares every count
+//! the benchmark marks `exact` bit for bit against `perf/exact_counts.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ci;
 pub mod experiments;
 pub mod table;
 
