@@ -1,7 +1,10 @@
 //! Criterion bench for E7: subscription-propagation throughput of the broker
 //! overlay under the different covering policies, plus event-delivery
 //! fan-out (which exercises the serial match-table kernel,
-//! `Broker::matching_clients`).
+//! `Broker::matching_clients`), plus `retraction`: subscribe/unsubscribe
+//! pairs on a populated overlay, split by whether the retracted
+//! subscription had been sent (the link may be its witness for others and
+//! must offer those again) or held back (only its own entry goes).
 
 use std::time::Duration;
 
@@ -9,6 +12,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use acd_broker::{BrokerConfig, Topology};
 use acd_covering::CoveringPolicy;
+use acd_subscription::Subscription;
 use acd_workload::{EventWorkload, Scenario, SubscriptionWorkload};
 
 fn bench_propagation(c: &mut Criterion) {
@@ -87,5 +91,78 @@ fn bench_delivery(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_propagation, bench_delivery);
+/// Retraction on a populated overlay, the in-process shape of the repo
+/// benchmark's `subscription_churn`: 2 000 standing StockTicker
+/// subscriptions on 7 brokers, and per class a pool of 128 churning ones of
+/// which 32 are registered at any time. One iteration is one cycle of the
+/// pool — 128 pairs of "subscribe a fresh one, unsubscribe the oldest" —
+/// so the same subscriptions are registered before every iteration. A
+/// candidate is `was-sent` when subscribing it onto the standing set alone
+/// sends it on at least one link and `was-held-back` when every link of its
+/// home broker holds it back. The witness path is the same code under every
+/// policy; three are shown.
+fn bench_retraction(c: &mut Criterion) {
+    const STANDING: usize = 2_000;
+    const POOL: usize = 128;
+    const WINDOW: usize = 32;
+
+    let config = Scenario::StockTicker.workload_config(17);
+    let mut workload = SubscriptionWorkload::new(&config).unwrap();
+    let schema = workload.schema().clone();
+    let standing = workload.take(STANDING);
+    let candidates = workload.take(12 * POOL);
+    let topology = Topology::balanced_tree(2, 2).unwrap(); // 7 brokers
+    let home = |s: &Subscription| (s.id() % 7) as usize;
+
+    let mut group = c.benchmark_group("retraction");
+    group.measurement_time(Duration::from_secs(3));
+    group.warm_up_time(Duration::from_secs(1));
+    group.sample_size(10);
+    for policy in [
+        CoveringPolicy::ExactSfc,
+        CoveringPolicy::ExactLinear,
+        CoveringPolicy::Approximate { epsilon: 0.05 },
+    ] {
+        let net = BrokerConfig::new(topology.clone(), &schema)
+            .policy(policy)
+            .build()
+            .unwrap();
+        for s in &standing {
+            net.subscribe(home(s), s.id() % 64, s).unwrap();
+        }
+        let (mut sent, mut held) = (Vec::new(), Vec::new());
+        for s in &candidates {
+            let before = net.metrics().subscription_messages;
+            net.subscribe(home(s), 0, s).unwrap();
+            let went_out = net.metrics().subscription_messages > before;
+            net.unsubscribe(home(s), s.id()).unwrap();
+            let class = if went_out { &mut sent } else { &mut held };
+            if class.len() < POOL {
+                class.push(s);
+            }
+        }
+        for (class, pool) in [("was-sent", &sent), ("was-held-back", &held)] {
+            assert_eq!(pool.len(), POOL, "too few {class} candidates");
+            for s in &pool[..WINDOW] {
+                net.subscribe(home(s), 0, s).unwrap();
+            }
+            group.bench_function(format!("{}/{class}", policy.label()), |b| {
+                b.iter(|| {
+                    for (i, oldest) in pool.iter().enumerate() {
+                        let fresh = pool[(i + WINDOW) % POOL];
+                        net.subscribe(home(fresh), 0, fresh).unwrap();
+                        net.unsubscribe(home(oldest), oldest.id()).unwrap();
+                    }
+                });
+            });
+            // Whole cycles only: the registered window is the first one again.
+            for s in &pool[..WINDOW] {
+                net.unsubscribe(home(s), s.id()).unwrap();
+            }
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_propagation, bench_delivery, bench_retraction);
 criterion_main!(benches);

@@ -13,6 +13,7 @@
 //! (`EventChunk::match_mask`); both read the same columns.
 //! [`Subscription::matches`] is the oracle the tests compare them with.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use acd_covering::{CoveringIndex, CoveringPolicy};
@@ -170,22 +171,33 @@ fn local_shard(client: ClientId) -> usize {
 }
 
 /// Everything a broker remembers about the link to one neighbor: what
-/// arrived over it, what went out over it, and what covering held back.
+/// arrived over it, what went out over it, and what covering held back —
+/// each held-back subscription under its *witness*, the sent subscription
+/// the covering query named as its cover.
 ///
-/// Invariant: `suppressed` holds live subscriptions, once each, none of
-/// them in `sent_ids`, and `suppressed_ids` is exactly its id set. Nothing
-/// sweeps the list to keep that true, because the two ways in and the two
-/// ways out already do. An id enters only in [`offer`](Self::offer), at a
-/// broker the subscription reached, when it is not sent and not already
-/// listed. It leaves through [`retract`](Self::retract)'s `extract_if`
-/// (each extracted candidate is offered again, so it ends sent or listed
-/// once) or through the unsubscribe walk, which visits every broker the
-/// subscription reached — a sent record is removed only by its own
-/// subscription's retraction, so the walk can always follow them — and
-/// there either retracts it or drops its entry. (The argument is about
-/// completed operations. An unsubscribe that overtakes a concurrent
-/// re-advertisement of the same subscription leaves a stale *sent* record
-/// and routing entry downstream, which no sweep of this list ever mended.)
+/// Invariant: `masked` and `witness_of` are two views of one relation
+/// (`witness_of[s] = w` exactly when `s` is in `masked[w]`, once; no list
+/// is empty) over live subscriptions, none of them in `sent_ids`, and
+/// **every witness is in `sent_ids` and grid-covers what it holds back**.
+/// Nothing sweeps the maps to keep that true, because the two ways in and
+/// the two ways out already do. A subscription enters only in
+/// [`offer`](Self::offer), at a broker it reached, when the sent index
+/// names a cover for it — and the index stores exactly what was sent and
+/// only names stored, truly covering subscriptions (the [`CoveringIndex`]
+/// safety property, under every policy). It leaves only in
+/// [`retract`](Self::retract): when its witness is retracted, the
+/// witness's whole list is offered again, in arrival order, and each entry
+/// ends sent or behind a new witness; when it is itself unsubscribed, the
+/// walk — which visits every broker the subscription reached, because a
+/// sent record is removed only by its own subscription's retraction —
+/// drops its entry. Retracting the witness is the only event that can
+/// falsify the bold clause, so it is the only one that re-offers anything:
+/// a subscription whose *other* covers come and go needs nothing. (This is
+/// about completed operations. An unsubscribe that overtakes a concurrent
+/// re-advertisement of the same subscription leaves that advertisement's
+/// records downstream — ROADMAP item 1a — sent, with a routing entry, or
+/// held back. Both clauses but "live" still read true of them; they cost
+/// event forwards and memory, never a delivery.)
 #[derive(Debug)]
 struct Link {
     /// Routing table: the bounds of the subscriptions received from the
@@ -197,59 +209,66 @@ struct Link {
     /// Identifiers sent on the link — the authoritative record
     /// unsubscription follows, and the neighbor's routing entries for it.
     sent_ids: HashSet<SubId>,
-    /// Subscriptions held back because a covering one had already been
-    /// sent, in arrival order, so that retracting the coverer re-advertises
-    /// exactly what it masked.
-    suppressed: Vec<Subscription>,
-    /// The identifiers in `suppressed`, so the dedup check is O(1).
-    suppressed_ids: HashSet<SubId>,
+    /// Witness id → the subscriptions held back behind it, in arrival
+    /// order, so that retracting the witness re-advertises exactly what it
+    /// masked. Keyed by live witnesses only: an emptied list is removed.
+    masked: HashMap<SubId, Vec<Subscription>>,
+    /// Held-back id → its witness: the dedup check, and the way from an
+    /// unsubscribing held-back subscription to the one list it sits in.
+    witness_of: HashMap<SubId, SubId>,
 }
 
 impl Link {
     /// Decides whether `subscription` goes out on the link and records the
-    /// verdict: sent (index and id set) or suppressed (list and mirror).
+    /// verdict: sent (index and id set) or held back behind the witness the
+    /// index named (both maps).
     fn offer(&mut self, subscription: &Subscription) -> Result<ForwardDecision> {
-        let decision = match &mut self.sent {
-            // No covering detection: always forward.
-            None => ForwardDecision {
-                forward: true,
-                covering_query: false,
-                runs_probed: 0,
-                comparisons: 0,
-            },
-            Some(index) => {
-                let outcome = index.find_covering(subscription)?;
-                let forward = !outcome.is_covered();
-                if forward {
-                    index.insert(subscription)?;
-                }
-                ForwardDecision {
-                    forward,
-                    covering_query: true,
-                    runs_probed: outcome.stats.runs_probed,
-                    comparisons: outcome.stats.subscriptions_compared,
-                }
-            }
+        let mut decision = ForwardDecision {
+            forward: true,
+            covering_query: false,
+            runs_probed: 0,
+            comparisons: 0,
         };
-        if decision.forward {
-            self.sent_ids.insert(subscription.id());
-        } else if self.suppressed_ids.insert(subscription.id()) {
-            self.suppressed.push(subscription.clone());
+        // No covering detection (`None`): always forward.
+        if let Some(index) = &mut self.sent {
+            let outcome = index.find_covering(subscription)?;
+            decision.covering_query = true;
+            decision.runs_probed = outcome.stats.runs_probed;
+            decision.comparisons = outcome.stats.subscriptions_compared;
+            if let Some(witness) = outcome.covering {
+                decision.forward = false;
+                if let Entry::Vacant(slot) = self.witness_of.entry(subscription.id()) {
+                    slot.insert(witness);
+                    let list = self.masked.entry(witness).or_default();
+                    list.push(subscription.clone());
+                }
+                return Ok(decision);
+            }
+            index.insert(subscription)?;
         }
+        self.sent_ids.insert(subscription.id());
         Ok(decision)
     }
 
-    /// Takes `removed` off the link (see [`Broker::retract`]). The
-    /// suppressed subscriptions it covers are pulled out in place — the
-    /// rest cannot have been masked by it and stay untouched.
+    /// Takes `removed` off the link (see [`Broker::retract`]). Only the
+    /// list it was the witness of is offered again — everything else on the
+    /// link still has its witness and stays untouched, so the common case
+    /// (nothing behind it) issues no covering query and allocates nothing.
     fn retract(
         &mut self,
         removed: &Subscription,
     ) -> Result<Option<Vec<(Subscription, ForwardDecision)>>> {
         let id = removed.id();
         if !self.sent_ids.remove(&id) {
-            if self.suppressed_ids.remove(&id) {
-                self.suppressed.retain(|s| s.id() != id);
+            if let Some(witness) = self.witness_of.remove(&id) {
+                if let Entry::Occupied(mut list) = self.masked.entry(witness) {
+                    if let Some(at) = list.get().iter().position(|s| s.id() == id) {
+                        list.get_mut().remove(at);
+                    }
+                    if list.get().is_empty() {
+                        list.remove();
+                    }
+                }
             }
             return Ok(None);
         }
@@ -258,16 +277,11 @@ impl Link {
                 index.remove(id)?;
             }
         }
-        let ids = &mut self.suppressed_ids;
-        let candidates: Vec<Subscription> = self
-            .suppressed
-            .extract_if(.., |sub| removed.covers(sub))
-            .inspect(|sub| {
-                ids.remove(&sub.id());
-            })
-            .collect();
-        let mut decisions = Vec::with_capacity(candidates.len());
-        for candidate in candidates {
+        let masked = self.masked.remove(&id).unwrap_or_default();
+        let mut decisions = Vec::with_capacity(masked.len());
+        for candidate in masked {
+            debug_assert!(removed.covers(&candidate), "witness must cover");
+            self.witness_of.remove(&candidate.id());
             let decision = self.offer(&candidate)?;
             decisions.push((candidate, decision));
         }
@@ -276,15 +290,21 @@ impl Link {
 }
 
 /// The identifiers one link holds, for tests and diagnostics (see
-/// [`Broker::link_ids`]).
+/// [`Broker::link_ids`]). The held-back entries are `(id, witness)` pairs,
+/// read once off each of the link's two maps so a test can check that they
+/// agree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkIds {
     /// Sent on the link, ascending.
     pub sent: Vec<SubId>,
-    /// The suppressed list, in arrival order.
-    pub suppressed: Vec<SubId>,
-    /// The suppressed list's O(1) id mirror, ascending.
-    pub suppressed_mirror: Vec<SubId>,
+    /// The keys of the per-witness lists, ascending (a key whose list has
+    /// emptied would show here and nowhere in `suppressed`).
+    pub witnesses: Vec<SubId>,
+    /// The per-witness lists: witnesses ascending, arrival order within a
+    /// witness.
+    pub suppressed: Vec<(SubId, SubId)>,
+    /// The by-id map, ascending by id.
+    pub suppressed_mirror: Vec<(SubId, SubId)>,
 }
 
 /// One broker of the overlay.
@@ -299,8 +319,9 @@ pub struct LinkIds {
 ///   be forwarded; `sent` + `sent_ids`, the covering index and id set of
 ///   the subscriptions already forwarded to it (a new subscription is only
 ///   forwarded if no already-sent one covers it: sender-side suppression);
-///   `suppressed` + `suppressed_ids`, the ones held back, kept so that
-///   retracting their coverer re-advertises them.
+///   `masked` + `witness_of`, the ones held back, each filed under the
+///   sent subscription that covers it (its witness), so that retracting a
+///   witness re-advertises exactly what it masked.
 #[derive(Debug)]
 pub struct Broker {
     id: BrokerId,
@@ -330,8 +351,8 @@ impl Broker {
                 routing: MatchTable::new(arity),
                 sent: policy.build_index(schema)?,
                 sent_ids: HashSet::new(),
-                suppressed: Vec::new(),
-                suppressed_ids: HashSet::new(),
+                masked: HashMap::new(),
+                witness_of: HashMap::new(),
             };
             links.insert(n, link);
         }
@@ -385,7 +406,8 @@ impl Broker {
 
     /// Decides whether `subscription` must be forwarded to `neighbor`,
     /// consulting (and updating) the link's covering index; a suppressed
-    /// subscription is remembered on the link.
+    /// subscription is remembered on the link under its witness, the sent
+    /// subscription the index named as its cover.
     ///
     /// # Errors
     ///
@@ -414,21 +436,23 @@ impl Broker {
             .is_some_and(|link| link.routing.swap_remove_routing(id))
     }
 
-    /// Total suppressed entries across every link (diagnostics: bounded by
-    /// the live suppressed population, not by the churn history — see the
-    /// `Link` invariant).
+    /// Total held-back entries across every link (diagnostics: one per
+    /// live subscription a link is suppressing, not one per historical
+    /// suppression — see the `Link` invariant).
     pub fn suppressed_entries(&self) -> usize {
-        self.links.values().map(|link| link.suppressed.len()).sum()
+        self.links.values().map(|link| link.witness_of.len()).sum()
     }
 
     /// The unsubscribe walk's one step per link: takes `removed` off the
     /// link to `neighbor`. `Some(list)` when it had been sent there — it is
     /// gone from the link's covering index and sent set, and every
-    /// suppressed subscription it was covering has been re-run through
-    /// [`should_forward`](Self::should_forward): each appears in the list
-    /// with its decision, either going out now or re-suppressed by another
-    /// still-sent cover. `None` when it was never sent on the link, where
-    /// at most its suppressed entry had to go.
+    /// subscription held back with it as witness (nothing else: the rest
+    /// still have theirs) has been re-run through
+    /// [`should_forward`](Self::should_forward), in arrival order: each
+    /// appears in the list with its decision, either going out now or held
+    /// back behind a new witness. The list is empty, and no covering query
+    /// ran, when it was masking nothing. `None` when it was never sent on
+    /// the link, where at most its own held-back entry had to go.
     ///
     /// # Errors
     ///
@@ -451,10 +475,20 @@ impl Broker {
             ids.sort_unstable();
             ids
         };
+        let mut lists: Vec<(SubId, &Vec<Subscription>)> =
+            link.masked.iter().map(|(&w, list)| (w, list)).collect();
+        lists.sort_unstable_by_key(|&(witness, _)| witness);
+        let mut suppressed_mirror: Vec<(SubId, SubId)> =
+            link.witness_of.iter().map(|(&id, &w)| (id, w)).collect();
+        suppressed_mirror.sort_unstable();
         Some(LinkIds {
             sent: sorted(&link.sent_ids),
-            suppressed: link.suppressed.iter().map(Subscription::id).collect(),
-            suppressed_mirror: sorted(&link.suppressed_ids),
+            witnesses: lists.iter().map(|&(witness, _)| witness).collect(),
+            suppressed: lists
+                .iter()
+                .flat_map(|&(witness, list)| list.iter().map(move |s| (s.id(), witness)))
+                .collect(),
+            suppressed_mirror,
         })
     }
 
@@ -718,6 +752,167 @@ mod tests {
         }
         assert_eq!(b.sent_to(1), 2);
         assert_eq!(b.sent_to(2), 0);
+        // Nothing is ever held back, so a retraction has nothing to offer
+        // again and neither map is ever populated.
+        assert_eq!(b.retract(1, &wide).unwrap(), Some(vec![]));
+        assert_eq!(b.retract(2, &wide).unwrap(), None);
+        assert!(b.links.values().all(held_back_nothing));
+    }
+
+    fn held_back_nothing(link: &Link) -> bool {
+        link.masked.is_empty() && link.witness_of.is_empty()
+    }
+
+    /// The `(id, witness)` pairs held back on the link to broker 1.
+    fn held_back(b: &Broker) -> Vec<(SubId, SubId)> {
+        let ids = b.link_ids(1).unwrap();
+        assert_eq!(
+            ids.suppressed, ids.suppressed_mirror,
+            "one entry per list here"
+        );
+        ids.suppressed
+    }
+
+    /// Covering queries the link to broker 1 has asked its sent index.
+    fn queries(b: &Broker) -> u64 {
+        b.links[&1].sent.as_ref().unwrap().stats().queries
+    }
+
+    #[test]
+    fn only_the_witness_retraction_offers_again() {
+        let s = schema();
+        // Two incomparable covers of `narrow`, so both are sent and the
+        // index is free to name either as the witness.
+        let wide = [
+            sub(&s, 1, (0.0, 80.0), (0.0, 100.0)),
+            sub(&s, 2, (20.0, 100.0), (0.0, 100.0)),
+        ];
+        let narrow = sub(&s, 3, (30.0, 40.0), (30.0, 40.0));
+        for policy in [
+            CoveringPolicy::ExactSfc,
+            CoveringPolicy::ExactLinear,
+            CoveringPolicy::ShardedSfc { shards: 3 },
+        ] {
+            let mut b = Broker::new(0, &[1], &s, policy).unwrap();
+            assert!(b.should_forward(1, &wide[0]).unwrap().forward);
+            assert!(b.should_forward(1, &wide[1]).unwrap().forward);
+            assert!(!b.should_forward(1, &narrow).unwrap().forward);
+            let [(3, witness)] = held_back(&b)[..] else {
+                panic!("narrow is held back once: {:?}", held_back(&b));
+            };
+            let (witness, other) = match witness {
+                1 => (&wide[0], &wide[1]),
+                2 => (&wide[1], &wide[0]),
+                _ => panic!("witness {witness} is not a cover"),
+            };
+
+            // The other cover goes: narrow still has its witness, so nothing
+            // is offered again and the index is asked nothing.
+            let asked = queries(&b);
+            assert_eq!(b.retract(1, other).unwrap(), Some(vec![]));
+            assert_eq!(queries(&b), asked, "policy {}", policy.label());
+            assert_eq!(held_back(&b), [(3, witness.id())]);
+
+            // With the other cover back, the witness goes: narrow is offered
+            // again and ends held back behind the survivor.
+            assert!(b.should_forward(1, other).unwrap().forward);
+            let asked = queries(&b);
+            let offered = b
+                .retract(1, witness)
+                .unwrap()
+                .expect("the witness was sent");
+            assert_eq!(queries(&b), asked + 1);
+            assert_eq!(offered.len(), 1);
+            assert_eq!(offered[0].0, narrow);
+            assert!(!offered[0].1.forward && offered[0].1.covering_query);
+            assert_eq!(held_back(&b), [(3, other.id())]);
+
+            // The survivor goes too: narrow goes out.
+            let offered = b.retract(1, other).unwrap().expect("the survivor was sent");
+            assert_eq!(offered.len(), 1);
+            assert!(offered[0].1.forward);
+            assert_eq!(b.link_ids(1).unwrap().sent, [3]);
+            assert!(held_back_nothing(&b.links[&1]));
+        }
+    }
+
+    #[test]
+    fn a_witness_list_is_offered_again_in_arrival_order() {
+        let s = schema();
+        let mut b = Broker::new(0, &[1], &s, CoveringPolicy::ExactSfc).unwrap();
+        let wide = sub(&s, 1, (0.0, 100.0), (0.0, 100.0));
+        let middle = sub(&s, 2, (10.0, 60.0), (10.0, 60.0));
+        let narrow = sub(&s, 3, (20.0, 30.0), (20.0, 30.0));
+        assert!(b.should_forward(1, &wide).unwrap().forward);
+        assert!(!b.should_forward(1, &middle).unwrap().forward);
+        assert!(!b.should_forward(1, &narrow).unwrap().forward);
+        assert_eq!(b.link_ids(1).unwrap().suppressed, [(2, 1), (3, 1)]);
+        // `middle` arrived first, so it goes out first and `narrow` ends
+        // behind it; the other order would send both.
+        let offered = b.retract(1, &wide).unwrap().expect("wide was sent");
+        let verdicts: Vec<(SubId, bool)> =
+            offered.iter().map(|(s, d)| (s.id(), d.forward)).collect();
+        assert_eq!(verdicts, [(2, true), (3, false)]);
+        assert_eq!(held_back(&b), [(3, 2)]);
+    }
+
+    #[test]
+    fn grid_identical_twins_hand_over() {
+        let s = schema();
+        let mut b = Broker::new(0, &[1], &s, CoveringPolicy::ExactSfc).unwrap();
+        // Different raw bounds in the same grid cells: each covers the other.
+        let twins = [
+            sub(&s, 1, (10.0, 20.0), (10.0, 20.0)),
+            sub(&s, 2, (10.1, 20.1), (10.1, 20.1)),
+        ];
+        assert!(twins[0].covers(&twins[1]) && twins[1].covers(&twins[0]));
+        assert!(b.should_forward(1, &twins[0]).unwrap().forward);
+        assert!(!b.should_forward(1, &twins[1]).unwrap().forward);
+        assert_eq!(held_back(&b), [(2, 1)]);
+        // Each retraction sends the held-back twin; re-registering the
+        // retracted one files it behind the twin that took over.
+        for (gone, stays) in [(0, 1), (1, 0), (0, 1)] {
+            let offered = b.retract(1, &twins[gone]).unwrap().expect("was sent");
+            assert_eq!(offered.len(), 1);
+            assert_eq!(offered[0].0, twins[stays]);
+            assert!(offered[0].1.forward);
+            assert!(held_back_nothing(&b.links[&1]));
+            assert!(!b.should_forward(1, &twins[gone]).unwrap().forward);
+            assert_eq!(held_back(&b), [(twins[gone].id(), twins[stays].id())]);
+        }
+    }
+
+    #[test]
+    fn a_reused_id_finds_no_stale_entry() {
+        let s = schema();
+        let mut b = Broker::new(0, &[1], &s, CoveringPolicy::ExactSfc).unwrap();
+        let wide = sub(&s, 1, (0.0, 50.0), (0.0, 100.0));
+        let inside = sub(&s, 2, (10.0, 20.0), (10.0, 20.0));
+        let outside = sub(&s, 2, (60.0, 70.0), (10.0, 20.0));
+        assert!(b.should_forward(1, &wide).unwrap().forward);
+        for _ in 0..2 {
+            // Held back, unsubscribed: its entry leaves both maps, and the
+            // emptied list leaves `masked`.
+            assert!(!b.should_forward(1, &inside).unwrap().forward);
+            assert_eq!(held_back(&b), [(2, 1)]);
+            assert_eq!(b.retract(1, &inside).unwrap(), None);
+            assert!(held_back_nothing(&b.links[&1]));
+            // The same id again, where nothing covers it: sent, so the
+            // witness has nothing of it to offer when it goes.
+            assert!(b.should_forward(1, &outside).unwrap().forward);
+            assert!(held_back_nothing(&b.links[&1]));
+            assert_eq!(b.retract(1, &wide).unwrap(), Some(vec![]));
+            assert_eq!(b.retract(1, &outside).unwrap(), Some(vec![]));
+            assert!(b.should_forward(1, &wide).unwrap().forward);
+        }
+        // Held back, then sent by its witness's retraction, then gone: the
+        // id comes back clean as well.
+        assert!(!b.should_forward(1, &inside).unwrap().forward);
+        assert!(b.retract(1, &wide).unwrap().expect("sent")[0].1.forward);
+        assert_eq!(b.retract(1, &inside).unwrap(), Some(vec![]));
+        assert!(b.should_forward(1, &inside).unwrap().forward);
+        assert!(held_back_nothing(&b.links[&1]));
+        assert_eq!(b.link_ids(1).unwrap().sent, [2]);
     }
 
     /// The bounds stored at `slot`, read back across the attribute columns.

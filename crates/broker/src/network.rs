@@ -321,9 +321,12 @@ impl BrokerNetwork {
     /// Unregisters subscription `id` (which must have been registered by a
     /// client at broker `at`) and retracts it from the overlay: every link
     /// it was sent on removes it from its covering state and routing table,
-    /// and any subscription it was masking (suppressed as covered) is
-    /// re-advertised so deliveries stay exactly as if the remaining
-    /// subscriptions had been registered alone.
+    /// and the subscriptions held back there with it as their witness (the
+    /// cover the link recorded when it suppressed them) are offered again,
+    /// each going out or ending behind another cover, so deliveries stay
+    /// exactly as if the remaining subscriptions had been registered alone.
+    /// A subscription held back behind some *other* cover is not touched:
+    /// most retractions mask nothing and issue no covering query.
     ///
     /// # Errors
     ///
@@ -349,8 +352,8 @@ impl BrokerNetwork {
 
         // Walk the links the subscription was actually sent on (a subtree of
         // the overlay). On each such link: retract it, re-advertise whatever
-        // it was masking, and continue into the neighbor. A link it was
-        // never sent on only loses its suppressed entry, inside `retract`.
+        // it was the witness of, and continue into the neighbor. A link it
+        // was never sent on only loses its held-back entry, inside `retract`.
         let mut queue: VecDeque<(BrokerId, Option<BrokerId>)> = VecDeque::new();
         queue.push_back((at, None));
         while let Some((broker_id, from)) = queue.pop_front() {
@@ -535,6 +538,7 @@ impl BrokerNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broker::LinkIds;
     use acd_subscription::SubscriptionBuilder;
 
     fn schema() -> Schema {
@@ -756,12 +760,12 @@ mod tests {
     fn suppressed_sets_stay_bounded_under_long_churn_histories() {
         // A long alternating churn history on a line overlay: every round
         // registers one wide cover and a few narrow subscriptions it masks,
-        // then retires the whole round. A suppressed entry leaves its link
-        // when its coverer's retraction re-checks it or when its own
-        // unsubscribe walk passes (`Broker::retract`), so the per-link lists
-        // must stay bounded by the live population at every step — not by
-        // one clone per *historical* suppression — and be empty at
-        // quiescence.
+        // then retires the whole round. A held-back entry leaves its link
+        // when its witness's retraction re-offers it or when its own
+        // unsubscribe walk passes (`Broker::retract`), so the per-link state
+        // must stay bounded by the live population at every step — entries
+        // by the live subscriptions, witness lists by the sent ones, not one
+        // per *historical* suppression — and be empty at quiescence.
         let s = schema();
         let net = network(Topology::line(4).unwrap(), &s, CoveringPolicy::ExactSfc);
         let total_links = 2 * (net.topology().brokers() - 1);
@@ -793,6 +797,14 @@ mod tests {
                     entries <= live * total_links,
                     "round {round}: {entries} suppressed entries for {live} live subs"
                 );
+                // An emptied witness list is dropped, so the lists are keyed
+                // by sent subscriptions that are masking something now.
+                for (b, n, link) in links(net) {
+                    assert!(
+                        link.witnesses.len() <= link.sent.len(),
+                        "round {round}, {b}->{n}: {link:?}"
+                    );
+                }
                 entries
             };
             bound(&net, live);
@@ -814,6 +826,18 @@ mod tests {
             .sum();
         assert_eq!(entries, 0, "suppressed state leaked churn history");
         assert_eq!(net.metrics().routing_table_entries, 0);
+        for (b, n, link) in links(&net) {
+            let empty = link.witnesses.is_empty() && link.suppressed_mirror.is_empty();
+            assert!(empty, "{b}->{n}: {link:?}");
+        }
+    }
+
+    /// Every directed link's id view.
+    fn links(net: &BrokerNetwork) -> impl Iterator<Item = (BrokerId, BrokerId, LinkIds)> + '_ {
+        (0..net.topology().brokers()).flat_map(move |b| {
+            let neighbors = net.topology().neighbors(b).iter();
+            neighbors.map(move |&n| (b, n, net.broker(b).unwrap().link_ids(n).unwrap()))
+        })
     }
 
     #[test]

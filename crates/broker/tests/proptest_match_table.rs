@@ -2,8 +2,9 @@
 //! interleaved subscribe / unsubscribe / publish / publish_batch, serial
 //! delivery == batched delivery == a linear `Subscription::matches` scan
 //! over the live set (pairs deduped). After every subscribe and unsubscribe
-//! the per-link covering bookkeeping is checked against the live set too
-//! (`Model::check_links`), and it must all be empty once everything is
+//! the per-link covering bookkeeping — the witness each held-back
+//! subscription is filed under included — is checked against the live set
+//! too (`Model::check_links`), and it must all be empty once everything is
 //! unsubscribed.
 //!
 //! Every bound and event value is an integer in `0..=63` on a `[0, 64]` x 6
@@ -15,7 +16,9 @@ use acd_broker::{BrokerConfig, BrokerId, BrokerNetwork, ClientId, Topology};
 use acd_covering::CoveringPolicy;
 use acd_subscription::{Event, Schema, SubId, Subscription};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::HashMap;
+
+mod common;
 
 const BROKERS: usize = 3;
 
@@ -66,30 +69,23 @@ impl Model {
     }
 
     /// What the brokers rely on without re-deriving it, on every link of
-    /// every broker: the suppressed list holds live ids, once each, mirrored exactly by its
-    /// id set and disjoint from the link's sent ids; the sent ids are live,
-    /// `sent_to` counts them, and over a broker's links they add up to its
-    /// routing-table entries.
+    /// every broker: the held-back entries and their witnesses
+    /// (`common::check_held_back`, with no retired witness allowed: this
+    /// test is serial); the sent ids are live, `sent_to` counts them, and
+    /// over a broker's links they add up to its routing-table entries.
     fn check_links(&self, net: &BrokerNetwork) {
-        let live: HashSet<SubId> = self.live.iter().map(|(_, _, sub)| sub.id()).collect();
+        let live: HashMap<SubId, &Subscription> = self
+            .live
+            .iter()
+            .map(|(_, _, sub)| (sub.id(), sub))
+            .collect();
+        common::check_held_back(net, &live, &HashMap::new());
         for b in 0..BROKERS {
             let mut received = 0;
             for &n in net.topology().neighbors(b) {
                 let link = net.broker(b).unwrap().link_ids(n).unwrap();
-                let mut listed = link.suppressed.clone();
-                listed.sort_unstable();
-                assert_eq!(listed, link.suppressed_mirror, "{b}->{n}: list != mirror");
-                listed.dedup();
-                assert_eq!(listed.len(), link.suppressed.len(), "{b}->{n}: duplicate");
-                for id in &link.suppressed {
-                    assert!(live.contains(id), "{b}->{n}: dead {id} suppressed");
-                    assert!(
-                        link.sent.binary_search(id).is_err(),
-                        "{b}->{n}: {id} sent and suppressed"
-                    );
-                }
                 assert!(
-                    link.sent.iter().all(|id| live.contains(id)),
+                    link.sent.iter().all(|id| live.contains_key(id)),
                     "{b}->{n}: dead id sent"
                 );
                 assert_eq!(net.broker(b).unwrap().sent_to(n), link.sent.len() as u64);

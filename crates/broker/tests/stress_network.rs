@@ -5,14 +5,23 @@
 //! oracle no matter how the threads interleave — which turns the stress
 //! test into an exact correctness check, not just a crash hunt.
 //!
+//! Disjoint slices mean no thread's subscription ever covers another's, so
+//! no thread retracts a witness another thread's subscription is held back
+//! behind. The `overlapping_*` tests are the variant where they do: every
+//! thread draws from one shared region, in rounds, and the checks run on
+//! the quiescent overlay between rounds.
+//!
 //! Run in CI's stress job (release, single-threaded test harness so the
 //! worker threads get the machine).
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Barrier};
 
 use acd_broker::{BrokerConfig, BrokerNetwork, Topology};
 use acd_covering::CoveringPolicy;
-use acd_subscription::{Event, Schema, Subscription, SubscriptionBuilder};
+use acd_subscription::{Event, Schema, SubId, Subscription, SubscriptionBuilder};
+
+mod common;
 
 const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 300;
@@ -175,4 +184,130 @@ fn concurrent_churn_matches_the_oracle_exact_sfc() {
 #[test]
 fn concurrent_churn_matches_the_oracle_sharded() {
     stress(CoveringPolicy::ShardedSfc { shards: 3 });
+}
+
+/// Grid side of the overlapping variant's schema. Every bound and event
+/// value is an integer below it, one grid cell each, so grid covering is
+/// raw covering and the oracle is exact (no cell-boundary slack).
+const CELLS: u64 = 256;
+const ROUNDS: usize = 40;
+const OPS_PER_ROUND: usize = 12;
+
+/// One thread's subscriptions in the overlapping variant: what it holds
+/// now and what it has unsubscribed (ROADMAP item 1a's race can leave a
+/// retired subscription's records on a link; see `common::check_held_back`).
+#[derive(Default)]
+struct Owned {
+    live: Vec<(usize, Subscription)>,
+    retired: Vec<Subscription>,
+}
+
+/// One thread's share of one round: subscribes drawn from the whole shared
+/// region — one in four wide enough to cover most of what any thread
+/// holds — and unsubscribes of its own, so witnesses and the subscriptions
+/// behind them belong to different threads.
+fn overlap_round(net: &BrokerNetwork, rng: &mut Rng, next_id: &mut SubId, own: &mut Owned) {
+    let brokers = net.topology().brokers() as u64;
+    for _ in 0..OPS_PER_ROUND {
+        if rng.below(5) < 3 {
+            let mut range = || {
+                let (lo, len) = match rng.below(4) {
+                    0 => (rng.below(32), CELLS / 2 + rng.below(CELLS / 2)),
+                    _ => (rng.below(CELLS), rng.below(48)),
+                };
+                (lo as f64, (lo + len).min(CELLS - 1) as f64)
+            };
+            *next_id += 1;
+            let bounds = [range(), range()];
+            let sub = Subscription::from_raw_bounds(net.schema(), *next_id, &bounds).unwrap();
+            let home = (*next_id % brokers) as usize;
+            net.subscribe(home, *next_id, &sub).unwrap();
+            own.live.push((home, sub));
+        } else if !own.live.is_empty() {
+            let victim = rng.below(own.live.len() as u64) as usize;
+            let (home, sub) = own.live.swap_remove(victim);
+            net.unsubscribe(home, sub.id()).unwrap();
+            own.retired.push(sub);
+        }
+    }
+}
+
+/// The checks on the quiescent overlay: every event is delivered to exactly
+/// the clients the union of the threads' live sets says, and every link's
+/// held-back state satisfies the `Link` invariant, witness clause included.
+fn check_quiescent(net: &BrokerNetwork, rng: &mut Rng, owned: &[Owned]) {
+    let all_live = || owned.iter().flat_map(|own| &own.live);
+    for probe in 0..16 {
+        let values = vec![rng.below(CELLS) as f64, rng.below(CELLS) as f64];
+        let event = Event::new(net.schema(), values).unwrap();
+        let mut expected: Vec<(usize, u64)> = all_live()
+            .filter(|(_, sub)| sub.matches(&event))
+            .map(|(home, sub)| (*home, sub.id()))
+            .collect();
+        expected.sort_unstable();
+        let at = probe % net.topology().brokers();
+        assert_eq!(net.publish(at, &event).unwrap(), expected, "{event}");
+    }
+    let by_id = |sub| (Subscription::id(sub), sub);
+    let live: HashMap<SubId, &Subscription> = all_live().map(|(_, sub)| by_id(sub)).collect();
+    let retired = owned
+        .iter()
+        .flat_map(|own| &own.retired)
+        .map(by_id)
+        .collect();
+    common::check_held_back(net, &live, &retired);
+}
+
+fn overlapping_stress(policy: CoveringPolicy) {
+    let schema = Schema::builder()
+        .attribute("x", 0.0, CELLS as f64)
+        .attribute("y", 0.0, CELLS as f64)
+        .bits_per_attribute(CELLS.ilog2())
+        .build()
+        .unwrap();
+    let net = BrokerConfig::new(Topology::random_tree(10, 7).unwrap(), &schema)
+        .policy(policy)
+        .build()
+        .unwrap();
+    let mut owned: Vec<Owned> = (0..THREADS).map(|_| Owned::default()).collect();
+    let mut rngs: Vec<Rng> = (0..THREADS).map(|t| Rng(0x0AC0 + t as u64)).collect();
+    let mut next_ids: Vec<SubId> = (0..THREADS).map(|t| t as u64 * 1_000_000).collect();
+    let mut probe_rng = Rng(0xACD1);
+    for _ in 0..ROUNDS {
+        // The scope's join is the quiescent point; the barrier makes the
+        // threads' rounds start together, so they overlap.
+        let start = Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for ((rng, next_id), own) in rngs.iter_mut().zip(&mut next_ids).zip(&mut owned) {
+                let (net, start) = (&net, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    overlap_round(net, rng, next_id, own);
+                });
+            }
+        });
+        check_quiescent(&net, &mut probe_rng, &owned);
+    }
+    for own in &mut owned {
+        for (home, sub) in own.live.drain(..) {
+            net.unsubscribe(home, sub.id()).unwrap();
+            own.retired.push(sub);
+        }
+    }
+    // Not asserted: that the links drain to zero. Two threads unsubscribing
+    // a witness and a subscription behind it can leave the subscription's
+    // re-advertisement behind, sent or held back (ROADMAP item 1a, open).
+    // What is left delivers nothing and still satisfies the invariant: held
+    // back only behind a record that is still sent.
+    check_quiescent(&net, &mut probe_rng, &owned);
+}
+
+#[test]
+fn overlapping_churn_keeps_deliveries_and_witnesses_exact_sfc() {
+    overlapping_stress(CoveringPolicy::ExactSfc);
+}
+
+#[test]
+fn overlapping_churn_keeps_deliveries_and_witnesses_sharded() {
+    overlapping_stress(CoveringPolicy::ShardedSfc { shards: 3 });
 }
