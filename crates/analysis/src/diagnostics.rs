@@ -27,9 +27,9 @@ impl Diagnostic {
     /// Renders the diagnostic in the rustc-inspired two-line form:
     ///
     /// ```text
-    /// error[lock-order]: acquired `registry` … while holding `stats` …
-    ///   --> crates/core/src/sharded.rs:123:17
-    ///    |         let registry = self.registry.lock();
+    /// error[lock-order]: acquired `journal` … while holding `netreg` …
+    ///   --> crates/broker/src/service.rs:123:17
+    ///    |         let journal = self.journal.lock();
     /// ```
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -1,22 +1,20 @@
 //! `lock-order`: syntactic enforcement of the documented lock hierarchy.
 //!
-//! The sharded index (`crates/core/src/sharded.rs`) and the broker overlay
-//! (`crates/broker/src/network.rs`) document a strict acquisition order —
-//! session (`sessions`) → broker (`brokers`) → netreg (`registered`) →
-//! layout (`starts`) →
-//! `registry` → shard locks (ascending) → policy locks → `stats` — and a
-//! deadlock needs exactly one
-//! code path that acquires against it. This lint models the hierarchy as
-//! ranked **lock classes** (see [`LOCK_CLASSES`], mirrored at runtime by
-//! `acd_covering::ordered` and documented in `LOCKING.md`) and walks every
-//! function body tracking which classes are held at each acquisition.
+//! The broker overlay (`crates/broker/src/network.rs`) and the daemon above
+//! it (`crates/broker/src/service.rs`) document a strict acquisition order —
+//! session (`sessions`) → journal (`journal`) → broker (`brokers`) → netreg
+//! (`registered`) — and a deadlock needs exactly one code path that acquires
+//! against it. This lint models the hierarchy as ranked **lock classes** (see
+//! [`LOCK_CLASSES`], mirrored at runtime by `acd_covering::ordered` and
+//! documented in `LOCKING.md`) and walks every function body tracking which
+//! classes are held at each acquisition.
 //!
 //! The tracking is deliberately syntactic (no type information):
 //!
 //! * an *acquisition* is a `.read()` / `.write()` / `.lock()` call whose
 //!   receiver chain (scanned back to the start of the statement) names a
-//!   known class field — `self.registry.lock()`, `starts.read()`,
-//!   `self.shards[shard].write()` all classify;
+//!   known class field — `self.journal.lock()`, `sessions.lock()`,
+//!   `self.brokers[home].write()` all classify;
 //! * an acquisition is *held* (until the end of its enclosing block) when it
 //!   is the entire initializer of a `let` binding, modulo the poison-recovery
 //!   chain (`.unwrap()`, `.expect("…")`, `.unwrap_or_else(…)`); anything
@@ -24,7 +22,7 @@
 //!   `.lock().…().len()` temporary — is *transient*: checked against the
 //!   held set at the acquisition point, then considered released;
 //! * acquiring a class ranked **below** any currently-held class, or
-//!   re-acquiring a held non-`multi` class, is flagged.
+//!   re-acquiring a held class, is flagged.
 //!
 //! The approximation errs toward under-holding (a guard bound through a
 //! tuple pattern is treated as transient), which can miss a violation but
@@ -39,16 +37,12 @@ use crate::source::SourceFile;
 /// One ranked lock class of the documented hierarchy.
 #[derive(Debug, Clone, Copy)]
 pub struct LockClass {
-    /// Base rank; classes must be acquired in increasing rank order.
+    /// Rank; classes must be acquired in increasing rank order.
     pub rank: u32,
     /// Class name used in diagnostics (matches `LOCKING.md`).
     pub name: &'static str,
     /// Field/binding identifiers that classify an acquisition.
     pub fields: &'static [&'static str],
-    /// Whether several locks of this class may be held at once (shard locks,
-    /// acquired in ascending shard order — the ascending part is enforced at
-    /// runtime by per-shard ranks, which syntax cannot see).
-    pub multi: bool,
 }
 
 /// The rank table. Keep in sync with `acd_covering::ordered::rank_table()`
@@ -59,61 +53,21 @@ pub const LOCK_CLASSES: &[LockClass] = &[
         rank: 3,
         name: "session",
         fields: &["sessions"],
-        multi: false,
     },
     LockClass {
         rank: 4,
         name: "journal",
         fields: &["journal"],
-        multi: false,
     },
     LockClass {
         rank: 5,
         name: "broker",
         fields: &["brokers"],
-        multi: false,
     },
     LockClass {
         rank: 8,
         name: "netreg",
         fields: &["registered"],
-        multi: false,
-    },
-    LockClass {
-        rank: 10,
-        name: "layout",
-        fields: &["starts"],
-        multi: false,
-    },
-    LockClass {
-        rank: 20,
-        name: "registry",
-        fields: &["registry"],
-        multi: false,
-    },
-    LockClass {
-        rank: 30,
-        name: "shard",
-        fields: &["shards"],
-        multi: true,
-    },
-    LockClass {
-        rank: 95,
-        name: "segments",
-        fields: &["segments"],
-        multi: false,
-    },
-    LockClass {
-        rank: 100,
-        name: "policy",
-        fields: &["rebalance_policy"],
-        multi: false,
-    },
-    LockClass {
-        rank: 110,
-        name: "stats",
-        fields: &["stats"],
-        multi: false,
     },
 ];
 
@@ -190,13 +144,12 @@ impl Lint for LockOrder {
                         token,
                         format!(
                             "acquired `{}` (rank {}) while holding `{}` (rank {}); \
-                             the documented order is broker → netreg → layout → \
-                             registry → shards (ascending) → policy → stats (see \
-                             LOCKING.md)",
+                             the documented order is session → journal → broker → \
+                             netreg (see LOCKING.md)",
                             class.name, class.rank, worst.class.name, worst.class.rank
                         ),
                     ));
-                } else if class.rank == worst.class.rank && !class.multi {
+                } else if class.rank == worst.class.rank {
                     diagnostics.push(file.diagnostic(
                         self.name(),
                         token,
@@ -322,10 +275,10 @@ mod tests {
     fn in_order_acquisitions_are_clean() {
         let src = "\
 fn ok(&self) {
-    let starts = self.starts.read();
-    let registry = self.registry.lock();
-    let guard = self.shards[3].write();
-    let stats = self.stats.lock();
+    let sessions = self.sessions.lock();
+    let journal = self.journal.lock();
+    let broker = self.brokers[3].write();
+    let registered = self.registered.lock();
 }
 ";
         assert!(run(src).is_empty(), "{:?}", run(src));
@@ -335,22 +288,22 @@ fn ok(&self) {
     fn out_of_order_acquisition_is_flagged() {
         let src = "\
 fn bad(&self) {
-    let guard = self.shards[0].read();
-    let registry = self.registry.lock();
+    let broker = self.brokers[0].read();
+    let journal = self.journal.lock();
 }
 ";
         let diags = run(src);
         assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("`registry` (rank 20)"));
-        assert!(diags[0].message.contains("`shard` (rank 30)"));
+        assert!(diags[0].message.contains("`journal` (rank 4)"));
+        assert!(diags[0].message.contains("`broker` (rank 5)"));
     }
 
     #[test]
-    fn double_acquisition_of_non_multi_class_is_flagged() {
+    fn double_acquisition_is_flagged() {
         let src = "\
 fn bad(&self) {
-    let a = self.registry.lock();
-    let b = self.registry.lock();
+    let a = self.brokers[0].write();
+    let b = self.brokers[1].write();
 }
 ";
         let diags = run(src);
@@ -359,25 +312,14 @@ fn bad(&self) {
     }
 
     #[test]
-    fn shard_class_allows_multiple_holds() {
-        let src = "\
-fn ok(&self) {
-    let a = self.shards[0].write();
-    let b = self.shards[1].write();
-}
-";
-        assert!(run(src).is_empty());
-    }
-
-    #[test]
     fn transient_guards_release_at_statement_end() {
-        // The deref-copied stats guard is a temporary: the shard read after
-        // it must NOT count as stats-then-shard.
+        // The deref-copied netreg guard is a temporary: the broker read
+        // after it must NOT count as netreg-then-broker.
         let src = "\
 fn ok(&self) {
-    let layout = self.starts.read();
-    let total = *self.stats.lock();
-    let len = self.shards[0].read().len();
+    let sessions = self.sessions.lock();
+    let home = *self.registered.lock();
+    let len = self.brokers[0].read().len();
 }
 ";
         assert!(run(src).is_empty(), "{:?}", run(src));
@@ -387,11 +329,11 @@ fn ok(&self) {
     fn block_scoped_guards_release_at_block_end() {
         let src = "\
 fn ok(&self) {
-    let starts = self.starts.read();
+    let sessions = self.sessions.lock();
     {
-        let registry = self.registry.lock();
+        let journal = self.journal.lock();
     }
-    let registry = self.registry.lock();
+    let journal = self.journal.lock();
 }
 ";
         assert!(run(src).is_empty());
@@ -401,10 +343,10 @@ fn ok(&self) {
     fn held_set_resets_between_functions() {
         let src = "\
 fn first(&self) {
-    let stats = self.stats.lock();
+    let registered = self.registered.lock();
 }
 fn second(&self) {
-    let starts = self.starts.read();
+    let sessions = self.sessions.lock();
 }
 ";
         assert!(run(src).is_empty());
@@ -414,12 +356,12 @@ fn second(&self) {
     fn poison_recovery_chain_still_counts_as_held() {
         let src = "\
 fn bad(&self) {
-    let stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-    let starts = self.starts.read().unwrap_or_else(|e| e.into_inner());
+    let registered = self.registered.lock().unwrap_or_else(|e| e.into_inner());
+    let sessions = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
 }
 ";
         let diags = run(src);
         assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("`layout` (rank 10)"));
+        assert!(diags[0].message.contains("`session` (rank 3)"));
     }
 }

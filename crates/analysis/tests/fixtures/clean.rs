@@ -3,10 +3,10 @@
 
 /// Ordered acquisition, no allocation markers, no panics.
 pub fn well_behaved(
-    starts: &std::sync::RwLock<Vec<u64>>,
-    stats: &std::sync::Mutex<u64>,
+    sessions: &std::sync::Mutex<Vec<u64>>,
+    registered: &std::sync::Mutex<u64>,
 ) -> Option<u64> {
-    let layout = starts.read().ok()?;
-    let total = stats.lock().ok()?;
-    layout.first().map(|f| f + *total)
+    let live = sessions.lock().ok()?;
+    let total = registered.lock().ok()?;
+    live.first().map(|f| f + *total)
 }

@@ -1,28 +1,29 @@
 //! Must-fail fixture for the `lock-order` lint: acquires locks against the
 //! documented hierarchy. Not compiled — linted by `tests/fixtures.rs`.
 
-struct Index {
-    starts: std::sync::RwLock<Vec<u64>>,
-    registry: std::sync::Mutex<()>,
-    stats: std::sync::Mutex<()>,
+struct Daemon {
+    sessions: std::sync::Mutex<()>,
+    journal: std::sync::Mutex<()>,
+    registered: std::sync::Mutex<()>,
 }
 
-impl Index {
+impl Daemon {
     fn backwards(&self) {
-        let _s = self.stats.lock();
-        // stats (rank 110) is held: registry (rank 20) must not follow.
-        let _r = self.registry.lock();
+        let _r = self.registered.lock();
+        // netreg (rank 8) is held: journal (rank 4) must not follow.
+        let _j = self.journal.lock();
     }
 
-    fn shard_then_layout(&self, shards: &[std::sync::RwLock<()>]) {
-        let _guard = shards[0].read();
-        // A shard lock (rank 30) is held: the layout lock (rank 10) is lower.
-        let _layout = self.starts.read();
+    fn broker_then_session(&self, brokers: &[std::sync::RwLock<()>]) {
+        let _guard = brokers[0].read();
+        // A broker lock (rank 5) is held: the session lock (rank 3) is lower.
+        let _sessions = self.sessions.lock();
     }
 
-    fn double_registry(&self) {
-        let _a = self.registry.lock();
-        // The registry class is not multi: re-acquisition self-deadlocks.
-        let _b = self.registry.lock();
+    fn two_brokers(&self, brokers: &[std::sync::RwLock<()>]) {
+        let _a = brokers[0].write();
+        // All brokers share one rank: a second one can deadlock with a
+        // thread that took them the other way round.
+        let _b = brokers[1].write();
     }
 }

@@ -84,7 +84,7 @@ pub fn catalog() -> Vec<ExperimentInfo> {
         },
         ExperimentInfo {
             id: "e13",
-            description: "Churn: suppression/retraction traffic and online shard rebalancing",
+            description: "Churn: suppression and retraction traffic vs the churn rate",
         },
     ]
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! acd-brokerd [--addr 127.0.0.1:0] [--topology star|line|tree|random]
 //!             [--brokers N] [--policy none|exact-linear|exact-sfc|
-//!              sharded-sfc:SHARDS|approx:EPSILON]
+//!              approx:EPSILON]
 //!             [--workers N] [--attributes N] [--bits B] [--seed S]
 //!             [--max-connections N] [--max-inflight N]
 //!             [--idle-timeout-ms MS] [--chaos SPEC] [--data-dir PATH]
@@ -50,12 +50,6 @@ struct Args {
 }
 
 fn parse_policy(s: &str) -> Result<CoveringPolicy, String> {
-    if let Some(shards) = s.strip_prefix("sharded-sfc:") {
-        let shards: usize = shards
-            .parse()
-            .map_err(|_| format!("bad shard count in {s:?}"))?;
-        return Ok(CoveringPolicy::ShardedSfc { shards });
-    }
     if let Some(eps) = s.strip_prefix("approx:") {
         let epsilon: f64 = eps.parse().map_err(|_| format!("bad epsilon in {s:?}"))?;
         return Ok(CoveringPolicy::Approximate { epsilon });
@@ -65,8 +59,7 @@ fn parse_policy(s: &str) -> Result<CoveringPolicy, String> {
         "exact-linear" => Ok(CoveringPolicy::ExactLinear),
         "exact-sfc" => Ok(CoveringPolicy::ExactSfc),
         other => Err(format!(
-            "unknown policy {other:?} (none, exact-linear, exact-sfc, \
-             sharded-sfc:SHARDS, approx:EPSILON)"
+            "unknown policy {other:?} (none, exact-linear, exact-sfc, approx:EPSILON)"
         )),
     }
 }
@@ -221,5 +214,33 @@ fn main() {
     if let Err(message) = run() {
         eprintln!("acd-brokerd: {message}");
         std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_policy_accepts_four_spellings_and_names_them_otherwise() {
+        assert_eq!(parse_policy("none"), Ok(CoveringPolicy::None));
+        assert_eq!(
+            parse_policy("exact-linear"),
+            Ok(CoveringPolicy::ExactLinear)
+        );
+        assert_eq!(parse_policy("exact-sfc"), Ok(CoveringPolicy::ExactSfc));
+        assert_eq!(
+            parse_policy("approx:0.05"),
+            Ok(CoveringPolicy::Approximate { epsilon: 0.05 })
+        );
+        // A spelling an earlier build accepted is an unknown policy like any
+        // other, and the list it is answered with no longer offers it.
+        let retired = parse_policy("sharded-sfc:4").unwrap_err();
+        assert!(retired.starts_with("unknown policy \"sharded-sfc:4\""));
+        assert!(retired.ends_with("(none, exact-linear, exact-sfc, approx:EPSILON)"));
+        assert_eq!(
+            parse_policy("approx:x").unwrap_err(),
+            "bad epsilon in \"approx:x\""
+        );
     }
 }

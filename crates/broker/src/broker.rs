@@ -788,11 +788,7 @@ mod tests {
             sub(&s, 2, (20.0, 100.0), (0.0, 100.0)),
         ];
         let narrow = sub(&s, 3, (30.0, 40.0), (30.0, 40.0));
-        for policy in [
-            CoveringPolicy::ExactSfc,
-            CoveringPolicy::ExactLinear,
-            CoveringPolicy::ShardedSfc { shards: 3 },
-        ] {
+        for policy in [CoveringPolicy::ExactSfc, CoveringPolicy::ExactLinear] {
             let mut b = Broker::new(0, &[1], &s, policy).unwrap();
             assert!(b.should_forward(1, &wide[0]).unwrap().forward);
             assert!(b.should_forward(1, &wide[1]).unwrap().forward);

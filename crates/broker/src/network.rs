@@ -691,7 +691,6 @@ mod tests {
             CoveringPolicy::None,
             CoveringPolicy::ExactLinear,
             CoveringPolicy::ExactSfc,
-            CoveringPolicy::ShardedSfc { shards: 3 },
         ] {
             let net = network(Topology::line(3).unwrap(), &s, policy);
             let wide = sub(&s, 1, (0.0, 100.0), (0.0, 100.0));
@@ -846,7 +845,7 @@ mod tests {
         for policy in [
             CoveringPolicy::None,
             CoveringPolicy::ExactSfc,
-            CoveringPolicy::ShardedSfc { shards: 3 },
+            CoveringPolicy::Approximate { epsilon: 0.05 },
         ] {
             let brokers = Topology::balanced_tree(2, 3).unwrap().brokers();
             let build = || {

@@ -182,8 +182,8 @@ fn concurrent_churn_matches_the_oracle_exact_sfc() {
 }
 
 #[test]
-fn concurrent_churn_matches_the_oracle_sharded() {
-    stress(CoveringPolicy::ShardedSfc { shards: 3 });
+fn concurrent_churn_matches_the_oracle_approximate() {
+    stress(CoveringPolicy::Approximate { epsilon: 0.05 });
 }
 
 /// Grid side of the overlapping variant's schema. Every bound and event
@@ -308,6 +308,6 @@ fn overlapping_churn_keeps_deliveries_and_witnesses_exact_sfc() {
 }
 
 #[test]
-fn overlapping_churn_keeps_deliveries_and_witnesses_sharded() {
-    overlapping_stress(CoveringPolicy::ShardedSfc { shards: 3 });
+fn overlapping_churn_keeps_deliveries_and_witnesses_approximate() {
+    overlapping_stress(CoveringPolicy::Approximate { epsilon: 0.05 });
 }

@@ -15,11 +15,6 @@ pub enum CoveringError {
         /// The offending value.
         epsilon: f64,
     },
-    /// A sharded index was requested with an unusable shard count.
-    InvalidShardCount {
-        /// The offending shard count.
-        shards: usize,
-    },
     /// A subscription built against a different schema was passed to an
     /// index.
     SchemaMismatch,
@@ -32,11 +27,6 @@ pub enum CoveringError {
     DuplicateSubscription {
         /// The offending identifier.
         id: u64,
-    },
-    /// A rebalance policy has unusable parameters.
-    InvalidPolicy {
-        /// What is wrong with the policy.
-        reason: String,
     },
     /// An error bubbled up from the subscription data model.
     Subscription(SubscriptionError),
@@ -55,11 +45,9 @@ impl PartialEq for CoveringError {
         use CoveringError::*;
         match (self, other) {
             (InvalidEpsilon { epsilon: a }, InvalidEpsilon { epsilon: b }) => a == b,
-            (InvalidShardCount { shards: a }, InvalidShardCount { shards: b }) => a == b,
             (SchemaMismatch, SchemaMismatch) => true,
             (UnknownSubscription { id: a }, UnknownSubscription { id: b }) => a == b,
             (DuplicateSubscription { id: a }, DuplicateSubscription { id: b }) => a == b,
-            (InvalidPolicy { reason: a }, InvalidPolicy { reason: b }) => a == b,
             (Subscription(a), Subscription(b)) => a == b,
             (Sfc(a), Sfc(b)) => a == b,
             (Storage(a), Storage(b)) => Arc::ptr_eq(a, b),
@@ -74,9 +62,6 @@ impl fmt::Display for CoveringError {
             CoveringError::InvalidEpsilon { epsilon } => {
                 write!(f, "epsilon {epsilon} is outside the open interval (0, 1)")
             }
-            CoveringError::InvalidShardCount { shards } => {
-                write!(f, "shard count {shards} is outside 1..=64")
-            }
             CoveringError::SchemaMismatch => {
                 write!(
                     f,
@@ -88,9 +73,6 @@ impl fmt::Display for CoveringError {
             }
             CoveringError::DuplicateSubscription { id } => {
                 write!(f, "subscription {id} is already in the index")
-            }
-            CoveringError::InvalidPolicy { reason } => {
-                write!(f, "invalid policy: {reason}")
             }
             CoveringError::Subscription(e) => write!(f, "subscription error: {e}"),
             CoveringError::Sfc(e) => write!(f, "space filling curve error: {e}"),

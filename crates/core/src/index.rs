@@ -14,12 +14,7 @@ use crate::Result;
 /// * [`crate::LinearScanIndex`] scans every stored subscription — exact but
 ///   O(n) per query;
 /// * [`crate::SfcCoveringIndex`] runs the paper's SFC-based point-dominance
-///   query — exhaustive or ε-approximate;
-/// * [`crate::ShardedCoveringIndex`] partitions subscriptions over
-///   key-range shards of `SfcCoveringIndex` and sweeps the candidate shards
-///   in key order. Its inherent `insert`/`remove`/`find_covering`/
-///   `find_covering_batch`/`find_covered_by` take `&self` (interior
-///   locking); the trait methods forward to them.
+///   query — exhaustive or ε-approximate.
 ///
 /// All implementations must satisfy the safety property the broker relies
 /// on: a returned identifier always refers to a stored subscription that
@@ -75,9 +70,7 @@ pub trait CoveringIndex: std::fmt::Debug + Send + Sync {
     /// unspecified order.
     ///
     /// No implementation keeps a second structure for this direction: the
-    /// answer is exact and costs a scan linear in the stored set (the
-    /// sharded index skips the shards that cannot hold a covered
-    /// subscription, then scans the rest).
+    /// answer is exact and costs a scan linear in the stored set.
     ///
     /// # Errors
     ///

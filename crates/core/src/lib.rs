@@ -12,11 +12,6 @@
 //!   with the greedy cube decomposition of Section 5.
 //! * [`SfcCoveringIndex`] wraps the engine with the Edelsbrunner–Overmars
 //!   transform so that callers speak in terms of [`Subscription`]s.
-//! * [`ShardedCoveringIndex`] partitions subscriptions across key-range
-//!   shards behind per-shard read/write locks, so heavy subscribe/
-//!   unsubscribe churn and concurrent covering queries scale past a single
-//!   lock (see the [`sharded`] module docs for why range sharding preserves
-//!   the skip engine's locality).
 //! * [`LinearScanIndex`] is the exhaustive baseline: a plain list scanned on
 //!   every query, always exact, O(n) per query.
 //! * [`CoveringIndex`] is the common trait, so brokers and experiments can
@@ -69,9 +64,7 @@ pub mod index;
 pub mod linear;
 pub mod ordered;
 pub mod policy;
-pub mod rebalance;
 pub mod sfc_index;
-pub mod sharded;
 pub mod stats;
 
 pub use config::{ApproxConfig, QueryEngine, QueryMode};
@@ -80,10 +73,8 @@ pub use error::CoveringError;
 pub use index::CoveringIndex;
 pub use linear::LinearScanIndex;
 pub use ordered::{OrderedMutex, OrderedRwLock};
-pub use policy::{CoveringPolicy, RebalancePolicy};
-pub use rebalance::RebalanceOutcome;
+pub use policy::CoveringPolicy;
 pub use sfc_index::SfcCoveringIndex;
-pub use sharded::ShardedCoveringIndex;
 pub use stats::{IndexStats, QueryOutcome, QueryStats};
 
 // Re-exported so downstream crates (broker, bench) can name subscription

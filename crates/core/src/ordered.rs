@@ -1,24 +1,21 @@
 //! Rank-checked lock wrappers enforcing the documented lock hierarchy.
 //!
-//! [`ShardedCoveringIndex`](crate::ShardedCoveringIndex) documents a strict
-//! acquisition order — layout → registry → shard locks (ascending) → policy
-//! → stats — and `acd-lint`'s `lock-order` pass checks it syntactically.
-//! Syntax cannot see through helper functions or closures, so these wrappers
-//! add the runtime half of the contract: under `debug_assertions`, every
-//! acquisition asserts that its rank is **strictly greater** than every rank
-//! already held by the current thread (tracked in a thread-local stack), and
-//! panics naming both lock classes when the order is violated. Release
-//! builds compile the tracking away entirely — the wrappers are then plain
-//! `RwLock`/`Mutex` with poison recovery folded in.
+//! The broker overlay and the daemon above it document a strict acquisition
+//! order — session → journal → broker → netreg — and `acd-lint`'s
+//! `lock-order` pass checks it syntactically. Syntax cannot see through
+//! helper functions or closures, so these wrappers add the runtime half of
+//! the contract: under `debug_assertions`, every acquisition asserts that
+//! its rank is **strictly greater** than every rank already held by the
+//! current thread (tracked in a thread-local stack), and panics naming both
+//! lock classes when the order is violated. Release builds compile the
+//! tracking away entirely — the wrappers are then plain `RwLock`/`Mutex`
+//! with poison recovery folded in.
 //!
 //! Ranks are assigned per class (see `LOCKING.md` and the mirrored table in
-//! `acd-analysis`); shard locks take `RANK_SHARD_BASE + shard_index`, so the
-//! "ascending shard order" rule falls out of the strict-increase check. The
-//! broker overlay's classes ([`RANK_BROKER`], [`RANK_NET_REGISTRY`]) sit
-//! *below* the index classes because a broker runs covering-index operations
-//! while its own lock is held; the daemon's [`RANK_SESSION`] class sits
-//! below even those because session replay calls into the overlay while
-//! holding the session map.
+//! `acd-analysis`). The covering indexes of this crate take no lock
+//! themselves — a broker owns its indexes outright and mutates them under
+//! its own [`RANK_BROKER`] lock; the wrappers live here because this is the
+//! lowest crate both the overlay and the daemon depend on.
 //!
 //! Poison recovery (`unwrap_or_else(|e| e.into_inner())`) lives *inside*
 //! these wrappers: a panic mid-update can at worst leave a stale statistic,
@@ -40,39 +37,18 @@ pub const RANK_SESSION: u32 = 3;
 /// [`RANK_BROKER`] so the handler can journal before or after running the
 /// overlay operation without ever inverting with it.
 pub const RANK_JOURNAL: u32 = 4;
-/// Rank of the per-broker overlay locks (`brokers`). Below every index rank:
-/// a broker decides forwarding by running covering-index operations (which
-/// acquire [`RANK_LAYOUT`] and upward) while its own lock is held, so the
-/// broker class must sit below every index class. Only the daemon's
-/// [`RANK_SESSION`] lock ranks lower. All brokers share one rank — the
-/// overlay never holds two broker locks at once.
+/// Rank of the per-broker overlay locks (`brokers`). Above [`RANK_SESSION`]
+/// and [`RANK_JOURNAL`], whose holders call into the overlay. All brokers
+/// share one rank — the overlay never holds two broker locks at once.
 pub const RANK_BROKER: u32 = 5;
 /// Rank of the broker-network subscription-registration lock (`registered`).
 /// Above [`RANK_SESSION`] and [`RANK_JOURNAL`], whose holders call into the
 /// overlay's subscribe/unsubscribe. The overlay takes it alone and releases
-/// it before touching a broker, so it never nests with [`RANK_BROKER`] or
-/// any index class; its slot between them is only a place in the table.
+/// it before touching a broker, so it never nests with [`RANK_BROKER`]; its
+/// slot above it is only a place in the table.
 pub const RANK_NET_REGISTRY: u32 = 8;
-/// Rank of the shard-layout lock (`starts`).
-pub const RANK_LAYOUT: u32 = 10;
-/// Rank of the subscription registry lock.
-pub const RANK_REGISTRY: u32 = 20;
-/// Base rank of the per-shard locks; shard `i` gets `RANK_SHARD_BASE + i`,
-/// which stays below [`RANK_POLICY`] because shard counts are capped at
-/// [`crate::sharded::MAX_SHARDS`].
-pub const RANK_SHARD_BASE: u32 = 30;
-/// Rank of the segment-manager lock guarding a sharded index's attached
-/// data directory (generation counter + last committed manifest). Above
-/// every shard rank — a segment save walks the shard guards first — and
-/// below [`RANK_POLICY`]/[`RANK_STATS`] so rebalance can compact segments
-/// after its shard writes and still take policy and stats afterwards.
-pub const RANK_SEGMENTS: u32 = 95;
-/// Rank of the rebalance-policy lock.
-pub const RANK_POLICY: u32 = 100;
-/// Rank of the aggregate-statistics lock.
-pub const RANK_STATS: u32 = 110;
 
-/// The lock classes in acquisition order: `(base rank, class name)`.
+/// The lock classes in acquisition order: `(rank, class name)`.
 ///
 /// This table is the single runtime source of truth mirrored by the static
 /// table in `acd-analysis` (`lints::lock_order::LOCK_CLASSES`) and by the
@@ -83,12 +59,6 @@ pub fn rank_table() -> &'static [(u32, &'static str)] {
         (RANK_JOURNAL, "journal"),
         (RANK_BROKER, "broker"),
         (RANK_NET_REGISTRY, "netreg"),
-        (RANK_LAYOUT, "layout"),
-        (RANK_REGISTRY, "registry"),
-        (RANK_SHARD_BASE, "shard"),
-        (RANK_SEGMENTS, "segments"),
-        (RANK_POLICY, "policy"),
-        (RANK_STATS, "stats"),
     ]
 }
 
@@ -127,9 +97,8 @@ mod tracking {
                         rank > top_rank,
                         "lock-order violation: acquiring `{name}` (rank {rank}) while \
                          holding `{top_name}` (rank {top_rank}); locks must be taken in \
-                         the order session → journal → broker → netreg → layout → \
-                         registry → shards (ascending) → segments → policy → stats — \
-                         see LOCKING.md"
+                         the order session → journal → broker → netreg — see \
+                         LOCKING.md"
                     );
                 }
                 held.push((token, rank, name));
@@ -141,7 +110,7 @@ mod tracking {
     impl Drop for Held {
         fn drop(&mut self) {
             // Remove by token rather than popping: guards may be dropped in
-            // any order (rebalance drops its shard-guard Vec front to back).
+            // any order.
             HELD.with(|cell| {
                 let mut held = cell.borrow_mut();
                 if let Some(i) = held.iter().position(|&(t, _, _)| t == self.token) {
@@ -293,64 +262,64 @@ mod tests {
 
     #[test]
     fn in_order_acquisitions_succeed() {
-        let layout = OrderedRwLock::new(RANK_LAYOUT, "layout", 0u32);
-        let registry = OrderedMutex::new(RANK_REGISTRY, "registry", 0u32);
-        let shard0 = OrderedRwLock::new(RANK_SHARD_BASE, "shard", 0u32);
-        let shard1 = OrderedRwLock::new(RANK_SHARD_BASE + 1, "shard", 0u32);
-        let stats = OrderedMutex::new(RANK_STATS, "stats", 0u32);
+        let session = OrderedMutex::new(RANK_SESSION, "session", 0u32);
+        let journal = OrderedMutex::new(RANK_JOURNAL, "journal", 0u32);
+        let broker = OrderedRwLock::new(RANK_BROKER, "broker", 0u32);
+        let netreg = OrderedMutex::new(RANK_NET_REGISTRY, "netreg", 0u32);
 
-        let a = layout.read();
-        let b = registry.lock();
-        let c = shard0.write();
-        let d = shard1.write();
-        let e = stats.lock();
-        assert_eq!(*a + *b + *c + *d + *e, 0);
+        let a = session.lock();
+        let b = journal.lock();
+        let c = broker.write();
+        let d = netreg.lock();
+        assert_eq!(*a + *b + *c + *d, 0);
     }
 
     #[test]
     fn guards_release_their_rank_on_drop() {
-        let registry = OrderedMutex::new(RANK_REGISTRY, "registry", ());
-        let layout = OrderedRwLock::new(RANK_LAYOUT, "layout", ());
-        drop(registry.lock());
-        // `layout` has a lower rank; legal only because the registry guard
+        let journal = OrderedMutex::new(RANK_JOURNAL, "journal", ());
+        let session = OrderedMutex::new(RANK_SESSION, "session", ());
+        drop(journal.lock());
+        // `session` has a lower rank; legal only because the journal guard
         // is gone.
-        let _g = layout.read();
+        let _g = session.lock();
     }
 
     #[test]
     fn out_of_order_drops_are_tracked_correctly() {
-        let shard0 = OrderedRwLock::new(RANK_SHARD_BASE, "shard", ());
-        let shard1 = OrderedRwLock::new(RANK_SHARD_BASE + 1, "shard", ());
-        let g0 = shard0.write();
-        let g1 = shard1.write();
-        drop(g0); // dropped before g1 — front-to-back like rebalance()
+        let session = OrderedMutex::new(RANK_SESSION, "session", ());
+        let broker = OrderedRwLock::new(RANK_BROKER, "broker", ());
+        let g0 = session.lock();
+        let g1 = broker.write();
+        drop(g0); // dropped before g1 — not in stack order
         drop(g1);
-        let _again = shard0.write();
+        let _again = session.lock();
     }
 
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "acquiring `registry` (rank 20) while holding `shard` (rank 30)")]
+    #[should_panic(expected = "acquiring `session` (rank 3) while holding `broker` (rank 5)")]
     fn out_of_order_acquisition_panics_naming_both_classes() {
-        let shard = OrderedRwLock::new(RANK_SHARD_BASE, "shard", ());
-        let registry = OrderedMutex::new(RANK_REGISTRY, "registry", ());
-        let _s = shard.read();
-        let _r = registry.lock(); // rank 20 after rank 30: must panic
+        let broker = OrderedRwLock::new(RANK_BROKER, "broker", ());
+        let session = OrderedMutex::new(RANK_SESSION, "session", ());
+        let _b = broker.read();
+        let _s = session.lock(); // rank 3 after rank 5: must panic
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "lock-order violation")]
-    fn same_shard_reacquisition_panics() {
-        let shard = OrderedRwLock::new(RANK_SHARD_BASE + 3, "shard", ());
-        let _a = shard.read();
-        let _b = shard.read(); // equal rank: not strictly increasing
+    fn a_second_broker_lock_panics() {
+        // All brokers share one rank: the overlay holds at most one.
+        let one = OrderedRwLock::new(RANK_BROKER, "broker", ());
+        let other = OrderedRwLock::new(RANK_BROKER, "broker", ());
+        let _a = one.read();
+        let _b = other.read(); // equal rank: not strictly increasing
     }
 
     #[test]
     fn poisoned_locks_recover() {
         use std::sync::Arc;
-        let lock = Arc::new(OrderedMutex::new(RANK_STATS, "stats", 7u32));
+        let lock = Arc::new(OrderedMutex::new(RANK_JOURNAL, "journal", 7u32));
         let poisoner = Arc::clone(&lock);
         let _ = std::thread::spawn(move || {
             let _g = poisoner.lock();

@@ -8,7 +8,6 @@ use crate::config::ApproxConfig;
 use crate::index::CoveringIndex;
 use crate::linear::LinearScanIndex;
 use crate::sfc_index::SfcCoveringIndex;
-use crate::sharded::ShardedCoveringIndex;
 use crate::Result;
 
 /// The covering policy of a broker (or of one routing-table interface).
@@ -25,74 +24,11 @@ pub enum CoveringPolicy {
     ExactLinear,
     /// Detect covering exactly with an exhaustive SFC dominance query.
     ExactSfc,
-    /// Detect covering exactly with an exhaustive SFC dominance query over a
-    /// key-range sharded index ([`crate::ShardedCoveringIndex`]): the same
-    /// answers as [`CoveringPolicy::ExactSfc`], with per-shard locking so a
-    /// broker serving churn-heavy links can process concurrent queries and
-    /// updates.
-    ShardedSfc {
-        /// Number of key-range shards, in `1..=`[`crate::sharded::MAX_SHARDS`].
-        shards: usize,
-    },
     /// Detect covering approximately with an ε-approximate SFC query.
     Approximate {
         /// The approximation parameter ε in `(0, 1)`.
         epsilon: f64,
     },
-}
-
-/// When a [`ShardedCoveringIndex`] re-cuts its shard boundaries.
-///
-/// The trigger is the imbalance factor reported by
-/// [`crate::rebalance::imbalance_of`] over `shard_lens()`: the largest
-/// shard's length over the ideal per-shard length. A pass is only attempted
-/// once the population reaches `min_len` (rebalancing a few hundred
-/// subscriptions buys nothing), and in auto mode
-/// ([`ShardedCoveringIndex::set_rebalance_policy`]) the trigger is evaluated
-/// every `check_interval` updates rather than on every insert.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RebalancePolicy {
-    /// Rebalance when the imbalance factor exceeds this (must be ≥ 1).
-    pub max_imbalance: f64,
-    /// Do nothing while the population is smaller than this.
-    pub min_len: usize,
-    /// Auto mode checks the trigger every this many updates (must be ≥ 1).
-    pub check_interval: u64,
-}
-
-impl Default for RebalancePolicy {
-    fn default() -> Self {
-        RebalancePolicy {
-            max_imbalance: 1.5,
-            min_len: 256,
-            check_interval: 1024,
-        }
-    }
-}
-
-impl RebalancePolicy {
-    /// Validates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CoveringError::InvalidPolicy`] if `max_imbalance`
-    /// is below 1 (or not finite) or `check_interval` is zero.
-    pub fn validate(&self) -> Result<()> {
-        if !self.max_imbalance.is_finite() || self.max_imbalance < 1.0 {
-            return Err(crate::CoveringError::InvalidPolicy {
-                reason: format!(
-                    "max_imbalance must be a finite value >= 1, got {}",
-                    self.max_imbalance
-                ),
-            });
-        }
-        if self.check_interval == 0 {
-            return Err(crate::CoveringError::InvalidPolicy {
-                reason: "check_interval must be at least 1".to_string(),
-            });
-        }
-        Ok(())
-    }
 }
 
 impl CoveringPolicy {
@@ -113,12 +49,6 @@ impl CoveringPolicy {
             CoveringPolicy::None => None,
             CoveringPolicy::ExactLinear => Some(Box::new(LinearScanIndex::new(schema))),
             CoveringPolicy::ExactSfc => Some(Box::new(SfcCoveringIndex::exhaustive(schema)?)),
-            CoveringPolicy::ShardedSfc { shards } => Some(Box::new(ShardedCoveringIndex::new(
-                schema,
-                ApproxConfig::exhaustive(),
-                acd_sfc::CurveKind::Z,
-                *shards,
-            )?)),
             CoveringPolicy::Approximate { epsilon } => Some(Box::new(
                 SfcCoveringIndex::approximate(schema, ApproxConfig::with_epsilon(*epsilon)?)?,
             )),
@@ -131,7 +61,6 @@ impl CoveringPolicy {
             CoveringPolicy::None => "none".to_string(),
             CoveringPolicy::ExactLinear => "exact-linear".to_string(),
             CoveringPolicy::ExactSfc => "exact-sfc".to_string(),
-            CoveringPolicy::ShardedSfc { shards } => format!("sharded-sfc(shards={shards})"),
             CoveringPolicy::Approximate { epsilon } => format!("approx(eps={epsilon})"),
         }
     }
@@ -162,14 +91,6 @@ mod tests {
         assert_eq!(lin.name(), "linear-scan");
         let sfc = CoveringPolicy::ExactSfc.build_index(&s).unwrap().unwrap();
         assert_eq!(sfc.name(), "sfc-z-exhaustive");
-        let sharded = CoveringPolicy::ShardedSfc { shards: 4 }
-            .build_index(&s)
-            .unwrap()
-            .unwrap();
-        assert_eq!(sharded.name(), "sharded-sfc-z-exhaustive");
-        assert!(CoveringPolicy::ShardedSfc { shards: 0 }
-            .build_index(&s)
-            .is_err());
         let approx = CoveringPolicy::Approximate { epsilon: 0.05 }
             .build_index(&s)
             .unwrap()
@@ -186,7 +107,6 @@ mod tests {
         for policy in [
             CoveringPolicy::ExactLinear,
             CoveringPolicy::ExactSfc,
-            CoveringPolicy::ShardedSfc { shards: 3 },
             CoveringPolicy::Approximate { epsilon: 0.1 },
         ] {
             let mut idx = policy.build_index(&s).unwrap().unwrap();
@@ -207,27 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_policy_validation() {
-        assert!(RebalancePolicy::default().validate().is_ok());
-        for bad in [
-            RebalancePolicy {
-                max_imbalance: 0.9,
-                ..Default::default()
-            },
-            RebalancePolicy {
-                max_imbalance: f64::NAN,
-                ..Default::default()
-            },
-            RebalancePolicy {
-                check_interval: 0,
-                ..Default::default()
-            },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
     fn labels_and_flags() {
         assert!(!CoveringPolicy::None.detects_covering());
         assert!(CoveringPolicy::ExactSfc.detects_covering());
@@ -236,10 +135,5 @@ mod tests {
             "approx(eps=0.05)"
         );
         assert_eq!(CoveringPolicy::ExactLinear.label(), "exact-linear");
-        assert_eq!(
-            CoveringPolicy::ShardedSfc { shards: 4 }.label(),
-            "sharded-sfc(shards=4)"
-        );
-        assert!(CoveringPolicy::ShardedSfc { shards: 4 }.detects_covering());
     }
 }

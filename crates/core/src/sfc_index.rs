@@ -278,120 +278,11 @@ impl SfcCoveringIndex {
         self.subscriptions.get(&id)
     }
 
-    /// Iterates over every stored subscription, in unspecified order (used
-    /// by the sharded index to gather shard contents for a boundary
-    /// migration; cloning the items is cheap — payloads are `Arc`-shared).
-    pub fn subscriptions(&self) -> impl Iterator<Item = &Subscription> + '_ {
-        self.subscriptions.values()
-    }
-
-    /// Zeroes the accumulated statistics. Used by the sharded index after a
-    /// boundary migration rebuilds a shard: the rebuilt shard's synthetic
-    /// bulk-build counters are absorbed into the sharded-level totals
-    /// instead, so migration never changes what `stats()` reports.
-    pub(crate) fn reset_stats(&mut self) {
-        self.stats = IndexStats::default();
-    }
-
     fn check_schema(&self, subscription: &Subscription) -> Result<()> {
         if subscription.schema() != &self.schema {
             return Err(CoveringError::SchemaMismatch);
         }
         Ok(())
-    }
-
-    /// Read-only covering query: the same answer as
-    /// [`CoveringIndex::find_covering`] without recording into the index's
-    /// accumulated [`IndexStats`]. This is the form concurrent callers use —
-    /// [`crate::ShardedCoveringIndex`] queries its shards through shared
-    /// references under read locks and aggregates statistics at its own
-    /// level.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the query's schema does not match the index.
-    // acd-lint: hot
-    pub fn find_covering_ref(&self, query: &Subscription) -> Result<QueryOutcome> {
-        self.check_schema(query)?;
-        let query_point = dominance_point(query)?;
-        let query_id = query.id();
-        let (hit, stats) = self
-            .forward
-            .query_where(&query_point, |&id| id != query_id)?;
-        Ok(match hit {
-            Some(id) => {
-                // The dominance hit is geometrically exact (quantized grid),
-                // so no re-verification is needed; debug builds double check.
-                debug_assert!(
-                    self.subscriptions
-                        .get(&id)
-                        .map(|s| s.covers(query))
-                        .unwrap_or(false),
-                    "dominance hit {id} does not cover the query"
-                );
-                QueryOutcome::found(id, stats)
-            }
-            None => QueryOutcome::empty(stats),
-        })
-    }
-
-    /// Read-only batched covering query: one outcome per query, in input
-    /// order, with the same answers as calling
-    /// [`find_covering_ref`](Self::find_covering_ref) per query. The batch
-    /// is sorted along the curve and (on the Z curve) served by a single
-    /// forward gallop of a shared sweep cursor over the packed key mirror —
-    /// see [`PointDominanceIndex::query_dominating_batch_where`]. Like the
-    /// `_ref` single-query form, nothing is recorded into the index's
-    /// accumulated [`IndexStats`]; the sharded index and
-    /// [`CoveringIndex::find_covering_batch`] record at their own level.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any query's schema does not match the index; the
-    /// batch is validated up front, so on error no query has been executed.
-    pub fn find_covering_batch_ref(&self, queries: &[Subscription]) -> Result<Vec<QueryOutcome>> {
-        let mut points = Vec::with_capacity(queries.len());
-        for query in queries {
-            self.check_schema(query)?;
-            points.push(dominance_point(query)?);
-        }
-        let hits = self
-            .forward
-            .query_batch_where(&points, |i, &id| id != queries[i].id())?;
-        let mut out = Vec::with_capacity(queries.len());
-        for (i, (hit, stats)) in hits.into_iter().enumerate() {
-            out.push(match hit {
-                Some(id) => {
-                    debug_assert!(
-                        self.subscriptions
-                            .get(&id)
-                            .map(|s| s.covers(&queries[i]))
-                            .unwrap_or(false),
-                        "dominance hit {id} does not cover batch query {i}"
-                    );
-                    QueryOutcome::found(id, stats)
-                }
-                None => QueryOutcome::empty(stats),
-            });
-        }
-        Ok(out)
-    }
-
-    /// Read-only reverse query: the same answer as
-    /// [`CoveringIndex::find_covered_by`] without touching accumulated
-    /// statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the query's schema does not match the index.
-    pub fn find_covered_by_ref(&self, query: &Subscription) -> Result<Vec<SubId>> {
-        self.check_schema(query)?;
-        Ok(self
-            .subscriptions
-            .values()
-            .filter(|s| s.id() != query.id() && query.covers(s))
-            .map(Subscription::id)
-            .collect())
     }
 
     /// Persists the index into `dir` as one immutable segment under a fresh
@@ -406,14 +297,14 @@ impl SfcCoveringIndex {
     pub fn save_segments(&self, dir: &Path) -> Result<()> {
         std::fs::create_dir_all(dir).map_err(|e| StorageError::io(dir.display().to_string(), e))?;
         let generation = latest_commit(dir)?.map_or(1, |(g, _)| g + 1);
-        let shard = self.write_segment(dir, &segment_stem(generation, 0), generation)?;
+        let segment = self.write_segment(dir, &segment_stem(generation, 0), generation)?;
         let manifest = CommitManifest {
             generation,
             curve_tag: curve_tag(self.curve),
             schema_json: encode_json(&self.schema, dir)?,
             config_json: encode_json(&self.config, dir)?,
             starts: Vec::new(),
-            shards: vec![shard],
+            shards: vec![segment],
         };
         write_commit(dir, &manifest)?;
         prune(dir, &manifest)?;
@@ -442,29 +333,23 @@ impl SfcCoveringIndex {
             return Err(StorageError::corrupt(
                 commit_file_name(manifest.generation),
                 format!(
-                    "commit describes a sharded layout ({} shards, {} boundaries); \
-                     open it with ShardedCoveringIndex::open_segments",
+                    "commit describes {} segments and {} key boundaries; this build \
+                     writes and reads exactly one segment and no boundary",
                     manifest.shards.len(),
                     manifest.starts.len()
                 ),
             )
             .into());
         }
-        Self::open_shard_segment(dir, &manifest, &manifest.shards[0])
+        Self::open_segment(dir, &manifest, &manifest.shards[0])
     }
 
-    /// Streams this index into one segment file pair. Shared with the
-    /// sharded index, which writes one segment per shard.
-    pub(crate) fn write_segment(
-        &self,
-        dir: &Path,
-        stem: &str,
-        generation: u64,
-    ) -> Result<ShardRef> {
+    /// Streams this index into one segment file pair.
+    fn write_segment(&self, dir: &Path, stem: &str, generation: u64) -> Result<ShardRef> {
         let mut writer = SegmentWriter::new(generation);
         // The table is stored in array order — row `i` describes entry `i` —
-        // which is what lets `open_shard_segment` check one against the
-        // other in a single zip.
+        // which is what lets `open_segment` check one against the other in
+        // a single zip.
         let rows = self
             .forward
             .entries()
@@ -478,13 +363,8 @@ impl SfcCoveringIndex {
         Ok(writer.write(dir, stem)?)
     }
 
-    /// Loads one shard's segment back into a full index. Shared with the
-    /// sharded index, which calls it once per manifest shard.
-    pub(crate) fn open_shard_segment(
-        dir: &Path,
-        manifest: &CommitManifest,
-        shard: &ShardRef,
-    ) -> Result<Self> {
+    /// Loads the segment the manifest names back into a full index.
+    fn open_segment(dir: &Path, manifest: &CommitManifest, segment: &ShardRef) -> Result<Self> {
         let commit_name = commit_file_name(manifest.generation);
         let schema: Schema = decode_json(&manifest.schema_json, &commit_name, "schema")?;
         let config: ApproxConfig = decode_json(&manifest.config_json, &commit_name, "config")?;
@@ -495,18 +375,18 @@ impl SfcCoveringIndex {
             )
             .into());
         };
-        let reader = SegmentReader::open(dir, &shard.stem)?;
-        let data_file = format!("{}.dat", shard.stem);
+        let reader = SegmentReader::open(dir, &segment.stem)?;
+        let data_file = format!("{}.dat", segment.stem);
         // The commit re-pins each data file: a checksum-intact segment from
         // a different save can never be substituted under a live commit.
-        if reader.meta.data_crc != shard.data_crc {
+        if reader.meta.data_crc != segment.data_crc {
             return Err(StorageError::corrupt(
                 &data_file,
                 "segment checksum disagrees with the commit manifest",
             )
             .into());
         }
-        if reader.meta.sub_count != shard.entries {
+        if reader.meta.sub_count != segment.entries {
             return Err(StorageError::corrupt(
                 &data_file,
                 "segment entry count disagrees with the commit manifest",
@@ -603,7 +483,7 @@ impl SfcCoveringIndex {
 
 /// JSON-encodes a manifest field; an encoding failure is an I/O-shaped
 /// defect of the save, not corruption.
-pub(crate) fn encode_json<T: serde::Serialize>(value: &T, dir: &Path) -> Result<String> {
+fn encode_json<T: serde::Serialize>(value: &T, dir: &Path) -> Result<String> {
     serde_json::to_string(value).map_err(|e| {
         StorageError::io(
             dir.display().to_string(),
@@ -615,11 +495,7 @@ pub(crate) fn encode_json<T: serde::Serialize>(value: &T, dir: &Path) -> Result<
 
 /// JSON-decodes a manifest field; parse failures are corruption of the
 /// commit file.
-pub(crate) fn decode_json<T: serde::Deserialize>(
-    json: &str,
-    commit_name: &str,
-    what: &str,
-) -> Result<T> {
+fn decode_json<T: serde::Deserialize>(json: &str, commit_name: &str, what: &str) -> Result<T> {
     serde_json::from_str(json).map_err(|e| {
         StorageError::corrupt(commit_name, format!("{what} does not parse: {e}")).into()
     })
@@ -656,25 +532,78 @@ impl CoveringIndex for SfcCoveringIndex {
         Ok(())
     }
 
+    // acd-lint: hot
     fn find_covering(&mut self, query: &Subscription) -> Result<QueryOutcome> {
-        let outcome = self.find_covering_ref(query)?;
+        self.check_schema(query)?;
+        let query_point = dominance_point(query)?;
+        let query_id = query.id();
+        let (hit, stats) = self
+            .forward
+            .query_where(&query_point, |&id| id != query_id)?;
+        let outcome = match hit {
+            Some(id) => {
+                // The dominance hit is geometrically exact (quantized grid),
+                // so no re-verification is needed; debug builds double check.
+                debug_assert!(
+                    self.subscriptions
+                        .get(&id)
+                        .map(|s| s.covers(query))
+                        .unwrap_or(false),
+                    "dominance hit {id} does not cover the query"
+                );
+                QueryOutcome::found(id, stats)
+            }
+            None => QueryOutcome::empty(stats),
+        };
         self.stats.record_query(&outcome);
         Ok(outcome)
     }
 
+    /// The batch is sorted along the curve and (on the Z curve) served by a
+    /// single forward gallop of a shared sweep cursor over the packed key
+    /// mirror — see [`PointDominanceIndex::query_dominating_batch_where`].
+    /// It is validated up front, so on error no query has been executed.
     fn find_covering_batch(&mut self, queries: &[Subscription]) -> Result<Vec<QueryOutcome>> {
-        let outcomes = self.find_covering_batch_ref(queries)?;
-        // One `record_query` per batch element keeps the accounting
-        // invariant: per-query outcomes sum to the `IndexStats` totals even
-        // though one shared gallop served the whole batch.
-        for outcome in &outcomes {
-            self.stats.record_query(outcome);
+        let mut points = Vec::with_capacity(queries.len());
+        for query in queries {
+            self.check_schema(query)?;
+            points.push(dominance_point(query)?);
         }
-        Ok(outcomes)
+        let hits = self
+            .forward
+            .query_batch_where(&points, |i, &id| id != queries[i].id())?;
+        let mut out = Vec::with_capacity(queries.len());
+        for (i, (hit, stats)) in hits.into_iter().enumerate() {
+            let outcome = match hit {
+                Some(id) => {
+                    debug_assert!(
+                        self.subscriptions
+                            .get(&id)
+                            .map(|s| s.covers(&queries[i]))
+                            .unwrap_or(false),
+                        "dominance hit {id} does not cover batch query {i}"
+                    );
+                    QueryOutcome::found(id, stats)
+                }
+                None => QueryOutcome::empty(stats),
+            };
+            // One `record_query` per batch element keeps the accounting
+            // invariant: per-query outcomes sum to the `IndexStats` totals
+            // even though one shared gallop served the whole batch.
+            self.stats.record_query(&outcome);
+            out.push(outcome);
+        }
+        Ok(out)
     }
 
     fn find_covered_by(&mut self, query: &Subscription) -> Result<Vec<SubId>> {
-        self.find_covered_by_ref(query)
+        self.check_schema(query)?;
+        Ok(self
+            .subscriptions
+            .values()
+            .filter(|s| s.id() != query.id() && query.covers(s))
+            .map(Subscription::id)
+            .collect())
     }
 
     fn len(&self) -> usize {

@@ -47,24 +47,6 @@ pub struct QueryStats {
     pub subscriptions_compared: usize,
 }
 
-impl QueryStats {
-    /// Merges the counters of `other` into `self` (used by the sharded
-    /// index to fold per-shard query costs into one outcome).
-    pub fn absorb(&mut self, other: &QueryStats) {
-        self.cubes_enumerated += other.cubes_enumerated;
-        self.runs_probed += other.runs_probed;
-        self.probes += other.probes;
-        self.runs_skipped += other.runs_skipped;
-        self.candidates_inspected += other.candidates_inspected;
-        self.subscriptions_compared += other.subscriptions_compared;
-        self.volume_fraction_searched = self
-            .volume_fraction_searched
-            .max(other.volume_fraction_searched);
-        self.hit_run_cap |= other.hit_run_cap;
-        self.fell_back_to_scan |= other.fell_back_to_scan;
-    }
-}
-
 /// The result of a covering query: the answer plus its cost.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryOutcome {
@@ -125,10 +107,6 @@ pub struct IndexStats {
     /// Sum of the per-query searched volume fractions (divide by `queries`
     /// for the mean).
     pub total_volume_fraction: f64,
-    /// Shard-boundary rebalance passes performed (sharded index only).
-    pub rebalances: u64,
-    /// Subscriptions moved between shards by rebalance passes.
-    pub subscriptions_migrated: u64,
 }
 
 impl IndexStats {
@@ -148,25 +126,6 @@ impl IndexStats {
             self.fallback_queries += 1;
         }
         self.total_volume_fraction += outcome.stats.volume_fraction_searched;
-    }
-
-    /// Merges the counters of `other` into `self`. Used by the sharded index
-    /// to aggregate per-shard statistics into one network-visible figure.
-    pub fn absorb(&mut self, other: &IndexStats) {
-        self.inserts += other.inserts;
-        self.removes += other.removes;
-        self.queries += other.queries;
-        self.queries_covered += other.queries_covered;
-        self.total_runs_probed += other.total_runs_probed;
-        self.total_probes += other.total_probes;
-        self.total_runs_skipped += other.total_runs_skipped;
-        self.total_cubes_enumerated += other.total_cubes_enumerated;
-        self.total_candidates_inspected += other.total_candidates_inspected;
-        self.total_subscriptions_compared += other.total_subscriptions_compared;
-        self.fallback_queries += other.fallback_queries;
-        self.total_volume_fraction += other.total_volume_fraction;
-        self.rebalances += other.rebalances;
-        self.subscriptions_migrated += other.subscriptions_migrated;
     }
 
     /// Mean number of runs probed per query.
@@ -230,42 +189,6 @@ mod tests {
         assert_eq!(found.covering, Some(7));
         let empty = QueryOutcome::empty(stats);
         assert!(!empty.is_covered());
-    }
-
-    #[test]
-    fn absorb_sums_counters_and_keeps_max_fraction() {
-        let mut a = QueryStats {
-            cubes_enumerated: 2,
-            runs_probed: 2,
-            probes: 3,
-            runs_skipped: 1,
-            candidates_inspected: 1,
-            volume_fraction_searched: 0.5,
-            hit_run_cap: false,
-            fell_back_to_scan: false,
-            subscriptions_compared: 0,
-        };
-        let b = QueryStats {
-            cubes_enumerated: 3,
-            runs_probed: 4,
-            probes: 5,
-            runs_skipped: 2,
-            candidates_inspected: 2,
-            volume_fraction_searched: 0.9,
-            hit_run_cap: true,
-            fell_back_to_scan: true,
-            subscriptions_compared: 5,
-        };
-        a.absorb(&b);
-        assert_eq!(a.cubes_enumerated, 5);
-        assert_eq!(a.runs_probed, 6);
-        assert_eq!(a.probes, 8);
-        assert_eq!(a.runs_skipped, 3);
-        assert_eq!(a.candidates_inspected, 3);
-        assert_eq!(a.subscriptions_compared, 5);
-        assert_eq!(a.volume_fraction_searched, 0.9);
-        assert!(a.hit_run_cap);
-        assert!(a.fell_back_to_scan);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use acd_covering::storage::{segment_stem, SegmentReader};
 use acd_covering::{
     ApproxConfig, CoveringIndex, CoveringPolicy, LinearScanIndex, QueryEngine, SfcCoveringIndex,
-    ShardedCoveringIndex,
 };
 use acd_sfc::CurveKind;
 use acd_subscription::{RangePredicate, Schema, Subscription};
@@ -191,10 +190,9 @@ proptest! {
     }
 
     /// The batched covering kernel answers exactly like the per-event query
-    /// on every curve, for both the single and the sharded index — including
-    /// duplicate queries in one batch, the empty batch, and batches whose
-    /// sorted keys span shard boundaries — and through the policy-built
-    /// trait objects (where `CoveringPolicy::None` builds no index at all).
+    /// on every curve — including duplicate queries in one batch and the
+    /// empty batch — and through the policy-built trait objects (where
+    /// `CoveringPolicy::None` builds no index at all).
     #[test]
     fn batched_covering_agrees_with_serial(
         population in bounds_strategy(40),
@@ -239,35 +237,10 @@ proptest! {
             // totals agree with the per-event path.
             prop_assert_eq!(batched.stats().queries, serial.stats().queries);
             prop_assert!(batched.find_covering_batch(&[]).unwrap().is_empty());
-
-            // Sharded over 5 shards, so the sorted batch crosses shard
-            // boundaries; answers must match the single-index truth.
-            let sharded = ShardedCoveringIndex::build_from(
-                &schema,
-                ApproxConfig::exhaustive(),
-                kind,
-                5,
-                &subs,
-            )
-            .unwrap();
-            let sharded_out = sharded.find_covering_batch(&batch).unwrap();
-            for (got, expect) in sharded_out.iter().zip(&serial_out) {
-                prop_assert_eq!(
-                    got.is_covered(),
-                    expect.is_covered(),
-                    "sharded disagrees on curve {}",
-                    kind.name()
-                );
-            }
-            prop_assert!(sharded.find_covering_batch(&[]).unwrap().is_empty());
         }
 
         // The trait entry point, through each policy's boxed index.
-        for policy in [
-            CoveringPolicy::None,
-            CoveringPolicy::ExactSfc,
-            CoveringPolicy::ShardedSfc { shards: 3 },
-        ] {
+        for policy in [CoveringPolicy::None, CoveringPolicy::ExactSfc] {
             let indexes = (
                 policy.build_index(&schema).unwrap(),
                 policy.build_index(&schema).unwrap(),

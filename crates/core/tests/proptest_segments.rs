@@ -14,9 +14,7 @@ use acd_covering::storage::{
     latest_commit, read_commit, segment_stem, write_commit, CommitManifest, SegmentWriter,
     StorageError,
 };
-use acd_covering::{
-    ApproxConfig, CoveringError, CoveringIndex, SfcCoveringIndex, ShardedCoveringIndex,
-};
+use acd_covering::{ApproxConfig, CoveringError, CoveringIndex, SfcCoveringIndex};
 use acd_sfc::{CurveKind, SfcArray, ZCurve};
 use acd_subscription::{dominance_point, dominance_universe, RangePredicate, Schema, Subscription};
 
@@ -143,8 +141,8 @@ fn assert_corrupt<T>(result: Result<T, CoveringError>) {
 /// written through the public writer and committed — but whose dominance
 /// array belongs to another population than its subscription table. Opened
 /// on trust it would answer covering queries with ids the table does not
-/// hold (a false cover); it must be refused as corruption, in the single
-/// layout and in a one-shard sharded layout alike.
+/// hold (a false cover); it must be refused as corruption, with or without
+/// the one key boundary an earlier build's one-shard layout recorded.
 #[test]
 fn an_array_of_another_population_is_a_typed_corruption() {
     let s = schema();
@@ -182,9 +180,38 @@ fn an_array_of_another_population_is_a_typed_corruption() {
         )
         .unwrap();
         assert_corrupt(SfcCoveringIndex::open_segments(&dir));
-        assert_corrupt(ShardedCoveringIndex::open_segments(&dir));
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A data directory left by an earlier build's sharded index — a commit
+/// with key-range boundaries and one segment per shard — is refused as
+/// corruption, not opened as its first shard alone.
+#[test]
+fn the_retired_sharded_layout_is_refused_as_corrupt() {
+    let dir = fresh_dir("sharded");
+    let (index, _) = build_index(&schema(), CurveKind::Z, &[vec![(0.0, 10.0), (0.0, 10.0)]]);
+    index.save_segments(&dir).unwrap();
+    let saved = read_commit(&latest_commit(&dir).unwrap().unwrap().1).unwrap();
+    // The refusal comes before any segment is read, so the live segment
+    // can stand in for both shards.
+    let shard = saved.shards[0].clone();
+    write_commit(
+        &dir,
+        &CommitManifest {
+            generation: 2,
+            starts: vec![0, 1 << 63],
+            shards: vec![shard.clone(), shard],
+            ..saved
+        },
+    )
+    .unwrap();
+    let err = SfcCoveringIndex::open_segments(&dir).unwrap_err();
+    assert!(
+        err.as_storage().is_some_and(StorageError::is_corrupt),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {

@@ -1,20 +1,19 @@
-//! Hand-rolled lane comparators for the flat key mirrors.
+//! Hand-rolled lane comparators for the flat key mirror.
 //!
-//! The packed `u128` mirror in [`crate::SfcArray`] and the `u64` shard
-//! prefixes in the sharded index are plain sorted numeric arrays — exactly
-//! the layout wide compares want. The stable toolchain has no `std::simd`,
-//! so these kernels are written in the `u64x4` style the autovectorizer
-//! reliably turns into SIMD: four independent accumulators over
+//! The packed `u128` mirror in [`crate::SfcArray`] is a plain sorted numeric
+//! array — exactly the layout wide compares want. The stable toolchain has
+//! no `std::simd`, so these kernels are written in the four-lane style the
+//! autovectorizer reliably turns into SIMD: four independent accumulators over
 //! `chunks_exact(4)`, branch-free `usize::from(x < v)` lane compares, one
 //! horizontal add at the end. Counting the elements below `v` in a sorted
 //! window *is* `partition_point`, so a binary search narrowed to a small
 //! window plus one lane count gives a branch-light lower bound; the
-//! galloping variants keep the `O(log gap)` cost of a monotone sweep and
-//! only swap the final narrow phase for lanes.
+//! galloping variant keeps the `O(log gap)` cost of a monotone sweep and
+//! only swaps the final narrow phase for lanes.
 //!
 //! Everything here is allocation-free and `// acd-lint: hot`-gated.
 
-/// Lane width of the hand-rolled comparators (a `u64x4` / `u128x4` shape).
+/// Lane width of the hand-rolled comparators (a `u128x4` shape).
 pub const LANES: usize = 4;
 
 /// Window size below which the lower bounds stop bisecting and count lanes
@@ -26,26 +25,6 @@ const LANE_WINDOW: usize = 8 * LANES;
 /// Number of elements of `xs` strictly below `v`, counted branch-free in
 /// four independent lanes. On a sorted slice this equals
 /// `xs.partition_point(|&x| x < v)`.
-// acd-lint: hot
-#[inline]
-pub fn count_below_u64x4(xs: &[u64], v: u64) -> usize {
-    let mut lanes = [0usize; LANES];
-    let mut chunks = xs.chunks_exact(LANES);
-    for ch in &mut chunks {
-        lanes[0] += usize::from(ch[0] < v);
-        lanes[1] += usize::from(ch[1] < v);
-        lanes[2] += usize::from(ch[2] < v);
-        lanes[3] += usize::from(ch[3] < v);
-    }
-    let mut count = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for &x in chunks.remainder() {
-        count += usize::from(x < v);
-    }
-    count
-}
-
-/// Number of elements of `xs` strictly below `v` (see
-/// [`count_below_u64x4`]); the `u128` shape used by the packed key mirror.
 // acd-lint: hot
 #[inline]
 pub fn count_below_u128x4(xs: &[u128], v: u128) -> usize {
@@ -68,22 +47,6 @@ pub fn count_below_u128x4(xs: &[u128], v: u128) -> usize {
 /// narrowed to a `LANE_WINDOW`, finished with one lane count. Equivalent
 /// to `xs.partition_point(|&x| x < v)`.
 // acd-lint: hot
-pub fn lower_bound_u64(xs: &[u64], v: u64) -> usize {
-    let (mut lo, mut hi) = (0usize, xs.len());
-    while hi - lo > LANE_WINDOW {
-        let mid = lo + (hi - lo) / 2;
-        if xs[mid] < v {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo + count_below_u64x4(&xs[lo..hi], v)
-}
-
-/// First index into sorted `xs` whose element is ≥ `v` (see
-/// [`lower_bound_u64`]); the `u128` shape.
-// acd-lint: hot
 pub fn lower_bound_u128(xs: &[u128], v: u128) -> usize {
     let (mut lo, mut hi) = (0usize, xs.len());
     while hi - lo > LANE_WINDOW {
@@ -100,10 +63,10 @@ pub fn lower_bound_u128(xs: &[u128], v: u128) -> usize {
 /// First index ≥ `from` into sorted `xs` whose element is ≥ `v`, found by
 /// exponential (galloping) search bracketed down to a lane count —
 /// `O(log distance)` like the plain gallop, with the final narrow phase
-/// replaced by branch-free lanes. The sweep cursors use this for monotone
-/// probe sequences.
+/// replaced by branch-free lanes. The packed key mirror's sweep cursors use
+/// this for monotone probe sequences.
 // acd-lint: hot
-pub fn lower_bound_u64_from(xs: &[u64], from: usize, v: u64) -> usize {
+pub fn lower_bound_u128_from(xs: &[u128], from: usize, v: u128) -> usize {
     let n = xs.len();
     let mut lo = from;
     if lo >= n || xs[lo] >= v {
@@ -119,36 +82,6 @@ pub fn lower_bound_u64_from(xs: &[u64], from: usize, v: u64) -> usize {
     }
     let mut hi = hi.min(n);
     // The answer lies in (lo, hi]; bisect down to a lane-countable window.
-    let mut lo = lo + 1;
-    while hi - lo > LANE_WINDOW {
-        let mid = lo + (hi - lo) / 2;
-        if xs[mid] < v {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo + count_below_u64x4(&xs[lo..hi], v)
-}
-
-/// First index ≥ `from` into sorted `xs` whose element is ≥ `v` (see
-/// [`lower_bound_u64_from`]); the `u128` shape used by the packed key
-/// mirror's sweep cursors.
-// acd-lint: hot
-pub fn lower_bound_u128_from(xs: &[u128], from: usize, v: u128) -> usize {
-    let n = xs.len();
-    let mut lo = from;
-    if lo >= n || xs[lo] >= v {
-        return lo;
-    }
-    let mut step = 1usize;
-    let mut hi = lo + 1;
-    while hi < n && xs[hi] < v {
-        lo = hi;
-        hi += step;
-        step *= 2;
-    }
-    let mut hi = hi.min(n);
     let mut lo = lo + 1;
     while hi - lo > LANE_WINDOW {
         let mid = lo + (hi - lo) / 2;
@@ -184,31 +117,27 @@ mod tests {
             let xs128: Vec<u128> = xs.iter().map(|&x| u128::from(x) << 64 | 7).collect();
             for probe in 0..1001u64 {
                 let want = xs.partition_point(|&x| x < probe);
-                assert_eq!(count_below_u64x4(&xs, probe), want, "n={n} v={probe}");
-                assert_eq!(lower_bound_u64(&xs, probe), want, "n={n} v={probe}");
                 let probe128 = u128::from(probe) << 64 | 7;
-                assert_eq!(count_below_u128x4(&xs128, probe128), want);
-                assert_eq!(lower_bound_u128(&xs128, probe128), want);
+                assert_eq!(
+                    count_below_u128x4(&xs128, probe128),
+                    want,
+                    "n={n} v={probe}"
+                );
+                assert_eq!(lower_bound_u128(&xs128, probe128), want, "n={n} v={probe}");
             }
         }
     }
 
     #[test]
-    fn galloping_lower_bounds_match_partition_point_from_any_start() {
+    fn galloping_lower_bound_matches_partition_point_from_any_start() {
         let mut next = rng(0xbeef);
-        let mut xs: Vec<u64> = (0..300).map(|_| next() % 512).collect();
+        let mut xs: Vec<u128> = (0..300).map(|_| u128::from(next() % 512)).collect();
         xs.sort_unstable();
-        let xs128: Vec<u128> = xs.iter().map(|&x| u128::from(x)).collect();
         for from in [0usize, 1, 7, 150, 299, 300, 301] {
-            for probe in 0..513u64 {
+            for probe in 0..513u128 {
                 let want = xs.partition_point(|&x| x < probe).max(from);
                 assert_eq!(
-                    lower_bound_u64_from(&xs, from, probe),
-                    want,
-                    "from={from} v={probe}"
-                );
-                assert_eq!(
-                    lower_bound_u128_from(&xs128, from, u128::from(probe)),
+                    lower_bound_u128_from(&xs, from, probe),
                     want,
                     "from={from} v={probe}"
                 );
@@ -218,12 +147,10 @@ mod tests {
 
     #[test]
     fn extreme_values_are_handled() {
-        let xs = [0u64, 1, u64::MAX - 1, u64::MAX];
-        assert_eq!(count_below_u64x4(&xs, 0), 0);
-        assert_eq!(count_below_u64x4(&xs, u64::MAX), 3);
-        assert_eq!(lower_bound_u64(&xs, u64::MAX), 3);
-        let xs = [0u128, u128::MAX];
-        assert_eq!(count_below_u128x4(&xs, u128::MAX), 1);
-        assert_eq!(lower_bound_u128_from(&xs, 0, u128::MAX), 1);
+        let xs = [0u128, 1, u128::MAX - 1, u128::MAX];
+        assert_eq!(count_below_u128x4(&xs, 0), 0);
+        assert_eq!(count_below_u128x4(&xs, u128::MAX), 3);
+        assert_eq!(lower_bound_u128(&xs, u128::MAX), 3);
+        assert_eq!(lower_bound_u128_from(&xs, 0, u128::MAX), 3);
     }
 }

@@ -4,7 +4,7 @@
 //! references, then writes `commit-<generation>.acd` — a manifest naming
 //! every segment of the new generation (with each data file's checksum
 //! re-pinned) plus the index-level configuration (schema, query config,
-//! curve, shard boundaries). The commit file itself lands via temp +
+//! curve, key-range boundaries). The commit file itself lands via temp +
 //! rename, so it either exists whole or not at all:
 //!
 //! * a crash before the commit leaves stray `seg-*` files and the previous
@@ -45,9 +45,12 @@ pub struct CommitManifest {
     pub schema_json: String,
     /// The query configuration, JSON-serialized.
     pub config_json: String,
-    /// Shard key-range boundaries (empty for an unsharded index).
+    /// Key-range boundaries between the segments. Part of the byte format;
+    /// `SfcCoveringIndex` writes it empty and refuses a commit where it is
+    /// not.
     pub starts: Vec<u64>,
-    /// The segments of this generation, in shard order.
+    /// The segments of this generation; `SfcCoveringIndex` writes and
+    /// accepts exactly one.
     pub shards: Vec<ShardRef>,
 }
 
@@ -56,7 +59,7 @@ pub fn commit_file_name(generation: u64) -> String {
     format!("commit-{generation:010}.acd")
 }
 
-/// Canonical file stem of one shard's segment pair within a generation.
+/// Canonical file stem of segment number `shard` within a generation.
 pub fn segment_stem(generation: u64, shard: usize) -> String {
     format!("seg-{generation:010}-{shard:03}")
 }

@@ -1,8 +1,8 @@
 //! Segment files: column-wise encoding of a covering index's flat sorted
 //! arrays, split into a thin `.meta` descriptor and a fat `.dat` payload.
 //!
-//! One segment persists one `SfcCoveringIndex` (one shard of a sharded
-//! index): the subscription table plus the index's one dominance array
+//! One segment persists one `SfcCoveringIndex`: the subscription table
+//! plus the index's one dominance array
 //! (the *forward* array of points `p(s)`), the table's rows in the array's
 //! entry order — the index checks row `i` against entry `i` when it opens
 //! the segment. The array section stores three contiguous columns in key

@@ -154,8 +154,8 @@ impl ChurnWorkload {
     /// Shifts the centers of every subsequently generated subscription by
     /// `fraction` of the domain (see
     /// [`SubscriptionWorkload::set_center_offset`]): the churn stream's hot
-    /// region drifts mid-stream, which is the workload shape that forces a
-    /// frozen shard layout out of balance.
+    /// region drifts mid-stream, so the subscriptions that cover newcomers
+    /// age out of the live window.
     pub fn set_center_offset(&mut self, fraction: f64) {
         self.subscriptions.set_center_offset(fraction);
     }

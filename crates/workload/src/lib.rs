@@ -12,8 +12,8 @@
 //! * [`EventWorkload`] draws events matching the same distributions.
 //! * [`ChurnWorkload`] interleaves the two into a mixed
 //!   subscribe/unsubscribe/publish stream with configurable operation
-//!   ratios — the dynamic workload the sharded index and the broker
-//!   unsubscription path are built for.
+//!   ratios — the dynamic workload the broker unsubscription path is
+//!   built for.
 //! * [`scenarios`] bundles named application scenarios (stock ticker, sensor
 //!   network, churn) used by the examples and the broker experiments.
 //!

@@ -37,10 +37,9 @@ pub enum Scenario {
     /// sharply Zipf-skewed and narrow, and the driver is expected to advance
     /// the generator's center offset over time
     /// ([`crate::SubscriptionWorkload::set_center_offset`] /
-    /// [`crate::ChurnWorkload::set_center_offset`]). Under a key-range
-    /// sharded index this is the adversarial stream: a shard layout frozen
-    /// at build time ends up funnelling every new subscription into one
-    /// shard — the workload online rebalancing exists for.
+    /// [`crate::ChurnWorkload::set_center_offset`]). New subscriptions then
+    /// land in a region the standing population is leaving, so the keys an
+    /// index holds keep concentrating in one moving stretch of the curve.
     SkewedDrift,
 }
 
@@ -144,7 +143,7 @@ impl Scenario {
                 }),
             // Sharper skew and narrower widths than `Churn`: the hot region
             // is compact enough that drifting it really does concentrate
-            // keys into one shard's range.
+            // keys into one stretch of the curve.
             Scenario::SkewedDrift => builder
                 .center_distribution(CenterDistribution::Zipf { exponent: 1.4 })
                 .width_model(WidthModel::UniformFraction {

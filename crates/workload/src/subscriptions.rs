@@ -69,8 +69,8 @@ impl SubscriptionWorkload {
     /// Shifts every subsequently drawn center by `fraction` of the domain
     /// (wrapping around its upper end). This models a *drifting* hot
     /// region: a Zipf or clustered workload whose popular values migrate
-    /// over time — exactly the stream that erodes a frozen shard layout
-    /// and motivates online rebalancing. The fraction is taken modulo 1;
+    /// over time, so that what was popular when an index was built is not
+    /// what arrives later. The fraction is taken modulo 1;
     /// `0.0` restores the stationary distribution.
     pub fn set_center_offset(&mut self, fraction: f64) {
         self.center_offset = fraction.rem_euclid(1.0) * WorkloadConfig::DOMAIN_MAX;

@@ -1,7 +1,7 @@
 //! A churn-heavy broker deployment: the `Scenario::Churn` mixed stream of
 //! subscribes, unsubscribes and publishes runs through a broker overlay
-//! whose links use the sharded covering index, and the covering-off
-//! baseline runs alongside for comparison.
+//! whose links detect covering exactly and then ε-approximately, and the
+//! covering-off baseline runs alongside for comparison.
 //!
 //! ```text
 //! cargo run --example churn_network --release
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for policy in [
         CoveringPolicy::None,
         CoveringPolicy::ExactSfc,
-        CoveringPolicy::ShardedSfc { shards: 4 },
+        CoveringPolicy::Approximate { epsilon: 0.05 },
     ] {
         let mut churn = ChurnWorkload::new(&config)?;
         let schema = churn.schema().clone();

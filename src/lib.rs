@@ -69,8 +69,7 @@ pub use acd_workload as workload;
 pub mod prelude {
     pub use acd_broker::{BrokerConfig, BrokerNetwork, Topology};
     pub use acd_covering::{
-        ApproxConfig, CoveringIndex, CoveringPolicy, LinearScanIndex, QueryEngine,
-        SfcCoveringIndex, ShardedCoveringIndex,
+        ApproxConfig, CoveringIndex, CoveringPolicy, LinearScanIndex, QueryEngine, SfcCoveringIndex,
     };
     pub use acd_sfc::{CurveKind, Universe};
     pub use acd_subscription::{Event, RangePredicate, Schema, Subscription, SubscriptionBuilder};

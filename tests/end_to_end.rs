@@ -106,7 +106,7 @@ fn churn_scenario_through_broker_network_matches_naive_oracle() {
     for policy in [
         CoveringPolicy::None,
         CoveringPolicy::ExactSfc,
-        CoveringPolicy::ShardedSfc { shards: 4 },
+        CoveringPolicy::Approximate { epsilon: 0.05 },
     ] {
         let config = Scenario::Churn.churn_config(seed);
         let mut churn = ChurnWorkload::new(&config).unwrap();
