@@ -9,15 +9,19 @@
 //! over a few local tables so an ordered insert shifts only one of them.
 //! Routing tables are order-free and hold no [`Subscription`] handles.
 //! Serial publish runs one event against 64 slots at a time
-//! (`MatchTable::block_mask`), batched publish one slot against 64 events
-//! (`EventChunk::match_mask`); both read the same columns.
-//! [`Subscription::matches`] is the oracle the tests compare them with.
+//! (`MatchTable::block_mask`: 64 compares per bound). Batched publish sorts a
+//! chunk of up to 64 events once per attribute and then bisects each slot's
+//! bounds into the sorted values (`EventChunk::match_mask`): a slot costs two
+//! binary searches per attribute however many events the chunk holds. Both
+//! read the same columns. [`Subscription::matches`] is the oracle the tests
+//! compare them with.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hint::select_unpredictable;
 
 use acd_covering::{CoveringIndex, CoveringPolicy};
-use acd_subscription::{Schema, SubId, Subscription};
+use acd_subscription::{Event, Schema, SubId, Subscription};
 
 use crate::Result;
 
@@ -520,26 +524,33 @@ impl Broker {
     }
 
     /// Batched form of [`matching_clients`](Self::matching_clients): calls
-    /// `deliver(chunk event index, client)` for every (local subscription,
-    /// event) match over the chunk events selected by the `active` bitmask.
-    /// Slot-outer / event-inner: each slot's bounds are loaded once and
-    /// compared against whole attribute columns (see [`EventChunk`]);
-    /// allocation-free. A client's slots are adjacent in its one table, so
-    /// for any one event a client's repeated calls are consecutive.
+    /// `deliver(client, mask)` once for every local client with at least
+    /// one subscription matching at least one of the chunk events selected
+    /// by the `active` bitmask; bit `i` of `mask` says whether chunk event
+    /// `i` is delivered to the client. A client's slots are one run of its
+    /// one table, so its slots' masks are OR-ed over the run — each slot
+    /// asked only about the events the run has not claimed yet — and no
+    /// client is emitted twice. Allocation-free.
     // acd-lint: hot
-    pub fn matching_clients_mask<F: FnMut(usize, ClientId)>(
+    pub fn matching_clients_mask<F: FnMut(ClientId, u64)>(
         &self,
-        chunk: &EventChunk<'_>,
+        chunk: &EventChunk,
         active: u64,
         mut deliver: F,
     ) {
         for table in &self.local {
-            for (slot, &client) in table.clients.iter().enumerate() {
-                let mut mask = chunk.match_mask(table, slot, active);
-                while mask != 0 {
-                    let i = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    deliver(i, client);
+            let mut start = 0;
+            for run in table.clients.chunk_by(|a, b| a == b) {
+                let &[client, ..] = run else {
+                    continue; // chunk_by yields no empty run
+                };
+                let mut claimed = 0u64;
+                for slot in start..start + run.len() {
+                    claimed |= chunk.match_mask(table, slot, active & !claimed);
+                }
+                start += run.len();
+                if claimed != 0 {
+                    deliver(client, claimed);
                 }
             }
         }
@@ -555,7 +566,7 @@ impl Broker {
     pub fn neighbor_interested_mask(
         &self,
         neighbor: BrokerId,
-        chunk: &EventChunk<'_>,
+        chunk: &EventChunk,
         active: u64,
     ) -> u64 {
         let Some(table) = self.links.get(&neighbor).map(|link| &link.routing) else {
@@ -593,97 +604,158 @@ impl Broker {
     }
 }
 
-/// A column-major (structure-of-arrays) view over one chunk of at most 64
-/// batched events: `columns[attr]` holds attribute `attr` of every event in
-/// the batch, and the chunk windows `offset..offset + len` of each column.
+/// One chunk of at most 64 batched events in **rank space**: per attribute,
+/// the chunk's values sorted ascending and, for every rank `r`, the bitmask
+/// of the events holding the `r` smallest values.
 ///
-/// The batched publish path builds the columns once per batch
-/// ([`BrokerNetwork::publish_batch`]) and evaluates one slot of a broker's
-/// match table against a whole chunk: the slot's bounds are read from the
-/// table's `lo`/`hi` columns and compared with branchless per-attribute
-/// range compares accumulated into a `u64` bitmask — four comparator lanes
-/// at a time, the same shape as the `acd_sfc::simd` lower-bound kernels. It
-/// is the transpose of the serial kernel (one event against 64 slots) over
-/// the same storage; the per-event schema check is hoisted into the `valid`
-/// mask.
+/// The events one slot's `[lo, hi]` admits on one attribute are a contiguous
+/// range of ranks, so the batched publish path
+/// ([`BrokerNetwork::publish_batch`]) finds them with two binary searches
+/// into the sorted values and one `prefix[upto] & !prefix[below]` — the
+/// paper's move, a few searches into a sorted array in place of `n`
+/// comparisons, applied to the events of a burst. A slot costs the same
+/// whether the chunk holds 16 events or 64, where the serial kernel (one
+/// event against 64 slots) compares every slot with every event. The
+/// per-event schema check is hoisted into the `valid` mask: an event of a
+/// foreign schema enters no rank table and so matches nothing — exactly the
+/// verdict `Subscription::matches` gives it.
 ///
 /// [`BrokerNetwork::publish_batch`]: crate::BrokerNetwork::publish_batch
-#[derive(Debug, Clone, Copy)]
-pub struct EventChunk<'a> {
-    columns: &'a [Vec<f64>],
-    offset: usize,
-    len: usize,
-    /// Bits of chunk events that belong to the expected schema. Events of a
-    /// foreign schema keep their column slot (as NaN) but never match —
-    /// exactly the verdict `Subscription::matches` gives them.
+#[derive(Debug)]
+pub struct EventChunk {
+    /// Bits of the chunk events that follow the expected schema.
     valid: u64,
+    /// The chunk length rounded up to a power of two: how much of each
+    /// sorted column a bisection spans, so a 9-event chunk pays 5 probes
+    /// per bound where a 64-event chunk pays 7.
+    span: usize,
+    /// One rank table per schema attribute.
+    ranks: Vec<RankColumn>,
 }
 
-impl<'a> EventChunk<'a> {
+/// One attribute of an [`EventChunk`].
+#[derive(Debug)]
+struct RankColumn {
+    /// The attribute's values over the chunk's valid events, ascending,
+    /// padded with `+inf` (which no bit of `prefix` stands for).
+    sorted: [f64; EventChunk::WIDTH],
+    /// `prefix[r]`: the events holding the `r` smallest values. Constant
+    /// (every valid event) from the number of valid events on.
+    prefix: [u64; EventChunk::WIDTH + 1],
+}
+
+impl RankColumn {
+    /// Ranks attribute `attr` of the `events` whose `valid` bit is set.
+    fn new(events: &[Event], valid: u64, attr: usize) -> RankColumn {
+        // (value, the event's bit); the padding sorts last and has no bit.
+        let mut order = [(f64::INFINITY, 0u64); EventChunk::WIDTH];
+        let values = events
+            .iter()
+            .enumerate()
+            .filter(|&(bit, _)| valid >> bit & 1 == 1)
+            .filter_map(|(bit, event)| Some((*event.values().get(attr)?, 1u64 << bit)));
+        for (entry, value) in order.iter_mut().zip(values) {
+            *entry = value;
+        }
+        // Event values are finite, so `total_cmp` refines `<`: it only adds
+        // an order between -0.0 and 0.0, which no bisection can tell apart.
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut column = RankColumn {
+            sorted: [f64::INFINITY; EventChunk::WIDTH],
+            prefix: [0; EventChunk::WIDTH + 1],
+        };
+        let mut seen = 0u64;
+        let ranked = column
+            .sorted
+            .iter_mut()
+            .zip(column.prefix.iter_mut().skip(1));
+        for (&(value, bit), (sorted, prefix)) in order.iter().zip(ranked) {
+            seen |= bit;
+            *sorted = value;
+            *prefix = seen;
+        }
+        column
+    }
+
+    /// The events whose value lies in `[lo, hi]`, both ends inclusive: the
+    /// ranks from `below = #{v < lo}` up to `upto = #{v <= hi}`, each count
+    /// found by a branch-free bisection over the first `span` (a power of
+    /// two) sorted values. The counts use the oracle's own comparisons, so
+    /// ties, values equal to a bound, `-0.0` against `0.0` and infinite
+    /// bounds need no special case; `& !` rather than `^`, so that even
+    /// inverted bounds (`upto < below`; no table stores them) read 0, as the
+    /// compare does.
+    // acd-lint: hot
+    #[inline]
+    fn in_range(&self, span: usize, lo: f64, hi: f64) -> u64 {
+        // Masked into the array, so `get` never misses and costs no branch.
+        let value = |rank: usize| {
+            let rank = rank & (EventChunk::WIDTH - 1);
+            self.sorted.get(rank).copied().unwrap_or(f64::INFINITY)
+        };
+        let (mut below, mut upto) = (0, 0);
+        let mut step = span;
+        while step > 1 {
+            step /= 2;
+            below = select_unpredictable(value(below + step - 1) < lo, below + step, below);
+            upto = select_unpredictable(value(upto + step - 1) <= hi, upto + step, upto);
+        }
+        below += usize::from(value(below) < lo);
+        upto += usize::from(value(upto) <= hi);
+        let prefix = |rank: usize| self.prefix.get(rank).copied().unwrap_or(0);
+        prefix(upto) & !prefix(below)
+    }
+}
+
+impl EventChunk {
     /// Events per chunk: one bit of the match mask each.
     pub const WIDTH: usize = 64;
 
-    /// Windows `columns` at `offset..offset + len`; `valid` flags the chunk
-    /// events whose schema matched the network's when the columns were
-    /// built. The caller guarantees `len <= WIDTH` and that every column is
-    /// at least `offset + len` long.
-    pub fn new(columns: &'a [Vec<f64>], offset: usize, len: usize, valid: u64) -> EventChunk<'a> {
-        debug_assert!(len <= Self::WIDTH);
-        debug_assert!(columns.iter().all(|c| c.len() >= offset + len));
+    /// Ranks `events` (at most [`WIDTH`](Self::WIDTH) of them; chunk event
+    /// `i` is `events[i]`) attribute by attribute. Events that do not
+    /// follow `schema` keep their bit position but are left out of every
+    /// table.
+    pub fn new(schema: &Schema, events: &[Event]) -> EventChunk {
+        debug_assert!(events.len() <= Self::WIDTH);
+        let events = events.get(..Self::WIDTH).unwrap_or(events);
+        let mut valid = 0u64;
+        for (bit, event) in events.iter().enumerate() {
+            valid |= u64::from(event.schema() == schema) << bit;
+        }
         EventChunk {
-            columns,
-            offset,
-            len,
             valid,
+            span: events.len().next_power_of_two(),
+            ranks: (0..schema.arity())
+                .map(|attr| RankColumn::new(events, valid, attr))
+                .collect(),
         }
     }
 
-    /// The mask with one bit set per chunk event (valid or not).
-    pub fn full_mask(&self) -> u64 {
-        if self.len == Self::WIDTH {
-            u64::MAX
-        } else {
-            (1u64 << self.len) - 1
-        }
+    /// The mask with one bit set per chunk event that follows the schema:
+    /// the events a walk starts with.
+    pub fn valid(&self) -> u64 {
+        self.valid
     }
 
     /// The 64-event x one-slot kernel: the bitmask of `active` chunk events
     /// that satisfy every range bound of `table`'s slot `slot` (0 when the
     /// slot does not exist). Every subscription stored in a [`Broker`] was
-    /// validated against the same schema as the columns at subscribe time.
-    /// Attributes are evaluated column-wise with branchless compares,
-    /// short-circuiting once the mask is empty.
+    /// validated against the same schema as the chunk's events at subscribe
+    /// time. Two bisections per attribute, short-circuiting once the mask
+    /// is empty; no rank table holds a foreign-schema event, so the result
+    /// never does either, whatever `active` says.
     // acd-lint: hot
+    #[inline]
     fn match_mask(&self, table: &MatchTable, slot: usize, active: u64) -> u64 {
-        let mut mask = active & self.valid;
-        for ((lo, hi), column) in table.lo.iter().zip(&table.hi).zip(self.columns) {
+        let mut mask = active;
+        for ((lo, hi), column) in table.lo.iter().zip(&table.hi).zip(&self.ranks) {
             if mask == 0 {
                 break;
             }
             let (Some(&lo), Some(&hi)) = (lo.get(slot), hi.get(slot)) else {
                 return 0;
             };
-            let Some(column) = column.get(self.offset..self.offset + self.len) else {
-                return 0;
-            };
-            let mut in_range = 0u64;
-            let mut bit = 0u32;
-            let mut lanes = column.chunks_exact(4);
-            for lane in lanes.by_ref() {
-                // chunks_exact(4) guarantees four lanes; the else arm is dead.
-                let &[l0, l1, l2, l3] = lane else { break };
-                let word = u64::from(l0 >= lo && l0 <= hi)
-                    | u64::from(l1 >= lo && l1 <= hi) << 1
-                    | u64::from(l2 >= lo && l2 <= hi) << 2
-                    | u64::from(l3 >= lo && l3 <= hi) << 3;
-                in_range |= word << bit;
-                bit += 4;
-            }
-            for &v in lanes.remainder() {
-                in_range |= u64::from(v >= lo && v <= hi) << bit;
-                bit += 1;
-            }
-            mask &= in_range;
+            mask &= column.in_range(self.span, lo, hi);
         }
         mask
     }
@@ -707,7 +779,8 @@ pub struct ForwardDecision {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acd_subscription::{Event, SubscriptionBuilder};
+    use acd_subscription::SubscriptionBuilder;
+    use proptest::prelude::*;
 
     fn schema() -> Schema {
         Schema::builder()
@@ -1048,6 +1121,90 @@ mod tests {
         assert_eq!(b.remove_local(1), None);
         assert_eq!(b.local_subscriptions(), 1);
         assert_eq!(b.routing_table_entries(), 2);
+    }
+
+    /// Event values of the kernel test: few, so a chunk is full of ties, and
+    /// both zeros.
+    const VALUES: [f64; 7] = [-4.0, -1.5, -0.0, 0.0, 1.0, 2.5, 4.0];
+    /// Its bounds: every value (a bound equal to a value, `lo == hi`), one
+    /// strictly between two, and both infinities.
+    const BOUNDS: [f64; 10] = [
+        f64::NEG_INFINITY,
+        -4.0,
+        -1.5,
+        -0.0,
+        0.0,
+        0.5,
+        1.0,
+        2.5,
+        4.0,
+        f64::INFINITY,
+    ];
+
+    proptest! {
+        /// `EventChunk::match_mask` against the comparison it replaces, bit
+        /// by bit: chunks of every length with a random subset of
+        /// foreign-schema events (whose values no rank table may read),
+        /// slots whose bounds sit on, between and beyond the values —
+        /// inverted ones included, which match nothing.
+        #[test]
+        fn rank_kernel_matches_the_compare_oracle(
+            len in prop_oneof![Just(1usize), Just(63), Just(64), 1usize..65],
+            picks in prop::collection::vec((0..VALUES.len(), 0..VALUES.len(), any::<bool>()), 64),
+            slots in prop::collection::vec(
+                (0..BOUNDS.len(), 0..BOUNDS.len(), 0..BOUNDS.len(), 0..BOUNDS.len()),
+                1..40,
+            ),
+            all_valid in any::<bool>(),
+            active in any::<u64>(),
+        ) {
+            let s = Schema::builder()
+                .attribute("x", -4.0, 4.0)
+                .attribute("y", -4.0, 4.0)
+                .build()
+                .unwrap();
+            let foreign = Schema::builder().attribute("z", 0.0, 1.0).build().unwrap();
+            let events: Vec<Event> = picks[..len]
+                .iter()
+                .map(|&(x, y, valid)| {
+                    if valid || all_valid {
+                        Event::new(&s, vec![VALUES[x], VALUES[y]]).unwrap()
+                    } else {
+                        Event::new(&foreign, vec![0.5]).unwrap()
+                    }
+                })
+                .collect();
+            let mut table = MatchTable::new(s.arity());
+            for (id, &(x_lo, x_hi, y_lo, y_hi)) in slots.iter().enumerate() {
+                table.lo[0].push(BOUNDS[x_lo]);
+                table.hi[0].push(BOUNDS[x_hi]);
+                table.lo[1].push(BOUNDS[y_lo]);
+                table.hi[1].push(BOUNDS[y_hi]);
+                table.ids.push(id as SubId);
+            }
+
+            let chunk = EventChunk::new(&s, &events);
+            for slot in 0..table.len() {
+                let mut expected = 0u64;
+                for (bit, event) in events.iter().enumerate() {
+                    let inside = event.schema() == &s
+                        && bounds_at(&table, slot)
+                            .iter()
+                            .zip(event.values())
+                            .all(|(&(lo, hi), &v)| lo <= v && v <= hi);
+                    expected |= u64::from(inside) << bit;
+                }
+                prop_assert_eq!(
+                    chunk.match_mask(&table, slot, active),
+                    expected & active,
+                    "slot {} of {:?}, {} events",
+                    slot,
+                    bounds_at(&table, slot),
+                    len
+                );
+            }
+            prop_assert_eq!(chunk.match_mask(&table, table.len(), u64::MAX), 0, "no such slot");
+        }
     }
 
     /// Every client `matching_clients` emits for `values`, repeats and all,
