@@ -11,11 +11,17 @@
 //! some length on — the evidence for `publish_batch`'s short-chunk
 //! crossover. Divide a row by its burst length for the per-event cost README
 //! "Batched publish execution" records.
+//!
+//! A second group, `deliveries_codec`, times what follows the walk on either
+//! path: `encode_frame` and `read_frame` over one event's `Deliveries` — the
+//! repo benchmark's 330 pairs (7 brokers, 47 of 64 clients each) and the
+//! empty list every non-matching publish answers with.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use acd_broker::wire::{encode_frame, read_frame, Frame};
 use acd_broker::{BrokerConfig, BrokerNetwork, Topology};
 use acd_covering::CoveringPolicy;
 use acd_workload::{EventWorkload, Scenario, SubscriptionWorkload};
@@ -91,5 +97,31 @@ fn bench_batched_publish(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_batched_publish);
+fn bench_deliveries_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("deliveries_codec");
+    group.measurement_time(Duration::from_secs(2));
+    group.warm_up_time(Duration::from_secs(1));
+    let spread = (0..7usize).flat_map(|broker| {
+        (0..64u64)
+            .filter(|client| client * 47 / 64 != (client + 1) * 47 / 64)
+            .map(move |client| (broker, client))
+    });
+    for (shape, pairs) in [("330-pairs", spread.collect()), ("empty", Vec::new())] {
+        let frame = Frame::Deliveries { pairs };
+        let mut encoded = Vec::new();
+        group.bench_function(BenchmarkId::new("encode", shape), |b| {
+            b.iter(|| {
+                encode_frame(std::hint::black_box(&frame), &mut encoded);
+                std::hint::black_box(encoded.len())
+            });
+        });
+        let mut scratch = Vec::new();
+        group.bench_function(BenchmarkId::new("decode", shape), |b| {
+            b.iter(|| read_frame(&mut std::hint::black_box(encoded.as_slice()), &mut scratch));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_batched_publish, bench_deliveries_codec);
 criterion_main!(benches);

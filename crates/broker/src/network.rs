@@ -439,7 +439,9 @@ impl BrokerNetwork {
         deliveries.sort_unstable();
         // No pair repeats: the topology is a tree, so the walk visits a
         // broker once; a client lives in one local table, where its slots
-        // are one run that `matching_clients` emits once.
+        // are one run that `matching_clients` emits once. The wire depends
+        // on it: a `Deliveries` frame stores each pair's distance from the
+        // one before, and its decoder rejects a list that does not ascend.
         debug_assert!(deliveries.is_sorted_by(|a, b| a < b));
         MetricCounters::add(&self.counters.deliveries, deliveries.len() as u64);
     }
