@@ -318,12 +318,12 @@ pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<()> {
     sync_parent_dir(path).map_err(io)
 }
 
-/// Fsyncs the directory holding `path`, making a just-renamed entry
-/// durable. Directories cannot be opened for syncing on every platform;
+/// Fsyncs the directory holding `path`, making a just-renamed or
+/// just-created entry durable. Directories cannot be opened for syncing on every platform;
 /// where they cannot, the rename-then-sync discipline of the callers is
 /// the strongest guarantee available.
 #[cfg(unix)]
-fn sync_parent_dir(path: &std::path::Path) -> std::io::Result<()> {
+pub(crate) fn sync_parent_dir(path: &std::path::Path) -> std::io::Result<()> {
     match path.parent() {
         Some(dir) if !dir.as_os_str().is_empty() => std::fs::File::open(dir)?.sync_all(),
         _ => Ok(()),
@@ -331,7 +331,7 @@ fn sync_parent_dir(path: &std::path::Path) -> std::io::Result<()> {
 }
 
 #[cfg(not(unix))]
-fn sync_parent_dir(_path: &std::path::Path) -> std::io::Result<()> {
+pub(crate) fn sync_parent_dir(_path: &std::path::Path) -> std::io::Result<()> {
     Ok(())
 }
 

@@ -29,10 +29,12 @@
 //!   generation fully readable.
 //!
 //! Alongside the segment codec, the crate carries the broker daemon's
-//! [`SubscriptionJournal`]: an append-only log of subscribe/unsubscribe
-//! records with a per-record CRC, replayed up to its durable prefix on
-//! restart, plus an atomically-written snapshot that compacts the journal
-//! on graceful shutdown.
+//! [`SubscriptionJournal`]: a log of subscribe/unsubscribe records with a
+//! per-record CRC, each synced before it is acknowledged and written over
+//! a zero-filled tail the file already owns (so that sync commits no
+//! length change), replayed up to its durable prefix on restart, plus an
+//! atomically-written snapshot that compacts the journal on graceful
+//! shutdown.
 //!
 //! Everything is hand-rolled little-endian (the build environment vendors
 //! no serialization crates); the codec style — const-fn CRC-32 table,
