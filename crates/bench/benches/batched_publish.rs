@@ -1,9 +1,10 @@
 //! Criterion bench for the two publish shapes over the brokers' match
 //! tables: the same burst delivered by a loop of `BrokerNetwork::publish`
-//! (one event against 64 table slots at a time, every slot compared with
-//! every event) and by one `BrokerNetwork::publish_batch` (the burst's
-//! values sorted once per 64-event chunk, every slot's bounds bisected into
-//! them). Each standing population is installed twice: with one client per
+//! (one event at a time: its 16-bit grid cells against 64 slots' cell
+//! columns per pass, its raw values against the bounds of the few slots the
+//! grid leaves) and by one `BrokerNetwork::publish_batch` (the burst's
+//! values sorted once per 64-event chunk, every slot's raw bounds bisected
+//! into them; a chunk too short to repay that takes the serial walk). Each standing population is installed twice: with one client per
 //! subscription, where every match is a delivery, and spread over 64 shared
 //! clients (the repo benchmark's shape), where a client's adjacent matches
 //! collapse into one delivery. At 10 000 subscriptions the burst length
@@ -59,7 +60,7 @@ fn bench_batched_publish(c: &mut Criterion) {
     for (subscriptions, bursts) in [
         (500usize, one_chunk),
         (2_000, one_chunk),
-        (10_000, &[2, 8, 32, 64, 128]),
+        (10_000, &[2, 8, 16, 28, 32, 64, 128]),
     ] {
         for (population, clients) in [("own-client", u64::MAX), ("64-clients", 64)] {
             let (net, events) = build(subscriptions, clients);

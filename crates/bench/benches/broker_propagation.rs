@@ -1,16 +1,18 @@
 //! Criterion bench for E7: subscription-propagation throughput of the broker
 //! overlay under the different covering policies, plus event-delivery
 //! fan-out (which exercises the serial match-table kernel,
-//! `Broker::matching_clients`), plus `retraction`: subscribe/unsubscribe
-//! pairs on a populated overlay, split by whether the retracted
-//! subscription had been sent (the link may be its witness for others and
-//! must offer those again) or held back (only its own entry goes).
+//! `Broker::matching_clients`, through a whole overlay walk) and
+//! `serial_kernel`, that kernel alone over one broker's 10 000 slots, plus
+//! `retraction`: subscribe/unsubscribe pairs on a populated overlay, split
+//! by whether the retracted subscription had been sent (the link may be its
+//! witness for others and must offer those again) or held back (only its
+//! own entry goes).
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use acd_broker::{BrokerConfig, Topology};
+use acd_broker::{Broker, BrokerConfig, EventCells, Topology};
 use acd_covering::CoveringPolicy;
 use acd_subscription::Subscription;
 use acd_workload::{EventWorkload, Scenario, SubscriptionWorkload};
@@ -56,7 +58,9 @@ fn bench_propagation(c: &mut Criterion) {
 
 /// Event fan-out: a populated overlay delivering a stream of events. The
 /// per-event cost is dominated by local matching
-/// (`Broker::matching_clients`) and per-neighbor interest checks.
+/// (`Broker::matching_clients`: the event's grid cells against every slot's,
+/// its raw values against the few slots the grid leaves) and per-neighbor
+/// interest checks.
 fn bench_delivery(c: &mut Criterion) {
     let config = Scenario::StockTicker.workload_config(13);
     let mut workload = SubscriptionWorkload::new(&config).unwrap();
@@ -84,6 +88,43 @@ fn bench_delivery(c: &mut Criterion) {
             let mut delivered = 0usize;
             for (i, e) in events.iter().enumerate() {
                 delivered += net.publish(i % 15, e).unwrap().len();
+            }
+            std::hint::black_box(delivered)
+        });
+    });
+    group.finish();
+}
+
+/// The serial kernel alone, at the repo benchmark's scale: one broker
+/// holding 10 000 StockTicker subscriptions of 64 clients, 256 events
+/// quantised and matched one after another. The grid filter's flag loop is
+/// only fast while the compiler turns it into 16-bit vector compares — the
+/// same loop over slices of unknown length measured 2x slower — so a
+/// toolchain that stops doing that shows here, by name, and not as a drift
+/// of `fanout_publish`. Divide by 256 for the cost per event.
+fn bench_serial_kernel(c: &mut Criterion) {
+    const EVENTS: usize = 256;
+
+    let config = Scenario::StockTicker.workload_config(19);
+    let mut workload = SubscriptionWorkload::new(&config).unwrap();
+    let schema = workload.schema().clone();
+    let events = EventWorkload::with_schema(&config, &schema)
+        .unwrap()
+        .take(EVENTS);
+    let mut broker = Broker::new(0, &[], &schema, CoveringPolicy::None).unwrap();
+    for s in workload.take(10_000) {
+        broker.add_local(s.id() % 64, s);
+    }
+
+    let mut group = c.benchmark_group("serial_kernel");
+    group.measurement_time(Duration::from_secs(3));
+    group.warm_up_time(Duration::from_secs(1));
+    group.bench_function("matching-clients/10000-slots/256-events", |b| {
+        b.iter(|| {
+            let mut delivered = 0usize;
+            for e in &events {
+                let cells = EventCells::new(&schema, e).expect("generated under the schema");
+                broker.matching_clients(&cells, |_| delivered += 1);
             }
             std::hint::black_box(delivered)
         });
@@ -164,5 +205,11 @@ fn bench_retraction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_propagation, bench_delivery, bench_retraction);
+criterion_group!(
+    benches,
+    bench_propagation,
+    bench_delivery,
+    bench_serial_kernel,
+    bench_retraction
+);
 criterion_main!(benches);

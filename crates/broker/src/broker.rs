@@ -3,24 +3,36 @@
 //!
 //! Everything an event is matched against lives in one storage, the
 //! column-major `MatchTable`: `lo[attr][slot]` / `hi[attr][slot]` raw
-//! bounds plus an `ids` column. A local table adds a `clients` column and
-//! keeps its slots **ordered by client**, so a client's matches are
-//! adjacent and every client is emitted once; a broker spreads its clients
-//! over a few local tables so an ordered insert shifts only one of them.
-//! Routing tables are order-free and hold no [`Subscription`] handles.
-//! Serial publish runs one event against 64 slots at a time
-//! (`MatchTable::block_mask`: 64 compares per bound). Batched publish sorts a
-//! chunk of up to 64 events once per attribute and then bisects each slot's
-//! bounds into the sorted values (`EventChunk::match_mask`): a slot costs two
-//! binary searches per attribute however many events the chunk holds. Both
-//! read the same columns. [`Subscription::matches`] is the oracle the tests
-//! compare them with.
+//! bounds — the one exact store — beside `cell_lo[attr][slot]` /
+//! `cell_hi[attr][slot]`, the same bounds as 16-bit grid cells, plus an
+//! `ids` column. A local table adds a `clients` column and keeps its slots
+//! **ordered by client**, so a client's matches are adjacent and every
+//! client is emitted once; a broker spreads its clients over a few local
+//! tables so an ordered insert shifts only one of them. Routing tables are
+//! order-free and hold no [`Subscription`] handles.
+//!
+//! Serial publish answers at two resolutions, the paper's move applied to
+//! matching: the event is quantised once ([`EventCells`]), the grid filter
+//! (`MatchTable::candidates`) compares its cells with 64 slots' cell columns
+//! at a time — eight 16-bit lanes where a raw `f64` compare gets two — and
+//! only what the grid cannot rule out is confirmed on the raw bounds
+//! (`MatchTable::confirm`), a client's run of slots being skipped once one
+//! of them has delivered. Bounds and values go through the one monotone
+//! [`Schema::quantize`], so `lo <= v <= hi` implies
+//! `cell(lo) <= cell(v) <= cell(hi)`: the filter never drops a match, and
+//! nothing is reported that the raw compare did not confirm. Batched publish
+//! sorts a chunk of up to 64 events once per attribute and then bisects each
+//! slot's raw bounds into the sorted values (`EventChunk::match_mask`): a
+//! slot costs two binary searches per attribute however many events the
+//! chunk holds. [`Subscription::matches`] is the oracle the tests compare
+//! both with.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hint::select_unpredictable;
 
 use acd_covering::{CoveringIndex, CoveringPolicy};
+use acd_subscription::schema::MAX_ATTRIBUTES;
 use acd_subscription::{Event, Schema, SubId, Subscription};
 
 use crate::Result;
@@ -41,36 +53,122 @@ pub enum Interface {
     Neighbor(BrokerId),
 }
 
+/// How far a grid coordinate of `schema` is shifted right to fit a 16-bit
+/// cell column: a coarser cell is still monotone in the value.
+fn cell_shift(schema: &Schema) -> u32 {
+    schema.bits_per_attribute().saturating_sub(u16::BITS)
+}
+
+/// Grid coordinate `coordinate` as a 16-bit cell. Saturating, so the map
+/// stays monotone whatever it is handed.
+fn cell_of(coordinate: u64, shift: u32) -> u16 {
+    u16::try_from(coordinate >> shift).unwrap_or(u16::MAX)
+}
+
+/// One event prepared for the serial walk: its raw values next to their
+/// 16-bit grid cells — the serial counterpart of [`EventChunk`], built once
+/// per publish and read at every broker the walk visits.
+#[derive(Debug)]
+pub struct EventCells<'a> {
+    /// The event's values, cut to the schema's arity: what `confirm`
+    /// compares with the raw bounds.
+    values: &'a [f64],
+    /// `cells[attr]`: the grid cell of `values[attr]`, for as many
+    /// attributes as there are values.
+    cells: [u16; MAX_ATTRIBUTES],
+}
+
+impl<'a> EventCells<'a> {
+    /// Quantises `event` under `schema` (the schema the match tables were
+    /// filled under). `None` for an event that can match nothing: one of a
+    /// foreign schema, or one holding a value [`Schema::quantize`] rejects
+    /// (NaN, infinite, outside its attribute's domain) — every stored bound
+    /// is inside the domain, so no raw compare against that value could
+    /// hold. An event built by [`Event::new`] has one in-domain value per
+    /// attribute; a deserialised one may carry fewer (it is matched on the
+    /// attributes it has, as [`Subscription::matches`] zips them) or more
+    /// (the surplus is ignored).
+    pub fn new(schema: &Schema, event: &'a Event) -> Option<EventCells<'a>> {
+        if event.schema() != schema {
+            return None;
+        }
+        let values = event.values();
+        let values = values.get(..schema.arity()).unwrap_or(values);
+        let shift = cell_shift(schema);
+        let mut cells = [0u16; MAX_ATTRIBUTES];
+        for (attr, (cell, &value)) in cells.iter_mut().zip(values).enumerate() {
+            *cell = cell_of(schema.quantize(attr, value).ok()?, shift);
+        }
+        Some(EventCells { values, cells })
+    }
+
+    /// The cells of the attributes the event has a value for.
+    fn cells(&self) -> &[u16] {
+        self.cells.get(..self.values.len()).unwrap_or(&self.cells)
+    }
+}
+
 /// Column-major storage of the subscriptions one interface matches events
 /// against. Every column is indexed by slot and all columns have the same
-/// length; only the methods below touch them, so they stay aligned.
+/// length (the cell columns run on to the end of their last block); only
+/// the methods below touch them, so they stay aligned.
 #[derive(Debug)]
 struct MatchTable {
     /// `lo[attr][slot]`: inclusive raw lower bounds, one column per
-    /// schema attribute.
+    /// schema attribute. With `hi`, **the truth**: the one exact store,
+    /// read by [`confirm`](Self::confirm) and by the rank kernel.
     lo: Vec<Vec<f64>>,
     /// `hi[attr][slot]`: inclusive raw upper bounds.
     hi: Vec<Vec<f64>>,
+    /// `cell_lo[attr][slot]`: the grid cell of `lo[attr][slot]`
+    /// (`Subscription::grid_bounds`, as [`cell_of`] narrows it). With
+    /// `cell_hi`, **the filter** [`candidates`](Self::candidates) reads. It
+    /// cannot miss: bounds and event values go through the same monotone
+    /// `Schema::quantize` and `cell_of`, so `lo <= v <= hi` implies
+    /// `cell_lo <= cell(v) <= cell_hi`. Unlike every other column, the cell
+    /// columns are kept a whole number of blocks long, so the filter only
+    /// ever reads fixed 64-lane arrays: the slots past `len()` hold
+    /// `(PAD_LO, PAD_HI)`, bounds no cell lies inside.
+    cell_lo: Vec<Vec<u16>>,
+    /// `cell_hi[attr][slot]`: the grid cell of `hi[attr][slot]`.
+    cell_hi: Vec<Vec<u16>>,
+    /// The `cell_of` shift of the schema the table is filled under.
+    shift: u32,
     /// Subscription identifier of each slot.
     ids: Vec<SubId>,
     /// Local table only (empty in routing tables): the owning client of
     /// each slot, ascending.
     clients: Vec<ClientId>,
+    /// Local table only: one bit per slot (bit `slot % 64` of word
+    /// `slot / 64`), set where the slot is the last of its client's run, so
+    /// the emit loop can drop the rest of a delivered run from a block's
+    /// mask with one shift. Kept by a bit insert / remove at the slot plus
+    /// one neighbour bit, never rebuilt.
+    run_ends: Vec<u64>,
     /// Local table only: the handle `remove_local` returns so the network
     /// can retract the subscription from the links it was sent on.
     handles: Vec<Subscription>,
 }
 
 impl MatchTable {
-    /// Slots per [`block_mask`](Self::block_mask) call: one mask bit each.
+    /// Slots per [`candidates`](Self::candidates) call: one mask bit each.
     const BLOCK: usize = 64;
+    /// What the cell columns hold past the last slot: `PAD_LO <= c` and
+    /// `c <= PAD_HI` cannot both hold.
+    const PAD_LO: u16 = u16::MAX;
+    const PAD_HI: u16 = 0;
 
-    fn new(arity: usize) -> MatchTable {
+    fn new(schema: &Schema) -> MatchTable {
+        let arity = schema.arity();
         MatchTable {
             lo: vec![Vec::new(); arity],
             hi: vec![Vec::new(); arity],
+            cell_lo: vec![Vec::new(); arity],
+            cell_hi: vec![Vec::new(); arity],
+            shift: cell_shift(schema),
             ids: Vec::new(),
             clients: Vec::new(),
+            run_ends: Vec::new(),
             handles: Vec::new(),
         }
     }
@@ -79,16 +177,36 @@ impl MatchTable {
         self.ids.len()
     }
 
-    /// Writes `subscription`'s bounds and identifier at `slot`, shifting
-    /// the later slots up.
+    /// Writes `subscription`'s bounds, cells and identifier at `slot`,
+    /// shifting the later slots up.
     fn insert_bounds(&mut self, slot: usize, subscription: &Subscription) {
         debug_assert_eq!(subscription.raw_bounds().len(), self.lo.len());
+        debug_assert_eq!(subscription.grid_bounds().len(), self.lo.len());
         let columns = self.lo.iter_mut().zip(&mut self.hi);
         for ((lo, hi), &(low, high)) in columns.zip(subscription.raw_bounds()) {
             lo.insert(slot, low);
             hi.insert(slot, high);
         }
+        let columns = self.cell_lo.iter_mut().zip(&mut self.cell_hi);
+        for ((lo, hi), &(low, high)) in columns.zip(subscription.grid_bounds()) {
+            lo.insert(slot, cell_of(low, self.shift));
+            hi.insert(slot, cell_of(high, self.shift));
+        }
+        self.pad_cells(self.len() + 1);
         self.ids.insert(slot, subscription.id());
+    }
+
+    /// Brings the cell columns, one element longer or shorter than their
+    /// padding was cut for, back to whole blocks for `live` slots: a padding
+    /// element goes or comes, or a block of them does.
+    fn pad_cells(&mut self, live: usize) {
+        let padded = live.next_multiple_of(Self::BLOCK);
+        for lo in &mut self.cell_lo {
+            lo.resize(padded, Self::PAD_LO);
+        }
+        for hi in &mut self.cell_hi {
+            hi.resize(padded, Self::PAD_HI);
+        }
     }
 
     /// Local table: inserts after the last slot of `client`, keeping the
@@ -96,8 +214,15 @@ impl MatchTable {
     fn insert_local(&mut self, client: ClientId, subscription: Subscription) {
         let slot = self.clients.partition_point(|&c| c <= client);
         self.insert_bounds(slot, &subscription);
+        // The new slot ends its client's run; the slot before it, if it is
+        // the same client's, no longer does.
+        insert_bit(&mut self.run_ends, self.clients.len(), slot, true);
+        if slot > 0 && self.clients.get(slot - 1) == Some(&client) {
+            set_bit(&mut self.run_ends, slot - 1, false);
+        }
         self.clients.insert(slot, client);
         self.handles.insert(slot, subscription);
+        debug_assert_eq!(self.run_ends, run_ends_of(&self.clients));
     }
 
     /// Local table: removes the slot holding `id`, preserving client order.
@@ -106,8 +231,19 @@ impl MatchTable {
         for column in self.lo.iter_mut().chain(&mut self.hi) {
             column.remove(slot);
         }
+        for column in self.cell_lo.iter_mut().chain(&mut self.cell_hi) {
+            column.remove(slot);
+        }
+        self.pad_cells(self.len() - 1);
         self.ids.remove(slot);
-        Some((self.clients.remove(slot), self.handles.remove(slot)))
+        let ended_run = remove_bit(&mut self.run_ends, self.clients.len(), slot);
+        let client = self.clients.remove(slot);
+        // If the slot ended a longer run, the slot before it ends it now.
+        if ended_run && slot > 0 && self.clients.get(slot - 1) == Some(&client) {
+            set_bit(&mut self.run_ends, slot - 1, true);
+        }
+        debug_assert_eq!(self.run_ends, run_ends_of(&self.clients));
+        Some((client, self.handles.remove(slot)))
     }
 
     /// Routing table: removes the slot holding `id` by moving the last slot
@@ -119,31 +255,42 @@ impl MatchTable {
         for column in self.lo.iter_mut().chain(&mut self.hi) {
             column.swap_remove(slot);
         }
+        // The last *slot* moves in, not the padding behind it: its place is
+        // taken by the padding element `remove` shifts down.
+        let last = self.len() - 1;
+        for column in self.cell_lo.iter_mut().chain(&mut self.cell_hi) {
+            column.swap(slot, last);
+            column.remove(last);
+        }
+        self.pad_cells(last);
         self.ids.swap_remove(slot);
         true
     }
 
-    /// The one-event x 64-slot kernel: bit `i` of the result is set when
-    /// slot `start + i` exists and `values` lies inside its bounds on every
-    /// attribute. `values` must follow the schema the table was filled
-    /// under (the caller checks the event's schema once per publish).
-    /// Branch-free: one byte flag per slot, AND-ed per attribute over the
-    /// contiguous bound columns, then packed eight flags at a time.
+    /// The grid filter, one event x 64 slots: bit `i` of the result is set
+    /// when slot `64 * block + i` exists and the event's cell lies inside
+    /// the slot's cell bounds on every attribute the event has a value for
+    /// — a *necessary* condition for the raw bounds to hold it (see
+    /// `cell_lo`), so the result is a superset of the block's matches and
+    /// [`confirm`](Self::confirm) decides. Branch-free over fixed 64-lane
+    /// arrays, which is what lets the compiler compare eight slots an
+    /// instruction: one byte flag per slot, AND-ed per attribute over the
+    /// contiguous cell columns, then packed eight flags at a time.
     // acd-lint: hot
-    fn block_mask(&self, values: &[f64], start: usize) -> u64 {
-        let len = Self::BLOCK.min(self.len().saturating_sub(start));
-        let mut flags = [0u8; Self::BLOCK];
-        let Some(live) = flags.get_mut(..len) else {
+    fn candidates(&self, event: &EventCells<'_>, block: usize) -> u64 {
+        let start = block * Self::BLOCK;
+        let live = Self::BLOCK.min(self.len().saturating_sub(start));
+        if live == 0 {
             return 0;
-        };
-        live.fill(1);
-        for ((lo, hi), &v) in self.lo.iter().zip(&self.hi).zip(values) {
-            let (Some(lo), Some(hi)) = (lo.get(start..start + len), hi.get(start..start + len))
-            else {
-                return 0;
+        }
+        let mut flags = [1u8; Self::BLOCK];
+        let columns = self.cell_lo.iter().zip(&self.cell_hi);
+        for ((lo, hi), &cell) in columns.zip(event.cells()) {
+            let (Some(lo), Some(hi)) = (block_of(lo, start), block_of(hi, start)) else {
+                return 0; // the cell columns are padded to whole blocks
             };
-            for ((flag, &low), &high) in live.iter_mut().zip(lo).zip(hi) {
-                *flag &= u8::from(low <= v) & u8::from(v <= high);
+            for ((flag, &low), &high) in flags.iter_mut().zip(lo).zip(hi) {
+                *flag &= u8::from((low <= cell) & (cell <= high));
             }
         }
         let mut mask = 0u64;
@@ -153,17 +300,115 @@ impl MatchTable {
             let word = u64::from_le_bytes(*eight);
             mask |= (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * byte);
         }
-        mask
+        // The padding of a last block fails every compare, but an event that
+        // has no value to compare (an empty list, which the oracle matches
+        // with everything) makes none.
+        mask & (u64::MAX >> (Self::BLOCK - live))
     }
+
+    /// The truth: whether the event's raw values lie inside `slot`'s raw
+    /// bounds on every attribute it has a value for (`false` for a slot that
+    /// does not exist) — `Subscription::matches`' own compare, on the
+    /// columns. Nothing is delivered or forwarded without it.
+    // acd-lint: hot
+    #[inline]
+    fn confirm(&self, event: &EventCells<'_>, slot: usize) -> bool {
+        let mut columns = self.lo.iter().zip(&self.hi).zip(event.values);
+        slot < self.len()
+            && columns.all(|((lo, hi), &v)| {
+                matches!((lo.get(slot), hi.get(slot)), (Some(&lo), Some(&hi)) if lo <= v && v <= hi)
+            })
+    }
+}
+
+/// The block of a cell column that starts at slot `start`.
+#[inline]
+fn block_of(column: &[u16], start: usize) -> Option<&[u16; MatchTable::BLOCK]> {
+    column.get(start..)?.first_chunk()
+}
+
+/// `mask` without the bits up to the end of the run that bit `bit` lies in:
+/// `ends` has a bit set on the last slot of every run, and a run with no end
+/// in this block takes the rest of the block with it.
+#[inline]
+fn past_run(mask: u64, ends: u64, bit: u32) -> u64 {
+    match bit + (ends >> bit).trailing_zeros() {
+        end if end + 1 < u64::BITS => mask & (u64::MAX << (end + 1)),
+        _ => 0,
+    }
+}
+
+/// A local table's `run_ends`, from scratch: what the incremental updates
+/// are checked against.
+fn run_ends_of(clients: &[ClientId]) -> Vec<u64> {
+    let mut words = vec![0u64; clients.len().div_ceil(MatchTable::BLOCK)];
+    for slot in 0..clients.len() {
+        set_bit(&mut words, slot, clients.get(slot) != clients.get(slot + 1));
+    }
+    words
+}
+
+/// Sets bit `at` of the bit vector `words` to `bit`.
+fn set_bit(words: &mut [u64], at: usize, bit: bool) {
+    if let Some(word) = words.get_mut(at / MatchTable::BLOCK) {
+        let offset = at % MatchTable::BLOCK;
+        *word = (*word & !(1 << offset)) | (u64::from(bit) << offset);
+    }
+}
+
+/// Inserts `bit` at position `at <= len` of the `len`-bit vector `words`,
+/// moving the later bits up by one.
+fn insert_bit(words: &mut Vec<u64>, len: usize, at: usize, bit: bool) {
+    if len.is_multiple_of(MatchTable::BLOCK) {
+        words.push(0);
+    }
+    let offset = at % MatchTable::BLOCK;
+    let mut words = words.iter_mut().skip(at / MatchTable::BLOCK);
+    let Some(word) = words.next() else {
+        return;
+    };
+    let below = (1u64 << offset) - 1;
+    let mut carry = *word >> 63;
+    *word = (*word & below) | ((*word & !below) << 1) | (u64::from(bit) << offset);
+    for word in words {
+        let out = *word >> 63;
+        *word = (*word << 1) | carry;
+        carry = out;
+    }
+}
+
+/// Removes the bit at position `at < len` of the `len`-bit vector `words`,
+/// moving the later bits down by one, and returns it.
+fn remove_bit(words: &mut Vec<u64>, len: usize, at: usize) -> bool {
+    let (first, offset) = (at / MatchTable::BLOCK, at % MatchTable::BLOCK);
+    let mut removed = false;
+    let mut carry = 0u64;
+    for (index, word) in words.iter_mut().enumerate().skip(first).rev() {
+        let out = *word & 1;
+        if index == first {
+            let below = (1u64 << offset) - 1;
+            removed = *word >> offset & 1 == 1;
+            *word = (*word & below) | ((*word >> 1) & !below) | (carry << 63);
+        } else {
+            *word = (*word >> 1) | (carry << 63);
+        }
+        carry = out;
+    }
+    if len % MatchTable::BLOCK == 1 {
+        words.pop();
+    }
+    removed
 }
 
 /// Local match tables per broker (a power of two). More than one because
 /// an ordered insert shifts every later slot of every column: with one
 /// table of ~1 400 slots the repo benchmark's set-up (10 000 subscribes, or
 /// a 10 000-record recovery) ran 9-27 % slower than appending, against a
-/// 25 % bound. Not more than four because each table ends in a partial
-/// block and restarts the column streams: fan-out publish costs +3 % with
-/// two tables, +5 % with four, +9 % with eight.
+/// 25 % bound. Not more than four because every table adds a partly filled
+/// last block to each walk, and only a lone table emits a broker's clients
+/// in ascending order, which lets the walk's final sort off: in process, on
+/// that benchmark's population, a serial publish costs 14.8–15.6 µs with one
+/// table, 16.7–17.4 with two, 17.3–18.3 with four and 17.7–18.1 with eight.
 const LOCAL_SHARDS: usize = 4;
 const _: () = assert!(LOCAL_SHARDS.is_power_of_two());
 
@@ -348,11 +593,10 @@ impl Broker {
         schema: &Schema,
         policy: CoveringPolicy,
     ) -> Result<Self> {
-        let arity = schema.arity();
         let mut links = HashMap::with_capacity(neighbors.len());
         for &n in neighbors {
             let link = Link {
-                routing: MatchTable::new(arity),
+                routing: MatchTable::new(schema),
                 sent: policy.build_index(schema)?,
                 sent_ids: HashSet::new(),
                 masked: HashMap::new(),
@@ -362,7 +606,7 @@ impl Broker {
         }
         Ok(Broker {
             id,
-            local: std::array::from_fn(|_| MatchTable::new(arity)),
+            local: std::array::from_fn(|_| MatchTable::new(schema)),
             links,
         })
     }
@@ -497,26 +741,35 @@ impl Broker {
     }
 
     /// Calls `deliver(client)` once for every local client with at least
-    /// one subscription matching `values` (ascending within each local
-    /// table) — the serial emit path. `values` are the attribute values of
-    /// an event whose schema the caller has checked against the network's
-    /// (once per publish, not once per subscription). Slots are ordered by
-    /// client, so a client's matches are adjacent and collapse against the
-    /// last emitted client; allocation-free.
+    /// one subscription matching `event` (ascending within each local
+    /// table) — the serial emit path. `event` was quantised under the
+    /// network's schema, which checked the event's own (once per publish,
+    /// not once per subscription). Slots are ordered by client, so a
+    /// client's slots are one run: the first candidate of a run that the raw
+    /// bounds confirm (`MatchTable::confirm`) delivers, and the rest of the
+    /// run leaves the mask unvisited (`last` carries a delivered run across
+    /// a block seam). Allocation-free.
     // acd-lint: hot
-    pub fn matching_clients<F: FnMut(ClientId)>(&self, values: &[f64], mut deliver: F) {
+    pub fn matching_clients<F: FnMut(ClientId)>(&self, event: &EventCells<'_>, mut deliver: F) {
         for table in &self.local {
             let mut last = None;
-            for (block, clients) in table.clients.chunks(MatchTable::BLOCK).enumerate() {
-                let mut mask = table.block_mask(values, block * MatchTable::BLOCK);
+            let blocks = table.clients.chunks(MatchTable::BLOCK).zip(&table.run_ends);
+            for (block, (clients, &ends)) in blocks.enumerate() {
+                let mut mask = table.candidates(event, block);
                 while mask != 0 {
-                    let Some(&client) = clients.get(mask.trailing_zeros() as usize) else {
-                        break; // block_mask only sets bits of existing slots
+                    let bit = mask.trailing_zeros();
+                    let Some(&client) = clients.get(bit as usize) else {
+                        break; // candidates only sets bits of existing slots
                     };
-                    mask &= mask - 1;
-                    if last != Some(client) {
-                        last = Some(client);
-                        deliver(client);
+                    let delivered = last == Some(client);
+                    if delivered || table.confirm(event, block * MatchTable::BLOCK + bit as usize) {
+                        if !delivered {
+                            last = Some(client);
+                            deliver(client);
+                        }
+                        mask = past_run(mask, ends, bit);
+                    } else {
+                        mask &= mask - 1;
                     }
                 }
             }
@@ -583,16 +836,26 @@ impl Broker {
         interested
     }
 
-    /// Whether any subscription received from `neighbor` matches `values`
-    /// (i.e. the event must be forwarded toward that neighbor). As for
-    /// [`matching_clients`](Self::matching_clients), the caller has checked
-    /// the event's schema.
+    /// Whether any subscription received from `neighbor` matches `event`
+    /// (i.e. the event must be forwarded toward that neighbor): true at the
+    /// first candidate the raw bounds confirm. As for
+    /// [`matching_clients`](Self::matching_clients), `event` was quantised
+    /// under the network's schema.
     // acd-lint: hot
-    pub fn neighbor_interested(&self, neighbor: BrokerId, values: &[f64]) -> bool {
+    pub fn neighbor_interested(&self, neighbor: BrokerId, event: &EventCells<'_>) -> bool {
         self.links.get(&neighbor).is_some_and(|link| {
             let table = &link.routing;
-            let mut blocks = (0..table.len()).step_by(MatchTable::BLOCK);
-            blocks.any(|start| table.block_mask(values, start) != 0)
+            (0..table.len().div_ceil(MatchTable::BLOCK)).any(|block| {
+                let mut mask = table.candidates(event, block);
+                while mask != 0 {
+                    let slot = block * MatchTable::BLOCK + mask.trailing_zeros() as usize;
+                    if table.confirm(event, slot) {
+                        return true;
+                    }
+                    mask &= mask - 1;
+                }
+                false
+            })
         })
     }
 
@@ -990,46 +1253,90 @@ mod tests {
         columns.map(|(lo, hi)| (lo[slot], hi[slot])).collect()
     }
 
-    /// Every column is as long as `ids`, and (local tables) slots are
-    /// client-ordered with the handle, id and bounds of one subscription.
+    /// Asserts that the cell columns hold, at `slot`, `subscription`'s grid
+    /// bounds as 16-bit cells.
+    fn assert_cells_at(table: &MatchTable, slot: usize, subscription: &Subscription) {
+        let columns = table.cell_lo.iter().zip(&table.cell_hi);
+        let stored: Vec<(u16, u16)> = columns.map(|(lo, hi)| (lo[slot], hi[slot])).collect();
+        let narrow = |&(lo, hi): &(u64, u64)| {
+            let shift = subscription
+                .schema()
+                .bits_per_attribute()
+                .saturating_sub(16);
+            ((lo >> shift) as u16, (hi >> shift) as u16)
+        };
+        let expected: Vec<(u16, u16)> = subscription.grid_bounds().iter().map(narrow).collect();
+        assert_eq!(stored, expected, "slot {slot}");
+    }
+
+    /// Every column is as long as `ids` (the cell columns: as its whole
+    /// blocks), and (local tables) slots are client-ordered with the handle,
+    /// id, bounds and cells of one subscription, and `run_ends` marks
+    /// exactly the last slot of every client's run.
     fn assert_aligned(table: &MatchTable, local: bool) {
         let n = table.len();
         assert!(table.lo.iter().chain(&table.hi).all(|c| c.len() == n));
+        // The cell columns run on to the end of their last block, padded
+        // with bounds no cell lies inside.
+        let padding = n..n.next_multiple_of(MatchTable::BLOCK);
+        for (lo, hi) in table.cell_lo.iter().zip(&table.cell_hi) {
+            assert_eq!((lo.len(), hi.len()), (padding.end, padding.end));
+            assert!(lo[padding.clone()].iter().all(|&pad| pad == u16::MAX));
+            assert!(hi[padding.clone()].iter().all(|&pad| pad == 0));
+        }
         let owned = if local { n } else { 0 };
         assert_eq!((table.clients.len(), table.handles.len()), (owned, owned));
         assert!(table.clients.is_sorted(), "{:?}", table.clients);
         for (slot, handle) in table.handles.iter().enumerate() {
             assert_eq!(table.ids[slot], handle.id());
             assert_eq!(bounds_at(table, slot), handle.raw_bounds());
+            assert_cells_at(table, slot, handle);
         }
+        let mut ends = vec![0u64; owned.div_ceil(MatchTable::BLOCK)];
+        let mut next = 0;
+        for run in table.clients.chunk_by(|a, b| a == b) {
+            next += run.len();
+            ends[(next - 1) / MatchTable::BLOCK] |= 1 << ((next - 1) % MatchTable::BLOCK);
+        }
+        assert_eq!(table.run_ends, ends, "{:?}", table.clients);
     }
 
-    /// `block_mask` says for every slot of a local table what the oracle
-    /// says about the slot's handle.
-    fn assert_kernel_matches_oracle(table: &MatchTable, event: &Event) {
-        for (slot, handle) in table.handles.iter().enumerate() {
-            let mask = table.block_mask(event.values(), slot - slot % MatchTable::BLOCK);
-            let bit = mask >> (slot % MatchTable::BLOCK) & 1;
-            assert_eq!(
-                bit == 1,
-                handle.matches(event),
-                "slot {slot} of {}",
-                table.len()
-            );
+    /// Candidates-then-confirm says for every slot of `table` what the
+    /// oracle says about the subscription stored there (`stored`, in slot
+    /// order), and the grid filter alone never drops a slot the raw bounds
+    /// confirm: `candidates ⊇ matches`, bit for bit.
+    fn assert_kernel_matches_oracle(table: &MatchTable, stored: &[Subscription], event: &Event) {
+        assert_eq!(table.len(), stored.len());
+        let Some(schema) = stored.first().map(Subscription::schema) else {
+            return;
+        };
+        let Some(cells) = EventCells::new(schema, event) else {
+            assert!(stored.iter().all(|s| !s.matches(event)), "{event}");
+            return;
+        };
+        for (slot, subscription) in stored.iter().enumerate() {
+            let block = table.candidates(&cells, slot / MatchTable::BLOCK);
+            let candidate = block >> (slot % MatchTable::BLOCK) & 1 == 1;
+            let confirmed = table.confirm(&cells, slot);
+            let context = format!("slot {slot} of {}, {subscription} / {event}", table.len());
+            assert_eq!(confirmed, subscription.matches(event), "{context}");
+            assert!(candidate || !confirmed, "the filter dropped {context}");
         }
-        // No bits beyond the last slot.
-        let tail = table.len() - table.len() % MatchTable::BLOCK;
-        assert_eq!(
-            table.block_mask(event.values(), tail) >> (table.len() - tail),
-            0
-        );
+        // No bits beyond the last slot, no slot beyond the last block.
+        let blocks = table.len().div_ceil(MatchTable::BLOCK);
+        let tail = table.len() % MatchTable::BLOCK;
+        if tail != 0 {
+            assert_eq!(table.candidates(&cells, blocks - 1) >> tail, 0);
+        }
+        assert_eq!(table.candidates(&cells, blocks), 0);
+        assert!(!table.confirm(&cells, table.len()));
     }
 
     #[test]
     fn columns_stay_aligned_through_insert_remove_and_swap_remove() {
         let s = schema();
-        let mut local = MatchTable::new(s.arity());
-        let mut routing = MatchTable::new(s.arity());
+        let mut local = MatchTable::new(&s);
+        let mut routing = MatchTable::new(&s);
         let mut live: Vec<(ClientId, Subscription)> = Vec::new();
         // 150 slots cross two block seams; clients arrive out of order and
         // repeat; every third step removes an earlier subscription.
@@ -1055,14 +1362,16 @@ mod tests {
             for (_, subscription) in &live {
                 let corner = subscription.raw_bounds().iter().map(|&(low, _)| low);
                 let event = Event::new(&s, corner.collect()).unwrap();
-                assert_kernel_matches_oracle(&local, &event);
+                assert_kernel_matches_oracle(&local, &local.handles, &event);
             }
             assert_eq!((local.len(), routing.len()), (live.len(), live.len()));
-            // The routing table holds exactly the live bounds, in any order.
+            // The routing table holds exactly the live bounds and cells, in
+            // any order.
             for (_, subscription) in &live {
                 let slot = routing.ids.iter().position(|&id| id == subscription.id());
                 let slot = slot.expect("live subscriptions keep their routing slot");
                 assert_eq!(bounds_at(&routing, slot), subscription.raw_bounds());
+                assert_cells_at(&routing, slot, subscription);
             }
         }
     }
@@ -1084,10 +1393,37 @@ mod tests {
             };
             b.add_local(client, sub(&s, i, x, x));
         }
-        assert_eq!(emitted(&b, &[50.0, 50.0]), vec![0, 1, 2, 4, 5, 6]);
-        assert_eq!(emitted(&b, &[90.0, 90.0]), vec![5]);
-        assert_eq!(emitted(&b, &[40.0, 40.0]), vec![0, 1, 2, 3, 4, 5, 6]);
-        assert!(emitted(&b, &[99.0, 99.0]).is_empty());
+        // Client 8: a run of 150 slots, so it spans at least three blocks
+        // wherever it starts, and only its last slot holds (97, 97) — the
+        // walk must carry an undelivered run across two seams.
+        for i in 0..150u64 {
+            let x = if i == 149 { (96.0, 98.0) } else { (0.0, 10.0) };
+            b.add_local(8, sub(&s, 1_000 + i, x, x));
+        }
+        // Clients 9 and 10: (70.5, 70.5) lies in the grid cell of all three
+        // of their bounds (a cell is 100 / 64 wide), so each slot is a
+        // candidate; on raw bounds client 9's first slot and client 10's
+        // only one start above it and client 9's second holds it.
+        b.add_local(9, sub(&s, 2_000, (70.6, 71.0), (70.6, 71.0)));
+        b.add_local(9, sub(&s, 2_001, (70.4, 71.0), (70.4, 71.0)));
+        b.add_local(10, sub(&s, 2_002, (70.6, 71.0), (70.6, 71.0)));
+        let near = Event::new(&s, vec![70.5, 70.5]).unwrap();
+        let cells = EventCells::new(&s, &near).unwrap();
+        let table = &b.local[local_shard(9)];
+        let first = table.clients.iter().position(|&c| c == 9).unwrap();
+        let block = table.candidates(&cells, first / MatchTable::BLOCK);
+        assert_eq!(block >> (first % MatchTable::BLOCK) & 1, 1, "a candidate");
+        assert!(!table.confirm(&cells, first) && table.confirm(&cells, first + 1));
+        for table in &b.local {
+            assert_aligned(table, true);
+        }
+
+        assert_eq!(emitted(&b, &s, &[50.0, 50.0]), vec![0, 1, 2, 4, 5, 6]);
+        assert_eq!(emitted(&b, &s, &[90.0, 90.0]), vec![5]);
+        assert_eq!(emitted(&b, &s, &[40.0, 40.0]), vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(emitted(&b, &s, &[97.0, 97.0]), vec![8]);
+        assert_eq!(emitted(&b, &s, &[70.5, 70.5]), vec![5, 9]);
+        assert!(emitted(&b, &s, &[99.0, 99.0]).is_empty());
     }
 
     #[test]
@@ -1174,7 +1510,8 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut table = MatchTable::new(s.arity());
+            // Raw columns only: all the rank kernel reads.
+            let mut table = MatchTable::new(&s);
             for (id, &(x_lo, x_hi, y_lo, y_hi)) in slots.iter().enumerate() {
                 table.lo[0].push(BOUNDS[x_lo]);
                 table.hi[0].push(BOUNDS[x_hi]);
@@ -1205,13 +1542,109 @@ mod tests {
             }
             prop_assert_eq!(chunk.match_mask(&table, table.len(), u64::MAX), 0, "no such slot");
         }
+
+        /// The two-resolution kernel against the oracle where integer-valued
+        /// tests cannot reach: grids coarser than, equal to and finer than a
+        /// 16-bit cell column, tables on both sides of a block seam, and
+        /// bounds and values that share a grid cell in either order, sit on
+        /// or one ulp off a cell edge, or are the domain's ends (`lo == min`;
+        /// `hi == max`, which quantises into the clamped last cell). The
+        /// domain's span is no power of two, so cell edges round.
+        #[test]
+        fn grid_filter_never_drops_a_match_and_confirm_is_the_oracle(
+            bits in prop_oneof![Just(1u32), Just(10), Just(16), Just(17), Just(31)],
+            arity in prop_oneof![Just(1usize), Just(3), Just(32)],
+            len in prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(130)],
+            seed in any::<u64>(),
+        ) {
+            const DOMAIN: (f64, f64) = (-2.5, 7.5);
+            let mut builder = Schema::builder().bits_per_attribute(bits);
+            for attr in 0..arity {
+                builder = builder.attribute(format!("a{attr}"), DOMAIN.0, DOMAIN.1);
+            }
+            let s = builder.build().unwrap();
+            let mut mix = seed;
+            let mut next = move || {
+                mix = mix.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                mix >> 33
+            };
+            // Three cells per test case — the first, the last and one in
+            // between — that every bound and value is drawn in or next to.
+            let last = s.grid_size() - 1;
+            let anchors = [0, next() % (last + 1), last];
+            let width = (DOMAIN.1 - DOMAIN.0) / s.grid_size() as f64;
+            let mut point = |attr: usize| {
+                let cell = anchors[next() as usize % anchors.len()];
+                let edge = s.dequantize(attr, cell).unwrap();
+                let value = match next() % 8 {
+                    0 => DOMAIN.0,
+                    1 => DOMAIN.1,
+                    2 => edge,
+                    3 => edge.next_down(),
+                    4 => edge.next_up(),
+                    5 => edge + width,
+                    _ => edge + width * (next() % 1024) as f64 / 1024.0,
+                };
+                value.clamp(DOMAIN.0, DOMAIN.1)
+            };
+
+            let mut local = MatchTable::new(&s);
+            let mut routing = MatchTable::new(&s);
+            let mut received = Vec::new();
+            for id in 0..len as u64 {
+                let bounds: Vec<(f64, f64)> = (0..arity)
+                    .map(|attr| {
+                        let (p, q) = (point(attr), point(attr));
+                        (p.min(q), p.max(q))
+                    })
+                    .collect();
+                let fresh = Subscription::from_raw_bounds(&s, id, &bounds).unwrap();
+                local.insert_local(id * 7 % 5, fresh.clone());
+                routing.insert_bounds(routing.len(), &fresh);
+                received.push(fresh);
+            }
+            assert_aligned(&local, true);
+            assert_aligned(&routing, false);
+            for _ in 0..24 {
+                let event = Event::new(&s, (0..arity).map(&mut point).collect()).unwrap();
+                assert_kernel_matches_oracle(&local, &local.handles, &event);
+                assert_kernel_matches_oracle(&routing, &received, &event);
+            }
+        }
     }
 
-    /// Every client `matching_clients` emits for `values`, repeats and all,
-    /// sorted.
-    fn emitted(b: &Broker, values: &[f64]) -> Vec<ClientId> {
+    #[test]
+    fn an_event_without_values_is_a_candidate_of_every_slot_and_of_no_padding() {
+        use serde::{Deserialize, Serialize, Value};
+
+        let s = schema();
+        let mut table = MatchTable::new(&s);
+        for id in 0..3 {
+            table.insert_local(id, sub(&s, id, (10.0, 20.0), (10.0, 20.0)));
+        }
+        // As it deserialises: no `Event::new` counted the values.
+        let Value::Map(mut fields) = Event::new(&s, vec![1.0, 1.0]).unwrap().to_value() else {
+            panic!("an event serialises as a map");
+        };
+        for (name, field) in &mut fields {
+            if name == "values" {
+                *field = Value::Seq(Vec::new());
+            }
+        }
+        let empty = Event::from_value(&Value::Map(fields)).unwrap();
+        assert!(table.handles.iter().all(|handle| handle.matches(&empty)));
+        let cells = EventCells::new(&s, &empty).unwrap();
+        assert_eq!(table.candidates(&cells, 0), 0b111);
+        assert_kernel_matches_oracle(&table, &table.handles, &empty);
+    }
+
+    /// Every client `matching_clients` emits for an event holding `values`,
+    /// repeats and all, sorted.
+    fn emitted(b: &Broker, s: &Schema, values: &[f64]) -> Vec<ClientId> {
+        let event = Event::new(s, values.to_vec()).unwrap();
         let mut out = Vec::new();
-        b.matching_clients(values, |client| out.push(client));
+        let cells = EventCells::new(s, &event).unwrap();
+        b.matching_clients(&cells, |client| out.push(client));
         out.sort_unstable();
         out
     }
@@ -1223,11 +1656,17 @@ mod tests {
         b.add_local(100, sub(&s, 1, (0.0, 50.0), (0.0, 50.0)));
         b.add_local(101, sub(&s, 2, (60.0, 90.0), (60.0, 90.0)));
         b.add_received(0, &sub(&s, 3, (0.0, 10.0), (0.0, 10.0)));
+        let interested = |values: [f64; 2]| {
+            let event = Event::new(&s, values.to_vec()).unwrap();
+            b.neighbor_interested(0, &EventCells::new(&s, &event).unwrap())
+        };
 
-        assert_eq!(emitted(&b, &[5.0, 5.0]), vec![100]);
-        assert!(b.neighbor_interested(0, &[5.0, 5.0]));
-        assert!(!b.neighbor_interested(0, &[99.0, 99.0]));
-        assert!(emitted(&b, &[99.0, 99.0]).is_empty());
+        assert_eq!(emitted(&b, &s, &[5.0, 5.0]), vec![100]);
+        assert!(interested([5.0, 5.0]));
+        assert!(!interested([99.0, 99.0]));
+        // In the cell of the routing entry's upper bound, beyond the bound.
+        assert!(!interested([10.5, 10.5]));
+        assert!(emitted(&b, &s, &[99.0, 99.0]).is_empty());
         assert_eq!(b.routing_table_entries(), 1);
         assert_eq!(b.local_subscriptions(), 2);
     }

@@ -70,7 +70,7 @@ pub mod service;
 pub mod topology;
 pub mod wire;
 
-pub use broker::{Broker, BrokerId, ClientId, EventChunk, LinkIds};
+pub use broker::{Broker, BrokerId, ClientId, EventCells, EventChunk, LinkIds};
 pub use client::{BatchError, BrokerClient};
 pub use error::{BrokerError, ServiceError};
 pub use faults::{FaultPlan, FaultyStream};

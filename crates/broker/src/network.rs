@@ -37,7 +37,7 @@ use acd_covering::ordered::{OrderedReadGuard, RANK_BROKER, RANK_NET_REGISTRY};
 use acd_covering::{CoveringPolicy, OrderedMutex, OrderedRwLock};
 use acd_subscription::{Event, Schema, SubId, Subscription};
 
-use crate::broker::{Broker, BrokerId, ClientId, EventChunk, ForwardDecision};
+use crate::broker::{Broker, BrokerId, ClientId, EventCells, EventChunk, ForwardDecision};
 use crate::error::BrokerError;
 use crate::metrics::{MetricCounters, NetworkMetrics};
 use crate::topology::Topology;
@@ -411,26 +411,28 @@ impl BrokerNetwork {
     /// One event's overlay walk from `at` (a checked broker id): fills the
     /// empty `deliveries` with the sorted pairs and advances
     /// `event_messages` and `deliveries`. The serial kernel: at every
-    /// broker the event is compared with every slot.
+    /// broker the event's grid cells are compared with every slot's, and
+    /// its raw values with the bounds of the few slots the grid leaves.
     // acd-lint: hot
     fn walk(&self, at: BrokerId, event: &Event, deliveries: &mut Vec<(BrokerId, ClientId)>) {
-        // The one schema check of the publish: the match tables hold bare
-        // bounds and compare `values` against them positionally.
-        if event.schema() != &self.schema {
+        // The one schema check and the one quantisation of the publish: the
+        // match tables hold bare bounds and cells and compare the event's
+        // against them positionally. An event without cells (a foreign
+        // schema, a value outside its domain) matches nothing anywhere.
+        let Some(event) = EventCells::new(&self.schema, event) else {
             return;
-        }
-        let values = event.values();
+        };
 
         let mut queue: VecDeque<(BrokerId, Option<BrokerId>)> = VecDeque::new();
         queue.push_back((at, None));
         while let Some((broker_id, from)) = queue.pop_front() {
             let broker = self.cell(broker_id).read();
-            broker.matching_clients(values, |client| deliveries.push((broker_id, client)));
+            broker.matching_clients(&event, |client| deliveries.push((broker_id, client)));
             for &neighbor in self.topology.neighbors(broker_id) {
                 if Some(neighbor) == from {
                     continue;
                 }
-                if broker.neighbor_interested(neighbor, values) {
+                if broker.neighbor_interested(neighbor, &event) {
                     MetricCounters::bump(&self.counters.event_messages);
                     queue.push_back((neighbor, Some(broker_id)));
                 }
@@ -561,10 +563,12 @@ impl BrokerNetwork {
 /// serial walk per event. A rank-space pass costs per slot, not per event,
 /// so its cost per event falls with the chunk while a serial walk costs the
 /// same for each: measured at 10 000 subscriptions (README "Batched publish
-/// execution", the burst-length sweep) the two cross between 9 and 12
-/// events, and 12 is the shortest chunk on which the rank pass never read
-/// behind.
-const SERIAL_BELOW: usize = 12;
+/// execution", the burst-length sweep, with the rank kernel forced on at
+/// every length) rank ÷ serial reads 1.5 at 16 events, 1.0 at 32, 1.1 again
+/// at 33 (a chunk of 33–64 events pays a seventh probe per bound), 1.00–1.01
+/// at 38 and 0.98–0.99 at 39, the shortest chunk on which the rank pass
+/// never read behind.
+const SERIAL_BELOW: usize = 39;
 
 #[cfg(test)]
 mod tests {
@@ -879,7 +883,7 @@ mod tests {
             .build()
             .unwrap();
         let foreign = Event::new(&foreign_schema, vec![0.5]).unwrap();
-        let events: Vec<Event> = (0..150)
+        let events: Vec<Event> = (0..170)
             .map(|i| {
                 let v = (i * 9 % 100) as f64;
                 Event::new(&s, vec![v, v]).unwrap()
@@ -893,7 +897,7 @@ mod tests {
         // Bursts on both sides of `SERIAL_BELOW` and of every chunk seam: a
         // lone event, a chunk one short, full and one over (a one-event
         // serial tail), two chunks one short and one over, and two chunks
-        // plus a 22-event tail that takes the rank kernel again; then the
+        // plus a 42-event tail that takes the rank kernel again; then the
         // foreign-schema event on either path.
         let mut bursts: Vec<&[Event]> = [1, SERIAL_BELOW - 1, SERIAL_BELOW, 63, 64, 65, 127, 129]
             .iter()
@@ -953,6 +957,80 @@ mod tests {
             assert!(batch_net.publish_batch(99, &events).is_err());
             assert_eq!(batch_net.metrics().events_published, before);
         }
+    }
+
+    /// `Event` derives `Deserialize`, so values no constructor checked can
+    /// reach the serial walk, which quantises before it compares: they must
+    /// still get `Subscription::matches`' verdict over the live set.
+    #[test]
+    fn an_event_no_constructor_checked_gets_the_oracles_verdict() {
+        use serde::{Deserialize, Serialize, Value};
+
+        let s = schema();
+        let net = network(Topology::line(3).unwrap(), &s, CoveringPolicy::None);
+        let live = [
+            (0, 10, sub(&s, 1, (0.0, 100.0), (0.0, 100.0))),
+            (1, 20, sub(&s, 2, (0.0, 10.0), (90.0, 100.0))),
+            (2, 30, sub(&s, 3, (40.0, 60.0), (0.0, 50.0))),
+        ];
+        for (at, client, subscription) in &live {
+            net.subscribe(*at, *client, subscription).unwrap();
+        }
+        let deserialised = |values: &[f64]| {
+            let template = Event::new(&s, vec![1.0, 1.0]).unwrap().to_value();
+            let Value::Map(mut fields) = template else {
+                panic!("an event serialises as a map");
+            };
+            for (name, field) in &mut fields {
+                if name == "values" {
+                    *field = values.to_vec().to_value();
+                }
+            }
+            Event::from_value(&Value::Map(fields)).unwrap()
+        };
+        let oracle = |event: &Event| -> Vec<(BrokerId, ClientId)> {
+            let matching = live.iter().filter(|(_, _, sub)| sub.matches(event));
+            matching.map(|&(at, client, _)| (at, client)).collect()
+        };
+        let check = |values: &[f64], expected: &[(BrokerId, ClientId)]| {
+            let event = deserialised(values);
+            assert_eq!(oracle(&event), expected, "the oracle on {values:?}");
+            for at in 0..3 {
+                let before = net.metrics().event_messages;
+                assert_eq!(net.publish(at, &event).unwrap(), expected, "{values:?}");
+                if expected.is_empty() {
+                    assert_eq!(net.metrics().event_messages, before, "{values:?}");
+                }
+                // A two-event burst takes the serial walk as well.
+                let burst = [event.clone(), event.clone()];
+                let lists = net.publish_batch(at, &burst).unwrap();
+                assert!(lists.iter().all(|list| list == expected), "{values:?}");
+            }
+        };
+
+        // A value `Schema::quantize` rejects has no cell. Every stored bound
+        // is inside the domain, so no raw compare could have held either: it
+        // is delivered nowhere and forwarded nowhere.
+        for rejected in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            100.000_1,
+            -0.1,
+            1e300,
+        ] {
+            check(&[rejected, 5.0], &[]);
+            check(&[5.0, rejected], &[]);
+            check(&[rejected], &[]);
+        }
+        // Too few values: matched on the attributes it has, as `matches` zips
+        // them — none at all matches everything.
+        check(&[], &[(0, 10), (1, 20), (2, 30)]);
+        check(&[50.0], &[(0, 10), (2, 30)]);
+        check(&[5.0], &[(0, 10), (1, 20)]);
+        // Too many: the surplus is never read, whatever it holds.
+        check(&[50.0, 25.0, f64::NAN, 7.0], &[(0, 10), (2, 30)]);
+        check(&[5.0, 95.0, -1.0], &[(0, 10), (1, 20)]);
     }
 
     #[test]
