@@ -1,8 +1,10 @@
 //! Criterion bench for E7: subscription-propagation throughput of the broker
 //! overlay under the different covering policies, plus event-delivery
 //! fan-out (which exercises the serial match-table kernel,
-//! `Broker::matching_clients`, through a whole overlay walk) and
-//! `serial_kernel`, that kernel alone over one broker's 10 000 slots, plus
+//! `Broker::matching_clients`, through a whole overlay walk),
+//! `serial_kernel`, that kernel alone over one broker's 10 000 slots, and
+//! `rank_kernel`, the batched one (`Broker::matching_clients_mask` over a
+//! 64-event `EventChunk`) over the same slots, plus
 //! `retraction`: subscribe/unsubscribe pairs on a populated overlay, split
 //! by whether the retracted subscription had been sent (the link may be its
 //! witness for others and must offer those again) or held back (only its
@@ -12,7 +14,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use acd_broker::{Broker, BrokerConfig, EventCells, Topology};
+use acd_broker::{Broker, BrokerConfig, EventCells, EventChunk, Topology};
 use acd_covering::CoveringPolicy;
 use acd_subscription::Subscription;
 use acd_workload::{EventWorkload, Scenario, SubscriptionWorkload};
@@ -95,14 +97,20 @@ fn bench_delivery(c: &mut Criterion) {
     group.finish();
 }
 
-/// The serial kernel alone, at the repo benchmark's scale: one broker
-/// holding 10 000 StockTicker subscriptions of 64 clients, 256 events
-/// quantised and matched one after another. The grid filter's flag loop is
-/// only fast while the compiler turns it into 16-bit vector compares — the
-/// same loop over slices of unknown length measured 2x slower — so a
-/// toolchain that stops doing that shows here, by name, and not as a drift
-/// of `fanout_publish`. Divide by 256 for the cost per event.
-fn bench_serial_kernel(c: &mut Criterion) {
+/// The two local match kernels alone, at the repo benchmark's scale: one
+/// broker holding 10 000 StockTicker subscriptions of 64 clients.
+///
+/// `serial_kernel`: 256 events quantised and matched one after another. The
+/// grid filter's flag loop is only fast while the compiler turns it into
+/// 16-bit vector compares — the same loop over slices of unknown length
+/// measured 2x slower — so a toolchain that stops doing that shows here, by
+/// name, and not as a drift of `fanout_publish`. Divide by 256 for the cost
+/// per event.
+///
+/// `rank_kernel`: the first 64 of those events ranked into one `EventChunk`
+/// (its cell tables filled) and matched against every slot at once, one
+/// table entry per bound. Divide by 64 for the cost per event.
+fn bench_match_kernels(c: &mut Criterion) {
     const EVENTS: usize = 256;
 
     let config = Scenario::StockTicker.workload_config(19);
@@ -126,6 +134,22 @@ fn bench_serial_kernel(c: &mut Criterion) {
                 let cells = EventCells::new(&schema, e).expect("generated under the schema");
                 broker.matching_clients(&cells, |_| delivered += 1);
             }
+            std::hint::black_box(delivered)
+        });
+    });
+    group.finish();
+
+    let chunk = &events[..EventChunk::WIDTH];
+    let mut group = c.benchmark_group("rank_kernel");
+    group.measurement_time(Duration::from_secs(3));
+    group.warm_up_time(Duration::from_secs(1));
+    group.bench_function("matching-clients-mask/10000-slots/64-events", |b| {
+        b.iter(|| {
+            let chunk = EventChunk::new(&schema, chunk);
+            let mut delivered = 0u32;
+            broker.matching_clients_mask(&chunk, chunk.valid(), |_, mask| {
+                delivered += mask.count_ones();
+            });
             std::hint::black_box(delivered)
         });
     });
@@ -209,7 +233,7 @@ criterion_group!(
     benches,
     bench_propagation,
     bench_delivery,
-    bench_serial_kernel,
+    bench_match_kernels,
     bench_retraction
 );
 criterion_main!(benches);

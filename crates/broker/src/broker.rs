@@ -21,15 +21,18 @@
 //! [`Schema::quantize`], so `lo <= v <= hi` implies
 //! `cell(lo) <= cell(v) <= cell(hi)`: the filter never drops a match, and
 //! nothing is reported that the raw compare did not confirm. Batched publish
-//! sorts a chunk of up to 64 events once per attribute and then bisects each
-//! slot's raw bounds into the sorted values (`EventChunk::match_mask`): a
-//! slot costs two binary searches per attribute however many events the
-//! chunk holds. [`Subscription::matches`] is the oracle the tests compare
-//! both with.
+//! goes the other way round, the grid naming ranks: a chunk of up to 64
+//! events is quantised the same way, sorted once per attribute, and
+//! tabulated by cell — each cell's first rank and event count — so a slot's
+//! bound reads its rank off the table at its stored cell
+//! (`EventChunk::match_mask`): one lookup per bound however many events the
+//! chunk holds. By the same monotonicity only events in the bound's own cell
+//! can fall on either side of it, so the raw values are counted only for a
+//! bound that shares a cell with an event and is not its domain's end.
+//! [`Subscription::matches`] is the oracle the tests compare both with.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hint::select_unpredictable;
 
 use acd_covering::{CoveringIndex, CoveringPolicy};
 use acd_subscription::schema::MAX_ATTRIBUTES;
@@ -65,9 +68,10 @@ fn cell_of(coordinate: u64, shift: u32) -> u16 {
     u16::try_from(coordinate >> shift).unwrap_or(u16::MAX)
 }
 
-/// One event prepared for the serial walk: its raw values next to their
-/// 16-bit grid cells — the serial counterpart of [`EventChunk`], built once
-/// per publish and read at every broker the walk visits.
+/// One event prepared for matching: its raw values next to their 16-bit
+/// grid cells, built once per publish and read at every broker the serial
+/// walk visits. An [`EventChunk`] is built from up to 64 of them, so both
+/// kernels take an event as valid on the same terms.
 #[derive(Debug)]
 pub struct EventCells<'a> {
     /// The event's values, cut to the schema's arity: what `confirm`
@@ -122,7 +126,8 @@ struct MatchTable {
     hi: Vec<Vec<f64>>,
     /// `cell_lo[attr][slot]`: the grid cell of `lo[attr][slot]`
     /// (`Subscription::grid_bounds`, as [`cell_of`] narrows it). With
-    /// `cell_hi`, **the filter** [`candidates`](Self::candidates) reads. It
+    /// `cell_hi`, **the filter** [`candidates`](Self::candidates) reads, and
+    /// the keys the rank kernel looks a chunk's ranks up by. The filter
     /// cannot miss: bounds and event values go through the same monotone
     /// `Schema::quantize` and `cell_of`, so `lo <= v <= hi` implies
     /// `cell_lo <= cell(v) <= cell_hi`. Unlike every other column, the cell
@@ -867,31 +872,42 @@ impl Broker {
     }
 }
 
-/// One chunk of at most 64 batched events in **rank space**: per attribute,
-/// the chunk's values sorted ascending and, for every rank `r`, the bitmask
-/// of the events holding the `r` smallest values.
+/// One chunk of at most 64 batched events in **rank space, read through the
+/// grid**: per attribute, the chunk's values sorted ascending, for every rank
+/// `r` the bitmask of the events holding the `r` smallest values, and a
+/// table naming, for every grid cell, the rank of its first event and how
+/// many events it holds.
 ///
 /// The events one slot's `[lo, hi]` admits on one attribute are a contiguous
-/// range of ranks, so the batched publish path
-/// ([`BrokerNetwork::publish_batch`]) finds them with two binary searches
-/// into the sorted values and one `prefix[upto] & !prefix[below]` — the
-/// paper's move, a few searches into a sorted array in place of `n`
-/// comparisons, applied to the events of a burst. A slot costs the same
-/// whether the chunk holds 16 events or 64, where the serial kernel (one
-/// event against 64 slots) compares every slot with every event. The
-/// per-event schema check is hoisted into the `valid` mask: an event of a
-/// foreign schema enters no rank table and so matches nothing — exactly the
-/// verdict `Subscription::matches` gives it.
+/// range of ranks, `below = #{v < lo}` up to `upto = #{v <= hi}`, taken as
+/// `prefix[upto] & !prefix[below]` — the paper's move, a lookup on a
+/// quantised grid in place of `n` comparisons, applied to the events of a
+/// burst. The batched publish path ([`BrokerNetwork::publish_batch`]) reads
+/// both counts off the cell table at the slot's stored cells (`cell_lo`,
+/// `cell_hi`), so a bound costs one table entry however many events the
+/// chunk holds. *Exact because cells are monotone*: `v < lo` for every event
+/// in a cell below `cell(lo)` and for none above it, so only events sharing
+/// the bound's cell are ambiguous — and not even those when the bound is its
+/// domain's end (no valid value lies below the minimum or above the
+/// maximum). A slot with an ambiguous bound over an event that the cells
+/// leave in its mask takes a cold path that counts that cell's raw values.
+///
+/// A chunk event is valid on the serial walk's terms ([`EventCells::new`]):
+/// an event of a foreign schema, or with a value `Schema::quantize` rejects,
+/// enters no table and matches nothing; one with too few values is admitted
+/// on every attribute it lacks; surplus values are never read — the
+/// verdicts `Subscription::matches` gives.
 ///
 /// [`BrokerNetwork::publish_batch`]: crate::BrokerNetwork::publish_batch
 #[derive(Debug)]
 pub struct EventChunk {
-    /// Bits of the chunk events that follow the expected schema.
+    /// Bits of the chunk events that are valid: the events a walk starts
+    /// with.
     valid: u64,
-    /// The chunk length rounded up to a power of two: how much of each
-    /// sorted column a bisection spans, so a 9-event chunk pays 5 probes
-    /// per bound where a 64-event chunk pays 7.
-    span: usize,
+    /// How far a match table's 16-bit cell is shifted right to index a cell
+    /// table, so that no table has more than `2^TABLE_BITS` entries: a
+    /// coarser cell is still monotone in the value.
+    narrow: u32,
     /// One rank table per schema attribute.
     ranks: Vec<RankColumn>,
 }
@@ -899,74 +915,132 @@ pub struct EventChunk {
 /// One attribute of an [`EventChunk`].
 #[derive(Debug)]
 struct RankColumn {
-    /// The attribute's values over the chunk's valid events, ascending,
+    /// The attribute's domain. A lower bound equal to `min` has no valid
+    /// value below it, an upper bound equal to `max` none above it.
+    min: f64,
+    max: f64,
+    /// Valid events with no value for the attribute (a deserialised event
+    /// with too few values): every slot admits them on it.
+    absent: u64,
+    /// The attribute's values over the other valid events, ascending,
     /// padded with `+inf` (which no bit of `prefix` stands for).
     sorted: [f64; EventChunk::WIDTH],
     /// `prefix[r]`: the events holding the `r` smallest values. Constant
-    /// (every valid event) from the number of valid events on.
+    /// (every ranked event) from the number of ranked events on.
     prefix: [u64; EventChunk::WIDTH + 1],
+    /// `cells[c]`: the rank of the first event in (narrowed) cell `c`, in
+    /// the low byte, and the number of events in the cell, in the high one —
+    /// `RANK | COUNT << 8`, both at most 64.
+    cells: Vec<u16>,
 }
 
 impl RankColumn {
-    /// Ranks attribute `attr` of the `events` whose `valid` bit is set.
-    fn new(events: &[Event], valid: u64, attr: usize) -> RankColumn {
-        // (value, the event's bit); the padding sorts last and has no bit.
-        let mut order = [(f64::INFINITY, 0u64); EventChunk::WIDTH];
-        let values = events
-            .iter()
-            .enumerate()
-            .filter(|&(bit, _)| valid >> bit & 1 == 1)
-            .filter_map(|(bit, event)| Some((*event.values().get(attr)?, 1u64 << bit)));
-        for (entry, value) in order.iter_mut().zip(values) {
-            *entry = value;
-        }
-        // Event values are finite, so `total_cmp` refines `<`: it only adds
-        // an order between -0.0 and 0.0, which no bisection can tell apart.
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    /// Ranks attribute `attr` of the valid chunk events (`events[i]` is chunk
+    /// event `i`, `None` where it is not valid) and tabulates their cells,
+    /// shifted right by `narrow`, over a table of `cells` entries.
+    fn new(
+        schema: &Schema,
+        events: &[Option<EventCells<'_>>],
+        attr: usize,
+        narrow: u32,
+        cells: usize,
+    ) -> RankColumn {
+        let domain = schema.attributes().get(attr);
         let mut column = RankColumn {
+            min: domain.map_or(f64::NEG_INFINITY, |def| def.min()),
+            max: domain.map_or(f64::INFINITY, |def| def.max()),
+            absent: 0,
             sorted: [f64::INFINITY; EventChunk::WIDTH],
             prefix: [0; EventChunk::WIDTH + 1],
+            cells: vec![0; cells],
         };
+        // (value, narrowed cell, the event's bit); the padding sorts last
+        // and has no bit.
+        let mut order = [(f64::INFINITY, 0u16, 0u64); EventChunk::WIDTH];
+        let mut ranked = 0;
+        for (bit, event) in events.iter().enumerate() {
+            let Some(event) = event else {
+                continue;
+            };
+            match (event.values.get(attr), event.cells().get(attr)) {
+                (Some(&value), Some(&cell)) => {
+                    if let Some(entry) = order.get_mut(ranked) {
+                        *entry = (value, cell >> narrow, 1 << bit);
+                        ranked += 1;
+                    }
+                }
+                _ => column.absent |= 1 << bit,
+            }
+        }
+        // Valid values are finite, so `total_cmp` refines `<`: it only adds
+        // an order between -0.0 and 0.0, which no count tells apart. Cells
+        // are monotone in the value, so each cell's events end up adjacent.
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         let mut seen = 0u64;
-        let ranked = column
+        let ranks = column
             .sorted
             .iter_mut()
             .zip(column.prefix.iter_mut().skip(1));
-        for (&(value, bit), (sorted, prefix)) in order.iter().zip(ranked) {
+        for (&(value, _, bit), (sorted, prefix)) in order.iter().zip(ranks) {
             seen |= bit;
             *sorted = value;
             *prefix = seen;
         }
+        let (mut rank, mut next) = (0u16, 0usize);
+        let order = order.get(..ranked).unwrap_or_default();
+        for run in order.chunk_by(|a, b| a.1 == b.1) {
+            let (&[(_, cell, _), ..], Ok(count)) = (run, u16::try_from(run.len())) else {
+                continue; // chunk_by yields no empty run; a run is <= 64 long
+            };
+            let cell = usize::from(cell);
+            // The cells since the last occupied one hold no event.
+            if let Some(empty) = column.cells.get_mut(next..cell) {
+                empty.fill(rank);
+            }
+            if let Some(entry) = column.cells.get_mut(cell) {
+                *entry = rank | count << 8;
+            }
+            rank += count;
+            next = cell + 1;
+        }
+        if let Some(empty) = column.cells.get_mut(next..) {
+            empty.fill(rank);
+        }
         column
     }
 
-    /// The events whose value lies in `[lo, hi]`, both ends inclusive: the
-    /// ranks from `below = #{v < lo}` up to `upto = #{v <= hi}`, each count
-    /// found by a branch-free bisection over the first `span` (a power of
-    /// two) sorted values. The counts use the oracle's own comparisons, so
-    /// ties, values equal to a bound, `-0.0` against `0.0` and infinite
-    /// bounds need no special case; `& !` rather than `^`, so that even
+    /// The table entry of the (16-bit) cell `cell`, narrowed by `narrow`.
+    // acd-lint: hot
+    #[inline]
+    fn entry(&self, cell: u16, narrow: u32) -> u16 {
+        // The table spans every narrowed cell, so this never misses.
+        self.cells
+            .get(usize::from(cell >> narrow))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// The events ranked from `below` up to (not including) `upto`, plus the
+    /// events lacking the attribute. `& !` rather than `^`, so that even
     /// inverted bounds (`upto < below`; no table stores them) read 0, as the
     /// compare does.
     // acd-lint: hot
     #[inline]
-    fn in_range(&self, span: usize, lo: f64, hi: f64) -> u64 {
-        // Masked into the array, so `get` never misses and costs no branch.
-        let value = |rank: usize| {
-            let rank = rank & (EventChunk::WIDTH - 1);
-            self.sorted.get(rank).copied().unwrap_or(f64::INFINITY)
-        };
-        let (mut below, mut upto) = (0, 0);
-        let mut step = span;
-        while step > 1 {
-            step /= 2;
-            below = select_unpredictable(value(below + step - 1) < lo, below + step, below);
-            upto = select_unpredictable(value(upto + step - 1) <= hi, upto + step, upto);
-        }
-        below += usize::from(value(below) < lo);
-        upto += usize::from(value(upto) <= hi);
-        let prefix = |rank: usize| self.prefix.get(rank).copied().unwrap_or(0);
-        prefix(upto) & !prefix(below)
+    fn between(&self, below: u16, upto: u16) -> u64 {
+        let prefix = |rank: u16| self.prefix.get(usize::from(rank)).copied().unwrap_or(0);
+        prefix(upto) & !prefix(below) | self.absent
+    }
+
+    /// The exact rank count of the cold path: `entry`'s first rank plus how
+    /// many of its cell's values satisfy `counted` — the oracle's own
+    /// comparison, so ties, values equal to the bound and `-0.0` against
+    /// `0.0` need no special case.
+    // acd-lint: hot
+    fn count(&self, entry: u16, counted: impl Fn(f64) -> bool) -> u16 {
+        let (first, events) = (entry & EventChunk::RANK, entry >> 8);
+        let cell = self.sorted.iter().skip(usize::from(first));
+        let inside = cell.take(usize::from(events)).filter(|&&v| counted(v));
+        first + inside.count() as u16
     }
 }
 
@@ -974,51 +1048,109 @@ impl EventChunk {
     /// Events per chunk: one bit of the match mask each.
     pub const WIDTH: usize = 64;
 
-    /// Ranks `events` (at most [`WIDTH`](Self::WIDTH) of them; chunk event
-    /// `i` is `events[i]`) attribute by attribute. Events that do not
-    /// follow `schema` keep their bit position but are left out of every
-    /// table.
+    /// The most cells a cell table spans, as a power of two: 8 KiB of
+    /// entries per attribute.
+    const TABLE_BITS: u32 = 12;
+    /// The rank byte of a cell-table entry.
+    const RANK: u16 = 0xFF;
+
+    /// Quantises `events` (at most [`WIDTH`](Self::WIDTH) of them; chunk
+    /// event `i` is `events[i]`) under `schema` — the schema the match tables
+    /// were filled under — and ranks them attribute by attribute. An event
+    /// [`EventCells::new`] refuses keeps its bit position but is left out of
+    /// every table.
     pub fn new(schema: &Schema, events: &[Event]) -> EventChunk {
         debug_assert!(events.len() <= Self::WIDTH);
-        let events = events.get(..Self::WIDTH).unwrap_or(events);
+        let cells: [Option<EventCells<'_>>; Self::WIDTH] =
+            std::array::from_fn(|i| EventCells::new(schema, events.get(i)?));
         let mut valid = 0u64;
-        for (bit, event) in events.iter().enumerate() {
-            valid |= u64::from(event.schema() == schema) << bit;
+        for (bit, event) in cells.iter().enumerate() {
+            valid |= u64::from(event.is_some()) << bit;
         }
+        // The match tables' cells have `bits - cell_shift` bits.
+        let cell_bits = schema.bits_per_attribute() - cell_shift(schema);
+        let narrow = cell_bits.saturating_sub(Self::TABLE_BITS);
+        let table = 1 << (cell_bits - narrow);
         EventChunk {
             valid,
-            span: events.len().next_power_of_two(),
+            narrow,
             ranks: (0..schema.arity())
-                .map(|attr| RankColumn::new(events, valid, attr))
+                .map(|attr| RankColumn::new(schema, &cells, attr, narrow, table))
                 .collect(),
         }
     }
 
-    /// The mask with one bit set per chunk event that follows the schema:
-    /// the events a walk starts with.
+    /// The mask with one bit set per valid chunk event: the events a walk
+    /// starts with.
     pub fn valid(&self) -> u64 {
         self.valid
     }
 
     /// The 64-event x one-slot kernel: the bitmask of `active` chunk events
     /// that satisfy every range bound of `table`'s slot `slot` (0 when the
-    /// slot does not exist). Every subscription stored in a [`Broker`] was
-    /// validated against the same schema as the chunk's events at subscribe
-    /// time. Two bisections per attribute, short-circuiting once the mask
-    /// is empty; no rank table holds a foreign-schema event, so the result
-    /// never does either, whatever `active` says.
+    /// slot does not exist) — bit for bit what `lo <= v && v <= hi` gives.
+    /// Every subscription stored in a [`Broker`] was validated against the
+    /// same schema as the chunk's events at subscribe time. One cell-table
+    /// entry per bound: `below` is the rank of `cell(lo)`'s first event and
+    /// `upto` the rank after `cell(hi)`'s last, which can only widen the
+    /// range, and is exact unless an event shares the bound's cell and the
+    /// bound is not its domain's end. A slot with such a bound whose mask
+    /// is not already empty goes to [`exact_mask`](Self::exact_mask); the
+    /// branch is per slot and rarely taken. No table holds an invalid
+    /// event, so the result never does either, whatever `active` says.
     // acd-lint: hot
     #[inline]
     fn match_mask(&self, table: &MatchTable, slot: usize, active: u64) -> u64 {
         let mut mask = active;
-        for ((lo, hi), column) in table.lo.iter().zip(&table.hi).zip(&self.ranks) {
-            if mask == 0 {
-                break;
-            }
-            let (Some(&lo), Some(&hi)) = (lo.get(slot), hi.get(slot)) else {
+        let mut unsure = false;
+        let raw = table.lo.iter().zip(&table.hi);
+        let cells = table.cell_lo.iter().zip(&table.cell_hi);
+        for (((lo, hi), (cell_lo, cell_hi)), column) in raw.zip(cells).zip(&self.ranks) {
+            let (Some(&lo), Some(&hi), Some(&cell_lo), Some(&cell_hi)) = (
+                lo.get(slot),
+                hi.get(slot),
+                cell_lo.get(slot),
+                cell_hi.get(slot),
+            ) else {
                 return 0;
             };
-            mask &= column.in_range(self.span, lo, hi);
+            let low = column.entry(cell_lo, self.narrow);
+            let high = column.entry(cell_hi, self.narrow);
+            mask &= column.between(low & Self::RANK, (high & Self::RANK) + (high >> 8));
+            unsure |=
+                (low > Self::RANK) & (lo > column.min) | (high > Self::RANK) & (hi < column.max);
+        }
+        if unsure && mask != 0 {
+            self.exact_mask(table, slot, mask)
+        } else {
+            mask
+        }
+    }
+
+    /// [`match_mask`](Self::match_mask) for a slot the cell tables leave
+    /// ambiguous, narrowing `active` (the events the cells admit): each
+    /// bound's rank is counted exactly over the raw values of its cell. (The
+    /// two loops are written out: one iterator over a slot's bounds, shared
+    /// by both, made the whole chunk walk 15 % slower.)
+    // acd-lint: hot
+    #[cold]
+    #[inline(never)]
+    fn exact_mask(&self, table: &MatchTable, slot: usize, active: u64) -> u64 {
+        let mut mask = active;
+        let raw = table.lo.iter().zip(&table.hi);
+        let cells = table.cell_lo.iter().zip(&table.cell_hi);
+        for (((lo, hi), (cell_lo, cell_hi)), column) in raw.zip(cells).zip(&self.ranks) {
+            let (Some(&lo), Some(&hi), Some(&cell_lo), Some(&cell_hi)) = (
+                lo.get(slot),
+                hi.get(slot),
+                cell_lo.get(slot),
+                cell_hi.get(slot),
+            ) else {
+                return 0;
+            };
+            let below = column.count(column.entry(cell_lo, self.narrow), |v| v < lo);
+            let upto = column.count(column.entry(cell_hi, self.narrow), |v| v <= hi);
+            mask &= column.between(below, upto);
         }
         mask
     }
@@ -1459,88 +1591,159 @@ mod tests {
         assert_eq!(b.routing_table_entries(), 2);
     }
 
-    /// Event values of the kernel test: few, so a chunk is full of ties, and
-    /// both zeros.
-    const VALUES: [f64; 7] = [-4.0, -1.5, -0.0, 0.0, 1.0, 2.5, 4.0];
-    /// Its bounds: every value (a bound equal to a value, `lo == hi`), one
-    /// strictly between two, and both infinities.
-    const BOUNDS: [f64; 10] = [
-        f64::NEG_INFINITY,
-        -4.0,
-        -1.5,
-        -0.0,
-        0.0,
-        0.5,
-        1.0,
-        2.5,
-        4.0,
-        f64::INFINITY,
-    ];
+    /// An event of `s` holding `values` as it deserialises: no `Event::new`
+    /// counted or checked them.
+    fn unchecked(s: &Schema, values: &[f64]) -> Event {
+        use serde::{Deserialize, Serialize, Value};
+
+        let minimum = s.attributes().iter().map(|def| def.min()).collect();
+        let Value::Map(mut fields) = Event::new(s, minimum).unwrap().to_value() else {
+            panic!("an event serialises as a map");
+        };
+        for (name, field) in &mut fields {
+            if name == "values" {
+                *field = values.to_vec().to_value();
+            }
+        }
+        Event::from_value(&Value::Map(fields)).unwrap()
+    }
 
     proptest! {
-        /// `EventChunk::match_mask` against the comparison it replaces, bit
-        /// by bit: chunks of every length with a random subset of
-        /// foreign-schema events (whose values no rank table may read),
-        /// slots whose bounds sit on, between and beyond the values —
-        /// inverted ones included, which match nothing.
+        /// `EventChunk::match_mask` against the compare it replaces and
+        /// against `Subscription::matches`, bit by bit, on tables filled the
+        /// way a broker fills them. Bounds and values are drawn in or next to
+        /// a few anchor cells — the first, the last, the cell starting at
+        /// `0.0`, one at random and one starting a narrowed table cell — so a
+        /// chunk holds many events per cell, ties and both zeros: on the cell
+        /// edge, one ulp either side, the next edge, inside the cell, or the
+        /// domain's ends. Grids of 1 / 10 / 12 / 13 / 16 / 17 / 31 bits take
+        /// the cell tables unnarrowed and narrowed; chunks mix valid events
+        /// with foreign-schema ones, ones holding a value `quantize` rejects
+        /// (which match nothing), short ones (admitted on the attributes they
+        /// lack) and ones with a surplus value (never read).
         #[test]
         fn rank_kernel_matches_the_compare_oracle(
+            bits in prop_oneof![
+                Just(1u32), Just(10), Just(12), Just(13), Just(16), Just(17), Just(31)
+            ],
+            arity in prop_oneof![Just(1usize), Just(3)],
             len in prop_oneof![Just(1usize), Just(63), Just(64), 1usize..65],
-            picks in prop::collection::vec((0..VALUES.len(), 0..VALUES.len(), any::<bool>()), 64),
-            slots in prop::collection::vec(
-                (0..BOUNDS.len(), 0..BOUNDS.len(), 0..BOUNDS.len(), 0..BOUNDS.len()),
-                1..40,
-            ),
-            all_valid in any::<bool>(),
+            slots in 1usize..80,
+            seed in any::<u64>(),
             active in any::<u64>(),
         ) {
-            let s = Schema::builder()
-                .attribute("x", -4.0, 4.0)
-                .attribute("y", -4.0, 4.0)
-                .build()
-                .unwrap();
+            const DOMAIN: (f64, f64) = (-2.5, 7.5);
+            let mut builder = Schema::builder().bits_per_attribute(bits);
+            for attr in 0..arity {
+                builder = builder.attribute(format!("a{attr}"), DOMAIN.0, DOMAIN.1);
+            }
+            let s = builder.build().unwrap();
             let foreign = Schema::builder().attribute("z", 0.0, 1.0).build().unwrap();
-            let events: Vec<Event> = picks[..len]
-                .iter()
-                .map(|&(x, y, valid)| {
-                    if valid || all_valid {
-                        Event::new(&s, vec![VALUES[x], VALUES[y]]).unwrap()
-                    } else {
-                        Event::new(&foreign, vec![0.5]).unwrap()
+            let lcg = |mut mix: u64| {
+                move || {
+                    mix = mix.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    mix >> 33
+                }
+            };
+            // One stream for the points, one for what kind of event to make.
+            let (mut next, mut pick) = (lcg(seed), lcg(!seed));
+            let last = s.grid_size() - 1;
+            // Grid cells per cell-table entry once the table is narrowed.
+            let entry = 1 << bits.saturating_sub(EventChunk::TABLE_BITS);
+            let anchors = [
+                0,
+                last,
+                s.grid_size() / 4, // starts at 0.0
+                next() % (last + 1),
+                next() % (last + 1) / entry * entry,
+            ];
+            let width = (DOMAIN.1 - DOMAIN.0) / s.grid_size() as f64;
+            let mut point = |attr: usize| {
+                let cell = anchors[next() as usize % anchors.len()];
+                let edge = s.dequantize(attr, cell).unwrap();
+                let value = match next() % 10 {
+                    0 => DOMAIN.0,
+                    1 => DOMAIN.1,
+                    2 => edge,
+                    3 => edge.next_down(),
+                    4 => edge.next_up(),
+                    5 => edge + width,
+                    6 => -0.0,
+                    7 => 0.0,
+                    _ => edge + width * (next() % 1024) as f64 / 1024.0,
+                };
+                value.clamp(DOMAIN.0, DOMAIN.1)
+            };
+
+            let mut local = MatchTable::new(&s);
+            let mut routing = MatchTable::new(&s);
+            let mut received = Vec::new();
+            for id in 0..slots as u64 {
+                let bounds: Vec<(f64, f64)> = (0..arity)
+                    .map(|attr| {
+                        let (p, q) = (point(attr), point(attr));
+                        (p.min(q), p.max(q))
+                    })
+                    .collect();
+                let fresh = Subscription::from_raw_bounds(&s, id, &bounds).unwrap();
+                local.insert_local(id % 5, fresh.clone());
+                routing.insert_bounds(routing.len(), &fresh);
+                received.push(fresh);
+            }
+            let events: Vec<Event> = (0..len)
+                .map(|_| {
+                    let mut values: Vec<f64> = (0..arity).map(&mut point).collect();
+                    match pick() % 10 {
+                        0 => Event::new(&foreign, vec![0.5]).unwrap(),
+                        1 => {
+                            let rejected = [f64::NAN, f64::INFINITY, DOMAIN.1.next_up(), -2.6];
+                            values[pick() as usize % arity] = rejected[pick() as usize % 4];
+                            unchecked(&s, &values)
+                        }
+                        2 => unchecked(&s, &values[..pick() as usize % arity]),
+                        3 => {
+                            values.push(f64::NAN);
+                            unchecked(&s, &values)
+                        }
+                        _ => Event::new(&s, values).unwrap(),
                     }
                 })
                 .collect();
-            // Raw columns only: all the rank kernel reads.
-            let mut table = MatchTable::new(&s);
-            for (id, &(x_lo, x_hi, y_lo, y_hi)) in slots.iter().enumerate() {
-                table.lo[0].push(BOUNDS[x_lo]);
-                table.hi[0].push(BOUNDS[x_hi]);
-                table.lo[1].push(BOUNDS[y_lo]);
-                table.hi[1].push(BOUNDS[y_hi]);
-                table.ids.push(id as SubId);
-            }
 
             let chunk = EventChunk::new(&s, &events);
-            for slot in 0..table.len() {
-                let mut expected = 0u64;
-                for (bit, event) in events.iter().enumerate() {
-                    let inside = event.schema() == &s
-                        && bounds_at(&table, slot)
-                            .iter()
-                            .zip(event.values())
-                            .all(|(&(lo, hi), &v)| lo <= v && v <= hi);
-                    expected |= u64::from(inside) << bit;
-                }
-                prop_assert_eq!(
-                    chunk.match_mask(&table, slot, active),
-                    expected & active,
-                    "slot {} of {:?}, {} events",
-                    slot,
-                    bounds_at(&table, slot),
-                    len
-                );
+            let mut valid = 0u64;
+            for (bit, event) in events.iter().enumerate() {
+                let values = event.values().iter().take(arity).enumerate();
+                let quantised = values.map(|(attr, &v)| s.quantize(attr, v)).all(|c| c.is_ok());
+                valid |= u64::from(event.schema() == &s && quantised) << bit;
             }
-            prop_assert_eq!(chunk.match_mask(&table, table.len(), u64::MAX), 0, "no such slot");
+            prop_assert_eq!(chunk.valid(), valid);
+            for (table, stored) in [(&local, &local.handles), (&routing, &received)] {
+                for (slot, subscription) in stored.iter().enumerate() {
+                    let (mut compared, mut matched) = (0u64, 0u64);
+                    for (bit, event) in events.iter().enumerate() {
+                        let inside = event.schema() == &s
+                            && bounds_at(table, slot)
+                                .iter()
+                                .zip(event.values())
+                                .all(|(&(lo, hi), &v)| lo <= v && v <= hi);
+                        compared |= u64::from(inside) << bit;
+                        matched |= u64::from(subscription.matches(event)) << bit;
+                    }
+                    prop_assert_eq!(compared, matched, "the compare is the oracle");
+                    prop_assert_eq!(
+                        chunk.match_mask(table, slot, active),
+                        compared & active,
+                        "slot {} of {}, {} / {} events, {} bits",
+                        slot,
+                        table.len(),
+                        subscription,
+                        len,
+                        bits
+                    );
+                }
+                prop_assert_eq!(chunk.match_mask(table, table.len(), u64::MAX), 0, "no such slot");
+            }
         }
 
         /// The two-resolution kernel against the oracle where integer-valued
@@ -1615,23 +1818,12 @@ mod tests {
 
     #[test]
     fn an_event_without_values_is_a_candidate_of_every_slot_and_of_no_padding() {
-        use serde::{Deserialize, Serialize, Value};
-
         let s = schema();
         let mut table = MatchTable::new(&s);
         for id in 0..3 {
             table.insert_local(id, sub(&s, id, (10.0, 20.0), (10.0, 20.0)));
         }
-        // As it deserialises: no `Event::new` counted the values.
-        let Value::Map(mut fields) = Event::new(&s, vec![1.0, 1.0]).unwrap().to_value() else {
-            panic!("an event serialises as a map");
-        };
-        for (name, field) in &mut fields {
-            if name == "values" {
-                *field = Value::Seq(Vec::new());
-            }
-        }
-        let empty = Event::from_value(&Value::Map(fields)).unwrap();
+        let empty = unchecked(&s, &[]);
         assert!(table.handles.iter().all(|handle| handle.matches(&empty)));
         let cells = EventCells::new(&s, &empty).unwrap();
         assert_eq!(table.candidates(&cells, 0), 0b111);

@@ -458,8 +458,9 @@ impl BrokerNetwork {
     /// overlay walk: every broker on the chunk's propagation subtree is
     /// read-locked once per chunk instead of once per event, and matching
     /// inside a broker runs in rank space — the chunk's values are sorted
-    /// once and every slot's bounds are bisected into them, so a slot costs
-    /// the same however many events the chunk holds (see [`EventChunk`],
+    /// and tabulated by grid cell once, and every slot's stored cells read
+    /// their ranks off that table, so a slot costs the same however many
+    /// events the chunk holds (see [`EventChunk`],
     /// [`Broker::matching_clients_mask`] and
     /// [`Broker::neighbor_interested_mask`]). The BFS frontier carries the
     /// per-link *active mask* of chunk events, which shrinks as propagation
@@ -562,13 +563,13 @@ impl BrokerNetwork {
 /// The chunk length below which [`BrokerNetwork::publish_batch`] runs the
 /// serial walk per event. A rank-space pass costs per slot, not per event,
 /// so its cost per event falls with the chunk while a serial walk costs the
-/// same for each: measured at 10 000 subscriptions (README "Batched publish
-/// execution", the burst-length sweep, with the rank kernel forced on at
-/// every length) rank ÷ serial reads 1.5 at 16 events, 1.0 at 32, 1.1 again
-/// at 33 (a chunk of 33–64 events pays a seventh probe per bound), 1.00–1.01
-/// at 38 and 0.98–0.99 at 39, the shortest chunk on which the rank pass
-/// never read behind.
-const SERIAL_BELOW: usize = 39;
+/// same for each: measured at 10 000 subscriptions over 64 clients (README
+/// "Batched publish execution", the burst-length sweep, with the rank kernel
+/// forced on at every length) rank ÷ serial reads 1.5 at 8 events, 1.08 at
+/// 12, 1.02–1.15 at 13 and 0.96–0.99 at 14, the shortest chunk on which the
+/// rank pass never read behind. With one client per subscription the curves
+/// cross lower, between 4 and 6.
+const SERIAL_BELOW: usize = 14;
 
 #[cfg(test)]
 mod tests {
@@ -960,8 +961,9 @@ mod tests {
     }
 
     /// `Event` derives `Deserialize`, so values no constructor checked can
-    /// reach the serial walk, which quantises before it compares: they must
-    /// still get `Subscription::matches`' verdict over the live set.
+    /// reach the serial walk and the rank kernel, which both quantise before
+    /// they compare: they must still get `Subscription::matches`' verdict
+    /// over the live set.
     #[test]
     fn an_event_no_constructor_checked_gets_the_oracles_verdict() {
         use serde::{Deserialize, Serialize, Value};
@@ -992,19 +994,44 @@ mod tests {
             let matching = live.iter().filter(|(_, _, sub)| sub.matches(event));
             matching.map(|&(at, client, _)| (at, client)).collect()
         };
+        // A checked event the bursts below interleave with the unchecked one.
+        let plain = Event::new(&s, vec![50.0, 5.0]).unwrap();
+        let messages = || net.metrics().event_messages;
         let check = |values: &[f64], expected: &[(BrokerId, ClientId)]| {
             let event = deserialised(values);
             assert_eq!(oracle(&event), expected, "the oracle on {values:?}");
             for at in 0..3 {
-                let before = net.metrics().event_messages;
+                let before = messages();
                 assert_eq!(net.publish(at, &event).unwrap(), expected, "{values:?}");
+                let crossings = messages() - before;
                 if expected.is_empty() {
-                    assert_eq!(net.metrics().event_messages, before, "{values:?}");
+                    assert_eq!(crossings, 0, "{values:?}");
                 }
-                // A two-event burst takes the serial walk as well.
-                let burst = [event.clone(), event.clone()];
-                let lists = net.publish_batch(at, &burst).unwrap();
-                assert!(lists.iter().all(|list| list == expected), "{values:?}");
+                let before = messages();
+                assert_eq!(net.publish(at, &plain).unwrap(), oracle(&plain));
+                let plain_crossings = messages() - before;
+                // Alternating with the checked event: a two-event burst takes
+                // the serial walk, `SERIAL_BELOW` events and a full chunk the
+                // rank kernel. Each lane keeps its own verdict, and the links
+                // are crossed as often as the serial loop crosses them.
+                for len in [2, SERIAL_BELOW, EventChunk::WIDTH] {
+                    let burst: Vec<Event> = (0..len)
+                        .map(|i| if i % 2 == 0 { &event } else { &plain }.clone())
+                        .collect();
+                    let before = messages();
+                    let lists = net.publish_batch(at, &burst).unwrap();
+                    for (i, list) in lists.iter().enumerate() {
+                        let own = if i % 2 == 0 {
+                            expected
+                        } else {
+                            &oracle(&plain)[..]
+                        };
+                        assert_eq!(list, own, "{values:?}, lane {i} of {len}");
+                    }
+                    let pairs = len as u64 / 2;
+                    let serial = pairs * (crossings + plain_crossings);
+                    assert_eq!(messages() - before, serial, "{values:?}, {len} events");
+                }
             }
         };
 

@@ -16,8 +16,9 @@
 //! lands, which is why the restriction stays on the covering policy). Under
 //! `CoveringPolicy::None` nothing is held back, the oracle is exact for any
 //! value, and a third of the cases draw bounds and values in quarter steps:
-//! four to a cell, so the serial kernel's grid filter passes slots that only
-//! the raw compare can tell apart.
+//! four to a cell, so the serial kernel's grid filter passes, and the rank
+//! kernel's cell tables leave ambiguous, slots that only the raw compare can
+//! tell apart.
 
 use acd_broker::{BrokerConfig, BrokerId, BrokerNetwork, ClientId, Topology};
 use acd_covering::CoveringPolicy;
@@ -31,7 +32,7 @@ const BROKERS: usize = 3;
 
 /// `BrokerNetwork::publish_batch`'s crossover: a chunk shorter than this
 /// takes the serial walk. Private there, so mirrored here.
-const SERIAL_BELOW: usize = 39;
+const SERIAL_BELOW: usize = 14;
 
 /// How a case draws its bounds and values: whole cells, or four steps to a
 /// cell (only where no covering policy suppresses anything).
