@@ -1,7 +1,7 @@
 //! `hot-path-alloc`: no allocating calls in functions marked hot.
 //!
 //! The covering-detection hot paths (the sweep inner loop, `SweepCursor`
-//! stepping, BIGMIN seeking, `Broker::publish` fan-out) were made
+//! stepping, the orthant seek, `Broker::publish` fan-out) were made
 //! allocation-free in earlier work; this lint keeps them that way. A
 //! function is opted in with a `// acd-lint: hot` marker comment directly
 //! above it; inside the marked function's body the lint flags:

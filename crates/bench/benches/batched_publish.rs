@@ -13,8 +13,7 @@
 //! delivery. At 10 000 subscriptions the burst length
 //! varies: a rank-space pass costs per slot, not per event, so it pays from
 //! some length on — the evidence for `publish_batch`'s short-chunk
-//! crossover. Divide a row by its burst length for the per-event cost README
-//! "Batched publish execution" records.
+//! crossover that README "Batched publish execution" records.
 //!
 //! A second group, `deliveries_codec`, times what follows the walk on either
 //! path: `encode_frame` and `read_frame` over one event's `Deliveries` — the

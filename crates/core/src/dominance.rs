@@ -31,12 +31,21 @@
 //! probes — sub-linear in practice — while returning the *exact* answer for
 //! both exhaustive and ε-approximate modes (a completed sweep has searched
 //! the entire region).
+//!
+//! On the Z curve with keys of at most 128 bits (every subscription schema
+//! the daemon serves) the sweep runs on packed keys: the gallop reads `u128`
+//! key values straight from the array's packed mirror
+//! ([`acd_sfc::SweepCursor::next_packed_at_or_after`]), and a gap jump is
+//! the closed-form orthant seek ([`acd_sfc::OrthantSeeker`], `d` masked
+//! compares). Nothing is built per query beyond the query's own key: no
+//! region, rectangle or decomposition stream. The Hilbert and Gray curves,
+//! and wider keys, sweep with the seekable [`RunStream`] instead.
 
 use std::fmt;
 
 use acd_sfc::{
-    ExtremalCubes, ExtremalRect, Key, KeyRange, Point, RunStream, SfcArray, SpaceFillingCurve,
-    Universe,
+    ExtremalCubes, ExtremalRect, Key, KeyRange, OrthantSeeker, Point, RunStream, SfcArray,
+    SfcEntry, SpaceFillingCurve, SweepCursor, Universe,
 };
 
 use crate::config::{ApproxConfig, QueryEngine, QueryMode};
@@ -224,17 +233,48 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         F: FnMut(&V) -> bool,
     {
         self.universe.validate_point(query)?;
-        let region = ExtremalRect::dominance_region(&self.universe, query)?;
-        let mut stats = QueryStats::default();
-
         if self.array.is_empty() {
-            stats.volume_fraction_searched = 1.0;
-            return Ok((None, stats));
+            return Ok((None, Self::empty_stats()));
         }
+        self.query_one(query, config, accept, None)
+    }
 
-        match config.engine {
-            QueryEngine::EagerRuns => self.query_eager(query, &region, config, accept, stats),
-            QueryEngine::SkipPopulated => self.query_skip(query, &region, config, accept, stats),
+    /// Runs one query on the configured engine. `seed` is the batch path's
+    /// shared cursor: when the packed sweep runs, it is advanced to the
+    /// query's own key and the sweep starts from a clone of it there, instead
+    /// of from key zero.
+    fn query_one<F>(
+        &self,
+        query: &Point,
+        config: &ApproxConfig,
+        accept: F,
+        seed: Option<&mut SweepCursor<'_, V>>,
+    ) -> Result<(Option<V>, QueryStats)>
+    where
+        F: FnMut(&V) -> bool,
+    {
+        if config.engine == QueryEngine::EagerRuns {
+            return self.query_eager(query, config, accept);
+        }
+        let Some(seeker) = self.array.curve().orthant_seeker(query) else {
+            return self.sweep_region(query, config, accept);
+        };
+        let (gallop, start) = match seed {
+            Some(seed) => {
+                seed.next_packed_at_or_after(seeker.corner());
+                (seed.clone(), seeker.corner())
+            }
+            None => (self.array.sweep_cursor(), 0),
+        };
+        self.sweep_orthant(query, seeker, config, accept, gallop, start)
+    }
+
+    /// The stats of a query against an empty index: nothing probed, and the
+    /// whole (empty) region searched.
+    fn empty_stats() -> QueryStats {
+        QueryStats {
+            volume_fraction_searched: 1.0,
+            ..QueryStats::default()
         }
     }
 
@@ -242,17 +282,18 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
     /// `(hit, stats)` pair per query **in input order**. `accept` receives
     /// the query's batch index alongside each candidate value.
     ///
-    /// The batch is sorted along the curve and, on the Z curve (whose order
-    /// is dominance-monotone: every point dominating `q` has a key ≥
-    /// `key(q)`), all sweeps are served by a single forward gallop of one
-    /// shared [`acd_sfc::SweepCursor`] over the packed key mirror — each
-    /// query's sweep starts from the shared cursor's position at its own
-    /// key instead of galloping up from key zero. Answers are identical to
-    /// running [`query_dominating_where`](Self::query_dominating_where) per
-    /// query; only the `probes`/`runs_skipped` counters may be *lower* (the
-    /// seeded sweep skips the prefix below the query's key without probing
-    /// it). On the Hilbert and Gray curves (not dominance-monotone) and
-    /// under the eager engine each query runs its own full sweep.
+    /// The batch is sorted along the curve and, on the Z curve's packed
+    /// sweep (whose order is dominance-monotone: every point dominating `q`
+    /// has a key ≥ `key(q)`), all sweeps are served by a single forward
+    /// gallop of one shared [`SweepCursor`] over the packed key mirror —
+    /// each query's sweep starts from the shared cursor's position at its
+    /// own key instead of galloping up from key zero. Answers are identical
+    /// to running [`query_dominating_where`](Self::query_dominating_where)
+    /// per query; only the `probes`/`runs_skipped` counters may be *lower*
+    /// (the seeded sweep skips the prefix below the query's key without
+    /// probing it). On the Hilbert and Gray curves (not dominance-monotone),
+    /// for keys over 128 bits and under the eager engine each query runs
+    /// its own full sweep.
     ///
     /// # Errors
     ///
@@ -284,66 +325,27 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
     where
         F: FnMut(usize, &V) -> bool,
     {
-        for q in queries {
-            self.universe.validate_point(q)?;
-        }
         let curve = self.array.curve();
-        // Sort the batch along the curve (index tiebreak for determinism).
-        let mut keys = Vec::with_capacity(queries.len());
-        for q in queries {
-            keys.push(curve.key_of_point(q)?);
+        // Sort the batch along the curve (index tiebreak for determinism);
+        // keying validates every point before any query runs.
+        let mut order = Vec::with_capacity(queries.len());
+        for (i, query) in queries.iter().enumerate() {
+            order.push((curve.key_of_point(query)?, i, query));
         }
-        let mut order: Vec<u32> = (0..queries.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]).then(a.cmp(&b)));
+        if self.array.is_empty() {
+            return Ok(vec![(None, Self::empty_stats()); queries.len()]);
+        }
+        order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
 
-        // Only the Z curve's order is dominance-monotone; see
-        // [`sweep_region`](Self::sweep_region).
-        let seeded = matches!(curve.kind(), acd_sfc::CurveKind::Z)
-            && matches!(config.engine, QueryEngine::SkipPopulated);
+        // One cursor advances monotonically along the sorted batch.
         let mut seed = self.array.sweep_cursor();
-
-        let mut results: Vec<Option<(Option<V>, QueryStats)>> = Vec::with_capacity(queries.len());
-        results.resize_with(queries.len(), || None);
-        for &i in &order {
-            let i = i as usize;
-            let query = &queries[i];
-            let mut stats = QueryStats::default();
-            if self.array.is_empty() {
-                stats.volume_fraction_searched = 1.0;
-                results[i] = Some((None, stats));
-                continue;
-            }
-            let region = ExtremalRect::dominance_region(&self.universe, query)?;
-            let accept_i = |v: &V| accept(i, v);
-            results[i] = Some(if seeded {
-                // Advance the shared cursor to the first stored cell at the
-                // query's key or after — monotone across the sorted batch —
-                // and sweep a clone of it from the query's own key.
-                seed.next_at_or_after(&keys[i]);
-                self.sweep_region(
-                    query,
-                    &region,
-                    config,
-                    accept_i,
-                    stats,
-                    seed.clone(),
-                    keys[i].clone(),
-                )?
-            } else {
-                match config.engine {
-                    QueryEngine::EagerRuns => {
-                        self.query_eager(query, &region, config, accept_i, stats)?
-                    }
-                    QueryEngine::SkipPopulated => {
-                        self.query_skip(query, &region, config, accept_i, stats)?
-                    }
-                }
-            });
+        let mut answers = Vec::with_capacity(queries.len());
+        for (_, i, query) in order {
+            let answer = self.query_one(query, config, |v| accept(i, v), Some(&mut seed))?;
+            answers.push((i, answer));
         }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every query answered"))
-            .collect())
+        answers.sort_unstable_by_key(|&(i, _)| i);
+        Ok(answers.into_iter().map(|(_, answer)| answer).collect())
     }
 
     /// The effective per-query work budget: the configured cap, additionally
@@ -359,10 +361,8 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
     fn query_eager<F>(
         &self,
         query: &Point,
-        region: &ExtremalRect,
         config: &ApproxConfig,
         mut accept: F,
-        mut stats: QueryStats,
     ) -> Result<(Option<V>, QueryStats)>
     where
         F: FnMut(&V) -> bool,
@@ -372,8 +372,10 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
             QueryMode::Approximate { epsilon } => 1.0 - epsilon,
         };
 
+        let mut stats = QueryStats::default();
+        let region = ExtremalRect::dominance_region(&self.universe, query)?;
         let total_ln_volume = region.ln_volume();
-        let decomposition = ExtremalCubes::new(region);
+        let decomposition = ExtremalCubes::new(&region);
         let curve = self.array.curve();
 
         // Enumerate cubes largest-first, merging adjacent key ranges into
@@ -470,162 +472,156 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         Ok((None, stats))
     }
 
-    /// The populated-key sweep: gallop through the stored keys in key order,
-    /// probe a cell only when it lies inside the query region, and whenever
-    /// a stored key lands in a gap ask the curve for the next region key
-    /// at-or-after it — via the arithmetic fast seek when the curve has one
-    /// ([`SpaceFillingCurve::region_seeker`], the Z curve's BIGMIN), or via
-    /// the seekable lazily-merging [`RunStream`] otherwise.
-    fn query_skip<F>(
-        &self,
-        query: &Point,
-        region: &ExtremalRect,
-        config: &ApproxConfig,
-        accept: F,
-        stats: QueryStats,
-    ) -> Result<(Option<V>, QueryStats)>
-    where
-        F: FnMut(&V) -> bool,
-    {
-        let gallop = self.array.sweep_cursor();
-        let start = Key::zero(self.universe.key_bits());
-        self.sweep_region(query, region, config, accept, stats, gallop, start)
-    }
-
-    /// The sweep kernel behind [`query_skip`](Self::query_skip), with the
-    /// gallop cursor and the sweep's starting key passed in so the batched
-    /// query path can seed both from a shared position (on the Z curve
-    /// every point dominating `query` has a key ≥ the query's own key, so a
-    /// sorted batch starts each sweep where the previous one started — one
-    /// forward pass over the packed key mirror serves the whole batch).
-    /// Callers must guarantee that no region cell precedes `start` and that
-    /// `gallop` has not advanced past the first stored cell at-or-after
-    /// `start`; `query_skip` passes a fresh cursor and key zero.
+    /// The populated-key sweep on packed keys: gallop through the stored
+    /// keys in key order, probe a cell only when it lies inside the query's
+    /// orthant, and whenever a stored key lands in a gap jump to the
+    /// orthant's next key at or after it with the closed-form seek.
+    ///
+    /// The gallop cursor and the starting key are passed in so the batched
+    /// query path can seed both from a shared position (on the Z curve every
+    /// point dominating `query` has a key ≥ the query's own key, so a sorted
+    /// batch starts each sweep where the previous one started — one forward
+    /// pass over the packed key mirror serves the whole batch). Callers must
+    /// guarantee that no orthant cell precedes `start` and that `gallop` has
+    /// not advanced past the first stored cell at or after `start`; a single
+    /// query passes a fresh cursor and key zero.
     // acd-lint: hot
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_region<F>(
+    fn sweep_orthant<F>(
         &self,
         query: &Point,
-        region: &ExtremalRect,
+        seeker: OrthantSeeker<'_>,
         config: &ApproxConfig,
         mut accept: F,
-        mut stats: QueryStats,
-        mut gallop: acd_sfc::SweepCursor<'_, V>,
-        start: Key,
+        mut gallop: SweepCursor<'_, V>,
+        start: u128,
     ) -> Result<(Option<V>, QueryStats)>
     where
         F: FnMut(&V) -> bool,
     {
-        let curve = self.array.curve();
-        let rect = region.to_rect();
-        // Per-region seek state is built once per query: the arithmetic fast
-        // seeker when the curve has one, and otherwise (Hilbert, Gray, or
-        // >128-bit keys) a decomposition stream over the borrowed rectangle,
-        // materialized lazily.
-        let seeker = curve.region_seeker(&rect);
-        let mut stream: Option<RunStream<'_, C>> = None;
-        // Each sweep iteration does one gallop plus at most one region seek;
-        // the work cap bounds those iterations — past it the exact point
-        // scan is cheaper than more sweeping.
-        let mut iterations = 0usize;
+        let mut stats = QueryStats::default();
+        let top = u128::MAX >> (128 - self.universe.key_bits());
+        // Each sweep iteration does one gallop plus at most one seek; the
+        // work cap bounds those iterations — past it the exact point scan is
+        // cheaper than more sweeping.
         let iteration_cap = config.work_cap.map(|cap| self.effective_work_budget(cap));
-
-        // The sweep cursor: smallest key not yet accounted for. `None` means
-        // the key space is exhausted; every exit of the loop has provably
-        // swept the entire region (at-or-after `start`, before which the
-        // caller guarantees no region cell lies).
+        let mut iterations = 0usize;
+        // The smallest key not yet accounted for; `None` once the key space
+        // is exhausted. Every exit of the loop has swept the whole orthant.
         let mut cursor = Some(start);
         let outcome = loop {
             let Some(cur) = cursor else {
-                // The cursor ran off the end of the key space.
                 break None;
             };
-            // Gallop: smallest stored key at-or-after the cursor. The
-            // forward-only cursor gallops from its previous position over
-            // the packed key array, and the key and its bucket are borrowed
-            // straight from the array — nothing is cloned per step.
             stats.probes += 1;
-            let Some((key, bucket)) = gallop.next_at_or_after(&cur) else {
-                // No stored key remains, so no run ahead can contain one:
-                // the rest of the region is provably empty.
+            let Some((key, bucket)) = gallop.next_packed_at_or_after(cur) else {
+                // No stored key remains: the rest of the orthant is empty.
                 break None;
             };
-
-            // Re-anchor the region at the populated key: smallest region key
-            // at-or-after it (equal to `key` iff the cell is in the region).
             iterations += 1;
-            if let Some(cap) = iteration_cap {
-                if iterations > cap {
-                    stats.cubes_enumerated = stream.as_ref().map_or(0, |s| s.cubes_pulled());
-                    return self.scan_fallback(query, &mut accept, stats);
-                }
+            if iteration_cap.is_some_and(|cap| iterations > cap) {
+                return self.scan_fallback(query, &mut accept, stats);
             }
-            let next_region_key = match &seeker {
-                Some(seeker) => seeker.seek(key),
-                None => {
-                    if stream.is_none() {
-                        stream = Some(RunStream::new(curve, &rect)?);
-                    }
-                    let runs = stream.as_mut().expect("stream just initialized");
-                    runs.seek(key);
-                    // Only the next run's *start* is needed (gap jumps land
-                    // on it; membership is `start <= key`), so the run is
-                    // not merged to its end — one cube pull per iteration.
-                    runs.peek_start()
-                        .map(|lo| if lo <= key { key.clone() } else { lo.clone() })
-                }
-            };
-
-            match next_region_key {
-                None => {
-                    // The region has no cell at-or-after the smallest
-                    // remaining stored key: everything before it was already
-                    // swept.
-                    break None;
-                }
-                Some(region_key) if &region_key == key => {
-                    // The populated cell lies inside the region, so every
-                    // entry stored there dominates the query: report the
-                    // first acceptable one.
-                    if let Some(cap) = config.max_runs {
-                        if stats.runs_probed >= cap {
-                            stats.hit_run_cap = true;
-                            stats.cubes_enumerated =
-                                stream.as_ref().map_or(0, |s| s.cubes_pulled());
-                            return Ok((None, stats));
-                        }
-                    }
-                    stats.runs_probed += 1;
-                    let mut found = None;
-                    for entry in bucket {
-                        stats.candidates_inspected += 1;
-                        if accept(&entry.value) {
-                            found = Some(entry.value.clone());
-                            break;
-                        }
-                    }
-                    if found.is_some() {
-                        break found;
-                    }
-                    // Every entry at this cell was rejected: move past it.
-                    cursor = key.successor();
-                }
-                Some(region_key) => {
-                    // Gap: no region cell lies in [key, region_key), so every
-                    // run in between is skipped without a probe. Jump the
-                    // cursor to the region's next key and gallop again.
-                    stats.runs_skipped += 1;
-                    cursor = Some(region_key);
-                }
+            let orthant_key = seeker.seek_packed(key);
+            if orthant_key != key {
+                // Gap: no orthant cell lies in [key, orthant_key).
+                stats.runs_skipped += 1;
+                cursor = Some(orthant_key);
+                continue;
             }
+            if config.max_runs.is_some_and(|cap| stats.runs_probed >= cap) {
+                stats.hit_run_cap = true;
+                return Ok((None, stats));
+            }
+            if let Some(found) = Self::probe_cell(bucket, &mut accept, &mut stats) {
+                break Some(found);
+            }
+            // Every entry at this cell was rejected: move past it.
+            cursor = (key < top).then(|| key + 1);
         };
-
-        stats.cubes_enumerated = stream.as_ref().map_or(0, |s| s.cubes_pulled());
         if outcome.is_none() {
-            // A completed sweep has searched the entire region.
             stats.volume_fraction_searched = 1.0;
         }
         Ok((outcome, stats))
+    }
+
+    /// The populated-key sweep for curves without a closed-form orthant
+    /// seek (Hilbert, Gray, and keys over 128 bits): the same walk as
+    /// [`sweep_orthant`](Self::sweep_orthant) from key zero, with each gap
+    /// jump landing on the next run of the seekable, lazily merging
+    /// [`RunStream`] over the region's decomposition.
+    fn sweep_region<F>(
+        &self,
+        query: &Point,
+        config: &ApproxConfig,
+        mut accept: F,
+    ) -> Result<(Option<V>, QueryStats)>
+    where
+        F: FnMut(&V) -> bool,
+    {
+        let mut stats = QueryStats::default();
+        let rect = ExtremalRect::dominance_region(&self.universe, query)?.to_rect();
+        let mut runs = RunStream::new(self.array.curve(), &rect)?;
+        let mut gallop = self.array.sweep_cursor();
+        let iteration_cap = config.work_cap.map(|cap| self.effective_work_budget(cap));
+        let mut iterations = 0usize;
+        let mut cursor = Some(Key::zero(self.universe.key_bits()));
+        let outcome = loop {
+            let Some(cur) = cursor else {
+                break None;
+            };
+            stats.probes += 1;
+            let Some((key, bucket)) = gallop.next_at_or_after(&cur) else {
+                break None;
+            };
+            iterations += 1;
+            if iteration_cap.is_some_and(|cap| iterations > cap) {
+                stats.cubes_enumerated = runs.cubes_pulled();
+                return self.scan_fallback(query, &mut accept, stats);
+            }
+            // Only the next run's *start* is needed (gap jumps land on it;
+            // membership is `start <= key`), so the run is not merged to its
+            // end — one cube pull per iteration.
+            runs.seek(key);
+            let Some(run_start) = runs.peek_start() else {
+                // The region has no cell at or after the stored key.
+                break None;
+            };
+            if run_start > key {
+                stats.runs_skipped += 1;
+                cursor = Some(run_start.clone());
+                continue;
+            }
+            if config.max_runs.is_some_and(|cap| stats.runs_probed >= cap) {
+                stats.hit_run_cap = true;
+                stats.cubes_enumerated = runs.cubes_pulled();
+                return Ok((None, stats));
+            }
+            if let Some(found) = Self::probe_cell(bucket, &mut accept, &mut stats) {
+                break Some(found);
+            }
+            cursor = key.successor();
+        };
+        stats.cubes_enumerated = runs.cubes_pulled();
+        if outcome.is_none() {
+            stats.volume_fraction_searched = 1.0;
+        }
+        Ok((outcome, stats))
+    }
+
+    /// Probes one populated cell inside the region — every entry stored
+    /// there dominates the query — and returns its first acceptable value.
+    fn probe_cell<F>(bucket: &[SfcEntry<V>], accept: &mut F, stats: &mut QueryStats) -> Option<V>
+    where
+        F: FnMut(&V) -> bool,
+    {
+        stats.runs_probed += 1;
+        for entry in bucket {
+            stats.candidates_inspected += 1;
+            if accept(&entry.value) {
+                return Some(entry.value.clone());
+            }
+        }
+        None
     }
 
     /// Exact fallback: scan every stored point and test dominance directly.

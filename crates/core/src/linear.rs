@@ -86,10 +86,9 @@ impl CoveringIndex for LinearScanIndex {
             .remove(&id)
             .ok_or(CoveringError::UnknownSubscription { id })?;
         self.subscriptions.swap_remove(idx);
-        if idx < self.subscriptions.len() {
+        if let Some(moved) = self.subscriptions.get(idx) {
             // Fix up the index of the element that was swapped into `idx`.
-            let moved_id = self.subscriptions[idx].id();
-            self.by_id.insert(moved_id, idx);
+            self.by_id.insert(moved.id(), idx);
         }
         self.stats.removes += 1;
         Ok(())

@@ -329,19 +329,22 @@ impl SfcCoveringIndex {
             .into());
         };
         let manifest = read_commit(&path)?;
-        if !manifest.starts.is_empty() || manifest.shards.len() != 1 {
-            return Err(StorageError::corrupt(
-                commit_file_name(manifest.generation),
-                format!(
-                    "commit describes {} segments and {} key boundaries; this build \
-                     writes and reads exactly one segment and no boundary",
-                    manifest.shards.len(),
-                    manifest.starts.len()
-                ),
-            )
-            .into());
-        }
-        Self::open_segment(dir, &manifest, &manifest.shards[0])
+        let segment = match manifest.shards.as_slice() {
+            [segment] if manifest.starts.is_empty() => segment,
+            _ => {
+                return Err(StorageError::corrupt(
+                    commit_file_name(manifest.generation),
+                    format!(
+                        "commit describes {} segments and {} key boundaries; this build \
+                         writes and reads exactly one segment and no boundary",
+                        manifest.shards.len(),
+                        manifest.starts.len()
+                    ),
+                )
+                .into())
+            }
+        };
+        Self::open_segment(dir, &manifest, segment)
     }
 
     /// Streams this index into one segment file pair.
@@ -569,17 +572,17 @@ impl CoveringIndex for SfcCoveringIndex {
             self.check_schema(query)?;
             points.push(dominance_point(query)?);
         }
-        let hits = self
-            .forward
-            .query_batch_where(&points, |i, &id| id != queries[i].id())?;
+        let hits = self.forward.query_batch_where(&points, |i, &id| {
+            queries.get(i).is_some_and(|q| q.id() != id)
+        })?;
         let mut out = Vec::with_capacity(queries.len());
-        for (i, (hit, stats)) in hits.into_iter().enumerate() {
+        for (i, ((hit, stats), query)) in hits.into_iter().zip(queries).enumerate() {
             let outcome = match hit {
                 Some(id) => {
                     debug_assert!(
                         self.subscriptions
                             .get(&id)
-                            .map(|s| s.covers(&queries[i]))
+                            .map(|s| s.covers(query))
                             .unwrap_or(false),
                         "dominance hit {id} does not cover batch query {i}"
                     );
@@ -928,6 +931,44 @@ mod tests {
         // The approximate query never does more work than the exhaustive one
         // on the same state.
         assert!(approx_out.stats.runs_probed <= exhaustive_out.stats.runs_probed.max(1));
+    }
+
+    #[test]
+    fn epsilon_acts_only_under_the_eager_engine() {
+        // The populated-key sweep always searches the whole region, so an
+        // ε = 0.05 index and an exhaustive one return the same hit and
+        // identical stats, query by query, on a churned population. Under
+        // the eager engine the same ε stops some queries early.
+        use crate::config::QueryEngine;
+        let s = schema();
+        let subs = random_subs(&s, 400, 61);
+        for engine in [QueryEngine::SkipPopulated, QueryEngine::EagerRuns] {
+            let exact_config = ApproxConfig::exhaustive().engine(engine);
+            let approx_config = ApproxConfig::with_epsilon(0.05).unwrap().engine(engine);
+            for curve in CurveKind::all() {
+                let mut exact = SfcCoveringIndex::with_curve(&s, exact_config, curve).unwrap();
+                let mut approx = SfcCoveringIndex::with_curve(&s, approx_config, curve).unwrap();
+                let mut differ = 0;
+                for (i, sub) in subs.iter().enumerate() {
+                    let a = exact.find_covering(sub).unwrap();
+                    let b = approx.find_covering(sub).unwrap();
+                    differ += usize::from(a != b);
+                    if engine == QueryEngine::SkipPopulated {
+                        assert_eq!(a, b, "{curve:?} sub {}", sub.id());
+                    }
+                    exact.insert(sub).unwrap();
+                    approx.insert(sub).unwrap();
+                    // Churn: keep a window of the 64 newest subscriptions.
+                    if let Some(old) = i.checked_sub(64).map(|j| subs[j].id()) {
+                        exact.remove(old).unwrap();
+                        approx.remove(old).unwrap();
+                    }
+                }
+                if engine == QueryEngine::EagerRuns {
+                    assert!(differ > 0, "{curve:?}: ε changed no eager query");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,10 +10,28 @@ use acd_covering::{
 use acd_sfc::CurveKind;
 use acd_subscription::{RangePredicate, Schema, Subscription};
 
-fn schema(bits: u32) -> Schema {
-    Schema::builder()
-        .attribute("x", 0.0, 100.0)
-        .attribute("y", 0.0, 100.0)
+/// Schemas of `(arity, bits)` whose dominance keys (`2·arity·bits` bits)
+/// take every path of the SFC index: 24 bits, 60 (the daemon's 3 × 10,
+/// packed in a `u64`), 96 (packed in a `u128`) and 160 (over 128 bits, so
+/// no packed mirror: the `Key` path).
+const SHAPES: [(usize, u32); 4] = [(2, 6), (3, 10), (2, 24), (4, 20)];
+
+/// The curves a shape runs on. Hilbert and Gray sweep over `Key`s at every
+/// width, so over 128 bits only the Z curve changes path (and the 8-dimension
+/// decomposition stream is too slow to run three times per case).
+fn curves(arity: usize, bits: u32) -> Vec<CurveKind> {
+    if 2 * arity as u32 * bits > 128 {
+        vec![CurveKind::Z]
+    } else {
+        CurveKind::all().to_vec()
+    }
+}
+
+fn schema(arity: usize, bits: u32) -> Schema {
+    ["x", "y", "z", "w"]
+        .iter()
+        .take(arity)
+        .fold(Schema::builder(), |b, &name| b.attribute(name, 0.0, 100.0))
         .bits_per_attribute(bits)
         .build()
         .unwrap()
@@ -29,9 +47,11 @@ fn build_sub(schema: &Schema, id: u64, bounds: &[(f64, f64)]) -> Subscription {
     Subscription::from_predicates(schema, id, &predicates).unwrap()
 }
 
+/// `n` subscriptions' bounds, one pair per attribute of the widest schema
+/// (`build_sub` uses as many as the schema has).
 fn bounds_strategy(n: usize) -> impl Strategy<Value = Vec<Vec<(f64, f64)>>> {
     prop::collection::vec(
-        prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2).prop_map(|pairs| {
+        prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 4).prop_map(|pairs| {
             pairs
                 .into_iter()
                 .map(|(a, b)| (a.min(b) * 100.0, a.max(b) * 100.0))
@@ -44,16 +64,21 @@ fn bounds_strategy(n: usize) -> impl Strategy<Value = Vec<Vec<(f64, f64)>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The exhaustive SFC index agrees with the linear scan on every curve,
-    /// for arbitrary populations and query orders, including interleaved
-    /// removals.
+    /// The exhaustive SFC index agrees with the linear scan on every curve
+    /// and every key width, for arbitrary populations and query orders,
+    /// including interleaved removals.
     #[test]
     fn exhaustive_index_agrees_with_linear(
         population in bounds_strategy(40),
         removals in prop::collection::vec(0usize..40, 0..10),
     ) {
-        let schema = schema(6);
-        for kind in CurveKind::all() {
+        let cases = SHAPES.into_iter().flat_map(|(arity, bits)| {
+            curves(arity, bits)
+                .into_iter()
+                .map(move |kind| (arity, bits, kind))
+        });
+        for (arity, bits, kind) in cases {
+            let schema = schema(arity, bits);
             let mut sfc = SfcCoveringIndex::with_curve(
                 &schema,
                 ApproxConfig::exhaustive(),
@@ -70,7 +95,13 @@ proptest! {
                 // Query-before-insert, like a router.
                 let a = sfc.find_covering(s).unwrap();
                 let b = linear.find_covering(s).unwrap();
-                prop_assert_eq!(a.is_covered(), b.is_covered(), "curve {}", kind.name());
+                prop_assert_eq!(
+                    a.is_covered(),
+                    b.is_covered(),
+                    "curve {} bits {}",
+                    kind.name(),
+                    bits
+                );
                 sfc.insert(s).unwrap();
                 linear.insert(s).unwrap();
             }
@@ -101,7 +132,7 @@ proptest! {
         eps_percent in 1u32..=40,
     ) {
         let eps = eps_percent as f64 / 100.0;
-        let schema = schema(7);
+        let schema = schema(2, 7);
         let mut index =
             SfcCoveringIndex::approximate(&schema, ApproxConfig::with_epsilon(eps).unwrap())
                 .unwrap();
@@ -139,7 +170,7 @@ proptest! {
         population in bounds_strategy(35),
         bits in 4u32..=7,
     ) {
-        let schema = schema(bits);
+        let schema = schema(2, bits);
         let skip_cfg = ApproxConfig::exhaustive().work_cap(None);
         let eager_cfg = ApproxConfig::exhaustive()
             .work_cap(None)
@@ -190,80 +221,99 @@ proptest! {
     }
 
     /// The batched covering kernel answers exactly like the per-event query
-    /// on every curve — including duplicate queries in one batch and the
-    /// empty batch — and through the policy-built trait objects (where
-    /// `CoveringPolicy::None` builds no index at all).
+    /// on every curve and every key width — including duplicate queries in
+    /// one batch and the empty batch — and through the policy-built trait
+    /// objects (where `CoveringPolicy::None` builds no index at all).
     #[test]
     fn batched_covering_agrees_with_serial(
         population in bounds_strategy(40),
         queries in bounds_strategy(12),
         dup in 0usize..12,
     ) {
-        let schema = schema(6);
-        let subs: Vec<Subscription> = population
-            .iter()
-            .enumerate()
-            .map(|(i, b)| build_sub(&schema, i as u64 + 1, b))
-            .collect();
-        let mut batch: Vec<Subscription> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, b)| build_sub(&schema, 10_000 + i as u64, b))
-            .collect();
-        // A duplicated query (same id, same bounds) must answer identically
-        // at both of its batch positions.
-        let copy = batch[dup % batch.len()].clone();
-        batch.push(copy);
-
-        for kind in CurveKind::all() {
-            let mut serial =
-                SfcCoveringIndex::with_curve(&schema, ApproxConfig::exhaustive(), kind).unwrap();
-            let mut batched =
-                SfcCoveringIndex::with_curve(&schema, ApproxConfig::exhaustive(), kind).unwrap();
-            for s in &subs {
-                serial.insert(s).unwrap();
-                batched.insert(s).unwrap();
-            }
-            let serial_out: Vec<_> = batch
+        for (arity, bits) in SHAPES {
+            let schema = schema(arity, bits);
+            let subs: Vec<Subscription> = population
                 .iter()
-                .map(|q| serial.find_covering(q).unwrap())
+                .enumerate()
+                .map(|(i, b)| build_sub(&schema, i as u64 + 1, b))
                 .collect();
-            let batched_out = batched.find_covering_batch(&batch).unwrap();
-            prop_assert_eq!(batched_out.len(), batch.len());
-            for (a, b) in serial_out.iter().zip(&batched_out) {
-                prop_assert_eq!(a.covering, b.covering, "curve {}", kind.name());
+            let mut batch: Vec<Subscription> = queries
+                .iter()
+                .enumerate()
+                .map(|(i, b)| build_sub(&schema, 10_000 + i as u64, b))
+                .collect();
+            // A duplicated query (same id, same bounds) must answer identically
+            // at both of its batch positions.
+            let copy = batch[dup % batch.len()].clone();
+            batch.push(copy);
+            let mut linear = LinearScanIndex::new(&schema);
+            for s in &subs {
+                linear.insert(s).unwrap();
             }
-            // Stats invariant: one recorded query per batch element, so the
-            // totals agree with the per-event path.
-            prop_assert_eq!(batched.stats().queries, serial.stats().queries);
-            prop_assert!(batched.find_covering_batch(&[]).unwrap().is_empty());
-        }
 
-        // The trait entry point, through each policy's boxed index.
-        for policy in [CoveringPolicy::None, CoveringPolicy::ExactSfc] {
-            let indexes = (
-                policy.build_index(&schema).unwrap(),
-                policy.build_index(&schema).unwrap(),
-            );
-            match indexes {
-                (Some(mut index), Some(mut mirror)) => {
-                    for s in &subs {
-                        index.insert(s).unwrap();
-                        mirror.insert(s).unwrap();
-                    }
-                    let batched = index.find_covering_batch(&batch).unwrap();
-                    prop_assert_eq!(batched.len(), batch.len());
-                    for (q, got) in batch.iter().zip(&batched) {
-                        let expect = mirror.find_covering(q).unwrap();
-                        prop_assert_eq!(
-                            got.is_covered(),
-                            expect.is_covered(),
-                            "policy {}",
-                            policy.label()
-                        );
-                    }
+            for kind in curves(arity, bits) {
+                let mut serial =
+                    SfcCoveringIndex::with_curve(&schema, ApproxConfig::exhaustive(), kind).unwrap();
+                let mut batched =
+                    SfcCoveringIndex::with_curve(&schema, ApproxConfig::exhaustive(), kind).unwrap();
+                for s in &subs {
+                    serial.insert(s).unwrap();
+                    batched.insert(s).unwrap();
                 }
-                _ => prop_assert!(!policy.detects_covering()),
+                let serial_out: Vec<_> = batch
+                    .iter()
+                    .map(|q| serial.find_covering(q).unwrap())
+                    .collect();
+                let batched_out = batched.find_covering_batch(&batch).unwrap();
+                prop_assert_eq!(batched_out.len(), batch.len());
+                for ((a, b), q) in serial_out.iter().zip(&batched_out).zip(&batch) {
+                    prop_assert_eq!(
+                        a.covering,
+                        b.covering,
+                        "curve {} bits {}",
+                        kind.name(),
+                        bits
+                    );
+                    prop_assert_eq!(
+                        b.is_covered(),
+                        linear.find_covering(q).unwrap().is_covered(),
+                        "curve {} bits {}",
+                        kind.name(),
+                        bits
+                    );
+                }
+                // Stats invariant: one recorded query per batch element, so the
+                // totals agree with the per-event path.
+                prop_assert_eq!(batched.stats().queries, serial.stats().queries);
+                prop_assert!(batched.find_covering_batch(&[]).unwrap().is_empty());
+            }
+
+            // The trait entry point, through each policy's boxed index.
+            for policy in [CoveringPolicy::None, CoveringPolicy::ExactSfc] {
+                let indexes = (
+                    policy.build_index(&schema).unwrap(),
+                    policy.build_index(&schema).unwrap(),
+                );
+                match indexes {
+                    (Some(mut index), Some(mut mirror)) => {
+                        for s in &subs {
+                            index.insert(s).unwrap();
+                            mirror.insert(s).unwrap();
+                        }
+                        let batched = index.find_covering_batch(&batch).unwrap();
+                        prop_assert_eq!(batched.len(), batch.len());
+                        for (q, got) in batch.iter().zip(&batched) {
+                            let expect = mirror.find_covering(q).unwrap();
+                            prop_assert_eq!(
+                                got.is_covered(),
+                                expect.is_covered(),
+                                "policy {}",
+                                policy.label()
+                            );
+                        }
+                    }
+                    _ => prop_assert!(!policy.detects_covering()),
+                }
             }
         }
     }
@@ -278,7 +328,7 @@ proptest! {
         curve in 0usize..CurveKind::all().len(),
         remove_mask in prop::collection::vec(any::<bool>(), 30),
     ) {
-        let schema = schema(6);
+        let schema = schema(2, 6);
         let mut sfc =
             SfcCoveringIndex::with_curve(&schema, ApproxConfig::exhaustive(), CurveKind::all()[curve])
                 .unwrap();

@@ -890,6 +890,32 @@ impl<'a, V> SweepCursor<'a, V> {
             (a, b) => a.or(b),
         }
     }
+
+    /// [`next_at_or_after`](Self::next_at_or_after) on the packed key
+    /// mirror: the probe and the returned key are the keys' `u128` values,
+    /// read straight from the two levels' packed arrays. An array whose
+    /// keys exceed 128 bits keeps no mirror, so there this finds nothing.
+    // acd-lint: hot
+    pub fn next_packed_at_or_after(&mut self, key: u128) -> Option<(u128, &'a [SfcEntry<V>])> {
+        let (main, staging) = (self.main, self.staging);
+        self.main_pos = crate::simd::lower_bound_u128_from(&main.packed, self.main_pos, key);
+        self.staging_pos =
+            crate::simd::lower_bound_u128_from(&staging.packed, self.staging_pos, key);
+        let a = main
+            .packed
+            .get(self.main_pos)
+            .zip(main.buckets.get(self.main_pos));
+        let b = staging
+            .packed
+            .get(self.staging_pos)
+            .zip(staging.order.get(self.staging_pos))
+            .and_then(|(k, &slot)| Some((k, &staging.slab.get(slot as usize)?.1)));
+        let (key, bucket) = match (a, b) {
+            (Some(a), Some(b)) => Some(if a.0 <= b.0 { a } else { b }),
+            (a, b) => a.or(b),
+        }?;
+        Some((*key, bucket.as_slice()))
+    }
 }
 
 /// Merging iterator over the cells of the two sorted levels (whose key sets

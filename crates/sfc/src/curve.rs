@@ -16,6 +16,7 @@ use crate::cube::StandardCube;
 use crate::key::{Key, KeyRange};
 use crate::rect::Rect;
 use crate::universe::{Point, Universe};
+use crate::zorder::OrthantSeeker;
 use crate::Result;
 
 /// A space filling curve over a fixed [`Universe`].
@@ -98,18 +99,28 @@ pub trait SpaceFillingCurve: fmt::Debug + Send + Sync {
     }
 
     /// Curve-specific accelerated region seeking: returns a reusable
-    /// [`RegionSeeker`] for `rect`, or `None` when this curve (or this
-    /// universe size) has no arithmetic fast path — callers then fall back
-    /// to the seekable [`CubeStream`](crate::decompose::CubeStream) /
+    /// [`RegionSeeker`] for `rect`, or `None` when this curve has no
+    /// arithmetic fast path for it — callers then fall back to the seekable
+    /// [`CubeStream`](crate::decompose::CubeStream) /
     /// [`RunStream`](crate::runs::RunStream) walk of the decomposition.
     ///
-    /// The Z curve overrides this with the classic BIGMIN bit-walk
-    /// (O(`d·k`) integer operations per seek, with the rectangle's corner
-    /// codes and dimension masks precomputed once here) whenever the key
-    /// width fits 128 bits; it is the engine behind the populated-key query
-    /// sweep's gap jumps.
-    fn region_seeker(&self, rect: &Rect) -> Option<Box<dyn RegionSeeker>> {
+    /// Only the Z curve overrides this, and only for orthants: a rectangle
+    /// whose upper corner is the universe's top corner (every dominance
+    /// region), with keys of at most 128 bits, gets its
+    /// [`orthant_seeker`](Self::orthant_seeker). Any other rectangle gets
+    /// `None`.
+    fn region_seeker(&self, rect: &Rect) -> Option<Box<dyn RegionSeeker + '_>> {
         let _ = rect;
+        None
+    }
+
+    /// The closed-form seeker into the dominance orthant `[corner, top]^d`
+    /// on packed keys, the engine behind the populated-key query sweep's
+    /// gap jumps. Only the Z curve has one, for keys of at most 128 bits;
+    /// every other curve returns `None`, as does a corner outside the
+    /// universe.
+    fn orthant_seeker(&self, corner: &Point) -> Option<OrthantSeeker<'_>> {
+        let _ = corner;
         None
     }
 

@@ -3,8 +3,8 @@
 //! A key for a `d`-dimensional universe with `k` bits per dimension has
 //! exactly `d·k` bits. The common subscription shapes (`d = 2β` with β up to
 //! 4–8 attributes, `k` up to 16 bits) fit in 128 bits, so a [`Key`] stores
-//! such values *inline* in a `u128` — construction, comparison, increment and
-//! the BIGMIN bit-walk never touch the heap. Wider universes spill to a
+//! such values *inline* in a `u128` — construction, comparison and increment
+//! never touch the heap. Wider universes spill to a
 //! big-endian `Vec<u64>` word vector ([`Key`] is an enum over the two
 //! layouts); every operation is defined on both and the two representations
 //! are observationally identical (property-tested via

@@ -78,7 +78,7 @@ pub use key::{Key, KeyRange};
 pub use rect::{ExtremalRect, Rect};
 pub use runs::{Run, RunStream};
 pub use universe::{Point, Universe};
-pub use zorder::ZCurve;
+pub use zorder::{OrthantSeeker, ZCurve};
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T, E = SfcError> = std::result::Result<T, E>;

@@ -8,6 +8,28 @@
 //! when interleaving starts with the first dimension's most significant bit —
 //! i.e. the key bits are `x1[2] x2[2] x1[1] x2[1] x1[0] x2[0]` read as
 //! `0·1 1·0 1·1`.
+//!
+//! # Seeking into a dominance orthant
+//!
+//! The only region the covering query seeks in is the orthant
+//! `[q, top]^d` of a query point `q`, and on the Z curve the smallest key at
+//! or after `k` whose cell lies in that orthant has a closed form
+//! ([`OrthantSeeker`]). Let `m_i` be dimension `i`'s key bits (built once per
+//! curve), so `k & m_i` compares like `k`'s coordinate `i`. Call `i`
+//! *below* when `k & m_i < q & m_i`.
+//!
+//! * If no dimension is below, `k` itself lies in the orthant.
+//! * Otherwise let `P` be the highest bit of `(k ^ q) & m_i` over the below
+//!   dimensions (`k` has a 0 there, `q` a 1). The answer keeps `k`'s bits
+//!   above `P`, sets `P`, and fills each dimension's bits below `P` with
+//!   `q`'s where that prefix equals `q` on `m_i` at and above `P`, and with
+//!   zeros where it already exceeds it.
+//!
+//! It is minimal: a key in `[k, answer)` shares `k`'s bits above `P` and so
+//! has a 0 at `P`, which leaves the dimension owning `P` below `q`. Among the
+//! keys with the answer's prefix the fill is the least per dimension, and no
+//! dimension's prefix is below `q`'s: a dimension that was below differs
+//! from `q` only at or under `P`, and the others were at or above `q`.
 
 use crate::cube::StandardCube;
 use crate::curve::{CurveKind, RegionSeeker, SpaceFillingCurve};
@@ -32,6 +54,17 @@ use crate::Result;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZCurve {
     universe: Universe,
+    /// Each dimension's key bits `m_i`, for the orthant seek.
+    masks: DimMasks,
+}
+
+/// Per-dimension key-bit masks in the narrowest word that holds a key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum DimMasks {
+    Narrow(Box<[u64]>),
+    Wide(Box<[u128]>),
+    /// Keys over 128 bits have no packed form.
+    Unpacked,
 }
 
 /// Lazily-built byte-spread tables, shared per dimension count:
@@ -59,7 +92,19 @@ fn spread_table(d: usize) -> &'static [u128; 256] {
 impl ZCurve {
     /// Creates a Z-order curve over `universe`.
     pub fn new(universe: Universe) -> Self {
-        ZCurve { universe }
+        // Dimension `d−1` owns key bits 0, d, 2d, …; dimension `dim` owns the
+        // same bits shifted up by `d−1−dim`.
+        let d = universe.dims() as u32;
+        let masks = || {
+            let last = (0..universe.bits_per_dim()).fold(0u128, |m, b| m | 1 << (b * d));
+            (0..d).rev().map(move |shift| last << shift)
+        };
+        let masks = match universe.key_bits() {
+            0..=64 => DimMasks::Narrow(masks().map(|m| m as u64).collect()),
+            65..=128 => DimMasks::Wide(masks().collect()),
+            _ => DimMasks::Unpacked,
+        };
+        ZCurve { universe, masks }
     }
 
     /// Interleaves the coordinate bits of `coords` into a key.
@@ -224,151 +269,133 @@ impl SpaceFillingCurve for ZCurve {
         out
     }
 
-    /// Builds the reusable BIGMIN seeker for `rect`: corner Z codes and
-    /// per-dimension bit masks are precomputed here, once per query region,
-    /// so each [`RegionSeeker::seek`] is a pure O(`d·k`) bit-walk with no
-    /// allocation beyond the returned key. Returns `None` (generic stream
-    /// fallback) when the key width exceeds 128 bits.
-    fn region_seeker(&self, rect: &Rect) -> Option<Box<dyn RegionSeeker>> {
-        let total = self.universe.key_bits();
-        if total > 128 || rect.dims() != self.universe.dims() {
+    /// The closed-form orthant seeker, built from the curve's masks and the
+    /// corner's key alone.
+    fn orthant_seeker(&self, corner: &Point) -> Option<OrthantSeeker<'_>> {
+        self.universe.validate_point(corner).ok()?;
+        let q = Self::interleave_u128(&self.universe, corner.coords());
+        match &self.masks {
+            DimMasks::Narrow(masks) => Some(OrthantSeeker::Narrow(masks, q as u64)),
+            DimMasks::Wide(masks) => Some(OrthantSeeker::Wide(masks, q)),
+            DimMasks::Unpacked => None,
+        }
+    }
+
+    /// The orthant seeker for a rectangle whose upper corner is the
+    /// universe's top corner; `None` for any other rectangle.
+    fn region_seeker(&self, rect: &Rect) -> Option<Box<dyn RegionSeeker + '_>> {
+        let top = self.universe.max_coord();
+        if rect.dims() != self.universe.dims() || rect.hi().iter().any(|&h| h != top) {
             return None;
         }
-        let d = self.universe.dims() as u32;
-        // Per-dimension bit masks of the interleaved layout (dimension 0
-        // owns the most significant bit of each level), then flattened into
-        // one mask per bit position: `low_masks[j]` keeps the bits of `j`'s
-        // own dimension strictly below `j`, so the walk is pure ALU work.
-        let mut dim_masks = vec![0u128; d as usize];
-        for bit in 0..total {
-            let dim = ((total - 1 - bit) % d) as usize;
-            dim_masks[dim] |= 1u128 << bit;
+        let seeker = self.orthant_seeker(&Point::from_slice(rect.lo()))?;
+        Some(Box::new(seeker))
+    }
+}
+
+/// The Z curve's seek into one dominance orthant `[q, top]^d`, in closed
+/// form (see the [module docs](self)): two passes of `d` masked compares,
+/// in `u64` arithmetic when keys fit 64 bits and `u128` otherwise. Built by
+/// [`SpaceFillingCurve::orthant_seeker`]; it borrows the curve's masks, so
+/// building one allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub enum OrthantSeeker<'a> {
+    /// Keys of at most 64 bits: the masks and the corner's key.
+    Narrow(&'a [u64], u64),
+    /// Keys of 65 to 128 bits: the masks and the corner's key.
+    Wide(&'a [u128], u128),
+}
+
+impl OrthantSeeker<'_> {
+    /// The corner's packed key, the smallest key in the orthant.
+    pub fn corner(&self) -> u128 {
+        match *self {
+            OrthantSeeker::Narrow(_, q) => u128::from(q),
+            OrthantSeeker::Wide(_, q) => q,
         }
-        let low_masks: Vec<u128> = (0..total)
-            .map(|j| {
-                let dim = ((total - 1 - j) % d) as usize;
-                let below = if j == 0 { 0 } else { (1u128 << j) - 1 };
-                dim_masks[dim] & below
-            })
-            .collect();
-        // Z codes of the rectangle's corners. Interleaving preserves
-        // componentwise dominance, so these bound every in-rect key.
-        let zmin = Self::interleave_u128(&self.universe, rect.lo());
-        let zmax = Self::interleave_u128(&self.universe, rect.hi());
-        if total <= 64 {
-            Some(Box::new(ZRegionSeeker64 {
-                zmin: zmin as u64,
-                zmax: zmax as u64,
-                low_masks: low_masks.iter().map(|&m| m as u64).collect(),
-                total,
-            }))
-        } else {
-            Some(Box::new(ZRegionSeeker128 {
-                zmin,
-                zmax,
-                low_masks,
-                total,
-            }))
+    }
+
+    /// The smallest packed key at or after `key` whose cell lies in the
+    /// orthant; `key` itself exactly when its cell does. There always is
+    /// one, since the top corner's key is the largest key of all.
+    // acd-lint: hot
+    #[inline]
+    pub fn seek_packed(&self, key: u128) -> u128 {
+        match *self {
+            OrthantSeeker::Narrow(masks, q) => u128::from(orthant_min(masks, key as u64, q)),
+            OrthantSeeker::Wide(masks, q) => orthant_min(masks, key, q),
         }
     }
 }
 
-/// The Z curve's precomputed BIGMIN state for one query rectangle,
-/// monomorphized per machine word: `u64` arithmetic when the key width fits
-/// one word (the common subscription shapes), `u128` otherwise.
-///
-/// The walk does not visit every bit: positions where the key and both
-/// corner codes agree are skipped wholesale by jumping straight to the next
-/// disagreeing bit with a `leading_zeros` count, so a seek costs a handful
-/// of iterations (bounded by the number of corner-code refinements, not by
-/// `d·k`).
-macro_rules! define_z_seeker {
-    ($name:ident, $int:ty) => {
-        #[derive(Debug)]
-        struct $name {
-            zmin: $int,
-            zmax: $int,
-            /// `low_masks[j]`: the bits of bit `j`'s dimension strictly
-            /// below position `j` — precomputed so the walk does no
-            /// dimension arithmetic (in particular no integer modulo) per
-            /// visited bit.
-            low_masks: Vec<$int>,
-            total: u32,
-        }
-
-        impl RegionSeeker for $name {
-            /// The classic BIGMIN bit-walk (Tropf–Herzog, generalized to `d`
-            /// dimensions): the smallest Z key at-or-after `key` whose cell
-            /// lies in the rectangle, without touching the decomposition at
-            /// all and without allocating (the returned key is inline).
-            // acd-lint: hot
-            fn seek(&self, key: &Key) -> Option<Key> {
-                let total = self.total;
-                debug_assert_eq!(key.bits(), total);
-                let k = key.to_u128()? as $int;
-                // zmin/zmax are the Z codes of the smallest/largest in-rect
-                // cells of the still-active subtree.
-                let mut zmin = self.zmin;
-                let mut zmax = self.zmax;
-                let mut bigmin: Option<$int> = None;
-                // Bit positions not yet decided (all positions below the
-                // last processed one).
-                let mut pending: $int = if total >= <$int>::BITS {
-                    <$int>::MAX
-                } else {
-                    ((1 as $int) << total) - 1
-                };
-                loop {
-                    // Bits where the key escapes [zmin, zmax]'s shared
-                    // pattern; positions where all three agree need no
-                    // decision and are skipped in one jump.
-                    let diff = ((k ^ zmin) | (k ^ zmax)) & pending;
-                    if diff == 0 {
-                        // Every remaining bit of the key stays within the
-                        // per-dimension bounds: the key's own cell lies
-                        // inside the rectangle.
-                        return Some(key.clone());
-                    }
-                    let j = <$int>::BITS - 1 - diff.leading_zeros();
-                    pending = if j == 0 { 0 } else { ((1 as $int) << j) - 1 };
-                    let bit_k = (k >> j) & 1;
-                    let bit_min = (zmin >> j) & 1;
-                    let bit_max = (zmax >> j) & 1;
-                    // Bits of the same dimension strictly below position j.
-                    let low_mask = self.low_masks[j as usize];
-                    match (bit_k, bit_min, bit_max) {
-                        (0, 0, 1) => {
-                            // The box spans both halves of this dimension
-                            // while the key stays in the lower one: remember
-                            // the smallest upper-half candidate, then
-                            // continue in the lower half.
-                            bigmin = Some((zmin & !low_mask) | ((1 as $int) << j));
-                            zmax = (zmax | low_mask) & !((1 as $int) << j);
-                        }
-                        (0, 1, 1) => {
-                            // The whole remaining box lies above the key.
-                            return Some(Key::from_u128(zmin as u128, total));
-                        }
-                        (1, 0, 0) => {
-                            // The whole remaining box lies below the key;
-                            // the saved candidate (if any) is the answer.
-                            return bigmin.map(|v| Key::from_u128(v as u128, total));
-                        }
-                        (1, 0, 1) => {
-                            // Key is in the upper half: restrict the box.
-                            zmin = (zmin & !low_mask) | ((1 as $int) << j);
-                        }
-                        // acd-lint: allow(panic-hygiene) the remaining bit patterns require zmin > zmax at the deciding bit, which KeyRange ordering excludes
-                        _ => unreachable!("zmin > zmax is impossible for a valid rectangle"),
-                    }
-                }
-            }
-        }
-    };
+impl RegionSeeker for OrthantSeeker<'_> {
+    fn seek(&self, key: &Key) -> Option<Key> {
+        Some(Key::from_u128(self.seek_packed(key.to_u128()?), key.bits()))
+    }
 }
 
-define_z_seeker!(ZRegionSeeker64, u64);
-define_z_seeker!(ZRegionSeeker128, u128);
+/// The two machine words the closed form runs in.
+trait Word:
+    Copy
+    + Ord
+    + std::ops::BitAnd<Output = Self>
+    + std::ops::BitOr<Output = Self>
+    + std::ops::BitXor<Output = Self>
+    + std::ops::Not<Output = Self>
+    + std::ops::Shl<u32, Output = Self>
+    + std::ops::Sub<Output = Self>
+{
+    const ZERO: Self;
+    const ONE: Self;
+    const BITS: u32;
+    fn leading_zeros(self) -> u32;
+}
+
+impl Word for u64 {
+    const ZERO: Self = 0;
+    const ONE: Self = 1;
+    const BITS: u32 = u64::BITS;
+    fn leading_zeros(self) -> u32 {
+        self.leading_zeros()
+    }
+}
+
+impl Word for u128 {
+    const ZERO: Self = 0;
+    const ONE: Self = 1;
+    const BITS: u32 = u128::BITS;
+    fn leading_zeros(self) -> u32 {
+        self.leading_zeros()
+    }
+}
+
+/// The smallest key at or after `k` in the orthant of `q`, where `masks`
+/// holds each dimension's key bits.
+// acd-lint: hot
+#[inline]
+fn orthant_min<W: Word>(masks: &[W], k: W, q: W) -> W {
+    // The bits where a below dimension differs from `q`.
+    let mut below = W::ZERO;
+    for &m in masks {
+        if k & m < q & m {
+            below = below | ((k ^ q) & m);
+        }
+    }
+    if below == W::ZERO {
+        return k;
+    }
+    let p = W::ONE << (W::BITS - 1 - below.leading_zeros());
+    let low = p - W::ONE;
+    // `k`'s bits above `P` and a 1 at `P` (where `k` has a 0).
+    let prefix = (k | p) & !low;
+    let mut out = prefix;
+    for &m in masks {
+        if (prefix ^ q) & m & !low == W::ZERO {
+            out = out | (q & m & low);
+        }
+    }
+    out
+}
 
 #[cfg(test)]
 mod tests {
@@ -518,69 +545,76 @@ mod tests {
         }
     }
 
+    /// The top corner of a universe as a point.
+    fn top(u: &Universe) -> Point {
+        Point::new(vec![u.max_coord(); u.dims()]).unwrap()
+    }
+
     #[test]
-    fn seek_in_rect_matches_brute_force_exhaustively() {
-        // Small universes: compare the BIGMIN bit-walk against a brute-force
-        // scan over every (rect, key) pair.
-        for (d, k) in [(2usize, 3u32), (3, 2)] {
+    fn orthant_seek_matches_brute_force_exhaustively() {
+        // Every corner against every key of small universes (d = 1–6, keys
+        // up to 12 bits): walking the keys downwards, the expected answer is
+        // the last in-orthant key seen.
+        for (d, k) in [(1usize, 12u32), (2, 6), (3, 4), (4, 3), (5, 2), (6, 2)] {
             let u = Universe::new(d, k).unwrap();
             let c = ZCurve::new(u.clone());
-            let side = 1u64 << k;
-            let total_cells = side.pow(d as u32);
-            let total_bits = u.key_bits();
-            let mut state = 0x9e3779b97f4a7c15u64;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            for _ in 0..25 {
-                let mut lo = Vec::with_capacity(d);
-                let mut hi = Vec::with_capacity(d);
-                for _ in 0..d {
-                    let (a, b) = (next() % side, next() % side);
-                    lo.push(a.min(b));
-                    hi.push(a.max(b));
-                }
-                let rect = Rect::new(lo, hi).unwrap();
-                // Brute force: sorted list of in-rect keys.
-                let mut in_rect: Vec<u128> = Vec::new();
-                for idx in 0..total_cells {
-                    let mut coords = vec![0u64; d];
-                    let mut rem = idx;
-                    for coord in coords.iter_mut() {
-                        *coord = rem % side;
-                        rem /= side;
+            let bits = u.key_bits();
+            let cells: Vec<Point> = (0..1u128 << bits)
+                .map(|v| c.point_of_key(&Key::from_u128(v, bits)).unwrap())
+                .collect();
+            for corner in &cells {
+                let seeker = c.orthant_seeker(corner).unwrap();
+                assert_eq!(
+                    seeker.corner(),
+                    c.key_of_point(corner).unwrap().to_u128().unwrap()
+                );
+                let mut expected = None;
+                for (v, cell) in cells.iter().enumerate().rev() {
+                    if cell.dominates(corner) {
+                        expected = Some(v as u128);
                     }
-                    if rect.contains_coords(&coords) {
-                        let key = c.key_of_point(&Point::new(coords).unwrap()).unwrap();
-                        in_rect.push(key.to_u128().unwrap());
-                    }
-                }
-                in_rect.sort_unstable();
-                let seeker = c
-                    .region_seeker(&rect)
-                    .expect("u128-sized universe supports the fast path");
-                for key_val in 0..(1u128 << total_bits) {
-                    let key = Key::from_u128(key_val, total_bits);
-                    let got = seeker.seek(&key).map(|k| k.to_u128().unwrap());
-                    let expected = in_rect.iter().copied().find(|&v| v >= key_val);
-                    assert_eq!(got, expected, "d={d} k={k} rect {rect} key {key_val}");
+                    let got = seeker.seek_packed(v as u128);
+                    assert_eq!(Some(got), expected, "d={d} k={k} corner {corner} key {v}");
                 }
             }
         }
     }
 
     #[test]
-    fn seek_in_rect_agrees_with_the_cube_stream() {
-        // Larger universe spot-check: the arithmetic fast path and the
-        // generic decomposition stream must land on the same key.
-        use crate::decompose::CubeStream;
-        let u = Universe::new(3, 5).unwrap();
+    fn region_seeker_answers_orthants_only() {
+        let u = Universe::new(3, 2).unwrap();
         let c = ZCurve::new(u.clone());
-        let rect = Rect::new(vec![3, 9, 17], vec![25, 30, 28]).unwrap();
-        let total_bits = u.key_bits();
+        let bits = u.key_bits();
+        // The boxed seeker of an orthant rectangle is the closed form.
+        let corner = Point::new(vec![1, 2, 0]).unwrap();
+        let rect = Rect::new(corner.coords().to_vec(), top(&u).coords().to_vec()).unwrap();
+        let boxed = c.region_seeker(&rect).expect("an orthant has a seeker");
+        let seeker = c.orthant_seeker(&corner).unwrap();
+        for v in 0..1u128 << bits {
+            let got = boxed.seek(&Key::from_u128(v, bits)).unwrap();
+            assert_eq!(got, Key::from_u128(seeker.seek_packed(v), bits));
+        }
+        // A rectangle short of the top corner in any dimension has none.
+        for hi in [vec![2, 3, 3], vec![3, 3, 2], vec![1, 2, 0]] {
+            let rect = Rect::new(vec![1, 2, 0], hi).unwrap();
+            assert!(c.region_seeker(&rect).is_none(), "{rect}");
+        }
+        // Nor does a corner outside the universe, or a key over 128 bits.
+        assert!(c
+            .orthant_seeker(&Point::new(vec![4, 0, 0]).unwrap())
+            .is_none());
+        let wide = Universe::new(3, 43).unwrap();
+        assert!(ZCurve::new(wide.clone())
+            .orthant_seeker(&top(&wide))
+            .is_none());
+    }
+
+    #[test]
+    fn orthant_seek_agrees_with_the_cube_stream_at_wide_keys() {
+        // Key widths on both sides of the u64/u128 switch, up to 128 bits:
+        // the closed form must land where the generic decomposition stream
+        // does, including at k = q, k = top and k one below q.
+        use crate::decompose::CubeStream;
         let mut state = 0x1234_5678u64;
         let mut next = move || {
             state ^= state << 13;
@@ -588,20 +622,44 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let seeker = c.region_seeker(&rect).expect("fast path supported");
-        for _ in 0..200 {
-            let key = Key::from_u128((next() as u128) % (1u128 << total_bits), total_bits);
-            let fast = seeker.seek(&key).map(|k| k.to_u128().unwrap());
-            let mut stream = CubeStream::new(&c, &rect).unwrap();
-            stream.seek(&key);
-            let generic = stream.next_cube().map(|(_, range)| {
-                if range.lo() >= &key {
-                    range.lo().to_u128().unwrap()
-                } else {
-                    key.to_u128().unwrap()
+        for (d, k) in [(6usize, 10u32), (8, 8), (5, 13), (3, 32), (4, 32)] {
+            let u = Universe::new(d, k).unwrap();
+            let c = ZCurve::new(u.clone());
+            let bits = u.key_bits();
+            let top_key = c.key_of_point(&top(&u)).unwrap().to_u128().unwrap();
+            for round in 0..40 {
+                // Corners near the bottom, the middle and the top of each
+                // dimension, so orthants range from most of the universe to
+                // a sliver.
+                let coords: Vec<u64> = (0..d)
+                    .map(|_| match round % 3 {
+                        0 => next() % u.side(),
+                        1 => next() % 4,
+                        _ => u.max_coord() - next() % 4,
+                    })
+                    .collect();
+                let corner = Point::new(coords).unwrap();
+                let seeker = c.orthant_seeker(&corner).unwrap();
+                let rect = Rect::new(corner.coords().to_vec(), top(&u).coords().to_vec()).unwrap();
+                let q = seeker.corner();
+                let mut keys = vec![q, top_key, q.saturating_sub(1), 0];
+                keys.extend(
+                    (0..6).map(|_| (u128::from(next()) << 64 | u128::from(next())) & top_key),
+                );
+                for v in keys {
+                    let got = seeker.seek_packed(v);
+                    let key = Key::from_u128(v, bits);
+                    let mut stream = CubeStream::new(&c, &rect).unwrap();
+                    stream.seek(&key);
+                    let (_, range) = stream
+                        .next_cube()
+                        .expect("the top corner follows every key");
+                    let expected = range.lo().max(&key).to_u128().unwrap();
+                    assert_eq!(got, expected, "d={d} k={k} corner {corner} key {v}");
+                    let cell = c.point_of_key(&Key::from_u128(got, bits)).unwrap();
+                    assert!(cell.dominates(&corner));
                 }
-            });
-            assert_eq!(fast, generic, "key {key}");
+            }
         }
     }
 

@@ -1,8 +1,8 @@
 //! Property-based tests of the [`Key`] representations: the inline `u128`
 //! layout and the spilled word-vector layout must be observationally
 //! identical on every operation, across random widths — including the
-//! 127/128-bit boundary where the layout switches — and the BIGMIN region
-//! seek built on inline keys must agree with a brute-force scan.
+//! 127/128-bit boundary where the layout switches — and the Z curve's
+//! orthant seek built on inline keys must agree with a brute-force scan.
 
 use proptest::prelude::*;
 
@@ -142,17 +142,18 @@ proptest! {
         }
     }
 
-    /// The Z curve's BIGMIN seek agrees with a brute-force scan over every
-    /// cell of a random small universe, for random rectangles and probe
-    /// keys.
+    /// The Z curve's orthant seek agrees with a brute-force scan over every
+    /// cell of a random small universe, for random orthant corners and every
+    /// probe key, and a rectangle short of the top corner gets no seeker.
     #[test]
-    fn bigmin_seek_matches_brute_force(
+    fn orthant_seek_matches_brute_force(
         (dims, bits) in (1usize..=3, 1u32..=3),
         seed in any::<u64>(),
     ) {
         let universe = Universe::new(dims, bits).unwrap();
         let curve = ZCurve::new(universe.clone());
         let side = universe.side();
+        let top = universe.max_coord();
         let total_bits = universe.key_bits();
         let total_cells = side.pow(dims as u32);
         let mut state = seed | 1;
@@ -163,13 +164,8 @@ proptest! {
             state
         };
         for _ in 0..4 {
-            let (mut lo, mut hi) = (Vec::new(), Vec::new());
-            for _ in 0..dims {
-                let (a, b) = (next() % side, next() % side);
-                lo.push(a.min(b));
-                hi.push(a.max(b));
-            }
-            let rect = Rect::new(lo, hi).unwrap();
+            let lo: Vec<u64> = (0..dims).map(|_| next() % side).collect();
+            let rect = Rect::new(lo.clone(), vec![top; dims]).unwrap();
             let mut in_rect: Vec<u128> = Vec::new();
             for idx in 0..total_cells {
                 let mut coords = vec![0u64; dims];
@@ -191,6 +187,15 @@ proptest! {
                     .map(|k| k.to_u128().unwrap());
                 let expected = in_rect.iter().copied().find(|&v| v >= probe);
                 prop_assert_eq!(got, expected, "rect {} probe {}", rect, probe);
+            }
+            if top > 0 {
+                let mut hi = vec![top; dims];
+                let short = (next() % dims as u64) as usize;
+                hi[short] = lo[short] + next() % (top - lo[short]).max(1);
+                if hi[short] < top {
+                    let rect = Rect::new(lo, hi).unwrap();
+                    prop_assert!(curve.region_seeker(&rect).is_none(), "rect {}", rect);
+                }
             }
         }
     }

@@ -40,21 +40,18 @@ fn workspace_is_lint_clean() {
     );
 }
 
-/// The broker crate is the wire boundary — it parses untrusted bytes — so it
-/// is additionally held to `--strict-indexing`: no bare slice/array indexing,
-/// only `get`/`get_mut`, destructuring, or reasoned suppressions. Mirrors the
-/// dedicated CI step so a violation also fails plain `cargo test`.
-#[test]
-fn broker_crate_passes_strict_indexing() {
+/// Runs `--strict-indexing` over one crate's sources and fails on any
+/// violation, or if the walker looked at fewer than `min_sources` files.
+fn assert_strict_indexing_clean(crate_src: &str, min_sources: usize) {
     let config = Config {
         root: workspace_root(),
         strict_indexing: true,
     };
-    let report = lint_paths(&config, &[workspace_root().join("crates/broker/src")])
-        .expect("broker sources readable");
+    let report =
+        lint_paths(&config, &[workspace_root().join(crate_src)]).expect("crate sources readable");
     assert!(
         report.is_clean(),
-        "acd-lint --strict-indexing found {} violation(s) in crates/broker/src:\n{}",
+        "acd-lint --strict-indexing found {} violation(s) in {crate_src}:\n{}",
         report.diagnostics.len(),
         report
             .diagnostics
@@ -63,10 +60,26 @@ fn broker_crate_passes_strict_indexing() {
             .collect::<String>()
     );
     assert!(
-        report.sources >= 10,
+        report.sources >= min_sources,
         "walker found {} sources",
         report.sources
     );
+}
+
+/// The broker crate is the wire boundary — it parses untrusted bytes — so it
+/// is additionally held to `--strict-indexing`: no bare slice/array indexing,
+/// only `get`/`get_mut`, destructuring, or reasoned suppressions. Mirrors the
+/// dedicated CI step so a violation also fails plain `cargo test`.
+#[test]
+fn broker_crate_passes_strict_indexing() {
+    assert_strict_indexing_clean("crates/broker/src", 10);
+}
+
+/// The covering crate serves every subscribe's query, so it is held to the
+/// same rule; mirrors its CI step.
+#[test]
+fn covering_crate_passes_strict_indexing() {
+    assert_strict_indexing_clean("crates/core/src", 10);
 }
 
 #[test]
