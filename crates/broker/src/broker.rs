@@ -7,9 +7,14 @@
 //! `cell_hi[attr][slot]`, the same bounds as 16-bit grid cells, plus an
 //! `ids` column. A local table adds a `clients` column and keeps its slots
 //! **ordered by client**, so a client's matches are adjacent and every
-//! client is emitted once; a broker spreads its clients over a few local
-//! tables so an ordered insert shifts only one of them. Routing tables are
-//! order-free and hold no [`Subscription`] handles.
+//! client is emitted once. A broker's local tables are one client-ordered
+//! sequence: every client of a table comes before every client of the
+//! next, a client's run lies whole in one table, and a table that passes
+//! `LOCAL_CAP` slots is cut at the client boundary nearest its middle. So an
+//! ordered insert shifts the slots of one short table, and the broker emits
+//! its clients in ascending order — the order the wire's delta encoding
+//! needs — without sorting them. Routing tables are order-free and hold no
+//! [`Subscription`] handles.
 //!
 //! Serial publish answers at two resolutions, the paper's move applied to
 //! matching: the event is quantised once ([`EventCells`]), the grid filter
@@ -33,6 +38,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use acd_covering::{CoveringIndex, CoveringPolicy};
 use acd_subscription::schema::MAX_ATTRIBUTES;
@@ -201,9 +207,8 @@ impl MatchTable {
         self.ids.insert(slot, subscription.id());
     }
 
-    /// Brings the cell columns, one element longer or shorter than their
-    /// padding was cut for, back to whole blocks for `live` slots: a padding
-    /// element goes or comes, or a block of them does.
+    /// Brings the cell columns, whose first `live` elements are slots, back
+    /// to whole blocks: padding goes or comes at their end.
     fn pad_cells(&mut self, live: usize) {
         let padded = live.next_multiple_of(Self::BLOCK);
         for lo in &mut self.cell_lo {
@@ -230,9 +235,18 @@ impl MatchTable {
         debug_assert_eq!(self.run_ends, run_ends_of(&self.clients));
     }
 
-    /// Local table: removes the slot holding `id`, preserving client order.
-    fn remove_local(&mut self, id: SubId) -> Option<(ClientId, Subscription)> {
-        let slot = self.ids.iter().position(|&i| i == id)?;
+    /// Local table: the slots of `client`'s run (empty where it would go
+    /// when the table holds none of its subscriptions).
+    fn run_of(&self, client: ClientId) -> Range<usize> {
+        self.clients.partition_point(|&c| c < client)
+            ..self.clients.partition_point(|&c| c <= client)
+    }
+
+    /// Local table: removes `client`'s slot holding `id`, preserving client
+    /// order. Only that client's run is searched.
+    fn remove_local(&mut self, client: ClientId, id: SubId) -> Option<Subscription> {
+        let run = self.run_of(client);
+        let slot = run.start + self.ids.get(run)?.iter().position(|&i| i == id)?;
         for column in self.lo.iter_mut().chain(&mut self.hi) {
             column.remove(slot);
         }
@@ -242,13 +256,89 @@ impl MatchTable {
         self.pad_cells(self.len() - 1);
         self.ids.remove(slot);
         let ended_run = remove_bit(&mut self.run_ends, self.clients.len(), slot);
-        let client = self.clients.remove(slot);
+        self.clients.remove(slot);
         // If the slot ended a longer run, the slot before it ends it now.
         if ended_run && slot > 0 && self.clients.get(slot - 1) == Some(&client) {
             set_bit(&mut self.run_ends, slot - 1, true);
         }
         debug_assert_eq!(self.run_ends, run_ends_of(&self.clients));
-        Some((client, self.handles.remove(slot)))
+        Some(self.handles.remove(slot))
+    }
+
+    /// Local table: the client boundary nearest the middle slot, where the
+    /// table splits (`None` when every slot is one client's).
+    fn split_point(&self) -> Option<usize> {
+        let middle = self.len() / 2;
+        let run = self.run_of(*self.clients.get(middle)?);
+        let nearer = if middle - run.start <= run.end - middle {
+            [run.start, run.end]
+        } else {
+            [run.end, run.start]
+        };
+        nearer.into_iter().find(|&at| 0 < at && at < self.len())
+    }
+
+    /// Local table: moves the slots from `at`, a client boundary, on into a
+    /// new table. Both halves are cut to size: a split `Vec` keeps all of
+    /// its capacity, which would leave the lower half holding the whole
+    /// table's room.
+    fn split_off(&mut self, at: usize) -> MatchTable {
+        fn split<T>(columns: &mut [Vec<T>], at: usize) -> Vec<Vec<T>> {
+            columns
+                .iter_mut()
+                .map(|column| column.split_off(at))
+                .collect()
+        }
+        let mut upper = MatchTable {
+            lo: split(&mut self.lo, at),
+            hi: split(&mut self.hi, at),
+            cell_lo: split(&mut self.cell_lo, at),
+            cell_hi: split(&mut self.cell_hi, at),
+            shift: self.shift,
+            ids: self.ids.split_off(at),
+            clients: self.clients.split_off(at),
+            run_ends: Vec::new(),
+            handles: self.handles.split_off(at),
+        };
+        for table in [&mut *self, &mut upper] {
+            table.pad_cells(table.len());
+            table.run_ends = run_ends_of(&table.clients);
+            table.shrink_to_fit();
+        }
+        upper
+    }
+
+    /// Local table: takes over the slots of `next`, whose clients all come
+    /// after this table's.
+    fn append(&mut self, mut next: MatchTable) {
+        let (len, live) = (self.len(), next.len());
+        let columns = self.lo.iter_mut().zip(&mut next.lo);
+        for (column, tail) in columns.chain(self.hi.iter_mut().zip(&mut next.hi)) {
+            column.append(tail);
+        }
+        let columns = self.cell_lo.iter_mut().zip(&next.cell_lo);
+        for (column, tail) in columns.chain(self.cell_hi.iter_mut().zip(&next.cell_hi)) {
+            column.truncate(len);
+            column.extend(tail.iter().take(live));
+        }
+        self.pad_cells(len + live);
+        self.ids.append(&mut next.ids);
+        self.clients.append(&mut next.clients);
+        self.handles.append(&mut next.handles);
+        self.run_ends = run_ends_of(&self.clients);
+    }
+
+    fn shrink_to_fit(&mut self) {
+        for column in self.lo.iter_mut().chain(&mut self.hi) {
+            column.shrink_to_fit();
+        }
+        for column in self.cell_lo.iter_mut().chain(&mut self.cell_hi) {
+            column.shrink_to_fit();
+        }
+        self.ids.shrink_to_fit();
+        self.clients.shrink_to_fit();
+        self.run_ends.shrink_to_fit();
+        self.handles.shrink_to_fit();
     }
 
     /// Routing table: removes the slot holding `id` by moving the last slot
@@ -405,24 +495,23 @@ fn remove_bit(words: &mut Vec<u64>, len: usize, at: usize) -> bool {
     removed
 }
 
-/// Local match tables per broker (a power of two). More than one because
-/// an ordered insert shifts every later slot of every column: with one
-/// table of ~1 400 slots the repo benchmark's set-up (10 000 subscribes, or
-/// a 10 000-record recovery) ran 9-27 % slower than appending, against a
-/// 25 % bound. Not more than four because every table adds a partly filled
-/// last block to each walk, and only a lone table emits a broker's clients
-/// in ascending order, which lets the walk's final sort off: in process, on
-/// that benchmark's population, a serial publish costs 14.8–15.6 µs with one
-/// table, 16.7–17.4 with two, 17.3–18.3 with four and 17.7–18.1 with eight.
-const LOCAL_SHARDS: usize = 4;
-const _: () = assert!(LOCAL_SHARDS.is_power_of_two());
-
-/// The local table holding `client`'s subscriptions: the top bits of a
-/// multiplicative hash, so client identifiers with a common stride still
-/// spread.
-fn local_shard(client: ClientId) -> usize {
-    (client.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - LOCAL_SHARDS.ilog2())) as usize
-}
+/// The most slots a local table holds, unless they are all one client's.
+/// A cap because an ordered insert or removal shifts every later slot of
+/// its table's columns: with one table of a broker's ~1 500 slots the repo
+/// benchmark's set-up (10 000 subscribes, or a 10 000-record recovery) ran
+/// 9–27 % slower than appending, against a 25 % bound. Not much lower,
+/// because every table adds a partly filled last block to each walk. In
+/// process, on that benchmark's population (10 512 StockTicker
+/// subscriptions on 7 brokers over 64 clients; medians, one pinned CPU of
+/// a two-vCPU sandbox):
+///
+/// | cap | set-up | churn pair | serial publish |
+/// |---|---|---|---|
+/// | 256 | 37–43 ms | 6.6 µs | 12.3 µs |
+/// | **512** | 37–42 ms | 7.1 µs | 12.0 µs |
+/// | 1 024 | 43–45 ms | 8.1 µs | 11.9 µs |
+/// | four hashed tables, sorted output | 39–43 ms | 7.5 µs | 17.2 µs |
+const LOCAL_CAP: usize = 512;
 
 /// Everything a broker remembers about the link to one neighbor: what
 /// arrived over it, what went out over it, and what covering held back —
@@ -565,9 +654,9 @@ pub struct LinkIds {
 ///
 /// A broker keeps two kinds of state:
 ///
-/// * `local`: the match table of subscriptions registered by clients
+/// * `local`: the match tables of subscriptions registered by clients
 ///   attached to it (with the owning client, so deliveries can be
-///   attributed), spread over a few tables by client;
+///   attributed), one client-ordered sequence of capped tables;
 /// * `links`: one `Link` record per neighbor — `routing`, the bounds of
 ///   the subscriptions received from it, used to decide where an event must
 ///   be forwarded; `sent` + `sent_ids`, the covering index and id set of
@@ -579,9 +668,16 @@ pub struct LinkIds {
 #[derive(Debug)]
 pub struct Broker {
     id: BrokerId,
-    /// Subscriptions registered by local clients: client `c`'s live in
-    /// table [`local_shard`]`(c)`, slots ordered by client.
-    local: [MatchTable; LOCAL_SHARDS],
+    /// Subscriptions registered by local clients, ordered by client across
+    /// the whole sequence: every client of `local[i]` comes before every
+    /// client of `local[i + 1]`, so a client's slots are one run of one
+    /// table and reading the tables in turn meets the clients ascending. A
+    /// table passing [`LOCAL_CAP`] slots splits at the client boundary
+    /// nearest its middle (one client's run alone may exceed the cap, and
+    /// keeps its table); two neighbours holding fewer than half the cap
+    /// between them fold into one; an emptied table goes. Never empty, and
+    /// a table is empty only when it is the only one.
+    local: Vec<MatchTable>,
     /// Per-neighbor state, created at construction for every neighbor.
     links: HashMap<BrokerId, Link>,
 }
@@ -611,7 +707,7 @@ impl Broker {
         }
         Ok(Broker {
             id,
-            local: std::array::from_fn(|_| MatchTable::new(schema)),
+            local: vec![MatchTable::new(schema)],
             links,
         })
     }
@@ -632,10 +728,26 @@ impl Broker {
     /// Registers a subscription from a local client. The subscription must
     /// follow the schema the broker was created with.
     pub fn add_local(&mut self, client: ClientId, subscription: Subscription) {
-        self.local
-            .get_mut(local_shard(client))
-            .expect("local_shard keeps log2(LOCAL_SHARDS) bits")
-            .insert_local(client, subscription);
+        let at = self.local_table(client);
+        let table = self
+            .local
+            .get_mut(at)
+            .expect("a broker keeps at least one local table");
+        table.insert_local(client, subscription);
+        if table.len() > LOCAL_CAP {
+            if let Some(cut) = table.split_point() {
+                let upper = table.split_off(cut);
+                self.local.insert(at + 1, upper);
+            }
+        }
+    }
+
+    /// The local table that holds `client`'s run, or takes it: the first
+    /// whose last client is not below `client`, else the last table.
+    fn local_table(&self, client: ClientId) -> usize {
+        let before = |table: &MatchTable| table.clients.last().is_some_and(|&last| last < client);
+        let at = self.local.partition_point(before);
+        at.min(self.local.len().saturating_sub(1))
     }
 
     /// Records a subscription received from a neighbor (a routing-table
@@ -673,12 +785,35 @@ impl Broker {
         self.link_mut(neighbor).offer(subscription)
     }
 
-    /// Removes a local subscription by identifier, returning it (with its
-    /// owning client) if it was registered here.
-    pub fn remove_local(&mut self, id: SubId) -> Option<(ClientId, Subscription)> {
-        self.local
-            .iter_mut()
-            .find_map(|table| table.remove_local(id))
+    /// Removes the local subscription `id` of `client`, returning it if it
+    /// was registered here for that client. Binary searches find the
+    /// client's table and run; only the run is scanned.
+    pub fn remove_local(&mut self, client: ClientId, id: SubId) -> Option<Subscription> {
+        let at = self.local_table(client);
+        let removed = self.local.get_mut(at)?.remove_local(client, id)?;
+        self.fold(at);
+        Some(removed)
+    }
+
+    /// After a removal from local table `at`: drops it if it emptied, or
+    /// folds it into a neighbour when the two hold fewer than half the cap
+    /// between them — unless it is the only table.
+    fn fold(&mut self, at: usize) {
+        let len = |i: usize| self.local.get(i).map(MatchTable::len);
+        let lower = match (len(at), at.checked_sub(1).and_then(len), len(at + 1)) {
+            _ if self.local.len() == 1 => return,
+            (Some(0), ..) => {
+                self.local.remove(at);
+                return;
+            }
+            (Some(here), Some(before), _) if before + here < LOCAL_CAP / 2 => at - 1,
+            (Some(here), _, Some(after)) if here + after < LOCAL_CAP / 2 => at,
+            _ => return,
+        };
+        let upper = self.local.remove(lower + 1);
+        if let Some(table) = self.local.get_mut(lower) {
+            table.append(upper);
+        }
     }
 
     /// Removes a routing-table entry received from `neighbor`, returning
@@ -746,14 +881,14 @@ impl Broker {
     }
 
     /// Calls `deliver(client)` once for every local client with at least
-    /// one subscription matching `event` (ascending within each local
-    /// table) — the serial emit path. `event` was quantised under the
-    /// network's schema, which checked the event's own (once per publish,
-    /// not once per subscription). Slots are ordered by client, so a
-    /// client's slots are one run: the first candidate of a run that the raw
-    /// bounds confirm (`MatchTable::confirm`) delivers, and the rest of the
-    /// run leaves the mask unvisited (`last` carries a delivered run across
-    /// a block seam). Allocation-free.
+    /// one subscription matching `event`, in ascending client order (the
+    /// tables are read in their order) — the serial emit path. `event` was
+    /// quantised under the network's schema, which checked the event's own
+    /// (once per publish, not once per subscription). Slots are ordered by
+    /// client, so a client's slots are one run: the first candidate of a
+    /// run that the raw bounds confirm (`MatchTable::confirm`) delivers, and
+    /// the rest of the run leaves the mask unvisited (`last` carries a
+    /// delivered run across a block seam). Allocation-free.
     // acd-lint: hot
     pub fn matching_clients<F: FnMut(ClientId)>(&self, event: &EventCells<'_>, mut deliver: F) {
         for table in &self.local {
@@ -787,8 +922,8 @@ impl Broker {
     /// by the `active` bitmask; bit `i` of `mask` says whether chunk event
     /// `i` is delivered to the client. A client's slots are one run of its
     /// one table, so its slots' masks are OR-ed over the run — each slot
-    /// asked only about the events the run has not claimed yet — and no
-    /// client is emitted twice. Allocation-free.
+    /// asked only about the events the run has not claimed yet — and the
+    /// clients are emitted once each, ascending. Allocation-free.
     // acd-lint: hot
     pub fn matching_clients_mask<F: FnMut(ClientId, u64)>(
         &self,
@@ -1481,11 +1616,17 @@ mod tests {
             live.push((client, fresh));
             if i % 3 == 2 {
                 let (client, gone) = live.swap_remove(i as usize * 11 % live.len());
-                let removed = local.remove_local(gone.id()).expect("registered above");
-                assert_eq!(removed, (client, gone.clone()));
+                assert!(
+                    local.remove_local(client + 1, gone.id()).is_none(),
+                    "not its client"
+                );
+                let removed = local
+                    .remove_local(client, gone.id())
+                    .expect("registered above");
+                assert_eq!(removed, gone);
                 assert!(routing.swap_remove_routing(gone.id()));
                 assert!(!routing.swap_remove_routing(gone.id()), "already gone");
-                assert!(local.remove_local(gone.id()).is_none());
+                assert!(local.remove_local(client, gone.id()).is_none());
             }
             assert_aligned(&local, true);
             assert_aligned(&routing, false);
@@ -1541,14 +1682,13 @@ mod tests {
         b.add_local(10, sub(&s, 2_002, (70.6, 71.0), (70.6, 71.0)));
         let near = Event::new(&s, vec![70.5, 70.5]).unwrap();
         let cells = EventCells::new(&s, &near).unwrap();
-        let table = &b.local[local_shard(9)];
+        let table = &b.local[b.local_table(9)];
         let first = table.clients.iter().position(|&c| c == 9).unwrap();
         let block = table.candidates(&cells, first / MatchTable::BLOCK);
         assert_eq!(block >> (first % MatchTable::BLOCK) & 1, 1, "a candidate");
         assert!(!table.confirm(&cells, first) && table.confirm(&cells, first + 1));
-        for table in &b.local {
-            assert_aligned(table, true);
-        }
+        assert_local_tables(&b);
+        assert!(b.local.len() > 1, "853 slots split the tables");
 
         assert_eq!(emitted(&b, &s, &[50.0, 50.0]), vec![0, 1, 2, 4, 5, 6]);
         assert_eq!(emitted(&b, &s, &[90.0, 90.0]), vec![5]);
@@ -1585,8 +1725,9 @@ mod tests {
         assert!(b.remove_received(2, 1));
         assert!(!b.remove_received(2, 1));
         assert!(!b.remove_received(9, 2), "unknown interface");
-        assert_eq!(b.remove_local(1), Some((7, wide)));
-        assert_eq!(b.remove_local(1), None);
+        assert_eq!(b.remove_local(8, 1), None, "not client 8's");
+        assert_eq!(b.remove_local(7, 1), Some(wide));
+        assert_eq!(b.remove_local(7, 1), None);
         assert_eq!(b.local_subscriptions(), 1);
         assert_eq!(b.routing_table_entries(), 2);
     }
@@ -1831,14 +1972,106 @@ mod tests {
     }
 
     /// Every client `matching_clients` emits for an event holding `values`,
-    /// repeats and all, sorted.
+    /// repeats and all, in the order it emits them.
     fn emitted(b: &Broker, s: &Schema, values: &[f64]) -> Vec<ClientId> {
         let event = Event::new(s, values.to_vec()).unwrap();
         let mut out = Vec::new();
         let cells = EventCells::new(s, &event).unwrap();
         b.matching_clients(&cells, |client| out.push(client));
-        out.sort_unstable();
         out
+    }
+
+    /// The local sequence's invariants: every table aligned; clients
+    /// ascending across the tables, so each client's run lies whole in one
+    /// table; no empty table but a lone one; no table over the cap but one
+    /// holding a single client's run.
+    fn assert_local_tables(b: &Broker) {
+        assert!(!b.local.is_empty());
+        for table in &b.local {
+            assert_aligned(table, true);
+            assert!(table.len() > 0 || b.local.len() == 1, "an empty table");
+            let one_client = table.clients.first() == table.clients.last();
+            assert!(
+                table.len() <= LOCAL_CAP || one_client,
+                "{} slots",
+                table.len()
+            );
+        }
+        for (table, next) in b.local.iter().zip(b.local.iter().skip(1)) {
+            let (last, first) = (table.clients.last(), next.clients.first());
+            assert!(last < first, "client {last:?} before {first:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// `add_local` / `remove_local` at one broker — 2 000 adds with a
+        /// removal after about one in six, then a drain — keep the local
+        /// sequence's invariants, and `matching_clients` emits exactly the
+        /// oracle's clients, strictly ascending, after every step. Clients
+        /// are 0, `u64::MAX` and their neighbours, strided ids and ids
+        /// interleaved between those; half the adds go to one client whose
+        /// run alone passes the cap.
+        #[test]
+        fn local_tables_stay_client_ordered_and_capped(seed in any::<u64>()) {
+            const ADDS: SubId = 2_000;
+            const BIG: ClientId = 5 << 40;
+            let s = schema();
+            let mut b = Broker::new(0, &[], &s, CoveringPolicy::None).unwrap();
+            let mut mix = seed;
+            let mut next = move || {
+                mix = mix.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                mix >> 33
+            };
+            // `Some(id)` adds subscription `id`, `None` removes a live one.
+            let mut steps: Vec<Option<SubId>> = Vec::new();
+            for id in 0..ADDS {
+                steps.push(Some(id));
+                if next() % 6 == 0 {
+                    steps.push(None);
+                }
+            }
+            let left = steps.iter().map(|step| if step.is_some() { 1 } else { -1 }).sum();
+            steps.extend((0..left).map(|_: i64| None));
+            let mut live: Vec<(ClientId, Subscription)> = Vec::new();
+            let mut oversized = false;
+            for step in steps {
+                if let Some(id) = step {
+                    let client = match next() % 6 {
+                        0..=2 => BIG,
+                        3 => [0, 1, u64::MAX - 1, u64::MAX][next() as usize % 4],
+                        4 => (next() % 16) << 40,
+                        _ => ((next() % 16) << 40) + 1 + next() % 3,
+                    };
+                    let (x, y) = ((next() % 90) as f64, (next() % 90) as f64);
+                    let fresh = sub(&s, id, (x, x + 10.0), (y, y + 10.0));
+                    b.add_local(client, fresh.clone());
+                    live.push((client, fresh));
+                } else {
+                    let (client, gone) = live.swap_remove(next() as usize % live.len());
+                    prop_assert_eq!(b.remove_local(client, gone.id()), Some(gone));
+                }
+                assert_local_tables(&b);
+                prop_assert_eq!(b.local_subscriptions(), live.len());
+                oversized |= b.local.iter().any(|table| table.len() > LOCAL_CAP);
+
+                let values = [(next() % 101) as f64, (next() % 101) as f64];
+                let event = Event::new(&s, values.to_vec()).unwrap();
+                let mut expected: Vec<ClientId> = live
+                    .iter()
+                    .filter(|(_, subscription)| subscription.matches(&event))
+                    .map(|&(client, _)| client)
+                    .collect();
+                expected.sort_unstable();
+                expected.dedup();
+                let out = emitted(&b, &s, &values);
+                prop_assert!(out.is_sorted_by(|a, c| a < c), "{:?}", out);
+                prop_assert_eq!(out, expected);
+            }
+            prop_assert!(oversized, "one client's run alone passes the cap");
+            prop_assert_eq!(b.local.len(), 1);
+        }
     }
 
     #[test]

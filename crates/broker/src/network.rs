@@ -31,7 +31,7 @@
 //! [`publish`]: BrokerNetwork::publish
 
 use std::collections::{HashMap, VecDeque};
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 
 use acd_covering::ordered::{OrderedReadGuard, RANK_BROKER, RANK_NET_REGISTRY};
 use acd_covering::{CoveringPolicy, OrderedMutex, OrderedRwLock};
@@ -145,8 +145,9 @@ pub struct BrokerNetwork {
     /// Per-broker routing and covering state; lock class `broker` (rank 5),
     /// at most one held at a time.
     brokers: Vec<OrderedRwLock<Broker>>,
-    /// Live subscription id → home broker; lock class `netreg` (rank 8).
-    registered: OrderedMutex<HashMap<SubId, BrokerId>>,
+    /// Live subscription id → owning client, the key its home broker finds
+    /// its local slot by; lock class `netreg` (rank 8).
+    registered: OrderedMutex<HashMap<SubId, ClientId>>,
     counters: MetricCounters,
 }
 
@@ -254,7 +255,7 @@ impl BrokerNetwork {
                     id: subscription.id(),
                 });
             }
-            registered.insert(subscription.id(), at);
+            registered.insert(subscription.id(), client);
         }
         MetricCounters::bump(&self.counters.subscriptions_registered);
         self.cell(at)
@@ -334,17 +335,13 @@ impl BrokerNetwork {
     /// not registered at it.
     pub fn unsubscribe(&self, at: BrokerId, id: SubId) -> Result<()> {
         self.topology.check_broker(at)?;
-        {
-            let registered = self.registered.lock();
-            match registered.get(&id) {
-                Some(&home) if home == at => {}
-                // Not registered, or registered at another broker: the same
-                // error either way, and any registration stays intact.
-                _ => return Err(BrokerError::UnknownSubscription { id }),
-            }
-        }
-        let Some((_client, subscription)) = self.cell(at).write().remove_local(id) else {
-            // A concurrent unsubscribe of the same id won the race.
+        let Some(client) = self.registered.lock().get(&id).copied() else {
+            return Err(BrokerError::UnknownSubscription { id });
+        };
+        let Some(subscription) = self.cell(at).write().remove_local(client, id) else {
+            // Registered at another broker (the same error, and the
+            // registration stays intact), or a concurrent unsubscribe of the
+            // same id won the race.
             return Err(BrokerError::UnknownSubscription { id });
         };
         self.registered.lock().remove(&id);
@@ -389,12 +386,14 @@ impl BrokerNetwork {
     }
 
     /// Publishes `event` at broker `at` and returns the deliveries it caused
-    /// as sorted `(broker, client)` pairs: one per client with **at least
-    /// one** matching subscription at that broker, not one per matching
-    /// subscription (the `deliveries` counter counts these pairs too). On
-    /// the benchmark's fan-out workload an event matches 2 573 of 10 000
-    /// subscriptions and is delivered to 332 pairs. An event of a foreign
-    /// schema matches nothing and is delivered nowhere.
+    /// as strictly ascending `(broker, client)` pairs: one per client with
+    /// **at least one** matching subscription at that broker, not one per
+    /// matching subscription (the `deliveries` counter counts these pairs
+    /// too). On the benchmark's fan-out workload an event matches 2 573 of
+    /// 10 000 subscriptions and is delivered to 332 pairs. Nothing sorts
+    /// them: each broker emits its clients ascending, and the walk places
+    /// the brokers' shares in broker-id order. An event of a foreign schema
+    /// matches nothing and is delivered nowhere.
     ///
     /// # Errors
     ///
@@ -409,7 +408,7 @@ impl BrokerNetwork {
     }
 
     /// One event's overlay walk from `at` (a checked broker id): fills the
-    /// empty `deliveries` with the sorted pairs and advances
+    /// empty `deliveries` with the ascending pairs and advances
     /// `event_messages` and `deliveries`. The serial kernel: at every
     /// broker the event's grid cells are compared with every slot's, and
     /// its raw values with the bounds of the few slots the grid leaves.
@@ -423,11 +422,14 @@ impl BrokerNetwork {
             return;
         };
 
+        let mut shares = Shares::new(self.brokers.len());
         let mut queue: VecDeque<(BrokerId, Option<BrokerId>)> = VecDeque::new();
         queue.push_back((at, None));
         while let Some((broker_id, from)) = queue.pop_front() {
             let broker = self.cell(broker_id).read();
+            let start = deliveries.len();
             broker.matching_clients(&event, |client| deliveries.push((broker_id, client)));
+            shares.record(broker_id, start..deliveries.len());
             for &neighbor in self.topology.neighbors(broker_id) {
                 if Some(neighbor) == from {
                     continue;
@@ -438,12 +440,12 @@ impl BrokerNetwork {
                 }
             }
         }
-        deliveries.sort_unstable();
-        // No pair repeats: the topology is a tree, so the walk visits a
-        // broker once; a client lives in one local table, where its slots
-        // are one run that `matching_clients` emits once. The wire depends
-        // on it: a `Deliveries` frame stores each pair's distance from the
-        // one before, and its decoder rejects a list that does not ascend.
+        shares.place(deliveries);
+        // Strictly ascending: the topology is a tree, so the walk visits a
+        // broker once, and `matching_clients` emits each client once, in
+        // ascending order. The wire depends on it: a `Deliveries` frame
+        // stores each pair's distance from the one before, and its decoder
+        // rejects a list that does not ascend.
         debug_assert!(deliveries.is_sorted_by(|a, b| a < b));
         MetricCounters::add(&self.counters.deliveries, deliveries.len() as u64);
     }
@@ -466,11 +468,13 @@ impl BrokerNetwork {
     /// per-link *active mask* of chunk events, which shrinks as propagation
     /// descends: an event crosses a link exactly when the serial walk would
     /// have forwarded it there. A chunk's matches are collected as one
-    /// `(broker, client, event mask)` triple per matching client and sorted
-    /// once, so every event's list is filled in ascending order. A chunk of
-    /// fewer than `SERIAL_BELOW` events (a short burst, or a long one's
-    /// ragged tail) cannot repay a pass over every slot and takes the
-    /// serial walk event by event.
+    /// `(broker, client, event mask)` triple per matching client, each
+    /// broker's ascending, and the brokers' shares are placed in broker-id
+    /// order as in [`publish`](Self::publish), so every event's list is
+    /// filled in ascending order with no sort. A chunk of fewer than
+    /// `SERIAL_BELOW` events (a short burst, or a long one's ragged tail)
+    /// cannot repay a pass over every slot and takes the serial walk event
+    /// by event.
     ///
     /// Counters advance exactly as the serial loop would: `events_published`
     /// bumps once per batch element, `event_messages` once per (event, link)
@@ -510,13 +514,16 @@ impl BrokerNetwork {
     fn walk_chunk(&self, at: BrokerId, events: &[Event], lists: &mut [Vec<(BrokerId, ClientId)>]) {
         let chunk = EventChunk::new(&self.schema, events);
         let mut matched: Vec<(BrokerId, ClientId, u64)> = Vec::new();
+        let mut shares = Shares::new(self.brokers.len());
         let mut queue: VecDeque<(BrokerId, Option<BrokerId>, u64)> = VecDeque::new();
         queue.push_back((at, None, chunk.valid()));
         while let Some((broker_id, from, active)) = queue.pop_front() {
             let broker = self.cell(broker_id).read();
+            let start = matched.len();
             broker.matching_clients_mask(&chunk, active, |client, mask| {
                 matched.push((broker_id, client, mask));
             });
+            shares.record(broker_id, start..matched.len());
             for &neighbor in self.topology.neighbors(broker_id) {
                 if Some(neighbor) == from {
                     continue;
@@ -531,10 +538,10 @@ impl BrokerNetwork {
                 }
             }
         }
-        // One sort per chunk: no `(broker, client)` repeats among the triples
-        // (see `walk`), so taking them in order appends to every event's
-        // list in strictly ascending order.
-        matched.sort_unstable_by_key(|&(broker_id, client, _)| (broker_id, client));
+        // The triples ascend by `(broker, client)` without repeats (see
+        // `walk`), so taking them in order appends to every event's list in
+        // strictly ascending order.
+        shares.place(&mut matched);
         // Size every list once: growing 64 of them pair by pair costs more
         // than counting the masks' columns.
         let mut pairs = [0usize; EventChunk::WIDTH];
@@ -570,6 +577,45 @@ impl BrokerNetwork {
 /// rank pass never read behind. With one client per subscription the curves
 /// cross lower, between 4 and 6.
 const SERIAL_BELOW: usize = 14;
+
+/// Where each broker's share of a walk's output lies — `spans[b]` is the
+/// output broker `b` added, empty if none — so that the shares can be put
+/// in broker-id order when the walk is over. A broker emits its clients
+/// ascending, so that order is the `(broker, client)` order the wire needs,
+/// and no sort runs.
+struct Shares {
+    spans: Vec<Range<usize>>,
+}
+
+impl Shares {
+    fn new(brokers: usize) -> Shares {
+        Shares {
+            spans: vec![0..0; brokers],
+        }
+    }
+
+    /// Notes that broker `broker` (visited once per walk) added `span`.
+    fn record(&mut self, broker: BrokerId, span: Range<usize>) {
+        if let Some(slot) = self.spans.get_mut(broker) {
+            *slot = span;
+        }
+    }
+
+    /// Puts the shares of `output` in broker-id order: nothing to do when
+    /// the walk met the brokers that added any in that order (a BFS from
+    /// the root of a tree numbered level by level), one copy otherwise.
+    fn place<T: Clone>(&self, output: &mut Vec<T>) {
+        let shares = self.spans.iter().filter(|span| !span.is_empty());
+        if shares.is_sorted_by_key(|span| span.start) {
+            return;
+        }
+        let walked = std::mem::take(output);
+        output.reserve_exact(walked.len());
+        for span in &self.spans {
+            output.extend_from_slice(walked.get(span.clone()).unwrap_or_default());
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -1058,6 +1104,58 @@ mod tests {
         // Too many: the surplus is never read, whatever it holds.
         check(&[50.0, 25.0, f64::NAN, 7.0], &[(0, 10), (2, 30)]);
         check(&[5.0, 95.0, -1.0], &[(0, 10), (1, 20)]);
+    }
+
+    /// From every broker but the root of a tree numbered level by level the
+    /// BFS meets the brokers out of id order, so the walks must place the
+    /// brokers' shares: every list, serial and batched, is strictly
+    /// ascending and equals a linear scan. Broker 5 holds enough
+    /// subscriptions to split its local table.
+    #[test]
+    fn deliveries_ascend_whatever_order_the_walk_meets_the_brokers() {
+        let s = schema();
+        let net = network(
+            Topology::balanced_tree(2, 2).unwrap(),
+            &s,
+            CoveringPolicy::None,
+        );
+        let mut live = Vec::new();
+        for i in 0..1_400u64 {
+            let at = if i < 700 { (i % 7) as usize } else { 5 };
+            // Strided and interleaved client ids, shared across brokers.
+            let client = ((i % 23) << 32) + i % 3;
+            let (x, y) = ((i * 37 % 88) as f64, (i * 53 % 88) as f64);
+            let subscription = sub(&s, i, (x, x + 12.0), (y, y + 12.0));
+            net.subscribe(at, client, &subscription).unwrap();
+            live.push((at, client, subscription));
+        }
+        assert!(net.broker(5).unwrap().local_subscriptions() > 512);
+        let events: Vec<Event> = (0..EventChunk::WIDTH)
+            .map(|i| Event::new(&s, vec![(i * 13 % 100) as f64, (i * 29 % 100) as f64]).unwrap())
+            .collect();
+        let oracle = |event: &Event| {
+            let mut pairs: Vec<(BrokerId, ClientId)> = live
+                .iter()
+                .filter(|(_, _, subscription)| subscription.matches(event))
+                .map(|&(at, client, _)| (at, client))
+                .collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            pairs
+        };
+        let expected: Vec<_> = events.iter().map(oracle).collect();
+        assert!(expected.iter().any(|pairs| pairs.len() > 20));
+        for at in 0..net.topology().brokers() {
+            let serial: Vec<_> = events.iter().map(|e| net.publish(at, e).unwrap()).collect();
+            let short = net.publish_batch(at, &events[..SERIAL_BELOW - 1]).unwrap();
+            let chunk = net.publish_batch(at, &events).unwrap();
+            for lists in [&serial[..], &short[..], &chunk[..]] {
+                for (list, expected) in lists.iter().zip(&expected) {
+                    assert!(list.is_sorted_by(|a, b| a < b), "from {at}: {list:?}");
+                    assert_eq!(list, expected, "from {at}");
+                }
+            }
+        }
     }
 
     #[test]

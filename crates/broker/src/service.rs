@@ -60,7 +60,7 @@ use acd_covering::ordered::{OrderedMutex, RANK_JOURNAL, RANK_SESSION};
 use acd_covering::storage::{
     read_snapshot, write_snapshot, JournalRecord, StorageError, SubscriptionJournal,
 };
-use acd_subscription::{Event, Schema, SubId, Subscription, SubscriptionBuilder};
+use acd_subscription::{Event, Schema, SubId, Subscription};
 
 use crate::broker::BrokerId;
 use crate::error::{BrokerError, ServiceError};
@@ -780,25 +780,15 @@ fn cleanup_sessions(state: &DaemonState, conn: u64, daemon_teardown: bool) {
     }
 }
 
-/// Rebuilds a subscription from its wire form, reporting schema problems
-/// as a reply message rather than a connection error.
+/// Rebuilds a subscription from its wire form — bounds in attribute order,
+/// so no attribute is looked up by name — reporting schema problems as a
+/// reply message rather than a connection error.
 fn build_subscription(
     schema: &Schema,
     id: SubId,
     bounds: &[(f64, f64)],
 ) -> Result<Subscription, String> {
-    if bounds.len() != schema.arity() {
-        return Err(format!(
-            "subscription has {} bounds but the schema has {} attributes",
-            bounds.len(),
-            schema.arity()
-        ));
-    }
-    let mut builder = SubscriptionBuilder::new(schema);
-    for (attribute, (lo, hi)) in schema.attributes().iter().zip(bounds) {
-        builder = builder.range(attribute.name(), *lo, *hi);
-    }
-    builder.build(id).map_err(|e| e.to_string())
+    Subscription::from_raw_bounds(schema, id, bounds).map_err(|e| e.to_string())
 }
 
 /// Executes one request against the network. Broker-level rejections come
@@ -1059,7 +1049,7 @@ mod tests {
     use crate::network::BrokerConfig;
     use crate::topology::Topology;
     use acd_covering::CoveringPolicy;
-    use acd_subscription::Schema;
+    use acd_subscription::{Schema, SubscriptionBuilder};
 
     fn test_schema() -> Schema {
         Schema::builder()
@@ -1556,6 +1546,92 @@ mod tests {
         // ...while the owner's cleanup retracts it.
         cleanup_sessions(&state, 2, false);
         assert_eq!(state.network.publish(1, &event).unwrap(), vec![]);
+    }
+
+    /// `Subscribe` and `Resubscribe` build from the bounds' attribute order.
+    /// On valid bounds that is the very subscription the builder makes by
+    /// attribute name, and it is installed and delivers; on every bound the
+    /// builder path refused (wrong arity, `lo > hi`, NaN, ±∞, outside the
+    /// domain) both frames answer `Err` and register nothing.
+    #[test]
+    fn subscribe_frames_build_what_the_builder_builds() {
+        let state = state_with(DaemonOptions::default());
+        let schema = state.network.schema().clone();
+        // The builder path, arity check and all.
+        let by_name = |id: SubId, bounds: &[(f64, f64)]| match *bounds {
+            [(lo, hi)] => SubscriptionBuilder::new(&schema)
+                .range("x", lo, hi)
+                .build(id)
+                .ok(),
+            _ => None,
+        };
+        let frames = |id: SubId, bounds: &[(f64, f64)]| {
+            let bounds = bounds.to_vec();
+            [
+                Frame::Subscribe {
+                    at: 0,
+                    client: 7,
+                    id,
+                    bounds: bounds.clone(),
+                },
+                Frame::Resubscribe {
+                    at: 2,
+                    client: 8,
+                    id: id + 1,
+                    bounds,
+                    epoch: 0,
+                },
+            ]
+        };
+        let registered = || state.network.metrics().subscriptions_registered;
+
+        let valid: [&[(f64, f64)]; 5] = [
+            &[(0.0, 100.0)],
+            &[(10.0, 40.0)],
+            &[(25.0, 25.0)],
+            &[(-0.0, 0.0)],
+            &[(99.5, 100.0)],
+        ];
+        for (id, bounds) in (1..).step_by(2).zip(valid) {
+            let built = by_name(id, bounds).expect("valid bounds");
+            assert_eq!(build_subscription(&schema, id, bounds), Ok(built));
+            for frame in frames(id, bounds) {
+                let reply = handle_request(&state, 1, frame).unwrap();
+                assert!(matches!(reply, Frame::Ok), "{bounds:?}: {reply:?}");
+            }
+            let [(lo, hi)] = bounds else { unreachable!() };
+            let inside = Event::new(&schema, vec![(lo + hi) / 2.0]).unwrap();
+            let delivered = state.network.publish(1, &inside).unwrap();
+            assert_eq!(delivered, [(0, 7), (2, 8)], "{bounds:?}");
+            state.network.unsubscribe(0, id).unwrap();
+            state.network.unsubscribe(2, id + 1).unwrap();
+        }
+
+        let before = registered();
+        let invalid: [&[(f64, f64)]; 10] = [
+            &[],
+            &[(0.0, 1.0), (0.0, 1.0)],
+            &[(40.0, 10.0)],
+            &[(f64::NAN, 5.0)],
+            &[(5.0, f64::NAN)],
+            &[(f64::NEG_INFINITY, 5.0)],
+            &[(5.0, f64::INFINITY)],
+            &[(f64::NEG_INFINITY, f64::INFINITY)],
+            &[(-0.5, 5.0)],
+            &[(5.0, 100.5)],
+        ];
+        for bounds in invalid {
+            assert_eq!(by_name(50, bounds), None, "{bounds:?}");
+            assert!(
+                build_subscription(&schema, 50, bounds).is_err(),
+                "{bounds:?}"
+            );
+            for frame in frames(50, bounds) {
+                let reply = handle_request(&state, 1, frame).unwrap();
+                assert!(matches!(reply, Frame::Err { .. }), "{bounds:?}: {reply:?}");
+            }
+        }
+        assert_eq!(registered(), before);
     }
 
     #[test]
