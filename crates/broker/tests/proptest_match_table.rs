@@ -8,6 +8,13 @@
 //! too (`Model::check_links`), and it must all be empty once everything is
 //! unsubscribed.
 //!
+//! About a third of the subscriptions are shrunk copies of a live one, with
+//! its broker and client: raw-covered by it, so every copy must be held back
+//! off its broker's local tables (`Model::copy` checks that it takes no
+//! slot), and the kernels must still deliver what it matches when its
+//! witness goes. Every case takes the held path at least once, under every
+//! policy and value grid.
+//!
 //! Under `ExactSfc` every bound and event value is an integer in `0..=63` on
 //! a `[0, 64]` x 6 bit schema, so a value sits in grid cell `value` exactly:
 //! grid covering equals raw covering and the oracle is exact (no
@@ -56,12 +63,19 @@ struct Model {
     schema: Schema,
     live: Vec<(BrokerId, ClientId, Subscription)>,
     next_id: SubId,
-    /// One client per subscription (nothing dedups) or five shared clients
-    /// (a client's matches are adjacent slots and must collapse). A client's
-    /// subscriptions share one local table, so the shared client that owns
-    /// the initial population takes that table across the block seams.
+    /// One client per fresh subscription (only a copy shares its parent's)
+    /// or five shared clients (a client's matches are adjacent slots and
+    /// must collapse). A client's subscriptions share one local table, so
+    /// the shared client that owns the initial population takes that table
+    /// across the block seams.
     shared_clients: bool,
     values: Values,
+    /// Shrunk copies registered.
+    copies: usize,
+    /// Subscribes after which their broker held more subscriptions back
+    /// off its local tables than before: every copy, and the rest that a
+    /// live subscription of their client covers or that cover one.
+    held_hits: usize,
 }
 
 impl Model {
@@ -79,12 +93,54 @@ impl Model {
             let (p, q) = (self.coordinate(r), self.coordinate(r >> 8));
             (p.min(q), p.max(q))
         };
-        let bounds = [range(a), range(b)];
+        let client = if self.shared_clients {
+            a % 5
+        } else {
+            self.next_id
+        };
+        self.register(net, at, client, &[range(a), range(b)]);
+    }
+
+    /// Registers a copy of a live subscription, picked by `pick`, at its
+    /// broker for its client, each bound moved inward by 0 to 2 steps of
+    /// the value grid (0 on both sides: an equal twin). Its parent, or the
+    /// witness the parent is held behind, raw-covers it, so it takes no
+    /// slot.
+    fn copy(&mut self, net: &BrokerNetwork, pick: u64) {
+        if self.live.is_empty() {
+            return;
+        }
+        let (at, client, parent) = &self.live[pick as usize % self.live.len()];
+        let (at, client) = (*at, *client);
+        let step = match self.values {
+            Values::Integers => 1.0,
+            Values::Quarters => 0.25,
+        };
+        let inward = |(lo, hi): (f64, f64), r: u64| {
+            let lo = (lo + (r % 3) as f64 * step).min(hi);
+            (lo, (hi - (r / 3 % 3) as f64 * step).max(lo))
+        };
+        let bounds = parent.raw_bounds();
+        let bounds = [inward(bounds[0], pick >> 8), inward(bounds[1], pick >> 16)];
+        let slots = local_slots(net, at);
+        self.register(net, at, client, &bounds);
+        assert_eq!(local_slots(net, at), slots, "a copy takes no slot");
+        self.copies += 1;
+    }
+
+    fn register(
+        &mut self,
+        net: &BrokerNetwork,
+        at: BrokerId,
+        client: ClientId,
+        bounds: &[(f64, f64)],
+    ) {
         let id = self.next_id;
         self.next_id += 1;
-        let client = if self.shared_clients { a % 5 } else { id };
-        let sub = Subscription::from_raw_bounds(&self.schema, id, &bounds).unwrap();
+        let sub = Subscription::from_raw_bounds(&self.schema, id, bounds).unwrap();
+        let held = held_locally(net, at);
         net.subscribe(at, client, &sub).unwrap();
+        self.held_hits += usize::from(held_locally(net, at) > held);
         self.live.push((at, client, sub));
         self.check_links(net);
     }
@@ -193,6 +249,16 @@ impl Model {
     }
 }
 
+/// The slots of broker `at`'s local tables.
+fn local_slots(net: &BrokerNetwork, at: BrokerId) -> usize {
+    net.broker(at).unwrap().local_table_slots().iter().sum()
+}
+
+/// The local subscriptions broker `at` holds back off its tables.
+fn held_locally(net: &BrokerNetwork, at: BrokerId) -> usize {
+    net.broker(at).unwrap().local_subscriptions() - local_slots(net, at)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -211,21 +277,33 @@ proptest! {
             Just((CoveringPolicy::None, Values::Quarters)),
         ],
         seed in any::<u64>(),
-        ops in prop::collection::vec((0u8..5, any::<u64>(), any::<u64>()), 1..40),
+        ops in prop::collection::vec((0u8..6, any::<u64>(), any::<u64>()), 1..40),
     ) {
         let schema = schema();
         let net = BrokerConfig::new(Topology::line(BROKERS).unwrap(), &schema)
             .policy(policy)
             .build()
             .unwrap();
-        let mut model = Model { schema, live: Vec::new(), next_id: 1, shared_clients, values };
+        let mut model = Model {
+            schema,
+            live: Vec::new(),
+            next_id: 1,
+            shared_clients,
+            values,
+            copies: 0,
+            held_hits: 0,
+        };
         let mut mix = seed;
         let mut next = || {
             mix = mix.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             mix >> 16
         };
-        for _ in 0..initial * if shared_clients { 1 } else { 4 } {
-            model.subscribe(&net, 0, next() / 5 * 5, next());
+        for i in 0..initial * if shared_clients { 1 } else { 4 } {
+            if i % 3 == 2 {
+                model.copy(&net, next());
+            } else {
+                model.subscribe(&net, 0, next() / 5 * 5, next());
+            }
         }
         model.check(&net, 2, &model.events(next(), next()));
 
@@ -237,9 +315,14 @@ proptest! {
                 0 => model.subscribe(&net, 0, a, b),
                 1 => model.subscribe(&net, at, a, b),
                 2 => model.unsubscribe(&net, a),
+                5 => model.copy(&net, a),
                 _ => model.check(&net, at, &model.events(a, b)),
             }
         }
+        // At least one copy, held behind the subscription it copies.
+        model.subscribe(&net, next() as usize % BROKERS, next(), next());
+        model.copy(&net, model.live.len() as u64 - 1);
+        prop_assert!(model.held_hits >= model.copies && model.copies > 0);
 
         // Every live subscription's own corners, in one batch longer than
         // one 64-event chunk when the table is.
