@@ -63,14 +63,14 @@ impl Token {
     }
 }
 
-struct Cursor<'a> {
+struct Scanner<'a> {
     src: &'a [u8],
     pos: usize,
     line: usize,
     col: usize,
 }
 
-impl<'a> Cursor<'a> {
+impl<'a> Scanner<'a> {
     fn peek(&self) -> Option<u8> {
         self.src.get(self.pos).copied()
     }
@@ -105,7 +105,7 @@ fn is_ident_continue(b: u8) -> bool {
 /// rustc itself is the authority on well-formedness, the lint only needs
 /// positions to stay honest on well-formed code.
 pub fn lex(src: &str) -> Vec<Token> {
-    let mut cur = Cursor {
+    let mut cur = Scanner {
         src: src.as_bytes(),
         pos: 0,
         line: 1,
@@ -280,7 +280,7 @@ fn push(
     kind: TokenKind,
     src: &str,
     start: usize,
-    cur: &Cursor<'_>,
+    cur: &Scanner<'_>,
     line: usize,
     col: usize,
 ) {
@@ -293,7 +293,7 @@ fn push(
 }
 
 /// Whether the cursor sits at `r"`, `r#`+…+`"`, `br"`, or `br#`+…+`"`.
-fn starts_raw_string(cur: &Cursor<'_>) -> bool {
+fn starts_raw_string(cur: &Scanner<'_>) -> bool {
     let mut i = 0usize;
     if cur.peek_at(i) == Some(b'b') {
         i += 1;
@@ -311,7 +311,7 @@ fn starts_raw_string(cur: &Cursor<'_>) -> bool {
 /// Disambiguates `'a` / `'static` (lifetimes) from `'a'` / `'\n'` (char
 /// literals): after the quote, an identifier **not** followed by a closing
 /// quote is a lifetime.
-fn is_lifetime(cur: &Cursor<'_>) -> bool {
+fn is_lifetime(cur: &Scanner<'_>) -> bool {
     match cur.peek_at(1) {
         Some(c) if is_ident_start(c) => {
             let mut i = 2usize;
@@ -325,7 +325,7 @@ fn is_lifetime(cur: &Cursor<'_>) -> bool {
 }
 
 /// Consumes a `"…"` body including the opening quote at the cursor.
-fn lex_string_body(cur: &mut Cursor<'_>) {
+fn lex_string_body(cur: &mut Scanner<'_>) {
     cur.bump(); // opening quote
     loop {
         match cur.bump() {
@@ -339,7 +339,7 @@ fn lex_string_body(cur: &mut Cursor<'_>) {
 }
 
 /// Consumes a `'…'` body including the opening quote at the cursor.
-fn lex_char_body(cur: &mut Cursor<'_>) {
+fn lex_char_body(cur: &mut Scanner<'_>) {
     cur.bump(); // opening quote
     loop {
         match cur.bump() {

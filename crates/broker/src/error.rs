@@ -130,7 +130,11 @@ impl fmt::Display for ServiceError {
             ServiceError::Io(e) => write!(f, "i/o error: {e}"),
             ServiceError::CorruptFrame { reason } => write!(f, "corrupt frame: {reason}"),
             ServiceError::VersionMismatch { found } => {
-                write!(f, "peer speaks protocol version {found}, expected 1")
+                write!(
+                    f,
+                    "peer speaks protocol version {found}, expected {}",
+                    crate::wire::VERSION
+                )
             }
             ServiceError::UnexpectedFrame { kind } => {
                 write!(f, "unexpected {kind} frame at this point of the protocol")

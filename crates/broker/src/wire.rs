@@ -23,8 +23,12 @@
 //!
 //! [`check_header`] validates the fixed prefix and [`check_footer`] the
 //! trailing checksum, in the style of an index-file codec: decode only
-//! between a verified header and a verified footer. All multi-byte integers
-//! are little-endian; floats travel as their IEEE-754 bit patterns.
+//! between a verified header and a verified footer. The payload fields are
+//! read and written with the storage codec's `Cursor` and field writers
+//! (`acd_storage::codec`), so the workspace has one bounds-checked decoder:
+//! all multi-byte integers are little-endian, floats travel as their
+//! IEEE-754 bit patterns, and a `Subscribe` carries its bounds exactly as a
+//! journal record does.
 //!
 //! One payload is not fixed-width. Both publish paths hand the codec a
 //! [`Frame::Deliveries`] list that is **strictly ascending by
@@ -50,6 +54,7 @@
 
 use std::io::Read;
 
+use acd_covering::storage::codec::{put_bounds, put_bytes, put_varint, Cursor, DecodeError};
 use acd_covering::storage::crc32_update;
 use acd_subscription::{SubId, Subscription};
 
@@ -75,9 +80,6 @@ pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 /// sixteen bytes a pair. A varint pair can be one byte, so without it a
 /// frame's length would bound the decoded list at sixteen times this.
 pub const MAX_DELIVERY_PAIRS: usize = MAX_PAYLOAD as usize / 16;
-
-/// Longest LEB128 encoding of a `u64`: nine 7-bit groups and one last bit.
-const VARINT_MAX_LEN: usize = 10;
 
 /// Envelope bytes before the payload: magic + version + kind + length.
 pub const HEADER_LEN: usize = 10;
@@ -323,11 +325,7 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
             out.extend_from_slice(&(*at as u64).to_le_bytes());
             out.extend_from_slice(&client.to_le_bytes());
             out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&(bounds.len() as u32).to_le_bytes());
-            for (lo, hi) in bounds {
-                out.extend_from_slice(&lo.to_le_bytes());
-                out.extend_from_slice(&hi.to_le_bytes());
-            }
+            put_bounds(out, bounds);
         }
         Frame::Unsubscribe { at, id } => {
             out.extend_from_slice(&(*at as u64).to_le_bytes());
@@ -359,11 +357,7 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
             out.extend_from_slice(&client.to_le_bytes());
             out.extend_from_slice(&id.to_le_bytes());
             out.extend_from_slice(&epoch.to_le_bytes());
-            out.extend_from_slice(&(bounds.len() as u32).to_le_bytes());
-            for (lo, hi) in bounds {
-                out.extend_from_slice(&lo.to_le_bytes());
-                out.extend_from_slice(&hi.to_le_bytes());
-            }
+            put_bounds(out, bounds);
         }
         Frame::Retract { at, id, epoch } => {
             out.extend_from_slice(&(*at as u64).to_le_bytes());
@@ -377,24 +371,6 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
         .copy_from_slice(&payload_len.to_le_bytes());
     let crc = crc32(out);
     out.extend_from_slice(&crc.to_le_bytes());
-}
-
-/// Appends a length-prefixed byte string.
-// acd-lint: hot
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-/// Appends `value` as a LEB128 varint: seven bits a byte, low bits first,
-/// the high bit set on every byte but the last.
-// acd-lint: hot
-fn put_varint(out: &mut Vec<u8>, mut value: u64) {
-    while value >= 0x80 {
-        out.push(value as u8 | 0x80);
-        value >>= 7;
-    }
-    out.push(value as u8);
 }
 
 /// Appends a `Deliveries` payload (layout in the module docs). The
@@ -448,7 +424,9 @@ pub fn read_frame<R: Read>(reader: &mut R, scratch: &mut Vec<u8>) -> Result<Fram
     // The checksum covers header + payload, which arrive as two spans.
     let crc = crc32_update(crc32(&header), scratch);
     check_footer(u32::from_le_bytes(footer), crc)?;
-    decode_payload(kind, scratch)
+    decode_payload(kind, scratch).map_err(|e| ServiceError::CorruptFrame {
+        reason: e.into_reason(),
+    })
 }
 
 /// Peeks at the frame heading `buf` without consuming anything: returns the
@@ -487,56 +465,29 @@ fn truncated(e: std::io::Error) -> ServiceError {
     }
 }
 
-/// A [`ServiceError::CorruptFrame`] with a fixed reason.
-fn corrupt(reason: &str) -> ServiceError {
-    ServiceError::CorruptFrame {
-        reason: reason.into(),
-    }
-}
-
 /// Decodes a checksum-verified payload into a [`Frame`].
-fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ServiceError> {
-    let mut c = Cursor {
-        buf: payload,
-        at: 0,
-    };
+fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
+    let mut c = Cursor::new(payload);
     let frame = match kind {
         kind::HELLO => Frame::Hello {
             schema_json: c.take_string()?,
         },
-        kind::SUBSCRIBE => {
-            let at = c.take_u64()? as BrokerId;
-            let client = c.take_u64()?;
-            let id = c.take_u64()?;
-            let n = c.take_u32()? as usize;
-            c.check_remaining(n, 16)?;
-            let mut bounds = Vec::with_capacity(n);
-            for _ in 0..n {
-                bounds.push((c.take_f64()?, c.take_f64()?));
-            }
-            Frame::Subscribe {
-                at,
-                client,
-                id,
-                bounds,
-            }
-        }
+        kind::SUBSCRIBE => Frame::Subscribe {
+            at: c.take_u64()? as BrokerId,
+            client: c.take_u64()?,
+            id: c.take_u64()?,
+            bounds: c.take_bounds()?,
+        },
         kind::UNSUBSCRIBE => Frame::Unsubscribe {
             at: c.take_u64()? as BrokerId,
             id: c.take_u64()?,
         },
-        kind::PUBLISH => {
-            let at = c.take_u64()? as BrokerId;
-            let n = c.take_u32()? as usize;
-            c.check_remaining(n, 8)?;
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                values.push(c.take_f64()?);
-            }
-            Frame::Publish { at, values }
-        }
+        kind::PUBLISH => Frame::Publish {
+            at: c.take_u64()? as BrokerId,
+            values: c.take_list(8, Cursor::take_f64)?,
+        },
         kind::DELIVERIES => Frame::Deliveries {
-            pairs: c.take_deliveries()?,
+            pairs: take_deliveries(&mut c)?,
         },
         kind::OK => Frame::Ok,
         kind::ERR => Frame::Err {
@@ -545,178 +496,61 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ServiceError> {
         kind::REJECTED => Frame::Rejected {
             reason: c.take_string()?,
         },
-        kind::RESUBSCRIBE => {
-            let at = c.take_u64()? as BrokerId;
-            let client = c.take_u64()?;
-            let id = c.take_u64()?;
-            let epoch = c.take_u64()?;
-            let n = c.take_u32()? as usize;
-            c.check_remaining(n, 16)?;
-            let mut bounds = Vec::with_capacity(n);
-            for _ in 0..n {
-                bounds.push((c.take_f64()?, c.take_f64()?));
-            }
-            Frame::Resubscribe {
-                at,
-                client,
-                id,
-                bounds,
-                epoch,
-            }
-        }
+        kind::RESUBSCRIBE => Frame::Resubscribe {
+            at: c.take_u64()? as BrokerId,
+            client: c.take_u64()?,
+            id: c.take_u64()?,
+            epoch: c.take_u64()?,
+            bounds: c.take_bounds()?,
+        },
         kind::RETRACT => Frame::Retract {
             at: c.take_u64()? as BrokerId,
             id: c.take_u64()?,
             epoch: c.take_u64()?,
         },
-        other => {
-            return Err(ServiceError::CorruptFrame {
-                reason: format!("unknown frame kind {other}"),
-            })
-        }
+        other => return Err(DecodeError::new(format!("unknown frame kind {other}"))),
     };
     c.finish()?;
     Ok(frame)
 }
 
-/// A bounds-checked reader over a payload slice: every primitive read can
-/// fail cleanly instead of panicking on a short buffer.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], ServiceError> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end.and_then(|end| self.buf.get(self.at..end)) {
-            Some(slice) => {
-                self.at = self.at.saturating_add(n);
-                Ok(slice)
-            }
-            None => Err(ServiceError::CorruptFrame {
-                reason: "payload shorter than its fields claim".into(),
-            }),
+/// Reads a `Deliveries` payload (layout in the module docs), rebuilding
+/// each id with `checked_add`: the strict ascent [`put_deliveries`] assumes
+/// is checked here, for every list, in every build.
+fn take_deliveries(c: &mut Cursor) -> Result<Vec<(BrokerId, ClientId)>, DecodeError> {
+    let n = c.take_u32()? as usize;
+    if n > MAX_DELIVERY_PAIRS {
+        return Err(DecodeError::new(
+            "pair count exceeds what a frame may carry",
+        ));
+    }
+    c.check_remaining(n, 1)?;
+    let not_ascending = || DecodeError::new("pairs do not ascend strictly");
+    let mut pairs = Vec::with_capacity(n);
+    // The smallest broker the next group may name; none after `u64::MAX`.
+    let mut floor = Some(0u64);
+    while pairs.len() < n {
+        let delta = c.take_varint()?;
+        let broker = floor
+            .and_then(|floor| floor.checked_add(delta))
+            .ok_or_else(not_ascending)?;
+        let more = c.take_varint()?;
+        if more >= (n - pairs.len()) as u64 {
+            return Err(DecodeError::new("a broker's run outruns the pair count"));
         }
-    }
-
-    fn take_u32(&mut self) -> Result<u32, ServiceError> {
-        let b: [u8; 4] = self
-            .take(4)?
-            .try_into()
-            .expect("take(4) returns exactly four bytes");
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn take_u64(&mut self) -> Result<u64, ServiceError> {
-        let b: [u8; 8] = self
-            .take(8)?
-            .try_into()
-            .expect("take(8) returns exactly eight bytes");
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn take_f64(&mut self) -> Result<f64, ServiceError> {
-        Ok(f64::from_bits(self.take_u64()?))
-    }
-
-    fn take_string(&mut self) -> Result<String, ServiceError> {
-        let n = self.take_u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ServiceError::CorruptFrame {
-            reason: "string field is not UTF-8".into(),
-        })
-    }
-
-    /// Reads one LEB128 varint. Only what [`put_varint`] writes is accepted:
-    /// at most [`VARINT_MAX_LEN`] bytes, no bits beyond the 64th, and no
-    /// zero padding, so every value has exactly one encoding.
-    // acd-lint: hot
-    fn take_varint(&mut self) -> Result<u64, ServiceError> {
-        let rest = self.buf.get(self.at..).unwrap_or_default();
-        let mut value = 0u64;
-        for (i, &byte) in rest.iter().take(VARINT_MAX_LEN).enumerate() {
-            let bits = u64::from(byte & 0x7f);
-            if i == VARINT_MAX_LEN - 1 && bits > 1 {
-                return Err(corrupt("varint overflows 64 bits"));
-            }
-            value |= bits << (7 * i);
-            if byte < 0x80 {
-                if byte == 0 && i > 0 {
-                    return Err(corrupt("varint is padded with a zero byte"));
-                }
-                self.at += i + 1;
-                return Ok(value);
-            }
-        }
-        Err(corrupt(if rest.len() < VARINT_MAX_LEN {
-            "payload ends inside a varint"
-        } else {
-            "varint longer than ten bytes"
-        }))
-    }
-
-    /// Reads a `Deliveries` payload (layout in the module docs), rebuilding
-    /// each id with `checked_add`: the strict ascent [`put_deliveries`]
-    /// assumes is checked here, for every list, in every build.
-    fn take_deliveries(&mut self) -> Result<Vec<(BrokerId, ClientId)>, ServiceError> {
-        let n = self.take_u32()? as usize;
-        if n > MAX_DELIVERY_PAIRS {
-            return Err(corrupt("pair count exceeds what a frame may carry"));
-        }
-        self.check_remaining(n, 1)?;
-        let not_ascending = || corrupt("pairs do not ascend strictly");
-        let mut pairs = Vec::with_capacity(n);
-        // The smallest broker the next group may name; none after `u64::MAX`.
-        let mut floor = Some(0u64);
-        while pairs.len() < n {
-            let delta = self.take_varint()?;
-            let broker = floor
-                .and_then(|floor| floor.checked_add(delta))
+        let mut client = c.take_varint()?;
+        pairs.push((broker as BrokerId, client));
+        for _ in 0..more {
+            let delta = c.take_varint()?;
+            client = client
+                .checked_add(1)
+                .and_then(|next| next.checked_add(delta))
                 .ok_or_else(not_ascending)?;
-            let more = self.take_varint()?;
-            if more >= (n - pairs.len()) as u64 {
-                return Err(corrupt("a broker's run outruns the pair count"));
-            }
-            let mut client = self.take_varint()?;
             pairs.push((broker as BrokerId, client));
-            for _ in 0..more {
-                let delta = self.take_varint()?;
-                client = client
-                    .checked_add(1)
-                    .and_then(|next| next.checked_add(delta))
-                    .ok_or_else(not_ascending)?;
-                pairs.push((broker as BrokerId, client));
-            }
-            floor = broker.checked_add(1);
         }
-        Ok(pairs)
+        floor = broker.checked_add(1);
     }
-
-    /// Rejects element counts that could not possibly fit in the remaining
-    /// bytes, before `Vec::with_capacity` trusts them.
-    fn check_remaining(&self, count: usize, elem_size: usize) -> Result<(), ServiceError> {
-        let need = count.checked_mul(elem_size);
-        if need.is_none_or(|need| need > self.buf.len() - self.at) {
-            return Err(ServiceError::CorruptFrame {
-                reason: "element count exceeds payload size".into(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Every payload byte must be consumed — trailing garbage is corruption.
-    fn finish(&self) -> Result<(), ServiceError> {
-        if self.at != self.buf.len() {
-            return Err(ServiceError::CorruptFrame {
-                reason: format!(
-                    "{} trailing payload bytes after decoding",
-                    self.buf.len() - self.at
-                ),
-            });
-        }
-        Ok(())
-    }
+    Ok(pairs)
 }
 
 #[cfg(test)]
@@ -956,10 +790,12 @@ mod tests {
             payload.extend_from_slice(&id.to_le_bytes());
         }
         let frame = sealed(1, kind::DELIVERIES, &payload);
-        assert!(matches!(
-            read_frame(&mut frame.as_slice(), &mut Vec::new()),
-            Err(ServiceError::VersionMismatch { found: 1 })
-        ));
+        let err = read_frame(&mut frame.as_slice(), &mut Vec::new()).unwrap_err();
+        assert_eq!(err, ServiceError::VersionMismatch { found: 1 });
+        assert_eq!(
+            err.to_string(),
+            "peer speaks protocol version 1, expected 2"
+        );
     }
 
     #[test]
@@ -1058,16 +894,6 @@ mod tests {
         let mut corrupt = buf.clone();
         corrupt[0] = b'X';
         assert_eq!(buffered_publish(&corrupt), None);
-    }
-
-    #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        // The standard check: CRC-32("123456789") == 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        // Split computation agrees with one-shot.
-        let whole = crc32(b"hello world");
-        assert_eq!(crc32_update(crc32(b"hello "), b"world"), whole);
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! The on-disk codec: the CRC-32 kernel, the file envelope shared by every
-//! storage file, and a bounds-checked cursor for decoding payloads.
+//! The one codec: the CRC-32 kernel, the envelope shared by every storage
+//! file, and the bounds-checked [`Cursor`] and field writers that every
+//! decoder and encoder in the workspace uses — this crate's files and the
+//! broker's wire frames alike.
 //!
 //! Every file this crate writes has the same envelope:
 //!
@@ -11,7 +13,7 @@
 //! ```
 //!
 //! * `magic` is [`MAGIC`] (`"ACDS"`): a file that is not a storage file at
-//!   all is rejected on its first four bytes;
+//!   all is rejected as corrupt;
 //! * `version` is [`VERSION`]; a file from a future codec surfaces as
 //!   [`StorageError::UnsupportedVersion`], never a misparse;
 //! * `kind` says what the file *is* ([`file_kind`]) so a meta file handed
@@ -22,11 +24,21 @@
 //!   it**, header included, so a flipped bit anywhere in the file is
 //!   caught before a single payload byte is interpreted.
 //!
-//! The validation order in `open_envelope` is deliberate: magic, then
-//! footer checksum, then version and kind. Checking the checksum *before*
-//! the version byte means a bit flip in the version field reads as the
-//! corruption it is ([`StorageError::CorruptSegment`]); only a file whose
-//! checksum is intact can claim to be from a future codec.
+//! `open_envelope` verifies the checksum before it reads a header byte, so
+//! a bit flip in the version field reads as the corruption it is
+//! ([`StorageError::CorruptSegment`]); only a file whose checksum is intact
+//! can claim to be from a future codec. The journal has no checksum
+//! footer (each of its records carries its own), so its header is checked
+//! alone.
+//!
+//! Fields are little-endian; floats travel as their IEEE-754 bit patterns.
+//! A [`Cursor`] read fails with a [`DecodeError`], which carries no file or
+//! frame: each decoder turns it into its own typed error once, at its
+//! boundary — [`StorageError::CorruptSegment`] naming the file here,
+//! `ServiceError::CorruptFrame` in the broker.
+
+use std::borrow::Cow;
+use std::fmt;
 
 use crate::error::StorageError;
 use crate::Result;
@@ -42,6 +54,9 @@ pub const HEADER_LEN: usize = 14;
 
 /// Envelope bytes after the payload: the CRC-32.
 pub const FOOTER_LEN: usize = 4;
+
+/// Longest LEB128 encoding of a `u64`: nine 7-bit groups and one last bit.
+const VARINT_MAX_LEN: usize = 10;
 
 /// The `kind` byte of the file envelope: what a storage file is.
 pub mod file_kind {
@@ -155,73 +170,61 @@ pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Validates a storage file's fixed header — magic, codec version, file
-/// kind — and returns the generation it was written under.
+/// Validates the fixed header at the front of `bytes` — magic, codec
+/// version, file kind — and returns the generation it was written under.
+/// Reads nothing past the header.
 ///
 /// # Errors
 ///
 /// [`StorageError::CorruptSegment`] on a short file, bad magic, or wrong
 /// kind; [`StorageError::UnsupportedVersion`] on a foreign version byte.
-pub fn check_index_header(bytes: &[u8], expected_kind: u8, file: &str) -> Result<u64> {
-    if bytes.len() < HEADER_LEN + FOOTER_LEN {
+pub(crate) fn check_index_header(bytes: &[u8], expected_kind: u8, file: &str) -> Result<u64> {
+    let Some(header) = bytes.first_chunk::<HEADER_LEN>() else {
         return Err(StorageError::corrupt(
             file,
             format!(
-                "file is {} bytes, shorter than the {}-byte envelope",
-                bytes.len(),
-                HEADER_LEN + FOOTER_LEN
+                "file is {} bytes, shorter than the {HEADER_LEN}-byte header",
+                bytes.len()
             ),
         ));
-    }
-    let (header, _) = bytes.split_at(HEADER_LEN);
-    let [m0, m1, m2, m3, version, kind, gen @ ..] = header else {
-        return Err(StorageError::corrupt(
-            file,
-            "header shorter than its fixed fields",
-        ));
     };
-    let magic = u32::from_le_bytes([*m0, *m1, *m2, *m3]);
+    let [m0, m1, m2, m3, version, kind, generation @ ..] = *header;
+    let magic = u32::from_le_bytes([m0, m1, m2, m3]);
     if magic != MAGIC {
         return Err(StorageError::corrupt(
             file,
             format!("bad magic 0x{magic:08x}, expected 0x{MAGIC:08x}"),
         ));
     }
-    if *version != VERSION {
+    if version != VERSION {
         return Err(StorageError::UnsupportedVersion {
             file: file.into(),
-            found: *version,
+            found: version,
         });
     }
-    if *kind != expected_kind {
+    if kind != expected_kind {
         return Err(StorageError::corrupt(
             file,
             format!("file kind {kind} where kind {expected_kind} was expected"),
         ));
     }
-    let gen: [u8; 8] = gen
-        .try_into()
-        .map_err(|_| StorageError::corrupt(file, "generation field is not eight bytes"))?;
-    Ok(u64::from_le_bytes(gen))
+    Ok(u64::from_le_bytes(generation))
 }
 
-/// Validates a storage file's trailing CRC-32 against the bytes before it.
+/// Validates a storage file's trailing CRC-32 against the bytes before it,
+/// and returns those bytes.
 ///
 /// # Errors
 ///
 /// [`StorageError::CorruptSegment`] on a short file or a mismatch.
-pub fn check_footer(bytes: &[u8], file: &str) -> Result<()> {
-    if bytes.len() < HEADER_LEN + FOOTER_LEN {
+pub(crate) fn check_footer<'a>(bytes: &'a [u8], file: &str) -> Result<&'a [u8]> {
+    let Some((body, footer)) = bytes.split_last_chunk::<FOOTER_LEN>() else {
         return Err(StorageError::corrupt(
             file,
             "file too short to carry a checksum footer",
         ));
-    }
-    let (body, footer) = bytes.split_at(bytes.len() - FOOTER_LEN);
-    let stored: [u8; FOOTER_LEN] = footer
-        .try_into()
-        .map_err(|_| StorageError::corrupt(file, "checksum footer is not four bytes"))?;
-    let stored = u32::from_le_bytes(stored);
+    };
+    let stored = u32::from_le_bytes(*footer);
     let computed = crc32(body);
     if stored != computed {
         return Err(StorageError::corrupt(
@@ -231,43 +234,21 @@ pub fn check_footer(bytes: &[u8], file: &str) -> Result<()> {
             ),
         ));
     }
-    Ok(())
+    Ok(body)
 }
 
-/// Fully validates a file's envelope — magic, checksum, version, kind — and
-/// returns `(generation, payload)`. The checksum is verified **before** the
-/// version and kind bytes are trusted, so any single flipped bit anywhere
-/// in the file reads as [`StorageError::CorruptSegment`].
+/// Fully validates a file's envelope — checksum, then magic, version and
+/// kind — and returns `(generation, payload)`. The checksum is verified
+/// **before** any header byte is trusted, so any single flipped bit
+/// anywhere in the file reads as [`StorageError::CorruptSegment`].
 pub(crate) fn open_envelope<'a>(
     bytes: &'a [u8],
     expected_kind: u8,
     file: &str,
 ) -> Result<(u64, &'a [u8])> {
-    if bytes.len() < HEADER_LEN + FOOTER_LEN {
-        return Err(StorageError::corrupt(
-            file,
-            format!(
-                "file is {} bytes, shorter than the {}-byte envelope",
-                bytes.len(),
-                HEADER_LEN + FOOTER_LEN
-            ),
-        ));
-    }
-    let magic = bytes
-        .first_chunk::<4>()
-        .map(|m| u32::from_le_bytes(*m))
-        .ok_or_else(|| StorageError::corrupt(file, "file shorter than its magic number"))?;
-    if magic != MAGIC {
-        return Err(StorageError::corrupt(
-            file,
-            format!("bad magic 0x{magic:08x}, expected 0x{MAGIC:08x}"),
-        ));
-    }
-    check_footer(bytes, file)?;
-    let generation = check_index_header(bytes, expected_kind, file)?;
-    let (_, rest) = bytes.split_at(HEADER_LEN);
-    let (payload, _) = rest.split_at(rest.len() - FOOTER_LEN);
-    Ok((generation, payload))
+    let body = check_footer(bytes, file)?;
+    let generation = check_index_header(body, expected_kind, file)?;
+    Ok((generation, body.get(HEADER_LEN..).unwrap_or_default()))
 }
 
 /// Starts a file: writes the envelope header into a fresh buffer.
@@ -286,12 +267,6 @@ pub(crate) fn finish_file(mut out: Vec<u8>) -> Vec<u8> {
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
-}
-
-/// Appends a length-prefixed byte string.
-pub(crate) fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
 }
 
 /// Writes `bytes` to `path` atomically **and durably**: the contents land
@@ -335,108 +310,239 @@ pub(crate) fn sync_parent_dir(_path: &std::path::Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// A bounds-checked reader over a payload slice: every primitive read can
-/// fail cleanly ([`StorageError::CorruptSegment`]) instead of panicking on
-/// a short buffer, and counts are validated against the bytes actually
-/// remaining before any allocation.
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-    file: &'a str,
+/// Appends a `u32` length and then `bytes`: what [`Cursor::take_string`]
+/// reads.
+// acd-lint: hot
+#[inline(always)]
+pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
+/// Appends a `u32` count and then each `(lo, hi)` range as two `f64`s:
+/// what [`Cursor::take_bounds`] reads.
+// acd-lint: hot
+#[inline(always)]
+pub fn put_bounds(out: &mut Vec<u8>, bounds: &[(f64, f64)]) {
+    out.extend_from_slice(&(bounds.len() as u32).to_le_bytes());
+    for (lo, hi) in bounds {
+        out.extend_from_slice(&lo.to_le_bytes());
+        out.extend_from_slice(&hi.to_le_bytes());
+    }
+}
+
+/// Appends `value` as a LEB128 varint: seven bits a byte, low bits first,
+/// the high bit set on every byte but the last.
+// acd-lint: hot
+#[inline(always)]
+pub fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// Why a payload failed to decode. It names no file or frame: each decoder
+/// converts it once, at its boundary, into its own typed error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodeError(Cow<'static, str>);
+
+impl DecodeError {
+    /// A decode failure for `reason`; a `&'static str` reason allocates
+    /// nothing.
+    pub fn new(reason: impl Into<Cow<'static, str>>) -> Self {
+        DecodeError(reason.into())
+    }
+
+    /// The reason, for the caller's own error type.
+    pub fn into_reason(self) -> String {
+        self.0.into_owned()
+    }
+
+    /// This failure as [`StorageError::CorruptSegment`] in `file`.
+    pub(crate) fn in_file(self, file: &str) -> StorageError {
+        StorageError::corrupt(file, self.0)
+    }
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// A bounds-checked reader over a payload: every read fails cleanly with a
+/// [`DecodeError`] instead of panicking on a short buffer, and every count
+/// is checked against the bytes left before it sizes an allocation.
+///
+/// Every reader here and every writer above is `#[inline(always)]`: the
+/// broker encodes and decodes each frame through them from another crate,
+/// where rustc otherwise leaves calls in the per-field loops, measurably
+/// slower on the publish paths.
+#[derive(Debug)]
+pub struct Cursor<'a> {
+    rest: &'a [u8],
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8], file: &'a str) -> Self {
-        Cursor { buf, at: 0, file }
+    /// A cursor at the start of `buf`.
+    #[inline(always)]
+    pub fn new(buf: &'a [u8]) -> Self {
+        Cursor { rest: buf }
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end.and_then(|end| self.buf.get(self.at..end)) {
-            Some(slice) => {
-                self.at = self.at.saturating_add(n);
-                Ok(slice)
-            }
-            None => Err(StorageError::corrupt(
-                self.file,
-                "payload shorter than its fields claim",
-            )),
-        }
+    /// The next `n` bytes.
+    #[inline(always)]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let (head, rest) = self.rest.split_at_checked(n).ok_or_else(short)?;
+        self.rest = rest;
+        Ok(head)
     }
 
-    pub(crate) fn take_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+    #[inline(always)]
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, rest) = self.rest.split_first_chunk::<N>().ok_or_else(short)?;
+        self.rest = rest;
+        Ok(*head)
     }
 
-    pub(crate) fn take_u16(&mut self) -> Result<u16> {
-        let b: [u8; 2] = self
-            .take(2)?
-            .try_into()
-            .expect("take(2) returns exactly two bytes");
-        Ok(u16::from_le_bytes(b))
+    /// One byte.
+    #[inline(always)]
+    pub fn take_u8(&mut self) -> Result<u8, DecodeError> {
+        let [byte] = self.take_array()?;
+        Ok(byte)
     }
 
-    pub(crate) fn take_u32(&mut self) -> Result<u32> {
-        let b: [u8; 4] = self
-            .take(4)?
-            .try_into()
-            .expect("take(4) returns exactly four bytes");
-        Ok(u32::from_le_bytes(b))
+    /// A little-endian `u16`.
+    #[inline(always)]
+    pub fn take_u16(&mut self) -> Result<u16, DecodeError> {
+        self.take_array().map(u16::from_le_bytes)
     }
 
-    pub(crate) fn take_u64(&mut self) -> Result<u64> {
-        let b: [u8; 8] = self
-            .take(8)?
-            .try_into()
-            .expect("take(8) returns exactly eight bytes");
-        Ok(u64::from_le_bytes(b))
+    /// A little-endian `u32`.
+    #[inline(always)]
+    pub fn take_u32(&mut self) -> Result<u32, DecodeError> {
+        self.take_array().map(u32::from_le_bytes)
     }
 
-    pub(crate) fn take_f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.take_u64()?))
+    /// A little-endian `u64`.
+    #[inline(always)]
+    pub fn take_u64(&mut self) -> Result<u64, DecodeError> {
+        self.take_array().map(u64::from_le_bytes)
     }
 
-    pub(crate) fn take_string(&mut self) -> Result<String> {
+    /// An `f64` from its little-endian IEEE-754 bits.
+    #[inline(always)]
+    pub fn take_f64(&mut self) -> Result<f64, DecodeError> {
+        self.take_u64().map(f64::from_bits)
+    }
+
+    /// A UTF-8 string behind a `u32` length, as [`put_bytes`] writes it.
+    #[inline(always)]
+    pub fn take_string(&mut self) -> Result<String, DecodeError> {
         let len = self.take_u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| StorageError::corrupt(self.file, "string field is not valid UTF-8"))
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|_| DecodeError::new("string field is not valid UTF-8"))
+    }
+
+    /// Reads one LEB128 varint. Only what [`put_varint`] writes is accepted:
+    /// at most ten bytes, no bits beyond the 64th, and no zero padding, so
+    /// every value has exactly one encoding.
+    // acd-lint: hot
+    #[inline(always)]
+    pub fn take_varint(&mut self) -> Result<u64, DecodeError> {
+        let mut value = 0u64;
+        for (i, &byte) in self.rest.iter().take(VARINT_MAX_LEN).enumerate() {
+            let bits = u64::from(byte & 0x7f);
+            if i == VARINT_MAX_LEN - 1 && bits > 1 {
+                return Err(DecodeError::new("varint overflows 64 bits"));
+            }
+            value |= bits << (7 * i);
+            if byte < 0x80 {
+                if byte == 0 && i > 0 {
+                    return Err(DecodeError::new("varint is padded with a zero byte"));
+                }
+                self.rest = self.rest.get(i + 1..).unwrap_or_default();
+                return Ok(value);
+            }
+        }
+        Err(DecodeError::new(if self.rest.len() < VARINT_MAX_LEN {
+            "payload ends inside a varint"
+        } else {
+            "varint longer than ten bytes"
+        }))
+    }
+
+    /// Reads a `u32` count and then that many elements with `take`. The
+    /// count is checked against the bytes left, at `min_size` bytes an
+    /// element, before the list is sized.
+    #[inline(always)]
+    pub fn take_list<T>(
+        &mut self,
+        min_size: usize,
+        mut take: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.take_u32()? as usize;
+        self.check_remaining(n, min_size)?;
+        let mut list = Vec::with_capacity(n);
+        for _ in 0..n {
+            list.push(take(self)?);
+        }
+        Ok(list)
+    }
+
+    /// A counted list of `(lo, hi)` ranges, as [`put_bounds`] writes it.
+    #[inline(always)]
+    pub fn take_bounds(&mut self) -> Result<Vec<(f64, f64)>, DecodeError> {
+        self.take_list(16, |c| Ok((c.take_f64()?, c.take_f64()?)))
     }
 
     /// Rejects a claimed element count that cannot fit in the bytes left
-    /// (`count * min_element_size > remaining`), so corrupt counts can
+    /// (`count * min_element_size > remaining`), so a corrupt count can
     /// never drive an over-allocation.
-    pub(crate) fn check_remaining(&self, count: usize, min_element_size: usize) -> Result<()> {
-        let need = count.checked_mul(min_element_size);
-        let remaining = self.buf.len() - self.at;
-        match need {
+    #[inline(always)]
+    pub fn check_remaining(
+        &self,
+        count: usize,
+        min_element_size: usize,
+    ) -> Result<(), DecodeError> {
+        let remaining = self.remaining();
+        match count.checked_mul(min_element_size) {
             Some(need) if need <= remaining => Ok(()),
-            _ => Err(StorageError::corrupt(
-                self.file,
-                format!(
-                    "count {count} needs at least {} bytes but only {remaining} remain",
-                    count.saturating_mul(min_element_size)
-                ),
-            )),
+            _ => Err(DecodeError::new(format!(
+                "count {count} needs at least {} bytes but only {remaining} remain",
+                count.saturating_mul(min_element_size)
+            ))),
         }
     }
 
     /// Bytes not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.at
+    #[inline(always)]
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
     }
 
     /// Asserts the payload was consumed exactly: trailing bytes are as
     /// corrupt as missing ones.
-    pub(crate) fn finish(self) -> Result<()> {
-        if self.at != self.buf.len() {
-            return Err(StorageError::corrupt(
-                self.file,
-                format!("{} trailing bytes after the last field", self.remaining()),
-            ));
+    #[inline(always)]
+    pub fn finish(self) -> Result<(), DecodeError> {
+        if !self.rest.is_empty() {
+            return Err(DecodeError::new(format!(
+                "{} trailing bytes after the last field",
+                self.remaining()
+            )));
         }
         Ok(())
     }
+}
+
+fn short() -> DecodeError {
+    DecodeError::new("payload shorter than its fields claim")
 }
 
 #[cfg(test)]
@@ -549,9 +655,9 @@ mod tests {
     #[test]
     fn cursor_rejects_short_reads_overcounts_and_trailing_bytes() {
         let buf = [1u8, 2, 3, 4];
-        let mut c = Cursor::new(&buf, "test");
+        let mut c = Cursor::new(&buf);
         assert!(c.take_u64().is_err());
-        let mut c = Cursor::new(&buf, "test");
+        let mut c = Cursor::new(&buf);
         assert!(c.check_remaining(3, 2).is_err());
         assert!(c.check_remaining(2, 2).is_ok());
         assert!(c.check_remaining(usize::MAX, 8).is_err());

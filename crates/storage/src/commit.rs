@@ -17,7 +17,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::codec::{self, file_kind, Cursor};
+use crate::codec::{self, file_kind, Cursor, DecodeError};
 use crate::error::StorageError;
 use crate::Result;
 
@@ -102,43 +102,36 @@ pub fn read_commit(path: &Path) -> Result<CommitManifest> {
         .unwrap_or_else(|| path.display().to_string());
     let bytes = std::fs::read(path).map_err(|e| StorageError::io(path.display().to_string(), e))?;
     let (generation, payload) = codec::open_envelope(&bytes, file_kind::COMMIT, &name)?;
-    let mut c = Cursor::new(payload, &name);
-    let curve_tag = c.take_u8()?;
-    let schema_json = c.take_string()?;
-    let config_json = c.take_string()?;
-    let n_starts = c.take_u32()? as usize;
-    c.check_remaining(n_starts, 8)?;
-    let mut starts = Vec::with_capacity(n_starts);
-    for _ in 0..n_starts {
-        starts.push(c.take_u64()?);
-    }
-    let n_shards = c.take_u32()? as usize;
-    c.check_remaining(n_shards, 4 + 4 + 8)?;
-    let mut shards = Vec::with_capacity(n_shards);
-    for _ in 0..n_shards {
-        let stem = c.take_string()?;
-        // Stems become file paths: refuse anything that could escape the
-        // directory, even inside a checksum-valid file.
-        if stem.is_empty() || stem.contains(['/', '\\']) || stem.contains("..") {
-            return Err(StorageError::corrupt(
-                &name,
-                format!("shard stem {stem:?} is not a plain file name"),
-            ));
-        }
-        shards.push(ShardRef {
-            stem,
-            data_crc: c.take_u32()?,
-            entries: c.take_u64()?,
-        });
-    }
-    c.finish()?;
-    Ok(CommitManifest {
+    decode_manifest(generation, payload).map_err(|e| e.in_file(&name))
+}
+
+fn decode_manifest(generation: u64, payload: &[u8]) -> Result<CommitManifest, DecodeError> {
+    let mut c = Cursor::new(payload);
+    let manifest = CommitManifest {
         generation,
-        curve_tag,
-        schema_json,
-        config_json,
-        starts,
-        shards,
+        curve_tag: c.take_u8()?,
+        schema_json: c.take_string()?,
+        config_json: c.take_string()?,
+        starts: c.take_list(8, Cursor::take_u64)?,
+        shards: c.take_list(4 + 4 + 8, take_shard)?,
+    };
+    c.finish()?;
+    Ok(manifest)
+}
+
+fn take_shard(c: &mut Cursor) -> Result<ShardRef, DecodeError> {
+    let stem = c.take_string()?;
+    // Stems become file paths: refuse anything that could escape the
+    // directory, even inside a checksum-valid file.
+    if stem.is_empty() || stem.contains(['/', '\\']) || stem.contains("..") {
+        return Err(DecodeError::new(format!(
+            "shard stem {stem:?} is not a plain file name"
+        )));
+    }
+    Ok(ShardRef {
+        stem,
+        data_crc: c.take_u32()?,
+        entries: c.take_u64()?,
     })
 }
 

@@ -20,9 +20,10 @@ pub enum StorageError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// A file's bytes are not a valid segment: bad magic, checksum
-    /// mismatch, truncation, impossible lengths or counts, or a meta file
-    /// that does not match its data file.
+    /// A file's bytes are not valid for its kind (a segment, commit,
+    /// journal header or snapshot): bad magic, checksum mismatch,
+    /// truncation, impossible lengths or counts, or a meta file that does
+    /// not match its data file.
     CorruptSegment {
         /// File the corruption was detected in.
         file: String,
@@ -72,7 +73,7 @@ impl fmt::Display for StorageError {
         match self {
             StorageError::Io { file, source } => write!(f, "i/o error on {file}: {source}"),
             StorageError::CorruptSegment { file, reason } => {
-                write!(f, "corrupt segment {file}: {reason}")
+                write!(f, "corrupt file {file}: {reason}")
             }
             StorageError::UnsupportedVersion { file, found } => write!(
                 f,
@@ -106,9 +107,8 @@ mod tests {
 
     #[test]
     fn corrupt_is_typed_and_displayed() {
-        let e = StorageError::corrupt("seg-0000000001-000.dat", "checksum mismatch");
+        let e = StorageError::corrupt("journal.acd", "checksum mismatch");
         assert!(e.is_corrupt());
-        let s = e.to_string();
-        assert!(s.contains("seg-0000000001-000.dat") && s.contains("checksum"));
+        assert_eq!(e.to_string(), "corrupt file journal.acd: checksum mismatch");
     }
 }

@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 
 use acd_subscription::SubId;
 
-use crate::codec::{self, file_kind, Cursor};
+use crate::codec::{self, file_kind, Cursor, DecodeError};
 use crate::error::StorageError;
 use crate::Result;
 
@@ -92,11 +92,7 @@ fn encode_record(record: &JournalRecord, out: &mut Vec<u8>) {
             out.extend_from_slice(&at.to_le_bytes());
             out.extend_from_slice(&client.to_le_bytes());
             out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&(bounds.len() as u32).to_le_bytes());
-            for (lo, hi) in bounds {
-                out.extend_from_slice(&lo.to_le_bytes());
-                out.extend_from_slice(&hi.to_le_bytes());
-            }
+            codec::put_bounds(out, bounds);
         }
         JournalRecord::Unsubscribe { at, id } => {
             out.push(record_kind::UNSUBSCRIBE);
@@ -111,67 +107,55 @@ fn encode_record(record: &JournalRecord, out: &mut Vec<u8>) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// The payload of the record envelope at the start of `buf`, or `None`
-/// where the durable prefix ends: a zero length field, a length that
-/// overruns `buf`, or a CRC that does not match.
-fn envelope_payload(buf: &[u8]) -> Option<&[u8]> {
-    let len = u32::from_le_bytes(buf.get(..4)?.try_into().expect("slice of 4")) as usize;
+/// Reads one record envelope and decodes its payload. Where the journal's
+/// durable prefix ends this fails: a zero length field, a length that
+/// overruns the buffer, a CRC that does not match, or a payload that does
+/// not decode.
+fn take_record(c: &mut Cursor) -> Result<JournalRecord, DecodeError> {
+    let len = c.take_u32()? as usize;
     // No record has an empty payload, and `crc32("") == 0`: without this
     // rule the journal's zero-filled slack would pass the envelope check
     // and be stopped only by the payload decoder.
     if len == 0 {
-        return None;
+        return Err(DecodeError::new("empty record"));
     }
-    let payload = buf.get(4..4 + len)?;
-    let crc_bytes = buf.get(4 + len..8 + len)?;
-    let stored = u32::from_le_bytes(crc_bytes.try_into().expect("slice of 4"));
-    (stored == codec::crc32(payload)).then_some(payload)
+    let payload = c.take(len)?;
+    if c.take_u32()? != codec::crc32(payload) {
+        return Err(DecodeError::new("record checksum mismatch"));
+    }
+    decode_payload(payload)
 }
 
 /// Decodes the records in `buf`, stopping at the durable prefix. Returns
 /// the records and the byte length of the prefix they occupy.
-fn decode_records(buf: &[u8], file: &str) -> (Vec<JournalRecord>, usize) {
+fn decode_records(buf: &[u8]) -> (Vec<JournalRecord>, usize) {
+    let mut c = Cursor::new(buf);
     let mut records = Vec::new();
-    let mut at = 0usize;
-    while let Some(payload) = buf.get(at..).and_then(envelope_payload) {
-        let Ok(record) = decode_payload(payload, file) else {
-            break;
-        };
+    let mut durable = 0;
+    while let Ok(record) = take_record(&mut c) {
         records.push(record);
-        at += 8 + payload.len();
+        durable = buf.len() - c.remaining();
     }
-    (records, at)
+    (records, durable)
 }
 
-fn decode_payload(payload: &[u8], file: &str) -> Result<JournalRecord> {
-    let mut c = Cursor::new(payload, file);
+fn decode_payload(payload: &[u8]) -> Result<JournalRecord, DecodeError> {
+    let mut c = Cursor::new(payload);
     let record = match c.take_u8()? {
-        record_kind::SUBSCRIBE => {
-            let at = c.take_u64()?;
-            let client = c.take_u64()?;
-            let id = c.take_u64()?;
-            let n = c.take_u32()? as usize;
-            c.check_remaining(n, 16)?;
-            let mut bounds = Vec::with_capacity(n);
-            for _ in 0..n {
-                bounds.push((c.take_f64()?, c.take_f64()?));
-            }
-            JournalRecord::Subscribe {
-                at,
-                client,
-                id,
-                bounds,
-            }
-        }
+        record_kind::SUBSCRIBE => JournalRecord::Subscribe {
+            at: c.take_u64()?,
+            client: c.take_u64()?,
+            id: c.take_u64()?,
+            bounds: c.take_bounds()?,
+        },
         record_kind::UNSUBSCRIBE => JournalRecord::Unsubscribe {
             at: c.take_u64()?,
             id: c.take_u64()?,
         },
         other => {
-            return Err(StorageError::corrupt(
-                file,
-                format!("unknown journal record kind {other}"),
-            ))
+            return Err(DecodeError::new(format!(
+                "unknown journal record kind {other}"
+            )))
         }
     };
     c.finish()?;
@@ -255,21 +239,9 @@ impl SubscriptionJournal {
                 .map_err(|e| StorageError::io(&display, e))?;
             (Vec::new(), codec::HEADER_LEN as u64)
         } else {
-            if bytes.len() < codec::HEADER_LEN {
-                return Err(StorageError::corrupt(
-                    &display,
-                    "journal shorter than its header",
-                ));
-            }
-            codec::check_index_header(
-                // The journal has no footer; validate the header fields
-                // against a synthetic minimal envelope length.
-                &pad_for_header_check(&bytes),
-                file_kind::JOURNAL,
-                &display,
-            )?;
+            codec::check_index_header(&bytes, file_kind::JOURNAL, &display)?;
             let body = bytes.get(codec::HEADER_LEN..).unwrap_or_default();
-            let (replayed, durable) = decode_records(body, &display);
+            let (replayed, durable) = decode_records(body);
             let durable_end = (codec::HEADER_LEN + durable) as u64;
             if durable_end < bytes.len() as u64 {
                 file.set_len(durable_end)
@@ -356,16 +328,6 @@ impl SubscriptionJournal {
     }
 }
 
-/// `check_index_header` insists on room for a footer because every other
-/// storage file has one; the journal does not. Hand it the real header
-/// padded to the minimum envelope length.
-fn pad_for_header_check(bytes: &[u8]) -> Vec<u8> {
-    let (head, _) = bytes.split_at(codec::HEADER_LEN.min(bytes.len()));
-    let mut padded = head.to_vec();
-    padded.resize(codec::HEADER_LEN + codec::FOOTER_LEN, 0);
-    padded
-}
-
 /// Atomically writes the live subscription set as a snapshot file.
 ///
 /// # Errors
@@ -400,23 +362,25 @@ pub fn read_snapshot(path: &Path) -> Result<Option<Vec<JournalRecord>>> {
         Err(e) => return Err(StorageError::io(&display, e)),
     };
     let (_, payload) = codec::open_envelope(&bytes, file_kind::SNAPSHOT, &display)?;
-    let mut c = Cursor::new(payload, &display);
-    let count = c.take_u64()?;
-    let count = usize::try_from(count)
-        .map_err(|_| StorageError::corrupt(&display, "record count exceeds the address space"))?;
-    c.check_remaining(count, 8 + 1)?;
-    let rest = c.take(c.remaining())?;
-    let (records, used) = decode_records(rest, &display);
-    if records.len() != count || used != rest.len() {
-        return Err(StorageError::corrupt(
-            &display,
-            format!(
-                "snapshot claims {count} records but {} decode cleanly",
-                records.len()
-            ),
-        ));
+    decode_snapshot(payload)
+        .map(Some)
+        .map_err(|e| e.in_file(&display))
+}
+
+/// A snapshot's payload: a `u64` record count, then exactly that many
+/// record envelopes.
+fn decode_snapshot(payload: &[u8]) -> Result<Vec<JournalRecord>, DecodeError> {
+    let mut c = Cursor::new(payload);
+    let count = usize::try_from(c.take_u64()?)
+        .map_err(|_| DecodeError::new("record count exceeds the address space"))?;
+    // The smallest envelope: length, a one-byte payload, checksum.
+    c.check_remaining(count, 4 + 1 + 4)?;
+    let mut records = Vec::with_capacity(count);
+    for _ in 0..count {
+        records.push(take_record(&mut c)?);
     }
-    Ok(Some(records))
+    c.finish()?;
+    Ok(records)
 }
 
 #[cfg(test)]
@@ -596,8 +560,8 @@ mod tests {
         // `crc32("") == 0`: eight zeros are a well-formed empty envelope,
         // which only the explicit rule keeps from reaching the decoder.
         assert_eq!(codec::crc32(&[]), 0);
-        assert!(envelope_payload(&[0; 8]).is_none());
-        assert!(envelope_payload(&encoded(&wide_record(1, 0))).is_some());
+        assert!(take_record(&mut Cursor::new(&[0; 8])).is_err());
+        assert!(take_record(&mut Cursor::new(&encoded(&wide_record(1, 0)))).is_ok());
 
         let path = TempPath::new("zeros");
         for zeros in [8, 9, 64] {
@@ -675,7 +639,7 @@ mod tests {
             write_at(&mut out, end, &bytes).unwrap();
             let image = out.image.into_inner();
             let body = image.get(codec::HEADER_LEN..).unwrap();
-            let (replayed, durable) = decode_records(body, "memory");
+            let (replayed, durable) = decode_records(body);
             assert_eq!(replayed, [first.clone(), retried.clone()]);
             assert_eq!(durable, body.len(), "write failed after {budget} bytes");
         }

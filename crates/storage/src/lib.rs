@@ -5,9 +5,8 @@
 //!
 //! * every file opens with a versioned header (magic, codec version, file
 //!   kind, generation) and closes with a CRC-32 footer over everything
-//!   before it — [`check_index_header`] / [`check_footer`] bracket every
-//!   read, and nothing between an unverified header and an unverified
-//!   footer is ever interpreted;
+//!   before it; the footer and then the header are verified before a
+//!   payload byte is interpreted;
 //! * each segment is a **pair** of files: a thin `.meta` file describing
 //!   the fat `.dat` file (its length, its checksum, its entry counts). The
 //!   meta's generation and recorded checksum must match the data file
@@ -37,9 +36,11 @@
 //! shutdown.
 //!
 //! Everything is hand-rolled little-endian (the build environment vendors
-//! no serialization crates); the codec style — const-fn CRC-32 table,
-//! bounds-checked cursor, typed errors and no panics on untrusted bytes —
-//! follows the broker's wire protocol (`acd-broker`'s `wire.rs`).
+//! no serialization crates). The [`codec`] module is the workspace's one
+//! decoder: its CRC-32 kernel, bounds-checked [`codec::Cursor`] and field
+//! writers serve every file here and the broker's wire frames
+//! (`acd-broker`'s `wire.rs`), with typed errors and no panics on untrusted
+//! bytes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +51,7 @@ mod error;
 mod journal;
 mod segment;
 
-pub use codec::{check_footer, check_index_header, crc32, crc32_update, file_kind, MAGIC, VERSION};
+pub use codec::{crc32, crc32_update, file_kind, MAGIC, VERSION};
 pub use commit::{
     commit_file_name, latest_commit, prune, read_commit, segment_stem, write_commit,
     CommitManifest, ShardRef,
@@ -59,5 +60,5 @@ pub use error::StorageError;
 pub use journal::{read_snapshot, write_snapshot, JournalRecord, SubscriptionJournal};
 pub use segment::{curve_from_tag, curve_tag, SegmentMeta, SegmentReader, SegmentWriter};
 
-/// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, StorageError>;
+/// Crate-wide result alias; decoders name [`codec::DecodeError`] as `E`.
+pub type Result<T, E = StorageError> = std::result::Result<T, E>;

@@ -29,7 +29,7 @@ use std::path::Path;
 use acd_sfc::{CurveKind, Point, SfcArray, SpaceFillingCurve};
 use acd_subscription::{SubId, Subscription};
 
-use crate::codec::{self, file_kind, Cursor};
+use crate::codec::{self, file_kind, Cursor, DecodeError};
 use crate::commit::ShardRef;
 use crate::error::StorageError;
 use crate::Result;
@@ -271,21 +271,13 @@ impl SegmentReader {
             .map_err(|e| StorageError::io(meta_path.display().to_string(), e))?;
         let (meta_gen, meta_payload) =
             codec::open_envelope(&meta_bytes, file_kind::META, &meta_name)?;
-        let mut c = Cursor::new(meta_payload, &meta_name);
-        let meta = SegmentMeta {
-            generation: meta_gen,
-            data_len: c.take_u64()?,
-            data_crc: c.take_u32()?,
-            sub_count: c.take_u64()?,
-            forward_entries: c.take_u64()?,
-        };
-        c.finish()?;
+        let meta = decode_meta(meta_gen, meta_payload).map_err(|e| e.in_file(&meta_name))?;
 
         let data_name = format!("{stem}.dat");
         let data_path = dir.join(&data_name);
         let data = std::fs::read(&data_path)
             .map_err(|e| StorageError::io(data_path.display().to_string(), e))?;
-        let (data_gen, _) = codec::open_envelope(&data, file_kind::DATA, &data_name)?;
+        let (data_gen, payload) = codec::open_envelope(&data, file_kind::DATA, &data_name)?;
         if data_gen != meta.generation {
             return Err(StorageError::corrupt(
                 &data_name,
@@ -320,34 +312,7 @@ impl SegmentReader {
             ));
         }
 
-        // Walk the section directory once; bodies are bounds-checked here
-        // so the column decoders below can slice without re-validating.
-        let payload = codec::HEADER_LEN..data.len() - codec::FOOTER_LEN;
-        let mut sections = Vec::new();
-        {
-            let body = data
-                .get(payload.clone())
-                .expect("envelope check guarantees header and footer room");
-            let mut c = Cursor::new(body, &data_name);
-            let count = c.take_u8()?;
-            for _ in 0..count {
-                let kind = c.take_u8()?;
-                let body_len = c.take_u64()?;
-                let entries = c.take_u64()?;
-                let body_len = usize::try_from(body_len).map_err(|_| {
-                    StorageError::corrupt(&data_name, "section length exceeds the address space")
-                })?;
-                let before = c.remaining();
-                c.take(body_len)?;
-                let start = payload.start + (payload.len() - before);
-                sections.push(Section {
-                    kind,
-                    body: start..start + body_len,
-                    entries,
-                });
-            }
-            c.finish()?;
-        }
+        let sections = decode_sections(payload).map_err(|e| e.in_file(&data_name))?;
         Ok(SegmentReader {
             meta,
             data,
@@ -356,19 +321,33 @@ impl SegmentReader {
         })
     }
 
-    fn section(&self, kind: u8) -> Result<&Section> {
-        self.sections
+    /// The body of the section of `kind` and its entry count, which must be
+    /// the one the meta file pins.
+    fn section(&self, kind: u8, pinned: u64) -> Result<(&[u8], usize), DecodeError> {
+        let s = self
+            .sections
             .iter()
             .find(|s| s.kind == kind)
-            .ok_or_else(|| {
-                StorageError::corrupt(&self.file, format!("segment has no section of kind {kind}"))
-            })
+            .ok_or_else(|| DecodeError::new(format!("segment has no section of kind {kind}")))?;
+        if s.entries != pinned {
+            return Err(DecodeError::new(format!(
+                "section of kind {kind} claims {} entries but the meta file pins {pinned}",
+                s.entries
+            )));
+        }
+        let entries = usize::try_from(s.entries)
+            .map_err(|_| DecodeError::new("entry count exceeds the address space"))?;
+        let body = self
+            .data
+            .get(s.body.clone())
+            .expect("section bodies were bounds-checked at open");
+        Ok((body, entries))
     }
 
     /// Decodes the subscription table: `(id, raw bounds)` rows in stored
     /// order.
     pub fn subscription_bounds(&self) -> Result<Vec<SubscriptionRow>> {
-        let mut rows = Vec::with_capacity(self.meta.sub_count as usize);
+        let mut rows = Vec::new();
         self.for_each_subscription_row(|id, bounds| {
             rows.push((id, bounds.to_vec()));
             Ok(())
@@ -387,79 +366,49 @@ impl SegmentReader {
         &self,
         mut f: impl FnMut(SubId, &[(f64, f64)]) -> Result<()>,
     ) -> Result<()> {
-        let s = self.section(section::SUBS)?;
-        if s.entries != self.meta.sub_count {
-            return Err(StorageError::corrupt(
-                &self.file,
-                format!(
-                    "subscription section claims {} rows but the meta file pins {}",
-                    s.entries, self.meta.sub_count
-                ),
-            ));
-        }
-        let body = self
-            .data
-            .get(s.body.clone())
-            .expect("section bodies were bounds-checked at open");
-        let mut c = Cursor::new(body, &self.file);
-        let arity = c.take_u16()? as usize;
-        let n = usize::try_from(s.entries).map_err(|_| {
-            StorageError::corrupt(&self.file, "row count exceeds the address space")
-        })?;
-        c.check_remaining(n, 8 + arity * 16)?;
+        let corrupt = |e: DecodeError| e.in_file(&self.file);
+        let (body, n) = self
+            .section(section::SUBS, self.meta.sub_count)
+            .map_err(corrupt)?;
+        let mut c = Cursor::new(body);
+        let arity = c.take_u16().map_err(corrupt)? as usize;
+        c.check_remaining(n, 8 + arity * 16).map_err(corrupt)?;
         let mut bounds = vec![(0.0f64, 0.0f64); arity];
         for _ in 0..n {
-            let id = c.take_u64()?;
-            for b in bounds.iter_mut() {
-                *b = (c.take_f64()?, c.take_f64()?);
-            }
+            let id = take_row(&mut c, &mut bounds).map_err(corrupt)?;
             f(id, &bounds)?;
         }
-        c.finish()?;
-        Ok(())
+        c.finish().map_err(corrupt)
     }
 
     /// Decodes the dominance array section into an [`SfcArray`] ordered by
     /// `curve`, through the no-sort gather path when the universe packs
     /// into 128 bits.
     pub fn array<C: SpaceFillingCurve>(&self, curve: C) -> Result<SfcArray<SubId, C>> {
-        let s = self.section(section::FORWARD)?;
-        if s.entries != self.meta.forward_entries {
-            return Err(StorageError::corrupt(
-                &self.file,
-                format!(
-                    "array section claims {} entries but the meta file pins {}",
-                    s.entries, self.meta.forward_entries
-                ),
-            ));
-        }
-        let n = usize::try_from(s.entries).map_err(|_| {
-            StorageError::corrupt(&self.file, "entry count exceeds the address space")
-        })?;
+        self.decode_array(curve).map_err(|e| e.in_file(&self.file))
+    }
+
+    fn decode_array<C: SpaceFillingCurve>(
+        &self,
+        curve: C,
+    ) -> Result<SfcArray<SubId, C>, DecodeError> {
+        let (body, n) = self.section(section::FORWARD, self.meta.forward_entries)?;
         let universe = curve.universe();
-        let body = self
-            .data
-            .get(s.body.clone())
-            .expect("section bodies were bounds-checked at open");
-        let mut c = Cursor::new(body, &self.file);
+        let mut c = Cursor::new(body);
         let dims = c.take_u16()? as usize;
         let bits_per_dim = c.take_u32()?;
         let pack = c.take_u8()? != 0;
         if dims != universe.dims() || bits_per_dim != universe.bits_per_dim() {
-            return Err(StorageError::corrupt(
-                &self.file,
-                format!(
-                    "array section is over a {dims}-dim/{bits_per_dim}-bit universe but the \
-                     index expects {}-dim/{}-bit",
-                    universe.dims(),
-                    universe.bits_per_dim()
-                ),
-            ));
+            return Err(DecodeError::new(format!(
+                "array section is over a {dims}-dim/{bits_per_dim}-bit universe but the \
+                 index expects {}-dim/{}-bit",
+                universe.dims(),
+                universe.bits_per_dim()
+            )));
         }
         let expect_pack = universe.key_bits() <= 128;
         if pack != expect_pack {
-            return Err(StorageError::corrupt(
-                &self.file,
+            return Err(DecodeError::new(
                 "array section's packed flag disagrees with the universe width",
             ));
         }
@@ -507,13 +456,55 @@ impl SegmentReader {
             SfcArray::from_sorted(curve, entries)
         };
         c.finish()?;
-        built.map_err(|e| {
-            StorageError::corrupt(
-                &self.file,
-                format!("array section fails index validation: {e}"),
-            )
-        })
+        built.map_err(|e| DecodeError::new(format!("array section fails index validation: {e}")))
     }
+}
+
+fn decode_meta(generation: u64, payload: &[u8]) -> Result<SegmentMeta, DecodeError> {
+    let mut c = Cursor::new(payload);
+    let meta = SegmentMeta {
+        generation,
+        data_len: c.take_u64()?,
+        data_crc: c.take_u32()?,
+        sub_count: c.take_u64()?,
+        forward_entries: c.take_u64()?,
+    };
+    c.finish()?;
+    Ok(meta)
+}
+
+/// Walks a data file's section directory once. Bodies are bounds-checked
+/// here, so the column decoders can slice without re-validating; each
+/// body's range is into the whole file, whose payload starts at the end of
+/// the envelope header.
+fn decode_sections(payload: &[u8]) -> Result<Vec<Section>, DecodeError> {
+    let mut c = Cursor::new(payload);
+    let count = c.take_u8()?;
+    let mut sections = Vec::new();
+    for _ in 0..count {
+        let kind = c.take_u8()?;
+        let body_len = usize::try_from(c.take_u64()?)
+            .map_err(|_| DecodeError::new("section length exceeds the address space"))?;
+        let entries = c.take_u64()?;
+        let start = codec::HEADER_LEN + payload.len() - c.remaining();
+        c.take(body_len)?;
+        sections.push(Section {
+            kind,
+            body: start..start + body_len,
+            entries,
+        });
+    }
+    c.finish()?;
+    Ok(sections)
+}
+
+/// One subscription-table row: the id, then `bounds.len()` raw ranges.
+fn take_row(c: &mut Cursor, bounds: &mut [(f64, f64)]) -> Result<SubId, DecodeError> {
+    let id = c.take_u64()?;
+    for b in bounds {
+        *b = (c.take_f64()?, c.take_f64()?);
+    }
+    Ok(id)
 }
 
 /// Bytes needed to store a packed curve key of `key_bits` bits.

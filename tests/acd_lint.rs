@@ -82,6 +82,13 @@ fn covering_crate_passes_strict_indexing() {
     assert_strict_indexing_clean("crates/core/src", 10);
 }
 
+/// The storage crate holds the workspace's one decoder (`codec::Cursor`),
+/// which reads wire frames as well as files, so it is held to the same rule.
+#[test]
+fn storage_crate_passes_strict_indexing() {
+    assert_strict_indexing_clean("crates/storage/src", 6);
+}
+
 #[test]
 fn static_and_runtime_rank_tables_agree() {
     let runtime = acd_covering::ordered::rank_table();
