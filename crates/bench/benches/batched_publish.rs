@@ -3,15 +3,15 @@
 //! (one event at a time: its 16-bit grid cells against 64 slots' cell
 //! columns per pass, its raw values against the bounds of the few slots the
 //! grid leaves) and by one `BrokerNetwork::publish_batch` (the burst's
-//! values sorted and tabulated by grid cell once per 64-event chunk, every
-//! slot's stored cells reading their ranks off that table, the chunk's raw
-//! values read only for a bound that shares a cell with one of its events; a
-//! chunk too short to repay that takes the serial walk). Each standing
+//! events tabulated by grid cell once per 64-event chunk, every slot's
+//! stored cells reading event masks off that table, a raw value read only
+//! where an event the slot matched shares the cell of one of its open bounds;
+//! a chunk too short to repay that takes the serial walk). Each standing
 //! population is installed twice: with one client per subscription, where
 //! every match is a delivery, and spread over 64 shared clients (the repo
 //! benchmark's shape), where a client's adjacent matches collapse into one
 //! delivery. At 10 000 subscriptions the burst length
-//! varies: a rank-space pass costs per slot, not per event, so it pays from
+//! varies: a batched pass costs per slot, not per event, so it pays from
 //! some length on — the evidence for `publish_batch`'s short-chunk
 //! crossover that README "Batched publish execution" records.
 //!

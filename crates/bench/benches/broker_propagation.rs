@@ -110,9 +110,9 @@ fn bench_delivery(c: &mut Criterion) {
 /// name, and not as a drift of `fanout_publish`. Divide by 256 for the cost
 /// per event.
 ///
-/// `rank_kernel`: the first 64 of those events ranked into one `EventChunk`
-/// (its cell tables filled) and matched against every slot at once, one
-/// table entry per bound. Divide by 64 for the cost per event.
+/// `rank_kernel`: the first 64 of those events tabulated into one
+/// `EventChunk` (its cell tables filled) and matched against every slot at
+/// once, one table entry per bound. Divide by 64 for the cost per event.
 fn bench_match_kernels(c: &mut Criterion) {
     const EVENTS: usize = 256;
 

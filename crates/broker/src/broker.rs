@@ -35,15 +35,15 @@
 //! [`Schema::quantize`], so `lo <= v <= hi` implies
 //! `cell(lo) <= cell(v) <= cell(hi)`: the filter never drops a match, and
 //! nothing is reported that the raw compare did not confirm. Batched publish
-//! goes the other way round, the grid naming ranks: a chunk of up to 64
-//! events is quantised the same way, sorted once per attribute, and
-//! tabulated by cell — each cell's first rank and event count — so a slot's
-//! bound reads its rank off the table at its stored cell
-//! (`EventChunk::match_mask`): one lookup per bound however many events the
-//! chunk holds. By the same monotonicity only events in the bound's own cell
-//! can fall on either side of it, so the raw values are counted only for a
-//! bound that shares a cell with an event and is not its domain's end.
-//! [`Subscription::matches`] is the oracle the tests compare both with.
+//! goes the other way round, the grid naming events: a chunk of up to 64
+//! events is quantised the same way and tabulated by cell — per attribute,
+//! for every cell the events below it and the events up to it — so a slot's
+//! bound reads its events off the table at its stored cell (`KernelView`,
+//! with the table's per-slot `open` flags): one entry per bound however many
+//! events the chunk holds, and no raw value. [`EventChunk`] says why that is
+//! exact but for a matched event in an open bound's own cell, the one case
+//! that compares raw values. [`Subscription::matches`] is the oracle the
+//! tests compare both with.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -135,14 +135,15 @@ impl<'a> EventCells<'a> {
 struct MatchTable {
     /// `lo[attr][slot]`: inclusive raw lower bounds, one column per
     /// schema attribute. With `hi`, **the truth**: the one exact store,
-    /// read by [`confirm`](Self::confirm) and by the rank kernel.
+    /// read by [`confirm`](Self::confirm) and by the batched kernel's cold
+    /// path.
     lo: Vec<Vec<f64>>,
     /// `hi[attr][slot]`: inclusive raw upper bounds.
     hi: Vec<Vec<f64>>,
     /// `cell_lo[attr][slot]`: the grid cell of `lo[attr][slot]`
     /// (`Subscription::grid_bounds`, as [`cell_of`] narrows it). With
     /// `cell_hi`, **the filter** [`candidates`](Self::candidates) reads, and
-    /// the keys the rank kernel looks a chunk's ranks up by. The filter
+    /// the keys the batched kernel looks a chunk's masks up by. The filter
     /// cannot miss: bounds and event values go through the same monotone
     /// `Schema::quantize` and `cell_of`, so `lo <= v <= hi` implies
     /// `cell_lo <= cell(v) <= cell_hi`. Unlike every other column, the cell
@@ -152,6 +153,15 @@ struct MatchTable {
     cell_lo: Vec<Vec<u16>>,
     /// `cell_hi[attr][slot]`: the grid cell of `hi[attr][slot]`.
     cell_hi: Vec<Vec<u16>>,
+    /// `open[attr / 4][slot]`: which of the slot's bounds are *open* — bit
+    /// `2 * (attr % 4)` set where `lo[attr][slot]` lies above its domain's
+    /// minimum, the bit above it where `hi[attr][slot]` lies below its
+    /// maximum. A valid value can fall on the far side of an open bound
+    /// inside the bound's own cell, and of no other bound, so these flags
+    /// are all the batched kernel needs to know of the raw bounds until an
+    /// event shares such a cell. One byte per four attributes, as long as
+    /// `ids`.
+    open: Vec<Vec<u8>>,
     /// The `cell_of` shift of the schema the table is filled under.
     shift: u32,
     /// Subscription identifier of each slot.
@@ -177,6 +187,8 @@ impl MatchTable {
     /// `c <= PAD_HI` cannot both hold.
     const PAD_LO: u16 = u16::MAX;
     const PAD_HI: u16 = 0;
+    /// Attributes per byte of an `open` column: two bits each.
+    const OPEN_PER_BYTE: usize = 4;
 
     fn new(schema: &Schema) -> MatchTable {
         let arity = schema.arity();
@@ -185,6 +197,7 @@ impl MatchTable {
             hi: vec![Vec::new(); arity],
             cell_lo: vec![Vec::new(); arity],
             cell_hi: vec![Vec::new(); arity],
+            open: vec![Vec::new(); arity.div_ceil(Self::OPEN_PER_BYTE)],
             shift: cell_shift(schema),
             ids: Vec::new(),
             clients: Vec::new(),
@@ -197,8 +210,8 @@ impl MatchTable {
         self.ids.len()
     }
 
-    /// Writes `subscription`'s bounds, cells and identifier at `slot`,
-    /// shifting the later slots up.
+    /// Writes `subscription`'s bounds, cells, open flags and identifier at
+    /// `slot`, shifting the later slots up.
     fn insert_bounds(&mut self, slot: usize, subscription: &Subscription) {
         debug_assert_eq!(subscription.raw_bounds().len(), self.lo.len());
         debug_assert_eq!(subscription.grid_bounds().len(), self.lo.len());
@@ -211,6 +224,19 @@ impl MatchTable {
         for ((lo, hi), &(low, high)) in columns.zip(subscription.grid_bounds()) {
             lo.insert(slot, cell_of(low, self.shift));
             hi.insert(slot, cell_of(high, self.shift));
+        }
+        let bounds = subscription.raw_bounds().chunks(Self::OPEN_PER_BYTE);
+        let domains = subscription
+            .schema()
+            .attributes()
+            .chunks(Self::OPEN_PER_BYTE);
+        for (column, (bounds, domains)) in self.open.iter_mut().zip(bounds.zip(domains)) {
+            let mut flags = 0u8;
+            for (pair, (&(low, high), domain)) in bounds.iter().zip(domains).enumerate() {
+                let open = u8::from(low > domain.min()) | u8::from(high < domain.max()) << 1;
+                flags |= open << (2 * pair);
+            }
+            column.insert(slot, flags);
         }
         self.pad_cells(self.len() + 1);
         self.ids.insert(slot, subscription.id());
@@ -323,6 +349,9 @@ impl MatchTable {
         for column in self.cell_lo.iter_mut().chain(&mut self.cell_hi) {
             column.remove(slot);
         }
+        for column in &mut self.open {
+            column.remove(slot);
+        }
         self.pad_cells(self.len() - 1);
         self.ids.remove(slot);
         let ended_run = remove_bit(&mut self.run_ends, self.clients.len(), slot);
@@ -364,6 +393,7 @@ impl MatchTable {
             hi: split(&mut self.hi, at),
             cell_lo: split(&mut self.cell_lo, at),
             cell_hi: split(&mut self.cell_hi, at),
+            open: split(&mut self.open, at),
             shift: self.shift,
             ids: self.ids.split_off(at),
             clients: self.clients.split_off(at),
@@ -391,6 +421,9 @@ impl MatchTable {
             column.truncate(len);
             column.extend(tail.iter().take(live));
         }
+        for (column, tail) in self.open.iter_mut().zip(&mut next.open) {
+            column.append(tail);
+        }
         self.pad_cells(len + live);
         self.ids.append(&mut next.ids);
         self.clients.append(&mut next.clients);
@@ -403,6 +436,9 @@ impl MatchTable {
             column.shrink_to_fit();
         }
         for column in self.cell_lo.iter_mut().chain(&mut self.cell_hi) {
+            column.shrink_to_fit();
+        }
+        for column in &mut self.open {
             column.shrink_to_fit();
         }
         self.ids.shrink_to_fit();
@@ -418,6 +454,9 @@ impl MatchTable {
             return false;
         };
         for column in self.lo.iter_mut().chain(&mut self.hi) {
+            column.swap_remove(slot);
+        }
+        for column in &mut self.open {
             column.swap_remove(slot);
         }
         // The last *slot* moves in, not the padding behind it: its place is
@@ -1117,6 +1156,7 @@ impl Broker {
         mut deliver: F,
     ) {
         for table in &self.local {
+            let view = chunk.view(table);
             let mut start = 0;
             for run in table.clients.chunk_by(|a, b| a == b) {
                 let &[client, ..] = run else {
@@ -1124,7 +1164,7 @@ impl Broker {
                 };
                 let mut claimed = 0u64;
                 for slot in start..start + run.len() {
-                    claimed |= chunk.match_mask(table, slot, active & !claimed);
+                    claimed |= view.mask(slot, active & !claimed);
                 }
                 start += run.len();
                 if claimed != 0 {
@@ -1150,13 +1190,14 @@ impl Broker {
         let Some(table) = self.links.get(&neighbor).map(|link| &link.routing) else {
             return 0;
         };
+        let view = chunk.view(table);
         let mut interested = 0u64;
         for slot in 0..table.len() {
             let remaining = active & !interested;
             if remaining == 0 {
                 break;
             }
-            interested |= chunk.match_mask(table, slot, remaining);
+            interested |= view.mask(slot, remaining);
         }
         interested
     }
@@ -1192,25 +1233,27 @@ impl Broker {
     }
 }
 
-/// One chunk of at most 64 batched events in **rank space, read through the
-/// grid**: per attribute, the chunk's values sorted ascending, for every rank
-/// `r` the bitmask of the events holding the `r` smallest values, and a
-/// table naming, for every grid cell, the rank of its first event and how
-/// many events it holds.
+/// One chunk of at most 64 batched events **read off the grid**: per
+/// attribute, a table naming for every grid cell `c` two event masks, the
+/// events in cells below `c` and the events in cells up to and including
+/// `c`.
 ///
-/// The events one slot's `[lo, hi]` admits on one attribute are a contiguous
-/// range of ranks, `below = #{v < lo}` up to `upto = #{v <= hi}`, taken as
-/// `prefix[upto] & !prefix[below]` — the paper's move, a lookup on a
-/// quantised grid in place of `n` comparisons, applied to the events of a
-/// burst. The batched publish path ([`BrokerNetwork::publish_batch`]) reads
-/// both counts off the cell table at the slot's stored cells (`cell_lo`,
-/// `cell_hi`), so a bound costs one table entry however many events the
-/// chunk holds. *Exact because cells are monotone*: `v < lo` for every event
-/// in a cell below `cell(lo)` and for none above it, so only events sharing
-/// the bound's cell are ambiguous — and not even those when the bound is its
-/// domain's end (no valid value lies below the minimum or above the
-/// maximum). A slot with an ambiguous bound over an event that the cells
-/// leave in its mask takes a cold path that counts that cell's raw values.
+/// The events one slot's `[lo, hi]` admits on one attribute are then, but
+/// for those in the bounds' own cells, `upto[cell(hi)] & !below[cell(lo)]`
+/// — the paper's move, a lookup on a quantised grid in place of `n`
+/// comparisons, applied to the events of a burst. The batched publish path
+/// ([`BrokerNetwork::publish_batch`]) reads both off the table at the slot's
+/// stored cells (`cell_lo`, `cell_hi`), so a bound costs one table entry
+/// however many events the chunk holds, and no raw value.
+///
+/// *Exact because cells are monotone*: `v < lo` for every event in a cell
+/// below `cell(lo)` and for none in a cell above it (and alike for `hi`), so
+/// only an event in a bound's own cell can fall on either side of it — and
+/// not even that when the bound is its domain's end, as no valid value lies
+/// below the minimum or above the maximum. A match table flags the bounds
+/// that are not (`MatchTable::open`). So a slot's mask is the compare's
+/// unless an event it matched shares the cell of one of its open bounds, and
+/// only then does a cold path compare that event's raw value with the bound.
 ///
 /// A chunk event is valid on the serial walk's terms ([`EventCells::new`]):
 /// an event of a foreign schema, or with a value `Schema::quantize` rejects,
@@ -1228,139 +1271,81 @@ pub struct EventChunk {
     /// table, so that no table has more than `2^TABLE_BITS` entries: a
     /// coarser cell is still monotone in the value.
     narrow: u32,
-    /// One rank table per schema attribute.
-    ranks: Vec<RankColumn>,
+    /// One cell table per schema attribute.
+    columns: Vec<MaskColumn>,
+    /// Slots sent down the exact path, for the tests that pin when it runs.
+    #[cfg(test)]
+    exact_paths: std::sync::atomic::AtomicUsize,
 }
 
 /// One attribute of an [`EventChunk`].
 #[derive(Debug)]
-struct RankColumn {
-    /// The attribute's domain. A lower bound equal to `min` has no valid
-    /// value below it, an upper bound equal to `max` none above it.
-    min: f64,
-    max: f64,
+struct MaskColumn {
     /// Valid events with no value for the attribute (a deserialised event
     /// with too few values): every slot admits them on it.
     absent: u64,
-    /// The attribute's values over the other valid events, ascending,
-    /// padded with `+inf` (which no bit of `prefix` stands for).
-    sorted: [f64; EventChunk::WIDTH],
-    /// `prefix[r]`: the events holding the `r` smallest values. Constant
-    /// (every ranked event) from the number of ranked events on.
-    prefix: [u64; EventChunk::WIDTH + 1],
-    /// `cells[c]`: the rank of the first event in (narrowed) cell `c`, in
-    /// the low byte, and the number of events in the cell, in the high one —
-    /// `RANK | COUNT << 8`, both at most 64.
-    cells: Vec<u16>,
+    /// `values[i]`: chunk event `i`'s value, for the exact path (0 where the
+    /// column holds no value of that event).
+    values: [f64; EventChunk::WIDTH],
+    /// `cells[c]`: the events in the (narrowed) cells below `c` and up to
+    /// `c`. No absent event is in either.
+    cells: Vec<CellMasks>,
 }
 
-impl RankColumn {
-    /// Ranks attribute `attr` of the valid chunk events (`events[i]` is chunk
-    /// event `i`, `None` where it is not valid) and tabulates their cells,
+/// One entry of a [`MaskColumn`]'s cell table.
+#[derive(Debug, Clone, Copy, Default)]
+struct CellMasks {
+    /// The events in the cells below this one.
+    below: u64,
+    /// The events in this cell and the cells below it.
+    upto: u64,
+}
+
+impl CellMasks {
+    /// The events in this cell.
+    #[inline]
+    fn inside(self) -> u64 {
+        self.upto & !self.below
+    }
+}
+
+impl MaskColumn {
+    /// Tabulates attribute `attr` of the valid chunk events (`events[i]` is
+    /// chunk event `i`, `None` where it is not valid) by their cells,
     /// shifted right by `narrow`, over a table of `cells` entries.
     fn new(
-        schema: &Schema,
         events: &[Option<EventCells<'_>>],
         attr: usize,
         narrow: u32,
         cells: usize,
-    ) -> RankColumn {
-        let domain = schema.attributes().get(attr);
-        let mut column = RankColumn {
-            min: domain.map_or(f64::NEG_INFINITY, |def| def.min()),
-            max: domain.map_or(f64::INFINITY, |def| def.max()),
+    ) -> MaskColumn {
+        let mut column = MaskColumn {
             absent: 0,
-            sorted: [f64::INFINITY; EventChunk::WIDTH],
-            prefix: [0; EventChunk::WIDTH + 1],
-            cells: vec![0; cells],
+            values: [0.0; EventChunk::WIDTH],
+            cells: vec![CellMasks::default(); cells],
         };
-        // (value, narrowed cell, the event's bit); the padding sorts last
-        // and has no bit.
-        let mut order = [(f64::INFINITY, 0u16, 0u64); EventChunk::WIDTH];
-        let mut ranked = 0;
-        for (bit, event) in events.iter().enumerate() {
+        for ((bit, event), value) in events.iter().enumerate().zip(&mut column.values) {
             let Some(event) = event else {
                 continue;
             };
             match (event.values.get(attr), event.cells().get(attr)) {
-                (Some(&value), Some(&cell)) => {
-                    if let Some(entry) = order.get_mut(ranked) {
-                        *entry = (value, cell >> narrow, 1 << bit);
-                        ranked += 1;
+                (Some(&v), Some(&cell)) => {
+                    *value = v;
+                    // The cell's own events, until the running OR below.
+                    if let Some(entry) = column.cells.get_mut(usize::from(cell >> narrow)) {
+                        entry.upto |= 1 << bit;
                     }
                 }
                 _ => column.absent |= 1 << bit,
             }
         }
-        // Valid values are finite, so `total_cmp` refines `<`: it only adds
-        // an order between -0.0 and 0.0, which no count tells apart. Cells
-        // are monotone in the value, so each cell's events end up adjacent.
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         let mut seen = 0u64;
-        let ranks = column
-            .sorted
-            .iter_mut()
-            .zip(column.prefix.iter_mut().skip(1));
-        for (&(value, _, bit), (sorted, prefix)) in order.iter().zip(ranks) {
-            seen |= bit;
-            *sorted = value;
-            *prefix = seen;
-        }
-        let (mut rank, mut next) = (0u16, 0usize);
-        let order = order.get(..ranked).unwrap_or_default();
-        for run in order.chunk_by(|a, b| a.1 == b.1) {
-            let (&[(_, cell, _), ..], Ok(count)) = (run, u16::try_from(run.len())) else {
-                continue; // chunk_by yields no empty run; a run is <= 64 long
-            };
-            let cell = usize::from(cell);
-            // The cells since the last occupied one hold no event.
-            if let Some(empty) = column.cells.get_mut(next..cell) {
-                empty.fill(rank);
-            }
-            if let Some(entry) = column.cells.get_mut(cell) {
-                *entry = rank | count << 8;
-            }
-            rank += count;
-            next = cell + 1;
-        }
-        if let Some(empty) = column.cells.get_mut(next..) {
-            empty.fill(rank);
+        for entry in &mut column.cells {
+            entry.below = seen;
+            seen |= entry.upto;
+            entry.upto = seen;
         }
         column
-    }
-
-    /// The table entry of the (16-bit) cell `cell`, narrowed by `narrow`.
-    // acd-lint: hot
-    #[inline]
-    fn entry(&self, cell: u16, narrow: u32) -> u16 {
-        // The table spans every narrowed cell, so this never misses.
-        self.cells
-            .get(usize::from(cell >> narrow))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// The events ranked from `below` up to (not including) `upto`, plus the
-    /// events lacking the attribute. `& !` rather than `^`, so that even
-    /// inverted bounds (`upto < below`; no table stores them) read 0, as the
-    /// compare does.
-    // acd-lint: hot
-    #[inline]
-    fn between(&self, below: u16, upto: u16) -> u64 {
-        let prefix = |rank: u16| self.prefix.get(usize::from(rank)).copied().unwrap_or(0);
-        prefix(upto) & !prefix(below) | self.absent
-    }
-
-    /// The exact rank count of the cold path: `entry`'s first rank plus how
-    /// many of its cell's values satisfy `counted` — the oracle's own
-    /// comparison, so ties, values equal to the bound and `-0.0` against
-    /// `0.0` need no special case.
-    // acd-lint: hot
-    fn count(&self, entry: u16, counted: impl Fn(f64) -> bool) -> u16 {
-        let (first, events) = (entry & EventChunk::RANK, entry >> 8);
-        let cell = self.sorted.iter().skip(usize::from(first));
-        let inside = cell.take(usize::from(events)).filter(|&&v| counted(v));
-        first + inside.count() as u16
     }
 }
 
@@ -1368,17 +1353,15 @@ impl EventChunk {
     /// Events per chunk: one bit of the match mask each.
     pub const WIDTH: usize = 64;
 
-    /// The most cells a cell table spans, as a power of two: 8 KiB of
+    /// The most cells a cell table spans, as a power of two: 16 KiB of
     /// entries per attribute.
-    const TABLE_BITS: u32 = 12;
-    /// The rank byte of a cell-table entry.
-    const RANK: u16 = 0xFF;
+    const TABLE_BITS: u32 = 10;
 
     /// Quantises `events` (at most [`WIDTH`](Self::WIDTH) of them; chunk
     /// event `i` is `events[i]`) under `schema` — the schema the match tables
-    /// were filled under — and ranks them attribute by attribute. An event
-    /// [`EventCells::new`] refuses keeps its bit position but is left out of
-    /// every table.
+    /// were filled under — and tabulates them attribute by attribute. An
+    /// event [`EventCells::new`] refuses keeps its bit position but is left
+    /// out of every table.
     pub fn new(schema: &Schema, events: &[Event]) -> EventChunk {
         debug_assert!(events.len() <= Self::WIDTH);
         let cells: [Option<EventCells<'_>>; Self::WIDTH] =
@@ -1394,9 +1377,11 @@ impl EventChunk {
         EventChunk {
             valid,
             narrow,
-            ranks: (0..schema.arity())
-                .map(|attr| RankColumn::new(schema, &cells, attr, narrow, table))
+            columns: (0..schema.arity())
+                .map(|attr| MaskColumn::new(&cells, attr, narrow, table))
                 .collect(),
+            #[cfg(test)]
+            exact_paths: Default::default(),
         }
     }
 
@@ -1406,71 +1391,152 @@ impl EventChunk {
         self.valid
     }
 
+    /// The chunk laid against `table`, ready for its slot loop.
+    fn view<'a>(&'a self, table: &'a MatchTable) -> KernelView<'a> {
+        let len = table.len();
+        let mut lanes = [Lane::default(); MAX_ATTRIBUTES];
+        let cells = table.cell_lo.iter().zip(&table.cell_hi);
+        let mut arity = 0;
+        for (attr, (lane, ((lo, hi), column))) in
+            lanes.iter_mut().zip(cells.zip(&self.columns)).enumerate()
+        {
+            *lane = Lane {
+                cell_lo: lo.get(..len).unwrap_or_default(),
+                cell_hi: hi.get(..len).unwrap_or_default(),
+                open: table
+                    .open
+                    .get(attr / MatchTable::OPEN_PER_BYTE)
+                    .map(Vec::as_slice)
+                    .unwrap_or_default(),
+                shift: 2 * (attr % MatchTable::OPEN_PER_BYTE) as u32,
+                cells: &column.cells,
+                absent: column.absent,
+            };
+            arity += 1;
+        }
+        KernelView {
+            chunk: self,
+            table,
+            narrow: self.narrow,
+            lanes,
+            arity,
+        }
+    }
+}
+
+/// An [`EventChunk`] laid against one match table, built once per (chunk,
+/// table): per attribute, the table's cell columns and open flags next to
+/// the chunk's cell table, so that the slot loop reads slices it holds
+/// rather than finding them in the table's and the chunk's column lists at
+/// every slot.
+struct KernelView<'a> {
+    chunk: &'a EventChunk,
+    table: &'a MatchTable,
+    /// The chunk's `narrow`.
+    narrow: u32,
+    /// One per schema attribute: the first `arity`.
+    lanes: [Lane<'a>; MAX_ATTRIBUTES],
+    arity: usize,
+}
+
+/// One attribute of a [`KernelView`].
+#[derive(Clone, Copy, Default)]
+struct Lane<'a> {
+    /// The table's cell columns, cut to its slots.
+    cell_lo: &'a [u16],
+    cell_hi: &'a [u16],
+    /// The table's `open` column holding the attribute's flags, and the
+    /// position of the lower bound's flag in a byte of it.
+    open: &'a [u8],
+    shift: u32,
+    /// The chunk's cell table and absent events for the attribute.
+    cells: &'a [CellMasks],
+    absent: u64,
+}
+
+impl KernelView<'_> {
     /// The 64-event x one-slot kernel: the bitmask of `active` chunk events
-    /// that satisfy every range bound of `table`'s slot `slot` (0 when the
+    /// that satisfy every range bound of the table's slot `slot` (0 when the
     /// slot does not exist) — bit for bit what `lo <= v && v <= hi` gives.
     /// Every subscription stored in a [`Broker`] was validated against the
-    /// same schema as the chunk's events at subscribe time. One cell-table
-    /// entry per bound: `below` is the rank of `cell(lo)`'s first event and
-    /// `upto` the rank after `cell(hi)`'s last, which can only widen the
-    /// range, and is exact unless an event shares the bound's cell and the
-    /// bound is not its domain's end. A slot with such a bound whose mask
-    /// is not already empty goes to [`exact_mask`](Self::exact_mask); the
-    /// branch is per slot and rarely taken. No table holds an invalid
-    /// event, so the result never does either, whatever `active` says.
+    /// same schema as the chunk's events at subscribe time. Per attribute,
+    /// the slot's two cells and its flags pick two cell-table entries: the
+    /// events from `cell(lo)` up to `cell(hi)`, and the events in either
+    /// bound's own cell, which an open bound leaves unsure (see
+    /// [`EventChunk`]). A slot whose mask keeps an unsure event goes to
+    /// [`exact_mask`](Self::exact_mask); the branch is per slot and rarely
+    /// taken. No table holds an invalid event, so the result never does
+    /// either, whatever `active` says.
     // acd-lint: hot
     #[inline]
-    fn match_mask(&self, table: &MatchTable, slot: usize, active: u64) -> u64 {
+    fn mask(&self, slot: usize, active: u64) -> u64 {
         let mut mask = active;
-        let mut unsure = false;
-        let raw = table.lo.iter().zip(&table.hi);
-        let cells = table.cell_lo.iter().zip(&table.cell_hi);
-        for (((lo, hi), (cell_lo, cell_hi)), column) in raw.zip(cells).zip(&self.ranks) {
-            let (Some(&lo), Some(&hi), Some(&cell_lo), Some(&cell_hi)) = (
-                lo.get(slot),
-                hi.get(slot),
-                cell_lo.get(slot),
-                cell_hi.get(slot),
+        let mut unsure = 0u64;
+        for lane in self.lanes.get(..self.arity).unwrap_or_default() {
+            let (Some(&cell_lo), Some(&cell_hi), Some(&open)) = (
+                lane.cell_lo.get(slot),
+                lane.cell_hi.get(slot),
+                lane.open.get(slot),
             ) else {
                 return 0;
             };
-            let low = column.entry(cell_lo, self.narrow);
-            let high = column.entry(cell_hi, self.narrow);
-            mask &= column.between(low & Self::RANK, (high & Self::RANK) + (high >> 8));
-            unsure |=
-                (low > Self::RANK) & (lo > column.min) | (high > Self::RANK) & (hi < column.max);
+            // The table spans every narrowed cell, so these never miss.
+            let (Some(&low), Some(&high)) = (
+                lane.cells.get(usize::from(cell_lo >> self.narrow)),
+                lane.cells.get(usize::from(cell_hi >> self.narrow)),
+            ) else {
+                return 0;
+            };
+            mask &= high.upto & !low.below | lane.absent;
+            let open = u64::from(open >> lane.shift);
+            unsure |= low.inside() & (open & 1).wrapping_neg()
+                | high.inside() & (open >> 1 & 1).wrapping_neg();
         }
-        if unsure && mask != 0 {
-            self.exact_mask(table, slot, mask)
+        if mask & unsure != 0 {
+            self.exact_mask(slot, mask)
         } else {
             mask
         }
     }
 
-    /// [`match_mask`](Self::match_mask) for a slot the cell tables leave
-    /// ambiguous, narrowing `active` (the events the cells admit): each
-    /// bound's rank is counted exactly over the raw values of its cell. (The
-    /// two loops are written out: one iterator over a slot's bounds, shared
-    /// by both, made the whole chunk walk 15 % slower.)
+    /// [`mask`](Self::mask) for a slot the cells leave unsure, narrowing
+    /// `active` (the events the cells admit): every event of it in a bound's
+    /// own cell is compared with the raw bound — the oracle's own compare,
+    /// so ties, values equal to the bound and `-0.0` against `0.0` need no
+    /// special case. The others lie in cells strictly between the bounds'.
     // acd-lint: hot
     #[cold]
     #[inline(never)]
-    fn exact_mask(&self, table: &MatchTable, slot: usize, active: u64) -> u64 {
+    fn exact_mask(&self, slot: usize, active: u64) -> u64 {
+        #[cfg(test)]
+        self.chunk
+            .exact_paths
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut mask = active;
-        let raw = table.lo.iter().zip(&table.hi);
-        let cells = table.cell_lo.iter().zip(&table.cell_hi);
-        for (((lo, hi), (cell_lo, cell_hi)), column) in raw.zip(cells).zip(&self.ranks) {
+        let raw = self.table.lo.iter().zip(&self.table.hi);
+        let lanes = self.lanes.iter().zip(&self.chunk.columns);
+        for ((lane, column), (lo, hi)) in lanes.zip(raw) {
             let (Some(&lo), Some(&hi), Some(&cell_lo), Some(&cell_hi)) = (
                 lo.get(slot),
                 hi.get(slot),
-                cell_lo.get(slot),
-                cell_hi.get(slot),
+                lane.cell_lo.get(slot),
+                lane.cell_hi.get(slot),
             ) else {
                 return 0;
             };
-            let below = column.count(column.entry(cell_lo, self.narrow), |v| v < lo);
-            let upto = column.count(column.entry(cell_hi, self.narrow), |v| v <= hi);
-            mask &= column.between(below, upto);
+            let inside = |cell: u16| {
+                let entry = lane.cells.get(usize::from(cell >> self.narrow));
+                entry.map_or(0, |entry| entry.inside())
+            };
+            let mut edge = mask & (inside(cell_lo) | inside(cell_hi));
+            while edge != 0 {
+                let bit = edge.trailing_zeros();
+                let value = column.values.get(bit as usize);
+                if !value.is_some_and(|&v| lo <= v && v <= hi) {
+                    mask &= !(1 << bit);
+                }
+                edge &= edge - 1;
+            }
         }
         mask
     }
@@ -1705,9 +1771,15 @@ mod tests {
         columns.map(|(lo, hi)| (lo[slot], hi[slot])).collect()
     }
 
-    /// Asserts that the cell columns hold, at `slot`, `subscription`'s grid
-    /// bounds as 16-bit cells.
-    fn assert_cells_at(table: &MatchTable, slot: usize, subscription: &Subscription) {
+    /// Asserts that `table` holds `subscription` at `slot`: its raw bounds,
+    /// its grid bounds as 16-bit cells, and which of its bounds are open
+    /// (not their domain's end).
+    fn assert_slot_holds(table: &MatchTable, slot: usize, subscription: &Subscription) {
+        assert_eq!(
+            bounds_at(table, slot),
+            subscription.raw_bounds(),
+            "slot {slot}"
+        );
         let columns = table.cell_lo.iter().zip(&table.cell_hi);
         let stored: Vec<(u16, u16)> = columns.map(|(lo, hi)| (lo[slot], hi[slot])).collect();
         let narrow = |&(lo, hi): &(u64, u64)| {
@@ -1719,15 +1791,31 @@ mod tests {
         };
         let expected: Vec<(u16, u16)> = subscription.grid_bounds().iter().map(narrow).collect();
         assert_eq!(stored, expected, "slot {slot}");
+        let open: Vec<(bool, bool)> = (0..table.lo.len())
+            .map(|attr| {
+                let flags = table.open[attr / 4][slot] >> (2 * (attr % 4));
+                (flags & 1 == 1, flags & 2 == 2)
+            })
+            .collect();
+        let domains = subscription.schema().attributes();
+        let expected: Vec<(bool, bool)> = subscription
+            .raw_bounds()
+            .iter()
+            .zip(domains)
+            .map(|(&(lo, hi), domain)| (lo > domain.min(), hi < domain.max()))
+            .collect();
+        assert_eq!(open, expected, "slot {slot}");
     }
 
     /// Every column is as long as `ids` (the cell columns: as its whole
     /// blocks), and (local tables) slots are client-ordered with the handle,
-    /// id, bounds and cells of one subscription, and `run_ends` marks
-    /// exactly the last slot of every client's run.
+    /// id, bounds, cells and open flags of one subscription, and `run_ends`
+    /// marks exactly the last slot of every client's run.
     fn assert_aligned(table: &MatchTable, local: bool) {
         let n = table.len();
         assert!(table.lo.iter().chain(&table.hi).all(|c| c.len() == n));
+        assert_eq!(table.open.len(), table.lo.len().div_ceil(4));
+        assert!(table.open.iter().all(|c| c.len() == n));
         // The cell columns run on to the end of their last block, padded
         // with bounds no cell lies inside.
         let padding = n..n.next_multiple_of(MatchTable::BLOCK);
@@ -1741,8 +1829,7 @@ mod tests {
         assert!(table.clients.is_sorted(), "{:?}", table.clients);
         for (slot, handle) in table.handles.iter().enumerate() {
             assert_eq!(table.ids[slot], handle.id());
-            assert_eq!(bounds_at(table, slot), handle.raw_bounds());
-            assert_cells_at(table, slot, handle);
+            assert_slot_holds(table, slot, handle);
         }
         let mut ends = vec![0u64; owned.div_ceil(MatchTable::BLOCK)];
         let mut next = 0;
@@ -1791,10 +1878,12 @@ mod tests {
         let mut routing = MatchTable::new(&s);
         let mut live: Vec<(ClientId, Subscription)> = Vec::new();
         // 150 slots cross two block seams; clients arrive out of order and
-        // repeat; every third step removes an earlier subscription.
+        // repeat; every third step removes an earlier subscription. Some
+        // bounds are their domain's ends (`lo == 0`, `lo + 45 >= 100`), so
+        // both open flags take both values.
         for i in 0..150u64 {
             let lo = (i * 7 % 60) as f64;
-            let fresh = sub(&s, i, (lo, lo + 30.0), (lo / 2.0, lo + 1.0));
+            let fresh = sub(&s, i, (lo, (lo + 45.0).min(100.0)), (lo / 2.0, lo + 1.0));
             let client = i * 5 % 13;
             local.insert_local(client, fresh.clone());
             routing.insert_bounds(routing.len(), &fresh);
@@ -1823,13 +1912,12 @@ mod tests {
                 assert_kernel_matches_oracle(&local, &local.handles, &event);
             }
             assert_eq!((local.len(), routing.len()), (live.len(), live.len()));
-            // The routing table holds exactly the live bounds and cells, in
-            // any order.
+            // The routing table holds exactly the live bounds, cells and
+            // flags, in any order.
             for (_, subscription) in &live {
                 let slot = routing.ids.iter().position(|&id| id == subscription.id());
                 let slot = slot.expect("live subscriptions keep their routing slot");
-                assert_eq!(bounds_at(&routing, slot), subscription.raw_bounds());
-                assert_cells_at(&routing, slot, subscription);
+                assert_slot_holds(&routing, slot, subscription);
             }
         }
     }
@@ -2108,7 +2196,7 @@ mod tests {
     }
 
     proptest! {
-        /// `EventChunk::match_mask` against the compare it replaces and
+        /// `KernelView::mask` against the compare it replaces and
         /// against `Subscription::matches`, bit by bit, on tables filled the
         /// way a broker fills them. Bounds and values are drawn in or next to
         /// a few anchor cells — the first, the last, the cell starting at
@@ -2218,6 +2306,7 @@ mod tests {
             }
             prop_assert_eq!(chunk.valid(), valid);
             for (table, stored) in [(&local, &local.handles), (&routing, &received)] {
+                let view = chunk.view(table);
                 for (slot, subscription) in stored.iter().enumerate() {
                     let (mut compared, mut matched) = (0u64, 0u64);
                     for (bit, event) in events.iter().enumerate() {
@@ -2231,7 +2320,7 @@ mod tests {
                     }
                     prop_assert_eq!(compared, matched, "the compare is the oracle");
                     prop_assert_eq!(
-                        chunk.match_mask(table, slot, active),
+                        view.mask(slot, active),
                         compared & active,
                         "slot {} of {}, {} / {} events, {} bits",
                         slot,
@@ -2241,7 +2330,7 @@ mod tests {
                         bits
                     );
                 }
-                prop_assert_eq!(chunk.match_mask(table, table.len(), u64::MAX), 0, "no such slot");
+                prop_assert_eq!(view.mask(table.len(), u64::MAX), 0, "no such slot");
             }
         }
 
@@ -2313,6 +2402,134 @@ mod tests {
                 assert_kernel_matches_oracle(&routing, &received, &event);
             }
         }
+    }
+
+    /// The batched kernel on a grid whose cell tables are narrowed (2
+    /// attributes x 16 bits, so 64 grid cells share a table entry), against
+    /// `Subscription::matches`: bounds on the domain's ends, at `0.0` and
+    /// `-0.0` (a cell edge), and inside cells that events share, on either
+    /// side and on the bound; events with both zeros and with too few
+    /// values; and no slot at or past the end of either table.
+    #[test]
+    fn grid_masks_match_the_oracle_on_a_narrowed_grid() {
+        let s = Schema::builder()
+            .attribute("a", -1.0, 1.0)
+            .attribute("b", -1.0, 1.0)
+            .bits_per_attribute(16)
+            .build()
+            .unwrap();
+        let bounds = [
+            [(-1.0, 1.0), (-1.0, 1.0)],
+            [(-1.0, 0.0), (0.0, 1.0)],
+            [(-0.0, 0.5), (-1.0, -0.0)],
+            [(0.0, 0.0), (-0.0, -0.0)],
+            [(0.1, 0.2), (0.1, 0.2)],
+            [(0.1001, 0.1002), (-1.0, 0.1001)],
+            [(0.2, 1.0), (-0.3, 0.1)],
+            // Only the lower bounds open, then only the upper ones.
+            [(0.1, 1.0), (0.1, 1.0)],
+            [(-1.0, 0.2), (-1.0, 0.2)],
+        ];
+        let mut local = MatchTable::new(&s);
+        let mut routing = MatchTable::new(&s);
+        let mut received = Vec::new();
+        for (id, bounds) in (0..).zip(&bounds) {
+            let fresh = Subscription::from_raw_bounds(&s, id, bounds).unwrap();
+            local.insert_local(id, fresh.clone());
+            routing.insert_bounds(routing.len(), &fresh);
+            received.push(fresh);
+        }
+        let values = [
+            -1.0,
+            1.0,
+            0.0,
+            -0.0,
+            0.1_f64.next_down(),
+            0.1,
+            0.1_f64.next_up(),
+            0.10005,
+            0.1001,
+            0.2,
+            0.2_f64.next_up(),
+            -0.3,
+        ];
+        let mut events: Vec<Event> = Vec::new();
+        for (i, &a) in values.iter().enumerate() {
+            for &b in values.iter().skip(i % 3).step_by(3) {
+                events.push(Event::new(&s, vec![a, b]).unwrap());
+            }
+        }
+        events.extend([
+            unchecked(&s, &[0.1]),
+            unchecked(&s, &[-0.0]),
+            unchecked(&s, &[]),
+        ]);
+        let chunk = EventChunk::new(&s, &events);
+        assert!(chunk.narrow > 0, "the cell tables are narrowed");
+        assert_eq!(
+            chunk.valid(),
+            u64::MAX >> (EventChunk::WIDTH - events.len())
+        );
+        for (table, stored) in [(&local, &local.handles), (&routing, &received)] {
+            let view = chunk.view(table);
+            for (slot, subscription) in stored.iter().enumerate() {
+                let mut oracle = 0u64;
+                for (bit, event) in events.iter().enumerate() {
+                    oracle |= u64::from(subscription.matches(event)) << bit;
+                }
+                assert_eq!(view.mask(slot, u64::MAX), oracle, "{subscription}");
+            }
+            for past in [table.len(), table.len() + 1, MatchTable::BLOCK, usize::MAX] {
+                assert_eq!(view.mask(past, u64::MAX), 0, "slot {past}");
+            }
+        }
+        assert!(chunk.exact_paths.load(std::sync::atomic::Ordering::Relaxed) > 0);
+    }
+
+    /// The batched kernel compares raw values only where an event it
+    /// matched shares the cell of an open bound: never for a burst whose
+    /// events share cells only with bounds on their domain's ends, and for
+    /// a slot whose bound, inside the domain, shares a cell with one.
+    #[test]
+    fn the_exact_path_runs_only_for_a_matched_event_in_an_open_bounds_cell() {
+        let s = schema();
+        let mut b = Broker::new(0, &[1], &s, CoveringPolicy::None).unwrap();
+        // `low`'s upper bounds lie in cell 25, [39.0625, 40.625).
+        let wide = sub(&s, 1, (0.0, 100.0), (0.0, 100.0));
+        let low = sub(&s, 2, (0.0, 40.0), (0.0, 40.0));
+        b.add_local(1, wide.clone());
+        b.add_local(2, low.clone());
+        b.add_received(1, &low);
+        let burst = |values: &[[f64; 2]]| -> (Vec<Event>, EventChunk) {
+            let events: Vec<Event> = values
+                .iter()
+                .map(|v| Event::new(&s, v.to_vec()).unwrap())
+                .collect();
+            let chunk = EventChunk::new(&s, &events);
+            (events, chunk)
+        };
+        let exact_paths = |chunk: &EventChunk| {
+            let mut out = Vec::new();
+            b.matching_clients_mask(chunk, chunk.valid(), |c, mask| out.push((c, mask)));
+            let interested = b.neighbor_interested_mask(1, chunk, chunk.valid());
+            let paths = chunk.exact_paths.load(std::sync::atomic::Ordering::Relaxed);
+            (out, interested, paths)
+        };
+
+        // Cells 0 and 63 hold the domain's ends, which no value lies beyond.
+        let (events, chunk) = burst(&[[0.0, 0.0], [100.0, 100.0], [20.0, 99.5], [0.5, 20.0]]);
+        assert!(events.iter().all(|e| wide.matches(e)));
+        assert_eq!(
+            exact_paths(&chunk),
+            (vec![(1, 0b1111), (2, 0b1001)], 0b1001, 0)
+        );
+
+        // 40.3 and 39.5 share cell 25 with `low`'s open upper bounds.
+        let (events, chunk) = burst(&[[0.0, 0.0], [40.3, 40.3], [39.5, 39.5]]);
+        assert!(!low.matches(&events[1]) && low.matches(&events[2]));
+        let (out, interested, paths) = exact_paths(&chunk);
+        assert_eq!((out, interested), (vec![(1, 0b111), (2, 0b101)], 0b101));
+        assert!(paths > 0);
     }
 
     #[test]

@@ -459,10 +459,10 @@ impl BrokerNetwork {
     /// The batch is cut into chunks of 64 events and each chunk takes one
     /// overlay walk: every broker on the chunk's propagation subtree is
     /// read-locked once per chunk instead of once per event, and matching
-    /// inside a broker runs in rank space — the chunk's values are sorted
-    /// and tabulated by grid cell once, and every slot's stored cells read
-    /// their ranks off that table, so a slot costs the same however many
-    /// events the chunk holds (see [`EventChunk`],
+    /// inside a broker runs on the grid — the chunk's events are tabulated
+    /// by grid cell once, and every slot's stored cells read event masks off
+    /// that table, so a slot costs the same however many events the chunk
+    /// holds (see [`EventChunk`],
     /// [`Broker::matching_clients_mask`] and
     /// [`Broker::neighbor_interested_mask`]). The BFS frontier carries the
     /// per-link *active mask* of chunk events, which shrinks as propagation
@@ -507,8 +507,8 @@ impl BrokerNetwork {
         Ok(deliveries)
     }
 
-    /// One chunk's overlay walk from `at` (a checked broker id), in rank
-    /// space: fills the empty `lists[i]` with the sorted pairs of
+    /// One chunk's overlay walk from `at` (a checked broker id), on the
+    /// grid: fills the empty `lists[i]` with the sorted pairs of
     /// `events[i]` and advances `event_messages` and `deliveries` by what
     /// [`walk`](Self::walk) would have added event by event.
     fn walk_chunk(&self, at: BrokerId, events: &[Event], lists: &mut [Vec<(BrokerId, ClientId)>]) {
@@ -543,11 +543,14 @@ impl BrokerNetwork {
         // strictly ascending order.
         shares.place(&mut matched);
         // Size every list once: growing 64 of them pair by pair costs more
-        // than counting the masks' columns.
+        // than counting the masks' set bits.
         let mut pairs = [0usize; EventChunk::WIDTH];
-        for &(_, _, mask) in &matched {
-            for (bit, pairs) in pairs.iter_mut().enumerate().take(events.len()) {
-                *pairs += (mask >> bit & 1) as usize;
+        for &(_, _, mut mask) in &matched {
+            while mask != 0 {
+                if let Some(pairs) = pairs.get_mut(mask.trailing_zeros() as usize) {
+                    *pairs += 1;
+                }
+                mask &= mask - 1;
             }
         }
         for (list, &pairs) in lists.iter_mut().zip(&pairs) {
@@ -568,14 +571,15 @@ impl BrokerNetwork {
 }
 
 /// The chunk length below which [`BrokerNetwork::publish_batch`] runs the
-/// serial walk per event. A rank-space pass costs per slot, not per event,
-/// so its cost per event falls with the chunk while a serial walk costs the
+/// serial walk per event. A rank pass costs per slot, not per event, so
+/// its cost per event falls with the chunk while a serial walk costs the
 /// same for each: measured at 10 000 subscriptions over 64 clients (README
 /// "Batched publish execution", the burst-length sweep, with the rank kernel
 /// forced on at every length) rank ÷ serial reads 1.5 at 8 events, 1.08 at
 /// 12, 1.02–1.15 at 13 and 0.96–0.99 at 14, the shortest chunk on which the
-/// rank pass never read behind. With one client per subscription the curves
-/// cross lower, between 4 and 6.
+/// rank pass never read behind. With one client per subscription, where
+/// every matching slot is a delivery of its own, the curves cross higher,
+/// between 16 and 24.
 const SERIAL_BELOW: usize = 14;
 
 /// Where each broker's share of a walk's output lies — `spans[b]` is the

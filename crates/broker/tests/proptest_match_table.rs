@@ -264,11 +264,12 @@ proptest! {
 
     #[test]
     fn serial_batch_and_linear_scan_agree_under_churn(
-        // Slots per table before the interleaving starts, on and around the
-        // 64-slot block seams so the churn below crosses them: in broker
-        // 1's routing table, and in a local table of broker 0 — with shared
-        // clients all owned by client 0, hence in one table; with one
-        // client each spread over the broker's 4 local tables, hence 4x.
+        // Subscriptions registered at broker 0 before the interleaving
+        // starts (every third a copy, which takes no slot), around the
+        // 64-slot block seams so the churn below moves its local table and
+        // broker 1's routing table across them. With shared clients they
+        // are all client 0's; with one client each there are 4x as many,
+        // and they still fit one local table under its 512-slot cap.
         initial in prop_oneof![Just(0usize), Just(1), Just(63), Just(64), Just(65), Just(129)],
         shared_clients in any::<bool>(),
         (policy, values) in prop_oneof![
