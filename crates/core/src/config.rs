@@ -1,5 +1,6 @@
 //! Configuration of covering queries: exhaustive vs ε-approximate.
 
+use acd_sfc::CurveKind;
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoveringError;
@@ -50,12 +51,12 @@ pub enum QueryEngine {
     /// poor one for serving queries against realistic, sparse populations.
     EagerRuns,
     /// The populated-key sweep: gallop through the *stored* keys in key
-    /// order, probe a run only when a stored key falls inside it, and
-    /// whenever a stored key lands in a gap ask the seekable decomposition
-    /// stream for the next run at-or-after it. Exact for both query modes
-    /// (it effectively searches the whole region), with per-query work
-    /// bounded by the number of populated-key/run alternations instead of
-    /// `runs(T)`. The default engine.
+    /// order, probe a cell only when it lies inside the dominance orthant,
+    /// and jump over a gap with the Z curve's closed-form orthant seek. Exact
+    /// for both query modes (it searches the whole region), with per-query
+    /// work bounded by populated-key/gap alternations instead of `runs(T)`.
+    /// The default engine, and a Z-curve property: Hilbert and Gray indexes
+    /// reject it with [`CoveringError::UnsupportedEngine`].
     SkipPopulated,
 }
 
@@ -66,6 +67,27 @@ impl QueryEngine {
             QueryEngine::EagerRuns => "eager",
             QueryEngine::SkipPopulated => "skip",
         }
+    }
+
+    /// The engine an index on `curve` serves with: the skip engine on the Z
+    /// curve, the only one with an orthant seek, and the eager engine on
+    /// the others.
+    pub fn for_curve(curve: CurveKind) -> Self {
+        match curve {
+            CurveKind::Z => QueryEngine::SkipPopulated,
+            CurveKind::Hilbert | CurveKind::Gray => QueryEngine::EagerRuns,
+        }
+    }
+
+    /// Rejects the skip engine on any curve but Z.
+    pub(crate) fn check_curve(self, curve: CurveKind) -> Result<()> {
+        if self == Self::for_curve(curve) || self == QueryEngine::EagerRuns {
+            return Ok(());
+        }
+        Err(CoveringError::UnsupportedEngine {
+            curve,
+            engine: self,
+        })
     }
 }
 
@@ -88,12 +110,12 @@ impl QueryEngine {
 ///   latency-critical deployments.
 ///
 /// The [`QueryEngine`] selects the algorithm itself: the default
-/// [`QueryEngine::SkipPopulated`] sweep probes only runs that can contain a
-/// stored key, while [`QueryEngine::EagerRuns`] reproduces the paper's
-/// decomposition-driven probing (and is what the ε/work-cap cost analysis
-/// describes). Under the skip engine the `work_cap` bounds the sweep's
-/// iterations (each one gallop plus at most one region seek) instead of
-/// cubes, with the same exact-scan fallback.
+/// [`QueryEngine::SkipPopulated`] sweep (Z curve only) probes only populated
+/// cells inside the dominance orthant, while [`QueryEngine::EagerRuns`]
+/// reproduces the paper's decomposition-driven probing on every curve (and
+/// is what the ε/work-cap cost analysis describes). Under the skip engine
+/// the `work_cap` bounds the sweep's iterations (each one gallop plus at
+/// most one orthant seek) instead of cubes, with the same exact-scan fallback.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ApproxConfig {
     /// The query mode (exhaustive or ε-approximate).

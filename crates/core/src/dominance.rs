@@ -20,35 +20,33 @@
 //! That eager algorithm ([`QueryEngine::EagerRuns`]) pays for every run in
 //! the decomposition whether or not a stored point can possibly fall inside
 //! it. The default engine ([`QueryEngine::SkipPopulated`]) instead runs a
-//! *two-cursor sweep*: one cursor gallops through the sorted SFC array
-//! (smallest stored key at-or-after the current position, one ordered-map
-//! descent), the other is a seekable stream over the region's runs in key
-//! order ([`acd_sfc::RunStream`]). A run is probed only when a stored key
-//! falls inside it; when a stored key lands in a gap between runs, the
-//! stream is asked for the next run at-or-after that key and every run in
-//! between is skipped without being enumerated. Both cursors only move
-//! forward, so a query issues at most `O(min(runs(T), populated cells))`
-//! probes — sub-linear in practice — while returning the *exact* answer for
-//! both exhaustive and ε-approximate modes (a completed sweep has searched
-//! the entire region).
+//! *populated-key sweep*: a cursor gallops through the sorted SFC array
+//! (smallest stored key at-or-after the current position), a stored key
+//! inside the dominance orthant is probed, and a stored key in a gap jumps
+//! the cursor to the orthant's next key at or after it with the Z curve's
+//! closed-form seek (`d` masked compares). Nothing is enumerated: a query
+//! issues at most `O(min(runs(T), populated cells))` probes — sub-linear in
+//! practice — and returns the *exact* answer for both exhaustive and
+//! ε-approximate modes (a completed sweep has searched the entire region).
 //!
-//! On the Z curve with keys of at most 128 bits (every subscription schema
-//! the daemon serves) the sweep runs on packed keys: the gallop reads `u128`
-//! key values straight from the array's packed mirror
-//! ([`acd_sfc::SweepCursor::next_packed_at_or_after`]), and a gap jump is
-//! the closed-form orthant seek ([`acd_sfc::OrthantSeeker`], `d` masked
-//! compares). Nothing is built per query beyond the query's own key: no
-//! region, rectangle or decomposition stream. The Hilbert and Gray curves,
-//! and wider keys, sweep with the seekable [`RunStream`] instead.
+//! The sweep runs on packed keys when they fit 128 bits (every subscription
+//! schema the benchmark serves): the gallop reads `u128` key values straight
+//! from the array's packed mirror, the seek is [`acd_sfc::OrthantSeeker`],
+//! and nothing is built per query beyond the query's own key. Wider keys run
+//! the same loop over [`Key`]s, seeking on their big-endian words
+//! ([`acd_sfc::OrthantWordSeeker`]). The Hilbert and Gray curves have no
+//! orthant seek and run the eager engine only; asking them for the skip
+//! engine is a [`CoveringError::UnsupportedEngine`].
 
 use std::fmt;
 
 use acd_sfc::{
-    ExtremalCubes, ExtremalRect, Key, KeyRange, OrthantSeeker, Point, RunStream, SfcArray,
+    ExtremalCubes, ExtremalRect, Key, KeyRange, OrthantSeeker, OrthantWordSeeker, Point, SfcArray,
     SfcEntry, SpaceFillingCurve, SweepCursor, Universe,
 };
 
 use crate::config::{ApproxConfig, QueryEngine, QueryMode};
+use crate::error::CoveringError;
 use crate::stats::QueryStats;
 use crate::Result;
 
@@ -233,6 +231,7 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         F: FnMut(&V) -> bool,
     {
         self.universe.validate_point(query)?;
+        config.engine.check_curve(self.array.curve().kind())?;
         if self.array.is_empty() {
             return Ok((None, Self::empty_stats()));
         }
@@ -256,17 +255,24 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         if config.engine == QueryEngine::EagerRuns {
             return self.query_eager(query, config, accept);
         }
-        let Some(seeker) = self.array.curve().orthant_seeker(query) else {
-            return self.sweep_region(query, config, accept);
-        };
-        let (gallop, start) = match seed {
-            Some(seed) => {
-                seed.next_packed_at_or_after(seeker.corner());
-                (seed.clone(), seeker.corner())
-            }
-            None => (self.array.sweep_cursor(), 0),
-        };
-        self.sweep_orthant(query, seeker, config, accept, gallop, start)
+        let curve = self.array.curve();
+        if let Some(seeker) = curve.orthant_seeker(query) {
+            let (gallop, start) = match seed {
+                Some(seed) => {
+                    seed.next_packed_at_or_after(seeker.corner());
+                    (seed.clone(), seeker.corner())
+                }
+                None => (self.array.sweep_cursor(), 0),
+            };
+            return self.sweep_orthant(query, seeker, config, accept, gallop, start);
+        }
+        match curve.orthant_word_seeker(query) {
+            Some(seeker) => self.sweep_keys(query, &seeker, config, accept),
+            None => Err(CoveringError::UnsupportedEngine {
+                curve: curve.kind(),
+                engine: config.engine,
+            }),
+        }
     }
 
     /// The stats of a query against an empty index: nothing probed, and the
@@ -291,9 +297,8 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
     /// to running [`query_dominating_where`](Self::query_dominating_where)
     /// per query; only the `probes`/`runs_skipped` counters may be *lower*
     /// (the seeded sweep skips the prefix below the query's key without
-    /// probing it). On the Hilbert and Gray curves (not dominance-monotone),
-    /// for keys over 128 bits and under the eager engine each query runs
-    /// its own full sweep.
+    /// probing it). For keys over 128 bits and under the eager engine each
+    /// query runs on its own.
     ///
     /// # Errors
     ///
@@ -326,6 +331,7 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         F: FnMut(usize, &V) -> bool,
     {
         let curve = self.array.curve();
+        config.engine.check_curve(curve.kind())?;
         // Sort the batch along the curve (index tiebreak for determinism);
         // keying validates every point before any query runs.
         let mut order = Vec::with_capacity(queries.len());
@@ -544,14 +550,13 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         Ok((outcome, stats))
     }
 
-    /// The populated-key sweep for curves without a closed-form orthant
-    /// seek (Hilbert, Gray, and keys over 128 bits): the same walk as
-    /// [`sweep_orthant`](Self::sweep_orthant) from key zero, with each gap
-    /// jump landing on the next run of the seekable, lazily merging
-    /// [`RunStream`] over the region's decomposition.
-    fn sweep_region<F>(
+    /// The populated-key sweep on keys over 128 bits: the walk of
+    /// [`sweep_orthant`](Self::sweep_orthant) from key zero over [`Key`]s,
+    /// with each gap jump the seek on the keys' big-endian words.
+    fn sweep_keys<F>(
         &self,
         query: &Point,
+        seeker: &OrthantWordSeeker<'_>,
         config: &ApproxConfig,
         mut accept: F,
     ) -> Result<(Option<V>, QueryStats)>
@@ -559,8 +564,6 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         F: FnMut(&V) -> bool,
     {
         let mut stats = QueryStats::default();
-        let rect = ExtremalRect::dominance_region(&self.universe, query)?.to_rect();
-        let mut runs = RunStream::new(self.array.curve(), &rect)?;
         let mut gallop = self.array.sweep_cursor();
         let iteration_cap = config.work_cap.map(|cap| self.effective_work_budget(cap));
         let mut iterations = 0usize;
@@ -575,25 +578,16 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
             };
             iterations += 1;
             if iteration_cap.is_some_and(|cap| iterations > cap) {
-                stats.cubes_enumerated = runs.cubes_pulled();
                 return self.scan_fallback(query, &mut accept, stats);
             }
-            // Only the next run's *start* is needed (gap jumps land on it;
-            // membership is `start <= key`), so the run is not merged to its
-            // end — one cube pull per iteration.
-            runs.seek(key);
-            let Some(run_start) = runs.peek_start() else {
-                // The region has no cell at or after the stored key.
-                break None;
-            };
-            if run_start > key {
+            let orthant_key = seeker.seek_key(key);
+            if orthant_key != *key {
                 stats.runs_skipped += 1;
-                cursor = Some(run_start.clone());
+                cursor = Some(orthant_key);
                 continue;
             }
             if config.max_runs.is_some_and(|cap| stats.runs_probed >= cap) {
                 stats.hit_run_cap = true;
-                stats.cubes_enumerated = runs.cubes_pulled();
                 return Ok((None, stats));
             }
             if let Some(found) = Self::probe_cell(bucket, &mut accept, &mut stats) {
@@ -601,7 +595,6 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
             }
             cursor = key.successor();
         };
-        stats.cubes_enumerated = runs.cubes_pulled();
         if outcome.is_none() {
             stats.volume_fraction_searched = 1.0;
         }
@@ -729,12 +722,10 @@ mod tests {
 
         let mut z_idx =
             PointDominanceIndex::new(ZCurve::new(u.clone()), ApproxConfig::exhaustive());
-        // Hilbert curve
-        let mut h_idx =
-            PointDominanceIndex::new(HilbertCurve::new(u.clone()), ApproxConfig::exhaustive());
-        // Gray curve
-        let mut g_idx =
-            PointDominanceIndex::new(GrayCurve::new(u.clone()), ApproxConfig::exhaustive());
+        // Hilbert and Gray run the eager engine.
+        let eager = ApproxConfig::exhaustive().engine(QueryEngine::EagerRuns);
+        let mut h_idx = PointDominanceIndex::new(HilbertCurve::new(u.clone()), eager);
+        let mut g_idx = PointDominanceIndex::new(GrayCurve::new(u.clone()), eager);
         for (i, point) in points.iter().enumerate() {
             z_idx.insert(point.clone(), i as u64).unwrap();
             h_idx.insert(point.clone(), i as u64).unwrap();
@@ -905,7 +896,7 @@ mod tests {
     }
 
     #[test]
-    fn skip_engine_agrees_with_eager_on_all_curves() {
+    fn skip_engine_agrees_with_eager() {
         // The two engines must return identical answers on random
         // populations, and the sweep must never probe more runs than the
         // eager enumeration (work caps disabled so the eager engine really
@@ -928,43 +919,98 @@ mod tests {
         let eager_cfg = ApproxConfig::exhaustive()
             .work_cap(None)
             .engine(QueryEngine::EagerRuns);
-        for kind in acd_sfc::CurveKind::all() {
-            macro_rules! check {
-                ($curve:expr) => {{
-                    let mut idx = PointDominanceIndex::new($curve, skip_cfg);
-                    for (i, point) in points.iter().enumerate() {
-                        idx.insert(point.clone(), i as u64).unwrap();
-                    }
-                    for q in &queries {
-                        let (skip, skip_stats) =
-                            idx.query_dominating_with(q, &skip_cfg, |_| true).unwrap();
-                        let (eager, eager_stats) =
-                            idx.query_dominating_with(q, &eager_cfg, |_| true).unwrap();
-                        assert_eq!(
-                            skip.is_some(),
-                            eager.is_some(),
-                            "{kind:?} engines disagree for {q}"
-                        );
-                        assert!(
-                            skip_stats.runs_probed <= eager_stats.runs_probed.max(1),
-                            "{kind:?}: skip probed {} vs eager {} for {q}",
-                            skip_stats.runs_probed,
-                            eager_stats.runs_probed
-                        );
-                        if skip.is_none() {
-                            // A completed sweep has searched the whole region.
-                            assert_eq!(skip_stats.volume_fraction_searched, 1.0);
-                            assert_eq!(skip_stats.runs_probed, 0, "misses probe nothing");
-                        }
-                    }
-                }};
-            }
-            match kind {
-                acd_sfc::CurveKind::Z => check!(ZCurve::new(u.clone())),
-                acd_sfc::CurveKind::Hilbert => check!(HilbertCurve::new(u.clone())),
-                acd_sfc::CurveKind::Gray => check!(GrayCurve::new(u.clone())),
+        let mut idx = PointDominanceIndex::new(ZCurve::new(u), skip_cfg);
+        for (i, point) in points.iter().enumerate() {
+            idx.insert(point.clone(), i as u64).unwrap();
+        }
+        for q in &queries {
+            let (skip, skip_stats) = idx.query_dominating_with(q, &skip_cfg, |_| true).unwrap();
+            let (eager, eager_stats) = idx.query_dominating_with(q, &eager_cfg, |_| true).unwrap();
+            assert_eq!(skip.is_some(), eager.is_some(), "engines disagree for {q}");
+            assert!(
+                skip_stats.runs_probed <= eager_stats.runs_probed.max(1),
+                "skip probed {} vs eager {} for {q}",
+                skip_stats.runs_probed,
+                eager_stats.runs_probed
+            );
+            if skip.is_none() {
+                // A completed sweep has searched the whole region.
+                assert_eq!(skip_stats.volume_fraction_searched, 1.0);
+                assert_eq!(skip_stats.runs_probed, 0, "misses probe nothing");
             }
         }
+    }
+
+    #[test]
+    fn key_sweep_over_128_bits_is_exact_and_enumerates_nothing() {
+        // 8 dimensions × 20 bits = 160-bit keys: the sweep runs over `Key`s
+        // with the word-wise seek, and must answer like the brute force,
+        // probe nothing on a miss and pull no cube.
+        let u = universe(8, 20);
+        let mut state = 0xbadd_cafeu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % (1 << 20)
+        };
+        let mut idx = PointDominanceIndex::new(ZCurve::new(u), ApproxConfig::exhaustive());
+        for i in 0..200u64 {
+            idx.insert(p(&[(); 8].map(|_| next())), i).unwrap();
+        }
+        let queries: Vec<Point> = (0..60)
+            .map(|i| p(&[(); 8].map(|_| next() >> (i % 4))))
+            .collect();
+        let batch = idx
+            .query_dominating_batch_where(&queries, |_, _| true)
+            .unwrap();
+        let mut hits = 0;
+        for (q, (batched, _)) in queries.iter().zip(&batch) {
+            let (hit, stats) = idx.query_dominating(q).unwrap();
+            assert_eq!(hit.is_some(), dominated(&idx, q), "{q}");
+            assert_eq!(batched.is_some(), hit.is_some(), "{q}");
+            assert_eq!(stats.cubes_enumerated, 0);
+            if hit.is_none() {
+                assert_eq!(stats.runs_probed, 0);
+                assert_eq!(stats.volume_fraction_searched, 1.0);
+            }
+            hits += usize::from(hit.is_some());
+        }
+        assert!(0 < hits && hits < queries.len(), "{hits} hits");
+    }
+
+    #[test]
+    fn skip_engine_is_rejected_off_the_z_curve() {
+        // Hilbert and Gray have no orthant seek: asking one of their indexes
+        // for the skip engine, per query or per batch, is a typed error even
+        // on an empty index.
+        let u = universe(2, 4);
+        let skip = ApproxConfig::exhaustive();
+        let eager = skip.engine(QueryEngine::EagerRuns);
+        let q = p(&[3, 4]);
+        macro_rules! check {
+            ($curve:expr, $kind:expr) => {{
+                let mut idx = PointDominanceIndex::new($curve, eager);
+                let unsupported = CoveringError::UnsupportedEngine {
+                    curve: $kind,
+                    engine: QueryEngine::SkipPopulated,
+                };
+                let batch = std::slice::from_ref(&q);
+                for hit in [None, Some(7)] {
+                    let single = idx.query_dominating_with(&q, &skip, |_| true);
+                    assert_eq!(single.unwrap_err(), unsupported);
+                    let batched = idx.query_dominating_batch_with(batch, &skip, |_, _| true);
+                    assert_eq!(batched.unwrap_err(), unsupported);
+                    // The index's own eager configuration still answers.
+                    assert_eq!(idx.query_dominating(&q).unwrap().0, hit);
+                    idx.insert(p(&[5, 5]), 7u64).unwrap();
+                }
+                idx.set_config(skip);
+                assert_eq!(idx.query_dominating(&q).unwrap_err(), unsupported);
+            }};
+        }
+        check!(HilbertCurve::new(u.clone()), acd_sfc::CurveKind::Hilbert);
+        check!(GrayCurve::new(u), acd_sfc::CurveKind::Gray);
     }
 
     #[test]
@@ -1026,8 +1072,8 @@ mod tests {
     fn batched_queries_agree_with_serial_on_all_curves() {
         // The batched kernel must return, per query and in input order, the
         // same hit/miss (and the same hit value under a first-acceptable
-        // filter) as the serial query — on every curve, for both engines,
-        // including duplicate query points and an empty index.
+        // filter) as the serial query — on every curve, for every engine the
+        // curve runs, including duplicate query points and an empty index.
         let u = universe(3, 5);
         let mut state = 0x5eed_cafeu64;
         let mut next = move || {
@@ -1051,7 +1097,10 @@ mod tests {
             .engine(QueryEngine::EagerRuns);
         macro_rules! check {
             ($curve:expr, $kind:expr) => {{
-                let mut idx = PointDominanceIndex::new($curve, skip_cfg);
+                let own_cfg = ApproxConfig::exhaustive()
+                    .work_cap(None)
+                    .engine(QueryEngine::for_curve($kind));
+                let mut idx = PointDominanceIndex::new($curve, own_cfg);
                 // Empty-index batch first.
                 let empty = idx
                     .query_dominating_batch_where(&queries, |_, _| true)
@@ -1063,7 +1112,11 @@ mod tests {
                 for (i, point) in points.iter().enumerate() {
                     idx.insert(point.clone(), i as u64).unwrap();
                 }
-                for cfg in [&skip_cfg, &eager_cfg] {
+                // Hilbert and Gray run the eager engine only.
+                let configs = [&skip_cfg, &eager_cfg]
+                    .into_iter()
+                    .filter(|cfg| cfg.engine.check_curve($kind).is_ok());
+                for cfg in configs {
                     let batch = idx
                         .query_dominating_batch_with(&queries, cfg, |_, _| true)
                         .unwrap();

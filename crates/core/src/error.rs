@@ -2,9 +2,11 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use acd_sfc::SfcError;
+use acd_sfc::{CurveKind, SfcError};
 use acd_storage::StorageError;
 use acd_subscription::SubscriptionError;
+
+use crate::config::QueryEngine;
 
 /// Error type for the covering-detection indexes.
 #[derive(Debug, Clone)]
@@ -28,6 +30,14 @@ pub enum CoveringError {
         /// The offending identifier.
         id: u64,
     },
+    /// The query engine cannot run on the curve: the populated-key skip
+    /// engine needs the Z curve's closed-form orthant seek.
+    UnsupportedEngine {
+        /// The index's curve.
+        curve: CurveKind,
+        /// The engine asked for.
+        engine: QueryEngine,
+    },
     /// An error bubbled up from the subscription data model.
     Subscription(SubscriptionError),
     /// An error bubbled up from the space-filling-curve substrate.
@@ -48,6 +58,13 @@ impl PartialEq for CoveringError {
             (SchemaMismatch, SchemaMismatch) => true,
             (UnknownSubscription { id: a }, UnknownSubscription { id: b }) => a == b,
             (DuplicateSubscription { id: a }, DuplicateSubscription { id: b }) => a == b,
+            (
+                UnsupportedEngine { curve, engine },
+                UnsupportedEngine {
+                    curve: c,
+                    engine: e,
+                },
+            ) => (curve, engine) == (c, e),
             (Subscription(a), Subscription(b)) => a == b,
             (Sfc(a), Sfc(b)) => a == b,
             (Storage(a), Storage(b)) => Arc::ptr_eq(a, b),
@@ -73,6 +90,9 @@ impl fmt::Display for CoveringError {
             }
             CoveringError::DuplicateSubscription { id } => {
                 write!(f, "subscription {id} is already in the index")
+            }
+            CoveringError::UnsupportedEngine { curve, engine } => {
+                write!(f, "no {} engine on the {curve} curve", engine.label())
             }
             CoveringError::Subscription(e) => write!(f, "subscription error: {e}"),
             CoveringError::Sfc(e) => write!(f, "space filling curve error: {e}"),
@@ -143,6 +163,12 @@ mod tests {
         assert!(CoveringError::InvalidEpsilon { epsilon: 2.0 }
             .to_string()
             .contains('2'));
+        let unsupported = CoveringError::UnsupportedEngine {
+            curve: CurveKind::Gray,
+            engine: QueryEngine::SkipPopulated,
+        };
+        assert!(unsupported.to_string().contains("gray-code"));
+        assert_eq!(unsupported.clone(), unsupported);
     }
 
     #[test]

@@ -50,6 +50,7 @@ impl Engine {
         config: ApproxConfig,
         entries: Vec<(Point, SubId)>,
     ) -> Result<Self> {
+        config.engine.check_curve(kind)?;
         Ok(match kind {
             CurveKind::Z => Engine::Z(PointDominanceIndex::build_from(
                 ZCurve::new(universe),
@@ -191,7 +192,7 @@ impl SfcCoveringIndex {
     /// # Errors
     ///
     /// Returns an error if the dominance universe for the schema cannot be
-    /// constructed.
+    /// constructed, or if the curve cannot run the configured engine.
     pub fn with_curve(schema: &Schema, config: ApproxConfig, curve: CurveKind) -> Result<Self> {
         let universe = dominance_universe(schema)?;
         Ok(SfcCoveringIndex {
@@ -213,8 +214,8 @@ impl SfcCoveringIndex {
     /// # Errors
     ///
     /// Returns an error if any subscription disagrees with `schema`, if two
-    /// subscriptions share an identifier, or if the dominance universe
-    /// cannot be constructed.
+    /// subscriptions share an identifier, if the dominance universe cannot
+    /// be constructed, or if the curve cannot run the configured engine.
     pub fn build_from<'a, I>(
         schema: &Schema,
         config: ApproxConfig,
@@ -267,7 +268,8 @@ impl SfcCoveringIndex {
         self.config
     }
 
-    /// Changes the query configuration (affects subsequent queries only).
+    /// Changes the query configuration (affects subsequent queries only,
+    /// which fail if the curve cannot run its engine).
     pub fn set_config(&mut self, config: ApproxConfig) {
         self.config = config;
         self.forward.set_config(config);
@@ -378,6 +380,7 @@ impl SfcCoveringIndex {
             )
             .into());
         };
+        config.engine.check_curve(curve)?;
         let reader = SegmentReader::open(dir, &segment.stem)?;
         let data_file = format!("{}.dat", segment.stem);
         // The commit re-pins each data file: a checksum-intact segment from
@@ -626,16 +629,12 @@ impl CoveringIndex for SfcCoveringIndex {
         match (self.curve, self.config.mode.is_exhaustive(), eager) {
             (CurveKind::Z, true, false) => "sfc-z-exhaustive",
             (CurveKind::Z, false, false) => "sfc-z-approximate",
-            (CurveKind::Hilbert, true, false) => "sfc-hilbert-exhaustive",
-            (CurveKind::Hilbert, false, false) => "sfc-hilbert-approximate",
-            (CurveKind::Gray, true, false) => "sfc-gray-exhaustive",
-            (CurveKind::Gray, false, false) => "sfc-gray-approximate",
             (CurveKind::Z, true, true) => "sfc-z-exhaustive-eager",
             (CurveKind::Z, false, true) => "sfc-z-approximate-eager",
-            (CurveKind::Hilbert, true, true) => "sfc-hilbert-exhaustive-eager",
-            (CurveKind::Hilbert, false, true) => "sfc-hilbert-approximate-eager",
-            (CurveKind::Gray, true, true) => "sfc-gray-exhaustive-eager",
-            (CurveKind::Gray, false, true) => "sfc-gray-approximate-eager",
+            (CurveKind::Hilbert, true, _) => "sfc-hilbert-exhaustive-eager",
+            (CurveKind::Hilbert, false, _) => "sfc-hilbert-approximate-eager",
+            (CurveKind::Gray, true, _) => "sfc-gray-exhaustive-eager",
+            (CurveKind::Gray, false, _) => "sfc-gray-approximate-eager",
         }
     }
 }
@@ -643,8 +642,14 @@ impl CoveringIndex for SfcCoveringIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::QueryEngine;
     use crate::linear::LinearScanIndex;
     use acd_subscription::SubscriptionBuilder;
+
+    /// An exhaustive configuration on the engine `curve` runs.
+    fn exhaustive_on(curve: CurveKind) -> ApproxConfig {
+        ApproxConfig::exhaustive().engine(QueryEngine::for_curve(curve))
+    }
 
     fn schema() -> Schema {
         Schema::builder()
@@ -691,8 +696,7 @@ mod tests {
         let s = schema();
         let subs = random_subs(&s, 80, 7);
         for curve in CurveKind::all() {
-            let mut sfc =
-                SfcCoveringIndex::with_curve(&s, ApproxConfig::exhaustive(), curve).unwrap();
+            let mut sfc = SfcCoveringIndex::with_curve(&s, exhaustive_on(curve), curve).unwrap();
             let mut lin = LinearScanIndex::new(&s);
             for sub in &subs {
                 // Query before inserting (the router's workflow).
@@ -759,9 +763,9 @@ mod tests {
         let queries = random_subs(&s, 40, 43);
         for curve in CurveKind::all() {
             let mut bulk =
-                SfcCoveringIndex::build_from(&s, ApproxConfig::exhaustive(), curve, &subs).unwrap();
+                SfcCoveringIndex::build_from(&s, exhaustive_on(curve), curve, &subs).unwrap();
             let mut incremental =
-                SfcCoveringIndex::with_curve(&s, ApproxConfig::exhaustive(), curve).unwrap();
+                SfcCoveringIndex::with_curve(&s, exhaustive_on(curve), curve).unwrap();
             for sub in &subs {
                 incremental.insert(sub).unwrap();
             }
@@ -939,13 +943,13 @@ mod tests {
         // ε = 0.05 index and an exhaustive one return the same hit and
         // identical stats, query by query, on a churned population. Under
         // the eager engine the same ε stops some queries early.
-        use crate::config::QueryEngine;
         let s = schema();
         let subs = random_subs(&s, 400, 61);
         for engine in [QueryEngine::SkipPopulated, QueryEngine::EagerRuns] {
             let exact_config = ApproxConfig::exhaustive().engine(engine);
             let approx_config = ApproxConfig::with_epsilon(0.05).unwrap().engine(engine);
-            for curve in CurveKind::all() {
+            let curves = CurveKind::all().into_iter();
+            for curve in curves.filter(|&c| engine.check_curve(c).is_ok()) {
                 let mut exact = SfcCoveringIndex::with_curve(&s, exact_config, curve).unwrap();
                 let mut approx = SfcCoveringIndex::with_curve(&s, approx_config, curve).unwrap();
                 let mut differ = 0;
@@ -978,7 +982,7 @@ mod tests {
         let queries = random_subs(&s, 50, 22);
         for curve in CurveKind::all() {
             let mut built =
-                SfcCoveringIndex::build_from(&s, ApproxConfig::exhaustive(), curve, &subs).unwrap();
+                SfcCoveringIndex::build_from(&s, exhaustive_on(curve), curve, &subs).unwrap();
             let dir = std::env::temp_dir().join(format!(
                 "acd-sfc-roundtrip-{}-{curve:?}",
                 std::process::id()
@@ -1072,11 +1076,42 @@ mod tests {
         assert_eq!(idx.schema(), &s);
         let idx = SfcCoveringIndex::with_curve(
             &s,
-            ApproxConfig::with_epsilon(0.1).unwrap(),
+            ApproxConfig::with_epsilon(0.1)
+                .unwrap()
+                .engine(QueryEngine::EagerRuns),
             CurveKind::Hilbert,
         )
         .unwrap();
-        assert_eq!(idx.name(), "sfc-hilbert-approximate");
+        assert_eq!(idx.name(), "sfc-hilbert-approximate-eager");
         assert_eq!(idx.config().epsilon(), 0.1);
+    }
+
+    #[test]
+    fn the_skip_engine_is_rejected_off_the_z_curve() {
+        // At construction, whether empty or bulk-built, and at the first
+        // query after `set_config` asks for it.
+        let s = schema();
+        let subs = random_subs(&s, 30, 5);
+        let skip = ApproxConfig::exhaustive();
+        for curve in [CurveKind::Hilbert, CurveKind::Gray] {
+            let unsupported = CoveringError::UnsupportedEngine {
+                curve,
+                engine: QueryEngine::SkipPopulated,
+            };
+            assert_eq!(
+                SfcCoveringIndex::with_curve(&s, skip, curve).unwrap_err(),
+                unsupported
+            );
+            assert_eq!(
+                SfcCoveringIndex::build_from(&s, skip, curve, &subs).unwrap_err(),
+                unsupported
+            );
+            let mut idx =
+                SfcCoveringIndex::build_from(&s, exhaustive_on(curve), curve, &subs).unwrap();
+            assert!(idx.find_covering(&subs[0]).is_ok());
+            idx.set_config(skip);
+            assert_eq!(idx.find_covering(&subs[0]).unwrap_err(), unsupported);
+            assert_eq!(idx.find_covering_batch(&subs).unwrap_err(), unsupported);
+        }
     }
 }

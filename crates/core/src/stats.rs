@@ -13,8 +13,8 @@ use acd_subscription::SubId;
 /// Cost counters of a single covering (point-dominance) query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct QueryStats {
-    /// Standard cubes enumerated from the greedy decomposition (under the
-    /// skip engine: cubes actually pulled from the decomposition stream).
+    /// Standard cubes enumerated from the greedy decomposition by the eager
+    /// engine. Always 0 for the skip engine, which enumerates none.
     pub cubes_enumerated: usize,
     /// Runs (contiguous key ranges) probed in the SFC array.
     pub runs_probed: usize,

@@ -16,15 +16,10 @@ use acd_subscription::{RangePredicate, Schema, Subscription};
 /// no packed mirror: the `Key` path).
 const SHAPES: [(usize, u32); 4] = [(2, 6), (3, 10), (2, 24), (4, 20)];
 
-/// The curves a shape runs on. Hilbert and Gray sweep over `Key`s at every
-/// width, so over 128 bits only the Z curve changes path (and the 8-dimension
-/// decomposition stream is too slow to run three times per case).
-fn curves(arity: usize, bits: u32) -> Vec<CurveKind> {
-    if 2 * arity as u32 * bits > 128 {
-        vec![CurveKind::Z]
-    } else {
-        CurveKind::all().to_vec()
-    }
+/// An exhaustive configuration on the engine `kind` runs: the skip engine
+/// on the Z curve, the eager engine on Hilbert and Gray.
+fn exhaustive_on(kind: CurveKind) -> ApproxConfig {
+    ApproxConfig::exhaustive().engine(QueryEngine::for_curve(kind))
 }
 
 fn schema(arity: usize, bits: u32) -> Schema {
@@ -72,19 +67,12 @@ proptest! {
         population in bounds_strategy(40),
         removals in prop::collection::vec(0usize..40, 0..10),
     ) {
-        let cases = SHAPES.into_iter().flat_map(|(arity, bits)| {
-            curves(arity, bits)
-                .into_iter()
-                .map(move |kind| (arity, bits, kind))
-        });
+        let cases = SHAPES
+            .into_iter()
+            .flat_map(|(arity, bits)| CurveKind::all().map(|kind| (arity, bits, kind)));
         for (arity, bits, kind) in cases {
             let schema = schema(arity, bits);
-            let mut sfc = SfcCoveringIndex::with_curve(
-                &schema,
-                ApproxConfig::exhaustive(),
-                kind,
-            )
-            .unwrap();
+            let mut sfc = SfcCoveringIndex::with_curve(&schema, exhaustive_on(kind), kind).unwrap();
             let mut linear = LinearScanIndex::new(&schema);
             let subs: Vec<Subscription> = population
                 .iter()
@@ -251,11 +239,11 @@ proptest! {
                 linear.insert(s).unwrap();
             }
 
-            for kind in curves(arity, bits) {
+            for kind in CurveKind::all() {
                 let mut serial =
-                    SfcCoveringIndex::with_curve(&schema, ApproxConfig::exhaustive(), kind).unwrap();
+                    SfcCoveringIndex::with_curve(&schema, exhaustive_on(kind), kind).unwrap();
                 let mut batched =
-                    SfcCoveringIndex::with_curve(&schema, ApproxConfig::exhaustive(), kind).unwrap();
+                    SfcCoveringIndex::with_curve(&schema, exhaustive_on(kind), kind).unwrap();
                 for s in &subs {
                     serial.insert(s).unwrap();
                     batched.insert(s).unwrap();
@@ -329,9 +317,8 @@ proptest! {
         remove_mask in prop::collection::vec(any::<bool>(), 30),
     ) {
         let schema = schema(2, 6);
-        let mut sfc =
-            SfcCoveringIndex::with_curve(&schema, ApproxConfig::exhaustive(), CurveKind::all()[curve])
-                .unwrap();
+        let kind = CurveKind::all()[curve];
+        let mut sfc = SfcCoveringIndex::with_curve(&schema, exhaustive_on(kind), kind).unwrap();
         let subs: Vec<Subscription> = population
             .iter()
             .enumerate()

@@ -14,7 +14,7 @@ use acd_covering::storage::{
     latest_commit, read_commit, segment_stem, write_commit, CommitManifest, SegmentWriter,
     StorageError,
 };
-use acd_covering::{ApproxConfig, CoveringError, CoveringIndex, SfcCoveringIndex};
+use acd_covering::{ApproxConfig, CoveringError, CoveringIndex, QueryEngine, SfcCoveringIndex};
 use acd_sfc::{CurveKind, SfcArray, ZCurve};
 use acd_subscription::{dominance_point, dominance_universe, RangePredicate, Schema, Subscription};
 
@@ -77,7 +77,8 @@ fn build_index(
         .enumerate()
         .map(|(i, bounds)| build_sub(schema, i as u64 + 1, bounds))
         .collect();
-    let index = SfcCoveringIndex::build_from(schema, ApproxConfig::exhaustive(), curve, &subs)
+    let config = ApproxConfig::exhaustive().engine(QueryEngine::for_curve(curve));
+    let index = SfcCoveringIndex::build_from(schema, config, curve, &subs)
         .expect("the generated population is valid");
     (index, subs)
 }

@@ -16,7 +16,7 @@ use crate::cube::StandardCube;
 use crate::key::{Key, KeyRange};
 use crate::rect::Rect;
 use crate::universe::{Point, Universe};
-use crate::zorder::OrthantSeeker;
+use crate::zorder::{OrthantSeeker, OrthantWordSeeker};
 use crate::Result;
 
 /// A space filling curve over a fixed [`Universe`].
@@ -63,52 +63,15 @@ pub trait SpaceFillingCurve: fmt::Debug + Send + Sync {
         KeyRange::new(lo, hi)
     }
 
-    /// The `2^d` children of a standard cube together with their key ranges,
-    /// sorted by increasing key order (the order the curve visits them).
-    ///
-    /// This is the primitive that lets a region decomposition be *re-anchored*
-    /// at an arbitrary key: descending from the universe cube and always
-    /// picking the first child whose range ends at-or-after the target key
-    /// reaches the decomposition's next cube without enumerating anything
-    /// before it (see [`crate::decompose::CubeStream::seek`]).
-    ///
-    /// The default implementation encodes each child's corner
-    /// ([`key_of_point`](Self::key_of_point)) and sorts; curves with a known
-    /// child visiting order (the Z curve) override it with a direct
-    /// construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cube is a single cell (no children) or does not belong
-    /// to this curve's universe.
-    fn children_in_key_order(&self, cube: &StandardCube) -> Vec<(StandardCube, KeyRange)> {
-        let children = cube
-            .children()
-            .expect("children_in_key_order called on a single-cell cube");
-        let mut out: Vec<(StandardCube, KeyRange)> = children
-            .into_iter()
-            .map(|child| {
-                let range = self
-                    .cube_key_range(&child)
-                    .expect("child of an in-universe cube is in the universe");
-                (child, range)
-            })
-            .collect();
-        out.sort_by(|a, b| a.1.lo().cmp(b.1.lo()));
-        out
-    }
-
     /// Curve-specific accelerated region seeking: returns a reusable
     /// [`RegionSeeker`] for `rect`, or `None` when this curve has no
-    /// arithmetic fast path for it — callers then fall back to the seekable
-    /// [`CubeStream`](crate::decompose::CubeStream) /
-    /// [`RunStream`](crate::runs::RunStream) walk of the decomposition.
+    /// arithmetic fast path for it.
     ///
     /// Only the Z curve overrides this, and only for orthants: a rectangle
     /// whose upper corner is the universe's top corner (every dominance
     /// region), with keys of at most 128 bits, gets its
     /// [`orthant_seeker`](Self::orthant_seeker). Any other rectangle gets
-    /// `None`.
+    /// `None`; the query sweep calls the orthant seekers directly.
     fn region_seeker(&self, rect: &Rect) -> Option<Box<dyn RegionSeeker + '_>> {
         let _ = rect;
         None
@@ -120,6 +83,16 @@ pub trait SpaceFillingCurve: fmt::Debug + Send + Sync {
     /// every other curve returns `None`, as does a corner outside the
     /// universe.
     fn orthant_seeker(&self, corner: &Point) -> Option<OrthantSeeker<'_>> {
+        let _ = corner;
+        None
+    }
+
+    /// The same closed-form seeker on a key's big-endian words, for keys
+    /// over 128 bits, where [`orthant_seeker`](Self::orthant_seeker) has
+    /// none. Only the Z curve has one; every other curve, narrower keys and
+    /// a corner outside the universe get `None`. Between them the two
+    /// methods give the Z curve an orthant seeker at every key width.
+    fn orthant_word_seeker(&self, corner: &Point) -> Option<OrthantWordSeeker<'_>> {
         let _ = corner;
         None
     }
@@ -220,40 +193,6 @@ mod tests {
             assert_eq!(curve.kind(), kind);
             assert_eq!(curve.universe(), &u);
             assert_eq!(curve.name(), kind.name());
-        }
-    }
-
-    #[test]
-    fn children_in_key_order_partition_the_parent_range_on_every_curve() {
-        let u = Universe::new(3, 3).unwrap();
-        for kind in CurveKind::all() {
-            let curve = kind.build(u.clone());
-            for (corner, exp) in [
-                (vec![0, 0, 0], 3u32),
-                (vec![4, 0, 4], 2),
-                (vec![2, 6, 0], 1),
-            ] {
-                let cube = StandardCube::new(&u, corner, exp).unwrap();
-                let parent = curve.cube_key_range(&cube).unwrap();
-                let children = curve.children_in_key_order(&cube);
-                assert_eq!(children.len(), 8, "{kind:?}");
-                // Ranges are sorted, contiguous and exactly tile the parent.
-                assert_eq!(children[0].1.lo(), parent.lo());
-                assert_eq!(children.last().unwrap().1.hi(), parent.hi());
-                for w in children.windows(2) {
-                    assert!(
-                        w[0].1.is_adjacent_to(&w[1].1),
-                        "{kind:?}: {} then {}",
-                        w[0].1,
-                        w[1].1
-                    );
-                }
-                // Each pair (cube, range) is consistent.
-                for (child, range) in &children {
-                    assert_eq!(&curve.cube_key_range(child).unwrap(), range);
-                    assert!(cube.contains_cube(child));
-                }
-            }
         }
     }
 }

@@ -16,8 +16,6 @@
 //! path, lives in [`crate::extremal`].
 
 use crate::cube::StandardCube;
-use crate::curve::SpaceFillingCurve;
-use crate::key::{Key, KeyRange};
 use crate::rect::Rect;
 use crate::universe::Universe;
 use crate::Result;
@@ -115,145 +113,6 @@ pub fn histogram_by_level(cubes: &[StandardCube]) -> Vec<(u32, u64)> {
         *hist.entry(c.side_exp()).or_insert(0) += 1;
     }
     hist.into_iter().rev().collect()
-}
-
-/// A resumable stream over the greedy cube decomposition of a rectangle, in
-/// *increasing key order* on a given curve, with the ability to
-/// [`seek`](CubeStream::seek) forward past arbitrarily large stretches of the
-/// decomposition in one step.
-///
-/// The stream walks the implicit `2^d`-ary tree of standard cubes
-/// depth-first, visiting children in the curve's along-curve order
-/// ([`SpaceFillingCurve::children_in_key_order`]); cubes fully inside the
-/// rectangle are emitted, cubes disjoint from it are dropped, and partial
-/// cubes are split. Because children are visited in key order, the emitted
-/// cubes are exactly the greedy (minimum) partition of Lemma 3.3 sorted by
-/// key range, and `seek(k)` can discard whole subtrees whose key ranges end
-/// before `k` without ever materializing their cubes — the primitive the
-/// populated-key query sweep is built on.
-///
-/// # Example
-///
-/// ```
-/// use acd_sfc::{CubeStream, Key, Rect, Universe, ZCurve};
-/// # fn main() -> Result<(), acd_sfc::SfcError> {
-/// let u = Universe::new(2, 4)?;
-/// let curve = ZCurve::new(u.clone());
-/// let rect = Rect::new(vec![0, 0], vec![2, 1])?;
-/// let mut stream = CubeStream::new(&curve, &rect)?;
-/// // Skip everything ending before key 6: the two unit cells at keys 8 and
-/// // 9 remain, the 2x2 cube at keys [0, 3] is never enumerated.
-/// stream.seek(&Key::from_u128(6, 8));
-/// let (_, range) = stream.next_cube().unwrap();
-/// assert_eq!(range.lo().to_u128(), Some(8));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct CubeStream<'a, C: SpaceFillingCurve + ?Sized> {
-    curve: &'a C,
-    rect: &'a Rect,
-    /// Pending subtrees in *reverse* key order (top of the stack holds the
-    /// lowest keys). Invariant: the key ranges on the stack are disjoint and
-    /// descending from bottom to top.
-    stack: Vec<(StandardCube, KeyRange)>,
-}
-
-impl<'a, C: SpaceFillingCurve + ?Sized> CubeStream<'a, C> {
-    /// Creates a stream over the decomposition of `rect` in the key order of
-    /// `curve`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the rectangle does not lie inside the curve's
-    /// universe.
-    pub fn new(curve: &'a C, rect: &'a Rect) -> Result<Self> {
-        rect.validate_in(curve.universe())?;
-        let root = StandardCube::whole_universe(curve.universe());
-        let range = curve.cube_key_range(&root)?;
-        Ok(CubeStream {
-            curve,
-            rect,
-            stack: vec![(root, range)],
-        })
-    }
-
-    /// The rectangle being decomposed.
-    pub fn rect(&self) -> &Rect {
-        self.rect
-    }
-
-    /// The next cube of the decomposition (and its key range) in increasing
-    /// key order, or `None` when the decomposition is exhausted.
-    pub fn next_cube(&mut self) -> Option<(StandardCube, KeyRange)> {
-        while let Some((cube, range)) = self.stack.pop() {
-            let cube_rect = cube.to_rect();
-            if !self.rect.overlaps(&cube_rect) {
-                continue;
-            }
-            if self.rect.contains_rect(&cube_rect) {
-                return Some((cube, range));
-            }
-            // Partial overlap: a cell either overlaps fully or not at all,
-            // so this cube has side > 1 and children exist.
-            let mut children = self.curve.children_in_key_order(&cube);
-            children.reverse();
-            self.stack.extend(children);
-        }
-        None
-    }
-
-    /// Advances the stream so that the next emitted cube is the first one
-    /// whose key range ends at-or-after `key` (i.e. everything that lies
-    /// entirely before `key` is skipped). Seeking backwards is a no-op: the
-    /// stream only moves forward.
-    ///
-    /// Skipped subtrees are discarded wholesale — the cost is
-    /// `O(2^d · depth)` regardless of how many cubes the skipped stretch
-    /// contains, and consecutive seeks with increasing keys share the
-    /// remaining stack, so a sweep over the whole key space does each piece
-    /// of descent work at most once.
-    pub fn seek(&mut self, key: &Key) {
-        loop {
-            let split = match self.stack.last() {
-                None => break,
-                Some((cube, range)) => {
-                    if range.hi() < key {
-                        false // entirely before the target: drop it
-                    } else if range.lo() >= key {
-                        break; // already at-or-after the target
-                    } else {
-                        // The top subtree straddles `key`: split it, unless
-                        // it is known to be emitted whole or dropped whole.
-                        let cube_rect = cube.to_rect();
-                        if !self.rect.overlaps(&cube_rect) {
-                            false // dropped whole
-                        } else if self.rect.contains_rect(&cube_rect) {
-                            // Emitted as one cube; its range legitimately
-                            // starts before `key` while ending at-or-after.
-                            break;
-                        } else {
-                            true
-                        }
-                    }
-                }
-            };
-            let (cube, _) = self.stack.pop().expect("stack top exists");
-            if split {
-                let mut children = self.curve.children_in_key_order(&cube);
-                children.reverse();
-                self.stack.extend(children);
-            }
-        }
-    }
-}
-
-impl<C: SpaceFillingCurve + ?Sized> Iterator for CubeStream<'_, C> {
-    type Item = (StandardCube, KeyRange);
-
-    fn next(&mut self) -> Option<(StandardCube, KeyRange)> {
-        self.next_cube()
-    }
 }
 
 #[cfg(test)]
@@ -409,104 +268,5 @@ mod tests {
         let rect = Rect::new(vec![0, 0], vec![8, 3]).unwrap();
         assert!(decompose_rect(&u, &rect).is_err());
         assert!(count_cubes(&u, &rect).is_err());
-        let curve = crate::zorder::ZCurve::new(u);
-        assert!(CubeStream::new(&curve, &rect).is_err());
-    }
-
-    #[test]
-    fn cube_stream_yields_the_greedy_partition_in_key_order() {
-        use crate::curve::CurveKind;
-        let u = universe(2, 5);
-        let mut state = 0xabcdu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for kind in CurveKind::all() {
-            let curve = kind.build(u.clone());
-            for _ in 0..20 {
-                let (a, b) = (next() % 32, next() % 32);
-                let (c, d) = (next() % 32, next() % 32);
-                let rect = Rect::new(vec![a.min(b), c.min(d)], vec![a.max(b), c.max(d)]).unwrap();
-                let streamed: Vec<(StandardCube, crate::key::KeyRange)> =
-                    CubeStream::new(curve.as_ref(), &rect).unwrap().collect();
-                // Same cube set as the eager greedy partition...
-                let mut eager = decompose_rect(&u, &rect).unwrap();
-                let mut got: Vec<StandardCube> = streamed.iter().map(|(c, _)| c.clone()).collect();
-                eager.sort_by_key(|c| c.corner().to_vec());
-                got.sort_by_key(|c| c.corner().to_vec());
-                assert_eq!(got, eager, "{kind:?} {rect}");
-                // ...in strictly increasing, disjoint key order with correct
-                // ranges.
-                for (cube, range) in &streamed {
-                    assert_eq!(&curve.cube_key_range(cube).unwrap(), range);
-                }
-                for w in streamed.windows(2) {
-                    assert!(w[0].1.hi() < w[1].1.lo(), "{kind:?}: out of order");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn seek_skips_exactly_the_cubes_ending_before_the_key() {
-        let u = universe(2, 6);
-        let curve = crate::zorder::ZCurve::new(u.clone());
-        let rect = Rect::new(vec![3, 5], vec![50, 41]).unwrap();
-        let all: Vec<(StandardCube, KeyRange)> = CubeStream::new(&curve, &rect).unwrap().collect();
-        assert!(all.len() > 10);
-        // Seeking to any cube boundary (and past the end) must resume at the
-        // first cube whose range ends at-or-after the key.
-        let probes: Vec<Key> = all
-            .iter()
-            .flat_map(|(_, r)| [r.lo().clone(), r.hi().clone()])
-            .chain([Key::zero(12), Key::max_value(12)])
-            .collect();
-        for key in probes {
-            let mut stream = CubeStream::new(&curve, &rect).unwrap();
-            stream.seek(&key);
-            let expected = all.iter().find(|(_, r)| r.hi() >= &key);
-            assert_eq!(
-                stream.next_cube().as_ref(),
-                expected,
-                "seek to {key} mismatched"
-            );
-        }
-    }
-
-    #[test]
-    fn seek_is_resumable_and_monotone() {
-        // Interleaving seeks and reads must visit the same suffix as reading
-        // everything and filtering.
-        let u = universe(2, 6);
-        let curve = crate::zorder::ZCurve::new(u.clone());
-        let rect = Rect::new(vec![1, 1], vec![62, 59]).unwrap();
-        let all: Vec<(StandardCube, KeyRange)> = CubeStream::new(&curve, &rect).unwrap().collect();
-        let mut stream = CubeStream::new(&curve, &rect).unwrap();
-        let mut visited = Vec::new();
-        let mut i = 0usize;
-        while let Some((cube, range)) = {
-            // Every other step, seek ahead by a few cubes before reading.
-            if i.is_multiple_of(2) && 3 * i < all.len() {
-                stream.seek(all[3 * i].1.lo());
-            }
-            i += 1;
-            stream.next_cube()
-        } {
-            // Seeking backwards must be a no-op.
-            stream.seek(&Key::zero(12));
-            visited.push((cube, range));
-        }
-        // The visited cubes are a subsequence of the full enumeration ending
-        // at its last cube.
-        assert_eq!(visited.last(), all.last());
-        let mut pos = 0usize;
-        for v in &visited {
-            while all[pos] != *v {
-                pos += 1;
-            }
-        }
     }
 }

@@ -223,14 +223,25 @@ impl Key {
         }
     }
 
+    /// The key of width `bits` whose big-endian word view is `words`, with
+    /// the bits above the width zero, in the width's canonical layout.
+    pub(crate) fn from_words(bits: u32, words: Vec<u64>) -> Key {
+        let repr = if bits <= 128 {
+            Repr::Inline(words.iter().fold(0u128, |v, &w| v << 64 | u128::from(w)))
+        } else {
+            Repr::Spill(words)
+        };
+        Key { bits, repr }
+    }
+
     /// Number of words in the (logical) big-endian word view.
-    fn word_count(&self) -> usize {
+    pub(crate) fn word_count(&self) -> usize {
         Self::words_for(self.bits).max(1)
     }
 
     /// The `i`-th word of the big-endian word view (index 0 is the most
     /// significant word), independent of layout.
-    fn word(&self, i: usize) -> u64 {
+    pub(crate) fn word(&self, i: usize) -> u64 {
         match &self.repr {
             Repr::Spill(words) => words[i],
             Repr::Inline(v) => {

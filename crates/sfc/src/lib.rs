@@ -17,13 +17,15 @@
 //!   operators `t(ℓ, m)` and `S_i(ℓ)` from the paper.
 //! * [`decompose`] / [`extremal`] — greedy decomposition of a region into a
 //!   minimum number of standard cubes: a generic top-down algorithm for
-//!   arbitrary rectangles, the paper's specialized, lazily-evaluated
+//!   arbitrary rectangles and the paper's specialized, lazily-evaluated
 //!   per-level enumeration for extremal rectangles (Lemma 3.4, Algorithms
-//!   1–3), and the key-ordered, seekable [`CubeStream`] that lets a query
-//!   skip straight to the decomposition cube at-or-after any key.
+//!   1–3).
 //! * [`runs`] — merging cube key-ranges into runs and counting them
-//!   (`runs(T) ≤ cubes(T)`, Lemma 3.1), including the lazy [`RunStream`]
-//!   the populated-key query sweep probes.
+//!   (`runs(T) ≤ cubes(T)`, Lemma 3.1).
+//! * [`OrthantSeeker`] / [`OrthantWordSeeker`] — the Z curve's closed-form
+//!   seek to the next key inside a dominance orthant, on packed keys of at
+//!   most 128 bits and on the big-endian words of wider keys; the
+//!   populated-key query sweep's gap jumps.
 //! * [`SfcArray`] — the one-dimensional sorted array of keys that backs the
 //!   index, with efficient range probes.
 //! * [`analysis`] — analytic calculators for the paper's Theorem 3.1 upper
@@ -69,16 +71,15 @@ pub mod zorder;
 pub use array::{SfcArray, SfcEntry, SweepCursor};
 pub use cube::StandardCube;
 pub use curve::{CurveKind, RegionSeeker, SpaceFillingCurve};
-pub use decompose::CubeStream;
 pub use error::SfcError;
 pub use extremal::{ExtremalCubes, LevelCubes};
 pub use gray::GrayCurve;
 pub use hilbert::HilbertCurve;
 pub use key::{Key, KeyRange};
 pub use rect::{ExtremalRect, Rect};
-pub use runs::{Run, RunStream};
+pub use runs::Run;
 pub use universe::{Point, Universe};
-pub use zorder::{OrthantSeeker, ZCurve};
+pub use zorder::{OrthantSeeker, OrthantWordSeeker, ZCurve};
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T, E = SfcError> = std::result::Result<T, E>;

@@ -5,13 +5,12 @@
 //! merge into a single *run*; the cost of probing the SFC array is
 //! proportional to the number of runs, not cubes, which is why
 //! `runs(T) ≤ cubes(T)` (Lemma 3.1). This module converts cube sets into
-//! runs and counts them — used both by the index and by the experiments that
-//! reproduce the paper's Figure 1 and Figure 2 run counts.
+//! runs and counts them, for the experiments that reproduce the paper's
+//! Figure 1 and Figure 2 run counts.
 
 use crate::cube::StandardCube;
 use crate::curve::SpaceFillingCurve;
-use crate::decompose::CubeStream;
-use crate::key::{Key, KeyRange};
+use crate::key::KeyRange;
 use crate::rect::Rect;
 use crate::universe::Universe;
 use crate::Result;
@@ -25,11 +24,6 @@ pub struct Run {
 }
 
 impl Run {
-    /// A run over `range` that absorbed `cubes` standard cubes.
-    pub fn new(range: KeyRange, cubes: usize) -> Self {
-        Run { range, cubes }
-    }
-
     /// The merged key range.
     pub fn range(&self) -> &KeyRange {
         &self.range
@@ -92,149 +86,6 @@ pub fn count_runs_of_rect(
     let cubes = crate::decompose::decompose_rect(universe, rect)?;
     let runs = runs_of_cubes(curve, &cubes)?;
     Ok(runs.len() as u64)
-}
-
-/// A lazy stream of the [`Run`]s covering a rectangle, in increasing key
-/// order, merged on the fly from a [`CubeStream`] and seekable past
-/// arbitrarily large stretches of the decomposition.
-///
-/// This is the region-side cursor of the populated-key query sweep: the
-/// dominance query gallops through the *stored* keys and asks this stream,
-/// for each populated key, for the first run ending at-or-after it —
-/// everything in between is skipped without being enumerated, merged or
-/// probed.
-///
-/// `peek` returns the run the stream is positioned on. Note that after a
-/// [`seek`](RunStream::seek) lands inside a run, the run reported may be a
-/// *suffix* of the maximal run (cubes merged before the seek point are not
-/// reconstructed); its end is always the maximal run's true end, which is
-/// what the probe needs.
-///
-/// # Example
-///
-/// ```
-/// use acd_sfc::{Key, Rect, RunStream, Universe, ZCurve};
-/// # fn main() -> Result<(), acd_sfc::SfcError> {
-/// let u = Universe::new(2, 10)?;
-/// let curve = ZCurve::new(u.clone());
-/// // The paper's 257x257 extremal square: 385 runs in total, but a stream
-/// // seeked near the end enumerates only the tail.
-/// let rect = Rect::new(vec![767, 767], vec![1023, 1023])?;
-/// let mut runs = RunStream::new(&curve, &rect)?;
-/// runs.seek(&Key::from_u128((1 << 20) - 10, 20));
-/// let last = runs.peek().cloned();
-/// assert!(runs.cubes_pulled() < 20);
-/// assert_eq!(last.unwrap().range().hi().to_u128(), Some((1 << 20) - 1));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct RunStream<'a, C: SpaceFillingCurve + ?Sized> {
-    cubes: CubeStream<'a, C>,
-    /// The fully merged run the stream is positioned on, if already computed.
-    current: Option<Run>,
-    /// The first cube range after `current`, pulled while detecting the end
-    /// of the current run.
-    lookahead: Option<KeyRange>,
-    cubes_pulled: usize,
-}
-
-impl<'a, C: SpaceFillingCurve + ?Sized> RunStream<'a, C> {
-    /// Creates a run stream over the decomposition of `rect` in the key
-    /// order of `curve`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the rectangle does not lie inside the curve's
-    /// universe.
-    pub fn new(curve: &'a C, rect: &'a Rect) -> Result<Self> {
-        Ok(RunStream {
-            cubes: CubeStream::new(curve, rect)?,
-            current: None,
-            lookahead: None,
-            cubes_pulled: 0,
-        })
-    }
-
-    /// Number of cubes pulled from the underlying [`CubeStream`] so far — the
-    /// decomposition work actually performed (skipped stretches pull none).
-    pub fn cubes_pulled(&self) -> usize {
-        self.cubes_pulled
-    }
-
-    fn pull(&mut self) -> Option<KeyRange> {
-        let range = self.cubes.next_cube().map(|(_, range)| range)?;
-        self.cubes_pulled += 1;
-        Some(range)
-    }
-
-    /// The run the stream is positioned on, computing it if necessary, or
-    /// `None` when the decomposition is exhausted.
-    pub fn peek(&mut self) -> Option<&Run> {
-        if self.current.is_none() {
-            let start = match self.lookahead.take() {
-                Some(range) => range,
-                None => self.pull()?,
-            };
-            let mut range = start;
-            let mut merged = 1usize;
-            while let Some(next) = self.pull() {
-                if range.is_adjacent_to(&next) {
-                    range = range.merge(&next);
-                    merged += 1;
-                } else {
-                    self.lookahead = Some(next);
-                    break;
-                }
-            }
-            self.current = Some(Run::new(range, merged));
-        }
-        self.current.as_ref()
-    }
-
-    /// The starting key of the run the stream is positioned on, *without*
-    /// merging the run to its end — at most one cube is pulled. Merging only
-    /// ever extends a run's end, so this equals `peek().range().lo()` at a
-    /// fraction of the cost; it is what the populated-key sweep uses, since
-    /// a gap jump only needs to know where the next run starts.
-    pub fn peek_start(&mut self) -> Option<&Key> {
-        if self.current.is_none() && self.lookahead.is_none() {
-            self.lookahead = self.pull();
-        }
-        match (&self.current, &self.lookahead) {
-            (Some(run), _) => Some(run.range().lo()),
-            (None, Some(range)) => Some(range.lo()),
-            (None, None) => None,
-        }
-    }
-
-    /// Consumes and returns the run the stream is positioned on.
-    pub fn next_run(&mut self) -> Option<Run> {
-        self.peek()?;
-        self.current.take()
-    }
-
-    /// Advances the stream so that [`peek`](RunStream::peek) returns the
-    /// first run whose range ends at-or-after `key`, discarding everything
-    /// before it (whether already materialized or still unenumerated inside
-    /// the cube stream). Seeking backwards is a no-op.
-    pub fn seek(&mut self, key: &Key) {
-        if let Some(run) = &self.current {
-            if run.range().hi() < key {
-                self.current = None;
-            }
-        }
-        if self.current.is_none() {
-            if let Some(range) = &self.lookahead {
-                if range.hi() < key {
-                    self.lookahead = None;
-                }
-            }
-            if self.lookahead.is_none() {
-                self.cubes.seek(key);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -330,108 +181,6 @@ mod tests {
                 assert_eq!(runs[0].range().len(), Some(cube.volume().unwrap()));
             }
         }
-    }
-
-    #[test]
-    fn run_stream_matches_eager_runs_on_all_curves() {
-        let u = universe(2, 5);
-        let curves: Vec<Box<dyn SpaceFillingCurve>> = vec![
-            Box::new(ZCurve::new(u.clone())),
-            Box::new(HilbertCurve::new(u.clone())),
-            Box::new(GrayCurve::new(u.clone())),
-        ];
-        let mut state = 77u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) % 32
-        };
-        for curve in &curves {
-            for _ in 0..15 {
-                let (a, b, c, d) = (next(), next(), next(), next());
-                let rect = Rect::new(vec![a.min(b), c.min(d)], vec![a.max(b), c.max(d)]).unwrap();
-                let cubes = crate::decompose::decompose_rect(&u, &rect).unwrap();
-                let eager = runs_of_cubes(curve.as_ref(), &cubes).unwrap();
-                let mut stream = RunStream::new(curve.as_ref(), &rect).unwrap();
-                let mut streamed = Vec::new();
-                while let Some(run) = stream.next_run() {
-                    streamed.push(run);
-                }
-                assert_eq!(streamed, eager, "{} {rect}", curve.name());
-                assert_eq!(stream.cubes_pulled(), cubes.len());
-            }
-        }
-    }
-
-    #[test]
-    fn run_stream_seek_lands_on_the_first_run_ending_at_or_after_the_key() {
-        let u = universe(2, 6);
-        let z = ZCurve::new(u.clone());
-        let rect = Rect::new(vec![5, 3], vec![60, 47]).unwrap();
-        let cubes = crate::decompose::decompose_rect(&u, &rect).unwrap();
-        let eager = runs_of_cubes(&z, &cubes).unwrap();
-        assert!(eager.len() > 5);
-        for target in &eager {
-            // Seek to the start of each run: peek_start must land on it with
-            // at most one cube pulled past the seek point, and peek must
-            // report a run ending exactly where the maximal run ends.
-            let mut stream = RunStream::new(&z, &rect).unwrap();
-            stream.seek(target.range().lo());
-            let pulled_before = stream.cubes_pulled();
-            assert_eq!(stream.peek_start(), Some(target.range().lo()));
-            assert!(stream.cubes_pulled() <= pulled_before + 1);
-            let got = stream.peek().unwrap().clone();
-            assert_eq!(got.range().hi(), target.range().hi());
-            assert!(got.range().lo() >= target.range().lo());
-            assert_eq!(stream.peek_start(), Some(got.range().lo()));
-            // A fresh stream seeked just past the run lands on the next one.
-            if let Some(after) = target.range().hi().successor() {
-                let mut stream = RunStream::new(&z, &rect).unwrap();
-                stream.seek(&after);
-                let expected = eager.iter().find(|r| r.range().hi() >= &after);
-                match (stream.peek(), expected) {
-                    (Some(got), Some(want)) => {
-                        assert_eq!(got.range().hi(), want.range().hi());
-                    }
-                    (None, None) => {}
-                    (got, want) => panic!("mismatch: {got:?} vs {want:?}"),
-                }
-            }
-        }
-        // Seeking straight to the last run's end reaches it without pulling
-        // the whole decomposition; seeking past it exhausts the stream.
-        let last_hi = eager.last().unwrap().range().hi().clone();
-        let mut stream = RunStream::new(&z, &rect).unwrap();
-        stream.seek(&last_hi);
-        let last = stream.peek().cloned().unwrap();
-        assert_eq!(last.range().hi(), &last_hi);
-        assert!(stream.cubes_pulled() < cubes.len());
-        stream.seek(&Key::max_value(12));
-        assert!(stream.peek().is_none());
-    }
-
-    #[test]
-    fn interleaved_seek_and_next_run_skips_without_losing_runs() {
-        let u = universe(2, 6);
-        let z = ZCurve::new(u.clone());
-        let rect = Rect::new(vec![1, 1], vec![62, 61]).unwrap();
-        let cubes = crate::decompose::decompose_rect(&u, &rect).unwrap();
-        let eager = runs_of_cubes(&z, &cubes).unwrap();
-        let mut stream = RunStream::new(&z, &rect).unwrap();
-        // Visit every third run by seeking to its lo, consuming it, and
-        // asserting we saw the right ends in order.
-        let mut seen = Vec::new();
-        for target in eager.iter().step_by(3) {
-            stream.seek(target.range().lo());
-            let run = stream.next_run().unwrap();
-            seen.push(run.range().hi().clone());
-        }
-        let expected: Vec<Key> = eager
-            .iter()
-            .step_by(3)
-            .map(|r| r.range().hi().clone())
-            .collect();
-        assert_eq!(seen, expected);
-        assert!(stream.cubes_pulled() <= cubes.len());
     }
 
     #[test]

@@ -30,10 +30,15 @@
 //! keys with the answer's prefix the fill is the least per dimension, and no
 //! dimension's prefix is below `q`'s: a dimension that was below differs
 //! from `q` only at or under `P`, and the others were at or above `q`.
+//!
+//! Nothing in that argument depends on the key's width. Keys of at most 128
+//! bits run it on one packed word; wider keys run the same two passes over
+//! the key's big-endian `u64` words ([`OrthantWordSeeker`]).
 
-use crate::cube::StandardCube;
+use std::cmp::Ordering;
+
 use crate::curve::{CurveKind, RegionSeeker, SpaceFillingCurve};
-use crate::key::{Key, KeyRange};
+use crate::key::Key;
 use crate::rect::Rect;
 use crate::universe::{Point, Universe};
 use crate::Result;
@@ -58,13 +63,27 @@ pub struct ZCurve {
     masks: DimMasks,
 }
 
-/// Per-dimension key-bit masks in the narrowest word that holds a key.
+/// Per-dimension key-bit masks in the narrowest layout that holds a key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum DimMasks {
     Narrow(Box<[u64]>),
     Wide(Box<[u128]>),
-    /// Keys over 128 bits have no packed form.
-    Unpacked,
+    /// Keys over 128 bits: one row of big-endian words per dimension.
+    Words(Box<[u64]>),
+}
+
+/// Each dimension's key bits as big-endian `u64` words: the key of the cell
+/// whose coordinate in that dimension is all ones and every other is zero.
+fn word_masks(universe: &Universe) -> Box<[u64]> {
+    let mut coords = vec![0; universe.dims()];
+    let mut masks = Vec::new();
+    for dim in 0..universe.dims() {
+        coords[dim] = universe.max_coord();
+        let m = ZCurve::interleave(universe, &coords);
+        masks.extend((0..m.word_count()).map(|i| m.word(i)));
+        coords[dim] = 0;
+    }
+    masks.into_boxed_slice()
 }
 
 /// Lazily-built byte-spread tables, shared per dimension count:
@@ -92,17 +111,12 @@ fn spread_table(d: usize) -> &'static [u128; 256] {
 impl ZCurve {
     /// Creates a Z-order curve over `universe`.
     pub fn new(universe: Universe) -> Self {
-        // Dimension `d−1` owns key bits 0, d, 2d, …; dimension `dim` owns the
-        // same bits shifted up by `d−1−dim`.
-        let d = universe.dims() as u32;
-        let masks = || {
-            let last = (0..universe.bits_per_dim()).fold(0u128, |m, b| m | 1 << (b * d));
-            (0..d).rev().map(move |shift| last << shift)
-        };
+        let words = word_masks(&universe);
+        let wide = |w: &[u64]| u128::from(w[0]) << 64 | u128::from(w[1]);
         let masks = match universe.key_bits() {
-            0..=64 => DimMasks::Narrow(masks().map(|m| m as u64).collect()),
-            65..=128 => DimMasks::Wide(masks().collect()),
-            _ => DimMasks::Unpacked,
+            0..=64 => DimMasks::Narrow(words),
+            65..=128 => DimMasks::Wide(words.chunks_exact(2).map(wide).collect()),
+            _ => DimMasks::Words(words),
         };
         ZCurve { universe, masks }
     }
@@ -231,44 +245,6 @@ impl SpaceFillingCurve for ZCurve {
         }
     }
 
-    /// On the Z curve the along-curve order of a cube's children is the
-    /// numeric order of their offset masks with dimension 0 most significant,
-    /// so the children can be produced directly: the `p`-th child in key
-    /// order shifts dimension `j` by half the side iff bit `d−1−j` of `p` is
-    /// set, and its key range is the `p`-th equal slice of the parent's
-    /// range. One corner encoding replaces the `2^d` encodings (plus a sort)
-    /// of the generic implementation.
-    fn children_in_key_order(&self, cube: &StandardCube) -> Vec<(StandardCube, KeyRange)> {
-        assert!(
-            cube.side_exp() > 0,
-            "children_in_key_order called on a single-cell cube"
-        );
-        let d = self.universe.dims();
-        let parent = self
-            .cube_key_range(cube)
-            .expect("cube belongs to the curve's universe");
-        let child_exp = cube.side_exp() - 1;
-        let child_low_bits = child_exp * d as u32;
-        let half = 1u64 << child_exp;
-        let mut out = Vec::with_capacity(1 << d);
-        for p in 0u64..(1u64 << d) {
-            let mut lo = parent.lo().clone();
-            let mut corner = cube.corner().to_vec();
-            for (dim, c) in corner.iter_mut().enumerate() {
-                if (p >> (d - 1 - dim)) & 1 == 1 {
-                    *c += half;
-                    lo.set_bit(child_low_bits + (d - 1 - dim) as u32, true);
-                }
-            }
-            let hi = lo.with_low_bits_set(child_low_bits);
-            let child = StandardCube::new(&self.universe, corner, child_exp)
-                .expect("child of an in-universe cube is in the universe");
-            let range = KeyRange::new(lo, hi).expect("child range is non-empty");
-            out.push((child, range));
-        }
-        out
-    }
-
     /// The closed-form orthant seeker, built from the curve's masks and the
     /// corner's key alone.
     fn orthant_seeker(&self, corner: &Point) -> Option<OrthantSeeker<'_>> {
@@ -277,8 +253,20 @@ impl SpaceFillingCurve for ZCurve {
         match &self.masks {
             DimMasks::Narrow(masks) => Some(OrthantSeeker::Narrow(masks, q as u64)),
             DimMasks::Wide(masks) => Some(OrthantSeeker::Wide(masks, q)),
-            DimMasks::Unpacked => None,
+            DimMasks::Words(_) => None,
         }
+    }
+
+    fn orthant_word_seeker(&self, corner: &Point) -> Option<OrthantWordSeeker<'_>> {
+        let DimMasks::Words(masks) = &self.masks else {
+            return None;
+        };
+        self.universe.validate_point(corner).ok()?;
+        let q = Self::interleave(&self.universe, corner.coords());
+        Some(OrthantWordSeeker {
+            masks,
+            q: (0..q.word_count()).map(|i| q.word(i)).collect(),
+        })
     }
 
     /// The orthant seeker for a rectangle whose upper corner is the
@@ -331,6 +319,25 @@ impl OrthantSeeker<'_> {
 impl RegionSeeker for OrthantSeeker<'_> {
     fn seek(&self, key: &Key) -> Option<Key> {
         Some(Key::from_u128(self.seek_packed(key.to_u128()?), key.bits()))
+    }
+}
+
+/// The Z curve's seek into one dominance orthant `[q, top]^d` for keys over
+/// 128 bits: the closed form of [`OrthantSeeker`] over the key's big-endian
+/// `u64` words. Built by [`SpaceFillingCurve::orthant_word_seeker`].
+#[derive(Debug, Clone)]
+pub struct OrthantWordSeeker<'a> {
+    /// One row of `q.len()` words per dimension.
+    masks: &'a [u64],
+    /// The corner's key, most significant word first.
+    q: Box<[u64]>,
+}
+
+impl OrthantWordSeeker<'_> {
+    /// [`OrthantSeeker::seek_packed`] on a [`Key`] of the curve's width.
+    pub fn seek_key(&self, key: &Key) -> Key {
+        let k = (0..self.q.len()).map(|i| key.word(i)).collect();
+        Key::from_words(key.bits(), orthant_min_words(self.masks, k, &self.q))
     }
 }
 
@@ -395,6 +402,51 @@ fn orthant_min<W: Word>(masks: &[W], k: W, q: W) -> W {
         }
     }
     out
+}
+
+/// [`orthant_min`] over big-endian words: `k` and `q` hold `n` words each
+/// and `masks` one row of `n` words per dimension.
+fn orthant_min_words(masks: &[u64], mut k: Vec<u64>, q: &[u64]) -> Vec<u64> {
+    /// `x & m`, most significant word first, so it compares like a number.
+    fn masked<'a>(x: &'a [u64], m: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
+        x.iter().zip(m).map(|(x, m)| x & m)
+    }
+    let n = q.len();
+    // The bits where a below dimension differs from `q`.
+    let mut below = vec![0u64; n];
+    for m in masks.chunks_exact(n) {
+        if masked(&k, m).lt(masked(q, m)) {
+            for (b, ((k, q), m)) in below.iter_mut().zip(k.iter().zip(q).zip(m)) {
+                *b |= (k ^ q) & m;
+            }
+        }
+    }
+    let Some(w) = below.iter().position(|&b| b != 0) else {
+        return k;
+    };
+    let p = 1u64 << (63 - below[w].leading_zeros());
+    // The bits of word `i` below `P`.
+    let low = |i: usize| match i.cmp(&w) {
+        Ordering::Less => 0,
+        Ordering::Equal => p - 1,
+        Ordering::Greater => u64::MAX,
+    };
+    // `k`'s bits above `P` and a 1 at `P` (where `k` has a 0). The fill
+    // below only sets bits under `P`, so each dimension's check still reads
+    // the prefix.
+    k[w] |= p;
+    for (i, word) in k.iter_mut().enumerate() {
+        *word &= !low(i);
+    }
+    for m in masks.chunks_exact(n) {
+        let equal = (0..n).all(|i| (k[i] ^ q[i]) & m[i] & !low(i) == 0);
+        if equal {
+            for (i, word) in k.iter_mut().enumerate() {
+                *word |= q[i] & m[i] & low(i);
+            }
+        }
+    }
+    k
 }
 
 #[cfg(test)]
@@ -507,44 +559,6 @@ mod tests {
         assert_eq!(c.point_of_key(&key).unwrap(), p);
     }
 
-    #[test]
-    fn children_in_key_order_matches_the_generic_construction() {
-        // The direct Morton construction must agree with the generic
-        // encode-and-sort path for cubes of every size and position.
-        for (d, k) in [(2usize, 4u32), (3, 3), (4, 2)] {
-            let u = Universe::new(d, k).unwrap();
-            let c = ZCurve::new(u.clone());
-            let mut state = 0x5eedu64;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            for exp in 1..=k {
-                for _ in 0..8 {
-                    let side = 1u64 << exp;
-                    let corner: Vec<u64> = (0..d)
-                        .map(|_| (next() % (1u64 << (k - exp))) * side)
-                        .collect();
-                    let cube = StandardCube::new(&u, corner, exp).unwrap();
-                    let fast = c.children_in_key_order(&cube);
-                    let mut generic: Vec<(StandardCube, KeyRange)> = cube
-                        .children()
-                        .unwrap()
-                        .into_iter()
-                        .map(|child| {
-                            let range = c.cube_key_range(&child).unwrap();
-                            (child, range)
-                        })
-                        .collect();
-                    generic.sort_by(|a, b| a.1.lo().cmp(b.1.lo()));
-                    assert_eq!(fast, generic, "d={d} k={k} cube {cube}");
-                }
-            }
-        }
-    }
-
     /// The top corner of a universe as a point.
     fn top(u: &Universe) -> Point {
         Point::new(vec![u.max_coord(); u.dims()]).unwrap()
@@ -599,65 +613,165 @@ mod tests {
             let rect = Rect::new(vec![1, 2, 0], hi).unwrap();
             assert!(c.region_seeker(&rect).is_none(), "{rect}");
         }
-        // Nor does a corner outside the universe, or a key over 128 bits.
+        // Nor does a corner outside the universe.
         assert!(c
             .orthant_seeker(&Point::new(vec![4, 0, 0]).unwrap())
             .is_none());
+        // Packed keys have no word seeker. Keys over 128 bits have only the
+        // word seeker (the boxed seeker stays packed-only), and again none
+        // for a corner outside the universe.
+        assert!(c.orthant_word_seeker(&corner).is_none());
         let wide = Universe::new(3, 43).unwrap();
-        assert!(ZCurve::new(wide.clone())
-            .orthant_seeker(&top(&wide))
+        let w = ZCurve::new(wide.clone());
+        assert!(w.orthant_seeker(&top(&wide)).is_none());
+        assert!(w.orthant_word_seeker(&top(&wide)).is_some());
+        let rect = Rect::new(vec![0; 3], top(&wide).coords().to_vec()).unwrap();
+        assert!(w.region_seeker(&rect).is_none());
+        assert!(w
+            .orthant_word_seeker(&Point::new(vec![1 << 43, 0, 0]).unwrap())
             .is_none());
     }
 
-    #[test]
-    fn orthant_seek_agrees_with_the_cube_stream_at_wide_keys() {
-        // Key widths on both sides of the u64/u128 switch, up to 128 bits:
-        // the closed form must land where the generic decomposition stream
-        // does, including at k = q, k = top and k one below q.
-        use crate::decompose::CubeStream;
-        let mut state = 0x1234_5678u64;
-        let mut next = move || {
+    /// xorshift64, for deterministic corners and keys.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
-        for (d, k) in [(6usize, 10u32), (8, 8), (5, 13), (3, 32), (4, 32)] {
+        }
+    }
+
+    /// A corner near the bottom, the middle or the top of each dimension by
+    /// `round`, so orthants range from most of the universe to a sliver.
+    fn corner(u: &Universe, round: usize, next: &mut impl FnMut() -> u64) -> Point {
+        let coords = (0..u.dims())
+            .map(|_| match round % 3 {
+                0 => next() % u.side(),
+                1 => next() % 4,
+                _ => u.max_coord() - next() % 4,
+            })
+            .collect();
+        Point::new(coords).unwrap()
+    }
+
+    /// The word seeker of any universe, including those whose keys the
+    /// curve itself seeks packed.
+    fn word_seeker<'a>(c: &ZCurve, masks: &'a [u64], corner: &Point) -> OrthantWordSeeker<'a> {
+        let q = c.key_of_point(corner).unwrap();
+        OrthantWordSeeker {
+            masks,
+            q: (0..q.word_count()).map(|i| q.word(i)).collect(),
+        }
+    }
+
+    #[test]
+    fn word_seek_equals_the_packed_seek_at_packed_widths() {
+        // Key widths on both sides of the u64/u128 switch, up to 128 bits,
+        // on spilled keys: the word form must land where the exhaustively
+        // checked packed form does, including at k = q, k = top and k one
+        // below q.
+        let mut next = xorshift(0x1234_5678);
+        for (d, k) in [(2usize, 6u32), (6, 10), (8, 8), (5, 13), (3, 32), (4, 32)] {
             let u = Universe::new(d, k).unwrap();
             let c = ZCurve::new(u.clone());
+            let masks = word_masks(&u);
             let bits = u.key_bits();
             let top_key = c.key_of_point(&top(&u)).unwrap().to_u128().unwrap();
             for round in 0..40 {
-                // Corners near the bottom, the middle and the top of each
-                // dimension, so orthants range from most of the universe to
-                // a sliver.
-                let coords: Vec<u64> = (0..d)
-                    .map(|_| match round % 3 {
-                        0 => next() % u.side(),
-                        1 => next() % 4,
-                        _ => u.max_coord() - next() % 4,
-                    })
-                    .collect();
-                let corner = Point::new(coords).unwrap();
-                let seeker = c.orthant_seeker(&corner).unwrap();
-                let rect = Rect::new(corner.coords().to_vec(), top(&u).coords().to_vec()).unwrap();
-                let q = seeker.corner();
+                let corner = corner(&u, round, &mut next);
+                let packed = c.orthant_seeker(&corner).unwrap();
+                let words = word_seeker(&c, &masks, &corner);
+                let q = packed.corner();
                 let mut keys = vec![q, top_key, q.saturating_sub(1), 0];
                 keys.extend(
                     (0..6).map(|_| (u128::from(next()) << 64 | u128::from(next())) & top_key),
                 );
                 for v in keys {
-                    let got = seeker.seek_packed(v);
-                    let key = Key::from_u128(v, bits);
-                    let mut stream = CubeStream::new(&c, &rect).unwrap();
-                    stream.seek(&key);
-                    let (_, range) = stream
-                        .next_cube()
-                        .expect("the top corner follows every key");
-                    let expected = range.lo().max(&key).to_u128().unwrap();
-                    assert_eq!(got, expected, "d={d} k={k} corner {corner} key {v}");
-                    let cell = c.point_of_key(&Key::from_u128(got, bits)).unwrap();
-                    assert!(cell.dominates(&corner));
+                    let key = Key::from_u128(v, bits).with_spilled_repr();
+                    let got = words.seek_key(&key);
+                    assert_eq!(
+                        got,
+                        Key::from_u128(packed.seek_packed(v), bits),
+                        "d={d} k={k} corner {corner} key {v}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The smallest key at or after `key` whose cell dominates `corner`,
+    /// found one bit at a time: the answer is `key` itself, or else `key`'s
+    /// bits above its lowest 0 bit `j` that leaves room for the orthant, a
+    /// 1 at `j`, and below `j` each bit 0 unless that leaves no room. A
+    /// prefix leaves room iff setting every bit below it to 1 lands in the
+    /// orthant, since that maximises every coordinate at once.
+    fn descend(c: &ZCurve, corner: &Point, key: &Key) -> Key {
+        let fits = |k: &Key, free: u32| {
+            c.point_of_key(&k.with_low_bits_set(free))
+                .unwrap()
+                .dominates(corner)
+        };
+        if fits(key, 0) {
+            return key.clone();
+        }
+        let j = (0..key.bits())
+            .find(|&j| {
+                !key.bit(j) && {
+                    let mut k = key.with_low_bits_cleared(j);
+                    k.set_bit(j, true);
+                    fits(&k, j)
+                }
+            })
+            .expect("the top corner follows every key");
+        let mut out = key.with_low_bits_cleared(j);
+        out.set_bit(j, true);
+        for b in (0..j).rev() {
+            if !fits(&out, b) {
+                out.set_bit(b, true);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn orthant_seeks_match_a_bitwise_descent() {
+        // 96 bits (packed in a u128, where the word form must agree too),
+        // 140 bits (7 attributes × 10 bits, the daemon's `--attributes 7`),
+        // 160 bits (4 × 20) and 256 bits (8 × 16).
+        let mut next = xorshift(0x9e37_79b9);
+        for (d, k) in [(4usize, 24u32), (14, 10), (8, 20), (16, 16)] {
+            let u = Universe::new(d, k).unwrap();
+            let c = ZCurve::new(u.clone());
+            let masks = word_masks(&u);
+            let bits = u.key_bits();
+            let n = (bits as usize).div_ceil(64);
+            let top_key = c.key_of_point(&top(&u)).unwrap();
+            for round in 0..30 {
+                let corner = corner(&u, round, &mut next);
+                let packed = c.orthant_seeker(&corner);
+                let seeker = c
+                    .orthant_word_seeker(&corner)
+                    .unwrap_or_else(|| word_seeker(&c, &masks, &corner));
+                assert_eq!(packed.is_some(), bits <= 128);
+                let q = c.key_of_point(&corner).unwrap();
+                let mut keys = vec![q.clone(), top_key.clone(), Key::zero(bits)];
+                keys.extend(q.predecessor());
+                keys.extend((0..4).map(|_| {
+                    let mut words: Vec<u64> = (0..n).map(|_| next()).collect();
+                    words[0] &= u64::MAX >> (64 * n as u32 - bits);
+                    Key::from_words(bits, words)
+                }));
+                for key in keys {
+                    let want = descend(&c, &corner, &key);
+                    let got = seeker.seek_key(&key);
+                    assert_eq!(got, want, "d={d} k={k} corner {corner} key {key}");
+                    if let Some(packed) = packed {
+                        let got = packed.seek_packed(key.to_u128().unwrap());
+                        assert_eq!(Key::from_u128(got, bits), want);
+                    }
+                    assert!(c.point_of_key(&want).unwrap().dominates(&corner));
                 }
             }
         }

@@ -226,10 +226,12 @@ fn curves_are_interchangeable_for_correctness() {
     let population = workload.take(200);
     let queries = workload.take(40);
 
+    // Each curve on the engine it runs: skip on Z, eager on Hilbert and Gray.
     let mut indexes: Vec<SfcCoveringIndex> = CurveKind::all()
         .into_iter()
         .map(|kind| {
-            SfcCoveringIndex::with_curve(&schema, ApproxConfig::exhaustive(), kind).unwrap()
+            let config = ApproxConfig::exhaustive().engine(QueryEngine::for_curve(kind));
+            SfcCoveringIndex::with_curve(&schema, config, kind).unwrap()
         })
         .collect();
     for s in &population {
