@@ -725,7 +725,9 @@ struct Link {
     /// neighbor, deciding whether an event is forwarded to it.
     routing: MatchTable,
     /// Covering index over the subscriptions already sent to the neighbor
-    /// (`None` when the policy disables covering).
+    /// (`None` when the policy disables covering). It holds exactly
+    /// `sent_ids`, so `retract` reports a sent id missing from it as an
+    /// error.
     sent: Option<Box<dyn CoveringIndex>>,
     /// Identifiers sent on the link — the authoritative record
     /// unsubscription follows, and the neighbor's routing entries for it.
@@ -778,9 +780,7 @@ impl Link {
             return Ok(None);
         }
         if let Some(index) = &mut self.sent {
-            if index.contains(id) {
-                index.remove(id)?;
-            }
+            index.remove(id)?;
         }
         let masked = self.held.take(id);
         let mut decisions = Vec::with_capacity(masked.len());

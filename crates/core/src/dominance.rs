@@ -31,7 +31,7 @@
 //!
 //! The sweep runs on packed keys when they fit 128 bits (every subscription
 //! schema the benchmark serves): the gallop reads `u128` key values straight
-//! from the array's packed mirror, the seek is [`acd_sfc::OrthantSeeker`],
+//! from the array's packed key column, the seek is [`acd_sfc::OrthantSeeker`],
 //! and nothing is built per query beyond the query's own key. Wider keys run
 //! the same loop over [`Key`]s, seeking on their big-endian words
 //! ([`acd_sfc::OrthantWordSeeker`]). The Hilbert and Gray curves have no
@@ -42,7 +42,7 @@ use std::fmt;
 
 use acd_sfc::{
     ExtremalCubes, ExtremalRect, Key, KeyRange, OrthantSeeker, OrthantWordSeeker, Point, SfcArray,
-    SfcEntry, SpaceFillingCurve, SweepCursor, Universe,
+    SpaceFillingCurve, SweepCursor, Universe,
 };
 
 use crate::config::{ApproxConfig, QueryEngine, QueryMode};
@@ -291,7 +291,7 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
     /// The batch is sorted along the curve and, on the Z curve's packed
     /// sweep (whose order is dominance-monotone: every point dominating `q`
     /// has a key ≥ `key(q)`), all sweeps are served by a single forward
-    /// gallop of one shared [`SweepCursor`] over the packed key mirror —
+    /// gallop of one shared [`SweepCursor`] over the packed key column —
     /// each query's sweep starts from the shared cursor's position at its
     /// own key instead of galloping up from key zero. Answers are identical
     /// to running [`query_dominating_where`](Self::query_dominating_where)
@@ -395,14 +395,14 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         let probe = |range: &KeyRange, stats: &mut QueryStats, accept: &mut F| -> Option<V> {
             stats.runs_probed += 1;
             stats.probes += 1;
-            let mut found = None;
             let mut inspected = 0usize;
-            if let Some(entry) = self.array.first_in_range_where(range, |e| {
-                inspected += 1;
-                accept(&e.value)
-            }) {
-                found = Some(entry.value.clone());
-            }
+            let found = self
+                .array
+                .first_in_range_where(range, |v| {
+                    inspected += 1;
+                    accept(v)
+                })
+                .cloned();
             stats.candidates_inspected += inspected;
             found
         };
@@ -487,7 +487,7 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
     /// query path can seed both from a shared position (on the Z curve every
     /// point dominating `query` has a key ≥ the query's own key, so a sorted
     /// batch starts each sweep where the previous one started — one forward
-    /// pass over the packed key mirror serves the whole batch). Callers must
+    /// pass over the packed key column serves the whole batch). Callers must
     /// guarantee that no orthant cell precedes `start` and that `gallop` has
     /// not advanced past the first stored cell at or after `start`; a single
     /// query passes a fresh cursor and key zero.
@@ -603,24 +603,24 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
 
     /// Probes one populated cell inside the region — every entry stored
     /// there dominates the query — and returns its first acceptable value.
-    fn probe_cell<F>(bucket: &[SfcEntry<V>], accept: &mut F, stats: &mut QueryStats) -> Option<V>
+    fn probe_cell<F>(bucket: &[V], accept: &mut F, stats: &mut QueryStats) -> Option<V>
     where
         F: FnMut(&V) -> bool,
     {
         stats.runs_probed += 1;
-        for entry in bucket {
+        for value in bucket {
             stats.candidates_inspected += 1;
-            if accept(&entry.value) {
-                return Some(entry.value.clone());
+            if accept(value) {
+                return Some(value.clone());
             }
         }
         None
     }
 
-    /// Exact fallback: scan every stored point and test dominance directly.
-    /// This searches the whole region (and beyond), so it is valid for both
-    /// exhaustive and approximate modes; it bounds the query's total work by
-    /// `O(work_cap + n)`.
+    /// Exact fallback: scan every stored cell, decode its point from its key
+    /// and test dominance directly. This searches the whole region (and
+    /// beyond), so it is valid for both exhaustive and approximate modes; it
+    /// bounds the query's total work by `O(work_cap + n)`.
     fn scan_fallback<F>(
         &self,
         query: &Point,
@@ -631,14 +631,17 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         F: FnMut(&V) -> bool,
     {
         stats.fell_back_to_scan = true;
-        for entry in self.array.iter() {
-            stats.candidates_inspected += 1;
-            if entry.point.dominates(query) && accept(&entry.value) {
-                stats.volume_fraction_searched = 1.0;
-                return Ok((Some(entry.value.clone()), stats));
+        stats.volume_fraction_searched = 1.0;
+        let curve = self.array.curve();
+        for (key, values) in self.array.sorted_cells() {
+            let dominates = curve.point_of_key(&key)?.dominates(query);
+            for value in values {
+                stats.candidates_inspected += 1;
+                if dominates && accept(value) {
+                    return Ok((Some(value.clone()), stats));
+                }
             }
         }
-        stats.volume_fraction_searched = 1.0;
         Ok((None, stats))
     }
 }
@@ -658,7 +661,10 @@ mod tests {
 
     /// The brute-force oracle: whether any stored point dominates `query`.
     fn dominated<C: SpaceFillingCurve>(idx: &PointDominanceIndex<u64, C>, query: &Point) -> bool {
-        idx.array().iter().any(|e| e.point.dominates(query))
+        let curve = idx.array().curve();
+        idx.array()
+            .iter()
+            .any(|(k, _)| curve.point_of_key(&k).unwrap().dominates(query))
     }
 
     #[test]

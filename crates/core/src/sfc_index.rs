@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use acd_sfc::{CurveKind, GrayCurve, HilbertCurve, Point, SfcEntry, Universe, ZCurve};
+use acd_sfc::{CurveKind, GrayCurve, HilbertCurve, Key, Point, Universe, ZCurve};
 use acd_storage::{
     commit_file_name, curve_from_tag, curve_tag, latest_commit, prune, read_commit, segment_stem,
     write_commit, CommitManifest, SegmentReader, SegmentWriter, ShardRef, StorageError,
@@ -112,12 +112,12 @@ impl Engine {
         }
     }
 
-    /// Every stored entry, in key order.
-    fn entries(&self) -> Box<dyn Iterator<Item = &SfcEntry<SubId>> + '_> {
+    /// Every stored entry as its cell's key and its id, in key order.
+    fn entries(&self) -> Box<dyn Iterator<Item = (Key, SubId)> + '_> {
         match self {
-            Engine::Z(i) => Box::new(i.array().iter()),
-            Engine::Hilbert(i) => Box::new(i.array().iter()),
-            Engine::Gray(i) => Box::new(i.array().iter()),
+            Engine::Z(i) => Box::new(i.array().iter().map(|(k, &id)| (k, id))),
+            Engine::Hilbert(i) => Box::new(i.array().iter().map(|(k, &id)| (k, id))),
+            Engine::Gray(i) => Box::new(i.array().iter().map(|(k, &id)| (k, id))),
         }
     }
 
@@ -358,7 +358,7 @@ impl SfcCoveringIndex {
         let rows = self
             .forward
             .entries()
-            .filter_map(|e| self.subscriptions.get(&e.value));
+            .filter_map(|(_, id)| self.subscriptions.get(&id));
         writer.subscriptions(self.schema.arity(), rows);
         match &self.forward {
             Engine::Z(i) => writer.forward_array(i.array()),
@@ -407,6 +407,7 @@ impl SfcCoveringIndex {
         // whole point of segments — a daemon is unavailable until this
         // returns.)
         let universe = dominance_universe(&schema)?;
+        let keyer = curve.build(universe.clone());
         let decode_array = || -> Result<Engine> {
             Ok(match curve {
                 CurveKind::Z => Engine::Z(PointDominanceIndex::from_array(
@@ -434,11 +435,11 @@ impl SfcCoveringIndex {
                 // `from_raw_bounds` validates all of that without the
                 // per-attribute name lookups of the builder path.
                 let sub = Subscription::from_raw_bounds(&schema, id, bounds)
-                    .and_then(|sub| Ok((dominance_point(&sub)?, sub)));
-                let (point, sub) = sub.map_err(|e| {
+                    .and_then(|sub| Ok((keyer.key_of_point(&dominance_point(&sub)?)?, sub)));
+                let (key, sub) = sub.map_err(|e| {
                     StorageError::corrupt(&data_file, format!("stored bounds are invalid: {e}"))
                 })?;
-                rows.push((id, point));
+                rows.push((key, id));
                 if subscriptions.insert(id, sub).is_some() {
                     return Err(StorageError::corrupt(
                         &data_file,
@@ -459,13 +460,12 @@ impl SfcCoveringIndex {
         });
         let ((subscriptions, rows), forward) = (subscriptions?, forward?);
         // The array must index exactly the table: entry `i` carries row
-        // `i`'s id (unique, the decode above saw to that) at row `i`'s
-        // dominance point, and neither side has entries left over. A
+        // `i`'s id (unique, the decode above saw to that) at the key of row
+        // `i`'s dominance point, and neither side has entries left over. A
         // checksum-valid segment pairing another population's array with
         // this table would otherwise answer covering queries with false
         // covers.
-        let stored = forward.entries().map(|e| (e.value, &e.point));
-        if !stored.eq(rows.iter().map(|(id, point)| (*id, point))) {
+        if !forward.entries().eq(rows) {
             return Err(StorageError::corrupt(
                 &data_file,
                 "array section disagrees with the subscription table",
@@ -566,8 +566,8 @@ impl CoveringIndex for SfcCoveringIndex {
     }
 
     /// The batch is sorted along the curve and (on the Z curve) served by a
-    /// single forward gallop of a shared sweep cursor over the packed key
-    /// mirror — see [`PointDominanceIndex::query_dominating_batch_where`].
+    /// single forward gallop of a shared sweep cursor over the packed keys
+    /// — see [`PointDominanceIndex::query_dominating_batch_where`].
     /// It is validated up front, so on error no query has been executed.
     fn find_covering_batch(&mut self, queries: &[Subscription]) -> Result<Vec<QueryOutcome>> {
         let mut points = Vec::with_capacity(queries.len());

@@ -13,7 +13,7 @@ use acd_subscription::{RangePredicate, Schema, Subscription};
 /// Schemas of `(arity, bits)` whose dominance keys (`2·arity·bits` bits)
 /// take every path of the SFC index: 24 bits, 60 (the daemon's 3 × 10,
 /// packed in a `u64`), 96 (packed in a `u128`) and 160 (over 128 bits, so
-/// no packed mirror: the `Key` path).
+/// no packed key column: the `Key` path).
 const SHAPES: [(usize, u32); 4] = [(2, 6), (3, 10), (2, 24), (4, 20)];
 
 /// An exhaustive configuration on the engine `kind` runs: the skip engine

@@ -1,5 +1,5 @@
-//! The SFC array: a one-dimensional ordered index of points keyed by their
-//! position on a space filling curve.
+//! The SFC array: a one-dimensional ordered index of values keyed by the
+//! position of their point on a space filling curve.
 //!
 //! The paper's only data structure is "the SFC array, which sorts the points
 //! according to their orders on the Z curve", maintained by "a dynamic
@@ -7,27 +7,28 @@
 //! the *sorted* contract but replaces the pointer-chasing tree with a flat,
 //! cache-friendly layout:
 //!
-//! * the **main level** holds occupied cells as parallel sorted arrays —
-//!   keys, their packed `u128` mirror (maintained whenever the universe's
-//!   key width fits 128 bits, which covers the common `2β·b` subscription
-//!   shapes), and per-cell buckets. Probes,
+//! * a cell and its key are in bijection, so a cell is stored as its key
+//!   alone and an entry as the caller's value alone; a reader that needs the
+//!   point decodes the key with [`SpaceFillingCurve::point_of_key`];
+//! * each level holds its occupied cells as parallel sorted arrays: the cell
+//!   keys and the per-cell buckets. A key of at most 128 bits (which covers
+//!   the common `2β·b` subscription shapes) is stored only as its packed
+//!   `u128`, so probes,
 //!   [`first_key_at_or_after`](SfcArray::first_key_at_or_after) and the
-//!   [`SweepCursor`] binary-search or gallop the dense numeric array
-//!   (16-byte stride, with the [`crate::simd`] lane comparators finishing
-//!   every packed search branch-free) instead of hopping tree nodes;
-//! * each cell's entries live in a bucket: the single-entry case (by far
-//!   the most common) is stored inline, only true duplicate cells spill to
-//!   a `Vec`;
+//!   [`SweepCursor`] binary-search or gallop a dense numeric array (16-byte
+//!   stride, with the [`crate::simd`] lane comparators finishing every
+//!   packed search branch-free). Only universes over 128 bits keep a column
+//!   of [`Key`]s instead;
+//! * a bucket stores the single-entry cell (by far the most common) inline;
+//!   only true duplicate cells spill to a `Vec`. A packed cell of `u64`
+//!   values takes 40 bytes: 16 of key and 24 of bucket;
 //! * to keep insertion amortized (a sorted vector would pay an `O(n)`
-//!   memmove of fat elements per insert), new cells go to a small **staging
-//!   level**: its sorted view is two thin parallel arrays (packed key +
-//!   slab slot, ~20 bytes per cell) while the fat `(Key, Bucket)` payloads
-//!   sit in an append-only slab that never moves. Once staging grows past a
-//!   fraction of the main size it is merged into main in one linear pass —
-//!   the classic two-level merge scheme of log-structured indexes. Reads
-//!   consult both levels; a cell is never split across levels (an insert
-//!   into an already-occupied main cell appends to that cell's bucket in
-//!   place).
+//!   memmove per insert), new cells go to a small **staging level** of the
+//!   same layout. Once it grows past a fraction of the main size it is
+//!   merged into main in one linear pass — the classic two-level merge
+//!   scheme of log-structured indexes. Reads consult both levels; a cell is
+//!   never split across levels (an insert into an already-occupied main cell
+//!   appends to that cell's bucket in place).
 //!
 //! Bulk construction ([`SfcArray::from_sorted`]) bypasses staging entirely:
 //! the batch is keyed, the *(packed key, index)* pairs are sorted once, and
@@ -35,6 +36,7 @@
 //! incremental inserts.
 
 use std::fmt;
+use std::ops::Range;
 
 use crate::curve::SpaceFillingCurve;
 use crate::key::{Key, KeyRange};
@@ -44,8 +46,7 @@ use crate::Result;
 /// First index ≥ `from` into the sorted slice whose element is ≥ `v`,
 /// found by exponential (galloping) search — `O(log distance)` instead of
 /// `O(log n)`, with near-perfect locality when the caller advances
-/// monotonically. Shared by both levels' sweep cursors, for both the packed
-/// `u128` mirror and the wide-universe `Key` array.
+/// monotonically. The wide-key sweep cursor's step on both levels.
 fn gallop_sorted<T: Ord>(xs: &[T], from: usize, v: &T) -> usize {
     let n = xs.len();
     let mut lo = from;
@@ -64,264 +65,191 @@ fn gallop_sorted<T: Ord>(xs: &[T], from: usize, v: &T) -> usize {
     lo + 1 + xs[lo + 1..hi].partition_point(|p| p < v)
 }
 
-/// One stored entry: the original point plus the caller's value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SfcEntry<V> {
-    /// The point that was indexed.
-    pub point: Point,
-    /// The caller-supplied value (e.g. a subscription identifier).
-    pub value: V,
+/// The packed value of a key of at most 128 bits.
+fn packed(key: &Key) -> u128 {
+    key.to_u128().expect("≤128-bit keys always fit a u128")
 }
 
-/// The entries stored at one cell: inline for the (overwhelmingly common)
+/// The values stored at one cell: inline for the (overwhelmingly common)
 /// single-entry cell, a vector for duplicate cells.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Bucket<V> {
-    One(SfcEntry<V>),
-    Many(Vec<SfcEntry<V>>),
+    One(V),
+    Many(Vec<V>),
 }
 
+// A packed cell is its 16-byte key plus its bucket; keep the bucket of a
+// `u64` value at 24 bytes, so that a cell stays at 40.
+const _: () = assert!(std::mem::size_of::<Bucket<u64>>() <= 24);
+
 impl<V> Bucket<V> {
-    fn as_slice(&self) -> &[SfcEntry<V>] {
+    fn as_slice(&self) -> &[V] {
         match self {
-            Bucket::One(e) => std::slice::from_ref(e),
-            Bucket::Many(v) => v,
+            Bucket::One(v) => std::slice::from_ref(v),
+            Bucket::Many(vs) => vs,
         }
     }
 
-    fn push(&mut self, entry: SfcEntry<V>) {
+    fn push(&mut self, value: V) {
         // Take the bucket by value (the placeholder `Many(Vec::new())` does
         // not allocate) so both arms stay total — no unreachable branches.
         match std::mem::replace(self, Bucket::Many(Vec::new())) {
-            Bucket::Many(mut v) => {
-                v.push(entry);
-                *self = Bucket::Many(v);
+            Bucket::Many(mut vs) => {
+                vs.push(value);
+                *self = Bucket::Many(vs);
             }
-            Bucket::One(first) => *self = Bucket::Many(vec![first, entry]),
+            Bucket::One(first) => *self = Bucket::Many(vec![first, value]),
         }
     }
 }
 
-/// The main level: cell keys, their packed mirror and the matching buckets
-/// in parallel sorted arrays. Only rebuilt by linear passes (bulk build,
-/// staging merge); in-place mutation is limited to bucket pushes and cell
-/// removals.
+/// One level: the occupied cells as parallel sorted arrays of keys and
+/// buckets. Exactly one key column is kept, chosen by the key width.
 #[derive(Debug)]
 struct Level<V> {
-    keys: Vec<Key>,
-    buckets: Vec<Bucket<V>>,
-    /// Packed numeric mirror of `keys`; empty when keys exceed 128 bits.
+    /// Packed cell keys, ascending; empty when keys exceed 128 bits.
     packed: Vec<u128>,
-    /// Whether `packed` is maintained (key width ≤ 128 bits).
-    pack: bool,
+    /// Cell keys over 128 bits, ascending; empty when keys fit 128 bits.
+    wide: Vec<Key>,
+    /// The values stored at each cell, parallel with the key column.
+    buckets: Vec<Bucket<V>>,
+    /// The key width in bits.
+    bits: u32,
 }
 
 impl<V> Level<V> {
-    fn new(pack: bool) -> Self {
+    fn new(bits: u32) -> Self {
         Level {
-            keys: Vec::new(),
+            packed: Vec::new(),
+            wide: Vec::new(),
             buckets: Vec::new(),
-            packed: Vec::new(),
-            pack,
+            bits,
         }
     }
 
+    /// Whether the keys are stored packed (at most 128 bits).
+    fn packs(&self) -> bool {
+        self.bits <= 128
+    }
+
     fn cells(&self) -> usize {
-        self.keys.len()
+        self.buckets.len()
+    }
+
+    /// The key of cell `i`; a packed key is rebuilt inline, allocating
+    /// nothing.
+    fn key(&self, i: usize) -> Key {
+        if self.packs() {
+            Key::from_u128(self.packed[i], self.bits)
+        } else {
+            self.wide[i].clone()
+        }
+    }
+
+    /// The values stored at cell `i`.
+    fn values(&self, i: usize) -> &[V] {
+        self.buckets[i].as_slice()
+    }
+
+    /// Whether cell `i` sorts before cell `j` of `other`, a level of the
+    /// same key width.
+    fn precedes(&self, i: usize, other: &Level<V>, j: usize) -> bool {
+        if self.packs() {
+            self.packed[i] < other.packed[j]
+        } else {
+            self.wide[i] < other.wide[j]
+        }
     }
 
     /// Index of the first cell with key ≥ `key`.
     fn position_at_or_after(&self, key: &Key) -> usize {
-        if self.pack {
-            let v = key.to_u128().expect("≤128-bit keys always fit a u128");
-            crate::simd::lower_bound_u128(&self.packed, v)
+        if self.packs() {
+            crate::simd::lower_bound_u128(&self.packed, packed(key))
         } else {
-            self.keys.partition_point(|k| k < key)
-        }
-    }
-
-    /// Index of the cell holding exactly `key`, if occupied.
-    fn find(&self, key: &Key) -> Option<usize> {
-        if self.pack {
-            let v = key.to_u128().expect("≤128-bit keys always fit a u128");
-            self.packed.binary_search(&v).ok()
-        } else {
-            self.keys.binary_search(key).ok()
-        }
-    }
-
-    /// Appends a cell (key must sort after every existing key).
-    fn push_cell(&mut self, key: Key, bucket: Bucket<V>) {
-        debug_assert!(self.keys.last().is_none_or(|last| last < &key));
-        if self.pack {
-            self.packed.push(key.to_u128().expect("≤128-bit keys fit"));
-        }
-        self.keys.push(key);
-        self.buckets.push(bucket);
-    }
-
-    /// Appends `entry` at `packed`, starting a new cell or (when `packed`
-    /// equals the last cell's key) extending its bucket. Shared by the
-    /// packed bulk-build paths, which feed cells in key order.
-    fn push_packed_grouped(&mut self, packed: u128, bits: u32, entry: SfcEntry<V>) {
-        if self.packed.last() == Some(&packed) {
-            self.buckets
-                .last_mut()
-                .expect("buckets parallel keys")
-                .push(entry);
-        } else {
-            self.packed.push(packed);
-            self.keys.push(Key::from_u128(packed, bits));
-            self.buckets.push(Bucket::One(entry));
-        }
-    }
-
-    /// Removes the cell at `idx` and returns its bucket.
-    fn remove_cell(&mut self, idx: usize) -> Bucket<V> {
-        if self.pack {
-            self.packed.remove(idx);
-        }
-        self.keys.remove(idx);
-        self.buckets.remove(idx)
-    }
-
-    /// First index ≥ `from` whose key is ≥ `key` (see [`gallop_sorted`]);
-    /// the packed mirror takes the lane-comparator gallop.
-    fn gallop_at_or_after(&self, from: usize, key: &Key) -> usize {
-        if self.pack {
-            let v = key.to_u128().expect("≤128-bit keys always fit a u128");
-            crate::simd::lower_bound_u128_from(&self.packed, from, v)
-        } else {
-            gallop_sorted(&self.keys, from, key)
-        }
-    }
-
-    fn clear(&mut self) {
-        self.keys.clear();
-        self.buckets.clear();
-        self.packed.clear();
-    }
-}
-
-/// The staging level: a small write buffer in front of the main level. The
-/// *sorted view* is two thin parallel arrays (packed key + slab slot) so a
-/// sorted insert memmoves ~20 bytes per displaced cell, while the fat
-/// `(Key, Bucket)` payloads live in `slab` in arrival order and never move
-/// until the merge. Removals leave a hole in the slab (dropped at merge or
-/// clear); the sorted view only ever references live slots.
-#[derive(Debug)]
-struct Staging<V> {
-    /// Packed key mirror, sorted ascending; maintained only when `pack`.
-    packed: Vec<u128>,
-    /// Slab slots sorted by key (parallel with `packed` when `pack`).
-    order: Vec<u32>,
-    /// Cell payloads in arrival order.
-    slab: Vec<(Key, Bucket<V>)>,
-    pack: bool,
-}
-
-impl<V> Staging<V> {
-    fn new(pack: bool) -> Self {
-        Staging {
-            packed: Vec::new(),
-            order: Vec::new(),
-            slab: Vec::new(),
-            pack,
-        }
-    }
-
-    fn cells(&self) -> usize {
-        self.order.len()
-    }
-
-    fn key_at(&self, i: usize) -> &Key {
-        &self.slab[self.order[i] as usize].0
-    }
-
-    fn cell(&self, i: usize) -> (&Key, &Bucket<V>) {
-        let (key, bucket) = &self.slab[self.order[i] as usize];
-        (key, bucket)
-    }
-
-    fn bucket_mut(&mut self, i: usize) -> &mut Bucket<V> {
-        &mut self.slab[self.order[i] as usize].1
-    }
-
-    /// Index of the first cell with key ≥ `key`.
-    fn position_at_or_after(&self, key: &Key) -> usize {
-        if self.pack {
-            let v = key.to_u128().expect("≤128-bit keys always fit a u128");
-            crate::simd::lower_bound_u128(&self.packed, v)
-        } else {
-            self.order
-                .partition_point(|&s| &self.slab[s as usize].0 < key)
+            self.wide.partition_point(|k| k < key)
         }
     }
 
     /// Index of the first cell with key > `key`.
     fn position_after(&self, key: &Key) -> usize {
-        if self.pack {
-            let v = key.to_u128().expect("≤128-bit keys always fit a u128");
+        if self.packs() {
+            let v = packed(key);
             self.packed.partition_point(|&p| p <= v)
         } else {
-            self.order
-                .partition_point(|&s| &self.slab[s as usize].0 <= key)
+            self.wide.partition_point(|k| k <= key)
         }
     }
 
     /// Index of the cell holding exactly `key`, if occupied.
     fn find(&self, key: &Key) -> Option<usize> {
-        let pos = self.position_at_or_after(key);
-        (pos < self.cells() && self.key_at(pos) == key).then_some(pos)
-    }
-
-    /// Like [`Level::gallop_at_or_after`], over the staging sorted view.
-    fn gallop_at_or_after(&self, from: usize, key: &Key) -> usize {
-        if self.pack {
-            let v = key.to_u128().expect("≤128-bit keys always fit a u128");
-            crate::simd::lower_bound_u128_from(&self.packed, from, v)
+        if self.packs() {
+            self.packed.binary_search(&packed(key)).ok()
         } else {
-            self.position_at_or_after(key).max(from)
+            self.wide.binary_search(key).ok()
         }
     }
 
     /// Inserts a new cell at sorted position `pos`.
     fn insert_cell(&mut self, pos: usize, key: Key, bucket: Bucket<V>) {
-        let slot = self.slab.len() as u32;
-        if self.pack {
-            self.packed
-                .insert(pos, key.to_u128().expect("≤128-bit keys fit"));
+        if self.packs() {
+            self.packed.insert(pos, packed(&key));
+        } else {
+            self.wide.insert(pos, key);
         }
-        self.slab.push((key, bucket));
-        self.order.insert(pos, slot);
+        self.buckets.insert(pos, bucket);
     }
 
-    /// Removes the cell at sorted position `i` from the view (its slab slot
-    /// becomes a hole) and returns its slot index.
-    fn remove_cell(&mut self, i: usize) -> usize {
-        if self.pack {
-            self.packed.remove(i);
+    /// Appends `value` at the packed `key`, which must not sort before the
+    /// last cell's: equal to it, the value joins that cell's bucket. Shared
+    /// by the packed bulk-build paths, which feed entries in key order.
+    fn push(&mut self, key: u128, value: V) {
+        match self.buckets.last_mut() {
+            Some(bucket) if self.packed.last() == Some(&key) => bucket.push(value),
+            _ => {
+                self.packed.push(key);
+                self.buckets.push(Bucket::One(value));
+            }
         }
-        self.order.remove(i) as usize
     }
 
-    /// Consumes the staging level, yielding the live cells in key order.
-    fn into_sorted(self) -> Vec<(Key, Bucket<V>)> {
-        let mut slots: Vec<Option<(Key, Bucket<V>)>> = self.slab.into_iter().map(Some).collect();
-        self.order
+    /// Removes the first value at cell `idx` that satisfies `pred`, and the
+    /// cell with it when that was its last value.
+    fn remove_value<F>(&mut self, idx: usize, pred: F) -> Option<V>
+    where
+        F: FnMut(&V) -> bool,
+    {
+        let pos = self.buckets[idx].as_slice().iter().position(pred)?;
+        Some(match &mut self.buckets[idx] {
+            Bucket::Many(vs) if vs.len() > 1 => vs.remove(pos),
+            _ => {
+                if self.packs() {
+                    self.packed.remove(idx);
+                } else {
+                    self.wide.remove(idx);
+                }
+                match self.buckets.remove(idx) {
+                    Bucket::One(v) => v,
+                    Bucket::Many(mut vs) => vs.remove(pos),
+                }
+            }
+        })
+    }
+
+    /// Consumes the level, yielding its cells in key order.
+    fn into_cells(self) -> impl Iterator<Item = (Key, Bucket<V>)> {
+        let bits = self.bits;
+        // Exactly one of the two key columns is populated.
+        let keys = self
+            .packed
             .into_iter()
-            .map(|s| {
-                slots[s as usize]
-                    .take()
-                    .expect("order references live slots")
-            })
-            .collect()
+            .map(move |k| Key::from_u128(k, bits));
+        keys.chain(self.wide).zip(self.buckets)
     }
 
     fn clear(&mut self) {
         self.packed.clear();
-        self.order.clear();
-        self.slab.clear();
+        self.wide.clear();
+        self.buckets.clear();
     }
 }
 
@@ -329,18 +257,16 @@ impl<V> Staging<V> {
 const MERGE_MIN_CELLS: usize = 64;
 
 /// Staging capacity for a main level of `main_cells` cells. The two
-/// per-insert costs pull in opposite directions — the sorted-view memmove
-/// grows with the capacity while the amortized main rebuild shrinks with it
-/// — so the optimum scales with `√main_cells`; the constant was measured
-/// (the thin 20-byte view keeps large staging levels cheap, so rebuilds
-/// dominate and a generous capacity wins).
+/// per-insert costs pull in opposite directions — the staging memmove grows
+/// with the capacity while the amortized main rebuild shrinks with it — so
+/// the optimum scales with `√main_cells`; the constant was measured.
 fn staging_capacity(main_cells: usize) -> usize {
     MERGE_MIN_CELLS.max(32 * main_cells.isqrt())
 }
 
-/// An ordered index of points sorted by their space-filling-curve keys,
-/// stored as flat sorted arrays (see the [module docs](self) for the
-/// layout).
+/// An ordered index of values sorted by the space-filling-curve keys of
+/// their points, stored as flat sorted arrays (see the [module docs](self)
+/// for the layout).
 ///
 /// Multiple values may be stored at the same cell (several subscriptions can
 /// map to the same 2β-dimensional point); they are kept in insertion order.
@@ -348,21 +274,23 @@ fn staging_capacity(main_cells: usize) -> usize {
 /// # Example
 ///
 /// ```
-/// use acd_sfc::{SfcArray, Universe, Point, ZCurve};
+/// use acd_sfc::{SfcArray, SpaceFillingCurve, Universe, Point, ZCurve};
 /// # fn main() -> Result<(), acd_sfc::SfcError> {
 /// let universe = Universe::new(2, 4)?;
 /// let mut array = SfcArray::new(ZCurve::new(universe));
 /// array.insert(Point::new(vec![3, 7])?, "sub-1")?;
 /// array.insert(Point::new(vec![3, 7])?, "sub-2")?;
 /// assert_eq!(array.len(), 2);
-/// assert_eq!(array.values_at(&Point::new(vec![3, 7])?)?.len(), 2);
+/// let key = array.curve().key_of_point(&Point::new(vec![3, 7])?)?;
+/// let (cell, values) = array.first_key_at_or_after(&key).unwrap();
+/// assert_eq!((cell, values), (key, &["sub-1", "sub-2"][..]));
 /// # Ok(())
 /// # }
 /// ```
 pub struct SfcArray<V, C = crate::zorder::ZCurve> {
     curve: C,
     main: Level<V>,
-    staging: Staging<V>,
+    staging: Level<V>,
     len: usize,
 }
 
@@ -380,11 +308,11 @@ impl<V, C: SpaceFillingCurve> fmt::Debug for SfcArray<V, C> {
 impl<V, C: SpaceFillingCurve> SfcArray<V, C> {
     /// Creates an empty array ordered by `curve`.
     pub fn new(curve: C) -> Self {
-        let pack = curve.universe().key_bits() <= 128;
+        let bits = curve.universe().key_bits();
         SfcArray {
             curve,
-            main: Level::new(pack),
-            staging: Staging::new(pack),
+            main: Level::new(bits),
+            staging: Level::new(bits),
             len: 0,
         }
     }
@@ -393,7 +321,7 @@ impl<V, C: SpaceFillingCurve> SfcArray<V, C> {
     /// the batch is sorted *once* by key (stably, so duplicate cells keep
     /// their batch order), and the flat sorted layout is written directly —
     /// no staging, no per-insert searches. When keys fit 128 bits the sort
-    /// runs over thin *(packed key, index)* pairs and the fat entries are
+    /// runs over thin *(packed key, index)* pairs and the values are
     /// gathered afterwards in one pass. This is the fast path for
     /// populating an index from a known subscription set and is several
     /// times faster than `n` calls to [`insert`](SfcArray::insert).
@@ -403,76 +331,63 @@ impl<V, C: SpaceFillingCurve> SfcArray<V, C> {
     /// Returns an error if any point is outside the curve's universe (the
     /// array is not constructed in that case).
     pub fn from_sorted(curve: C, entries: Vec<(Point, V)>) -> Result<Self> {
-        let pack = curve.universe().key_bits() <= 128;
+        let bits = curve.universe().key_bits();
         let len = entries.len();
-        let mut main = Level::new(pack);
-        main.keys.reserve(len);
+        let mut main = Level::new(bits);
         main.buckets.reserve(len);
-
-        if pack {
+        if main.packs() {
             // Thin sort: order (packed key, original index) pairs, then
-            // gather the fat entries once in sorted order; the `Key`s are
-            // rebuilt inline from the packed values, so only the entries
-            // themselves are moved. The index tiebreak makes the unstable
-            // sort behave stably.
-            let bits = curve.universe().key_bits();
+            // gather the values once in sorted order. The index tiebreak
+            // makes the unstable sort behave stably.
             let mut order: Vec<(u128, u32)> = Vec::with_capacity(len);
-            let mut payload: Vec<Option<SfcEntry<V>>> = Vec::with_capacity(len);
+            let mut values: Vec<Option<V>> = Vec::with_capacity(len);
             for (i, (point, value)) in entries.into_iter().enumerate() {
-                let key = curve.key_of_point(&point)?;
-                order.push((key.to_u128().expect("≤128-bit keys fit"), i as u32));
-                payload.push(Some(SfcEntry { point, value }));
+                order.push((packed(&curve.key_of_point(&point)?), i as u32));
+                values.push(Some(value));
             }
             order.sort_unstable();
             main.packed.reserve(len);
-            for (packed, i) in order {
-                let entry = payload[i as usize].take().expect("each index taken once");
-                main.push_packed_grouped(packed, bits, entry);
+            for (key, i) in order {
+                main.push(
+                    key,
+                    values[i as usize].take().expect("each index taken once"),
+                );
             }
         } else {
-            let mut keyed: Vec<(Key, SfcEntry<V>)> = entries
+            let mut keyed: Vec<(Key, V)> = entries
                 .into_iter()
-                .map(|(point, value)| {
-                    let key = curve.key_of_point(&point)?;
-                    Ok((key, SfcEntry { point, value }))
-                })
+                .map(|(point, value)| Ok((curve.key_of_point(&point)?, value)))
                 .collect::<Result<_>>()?;
             // Stable sort: entries at the same cell stay in batch order.
             keyed.sort_by(|a, b| a.0.cmp(&b.0));
-            for (key, entry) in keyed {
-                if main.keys.last() == Some(&key) {
-                    main.buckets
-                        .last_mut()
-                        .expect("buckets parallel keys")
-                        .push(entry);
-                } else {
-                    main.push_cell(key, Bucket::One(entry));
+            for (key, value) in keyed {
+                match main.buckets.last_mut() {
+                    Some(bucket) if main.wide.last() == Some(&key) => bucket.push(value),
+                    _ => main.insert_cell(main.cells(), key, Bucket::One(value)),
                 }
             }
         }
         Ok(SfcArray {
             curve,
             main,
-            staging: Staging::new(pack),
+            staging: Level::new(bits),
             len,
         })
     }
 
     /// Bulk-builds the array from entries **already in curve-key order**,
-    /// each carrying its packed ≤128-bit key: no keying, no sort — one
-    /// gather pass straight into the flat layout. This is the segment-load
-    /// fast path of the storage layer: a segment file stores exactly the
-    /// stream [`sorted_cells`](SfcArray::sorted_cells) exported, so opening
-    /// it skips the two costs that dominate
-    /// [`from_sorted`](SfcArray::from_sorted) (the per-point keying pass and
-    /// the sort).
+    /// each carrying its packed ≤128-bit key: no sort — one gather pass
+    /// straight into the flat layout. This is the segment-load path of the
+    /// storage layer: a segment file stores exactly the stream
+    /// [`sorted_cells`](SfcArray::sorted_cells) exported, so opening it
+    /// skips the sort that dominates
+    /// [`from_sorted`](SfcArray::from_sorted).
     ///
-    /// Every entry is still validated — the point must lie inside the
-    /// curve's universe and the packed key must fit its width — so a
-    /// corrupt-but-checksum-valid batch cannot construct a malformed array.
-    /// The keys are **trusted** to be the curve keys of their points (the
-    /// storage layer guards this with its checksums); duplicate keys group
-    /// into one cell in batch order, exactly as `from_sorted` would.
+    /// Every entry is checked: its key must be the curve key of its point
+    /// (so the point lies inside the universe) and must not decrease, so a
+    /// corrupt-but-checksum-valid batch cannot construct a malformed array,
+    /// nor one whose keys name other cells than its points. Duplicate keys
+    /// group into one cell in batch order, exactly as `from_sorted` would.
     ///
     /// Accepts any iterator so the segment loader can stream decoded rows
     /// straight off its column slices — cold open never materializes an
@@ -480,15 +395,15 @@ impl<V, C: SpaceFillingCurve> SfcArray<V, C> {
     ///
     /// # Errors
     ///
-    /// Returns an error if the universe's keys exceed 128 bits, a key
-    /// decreases ([`crate::SfcError::UnsortedBatch`]), a key does not fit
-    /// the universe's width, or a point lies outside the universe.
+    /// Returns an error if the universe's keys exceed 128 bits, a point lies
+    /// outside the universe, a key is not its point's curve key
+    /// ([`crate::SfcError::KeyMismatch`]) or a key decreases
+    /// ([`crate::SfcError::UnsortedBatch`]).
     pub fn from_sorted_packed<I>(curve: C, entries: I) -> Result<Self>
     where
         I: IntoIterator<Item = (u128, Point, V)>,
     {
-        let universe = curve.universe().clone();
-        let bits = universe.key_bits();
+        let bits = curve.universe().key_bits();
         if bits > 128 {
             return Err(crate::SfcError::KeyLengthMismatch {
                 expected: bits,
@@ -496,45 +411,41 @@ impl<V, C: SpaceFillingCurve> SfcArray<V, C> {
             });
         }
         let entries = entries.into_iter();
-        let mut main = Level::new(true);
+        let mut main = Level::new(bits);
         let (reserve, _) = entries.size_hint();
-        main.keys.reserve(reserve);
         main.buckets.reserve(reserve);
         main.packed.reserve(reserve);
         let mut prev = 0u128;
         let mut len = 0usize;
-        for (index, (packed, point, value)) in entries.enumerate() {
-            if bits < 128 && packed >> bits != 0 {
-                return Err(crate::SfcError::KeyLengthMismatch {
-                    expected: bits,
-                    actual: 128 - packed.leading_zeros(),
-                });
+        for (index, (key, point, value)) in entries.enumerate() {
+            if curve.key_of_point(&point)?.to_u128() != Some(key) {
+                return Err(crate::SfcError::KeyMismatch { index });
             }
-            if packed < prev {
+            if key < prev {
                 return Err(crate::SfcError::UnsortedBatch { index });
             }
-            prev = packed;
-            universe.validate_point(&point)?;
-            main.push_packed_grouped(packed, bits, SfcEntry { point, value });
+            prev = key;
+            main.push(key, value);
             len += 1;
         }
         Ok(SfcArray {
             curve,
             main,
-            staging: Staging::new(true),
+            staging: Level::new(bits),
             len,
         })
     }
 
     /// All occupied cells in key order, merged across the two levels: each
-    /// item is the cell's key plus the entries stored there. This is the
+    /// item is the cell's key plus the values stored there. This is the
     /// column-wise export stream consumed by segment persistence — the same
     /// order [`from_sorted_packed`](SfcArray::from_sorted_packed) accepts
     /// back, so a save/load round trip never re-sorts. Because the view
     /// merges staging into the stream, saving through it *flushes* the
     /// staging level: the reloaded array is fully compacted.
-    pub fn sorted_cells(&self) -> impl Iterator<Item = (&Key, &[SfcEntry<V>])> {
-        self.cells().map(|(key, entries)| (key, entries.as_slice()))
+    pub fn sorted_cells(&self) -> impl Iterator<Item = (Key, &[V])> {
+        self.cells_in(0..self.main.cells(), 0..self.staging.cells())
+            .map(|(level, i)| (level.key(i), level.values(i)))
     }
 
     /// The curve that orders this array.
@@ -558,41 +469,28 @@ impl<V, C: SpaceFillingCurve> SfcArray<V, C> {
     }
 
     /// Merges the staging level into the main level (one linear pass over
-    /// both sorted views). The levels hold disjoint cell sets by
-    /// construction, so buckets never need to be concatenated.
+    /// both). The levels hold disjoint cell sets by construction, so buckets
+    /// never need to be concatenated.
     fn merge_staging(&mut self) {
-        if self.staging.cells() == 0 {
-            // Nothing live to merge — but drop any slab holes left by
-            // removals so churn cannot accumulate dead payloads.
-            self.staging.clear();
-            return;
-        }
-        let pack = self.main.pack;
-        let main = std::mem::replace(&mut self.main, Level::new(pack));
-        let staging = std::mem::replace(&mut self.staging, Staging::new(pack));
+        let bits = self.main.bits;
+        let main = std::mem::replace(&mut self.main, Level::new(bits));
+        let staging = std::mem::replace(&mut self.staging, Level::new(bits));
         let total = main.cells() + staging.cells();
-        let mut merged = Level::new(pack);
-        merged.keys.reserve(total);
+        let mut merged = Level::new(bits);
         merged.buckets.reserve(total);
-        if pack {
+        if merged.packs() {
             merged.packed.reserve(total);
+        } else {
+            merged.wide.reserve(total);
         }
-
-        let mut a = main.keys.into_iter().zip(main.buckets).peekable();
-        let mut b = staging.into_sorted().into_iter().peekable();
-        loop {
-            let take_a = match (a.peek(), b.peek()) {
-                (Some((ka, _)), Some((kb, _))) => ka < kb,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let (k, bucket) = if take_a {
-                a.next().expect("peeked")
-            } else {
-                b.next().expect("peeked")
-            };
-            merged.push_cell(k, bucket);
+        let mut a = main.into_cells().peekable();
+        let mut b = staging.into_cells().peekable();
+        while let Some((key, bucket)) = match (a.peek(), b.peek()) {
+            (Some((ka, _)), Some((kb, _))) if kb < ka => b.next(),
+            (Some(_), _) => a.next(),
+            (None, _) => b.next(),
+        } {
+            merged.insert_cell(merged.cells(), key, bucket);
         }
         self.main = merged;
     }
@@ -609,19 +507,15 @@ impl<V, C: SpaceFillingCurve> SfcArray<V, C> {
     /// Returns an error if the point is outside the curve's universe.
     pub fn insert(&mut self, point: Point, value: V) -> Result<()> {
         let key = self.curve.key_of_point(&point)?;
-        let entry = SfcEntry { point, value };
         if let Some(idx) = self.main.find(&key) {
-            self.main.buckets[idx].push(entry);
+            self.main.buckets[idx].push(value);
+        } else if let Some(idx) = self.staging.find(&key) {
+            self.staging.buckets[idx].push(value);
         } else {
-            match self.staging.find(&key) {
-                Some(idx) => self.staging.bucket_mut(idx).push(entry),
-                None => {
-                    let pos = self.staging.position_at_or_after(&key);
-                    self.staging.insert_cell(pos, key, Bucket::One(entry));
-                    if self.staging.cells() >= staging_capacity(self.main.cells()) {
-                        self.merge_staging();
-                    }
-                }
+            let pos = self.staging.position_at_or_after(&key);
+            self.staging.insert_cell(pos, key, Bucket::One(value));
+            if self.staging.cells() >= staging_capacity(self.main.cells()) {
+                self.merge_staging();
             }
         }
         self.len += 1;
@@ -634,183 +528,75 @@ impl<V, C: SpaceFillingCurve> SfcArray<V, C> {
     /// # Errors
     ///
     /// Returns an error if the point is outside the curve's universe.
-    pub fn remove_if<F>(&mut self, point: &Point, mut pred: F) -> Result<Option<V>>
+    pub fn remove_if<F>(&mut self, point: &Point, pred: F) -> Result<Option<V>>
     where
         F: FnMut(&V) -> bool,
     {
         let key = self.curve.key_of_point(point)?;
-        if let Some(idx) = self.main.find(&key) {
-            let bucket = &mut self.main.buckets[idx];
-            let Some(pos) = bucket.as_slice().iter().position(|e| pred(&e.value)) else {
-                return Ok(None);
-            };
+        let removed = if let Some(idx) = self.main.find(&key) {
+            self.main.remove_value(idx, pred)
+        } else if let Some(idx) = self.staging.find(&key) {
+            self.staging.remove_value(idx, pred)
+        } else {
+            None
+        };
+        if removed.is_some() {
             self.len -= 1;
-            let removed = match bucket {
-                Bucket::Many(v) if v.len() > 1 => v.remove(pos).value,
-                _ => match self.main.remove_cell(idx) {
-                    Bucket::One(e) => e.value,
-                    Bucket::Many(mut v) => v.remove(pos).value,
-                },
-            };
-            return Ok(Some(removed));
         }
-        if let Some(idx) = self.staging.find(&key) {
-            let bucket = self.staging.bucket_mut(idx);
-            let Some(pos) = bucket.as_slice().iter().position(|e| pred(&e.value)) else {
-                return Ok(None);
-            };
-            self.len -= 1;
-            let removed = match bucket {
-                Bucket::Many(v) if v.len() > 1 => v.remove(pos).value,
-                _ => {
-                    // Last entry at the cell: drop the cell from the view and
-                    // swap the whole payload — key included — out of the slab
-                    // hole. Leaving the key behind would keep a dead (and for
-                    // wide universes, heap-allocated) payload alive until the
-                    // next merge, and a hole must never look like a live cell
-                    // to any future reader of the slab: only `order` defines
-                    // liveness, and the merge consumes exactly `order`.
-                    let slot = self.staging.remove_cell(idx);
-                    let (_, bucket) = std::mem::replace(
-                        &mut self.staging.slab[slot],
-                        (Key::zero(0), Bucket::Many(Vec::new())),
-                    );
-                    match bucket {
-                        Bucket::One(e) => e.value,
-                        Bucket::Many(mut v) => v.remove(pos).value,
-                    }
-                }
-            };
-            // Insert/remove churn leaves holes in the slab; once they
-            // outnumber the live cells, fold staging into main (the merge
-            // keeps only live cells), so slab memory stays bounded by the
-            // live staging size instead of growing with total churn.
-            if self.staging.slab.len() > 2 * self.staging.cells() + MERGE_MIN_CELLS {
-                self.merge_staging();
-            }
-            return Ok(Some(removed));
-        }
-        Ok(None)
-    }
-
-    /// All values stored at exactly `point`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the point is outside the curve's universe.
-    pub fn values_at(&self, point: &Point) -> Result<Vec<&V>> {
-        let key = self.curve.key_of_point(point)?;
-        if let Some(idx) = self.main.find(&key) {
-            return Ok(self.main.buckets[idx]
-                .as_slice()
-                .iter()
-                .map(|e| &e.value)
-                .collect());
-        }
-        if let Some(idx) = self.staging.find(&key) {
-            return Ok(self
-                .staging
-                .cell(idx)
-                .1
-                .as_slice()
-                .iter()
-                .map(|e| &e.value)
-                .collect());
-        }
-        Ok(Vec::new())
+        Ok(removed)
     }
 
     /// Returns the smallest populated key at-or-after `key` together with
-    /// the entries stored at that cell, if any — two binary searches over
-    /// the flat key views. This is the "galloping" primitive of the
+    /// the values stored at that cell, if any — two binary searches over
+    /// the flat key columns. This is the "galloping" primitive of the
     /// populated-key query sweep (which uses the stateful
-    /// [`sweep_cursor`](SfcArray::sweep_cursor) form); the key and bucket
-    /// are borrowed straight from the array.
-    pub fn first_key_at_or_after(&self, key: &Key) -> Option<(&Key, &[SfcEntry<V>])> {
-        let m = self.main.position_at_or_after(key);
-        let s = self.staging.position_at_or_after(key);
-        let a = self
-            .main
-            .keys
-            .get(m)
-            .map(|k| (k, self.main.buckets[m].as_slice()));
-        let b = (s < self.staging.cells()).then(|| {
-            let (k, bucket) = self.staging.cell(s);
-            (k, bucket.as_slice())
-        });
-        match (a, b) {
-            (Some(a), Some(b)) => Some(if a.0 <= b.0 { a } else { b }),
-            (a, b) => a.or(b),
-        }
+    /// [`sweep_cursor`](SfcArray::sweep_cursor) form); the bucket is
+    /// borrowed straight from the array.
+    pub fn first_key_at_or_after(&self, key: &Key) -> Option<(Key, &[V])> {
+        let (level, i) = self
+            .cells_in(
+                self.main.position_at_or_after(key)..self.main.cells(),
+                self.staging.position_at_or_after(key)..self.staging.cells(),
+            )
+            .next()?;
+        Some((level.key(i), level.values(i)))
     }
 
-    /// Returns the first entry whose key falls in `range`, if any. This is
-    /// the "probe a run" primitive of the paper's query algorithm: it costs
-    /// two binary searches regardless of how large the run is.
-    pub fn first_in_range(&self, range: &KeyRange) -> Option<&SfcEntry<V>> {
-        self.first_key_at_or_after(range.lo())
-            .filter(|(k, _)| *k <= range.hi())
-            .and_then(|(_, bucket)| bucket.first())
-    }
-
-    /// Returns the first entry in `range` whose value satisfies `pred`.
-    /// Entries are visited in key order.
-    pub fn first_in_range_where<F>(&self, range: &KeyRange, mut pred: F) -> Option<&SfcEntry<V>>
+    /// Returns the first value in `range` that satisfies `pred`, visiting
+    /// values in key order. This is the "probe a run" primitive of the
+    /// paper's query algorithm.
+    pub fn first_in_range_where<F>(&self, range: &KeyRange, mut pred: F) -> Option<&V>
     where
-        F: FnMut(&SfcEntry<V>) -> bool,
+        F: FnMut(&V) -> bool,
     {
-        self.iter_range(range).find(|e| pred(e))
+        self.iter_range(range).find(|v| pred(v))
     }
 
-    /// Whether any entry's key falls inside `range`.
-    pub fn any_in_range(&self, range: &KeyRange) -> bool {
-        self.first_in_range(range).is_some()
+    /// Iterates over all entries in key order, each as its cell's key and
+    /// its value.
+    pub fn iter(&self) -> impl Iterator<Item = (Key, &V)> {
+        self.sorted_cells()
+            .flat_map(|(key, values)| values.iter().map(move |v| (key.clone(), v)))
     }
 
-    /// Number of entries whose keys fall inside `range`.
-    pub fn count_in_range(&self, range: &KeyRange) -> usize {
-        self.cells_in_range(range)
-            .map(|(_, bucket)| bucket.len())
-            .sum()
-    }
-
-    /// Iterates over all entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = &SfcEntry<V>> {
-        self.cells().flat_map(|(_, bucket)| bucket)
-    }
-
-    /// Iterates over the entries whose keys fall inside `range`, in key
+    /// Iterates over the values whose keys fall inside `range`, in key
     /// order.
-    pub fn iter_range<'a>(
-        &'a self,
-        range: &KeyRange,
-    ) -> impl Iterator<Item = &'a SfcEntry<V>> + 'a {
-        self.cells_in_range(range).flat_map(|(_, b)| b)
+    pub fn iter_range<'a>(&'a self, range: &KeyRange) -> impl Iterator<Item = &'a V> + 'a {
+        self.cells_in(
+            self.main.position_at_or_after(range.lo())..self.main.position_after(range.hi()),
+            self.staging.position_at_or_after(range.lo())..self.staging.position_after(range.hi()),
+        )
+        .flat_map(|(level, i)| level.values(i))
     }
 
-    /// All occupied cells in key order, merged across the two levels.
-    fn cells(&self) -> CellIter<'_, V> {
+    /// The cells at index ranges `m` of the main level and `s` of the
+    /// staging level, merged in key order.
+    fn cells_in(&self, m: Range<usize>, s: Range<usize>) -> CellIter<'_, V> {
         CellIter {
-            main_keys: &self.main.keys,
-            main_buckets: &self.main.buckets,
+            main: &self.main,
+            m,
             staging: &self.staging,
-            s_lo: 0,
-            s_hi: self.staging.cells(),
-        }
-    }
-
-    /// The occupied cells whose keys fall inside `range`, in key order.
-    fn cells_in_range(&self, range: &KeyRange) -> CellIter<'_, V> {
-        let mlo = self.main.position_at_or_after(range.lo());
-        let mhi = mlo + self.main.keys[mlo..].partition_point(|k| k <= range.hi());
-        let slo = self.staging.position_at_or_after(range.lo());
-        let shi = self.staging.position_after(range.hi());
-        CellIter {
-            main_keys: &self.main.keys[mlo..mhi],
-            main_buckets: &self.main.buckets[mlo..mhi],
-            staging: &self.staging,
-            s_lo: slo,
-            s_hi: shi,
+            s,
         }
     }
 
@@ -822,12 +608,11 @@ impl<V, C: SpaceFillingCurve> SfcArray<V, C> {
     }
 
     /// A forward-only cursor over the populated cells, for monotone sweeps:
-    /// each [`next_at_or_after`](SweepCursor::next_at_or_after) call gallops
-    /// from the cursor's previous position instead of binary-searching the
-    /// whole array, so a sweep whose probe keys increase (the dominance
-    /// query's populated-key sweep) pays `O(log gap)` per step with
-    /// near-perfect cache locality — and borrows keys and buckets straight
-    /// from the array, allocating nothing.
+    /// each step gallops from the cursor's previous position instead of
+    /// binary-searching the whole array, so a sweep whose probe keys
+    /// increase (the dominance query's populated-key sweep) pays
+    /// `O(log gap)` per step with near-perfect cache locality — and borrows
+    /// keys and buckets straight from the array, allocating nothing.
     pub fn sweep_cursor(&self) -> SweepCursor<'_, V> {
         SweepCursor {
             main: &self.main,
@@ -840,16 +625,19 @@ impl<V, C: SpaceFillingCurve> SfcArray<V, C> {
 
 /// Forward-only galloping cursor created by [`SfcArray::sweep_cursor`].
 ///
-/// The probe keys passed to
-/// [`next_at_or_after`](SweepCursor::next_at_or_after) must be
-/// non-decreasing; the cursor never rewinds. Cloning is cheap (two shared
-/// references and two positions) — the batched query kernel keeps one
-/// *seed* cursor advanced along the sorted batch and clones it as the
-/// starting position of each per-query sweep.
+/// The probe keys passed to a step must be non-decreasing; the cursor never
+/// rewinds. Each step reads one key column:
+/// [`next_packed_at_or_after`](SweepCursor::next_packed_at_or_after) the
+/// packed keys of an array whose keys fit 128 bits,
+/// [`next_at_or_after`](SweepCursor::next_at_or_after) the [`Key`]s of a
+/// wider one. Cloning is cheap (two shared references and two positions) —
+/// the batched query kernel keeps one *seed* cursor advanced along the
+/// sorted batch and clones it as the starting position of each per-query
+/// sweep.
 #[derive(Debug)]
 pub struct SweepCursor<'a, V> {
     main: &'a Level<V>,
-    staging: &'a Staging<V>,
+    staging: &'a Level<V>,
     main_pos: usize,
     staging_pos: usize,
 }
@@ -867,88 +655,87 @@ impl<V> Clone for SweepCursor<'_, V> {
     }
 }
 
+/// The cell with the smaller key of the two levels' candidates, if any.
+fn nearer<'a, K: Ord, V>(
+    main: Option<(&'a K, &'a Bucket<V>)>,
+    staging: Option<(&'a K, &'a Bucket<V>)>,
+) -> Option<(&'a K, &'a [V])> {
+    let (key, bucket) = match (main, staging) {
+        (Some(a), Some(b)) => Some(if a.0 <= b.0 { a } else { b }),
+        (a, b) => a.or(b),
+    }?;
+    Some((key, bucket.as_slice()))
+}
+
 impl<'a, V> SweepCursor<'a, V> {
     /// The smallest populated key at-or-after `key` together with the
-    /// entries stored at that cell, or `None` if no such cell remains.
+    /// values stored at that cell, or `None` if no such cell remains.
     /// Equivalent to [`SfcArray::first_key_at_or_after`] for non-decreasing
-    /// probe keys, at a fraction of the per-step cost.
+    /// probe keys over 128 bits, at a fraction of the per-step cost. An
+    /// array whose keys fit 128 bits keeps no [`Key`] column, so there this
+    /// finds nothing.
     // acd-lint: hot
-    pub fn next_at_or_after(&mut self, key: &Key) -> Option<(&'a Key, &'a [SfcEntry<V>])> {
-        self.main_pos = self.main.gallop_at_or_after(self.main_pos, key);
-        self.staging_pos = self.staging.gallop_at_or_after(self.staging_pos, key);
-        let a = self
-            .main
-            .keys
-            .get(self.main_pos)
-            .map(|k| (k, self.main.buckets[self.main_pos].as_slice()));
-        let b = (self.staging_pos < self.staging.cells()).then(|| {
-            let (k, bucket) = self.staging.cell(self.staging_pos);
-            (k, bucket.as_slice())
-        });
-        match (a, b) {
-            (Some(a), Some(b)) => Some(if a.0 <= b.0 { a } else { b }),
-            (a, b) => a.or(b),
-        }
+    pub fn next_at_or_after(&mut self, key: &Key) -> Option<(&'a Key, &'a [V])> {
+        let (main, staging) = (self.main, self.staging);
+        self.main_pos = gallop_sorted(&main.wide, self.main_pos, key);
+        self.staging_pos = gallop_sorted(&staging.wide, self.staging_pos, key);
+        nearer(
+            main.wide
+                .get(self.main_pos)
+                .zip(main.buckets.get(self.main_pos)),
+            staging
+                .wide
+                .get(self.staging_pos)
+                .zip(staging.buckets.get(self.staging_pos)),
+        )
     }
 
-    /// [`next_at_or_after`](Self::next_at_or_after) on the packed key
-    /// mirror: the probe and the returned key are the keys' `u128` values,
-    /// read straight from the two levels' packed arrays. An array whose
-    /// keys exceed 128 bits keeps no mirror, so there this finds nothing.
+    /// [`next_at_or_after`](Self::next_at_or_after) on packed keys: the
+    /// probe and the returned key are the keys' `u128` values, read
+    /// straight from the two levels' packed columns. An array whose keys
+    /// exceed 128 bits keeps no packed column, so there this finds nothing.
     // acd-lint: hot
-    pub fn next_packed_at_or_after(&mut self, key: u128) -> Option<(u128, &'a [SfcEntry<V>])> {
+    pub fn next_packed_at_or_after(&mut self, key: u128) -> Option<(u128, &'a [V])> {
         let (main, staging) = (self.main, self.staging);
         self.main_pos = crate::simd::lower_bound_u128_from(&main.packed, self.main_pos, key);
         self.staging_pos =
             crate::simd::lower_bound_u128_from(&staging.packed, self.staging_pos, key);
-        let a = main
-            .packed
-            .get(self.main_pos)
-            .zip(main.buckets.get(self.main_pos));
-        let b = staging
-            .packed
-            .get(self.staging_pos)
-            .zip(staging.order.get(self.staging_pos))
-            .and_then(|(k, &slot)| Some((k, &staging.slab.get(slot as usize)?.1)));
-        let (key, bucket) = match (a, b) {
-            (Some(a), Some(b)) => Some(if a.0 <= b.0 { a } else { b }),
-            (a, b) => a.or(b),
-        }?;
-        Some((*key, bucket.as_slice()))
+        let (key, values) = nearer(
+            main.packed
+                .get(self.main_pos)
+                .zip(main.buckets.get(self.main_pos)),
+            staging
+                .packed
+                .get(self.staging_pos)
+                .zip(staging.buckets.get(self.staging_pos)),
+        )?;
+        Some((*key, values))
     }
 }
 
-/// Merging iterator over the cells of the two sorted levels (whose key sets
-/// are disjoint), in increasing key order.
+/// Merging iterator over the cells in two index ranges of the two levels
+/// (whose key sets are disjoint), in increasing key order: each item names
+/// a cell by its level and index, so a reader of values alone builds no
+/// key.
 struct CellIter<'a, V> {
-    main_keys: &'a [Key],
-    main_buckets: &'a [Bucket<V>],
-    staging: &'a Staging<V>,
-    s_lo: usize,
-    s_hi: usize,
+    main: &'a Level<V>,
+    m: Range<usize>,
+    staging: &'a Level<V>,
+    s: Range<usize>,
 }
 
 impl<'a, V> Iterator for CellIter<'a, V> {
-    type Item = (&'a Key, std::slice::Iter<'a, SfcEntry<V>>);
+    type Item = (&'a Level<V>, usize);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let staged = (self.s_lo < self.s_hi).then(|| self.staging.cell(self.s_lo));
-        let take_main = match (self.main_keys.first(), &staged) {
-            (Some(a), Some((b, _))) => a < b,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
+        let take_main = match (self.m.is_empty(), self.s.is_empty()) {
+            (false, false) => self.main.precedes(self.m.start, self.staging, self.s.start),
+            (main_done, _) => !main_done,
         };
         if take_main {
-            let (key, rest_keys) = self.main_keys.split_first().expect("non-empty");
-            let (bucket, rest_buckets) = self.main_buckets.split_first().expect("parallel");
-            self.main_keys = rest_keys;
-            self.main_buckets = rest_buckets;
-            Some((key, bucket.as_slice().iter()))
+            Some((self.main, self.m.next()?))
         } else {
-            let (key, bucket) = staged.expect("checked non-empty");
-            self.s_lo += 1;
-            Some((key, bucket.as_slice().iter()))
+            Some((self.staging, self.s.next()?))
         }
     }
 }
@@ -967,6 +754,23 @@ mod tests {
         Point::new(vec![x, y]).unwrap()
     }
 
+    /// The values stored at exactly `point`, read through
+    /// `first_key_at_or_after`.
+    fn values_at<C: SpaceFillingCurve>(a: &SfcArray<u32, C>, point: &Point) -> Vec<u32> {
+        let key = a.curve().key_of_point(point).unwrap();
+        match a.first_key_at_or_after(&key) {
+            Some((cell, values)) if cell == key => values.to_vec(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Every entry as its decoded point and value, in key order.
+    fn entries<C: SpaceFillingCurve>(a: &SfcArray<u32, C>) -> Vec<(Point, u32)> {
+        a.iter()
+            .map(|(key, &v)| (a.curve().point_of_key(&key).unwrap(), v))
+            .collect()
+    }
+
     #[test]
     fn insert_len_and_values_at() {
         let mut a = array();
@@ -976,8 +780,12 @@ mod tests {
         a.insert(p(9, 9), 12).unwrap();
         assert_eq!(a.len(), 3);
         assert_eq!(a.occupied_cells(), 2);
-        assert_eq!(a.values_at(&p(1, 2)).unwrap(), vec![&10, &11]);
-        assert!(a.values_at(&p(0, 0)).unwrap().is_empty());
+        assert_eq!(values_at(&a, &p(1, 2)), vec![10, 11]);
+        assert!(values_at(&a, &p(0, 0)).is_empty());
+        assert_eq!(
+            entries(&a),
+            vec![(p(1, 2), 10), (p(1, 2), 11), (p(9, 9), 12)]
+        );
     }
 
     #[test]
@@ -1010,17 +818,15 @@ mod tests {
         a.insert(p(8, 8), 3).unwrap();
 
         let full = KeyRange::new(Key::zero(8), Key::max_value(8)).unwrap();
-        assert_eq!(a.count_in_range(&full), 3);
-        assert_eq!(a.first_in_range(&full).unwrap().value, 1);
+        assert_eq!(a.iter_range(&full).count(), 3);
+        assert_eq!(a.first_in_range_where(&full, |_| true), Some(&1));
 
         // A range that contains only the upper-right quadrant.
         let cube = crate::cube::StandardCube::new(&u, vec![8, 8], 3).unwrap();
         let quad = z.cube_key_range(&cube).unwrap();
-        assert_eq!(a.count_in_range(&quad), 2);
-        assert_eq!(a.first_in_range(&quad).unwrap().value, 3);
-        let ordered: Vec<u32> = a.iter_range(&quad).map(|e| e.value).collect();
+        let ordered: Vec<u32> = a.iter_range(&quad).copied().collect();
         assert_eq!(ordered, vec![3, 2]);
-        assert!(a.any_in_range(&quad));
+        assert_eq!(a.first_in_range_where(&quad, |_| true), Some(&3));
     }
 
     #[test]
@@ -1033,39 +839,61 @@ mod tests {
         let k1 = z.key_of_point(&p(1, 2)).unwrap();
         let k2 = z.key_of_point(&p(9, 9)).unwrap();
         let at = |key: &Key| a.first_key_at_or_after(key).map(|(k, b)| (k, b.len()));
-        assert_eq!(at(&Key::zero(8)), Some((&k1, 1)));
-        assert_eq!(at(&k1), Some((&k1, 1)));
-        assert_eq!(at(&k1.successor().unwrap()), Some((&k2, 1)));
+        assert_eq!(at(&Key::zero(8)), Some((k1.clone(), 1)));
+        assert_eq!(at(&k1), Some((k1.clone(), 1)));
+        assert_eq!(at(&k1.successor().unwrap()), Some((k2.clone(), 1)));
         assert_eq!(at(&k2.successor().unwrap()), None);
+    }
+
+    /// A monotone sweep over every populated key, with `step` as the
+    /// cursor's step, must match the stateless search.
+    fn check_sweep<C: SpaceFillingCurve>(
+        a: &SfcArray<u32, C>,
+        mut step: impl FnMut(&mut SweepCursor<'_, u32>, &Key) -> Option<(Key, usize)>,
+    ) {
+        let mut cursor = a.sweep_cursor();
+        let mut probe = Some(Key::zero(a.curve().universe().key_bits()));
+        let mut seen = 0;
+        while let Some(key) = probe {
+            let fast = step(&mut cursor, &key);
+            let slow = a.first_key_at_or_after(&key).map(|(k, b)| (k, b.len()));
+            assert_eq!(fast, slow, "at {key}");
+            seen += slow.as_ref().map_or(0, |(_, n)| *n);
+            probe = slow.and_then(|(k, _)| k.successor());
+        }
+        assert_eq!(seen, a.len());
     }
 
     #[test]
     fn sweep_cursor_agrees_with_stateless_gallop() {
-        let u = Universe::new(2, 5).unwrap();
-        let curve = ZCurve::new(u);
-        let mut a: SfcArray<u32, ZCurve> = SfcArray::new(curve.clone());
-        let mut state = 0xbeefu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % 32
-        };
-        for i in 0..200u32 {
-            a.insert(p(next(), next()), i).unwrap();
-        }
-        // A monotone sweep over every populated key must match the
-        // stateless search.
-        let mut cursor = a.sweep_cursor();
-        let mut probe = Some(Key::zero(10));
-        while let Some(key) = probe {
-            let fast = cursor.next_at_or_after(&key).map(|(k, b)| (k, b.len()));
-            let slow = a.first_key_at_or_after(&key).map(|(k, b)| (k, b.len()));
-            assert_eq!(fast, slow, "at {key}");
-            probe = match slow {
-                Some((k, _)) => k.successor(),
-                None => None,
+        // One array per key column: 10-bit keys are packed, 3 x 44 = 132-bit
+        // keys are not.
+        for (dims, bits) in [(2, 5), (3, 44)] {
+            let u = Universe::new(dims, bits).unwrap();
+            let mut a: SfcArray<u32, ZCurve> = SfcArray::new(ZCurve::new(u.clone()));
+            let mut state = 0xbeefu64;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % 32
             };
+            for i in 0..200u32 {
+                let point = Point::new((0..dims).map(|_| next()).collect()).unwrap();
+                a.insert(point, i).unwrap();
+            }
+            if u.key_bits() <= 128 {
+                check_sweep(&a, |c, key| {
+                    let (k, b) = c.next_packed_at_or_after(key.to_u128().unwrap())?;
+                    Some((Key::from_u128(k, u.key_bits()), b.len()))
+                });
+                assert!(a.sweep_cursor().next_at_or_after(&Key::zero(10)).is_none());
+            } else {
+                check_sweep(&a, |c, key| {
+                    c.next_at_or_after(key).map(|(k, b)| (k.clone(), b.len()))
+                });
+                assert!(a.sweep_cursor().next_packed_at_or_after(0).is_none());
+            }
         }
     }
 
@@ -1075,9 +903,8 @@ mod tests {
         a.insert(p(1, 1), 7).unwrap();
         a.insert(p(2, 2), 8).unwrap();
         let full = KeyRange::new(Key::zero(8), Key::max_value(8)).unwrap();
-        let found = a.first_in_range_where(&full, |e| e.value % 2 == 0).unwrap();
-        assert_eq!(found.value, 8);
-        assert!(a.first_in_range_where(&full, |e| e.value > 100).is_none());
+        assert_eq!(a.first_in_range_where(&full, |v| v % 2 == 0), Some(&8));
+        assert!(a.first_in_range_where(&full, |v| *v > 100).is_none());
     }
 
     #[test]
@@ -1086,14 +913,12 @@ mod tests {
         a.insert(p(15, 0), 1).unwrap();
         a.insert(p(0, 0), 2).unwrap();
         a.insert(p(0, 15), 3).unwrap();
-        let curve = ZCurve::new(Universe::new(2, 4).unwrap());
-        let keys: Vec<u128> = a
-            .iter()
-            .map(|e| curve.key_of_point(&e.point).unwrap().to_u128().unwrap())
-            .collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
+        let keys: Vec<Key> = a.iter().map(|(k, _)| k).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(
+            entries(&a),
+            vec![(p(0, 0), 2), (p(0, 15), 3), (p(15, 0), 1)]
+        );
     }
 
     #[test]
@@ -1114,10 +939,7 @@ mod tests {
         }
         assert_eq!(bulk.len(), incremental.len());
         assert_eq!(bulk.occupied_cells(), incremental.occupied_cells());
-        let collect = |a: &SfcArray<u32>| -> Vec<(Point, u32)> {
-            a.iter().map(|e| (e.point.clone(), e.value)).collect()
-        };
-        assert_eq!(collect(&bulk), collect(&incremental));
+        assert_eq!(entries(&bulk), entries(&incremental));
         // The bulk path leaves nothing staged.
         assert_eq!(bulk.staging.cells(), 0);
     }
@@ -1127,6 +949,30 @@ mod tests {
         let u = Universe::new(2, 4).unwrap();
         let batch = vec![(p(1, 1), 1u32), (p(16, 0), 2)];
         assert!(SfcArray::from_sorted(ZCurve::new(u), batch).is_err());
+    }
+
+    #[test]
+    fn from_sorted_packed_checks_every_key_against_its_point() {
+        let curve = ZCurve::new(Universe::new(2, 4).unwrap());
+        let key = |x, y| curve.key_of_point(&p(x, y)).unwrap().to_u128().unwrap();
+        let rows = || vec![(key(1, 1), p(1, 1), 1u32), (key(2, 3), p(2, 3), 2)];
+        let a = SfcArray::from_sorted_packed(curve.clone(), rows()).unwrap();
+        assert_eq!(entries(&a), vec![(p(1, 1), 1), (p(2, 3), 2)]);
+
+        let mut wrong = rows();
+        wrong[1].1 = p(3, 2);
+        assert_eq!(
+            SfcArray::from_sorted_packed(curve.clone(), wrong).unwrap_err(),
+            crate::SfcError::KeyMismatch { index: 1 }
+        );
+        let mut unsorted = rows();
+        unsorted.reverse();
+        assert_eq!(
+            SfcArray::from_sorted_packed(curve.clone(), unsorted).unwrap_err(),
+            crate::SfcError::UnsortedBatch { index: 1 }
+        );
+        let outside = vec![(key(1, 1), p(16, 0), 1u32)];
+        assert!(SfcArray::from_sorted_packed(curve, outside).is_err());
     }
 
     #[test]
@@ -1146,21 +992,18 @@ mod tests {
         let mut inserted = Vec::new();
         for i in 0..500u32 {
             let point = p(next(), next());
-            inserted.push((curve.key_of_point(&point).unwrap(), i));
+            inserted.push(curve.key_of_point(&point).unwrap());
             a.insert(point, i).unwrap();
         }
         assert_eq!(a.len(), 500);
         // Full iteration in key order sees everything.
-        let keys: Vec<Key> = a
-            .iter()
-            .map(|e| curve.key_of_point(&e.point).unwrap())
-            .collect();
+        let keys: Vec<Key> = a.iter().map(|(k, _)| k).collect();
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(keys.len(), 500);
         // Galloping from every stored key lands on that key.
-        for (key, _) in &inserted {
+        for key in &inserted {
             let (found, bucket) = a.first_key_at_or_after(key).unwrap();
-            assert_eq!(found, key);
+            assert_eq!(&found, key);
             assert!(!bucket.is_empty());
         }
     }
@@ -1177,38 +1020,28 @@ mod tests {
         assert_eq!(a.remove_if(&p(1, 2), |_| true).unwrap(), Some(0));
         assert_eq!(a.len(), 3);
         assert_eq!(a.occupied_cells(), 3);
-        let values: Vec<u32> = a.iter().map(|e| e.value).collect();
-        assert_eq!(values.len(), 3);
-        assert!(values.contains(&1) && values.contains(&3) && values.contains(&4));
-        let full = KeyRange::new(Key::zero(8), Key::max_value(8)).unwrap();
-        assert_eq!(a.count_in_range(&full), 3);
+        assert_eq!(entries(&a), vec![(p(3, 4), 1), (p(7, 8), 3), (p(9, 10), 4)]);
     }
 
     #[test]
-    fn churn_does_not_grow_the_staging_slab_unboundedly() {
+    fn churn_leaves_no_dead_cells() {
         // Alternating insert/remove of fresh cells (staying below the merge
-        // threshold) must not accumulate slab holes forever.
+        // threshold) must drop every emptied cell from its level.
         let mut a = array();
         for round in 0..10_000u64 {
             let point = p(round % 16, (round / 16) % 16);
             a.insert(point.clone(), round as u32).unwrap();
             assert_eq!(a.remove_if(&point, |_| true).unwrap(), Some(round as u32));
             assert!(a.is_empty());
-            assert!(
-                a.staging.slab.len() <= 2 * a.staging.cells() + MERGE_MIN_CELLS + 1,
-                "slab grew to {} at round {round}",
-                a.staging.slab.len()
-            );
+            assert_eq!(a.occupied_cells(), 0, "round {round}");
         }
     }
 
     #[test]
     fn removing_staged_cells_never_resurrects_them_on_merge() {
         // Regression pin for the staging-removal edge case: a key removed
-        // while still resident in the thin-view staging level (not yet
-        // merged into main) must stay gone when the staging level is next
-        // merged — the slab hole left by the removal must not leak its
-        // payload back into the main level.
+        // while still resident in the staging level (not yet merged into
+        // main) must stay gone when the staging level is next merged.
         let u = Universe::new(2, 6).unwrap();
         let curve = ZCurve::new(u);
         let mut a: SfcArray<u32, ZCurve> = SfcArray::new(curve.clone());
@@ -1242,13 +1075,9 @@ mod tests {
         assert_eq!(a.staging.cells(), 0);
 
         // The removed victim must not have resurrected...
-        assert!(a.values_at(&victim).unwrap().is_empty());
-        let victim_key = curve.key_of_point(&victim).unwrap();
-        if let Some((k, _)) = a.first_key_at_or_after(&victim_key) {
-            assert_ne!(k, &victim_key, "removed staged key resurrected");
-        }
+        assert!(values_at(&a, &victim).is_empty());
         // ...the twin's surviving entry must appear exactly once...
-        assert_eq!(a.values_at(&twin).unwrap(), vec![&1002]);
+        assert_eq!(values_at(&a, &twin), vec![1002]);
         // ...and global accounting must agree with a full iteration.
         assert_eq!(a.len(), 256 + 1);
         assert_eq!(a.iter().count(), 256 + 1);
@@ -1257,7 +1086,7 @@ mod tests {
         // round trip yields exactly one entry there.
         a.insert(victim.clone(), 2000).unwrap();
         a.merge_staging();
-        assert_eq!(a.values_at(&victim).unwrap(), vec![&2000]);
+        assert_eq!(values_at(&a, &victim), vec![2000]);
     }
 
     #[test]

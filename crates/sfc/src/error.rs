@@ -66,6 +66,12 @@ pub enum SfcError {
         /// Index of the first out-of-order entry.
         index: usize,
     },
+    /// A pre-sorted bulk load ([`crate::SfcArray::from_sorted_packed`]) was
+    /// handed an entry whose key is not the curve key of its point.
+    KeyMismatch {
+        /// Index of the offending entry.
+        index: usize,
+    },
     /// An empty point set or region where a non-empty one is required.
     Empty,
 }
@@ -106,6 +112,10 @@ impl fmt::Display for SfcError {
             SfcError::UnsortedBatch { index } => {
                 write!(f, "pre-sorted batch is out of key order at entry {index}")
             }
+            SfcError::KeyMismatch { index } => write!(
+                f,
+                "pre-sorted batch entry {index} carries a key that is not its point's curve key"
+            ),
             SfcError::Empty => write!(f, "operation requires a non-empty region or point set"),
         }
     }

@@ -27,7 +27,8 @@
 //!   most 128 bits and on the big-endian words of wider keys; the
 //!   populated-key query sweep's gap jumps.
 //! * [`SfcArray`] — the one-dimensional sorted array of keys that backs the
-//!   index, with efficient range probes.
+//!   index, with efficient range probes; it stores each cell as its key and
+//!   each entry as its value alone.
 //! * [`analysis`] — analytic calculators for the paper's Theorem 3.1 upper
 //!   bound, Theorem 4.1 lower bound and Lemma 3.2 volume guarantee.
 //!
@@ -68,7 +69,7 @@ pub mod simd;
 pub mod universe;
 pub mod zorder;
 
-pub use array::{SfcArray, SfcEntry, SweepCursor};
+pub use array::{SfcArray, SweepCursor};
 pub use cube::StandardCube;
 pub use curve::{CurveKind, RegionSeeker, SpaceFillingCurve};
 pub use error::SfcError;

@@ -1,6 +1,6 @@
-//! Hand-rolled lane comparators for the flat key mirror.
+//! Hand-rolled lane comparators for the flat packed key column.
 //!
-//! The packed `u128` mirror in [`crate::SfcArray`] is a plain sorted numeric
+//! The packed `u128` key column in [`crate::SfcArray`] is a plain sorted numeric
 //! array — exactly the layout wide compares want. The stable toolchain has
 //! no `std::simd`, so these kernels are written in the four-lane style the
 //! autovectorizer reliably turns into SIMD: four independent accumulators over
@@ -63,7 +63,7 @@ pub fn lower_bound_u128(xs: &[u128], v: u128) -> usize {
 /// First index ≥ `from` into sorted `xs` whose element is ≥ `v`, found by
 /// exponential (galloping) search bracketed down to a lane count —
 /// `O(log distance)` like the plain gallop, with the final narrow phase
-/// replaced by branch-free lanes. The packed key mirror's sweep cursors use
+/// replaced by branch-free lanes. The packed key column's sweep cursors use
 /// this for monotone probe sequences.
 // acd-lint: hot
 pub fn lower_bound_u128_from(xs: &[u128], from: usize, v: u128) -> usize {

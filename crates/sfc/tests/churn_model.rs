@@ -1,28 +1,41 @@
 //! Deterministic churn-model test: long random insert/remove interleavings
 //! (value-exact removals, far heavier on removals than the proptest suite)
 //! checked against a `BTreeMap` model, on both the packed (<=128-bit keys)
-//! and the non-packed (wide-key) staging layouts. This is the workload that
-//! would surface a staged cell resurrecting across a merge or a slab hole
-//! leaking back into a view.
+//! and the wide-key layouts, on every curve. This is the workload that would
+//! surface a staged cell resurrecting across a merge; and since the array
+//! stores keys only, the model's coordinates are recovered through each
+//! curve's inverse.
 
 use std::collections::BTreeMap;
 
-use acd_sfc::{Point, SfcArray, SpaceFillingCurve, Universe, ZCurve};
+use acd_sfc::{GrayCurve, HilbertCurve, Point, SfcArray, SpaceFillingCurve, Universe, ZCurve};
+
+/// 2 x 5 bits: the packed key column.
+fn packed() -> Universe {
+    Universe::new(2, 5).unwrap()
+}
+
+/// 3 x 44 = 132 bits > 128: the wide key column.
+fn wide() -> Universe {
+    Universe::new(3, 44).unwrap()
+}
 
 #[test]
 fn churn_matches_model_on_packed_keys() {
-    run_churn(Universe::new(2, 5).unwrap(), 32, 60);
+    run_churn(ZCurve::new(packed()), 32, 60);
+    run_churn(HilbertCurve::new(packed()), 32, 20);
+    run_churn(GrayCurve::new(packed()), 32, 20);
 }
 
 #[test]
 fn churn_matches_model_on_wide_keys() {
-    // 3 x 44 = 132 bits > 128: exercises the non-packed staging paths.
-    run_churn(Universe::new(3, 44).unwrap(), 8, 16);
+    run_churn(ZCurve::new(wide()), 8, 16);
+    run_churn(HilbertCurve::new(wide()), 8, 4);
+    run_churn(GrayCurve::new(wide()), 8, 4);
 }
 
-fn run_churn(universe: Universe, side: u64, seeds: u64) {
-    let curve = ZCurve::new(universe.clone());
-    let dims = universe.dims();
+fn run_churn<C: SpaceFillingCurve + Clone>(curve: C, side: u64, seeds: u64) {
+    let dims = curve.universe().dims();
     for seed in 0..seeds {
         let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
         let mut next = move || {
@@ -31,7 +44,7 @@ fn run_churn(universe: Universe, side: u64, seeds: u64) {
             state ^= state << 17;
             state
         };
-        let mut array: SfcArray<u32, ZCurve> = SfcArray::new(curve.clone());
+        let mut array: SfcArray<u32, C> = SfcArray::new(curve.clone());
         let mut model: BTreeMap<Vec<u64>, Vec<u32>> = BTreeMap::new();
         let mut counter = 0u32;
         let mut live: Vec<(Vec<u64>, u32)> = Vec::new();
@@ -60,7 +73,7 @@ fn run_churn(universe: Universe, side: u64, seeds: u64) {
             if op % 64 == 0 {
                 let got: Vec<(Vec<u64>, u32)> = array
                     .iter()
-                    .map(|e| (e.point.coords().to_vec(), e.value))
+                    .map(|(k, &v)| (curve.point_of_key(&k).unwrap().coords().to_vec(), v))
                     .collect();
                 let mut keyed: Vec<_> = model
                     .iter()

@@ -50,6 +50,14 @@ impl Model {
     }
 }
 
+/// Every entry of `array` as its decoded point and value, in key order.
+fn entries(array: &SfcArray<u32, ZCurve>) -> Vec<(Point, u32)> {
+    array
+        .iter()
+        .map(|(k, &v)| (array.curve().point_of_key(&k).unwrap(), v))
+        .collect()
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Insert(u64, u64),
@@ -107,9 +115,7 @@ proptest! {
                     let key = Key::from_u128(raw as u128, total_bits);
                     let got = array
                         .first_key_at_or_after(&key)
-                        .map(|(k, bucket)| {
-                            (k.clone(), bucket.iter().map(|e| e.value).collect::<Vec<_>>())
-                        });
+                        .map(|(k, bucket)| (k, bucket.to_vec()));
                     let want = model
                         .cells
                         .range(key..)
@@ -131,10 +137,16 @@ proptest! {
                         .range(range.lo().clone()..=range.hi().clone())
                         .map(|(_, bucket)| bucket.len())
                         .sum();
-                    prop_assert_eq!(array.count_in_range(&range), want);
-                    prop_assert_eq!(array.any_in_range(&range), want > 0);
-                    let iterated: Vec<u32> =
-                        array.iter_range(&range).map(|e| e.value).collect();
+                    let counted = array
+                        .iter()
+                        .filter(|(k, _)| range.lo() <= k && k <= range.hi())
+                        .count();
+                    prop_assert_eq!(counted, want);
+                    let any = array
+                        .first_key_at_or_after(range.lo())
+                        .is_some_and(|(k, _)| &k <= range.hi());
+                    prop_assert_eq!(any, want > 0);
+                    let iterated: Vec<u32> = array.iter_range(&range).copied().collect();
                     let model_iterated: Vec<u32> = model
                         .cells
                         .range(range.lo().clone()..=range.hi().clone())
@@ -147,11 +159,7 @@ proptest! {
         }
 
         // Final full-state agreement, in key order.
-        let got: Vec<(Point, u32)> = array
-            .iter()
-            .map(|e| (e.point.clone(), e.value))
-            .collect();
-        prop_assert_eq!(got, model.entries());
+        prop_assert_eq!(entries(&array), model.entries());
     }
 
     /// Bulk building agrees with incremental insertion of the same batch.
@@ -174,9 +182,6 @@ proptest! {
 
         let bulk = SfcArray::from_sorted(curve, batch).unwrap();
 
-        let dump = |a: &SfcArray<u32, ZCurve>| -> Vec<(Point, u32)> {
-            a.iter().map(|e| (e.point.clone(), e.value)).collect()
-        };
-        prop_assert_eq!(dump(&bulk), dump(&incremental));
+        prop_assert_eq!(entries(&bulk), entries(&incremental));
     }
 }

@@ -13,11 +13,11 @@
 //!   exactly, so a meta paired with the wrong data — or a data file
 //!   rewritten behind the meta's back — is a typed
 //!   [`StorageError::CorruptSegment`], never a silently wrong index;
-//! * the `.dat` payload is **column-wise**: the sorted packed `u128` key
-//!   mirror, the point coordinates, and the values are stored as three
-//!   contiguous columns in key order, so a segment loads back through
-//!   [`acd_sfc::SfcArray::from_sorted_packed`] — a single gather pass, no
-//!   keying, no re-sort;
+//! * the `.dat` payload is **column-wise**: the sorted packed `u128` keys,
+//!   the point coordinates, and the values are stored as three contiguous
+//!   columns in key order, so a segment loads back through
+//!   [`acd_sfc::SfcArray::from_sorted_packed`] — a single gather pass that
+//!   checks each key against its coordinates, no re-sort;
 //! * a **generation commit file** makes multi-file states atomic: segment
 //!   files are written first (to fresh names), then the commit manifest
 //!   referencing them lands via write-to-temp + rename. Readers open the

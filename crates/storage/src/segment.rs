@@ -6,15 +6,17 @@
 //! (the *forward* array of points `p(s)`), the table's rows in the array's
 //! entry order — the index checks row `i` against entry `i` when it opens
 //! the segment. The array section stores three contiguous columns in key
-//! order — the packed key mirror, the point coordinates, and the values —
-//! exactly the stream [`SfcArray::sorted_cells`] exports and
-//! [`SfcArray::from_sorted_packed`] gathers back, so opening a segment
-//! skips both the keying pass and the sort that a cold rebuild pays.
+//! order — the packed keys, the point coordinates (decoded from the keys,
+//! which are all the array stores), and the values — exactly the stream
+//! [`SfcArray::sorted_cells`] exports and [`SfcArray::from_sorted_packed`]
+//! gathers back, so opening a segment skips the sort that a cold rebuild
+//! pays. The gather checks every row's key against its coordinates, so a
+//! file whose two columns disagree is refused as corrupt.
 //! Keys and coordinates are stored at the minimal byte width their
 //! universe needs (e.g. 2-byte coordinates for a 10-bit dimension), which
 //! nearly halves typical segments and with them the cold open's read and
 //! checksum cost.
-//! (Universes wider than 128 bits have no packed mirror; their array
+//! (Universes wider than 128 bits have no packed keys; their array
 //! section stores points and values only and reloads through the generic
 //! [`SfcArray::from_sorted`] path.)
 //!
@@ -170,30 +172,34 @@ impl SegmentWriter {
         self.data
             .extend_from_slice(&universe.bits_per_dim().to_le_bytes());
         self.data.push(pack as u8);
-        // Column 1 (packed universes only): the packed key mirror, one key
-        // per entry (a duplicate cell repeats its key — the load-side
-        // gather re-groups equal neighbours into one bucket).
+        // Column 1 (packed universes only): the packed keys, one per entry
+        // (a duplicate cell repeats its key — the load-side gather
+        // re-groups equal neighbours into one bucket).
         if pack {
-            for (key, entries) in array.sorted_cells() {
+            for (key, values) in array.sorted_cells() {
                 let packed = key.to_u128().expect("≤128-bit keys fit");
-                for _ in entries {
+                for _ in values {
                     self.data
                         .extend_from_slice(&packed.to_le_bytes()[..key_width]);
                 }
             }
         }
-        // Column 2: point coordinates, row-major.
-        for (_, entries) in array.sorted_cells() {
-            for entry in entries {
-                for &c in entry.point.coords() {
+        // Column 2: point coordinates, row-major, decoded from the keys.
+        for (key, values) in array.sorted_cells() {
+            let point = array
+                .curve()
+                .point_of_key(&key)
+                .expect("a stored key has its universe's width");
+            for _ in values {
+                for &c in point.coords() {
                     self.data.extend_from_slice(&c.to_le_bytes()[..coord_width]);
                 }
             }
         }
         // Column 3: values.
-        for (_, entries) in array.sorted_cells() {
-            for entry in entries {
-                self.data.extend_from_slice(&entry.value.to_le_bytes());
+        for (_, values) in array.sorted_cells() {
+            for value in values {
+                self.data.extend_from_slice(&value.to_le_bytes());
             }
         }
         self.end_section(len_at);
@@ -580,15 +586,45 @@ mod tests {
         let loaded = r.array(ZCurve::new(Universe::new(4, 8).unwrap())).unwrap();
         assert_eq!(loaded.len(), array.len());
         assert_eq!(loaded.occupied_cells(), array.occupied_cells());
-        let a: Vec<_> = array
-            .sorted_cells()
-            .map(|(k, e)| (k.clone(), e.to_vec()))
-            .collect();
+        let a: Vec<_> = array.sorted_cells().map(|(k, e)| (k, e.to_vec())).collect();
         let b: Vec<_> = loaded
             .sorted_cells()
-            .map(|(k, e)| (k.clone(), e.to_vec()))
+            .map(|(k, e)| (k, e.to_vec()))
             .collect();
         assert_eq!(a, b);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn coordinates_that_disagree_with_their_keys_are_corrupt() {
+        // A data file re-sealed after one coordinate was flipped: every
+        // checksum is valid, but the row's coordinates no longer name the
+        // cell its key names. The array keeps the keys alone, so opening on
+        // trust would let the scan fallback (which decodes keys) and the
+        // file's reader disagree; it must be refused as corruption.
+        let array = sample_array(200);
+        let dir = std::env::temp_dir().join(format!("acd-storage-flip-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut w = SegmentWriter::new(1);
+        let section = w.data.len();
+        w.forward_array(&array);
+        // Kind, body length, entry count, dims, bits per dimension, packed
+        // flag, then one 4-byte key per row of the 4 x 8-bit universe.
+        let first_coord = section + 1 + 8 + 8 + 2 + 4 + 1 + 200 * 4;
+        let (first_key, _) = array.sorted_cells().next().unwrap();
+        let first_point = array.curve().point_of_key(&first_key).unwrap();
+        assert_eq!(u64::from(w.data[first_coord]), first_point.coords()[0]);
+        w.data[first_coord] ^= 1;
+        w.write(&dir, "flip").unwrap();
+
+        let r = SegmentReader::open(&dir, "flip").unwrap();
+        let err = r
+            .array(ZCurve::new(Universe::new(4, 8).unwrap()))
+            .unwrap_err();
+        assert!(
+            err.is_corrupt(),
+            "a key/coordinate mismatch must be corrupt: {err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
