@@ -114,14 +114,6 @@ pub fn run(id: &str, scale: RunScale) -> Vec<Table> {
     }
 }
 
-/// Runs the whole suite in order.
-pub fn run_all(scale: RunScale) -> Vec<Table> {
-    catalog()
-        .into_iter()
-        .flat_map(|info| run(info.id, scale))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -51,11 +51,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Convenience for building a row of display-able values.
-    pub fn add_display_row(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.add_row(cells.iter().map(|c| c.to_string()).collect());
-    }
-
     /// Renders the table as aligned plain text.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();

@@ -62,15 +62,6 @@ pub type BrokerId = usize;
 /// Identifier of a client attached to a broker.
 pub type ClientId = u64;
 
-/// Where a subscription entered this broker from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Interface {
-    /// Registered by a client attached to this broker.
-    Local,
-    /// Received from the neighboring broker with this identifier.
-    Neighbor(BrokerId),
-}
-
 /// How far a grid coordinate of `schema` is shifted right to fit a 16-bit
 /// cell column: a coarser cell is still monotone in the value.
 fn cell_shift(schema: &Schema) -> u32 {

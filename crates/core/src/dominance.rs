@@ -20,14 +20,16 @@
 //! That eager algorithm ([`QueryEngine::EagerRuns`]) pays for every run in
 //! the decomposition whether or not a stored point can possibly fall inside
 //! it. The default engine ([`QueryEngine::SkipPopulated`]) instead runs a
-//! *populated-key sweep*: a cursor gallops through the sorted SFC array
-//! (smallest stored key at-or-after the current position), a stored key
-//! inside the dominance orthant is probed, and a stored key in a gap jumps
-//! the cursor to the orthant's next key at or after it with the Z curve's
-//! closed-form seek (`d` masked compares). Nothing is enumerated: a query
-//! issues at most `O(min(runs(T), populated cells))` probes — sub-linear in
-//! practice — and returns the *exact* answer for both exhaustive and
-//! ε-approximate modes (a completed sweep has searched the entire region).
+//! *populated-key sweep*: a fresh cursor starts at key zero and gallops
+//! through the sorted SFC array (smallest stored key at-or-after the current
+//! position), a stored key inside the dominance orthant is probed, and a
+//! stored key in a gap jumps the cursor to the orthant's next key at or
+//! after it with the Z curve's closed-form seek (`d` masked compares).
+//! Every query runs on its own; there is no batched form. Nothing is
+//! enumerated: a query issues at most `O(min(runs(T), populated cells))`
+//! probes — sub-linear in practice — and returns the *exact* answer for both
+//! exhaustive and ε-approximate modes (a completed sweep has searched the
+//! entire region).
 //!
 //! The sweep runs on packed keys when they fit 128 bits (every subscription
 //! schema the benchmark serves): the gallop reads `u128` key values straight
@@ -42,7 +44,7 @@ use std::fmt;
 
 use acd_sfc::{
     ExtremalCubes, ExtremalRect, Key, KeyRange, OrthantSeeker, OrthantWordSeeker, Point, SfcArray,
-    SpaceFillingCurve, SweepCursor, Universe,
+    SpaceFillingCurve, Universe,
 };
 
 use crate::config::{ApproxConfig, QueryEngine, QueryMode};
@@ -53,9 +55,11 @@ use crate::Result;
 /// An index over `d`-dimensional points answering exhaustive and
 /// ε-approximate dominance queries.
 ///
-/// The index is generic over the curve (`Z`, Hilbert or Gray); values of type
-/// `V` ride along with each point and are returned on a hit (the covering
-/// index stores subscription identifiers there).
+/// The index is generic over the curve: a concrete one (`Z`, Hilbert or
+/// Gray), or a `Box<dyn SpaceFillingCurve>` chosen at run time, as the
+/// covering index does. Values of type `V` ride along with each point and
+/// are returned on a hit (the covering index stores subscription
+/// identifiers there).
 ///
 /// # Example
 ///
@@ -216,12 +220,10 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         self.query_dominating_with(query, &self.config, accept)
     }
 
-    /// Dominance query with an explicit configuration override.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the query point lies outside the universe.
-    pub fn query_dominating_with<F>(
+    /// Dominance query with an explicit configuration override: checks the
+    /// point and the engine, then runs one sweep (or the eager enumeration)
+    /// from a fresh cursor at key zero.
+    fn query_dominating_with<F>(
         &self,
         query: &Point,
         config: &ApproxConfig,
@@ -233,38 +235,20 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         self.universe.validate_point(query)?;
         config.engine.check_curve(self.array.curve().kind())?;
         if self.array.is_empty() {
-            return Ok((None, Self::empty_stats()));
+            return Ok((
+                None,
+                QueryStats {
+                    volume_fraction_searched: 1.0,
+                    ..QueryStats::default()
+                },
+            ));
         }
-        self.query_one(query, config, accept, None)
-    }
-
-    /// Runs one query on the configured engine. `seed` is the batch path's
-    /// shared cursor: when the packed sweep runs, it is advanced to the
-    /// query's own key and the sweep starts from a clone of it there, instead
-    /// of from key zero.
-    fn query_one<F>(
-        &self,
-        query: &Point,
-        config: &ApproxConfig,
-        accept: F,
-        seed: Option<&mut SweepCursor<'_, V>>,
-    ) -> Result<(Option<V>, QueryStats)>
-    where
-        F: FnMut(&V) -> bool,
-    {
         if config.engine == QueryEngine::EagerRuns {
             return self.query_eager(query, config, accept);
         }
         let curve = self.array.curve();
         if let Some(seeker) = curve.orthant_seeker(query) {
-            let (gallop, start) = match seed {
-                Some(seed) => {
-                    seed.next_packed_at_or_after(seeker.corner());
-                    (seed.clone(), seeker.corner())
-                }
-                None => (self.array.sweep_cursor(), 0),
-            };
-            return self.sweep_orthant(query, seeker, config, accept, gallop, start);
+            return self.sweep_orthant(query, seeker, config, accept);
         }
         match curve.orthant_word_seeker(query) {
             Some(seeker) => self.sweep_keys(query, &seeker, config, accept),
@@ -273,85 +257,6 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
                 engine: config.engine,
             }),
         }
-    }
-
-    /// The stats of a query against an empty index: nothing probed, and the
-    /// whole (empty) region searched.
-    fn empty_stats() -> QueryStats {
-        QueryStats {
-            volume_fraction_searched: 1.0,
-            ..QueryStats::default()
-        }
-    }
-
-    /// Answers a whole batch of dominance queries in one pass, returning one
-    /// `(hit, stats)` pair per query **in input order**. `accept` receives
-    /// the query's batch index alongside each candidate value.
-    ///
-    /// The batch is sorted along the curve and, on the Z curve's packed
-    /// sweep (whose order is dominance-monotone: every point dominating `q`
-    /// has a key ≥ `key(q)`), all sweeps are served by a single forward
-    /// gallop of one shared [`SweepCursor`] over the packed key column —
-    /// each query's sweep starts from the shared cursor's position at its
-    /// own key instead of galloping up from key zero. Answers are identical
-    /// to running [`query_dominating_where`](Self::query_dominating_where)
-    /// per query; only the `probes`/`runs_skipped` counters may be *lower*
-    /// (the seeded sweep skips the prefix below the query's key without
-    /// probing it). For keys over 128 bits and under the eager engine each
-    /// query runs on its own.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any query point lies outside the universe; the
-    /// batch is validated up front, so on error no query has been executed.
-    pub fn query_dominating_batch_where<F>(
-        &self,
-        queries: &[Point],
-        accept: F,
-    ) -> Result<Vec<(Option<V>, QueryStats)>>
-    where
-        F: FnMut(usize, &V) -> bool,
-    {
-        self.query_dominating_batch_with(queries, &self.config, accept)
-    }
-
-    /// [`query_dominating_batch_where`](Self::query_dominating_batch_where)
-    /// with an explicit configuration override.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any query point lies outside the universe.
-    pub fn query_dominating_batch_with<F>(
-        &self,
-        queries: &[Point],
-        config: &ApproxConfig,
-        mut accept: F,
-    ) -> Result<Vec<(Option<V>, QueryStats)>>
-    where
-        F: FnMut(usize, &V) -> bool,
-    {
-        let curve = self.array.curve();
-        config.engine.check_curve(curve.kind())?;
-        // Sort the batch along the curve (index tiebreak for determinism);
-        // keying validates every point before any query runs.
-        let mut order = Vec::with_capacity(queries.len());
-        for (i, query) in queries.iter().enumerate() {
-            order.push((curve.key_of_point(query)?, i, query));
-        }
-        if self.array.is_empty() {
-            return Ok(vec![(None, Self::empty_stats()); queries.len()]);
-        }
-        order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-
-        // One cursor advances monotonically along the sorted batch.
-        let mut seed = self.array.sweep_cursor();
-        let mut answers = Vec::with_capacity(queries.len());
-        for (_, i, query) in order {
-            let answer = self.query_one(query, config, |v| accept(i, v), Some(&mut seed))?;
-            answers.push((i, answer));
-        }
-        answers.sort_unstable_by_key(|&(i, _)| i);
-        Ok(answers.into_iter().map(|(_, answer)| answer).collect())
     }
 
     /// The effective per-query work budget: the configured cap, additionally
@@ -478,19 +383,10 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         Ok((None, stats))
     }
 
-    /// The populated-key sweep on packed keys: gallop through the stored
-    /// keys in key order, probe a cell only when it lies inside the query's
-    /// orthant, and whenever a stored key lands in a gap jump to the
-    /// orthant's next key at or after it with the closed-form seek.
-    ///
-    /// The gallop cursor and the starting key are passed in so the batched
-    /// query path can seed both from a shared position (on the Z curve every
-    /// point dominating `query` has a key ≥ the query's own key, so a sorted
-    /// batch starts each sweep where the previous one started — one forward
-    /// pass over the packed key column serves the whole batch). Callers must
-    /// guarantee that no orthant cell precedes `start` and that `gallop` has
-    /// not advanced past the first stored cell at or after `start`; a single
-    /// query passes a fresh cursor and key zero.
+    /// The populated-key sweep on packed keys: gallop from key zero through
+    /// the stored keys in key order, probe a cell only when it lies inside
+    /// the query's orthant, and whenever a stored key lands in a gap jump to
+    /// the orthant's next key at or after it with the closed-form seek.
     // acd-lint: hot
     fn sweep_orthant<F>(
         &self,
@@ -498,12 +394,11 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         seeker: OrthantSeeker<'_>,
         config: &ApproxConfig,
         mut accept: F,
-        mut gallop: SweepCursor<'_, V>,
-        start: u128,
     ) -> Result<(Option<V>, QueryStats)>
     where
         F: FnMut(&V) -> bool,
     {
+        let mut gallop = self.array.sweep_cursor();
         let mut stats = QueryStats::default();
         let top = u128::MAX >> (128 - self.universe.key_bits());
         // Each sweep iteration does one gallop plus at most one seek; the
@@ -513,7 +408,7 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         let mut iterations = 0usize;
         // The smallest key not yet accounted for; `None` once the key space
         // is exhausted. Every exit of the loop has swept the whole orthant.
-        let mut cursor = Some(start);
+        let mut cursor = Some(0);
         let outcome = loop {
             let Some(cur) = cursor else {
                 break None;
@@ -967,14 +862,10 @@ mod tests {
         let queries: Vec<Point> = (0..60)
             .map(|i| p(&[(); 8].map(|_| next() >> (i % 4))))
             .collect();
-        let batch = idx
-            .query_dominating_batch_where(&queries, |_, _| true)
-            .unwrap();
         let mut hits = 0;
-        for (q, (batched, _)) in queries.iter().zip(&batch) {
+        for q in &queries {
             let (hit, stats) = idx.query_dominating(q).unwrap();
             assert_eq!(hit.is_some(), dominated(&idx, q), "{q}");
-            assert_eq!(batched.is_some(), hit.is_some(), "{q}");
             assert_eq!(stats.cubes_enumerated, 0);
             if hit.is_none() {
                 assert_eq!(stats.runs_probed, 0);
@@ -988,8 +879,7 @@ mod tests {
     #[test]
     fn skip_engine_is_rejected_off_the_z_curve() {
         // Hilbert and Gray have no orthant seek: asking one of their indexes
-        // for the skip engine, per query or per batch, is a typed error even
-        // on an empty index.
+        // for the skip engine is a typed error even on an empty index.
         let u = universe(2, 4);
         let skip = ApproxConfig::exhaustive();
         let eager = skip.engine(QueryEngine::EagerRuns);
@@ -1001,12 +891,9 @@ mod tests {
                     curve: $kind,
                     engine: QueryEngine::SkipPopulated,
                 };
-                let batch = std::slice::from_ref(&q);
                 for hit in [None, Some(7)] {
                     let single = idx.query_dominating_with(&q, &skip, |_| true);
                     assert_eq!(single.unwrap_err(), unsupported);
-                    let batched = idx.query_dominating_batch_with(batch, &skip, |_, _| true);
-                    assert_eq!(batched.unwrap_err(), unsupported);
                     // The index's own eager configuration still answers.
                     assert_eq!(idx.query_dominating(&q).unwrap().0, hit);
                     idx.insert(p(&[5, 5]), 7u64).unwrap();
@@ -1072,102 +959,6 @@ mod tests {
             assert!(stats.fell_back_to_scan);
             assert_eq!(stats.volume_fraction_searched, 1.0);
         }
-    }
-
-    #[test]
-    fn batched_queries_agree_with_serial_on_all_curves() {
-        // The batched kernel must return, per query and in input order, the
-        // same hit/miss (and the same hit value under a first-acceptable
-        // filter) as the serial query — on every curve, for every engine the
-        // curve runs, including duplicate query points and an empty index.
-        let u = universe(3, 5);
-        let mut state = 0x5eed_cafeu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let points: Vec<Point> = (0..80)
-            .map(|_| p(&[next() % 32, next() % 32, next() % 32]))
-            .collect();
-        let mut queries: Vec<Point> = (0..50)
-            .map(|_| p(&[next() % 32, next() % 32, next() % 32]))
-            .collect();
-        // Duplicates exercise the shared-cursor seeding at equal keys.
-        queries.push(queries[3].clone());
-        queries.push(queries[3].clone());
-        let skip_cfg = ApproxConfig::exhaustive().work_cap(None);
-        let eager_cfg = ApproxConfig::exhaustive()
-            .work_cap(None)
-            .engine(QueryEngine::EagerRuns);
-        macro_rules! check {
-            ($curve:expr, $kind:expr) => {{
-                let own_cfg = ApproxConfig::exhaustive()
-                    .work_cap(None)
-                    .engine(QueryEngine::for_curve($kind));
-                let mut idx = PointDominanceIndex::new($curve, own_cfg);
-                // Empty-index batch first.
-                let empty = idx
-                    .query_dominating_batch_where(&queries, |_, _| true)
-                    .unwrap();
-                assert_eq!(empty.len(), queries.len());
-                assert!(empty
-                    .iter()
-                    .all(|(hit, s)| { hit.is_none() && s.volume_fraction_searched == 1.0 }));
-                for (i, point) in points.iter().enumerate() {
-                    idx.insert(point.clone(), i as u64).unwrap();
-                }
-                // Hilbert and Gray run the eager engine only.
-                let configs = [&skip_cfg, &eager_cfg]
-                    .into_iter()
-                    .filter(|cfg| cfg.engine.check_curve($kind).is_ok());
-                for cfg in configs {
-                    let batch = idx
-                        .query_dominating_batch_with(&queries, cfg, |_, _| true)
-                        .unwrap();
-                    assert_eq!(batch.len(), queries.len());
-                    for (i, q) in queries.iter().enumerate() {
-                        let (serial, serial_stats) =
-                            idx.query_dominating_with(q, cfg, |_| true).unwrap();
-                        let (batched, batched_stats) = &batch[i];
-                        assert_eq!(
-                            batched.is_some(),
-                            serial.is_some(),
-                            "{:?} batch disagrees with serial on query {i}",
-                            $kind
-                        );
-                        // The seeded sweep never pays more probes than the
-                        // serial sweep from key zero.
-                        assert!(
-                            batched_stats.probes <= serial_stats.probes,
-                            "{:?} batch probed more than serial on query {i}",
-                            $kind
-                        );
-                    }
-                }
-                // An index-aware accept filter sees the right batch index.
-                let batch = idx
-                    .query_dominating_batch_where(&queries, |i, &v| v != i as u64)
-                    .unwrap();
-                for (i, q) in queries.iter().enumerate() {
-                    let (serial, _) = idx.query_dominating_where(q, |&v| v != i as u64).unwrap();
-                    assert_eq!(batch[i].0.is_some(), serial.is_some());
-                }
-                // Empty batches are fine.
-                assert!(idx
-                    .query_dominating_batch_where(&[], |_, _| true)
-                    .unwrap()
-                    .is_empty());
-                // One bad point fails the whole batch up front.
-                let mut bad = queries.clone();
-                bad.push(p(&[32, 0, 0]));
-                assert!(idx.query_dominating_batch_where(&bad, |_, _| true).is_err());
-            }};
-        }
-        check!(ZCurve::new(u.clone()), acd_sfc::CurveKind::Z);
-        check!(HilbertCurve::new(u.clone()), acd_sfc::CurveKind::Hilbert);
-        check!(GrayCurve::new(u.clone()), acd_sfc::CurveKind::Gray);
     }
 
     #[test]

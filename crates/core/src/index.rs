@@ -48,19 +48,15 @@ pub trait CoveringIndex: std::fmt::Debug + Send + Sync {
     fn find_covering(&mut self, query: &Subscription) -> Result<QueryOutcome>;
 
     /// Answers a batch of covering queries, returning one outcome per query
-    /// **in input order**. Semantically equivalent to calling
-    /// [`find_covering`](CoveringIndex::find_covering) once per query — any
-    /// implementation override must return the same answers and keep the
-    /// accounting invariant that recorded per-query [`QueryOutcome`]s sum to
-    /// the index's [`IndexStats`] totals (`queries` bumped once per batch
-    /// element, probe counters once per physical probe). Batched
-    /// implementations may *reduce* per-query probe work (a shared sweep),
-    /// never change answers.
+    /// **in input order**: one [`find_covering`](CoveringIndex::find_covering)
+    /// per query, so the recorded per-query [`QueryOutcome`]s sum to the
+    /// index's [`IndexStats`] totals. No implementation overrides it.
     ///
     /// # Errors
     ///
-    /// Returns an error if any query's schema does not match the index;
-    /// overrides validate the batch up front so no query executes on error.
+    /// Returns the error of the first query that fails (e.g. a schema that
+    /// does not match the index). The queries before it have run and been
+    /// recorded; nothing validates the batch up front.
     fn find_covering_batch(&mut self, queries: &[Subscription]) -> Result<Vec<QueryOutcome>> {
         queries.iter().map(|q| self.find_covering(q)).collect()
     }

@@ -9,6 +9,13 @@
 //! exhaustive queries are exact, ε-approximate queries trade a bounded
 //! detection loss for the dramatically lower cost analysed in Theorem 3.1.
 //!
+//! The curve is picked at run time: the dominance index holds the boxed
+//! curve [`CurveKind::build`] returns. That costs one dynamic call per
+//! insert or removal (keying the point) and per query (building the orthant
+//! seeker); the populated-key sweep's inner loop calls no curve method. A
+//! batch of covering queries takes the trait's default, one
+//! [`find_covering`](CoveringIndex::find_covering) per query.
+//!
 //! The reverse question "which existing subscriptions does the new one
 //! cover?" ([`CoveringIndex::find_covered_by`]) has no structure of its own:
 //! it is an exact linear scan of the stored subscriptions.
@@ -16,7 +23,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use acd_sfc::{CurveKind, GrayCurve, HilbertCurve, Key, Point, Universe, ZCurve};
+use acd_sfc::{CurveKind, SpaceFillingCurve};
 use acd_storage::{
     commit_file_name, curve_from_tag, curve_tag, latest_commit, prune, read_commit, segment_stem,
     write_commit, CommitManifest, SegmentReader, SegmentWriter, ShardRef, StorageError,
@@ -27,118 +34,12 @@ use crate::config::ApproxConfig;
 use crate::dominance::PointDominanceIndex;
 use crate::error::CoveringError;
 use crate::index::CoveringIndex;
-use crate::stats::{IndexStats, QueryOutcome, QueryStats};
+use crate::stats::{IndexStats, QueryOutcome};
 use crate::Result;
 
-/// Internal: a dominance index over any of the supported curves.
-///
-/// The curves are monomorphized separately (no trait objects on the hot
-/// path); this enum keeps the public type non-generic so brokers can choose
-/// the curve at run time.
-enum Engine {
-    Z(PointDominanceIndex<SubId, ZCurve>),
-    Hilbert(PointDominanceIndex<SubId, HilbertCurve>),
-    Gray(PointDominanceIndex<SubId, GrayCurve>),
-}
-
-impl Engine {
-    /// Bulk-builds an engine from a batch of dominance points (one sort
-    /// instead of `n` ordered inserts); an empty batch is an empty engine.
-    fn build_from(
-        kind: CurveKind,
-        universe: Universe,
-        config: ApproxConfig,
-        entries: Vec<(Point, SubId)>,
-    ) -> Result<Self> {
-        config.engine.check_curve(kind)?;
-        Ok(match kind {
-            CurveKind::Z => Engine::Z(PointDominanceIndex::build_from(
-                ZCurve::new(universe),
-                config,
-                entries,
-            )?),
-            CurveKind::Hilbert => Engine::Hilbert(PointDominanceIndex::build_from(
-                HilbertCurve::new(universe),
-                config,
-                entries,
-            )?),
-            CurveKind::Gray => Engine::Gray(PointDominanceIndex::build_from(
-                GrayCurve::new(universe),
-                config,
-                entries,
-            )?),
-        })
-    }
-
-    fn insert(&mut self, point: Point, id: SubId) -> Result<()> {
-        match self {
-            Engine::Z(i) => i.insert(point, id),
-            Engine::Hilbert(i) => i.insert(point, id),
-            Engine::Gray(i) => i.insert(point, id),
-        }
-    }
-
-    fn remove(&mut self, point: &Point, id: SubId) -> Result<Option<SubId>> {
-        match self {
-            Engine::Z(i) => i.remove_if(point, |&v| v == id),
-            Engine::Hilbert(i) => i.remove_if(point, |&v| v == id),
-            Engine::Gray(i) => i.remove_if(point, |&v| v == id),
-        }
-    }
-
-    fn query_where<F>(&self, query: &Point, accept: F) -> Result<(Option<SubId>, QueryStats)>
-    where
-        F: FnMut(&SubId) -> bool,
-    {
-        match self {
-            Engine::Z(i) => i.query_dominating_where(query, accept),
-            Engine::Hilbert(i) => i.query_dominating_where(query, accept),
-            Engine::Gray(i) => i.query_dominating_where(query, accept),
-        }
-    }
-
-    fn query_batch_where<F>(
-        &self,
-        queries: &[Point],
-        accept: F,
-    ) -> Result<Vec<(Option<SubId>, QueryStats)>>
-    where
-        F: FnMut(usize, &SubId) -> bool,
-    {
-        match self {
-            Engine::Z(i) => i.query_dominating_batch_where(queries, accept),
-            Engine::Hilbert(i) => i.query_dominating_batch_where(queries, accept),
-            Engine::Gray(i) => i.query_dominating_batch_where(queries, accept),
-        }
-    }
-
-    /// Every stored entry as its cell's key and its id, in key order.
-    fn entries(&self) -> Box<dyn Iterator<Item = (Key, SubId)> + '_> {
-        match self {
-            Engine::Z(i) => Box::new(i.array().iter().map(|(k, &id)| (k, id))),
-            Engine::Hilbert(i) => Box::new(i.array().iter().map(|(k, &id)| (k, id))),
-            Engine::Gray(i) => Box::new(i.array().iter().map(|(k, &id)| (k, id))),
-        }
-    }
-
-    fn set_config(&mut self, config: ApproxConfig) {
-        match self {
-            Engine::Z(i) => i.set_config(config),
-            Engine::Hilbert(i) => i.set_config(config),
-            Engine::Gray(i) => i.set_config(config),
-        }
-    }
-}
-
-impl std::fmt::Debug for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Engine::Z(i) => i.fmt(f),
-            Engine::Hilbert(i) => i.fmt(f),
-            Engine::Gray(i) => i.fmt(f),
-        }
-    }
-}
+/// The dominance index behind [`SfcCoveringIndex`], on the curve chosen at
+/// run time.
+type Forward = PointDominanceIndex<SubId, Box<dyn SpaceFillingCurve>>;
 
 /// Covering-detection index based on a space filling curve.
 ///
@@ -146,9 +47,7 @@ impl std::fmt::Debug for Engine {
 #[derive(Debug)]
 pub struct SfcCoveringIndex {
     schema: Schema,
-    config: ApproxConfig,
-    curve: CurveKind,
-    forward: Engine,
+    forward: Forward,
     /// Stored subscriptions by identifier (needed for removal and for
     /// verifying candidate hits).
     subscriptions: HashMap<SubId, Subscription>,
@@ -194,15 +93,7 @@ impl SfcCoveringIndex {
     /// Returns an error if the dominance universe for the schema cannot be
     /// constructed, or if the curve cannot run the configured engine.
     pub fn with_curve(schema: &Schema, config: ApproxConfig, curve: CurveKind) -> Result<Self> {
-        let universe = dominance_universe(schema)?;
-        Ok(SfcCoveringIndex {
-            schema: schema.clone(),
-            config,
-            curve,
-            forward: Engine::build_from(curve, universe, config, Vec::new())?,
-            subscriptions: HashMap::new(),
-            stats: IndexStats::default(),
-        })
+        Self::build_from(schema, config, curve, [])
     }
 
     /// Bulk-builds an index over a known subscription set: the dominance
@@ -238,15 +129,14 @@ impl SfcCoveringIndex {
                 return Err(CoveringError::DuplicateSubscription { id: sub.id() });
             }
         }
-        let forward = Engine::build_from(curve, universe, config, points)?;
+        config.engine.check_curve(curve)?;
+        let forward = PointDominanceIndex::build_from(curve.build(universe), config, points)?;
         let stats = IndexStats {
             inserts: stored.len() as u64,
             ..IndexStats::default()
         };
         Ok(SfcCoveringIndex {
             schema: schema.clone(),
-            config,
-            curve,
             forward,
             subscriptions: stored,
             stats,
@@ -260,18 +150,17 @@ impl SfcCoveringIndex {
 
     /// The curve family the index is built on.
     pub fn curve(&self) -> CurveKind {
-        self.curve
+        self.forward.array().curve().kind()
     }
 
     /// The current query configuration.
     pub fn config(&self) -> ApproxConfig {
-        self.config
+        *self.forward.config()
     }
 
     /// Changes the query configuration (affects subsequent queries only,
     /// which fail if the curve cannot run its engine).
     pub fn set_config(&mut self, config: ApproxConfig) {
-        self.config = config;
         self.forward.set_config(config);
     }
 
@@ -302,9 +191,9 @@ impl SfcCoveringIndex {
         let segment = self.write_segment(dir, &segment_stem(generation, 0), generation)?;
         let manifest = CommitManifest {
             generation,
-            curve_tag: curve_tag(self.curve),
+            curve_tag: curve_tag(self.curve()),
             schema_json: encode_json(&self.schema, dir)?,
-            config_json: encode_json(&self.config, dir)?,
+            config_json: encode_json(self.forward.config(), dir)?,
             starts: Vec::new(),
             shards: vec![segment],
         };
@@ -357,14 +246,11 @@ impl SfcCoveringIndex {
         // a single zip.
         let rows = self
             .forward
-            .entries()
-            .filter_map(|(_, id)| self.subscriptions.get(&id));
+            .array()
+            .iter()
+            .filter_map(|(_, id)| self.subscriptions.get(id));
         writer.subscriptions(self.schema.arity(), rows);
-        match &self.forward {
-            Engine::Z(i) => writer.forward_array(i.array()),
-            Engine::Hilbert(i) => writer.forward_array(i.array()),
-            Engine::Gray(i) => writer.forward_array(i.array()),
-        }
+        writer.forward_array(self.forward.array());
         Ok(writer.write(dir, stem)?)
     }
 
@@ -408,21 +294,9 @@ impl SfcCoveringIndex {
         // returns.)
         let universe = dominance_universe(&schema)?;
         let keyer = curve.build(universe.clone());
-        let decode_array = || -> Result<Engine> {
-            Ok(match curve {
-                CurveKind::Z => Engine::Z(PointDominanceIndex::from_array(
-                    reader.array(ZCurve::new(universe))?,
-                    config,
-                )),
-                CurveKind::Hilbert => Engine::Hilbert(PointDominanceIndex::from_array(
-                    reader.array(HilbertCurve::new(universe))?,
-                    config,
-                )),
-                CurveKind::Gray => Engine::Gray(PointDominanceIndex::from_array(
-                    reader.array(GrayCurve::new(universe))?,
-                    config,
-                )),
-            })
+        let decode_array = || -> Result<Forward> {
+            let array = reader.array(curve.build(universe))?;
+            Ok(PointDominanceIndex::from_array(array, config))
         };
         let decode_subscriptions = || -> Result<(HashMap<SubId, Subscription>, Vec<_>)> {
             let mut subscriptions = HashMap::with_capacity(reader.meta.sub_count as usize);
@@ -465,7 +339,7 @@ impl SfcCoveringIndex {
         // checksum-valid segment pairing another population's array with
         // this table would otherwise answer covering queries with false
         // covers.
-        if !forward.entries().eq(rows) {
+        if !forward.array().iter().map(|(k, &id)| (k, id)).eq(rows) {
             return Err(StorageError::corrupt(
                 &data_file,
                 "array section disagrees with the subscription table",
@@ -478,8 +352,6 @@ impl SfcCoveringIndex {
         };
         Ok(SfcCoveringIndex {
             schema,
-            config,
-            curve,
             forward,
             subscriptions,
             stats,
@@ -528,7 +400,9 @@ impl CoveringIndex for SfcCoveringIndex {
             .subscriptions
             .get(&id)
             .ok_or(CoveringError::UnknownSubscription { id })?;
-        let removed = self.forward.remove(&dominance_point(subscription)?, id)?;
+        let removed = self
+            .forward
+            .remove_if(&dominance_point(subscription)?, |&v| v == id)?;
         debug_assert!(
             removed.is_some(),
             "subscription {id} is in the table but not in the array"
@@ -545,7 +419,7 @@ impl CoveringIndex for SfcCoveringIndex {
         let query_id = query.id();
         let (hit, stats) = self
             .forward
-            .query_where(&query_point, |&id| id != query_id)?;
+            .query_dominating_where(&query_point, |&id| id != query_id)?;
         let outcome = match hit {
             Some(id) => {
                 // The dominance hit is geometrically exact (quantized grid),
@@ -563,43 +437,6 @@ impl CoveringIndex for SfcCoveringIndex {
         };
         self.stats.record_query(&outcome);
         Ok(outcome)
-    }
-
-    /// The batch is sorted along the curve and (on the Z curve) served by a
-    /// single forward gallop of a shared sweep cursor over the packed keys
-    /// — see [`PointDominanceIndex::query_dominating_batch_where`].
-    /// It is validated up front, so on error no query has been executed.
-    fn find_covering_batch(&mut self, queries: &[Subscription]) -> Result<Vec<QueryOutcome>> {
-        let mut points = Vec::with_capacity(queries.len());
-        for query in queries {
-            self.check_schema(query)?;
-            points.push(dominance_point(query)?);
-        }
-        let hits = self.forward.query_batch_where(&points, |i, &id| {
-            queries.get(i).is_some_and(|q| q.id() != id)
-        })?;
-        let mut out = Vec::with_capacity(queries.len());
-        for (i, ((hit, stats), query)) in hits.into_iter().zip(queries).enumerate() {
-            let outcome = match hit {
-                Some(id) => {
-                    debug_assert!(
-                        self.subscriptions
-                            .get(&id)
-                            .map(|s| s.covers(query))
-                            .unwrap_or(false),
-                        "dominance hit {id} does not cover batch query {i}"
-                    );
-                    QueryOutcome::found(id, stats)
-                }
-                None => QueryOutcome::empty(stats),
-            };
-            // One `record_query` per batch element keeps the accounting
-            // invariant: per-query outcomes sum to the `IndexStats` totals
-            // even though one shared gallop served the whole batch.
-            self.stats.record_query(&outcome);
-            out.push(outcome);
-        }
-        Ok(out)
     }
 
     fn find_covered_by(&mut self, query: &Subscription) -> Result<Vec<SubId>> {
@@ -625,8 +462,9 @@ impl CoveringIndex for SfcCoveringIndex {
     }
 
     fn name(&self) -> &'static str {
-        let eager = matches!(self.config.engine, crate::config::QueryEngine::EagerRuns);
-        match (self.curve, self.config.mode.is_exhaustive(), eager) {
+        let config = self.forward.config();
+        let eager = matches!(config.engine, crate::config::QueryEngine::EagerRuns);
+        match (self.curve(), config.mode.is_exhaustive(), eager) {
             (CurveKind::Z, true, false) => "sfc-z-exhaustive",
             (CurveKind::Z, false, false) => "sfc-z-approximate",
             (CurveKind::Z, true, true) => "sfc-z-exhaustive-eager",

@@ -208,9 +208,10 @@ proptest! {
         );
     }
 
-    /// The batched covering kernel answers exactly like the per-event query
-    /// on every curve and every key width — including duplicate queries in
-    /// one batch and the empty batch — and through the policy-built trait
+    /// `find_covering_batch` (the trait's default, which the benchmark's
+    /// covering probe calls) answers exactly like the per-event query on
+    /// every curve and every key width — including duplicate queries in one
+    /// batch and the empty batch — and through the policy-built trait
     /// objects (where `CoveringPolicy::None` builds no index at all).
     #[test]
     fn batched_covering_agrees_with_serial(

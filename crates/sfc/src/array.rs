@@ -630,29 +630,14 @@ impl<V, C: SpaceFillingCurve> SfcArray<V, C> {
 /// [`next_packed_at_or_after`](SweepCursor::next_packed_at_or_after) the
 /// packed keys of an array whose keys fit 128 bits,
 /// [`next_at_or_after`](SweepCursor::next_at_or_after) the [`Key`]s of a
-/// wider one. Cloning is cheap (two shared references and two positions) —
-/// the batched query kernel keeps one *seed* cursor advanced along the
-/// sorted batch and clones it as the starting position of each per-query
-/// sweep.
+/// wider one. A dominance query creates one cursor at key zero and drops it
+/// when its sweep ends.
 #[derive(Debug)]
 pub struct SweepCursor<'a, V> {
     main: &'a Level<V>,
     staging: &'a Level<V>,
     main_pos: usize,
     staging_pos: usize,
-}
-
-// Manual impl: a derive would demand `V: Clone`, but only references are
-// copied here.
-impl<V> Clone for SweepCursor<'_, V> {
-    fn clone(&self) -> Self {
-        SweepCursor {
-            main: self.main,
-            staging: self.staging,
-            main_pos: self.main_pos,
-            staging_pos: self.staging_pos,
-        }
-    }
 }
 
 /// The cell with the smaller key of the two levels' candidates, if any.

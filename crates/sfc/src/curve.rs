@@ -103,6 +103,47 @@ pub trait SpaceFillingCurve: fmt::Debug + Send + Sync {
     }
 }
 
+/// A curve chosen at run time ([`CurveKind::build`]) is a curve: every
+/// method, the defaulted ones included, forwards to the boxed one, so the
+/// Z curve's orthant seekers survive the boxing.
+impl SpaceFillingCurve for Box<dyn SpaceFillingCurve> {
+    fn universe(&self) -> &Universe {
+        (**self).universe()
+    }
+
+    fn kind(&self) -> CurveKind {
+        (**self).kind()
+    }
+
+    fn key_of_point(&self, point: &Point) -> Result<Key> {
+        (**self).key_of_point(point)
+    }
+
+    fn point_of_key(&self, key: &Key) -> Result<Point> {
+        (**self).point_of_key(key)
+    }
+
+    fn cube_key_range(&self, cube: &StandardCube) -> Result<KeyRange> {
+        (**self).cube_key_range(cube)
+    }
+
+    fn region_seeker(&self, rect: &Rect) -> Option<Box<dyn RegionSeeker + '_>> {
+        (**self).region_seeker(rect)
+    }
+
+    fn orthant_seeker(&self, corner: &Point) -> Option<OrthantSeeker<'_>> {
+        (**self).orthant_seeker(corner)
+    }
+
+    fn orthant_word_seeker(&self, corner: &Point) -> Option<OrthantWordSeeker<'_>> {
+        (**self).orthant_word_seeker(corner)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+}
+
 /// A reusable handle answering "what is the smallest key at-or-after `key`
 /// whose cell lies inside the rectangle this seeker was built for?" —
 /// created once per query region via
@@ -193,6 +234,75 @@ mod tests {
             assert_eq!(curve.kind(), kind);
             assert_eq!(curve.universe(), &u);
             assert_eq!(curve.name(), kind.name());
+        }
+    }
+
+    /// Everything a caller can observe of a curve through the trait.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        kind: CurveKind,
+        name: &'static str,
+        keys: Vec<Key>,
+        points: Vec<Point>,
+        ranges: Vec<KeyRange>,
+        region_seeker: bool,
+        orthant_seeker: bool,
+        orthant_word_seeker: bool,
+    }
+
+    fn observe<C: SpaceFillingCurve>(curve: &C) -> Observed {
+        let u = curve.universe();
+        let (dims, side) = (u.dims(), 1u64 << u.bits_per_dim());
+        let point = |i: u64| Point::new((0..dims as u64).map(|d| (i * 7 + d * 3) % side).collect());
+        let points: Vec<Point> = (0..16).map(|i| point(i).unwrap()).collect();
+        let keys: Vec<Key> = points
+            .iter()
+            .map(|p| curve.key_of_point(p).unwrap())
+            .collect();
+        let cube = |side_exp: u32| {
+            let corner = (side >> 1) & !((1 << side_exp) - 1);
+            StandardCube::new(u, vec![corner; dims], side_exp).unwrap()
+        };
+        let orthant = &points[3];
+        let region = Rect::new(orthant.coords().to_vec(), vec![side - 1; dims]).unwrap();
+        Observed {
+            kind: curve.kind(),
+            name: curve.name(),
+            points: keys
+                .iter()
+                .map(|k| curve.point_of_key(k).unwrap())
+                .collect(),
+            keys,
+            ranges: (0..=2)
+                .map(|e| curve.cube_key_range(&cube(e)).unwrap())
+                .collect(),
+            region_seeker: curve.region_seeker(&region).is_some(),
+            orthant_seeker: curve.orthant_seeker(orthant).is_some(),
+            orthant_word_seeker: curve.orthant_word_seeker(orthant).is_some(),
+        }
+    }
+
+    #[test]
+    fn a_boxed_curve_forwards_every_method() {
+        use crate::{GrayCurve, HilbertCurve, ZCurve};
+        // 2 × 8 = 16-bit keys take the packed seeker, 9 × 16 = 144-bit keys
+        // the word seeker; only the Z curve has either.
+        for (dims, bits) in [(2, 8), (9, 16)] {
+            let u = Universe::new(dims, bits).unwrap();
+            for kind in CurveKind::all() {
+                let concrete = match kind {
+                    CurveKind::Z => observe(&ZCurve::new(u.clone())),
+                    CurveKind::Hilbert => observe(&HilbertCurve::new(u.clone())),
+                    CurveKind::Gray => observe(&GrayCurve::new(u.clone())),
+                };
+                let boxed = observe(&kind.build(u.clone()));
+                assert_eq!(boxed, concrete, "{kind:?} over {dims}x{bits} bits");
+                let wide = u.key_bits() > 128;
+                let z = kind == CurveKind::Z;
+                assert_eq!(boxed.orthant_seeker, z && !wide, "{kind:?}");
+                assert_eq!(boxed.orthant_word_seeker, z && wide, "{kind:?}");
+                assert_eq!(boxed.region_seeker, z && !wide, "{kind:?}");
+            }
         }
     }
 }

@@ -82,12 +82,6 @@ impl LevelCubes {
         self.boxes.iter().map(|b| b.ln_count().exp()).sum()
     }
 
-    /// Natural logarithm of the volume (in cells) of a single cube at this
-    /// level.
-    pub fn ln_cube_volume(&self, dims: usize) -> f64 {
-        self.side_exp as f64 * dims as f64 * std::f64::consts::LN_2
-    }
-
     /// Lazily enumerates the cubes at this level.
     pub fn iter(&self) -> LevelCubesIter<'_> {
         LevelCubesIter {
