@@ -4,14 +4,19 @@
 //! the daemon's [`Schema`] locally, so subscriptions and events can be
 //! constructed client-side against the exact attribute universe the
 //! network uses. Requests are strict request/response except
-//! [`publish_batch`](BrokerClient::publish_batch), which pipelines a whole
-//! burst of publishes over the socket before collecting the responses —
-//! the shape the daemon's flush-on-idle batching is built for.
+//! [`publish_batch`](BrokerClient::publish_batch), which pipelines a burst
+//! of publishes over the socket before collecting the responses — the shape
+//! the daemon's flush-on-idle batching is built for. It sends at most 16 KiB
+//! of requests (and at least one request) before it reads their responses
+//! back: a daemon that answers a burst nobody reads blocks on its write and
+//! stops reading, so an unbounded pipeline deadlocks once both socket
+//! buffers are full.
 
 use std::error::Error;
 use std::fmt;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::slice;
 use std::time::Duration;
 
 use acd_subscription::{Event, Schema, SubId, Subscription};
@@ -19,6 +24,10 @@ use acd_subscription::{Event, Schema, SubId, Subscription};
 use crate::broker::{BrokerId, ClientId};
 use crate::error::ServiceError;
 use crate::wire::{encode_frame, read_frame, Frame};
+
+/// How many request bytes [`BrokerClient::publish_batch`] sends before it
+/// reads their responses: about 330 three-attribute publishes.
+const PIPELINE_WINDOW: usize = 16 * 1024;
 
 /// A [`publish_batch`](BrokerClient::publish_batch) failure that preserves
 /// the partial result: every delivery list acknowledged before the error.
@@ -128,21 +137,6 @@ impl BrokerClient {
         &self.schema
     }
 
-    /// Applies a deadline to every socket read and write (`None` blocks
-    /// forever). The resilient layer sets this per attempt so a stalled
-    /// daemon surfaces as a timed-out request instead of a hang.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the socket options cannot be set.
-    pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ServiceError> {
-        // Reader and writer share one fd, so one call covers both halves.
-        let stream = self.reader.get_ref();
-        stream.set_read_timeout(timeout)?;
-        stream.set_write_timeout(timeout)?;
-        Ok(())
-    }
-
     /// Registers `subscription` for `client` at broker `at`.
     ///
     /// # Errors
@@ -155,11 +149,7 @@ impl BrokerClient {
         client: ClientId,
         subscription: &Subscription,
     ) -> Result<(), ServiceError> {
-        self.send(&Frame::subscribe(at, client, subscription))?;
-        match self.receive()? {
-            Frame::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
+        self.request(&Frame::subscribe(at, client, subscription))
     }
 
     /// Registers `subscription` idempotently with a session `epoch`
@@ -178,11 +168,7 @@ impl BrokerClient {
         subscription: &Subscription,
         epoch: u64,
     ) -> Result<(), ServiceError> {
-        self.send(&Frame::resubscribe(at, client, subscription, epoch))?;
-        match self.receive()? {
-            Frame::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
+        self.request(&Frame::resubscribe(at, client, subscription, epoch))
     }
 
     /// Retracts subscription `id` from broker `at`.
@@ -191,11 +177,7 @@ impl BrokerClient {
     ///
     /// As for [`subscribe`](Self::subscribe).
     pub fn unsubscribe(&mut self, at: BrokerId, id: SubId) -> Result<(), ServiceError> {
-        self.send(&Frame::Unsubscribe { at, id })?;
-        match self.receive()? {
-            Frame::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
+        self.request(&Frame::Unsubscribe { at, id })
     }
 
     /// Retracts subscription `id` idempotently with a session `epoch`
@@ -206,11 +188,7 @@ impl BrokerClient {
     ///
     /// As for [`subscribe`](Self::subscribe).
     pub fn retract(&mut self, at: BrokerId, id: SubId, epoch: u64) -> Result<(), ServiceError> {
-        self.send(&Frame::Retract { at, id, epoch })?;
-        match self.receive()? {
-            Frame::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
+        self.request(&Frame::Retract { at, id, epoch })
     }
 
     /// Publishes `event` at broker `at`, returning the deliveries it caused
@@ -224,30 +202,25 @@ impl BrokerClient {
         at: BrokerId,
         event: &Event,
     ) -> Result<Vec<(BrokerId, ClientId)>, ServiceError> {
-        self.send(&Frame::Publish {
-            at,
-            values: event.values().to_vec(),
-        })?;
-        match self.receive()? {
-            Frame::Deliveries { pairs } => Ok(pairs),
-            other => Err(unexpected(other)),
-        }
+        let mut answers = self.publish_batch(at, slice::from_ref(event))?;
+        Ok(answers.pop().unwrap_or_default())
     }
 
-    /// Publishes a whole burst of events pipelined — all requests go out
-    /// before any response is read — returning one delivery list per event,
-    /// in order. On an overlay served to many clients this is the
-    /// throughput shape: one flush per burst, one batched response write
-    /// from the daemon.
+    /// Publishes a burst of events pipelined — requests go out 16 KiB at a
+    /// time, and each window's responses are read before the next is sent —
+    /// returning one delivery list per event, in order. On an overlay served
+    /// to many clients this is the throughput shape: one flush per window,
+    /// one batched response write from the daemon.
     ///
     /// # Errors
     ///
     /// Fails with a [`BatchError`] carrying every delivery list that was
     /// acknowledged before the failure, so callers can resume from
     /// `acked.len()` instead of blindly re-publishing the whole batch. The
-    /// first rejected publish fails the rest of the batch the same way; the
-    /// responses behind it are read and discarded, so the connection stays
-    /// in step for the next request. A transport error returns at once.
+    /// first rejected publish fails the rest of the batch the same way: the
+    /// responses behind it in its window are read and discarded, so the
+    /// connection stays in step for the next request, and no later window
+    /// is sent. A transport error returns at once.
     pub fn publish_batch(
         &mut self,
         at: BrokerId,
@@ -258,54 +231,51 @@ impl BrokerClient {
             acked: std::mem::take(acked),
             error,
         };
-        for event in events {
-            encode_frame(
-                &Frame::Publish {
-                    at,
-                    values: event.values().to_vec(),
-                },
-                &mut self.out,
-            );
+        let mut unacked = 0usize;
+        for (sent, event) in events.iter().enumerate() {
+            let values = event.values().to_vec();
+            encode_frame(&Frame::Publish { at, values }, &mut self.out);
             if let Err(e) = self.writer.write_all(&self.out) {
                 return Err(fail(&mut acked, e.into()));
             }
-        }
-        if let Err(e) = self.writer.flush() {
-            return Err(fail(&mut acked, e.into()));
-        }
-        for _ in events {
-            match read_frame(&mut self.reader, &mut self.scratch) {
-                Ok(Frame::Deliveries { pairs }) => acked.push(pairs),
-                Ok(other) => {
-                    // The daemon answers every request, so the responses to
-                    // the rest of the burst are still coming: read them off
-                    // (they stay in limbo) or the next request on this
-                    // connection would take one of them for its own. If the
-                    // transport dies meanwhile, so does the next request.
-                    for _ in acked.len() + 1..events.len() {
-                        if read_frame(&mut self.reader, &mut self.scratch).is_err() {
-                            break;
+            unacked += self.out.len();
+            if unacked < PIPELINE_WINDOW && sent + 1 < events.len() {
+                continue;
+            }
+            unacked = 0;
+            if let Err(e) = self.writer.flush() {
+                return Err(fail(&mut acked, e.into()));
+            }
+            while acked.len() <= sent {
+                match read_frame(&mut self.reader, &mut self.scratch) {
+                    Ok(Frame::Deliveries { pairs }) => acked.push(pairs),
+                    Ok(other) => {
+                        // The daemon answers every request: read the rest of
+                        // the window off (in limbo), or the next request on
+                        // this connection would take one of them for its own.
+                        for _ in acked.len() + 1..=sent {
+                            if read_frame(&mut self.reader, &mut self.scratch).is_err() {
+                                break;
+                            }
                         }
+                        return Err(fail(&mut acked, unexpected(other)));
                     }
-                    return Err(fail(&mut acked, unexpected(other)));
+                    Err(e) => return Err(fail(&mut acked, e)),
                 }
-                Err(e) => return Err(fail(&mut acked, e)),
             }
         }
         Ok(acked)
     }
 
-    /// Encodes, writes and flushes one request frame.
-    fn send(&mut self, frame: &Frame) -> Result<(), ServiceError> {
+    /// Sends one request frame and reads its `Ok`.
+    fn request(&mut self, frame: &Frame) -> Result<(), ServiceError> {
         encode_frame(frame, &mut self.out);
         self.writer.write_all(&self.out)?;
         self.writer.flush()?;
-        Ok(())
-    }
-
-    /// Reads one response frame.
-    fn receive(&mut self) -> Result<Frame, ServiceError> {
-        read_frame(&mut self.reader, &mut self.scratch)
+        match read_frame(&mut self.reader, &mut self.scratch)? {
+            Frame::Ok => Ok(()),
+            other => Err(unexpected(other)),
+        }
     }
 }
 

@@ -69,15 +69,6 @@ impl NetworkMetrics {
         }
     }
 
-    /// Mean number of event messages per published event.
-    pub fn messages_per_event(&self) -> f64 {
-        if self.events_published == 0 {
-            0.0
-        } else {
-            self.event_messages as f64 / self.events_published as f64
-        }
-    }
-
     /// Fraction of subscription forwards that covering suppressed.
     pub fn suppression_ratio(&self) -> f64 {
         let attempted = self.subscription_messages + self.subscriptions_suppressed;
@@ -160,7 +151,6 @@ mod tests {
     fn ratios_handle_zero_denominators() {
         let m = NetworkMetrics::default();
         assert_eq!(m.messages_per_subscription(), 0.0);
-        assert_eq!(m.messages_per_event(), 0.0);
         assert_eq!(m.suppression_ratio(), 0.0);
     }
 
@@ -175,7 +165,6 @@ mod tests {
             ..NetworkMetrics::default()
         };
         assert_eq!(m.messages_per_subscription(), 4.0);
-        assert_eq!(m.messages_per_event(), 4.0);
         assert_eq!(m.suppression_ratio(), 0.2);
     }
 }

@@ -32,6 +32,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::{Deref, Range};
+use std::slice;
 
 use acd_covering::ordered::{OrderedReadGuard, RANK_BROKER, RANK_NET_REGISTRY};
 use acd_covering::{CoveringPolicy, OrderedMutex, OrderedRwLock};
@@ -400,54 +401,8 @@ impl BrokerNetwork {
     /// Returns an error if the broker does not exist.
     // acd-lint: hot
     pub fn publish(&self, at: BrokerId, event: &Event) -> Result<Vec<(BrokerId, ClientId)>> {
-        self.topology.check_broker(at)?;
-        MetricCounters::bump(&self.counters.events_published);
-        let mut deliveries = Vec::new();
-        self.walk(at, event, &mut deliveries);
-        Ok(deliveries)
-    }
-
-    /// One event's overlay walk from `at` (a checked broker id): fills the
-    /// empty `deliveries` with the ascending pairs and advances
-    /// `event_messages` and `deliveries`. The serial kernel: at every
-    /// broker the event's grid cells are compared with every slot's, and
-    /// its raw values with the bounds of the few slots the grid leaves.
-    // acd-lint: hot
-    fn walk(&self, at: BrokerId, event: &Event, deliveries: &mut Vec<(BrokerId, ClientId)>) {
-        // The one schema check and the one quantisation of the publish: the
-        // match tables hold bare bounds and cells and compare the event's
-        // against them positionally. An event without cells (a foreign
-        // schema, a value outside its domain) matches nothing anywhere.
-        let Some(event) = EventCells::new(&self.schema, event) else {
-            return;
-        };
-
-        let mut shares = Shares::new(self.brokers.len());
-        let mut queue: VecDeque<(BrokerId, Option<BrokerId>)> = VecDeque::new();
-        queue.push_back((at, None));
-        while let Some((broker_id, from)) = queue.pop_front() {
-            let broker = self.cell(broker_id).read();
-            let start = deliveries.len();
-            broker.matching_clients(&event, |client| deliveries.push((broker_id, client)));
-            shares.record(broker_id, start..deliveries.len());
-            for &neighbor in self.topology.neighbors(broker_id) {
-                if Some(neighbor) == from {
-                    continue;
-                }
-                if broker.neighbor_interested(neighbor, &event) {
-                    MetricCounters::bump(&self.counters.event_messages);
-                    queue.push_back((neighbor, Some(broker_id)));
-                }
-            }
-        }
-        shares.place(deliveries);
-        // Strictly ascending: the topology is a tree, so the walk visits a
-        // broker once, and `matching_clients` emits each client once, in
-        // ascending order. The wire depends on it: a `Deliveries` frame
-        // stores each pair's distance from the one before, and its decoder
-        // rejects a list that does not ascend.
-        debug_assert!(deliveries.is_sorted_by(|a, b| a < b));
-        MetricCounters::add(&self.counters.deliveries, deliveries.len() as u64);
+        let mut lists = self.publish_batch(at, slice::from_ref(event))?;
+        Ok(lists.pop().unwrap_or_default())
     }
 
     /// Publishes a batch of events at broker `at`, returning each event's
@@ -457,21 +412,14 @@ impl BrokerNetwork {
     /// broker.
     ///
     /// The batch is cut into chunks of 64 events and each chunk takes one
-    /// overlay walk: every broker on the chunk's propagation subtree is
-    /// read-locked once per chunk instead of once per event, and matching
-    /// inside a broker runs on the grid — the chunk's events are tabulated
-    /// by grid cell once, and every slot's stored cells read event masks off
+    /// overlay walk, locking every broker on its subtree once. Matching
+    /// inside a broker runs on the grid: the chunk's events are tabulated by
+    /// grid cell once, and every slot's stored cells read event masks off
     /// that table, so a slot costs the same however many events the chunk
-    /// holds (see [`EventChunk`],
-    /// [`Broker::matching_clients_mask`] and
-    /// [`Broker::neighbor_interested_mask`]). The BFS frontier carries the
-    /// per-link *active mask* of chunk events, which shrinks as propagation
-    /// descends: an event crosses a link exactly when the serial walk would
-    /// have forwarded it there. A chunk's matches are collected as one
-    /// `(broker, client, event mask)` triple per matching client, each
-    /// broker's ascending, and the brokers' shares are placed in broker-id
-    /// order as in [`publish`](Self::publish), so every event's list is
-    /// filled in ascending order with no sort. A chunk of fewer than
+    /// holds (see [`EventChunk`], [`Broker::matching_clients_mask`] and
+    /// [`Broker::neighbor_interested_mask`]). An event crosses a link exactly
+    /// when the serial walk would have forwarded it there, and each list
+    /// fills in ascending order with no sort. A chunk of fewer than
     /// `SERIAL_BELOW` events (a short burst, or a long one's ragged tail)
     /// cannot repay a pass over every slot and takes the serial walk event
     /// by event.
@@ -490,83 +438,139 @@ impl BrokerNetwork {
         at: BrokerId,
         events: &[Event],
     ) -> Result<Vec<Vec<(BrokerId, ClientId)>>> {
-        self.topology.check_broker(at)?;
-        let mut deliveries: Vec<Vec<(BrokerId, ClientId)>> = vec![Vec::new(); events.len()];
-        MetricCounters::add(&self.counters.events_published, events.len() as u64);
-
-        let lists = deliveries.chunks_mut(EventChunk::WIDTH);
-        for (events, lists) in events.chunks(EventChunk::WIDTH).zip(lists) {
-            if events.len() < SERIAL_BELOW {
-                for (event, list) in events.iter().zip(lists) {
-                    self.walk(at, event, list);
-                }
-            } else {
-                self.walk_chunk(at, events, lists);
+        let mut lists: Vec<Vec<(BrokerId, ClientId)>> = Vec::with_capacity(events.len());
+        self.publish_chunks(at, events, &mut Vec::new(), |triples, chunk| {
+            let first = lists.len();
+            lists.resize_with(first + chunk, Vec::new);
+            for &(broker, client, mask) in triples {
+                for_each_bit(mask, |i| {
+                    lists
+                        .get_mut(first + i)
+                        .into_iter()
+                        .for_each(|list| list.push((broker, client)))
+                });
             }
-        }
-        Ok(deliveries)
+        })?;
+        Ok(lists)
     }
 
-    /// One chunk's overlay walk from `at` (a checked broker id), on the
-    /// grid: fills the empty `lists[i]` with the sorted pairs of
-    /// `events[i]` and advances `event_messages` and `deliveries` by what
-    /// [`walk`](Self::walk) would have added event by event.
-    fn walk_chunk(&self, at: BrokerId, events: &[Event], lists: &mut [Vec<(BrokerId, ClientId)>]) {
-        let chunk = EventChunk::new(&self.schema, events);
-        let mut matched: Vec<(BrokerId, ClientId, u64)> = Vec::new();
+    /// The one chunk loop of [`publish`](Self::publish),
+    /// [`publish_batch`](Self::publish_batch) and the daemon: validates `at`,
+    /// counts the events, and hands `answer` each chunk's matches, in input
+    /// order, with the chunk's length. `triples` is reused scratch.
+    // acd-lint: hot
+    pub(crate) fn publish_chunks(
+        &self,
+        at: BrokerId,
+        events: &[Event],
+        triples: &mut Vec<Triple>,
+        mut answer: impl FnMut(&[Triple], usize),
+    ) -> Result<()> {
+        self.topology.check_broker(at)?;
+        MetricCounters::add(&self.counters.events_published, events.len() as u64);
+        for events in events.chunks(EventChunk::WIDTH) {
+            if events.len() >= SERIAL_BELOW {
+                // The rank kernel, on the grid.
+                triples.clear();
+                let chunk = EventChunk::new(&self.schema, events);
+                self.walk(
+                    at,
+                    chunk.valid(),
+                    triples,
+                    |broker, id, active, out| {
+                        broker.matching_clients_mask(&chunk, active, |client, mask| {
+                            out.push((id, client, mask));
+                        });
+                    },
+                    |broker, neighbor, active| {
+                        broker.neighbor_interested_mask(neighbor, &chunk, active)
+                    },
+                );
+                answer(triples, events.len());
+                continue;
+            }
+            for event in events {
+                triples.clear();
+                // The serial kernel, on the event's own cells: an event
+                // without cells (a foreign schema, a value outside its
+                // domain) matches nothing anywhere.
+                if let Some(cells) = EventCells::new(&self.schema, event) {
+                    self.walk(
+                        at,
+                        1,
+                        triples,
+                        |broker, id, _, out| {
+                            broker.matching_clients(&cells, |client| out.push((id, client, 1)));
+                        },
+                        |broker, neighbor, _| {
+                            u64::from(broker.neighbor_interested(neighbor, &cells))
+                        },
+                    );
+                }
+                answer(triples, 1);
+            }
+        }
+        Ok(())
+    }
+
+    /// The overlay walk of the events in `valid` (up to 64) from `at`, a
+    /// checked broker id: fills the empty `matched` with the [`Triple`] of
+    /// every client `matching` finds at a broker, and crosses each link with
+    /// the events `interested` says the neighbor wants. Advances
+    /// `event_messages` per (event, link) crossing and `deliveries` per pair.
+    // acd-lint: hot
+    fn walk(
+        &self,
+        at: BrokerId,
+        valid: u64,
+        matched: &mut Vec<Triple>,
+        matching: impl Fn(&Broker, BrokerId, u64, &mut Vec<Triple>),
+        interested: impl Fn(&Broker, BrokerId, u64) -> u64,
+    ) {
         let mut shares = Shares::new(self.brokers.len());
         let mut queue: VecDeque<(BrokerId, Option<BrokerId>, u64)> = VecDeque::new();
-        queue.push_back((at, None, chunk.valid()));
+        queue.push_back((at, None, valid));
         while let Some((broker_id, from, active)) = queue.pop_front() {
             let broker = self.cell(broker_id).read();
             let start = matched.len();
-            broker.matching_clients_mask(&chunk, active, |client, mask| {
-                matched.push((broker_id, client, mask));
-            });
+            matching(&broker, broker_id, active, matched);
             shares.record(broker_id, start..matched.len());
             for &neighbor in self.topology.neighbors(broker_id) {
                 if Some(neighbor) == from {
                     continue;
                 }
-                let interested = broker.neighbor_interested_mask(neighbor, &chunk, active);
-                if interested != 0 {
-                    MetricCounters::add(
-                        &self.counters.event_messages,
-                        u64::from(interested.count_ones()),
-                    );
-                    queue.push_back((neighbor, Some(broker_id), interested));
+                let crossing = interested(&broker, neighbor, active);
+                if crossing != 0 {
+                    let crossings = u64::from(crossing.count_ones());
+                    MetricCounters::add(&self.counters.event_messages, crossings);
+                    queue.push_back((neighbor, Some(broker_id), crossing));
                 }
             }
         }
-        // The triples ascend by `(broker, client)` without repeats (see
-        // `walk`), so taking them in order appends to every event's list in
-        // strictly ascending order.
-        shares.place(&mut matched);
-        // Size every list once: growing 64 of them pair by pair costs more
-        // than counting the masks' set bits.
-        let mut pairs = [0usize; EventChunk::WIDTH];
-        for &(_, _, mut mask) in &matched {
-            while mask != 0 {
-                if let Some(pairs) = pairs.get_mut(mask.trailing_zeros() as usize) {
-                    *pairs += 1;
-                }
-                mask &= mask - 1;
-            }
-        }
-        for (list, &pairs) in lists.iter_mut().zip(&pairs) {
-            list.reserve_exact(pairs);
-        }
-        for (broker_id, client, mut mask) in matched {
-            while mask != 0 {
-                if let Some(list) = lists.get_mut(mask.trailing_zeros() as usize) {
-                    debug_assert!(list.last().is_none_or(|&last| last < (broker_id, client)));
-                    list.push((broker_id, client));
-                }
-                mask &= mask - 1;
-            }
-        }
-        let delivered: usize = pairs.iter().sum();
-        MetricCounters::add(&self.counters.deliveries, delivered as u64);
+        shares.place(matched);
+        // Strictly ascending by `(broker, client)`: the topology is a tree,
+        // so the walk visits a broker once, and the kernels emit each client
+        // once, in ascending order. The wire depends on it: a `Deliveries`
+        // frame stores each pair's distance from the one before, and its
+        // decoder rejects a list that does not ascend.
+        debug_assert!(matched.is_sorted_by(|a, b| (a.0, a.1) < (b.0, b.1)));
+        let delivered = matched
+            .iter()
+            .map(|&(_, _, mask)| u64::from(mask.count_ones()));
+        MetricCounters::add(&self.counters.deliveries, delivered.sum());
+    }
+}
+
+/// A delivery `(broker, client)` with the mask of the chunk events it is
+/// for, as the walks emit them: ascending by `(broker, client)`.
+pub(crate) type Triple = (BrokerId, ClientId, u64);
+
+/// Calls `f` with the index of every set bit of `mask`, lowest first.
+#[inline]
+pub(crate) fn for_each_bit(mut mask: u64, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
     }
 }
 

@@ -235,11 +235,6 @@ impl ResilientClient {
         self.last
     }
 
-    /// Whether a connection is currently established.
-    pub fn is_connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
     /// The ids of the subscriptions this client tracks as live (the set
     /// replayed on reconnect).
     pub fn tracked_subscriptions(&self) -> Vec<SubId> {

@@ -19,7 +19,9 @@
 //! with **flush-on-idle batching**: responses are buffered while more
 //! requests are already readable and flushed when the connection goes
 //! idle, so a pipelining client pays one syscall per burst instead of one
-//! per publish.
+//! per publish. A burst's publishes run as one batch, and the match
+//! kernel's output is encoded into their `Deliveries` frames directly, with
+//! no delivery list in between.
 //!
 //! # Failure handling
 //!
@@ -68,7 +70,9 @@ use crate::faults::{FaultPlan, FaultyStream};
 use crate::metrics::MetricCounters;
 use crate::network::BrokerNetwork;
 use crate::pool::WorkerPool;
-use crate::wire::{buffered_publish, encode_frame, read_frame, Frame};
+use crate::wire::{
+    append_frame, buffered_publish, encode_frame, put_deliveries_frames, read_frame, Frame,
+};
 
 /// How long a blocked connection read waits before re-checking the
 /// shutdown flag.
@@ -92,6 +96,10 @@ const SNAPSHOT_FILE: &str = "snapshot.acd";
 /// recovered registration is never swept by connection cleanup — it lives
 /// until a client retracts it or takes it over by resubscribing.
 const RECOVERED_CONN: u64 = u64::MAX;
+
+/// The answer to each publish drained behind a malformed one.
+const NOT_EXECUTED: &str =
+    "not executed: aborted after an earlier malformed publish in the pipelined batch";
 
 /// Tuning for a [`BrokerDaemon`]: worker count, overload caps, eviction
 /// deadlines and the optional chaos schedule.
@@ -569,7 +577,11 @@ fn session_loop<S: Read, W: Write>(
     ));
     let mut out = Vec::new();
     let mut scratch = Vec::new();
-    let counters = state.network.counters();
+    let mut batch: Vec<Vec<f64>> = Vec::new();
+    let mut events: Vec<Event> = Vec::new();
+    let (mut triples, mut payloads) = (Vec::new(), Vec::new());
+    let network = &state.network;
+    let counters = network.counters();
 
     let schema_json = serde_json::to_string(state.network.schema())
         .map_err(|e| ServiceError::Io(e.to_string()))?;
@@ -578,7 +590,6 @@ fn session_loop<S: Read, W: Write>(
     flush(state, &mut writer)?;
 
     let mut inflight = 0usize;
-    let mut replies: Vec<Frame> = Vec::new();
     loop {
         // Peek for data so a clean disconnect (EOF at a frame boundary,
         // including our own shutdown and the idle reaper) ends the loop
@@ -603,19 +614,19 @@ fn session_loop<S: Read, W: Write>(
             }
         };
         let cap = state.options.max_inflight;
-        replies.clear();
+        out.clear();
         if cap != 0 && inflight >= cap {
             MetricCounters::bump(&counters.connections_rejected);
-            replies.push(Frame::Rejected {
-                reason: format!("in-flight cap reached ({cap} unflushed responses)"),
-            });
+            inflight += 1;
+            let reason = format!("in-flight cap reached ({cap} unflushed responses)");
+            append_frame(&Frame::Rejected { reason }, &mut out);
         } else if let Frame::Publish { at, values } = request {
             // A pipelining client's burst of same-broker publishes executes
             // as one batch: drain every *fully buffered* Publish frame for
             // the same broker (never blocking on a partial frame, never
             // crossing the in-flight cap — frames beyond it stay buffered
             // and are answered `Rejected` one by one, as before).
-            let mut batch: Vec<Vec<f64>> = Vec::new();
+            batch.clear();
             batch.push(values);
             while cap == 0 || inflight + batch.len() < cap {
                 if buffered_publish(reader.buffer()) != Some(at) {
@@ -639,86 +650,53 @@ fn session_loop<S: Read, W: Write>(
                     }
                 }
             }
-            if batch.len() == 1 {
-                let values = batch.pop().expect("the batch holds the first publish");
-                replies.push(handle_request(state, conn, Frame::Publish { at, values })?);
-            } else {
-                handle_publish_batch(state, at, batch, &mut replies);
+            inflight += batch.len();
+            // Only the valid prefix executes, as one batch whose chunks go
+            // from the match kernel straight to the frame writer. The first
+            // malformed publish answers its own error and the rest answer
+            // one *without executing*: the counters equal the `Deliveries`
+            // frames the client acks (`BatchError::acked`), never the
+            // requests it pipelined.
+            let total = batch.len();
+            events.clear();
+            let mut refused = None;
+            for values in batch.drain(..) {
+                match Event::new(network.schema(), values) {
+                    Ok(event) => events.push(event),
+                    Err(e) => {
+                        refused = Some(BrokerError::from(e).to_string());
+                        break;
+                    }
+                }
+            }
+            let answer =
+                |triples: &[_], n| put_deliveries_frames(&mut out, triples, n, &mut payloads);
+            if let Err(e) = network.publish_chunks(at, &events, &mut triples, answer) {
+                // The batch shares one origin broker, so a network-level
+                // refusal (unknown broker) applies to every event, and it
+                // came before any counter moved.
+                for _ in &events {
+                    let message = e.to_string();
+                    append_frame(&Frame::Err { message }, &mut out);
+                }
+            }
+            if let Some(refused) = refused {
+                let tail = (events.len() + 1..total).map(|_| NOT_EXECUTED.to_string());
+                for message in std::iter::once(refused).chain(tail) {
+                    append_frame(&Frame::Err { message }, &mut out);
+                }
             }
         } else {
-            replies.push(handle_request(state, conn, request)?);
-        }
-        for response in &replies {
             inflight += 1;
-            encode_frame(response, &mut out);
-            send(state, &mut writer, &out)?;
+            append_frame(&handle_request(state, conn, request)?, &mut out);
         }
+        send(state, &mut writer, &out)?;
         // Flush-on-idle: only pay the syscall when no further request is
         // already buffered (a pipelining client gets its whole burst of
         // responses in one write).
         if reader.buffer().is_empty() {
             flush(state, &mut writer)?;
             inflight = 0;
-        }
-    }
-}
-
-/// Executes a drained pipeline of same-broker publishes as **one** batched
-/// overlay walk ([`BrokerNetwork::publish_batch`]), pushing exactly one
-/// response frame per drained request, in order.
-///
-/// Failure semantics match the client's `BatchError::acked` resume
-/// contract: events are parsed in request order and only the valid prefix
-/// executes (as one batch, bumping `events_published` and the delivery
-/// counters exactly once per executed event); the first malformed publish
-/// answers its own error, and everything behind it answers an error
-/// *without executing* — so the daemon's counters always equal the number
-/// of `Deliveries` frames the client acks, never the number of requests it
-/// pipelined.
-fn handle_publish_batch(
-    state: &DaemonState,
-    at: BrokerId,
-    batch: Vec<Vec<f64>>,
-    replies: &mut Vec<Frame>,
-) {
-    let total = batch.len();
-    let mut events = Vec::with_capacity(total);
-    let mut parse_error = None;
-    for values in batch {
-        match Event::new(state.network.schema(), values) {
-            Ok(event) => events.push(event),
-            Err(e) => {
-                parse_error = Some(e.to_string());
-                break;
-            }
-        }
-    }
-    match state.network.publish_batch(at, &events) {
-        Ok(deliveries) => {
-            for pairs in deliveries {
-                replies.push(Frame::Deliveries { pairs });
-            }
-        }
-        Err(e) => {
-            // The batch shares one origin broker, so a network-level refusal
-            // (unknown broker) applies to every event — and the batch was
-            // validated before any counter moved, so nothing executed.
-            let message = e.to_string();
-            for _ in 0..events.len() {
-                replies.push(Frame::Err {
-                    message: message.clone(),
-                });
-            }
-        }
-    }
-    if let Some(message) = parse_error {
-        replies.push(Frame::Err { message });
-        while replies.len() < total {
-            replies.push(Frame::Err {
-                message: "not executed: aborted after an earlier malformed publish in the \
-                          pipelined batch"
-                    .into(),
-            });
         }
     }
 }
@@ -945,26 +923,9 @@ fn handle_request(state: &DaemonState, conn: u64, request: Frame) -> Result<Fram
                 }),
             }
         }
-        Frame::Publish { at, values } => {
-            let outcome = Event::new(state.network.schema(), values)
-                .map_err(crate::BrokerError::from)
-                .and_then(|event| state.network.publish(at, &event))
-                .map(|pairs| Frame::Deliveries { pairs });
-            Ok(reply(outcome))
-        }
         other => Err(ServiceError::UnexpectedFrame {
             kind: other.kind_name().to_string(),
         }),
-    }
-}
-
-/// Folds a broker outcome into its response frame.
-fn reply(outcome: Result<Frame, crate::BrokerError>) -> Frame {
-    match outcome {
-        Ok(frame) => frame,
-        Err(e) => Frame::Err {
-            message: e.to_string(),
-        },
     }
 }
 
@@ -1406,6 +1367,45 @@ mod tests {
         assert!(matches!(frames[2], Frame::Err { .. }));
         assert_eq!(frames.len(), 3);
         assert_eq!(state.network.metrics().events_published, 2);
+
+        // Twenty valid publishes take the grid kernel and its frame writer,
+        // not the serial walk; the malformed one and the tail behind it
+        // are answered as above, and only the twenty execute.
+        let subscribe = Frame::Subscribe {
+            at: 0,
+            client: 7,
+            id: 1,
+            bounds: vec![(0.0, 50.0)],
+        };
+        assert_eq!(handle_request(&state, 3, subscribe).unwrap(), Frame::Ok);
+        let publish = |values: Vec<f64>| Frame::Publish { at: 2, values };
+        let mut pipeline: Vec<Frame> = (0..20).map(|i| publish(vec![i as f64 * 5.0])).collect();
+        pipeline.push(publish(vec![1.0, 2.0]));
+        pipeline.extend((0..5).map(|i| publish(vec![i as f64])));
+        let before = state.network.metrics();
+        let mut sink = Vec::new();
+        serve_session(admit(&state, 3), requests(&pipeline).as_slice(), &mut sink).unwrap();
+        let frames = responses(&sink);
+        assert_eq!(frames.len(), 1 + 26, "one response per request");
+        for (i, frame) in frames[1..21].iter().enumerate() {
+            let pairs = if i * 5 <= 50 { vec![(0, 7)] } else { vec![] };
+            assert_eq!(frame, &Frame::Deliveries { pairs }, "publish {i}");
+        }
+        // The malformed publish is answered as a lone one would be.
+        let mut lone = Vec::new();
+        let request = requests(&[publish(vec![1.0, 2.0])]);
+        serve_session(admit(&state, 4), request.as_slice(), &mut lone).unwrap();
+        assert_eq!(frames[21], responses(&lone)[1]);
+        assert!(matches!(frames[21], Frame::Err { .. }));
+        for frame in &frames[22..] {
+            assert!(
+                matches!(frame, Frame::Err { message } if message.contains("not executed")),
+                "{frame:?}"
+            );
+        }
+        let after = state.network.metrics();
+        assert_eq!(after.events_published - before.events_published, 20);
+        assert_eq!(after.deliveries - before.deliveries, 11);
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //! IEEE-754 bit patterns, and a `Subscribe` carries its bounds exactly as a
 //! journal record does.
 //!
-//! One payload is not fixed-width. Both publish paths hand the codec a
-//! [`Frame::Deliveries`] list that is **strictly ascending by
-//! `(broker, client)`**, so the payload stores the order instead of the
-//! values: the `u32` pair count, then per maximal run of one broker
+//! One payload is not fixed-width. A [`Frame::Deliveries`] list is
+//! **strictly ascending by `(broker, client)`**, so the payload stores the
+//! order instead of the values: the `u32` pair count, then per maximal run
+//! of one broker
 //!
 //! ```text
 //! varint(broker - previous broker - 1)    first group: the broker itself
@@ -49,10 +49,14 @@
 //! responses (330 pairs over 7 brokers and 64 clients) take 363 bytes where
 //! sixteen raw bytes a pair took 5 313.
 //!
-//! Encoding reuses a caller-owned scratch buffer ([`encode_frame`] clears
-//! and fills it), so steady-state connections encode without allocating.
+//! One encoder writes that payload, from `(broker, client, event mask)`
+//! triples: [`encode_frame`] feeds it one list, the daemon a burst's
+//! triples straight from the match kernel, with the same bytes and no list
+//! built. Encoding reuses caller-owned buffers ([`encode_frame`] clears and
+//! fills its `out`), so steady-state connections encode without allocating.
 
 use std::io::Read;
+use std::slice;
 
 use acd_covering::storage::codec::{put_bounds, put_bytes, put_varint, Cursor, DecodeError};
 use acd_covering::storage::crc32_update;
@@ -60,6 +64,7 @@ use acd_subscription::{SubId, Subscription};
 
 use crate::broker::{BrokerId, ClientId};
 use crate::error::ServiceError;
+use crate::network::{for_each_bit, Triple};
 
 /// The frame checksum: the storage codec's slice-by-16 CRC-32 (IEEE), so
 /// the repo carries one CRC kernel.
@@ -308,10 +313,13 @@ pub fn check_footer(received: u32, computed: u32) -> Result<(), ServiceError> {
 // acd-lint: hot
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
     out.clear();
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(VERSION);
-    out.push(frame.kind());
-    out.extend_from_slice(&[0, 0, 0, 0]); // payload_len, patched below
+    append_frame(frame, out);
+}
+
+/// Appends `frame`, envelope and checksum included, to `out`.
+// acd-lint: hot
+pub(crate) fn append_frame(frame: &Frame, out: &mut Vec<u8>) {
+    let start = open_frame(out, frame.kind());
     match frame {
         Frame::Hello { schema_json } => {
             put_bytes(out, schema_json.as_bytes());
@@ -338,7 +346,10 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
-        Frame::Deliveries { pairs } => put_deliveries(out, pairs),
+        Frame::Deliveries { pairs } => {
+            out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+            put_deliveries::<_, 1>(pairs, |(b, c)| (b, c, 1), slice::from_mut(out));
+        }
         Frame::Ok => {}
         Frame::Err { message } => {
             put_bytes(out, message.as_bytes());
@@ -365,41 +376,116 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
             out.extend_from_slice(&epoch.to_le_bytes());
         }
     }
-    let payload_len = (out.len() - HEADER_LEN) as u32;
-    out.get_mut(6..HEADER_LEN)
-        .expect("encode starts by writing a full header")
-        .copy_from_slice(&payload_len.to_le_bytes());
-    let crc = crc32(out);
+    seal_frame(out, start);
+}
+
+/// Appends a header of kind `kind`, its payload length zero until
+/// [`seal_frame`] patches it, and returns where the frame starts.
+fn open_frame(out: &mut Vec<u8>, kind: u8) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&MAGIC.to_le_bytes());
+    out.extend_from_slice(&[VERSION, kind, 0, 0, 0, 0]);
+    start
+}
+
+/// Patches the payload length of the frame at `start` and appends its CRC.
+fn seal_frame(out: &mut Vec<u8>, start: usize) {
+    let len = (out.len() - start - HEADER_LEN) as u32;
+    if let Some(field) = out.get_mut(start + 6..start + HEADER_LEN) {
+        field.copy_from_slice(&len.to_le_bytes());
+    }
+    let crc = crc32(out.get(start..).unwrap_or_default());
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Appends a `Deliveries` payload (layout in the module docs). The
-/// differences wrap instead of failing, so a list that breaks the ascent
-/// still encodes — to bytes the decoder's `checked_add` cannot accept.
+/// Appends one `Deliveries` frame per event of a chunk of `events` to
+/// `out`, from the chunk's `(broker, client, event mask)` triples ascending
+/// by `(broker, client)`: bit `i` of a mask puts the pair in event `i`'s
+/// list. `payloads` is reused scratch, one buffer per event.
 // acd-lint: hot
-fn put_deliveries(out: &mut Vec<u8>, pairs: &[(BrokerId, ClientId)]) {
+pub(crate) fn put_deliveries_frames(
+    out: &mut Vec<u8>,
+    triples: &[Triple],
+    events: usize,
+    payloads: &mut Vec<Vec<u8>>,
+) {
+    if events == 1 {
+        // A lone event's frame goes straight to `out`, and its masks, all
+        // 1, become a constant the encoder's lane loops fold away.
+        let start = open_frame(out, kind::DELIVERIES);
+        out.extend_from_slice(&(triples.len() as u32).to_le_bytes());
+        put_deliveries::<_, 1>(triples, |(b, c, _)| (b, c, 1), slice::from_mut(out));
+        return seal_frame(out, start);
+    }
+    payloads.resize_with(payloads.len().max(events), Vec::new);
+    let payloads = payloads.get_mut(..events).unwrap_or_default();
+    payloads.iter_mut().for_each(Vec::clear);
+    let counts = put_deliveries::<_, 64>(triples, |triple| triple, payloads);
+    for (payload, count) in payloads.iter().zip(counts) {
+        let start = open_frame(out, kind::DELIVERIES);
+        out.extend_from_slice(&count.to_le_bytes());
+        out.extend_from_slice(payload);
+        seal_frame(out, start);
+    }
+}
+
+/// The one `Deliveries` encoder: appends to `payloads[i]` the broker groups
+/// (layout in the module docs) of the list bit `i < EVENTS` of the event
+/// masks selects, and returns each list's pair count. A broker's run is read
+/// twice, to count each event's pairs in it, which its group states first,
+/// then to write the clients. The differences wrap instead of failing, so a
+/// list that breaks the ascent still encodes — to bytes the decoder's
+/// `checked_add` cannot accept.
+// acd-lint: hot
+fn put_deliveries<T: Copy, const EVENTS: usize>(
+    items: &[T],
+    triple: impl Fn(T) -> Triple,
+    payloads: &mut [Vec<u8>],
+) -> [u32; EVENTS] {
+    let pair = |item| (triple(item).0, triple(item).1);
     debug_assert!(
-        pairs.is_sorted_by(|a, b| a < b),
+        items.is_sorted_by(|&a, &b| pair(a) < pair(b)),
         "a Deliveries list is strictly ascending by (broker, client)"
     );
-    out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-    let mut rest = pairs;
-    // The smallest broker the next group may name.
-    let mut floor = 0u64;
-    while let Some(&(broker, first)) = rest.first() {
-        let run = rest.iter().take_while(|pair| pair.0 == broker).count();
-        let (group, tail) = rest.split_at(run);
-        put_varint(out, (broker as u64).wrapping_sub(floor));
-        put_varint(out, run as u64 - 1);
-        put_varint(out, first);
-        let mut previous = first;
-        for &(_, client) in group.iter().skip(1) {
-            put_varint(out, client.wrapping_sub(previous).wrapping_sub(1));
-            previous = client;
-        }
-        floor = (broker as u64).wrapping_add(1);
-        rest = tail;
+    // Per event: its pairs, the smallest broker its next group may name, its
+    // pairs in this group, and its last client here (`u64::MAX` before the
+    // first, which is so stored as itself).
+    #[derive(Clone, Copy, Default)]
+    struct Lane {
+        pairs: u32,
+        floor: u64,
+        run: u64,
+        previous: u64,
     }
+    let mut lanes = [Lane::default(); EVENTS];
+    for group in items.chunk_by(|&a, &b| triple(a).0 == triple(b).0) {
+        let broker = group.first().map_or(0, |&item| triple(item).0 as u64);
+        let mut present = 0u64;
+        for &item in group {
+            present |= triple(item).2;
+            for_each_bit(triple(item).2, |i| {
+                lanes.get_mut(i).into_iter().for_each(|lane| lane.run += 1)
+            });
+        }
+        for_each_bit(present, |i| {
+            if let (Some(lane), Some(payload)) = (lanes.get_mut(i), payloads.get_mut(i)) {
+                put_varint(payload, broker.wrapping_sub(lane.floor));
+                put_varint(payload, lane.run - 1);
+                lane.pairs += lane.run as u32;
+                (lane.floor, lane.run, lane.previous) = (broker.wrapping_add(1), 0, u64::MAX);
+            }
+        });
+        for &item in group {
+            let (_, client, mask) = triple(item);
+            for_each_bit(mask, |i| {
+                if let (Some(lane), Some(payload)) = (lanes.get_mut(i), payloads.get_mut(i)) {
+                    put_varint(payload, client.wrapping_sub(lane.previous).wrapping_sub(1));
+                    lane.previous = client;
+                }
+            });
+        }
+    }
+    lanes.map(|lane| lane.pairs)
 }
 
 /// Reads and validates one frame from `reader`, reusing `scratch` as the

@@ -10,6 +10,8 @@
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 use acd_broker::{BrokerClient, ServiceError};
 use acd_subscription::{Event, Schema, Subscription, SubscriptionBuilder};
@@ -217,4 +219,54 @@ fn load_generator_completes_against_a_live_daemon() {
         .status()
         .expect("spawn acd-brokerload");
     assert!(status.success(), "load generator failed: {status}");
+}
+
+/// A pipelined burst far longer than two socket buffers hold completes
+/// against a default daemon (no write deadline, no in-flight cap): the
+/// client reads each window's answers back before it sends the next, so the
+/// daemon is never left blocked writing answers nobody reads while the
+/// client blocks writing requests the daemon no longer reads. The burst is
+/// long enough to fill both directions' loopback buffers: a client that
+/// wrote every request before reading hung at 500 000 events on a 2-vCPU
+/// Linux machine (200 000 still fit). A watchdog fails the test instead of
+/// letting a deadlock hang it.
+#[test]
+fn a_long_publish_batch_completes_against_a_default_daemon() {
+    const EVENTS: usize = 500_000;
+    let daemon = DaemonGuard::start("exact-sfc");
+    let addr = daemon.addr.clone();
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let burst = || -> Result<Vec<bool>, ServiceError> {
+            let mut client = BrokerClient::connect(addr.as_str())?;
+            let schema = client.schema().clone();
+            let sub = SubscriptionBuilder::new(&schema)
+                .range("attr0", 0.0, DOMAIN / 20.0)
+                .build(1)
+                .unwrap();
+            client.subscribe(3, 7, &sub)?;
+            // Every tenth event is delivered to client 7 at broker 3.
+            let events: Vec<Event> = (0..EVENTS)
+                .map(|i| Event::new(&schema, vec![(i % 10) as f64 * DOMAIN / 10.0, 1.0]))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            let lists = client
+                .publish_batch(0, &events)
+                .map_err(ServiceError::from)?;
+            Ok(lists.iter().map(|pairs| pairs == &[(3, 7)]).collect())
+        };
+        let _ = done.send(burst());
+    });
+    match finished.recv_timeout(Duration::from_secs(120)) {
+        Ok(delivered) => {
+            let delivered = delivered.expect("the burst ran clean");
+            assert_eq!(delivered.len(), EVENTS);
+            let expected = (0..EVENTS).map(|i| i % 10 == 0);
+            assert!(delivered.into_iter().eq(expected));
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{EVENTS} pipelined publishes did not finish in 120 s: the pipeline deadlocked")
+        }
+        Err(RecvTimeoutError::Disconnected) => panic!("the burst's thread panicked"),
+    }
 }

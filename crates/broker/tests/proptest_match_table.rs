@@ -26,12 +26,22 @@
 //! four to a cell, so the serial kernel's grid filter passes, and the rank
 //! kernel's cell tables leave ambiguous, slots that only the raw compare can
 //! tell apart.
+//!
+//! A second property pins the daemon's answer path to the pair lists: the
+//! `Deliveries` frames a served network writes for a pipelined burst are
+//! byte for byte the encoded lists `publish_batch` returns on a twin
+//! network, they decode back to those lists, and both networks' counters
+//! agree.
 
-use acd_broker::{BrokerConfig, BrokerId, BrokerNetwork, ClientId, Topology};
+use acd_broker::wire::{encode_frame, read_frame, Frame};
+use acd_broker::{BrokerConfig, BrokerDaemon, BrokerId, BrokerNetwork, ClientId, Topology};
 use acd_covering::CoveringPolicy;
 use acd_subscription::{Event, Schema, SubId, Subscription};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
 
 mod common;
 
@@ -353,6 +363,87 @@ proptest! {
             for &n in net.topology().neighbors(b) {
                 prop_assert_eq!(broker.sent_to(n), 0);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every client holds one subscription over `[0, 48]` on both
+    /// attributes, so an event inside that square reaches every client;
+    /// the rest hold ranges inside `[0, 56]`, so an event with a value
+    /// above 56 reaches nobody and is answered with an empty frame. Bursts
+    /// cover both sides of `SERIAL_BELOW` and of the 64-event chunk seam.
+    #[test]
+    fn daemon_frames_equal_the_encoded_lists_and_counters_agree(
+        clients in 1u64..40,
+        policy in prop_oneof![Just(CoveringPolicy::None), Just(CoveringPolicy::ExactSfc)],
+        subs in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..120),
+        seed in any::<u64>(),
+    ) {
+        let schema = schema();
+        let topology = Topology::balanced_tree(2, 2).unwrap();
+        let brokers = topology.brokers();
+        let build = || BrokerConfig::new(topology.clone(), &schema).policy(policy).build().unwrap();
+        let (served, twin) = (Arc::new(build()), build());
+        let mut id = 0;
+        let mut register = |at: usize, client: ClientId, bounds: &[(f64, f64)]| {
+            id += 1;
+            let sub = Subscription::from_raw_bounds(&schema, id, bounds).unwrap();
+            served.subscribe(at, client, &sub).unwrap();
+            twin.subscribe(at, client, &sub).unwrap();
+        };
+        for client in 0..clients {
+            register((client * 5 % 7) as usize, client * 3, &[(0.0, 48.0), (0.0, 48.0)]);
+        }
+        for &(at, client, r) in &subs {
+            let range = |r: u64| {
+                let (p, q) = ((r % 57) as f64, (r >> 8) as f64 % 57.0);
+                (p.min(q), p.max(q))
+            };
+            register(at as usize % brokers, client % clients * 3, &[range(r), range(r >> 16)]);
+        }
+
+        let daemon = BrokerDaemon::start(Arc::clone(&served), "127.0.0.1:0", 1).unwrap();
+        let mut stream = TcpStream::connect(daemon.local_addr()).unwrap();
+        let mut scratch = Vec::new();
+        let hello = read_frame(&mut stream, &mut scratch).unwrap();
+        prop_assert!(matches!(hello, Frame::Hello { .. }));
+        let mut mix = seed;
+        let mut next = || {
+            mix = mix.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            mix >> 16
+        };
+        let (mut request, mut frame) = (Vec::new(), Vec::new());
+        for len in [0, 1, SERIAL_BELOW - 1, SERIAL_BELOW, 64, 65, 128, 200] {
+            let at = next() as usize % brokers;
+            let events: Vec<Event> = (0..len)
+                .map(|_| {
+                    let (x, y) = ((next() % 64) as f64, (next() % 64) as f64);
+                    Event::new(&schema, vec![x, y]).unwrap()
+                })
+                .collect();
+            let lists = twin.publish_batch(at, &events).unwrap();
+            let mut expected = Vec::new();
+            request.clear();
+            for (event, pairs) in events.iter().zip(&lists) {
+                let values = event.values().to_vec();
+                encode_frame(&Frame::Publish { at, values }, &mut frame);
+                request.extend_from_slice(&frame);
+                encode_frame(&Frame::Deliveries { pairs: pairs.clone() }, &mut frame);
+                expected.extend_from_slice(&frame);
+            }
+            stream.write_all(&request).unwrap();
+            let mut answered = vec![0; expected.len()];
+            stream.read_exact(&mut answered).unwrap();
+            prop_assert_eq!(&answered, &expected, "{} events from broker {}", len, at);
+            let mut frames = answered.as_slice();
+            for pairs in &lists {
+                let decoded = read_frame(&mut frames, &mut scratch).unwrap();
+                prop_assert_eq!(&decoded, &Frame::Deliveries { pairs: pairs.clone() });
+            }
+            prop_assert_eq!(served.metrics(), twin.metrics(), "{} events from broker {}", len, at);
         }
     }
 }

@@ -246,10 +246,6 @@ struct Section {
     entries: u64,
 }
 
-/// One decoded subscription-table row: the id plus its raw `(low, high)`
-/// bounds in schema attribute order.
-pub type SubscriptionRow = (SubId, Vec<(f64, f64)>);
-
 /// Reads one segment back: verifies both envelopes, the meta/data pairing
 /// (generation, length, checksum), and the section directory up front;
 /// the column decoders then hand back validated index structures.
@@ -348,17 +344,6 @@ impl SegmentReader {
             .get(s.body.clone())
             .expect("section bodies were bounds-checked at open");
         Ok((body, entries))
-    }
-
-    /// Decodes the subscription table: `(id, raw bounds)` rows in stored
-    /// order.
-    pub fn subscription_bounds(&self) -> Result<Vec<SubscriptionRow>> {
-        let mut rows = Vec::new();
-        self.for_each_subscription_row(|id, bounds| {
-            rows.push((id, bounds.to_vec()));
-            Ok(())
-        })?;
-        Ok(rows)
     }
 
     /// Streams the subscription table without allocating per row: `f` is
