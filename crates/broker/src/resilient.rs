@@ -320,49 +320,21 @@ impl ResilientClient {
         at: BrokerId,
         events: &[Event],
     ) -> Result<Vec<Vec<(BrokerId, ClientId)>>, GaveUp> {
-        let before = self.stats;
-        let mut collected: Vec<Vec<(BrokerId, ClientId)>> = Vec::with_capacity(events.len());
-        let mut last_error = ServiceError::Io("no attempt was made".into());
-        let attempts = self.policy.max_attempts.max(1);
-        for attempt in 1..=attempts {
-            if attempt > 1 {
-                self.backoff(attempt);
-            }
-            if let Err(e) = self.ensure_connected() {
-                self.note_retry(&mut last_error, e);
-                continue;
-            }
-            let conn = self
-                .conn
-                .as_mut()
-                .expect("ensure_connected just installed the connection");
+        let mut collected = Vec::with_capacity(events.len());
+        self.with_retries(|conn, _| {
             let remaining = events.get(collected.len()..).unwrap_or(&[]);
             match conn.publish_batch(at, remaining) {
                 Ok(mut rest) => {
                     collected.append(&mut rest);
-                    self.settle(before, attempt);
-                    return Ok(collected);
+                    Ok(())
                 }
                 Err(BatchError { mut acked, error }) => {
                     collected.append(&mut acked);
-                    match verdict(&error) {
-                        Verdict::Fatal => {
-                            return Err(GaveUp {
-                                attempts: attempt,
-                                error,
-                            })
-                        }
-                        Verdict::RetrySameConnection => {}
-                        Verdict::RetryReconnect => self.conn = None,
-                    }
-                    self.note_retry(&mut last_error, error);
+                    Err(error)
                 }
             }
-        }
-        Err(GaveUp {
-            attempts,
-            error: last_error,
-        })
+        })?;
+        Ok(collected)
     }
 
     /// The shared retry driver: ensure a (replayed) connection, run `op`,

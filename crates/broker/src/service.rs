@@ -34,11 +34,17 @@
 //!   exactly like `unsubscribe`
 //!   (the *drained-state invariant*: a dead client leaves no routing
 //!   entries behind).
+//! * **One path per mutation, acked only once durable.** `Subscribe` and
+//!   `Resubscribe` both run `install`; `Unsubscribe` and `Retract` both run
+//!   `retract`. Each holds the session map across its overlay call and
+//!   appends its journal record before the ack; an install whose append
+//!   fails is rolled back and answered `Err`.
 //! * **Replay is idempotent.** [`Frame::Resubscribe`]/[`Frame::Retract`]
 //!   carry the client's session *epoch*; the daemon acts only on frames
 //!   whose epoch is current, so a stalled request from a pre-reconnect
 //!   connection can never clobber state the reconnected client already
-//!   replayed.
+//!   replayed. The epoch is the only thing the two verbs add to their
+//!   plain counterparts.
 //! * **Overload is answered, not queued.** Beyond
 //!   [`DaemonOptions::max_connections`] the accept thread answers
 //!   [`Frame::Rejected`] and closes; beyond
@@ -62,9 +68,9 @@ use acd_covering::ordered::{OrderedMutex, RANK_JOURNAL, RANK_SESSION};
 use acd_covering::storage::{
     read_snapshot, write_snapshot, JournalRecord, StorageError, SubscriptionJournal,
 };
-use acd_subscription::{Event, Schema, SubId, Subscription};
+use acd_subscription::{Event, SubId, Subscription};
 
-use crate::broker::BrokerId;
+use crate::broker::{BrokerId, ClientId};
 use crate::error::{BrokerError, ServiceError};
 use crate::faults::{FaultPlan, FaultyStream};
 use crate::metrics::MetricCounters;
@@ -163,10 +169,10 @@ struct DaemonState {
     options: DaemonOptions,
     chaos: Option<Arc<FaultPlan>>,
     shutdown: AtomicBool,
-    /// Subscription id → owning session. Rank `session` (3): handlers hold
-    /// this mutex *across* the `network.subscribe`/`unsubscribe` calls that
-    /// install or retract the registration, so replay and retraction of one
-    /// id are serialized — see `LOCKING.md`.
+    /// Subscription id → owning session. Rank `session` (3): `install` and
+    /// `retract` hold this mutex *across* the `network.subscribe` /
+    /// `unsubscribe` calls they make, so replay and retraction of one id
+    /// are serialized — see `LOCKING.md`.
     sessions: OrderedMutex<HashMap<SubId, SessionEntry>>,
     /// The durable journal, `None` without a data directory. Rank
     /// `journal` (4): appended to while the session entry is held, so the
@@ -247,10 +253,8 @@ fn recover(
         else {
             continue;
         };
-        let subscription =
-            build_subscription(network.schema(), *id, bounds).map_err(|message| {
-                ServiceError::Io(format!("recovered subscription {id}: {message}"))
-            })?;
+        let subscription = Subscription::from_raw_bounds(network.schema(), *id, bounds)
+            .map_err(|e| ServiceError::Io(format!("recovered subscription {id}: {e}")))?;
         let at = *at as BrokerId;
         network
             .subscribe(at, *client, &subscription)
@@ -274,13 +278,16 @@ fn recover(
 /// Appends one record to the journal (and the mirrored live set) — a
 /// no-op without a data directory. The caller must already hold the
 /// session entry for the record's id, so appends land in the same order
-/// the mutations were serialized in.
-fn journal_append(state: &DaemonState, record: JournalRecord) -> Result<(), StorageError> {
+/// the mutations were serialized in. A failure comes back as the message
+/// of the `Err` reply that replaces the ack.
+fn journal_append(state: &DaemonState, record: JournalRecord) -> Result<(), String> {
     let mut journal = state.journal.lock();
     let Some(persistence) = journal.as_mut() else {
         return Ok(());
     };
-    persistence.journal.append(&record)?;
+    if let Err(e) = persistence.journal.append(&record) {
+        return Err(format!("journal write failed: {e}"));
+    }
     match record {
         JournalRecord::Subscribe { id, .. } => {
             persistence.live.insert(id, record);
@@ -292,30 +299,22 @@ fn journal_append(state: &DaemonState, record: JournalRecord) -> Result<(), Stor
     Ok(())
 }
 
-/// Acks a completed retraction, durably when a journal is configured. A
-/// failed journal write turns the ack into an error so the client
-/// retries — retraction is idempotent, so the retry converges.
-fn journalled_retract_ok(state: &DaemonState, at: BrokerId, id: SubId) -> Frame {
-    match journal_append(state, JournalRecord::Unsubscribe { at: at as u64, id }) {
-        Ok(()) => Frame::Ok,
-        Err(e) => Frame::Err {
-            message: format!("journal write failed: {e}"),
-        },
-    }
-}
-
 /// A running broker daemon: owns the listener and the connection worker
 /// team, serves until dropped (or [`shutdown`](Self::shutdown)).
 ///
 /// ```no_run
 /// use std::sync::Arc;
-/// use acd_broker::{BrokerConfig, BrokerDaemon, Topology};
+/// use acd_broker::{BrokerConfig, BrokerDaemon, DaemonOptions, Topology};
 /// use acd_subscription::Schema;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let schema = Schema::builder().attribute("x", 0.0, 100.0).build()?;
 /// let net = Arc::new(BrokerConfig::new(Topology::star(4)?, &schema).build()?);
-/// let daemon = BrokerDaemon::start(net, "127.0.0.1:0", 4)?;
+/// let options = DaemonOptions {
+///     workers: 4,
+///     ..DaemonOptions::default()
+/// };
+/// let daemon = BrokerDaemon::start_with(net, "127.0.0.1:0", options)?;
 /// println!("listening on {}", daemon.local_addr());
 /// # Ok(())
 /// # }
@@ -329,34 +328,13 @@ pub struct BrokerDaemon {
 
 impl BrokerDaemon {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
-    /// `network` with a team of `workers` connection workers and no caps —
-    /// the permissive configuration PR-7 shipped. See
-    /// [`start_with`](Self::start_with) for the tunable version.
+    /// `network` as `options` say: worker count, overload caps, eviction
+    /// deadlines, chaos injection and the data directory.
     ///
     /// # Errors
     ///
-    /// Returns an error if the address cannot be bound.
-    pub fn start(
-        network: Arc<BrokerNetwork>,
-        addr: impl ToSocketAddrs,
-        workers: usize,
-    ) -> Result<BrokerDaemon, ServiceError> {
-        BrokerDaemon::start_with(
-            network,
-            addr,
-            DaemonOptions {
-                workers,
-                ..DaemonOptions::default()
-            },
-        )
-    }
-
-    /// Binds `addr` and starts serving `network` with full [`DaemonOptions`]
-    /// control: overload caps, eviction deadlines and chaos injection.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the address cannot be bound.
+    /// Returns an error if the address cannot be bound or the data
+    /// directory cannot be recovered.
     pub fn start_with(
         network: Arc<BrokerNetwork>,
         addr: impl ToSocketAddrs,
@@ -758,175 +736,142 @@ fn cleanup_sessions(state: &DaemonState, conn: u64, daemon_teardown: bool) {
     }
 }
 
-/// Rebuilds a subscription from its wire form — bounds in attribute order,
-/// so no attribute is looked up by name — reporting schema problems as a
-/// reply message rather than a connection error.
-fn build_subscription(
-    schema: &Schema,
-    id: SubId,
-    bounds: &[(f64, f64)],
-) -> Result<Subscription, String> {
-    Subscription::from_raw_bounds(schema, id, bounds).map_err(|e| e.to_string())
-}
-
 /// Executes one request against the network. Broker-level rejections come
 /// back as [`Frame::Err`] (the connection continues); protocol violations
 /// are returned as hard errors (the connection closes).
 fn handle_request(state: &DaemonState, conn: u64, request: Frame) -> Result<Frame, ServiceError> {
-    let counters = state.network.counters();
-    match request {
+    let outcome = match request {
         Frame::Subscribe {
             at,
             client,
             id,
             bounds,
-        } => {
-            let subscription = match build_subscription(state.network.schema(), id, &bounds) {
-                Ok(s) => s,
-                Err(message) => return Ok(Frame::Err { message }),
-            };
-            let mut sessions = state.sessions.lock();
-            match state.network.subscribe(at, client, &subscription) {
-                Ok(()) => {
-                    let record = JournalRecord::Subscribe {
-                        at: at as u64,
-                        client,
-                        id,
-                        bounds,
-                    };
-                    if let Err(e) = journal_append(state, record) {
-                        // Durable-ack discipline: an unjournaled mutation
-                        // is not acknowledged — roll it back and report.
-                        let _ = state.network.unsubscribe(at, id);
-                        return Ok(Frame::Err {
-                            message: format!("journal write failed: {e}"),
-                        });
-                    }
-                    sessions.insert(id, SessionEntry { conn, epoch: 0, at });
-                    Ok(Frame::Ok)
-                }
-                Err(e) => Ok(Frame::Err {
-                    message: e.to_string(),
-                }),
-            }
-        }
+        } => install(state, conn, at, client, id, bounds, None),
         Frame::Resubscribe {
             at,
             client,
             id,
             bounds,
             epoch,
-        } => {
-            let subscription = match build_subscription(state.network.schema(), id, &bounds) {
-                Ok(s) => s,
-                Err(message) => return Ok(Frame::Err { message }),
-            };
-            let mut sessions = state.sessions.lock();
-            let previous = sessions.get(&id).copied();
-            if let Some(entry) = previous {
-                if epoch < entry.epoch {
-                    // A stalled replay from a pre-reconnect connection: the
-                    // newer session owns this id; absorb without acting.
-                    MetricCounters::bump(&counters.client_retries);
-                    return Ok(Frame::Ok);
-                }
-                // Current epoch (a retry) or a newer one (a takeover):
-                // reinstall from scratch so the home broker can move.
-                match state.network.unsubscribe(entry.at, id) {
-                    Ok(()) | Err(BrokerError::UnknownSubscription { .. }) => {}
-                    Err(e) => {
-                        sessions.remove(&id);
-                        return Ok(Frame::Err {
-                            message: e.to_string(),
-                        });
-                    }
-                }
-                if entry.conn != conn {
-                    MetricCounters::bump(&counters.client_reconnects);
-                } else {
-                    MetricCounters::bump(&counters.client_retries);
-                }
-            }
-            match state.network.subscribe(at, client, &subscription) {
-                Ok(()) => {
-                    let record = JournalRecord::Subscribe {
-                        at: at as u64,
-                        client,
-                        id,
-                        bounds,
-                    };
-                    if let Err(e) = journal_append(state, record) {
-                        let _ = state.network.unsubscribe(at, id);
-                        sessions.remove(&id);
-                        return Ok(Frame::Err {
-                            message: format!("journal write failed: {e}"),
-                        });
-                    }
-                    sessions.insert(id, SessionEntry { conn, epoch, at });
-                    Ok(Frame::Ok)
-                }
-                Err(e) => {
-                    sessions.remove(&id);
-                    // The reinstall failed after the old registration was
-                    // retracted: bring the durable state along (best
-                    // effort — the reply is already an error).
-                    let _ = journal_append(state, JournalRecord::Unsubscribe { at: at as u64, id });
-                    Ok(Frame::Err {
-                        message: e.to_string(),
-                    })
-                }
-            }
+        } => install(state, conn, at, client, id, bounds, Some(epoch)),
+        Frame::Unsubscribe { at, id } => retract(state, at, id, None),
+        Frame::Retract { at, id, epoch } => retract(state, at, id, Some(epoch)),
+        other => {
+            return Err(ServiceError::UnexpectedFrame {
+                kind: other.kind_name().to_string(),
+            })
         }
-        Frame::Retract { at, id, epoch } => {
-            let mut sessions = state.sessions.lock();
-            match sessions.get(&id).copied() {
-                Some(entry) if epoch < entry.epoch => {
-                    // Stale retraction of an id a newer session replayed.
-                    MetricCounters::bump(&counters.client_retries);
-                    Ok(Frame::Ok)
-                }
-                Some(entry) => {
-                    sessions.remove(&id);
-                    match state.network.unsubscribe(entry.at, id) {
-                        Ok(()) => Ok(journalled_retract_ok(state, entry.at, id)),
-                        Err(BrokerError::UnknownSubscription { .. }) => {
-                            MetricCounters::bump(&counters.client_retries);
-                            Ok(journalled_retract_ok(state, entry.at, id))
-                        }
-                        Err(e) => Ok(Frame::Err {
-                            message: e.to_string(),
-                        }),
-                    }
-                }
-                None => match state.network.unsubscribe(at, id) {
-                    Ok(()) => Ok(journalled_retract_ok(state, at, id)),
-                    // Already gone — a retried retraction is a success.
-                    Err(BrokerError::UnknownSubscription { .. }) => {
-                        MetricCounters::bump(&counters.client_retries);
-                        Ok(journalled_retract_ok(state, at, id))
-                    }
-                    Err(e) => Ok(Frame::Err {
-                        message: e.to_string(),
-                    }),
-                },
-            }
+    };
+    Ok(match outcome {
+        Ok(()) => Frame::Ok,
+        Err(message) => Frame::Err { message },
+    })
+}
+
+/// Registers subscription `id` (bounds in attribute order, so no attribute
+/// is looked up by name) for `client` at broker `at`, owned by connection
+/// `conn`, and acks it only once it is journaled. A `Subscribe` passes no
+/// `epoch`; a `Resubscribe` passes its session epoch and first takes over
+/// the id's current registration: a stale epoch is absorbed without
+/// acting, a current (retry) or newer (reconnect) one retracts the old
+/// registration so the home broker can move. Every `Err` is the reply's
+/// message; schema problems are one too, not a connection error.
+fn install(
+    state: &DaemonState,
+    conn: u64,
+    at: BrokerId,
+    client: ClientId,
+    id: SubId,
+    bounds: Vec<(f64, f64)>,
+    epoch: Option<u64>,
+) -> Result<(), String> {
+    let subscription = Subscription::from_raw_bounds(state.network.schema(), id, &bounds)
+        .map_err(|e| e.to_string())?;
+    let counters = state.network.counters();
+    let mut sessions = state.sessions.lock();
+    // Only a `Resubscribe` looks for a registration to take over.
+    let previous = epoch.and_then(|_| sessions.get(&id).copied());
+    if let (Some(epoch), Some(entry)) = (epoch, previous) {
+        if epoch < entry.epoch {
+            // A stalled replay from a pre-reconnect connection: the newer
+            // session owns this id.
+            MetricCounters::bump(&counters.client_retries);
+            return Ok(());
         }
-        Frame::Unsubscribe { at, id } => {
-            let mut sessions = state.sessions.lock();
-            match state.network.unsubscribe(at, id) {
-                Ok(()) => {
-                    sessions.remove(&id);
-                    Ok(journalled_retract_ok(state, at, id))
-                }
-                Err(e) => Ok(Frame::Err {
-                    message: e.to_string(),
-                }),
-            }
+        sessions.remove(&id);
+        match state.network.unsubscribe(entry.at, id) {
+            Ok(()) | Err(BrokerError::UnknownSubscription { .. }) => {}
+            Err(e) => return Err(e.to_string()),
         }
-        other => Err(ServiceError::UnexpectedFrame {
-            kind: other.kind_name().to_string(),
-        }),
+        let counter = if entry.conn == conn {
+            &counters.client_retries
+        } else {
+            &counters.client_reconnects
+        };
+        MetricCounters::bump(counter);
     }
+    if let Err(e) = state.network.subscribe(at, client, &subscription) {
+        if previous.is_some() {
+            // The reinstall failed after the old registration was
+            // retracted: bring the durable state along (best effort — the
+            // reply is already an error).
+            let _ = journal_append(state, JournalRecord::Unsubscribe { at: at as u64, id });
+        }
+        return Err(e.to_string());
+    }
+    let record = JournalRecord::Subscribe {
+        at: at as u64,
+        client,
+        id,
+        bounds,
+    };
+    if let Err(message) = journal_append(state, record) {
+        // Durable-ack discipline: an unjournaled mutation is not
+        // acknowledged — roll it back and report.
+        let _ = state.network.unsubscribe(at, id);
+        return Err(message);
+    }
+    let epoch = epoch.unwrap_or(0);
+    sessions.insert(id, SessionEntry { conn, epoch, at });
+    Ok(())
+}
+
+/// Retracts subscription `id`, whichever connection registered it, and
+/// acks once the retraction is journaled. An `Unsubscribe` passes no
+/// `epoch` and names the home broker `at`. A `Retract` passes its session
+/// epoch: a stale one is absorbed without acting, otherwise the session
+/// entry (if any) is dropped and names the home broker, and an id already
+/// gone counts as a retried success. A failed journal write turns the ack
+/// into an error so the client retries — retraction is idempotent, so the
+/// retry converges.
+fn retract(
+    state: &DaemonState,
+    mut at: BrokerId,
+    id: SubId,
+    epoch: Option<u64>,
+) -> Result<(), String> {
+    let counters = state.network.counters();
+    let mut sessions = state.sessions.lock();
+    let previous = epoch.and_then(|_| sessions.get(&id).copied());
+    if let (Some(epoch), Some(entry)) = (epoch, previous) {
+        if epoch < entry.epoch {
+            // Stale retraction of an id a newer session replayed.
+            MetricCounters::bump(&counters.client_retries);
+            return Ok(());
+        }
+        sessions.remove(&id);
+        at = entry.at;
+    }
+    match state.network.unsubscribe(at, id) {
+        Ok(()) => {
+            sessions.remove(&id);
+        }
+        Err(BrokerError::UnknownSubscription { .. }) if epoch.is_some() => {
+            MetricCounters::bump(&counters.client_retries);
+        }
+        Err(e) => return Err(e.to_string()),
+    }
+    journal_append(state, JournalRecord::Unsubscribe { at: at as u64, id })
 }
 
 /// A [`Read`] adapter that turns read timeouts into polite polling: it
@@ -1030,7 +975,11 @@ mod tests {
     }
 
     fn daemon(policy: CoveringPolicy) -> BrokerDaemon {
-        BrokerDaemon::start(test_network(policy), "127.0.0.1:0", 2).unwrap()
+        let options = DaemonOptions {
+            workers: 2,
+            ..DaemonOptions::default()
+        };
+        BrokerDaemon::start_with(test_network(policy), "127.0.0.1:0", options).unwrap()
     }
 
     fn state_with(options: DaemonOptions) -> Arc<DaemonState> {
@@ -1594,7 +1543,10 @@ mod tests {
         ];
         for (id, bounds) in (1..).step_by(2).zip(valid) {
             let built = by_name(id, bounds).expect("valid bounds");
-            assert_eq!(build_subscription(&schema, id, bounds), Ok(built));
+            assert_eq!(
+                Subscription::from_raw_bounds(&schema, id, bounds),
+                Ok(built)
+            );
             for frame in frames(id, bounds) {
                 let reply = handle_request(&state, 1, frame).unwrap();
                 assert!(matches!(reply, Frame::Ok), "{bounds:?}: {reply:?}");
@@ -1623,7 +1575,7 @@ mod tests {
         for bounds in invalid {
             assert_eq!(by_name(50, bounds), None, "{bounds:?}");
             assert!(
-                build_subscription(&schema, 50, bounds).is_err(),
+                Subscription::from_raw_bounds(&schema, 50, bounds).is_err(),
                 "{bounds:?}"
             );
             for frame in frames(50, bounds) {
@@ -1682,6 +1634,421 @@ mod tests {
             assert!(matches!(reply, Frame::Ok));
         }
         assert_eq!(state.network.publish(1, &event).unwrap(), vec![]);
+    }
+
+    /// A journal record as [`mutation_table`] spells it: `S(at, 9)` is a
+    /// `Subscribe` of [`table_frame`]'s client and bounds, `U(at, 9)` an
+    /// `Unsubscribe`.
+    #[derive(Debug, Clone, Copy)]
+    enum Rec {
+        S(u64, SubId),
+        U(u64, SubId),
+    }
+
+    impl From<Rec> for JournalRecord {
+        fn from(rec: Rec) -> JournalRecord {
+            match rec {
+                Rec::S(at, id) => JournalRecord::Subscribe {
+                    at,
+                    client: 7,
+                    id,
+                    bounds: vec![(0.0, 50.0)],
+                },
+                Rec::U(at, id) => JournalRecord::Unsubscribe { at, id },
+            }
+        }
+    }
+
+    /// One set-up step of a [`MutationRow`].
+    enum Step {
+        /// A request on connection `conn`, answered `Ok`.
+        Request(u64, Frame),
+        /// Drop the daemon state and recover it from the data directory.
+        Restart,
+        /// Connection `conn` ends by daemon teardown: the session map forgets
+        /// its ids, the network keeps them.
+        Teardown(u64),
+        /// Id 9 is retracted in process, behind the session map's back.
+        Vanish,
+    }
+
+    /// One request against one prepared state, and all it may change.
+    struct MutationRow {
+        name: &'static str,
+        setup: Vec<Step>,
+        conn: u64,
+        request: Frame,
+        /// `Ok(())` for [`Frame::Ok`], else a fragment of the `Err` message.
+        reply: Result<(), &'static str>,
+        /// What the request adds to `client_retries`, `client_reconnects`
+        /// and `unsubscriptions`.
+        counters: [u64; 3],
+        /// Id 9's session entry afterwards, as `(conn, epoch, at)`.
+        session: Option<(u64, u64, BrokerId)>,
+        /// The whole journal, set-up included, reread from disk.
+        journal: Vec<Rec>,
+    }
+
+    /// The subscribe-like frames of the table: id 9, client 7, `[0, 50]`
+    /// (or the empty range `[40, 10]` when `bad`); `epoch` picks
+    /// `Resubscribe` over `Subscribe`.
+    fn table_frame(at: BrokerId, epoch: Option<u64>, bad: bool) -> Frame {
+        let bounds = vec![if bad { (40.0, 10.0) } else { (0.0, 50.0) }];
+        let (client, id) = (7, 9);
+        match epoch {
+            None => Frame::Subscribe {
+                at,
+                client,
+                id,
+                bounds,
+            },
+            Some(epoch) => Frame::Resubscribe {
+                at,
+                client,
+                id,
+                bounds,
+                epoch,
+            },
+        }
+    }
+
+    fn sub(at: BrokerId) -> Frame {
+        table_frame(at, None, false)
+    }
+
+    fn resub(at: BrokerId, epoch: u64) -> Frame {
+        table_frame(at, Some(epoch), false)
+    }
+
+    fn unsub(at: BrokerId) -> Frame {
+        Frame::Unsubscribe { at, id: 9 }
+    }
+
+    fn retract(at: BrokerId, epoch: u64) -> Frame {
+        Frame::Retract { at, id: 9, epoch }
+    }
+
+    /// Every branch of the four mutation requests on a three-broker line.
+    fn mutation_table() -> Vec<MutationRow> {
+        use Rec::{S, U};
+        use Step::{Request, Restart, Teardown, Vanish};
+        const GONE: &str = "not registered";
+        const NO_BROKER: &str = "does not exist";
+        let row = |name, setup, conn, request, reply, counters, session, journal| MutationRow {
+            name,
+            setup,
+            conn,
+            request,
+            reply,
+            counters,
+            session,
+            journal,
+        };
+        vec![
+            row(
+                "Subscribe fresh",
+                vec![],
+                1,
+                sub(0),
+                Ok(()),
+                [0, 0, 0],
+                Some((1, 0, 0)),
+                vec![S(0, 9)],
+            ),
+            row(
+                "Subscribe duplicate",
+                vec![Request(1, sub(0))],
+                2,
+                sub(1),
+                Err("already registered"),
+                [0, 0, 0],
+                Some((1, 0, 0)),
+                vec![S(0, 9)],
+            ),
+            row(
+                "Subscribe unknown broker",
+                vec![],
+                1,
+                sub(99),
+                Err(NO_BROKER),
+                [0, 0, 0],
+                None,
+                vec![],
+            ),
+            row(
+                "Subscribe bad bounds",
+                vec![],
+                1,
+                table_frame(0, None, true),
+                Err("empty range"),
+                [0, 0, 0],
+                None,
+                vec![],
+            ),
+            row(
+                "Resubscribe fresh",
+                vec![],
+                1,
+                resub(0, 1),
+                Ok(()),
+                [0, 0, 0],
+                Some((1, 1, 0)),
+                vec![S(0, 9)],
+            ),
+            row(
+                "Resubscribe retry on the same connection",
+                vec![Request(1, resub(0, 1))],
+                1,
+                resub(0, 1),
+                Ok(()),
+                [1, 0, 1],
+                Some((1, 1, 0)),
+                vec![S(0, 9), S(0, 9)],
+            ),
+            row(
+                "Resubscribe takeover moving the home broker",
+                vec![Request(1, resub(0, 1))],
+                2,
+                resub(2, 2),
+                Ok(()),
+                [0, 1, 1],
+                Some((2, 2, 2)),
+                vec![S(0, 9), S(2, 9)],
+            ),
+            row(
+                "Resubscribe takeover of a recovered id",
+                vec![Request(1, sub(0)), Restart],
+                1,
+                resub(1, 1),
+                Ok(()),
+                [0, 1, 1],
+                Some((1, 1, 1)),
+                vec![S(0, 9), S(1, 9)],
+            ),
+            row(
+                "Resubscribe stale epoch",
+                vec![Request(2, resub(0, 2))],
+                1,
+                resub(1, 1),
+                Ok(()),
+                [1, 0, 0],
+                Some((2, 2, 0)),
+                vec![S(0, 9)],
+            ),
+            row(
+                "Resubscribe bad bounds over a live id",
+                vec![Request(1, resub(0, 1))],
+                2,
+                table_frame(0, Some(2), true),
+                Err("empty range"),
+                [0, 0, 0],
+                Some((1, 1, 0)),
+                vec![S(0, 9)],
+            ),
+            row(
+                "Resubscribe refused after a takeover",
+                vec![Request(1, resub(0, 1))],
+                2,
+                resub(99, 2),
+                Err(NO_BROKER),
+                [0, 1, 1],
+                None,
+                vec![S(0, 9), U(99, 9)],
+            ),
+            row(
+                "Resubscribe refused without a takeover",
+                vec![],
+                1,
+                resub(99, 1),
+                Err(NO_BROKER),
+                [0, 0, 0],
+                None,
+                vec![],
+            ),
+            row(
+                "Unsubscribe own id",
+                vec![Request(1, sub(0))],
+                1,
+                unsub(0),
+                Ok(()),
+                [0, 0, 1],
+                None,
+                vec![S(0, 9), U(0, 9)],
+            ),
+            row(
+                "Unsubscribe another connection's id",
+                vec![Request(1, sub(0))],
+                2,
+                unsub(0),
+                Ok(()),
+                [0, 0, 1],
+                None,
+                vec![S(0, 9), U(0, 9)],
+            ),
+            row(
+                "Unsubscribe recovered id",
+                vec![Request(1, sub(0)), Restart],
+                2,
+                unsub(0),
+                Ok(()),
+                [0, 0, 1],
+                None,
+                vec![S(0, 9), U(0, 9)],
+            ),
+            row(
+                "Unsubscribe unknown id",
+                vec![],
+                1,
+                unsub(0),
+                Err(GONE),
+                [0, 0, 0],
+                None,
+                vec![],
+            ),
+            row(
+                "Unsubscribe at the wrong broker",
+                vec![Request(1, sub(0))],
+                1,
+                unsub(1),
+                Err(GONE),
+                [0, 0, 0],
+                Some((1, 0, 0)),
+                vec![S(0, 9)],
+            ),
+            row(
+                "Retract current",
+                vec![Request(1, resub(0, 1))],
+                1,
+                retract(0, 1),
+                Ok(()),
+                [0, 0, 1],
+                None,
+                vec![S(0, 9), U(0, 9)],
+            ),
+            row(
+                "Retract current naming another broker",
+                vec![Request(1, resub(0, 1))],
+                1,
+                retract(2, 1),
+                Ok(()),
+                [0, 0, 1],
+                None,
+                vec![S(0, 9), U(0, 9)],
+            ),
+            row(
+                "Retract stale",
+                vec![Request(2, resub(0, 2))],
+                1,
+                retract(0, 1),
+                Ok(()),
+                [1, 0, 0],
+                Some((2, 2, 0)),
+                vec![S(0, 9)],
+            ),
+            row(
+                "Retract already gone",
+                vec![Request(1, resub(0, 1)), Request(1, retract(0, 1))],
+                1,
+                retract(0, 1),
+                Ok(()),
+                [1, 0, 0],
+                None,
+                vec![S(0, 9), U(0, 9), U(0, 9)],
+            ),
+            row(
+                "Retract of an entry the network lost",
+                vec![Request(1, resub(0, 1)), Vanish],
+                1,
+                retract(0, 1),
+                Ok(()),
+                [1, 0, 0],
+                None,
+                vec![S(0, 9), U(0, 9)],
+            ),
+            row(
+                "Retract with no session entry",
+                vec![Request(1, sub(0)), Teardown(1)],
+                2,
+                retract(0, 1),
+                Ok(()),
+                [0, 0, 1],
+                None,
+                vec![S(0, 9), U(0, 9)],
+            ),
+            row(
+                "Retract at an unknown broker",
+                vec![],
+                1,
+                retract(99, 1),
+                Err(NO_BROKER),
+                [0, 0, 0],
+                None,
+                vec![],
+            ),
+        ]
+    }
+
+    /// Each row runs on a fresh daemon state with a data directory. Its
+    /// reply, counter deltas, session entry and journal (reread by reopening
+    /// the file once the state is dropped) must all be as tabled; every
+    /// failing row is reported, not just the first.
+    #[test]
+    fn mutation_requests_reply_count_own_and_journal_per_branch() {
+        let mut failures = Vec::new();
+        for (n, row) in mutation_table().into_iter().enumerate() {
+            let dir = std::env::temp_dir().join(format!("acd-mutation-{}-{n}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let options = DaemonOptions {
+                data_dir: Some(dir.clone()),
+                ..DaemonOptions::default()
+            };
+            let mut state = state_with(options.clone());
+            for step in row.setup {
+                match step {
+                    Step::Request(conn, frame) => {
+                        let reply = handle_request(&state, conn, frame).unwrap();
+                        assert_eq!(reply, Frame::Ok, "{}: set-up", row.name);
+                    }
+                    Step::Restart => {
+                        drop(state);
+                        state = state_with(options.clone());
+                    }
+                    Step::Teardown(conn) => cleanup_sessions(&state, conn, true),
+                    Step::Vanish => state.network.unsubscribe(0, 9).unwrap(),
+                }
+            }
+            let before = state.network.metrics();
+            let reply = handle_request(&state, row.conn, row.request).unwrap();
+            let after = state.network.metrics();
+            let counters = [
+                after.client_retries - before.client_retries,
+                after.client_reconnects - before.client_reconnects,
+                after.unsubscriptions - before.unsubscriptions,
+            ];
+            let session = state
+                .sessions
+                .lock()
+                .get(&9)
+                .map(|e| (e.conn, e.epoch, e.at));
+            drop(state);
+            let (_, journal) = SubscriptionJournal::open(&dir.join(JOURNAL_FILE)).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            let replied = match (&reply, row.reply) {
+                (Frame::Ok, Ok(())) => true,
+                (Frame::Err { message }, Err(fragment)) => message.contains(fragment),
+                _ => false,
+            };
+            let want_journal: Vec<JournalRecord> = row.journal.iter().map(|&r| r.into()).collect();
+            let got = (counters, session, journal);
+            let want = (row.counters, row.session, want_journal);
+            if !replied || got != want {
+                failures.push(format!(
+                    "{}: reply {reply:?} (want {:?}), got {got:?}, want {want:?}",
+                    row.name, row.reply
+                ));
+            }
+        }
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 
     /// A transport that yields `Interrupted` a few times before the data,

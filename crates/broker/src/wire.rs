@@ -113,8 +113,9 @@ pub enum Frame {
         /// Per-attribute `[lo, hi]` ranges in schema attribute order.
         bounds: Vec<(f64, f64)>,
     },
-    /// Client → daemon: retract a subscription registered on this
-    /// connection.
+    /// Client → daemon: retract a subscription, whichever connection
+    /// registered it (one restored from the daemon's data directory
+    /// included).
     Unsubscribe {
         /// Broker the subscription was registered at.
         at: BrokerId,
@@ -159,8 +160,8 @@ pub enum Frame {
     },
     /// Client → daemon: idempotently (re-)register a subscription. Where
     /// [`Frame::Subscribe`] fails on a duplicate id, `Resubscribe` takes the
-    /// registration over: if `id` is live under an older session epoch it is
-    /// retracted and re-registered fresh, so a client replaying its live set
+    /// registration over: if `id` is live under the same or an older session
+    /// epoch it is retracted and re-registered fresh, so a client replaying its live set
     /// after a reconnect (or retrying an ack it never saw) always converges.
     Resubscribe {
         /// Broker the client is attached to.

@@ -34,7 +34,9 @@
 //! agree.
 
 use acd_broker::wire::{encode_frame, read_frame, Frame};
-use acd_broker::{BrokerConfig, BrokerDaemon, BrokerId, BrokerNetwork, ClientId, Topology};
+use acd_broker::{
+    BrokerConfig, BrokerDaemon, BrokerId, BrokerNetwork, ClientId, DaemonOptions, Topology,
+};
 use acd_covering::CoveringPolicy;
 use acd_subscription::{Event, Schema, SubId, Subscription};
 use proptest::prelude::*;
@@ -405,7 +407,11 @@ proptest! {
             register(at as usize % brokers, client % clients * 3, &[range(r), range(r >> 16)]);
         }
 
-        let daemon = BrokerDaemon::start(Arc::clone(&served), "127.0.0.1:0", 1).unwrap();
+        let options = DaemonOptions {
+            workers: 1,
+            ..DaemonOptions::default()
+        };
+        let daemon = BrokerDaemon::start_with(Arc::clone(&served), "127.0.0.1:0", options).unwrap();
         let mut stream = TcpStream::connect(daemon.local_addr()).unwrap();
         let mut scratch = Vec::new();
         let hello = read_frame(&mut stream, &mut scratch).unwrap();
