@@ -7,22 +7,11 @@
 //! (flooding, exact linear covering, exact SFC covering, approximate SFC
 //! covering) and reports propagation traffic, routing state, covering cost
 //! and delivery counts.
-//!
-//! A second table sizes demote-on-cover, the one job
-//! `CoveringIndex::find_covered_by` could have in the overlay: on the
-//! benchmark's standing set (StockTicker, seed 1, a 7-broker balanced tree,
-//! subscription `id` at broker `id % 7` for client `id % 64`, exact SFC
-//! covering), it counts per link the sent subscriptions that another
-//! subscription sent on the same link covers — the routing entries a
-//! late-arrival demotion could remove.
 
 use std::time::Instant;
 
-use std::collections::HashMap;
-
 use acd_broker::{BrokerConfig, Topology};
 use acd_covering::CoveringPolicy;
-use acd_subscription::{SubId, Subscription};
 use acd_workload::{EventWorkload, Scenario, SubscriptionWorkload};
 
 use crate::table::{fmt_f64, Table};
@@ -102,64 +91,7 @@ pub fn run(scale: RunScale) -> Vec<Table> {
             metrics.deliveries.to_string(),
         ]);
     }
-    vec![table, demotable(scale.subscriptions.min(10_000))]
-}
-
-/// The demote-on-cover table over the first `standing` subscriptions of
-/// the benchmark's population: one row per directed link, then the total.
-fn demotable(standing: usize) -> Table {
-    let config = Scenario::StockTicker.workload_config(1);
-    let mut workload = SubscriptionWorkload::new(&config).unwrap();
-    let subscriptions = workload.take(standing);
-    let topology = Topology::balanced_tree(2, 2).unwrap();
-    let net = BrokerConfig::new(topology.clone(), workload.schema())
-        .policy(CoveringPolicy::ExactSfc)
-        .build()
-        .unwrap();
-    let brokers = topology.brokers() as u64;
-    for s in &subscriptions {
-        let home = (s.id() % brokers) as usize;
-        net.subscribe(home, s.id() % 64, s).unwrap();
-    }
-    let by_id: HashMap<SubId, &Subscription> = subscriptions.iter().map(|s| (s.id(), s)).collect();
-
-    let mut table = Table::new(
-        format!(
-            "E7 — demote-on-cover candidates ({} brokers, {} standing subscriptions, exact-sfc)",
-            topology.brokers(),
-            subscriptions.len()
-        ),
-        &["link", "sent", "covered by another sent", "share"],
-    );
-    let share = |covered: usize, sent: usize| fmt_f64(covered as f64 / sent.max(1) as f64);
-    let (mut sent_total, mut covered_total) = (0, 0);
-    for from in 0..topology.brokers() {
-        for &to in topology.neighbors(from) {
-            let ids = net.broker(from).unwrap().link_ids(to).unwrap().sent;
-            let sent: Vec<&Subscription> = ids.iter().map(|id| by_id[id]).collect();
-            let covered = sent
-                .iter()
-                .filter(|s| sent.iter().any(|t| t.id() != s.id() && t.covers(s)))
-                .count();
-            sent_total += sent.len();
-            covered_total += covered;
-            table.add_row(vec![
-                format!("{from}->{to}"),
-                sent.len().to_string(),
-                covered.to_string(),
-                share(covered, sent.len()),
-            ]);
-        }
-    }
-    // What is sent on a link is what its far end routes on.
-    assert_eq!(sent_total as u64, net.metrics().routing_table_entries);
-    table.add_row(vec![
-        "total".into(),
-        sent_total.to_string(),
-        covered_total.to_string(),
-        share(covered_total, sent_total),
-    ]);
-    table
+    vec![table]
 }
 
 #[cfg(test)]
@@ -174,7 +106,7 @@ mod tests {
             brokers: 15,
             events: 30,
         });
-        assert_eq!(tables.len(), 2);
+        assert_eq!(tables.len(), 1);
         let csv = tables[0].to_csv();
         let rows: Vec<Vec<String>> = csv
             .lines()
@@ -195,30 +127,5 @@ mod tests {
         // Approximate covering (row 3) is between flooding and exact.
         assert!(msgs[3] <= msgs[0]);
         assert!(msgs[3] >= msgs[2]);
-    }
-
-    #[test]
-    fn demotion_candidates_are_counted_per_link() {
-        let csv = demotable(400).to_csv();
-        let rows: Vec<Vec<usize>> = csv
-            .lines()
-            .skip(1)
-            .map(|l| {
-                l.split(',')
-                    .skip(1)
-                    .take(2)
-                    .map(|c| c.parse().unwrap())
-                    .collect()
-            })
-            .collect();
-        // Six tree edges, both directions, then the total.
-        assert_eq!(rows.len(), 13);
-        let (links, total) = rows.split_at(12);
-        assert!(links.iter().all(|r| r[1] <= r[0]));
-        for column in 0..2 {
-            let sum: usize = links.iter().map(|r| r[column]).sum();
-            assert_eq!(sum, total[0][column]);
-        }
-        assert!(total[0][0] > 0);
     }
 }

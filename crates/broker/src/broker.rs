@@ -279,11 +279,9 @@ impl MatchTable {
     /// Local table: how the raw bounds of the (at most 64) slots `slots`
     /// stand to `bounds`. Bit `i` of the first mask is set where slot
     /// `slots.start + i` contains them on every attribute, of the second
-    /// where it lies inside them: the local tables' cover, under which every
-    /// event the inner bounds match the outer ones match too. Unlike
-    /// [`Subscription::covers`], which compares grid bounds, it never holds
-    /// where the outer bounds miss an event in the cell of one of the inner
-    /// ones. One pass down each raw column.
+    /// where it lies inside them: [`Subscription::covers`], one column at a
+    /// time, under which every event the inner bounds match the outer ones
+    /// match too. One pass down each raw column.
     fn cover_masks(&self, slots: Range<usize>, bounds: &[(f64, f64)]) -> (u64, u64) {
         let (mut outer, mut inner) = (u64::MAX, u64::MAX);
         for ((lo, hi), &(low, high)) in self.lo.iter().zip(&self.hi).zip(bounds) {
@@ -690,13 +688,15 @@ impl Held {
 /// the covering query named as its cover.
 ///
 /// Invariant: `held` is over live subscriptions, none of them in
-/// `sent_ids`, and **every witness is in `sent_ids` and grid-covers what it
-/// holds back**. Nothing sweeps `held` to keep that true, because the two
-/// ways in and the two ways out already do. A subscription enters only in
-/// [`offer`](Self::offer), at a broker it reached, when the sent index
-/// names a cover for it — and the index stores exactly what was sent and
-/// only names stored, truly covering subscriptions (the [`CoveringIndex`]
-/// safety property, under every policy). It leaves only in
+/// `sent_ids`, and **every witness is in `sent_ids` and covers what it
+/// holds back** on raw bounds ([`Subscription::covers`]), so it matches
+/// every event the held-back one does. Nothing sweeps `held` to keep that
+/// true, because the two ways in and the two ways out already do. A
+/// subscription enters only in [`offer`](Self::offer), at a broker it
+/// reached, when the sent index names a cover for it — and the index
+/// stores exactly what was sent and only names stored, truly covering
+/// subscriptions (the [`CoveringIndex`] safety property, under every
+/// policy). It leaves only in
 /// [`retract`](Self::retract): when its witness is retracted, the
 /// witness's whole list is offered again, in arrival order, and each entry
 /// ends sent or behind a new witness; when it is itself unsubscribed, the
@@ -1700,13 +1700,41 @@ mod tests {
     #[test]
     fn grid_identical_twins_hand_over() {
         let s = schema();
+        // In the same grid cells (6..=12 on both attributes), but neither's
+        // raw bounds hold the other's: (10.05, 10.05) is an event only the
+        // first matches, so neither may stand for the other and both go out.
         let mut b = Broker::new(0, &[1], &s, CoveringPolicy::ExactSfc).unwrap();
-        // Different raw bounds in the same grid cells: each covers the other.
-        let twins = [
+        let apart = [
             sub(&s, 1, (10.0, 20.0), (10.0, 20.0)),
             sub(&s, 2, (10.1, 20.1), (10.1, 20.1)),
         ];
-        assert!(twins[0].covers(&twins[1]) && twins[1].covers(&twins[0]));
+        assert_eq!(apart[0].grid_bounds(), apart[1].grid_bounds());
+        assert!(!apart[0].covers(&apart[1]) && !apart[1].covers(&apart[0]));
+        for twin in &apart {
+            assert!(b.should_forward(1, twin).unwrap().forward);
+        }
+        assert!(held_back_nothing(&b.links[&1]));
+        assert_eq!(b.retract(1, &apart[0]).unwrap(), Some(vec![]));
+
+        // Raw-nested in the same cells: the inner one is held back, goes out
+        // when the outer one goes, and does not hold the outer one back when
+        // it comes again.
+        let mut b = Broker::new(0, &[1], &s, CoveringPolicy::ExactSfc).unwrap();
+        let outer = sub(&s, 1, (10.0, 20.1), (10.0, 20.1));
+        let inner = sub(&s, 2, (10.1, 20.0), (10.1, 20.0));
+        assert_eq!(outer.grid_bounds(), inner.grid_bounds());
+        assert!(b.should_forward(1, &outer).unwrap().forward);
+        assert!(!b.should_forward(1, &inner).unwrap().forward);
+        assert_eq!(held_back(&b), [(2, 1)]);
+        let offered = b.retract(1, &outer).unwrap().expect("was sent");
+        assert_eq!(offered.len(), 1);
+        assert!(offered[0].0 == inner && offered[0].1.forward);
+        assert!(b.should_forward(1, &outer).unwrap().forward);
+        assert!(held_back_nothing(&b.links[&1]));
+
+        // Equal raw bounds: each covers the other, so they hand over.
+        let mut b = Broker::new(0, &[1], &s, CoveringPolicy::ExactSfc).unwrap();
+        let twins = [outer.clone(), outer.with_id(2)];
         assert!(b.should_forward(1, &twins[0]).unwrap().forward);
         assert!(!b.should_forward(1, &twins[1]).unwrap().forward);
         assert_eq!(held_back(&b), [(2, 1)]);
@@ -2100,11 +2128,11 @@ mod tests {
         let s = schema();
         let mut b = Broker::new(0, &[], &s, CoveringPolicy::None).unwrap();
         // Both in cell 32 ([50, 51.5625)) on both attributes: equal grid
-        // bounds, so each grid-covers the other, while neither's raw bounds
-        // hold the other's.
+        // bounds, while neither's raw bounds hold the other's.
         let low = sub(&s, 1, (50.2, 50.8), (50.2, 50.8));
         let high = sub(&s, 2, (50.4, 51.0), (50.4, 51.0));
-        assert!(low.covers(&high) && high.covers(&low));
+        assert_eq!(low.grid_bounds(), high.grid_bounds());
+        assert!(!low.covers(&high) && !high.covers(&low));
         b.add_local(7, low);
         b.add_local(7, high);
         assert_eq!((slots_of(&b, 7), b.held.len()), (vec![1, 2], 0));
@@ -2569,13 +2597,6 @@ mod tests {
         }
     }
 
-    /// Whether `outer`'s raw bounds contain `inner`'s on every attribute:
-    /// the local tables' cover, read from the handles.
-    fn raw_covers(outer: &Subscription, inner: &Subscription) -> bool {
-        let mut bounds = outer.raw_bounds().iter().zip(inner.raw_bounds());
-        bounds.all(|(&(lo, hi), &(low, high))| lo <= low && high <= hi)
-    }
-
     /// The local cover invariant (see `Broker::local`) against `live`, the
     /// `(client, subscription)` pairs registered at `b`: each is in a table
     /// under its client or held, and nothing else is; the held-back lists
@@ -2614,7 +2635,7 @@ mod tests {
                     assert_eq!(entry, subscription);
                     let (owner, cover) = slots[&witness];
                     assert_eq!(owner, *client, "{id} is held behind another client's");
-                    assert!(raw_covers(cover, subscription), "{witness} over {id}");
+                    assert!(cover.covers(subscription), "{witness} over {id}");
                 }
                 other => panic!("{id}: {other:?}"),
             }
@@ -2629,7 +2650,7 @@ mod tests {
                 }
                 for (i, outer) in handles.iter().enumerate() {
                     for (j, inner) in handles.iter().enumerate() {
-                        assert!(i == j || !raw_covers(outer, inner), "{outer} over {inner}");
+                        assert!(i == j || !outer.covers(inner), "{outer} over {inner}");
                     }
                 }
             }

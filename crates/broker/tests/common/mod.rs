@@ -11,7 +11,9 @@ use acd_subscription::{SubId, Subscription};
 /// On every link of every broker: the per-witness lists hold live ids, once
 /// each over all lists (they partition the suppressed ids), mirrored exactly
 /// by the by-id map and disjoint from the link's sent ids; no list is empty;
-/// every witness is sent on the link and covers what it holds back.
+/// every witness is sent on the link and covers what it holds back on raw
+/// bounds (`Subscription::covers`), so a held-back subscription misses no
+/// event that reaches its witness.
 ///
 /// Both ends of an entry are looked up in `live`, then in `retired`. A
 /// serial test passes an empty `retired`, which makes a dead witness or a

@@ -15,17 +15,14 @@
 //! witness goes. Every case takes the held path at least once, under every
 //! policy and value grid.
 //!
-//! Under `ExactSfc` every bound and event value is an integer in `0..=63` on
-//! a `[0, 64]` x 6 bit schema, so a value sits in grid cell `value` exactly:
-//! grid covering equals raw covering and the oracle is exact (no
-//! cell-boundary slack — a subscription held back behind a grid-coverer can
-//! miss an event in the cell of one of its bounds until ROADMAP item 1b
-//! lands, which is why the restriction stays on the covering policy). Under
-//! `CoveringPolicy::None` nothing is held back, the oracle is exact for any
-//! value, and a third of the cases draw bounds and values in quarter steps:
-//! four to a cell, so the serial kernel's grid filter passes, and the rank
-//! kernel's cell tables leave ambiguous, slots that only the raw compare can
-//! tell apart.
+//! The schema is `[0, 64]` x 6 bits, so an integer value sits in grid cell
+//! `value` exactly. Under each policy, some cases draw every bound and event
+//! value as an integer in `0..=63` and some in quarter steps: four to a
+//! cell, so the serial kernel's grid filter passes, and the rank kernel's
+//! cell tables leave ambiguous, slots that only the raw compare can tell
+//! apart. Under `ExactSfc` quarter steps also make subscriptions that cover
+//! one another on the grid but not on raw bounds; a link must send both,
+//! since the oracle is exact and has no cell-boundary slack.
 //!
 //! A second property pins the daemon's answer path to the pair lists: the
 //! `Deliveries` frames a served network writes for a pipelined burst are
@@ -54,7 +51,7 @@ const BROKERS: usize = 3;
 const SERIAL_BELOW: usize = 14;
 
 /// How a case draws its bounds and values: whole cells, or four steps to a
-/// cell (only where no covering policy suppresses anything).
+/// cell.
 #[derive(Clone, Copy, Debug)]
 enum Values {
     Integers,
@@ -266,9 +263,11 @@ fn local_slots(net: &BrokerNetwork, at: BrokerId) -> usize {
     net.broker(at).unwrap().local_table_slots().iter().sum()
 }
 
-/// The local subscriptions broker `at` holds back off its tables.
+/// The local subscriptions broker `at` holds back off its tables, read
+/// under one broker guard.
 fn held_locally(net: &BrokerNetwork, at: BrokerId) -> usize {
-    net.broker(at).unwrap().local_subscriptions() - local_slots(net, at)
+    let broker = net.broker(at).unwrap();
+    broker.local_subscriptions() - broker.local_table_slots().iter().sum::<usize>()
 }
 
 proptest! {
@@ -286,6 +285,7 @@ proptest! {
         shared_clients in any::<bool>(),
         (policy, values) in prop_oneof![
             Just((CoveringPolicy::ExactSfc, Values::Integers)),
+            Just((CoveringPolicy::ExactSfc, Values::Quarters)),
             Just((CoveringPolicy::None, Values::Integers)),
             Just((CoveringPolicy::None, Values::Quarters)),
         ],

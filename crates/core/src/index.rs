@@ -18,9 +18,10 @@ use crate::Result;
 ///
 /// All implementations must satisfy the safety property the broker relies
 /// on: a returned identifier always refers to a stored subscription that
-/// truly covers the query (no false positives). Approximate implementations
-/// may fail to find an existing covering subscription (false negatives),
-/// which only costs bandwidth, never correctness.
+/// truly covers the query — on raw bounds, [`Subscription::covers`], not
+/// merely on the quantization grid — so no false positives. Approximate
+/// implementations may fail to find an existing covering subscription
+/// (false negatives), which only costs bandwidth, never correctness.
 pub trait CoveringIndex: std::fmt::Debug + Send + Sync {
     /// Inserts a subscription.
     ///
@@ -60,18 +61,6 @@ pub trait CoveringIndex: std::fmt::Debug + Send + Sync {
     fn find_covering_batch(&mut self, queries: &[Subscription]) -> Result<Vec<QueryOutcome>> {
         queries.iter().map(|q| self.find_covering(q)).collect()
     }
-
-    /// Returns the identifiers of every stored subscription that the query
-    /// covers (the reverse relation, used for routing-table pruning), in
-    /// unspecified order.
-    ///
-    /// No implementation keeps a second structure for this direction: the
-    /// answer is exact and costs a scan linear in the stored set.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the query's schema does not match the index.
-    fn find_covered_by(&mut self, query: &Subscription) -> Result<Vec<SubId>>;
 
     /// Number of stored subscriptions.
     fn len(&self) -> usize;
@@ -114,9 +103,6 @@ mod tests {
                 unimplemented!()
             }
             fn find_covering(&mut self, _: &Subscription) -> Result<QueryOutcome> {
-                unimplemented!()
-            }
-            fn find_covered_by(&mut self, _: &Subscription) -> Result<Vec<SubId>> {
                 unimplemented!()
             }
             fn len(&self) -> usize {

@@ -116,16 +116,6 @@ impl CoveringIndex for LinearScanIndex {
         Ok(outcome)
     }
 
-    fn find_covered_by(&mut self, query: &Subscription) -> Result<Vec<SubId>> {
-        self.check_schema(query)?;
-        Ok(self
-            .subscriptions
-            .iter()
-            .filter(|s| s.id() != query.id() && query.covers(s))
-            .map(|s| s.id())
-            .collect())
-    }
-
     fn len(&self) -> usize {
         self.subscriptions.len()
     }
@@ -217,19 +207,6 @@ mod tests {
         // Querying with the same id must not match the stored copy.
         let same_id = sub(&s, 1, (10.0, 20.0), (10.0, 20.0));
         assert!(!idx.find_covering(&same_id).unwrap().is_covered());
-    }
-
-    #[test]
-    fn find_covered_by_returns_all_covered_subscriptions() {
-        let s = schema();
-        let mut idx = LinearScanIndex::new(&s);
-        idx.insert(&sub(&s, 1, (10.0, 20.0), (10.0, 20.0))).unwrap();
-        idx.insert(&sub(&s, 2, (30.0, 40.0), (30.0, 40.0))).unwrap();
-        idx.insert(&sub(&s, 3, (0.0, 100.0), (0.0, 100.0))).unwrap();
-        let query = sub(&s, 4, (0.0, 50.0), (0.0, 50.0));
-        let mut covered = idx.find_covered_by(&query).unwrap();
-        covered.sort_unstable();
-        assert_eq!(covered, vec![1, 2]);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! batch of covering queries takes the trait's default, one
 //! [`find_covering`](CoveringIndex::find_covering) per query.
 //!
-//! The reverse question "which existing subscriptions does the new one
-//! cover?" ([`CoveringIndex::find_covered_by`]) has no structure of its own:
-//! it is an exact linear scan of the stored subscriptions.
+//! A dominating point is a cover on the quantization grid only. The query
+//! confirms each candidate on its raw bounds ([`Subscription::covers`])
+//! before naming it, so it never reports a subscription that misses an event
+//! the query matches.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -416,37 +417,19 @@ impl CoveringIndex for SfcCoveringIndex {
     fn find_covering(&mut self, query: &Subscription) -> Result<QueryOutcome> {
         self.check_schema(query)?;
         let query_point = dominance_point(query)?;
-        let query_id = query.id();
-        let (hit, stats) = self
-            .forward
-            .query_dominating_where(&query_point, |&id| id != query_id)?;
+        // Dominance on the grid filters, the raw bounds confirm: a candidate
+        // that covers the query only on the grid is skipped and the sweep
+        // goes on to the next.
+        let subscriptions = &self.subscriptions;
+        let (hit, stats) = self.forward.query_dominating_where(&query_point, |id| {
+            *id != query.id() && subscriptions.get(id).is_some_and(|s| s.covers(query))
+        })?;
         let outcome = match hit {
-            Some(id) => {
-                // The dominance hit is geometrically exact (quantized grid),
-                // so no re-verification is needed; debug builds double check.
-                debug_assert!(
-                    self.subscriptions
-                        .get(&id)
-                        .map(|s| s.covers(query))
-                        .unwrap_or(false),
-                    "dominance hit {id} does not cover the query"
-                );
-                QueryOutcome::found(id, stats)
-            }
+            Some(id) => QueryOutcome::found(id, stats),
             None => QueryOutcome::empty(stats),
         };
         self.stats.record_query(&outcome);
         Ok(outcome)
-    }
-
-    fn find_covered_by(&mut self, query: &Subscription) -> Result<Vec<SubId>> {
-        self.check_schema(query)?;
-        Ok(self
-            .subscriptions
-            .values()
-            .filter(|s| s.id() != query.id() && query.covers(s))
-            .map(Subscription::id)
-            .collect())
     }
 
     fn len(&self) -> usize {
@@ -529,6 +512,27 @@ mod tests {
             .collect()
     }
 
+    /// `a` and `b` store the same subscriptions, and each one's twin (a
+    /// copy under a fresh id) finds a cover in both — through the dominance
+    /// array, so every stored point is reachable there too.
+    fn assert_same_stored(
+        a: &mut SfcCoveringIndex,
+        b: &mut SfcCoveringIndex,
+        subs: &[Subscription],
+    ) {
+        assert_eq!(a.len(), b.len());
+        for sub in subs {
+            assert_eq!(a.get(sub.id()), b.get(sub.id()), "stored {}", sub.id());
+            if a.contains(sub.id()) {
+                let twin = sub.with_id(1_000_000 + sub.id());
+                for index in [&mut *a, &mut *b] {
+                    let id = index.find_covering(&twin).unwrap().covering.unwrap();
+                    assert!(index.get(id).unwrap().covers(&twin));
+                }
+            }
+        }
+    }
+
     #[test]
     fn exhaustive_index_agrees_with_linear_scan() {
         let s = schema();
@@ -595,7 +599,7 @@ mod tests {
     #[test]
     fn bulk_build_matches_incremental_inserts_on_all_curves() {
         // `build_from` must be indistinguishable from inserting one by one:
-        // same covering answers, same covered-by sets, removals still work.
+        // same covering answers, same stored set, removals still work.
         let s = schema();
         let subs = random_subs(&s, 120, 41);
         let queries = random_subs(&s, 40, 43);
@@ -616,12 +620,8 @@ mod tests {
                     "{curve:?} bulk/incremental disagree on {}",
                     q.id()
                 );
-                let mut a = bulk.find_covered_by(q).unwrap();
-                let mut b = incremental.find_covered_by(q).unwrap();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "{curve:?} covered-by disagrees on {}", q.id());
             }
+            assert_same_stored(&mut bulk, &mut incremental, &subs);
             // Removal from a bulk-built index works.
             let victim = subs[7].id();
             bulk.remove(victim).unwrap();
@@ -681,18 +681,20 @@ mod tests {
         ));
         assert_eq!(idx.len(), 1);
         assert!(idx.contains(1));
-        // Covering still answers...
+        // Covering still answers, and the stored set is intact.
         assert_eq!(idx.find_covering(&narrow).unwrap().covering, Some(1));
-        // ...and so does covered-by.
-        assert_eq!(idx.find_covered_by(&wide).unwrap(), Vec::<SubId>::new());
+        assert_eq!(idx.get(1), Some(&wide));
         idx.insert(&narrow).unwrap();
-        assert_eq!(idx.find_covered_by(&wide).unwrap(), vec![2]);
+        assert_eq!(idx.get(2), Some(&narrow));
 
         // A successful removal clears the subscription from the dominance
         // array and the subscription map together.
+        let inside = sub(&s, 3, (45.0, 55.0), (45.0, 55.0));
+        assert_eq!(idx.find_covering(&inside).unwrap().covering, Some(2));
         idx.remove(2).unwrap();
         assert!(!idx.contains(2));
-        assert!(idx.find_covered_by(&wide).unwrap().is_empty());
+        assert_eq!(idx.get(2), None);
+        assert_eq!(idx.find_covering(&inside).unwrap().covering, Some(1));
         assert_eq!(idx.find_covering(&narrow).unwrap().covering, Some(1));
         assert_eq!(idx.stats().removes, 1);
     }
@@ -733,21 +735,61 @@ mod tests {
     }
 
     #[test]
-    fn find_covered_by_matches_linear_scan() {
+    fn a_cover_on_the_grid_only_is_skipped_for_a_true_one() {
+        // Grid 32 on [0, 100], cells 3.125 wide: `query` spans cells 3..=6
+        // on both attributes. `grid_only` and `cover` have one dominance
+        // point, and `grid_only` is stored first, so it comes first in every
+        // sweep — but it starts at 10.2, inside the query's first cell and
+        // above its 10.1. `corner` sits on the query's own point (the
+        // smallest key of the region on the Z curve) and ends at 20.0, in
+        // the query's last cell but below its 20.1. Both dominate the
+        // query's point; neither covers it.
         let s = schema();
-        let subs = random_subs(&s, 90, 3);
-        let mut sfc = SfcCoveringIndex::exhaustive(&s).unwrap();
-        let mut lin = LinearScanIndex::new(&s);
-        for sub in &subs {
-            sfc.insert(sub).unwrap();
-            lin.insert(sub).unwrap();
-        }
-        for query in subs.iter().step_by(7) {
-            let mut a = sfc.find_covered_by(query).unwrap();
-            let mut b = lin.find_covered_by(query).unwrap();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "covered-by mismatch for {}", query.id());
+        let query = sub(&s, 10, (10.1, 20.1), (10.1, 20.1));
+        let corner = sub(&s, 1, (10.0, 20.0), (10.0, 20.0));
+        let grid_only = sub(&s, 2, (10.2, 90.0), (0.0, 100.0));
+        let cover = sub(&s, 3, (10.0, 90.0), (0.0, 100.0));
+        // Inside `grid_only` and `cover`, to show which comes first.
+        let inner = sub(&s, 11, (12.0, 90.0), (12.0, 19.0));
+        let point = |x: &Subscription| dominance_point(x).unwrap();
+        assert_eq!(point(&grid_only), point(&cover));
+        let curves = CurveKind::all().into_iter().flat_map(|curve| {
+            let engine = QueryEngine::for_curve(curve);
+            [
+                ApproxConfig::exhaustive(),
+                ApproxConfig::with_epsilon(0.05).unwrap(),
+            ]
+            .map(|config| (curve, config.engine(engine)))
+        });
+        let mut indexes: Vec<Box<dyn CoveringIndex>> = curves
+            .map(|(curve, config)| -> Box<dyn CoveringIndex> {
+                Box::new(SfcCoveringIndex::with_curve(&s, config, curve).unwrap())
+            })
+            .collect();
+        indexes.push(Box::new(LinearScanIndex::new(&s)));
+        for index in &mut indexes {
+            for stored in [&corner, &grid_only, &cover] {
+                assert!(point(stored).dominates(&point(&query)));
+                assert_eq!(stored.covers(&query), stored.id() == 3);
+                index.insert(stored).unwrap();
+            }
+            let name = index.name();
+            assert_eq!(
+                index.find_covering(&inner).unwrap().covering,
+                Some(2),
+                "{name}"
+            );
+            assert_eq!(
+                index.find_covering(&query).unwrap().covering,
+                Some(3),
+                "{name}"
+            );
+            index.remove(3).unwrap();
+            assert_eq!(
+                index.find_covering(&query).unwrap().covering,
+                None,
+                "{name}"
+            );
         }
     }
 
@@ -840,12 +882,8 @@ mod tests {
                     "{curve:?} reopened index disagrees on {}",
                     q.id()
                 );
-                let mut a = built.find_covered_by(q).unwrap();
-                let mut b = reopened.find_covered_by(q).unwrap();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "{curve:?} covered-by disagrees on {}", q.id());
             }
+            assert_same_stored(&mut built, &mut reopened, &subs);
             // The reopened index stays fully mutable.
             let victim = subs[3].id();
             reopened.remove(victim).unwrap();

@@ -166,16 +166,21 @@ impl Subscription {
             .all(|(&(lo, hi), &v)| v >= lo && v <= hi)
     }
 
-    /// Whether this subscription covers `other`, i.e. `N(self) ⊇ N(other)`,
-    /// evaluated exactly on the quantization grid (which is the space the
-    /// router indexes).
+    /// Whether this subscription covers `other`, i.e. `N(self) ⊇ N(other)`:
+    /// its raw bounds contain `other`'s on every attribute, so every event
+    /// `other` [`matches`](Self::matches) this one matches too.
+    ///
+    /// Quantisation is monotone, so a cover is also a cover on the grid
+    /// (`p(self)` dominates `p(other)`, see [`crate::dominance_point`]). The
+    /// converse fails where both bounds of an attribute fall in one cell: the
+    /// grid relation is a filter, and this is the verdict.
     pub fn covers(&self, other: &Subscription) -> bool {
         if other.schema != self.schema {
             return false;
         }
-        self.grid_bounds
+        self.raw_bounds
             .iter()
-            .zip(other.grid_bounds.iter())
+            .zip(other.raw_bounds.iter())
             .all(|(&(alo, ahi), &(blo, bhi))| alo <= blo && ahi >= bhi)
     }
 

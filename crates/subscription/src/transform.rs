@@ -10,7 +10,11 @@
 //! This crate works on an unsigned grid, so the negation `−ℓ_i` is realized
 //! as the mirror `(2^k − 1) − ℓ_i`, which preserves the order reversal the
 //! transform needs. The dominance universe therefore has `d = 2β` dimensions
-//! with the same `k` bits per dimension as the schema grid.
+//! with the same `k` bits per dimension as the schema grid. On the grid,
+//! dominance is containment of the quantized rectangles: every
+//! [`Subscription::covers`] pair dominates, but a pair whose bounds share a
+//! cell can dominate without covering, so dominance filters candidates and
+//! the raw bounds confirm them.
 
 use acd_sfc::{Point, Universe};
 
@@ -37,8 +41,8 @@ pub fn dominance_universe(schema: &Schema) -> Result<Universe> {
 /// Coordinate layout: for attribute `i` with quantized bounds `[ℓ_i, r_i]`,
 /// dimension `2i` holds the mirrored lower bound `(2^k − 1) − ℓ_i` and
 /// dimension `2i + 1` holds the upper bound `r_i`. With this layout,
-/// `s1.covers(s2)` ⇔ `dominance_point(s1)` dominates `dominance_point(s2)`
-/// component-wise.
+/// `dominance_point(s1)` dominates `dominance_point(s2)` component-wise ⇔
+/// `s1`'s quantized bounds contain `s2`'s, which `s1.covers(s2)` implies.
 ///
 /// # Errors
 ///
@@ -107,11 +111,17 @@ mod tests {
         }
     }
 
+    /// Whether `a`'s quantized bounds contain `b`'s on every attribute.
+    fn grid_contains(a: &Subscription, b: &Subscription) -> bool {
+        let mut bounds = a.grid_bounds().iter().zip(b.grid_bounds());
+        bounds.all(|(&(alo, ahi), &(blo, bhi))| alo <= blo && bhi <= ahi)
+    }
+
     #[test]
-    fn covering_iff_dominance() {
-        // Exhaustive-ish check: for a sample of subscription pairs, the
-        // geometric covering test agrees exactly with dominance of the
-        // transformed points.
+    fn grid_containment_iff_dominance() {
+        // Exhaustive-ish check: for a sample of subscription pairs, grid
+        // containment agrees exactly with dominance of the transformed
+        // points, and a raw cover always dominates.
         let s = schema(5);
         let mut subs = Vec::new();
         let mut id = 0;
@@ -130,12 +140,26 @@ mod tests {
                 let pa = dominance_point(a).unwrap();
                 let pb = dominance_point(b).unwrap();
                 assert_eq!(
-                    a.covers(b),
+                    grid_contains(a, b),
                     pa.dominates(&pb),
-                    "covering/dominance mismatch for {a} vs {b}"
+                    "containment/dominance mismatch for {a} vs {b}"
                 );
+                assert!(!a.covers(b) || pa.dominates(&pb), "{a} covers {b}");
             }
         }
+    }
+
+    #[test]
+    fn bounds_in_one_cell_dominate_without_covering() {
+        // Grid 32 on [0, 1]: both ranges span cells 6..=12 on every
+        // attribute, so the points are equal, yet neither range holds the
+        // other.
+        let s = schema(5);
+        let a = sub(&s, 1, &[(0.20, 0.39); 3]);
+        let b = sub(&s, 2, &[(0.21, 0.40); 3]);
+        let (pa, pb) = (dominance_point(&a).unwrap(), dominance_point(&b).unwrap());
+        assert_eq!(pa, pb);
+        assert!(!a.covers(&b) && !b.covers(&a));
     }
 
     #[test]

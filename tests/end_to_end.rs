@@ -207,10 +207,12 @@ fn removal_keeps_indexes_consistent_end_to_end() {
     index.remove(2).unwrap();
     assert!(!index.find_covering(&narrow).unwrap().is_covered());
 
-    // Reverse queries stay consistent too.
+    // The emptied index holds exactly what is inserted next.
     index.insert(&narrow).unwrap();
-    let covered = index.find_covered_by(&wide).unwrap();
-    assert_eq!(covered, vec![3]);
+    assert_eq!(index.len(), 1);
+    assert!(!index.find_covering(&wide).unwrap().is_covered());
+    let inner = narrow.with_id(4);
+    assert_eq!(index.find_covering(&inner).unwrap().covering, Some(3));
 }
 
 #[test]
