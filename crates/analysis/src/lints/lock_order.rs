@@ -1,13 +1,13 @@
 //! `lock-order`: syntactic enforcement of the documented lock hierarchy.
 //!
-//! The broker overlay (`crates/broker/src/network.rs`) and the daemon above
-//! it (`crates/broker/src/service.rs`) document a strict acquisition order —
-//! session (`sessions`) → journal (`journal`) → broker (`brokers`) → netreg
-//! (`registered`) — and a deadlock needs exactly one code path that acquires
-//! against it. This lint models the hierarchy as ranked **lock classes** (see
-//! [`LOCK_CLASSES`], mirrored at runtime by `acd_covering::ordered` and
-//! documented in `LOCKING.md`) and walks every function body tracking which
-//! classes are held at each acquisition.
+//! The broker overlay (`crates/broker/src/network.rs`) and the daemon
+//! sessions above it (`crates/broker/src/session.rs`) document a strict
+//! acquisition order — session (`sessions`) → journal (`journal`) → broker
+//! (`brokers`) → netreg (`registered`) — and a deadlock needs exactly one
+//! code path that acquires against it. This lint models the hierarchy as
+//! ranked **lock classes** (see [`LOCK_CLASSES`], mirrored at runtime by
+//! `acd_covering::ordered` and documented in `LOCKING.md`) and walks every
+//! function body tracking which classes are held at each acquisition.
 //!
 //! The tracking is deliberately syntactic (no type information):
 //!

@@ -67,6 +67,7 @@ pub mod network;
 mod pool;
 pub mod resilient;
 pub mod service;
+mod session;
 pub mod topology;
 pub mod wire;
 

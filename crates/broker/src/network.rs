@@ -611,17 +611,20 @@ impl Shares {
 
     /// Puts the shares of `output` in broker-id order: nothing to do when
     /// the walk met the brokers that added any in that order (a BFS from
-    /// the root of a tree numbered level by level), one copy otherwise.
+    /// the root of a tree numbered level by level), else one copy within
+    /// the buffer, so reused scratch keeps its allocation once grown. Out of
+    /// line: inlined into `walk` it cost `pingpong` 0.8 % of `op_p50_ref` (2 vCPUs).
+    #[inline(never)]
     fn place<T: Clone>(&self, output: &mut Vec<T>) {
         let shares = self.spans.iter().filter(|span| !span.is_empty());
         if shares.is_sorted_by_key(|span| span.start) {
             return;
         }
-        let walked = std::mem::take(output);
-        output.reserve_exact(walked.len());
+        let walked = output.len();
         for span in &self.spans {
-            output.extend_from_slice(walked.get(span.clone()).unwrap_or_default());
+            output.extend_from_within(span.clone());
         }
+        output.drain(..walked);
     }
 }
 
@@ -1163,6 +1166,41 @@ mod tests {
                     assert_eq!(list, expected, "from {at}");
                 }
             }
+        }
+    }
+
+    /// From six of the seven brokers of `balanced_tree(2, 2)` the walk
+    /// meets the brokers out of id order and places their shares. Once the
+    /// caller's scratch has grown, placing reuses it: a second round of
+    /// walks from every broker keeps the allocation the first round left.
+    #[test]
+    fn placing_the_shares_keeps_the_scratch_allocation() {
+        let s = schema();
+        let net = network(
+            Topology::balanced_tree(2, 2).unwrap(),
+            &s,
+            CoveringPolicy::None,
+        );
+        for at in 0..7 {
+            let subscription = sub(&s, at as SubId, (0.0, 100.0), (0.0, 100.0));
+            net.subscribe(at, 1, &subscription).unwrap();
+        }
+        let event = Event::new(&s, vec![50.0, 50.0]).unwrap();
+        let mut triples = Vec::new();
+        let walk = |at, triples: &mut Vec<Triple>| {
+            let mut pairs = 0;
+            net.publish_chunks(at, slice::from_ref(&event), triples, |t, _| pairs = t.len())
+                .unwrap();
+            assert_eq!(pairs, 7, "from {at}");
+            assert!(triples.is_sorted(), "from {at}: {triples:?}");
+        };
+        for at in 0..7 {
+            walk(at, &mut triples);
+        }
+        let scratch = triples.as_ptr();
+        for at in 0..7 {
+            walk(at, &mut triples);
+            assert_eq!(triples.as_ptr(), scratch, "the walk from {at} reallocated");
         }
     }
 

@@ -9,7 +9,7 @@
 //! The pool is deliberately minimal: jobs are `FnOnce() + Send + 'static`
 //! closures, and a panicking job is caught so the worker survives to serve
 //! the next connection (the job's own drop guards release whatever the
-//! dead session held — see `service.rs`).
+//! dead session held — see `SessionGuard` in `service.rs`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};

@@ -17,7 +17,7 @@
 //!   and replays every tracked subscription via idempotent
 //!   `Resubscribe` frames before the interrupted request is retried. The
 //!   epoch lets the daemon discard stale requests from the dead
-//!   connection (see `service.rs`).
+//!   connection (see `session.rs`).
 //! * **Typed outcomes instead of panics** — operations return [`GaveUp`]
 //!   (attempt count + final error) when the policy is exhausted, and
 //!   [`last_outcome`](ResilientClient::last_outcome) reports

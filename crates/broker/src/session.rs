@@ -1,0 +1,1243 @@
+//! One connection's side of the daemon protocol as a value: a [`Session`]
+//! takes a round of request frames — one request, or a burst of publishes
+//! at one broker — and appends its response frames to a buffer, with no
+//! socket, thread or clock of its own. The blocking shell in
+//! [`crate::service`] reads the frames, ends the rounds and writes the
+//! answers; a test steps several sessions in one thread the same way.
+//!
+//! * **Sessions are connection-scoped.** Every subscription a connection
+//!   registers is tracked in the session map; when the connection ends,
+//!   [`Session::on_close`] retracts its surviving registrations exactly
+//!   like `unsubscribe` (the *drained-state invariant*).
+//! * **One path per mutation, acked only once durable.** `Subscribe` and
+//!   `Resubscribe` run `install`; `Unsubscribe` and `Retract` run
+//!   `retract`. Each holds the session map across its overlay call and
+//!   journals its record before the ack.
+//! * **Replay is idempotent.** [`Frame::Resubscribe`]/[`Frame::Retract`]
+//!   carry the client's session *epoch*; a stale one is absorbed, so a
+//!   stalled request from a pre-reconnect connection can never clobber
+//!   state the reconnected client already replayed.
+//! * **Recovery replays `snapshot ∘ journal`** from the data directory;
+//!   what it restores is owned by no connection until a client takes it
+//!   over by resubscribing.
+
+use std::collections::{BTreeMap, HashMap};
+use std::path::{Path, PathBuf};
+
+use acd_covering::storage::{
+    read_snapshot, write_snapshot, JournalRecord, StorageError, SubscriptionJournal,
+};
+use acd_subscription::{Event, SubId, Subscription};
+
+use crate::broker::{BrokerId, ClientId};
+use crate::error::{BrokerError, ServiceError};
+use crate::metrics::MetricCounters;
+use crate::network::{BrokerNetwork, Triple};
+use crate::service::DaemonState;
+use crate::wire::{append_frame, put_deliveries_frames, Frame};
+
+/// The append-only journal inside the daemon's data directory.
+const JOURNAL_FILE: &str = "journal.acd";
+
+/// The graceful-shutdown snapshot inside the daemon's data directory.
+const SNAPSHOT_FILE: &str = "snapshot.acd";
+
+/// Session owner of subscriptions restored from the data directory. No
+/// real connection ever gets this id (they count up from zero), so a
+/// recovered registration is never swept by a closing session — it lives
+/// until a client retracts it or takes it over by resubscribing.
+const RECOVERED_CONN: u64 = u64::MAX;
+
+/// The answer to each publish drained behind a malformed one.
+const NOT_EXECUTED: &str =
+    "not executed: aborted after an earlier malformed publish in the pipelined batch";
+
+/// One tracked subscription registration: which connection owns it, the
+/// session epoch that installed it, and its home broker (for retraction).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SessionEntry {
+    conn: u64,
+    epoch: u64,
+    at: BrokerId,
+}
+
+/// The daemon's durable half: the open journal, the directory it lives
+/// in, and the durable live set (id → its `Subscribe` record, in id
+/// order), maintained in lockstep with every append so the shutdown
+/// snapshot needs no replay.
+#[derive(Debug)]
+pub(crate) struct Persistence {
+    dir: PathBuf,
+    journal: SubscriptionJournal,
+    live: BTreeMap<SubId, JournalRecord>,
+}
+
+/// How a session ended: the client went away (EOF, a protocol error,
+/// eviction, an idle reap, a panic), or the daemon's shutdown ended it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Close {
+    Client,
+    Daemon,
+}
+
+/// One connection's protocol state: its id, which owns the registrations
+/// it makes, and the scratch its publish bursts reuse.
+#[derive(Debug, Default)]
+pub(crate) struct Session {
+    pub(crate) conn: u64,
+    events: Vec<Event>,
+    triples: Vec<Triple>,
+    payloads: Vec<Vec<u8>>,
+}
+
+impl Session {
+    /// The session of connection `conn`.
+    pub(crate) fn new(conn: u64) -> Session {
+        Session {
+            conn,
+            ..Session::default()
+        }
+    }
+
+    /// Executes one round and appends one response frame per request to
+    /// `out`, in order, leaving `requests` empty. Broker-level rejections
+    /// are answered [`Frame::Err`] (the connection continues); a request no
+    /// client may send there is a hard error (the connection closes).
+    ///
+    /// A round that starts with a `Publish` is a burst: publishes at that
+    /// one broker. Only its valid prefix executes, as one batch whose
+    /// chunks go from the match kernel straight to the frame writer. The
+    /// first malformed publish answers its own error and the rest answer
+    /// one *without executing*: the counters equal the `Deliveries` frames
+    /// the client acks (`BatchError::acked`), never the requests it
+    /// pipelined.
+    pub(crate) fn on_round(
+        &mut self,
+        state: &DaemonState,
+        requests: &mut Vec<Frame>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), ServiceError> {
+        if let Some(&Frame::Publish { at, .. }) = requests.first() {
+            let network = &state.network;
+            let total = requests.len();
+            self.events.clear();
+            let mut refused = None;
+            for request in requests.drain(..) {
+                let values = match request {
+                    Frame::Publish { at: origin, values } if origin == at => values,
+                    other => return Err(unexpected(&other)),
+                };
+                match Event::new(network.schema(), values) {
+                    Ok(event) => self.events.push(event),
+                    Err(e) => {
+                        refused = Some(BrokerError::from(e).to_string());
+                        break;
+                    }
+                }
+            }
+            let payloads = &mut self.payloads;
+            let answer = |triples: &[_], n| put_deliveries_frames(out, triples, n, payloads);
+            if let Err(e) = network.publish_chunks(at, &self.events, &mut self.triples, answer) {
+                // The burst shares one origin broker, so a network-level
+                // refusal (unknown broker) applies to every event, and it
+                // came before any counter moved.
+                for _ in &self.events {
+                    let message = e.to_string();
+                    append_frame(&Frame::Err { message }, out);
+                }
+            }
+            if let Some(refused) = refused {
+                let tail = (self.events.len() + 1..total).map(|_| NOT_EXECUTED.to_string());
+                for message in std::iter::once(refused).chain(tail) {
+                    append_frame(&Frame::Err { message }, out);
+                }
+            }
+            return Ok(());
+        }
+        for request in requests.drain(..) {
+            let outcome = match request {
+                Frame::Subscribe {
+                    at,
+                    client,
+                    id,
+                    bounds,
+                } => install(state, self.conn, at, client, id, bounds, None),
+                Frame::Resubscribe {
+                    at,
+                    client,
+                    id,
+                    bounds,
+                    epoch,
+                } => install(state, self.conn, at, client, id, bounds, Some(epoch)),
+                Frame::Unsubscribe { at, id } => retract(state, at, id, None),
+                Frame::Retract { at, id, epoch } => retract(state, at, id, Some(epoch)),
+                other => return Err(unexpected(&other)),
+            };
+            let reply = match outcome {
+                Ok(()) => Frame::Ok,
+                Err(message) => Frame::Err { message },
+            };
+            append_frame(&reply, out);
+        }
+        Ok(())
+    }
+
+    /// Ends the session. A client that went away has every registration
+    /// the session still owns retracted — exactly like `unsubscribe`, so an
+    /// evicted or vanished client leaves no routing entries behind. A
+    /// session the daemon ended only forgets the ownership. Registrations
+    /// another session took over are left alone.
+    ///
+    /// `cause` is the session's *own* end, not the daemon's shutdown flag:
+    /// keying off the flag would let a genuine client disconnect that races
+    /// a graceful shutdown skip its journal entry and leave an ownerless
+    /// registration in the shutdown snapshot.
+    pub(crate) fn on_close(&self, state: &DaemonState, cause: Close) {
+        let mut sessions = state.sessions.lock();
+        let owned: Vec<(SubId, BrokerId)> = sessions
+            .iter()
+            .filter(|(_, entry)| entry.conn == self.conn)
+            .map(|(id, entry)| (*id, entry.at))
+            .collect();
+        for (id, at) in owned {
+            sessions.remove(&id);
+            // A daemon-initiated end retracts nothing: the registrations
+            // must survive into the shutdown snapshot so a restarted daemon
+            // serves them again (clients take them over by resubscribing).
+            if cause == Close::Daemon {
+                continue;
+            }
+            // A vanished *client* is retracted and journaled (best-effort)
+            // like an unsubscribe; racing an in-process unsubscribe is
+            // benign: the entry is gone either way.
+            let _ = state.network.unsubscribe(at, id);
+            let _ = journal_append(state, JournalRecord::Unsubscribe { at: at as u64, id });
+        }
+    }
+}
+
+/// The hard error for a request frame a session does not take there.
+fn unexpected(frame: &Frame) -> ServiceError {
+    ServiceError::UnexpectedFrame {
+        kind: frame.kind_name().to_string(),
+    }
+}
+
+/// Loads `snapshot ∘ journal` from the data directory, re-registers every
+/// surviving subscription with the network, and seeds the session map
+/// (owner [`RECOVERED_CONN`]) so reconnecting clients take their
+/// registrations over with an ordinary `Resubscribe`.
+pub(crate) fn recover(
+    network: &BrokerNetwork,
+    dir: &Path,
+    sessions: &mut HashMap<SubId, SessionEntry>,
+) -> Result<Persistence, ServiceError> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| ServiceError::Io(format!("create {}: {e}", dir.display())))?;
+    let storage = |e: StorageError| ServiceError::Io(e.to_string());
+    let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE)).map_err(storage)?;
+    let (journal, tail) = SubscriptionJournal::open(&dir.join(JOURNAL_FILE)).map_err(storage)?;
+    let mut live = BTreeMap::new();
+    for record in snapshot.unwrap_or_default().into_iter().chain(tail) {
+        apply(&mut live, record);
+    }
+    for record in live.values() {
+        let JournalRecord::Subscribe {
+            at,
+            client,
+            id,
+            bounds,
+        } = record
+        else {
+            continue;
+        };
+        let subscription = Subscription::from_raw_bounds(network.schema(), *id, bounds)
+            .map_err(|e| ServiceError::Io(format!("recovered subscription {id}: {e}")))?;
+        let at = *at as BrokerId;
+        network
+            .subscribe(at, *client, &subscription)
+            .map_err(ServiceError::Broker)?;
+        sessions.insert(
+            *id,
+            SessionEntry {
+                conn: RECOVERED_CONN,
+                epoch: 0,
+                at,
+            },
+        );
+    }
+    Ok(Persistence {
+        dir: dir.to_owned(),
+        journal,
+        live,
+    })
+}
+
+/// Compacts the durable live set into an atomic snapshot and resets the
+/// journal — a no-op without a data directory. Only for a quiescent state:
+/// no session may be mutating it.
+pub(crate) fn compact(state: &DaemonState) -> Result<(), StorageError> {
+    let mut journal = state.journal.lock();
+    let Some(persistence) = journal.as_mut() else {
+        return Ok(());
+    };
+    let records: Vec<JournalRecord> = persistence.live.values().cloned().collect();
+    write_snapshot(&persistence.dir.join(SNAPSHOT_FILE), &records)?;
+    persistence.journal.reset()
+}
+
+/// Appends one record to the journal (and the mirrored live set) — a
+/// no-op without a data directory. The caller must already hold the
+/// session entry for the record's id, so appends land in the same order
+/// the mutations were serialized in. A failure comes back as the message
+/// of the `Err` reply that replaces the ack.
+fn journal_append(state: &DaemonState, record: JournalRecord) -> Result<(), String> {
+    let mut journal = state.journal.lock();
+    let Some(persistence) = journal.as_mut() else {
+        return Ok(());
+    };
+    if let Err(e) = persistence.journal.append(&record) {
+        return Err(format!("journal write failed: {e}"));
+    }
+    apply(&mut persistence.live, record);
+    Ok(())
+}
+
+/// Applies `record` to a live set: a `Subscribe` sets its id's entry, an
+/// `Unsubscribe` drops it.
+fn apply(live: &mut BTreeMap<SubId, JournalRecord>, record: JournalRecord) {
+    match record {
+        JournalRecord::Subscribe { id, .. } => {
+            live.insert(id, record);
+        }
+        JournalRecord::Unsubscribe { id, .. } => {
+            live.remove(&id);
+        }
+    }
+}
+
+/// Registers subscription `id` (bounds in attribute order, so no attribute
+/// is looked up by name) for `client` at broker `at`, owned by connection
+/// `conn`, and acks it only once it is journaled. A `Subscribe` passes no
+/// `epoch`; a `Resubscribe` passes its session epoch and first takes over
+/// the id's current registration: a stale epoch is absorbed without
+/// acting, a current (retry) or newer (reconnect) one retracts the old
+/// registration so the home broker can move. Every `Err` is the reply's
+/// message; schema problems are one too, not a connection error.
+fn install(
+    state: &DaemonState,
+    conn: u64,
+    at: BrokerId,
+    client: ClientId,
+    id: SubId,
+    bounds: Vec<(f64, f64)>,
+    epoch: Option<u64>,
+) -> Result<(), String> {
+    let subscription = Subscription::from_raw_bounds(state.network.schema(), id, &bounds)
+        .map_err(|e| e.to_string())?;
+    let counters = state.network.counters();
+    let mut sessions = state.sessions.lock();
+    // Only a `Resubscribe` looks for a registration to take over.
+    let previous = epoch.and_then(|_| sessions.get(&id).copied());
+    if let (Some(epoch), Some(entry)) = (epoch, previous) {
+        if epoch < entry.epoch {
+            // A stalled replay from a pre-reconnect connection: the newer
+            // session owns this id.
+            MetricCounters::bump(&counters.client_retries);
+            return Ok(());
+        }
+        sessions.remove(&id);
+        match state.network.unsubscribe(entry.at, id) {
+            Ok(()) | Err(BrokerError::UnknownSubscription { .. }) => {}
+            Err(e) => return Err(e.to_string()),
+        }
+        let counter = if entry.conn == conn {
+            &counters.client_retries
+        } else {
+            &counters.client_reconnects
+        };
+        MetricCounters::bump(counter);
+    }
+    if let Err(e) = state.network.subscribe(at, client, &subscription) {
+        if previous.is_some() {
+            // The reinstall failed after the old registration was
+            // retracted: bring the durable state along (best effort — the
+            // reply is already an error).
+            let _ = journal_append(state, JournalRecord::Unsubscribe { at: at as u64, id });
+        }
+        return Err(e.to_string());
+    }
+    let record = JournalRecord::Subscribe {
+        at: at as u64,
+        client,
+        id,
+        bounds,
+    };
+    if let Err(message) = journal_append(state, record) {
+        // Durable-ack discipline: an unjournaled mutation is not
+        // acknowledged — roll it back and report.
+        let _ = state.network.unsubscribe(at, id);
+        return Err(message);
+    }
+    let epoch = epoch.unwrap_or(0);
+    sessions.insert(id, SessionEntry { conn, epoch, at });
+    Ok(())
+}
+
+/// Retracts subscription `id`, whichever connection registered it, and
+/// acks once the retraction is journaled. An `Unsubscribe` passes no
+/// `epoch` and names the home broker `at`. A `Retract` passes its session
+/// epoch: a stale one is absorbed without acting, otherwise the session
+/// entry (if any) is dropped and names the home broker, and an id already
+/// gone counts as a retried success. A failed journal write turns the ack
+/// into an error so the client retries — retraction is idempotent, so the
+/// retry converges.
+fn retract(
+    state: &DaemonState,
+    mut at: BrokerId,
+    id: SubId,
+    epoch: Option<u64>,
+) -> Result<(), String> {
+    let counters = state.network.counters();
+    let mut sessions = state.sessions.lock();
+    let previous = epoch.and_then(|_| sessions.get(&id).copied());
+    if let (Some(epoch), Some(entry)) = (epoch, previous) {
+        if epoch < entry.epoch {
+            // Stale retraction of an id a newer session replayed.
+            MetricCounters::bump(&counters.client_retries);
+            return Ok(());
+        }
+        sessions.remove(&id);
+        at = entry.at;
+    }
+    match state.network.unsubscribe(at, id) {
+        Ok(()) => {
+            sessions.remove(&id);
+        }
+        Err(BrokerError::UnknownSubscription { .. }) if epoch.is_some() => {
+            MetricCounters::bump(&counters.client_retries);
+        }
+        Err(e) => return Err(e.to_string()),
+    }
+    journal_append(state, JournalRecord::Unsubscribe { at: at as u64, id })
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::network::BrokerConfig;
+    use crate::service::DaemonOptions;
+    use crate::topology::Topology;
+    use crate::wire::read_frame;
+    use acd_covering::CoveringPolicy;
+    use acd_subscription::{Schema, SubscriptionBuilder};
+    use std::sync::Arc;
+
+    pub(crate) fn test_network(policy: CoveringPolicy) -> Arc<BrokerNetwork> {
+        let schema = Schema::builder()
+            .attribute("x", 0.0, 100.0)
+            .bits_per_attribute(8)
+            .build()
+            .unwrap();
+        Arc::new(
+            BrokerConfig::new(Topology::line(3).unwrap(), &schema)
+                .policy(policy)
+                .build()
+                .unwrap(),
+        )
+    }
+
+    pub(crate) fn state_with(options: DaemonOptions) -> Arc<DaemonState> {
+        Arc::new(DaemonState::new(test_network(CoveringPolicy::ExactSfc), options).unwrap())
+    }
+
+    /// Decodes every response frame in `bytes`.
+    pub(crate) fn responses(bytes: &[u8]) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        let mut scratch = Vec::new();
+        let mut cursor = bytes;
+        while !cursor.is_empty() {
+            frames.push(read_frame(&mut cursor, &mut scratch).expect("well-formed response"));
+        }
+        frames
+    }
+
+    /// The ids of the durable live set the shutdown snapshot is written
+    /// from.
+    pub(crate) fn durable_ids(state: &DaemonState) -> Vec<SubId> {
+        let journal = state.journal.lock();
+        journal.as_ref().unwrap().live.keys().copied().collect()
+    }
+
+    /// Runs `requests` as one round of `session` and decodes its answers.
+    fn round(state: &DaemonState, session: &mut Session, requests: Vec<Frame>) -> Vec<Frame> {
+        let (mut requests, mut out) = (requests, Vec::new());
+        session.on_round(state, &mut requests, &mut out).unwrap();
+        assert!(requests.is_empty());
+        responses(&out)
+    }
+
+    /// The answer to `request` as a round of connection `conn`'s session.
+    fn ask(state: &DaemonState, conn: u64, request: Frame) -> Frame {
+        let mut frames = round(state, &mut Session::new(conn), vec![request]);
+        assert_eq!(frames.len(), 1, "one response per request");
+        frames.pop().unwrap()
+    }
+
+    fn publish(at: BrokerId, values: &[f64]) -> Frame {
+        Frame::Publish {
+            at,
+            values: values.to_vec(),
+        }
+    }
+
+    /// `Subscribe` of id `id`, client 7, bounds `[0, hi]` at broker 0.
+    fn subscribe(id: SubId, hi: f64) -> Frame {
+        Frame::Subscribe {
+            at: 0,
+            client: 7,
+            id,
+            bounds: vec![(0.0, hi)],
+        }
+    }
+
+    #[test]
+    fn mid_batch_failure_leaves_counters_at_the_acked_prefix() {
+        let state = state_with(DaemonOptions::default());
+        // A burst of five same-broker publishes, the third malformed (wrong
+        // arity): the valid prefix executes as one batch, the bad one
+        // answers its own error, and the tail is *not executed* — so the
+        // counters equal the number of Deliveries the client acks before
+        // its `BatchError`, exactly the `acked` resume contract.
+        let burst = [10.0, 20.0, f64::NAN, 30.0, 40.0].map(|x| match x {
+            x if x.is_nan() => publish(0, &[1.0, 2.0]),
+            x => publish(0, &[x]),
+        });
+        let frames = round(&state, &mut Session::new(1), burst.to_vec());
+        assert!(matches!(frames[0], Frame::Deliveries { .. }));
+        assert!(matches!(frames[1], Frame::Deliveries { .. }));
+        assert!(matches!(frames[2], Frame::Err { .. }));
+        assert!(
+            matches!(&frames[3], Frame::Err { message } if message.contains("not executed")),
+            "the tail behind a failed publish must be refused, got {:?}",
+            frames[3]
+        );
+        assert!(matches!(frames[4], Frame::Err { .. }));
+        assert_eq!(frames.len(), 5, "one response per request");
+        assert_eq!(
+            state.network.metrics().events_published,
+            2,
+            "only the acked prefix may execute"
+        );
+
+        // A burst aimed at an unknown broker fails whole: every request
+        // answered, nothing executed, no counter moved.
+        let burst = vec![publish(99, &[10.0]), publish(99, &[20.0])];
+        let frames = round(&state, &mut Session::new(2), burst);
+        assert!(matches!(frames[..], [Frame::Err { .. }, Frame::Err { .. }]));
+        assert_eq!(state.network.metrics().events_published, 2);
+
+        // Twenty valid publishes take the grid kernel and its frame writer,
+        // not the serial walk; the malformed one and the tail behind it
+        // are answered as above, and only the twenty execute.
+        assert_eq!(ask(&state, 3, subscribe(1, 50.0)), Frame::Ok);
+        let mut burst: Vec<Frame> = (0..20).map(|i| publish(2, &[i as f64 * 5.0])).collect();
+        burst.push(publish(2, &[1.0, 2.0]));
+        burst.extend((0..5).map(|i| publish(2, &[i as f64])));
+        let before = state.network.metrics();
+        let frames = round(&state, &mut Session::new(3), burst);
+        assert_eq!(frames.len(), 26, "one response per request");
+        for (i, frame) in frames[..20].iter().enumerate() {
+            let pairs = if i * 5 <= 50 { vec![(0, 7)] } else { vec![] };
+            assert_eq!(frame, &Frame::Deliveries { pairs }, "publish {i}");
+        }
+        // The malformed publish is answered as a lone one would be.
+        assert_eq!(frames[20], ask(&state, 4, publish(2, &[1.0, 2.0])));
+        assert!(matches!(frames[20], Frame::Err { .. }));
+        for frame in &frames[21..] {
+            assert!(
+                matches!(frame, Frame::Err { message } if message.contains("not executed")),
+                "{frame:?}"
+            );
+        }
+        let after = state.network.metrics();
+        assert_eq!(after.events_published - before.events_published, 20);
+        assert_eq!(after.deliveries - before.deliveries, 11);
+    }
+
+    /// Rounds are answered in order, each burst at its own broker.
+    #[test]
+    fn pipelined_publishes_come_back_in_order() {
+        let state = state_with(DaemonOptions::default());
+        let mut session = Session::new(1);
+        assert_eq!(ask(&state, 1, subscribe(1, 50.0)), Frame::Ok);
+        let burst = vec![publish(2, &[10.0]), publish(2, &[80.0])];
+        let mut frames = round(&state, &mut session, burst);
+        frames.extend(round(&state, &mut session, vec![publish(1, &[20.0])]));
+        let hit = Frame::Deliveries {
+            pairs: vec![(0, 7)],
+        };
+        let miss = Frame::Deliveries { pairs: vec![] };
+        assert_eq!(frames, [hit.clone(), miss, hit]);
+        assert_eq!(state.network.metrics().events_published, 3);
+        assert_eq!(state.network.metrics().deliveries, 2);
+    }
+
+    /// A burst long enough for the grid kernel answers byte for byte what
+    /// its publishes answer one round each, on the serial walk.
+    #[test]
+    fn batched_publishes_deliver_like_serial_ones() {
+        let state = state_with(DaemonOptions::default());
+        let mut session = Session::new(1);
+        assert_eq!(ask(&state, 1, subscribe(1, 50.0)), Frame::Ok);
+        let burst: Vec<Frame> = (0..20).map(|i| publish(2, &[i as f64 * 5.0])).collect();
+        let (mut batched, mut serial) = (Vec::new(), Vec::new());
+        let mut requests = burst.clone();
+        session
+            .on_round(&state, &mut requests, &mut batched)
+            .unwrap();
+        for request in burst {
+            requests.push(request);
+            session
+                .on_round(&state, &mut requests, &mut serial)
+                .unwrap();
+        }
+        assert_eq!(batched, serial);
+        assert_eq!(responses(&batched).len(), 20);
+        assert_eq!(state.network.metrics().deliveries, 2 * 11);
+    }
+
+    #[test]
+    fn a_closing_client_session_retracts_like_unsubscribe() {
+        let state = state_with(DaemonOptions::default());
+        let session = Session::new(1);
+        assert_eq!(ask(&state, 1, subscribe(1, 50.0)), Frame::Ok);
+        // The client vanishes without unsubscribing.
+        session.on_close(&state, Close::Client);
+        // Drained-state invariant: the registration was retracted exactly
+        // like an unsubscribe, so nothing matches and nothing lingers.
+        let metrics = state.network.metrics();
+        assert_eq!(metrics.unsubscriptions, 1);
+        assert_eq!(metrics.routing_table_entries, 0);
+        let event = Event::new(state.network.schema(), vec![25.0]).unwrap();
+        assert_eq!(state.network.publish(2, &event).unwrap(), vec![]);
+        assert!(state.sessions.lock().is_empty());
+    }
+
+    /// A session the daemon ends forgets who owned the registrations and
+    /// nothing else: the network and the set the shutdown snapshot is
+    /// written from are left as they were.
+    #[test]
+    fn daemon_teardown_keeps_the_registrations_the_snapshot_keeps() {
+        let dir = std::env::temp_dir().join(format!("acd-teardown-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let state = state_with(DaemonOptions {
+            data_dir: Some(dir.clone()),
+            ..DaemonOptions::default()
+        });
+        let mut session = Session::new(1);
+        for id in 1..=3u64 {
+            let reply = round(&state, &mut session, vec![subscribe(id, 10.0 * id as f64)]);
+            assert_eq!(reply, [Frame::Ok]);
+        }
+        let entries = state.network.metrics().routing_table_entries;
+        assert!(entries > 0);
+        assert_eq!(durable_ids(&state), [1, 2, 3]);
+
+        session.on_close(&state, Close::Daemon);
+
+        assert!(state.sessions.lock().is_empty(), "session map drained");
+        let metrics = state.network.metrics();
+        assert_eq!(metrics.routing_table_entries, entries);
+        assert_eq!(metrics.unsubscriptions, 0);
+        assert_eq!(durable_ids(&state), [1, 2, 3]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resubscribe_epoch_takeover_defeats_stale_replays() {
+        let state = state_with(DaemonOptions::default());
+        let (mut dead, mut live) = (Session::new(1), Session::new(2));
+        // Connection 1 registers id 9 at broker 0 (epoch 0); connection 2
+        // (the reconnected client, epoch 1) replays it at broker 2: a
+        // takeover that moves the home broker. Then a stalled replay from
+        // the dead connection arrives late: absorbed without clobbering it.
+        assert_eq!(round(&state, &mut dead, vec![resub(0, 0)]), [Frame::Ok]);
+        assert_eq!(round(&state, &mut live, vec![resub(2, 1)]), [Frame::Ok]);
+        assert_eq!(round(&state, &mut dead, vec![resub(0, 0)]), [Frame::Ok]);
+        let event = Event::new(state.network.schema(), vec![25.0]).unwrap();
+        assert_eq!(
+            state.network.publish(1, &event).unwrap(),
+            vec![(2, 7)],
+            "registration must live at the takeover's broker"
+        );
+        let metrics = state.network.metrics();
+        assert_eq!(metrics.client_reconnects, 1);
+        assert_eq!(metrics.client_retries, 1);
+        // The dead connection's close must not touch the taken-over id...
+        dead.on_close(&state, Close::Client);
+        assert_eq!(state.network.publish(1, &event).unwrap(), vec![(2, 7)]);
+        // ...while the owner's close retracts it.
+        live.on_close(&state, Close::Client);
+        assert_eq!(state.network.publish(1, &event).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn stale_retract_is_absorbed_and_fresh_retract_is_idempotent() {
+        let state = state_with(DaemonOptions::default());
+        let (mut dead, mut live) = (Session::new(1), Session::new(2));
+        assert_eq!(round(&state, &mut dead, vec![resub(0, 0)]), [Frame::Ok]);
+        assert_eq!(round(&state, &mut live, vec![resub(0, 1)]), [Frame::Ok]);
+        // Stale retract (epoch 0) from the dead connection: no-op.
+        let reply = round(&state, &mut dead, vec![retract(0, 0)]);
+        assert_eq!(reply, [Frame::Ok]);
+        let event = Event::new(state.network.schema(), vec![25.0]).unwrap();
+        assert_eq!(state.network.publish(1, &event).unwrap(), vec![(0, 7)]);
+        // Current retract removes it; a retried retract still answers Ok.
+        let twice = vec![retract(0, 1), retract(0, 1)];
+        assert_eq!(round(&state, &mut live, twice), [Frame::Ok, Frame::Ok]);
+        assert_eq!(state.network.publish(1, &event).unwrap(), vec![]);
+    }
+
+    /// Two sessions stepped in one thread through a reconnect: the second
+    /// takes id 9 over with a newer epoch, the first's late `Retract` is
+    /// absorbed, and the journal, reread from disk, holds both installs and
+    /// no retraction.
+    #[test]
+    fn two_sessions_in_one_thread_step_through_a_takeover() {
+        let dir = std::env::temp_dir().join(format!("acd-two-sessions-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let state = state_with(DaemonOptions {
+            data_dir: Some(dir.clone()),
+            ..DaemonOptions::default()
+        });
+        let (mut old, mut new) = (Session::new(1), Session::new(2));
+        assert_eq!(round(&state, &mut old, vec![resub(0, 1)]), [Frame::Ok]);
+        assert_eq!(round(&state, &mut new, vec![resub(2, 2)]), [Frame::Ok]);
+        assert_eq!(round(&state, &mut old, vec![retract(0, 1)]), [Frame::Ok]);
+        old.on_close(&state, Close::Client);
+        let event = Event::new(state.network.schema(), vec![25.0]).unwrap();
+        assert_eq!(state.network.publish(1, &event).unwrap(), vec![(2, 7)]);
+        let metrics = state.network.metrics();
+        let counters = [
+            metrics.client_retries,
+            metrics.client_reconnects,
+            metrics.unsubscriptions,
+        ];
+        assert_eq!(counters, [1, 1, 1], "the takeover's one retraction");
+        let entry = state
+            .sessions
+            .lock()
+            .get(&9)
+            .map(|e| (e.conn, e.epoch, e.at));
+        assert_eq!(entry, Some((2, 2, 2)));
+        drop(state);
+        let (_, journal) = SubscriptionJournal::open(&dir.join(JOURNAL_FILE)).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let want: Vec<JournalRecord> = [Rec::S(0, 9), Rec::S(2, 9)].map(Rec::into).to_vec();
+        assert_eq!(journal, want);
+    }
+
+    /// `Subscribe` and `Resubscribe` build from the bounds' attribute order.
+    /// On valid bounds that is the very subscription the builder makes by
+    /// attribute name, and it is installed and delivers; on every bound the
+    /// builder path refused (wrong arity, `lo > hi`, NaN, ±∞, outside the
+    /// domain) both frames answer `Err` and register nothing.
+    #[test]
+    fn subscribe_frames_build_what_the_builder_builds() {
+        let state = state_with(DaemonOptions::default());
+        let schema = state.network.schema().clone();
+        // The builder path, arity check and all.
+        let by_name = |id: SubId, bounds: &[(f64, f64)]| match *bounds {
+            [(lo, hi)] => SubscriptionBuilder::new(&schema)
+                .range("x", lo, hi)
+                .build(id)
+                .ok(),
+            _ => None,
+        };
+        let frames = |id: SubId, bounds: &[(f64, f64)]| {
+            let bounds = bounds.to_vec();
+            [
+                Frame::Subscribe {
+                    at: 0,
+                    client: 7,
+                    id,
+                    bounds: bounds.clone(),
+                },
+                Frame::Resubscribe {
+                    at: 2,
+                    client: 8,
+                    id: id + 1,
+                    bounds,
+                    epoch: 0,
+                },
+            ]
+        };
+        let registered = || state.network.metrics().subscriptions_registered;
+
+        let valid: [&[(f64, f64)]; 5] = [
+            &[(0.0, 100.0)],
+            &[(10.0, 40.0)],
+            &[(25.0, 25.0)],
+            &[(-0.0, 0.0)],
+            &[(99.5, 100.0)],
+        ];
+        for (id, bounds) in (1..).step_by(2).zip(valid) {
+            let built = by_name(id, bounds).expect("valid bounds");
+            assert_eq!(
+                Subscription::from_raw_bounds(&schema, id, bounds),
+                Ok(built)
+            );
+            for frame in frames(id, bounds) {
+                let reply = ask(&state, 1, frame);
+                assert!(matches!(reply, Frame::Ok), "{bounds:?}: {reply:?}");
+            }
+            let [(lo, hi)] = bounds else { unreachable!() };
+            let inside = Event::new(&schema, vec![(lo + hi) / 2.0]).unwrap();
+            let delivered = state.network.publish(1, &inside).unwrap();
+            assert_eq!(delivered, [(0, 7), (2, 8)], "{bounds:?}");
+            state.network.unsubscribe(0, id).unwrap();
+            state.network.unsubscribe(2, id + 1).unwrap();
+        }
+
+        let before = registered();
+        let invalid: [&[(f64, f64)]; 10] = [
+            &[],
+            &[(0.0, 1.0), (0.0, 1.0)],
+            &[(40.0, 10.0)],
+            &[(f64::NAN, 5.0)],
+            &[(5.0, f64::NAN)],
+            &[(f64::NEG_INFINITY, 5.0)],
+            &[(5.0, f64::INFINITY)],
+            &[(f64::NEG_INFINITY, f64::INFINITY)],
+            &[(-0.5, 5.0)],
+            &[(5.0, 100.5)],
+        ];
+        for bounds in invalid {
+            assert_eq!(by_name(50, bounds), None, "{bounds:?}");
+            assert!(
+                Subscription::from_raw_bounds(&schema, 50, bounds).is_err(),
+                "{bounds:?}"
+            );
+            for frame in frames(50, bounds) {
+                let reply = ask(&state, 1, frame);
+                assert!(matches!(reply, Frame::Err { .. }), "{bounds:?}: {reply:?}");
+            }
+        }
+        assert_eq!(registered(), before);
+    }
+
+    /// A journal record as [`mutation_table`] spells it: `S(at, 9)` is a
+    /// `Subscribe` of [`table_frame`]'s client and bounds, `U(at, 9)` an
+    /// `Unsubscribe`.
+    #[derive(Debug, Clone, Copy)]
+    enum Rec {
+        S(u64, SubId),
+        U(u64, SubId),
+    }
+
+    impl From<Rec> for JournalRecord {
+        fn from(rec: Rec) -> JournalRecord {
+            match rec {
+                Rec::S(at, id) => JournalRecord::Subscribe {
+                    at,
+                    client: 7,
+                    id,
+                    bounds: vec![(0.0, 50.0)],
+                },
+                Rec::U(at, id) => JournalRecord::Unsubscribe { at, id },
+            }
+        }
+    }
+
+    /// One set-up step of a [`MutationRow`].
+    enum Step {
+        /// A request on connection `conn`, answered `Ok`.
+        Request(u64, Frame),
+        /// Drop the daemon state and recover it from the data directory.
+        Restart,
+        /// Connection `conn` ends by daemon teardown: the session map forgets
+        /// its ids, the network keeps them.
+        Teardown(u64),
+        /// Id 9 is retracted in process, behind the session map's back.
+        Vanish,
+    }
+
+    /// One request against one prepared state, and all it may change.
+    struct MutationRow {
+        name: &'static str,
+        setup: Vec<Step>,
+        conn: u64,
+        request: Frame,
+        /// `Ok(())` for [`Frame::Ok`], else a fragment of the `Err` message.
+        reply: Result<(), &'static str>,
+        /// What the request adds to `client_retries`, `client_reconnects`
+        /// and `unsubscriptions`.
+        counters: [u64; 3],
+        /// Id 9's session entry afterwards, as `(conn, epoch, at)`.
+        session: Option<(u64, u64, BrokerId)>,
+        /// The whole journal, set-up included, reread from disk.
+        journal: Vec<Rec>,
+    }
+
+    /// The subscribe-like frames of the table: id 9, client 7, `[0, 50]`
+    /// (or the empty range `[40, 10]` when `bad`); `epoch` picks
+    /// `Resubscribe` over `Subscribe`.
+    fn table_frame(at: BrokerId, epoch: Option<u64>, bad: bool) -> Frame {
+        let bounds = vec![if bad { (40.0, 10.0) } else { (0.0, 50.0) }];
+        let (client, id) = (7, 9);
+        match epoch {
+            None => Frame::Subscribe {
+                at,
+                client,
+                id,
+                bounds,
+            },
+            Some(epoch) => Frame::Resubscribe {
+                at,
+                client,
+                id,
+                bounds,
+                epoch,
+            },
+        }
+    }
+
+    fn sub(at: BrokerId) -> Frame {
+        table_frame(at, None, false)
+    }
+
+    fn resub(at: BrokerId, epoch: u64) -> Frame {
+        table_frame(at, Some(epoch), false)
+    }
+
+    fn unsub(at: BrokerId) -> Frame {
+        Frame::Unsubscribe { at, id: 9 }
+    }
+
+    fn retract(at: BrokerId, epoch: u64) -> Frame {
+        Frame::Retract { at, id: 9, epoch }
+    }
+
+    /// Every branch of the four mutation requests on a three-broker line.
+    fn mutation_table() -> Vec<MutationRow> {
+        use Rec::{S, U};
+        use Step::{Request, Restart, Teardown, Vanish};
+        const GONE: &str = "not registered";
+        const NO_BROKER: &str = "does not exist";
+        let row = |name, setup, conn, request, reply, counters, session, journal| MutationRow {
+            name,
+            setup,
+            conn,
+            request,
+            reply,
+            counters,
+            session,
+            journal,
+        };
+        vec![
+            row(
+                "Subscribe fresh",
+                vec![],
+                1,
+                sub(0),
+                Ok(()),
+                [0, 0, 0],
+                Some((1, 0, 0)),
+                vec![S(0, 9)],
+            ),
+            row(
+                "Subscribe duplicate",
+                vec![Request(1, sub(0))],
+                2,
+                sub(1),
+                Err("already registered"),
+                [0, 0, 0],
+                Some((1, 0, 0)),
+                vec![S(0, 9)],
+            ),
+            row(
+                "Subscribe unknown broker",
+                vec![],
+                1,
+                sub(99),
+                Err(NO_BROKER),
+                [0, 0, 0],
+                None,
+                vec![],
+            ),
+            row(
+                "Subscribe bad bounds",
+                vec![],
+                1,
+                table_frame(0, None, true),
+                Err("empty range"),
+                [0, 0, 0],
+                None,
+                vec![],
+            ),
+            row(
+                "Resubscribe fresh",
+                vec![],
+                1,
+                resub(0, 1),
+                Ok(()),
+                [0, 0, 0],
+                Some((1, 1, 0)),
+                vec![S(0, 9)],
+            ),
+            row(
+                "Resubscribe retry on the same connection",
+                vec![Request(1, resub(0, 1))],
+                1,
+                resub(0, 1),
+                Ok(()),
+                [1, 0, 1],
+                Some((1, 1, 0)),
+                vec![S(0, 9), S(0, 9)],
+            ),
+            row(
+                "Resubscribe takeover moving the home broker",
+                vec![Request(1, resub(0, 1))],
+                2,
+                resub(2, 2),
+                Ok(()),
+                [0, 1, 1],
+                Some((2, 2, 2)),
+                vec![S(0, 9), S(2, 9)],
+            ),
+            row(
+                "Resubscribe takeover of a recovered id",
+                vec![Request(1, sub(0)), Restart],
+                1,
+                resub(1, 1),
+                Ok(()),
+                [0, 1, 1],
+                Some((1, 1, 1)),
+                vec![S(0, 9), S(1, 9)],
+            ),
+            row(
+                "Resubscribe stale epoch",
+                vec![Request(2, resub(0, 2))],
+                1,
+                resub(1, 1),
+                Ok(()),
+                [1, 0, 0],
+                Some((2, 2, 0)),
+                vec![S(0, 9)],
+            ),
+            row(
+                "Resubscribe bad bounds over a live id",
+                vec![Request(1, resub(0, 1))],
+                2,
+                table_frame(0, Some(2), true),
+                Err("empty range"),
+                [0, 0, 0],
+                Some((1, 1, 0)),
+                vec![S(0, 9)],
+            ),
+            row(
+                "Resubscribe refused after a takeover",
+                vec![Request(1, resub(0, 1))],
+                2,
+                resub(99, 2),
+                Err(NO_BROKER),
+                [0, 1, 1],
+                None,
+                vec![S(0, 9), U(99, 9)],
+            ),
+            row(
+                "Resubscribe refused without a takeover",
+                vec![],
+                1,
+                resub(99, 1),
+                Err(NO_BROKER),
+                [0, 0, 0],
+                None,
+                vec![],
+            ),
+            row(
+                "Unsubscribe own id",
+                vec![Request(1, sub(0))],
+                1,
+                unsub(0),
+                Ok(()),
+                [0, 0, 1],
+                None,
+                vec![S(0, 9), U(0, 9)],
+            ),
+            row(
+                "Unsubscribe another connection's id",
+                vec![Request(1, sub(0))],
+                2,
+                unsub(0),
+                Ok(()),
+                [0, 0, 1],
+                None,
+                vec![S(0, 9), U(0, 9)],
+            ),
+            row(
+                "Unsubscribe recovered id",
+                vec![Request(1, sub(0)), Restart],
+                2,
+                unsub(0),
+                Ok(()),
+                [0, 0, 1],
+                None,
+                vec![S(0, 9), U(0, 9)],
+            ),
+            row(
+                "Unsubscribe unknown id",
+                vec![],
+                1,
+                unsub(0),
+                Err(GONE),
+                [0, 0, 0],
+                None,
+                vec![],
+            ),
+            row(
+                "Unsubscribe at the wrong broker",
+                vec![Request(1, sub(0))],
+                1,
+                unsub(1),
+                Err(GONE),
+                [0, 0, 0],
+                Some((1, 0, 0)),
+                vec![S(0, 9)],
+            ),
+            row(
+                "Retract current",
+                vec![Request(1, resub(0, 1))],
+                1,
+                retract(0, 1),
+                Ok(()),
+                [0, 0, 1],
+                None,
+                vec![S(0, 9), U(0, 9)],
+            ),
+            row(
+                "Retract current naming another broker",
+                vec![Request(1, resub(0, 1))],
+                1,
+                retract(2, 1),
+                Ok(()),
+                [0, 0, 1],
+                None,
+                vec![S(0, 9), U(0, 9)],
+            ),
+            row(
+                "Retract stale",
+                vec![Request(2, resub(0, 2))],
+                1,
+                retract(0, 1),
+                Ok(()),
+                [1, 0, 0],
+                Some((2, 2, 0)),
+                vec![S(0, 9)],
+            ),
+            row(
+                "Retract already gone",
+                vec![Request(1, resub(0, 1)), Request(1, retract(0, 1))],
+                1,
+                retract(0, 1),
+                Ok(()),
+                [1, 0, 0],
+                None,
+                vec![S(0, 9), U(0, 9), U(0, 9)],
+            ),
+            row(
+                "Retract of an entry the network lost",
+                vec![Request(1, resub(0, 1)), Vanish],
+                1,
+                retract(0, 1),
+                Ok(()),
+                [1, 0, 0],
+                None,
+                vec![S(0, 9), U(0, 9)],
+            ),
+            row(
+                "Retract with no session entry",
+                vec![Request(1, sub(0)), Teardown(1)],
+                2,
+                retract(0, 1),
+                Ok(()),
+                [0, 0, 1],
+                None,
+                vec![S(0, 9), U(0, 9)],
+            ),
+            row(
+                "Retract at an unknown broker",
+                vec![],
+                1,
+                retract(99, 1),
+                Err(NO_BROKER),
+                [0, 0, 0],
+                None,
+                vec![],
+            ),
+        ]
+    }
+
+    /// Each row runs on a fresh daemon state with a data directory. Its
+    /// reply, counter deltas, session entry and journal (reread by reopening
+    /// the file once the state is dropped) must all be as tabled; every
+    /// failing row is reported, not just the first.
+    #[test]
+    fn mutation_requests_reply_count_own_and_journal_per_branch() {
+        let mut failures = Vec::new();
+        for (n, row) in mutation_table().into_iter().enumerate() {
+            let dir = std::env::temp_dir().join(format!("acd-mutation-{}-{n}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let options = DaemonOptions {
+                data_dir: Some(dir.clone()),
+                ..DaemonOptions::default()
+            };
+            let mut state = state_with(options.clone());
+            for step in row.setup {
+                match step {
+                    Step::Request(conn, frame) => {
+                        assert_eq!(ask(&state, conn, frame), Frame::Ok, "{}: set-up", row.name);
+                    }
+                    Step::Restart => {
+                        drop(state);
+                        state = state_with(options.clone());
+                    }
+                    Step::Teardown(conn) => Session::new(conn).on_close(&state, Close::Daemon),
+                    Step::Vanish => state.network.unsubscribe(0, 9).unwrap(),
+                }
+            }
+            let before = state.network.metrics();
+            let reply = ask(&state, row.conn, row.request);
+            let after = state.network.metrics();
+            let counters = [
+                after.client_retries - before.client_retries,
+                after.client_reconnects - before.client_reconnects,
+                after.unsubscriptions - before.unsubscriptions,
+            ];
+            let session = state
+                .sessions
+                .lock()
+                .get(&9)
+                .map(|e| (e.conn, e.epoch, e.at));
+            drop(state);
+            let (_, journal) = SubscriptionJournal::open(&dir.join(JOURNAL_FILE)).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            let replied = match (&reply, row.reply) {
+                (Frame::Ok, Ok(())) => true,
+                (Frame::Err { message }, Err(fragment)) => message.contains(fragment),
+                _ => false,
+            };
+            let want_journal: Vec<JournalRecord> = row.journal.iter().map(|&r| r.into()).collect();
+            let got = (counters, session, journal);
+            let want = (row.counters, row.session, want_journal);
+            if !replied || got != want {
+                failures.push(format!(
+                    "{}: reply {reply:?} (want {:?}), got {got:?}, want {want:?}",
+                    row.name, row.reply
+                ));
+            }
+        }
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+}
