@@ -13,8 +13,9 @@
 //!
 //! * an *acquisition* is a `.read()` / `.write()` / `.lock()` call whose
 //!   receiver chain (scanned back to the start of the statement) names a
-//!   known class field — `self.journal.lock()`, `sessions.lock()`,
-//!   `self.brokers[home].write()` all classify;
+//!   known class field or accessor — `self.journal.lock()`,
+//!   `sessions.lock()`, `self.brokers[home].write()`,
+//!   `self.cell(home).write()` all classify;
 //! * an acquisition is *held* (until the end of its enclosing block) when it
 //!   is the entire initializer of a `let` binding, modulo the poison-recovery
 //!   chain (`.unwrap()`, `.expect("…")`, `.unwrap_or_else(…)`); anything
@@ -62,7 +63,7 @@ pub const LOCK_CLASSES: &[LockClass] = &[
     LockClass {
         rank: 5,
         name: "broker",
-        fields: &["brokers"],
+        fields: &["brokers", "cell"],
     },
     LockClass {
         rank: 8,
@@ -233,12 +234,10 @@ fn is_held_binding(code: &[&Token], i: usize) -> bool {
             saw_eq = true;
             break;
         }
-        // Receiver chain tokens only: identifiers, field dots, indexing.
+        // Receiver chain tokens only: identifiers, dots, indexing, calls.
         let plain = t.kind == TokenKind::Ident
             || t.kind == TokenKind::Number
-            || t.is_punct('.')
-            || t.is_punct('[')
-            || t.is_punct(']');
+            || ['.', '[', ']', '(', ')'].into_iter().any(|c| t.is_punct(c));
         if !plain {
             return false;
         }

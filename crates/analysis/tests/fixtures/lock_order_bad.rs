@@ -26,4 +26,11 @@ impl Daemon {
         // thread that took them the other way round.
         let _b = brokers[1].write();
     }
+
+    fn two_brokers_through_cell(&self) {
+        let _a = self.cell(0).write();
+        // The overlay reaches its brokers through `cell`: the same double
+        // acquisition.
+        let _b = self.cell(1).write();
+    }
 }

@@ -45,14 +45,15 @@
 //! that compares raw values. [`Subscription::matches`] is the oracle the
 //! tests compare both with.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
 
-use acd_covering::{CoveringIndex, CoveringPolicy};
+use acd_covering::CoveringPolicy;
 use acd_subscription::schema::MAX_ATTRIBUTES;
 use acd_subscription::{Event, Schema, SubId, Subscription};
 
+pub use crate::link::LinkIds;
+use crate::link::{Held, Link};
 use crate::Result;
 
 /// Identifier of a broker inside a [`crate::BrokerNetwork`] (an index into
@@ -123,7 +124,7 @@ impl<'a> EventCells<'a> {
 /// length (the cell columns run on to the end of their last block); only
 /// the methods below touch them, so they stay aligned.
 #[derive(Debug)]
-struct MatchTable {
+pub(crate) struct MatchTable {
     /// `lo[attr][slot]`: inclusive raw lower bounds, one column per
     /// schema attribute. With `hi`, **the truth**: the one exact store,
     /// read by [`confirm`](Self::confirm) and by the batched kernel's cold
@@ -181,7 +182,7 @@ impl MatchTable {
     /// Attributes per byte of an `open` column: two bits each.
     const OPEN_PER_BYTE: usize = 4;
 
-    fn new(schema: &Schema) -> MatchTable {
+    pub(crate) fn new(schema: &Schema) -> MatchTable {
         let arity = schema.arity();
         MatchTable {
             lo: vec![Vec::new(); arity],
@@ -615,193 +616,6 @@ fn remove_bit(words: &mut Vec<u64>, len: usize, at: usize) -> bool {
 /// subscriptions only (~70 % of that population).
 const LOCAL_CAP: usize = 512;
 
-/// Subscriptions held back behind a *witness*, a subscription that covers
-/// each of them: on a link, a sent subscription the covering query named;
-/// in a broker's local tables, an in-table subscription of the same client.
-/// The two maps are two views of one relation (`witness_of[s] = w` exactly
-/// when `s` is in `lists[w]`, once; no list is empty), and only the methods
-/// below change them, so they stay that way.
-#[derive(Debug, Default)]
-struct Held {
-    /// Witness id → the subscriptions held back behind it, in arrival order,
-    /// so that taking the witness away offers them again in that order.
-    lists: HashMap<SubId, Vec<Subscription>>,
-    /// Held-back id → its witness: the dedup check, and the way from a
-    /// held-back subscription to the one list it sits in.
-    witness_of: HashMap<SubId, SubId>,
-}
-
-impl Held {
-    /// Files `subscription` under `witness`, unless it is held already. A
-    /// new list starts with room for one: most witnesses hold one, and the
-    /// default first allocation has room for four.
-    fn hold(&mut self, witness: SubId, subscription: Subscription) {
-        if let Entry::Vacant(slot) = self.witness_of.entry(subscription.id()) {
-            slot.insert(witness);
-            let list = self
-                .lists
-                .entry(witness)
-                .or_insert_with(|| Vec::with_capacity(1));
-            list.push(subscription);
-        }
-    }
-
-    /// The witness `id` is held back behind, if it is held.
-    fn witness(&self, id: SubId) -> Option<SubId> {
-        self.witness_of.get(&id).copied()
-    }
-
-    /// Takes `id` out of its witness's list, returning its handle (`None`
-    /// when it is not held).
-    fn release(&mut self, id: SubId) -> Option<Subscription> {
-        let witness = self.witness_of.remove(&id)?;
-        let Entry::Occupied(mut list) = self.lists.entry(witness) else {
-            return None;
-        };
-        let at = list.get().iter().position(|s| s.id() == id)?;
-        let released = list.get_mut().remove(at);
-        if list.get().is_empty() {
-            list.remove();
-        }
-        Some(released)
-    }
-
-    /// Takes the whole list `witness` holds back, in arrival order (empty,
-    /// and allocation-free, when it holds nothing).
-    fn take(&mut self, witness: SubId) -> Vec<Subscription> {
-        let list = self.lists.remove(&witness).unwrap_or_default();
-        for held in &list {
-            self.witness_of.remove(&held.id());
-        }
-        list
-    }
-
-    /// Number of held-back subscriptions.
-    fn len(&self) -> usize {
-        self.witness_of.len()
-    }
-}
-
-/// Everything a broker remembers about the link to one neighbor: what
-/// arrived over it, what went out over it, and what covering held back —
-/// each held-back subscription under its *witness*, the sent subscription
-/// the covering query named as its cover.
-///
-/// Invariant: `held` is over live subscriptions, none of them in
-/// `sent_ids`, and **every witness is in `sent_ids` and covers what it
-/// holds back** on raw bounds ([`Subscription::covers`]), so it matches
-/// every event the held-back one does. Nothing sweeps `held` to keep that
-/// true, because the two ways in and the two ways out already do. A
-/// subscription enters only in [`offer`](Self::offer), at a broker it
-/// reached, when the sent index names a cover for it — and the index
-/// stores exactly what was sent and only names stored, truly covering
-/// subscriptions (the [`CoveringIndex`] safety property, under every
-/// policy). It leaves only in
-/// [`retract`](Self::retract): when its witness is retracted, the
-/// witness's whole list is offered again, in arrival order, and each entry
-/// ends sent or behind a new witness; when it is itself unsubscribed, the
-/// walk — which visits every broker the subscription reached, because a
-/// sent record is removed only by its own subscription's retraction —
-/// drops its entry. Retracting the witness is the only event that can
-/// falsify the bold clause, so it is the only one that re-offers anything:
-/// a subscription whose *other* covers come and go needs nothing. (This is
-/// about completed operations. An unsubscribe that overtakes a concurrent
-/// re-advertisement of the same subscription leaves that advertisement's
-/// records downstream — ROADMAP item 1a — sent, with a routing entry, or
-/// held back. Both clauses but "live" still read true of them; they cost
-/// event forwards and memory, never a delivery.)
-#[derive(Debug)]
-struct Link {
-    /// Routing table: the bounds of the subscriptions received from the
-    /// neighbor, deciding whether an event is forwarded to it.
-    routing: MatchTable,
-    /// Covering index over the subscriptions already sent to the neighbor
-    /// (`None` when the policy disables covering). It holds exactly
-    /// `sent_ids`, so `retract` reports a sent id missing from it as an
-    /// error.
-    sent: Option<Box<dyn CoveringIndex>>,
-    /// Identifiers sent on the link — the authoritative record
-    /// unsubscription follows, and the neighbor's routing entries for it.
-    sent_ids: HashSet<SubId>,
-    /// The subscriptions covering held back, each under the sent one the
-    /// index named, so that retracting a witness re-advertises exactly
-    /// what it masked.
-    held: Held,
-}
-
-impl Link {
-    /// Decides whether `subscription` goes out on the link and records the
-    /// verdict: sent (index and id set) or held back behind the witness the
-    /// index named.
-    fn offer(&mut self, subscription: &Subscription) -> Result<ForwardDecision> {
-        let mut decision = ForwardDecision {
-            forward: true,
-            covering_query: false,
-            runs_probed: 0,
-            comparisons: 0,
-        };
-        // No covering detection (`None`): always forward.
-        if let Some(index) = &mut self.sent {
-            let outcome = index.find_covering(subscription)?;
-            decision.covering_query = true;
-            decision.runs_probed = outcome.stats.runs_probed;
-            decision.comparisons = outcome.stats.subscriptions_compared;
-            if let Some(witness) = outcome.covering {
-                decision.forward = false;
-                self.held.hold(witness, subscription.clone());
-                return Ok(decision);
-            }
-            index.insert(subscription)?;
-        }
-        self.sent_ids.insert(subscription.id());
-        Ok(decision)
-    }
-
-    /// Takes `removed` off the link (see [`Broker::retract`]). Only the
-    /// list it was the witness of is offered again — everything else on the
-    /// link still has its witness and stays untouched, so the common case
-    /// (nothing behind it) issues no covering query and allocates nothing.
-    fn retract(
-        &mut self,
-        removed: &Subscription,
-    ) -> Result<Option<Vec<(Subscription, ForwardDecision)>>> {
-        let id = removed.id();
-        if !self.sent_ids.remove(&id) {
-            self.held.release(id);
-            return Ok(None);
-        }
-        if let Some(index) = &mut self.sent {
-            index.remove(id)?;
-        }
-        let masked = self.held.take(id);
-        let mut decisions = Vec::with_capacity(masked.len());
-        for candidate in masked {
-            debug_assert!(removed.covers(&candidate), "witness must cover");
-            let decision = self.offer(&candidate)?;
-            decisions.push((candidate, decision));
-        }
-        Ok(Some(decisions))
-    }
-}
-
-/// The identifiers one link holds, for tests and diagnostics (see
-/// [`Broker::link_ids`]). The held-back entries are `(id, witness)` pairs,
-/// read once off each of the link's two maps so a test can check that they
-/// agree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkIds {
-    /// Sent on the link, ascending.
-    pub sent: Vec<SubId>,
-    /// The keys of the per-witness lists, ascending (a key whose list has
-    /// emptied would show here and nowhere in `suppressed`).
-    pub witnesses: Vec<SubId>,
-    /// The per-witness lists: witnesses ascending, arrival order within a
-    /// witness.
-    pub suppressed: Vec<(SubId, SubId)>,
-    /// The by-id map, ascending by id.
-    pub suppressed_mirror: Vec<(SubId, SubId)>,
-}
-
 /// One broker of the overlay.
 ///
 /// A broker keeps two kinds of state:
@@ -811,14 +625,17 @@ pub struct LinkIds {
 ///   client-ordered sequence of capped match tables those no other
 ///   subscription of the same client covers, and off-table the rest, each
 ///   filed under an in-table one of its client that covers it;
-/// * `links`: one `Link` record per neighbor — `routing`, the bounds of
-///   the subscriptions received from it, used to decide where an event must
-///   be forwarded; `sent` + `sent_ids`, the covering index and id set of
-///   the subscriptions already forwarded to it (a new subscription is only
-///   forwarded if no already-sent one covers it: sender-side suppression);
-///   `held`, the ones held back, each filed under the sent subscription
-///   that covers it (its witness), so that retracting a witness
+/// * `links`: one `Link` record per neighbor (`link.rs`) — `routing`, the
+///   bounds of the subscriptions received from it, used to decide where an
+///   event must be forwarded; `sent` + `sent_ids`, the covering index and id
+///   set of the subscriptions already forwarded to it (a new subscription is
+///   only forwarded if no already-sent one covers it: sender-side
+///   suppression); `held`, the ones held back, each filed under the sent
+///   subscription that covers it (its witness), so that retracting a witness
 ///   re-advertises exactly what it masked.
+///
+/// An overlay walk changes a broker under its write lock alone, one broker
+/// lock per walk step (see [`crate::network`]).
 #[derive(Debug)]
 pub struct Broker {
     id: BrokerId,
@@ -858,16 +675,10 @@ impl Broker {
         schema: &Schema,
         policy: CoveringPolicy,
     ) -> Result<Self> {
-        let mut links = HashMap::with_capacity(neighbors.len());
-        for &n in neighbors {
-            let link = Link {
-                routing: MatchTable::new(schema),
-                sent: policy.build_index(schema)?,
-                sent_ids: HashSet::new(),
-                held: Held::default(),
-            };
-            links.insert(n, link);
-        }
+        let links = neighbors
+            .iter()
+            .map(|&n| Ok((n, Link::new(schema, policy)?)));
+        let links = links.collect::<Result<HashMap<_, _>>>()?;
         Ok(Broker {
             id,
             local: vec![MatchTable::new(schema)],
@@ -883,7 +694,7 @@ impl Broker {
 
     /// The record of the link to `neighbor`, which the overlay only ever
     /// names from the topology's adjacency lists.
-    fn link_mut(&mut self, neighbor: BrokerId) -> &mut Link {
+    pub(crate) fn link_mut(&mut self, neighbor: BrokerId) -> &mut Link {
         self.links
             .get_mut(&neighbor)
             .expect("neighbor links are created at construction")
@@ -938,7 +749,7 @@ impl Broker {
 
     /// Records a subscription received from a neighbor (a routing-table
     /// entry: its bounds and identifier, no handle).
-    pub fn add_received(&mut self, from: BrokerId, subscription: &Subscription) {
+    pub(crate) fn add_received(&mut self, from: BrokerId, subscription: &Subscription) {
         let table = &mut self.link_mut(from).routing;
         // Routing slots carry no order: append.
         table.insert_bounds(table.len(), subscription);
@@ -960,22 +771,6 @@ impl Broker {
     /// interfaces).
     pub fn routing_table_entries(&self) -> usize {
         self.links.values().map(|link| link.routing.len()).sum()
-    }
-
-    /// Decides whether `subscription` must be forwarded to `neighbor`,
-    /// consulting (and updating) the link's covering index; a suppressed
-    /// subscription is remembered on the link under its witness, the sent
-    /// subscription the index named as its cover.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the covering index rejects the subscription.
-    pub fn should_forward(
-        &mut self,
-        neighbor: BrokerId,
-        subscription: &Subscription,
-    ) -> Result<ForwardDecision> {
-        self.link_mut(neighbor).offer(subscription)
     }
 
     /// Removes the local subscription `id` of `client`, returning it if it
@@ -1026,7 +821,7 @@ impl Broker {
 
     /// Removes a routing-table entry received from `neighbor`, returning
     /// whether it was present.
-    pub fn remove_received(&mut self, from: BrokerId, id: SubId) -> bool {
+    pub(crate) fn remove_received(&mut self, from: BrokerId, id: SubId) -> bool {
         self.links
             .get_mut(&from)
             .is_some_and(|link| link.routing.swap_remove_routing(id))
@@ -1039,57 +834,10 @@ impl Broker {
         self.links.values().map(|link| link.held.len()).sum()
     }
 
-    /// The unsubscribe walk's one step per link: takes `removed` off the
-    /// link to `neighbor`. `Some(list)` when it had been sent there — it is
-    /// gone from the link's covering index and sent set, and every
-    /// subscription held back with it as witness (nothing else: the rest
-    /// still have theirs) has been re-run through
-    /// [`should_forward`](Self::should_forward), in arrival order: each
-    /// appears in the list with its decision, either going out now or held
-    /// back behind a new witness. The list is empty, and no covering query
-    /// ran, when it was masking nothing. `None` when it was never sent on
-    /// the link, where at most its own held-back entry had to go.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the covering index rejects a removal or a
-    /// re-advertisement query.
-    pub fn retract(
-        &mut self,
-        neighbor: BrokerId,
-        removed: &Subscription,
-    ) -> Result<Option<Vec<(Subscription, ForwardDecision)>>> {
-        self.link_mut(neighbor).retract(removed)
-    }
-
     /// The identifiers held on the link to `neighbor` (`None` for a broker
     /// that is not a neighbor).
     pub fn link_ids(&self, neighbor: BrokerId) -> Option<LinkIds> {
-        let link = self.links.get(&neighbor)?;
-        let sorted = |ids: &HashSet<SubId>| {
-            let mut ids: Vec<SubId> = ids.iter().copied().collect();
-            ids.sort_unstable();
-            ids
-        };
-        let mut lists: Vec<(SubId, &Vec<Subscription>)> =
-            link.held.lists.iter().map(|(&w, list)| (w, list)).collect();
-        lists.sort_unstable_by_key(|&(witness, _)| witness);
-        let mut suppressed_mirror: Vec<(SubId, SubId)> = link
-            .held
-            .witness_of
-            .iter()
-            .map(|(&id, &w)| (id, w))
-            .collect();
-        suppressed_mirror.sort_unstable();
-        Some(LinkIds {
-            sent: sorted(&link.sent_ids),
-            witnesses: lists.iter().map(|&(witness, _)| witness).collect(),
-            suppressed: lists
-                .iter()
-                .flat_map(|&(witness, list)| list.iter().map(move |s| (s.id(), witness)))
-                .collect(),
-            suppressed_mirror,
-        })
+        self.links.get(&neighbor).map(Link::ids)
     }
 
     /// Calls `deliver(client)` once for every local client with at least
@@ -1533,21 +1281,6 @@ impl KernelView<'_> {
     }
 }
 
-/// The outcome of a sender-side covering check for one (subscription, link)
-/// pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ForwardDecision {
-    /// Whether the subscription must be sent on the link.
-    pub forward: bool,
-    /// Whether a covering query was issued (false under
-    /// [`CoveringPolicy::None`]).
-    pub covering_query: bool,
-    /// Runs probed by the covering query (SFC policies).
-    pub runs_probed: usize,
-    /// Subscriptions compared by the covering query (linear policy).
-    pub comparisons: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1569,219 +1302,6 @@ mod tests {
             .range("y", y.0, y.1)
             .build(id)
             .unwrap()
-    }
-
-    #[test]
-    fn covering_policy_suppresses_covered_forwards() {
-        let s = schema();
-        let mut b = Broker::new(0, &[1], &s, CoveringPolicy::ExactSfc).unwrap();
-        let wide = sub(&s, 1, (0.0, 100.0), (0.0, 100.0));
-        let narrow = sub(&s, 2, (10.0, 20.0), (10.0, 20.0));
-        let d1 = b.should_forward(1, &wide).unwrap();
-        assert!(d1.forward && d1.covering_query);
-        let d2 = b.should_forward(1, &narrow).unwrap();
-        assert!(!d2.forward, "narrow subscription must be suppressed");
-        assert_eq!(b.sent_to(1), 1);
-    }
-
-    #[test]
-    fn no_covering_policy_always_forwards() {
-        let s = schema();
-        let mut b = Broker::new(0, &[1, 2], &s, CoveringPolicy::None).unwrap();
-        let wide = sub(&s, 1, (0.0, 100.0), (0.0, 100.0));
-        let narrow = sub(&s, 2, (10.0, 20.0), (10.0, 20.0));
-        for subscription in [&wide, &narrow] {
-            let d = b.should_forward(1, subscription).unwrap();
-            assert!(d.forward);
-            assert!(!d.covering_query);
-        }
-        assert_eq!(b.sent_to(1), 2);
-        assert_eq!(b.sent_to(2), 0);
-        // Nothing is ever held back, so a retraction has nothing to offer
-        // again and neither map is ever populated.
-        assert_eq!(b.retract(1, &wide).unwrap(), Some(vec![]));
-        assert_eq!(b.retract(2, &wide).unwrap(), None);
-        assert!(b.links.values().all(held_back_nothing));
-    }
-
-    fn held_back_nothing(link: &Link) -> bool {
-        link.held.lists.is_empty() && link.held.witness_of.is_empty()
-    }
-
-    /// The `(id, witness)` pairs held back on the link to broker 1.
-    fn held_back(b: &Broker) -> Vec<(SubId, SubId)> {
-        let ids = b.link_ids(1).unwrap();
-        assert_eq!(
-            ids.suppressed, ids.suppressed_mirror,
-            "one entry per list here"
-        );
-        ids.suppressed
-    }
-
-    /// Covering queries the link to broker 1 has asked its sent index.
-    fn queries(b: &Broker) -> u64 {
-        b.links[&1].sent.as_ref().unwrap().stats().queries
-    }
-
-    #[test]
-    fn only_the_witness_retraction_offers_again() {
-        let s = schema();
-        // Two incomparable covers of `narrow`, so both are sent and the
-        // index is free to name either as the witness.
-        let wide = [
-            sub(&s, 1, (0.0, 80.0), (0.0, 100.0)),
-            sub(&s, 2, (20.0, 100.0), (0.0, 100.0)),
-        ];
-        let narrow = sub(&s, 3, (30.0, 40.0), (30.0, 40.0));
-        for policy in [CoveringPolicy::ExactSfc, CoveringPolicy::ExactLinear] {
-            let mut b = Broker::new(0, &[1], &s, policy).unwrap();
-            assert!(b.should_forward(1, &wide[0]).unwrap().forward);
-            assert!(b.should_forward(1, &wide[1]).unwrap().forward);
-            assert!(!b.should_forward(1, &narrow).unwrap().forward);
-            let [(3, witness)] = held_back(&b)[..] else {
-                panic!("narrow is held back once: {:?}", held_back(&b));
-            };
-            let (witness, other) = match witness {
-                1 => (&wide[0], &wide[1]),
-                2 => (&wide[1], &wide[0]),
-                _ => panic!("witness {witness} is not a cover"),
-            };
-
-            // The other cover goes: narrow still has its witness, so nothing
-            // is offered again and the index is asked nothing.
-            let asked = queries(&b);
-            assert_eq!(b.retract(1, other).unwrap(), Some(vec![]));
-            assert_eq!(queries(&b), asked, "policy {}", policy.label());
-            assert_eq!(held_back(&b), [(3, witness.id())]);
-
-            // With the other cover back, the witness goes: narrow is offered
-            // again and ends held back behind the survivor.
-            assert!(b.should_forward(1, other).unwrap().forward);
-            let asked = queries(&b);
-            let offered = b
-                .retract(1, witness)
-                .unwrap()
-                .expect("the witness was sent");
-            assert_eq!(queries(&b), asked + 1);
-            assert_eq!(offered.len(), 1);
-            assert_eq!(offered[0].0, narrow);
-            assert!(!offered[0].1.forward && offered[0].1.covering_query);
-            assert_eq!(held_back(&b), [(3, other.id())]);
-
-            // The survivor goes too: narrow goes out.
-            let offered = b.retract(1, other).unwrap().expect("the survivor was sent");
-            assert_eq!(offered.len(), 1);
-            assert!(offered[0].1.forward);
-            assert_eq!(b.link_ids(1).unwrap().sent, [3]);
-            assert!(held_back_nothing(&b.links[&1]));
-        }
-    }
-
-    #[test]
-    fn a_witness_list_is_offered_again_in_arrival_order() {
-        let s = schema();
-        let mut b = Broker::new(0, &[1], &s, CoveringPolicy::ExactSfc).unwrap();
-        let wide = sub(&s, 1, (0.0, 100.0), (0.0, 100.0));
-        let middle = sub(&s, 2, (10.0, 60.0), (10.0, 60.0));
-        let narrow = sub(&s, 3, (20.0, 30.0), (20.0, 30.0));
-        assert!(b.should_forward(1, &wide).unwrap().forward);
-        assert!(!b.should_forward(1, &middle).unwrap().forward);
-        assert!(!b.should_forward(1, &narrow).unwrap().forward);
-        assert_eq!(b.link_ids(1).unwrap().suppressed, [(2, 1), (3, 1)]);
-        // `middle` arrived first, so it goes out first and `narrow` ends
-        // behind it; the other order would send both.
-        let offered = b.retract(1, &wide).unwrap().expect("wide was sent");
-        let verdicts: Vec<(SubId, bool)> =
-            offered.iter().map(|(s, d)| (s.id(), d.forward)).collect();
-        assert_eq!(verdicts, [(2, true), (3, false)]);
-        assert_eq!(held_back(&b), [(3, 2)]);
-    }
-
-    #[test]
-    fn grid_identical_twins_hand_over() {
-        let s = schema();
-        // In the same grid cells (6..=12 on both attributes), but neither's
-        // raw bounds hold the other's: (10.05, 10.05) is an event only the
-        // first matches, so neither may stand for the other and both go out.
-        let mut b = Broker::new(0, &[1], &s, CoveringPolicy::ExactSfc).unwrap();
-        let apart = [
-            sub(&s, 1, (10.0, 20.0), (10.0, 20.0)),
-            sub(&s, 2, (10.1, 20.1), (10.1, 20.1)),
-        ];
-        assert_eq!(apart[0].grid_bounds(), apart[1].grid_bounds());
-        assert!(!apart[0].covers(&apart[1]) && !apart[1].covers(&apart[0]));
-        for twin in &apart {
-            assert!(b.should_forward(1, twin).unwrap().forward);
-        }
-        assert!(held_back_nothing(&b.links[&1]));
-        assert_eq!(b.retract(1, &apart[0]).unwrap(), Some(vec![]));
-
-        // Raw-nested in the same cells: the inner one is held back, goes out
-        // when the outer one goes, and does not hold the outer one back when
-        // it comes again.
-        let mut b = Broker::new(0, &[1], &s, CoveringPolicy::ExactSfc).unwrap();
-        let outer = sub(&s, 1, (10.0, 20.1), (10.0, 20.1));
-        let inner = sub(&s, 2, (10.1, 20.0), (10.1, 20.0));
-        assert_eq!(outer.grid_bounds(), inner.grid_bounds());
-        assert!(b.should_forward(1, &outer).unwrap().forward);
-        assert!(!b.should_forward(1, &inner).unwrap().forward);
-        assert_eq!(held_back(&b), [(2, 1)]);
-        let offered = b.retract(1, &outer).unwrap().expect("was sent");
-        assert_eq!(offered.len(), 1);
-        assert!(offered[0].0 == inner && offered[0].1.forward);
-        assert!(b.should_forward(1, &outer).unwrap().forward);
-        assert!(held_back_nothing(&b.links[&1]));
-
-        // Equal raw bounds: each covers the other, so they hand over.
-        let mut b = Broker::new(0, &[1], &s, CoveringPolicy::ExactSfc).unwrap();
-        let twins = [outer.clone(), outer.with_id(2)];
-        assert!(b.should_forward(1, &twins[0]).unwrap().forward);
-        assert!(!b.should_forward(1, &twins[1]).unwrap().forward);
-        assert_eq!(held_back(&b), [(2, 1)]);
-        // Each retraction sends the held-back twin; re-registering the
-        // retracted one files it behind the twin that took over.
-        for (gone, stays) in [(0, 1), (1, 0), (0, 1)] {
-            let offered = b.retract(1, &twins[gone]).unwrap().expect("was sent");
-            assert_eq!(offered.len(), 1);
-            assert_eq!(offered[0].0, twins[stays]);
-            assert!(offered[0].1.forward);
-            assert!(held_back_nothing(&b.links[&1]));
-            assert!(!b.should_forward(1, &twins[gone]).unwrap().forward);
-            assert_eq!(held_back(&b), [(twins[gone].id(), twins[stays].id())]);
-        }
-    }
-
-    #[test]
-    fn a_reused_id_finds_no_stale_entry() {
-        let s = schema();
-        let mut b = Broker::new(0, &[1], &s, CoveringPolicy::ExactSfc).unwrap();
-        let wide = sub(&s, 1, (0.0, 50.0), (0.0, 100.0));
-        let inside = sub(&s, 2, (10.0, 20.0), (10.0, 20.0));
-        let outside = sub(&s, 2, (60.0, 70.0), (10.0, 20.0));
-        assert!(b.should_forward(1, &wide).unwrap().forward);
-        for _ in 0..2 {
-            // Held back, unsubscribed: its entry leaves both maps, and the
-            // emptied list leaves `masked`.
-            assert!(!b.should_forward(1, &inside).unwrap().forward);
-            assert_eq!(held_back(&b), [(2, 1)]);
-            assert_eq!(b.retract(1, &inside).unwrap(), None);
-            assert!(held_back_nothing(&b.links[&1]));
-            // The same id again, where nothing covers it: sent, so the
-            // witness has nothing of it to offer when it goes.
-            assert!(b.should_forward(1, &outside).unwrap().forward);
-            assert!(held_back_nothing(&b.links[&1]));
-            assert_eq!(b.retract(1, &wide).unwrap(), Some(vec![]));
-            assert_eq!(b.retract(1, &outside).unwrap(), Some(vec![]));
-            assert!(b.should_forward(1, &wide).unwrap().forward);
-        }
-        // Held back, then sent by its witness's retraction, then gone: the
-        // id comes back clean as well.
-        assert!(!b.should_forward(1, &inside).unwrap().forward);
-        assert!(b.retract(1, &wide).unwrap().expect("sent")[0].1.forward);
-        assert_eq!(b.retract(1, &inside).unwrap(), Some(vec![]));
-        assert!(b.should_forward(1, &inside).unwrap().forward);
-        assert!(held_back_nothing(&b.links[&1]));
-        assert_eq!(b.link_ids(1).unwrap().sent, [2]);
     }
 
     /// The bounds stored at `slot`, read back across the attribute columns.
@@ -2009,14 +1529,15 @@ mod tests {
         b.add_received(1, &wide);
         b.add_received(2, &wide);
         b.add_received(2, &narrow);
-        assert!(b.should_forward(1, &wide).unwrap().forward);
-        assert!(!b.should_forward(1, &narrow).unwrap().forward);
+        assert!(b.link_mut(1).offer(&wide).unwrap().forward);
+        assert!(!b.link_mut(1).offer(&narrow).unwrap().forward);
         assert_eq!(b.local_subscriptions(), 2);
         assert_eq!(b.routing_table_entries(), 3);
         assert_eq!(b.suppressed_entries(), 1);
 
         // Retracting the cover re-advertises the one it masked, in place.
-        let readvertised = b.retract(1, &wide).unwrap().expect("wide was sent");
+        let readvertised = b.link_mut(1).retract(&wide).unwrap();
+        let readvertised = readvertised.expect("wide was sent");
         assert_eq!(readvertised.len(), 1);
         assert_eq!(readvertised[0].0, narrow);
         assert!(readvertised[0].1.forward);
@@ -2040,7 +1561,7 @@ mod tests {
 
     /// The ids held back behind local slot `witness`, in list order.
     fn held_behind(b: &Broker, witness: SubId) -> Vec<SubId> {
-        let list = b.held.lists.get(&witness).map(Vec::as_slice);
+        let list = b.held.lists().get(&witness).map(Vec::as_slice);
         list.unwrap_or_default()
             .iter()
             .map(Subscription::id)
@@ -2091,7 +1612,7 @@ mod tests {
         b.add_local(7, newcomer.clone());
         assert_eq!(slots_of(&b, 7), [4, 5]);
         assert_eq!(held_behind(&b, 5), [1, 11, 2, 12, 3, 13]);
-        assert_eq!(b.held.lists.len(), 1, "the demoted lists are gone");
+        assert_eq!(b.held.lists().len(), 1, "the demoted lists are gone");
         assert_eq!(b.local_subscriptions(), 8);
         assert_eq!(emitted(&b, &s, &[33.0, 27.0]), [7]);
 
@@ -2615,7 +2136,7 @@ mod tests {
             }
         }
         let mut held: HashMap<SubId, (SubId, &Subscription)> = HashMap::new();
-        for (&witness, list) in &b.held.lists {
+        for (&witness, list) in b.held.lists() {
             assert!(!list.is_empty());
             for entry in list {
                 assert_eq!(b.held.witness(entry.id()), Some(witness));
@@ -2786,7 +2307,7 @@ mod tests {
             prop_assert!(demoted, "a newcomer took over a slot it covers");
             prop_assert_eq!(b.local.len(), 1);
             prop_assert_eq!(b.local_table_slots(), vec![0]);
-            prop_assert!(b.held.lists.is_empty() && b.held.witness_of.is_empty());
+            prop_assert!(b.held.lists().is_empty() && b.held.len() == 0);
         }
     }
 

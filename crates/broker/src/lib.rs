@@ -62,6 +62,7 @@ pub mod broker;
 pub mod client;
 mod error;
 pub mod faults;
+mod link;
 pub mod metrics;
 pub mod network;
 mod pool;

@@ -1,0 +1,495 @@
+//! What a broker remembers about the link to one neighbor — its two
+//! decisions, [`Link::offer`] and [`Link::retract`], are what an overlay
+//! walk step makes on every onward link — and the held-back structure the
+//! link shares with the broker's local tables.
+
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+
+use acd_covering::{CoveringIndex, CoveringPolicy};
+use acd_subscription::{Schema, SubId, Subscription};
+
+use crate::broker::MatchTable;
+use crate::Result;
+
+/// Subscriptions held back behind a *witness*, a subscription that covers
+/// each of them: on a link, a sent subscription the covering query named;
+/// in a broker's local tables, an in-table subscription of the same client.
+/// The two maps are two views of one relation (`witness_of[s] = w` exactly
+/// when `s` is in `lists[w]`, once; no list is empty), and only the methods
+/// below change them, so they stay that way.
+#[derive(Debug, Default)]
+pub(crate) struct Held {
+    /// Witness id → the subscriptions held back behind it, in arrival order,
+    /// so that taking the witness away offers them again in that order.
+    lists: HashMap<SubId, Vec<Subscription>>,
+    /// Held-back id → its witness: the dedup check, and the way from a
+    /// held-back subscription to the one list it sits in.
+    witness_of: HashMap<SubId, SubId>,
+}
+
+impl Held {
+    /// Files `subscription` under `witness`, unless it is held already. A
+    /// new list starts with room for one: most witnesses hold one, and the
+    /// default first allocation has room for four.
+    pub(crate) fn hold(&mut self, witness: SubId, subscription: Subscription) {
+        if let Entry::Vacant(slot) = self.witness_of.entry(subscription.id()) {
+            slot.insert(witness);
+            let list = self
+                .lists
+                .entry(witness)
+                .or_insert_with(|| Vec::with_capacity(1));
+            list.push(subscription);
+        }
+    }
+
+    /// The witness `id` is held back behind, if it is held.
+    pub(crate) fn witness(&self, id: SubId) -> Option<SubId> {
+        self.witness_of.get(&id).copied()
+    }
+
+    /// Takes `id` out of its witness's list, returning its handle (`None`
+    /// when it is not held).
+    pub(crate) fn release(&mut self, id: SubId) -> Option<Subscription> {
+        let witness = self.witness_of.remove(&id)?;
+        let Entry::Occupied(mut list) = self.lists.entry(witness) else {
+            return None;
+        };
+        let at = list.get().iter().position(|s| s.id() == id)?;
+        let released = list.get_mut().remove(at);
+        if list.get().is_empty() {
+            list.remove();
+        }
+        Some(released)
+    }
+
+    /// Takes the whole list `witness` holds back, in arrival order (empty,
+    /// and allocation-free, when it holds nothing).
+    pub(crate) fn take(&mut self, witness: SubId) -> Vec<Subscription> {
+        let list = self.lists.remove(&witness).unwrap_or_default();
+        for held in &list {
+            self.witness_of.remove(&held.id());
+        }
+        list
+    }
+
+    /// Number of held-back subscriptions.
+    pub(crate) fn len(&self) -> usize {
+        self.witness_of.len()
+    }
+
+    /// The per-witness lists, for the broker's tests.
+    #[cfg(test)]
+    pub(crate) fn lists(&self) -> &HashMap<SubId, Vec<Subscription>> {
+        &self.lists
+    }
+}
+
+/// Everything a broker remembers about the link to one neighbor: what
+/// arrived over it, what went out over it, and what covering held back —
+/// each held-back subscription under its *witness*, the sent subscription
+/// the covering query named as its cover.
+///
+/// Invariant: `held` is over live subscriptions, none of them in
+/// `sent_ids`, and **every witness is in `sent_ids` and covers what it
+/// holds back** on raw bounds ([`Subscription::covers`]), so it matches
+/// every event the held-back one does. Nothing sweeps `held` to keep that
+/// true, because the two ways in and the two ways out already do. A
+/// subscription enters only in [`offer`](Self::offer), at a broker it
+/// reached, when the sent index names a cover for it — and the index
+/// stores exactly what was sent and only names stored, truly covering
+/// subscriptions (the [`CoveringIndex`] safety property, under every
+/// policy). It leaves only in
+/// [`retract`](Self::retract): when its witness is retracted, the
+/// witness's whole list is offered again, in arrival order, and each entry
+/// ends sent or behind a new witness; when it is itself unsubscribed, the
+/// walk — which visits every broker the subscription reached, because a
+/// sent record is removed only by its own subscription's retraction —
+/// drops its entry. Retracting the witness is the only event that can
+/// falsify the bold clause, so it is the only one that re-offers anything:
+/// a subscription whose *other* covers come and go needs nothing. (This is
+/// about completed operations. An unsubscribe that overtakes a concurrent
+/// re-advertisement of the same subscription leaves that advertisement's
+/// records downstream — ROADMAP item 1a — sent, with a routing entry, or held
+/// back. Both clauses but "live" still read true of them; they cost event
+/// forwards and memory, never a delivery.)
+#[derive(Debug)]
+pub(crate) struct Link {
+    /// Routing table: the bounds of the subscriptions received from the
+    /// neighbor, deciding whether an event is forwarded to it.
+    pub(crate) routing: MatchTable,
+    /// Covering index over the subscriptions already sent to the neighbor
+    /// (`None` when the policy disables covering). It holds exactly
+    /// `sent_ids`, so `retract` reports a sent id missing from it as an
+    /// error.
+    sent: Option<Box<dyn CoveringIndex>>,
+    /// Identifiers sent on the link — the authoritative record
+    /// unsubscription follows, and the neighbor's routing entries for it.
+    pub(crate) sent_ids: HashSet<SubId>,
+    /// The subscriptions covering held back, each under the sent one the
+    /// index named, so that retracting a witness re-advertises exactly
+    /// what it masked.
+    pub(crate) held: Held,
+}
+
+impl Link {
+    /// An empty link whose sent index follows `policy` (an error if the
+    /// policy cannot build its index).
+    pub(crate) fn new(schema: &Schema, policy: CoveringPolicy) -> Result<Link> {
+        Ok(Link {
+            routing: MatchTable::new(schema),
+            sent: policy.build_index(schema)?,
+            sent_ids: HashSet::new(),
+            held: Held::default(),
+        })
+    }
+
+    /// Decides whether `subscription` goes out on the link and records the
+    /// verdict: sent (index and id set) or held back behind the witness the
+    /// index named.
+    pub(crate) fn offer(&mut self, subscription: &Subscription) -> Result<ForwardDecision> {
+        let mut decision = ForwardDecision {
+            forward: true,
+            covering_query: false,
+            runs_probed: 0,
+            comparisons: 0,
+        };
+        // No covering detection (`None`): always forward.
+        if let Some(index) = &mut self.sent {
+            let outcome = index.find_covering(subscription)?;
+            decision.covering_query = true;
+            decision.runs_probed = outcome.stats.runs_probed;
+            decision.comparisons = outcome.stats.subscriptions_compared;
+            if let Some(witness) = outcome.covering {
+                decision.forward = false;
+                self.held.hold(witness, subscription.clone());
+                return Ok(decision);
+            }
+            index.insert(subscription)?;
+        }
+        self.sent_ids.insert(subscription.id());
+        Ok(decision)
+    }
+
+    /// Takes `removed` off the link. `Some` when it had been sent: the list
+    /// it was the witness of (nothing else: the rest still have theirs),
+    /// each offered again in arrival order, with its decision — empty, with
+    /// no covering query and no allocation, in the common case. `None` when
+    /// it was never sent, where at most its own held-back entry had to go.
+    pub(crate) fn retract(
+        &mut self,
+        removed: &Subscription,
+    ) -> Result<Option<Vec<(Subscription, ForwardDecision)>>> {
+        let id = removed.id();
+        if !self.sent_ids.remove(&id) {
+            self.held.release(id);
+            return Ok(None);
+        }
+        if let Some(index) = &mut self.sent {
+            index.remove(id)?;
+        }
+        let masked = self.held.take(id);
+        let mut decisions = Vec::with_capacity(masked.len());
+        for candidate in masked {
+            debug_assert!(removed.covers(&candidate), "witness must cover");
+            let decision = self.offer(&candidate)?;
+            decisions.push((candidate, decision));
+        }
+        Ok(Some(decisions))
+    }
+
+    /// The identifiers the link holds.
+    pub(crate) fn ids(&self) -> LinkIds {
+        let mut sent: Vec<SubId> = self.sent_ids.iter().copied().collect();
+        sent.sort_unstable();
+        let mut lists: Vec<(SubId, &Vec<Subscription>)> =
+            self.held.lists.iter().map(|(&w, list)| (w, list)).collect();
+        lists.sort_unstable_by_key(|&(witness, _)| witness);
+        let mut suppressed_mirror: Vec<(SubId, SubId)> = self
+            .held
+            .witness_of
+            .iter()
+            .map(|(&id, &w)| (id, w))
+            .collect();
+        suppressed_mirror.sort_unstable();
+        LinkIds {
+            sent,
+            witnesses: lists.iter().map(|&(witness, _)| witness).collect(),
+            suppressed: lists
+                .iter()
+                .flat_map(|&(witness, list)| list.iter().map(move |s| (s.id(), witness)))
+                .collect(),
+            suppressed_mirror,
+        }
+    }
+}
+
+/// The identifiers one link holds, for tests and diagnostics (see
+/// [`crate::Broker::link_ids`]). The held-back entries are `(id, witness)`
+/// pairs, read once off each of the link's two maps so a test can check
+/// that they agree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinkIds {
+    /// Sent on the link, ascending.
+    pub sent: Vec<SubId>,
+    /// The keys of the per-witness lists, ascending (a key whose list has
+    /// emptied would show here and nowhere in `suppressed`).
+    pub witnesses: Vec<SubId>,
+    /// The per-witness lists: witnesses ascending, arrival order within a
+    /// witness.
+    pub suppressed: Vec<(SubId, SubId)>,
+    /// The by-id map, ascending by id.
+    pub suppressed_mirror: Vec<(SubId, SubId)>,
+}
+
+/// The outcome of a sender-side covering check for one (subscription, link)
+/// pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ForwardDecision {
+    /// Whether the subscription must be sent on the link.
+    pub(crate) forward: bool,
+    /// Whether a covering query was issued (false under
+    /// [`CoveringPolicy::None`]).
+    pub(crate) covering_query: bool,
+    /// Runs probed by the covering query (SFC policies).
+    pub(crate) runs_probed: usize,
+    /// Subscriptions compared by the covering query (linear policy).
+    pub(crate) comparisons: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use acd_subscription::SubscriptionBuilder;
+
+    fn schema() -> Schema {
+        Schema::builder()
+            .attribute("x", 0.0, 100.0)
+            .attribute("y", 0.0, 100.0)
+            .bits_per_attribute(6)
+            .build()
+            .unwrap()
+    }
+
+    fn sub(schema: &Schema, id: SubId, x: (f64, f64), y: (f64, f64)) -> Subscription {
+        SubscriptionBuilder::new(schema)
+            .range("x", x.0, x.1)
+            .range("y", y.0, y.1)
+            .build(id)
+            .unwrap()
+    }
+
+    #[test]
+    fn covering_policy_suppresses_covered_forwards() {
+        let s = schema();
+        let mut link = Link::new(&s, CoveringPolicy::ExactSfc).unwrap();
+        let wide = sub(&s, 1, (0.0, 100.0), (0.0, 100.0));
+        let narrow = sub(&s, 2, (10.0, 20.0), (10.0, 20.0));
+        let d1 = link.offer(&wide).unwrap();
+        assert!(d1.forward && d1.covering_query);
+        let d2 = link.offer(&narrow).unwrap();
+        assert!(!d2.forward, "narrow subscription must be suppressed");
+        assert_eq!(link.sent_ids.len(), 1);
+    }
+
+    #[test]
+    fn no_covering_policy_always_forwards() {
+        let s = schema();
+        let mut link = Link::new(&s, CoveringPolicy::None).unwrap();
+        let mut unused = Link::new(&s, CoveringPolicy::None).unwrap();
+        let wide = sub(&s, 1, (0.0, 100.0), (0.0, 100.0));
+        let narrow = sub(&s, 2, (10.0, 20.0), (10.0, 20.0));
+        for subscription in [&wide, &narrow] {
+            let d = link.offer(subscription).unwrap();
+            assert!(d.forward);
+            assert!(!d.covering_query);
+        }
+        assert_eq!(link.sent_ids.len(), 2);
+        assert_eq!(unused.sent_ids.len(), 0);
+        // Nothing is ever held back, so a retraction has nothing to offer
+        // again and neither map is ever populated.
+        assert_eq!(link.retract(&wide).unwrap(), Some(vec![]));
+        assert_eq!(unused.retract(&wide).unwrap(), None);
+        assert!([&link, &unused].into_iter().all(held_back_nothing));
+    }
+
+    fn held_back_nothing(link: &Link) -> bool {
+        link.held.lists.is_empty() && link.held.witness_of.is_empty()
+    }
+
+    /// The `(id, witness)` pairs held back on `link`.
+    fn held_back(link: &Link) -> Vec<(SubId, SubId)> {
+        let ids = link.ids();
+        assert_eq!(
+            ids.suppressed, ids.suppressed_mirror,
+            "one entry per list here"
+        );
+        ids.suppressed
+    }
+
+    /// Covering queries `link` has asked its sent index.
+    fn queries(link: &Link) -> u64 {
+        link.sent.as_ref().unwrap().stats().queries
+    }
+
+    #[test]
+    fn only_the_witness_retraction_offers_again() {
+        let s = schema();
+        // Two incomparable covers of `narrow`, so both are sent and the
+        // index is free to name either as the witness.
+        let wide = [
+            sub(&s, 1, (0.0, 80.0), (0.0, 100.0)),
+            sub(&s, 2, (20.0, 100.0), (0.0, 100.0)),
+        ];
+        let narrow = sub(&s, 3, (30.0, 40.0), (30.0, 40.0));
+        for policy in [CoveringPolicy::ExactSfc, CoveringPolicy::ExactLinear] {
+            let mut link = Link::new(&s, policy).unwrap();
+            assert!(link.offer(&wide[0]).unwrap().forward);
+            assert!(link.offer(&wide[1]).unwrap().forward);
+            assert!(!link.offer(&narrow).unwrap().forward);
+            let [(3, witness)] = held_back(&link)[..] else {
+                panic!("narrow is held back once: {:?}", held_back(&link));
+            };
+            let (witness, other) = match witness {
+                1 => (&wide[0], &wide[1]),
+                2 => (&wide[1], &wide[0]),
+                _ => panic!("witness {witness} is not a cover"),
+            };
+
+            // The other cover goes: narrow still has its witness, so nothing
+            // is offered again and the index is asked nothing.
+            let asked = queries(&link);
+            assert_eq!(link.retract(other).unwrap(), Some(vec![]));
+            assert_eq!(queries(&link), asked, "policy {}", policy.label());
+            assert_eq!(held_back(&link), [(3, witness.id())]);
+
+            // With the other cover back, the witness goes: narrow is offered
+            // again and ends held back behind the survivor.
+            assert!(link.offer(other).unwrap().forward);
+            let asked = queries(&link);
+            let offered = link
+                .retract(witness)
+                .unwrap()
+                .expect("the witness was sent");
+            assert_eq!(queries(&link), asked + 1);
+            assert_eq!(offered.len(), 1);
+            assert_eq!(offered[0].0, narrow);
+            assert!(!offered[0].1.forward && offered[0].1.covering_query);
+            assert_eq!(held_back(&link), [(3, other.id())]);
+
+            // The survivor goes too: narrow goes out.
+            let offered = link.retract(other).unwrap().expect("the survivor was sent");
+            assert_eq!(offered.len(), 1);
+            assert!(offered[0].1.forward);
+            assert_eq!(link.ids().sent, [3]);
+            assert!(held_back_nothing(&link));
+        }
+    }
+
+    #[test]
+    fn a_witness_list_is_offered_again_in_arrival_order() {
+        let s = schema();
+        let mut link = Link::new(&s, CoveringPolicy::ExactSfc).unwrap();
+        let wide = sub(&s, 1, (0.0, 100.0), (0.0, 100.0));
+        let middle = sub(&s, 2, (10.0, 60.0), (10.0, 60.0));
+        let narrow = sub(&s, 3, (20.0, 30.0), (20.0, 30.0));
+        assert!(link.offer(&wide).unwrap().forward);
+        assert!(!link.offer(&middle).unwrap().forward);
+        assert!(!link.offer(&narrow).unwrap().forward);
+        assert_eq!(link.ids().suppressed, [(2, 1), (3, 1)]);
+        // `middle` arrived first, so it goes out first and `narrow` ends
+        // behind it; the other order would send both.
+        let offered = link.retract(&wide).unwrap().expect("wide was sent");
+        let verdicts: Vec<(SubId, bool)> =
+            offered.iter().map(|(s, d)| (s.id(), d.forward)).collect();
+        assert_eq!(verdicts, [(2, true), (3, false)]);
+        assert_eq!(held_back(&link), [(3, 2)]);
+    }
+
+    #[test]
+    fn grid_identical_twins_hand_over() {
+        let s = schema();
+        // In the same grid cells (6..=12 on both attributes), but neither's
+        // raw bounds hold the other's: (10.05, 10.05) is an event only the
+        // first matches, so neither may stand for the other and both go out.
+        let mut link = Link::new(&s, CoveringPolicy::ExactSfc).unwrap();
+        let apart = [
+            sub(&s, 1, (10.0, 20.0), (10.0, 20.0)),
+            sub(&s, 2, (10.1, 20.1), (10.1, 20.1)),
+        ];
+        assert_eq!(apart[0].grid_bounds(), apart[1].grid_bounds());
+        assert!(!apart[0].covers(&apart[1]) && !apart[1].covers(&apart[0]));
+        for twin in &apart {
+            assert!(link.offer(twin).unwrap().forward);
+        }
+        assert!(held_back_nothing(&link));
+        assert_eq!(link.retract(&apart[0]).unwrap(), Some(vec![]));
+
+        // Raw-nested in the same cells: the inner one is held back, goes out
+        // when the outer one goes, and does not hold the outer one back when
+        // it comes again.
+        let mut link = Link::new(&s, CoveringPolicy::ExactSfc).unwrap();
+        let outer = sub(&s, 1, (10.0, 20.1), (10.0, 20.1));
+        let inner = sub(&s, 2, (10.1, 20.0), (10.1, 20.0));
+        assert_eq!(outer.grid_bounds(), inner.grid_bounds());
+        assert!(link.offer(&outer).unwrap().forward);
+        assert!(!link.offer(&inner).unwrap().forward);
+        assert_eq!(held_back(&link), [(2, 1)]);
+        let offered = link.retract(&outer).unwrap().expect("was sent");
+        assert_eq!(offered.len(), 1);
+        assert!(offered[0].0 == inner && offered[0].1.forward);
+        assert!(link.offer(&outer).unwrap().forward);
+        assert!(held_back_nothing(&link));
+
+        // Equal raw bounds: each covers the other, so they hand over.
+        let mut link = Link::new(&s, CoveringPolicy::ExactSfc).unwrap();
+        let twins = [outer.clone(), outer.with_id(2)];
+        assert!(link.offer(&twins[0]).unwrap().forward);
+        assert!(!link.offer(&twins[1]).unwrap().forward);
+        assert_eq!(held_back(&link), [(2, 1)]);
+        // Each retraction sends the held-back twin; re-registering the
+        // retracted one files it behind the twin that took over.
+        for (gone, stays) in [(0, 1), (1, 0), (0, 1)] {
+            let offered = link.retract(&twins[gone]).unwrap().expect("was sent");
+            assert_eq!(offered.len(), 1);
+            assert_eq!(offered[0].0, twins[stays]);
+            assert!(offered[0].1.forward);
+            assert!(held_back_nothing(&link));
+            assert!(!link.offer(&twins[gone]).unwrap().forward);
+            assert_eq!(held_back(&link), [(twins[gone].id(), twins[stays].id())]);
+        }
+    }
+
+    #[test]
+    fn a_reused_id_finds_no_stale_entry() {
+        let s = schema();
+        let mut link = Link::new(&s, CoveringPolicy::ExactSfc).unwrap();
+        let wide = sub(&s, 1, (0.0, 50.0), (0.0, 100.0));
+        let inside = sub(&s, 2, (10.0, 20.0), (10.0, 20.0));
+        let outside = sub(&s, 2, (60.0, 70.0), (10.0, 20.0));
+        assert!(link.offer(&wide).unwrap().forward);
+        for _ in 0..2 {
+            // Held back, unsubscribed: its entry leaves both maps, and the
+            // emptied list leaves `lists`.
+            assert!(!link.offer(&inside).unwrap().forward);
+            assert_eq!(held_back(&link), [(2, 1)]);
+            assert_eq!(link.retract(&inside).unwrap(), None);
+            assert!(held_back_nothing(&link));
+            // The same id again, where nothing covers it: sent, so the
+            // witness has nothing of it to offer when it goes.
+            assert!(link.offer(&outside).unwrap().forward);
+            assert!(held_back_nothing(&link));
+            assert_eq!(link.retract(&wide).unwrap(), Some(vec![]));
+            assert_eq!(link.retract(&outside).unwrap(), Some(vec![]));
+            assert!(link.offer(&wide).unwrap().forward);
+        }
+        // Held back, then sent by its witness's retraction, then gone: the
+        // id comes back clean as well.
+        assert!(!link.offer(&inside).unwrap().forward);
+        assert!(link.retract(&wide).unwrap().expect("sent")[0].1.forward);
+        assert_eq!(link.retract(&inside).unwrap(), Some(vec![]));
+        assert!(link.offer(&inside).unwrap().forward);
+        assert!(held_back_nothing(&link));
+        assert_eq!(link.ids().sent, [2]);
+    }
+}

@@ -8,12 +8,12 @@
 //! `LOCKING.md` and the `acd-lint` rank table:
 //!
 //! * every broker sits behind its own [`OrderedRwLock`] (class `broker`,
-//!   rank 5, below every covering-index class because forwarding decisions
-//!   run index operations under the broker lock). The overlay holds **at
-//!   most one broker lock at a time**: BFS propagation decides under the
-//!   sender's lock, releases it, then updates the receiving neighbor under
-//!   its own — which is what makes per-broker locking deadlock-free on any
-//!   topology;
+//!   rank 5). The overlay holds **at most one broker lock at a time**, which
+//!   is what makes per-broker locking deadlock-free on any topology: a
+//!   subscribe or unsubscribe is a `Walk` that takes one broker lock per
+//!   step — the routing entry of what arrived there, then every outgoing
+//!   link's decision (`Link::offer` / `Link::retract`, `link.rs`) — and a
+//!   publish reads one broker at a time;
 //! * the network-wide registration map sits behind an [`OrderedMutex`]
 //!   (class `netreg`, rank 8). It is taken alone — never while a broker
 //!   lock is held — and released before the overlay walk starts.
@@ -32,14 +32,16 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::{Deref, Range};
+use std::rc::Rc;
 use std::slice;
 
 use acd_covering::ordered::{OrderedReadGuard, RANK_BROKER, RANK_NET_REGISTRY};
 use acd_covering::{CoveringPolicy, OrderedMutex, OrderedRwLock};
 use acd_subscription::{Event, Schema, SubId, Subscription};
 
-use crate::broker::{Broker, BrokerId, ClientId, EventCells, EventChunk, ForwardDecision};
+use crate::broker::{Broker, BrokerId, ClientId, EventCells, EventChunk};
 use crate::error::BrokerError;
+use crate::link::ForwardDecision;
 use crate::metrics::{MetricCounters, NetworkMetrics};
 use crate::topology::Topology;
 use crate::Result;
@@ -262,62 +264,26 @@ impl BrokerNetwork {
         self.cell(at)
             .write()
             .add_local(client, subscription.clone());
-        self.propagate(at, None, subscription)
-    }
-
-    /// Propagates `subscription` away from `start` (which already holds it),
-    /// applying the covering policy on every link. The overlay is a tree, so
-    /// a simple BFS carrying the "arrived from" interface suffices. Shared
-    /// by [`subscribe`](Self::subscribe) and the re-advertisement step of
-    /// [`unsubscribe`](Self::unsubscribe). The forwarding decision is made
-    /// under the sender's write lock and the routing entry is added under
-    /// the receiver's — never both at once.
-    fn propagate(
-        &self,
-        start: BrokerId,
-        arrived_from: Option<BrokerId>,
-        subscription: &Subscription,
-    ) -> Result<()> {
-        let mut queue: VecDeque<(BrokerId, Option<BrokerId>)> = VecDeque::new();
-        queue.push_back((start, arrived_from));
-        while let Some((broker_id, from)) = queue.pop_front() {
-            for &neighbor in self.topology.neighbors(broker_id) {
-                if Some(neighbor) == from {
-                    continue;
-                }
-                let decision = self
-                    .cell(broker_id)
-                    .write()
-                    .should_forward(neighbor, subscription)?;
-                self.record_decision(&decision);
-                if decision.forward {
-                    MetricCounters::bump(&self.counters.subscription_messages);
-                    self.cell(neighbor)
-                        .write()
-                        .add_received(broker_id, subscription);
-                    queue.push_back((neighbor, Some(broker_id)));
-                } else {
-                    MetricCounters::bump(&self.counters.subscriptions_suppressed);
-                }
-            }
-        }
+        let mut walk = Walk::new(at, Job::Offer(Rc::new(subscription.clone())));
+        while walk.step(self)? {}
         Ok(())
     }
 
-    /// Folds one forwarding decision's covering-query cost into the
-    /// counters.
-    fn record_decision(&self, decision: &ForwardDecision) {
+    /// Folds one link's decision into the counters, returning whether the
+    /// subscription goes out on the link.
+    fn fold(&self, decision: ForwardDecision) -> bool {
+        let counters = &self.counters;
         if decision.covering_query {
-            MetricCounters::bump(&self.counters.covering_queries);
-            MetricCounters::add(
-                &self.counters.covering_runs_probed,
-                decision.runs_probed as u64,
-            );
-            MetricCounters::add(
-                &self.counters.covering_comparisons,
-                decision.comparisons as u64,
-            );
+            MetricCounters::bump(&counters.covering_queries);
+            MetricCounters::add(&counters.covering_runs_probed, decision.runs_probed as u64);
+            MetricCounters::add(&counters.covering_comparisons, decision.comparisons as u64);
         }
+        MetricCounters::bump(if decision.forward {
+            &counters.subscription_messages
+        } else {
+            &counters.subscriptions_suppressed
+        });
+        decision.forward
     }
 
     /// Unregisters subscription `id` (which must have been registered by a
@@ -335,6 +301,15 @@ impl BrokerNetwork {
     /// Returns an error if the broker does not exist or the subscription is
     /// not registered at it.
     pub fn unsubscribe(&self, at: BrokerId, id: SubId) -> Result<()> {
+        let mut walk = self.retraction(at, id)?;
+        while walk.step(self)? {}
+        Ok(())
+    }
+
+    /// [`unsubscribe`](Self::unsubscribe) up to its overlay walk: unregisters
+    /// `id` and takes it out of broker `at`'s local tables, returning the
+    /// walk that retracts it from the links, not yet stepped.
+    pub(crate) fn retraction(&self, at: BrokerId, id: SubId) -> Result<Walk> {
         self.topology.check_broker(at)?;
         let Some(client) = self.registered.lock().get(&id).copied() else {
             return Err(BrokerError::UnknownSubscription { id });
@@ -347,43 +322,7 @@ impl BrokerNetwork {
         };
         self.registered.lock().remove(&id);
         MetricCounters::bump(&self.counters.unsubscriptions);
-
-        // Walk the links the subscription was actually sent on (a subtree of
-        // the overlay). On each such link: retract it, re-advertise whatever
-        // it was the witness of, and continue into the neighbor. A link it
-        // was never sent on only loses its held-back entry, inside `retract`.
-        let mut queue: VecDeque<(BrokerId, Option<BrokerId>)> = VecDeque::new();
-        queue.push_back((at, None));
-        while let Some((broker_id, from)) = queue.pop_front() {
-            for &neighbor in self.topology.neighbors(broker_id) {
-                if Some(neighbor) == from {
-                    continue;
-                }
-                let retracted = self
-                    .cell(broker_id)
-                    .write()
-                    .retract(neighbor, &subscription)?;
-                let Some(readvertised) = retracted else {
-                    continue;
-                };
-                MetricCounters::bump(&self.counters.unsubscription_messages);
-                for (candidate, decision) in readvertised {
-                    self.record_decision(&decision);
-                    if decision.forward {
-                        MetricCounters::bump(&self.counters.subscription_messages);
-                        self.cell(neighbor)
-                            .write()
-                            .add_received(broker_id, &candidate);
-                        self.propagate(neighbor, Some(broker_id), &candidate)?;
-                    } else {
-                        MetricCounters::bump(&self.counters.subscriptions_suppressed);
-                    }
-                }
-                self.cell(neighbor).write().remove_received(broker_id, id);
-                queue.push_back((neighbor, Some(broker_id)));
-            }
-        }
-        Ok(())
+        Ok(Walk::new(at, Job::Retract(Rc::new(subscription))))
     }
 
     /// Publishes `event` at broker `at` and returns the deliveries it caused
@@ -561,6 +500,86 @@ impl BrokerNetwork {
     }
 }
 
+/// The overlay walk of one [`BrokerNetwork::subscribe`] or
+/// [`BrokerNetwork::unsubscribe`], as a value: the arrivals still to run,
+/// each a job at a broker and the neighbor it came from (in a tree, all it
+/// takes to never go back). First in, first out, so each broker runs its
+/// jobs in the order they were decided — a re-advertised candidate's offer
+/// before the retraction that freed it. Two walks stepped in turn are one
+/// interleaving of the two operations.
+#[derive(Debug)]
+pub(crate) struct Walk {
+    queue: VecDeque<(BrokerId, Option<BrokerId>, Job)>,
+}
+
+/// What a subscription does at a broker it arrives at: become a routing
+/// entry there and be offered on every onward link, or leave the routing
+/// table and be retracted from every onward link.
+#[derive(Debug)]
+enum Job {
+    Offer(Rc<Subscription>),
+    Retract(Rc<Subscription>),
+}
+
+impl Walk {
+    fn new(at: BrokerId, job: Job) -> Walk {
+        let mut queue = VecDeque::new();
+        queue.push_back((at, None, job));
+        Walk { queue }
+    }
+
+    /// Runs the next arrival under its broker's write lock alone: the
+    /// routing-table change, then every onward link's decision, queueing the
+    /// jobs that cross. `Ok(false)`, and nothing done, when none was left;
+    /// an error when a covering index rejects an operation.
+    pub(crate) fn step(&mut self, net: &BrokerNetwork) -> Result<bool> {
+        let Some((at, from, job)) = self.queue.pop_front() else {
+            return Ok(false);
+        };
+        let mut broker = net.cell(at).write();
+        let onward = net
+            .topology
+            .neighbors(at)
+            .iter()
+            .filter(|&&n| Some(n) != from);
+        match job {
+            Job::Offer(subscription) => {
+                if let Some(from) = from {
+                    broker.add_received(from, &subscription);
+                }
+                for &neighbor in onward {
+                    if net.fold(broker.link_mut(neighbor).offer(&subscription)?) {
+                        let job = Job::Offer(Rc::clone(&subscription));
+                        self.queue.push_back((neighbor, Some(at), job));
+                    }
+                }
+            }
+            Job::Retract(subscription) => {
+                if let Some(from) = from {
+                    broker.remove_received(from, subscription.id());
+                }
+                // Only the links it was sent on lead on; a link it was held
+                // back on just drops the entry, inside `retract`.
+                for &neighbor in onward {
+                    let Some(offered) = broker.link_mut(neighbor).retract(&subscription)? else {
+                        continue;
+                    };
+                    MetricCounters::bump(&net.counters.unsubscription_messages);
+                    for (candidate, decision) in offered {
+                        if net.fold(decision) {
+                            let job = Job::Offer(Rc::new(candidate));
+                            self.queue.push_back((neighbor, Some(at), job));
+                        }
+                    }
+                    let job = Job::Retract(Rc::clone(&subscription));
+                    self.queue.push_back((neighbor, Some(at), job));
+                }
+            }
+        }
+        Ok(true)
+    }
+}
+
 /// A delivery `(broker, client)` with the mask of the chunk events it is
 /// for, as the walks emit them: ascending by `(broker, client)`.
 pub(crate) type Triple = (BrokerId, ClientId, u64);
@@ -631,7 +650,7 @@ impl Shares {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broker::LinkIds;
+    use crate::link::LinkIds;
     use acd_subscription::SubscriptionBuilder;
 
     fn schema() -> Schema {
@@ -854,7 +873,7 @@ mod tests {
         // registers one wide cover and a few narrow subscriptions it masks,
         // then retires the whole round. A held-back entry leaves its link
         // when its witness's retraction re-offers it or when its own
-        // unsubscribe walk passes (`Broker::retract`), so the per-link state
+        // unsubscribe walk passes (`Link::retract`), so the per-link state
         // must stay bounded by the live population at every step — entries
         // by the live subscriptions, witness lists by the sent ones, not one
         // per *historical* suppression — and be empty at quiescence.
@@ -1202,6 +1221,85 @@ mod tests {
             walk(at, &mut triples);
             assert_eq!(triples.as_ptr(), scratch, "the walk from {at} reallocated");
         }
+    }
+
+    /// Ghost records (ROADMAP item 1a), reproduced without threads: `wide`
+    /// holds `narrow` back on the link out of broker 0, both are
+    /// unsubscribed at once, and every interleaving of the two retraction
+    /// walks' steps runs, each prefix replayed on a fresh network. After
+    /// every schedule nothing is delivered anywhere, and every link's
+    /// held-back entries agree with their mirror and sit behind a sent
+    /// witness that covers them. Some schedules leave records behind:
+    /// `narrow`'s retraction passes a broker before the offer that `wide`'s
+    /// retraction sent after it, which then goes on for ever. Item 1(a)'s
+    /// fix turns the ghost assertion into `== 0`.
+    #[test]
+    fn every_interleaving_of_two_retractions_delivers_exactly_and_some_leave_ghosts() {
+        let s = schema();
+        let wide = sub(&s, 1, (0.0, 90.0), (0.0, 90.0));
+        let narrow = sub(&s, 2, (10.0, 20.0), (10.0, 20.0));
+        let retired: HashMap<SubId, &Subscription> = HashMap::from([(1, &wide), (2, &narrow)]);
+        let events: Vec<Event> = [[15.0, 15.0], [50.0, 50.0], [95.0, 95.0]]
+            .iter()
+            .map(|values| Event::new(&s, values.to_vec()).unwrap())
+            .collect();
+        // Steps the walks as `schedule` says (0 retracts `wide`, 1 `narrow`)
+        // on a fresh network; also says whether its last step ran anything.
+        let replay = |schedule: &[usize]| {
+            let net = network(Topology::line(4).unwrap(), &s, CoveringPolicy::ExactSfc);
+            net.subscribe(0, 100, &wide).unwrap();
+            net.subscribe(0, 200, &narrow).unwrap();
+            let mut walks = [net.retraction(0, 1).unwrap(), net.retraction(0, 2).unwrap()];
+            let mut ran = true;
+            for &w in schedule {
+                ran = walks[w].step(&net).unwrap();
+            }
+            (net, ran)
+        };
+        let (mut schedules, mut ghosts) = (0, Vec::new());
+        let mut pending = vec![Vec::new()];
+        while let Some(prefix) = pending.pop() {
+            // Walk 1 is pushed first, so walk 0's branch is explored first.
+            let longer: Vec<Vec<usize>> = [1, 0]
+                .into_iter()
+                .map(|w| [&prefix[..], &[w]].concat())
+                .filter(|next| replay(next).1)
+                .collect();
+            if !longer.is_empty() {
+                pending.extend(longer);
+                continue;
+            }
+            schedules += 1;
+            let (net, _) = replay(&prefix);
+            let names = prefix.iter().map(|&w| ["A", "B"][w]).collect::<Vec<_>>();
+            let schedule = format!("[{}]", names.join(", "));
+            for at in 0..4 {
+                for event in &events {
+                    assert_eq!(net.publish(at, event).unwrap(), [], "{schedule}");
+                }
+            }
+            let mut left = net.metrics().routing_table_entries;
+            for (b, n, link) in links(&net) {
+                let mut listed = link.suppressed.clone();
+                listed.sort_unstable();
+                assert_eq!(listed, link.suppressed_mirror, "{schedule}: {b}->{n}");
+                for (id, witness) in &link.suppressed {
+                    assert!(link.sent.contains(witness), "{schedule}: {b}->{n}");
+                    let covers = retired[witness].covers(retired[id]);
+                    assert!(covers, "{schedule}: {b}->{n}");
+                }
+                left += (link.sent.len() + link.suppressed.len()) as u64;
+            }
+            if left > 0 {
+                ghosts.push(schedule);
+            }
+        }
+        assert!(schedules >= 100, "{schedules} schedules");
+        println!("{schedules} schedules, {} leave ghosts", ghosts.len());
+        let Some(first) = ghosts.first() else {
+            panic!("no schedule of {schedules} leaves a ghost: has item 1(a) landed?");
+        };
+        println!("ghost 1a, first schedule: {first}");
     }
 
     #[test]

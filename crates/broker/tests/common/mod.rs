@@ -21,7 +21,10 @@ use acd_subscription::{SubId, Subscription};
 /// have unsubscribed: an unsubscribe that overtakes a re-advertisement of
 /// the same subscription leaves the re-advertisement's records downstream
 /// (ROADMAP item 1a) — sent ones, which can then stand as witnesses, and
-/// held-back ones, where it ended behind a cover.
+/// held-back ones, where it ended behind a cover. The deterministic
+/// reproduction is `network.rs`'s unit test
+/// `every_interleaving_of_two_retractions_delivers_exactly_and_some_leave_ghosts`,
+/// which enumerates the schedules of two retraction walks.
 pub fn check_held_back(
     net: &BrokerNetwork,
     live: &HashMap<SubId, &Subscription>,

@@ -296,9 +296,12 @@ fn overlapping_stress(policy: CoveringPolicy) {
     }
     // Not asserted: that the links drain to zero. Two threads unsubscribing
     // a witness and a subscription behind it can leave the subscription's
-    // re-advertisement behind, sent or held back (ROADMAP item 1a, open).
-    // What is left delivers nothing and still satisfies the invariant: held
-    // back only behind a record that is still sent.
+    // re-advertisement behind, sent or held back (ROADMAP item 1a, open;
+    // `network.rs`'s test
+    // `every_interleaving_of_two_retractions_delivers_exactly_and_some_leave_ghosts`
+    // reproduces it deterministically and prints the schedule). What is left
+    // delivers nothing and still satisfies the invariant: held back only
+    // behind a record that is still sent.
     check_quiescent(&net, &mut probe_rng, &owned);
 }
 
