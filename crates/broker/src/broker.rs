@@ -45,15 +45,15 @@
 //! that compares raw values. [`Subscription::matches`] is the oracle the
 //! tests compare both with.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
 use acd_covering::CoveringPolicy;
 use acd_subscription::schema::MAX_ATTRIBUTES;
 use acd_subscription::{Event, Schema, SubId, Subscription};
 
-pub use crate::link::LinkIds;
 use crate::link::{Held, Link};
+use crate::network::Violation;
 use crate::Result;
 
 /// Identifier of a broker inside a [`crate::BrokerNetwork`] (an index into
@@ -657,8 +657,9 @@ pub struct Broker {
     /// are exactly the clients with at least one live matching
     /// subscription, while the kernels scan only the maximal ones.
     local: Vec<MatchTable>,
-    /// The local subscriptions kept off-table, each under its witness.
-    held: Held,
+    /// The local subscriptions kept off-table, each under its witness
+    /// (crate-visible only so that the audit's tests can misfile one).
+    pub(crate) held: Held,
     /// Per-neighbor state, created at construction for every neighbor.
     links: HashMap<BrokerId, Link>,
 }
@@ -834,10 +835,60 @@ impl Broker {
         self.links.values().map(|link| link.held.len()).sum()
     }
 
-    /// The identifiers held on the link to `neighbor` (`None` for a broker
-    /// that is not a neighbor).
-    pub fn link_ids(&self, neighbor: BrokerId) -> Option<LinkIds> {
-        self.links.get(&neighbor).map(Link::ids)
+    /// This broker's share of [`crate::BrokerNetwork::audit`], against the
+    /// registry's copy (live id → client): every link's ([`Link::audit`], and
+    /// its live sent ids and routing entries, into `sent` and `routed` as
+    /// `(sender, receiver, id)`), then `Broker::local`'s invariant and each
+    /// slot registered for its client. Returns the local ids.
+    pub(crate) fn audit(
+        &self,
+        registered: &HashMap<SubId, ClientId>,
+        found: &mut Vec<Violation>,
+        sent: &mut HashSet<(BrokerId, BrokerId, SubId)>,
+        routed: &mut HashSet<(BrokerId, BrokerId, SubId)>,
+    ) -> Vec<SubId> {
+        let broker = self.id;
+        for (&neighbor, link) in &self.links {
+            link.audit(broker, neighbor, registered, found);
+            let records = link.sent_ids.iter().map(|&id| (id, true));
+            for (id, out) in records.chain(link.routing.ids.iter().map(|&id| (id, false))) {
+                if !registered.contains_key(&id) {
+                    found.push(Violation::DeadId(broker, neighbor, id));
+                } else if out {
+                    sent.insert((broker, neighbor, id));
+                } else if !routed.insert((neighbor, broker, id)) {
+                    found.push(Violation::OneSidedRoute(neighbor, broker, id));
+                }
+            }
+        }
+        let mut slots = HashMap::new();
+        for table in &self.local {
+            for (&client, handle) in table.clients.iter().zip(&table.handles) {
+                slots.insert(handle.id(), (client, handle));
+                if registered.get(&handle.id()) != Some(&client) {
+                    found.push(Violation::Misplaced(Some(broker), handle.id()));
+                }
+            }
+        }
+        let odd = self.held.disagreements().into_iter();
+        found.extend(odd.map(|id| Violation::Unmirrored(broker, None, id)));
+        for (witness, held) in self.held.entries() {
+            let id = held.id();
+            found.push(match (registered.get(&id), slots.get(&witness)) {
+                (None, _) => Violation::Misplaced(Some(broker), id),
+                (Some(client), Some((owner, cover))) if client == owner => {
+                    if cover.covers(held) {
+                        continue;
+                    }
+                    Violation::UncoveringWitness(broker, None, witness, id)
+                }
+                _ => Violation::ForeignWitness(broker, witness, id),
+            });
+        }
+        let tables = self.local.iter().flat_map(|table| &table.handles);
+        let mut local: Vec<SubId> = tables.map(Subscription::id).collect();
+        local.extend(self.held.entries().map(|(_, held)| held.id()));
+        local
     }
 
     /// Calls `deliver(client)` once for every local client with at least
@@ -962,13 +1013,6 @@ impl Broker {
                 false
             })
         })
-    }
-
-    /// Number of subscriptions this broker has sent to `neighbor`.
-    pub fn sent_to(&self, neighbor: BrokerId) -> u64 {
-        self.links
-            .get(&neighbor)
-            .map_or(0, |link| link.sent_ids.len() as u64)
     }
 }
 
@@ -1282,12 +1326,13 @@ impl KernelView<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use acd_subscription::SubscriptionBuilder;
     use proptest::prelude::*;
 
-    fn schema() -> Schema {
+    /// The unit tests' schema (also link.rs's and network.rs's).
+    pub(crate) fn schema() -> Schema {
         Schema::builder()
             .attribute("x", 0.0, 100.0)
             .attribute("y", 0.0, 100.0)
@@ -1296,7 +1341,8 @@ mod tests {
             .unwrap()
     }
 
-    fn sub(schema: &Schema, id: SubId, x: (f64, f64), y: (f64, f64)) -> Subscription {
+    /// Subscription `id` over `x` and `y`.
+    pub(crate) fn sub(schema: &Schema, id: SubId, x: (f64, f64), y: (f64, f64)) -> Subscription {
         SubscriptionBuilder::new(schema)
             .range("x", x.0, x.1)
             .range("y", y.0, y.1)
@@ -1561,11 +1607,8 @@ mod tests {
 
     /// The ids held back behind local slot `witness`, in list order.
     fn held_behind(b: &Broker, witness: SubId) -> Vec<SubId> {
-        let list = b.held.lists().get(&witness).map(Vec::as_slice);
-        list.unwrap_or_default()
-            .iter()
-            .map(Subscription::id)
-            .collect()
+        let list = b.held.entries().filter(|&(w, _)| w == witness);
+        list.map(|(_, held)| held.id()).collect()
     }
 
     #[test]
@@ -1612,7 +1655,7 @@ mod tests {
         b.add_local(7, newcomer.clone());
         assert_eq!(slots_of(&b, 7), [4, 5]);
         assert_eq!(held_behind(&b, 5), [1, 11, 2, 12, 3, 13]);
-        assert_eq!(b.held.lists().len(), 1, "the demoted lists are gone");
+        assert_eq!(b.held.len(), 6, "the demoted lists are gone");
         assert_eq!(b.local_subscriptions(), 8);
         assert_eq!(emitted(&b, &s, &[33.0, 27.0]), [7]);
 
@@ -2119,48 +2162,26 @@ mod tests {
     }
 
     /// The local cover invariant (see `Broker::local`) against `live`, the
-    /// `(client, subscription)` pairs registered at `b`: each is in a table
-    /// under its client or held, and nothing else is; the held-back lists
-    /// and the by-id map agree; every held one's witness is an in-table slot
-    /// of its client that raw-covers it; and the runs of the clients
-    /// `antichain` picks hold no slot another slot of the run raw-covers.
+    /// `(client, subscription)` pairs registered at `b`: the broker's audit
+    /// against them finds nothing and names exactly their ids, the stored
+    /// handles are theirs, and the runs of the clients `antichain` picks
+    /// hold no slot another slot of the run raw-covers.
     fn assert_local_cover(
         b: &Broker,
         live: &[(ClientId, Subscription)],
         antichain: impl Fn(ClientId, usize) -> bool,
     ) {
-        let mut slots: HashMap<SubId, (ClientId, &Subscription)> = HashMap::new();
-        for table in &b.local {
-            for (&client, handle) in table.clients.iter().zip(&table.handles) {
-                slots.insert(handle.id(), (client, handle));
-            }
-        }
-        let mut held: HashMap<SubId, (SubId, &Subscription)> = HashMap::new();
-        for (&witness, list) in b.held.lists() {
-            assert!(!list.is_empty());
-            for entry in list {
-                assert_eq!(b.held.witness(entry.id()), Some(witness));
-                held.insert(entry.id(), (witness, entry));
-            }
-        }
-        assert_eq!(held.len(), b.held.len());
-        assert_eq!(slots.len() + held.len(), live.len());
-        assert_eq!(b.local_subscriptions(), live.len());
-        for (client, subscription) in live {
-            let id = subscription.id();
-            match (slots.get(&id), held.get(&id)) {
-                (Some(&(owner, handle)), None) => {
-                    assert_eq!((owner, handle), (*client, subscription));
-                }
-                (None, Some(&(witness, entry))) => {
-                    assert_eq!(entry, subscription);
-                    let (owner, cover) = slots[&witness];
-                    assert_eq!(owner, *client, "{id} is held behind another client's");
-                    assert!(cover.covers(subscription), "{witness} over {id}");
-                }
-                other => panic!("{id}: {other:?}"),
-            }
-        }
+        let registered = live.iter().map(|(client, s)| (s.id(), *client)).collect();
+        let (mut found, mut sent, mut routed) = (Vec::new(), HashSet::new(), HashSet::new());
+        let mut local = b.audit(&registered, &mut found, &mut sent, &mut routed);
+        let mut ids: Vec<SubId> = registered.into_keys().collect();
+        local.sort_unstable();
+        ids.sort_unstable();
+        assert_eq!((found, local), (vec![], ids));
+        let by_id: HashMap<SubId, &Subscription> = live.iter().map(|(_, s)| (s.id(), s)).collect();
+        let held = b.held.entries().map(|(_, held)| held);
+        let mut stored = b.local.iter().flat_map(|table| &table.handles).chain(held);
+        assert!(stored.all(|s| by_id[&s.id()] == s));
         for table in &b.local {
             let mut start = 0;
             for run in table.clients.chunk_by(|a, c| a == c) {
@@ -2307,7 +2328,7 @@ mod tests {
             prop_assert!(demoted, "a newcomer took over a slot it covers");
             prop_assert_eq!(b.local.len(), 1);
             prop_assert_eq!(b.local_table_slots(), vec![0]);
-            prop_assert!(b.held.lists().is_empty() && b.held.len() == 0);
+            prop_assert_eq!(b.held.len(), 0);
         }
     }
 

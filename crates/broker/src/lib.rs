@@ -72,12 +72,12 @@ mod session;
 pub mod topology;
 pub mod wire;
 
-pub use broker::{Broker, BrokerId, ClientId, EventCells, EventChunk, LinkIds};
+pub use broker::{Broker, BrokerId, ClientId, EventCells, EventChunk};
 pub use client::{BatchError, BrokerClient};
 pub use error::{BrokerError, ServiceError};
 pub use faults::{FaultPlan, FaultyStream};
 pub use metrics::NetworkMetrics;
-pub use network::{BrokerConfig, BrokerNetwork, BrokerRef};
+pub use network::{BrokerConfig, BrokerNetwork, BrokerRef, Violation};
 pub use resilient::{ClientStats, GaveUp, Resilience, ResilientClient, RetryPolicy};
 pub use service::{BrokerDaemon, DaemonOptions};
 pub use topology::Topology;

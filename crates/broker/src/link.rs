@@ -9,7 +9,8 @@ use std::collections::{HashMap, HashSet};
 use acd_covering::{CoveringIndex, CoveringPolicy};
 use acd_subscription::{Schema, SubId, Subscription};
 
-use crate::broker::MatchTable;
+use crate::broker::{BrokerId, ClientId, MatchTable};
+use crate::network::Violation;
 use crate::Result;
 
 /// Subscriptions held back behind a *witness*, a subscription that covers
@@ -17,7 +18,8 @@ use crate::Result;
 /// in a broker's local tables, an in-table subscription of the same client.
 /// The two maps are two views of one relation (`witness_of[s] = w` exactly
 /// when `s` is in `lists[w]`, once; no list is empty), and only the methods
-/// below change them, so they stay that way.
+/// below change them, so they stay that way (`witness_of` is crate-visible
+/// only for the audit's tests to break the relation).
 #[derive(Debug, Default)]
 pub(crate) struct Held {
     /// Witness id → the subscriptions held back behind it, in arrival order,
@@ -25,7 +27,7 @@ pub(crate) struct Held {
     lists: HashMap<SubId, Vec<Subscription>>,
     /// Held-back id → its witness: the dedup check, and the way from a
     /// held-back subscription to the one list it sits in.
-    witness_of: HashMap<SubId, SubId>,
+    pub(crate) witness_of: HashMap<SubId, SubId>,
 }
 
 impl Held {
@@ -78,10 +80,27 @@ impl Held {
         self.witness_of.len()
     }
 
-    /// The per-witness lists, for the broker's tests.
-    #[cfg(test)]
-    pub(crate) fn lists(&self) -> &HashMap<SubId, Vec<Subscription>> {
-        &self.lists
+    /// Every `(witness, held-back subscription)` pair, list by list.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (SubId, &Subscription)> {
+        let lists = self.lists.iter();
+        lists.flat_map(|(&witness, list)| list.iter().map(move |held| (witness, held)))
+    }
+
+    /// The ids the two maps disagree on (listed twice, mirrored to another
+    /// list or not at all, or mirrored only) and the witnesses whose list is
+    /// empty: none while only the methods above have changed them.
+    pub(crate) fn disagreements(&self) -> Vec<SubId> {
+        let mut mirror = self.witness_of.clone();
+        let mut odd = Vec::new();
+        for (&witness, list) in &self.lists {
+            if list.is_empty() {
+                odd.push(witness);
+            }
+            let unmirrored = list.iter().map(Subscription::id);
+            odd.extend(unmirrored.filter(|id| mirror.remove(id) != Some(witness)));
+        }
+        odd.extend(mirror.into_keys());
+        odd
     }
 }
 
@@ -107,12 +126,13 @@ impl Held {
 /// sent record is removed only by its own subscription's retraction —
 /// drops its entry. Retracting the witness is the only event that can
 /// falsify the bold clause, so it is the only one that re-offers anything:
-/// a subscription whose *other* covers come and go needs nothing. (This is
-/// about completed operations. An unsubscribe that overtakes a concurrent
+/// a subscription whose *other* covers come and go needs nothing.
+/// [`crate::BrokerNetwork::audit`] checks all of it. (This is about
+/// completed operations. An unsubscribe that overtakes a concurrent
 /// re-advertisement of the same subscription leaves that advertisement's
-/// records downstream — ROADMAP item 1a — sent, with a routing entry, or held
-/// back. Both clauses but "live" still read true of them; they cost event
-/// forwards and memory, never a delivery.)
+/// records downstream, sent, routed or held back: ROADMAP item 1a's
+/// [`Violation::DeadId`]. They cost event forwards and memory, never a
+/// delivery.)
 #[derive(Debug)]
 pub(crate) struct Link {
     /// Routing table: the bounds of the subscriptions received from the
@@ -198,48 +218,35 @@ impl Link {
         Ok(Some(decisions))
     }
 
-    /// The identifiers the link holds.
-    pub(crate) fn ids(&self) -> LinkIds {
-        let mut sent: Vec<SubId> = self.sent_ids.iter().copied().collect();
-        sent.sort_unstable();
-        let mut lists: Vec<(SubId, &Vec<Subscription>)> =
-            self.held.lists.iter().map(|(&w, list)| (w, list)).collect();
-        lists.sort_unstable_by_key(|&(witness, _)| witness);
-        let mut suppressed_mirror: Vec<(SubId, SubId)> = self
-            .held
-            .witness_of
-            .iter()
-            .map(|(&id, &w)| (id, w))
-            .collect();
-        suppressed_mirror.sort_unstable();
-        LinkIds {
-            sent,
-            witnesses: lists.iter().map(|&(witness, _)| witness).collect(),
-            suppressed: lists
-                .iter()
-                .flat_map(|&(witness, list)| list.iter().map(move |s| (s.id(), witness)))
-                .collect(),
-            suppressed_mirror,
+    /// The held-back half of [`crate::BrokerNetwork::audit`] on `broker`'s
+    /// link to `neighbor`, against the registry's copy: the two maps agree,
+    /// and every entry is live and unsent behind a sent witness covering it.
+    pub(crate) fn audit(
+        &self,
+        broker: BrokerId,
+        neighbor: BrokerId,
+        registered: &HashMap<SubId, ClientId>,
+        found: &mut Vec<Violation>,
+    ) {
+        let odd = self.held.disagreements().into_iter();
+        found.extend(odd.map(|id| Violation::Unmirrored(broker, Some(neighbor), id)));
+        for (witness, held) in self.held.entries() {
+            let id = held.id();
+            if !registered.contains_key(&id) {
+                found.push(Violation::DeadId(broker, neighbor, id));
+            }
+            let cover = self.sent.as_ref().and_then(|index| index.get(witness));
+            found.push(if self.sent_ids.contains(&id) {
+                Violation::SentAndHeld(broker, neighbor, id)
+            } else if !self.sent_ids.contains(&witness) {
+                Violation::UnsentWitness(broker, neighbor, witness, id)
+            } else if !cover.is_some_and(|cover| cover.covers(held)) {
+                Violation::UncoveringWitness(broker, Some(neighbor), witness, id)
+            } else {
+                continue;
+            });
         }
     }
-}
-
-/// The identifiers one link holds, for tests and diagnostics (see
-/// [`crate::Broker::link_ids`]). The held-back entries are `(id, witness)`
-/// pairs, read once off each of the link's two maps so a test can check
-/// that they agree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkIds {
-    /// Sent on the link, ascending.
-    pub sent: Vec<SubId>,
-    /// The keys of the per-witness lists, ascending (a key whose list has
-    /// emptied would show here and nowhere in `suppressed`).
-    pub witnesses: Vec<SubId>,
-    /// The per-witness lists: witnesses ascending, arrival order within a
-    /// witness.
-    pub suppressed: Vec<(SubId, SubId)>,
-    /// The by-id map, ascending by id.
-    pub suppressed_mirror: Vec<(SubId, SubId)>,
 }
 
 /// The outcome of a sender-side covering check for one (subscription, link)
@@ -260,24 +267,7 @@ pub(crate) struct ForwardDecision {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acd_subscription::SubscriptionBuilder;
-
-    fn schema() -> Schema {
-        Schema::builder()
-            .attribute("x", 0.0, 100.0)
-            .attribute("y", 0.0, 100.0)
-            .bits_per_attribute(6)
-            .build()
-            .unwrap()
-    }
-
-    fn sub(schema: &Schema, id: SubId, x: (f64, f64), y: (f64, f64)) -> Subscription {
-        SubscriptionBuilder::new(schema)
-            .range("x", x.0, x.1)
-            .range("y", y.0, y.1)
-            .build(id)
-            .unwrap()
-    }
+    use crate::broker::tests::{schema, sub};
 
     #[test]
     fn covering_policy_suppresses_covered_forwards() {
@@ -310,21 +300,16 @@ mod tests {
         // again and neither map is ever populated.
         assert_eq!(link.retract(&wide).unwrap(), Some(vec![]));
         assert_eq!(unused.retract(&wide).unwrap(), None);
-        assert!([&link, &unused].into_iter().all(held_back_nothing));
+        assert!(held_back(&link).is_empty() && held_back(&unused).is_empty());
     }
 
-    fn held_back_nothing(link: &Link) -> bool {
-        link.held.lists.is_empty() && link.held.witness_of.is_empty()
-    }
-
-    /// The `(id, witness)` pairs held back on `link`.
+    /// The `(id, witness)` pairs held back on `link`: witnesses ascending,
+    /// arrival order within a witness.
     fn held_back(link: &Link) -> Vec<(SubId, SubId)> {
-        let ids = link.ids();
-        assert_eq!(
-            ids.suppressed, ids.suppressed_mirror,
-            "one entry per list here"
-        );
-        ids.suppressed
+        assert_eq!(link.held.disagreements(), []);
+        let mut pairs: Vec<_> = link.held.entries().map(|(w, s)| (s.id(), w)).collect();
+        pairs.sort_by_key(|&(_, witness)| witness);
+        pairs
     }
 
     /// Covering queries `link` has asked its sent index.
@@ -381,8 +366,8 @@ mod tests {
             let offered = link.retract(other).unwrap().expect("the survivor was sent");
             assert_eq!(offered.len(), 1);
             assert!(offered[0].1.forward);
-            assert_eq!(link.ids().sent, [3]);
-            assert!(held_back_nothing(&link));
+            assert_eq!(link.sent_ids, HashSet::from([3]));
+            assert!(held_back(&link).is_empty());
         }
     }
 
@@ -396,7 +381,7 @@ mod tests {
         assert!(link.offer(&wide).unwrap().forward);
         assert!(!link.offer(&middle).unwrap().forward);
         assert!(!link.offer(&narrow).unwrap().forward);
-        assert_eq!(link.ids().suppressed, [(2, 1), (3, 1)]);
+        assert_eq!(held_back(&link), [(2, 1), (3, 1)]);
         // `middle` arrived first, so it goes out first and `narrow` ends
         // behind it; the other order would send both.
         let offered = link.retract(&wide).unwrap().expect("wide was sent");
@@ -422,7 +407,7 @@ mod tests {
         for twin in &apart {
             assert!(link.offer(twin).unwrap().forward);
         }
-        assert!(held_back_nothing(&link));
+        assert!(held_back(&link).is_empty());
         assert_eq!(link.retract(&apart[0]).unwrap(), Some(vec![]));
 
         // Raw-nested in the same cells: the inner one is held back, goes out
@@ -439,7 +424,7 @@ mod tests {
         assert_eq!(offered.len(), 1);
         assert!(offered[0].0 == inner && offered[0].1.forward);
         assert!(link.offer(&outer).unwrap().forward);
-        assert!(held_back_nothing(&link));
+        assert!(held_back(&link).is_empty());
 
         // Equal raw bounds: each covers the other, so they hand over.
         let mut link = Link::new(&s, CoveringPolicy::ExactSfc).unwrap();
@@ -454,7 +439,7 @@ mod tests {
             assert_eq!(offered.len(), 1);
             assert_eq!(offered[0].0, twins[stays]);
             assert!(offered[0].1.forward);
-            assert!(held_back_nothing(&link));
+            assert!(held_back(&link).is_empty());
             assert!(!link.offer(&twins[gone]).unwrap().forward);
             assert_eq!(held_back(&link), [(twins[gone].id(), twins[stays].id())]);
         }
@@ -474,11 +459,11 @@ mod tests {
             assert!(!link.offer(&inside).unwrap().forward);
             assert_eq!(held_back(&link), [(2, 1)]);
             assert_eq!(link.retract(&inside).unwrap(), None);
-            assert!(held_back_nothing(&link));
+            assert!(held_back(&link).is_empty());
             // The same id again, where nothing covers it: sent, so the
             // witness has nothing of it to offer when it goes.
             assert!(link.offer(&outside).unwrap().forward);
-            assert!(held_back_nothing(&link));
+            assert!(held_back(&link).is_empty());
             assert_eq!(link.retract(&wide).unwrap(), Some(vec![]));
             assert_eq!(link.retract(&outside).unwrap(), Some(vec![]));
             assert!(link.offer(&wide).unwrap().forward);
@@ -489,7 +474,7 @@ mod tests {
         assert!(link.retract(&wide).unwrap().expect("sent")[0].1.forward);
         assert_eq!(link.retract(&inside).unwrap(), Some(vec![]));
         assert!(link.offer(&inside).unwrap().forward);
-        assert!(held_back_nothing(&link));
-        assert_eq!(link.ids().sent, [2]);
+        assert!(held_back(&link).is_empty());
+        assert_eq!(link.sent_ids, HashSet::from([2]));
     }
 }

@@ -16,7 +16,7 @@
 //!   publish reads one broker at a time;
 //! * the network-wide registration map sits behind an [`OrderedMutex`]
 //!   (class `netreg`, rank 8). It is taken alone — never while a broker
-//!   lock is held — and released before the overlay walk starts.
+//!   lock is held — and released before a walk or [`audit`] reads a broker.
 //!
 //! Counters are plain relaxed atomics (see [`crate::metrics`]).
 //!
@@ -29,8 +29,10 @@
 //! [`subscribe`]: BrokerNetwork::subscribe
 //! [`unsubscribe`]: BrokerNetwork::unsubscribe
 //! [`publish`]: BrokerNetwork::publish
+//! [`audit`]: BrokerNetwork::audit
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::{Deref, Range};
 use std::rc::Rc;
 use std::slice;
@@ -169,6 +171,39 @@ impl Deref for BrokerRef<'_> {
     }
 }
 
+/// One breach of the overlay's invariants, as [`BrokerNetwork::audit`]
+/// reports it: the broker holding the record, the neighbor whose link it is
+/// on (`None`: the local tables), then the ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Violation {
+    /// `(broker, neighbor, id)`: a held-back structure's two maps disagree
+    /// on `id` (listed twice, mirrored to another list or not at all, or
+    /// mirrored only), or `id` is a witness whose list is empty.
+    Unmirrored(BrokerId, Option<BrokerId>, SubId),
+    /// `(broker, neighbor, id)`: `id` is held back on the link and sent on it.
+    SentAndHeld(BrokerId, BrokerId, SubId),
+    /// `(broker, neighbor, witness, id)`: `id` is held back on the link
+    /// behind `witness`, which was not sent on it.
+    UnsentWitness(BrokerId, BrokerId, SubId, SubId),
+    /// `(broker, neighbor, witness, id)`: `witness`, as the sent index or
+    /// local slot stores it, does not cover `id` ([`Subscription::covers`]).
+    UncoveringWitness(BrokerId, Option<BrokerId>, SubId, SubId),
+    /// `(broker, witness, id)`: the local `id` is held back behind
+    /// `witness`, which is not an in-table slot of `id`'s client.
+    ForeignWitness(BrokerId, SubId, SubId),
+    /// `(broker, neighbor, id)`: a sent id, routing entry or held-back entry
+    /// names the dead `id` (ghost 1a). A dead held-back entry is still
+    /// checked as a live one is: unsent, behind a sent witness covering it.
+    DeadId(BrokerId, BrokerId, SubId),
+    /// `(broker, neighbor, id)`: `neighbor` routes the live `id` from
+    /// `broker`, which did not send it, or the reverse (or routes it twice).
+    OneSidedRoute(BrokerId, BrokerId, SubId),
+    /// `(broker, id)`: `broker` holds `id` locally where the registry does
+    /// not put it (unregistered, another client's, or a second copy); with
+    /// no broker, `id` is registered and local nowhere.
+    Misplaced(Option<BrokerId>, SubId),
+}
+
 impl BrokerNetwork {
     /// The overlay topology.
     pub fn topology(&self) -> &Topology {
@@ -245,28 +280,37 @@ impl BrokerNetwork {
         client: ClientId,
         subscription: &Subscription,
     ) -> Result<()> {
+        let mut walk = self.subscription(at, client, subscription)?;
+        while walk.step(self)? {}
+        Ok(())
+    }
+
+    /// [`subscribe`](Self::subscribe) up to its overlay walk: registers
+    /// `subscription` for `client` and adds it to broker `at`'s local
+    /// tables, returning the walk that offers it on the links, not yet
+    /// stepped.
+    pub(crate) fn subscription(
+        &self,
+        at: BrokerId,
+        client: ClientId,
+        subscription: &Subscription,
+    ) -> Result<Walk> {
         self.topology.check_broker(at)?;
         if subscription.schema() != &self.schema {
             return Err(BrokerError::Subscription(
                 acd_subscription::SubscriptionError::SchemaMismatch,
             ));
         }
-        {
-            let mut registered = self.registered.lock();
-            if registered.contains_key(&subscription.id()) {
-                return Err(BrokerError::DuplicateSubscription {
-                    id: subscription.id(),
-                });
-            }
-            registered.insert(subscription.id(), client);
-        }
+        let id = subscription.id();
+        match self.registered.lock().entry(id) {
+            Entry::Occupied(_) => return Err(BrokerError::DuplicateSubscription { id }),
+            Entry::Vacant(slot) => slot.insert(client),
+        };
         MetricCounters::bump(&self.counters.subscriptions_registered);
         self.cell(at)
             .write()
             .add_local(client, subscription.clone());
-        let mut walk = Walk::new(at, Job::Offer(Rc::new(subscription.clone())));
-        while walk.step(self)? {}
-        Ok(())
+        Ok(Walk::new(at, Job::Offer(Rc::new(subscription.clone()))))
     }
 
     /// Folds one link's decision into the counters, returning whether the
@@ -323,6 +367,35 @@ impl BrokerNetwork {
         self.registered.lock().remove(&id);
         MetricCounters::bump(&self.counters.unsubscriptions);
         Ok(Walk::new(at, Job::Retract(Rc::new(subscription))))
+    }
+
+    /// Every breach of the overlay's invariants, in no order: none when it
+    /// is well formed. Per link, what `Link` (`link.rs`) promises of its
+    /// held-back subscriptions; per broker, that of `Broker::local`; and
+    /// across the overlay, that each registered id is local at exactly one
+    /// broker, that no link record names an id the registry does not hold,
+    /// and that a broker holds a routing entry from a neighbor exactly for
+    /// the live ids the neighbor sent it.
+    ///
+    /// Takes the registry alone, copies it and releases it, then reads one
+    /// broker at a time (`LOCKING.md`); so it is exact only when no
+    /// subscribe or unsubscribe is in flight.
+    pub fn audit(&self) -> Vec<Violation> {
+        let registered = self.registered.lock().clone();
+        let mut unplaced: HashSet<SubId> = registered.keys().copied().collect();
+        let (mut found, mut sent, mut routed) = (Vec::new(), HashSet::new(), HashSet::new());
+        for (broker, cell) in self.brokers.iter().enumerate() {
+            let guard = cell.read();
+            for id in guard.audit(&registered, &mut found, &mut sent, &mut routed) {
+                if !unplaced.remove(&id) && registered.contains_key(&id) {
+                    found.push(Violation::Misplaced(Some(broker), id));
+                }
+            }
+        }
+        let one_sided = sent.symmetric_difference(&routed);
+        found.extend(one_sided.map(|&(b, n, id)| Violation::OneSidedRoute(b, n, id)));
+        found.extend(unplaced.iter().map(|&id| Violation::Misplaced(None, id)));
+        found
     }
 
     /// Publishes `event` at broker `at` and returns the deliveries it caused
@@ -650,25 +723,9 @@ impl Shares {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::LinkIds;
+    use crate::broker::tests::{schema, sub};
+    use crate::link::Held;
     use acd_subscription::SubscriptionBuilder;
-
-    fn schema() -> Schema {
-        Schema::builder()
-            .attribute("x", 0.0, 100.0)
-            .attribute("y", 0.0, 100.0)
-            .bits_per_attribute(6)
-            .build()
-            .unwrap()
-    }
-
-    fn sub(schema: &Schema, id: SubId, x: (f64, f64), y: (f64, f64)) -> Subscription {
-        SubscriptionBuilder::new(schema)
-            .range("x", x.0, x.1)
-            .range("y", y.0, y.1)
-            .build(id)
-            .unwrap()
-    }
 
     fn network(topology: Topology, schema: &Schema, policy: CoveringPolicy) -> BrokerNetwork {
         BrokerConfig::new(topology, schema)
@@ -873,14 +930,12 @@ mod tests {
         // registers one wide cover and a few narrow subscriptions it masks,
         // then retires the whole round. A held-back entry leaves its link
         // when its witness's retraction re-offers it or when its own
-        // unsubscribe walk passes (`Link::retract`), so the per-link state
-        // must stay bounded by the live population at every step — entries
-        // by the live subscriptions, witness lists by the sent ones, not one
-        // per *historical* suppression — and be empty at quiescence.
+        // unsubscribe walk passes (`Link::retract`). So at every step the
+        // audit finds each link's held-back entries live, once each, behind
+        // sent witnesses — none per *historical* suppression — and at the
+        // end, with nothing registered, finds nothing left at all.
         let s = schema();
         let net = network(Topology::line(4).unwrap(), &s, CoveringPolicy::ExactSfc);
-        let total_links = 2 * (net.topology().brokers() - 1);
-        let mut live = 0usize;
         let mut next_id: SubId = 1;
         for round in 0..60 {
             let wide_id = next_id;
@@ -896,59 +951,21 @@ mod tests {
                 })
                 .collect();
             next_id += 4;
-            live += 4;
-
-            let bound = |net: &BrokerNetwork, live: usize| {
-                let entries: usize = (0..net.topology().brokers())
-                    .map(|b| net.broker(b).unwrap().suppressed_entries())
-                    .sum();
-                // Each live subscription can sit suppressed on at most one
-                // side of every link.
-                assert!(
-                    entries <= live * total_links,
-                    "round {round}: {entries} suppressed entries for {live} live subs"
-                );
-                // An emptied witness list is dropped, so the lists are keyed
-                // by sent subscriptions that are masking something now.
-                for (b, n, link) in links(net) {
-                    assert!(
-                        link.witnesses.len() <= link.sent.len(),
-                        "round {round}, {b}->{n}: {link:?}"
-                    );
-                }
-                entries
-            };
-            bound(&net, live);
+            assert_eq!(net.audit(), [], "round {round}");
+            assert!(net.broker(0).unwrap().suppressed_entries() > 0);
 
             // Retire the round in cover-first order, which exercises the
             // re-advertise + re-suppress chain every time.
             net.unsubscribe(0, wide_id).unwrap();
-            live -= 1;
-            bound(&net, live);
+            assert_eq!(net.audit(), [], "round {round}");
             for id in narrow_ids {
                 net.unsubscribe(0, id).unwrap();
-                live -= 1;
             }
-            bound(&net, live);
+            assert_eq!(net.audit(), [], "round {round}");
         }
-        // Quiescence: nothing live, nothing suppressed, nothing routed.
-        let entries: usize = (0..net.topology().brokers())
-            .map(|b| net.broker(b).unwrap().suppressed_entries())
-            .sum();
-        assert_eq!(entries, 0, "suppressed state leaked churn history");
-        assert_eq!(net.metrics().routing_table_entries, 0);
-        for (b, n, link) in links(&net) {
-            let empty = link.witnesses.is_empty() && link.suppressed_mirror.is_empty();
-            assert!(empty, "{b}->{n}: {link:?}");
-        }
-    }
-
-    /// Every directed link's id view.
-    fn links(net: &BrokerNetwork) -> impl Iterator<Item = (BrokerId, BrokerId, LinkIds)> + '_ {
-        (0..net.topology().brokers()).flat_map(move |b| {
-            let neighbors = net.topology().neighbors(b).iter();
-            neighbors.map(move |&n| (b, n, net.broker(b).unwrap().link_ids(n).unwrap()))
-        })
+        // Nothing registered, so any record left would be a dead id.
+        let metrics = net.metrics();
+        assert_eq!(metrics.subscriptions_registered, metrics.unsubscriptions);
     }
 
     #[test]
@@ -1223,33 +1240,28 @@ mod tests {
         }
     }
 
-    /// Ghost records (ROADMAP item 1a), reproduced without threads: `wide`
-    /// holds `narrow` back on the link out of broker 0, both are
-    /// unsubscribed at once, and every interleaving of the two retraction
-    /// walks' steps runs, each prefix replayed on a fresh network. After
-    /// every schedule nothing is delivered anywhere, and every link's
-    /// held-back entries agree with their mirror and sit behind a sent
-    /// witness that covers them. Some schedules leave records behind:
-    /// `narrow`'s retraction passes a broker before the offer that `wide`'s
-    /// retraction sent after it, which then goes on for ever. Item 1(a)'s
-    /// fix turns the ghost assertion into `== 0`.
-    #[test]
-    fn every_interleaving_of_two_retractions_delivers_exactly_and_some_leave_ghosts() {
+    /// Every interleaving of the steps of the two walks `walks` starts on a
+    /// `line(4)` where `wide` (1) holds `narrow` (2) back out of broker 0,
+    /// each prefix replayed on a fresh network. After each schedule every
+    /// event is delivered exactly as the registry's live set says, and the
+    /// audit finds nothing but dead ids (ROADMAP item 1a's ghosts). Returns
+    /// the number of schedules and those that leave ghosts, as `[A, B, ...]`.
+    fn interleavings(walks: impl Fn(&BrokerNetwork) -> [Walk; 2]) -> (usize, Vec<String>) {
         let s = schema();
         let wide = sub(&s, 1, (0.0, 90.0), (0.0, 90.0));
         let narrow = sub(&s, 2, (10.0, 20.0), (10.0, 20.0));
-        let retired: HashMap<SubId, &Subscription> = HashMap::from([(1, &wide), (2, &narrow)]);
+        let homes = [(0, 100, &wide), (0, 200, &narrow), (1, 300, &narrow)];
         let events: Vec<Event> = [[15.0, 15.0], [50.0, 50.0], [95.0, 95.0]]
             .iter()
             .map(|values| Event::new(&s, values.to_vec()).unwrap())
             .collect();
-        // Steps the walks as `schedule` says (0 retracts `wide`, 1 `narrow`)
-        // on a fresh network; also says whether its last step ran anything.
+        // Steps the walks as `schedule` says on a fresh network; also says
+        // whether its last step ran anything.
         let replay = |schedule: &[usize]| {
             let net = network(Topology::line(4).unwrap(), &s, CoveringPolicy::ExactSfc);
             net.subscribe(0, 100, &wide).unwrap();
             net.subscribe(0, 200, &narrow).unwrap();
-            let mut walks = [net.retraction(0, 1).unwrap(), net.retraction(0, 2).unwrap()];
+            let mut walks = walks(&net);
             let mut ran = true;
             for &w in schedule {
                 ran = walks[w].step(&net).unwrap();
@@ -1259,7 +1271,7 @@ mod tests {
         let (mut schedules, mut ghosts) = (0, Vec::new());
         let mut pending = vec![Vec::new()];
         while let Some(prefix) = pending.pop() {
-            // Walk 1 is pushed first, so walk 0's branch is explored first.
+            // Walk B is pushed first, so walk A's branch is explored first.
             let longer: Vec<Vec<usize>> = [1, 0]
                 .into_iter()
                 .map(|w| [&prefix[..], &[w]].concat())
@@ -1273,33 +1285,121 @@ mod tests {
             let (net, _) = replay(&prefix);
             let names = prefix.iter().map(|&w| ["A", "B"][w]).collect::<Vec<_>>();
             let schedule = format!("[{}]", names.join(", "));
-            for at in 0..4 {
-                for event in &events {
-                    assert_eq!(net.publish(at, event).unwrap(), [], "{schedule}");
+            let registered = net.registered.lock().clone();
+            for event in &events {
+                let live = (1..)
+                    .zip(&homes)
+                    .filter(|(id, _)| registered.contains_key(id));
+                let matching = live.filter(|(_, (.., subscription))| subscription.matches(event));
+                let expected: Vec<_> = matching.map(|(_, &(at, client, _))| (at, client)).collect();
+                for at in 0..4 {
+                    assert_eq!(net.publish(at, event).unwrap(), expected, "{schedule}");
                 }
             }
-            let mut left = net.metrics().routing_table_entries;
-            for (b, n, link) in links(&net) {
-                let mut listed = link.suppressed.clone();
-                listed.sort_unstable();
-                assert_eq!(listed, link.suppressed_mirror, "{schedule}: {b}->{n}");
-                for (id, witness) in &link.suppressed {
-                    assert!(link.sent.contains(witness), "{schedule}: {b}->{n}");
-                    let covers = retired[witness].covers(retired[id]);
-                    assert!(covers, "{schedule}: {b}->{n}");
-                }
-                left += (link.sent.len() + link.suppressed.len()) as u64;
-            }
-            if left > 0 {
+            let found = net.audit();
+            let dead = |v: &Violation| matches!(v, Violation::DeadId(..));
+            assert!(found.iter().all(dead), "{schedule}: {found:?}");
+            if !found.is_empty() {
                 ghosts.push(schedule);
             }
         }
-        assert!(schedules >= 100, "{schedules} schedules");
+        (schedules, ghosts)
+    }
+
+    /// Ghost 1a without threads: `wide` and `narrow` are unsubscribed at
+    /// once, and `narrow`'s retraction can pass a broker before the offer
+    /// `wide`'s retraction sent after it, which then goes on for ever. Item
+    /// 1(a)'s fix turns the ghost count into 0.
+    #[test]
+    fn every_interleaving_of_two_retractions_delivers_exactly_and_some_leave_ghosts() {
+        let (schedules, ghosts) =
+            interleavings(|net| [net.retraction(0, 1).unwrap(), net.retraction(0, 2).unwrap()]);
         println!("{schedules} schedules, {} leave ghosts", ghosts.len());
-        let Some(first) = ghosts.first() else {
-            panic!("no schedule of {schedules} leaves a ghost: has item 1(a) landed?");
+        assert_eq!((schedules, ghosts.len()), (111, 16));
+        println!("ghost 1a, first schedule: {}", ghosts[0]);
+    }
+
+    /// `wide` is unsubscribed while a copy of `narrow` subscribes at broker
+    /// 1, held back behind `wide` on the link to 2 unless `wide`'s
+    /// retraction got there first.
+    #[test]
+    fn every_interleaving_of_a_retraction_and_a_subscribe_delivers_exactly() {
+        let copy = sub(&schema(), 3, (10.0, 20.0), (10.0, 20.0));
+        let (schedules, ghosts) = interleavings(|net| {
+            let subscribe = net.subscription(1, 300, &copy).unwrap();
+            [net.retraction(0, 1).unwrap(), subscribe]
+        });
+        assert_eq!((schedules, ghosts), (36, vec![]));
+    }
+
+    /// The audit finds nothing on a small well-formed overlay, and exactly
+    /// the one record broken on a fresh one, for each kind.
+    #[test]
+    fn the_audit_names_each_kind_of_broken_record() {
+        let s = schema();
+        let squares = [
+            (1, 0.0, 90.0),
+            (2, 20.0, 30.0),
+            (3, 10.0, 60.0),
+            (4, 92.0, 99.0),
+        ];
+        let [wide, narrow, mid, far] = squares.map(|(id, lo, hi)| sub(&s, id, (lo, hi), (lo, hi)));
+        let ghost = narrow.with_id(9);
+        // `wide` covers `mid`, sent first, and holds `narrow` back on the links
+        // and locally; client 200's twin of `wide` is held back on the links.
+        let build = || {
+            let net = network(Topology::line(3).unwrap(), &s, CoveringPolicy::ExactSfc);
+            for subscription in [&mid, &wide, &narrow, &far] {
+                net.subscribe(0, 100, subscription).unwrap();
+            }
+            net.subscribe(0, 200, &wide.with_id(5)).unwrap();
+            assert_eq!(net.audit(), []);
+            net
         };
-        println!("ghost 1a, first schedule: {first}");
+        let refile = |held: &mut Held, witness| {
+            held.release(2);
+            held.hold(witness, narrow.clone());
+        };
+        type Plant<'a> = &'a dyn Fn(&BrokerNetwork);
+        let cases: [(Violation, Plant); 9] = [
+            (Violation::Unmirrored(0, Some(1), 2), &|net| {
+                net.cell(0).write().link_mut(1).held.witness_of.remove(&2);
+            }),
+            (Violation::UncoveringWitness(0, Some(1), 4, 2), &|net| {
+                refile(&mut net.cell(0).write().link_mut(1).held, 4);
+            }),
+            (Violation::UnsentWitness(1, 0, 1, 2), &|net| {
+                net.cell(1).write().link_mut(0).held.hold(1, narrow.clone());
+            }),
+            (Violation::SentAndHeld(0, 1, 3), &|net| {
+                net.cell(0).write().link_mut(1).held.hold(1, mid.clone());
+            }),
+            (Violation::DeadId(0, 1, 9), &|net| {
+                net.cell(0).write().link_mut(1).held.hold(1, ghost.clone());
+            }),
+            (Violation::OneSidedRoute(0, 1, 1), &|net| {
+                net.cell(1).write().remove_received(0, 1);
+            }),
+            (Violation::ForeignWitness(0, 5, 2), &|net| {
+                refile(&mut net.cell(0).write().held, 5);
+            }),
+            (Violation::Misplaced(Some(2), 9), &|net| {
+                net.cell(2).write().add_local(100, ghost.clone());
+            }),
+            (Violation::Misplaced(None, 9), &|net| {
+                net.registered.lock().insert(9, 100);
+            }),
+        ];
+        for (violation, plant) in cases {
+            let net = build();
+            plant(&net);
+            assert_eq!(net.audit(), [violation]);
+        }
+        // A dead held-back entry is still checked as a live one is.
+        let net = build();
+        net.cell(1).write().link_mut(0).held.hold(1, ghost.clone());
+        let unsent = Violation::UnsentWitness(1, 0, 1, 9);
+        assert_eq!(net.audit(), [Violation::DeadId(1, 0, 9), unsent]);
     }
 
     #[test]

@@ -612,6 +612,7 @@ mod tests {
             options(),
         )
         .unwrap();
+        assert_eq!(daemon.network().audit(), []);
         let mut client = BrokerClient::connect(daemon.local_addr()).unwrap();
         let hit = Event::new(&schema, vec![25.0]).unwrap();
         assert_eq!(

@@ -2,11 +2,10 @@
 //! interleaved subscribe / unsubscribe / publish / publish_batch, serial
 //! delivery == batched delivery (short bursts, which take the serial walk,
 //! and long ones, which take the rank kernel) == a linear
-//! `Subscription::matches` scan over the live set (pairs deduped). After every subscribe and unsubscribe
-//! the per-link covering bookkeeping — the witness each held-back
-//! subscription is filed under included — is checked against the live set
-//! too (`Model::check_links`), and it must all be empty once everything is
-//! unsubscribed.
+//! `Subscription::matches` scan over the live set (pairs deduped). After
+//! every subscribe and unsubscribe `BrokerNetwork::audit` must find the
+//! overlay well formed — the witness each held-back subscription is filed
+//! under included — and with everything unsubscribed that leaves nothing.
 //!
 //! About a third of the subscriptions are shrunk copies of a live one, with
 //! its broker and client: raw-covered by it, so every copy must be held back
@@ -37,12 +36,9 @@ use acd_broker::{
 use acd_covering::CoveringPolicy;
 use acd_subscription::{Event, Schema, SubId, Subscription};
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-
-mod common;
 
 const BROKERS: usize = 3;
 
@@ -151,7 +147,7 @@ impl Model {
         net.subscribe(at, client, &sub).unwrap();
         self.held_hits += usize::from(held_locally(net, at) > held);
         self.live.push((at, client, sub));
-        self.check_links(net);
+        assert_eq!(net.audit(), []);
     }
 
     fn unsubscribe(&mut self, net: &BrokerNetwork, pick: u64) {
@@ -160,38 +156,7 @@ impl Model {
         }
         let (at, _, sub) = self.live.swap_remove(pick as usize % self.live.len());
         net.unsubscribe(at, sub.id()).unwrap();
-        self.check_links(net);
-    }
-
-    /// What the brokers rely on without re-deriving it, on every link of
-    /// every broker: the held-back entries and their witnesses
-    /// (`common::check_held_back`, with no retired witness allowed: this
-    /// test is serial); the sent ids are live, `sent_to` counts them, and
-    /// over a broker's links they add up to its routing-table entries.
-    fn check_links(&self, net: &BrokerNetwork) {
-        let live: HashMap<SubId, &Subscription> = self
-            .live
-            .iter()
-            .map(|(_, _, sub)| (sub.id(), sub))
-            .collect();
-        common::check_held_back(net, &live, &HashMap::new());
-        for b in 0..BROKERS {
-            let mut received = 0;
-            for &n in net.topology().neighbors(b) {
-                let link = net.broker(b).unwrap().link_ids(n).unwrap();
-                assert!(
-                    link.sent.iter().all(|id| live.contains_key(id)),
-                    "{b}->{n}: dead id sent"
-                );
-                assert_eq!(net.broker(b).unwrap().sent_to(n), link.sent.len() as u64);
-                received += net.broker(n).unwrap().sent_to(b);
-            }
-            let entries = net.broker(b).unwrap().routing_table_entries();
-            assert_eq!(
-                received, entries as u64,
-                "broker {b}: sent to it != received"
-            );
-        }
+        assert_eq!(net.audit(), []);
     }
 
     /// Three events: one on every `lo` of a live subscription, one on every
@@ -354,18 +319,12 @@ proptest! {
         mixed.insert(1, foreign);
         model.check(&net, 0, &mixed);
 
-        // Quiescence: nothing live, so nothing sent, suppressed or routed.
+        // Quiescence: registry empty and the last audit clean, so no record.
         while !model.live.is_empty() {
             model.unsubscribe(&net, next());
         }
-        for b in 0..BROKERS {
-            let broker = net.broker(b).unwrap();
-            prop_assert_eq!(broker.suppressed_entries(), 0);
-            prop_assert_eq!(broker.routing_table_entries(), 0);
-            for &n in net.topology().neighbors(b) {
-                prop_assert_eq!(broker.sent_to(n), 0);
-            }
-        }
+        let metrics = net.metrics();
+        prop_assert_eq!(metrics.subscriptions_registered, metrics.unsubscriptions);
     }
 }
 

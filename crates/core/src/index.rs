@@ -70,8 +70,13 @@ pub trait CoveringIndex: std::fmt::Debug + Send + Sync {
         self.len() == 0
     }
 
+    /// The subscription stored under `id`, if any.
+    fn get(&self, id: SubId) -> Option<&Subscription>;
+
     /// Whether a subscription with the given identifier is stored.
-    fn contains(&self, id: SubId) -> bool;
+    fn contains(&self, id: SubId) -> bool {
+        self.get(id).is_some()
+    }
 
     /// Accumulated statistics.
     fn stats(&self) -> IndexStats;
@@ -108,8 +113,8 @@ mod tests {
             fn len(&self) -> usize {
                 self.0
             }
-            fn contains(&self, _: SubId) -> bool {
-                false
+            fn get(&self, _: SubId) -> Option<&Subscription> {
+                None
             }
             fn stats(&self) -> IndexStats {
                 IndexStats::default()

@@ -120,8 +120,8 @@ impl CoveringIndex for LinearScanIndex {
         self.subscriptions.len()
     }
 
-    fn contains(&self, id: SubId) -> bool {
-        self.by_id.contains_key(&id)
+    fn get(&self, id: SubId) -> Option<&Subscription> {
+        self.subscriptions.get(*self.by_id.get(&id)?)
     }
 
     fn stats(&self) -> IndexStats {

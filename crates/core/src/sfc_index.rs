@@ -165,11 +165,6 @@ impl SfcCoveringIndex {
         self.forward.set_config(config);
     }
 
-    /// The subscription stored under `id`, if any.
-    pub fn get(&self, id: SubId) -> Option<&Subscription> {
-        self.subscriptions.get(&id)
-    }
-
     fn check_schema(&self, subscription: &Subscription) -> Result<()> {
         if subscription.schema() != &self.schema {
             return Err(CoveringError::SchemaMismatch);
@@ -436,8 +431,8 @@ impl CoveringIndex for SfcCoveringIndex {
         self.subscriptions.len()
     }
 
-    fn contains(&self, id: SubId) -> bool {
-        self.subscriptions.contains_key(&id)
+    fn get(&self, id: SubId) -> Option<&Subscription> {
+        self.subscriptions.get(&id)
     }
 
     fn stats(&self) -> IndexStats {
