@@ -27,9 +27,9 @@ impl Diagnostic {
     /// Renders the diagnostic in the rustc-inspired two-line form:
     ///
     /// ```text
-    /// error[lock-order]: acquired `journal` … while holding `netreg` …
-    ///   --> crates/broker/src/service.rs:123:17
-    ///    |         let journal = self.journal.lock();
+    /// error[lock-order]: acquired `daemon` … while holding `netreg` …
+    ///   --> crates/broker/src/session.rs:123:17
+    ///    |         let ledger = state.ledger.lock();
     /// ```
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -2,19 +2,19 @@
 //!
 //! The broker overlay (`crates/broker/src/network.rs`) and the daemon
 //! sessions above it (`crates/broker/src/session.rs`) document a strict
-//! acquisition order — session (`sessions`) → journal (`journal`) → broker
-//! (`brokers`) → netreg (`registered`) — and a deadlock needs exactly one
-//! code path that acquires against it. This lint models the hierarchy as
-//! ranked **lock classes** (see [`LOCK_CLASSES`], mirrored at runtime by
-//! `acd_covering::ordered` and documented in `LOCKING.md`) and walks every
-//! function body tracking which classes are held at each acquisition.
+//! acquisition order — daemon (`ledger`) → netreg (`registered`) → broker
+//! (`brokers`) — and a deadlock needs exactly one code path that acquires
+//! against it. This lint models the hierarchy as ranked **lock classes**
+//! (see [`LOCK_CLASSES`], mirrored at runtime by `acd_covering::ordered`
+//! and documented in `LOCKING.md`) and walks every function body tracking
+//! which classes are held at each acquisition.
 //!
 //! The tracking is deliberately syntactic (no type information):
 //!
 //! * an *acquisition* is a `.read()` / `.write()` / `.lock()` call whose
 //!   receiver chain (scanned back to the start of the statement) names a
-//!   known class field or accessor — `self.journal.lock()`,
-//!   `sessions.lock()`, `self.brokers[home].write()`,
+//!   known class field or accessor — `self.registered.lock()`,
+//!   `ledger.lock()`, `self.brokers[home].write()`,
 //!   `self.cell(home).write()` all classify;
 //! * an acquisition is *held* (until the end of its enclosing block) when it
 //!   is the entire initializer of a `let` binding, modulo the poison-recovery
@@ -52,23 +52,18 @@ pub struct LockClass {
 pub const LOCK_CLASSES: &[LockClass] = &[
     LockClass {
         rank: 3,
-        name: "session",
-        fields: &["sessions"],
+        name: "daemon",
+        fields: &["ledger"],
     },
     LockClass {
         rank: 4,
-        name: "journal",
-        fields: &["journal"],
+        name: "netreg",
+        fields: &["registered"],
     },
     LockClass {
         rank: 5,
         name: "broker",
         fields: &["brokers", "cell"],
-    },
-    LockClass {
-        rank: 8,
-        name: "netreg",
-        fields: &["registered"],
     },
 ];
 
@@ -145,8 +140,8 @@ impl Lint for LockOrder {
                         token,
                         format!(
                             "acquired `{}` (rank {}) while holding `{}` (rank {}); \
-                             the documented order is session → journal → broker → \
-                             netreg (see LOCKING.md)",
+                             the documented order is daemon → netreg → broker \
+                             (see LOCKING.md)",
                             class.name, class.rank, worst.class.name, worst.class.rank
                         ),
                     ));
@@ -274,10 +269,9 @@ mod tests {
     fn in_order_acquisitions_are_clean() {
         let src = "\
 fn ok(&self) {
-    let sessions = self.sessions.lock();
-    let journal = self.journal.lock();
-    let broker = self.brokers[3].write();
+    let ledger = self.ledger.lock();
     let registered = self.registered.lock();
+    let broker = self.brokers[3].write();
 }
 ";
         assert!(run(src).is_empty(), "{:?}", run(src));
@@ -288,12 +282,12 @@ fn ok(&self) {
         let src = "\
 fn bad(&self) {
     let broker = self.brokers[0].read();
-    let journal = self.journal.lock();
+    let registered = self.registered.lock();
 }
 ";
         let diags = run(src);
         assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("`journal` (rank 4)"));
+        assert!(diags[0].message.contains("`netreg` (rank 4)"));
         assert!(diags[0].message.contains("`broker` (rank 5)"));
     }
 
@@ -312,13 +306,13 @@ fn bad(&self) {
 
     #[test]
     fn transient_guards_release_at_statement_end() {
-        // The deref-copied netreg guard is a temporary: the broker read
-        // after it must NOT count as netreg-then-broker.
+        // The deref-copied broker guard is a temporary: the registry lock
+        // after it must NOT count as broker-then-netreg.
         let src = "\
 fn ok(&self) {
-    let sessions = self.sessions.lock();
-    let home = *self.registered.lock();
-    let len = self.brokers[0].read().len();
+    let ledger = self.ledger.lock();
+    let home = *self.brokers[0].read();
+    let len = self.registered.lock().len();
 }
 ";
         assert!(run(src).is_empty(), "{:?}", run(src));
@@ -328,11 +322,11 @@ fn ok(&self) {
     fn block_scoped_guards_release_at_block_end() {
         let src = "\
 fn ok(&self) {
-    let sessions = self.sessions.lock();
+    let ledger = self.ledger.lock();
     {
-        let journal = self.journal.lock();
+        let registered = self.registered.lock();
     }
-    let journal = self.journal.lock();
+    let registered = self.registered.lock();
 }
 ";
         assert!(run(src).is_empty());
@@ -345,7 +339,7 @@ fn first(&self) {
     let registered = self.registered.lock();
 }
 fn second(&self) {
-    let sessions = self.sessions.lock();
+    let ledger = self.ledger.lock();
 }
 ";
         assert!(run(src).is_empty());
@@ -356,11 +350,11 @@ fn second(&self) {
         let src = "\
 fn bad(&self) {
     let registered = self.registered.lock().unwrap_or_else(|e| e.into_inner());
-    let sessions = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
+    let ledger = self.ledger.lock().unwrap_or_else(|e| e.into_inner());
 }
 ";
         let diags = run(src);
         assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("`session` (rank 3)"));
+        assert!(diags[0].message.contains("`daemon` (rank 3)"));
     }
 }

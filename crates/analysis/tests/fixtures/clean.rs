@@ -3,10 +3,10 @@
 
 /// Ordered acquisition, no allocation markers, no panics.
 pub fn well_behaved(
-    sessions: &std::sync::Mutex<Vec<u64>>,
+    ledger: &std::sync::Mutex<Vec<u64>>,
     registered: &std::sync::Mutex<u64>,
 ) -> Option<u64> {
-    let live = sessions.lock().ok()?;
+    let live = ledger.lock().ok()?;
     let total = registered.lock().ok()?;
     live.first().map(|f| f + *total)
 }

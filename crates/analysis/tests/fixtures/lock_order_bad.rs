@@ -2,22 +2,28 @@
 //! documented hierarchy. Not compiled — linted by `tests/fixtures.rs`.
 
 struct Daemon {
-    sessions: std::sync::Mutex<()>,
-    journal: std::sync::Mutex<()>,
+    ledger: std::sync::Mutex<()>,
     registered: std::sync::Mutex<()>,
 }
 
 impl Daemon {
     fn backwards(&self) {
         let _r = self.registered.lock();
-        // netreg (rank 8) is held: journal (rank 4) must not follow.
-        let _j = self.journal.lock();
+        // netreg (rank 4) is held: the daemon lock (rank 3) must not follow.
+        let _l = self.ledger.lock();
     }
 
-    fn broker_then_session(&self, brokers: &[std::sync::RwLock<()>]) {
+    fn broker_then_daemon(&self, brokers: &[std::sync::RwLock<()>]) {
         let _guard = brokers[0].read();
-        // A broker lock (rank 5) is held: the session lock (rank 3) is lower.
-        let _sessions = self.sessions.lock();
+        // A broker lock (rank 5) is held: the daemon lock (rank 3) is lower.
+        let _ledger = self.ledger.lock();
+    }
+
+    fn broker_then_registry(&self) {
+        let _guard = self.cell(0).read();
+        // A walk takes the registry first and brokers under it: taking it
+        // under a broker lock inverts that order.
+        let _r = self.registered.lock();
     }
 
     fn two_brokers(&self, brokers: &[std::sync::RwLock<()>]) {

@@ -127,12 +127,7 @@ impl Held {
 /// drops its entry. Retracting the witness is the only event that can
 /// falsify the bold clause, so it is the only one that re-offers anything:
 /// a subscription whose *other* covers come and go needs nothing.
-/// [`crate::BrokerNetwork::audit`] checks all of it. (This is about
-/// completed operations. An unsubscribe that overtakes a concurrent
-/// re-advertisement of the same subscription leaves that advertisement's
-/// records downstream, sent, routed or held back: ROADMAP item 1a's
-/// [`Violation::DeadId`]. They cost event forwards and memory, never a
-/// delivery.)
+/// [`crate::BrokerNetwork::audit`] checks all of it.
 #[derive(Debug)]
 pub(crate) struct Link {
     /// Routing table: the bounds of the subscriptions received from the

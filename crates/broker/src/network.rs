@@ -7,24 +7,24 @@
 //! team). Concurrency control is two lock classes registered in
 //! `LOCKING.md` and the `acd-lint` rank table:
 //!
+//! * the network-wide registration map sits behind an [`OrderedMutex`]
+//!   (class `netreg`, rank 4), and it is the **writer lock**: a subscribe,
+//!   an unsubscribe and an [`audit`] hold it from start to end, so the
+//!   overlay has one writer and its walks never interleave;
 //! * every broker sits behind its own [`OrderedRwLock`] (class `broker`,
-//!   rank 5). The overlay holds **at most one broker lock at a time**, which
-//!   is what makes per-broker locking deadlock-free on any topology: a
+//!   rank 5). The overlay holds **at most one broker lock at a time**: a
 //!   subscribe or unsubscribe is a `Walk` that takes one broker lock per
 //!   step — the routing entry of what arrived there, then every outgoing
 //!   link's decision (`Link::offer` / `Link::retract`, `link.rs`) — and a
-//!   publish reads one broker at a time;
-//! * the network-wide registration map sits behind an [`OrderedMutex`]
-//!   (class `netreg`, rank 8). It is taken alone — never while a broker
-//!   lock is held — and released before a walk or [`audit`] reads a broker.
+//!   publish, which takes no registry lock, reads one broker at a time.
 //!
 //! Counters are plain relaxed atomics (see [`crate::metrics`]).
 //!
 //! Each operation still completes synchronously: [`subscribe`] returns after
 //! the subscription is propagated through the whole overlay, [`publish`]
-//! returns the complete delivery list. Under concurrent callers the overlay
-//! state converges to some interleaving of the completed operations — an
-//! operation that has returned is fully visible to every later one.
+//! returns the complete delivery list. A publish that runs beside a walk
+//! from live set L to L′ delivers at least what L ∩ L′ matches and at most
+//! what L ∪ L′ matches.
 //!
 //! [`subscribe`]: BrokerNetwork::subscribe
 //! [`unsubscribe`]: BrokerNetwork::unsubscribe
@@ -37,7 +37,7 @@ use std::ops::{Deref, Range};
 use std::rc::Rc;
 use std::slice;
 
-use acd_covering::ordered::{OrderedReadGuard, RANK_BROKER, RANK_NET_REGISTRY};
+use acd_covering::ordered::{OrderedMutexGuard, OrderedReadGuard, RANK_BROKER, RANK_NET_REGISTRY};
 use acd_covering::{CoveringPolicy, OrderedMutex, OrderedRwLock};
 use acd_subscription::{Event, Schema, SubId, Subscription};
 
@@ -151,8 +151,9 @@ pub struct BrokerNetwork {
     /// at most one held at a time.
     brokers: Vec<OrderedRwLock<Broker>>,
     /// Live subscription id → owning client, the key its home broker finds
-    /// its local slot by; lock class `netreg` (rank 8).
-    registered: OrderedMutex<HashMap<SubId, ClientId>>,
+    /// its local slot by; lock class `netreg` (rank 4), held by a walk from
+    /// start to end: the writer lock.
+    registered: OrderedMutex<Registry>,
     counters: MetricCounters,
 }
 
@@ -192,8 +193,8 @@ pub enum Violation {
     /// `witness`, which is not an in-table slot of `id`'s client.
     ForeignWitness(BrokerId, SubId, SubId),
     /// `(broker, neighbor, id)`: a sent id, routing entry or held-back entry
-    /// names the dead `id` (ghost 1a). A dead held-back entry is still
-    /// checked as a live one is: unsent, behind a sent witness covering it.
+    /// names the dead `id`. A dead held-back entry is still checked as a
+    /// live one is: unsent, behind a sent witness covering it.
     DeadId(BrokerId, BrokerId, SubId),
     /// `(broker, neighbor, id)`: `neighbor` routes the live `id` from
     /// `broker`, which did not send it, or the reverse (or routes it twice).
@@ -288,13 +289,13 @@ impl BrokerNetwork {
     /// [`subscribe`](Self::subscribe) up to its overlay walk: registers
     /// `subscription` for `client` and adds it to broker `at`'s local
     /// tables, returning the walk that offers it on the links, not yet
-    /// stepped.
+    /// stepped, with the writer lock.
     pub(crate) fn subscription(
         &self,
         at: BrokerId,
         client: ClientId,
         subscription: &Subscription,
-    ) -> Result<Walk> {
+    ) -> Result<Walk<'_>> {
         self.topology.check_broker(at)?;
         if subscription.schema() != &self.schema {
             return Err(BrokerError::Subscription(
@@ -302,7 +303,8 @@ impl BrokerNetwork {
             ));
         }
         let id = subscription.id();
-        match self.registered.lock().entry(id) {
+        let mut registered = self.registered.lock();
+        match registered.entry(id) {
             Entry::Occupied(_) => return Err(BrokerError::DuplicateSubscription { id }),
             Entry::Vacant(slot) => slot.insert(client),
         };
@@ -310,7 +312,8 @@ impl BrokerNetwork {
         self.cell(at)
             .write()
             .add_local(client, subscription.clone());
-        Ok(Walk::new(at, Job::Offer(Rc::new(subscription.clone()))))
+        let job = Job::Offer(Rc::new(subscription.clone()));
+        Ok(Walk::new(registered, at, job))
     }
 
     /// Folds one link's decision into the counters, returning whether the
@@ -352,21 +355,23 @@ impl BrokerNetwork {
 
     /// [`unsubscribe`](Self::unsubscribe) up to its overlay walk: unregisters
     /// `id` and takes it out of broker `at`'s local tables, returning the
-    /// walk that retracts it from the links, not yet stepped.
-    pub(crate) fn retraction(&self, at: BrokerId, id: SubId) -> Result<Walk> {
+    /// walk that retracts it from the links, not yet stepped, with the
+    /// writer lock.
+    pub(crate) fn retraction(&self, at: BrokerId, id: SubId) -> Result<Walk<'_>> {
         self.topology.check_broker(at)?;
-        let Some(client) = self.registered.lock().get(&id).copied() else {
+        let mut registered = self.registered.lock();
+        let Some(&client) = registered.get(&id) else {
             return Err(BrokerError::UnknownSubscription { id });
         };
         let Some(subscription) = self.cell(at).write().remove_local(client, id) else {
-            // Registered at another broker (the same error, and the
-            // registration stays intact), or a concurrent unsubscribe of the
-            // same id won the race.
+            // Registered at another broker: the same error, and the
+            // registration stays intact.
             return Err(BrokerError::UnknownSubscription { id });
         };
-        self.registered.lock().remove(&id);
+        registered.remove(&id);
         MetricCounters::bump(&self.counters.unsubscriptions);
-        Ok(Walk::new(at, Job::Retract(Rc::new(subscription))))
+        let job = Job::Retract(Rc::new(subscription));
+        Ok(Walk::new(registered, at, job))
     }
 
     /// Every breach of the overlay's invariants, in no order: none when it
@@ -377,11 +382,10 @@ impl BrokerNetwork {
     /// and that a broker holds a routing entry from a neighbor exactly for
     /// the live ids the neighbor sent it.
     ///
-    /// Takes the registry alone, copies it and releases it, then reads one
-    /// broker at a time (`LOCKING.md`); so it is exact only when no
-    /// subscribe or unsubscribe is in flight.
+    /// Holds the writer lock throughout, reading one broker at a time
+    /// (`LOCKING.md`), so no walk is in flight while it runs.
     pub fn audit(&self) -> Vec<Violation> {
-        let registered = self.registered.lock().clone();
+        let registered = self.registered.lock();
         let mut unplaced: HashSet<SubId> = registered.keys().copied().collect();
         let (mut found, mut sent, mut routed) = (Vec::new(), HashSet::new(), HashSet::new());
         for (broker, cell) in self.brokers.iter().enumerate() {
@@ -573,15 +577,19 @@ impl BrokerNetwork {
     }
 }
 
+/// The live registrations: subscription id → owning client.
+type Registry = HashMap<SubId, ClientId>;
+
 /// The overlay walk of one [`BrokerNetwork::subscribe`] or
 /// [`BrokerNetwork::unsubscribe`], as a value: the arrivals still to run,
 /// each a job at a broker and the neighbor it came from (in a tree, all it
 /// takes to never go back). First in, first out, so each broker runs its
 /// jobs in the order they were decided — a re-advertised candidate's offer
-/// before the retraction that freed it. Two walks stepped in turn are one
-/// interleaving of the two operations.
+/// before the retraction that freed it. A walk owns the registry guard, the
+/// writer lock, until it is dropped: no two walks exist at once.
 #[derive(Debug)]
-pub(crate) struct Walk {
+pub(crate) struct Walk<'a> {
+    _writer: OrderedMutexGuard<'a, Registry>,
     queue: VecDeque<(BrokerId, Option<BrokerId>, Job)>,
 }
 
@@ -594,14 +602,13 @@ enum Job {
     Retract(Rc<Subscription>),
 }
 
-impl Walk {
-    fn new(at: BrokerId, job: Job) -> Walk {
-        let mut queue = VecDeque::new();
-        queue.push_back((at, None, job));
-        Walk { queue }
+impl<'a> Walk<'a> {
+    fn new(_writer: OrderedMutexGuard<'a, Registry>, at: BrokerId, job: Job) -> Walk<'a> {
+        let queue = VecDeque::from([(at, None, job)]);
+        Walk { _writer, queue }
     }
 
-    /// Runs the next arrival under its broker's write lock alone: the
+    /// Runs the next arrival under its broker's write lock: the
     /// routing-table change, then every onward link's decision, queueing the
     /// jobs that cross. `Ok(false)`, and nothing done, when none was left;
     /// an error when a covering index rejects an operation.
@@ -1240,96 +1247,92 @@ mod tests {
         }
     }
 
-    /// Every interleaving of the steps of the two walks `walks` starts on a
-    /// `line(4)` where `wide` (1) holds `narrow` (2) back out of broker 0,
-    /// each prefix replayed on a fresh network. After each schedule every
-    /// event is delivered exactly as the registry's live set says, and the
-    /// audit finds nothing but dead ids (ROADMAP item 1a's ghosts). Returns
-    /// the number of schedules and those that leave ghosts, as `[A, B, ...]`.
-    fn interleavings(walks: impl Fn(&BrokerNetwork) -> [Walk; 2]) -> (usize, Vec<String>) {
+    /// What a publish sees mid-walk. Each trial steps one walk, under its
+    /// writer lock, on a fresh overlay of nested squares (so a retraction
+    /// re-advertises what a square held back): the retraction of a square,
+    /// or the subscribe of a copy of it elsewhere. Before each step and after
+    /// the last, every event is published from every broker, alone and in
+    /// one batch, and must reach what L ∩ L′ matches and nothing L ∪ L′ does
+    /// not (L, L′: the live sets before and after the walk). A broker that
+    /// took a retraction before the re-advertisement it freed breaks it.
+    #[test]
+    fn a_publish_between_walk_steps_delivers_between_the_live_sets() {
+        type Home = (BrokerId, ClientId, Subscription);
         let s = schema();
-        let wide = sub(&s, 1, (0.0, 90.0), (0.0, 90.0));
-        let narrow = sub(&s, 2, (10.0, 20.0), (10.0, 20.0));
-        let homes = [(0, 100, &wide), (0, 200, &narrow), (1, 300, &narrow)];
-        let events: Vec<Event> = [[15.0, 15.0], [50.0, 50.0], [95.0, 95.0]]
-            .iter()
-            .map(|values| Event::new(&s, values.to_vec()).unwrap())
+        // Square `i` spans `[lo[i], hi[i]]` on both axes.
+        let lo = [0, 10, 20, 5, 40, 50, 0, 60];
+        let hi = [90, 60, 30, 95, 80, 55, 40, 99];
+        // A 4 × 4 grid, enough for the batch to take the rank kernel.
+        let grid = |i: u32| f64::from(i * 25 + 10);
+        let events: Vec<Event> = (0..16)
+            .map(|i| Event::new(&s, vec![grid(i % 4), grid(i / 4)]).unwrap())
             .collect();
-        // Steps the walks as `schedule` says on a fresh network; also says
-        // whether its last step ran anything.
-        let replay = |schedule: &[usize]| {
-            let net = network(Topology::line(4).unwrap(), &s, CoveringPolicy::ExactSfc);
-            net.subscribe(0, 100, &wide).unwrap();
-            net.subscribe(0, 200, &narrow).unwrap();
-            let mut walks = walks(&net);
-            let mut ran = true;
-            for &w in schedule {
-                ran = walks[w].step(&net).unwrap();
-            }
-            (net, ran)
+        assert!(events.len() >= SERIAL_BELOW);
+        let matched = |homes: &[&Home], event| -> Vec<(BrokerId, ClientId)> {
+            let hits = homes.iter().filter(|(.., s)| s.matches(event));
+            hits.map(|&&(at, client, _)| (at, client)).collect()
         };
-        let (mut schedules, mut ghosts) = (0, Vec::new());
-        let mut pending = vec![Vec::new()];
-        while let Some(prefix) = pending.pop() {
-            // Walk B is pushed first, so walk A's branch is explored first.
-            let longer: Vec<Vec<usize>> = [1, 0]
-                .into_iter()
-                .map(|w| [&prefix[..], &[w]].concat())
-                .filter(|next| replay(next).1)
+        let topologies = [
+            ("line(4)", Topology::line(4)),
+            ("balanced_tree(2, 2)", Topology::balanced_tree(2, 2)),
+            ("random_tree(6, 1)", Topology::random_tree(6, 1)),
+            ("random_tree(7, 2)", Topology::random_tree(7, 2)),
+            ("random_tree(8, 3)", Topology::random_tree(8, 3)),
+        ];
+        for (name, topology) in topologies {
+            let topology = topology.unwrap();
+            let n = topology.brokers();
+            let live: Vec<Home> = (1..)
+                .zip(lo.into_iter().zip(hi))
+                .map(|(id, (lo, hi)): (SubId, (u32, u32))| {
+                    let bounds = (f64::from(lo), f64::from(hi));
+                    (id as usize * 3 % n, id % 3, sub(&s, id, bounds, bounds))
+                })
                 .collect();
-            if !longer.is_empty() {
-                pending.extend(longer);
-                continue;
-            }
-            schedules += 1;
-            let (net, _) = replay(&prefix);
-            let names = prefix.iter().map(|&w| ["A", "B"][w]).collect::<Vec<_>>();
-            let schedule = format!("[{}]", names.join(", "));
-            let registered = net.registered.lock().clone();
-            for event in &events {
-                let live = (1..)
-                    .zip(&homes)
-                    .filter(|(id, _)| registered.contains_key(id));
-                let matching = live.filter(|(_, (.., subscription))| subscription.matches(event));
-                let expected: Vec<_> = matching.map(|(_, &(at, client, _))| (at, client)).collect();
-                for at in 0..4 {
-                    assert_eq!(net.publish(at, event).unwrap(), expected, "{schedule}");
+            for (i, verb) in (0..live.len()).flat_map(|i| [(i, "retract"), (i, "subscribe")]) {
+                let (at, client, square) = &live[i];
+                let twin = square.with_id(square.id() + 100);
+                let copy = ((at + 1) % n, (client + 1) % 3, twin);
+                let net = network(topology.clone(), &s, CoveringPolicy::ExactSfc);
+                for (at, client, subscription) in &live {
+                    net.subscribe(*at, *client, subscription).unwrap();
                 }
-            }
-            let found = net.audit();
-            let dead = |v: &Violation| matches!(v, Violation::DeadId(..));
-            assert!(found.iter().all(dead), "{schedule}: {found:?}");
-            if !found.is_empty() {
-                ghosts.push(schedule);
+                let after = match verb {
+                    "retract" => [&live[..i], &live[i + 1..]].concat(),
+                    _ => [&live, slice::from_ref(&copy)].concat(),
+                };
+                let mut walk = match verb {
+                    "retract" => net.retraction(*at, square.id()).unwrap(),
+                    _ => net.subscription(copy.0, copy.1, &copy.2).unwrap(),
+                };
+                let both: Vec<&Home> = live.iter().filter(|h| after.contains(h)).collect();
+                let either: Vec<&Home> = live.iter().chain(&after).collect();
+                let trial = format!("{name}, {verb} {}", square.id());
+                for step in 0.. {
+                    for at in 0..n {
+                        let batched = net.publish_batch(at, &events).unwrap();
+                        for (event, batched) in events.iter().zip(batched) {
+                            let serial = net.publish(at, event).unwrap();
+                            let (lower, upper) = (matched(&both, event), matched(&either, event));
+                            let inside = |got: &Vec<_>| {
+                                lower.iter().all(|p| got.contains(p))
+                                    && got.iter().all(|p| upper.contains(p))
+                            };
+                            assert!(
+                                inside(&serial) && inside(&batched),
+                                "{trial}, step {step}, broker {at}, event {event}: serial \
+                                 {serial:?}, batched {batched:?}, bounds {lower:?} ⊆ · ⊆ {upper:?}"
+                            );
+                        }
+                    }
+                    if !walk.step(&net).unwrap() {
+                        break;
+                    }
+                }
+                drop(walk);
+                assert_eq!(net.audit(), [], "{trial}");
             }
         }
-        (schedules, ghosts)
-    }
-
-    /// Ghost 1a without threads: `wide` and `narrow` are unsubscribed at
-    /// once, and `narrow`'s retraction can pass a broker before the offer
-    /// `wide`'s retraction sent after it, which then goes on for ever. Item
-    /// 1(a)'s fix turns the ghost count into 0.
-    #[test]
-    fn every_interleaving_of_two_retractions_delivers_exactly_and_some_leave_ghosts() {
-        let (schedules, ghosts) =
-            interleavings(|net| [net.retraction(0, 1).unwrap(), net.retraction(0, 2).unwrap()]);
-        println!("{schedules} schedules, {} leave ghosts", ghosts.len());
-        assert_eq!((schedules, ghosts.len()), (111, 16));
-        println!("ghost 1a, first schedule: {}", ghosts[0]);
-    }
-
-    /// `wide` is unsubscribed while a copy of `narrow` subscribes at broker
-    /// 1, held back behind `wide` on the link to 2 unless `wide`'s
-    /// retraction got there first.
-    #[test]
-    fn every_interleaving_of_a_retraction_and_a_subscribe_delivers_exactly() {
-        let copy = sub(&schema(), 3, (10.0, 20.0), (10.0, 20.0));
-        let (schedules, ghosts) = interleavings(|net| {
-            let subscribe = net.subscription(1, 300, &copy).unwrap();
-            [net.retraction(0, 1).unwrap(), subscribe]
-        });
-        assert_eq!((schedules, ghosts), (36, vec![]));
     }
 
     /// The audit finds nothing on a small well-formed overlay, and exactly

@@ -33,7 +33,6 @@
 //!   [`FaultyStream`]s, so unmodified clients on clean sockets experience
 //!   drops, corruption, stalls and disconnects deterministically.
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -41,15 +40,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use acd_covering::ordered::{OrderedMutex, RANK_JOURNAL, RANK_SESSION};
-use acd_subscription::SubId;
+use acd_covering::ordered::{OrderedMutex, RANK_DAEMON};
 
 use crate::error::ServiceError::{self, CorruptFrame, VersionMismatch};
 use crate::faults::{FaultPlan, FaultyStream};
 use crate::metrics::MetricCounters;
 use crate::network::BrokerNetwork;
 use crate::pool::WorkerPool;
-use crate::session::{self, Close, Persistence, Session, SessionEntry};
+use crate::session::{self, Close, Ledger, Session};
 use crate::wire::{append_frame, buffered_publish, encode_frame, read_frame, Frame};
 
 /// How long a blocked connection read waits before re-checking the
@@ -105,15 +103,12 @@ pub(crate) struct DaemonState {
     options: DaemonOptions,
     chaos: Option<Arc<FaultPlan>>,
     shutdown: AtomicBool,
-    /// Subscription id → owning session. Rank `session` (3): `install` and
-    /// `retract` hold this mutex *across* the `network.subscribe` /
-    /// `unsubscribe` calls they make, so replay and retraction of one id
-    /// are serialized — see `LOCKING.md`.
-    pub(crate) sessions: OrderedMutex<HashMap<SubId, SessionEntry>>,
-    /// The durable journal, `None` without a data directory. Rank
-    /// `journal` (4): appended to while the session entry is held, so the
-    /// journal order matches the serialization the session lock imposes.
-    pub(crate) journal: OrderedMutex<Option<Persistence>>,
+    /// The session map and the journal: the daemon's one mutation lock,
+    /// rank `daemon` (3). Every subscribe, unsubscribe and closing session
+    /// holds it *across* its `network.subscribe` / `unsubscribe` calls and
+    /// its journal append, so the daemon's mutations run one at a time —
+    /// see `LOCKING.md`.
+    pub(crate) ledger: OrderedMutex<Ledger>,
     active: AtomicUsize,
 }
 
@@ -128,18 +123,16 @@ impl DaemonState {
             .filter(|plan| !plan.is_noop())
             .cloned()
             .map(Arc::new);
-        let mut sessions = HashMap::new();
-        let persistence = match &options.data_dir {
-            Some(dir) => Some(session::recover(&network, dir, &mut sessions)?),
-            None => None,
+        let ledger = match &options.data_dir {
+            Some(dir) => session::recover(&network, dir)?,
+            None => Ledger::default(),
         };
         Ok(DaemonState {
             network,
             options,
             chaos,
             shutdown: AtomicBool::new(false),
-            sessions: OrderedMutex::new(RANK_SESSION, "session", sessions),
-            journal: OrderedMutex::new(RANK_JOURNAL, "journal", persistence),
+            ledger: OrderedMutex::new(RANK_DAEMON, "daemon", ledger),
             active: AtomicUsize::new(0),
         })
     }
@@ -973,7 +966,7 @@ mod tests {
                     buf[..self.data.len()].copy_from_slice(&self.data);
                     return Ok(self.data.len());
                 }
-                let live = self.state.sessions.lock().len();
+                let live = self.state.ledger.lock().sessions.len();
                 self.sessions_seen.store(live, Ordering::SeqCst);
                 panic!("transport panic must not leak the session");
             }
@@ -1002,7 +995,7 @@ mod tests {
             1,
             "the subscribe must have registered before the panic"
         );
-        assert!(state.sessions.lock().is_empty(), "session map drained");
+        assert!(state.ledger.lock().sessions.is_empty(), "sessions drained");
         assert_eq!(state.network.metrics().routing_table_entries, 0);
         assert_eq!(state.active.load(Ordering::SeqCst), active_before);
     }

@@ -11,8 +11,8 @@
 //!   like `unsubscribe` (the *drained-state invariant*).
 //! * **One path per mutation, acked only once durable.** `Subscribe` and
 //!   `Resubscribe` run `install`; `Unsubscribe` and `Retract` run
-//!   `retract`. Each holds the session map across its overlay call and
-//!   journals its record before the ack.
+//!   `retract`. Each holds the daemon's one mutation lock, the [`Ledger`],
+//!   across its overlay call and journals its record before the ack.
 //! * **Replay is idempotent.** [`Frame::Resubscribe`]/[`Frame::Retract`]
 //!   carry the client's session *epoch*; a stale one is absorbed, so a
 //!   stalled request from a pre-reconnect connection can never clobber
@@ -61,12 +61,23 @@ pub(crate) struct SessionEntry {
     at: BrokerId,
 }
 
+/// What the daemon's mutations change besides the overlay, behind its one
+/// mutation lock (`DaemonState::ledger`): which session owns each
+/// subscription id, and the durable half.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    pub(crate) sessions: HashMap<SubId, SessionEntry>,
+    /// `None` without a data directory.
+    persistence: Option<Persistence>,
+}
+
 /// The daemon's durable half: the open journal, the directory it lives
 /// in, and the durable live set (id → its `Subscribe` record, in id
 /// order), maintained in lockstep with every append so the shutdown
-/// snapshot needs no replay.
+/// snapshot needs no replay. It is not the session map: a session the
+/// daemon ends leaves the map but stays durable.
 #[derive(Debug)]
-pub(crate) struct Persistence {
+struct Persistence {
     dir: PathBuf,
     journal: SubscriptionJournal,
     live: BTreeMap<SubId, JournalRecord>,
@@ -193,14 +204,15 @@ impl Session {
     /// a graceful shutdown skip its journal entry and leave an ownerless
     /// registration in the shutdown snapshot.
     pub(crate) fn on_close(&self, state: &DaemonState, cause: Close) {
-        let mut sessions = state.sessions.lock();
-        let owned: Vec<(SubId, BrokerId)> = sessions
+        let mut ledger = state.ledger.lock();
+        let owned: Vec<(SubId, BrokerId)> = ledger
+            .sessions
             .iter()
             .filter(|(_, entry)| entry.conn == self.conn)
             .map(|(id, entry)| (*id, entry.at))
             .collect();
         for (id, at) in owned {
-            sessions.remove(&id);
+            ledger.sessions.remove(&id);
             // A daemon-initiated end retracts nothing: the registrations
             // must survive into the shutdown snapshot so a restarted daemon
             // serves them again (clients take them over by resubscribing).
@@ -211,7 +223,7 @@ impl Session {
             // like an unsubscribe; racing an in-process unsubscribe is
             // benign: the entry is gone either way.
             let _ = state.network.unsubscribe(at, id);
-            let _ = journal_append(state, JournalRecord::Unsubscribe { at: at as u64, id });
+            let _ = ledger.journal_append(JournalRecord::Unsubscribe { at: at as u64, id });
         }
     }
 }
@@ -227,11 +239,7 @@ fn unexpected(frame: &Frame) -> ServiceError {
 /// surviving subscription with the network, and seeds the session map
 /// (owner [`RECOVERED_CONN`]) so reconnecting clients take their
 /// registrations over with an ordinary `Resubscribe`.
-pub(crate) fn recover(
-    network: &BrokerNetwork,
-    dir: &Path,
-    sessions: &mut HashMap<SubId, SessionEntry>,
-) -> Result<Persistence, ServiceError> {
+pub(crate) fn recover(network: &BrokerNetwork, dir: &Path) -> Result<Ledger, ServiceError> {
     std::fs::create_dir_all(dir)
         .map_err(|e| ServiceError::Io(format!("create {}: {e}", dir.display())))?;
     let storage = |e: StorageError| ServiceError::Io(e.to_string());
@@ -241,6 +249,7 @@ pub(crate) fn recover(
     for record in snapshot.unwrap_or_default().into_iter().chain(tail) {
         apply(&mut live, record);
     }
+    let mut sessions = HashMap::new();
     for record in live.values() {
         let JournalRecord::Subscribe {
             at,
@@ -266,10 +275,11 @@ pub(crate) fn recover(
             },
         );
     }
-    Ok(Persistence {
-        dir: dir.to_owned(),
-        journal,
-        live,
+    let dir = dir.to_owned();
+    let persistence = Some(Persistence { dir, journal, live });
+    Ok(Ledger {
+        sessions,
+        persistence,
     })
 }
 
@@ -277,8 +287,8 @@ pub(crate) fn recover(
 /// journal — a no-op without a data directory. Only for a quiescent state:
 /// no session may be mutating it.
 pub(crate) fn compact(state: &DaemonState) -> Result<(), StorageError> {
-    let mut journal = state.journal.lock();
-    let Some(persistence) = journal.as_mut() else {
+    let mut ledger = state.ledger.lock();
+    let Some(persistence) = ledger.persistence.as_mut() else {
         return Ok(());
     };
     let records: Vec<JournalRecord> = persistence.live.values().cloned().collect();
@@ -286,21 +296,22 @@ pub(crate) fn compact(state: &DaemonState) -> Result<(), StorageError> {
     persistence.journal.reset()
 }
 
-/// Appends one record to the journal (and the mirrored live set) — a
-/// no-op without a data directory. The caller must already hold the
-/// session entry for the record's id, so appends land in the same order
-/// the mutations were serialized in. A failure comes back as the message
-/// of the `Err` reply that replaces the ack.
-fn journal_append(state: &DaemonState, record: JournalRecord) -> Result<(), String> {
-    let mut journal = state.journal.lock();
-    let Some(persistence) = journal.as_mut() else {
-        return Ok(());
-    };
-    if let Err(e) = persistence.journal.append(&record) {
-        return Err(format!("journal write failed: {e}"));
+impl Ledger {
+    /// Appends one record to the journal (and the mirrored live set) — a
+    /// no-op without a data directory. It takes the ledger, so it runs under
+    /// the daemon lock, and appends land in the order the mutations were
+    /// serialised in. A failure comes back as the message of the `Err`
+    /// reply that replaces the ack.
+    fn journal_append(&mut self, record: JournalRecord) -> Result<(), String> {
+        let Some(persistence) = self.persistence.as_mut() else {
+            return Ok(());
+        };
+        if let Err(e) = persistence.journal.append(&record) {
+            return Err(format!("journal write failed: {e}"));
+        }
+        apply(&mut persistence.live, record);
+        Ok(())
     }
-    apply(&mut persistence.live, record);
-    Ok(())
 }
 
 /// Applies `record` to a live set: a `Subscribe` sets its id's entry, an
@@ -336,9 +347,9 @@ fn install(
     let subscription = Subscription::from_raw_bounds(state.network.schema(), id, &bounds)
         .map_err(|e| e.to_string())?;
     let counters = state.network.counters();
-    let mut sessions = state.sessions.lock();
+    let mut ledger = state.ledger.lock();
     // Only a `Resubscribe` looks for a registration to take over.
-    let previous = epoch.and_then(|_| sessions.get(&id).copied());
+    let previous = epoch.and_then(|_| ledger.sessions.get(&id).copied());
     if let (Some(epoch), Some(entry)) = (epoch, previous) {
         if epoch < entry.epoch {
             // A stalled replay from a pre-reconnect connection: the newer
@@ -346,7 +357,7 @@ fn install(
             MetricCounters::bump(&counters.client_retries);
             return Ok(());
         }
-        sessions.remove(&id);
+        ledger.sessions.remove(&id);
         match state.network.unsubscribe(entry.at, id) {
             Ok(()) | Err(BrokerError::UnknownSubscription { .. }) => {}
             Err(e) => return Err(e.to_string()),
@@ -363,7 +374,7 @@ fn install(
             // The reinstall failed after the old registration was
             // retracted: bring the durable state along (best effort — the
             // reply is already an error).
-            let _ = journal_append(state, JournalRecord::Unsubscribe { at: at as u64, id });
+            let _ = ledger.journal_append(JournalRecord::Unsubscribe { at: at as u64, id });
         }
         return Err(e.to_string());
     }
@@ -373,14 +384,14 @@ fn install(
         id,
         bounds,
     };
-    if let Err(message) = journal_append(state, record) {
+    if let Err(message) = ledger.journal_append(record) {
         // Durable-ack discipline: an unjournaled mutation is not
         // acknowledged — roll it back and report.
         let _ = state.network.unsubscribe(at, id);
         return Err(message);
     }
     let epoch = epoch.unwrap_or(0);
-    sessions.insert(id, SessionEntry { conn, epoch, at });
+    ledger.sessions.insert(id, SessionEntry { conn, epoch, at });
     Ok(())
 }
 
@@ -399,27 +410,27 @@ fn retract(
     epoch: Option<u64>,
 ) -> Result<(), String> {
     let counters = state.network.counters();
-    let mut sessions = state.sessions.lock();
-    let previous = epoch.and_then(|_| sessions.get(&id).copied());
+    let mut ledger = state.ledger.lock();
+    let previous = epoch.and_then(|_| ledger.sessions.get(&id).copied());
     if let (Some(epoch), Some(entry)) = (epoch, previous) {
         if epoch < entry.epoch {
             // Stale retraction of an id a newer session replayed.
             MetricCounters::bump(&counters.client_retries);
             return Ok(());
         }
-        sessions.remove(&id);
+        ledger.sessions.remove(&id);
         at = entry.at;
     }
     match state.network.unsubscribe(at, id) {
         Ok(()) => {
-            sessions.remove(&id);
+            ledger.sessions.remove(&id);
         }
         Err(BrokerError::UnknownSubscription { .. }) if epoch.is_some() => {
             MetricCounters::bump(&counters.client_retries);
         }
         Err(e) => return Err(e.to_string()),
     }
-    journal_append(state, JournalRecord::Unsubscribe { at: at as u64, id })
+    ledger.journal_append(JournalRecord::Unsubscribe { at: at as u64, id })
 }
 
 #[cfg(test)]
@@ -465,8 +476,15 @@ pub(crate) mod tests {
     /// The ids of the durable live set the shutdown snapshot is written
     /// from.
     pub(crate) fn durable_ids(state: &DaemonState) -> Vec<SubId> {
-        let journal = state.journal.lock();
-        journal.as_ref().unwrap().live.keys().copied().collect()
+        let ledger = state.ledger.lock();
+        let live = &ledger.persistence.as_ref().unwrap().live;
+        live.keys().copied().collect()
+    }
+
+    /// Id `id`'s session entry, as `(conn, epoch, at)`.
+    fn entry(state: &DaemonState, id: SubId) -> Option<(u64, u64, BrokerId)> {
+        let entry = state.ledger.lock().sessions.get(&id).copied();
+        entry.map(|e| (e.conn, e.epoch, e.at))
     }
 
     /// Runs `requests` as one round of `session` and decodes its answers.
@@ -621,7 +639,7 @@ pub(crate) mod tests {
         assert_eq!(metrics.routing_table_entries, 0);
         let event = Event::new(state.network.schema(), vec![25.0]).unwrap();
         assert_eq!(state.network.publish(2, &event).unwrap(), vec![]);
-        assert!(state.sessions.lock().is_empty());
+        assert!(state.ledger.lock().sessions.is_empty());
     }
 
     /// A session the daemon ends forgets who owned the registrations and
@@ -646,7 +664,7 @@ pub(crate) mod tests {
 
         session.on_close(&state, Close::Daemon);
 
-        assert!(state.sessions.lock().is_empty(), "session map drained");
+        assert!(state.ledger.lock().sessions.is_empty(), "sessions drained");
         let metrics = state.network.metrics();
         assert_eq!(metrics.routing_table_entries, entries);
         assert_eq!(metrics.unsubscriptions, 0);
@@ -725,12 +743,7 @@ pub(crate) mod tests {
             metrics.unsubscriptions,
         ];
         assert_eq!(counters, [1, 1, 1], "the takeover's one retraction");
-        let entry = state
-            .sessions
-            .lock()
-            .get(&9)
-            .map(|e| (e.conn, e.epoch, e.at));
-        assert_eq!(entry, Some((2, 2, 2)));
+        assert_eq!(entry(&state, 9), Some((2, 2, 2)));
         drop(state);
         let (_, journal) = SubscriptionJournal::open(&dir.join(JOURNAL_FILE)).unwrap();
         std::fs::remove_dir_all(&dir).ok();
@@ -1215,11 +1228,7 @@ pub(crate) mod tests {
                 after.client_reconnects - before.client_reconnects,
                 after.unsubscriptions - before.unsubscriptions,
             ];
-            let session = state
-                .sessions
-                .lock()
-                .get(&9)
-                .map(|e| (e.conn, e.epoch, e.at));
+            let session = entry(&state, 9);
             drop(state);
             let (_, journal) = SubscriptionJournal::open(&dir.join(JOURNAL_FILE)).unwrap();
             std::fs::remove_dir_all(&dir).ok();

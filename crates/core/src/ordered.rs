@@ -1,7 +1,7 @@
 //! Rank-checked lock wrappers enforcing the documented lock hierarchy.
 //!
 //! The broker overlay and the daemon above it document a strict acquisition
-//! order — session → journal → broker → netreg — and `acd-lint`'s
+//! order — daemon → netreg → broker — and `acd-lint`'s
 //! `lock-order` pass checks it syntactically. Syntax cannot see through
 //! helper functions or closures, so these wrappers add the runtime half of
 //! the contract: under `debug_assertions`, every acquisition asserts that
@@ -25,28 +25,19 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Rank of the daemon's client-session registration lock (`sessions`).
-/// Below [`RANK_BROKER`]: replaying or retracting a session must hold the
-/// session entry while it runs `BrokerNetwork::subscribe`/`unsubscribe`
-/// (which acquire `broker` and upward), so `session` sits at the very
-/// bottom of the hierarchy.
-pub const RANK_SESSION: u32 = 3;
-/// Rank of the daemon's durable subscription-journal lock (`journal`).
-/// Above [`RANK_SESSION`]: a journal append happens while the session entry
-/// is held (the ack must not race the durability write), and below
-/// [`RANK_BROKER`] so the handler can journal before or after running the
-/// overlay operation without ever inverting with it.
-pub const RANK_JOURNAL: u32 = 4;
-/// Rank of the per-broker overlay locks (`brokers`). Above [`RANK_SESSION`]
-/// and [`RANK_JOURNAL`], whose holders call into the overlay. All brokers
-/// share one rank — the overlay never holds two broker locks at once.
+/// Rank of the daemon's one mutation lock (`ledger`: the session map and
+/// the journal). The bottom of the hierarchy: a daemon mutation holds it
+/// across `BrokerNetwork::subscribe`/`unsubscribe`.
+pub const RANK_DAEMON: u32 = 3;
+/// Rank of the overlay's writer lock, its registration map (`registered`).
+/// Above [`RANK_DAEMON`], whose holders call into the overlay; below
+/// [`RANK_BROKER`], because a subscribe or unsubscribe holds it for its
+/// whole walk, taking one broker lock per step.
+pub const RANK_NET_REGISTRY: u32 = 4;
+/// Rank of the per-broker overlay locks (`brokers`), the top of the
+/// hierarchy. All brokers share one rank — the overlay never holds two
+/// broker locks at once.
 pub const RANK_BROKER: u32 = 5;
-/// Rank of the broker-network subscription-registration lock (`registered`).
-/// Above [`RANK_SESSION`] and [`RANK_JOURNAL`], whose holders call into the
-/// overlay's subscribe/unsubscribe. The overlay takes it alone and releases
-/// it before touching a broker, so it never nests with [`RANK_BROKER`]; its
-/// slot above it is only a place in the table.
-pub const RANK_NET_REGISTRY: u32 = 8;
 
 /// The lock classes in acquisition order: `(rank, class name)`.
 ///
@@ -55,10 +46,9 @@ pub const RANK_NET_REGISTRY: u32 = 8;
 /// prose in `LOCKING.md`; a workspace test cross-checks the two.
 pub fn rank_table() -> &'static [(u32, &'static str)] {
     &[
-        (RANK_SESSION, "session"),
-        (RANK_JOURNAL, "journal"),
-        (RANK_BROKER, "broker"),
+        (RANK_DAEMON, "daemon"),
         (RANK_NET_REGISTRY, "netreg"),
+        (RANK_BROKER, "broker"),
     ]
 }
 
@@ -97,7 +87,7 @@ mod tracking {
                         rank > top_rank,
                         "lock-order violation: acquiring `{name}` (rank {rank}) while \
                          holding `{top_name}` (rank {top_rank}); locks must be taken in \
-                         the order session → journal → broker → netreg — see \
+                         the order daemon → netreg → broker — see \
                          LOCKING.md"
                     );
                 }
@@ -262,47 +252,45 @@ mod tests {
 
     #[test]
     fn in_order_acquisitions_succeed() {
-        let session = OrderedMutex::new(RANK_SESSION, "session", 0u32);
-        let journal = OrderedMutex::new(RANK_JOURNAL, "journal", 0u32);
-        let broker = OrderedRwLock::new(RANK_BROKER, "broker", 0u32);
+        let daemon = OrderedMutex::new(RANK_DAEMON, "daemon", 0u32);
         let netreg = OrderedMutex::new(RANK_NET_REGISTRY, "netreg", 0u32);
+        let broker = OrderedRwLock::new(RANK_BROKER, "broker", 0u32);
 
-        let a = session.lock();
-        let b = journal.lock();
+        let a = daemon.lock();
+        let b = netreg.lock();
         let c = broker.write();
-        let d = netreg.lock();
-        assert_eq!(*a + *b + *c + *d, 0);
+        assert_eq!(*a + *b + *c, 0);
     }
 
     #[test]
     fn guards_release_their_rank_on_drop() {
-        let journal = OrderedMutex::new(RANK_JOURNAL, "journal", ());
-        let session = OrderedMutex::new(RANK_SESSION, "session", ());
-        drop(journal.lock());
-        // `session` has a lower rank; legal only because the journal guard
+        let netreg = OrderedMutex::new(RANK_NET_REGISTRY, "netreg", ());
+        let daemon = OrderedMutex::new(RANK_DAEMON, "daemon", ());
+        drop(netreg.lock());
+        // `daemon` has a lower rank; legal only because the netreg guard
         // is gone.
-        let _g = session.lock();
+        let _g = daemon.lock();
     }
 
     #[test]
     fn out_of_order_drops_are_tracked_correctly() {
-        let session = OrderedMutex::new(RANK_SESSION, "session", ());
+        let daemon = OrderedMutex::new(RANK_DAEMON, "daemon", ());
         let broker = OrderedRwLock::new(RANK_BROKER, "broker", ());
-        let g0 = session.lock();
+        let g0 = daemon.lock();
         let g1 = broker.write();
         drop(g0); // dropped before g1 — not in stack order
         drop(g1);
-        let _again = session.lock();
+        let _again = daemon.lock();
     }
 
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "acquiring `session` (rank 3) while holding `broker` (rank 5)")]
+    #[should_panic(expected = "acquiring `netreg` (rank 4) while holding `broker` (rank 5)")]
     fn out_of_order_acquisition_panics_naming_both_classes() {
         let broker = OrderedRwLock::new(RANK_BROKER, "broker", ());
-        let session = OrderedMutex::new(RANK_SESSION, "session", ());
+        let netreg = OrderedMutex::new(RANK_NET_REGISTRY, "netreg", ());
         let _b = broker.read();
-        let _s = session.lock(); // rank 3 after rank 5: must panic
+        let _r = netreg.lock(); // rank 4 after rank 5: must panic
     }
 
     #[cfg(debug_assertions)]
@@ -319,7 +307,7 @@ mod tests {
     #[test]
     fn poisoned_locks_recover() {
         use std::sync::Arc;
-        let lock = Arc::new(OrderedMutex::new(RANK_JOURNAL, "journal", 7u32));
+        let lock = Arc::new(OrderedMutex::new(RANK_DAEMON, "daemon", 7u32));
         let poisoner = Arc::clone(&lock);
         let _ = std::thread::spawn(move || {
             let _g = poisoner.lock();
