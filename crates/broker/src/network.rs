@@ -567,8 +567,8 @@ impl BrokerNetwork {
         // Strictly ascending by `(broker, client)`: the topology is a tree,
         // so the walk visits a broker once, and the kernels emit each client
         // once, in ascending order. The wire depends on it: a `Deliveries`
-        // frame stores each pair's distance from the one before, and its
-        // decoder rejects a list that does not ascend.
+        // frame stores each page's key as its distance from the one before,
+        // and its decoder rejects a list that does not ascend.
         debug_assert!(matched.is_sorted_by(|a, b| (a.0, a.1) < (b.0, b.1)));
         let delivered = matched
             .iter()

@@ -31,29 +31,30 @@
 //! journal record does.
 //!
 //! One payload is not fixed-width. A [`Frame::Deliveries`] list is
-//! **strictly ascending by `(broker, client)`**, so the payload stores the
-//! order instead of the values: the `u32` pair count, then per maximal run
-//! of one broker
+//! **strictly ascending by `(broker, client)`**, so the payload stores it as
+//! pages of 64 clients: the `u32` pair count, then one record per non-empty
+//! `(broker, page = client >> 6)`, ascending,
 //!
 //! ```text
-//! varint(broker - previous broker - 1)    first group: the broker itself
-//! varint(run length - 1)
-//! varint(first client)
-//! varint(client - previous client - 1)    for the rest of the run
+//! varint(broker - previous record's broker)   first record: the broker itself
+//! varint(page - previous page - 1)            when the broker repeats
+//!   or varint(page)                           first record, or a new broker
+//! u8(count - 1)                               count = clients on the page
+//! count <= 8: count bytes, each client's low six bits, ascending
+//! count > 8:  u64 LE bitmap, bit b set for client (page << 6) | b
 //! ```
 //!
-//! as LEB128 varints of at most ten bytes, each in its shortest form. Strict ascent makes every difference at least 1, so one
-//! less is stored; the decoder adds the differences back with `checked_add`,
-//! so a list that does not ascend strictly cannot be expressed: it decodes to
-//! [`ServiceError::CorruptFrame`], never to a different list. The benchmark's
-//! responses (330 pairs over 7 brokers and 64 clients) take 363 bytes where
-//! sixteen raw bytes a pair took 5 313.
+//! with shortest-form LEB128 varints; the count alone picks the container.
+//! The decoder adds the keys back with `checked_add` and requires each page's
+//! clients to ascend; the encoder writes a page whose clients do not with the
+//! count byte `0xff`, which no page has. So a list that does not ascend
+//! strictly decodes to [`ServiceError::CorruptFrame`], never to a different
+//! list. A 330-pair benchmark response takes about 92 bytes (364 in v2).
 //!
 //! One encoder writes that payload, from `(broker, client, event mask)`
 //! triples: [`encode_frame`] feeds it one list, the daemon a burst's
 //! triples straight from the match kernel, with the same bytes and no list
-//! built. Encoding reuses caller-owned buffers ([`encode_frame`] clears and
-//! fills its `out`), so steady-state connections encode without allocating.
+//! built.
 
 use std::io::Read;
 use std::slice;
@@ -73,17 +74,18 @@ pub use acd_covering::storage::crc32;
 /// First four bytes of every frame: `"ACDB"` read as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"ACDB");
 
-/// Protocol version this build speaks. Version 1 carried `Deliveries` as
-/// raw `u64` pairs; a version 1 peer gets [`ServiceError::VersionMismatch`].
-pub const VERSION: u8 = 2;
+/// Protocol version this build speaks. Versions 1 and 2 carried `Deliveries`
+/// as raw `u64` pairs and as a varint a pair; their peers get
+/// [`ServiceError::VersionMismatch`].
+pub const VERSION: u8 = 3;
 
 /// Upper bound on `payload_len` (16 MiB): anything larger is corruption,
 /// not data.
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
 /// Upper bound on a `Deliveries` pair count: what fits [`MAX_PAYLOAD`] at
-/// sixteen bytes a pair. A varint pair can be one byte, so without it a
-/// frame's length would bound the decoded list at sixteen times this.
+/// sixteen bytes a pair. A full page carries 64 pairs in eleven bytes, so
+/// without it a frame's length would bound the decoded list at 93 times this.
 pub const MAX_DELIVERY_PAIRS: usize = MAX_PAYLOAD as usize / 16;
 
 /// Envelope bytes before the payload: magic + version + kind + length.
@@ -133,12 +135,9 @@ pub enum Frame {
     /// `(broker, client)` pairs.
     ///
     /// The list must be **strictly ascending** (sorted, no pair twice) and at
-    /// most [`MAX_DELIVERY_PAIRS`] long: the payload is the pair count and
-    /// then, per run of one broker, varints of the broker's distance from
-    /// the previous group's, the run length and each client's distance from
-    /// the one before (see the module docs). [`encode_frame`] asserts the
-    /// ascent in debug builds and never fails; what it writes for any other
-    /// list [`read_frame`] rejects as [`ServiceError::CorruptFrame`].
+    /// most [`MAX_DELIVERY_PAIRS`] long; it travels as pages of 64 clients
+    /// (module docs). [`encode_frame`] asserts the ascent in debug builds and
+    /// never fails; [`read_frame`] rejects what it writes for any other list.
     Deliveries {
         /// One pair per client with a matching subscription at that broker.
         pairs: Vec<(BrokerId, ClientId)>,
@@ -411,8 +410,7 @@ pub(crate) fn put_deliveries_frames(
     payloads: &mut Vec<Vec<u8>>,
 ) {
     if events == 1 {
-        // A lone event's frame goes straight to `out`, and its masks, all
-        // 1, become a constant the encoder's lane loops fold away.
+        // A lone event's masks, all 1, are a constant the lane loops fold away.
         let start = open_frame(out, kind::DELIVERIES);
         out.extend_from_slice(&(triples.len() as u32).to_le_bytes());
         put_deliveries::<_, 1>(triples, |(b, c, _)| (b, c, 1), slice::from_mut(out));
@@ -430,13 +428,12 @@ pub(crate) fn put_deliveries_frames(
     }
 }
 
-/// The one `Deliveries` encoder: appends to `payloads[i]` the broker groups
-/// (layout in the module docs) of the list bit `i < EVENTS` of the event
-/// masks selects, and returns each list's pair count. A broker's run is read
-/// twice, to count each event's pairs in it, which its group states first,
-/// then to write the clients. The differences wrap instead of failing, so a
-/// list that breaks the ascent still encodes — to bytes the decoder's
-/// `checked_add` cannot accept.
+/// The one `Deliveries` encoder: appends to `payloads[i]` the page records
+/// of the list bit `i < EVENTS` of the event masks selects, and returns each
+/// list's pair count. One pass: each `(broker, page)` run ORs its clients into
+/// the page of each event their masks name, then each event it touched writes
+/// it. A page that does not ascend gets the count byte [`u8::MAX`] and a key
+/// that steps back wraps, so a broken list encodes to bytes the decoder rejects.
 // acd-lint: hot
 fn put_deliveries<T: Copy, const EVENTS: usize>(
     items: &[T],
@@ -448,43 +445,46 @@ fn put_deliveries<T: Copy, const EVENTS: usize>(
         items.is_sorted_by(|&a, &b| pair(a) < pair(b)),
         "a Deliveries list is strictly ascending by (broker, client)"
     );
-    // Per event: its pairs, the smallest broker its next group may name, its
-    // pairs in this group, and its last client here (`u64::MAX` before the
-    // first, which is so stored as itself).
+    // Per event: its pairs, last record's broker and page + 1, and this page.
     #[derive(Clone, Copy, Default)]
     struct Lane {
         pairs: u32,
+        broker: u64,
         floor: u64,
-        run: u64,
-        previous: u64,
+        bits: u64,
+        broken: bool,
     }
     let mut lanes = [Lane::default(); EVENTS];
-    for group in items.chunk_by(|&a, &b| triple(a).0 == triple(b).0) {
-        let broker = group.first().map_or(0, |&item| triple(item).0 as u64);
-        let mut present = 0u64;
-        for &item in group {
-            present |= triple(item).2;
-            for_each_bit(triple(item).2, |i| {
-                lanes.get_mut(i).into_iter().for_each(|lane| lane.run += 1)
-            });
-        }
-        for_each_bit(present, |i| {
-            if let (Some(lane), Some(payload)) = (lanes.get_mut(i), payloads.get_mut(i)) {
-                put_varint(payload, broker.wrapping_sub(lane.floor));
-                put_varint(payload, lane.run - 1);
-                lane.pairs += lane.run as u32;
-                (lane.floor, lane.run, lane.previous) = (broker.wrapping_add(1), 0, u64::MAX);
-            }
-        });
-        for &item in group {
+    let key = |item| (triple(item).0 as u64, triple(item).1 >> 6);
+    for run in items.chunk_by(|&a, &b| key(a) == key(b)) {
+        let (broker, page) = run.first().map_or((0, 0), |&item| key(item));
+        let mut touched = 0;
+        for &item in run {
             let (_, client, mask) = triple(item);
+            let bit = 1 << (client & 63);
+            touched |= mask;
             for_each_bit(mask, |i| {
-                if let (Some(lane), Some(payload)) = (lanes.get_mut(i), payloads.get_mut(i)) {
-                    put_varint(payload, client.wrapping_sub(lane.previous).wrapping_sub(1));
-                    lane.previous = client;
+                if let Some(lane) = lanes.get_mut(i) {
+                    lane.broken |= lane.bits >= bit;
+                    lane.bits |= bit;
                 }
             });
         }
+        for_each_bit(touched, |i| {
+            if let (Some(lane), Some(out)) = (lanes.get_mut(i), payloads.get_mut(i)) {
+                let floor = if broker == lane.broker { lane.floor } else { 0 };
+                put_varint(out, broker.wrapping_sub(lane.broker));
+                put_varint(out, page.wrapping_sub(floor));
+                let count = lane.bits.count_ones() as u8;
+                out.push(if lane.broken { u8::MAX } else { count - 1 });
+                match count {
+                    9.. => out.extend_from_slice(&lane.bits.to_le_bytes()),
+                    _ => for_each_bit(lane.bits, |b| out.push(b as u8)),
+                }
+                lane.pairs += u32::from(count);
+                (lane.broker, lane.floor, lane.bits, lane.broken) = (broker, page + 1, 0, false);
+            }
+        });
     }
     lanes.map(|lane| lane.pairs)
 }
@@ -601,41 +601,41 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
     Ok(frame)
 }
 
-/// Reads a `Deliveries` payload (layout in the module docs), rebuilding
-/// each id with `checked_add`: the strict ascent [`put_deliveries`] assumes
-/// is checked here, for every list, in every build.
+/// Reads a `Deliveries` payload (module docs), checking the strict ascent
+/// [`put_deliveries`] assumes for every list, in every build.
 fn take_deliveries(c: &mut Cursor) -> Result<Vec<(BrokerId, ClientId)>, DecodeError> {
+    let check = |ok: bool, why: &'static str| ok.then_some(()).ok_or_else(|| DecodeError::new(why));
+    let descent = || DecodeError::new("pairs do not ascend strictly");
     let n = c.take_u32()? as usize;
-    if n > MAX_DELIVERY_PAIRS {
-        return Err(DecodeError::new(
-            "pair count exceeds what a frame may carry",
-        ));
-    }
-    c.check_remaining(n, 1)?;
-    let not_ascending = || DecodeError::new("pairs do not ascend strictly");
+    // The densest record, a full page, carries 64 pairs in eleven bytes.
+    let fits = n <= MAX_DELIVERY_PAIRS && n.div_ceil(6) <= c.remaining();
+    check(fits, "pair count exceeds what the frame can carry")?;
     let mut pairs = Vec::with_capacity(n);
-    // The smallest broker the next group may name; none after `u64::MAX`.
-    let mut floor = Some(0u64);
+    // The last record's broker, and the smallest page the next may name there.
+    let (mut broker, mut floor) = (0u64, 0u64);
     while pairs.len() < n {
-        let delta = c.take_varint()?;
-        let broker = floor
-            .and_then(|floor| floor.checked_add(delta))
-            .ok_or_else(not_ascending)?;
-        let more = c.take_varint()?;
-        if more >= (n - pairs.len()) as u64 {
-            return Err(DecodeError::new("a broker's run outruns the pair count"));
-        }
-        let mut client = c.take_varint()?;
-        pairs.push((broker as BrokerId, client));
-        for _ in 0..more {
-            let delta = c.take_varint()?;
-            client = client
-                .checked_add(1)
-                .and_then(|next| next.checked_add(delta))
-                .ok_or_else(not_ascending)?;
-            pairs.push((broker as BrokerId, client));
-        }
-        floor = broker.checked_add(1);
+        let step = c.take_varint()?;
+        broker = broker.checked_add(step).ok_or_else(descent)?;
+        floor = if step == 0 { floor } else { 0 };
+        let page = c.take_varint()?.checked_add(floor).ok_or_else(descent)?;
+        check(page <= u64::MAX >> 6, "page key beyond the last client")?;
+        let count = u32::from(c.take_u8()?) + 1;
+        let fits = count <= 64 && count as usize <= n - pairs.len();
+        check(fits, "page count above 64 or the pairs left")?;
+        let bits = if count > 8 {
+            c.take_u64()?
+        } else {
+            // A client at or below the one before it, or past 63, fills the page.
+            let offsets = c.take(count as usize)?.iter();
+            offsets.fold(0, |bits, &b| match 1u64.checked_shl(b.into()) {
+                Some(bit) if bit > bits => bits | bit,
+                _ => u64::MAX,
+            })
+        };
+        check(bits.count_ones() == count, "malformed client page")?;
+        let (at, base) = (broker as BrokerId, page << 6);
+        floor = page + 1;
+        for_each_bit(bits, |b| pairs.push((at, base | b as u64)));
     }
     Ok(pairs)
 }
@@ -662,6 +662,10 @@ mod tests {
             },
             Frame::Deliveries {
                 pairs: vec![(0, 10), (3, 99)],
+            },
+            // Twelve clients on one page: the bitmap container.
+            Frame::Deliveries {
+                pairs: (0..12).map(|client| (1, 5 * client)).collect(),
             },
             Frame::Ok,
             Frame::Err {
@@ -807,16 +811,31 @@ mod tests {
         }
     }
 
+    /// `value` as the varint the codec writes.
+    fn varint(value: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, value);
+        out
+    }
+
     #[test]
     fn deliveries_layout_is_pinned() {
-        let pairs = vec![(0, 10), (3, 99), (3, 300), (4, 0)];
+        let pairs: Vec<(BrokerId, ClientId)> = [(0, 3), (0, 5)]
+            .into_iter()
+            .chain((130..138).map(|client| (0, client)))
+            .chain((0..9).map(|i| (3, 64 + 2 * i)))
+            .collect();
         let mut buf = Vec::new();
         encode_frame(&Frame::Deliveries { pairs }, &mut buf);
         let payload = [
-            &4u32.to_le_bytes()[..],
-            &[0, 0, 10],         // broker 0, run of 1, client 10
-            &[2, 1, 99, 200, 1], // broker 0 + 1 + 2, run of 2, 99, 99 + 1 + 200
-            &[0, 0, 0],          // broker 3 + 1 + 0, run of 1, client 0
+            &19u32.to_le_bytes()[..],
+            // Broker 0, page 0, two clients as an array.
+            &[0, 0, 1, 3, 5],
+            // Broker 0 again, page 0 + 1 + 1 = 2, eight clients as an array.
+            &[0, 1, 7, 2, 3, 4, 5, 6, 7, 8, 9],
+            // Broker 0 + 3, page 1 raw, nine clients as a bitmap.
+            &[3, 1, 8],
+            &0x0001_5555u64.to_le_bytes(),
         ]
         .concat();
         assert_eq!(buf, sealed(VERSION, kind::DELIVERIES, &payload));
@@ -830,7 +849,7 @@ mod tests {
         }
         edges.extend([u64::MAX - 1, u64::MAX]);
         // Every edge as a client under every edge as a broker, the last
-        // group ending at (u64::MAX, u64::MAX).
+        // record ending at (u64::MAX, u64::MAX).
         let pairs: Vec<(BrokerId, ClientId)> = edges
             .iter()
             .flat_map(|&broker| {
@@ -849,9 +868,9 @@ mod tests {
     }
 
     #[test]
-    fn a_benchmark_shaped_list_takes_under_a_byte_and_a_half_a_pair() {
+    fn a_benchmark_shaped_list_takes_eleven_bytes_a_broker() {
         // 7 brokers, 47 of 64 clients each, spread evenly: what a
-        // `fanout_publish` event delivers.
+        // `fanout_publish` event delivers. Each broker is one bitmap page.
         let pairs: Vec<(BrokerId, ClientId)> = (0..7)
             .flat_map(|broker| {
                 (0..64u64)
@@ -863,93 +882,106 @@ mod tests {
         let frame = Frame::Deliveries { pairs };
         let mut buf = Vec::new();
         encode_frame(&frame, &mut buf);
-        assert!(buf.len() * 2 <= 7 * 47 * 3, "{} bytes", buf.len());
+        assert_eq!(buf.len(), HEADER_LEN + 4 + 7 * 11 + FOOTER_LEN);
         // An empty list is the envelope and the count, as it always was.
         encode_frame(&Frame::Deliveries { pairs: Vec::new() }, &mut buf);
         assert_eq!(buf.len(), HEADER_LEN + 4 + FOOTER_LEN);
     }
 
     #[test]
-    fn a_v1_deliveries_frame_is_a_version_mismatch() {
-        // Version 1 carried raw little-endian `u64` pairs.
-        let mut payload = 2u32.to_le_bytes().to_vec();
+    fn v1_and_v2_deliveries_frames_are_a_version_mismatch() {
+        // Version 1 carried raw little-endian `u64` pairs, version 2 one
+        // varint a pair; both spell [(0, 10), (3, 99)] here.
+        let mut v1 = 2u32.to_le_bytes().to_vec();
         for id in [0u64, 10, 3, 99] {
-            payload.extend_from_slice(&id.to_le_bytes());
+            v1.extend_from_slice(&id.to_le_bytes());
         }
-        let frame = sealed(1, kind::DELIVERIES, &payload);
-        let err = read_frame(&mut frame.as_slice(), &mut Vec::new()).unwrap_err();
-        assert_eq!(err, ServiceError::VersionMismatch { found: 1 });
-        assert_eq!(
-            err.to_string(),
-            "peer speaks protocol version 1, expected 2"
-        );
+        let v2 = [&2u32.to_le_bytes()[..], &[0, 0, 10, 2, 0, 99]].concat();
+        for (version, payload) in [(1, v1), (2, v2)] {
+            let frame = sealed(version, kind::DELIVERIES, &payload);
+            let err = read_frame(&mut frame.as_slice(), &mut Vec::new()).unwrap_err();
+            assert_eq!(err, ServiceError::VersionMismatch { found: version });
+            assert_eq!(
+                err.to_string(),
+                format!("peer speaks protocol version {version}, expected 3")
+            );
+        }
     }
 
     #[test]
     fn a_pair_count_above_the_cap_is_corrupt_before_it_sizes_a_vec() {
-        // Enough one-byte varints that the payload's length alone would let
-        // either count through.
+        // Enough bytes that the payload's length alone would let either
+        // count through.
         let body = vec![0u8; MAX_DELIVERY_PAIRS + 1];
         for count in [1usize << 24, MAX_DELIVERY_PAIRS + 1] {
             let reason = corrupt_reason(read_deliveries(count as u32, &body));
             assert!(reason.contains("pair count"), "{count}: {reason}");
         }
+        // Under the cap, but more than six pairs a byte: no record is denser.
+        let reason = corrupt_reason(read_deliveries(13, &[0, 0]));
+        assert!(reason.contains("pair count"), "{reason}");
     }
 
     #[test]
     fn deliveries_the_encoder_cannot_write_are_corrupt() {
-        let cases: [(u32, &[u8], &str); 9] = [
-            // (3, 5) then (1, 2): the second group's broker wraps past the first.
+        let last_page = u64::MAX >> 6;
+        let full = u64::MAX.to_le_bytes();
+        let cases: [(u32, Vec<u8>, &str); 15] = [
+            // A page key above the last client's.
+            (
+                1,
+                [&[0][..], &varint(last_page + 1), &[0, 0]].concat(),
+                "page key",
+            ),
+            // A count of 65.
+            (65, [&[0, 0, 64][..], &full].concat(), "page count"),
+            // A count of 3 under a pair count of 2.
+            (2, vec![0, 0, 2, 0, 1, 2], "page count"),
+            // A count of 256: what the encoder writes for a page that breaks the ascent.
+            (2, vec![0, 0, 0xff, 0, 1], "page count"),
+            // Nine clients, eight bits.
+            (
+                9,
+                [&[0, 0, 8][..], &0xffu64.to_le_bytes()].concat(),
+                "client page",
+            ),
+            // Client offsets twice the same, then falling.
+            (2, vec![0, 0, 1, 5, 5], "client page"),
+            (2, vec![0, 0, 1, 5, 3], "client page"),
+            // An offset of 64.
+            (1, vec![0, 0, 0, 64], "client page"),
+            // A byte after the last page.
+            (1, vec![0, 0, 0, 5, 0], "trailing"),
+            // A broker step past u64::MAX.
             (
                 2,
-                &[
-                    3, 0, 5, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 0, 2,
-                ],
+                [&varint(u64::MAX)[..], &[0, 0, 0, 1, 0, 0, 0]].concat(),
                 "ascend",
             ),
-            // Client 5 + 1 + (u64::MAX - 5) overflows.
+            // A page step past u64::MAX on the same broker.
             (
                 2,
-                &[
-                    0, 1, 5, 0xfa, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1,
-                ],
+                [
+                    &[0][..],
+                    &varint(last_page),
+                    &[0, 0, 0],
+                    &varint(u64::MAX),
+                    &[0, 0],
+                ]
+                .concat(),
                 "ascend",
             ),
-            // A group after broker u64::MAX.
-            (
-                2,
-                &[
-                    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 0, 0,
-                ],
-                "ascend",
-            ),
-            // A run of 3 under a count of 2.
-            (2, &[0, 2, 5, 0, 0], "outruns"),
             // 0 spelled in two bytes.
-            (1, &[0x80, 0, 0, 0], "padded"),
+            (1, vec![0x80, 0, 0, 0, 0], "padded"),
             // Eleven bytes.
-            (
-                1,
-                &[
-                    0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 1, 0, 0,
-                ],
-                "longer",
-            ),
+            (1, [&[0x80; 10][..], &[1, 0, 0, 0]].concat(), "longer"),
             // A tenth byte carrying bits 64 and up.
-            (
-                1,
-                &[
-                    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 2, 0, 0,
-                ],
-                "overflows",
-            ),
+            (1, [&[0xff; 9][..], &[2, 0, 0, 0]].concat(), "overflows"),
             // The payload ends inside a varint.
-            (1, &[0, 0, 0x80], "ends inside"),
-            // A byte after the last pair.
-            (1, &[0, 0, 0, 0], "trailing"),
+            (1, vec![0, 0x80], "ends inside"),
         ];
         for (count, body, expected) in cases {
-            let reason = corrupt_reason(read_deliveries(count, body));
+            let reason = corrupt_reason(read_deliveries(count, &body));
             assert!(reason.contains(expected), "{body:?}: {reason}");
         }
     }

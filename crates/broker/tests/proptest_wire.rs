@@ -63,6 +63,45 @@ fn ascending_pairs() -> impl Strategy<Value = Vec<(BrokerId, ClientId)>> {
     })
 }
 
+/// Page keys where the codec is at an edge: the first page, pages where
+/// a varint changes length, and the last page a `u64` client can be on.
+fn edge_page() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        (1u32..9, 0u64..3).prop_map(|(k, off)| (1u64 << (7 * k)) - 1 + off),
+        (0u64..3).prop_map(|off| (u64::MAX >> 6) - off),
+        0u64..4,
+    ]
+}
+
+/// One `(broker, page)` with a random bitmap of its 64 clients: a dense
+/// page takes the bitmap container, a sparse one (at most eight clients)
+/// the array, and a bitmap of 8 or 9 bits lands on the boundary.
+fn dense_page() -> impl Strategy<Value = Vec<(BrokerId, ClientId)>> {
+    let bits = prop_oneof![
+        any::<u64>(),
+        Just(u64::MAX),
+        (0u32..64).prop_map(|b| 1u64 << b),
+        (any::<u64>(), 7u32..11).prop_map(|(bits, keep)| {
+            // The lowest `keep` set bits of `bits`, or fewer.
+            let mut out = 0u64;
+            let mut rest = bits;
+            for _ in 0..keep {
+                out |= rest & rest.wrapping_neg();
+                rest &= rest.wrapping_sub(1);
+            }
+            out
+        }),
+    ];
+    let broker = prop_oneof![0u64..4, Just(u64::MAX), edge_id()];
+    (broker, edge_page(), bits).prop_map(|(broker, page, bits)| {
+        (0..64)
+            .filter(|b| bits >> b & 1 == 1)
+            .map(|b| (broker as BrokerId, page << 6 | b))
+            .collect()
+    })
+}
+
 fn any_frame() -> impl Strategy<Value = Frame> {
     prop_oneof![
         ascii_string().prop_map(|schema_json| Frame::Hello { schema_json }),
@@ -82,6 +121,7 @@ fn any_frame() -> impl Strategy<Value = Frame> {
         (0usize..64, prop::collection::vec(wire_f64(), 0..6))
             .prop_map(|(at, values)| Frame::Publish { at, values }),
         ascending_pairs().prop_map(|pairs| Frame::Deliveries { pairs }),
+        dense_page().prop_map(|pairs| Frame::Deliveries { pairs }),
         Just(Frame::Ok),
         ascii_string().prop_map(|message| Frame::Err { message }),
         ascii_string().prop_map(|reason| Frame::Rejected { reason }),
