@@ -18,14 +18,17 @@
 //! A second group, `deliveries_codec`, times what follows the walk on either
 //! path: `encode_frame` and `read_frame` over one event's `Deliveries` — the
 //! repo benchmark's 330 pairs (7 brokers, 47 of 64 clients each) and the
-//! empty list every non-matching publish answers with.
+//! empty list every non-matching publish answers with — and, as
+//! `encode_burst`, the daemon's encoder for a whole 64-event chunk
+//! (`wire::put_deliveries_frames`), fed the triples a walk emits.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use acd_broker::wire::{encode_frame, read_frame, Frame};
-use acd_broker::{BrokerConfig, BrokerNetwork, Topology};
+use acd_broker::network::Triple;
+use acd_broker::wire::{encode_frame, put_deliveries_frames, read_frame, Frame};
+use acd_broker::{BrokerConfig, BrokerNetwork, EventChunk, Topology};
 use acd_covering::CoveringPolicy;
 use acd_workload::{EventWorkload, Scenario, SubscriptionWorkload};
 
@@ -100,6 +103,28 @@ fn bench_batched_publish(c: &mut Criterion) {
     group.finish();
 }
 
+/// A 64-event chunk's answer as a walk emits it: 7 brokers x 64 clients,
+/// ascending, each client's event mask holding about 74 % of the events (the
+/// repo benchmark's 47 of 64 clients an event, seen from a client). The
+/// masks come from a fixed xorshift stream.
+fn burst_triples() -> Vec<Triple> {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut triples = Vec::new();
+    for broker in 0..7 {
+        for client in 0..64 {
+            let mut mask = 0u64;
+            for event in 0..64 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                mask |= u64::from(state % 100 < 74) << event;
+            }
+            triples.push((broker, client, mask));
+        }
+    }
+    triples
+}
+
 fn bench_deliveries_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("deliveries_codec");
     group.measurement_time(Duration::from_secs(2));
@@ -123,6 +148,21 @@ fn bench_deliveries_codec(c: &mut Criterion) {
             b.iter(|| read_frame(&mut std::hint::black_box(encoded.as_slice()), &mut scratch));
         });
     }
+    let triples = burst_triples();
+    let (mut out, mut payloads) = (Vec::new(), Vec::new());
+    group.bench_function("encode_burst", |b| {
+        b.iter(|| {
+            out.clear();
+            let events = EventChunk::WIDTH;
+            put_deliveries_frames(
+                &mut out,
+                std::hint::black_box(&triples),
+                events,
+                &mut payloads,
+            );
+            std::hint::black_box(out.len())
+        });
+    });
     group.finish();
 }
 

@@ -23,7 +23,7 @@ use acd_subscription::{Event, Schema, SubId, Subscription};
 
 use crate::broker::{BrokerId, ClientId};
 use crate::error::ServiceError;
-use crate::wire::{encode_frame, read_frame, Frame};
+use crate::wire::{encode_frame, encode_publish, read_frame, Frame};
 
 /// How many request bytes [`BrokerClient::publish_batch`] sends before it
 /// reads their responses: about 330 three-attribute publishes.
@@ -233,8 +233,7 @@ impl BrokerClient {
         };
         let mut unacked = 0usize;
         for (sent, event) in events.iter().enumerate() {
-            let values = event.values().to_vec();
-            encode_frame(&Frame::Publish { at, values }, &mut self.out);
+            encode_publish(at, event.values(), &mut self.out);
             if let Err(e) = self.writer.write_all(&self.out) {
                 return Err(fail(&mut acked, e.into()));
             }

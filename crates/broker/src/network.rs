@@ -427,18 +427,15 @@ impl BrokerNetwork {
     /// one per client with at least one matching subscription at that
     /// broker.
     ///
-    /// The batch is cut into chunks of 64 events and each chunk takes one
-    /// overlay walk, locking every broker on its subtree once. Matching
-    /// inside a broker runs on the grid: the chunk's events are tabulated by
-    /// grid cell once, and every slot's stored cells read event masks off
-    /// that table, so a slot costs the same however many events the chunk
-    /// holds (see [`EventChunk`], [`Broker::matching_clients_mask`] and
+    /// The batch is cut into chunks of 64 events, each taking one overlay
+    /// walk that locks every broker on its subtree once. Inside a broker the
+    /// chunk is matched on the grid, its events tabulated by cell once, so a
+    /// slot costs the same however many events the chunk holds (see
+    /// [`EventChunk`], [`Broker::matching_clients_mask`] and
     /// [`Broker::neighbor_interested_mask`]). An event crosses a link exactly
     /// when the serial walk would have forwarded it there, and each list
     /// fills in ascending order with no sort. A chunk of fewer than
-    /// `SERIAL_BELOW` events (a short burst, or a long one's ragged tail)
-    /// cannot repay a pass over every slot and takes the serial walk event
-    /// by event.
+    /// `SERIAL_BELOW` events takes the serial walk event by event.
     ///
     /// Counters advance exactly as the serial loop would: `events_published`
     /// bumps once per batch element, `event_messages` once per (event, link)
@@ -662,7 +659,7 @@ impl<'a> Walk<'a> {
 
 /// A delivery `(broker, client)` with the mask of the chunk events it is
 /// for, as the walks emit them: ascending by `(broker, client)`.
-pub(crate) type Triple = (BrokerId, ClientId, u64);
+pub type Triple = (BrokerId, ClientId, u64);
 
 /// Calls `f` with the index of every set bit of `mask`, lowest first.
 #[inline]
@@ -674,15 +671,12 @@ pub(crate) fn for_each_bit(mut mask: u64, mut f: impl FnMut(usize)) {
 }
 
 /// The chunk length below which [`BrokerNetwork::publish_batch`] runs the
-/// serial walk per event. A rank pass costs per slot, not per event, so
-/// its cost per event falls with the chunk while a serial walk costs the
-/// same for each: measured at 10 000 subscriptions over 64 clients (README
-/// "Batched publish execution", the burst-length sweep, with the rank kernel
-/// forced on at every length) rank ÷ serial reads 1.5 at 8 events, 1.08 at
-/// 12, 1.02–1.15 at 13 and 0.96–0.99 at 14, the shortest chunk on which the
-/// rank pass never read behind. With one client per subscription, where
-/// every matching slot is a delivery of its own, the curves cross higher,
-/// between 16 and 24.
+/// serial walk per event: a rank pass costs per slot, a serial walk per
+/// event. At 10 000 subscriptions over 64 clients (README "Batched publish
+/// execution", the rank kernel forced on) rank ÷ serial reads 1.36–1.47 at
+/// 8 events, 0.98–1.03 at 12, 0.90–0.96 at 13 and 0.87–0.92 at 14. With one
+/// client per subscription, where every matching slot is a delivery of its
+/// own, the curves cross higher, between 16 and 24.
 const SERIAL_BELOW: usize = 14;
 
 /// Where each broker's share of a walk's output lies — `spans[b]` is the

@@ -50,11 +50,8 @@
 //! count byte `0xff`, which no page has. So a list that does not ascend
 //! strictly decodes to [`ServiceError::CorruptFrame`], never to a different
 //! list. A 330-pair benchmark response takes about 92 bytes (364 in v2).
-//!
-//! One encoder writes that payload, from `(broker, client, event mask)`
-//! triples: [`encode_frame`] feeds it one list, the daemon a burst's
-//! triples straight from the match kernel, with the same bytes and no list
-//! built.
+//! One encoder writes it, for one list ([`encode_frame`]) or for each event
+//! of a burst's match triples ([`put_deliveries_frames`]), with the same bytes.
 
 use std::io::Read;
 use std::slice;
@@ -221,20 +218,13 @@ impl Frame {
         }
     }
 
-    /// Human-readable kind name, for error messages.
+    /// Human-readable kind name, for error messages: the variant's name,
+    /// listed in `kind` byte order.
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            Frame::Hello { .. } => "Hello",
-            Frame::Subscribe { .. } => "Subscribe",
-            Frame::Unsubscribe { .. } => "Unsubscribe",
-            Frame::Publish { .. } => "Publish",
-            Frame::Deliveries { .. } => "Deliveries",
-            Frame::Ok => "Ok",
-            Frame::Err { .. } => "Err",
-            Frame::Rejected { .. } => "Rejected",
-            Frame::Resubscribe { .. } => "Resubscribe",
-            Frame::Retract { .. } => "Retract",
-        }
+        const NAMES: &str =
+            "Hello Subscribe Unsubscribe Publish Deliveries Ok Err Rejected Resubscribe Retract";
+        let mut names = NAMES.split(' ');
+        names.nth(usize::from(self.kind())).unwrap_or_default()
     }
 
     /// Builds a `Subscribe` frame from a subscription's raw bounds.
@@ -339,13 +329,7 @@ pub(crate) fn append_frame(frame: &Frame, out: &mut Vec<u8>) {
             out.extend_from_slice(&(*at as u64).to_le_bytes());
             out.extend_from_slice(&id.to_le_bytes());
         }
-        Frame::Publish { at, values } => {
-            out.extend_from_slice(&(*at as u64).to_le_bytes());
-            out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-            for v in values {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
+        Frame::Publish { at, values } => put_publish(out, *at, values),
         Frame::Deliveries { pairs } => {
             out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
             put_deliveries::<_, 1>(pairs, |(b, c)| (b, c, 1), slice::from_mut(out));
@@ -379,6 +363,24 @@ pub(crate) fn append_frame(frame: &Frame, out: &mut Vec<u8>) {
     seal_frame(out, start);
 }
 
+/// [`encode_frame`] of a `Publish` frame, from values it need not own.
+// acd-lint: hot
+pub(crate) fn encode_publish(at: BrokerId, values: &[f64], out: &mut Vec<u8>) {
+    out.clear();
+    let start = open_frame(out, kind::PUBLISH);
+    put_publish(out, at, values);
+    seal_frame(out, start);
+}
+
+/// Appends a `Publish` payload: the broker, then the values as a list.
+fn put_publish(out: &mut Vec<u8>, at: BrokerId, values: &[f64]) {
+    out.extend_from_slice(&(at as u64).to_le_bytes());
+    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
 /// Appends a header of kind `kind`, its payload length zero until
 /// [`seal_frame`] patches it, and returns where the frame starts.
 fn open_frame(out: &mut Vec<u8>, kind: u8) -> usize {
@@ -398,19 +400,19 @@ fn seal_frame(out: &mut Vec<u8>, start: usize) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Appends one `Deliveries` frame per event of a chunk of `events` to
-/// `out`, from the chunk's `(broker, client, event mask)` triples ascending
-/// by `(broker, client)`: bit `i` of a mask puts the pair in event `i`'s
-/// list. `payloads` is reused scratch, one buffer per event.
+/// Appends [`encode_frame`]'s bytes for each event's list of a chunk of
+/// `events` (at most 64) to `out`, from the chunk's [`Triple`]s, strictly
+/// ascending by `(broker, client)`: bit `i` of a mask puts the pair in event
+/// `i`'s list. `payloads` is reused scratch, one buffer per event.
 // acd-lint: hot
-pub(crate) fn put_deliveries_frames(
+pub fn put_deliveries_frames(
     out: &mut Vec<u8>,
     triples: &[Triple],
     events: usize,
     payloads: &mut Vec<Vec<u8>>,
 ) {
     if events == 1 {
-        // A lone event's masks, all 1, are a constant the lane loops fold away.
+        // A lone event's masks, all 1, are a constant the page loops fold away.
         let start = open_frame(out, kind::DELIVERIES);
         out.extend_from_slice(&(triples.len() as u32).to_le_bytes());
         put_deliveries::<_, 1>(triples, |(b, c, _)| (b, c, 1), slice::from_mut(out));
@@ -430,9 +432,9 @@ pub(crate) fn put_deliveries_frames(
 
 /// The one `Deliveries` encoder: appends to `payloads[i]` the page records
 /// of the list bit `i < EVENTS` of the event masks selects, and returns each
-/// list's pair count. One pass: each `(broker, page)` run ORs its clients into
-/// the page of each event their masks name, then each event it touched writes
-/// it. A page that does not ascend gets the count byte [`u8::MAX`] and a key
+/// list's pair count. Each `(broker, page)` run ORs a client's mask into row
+/// `client & 63`, which [`transpose64`] turns into one page per event. A run
+/// whose clients do not ascend writes the count byte [`u8::MAX`] and a key
 /// that steps back wraps, so a broken list encodes to bytes the decoder rejects.
 // acd-lint: hot
 fn put_deliveries<T: Copy, const EVENTS: usize>(
@@ -445,48 +447,58 @@ fn put_deliveries<T: Copy, const EVENTS: usize>(
         items.is_sorted_by(|&a, &b| pair(a) < pair(b)),
         "a Deliveries list is strictly ascending by (broker, client)"
     );
-    // Per event: its pairs, last record's broker and page + 1, and this page.
-    #[derive(Clone, Copy, Default)]
-    struct Lane {
-        pairs: u32,
-        broker: u64,
-        floor: u64,
-        bits: u64,
-        broken: bool,
-    }
-    let mut lanes = [Lane::default(); EVENTS];
+    // Per event: its pairs, and its last record's broker and page + 1.
+    let mut lanes = [(0u32, 0u64, 0u64); EVENTS];
     let key = |item| (triple(item).0 as u64, triple(item).1 >> 6);
     for run in items.chunk_by(|&a, &b| key(a) == key(b)) {
         let (broker, page) = run.first().map_or((0, 0), |&item| key(item));
-        let mut touched = 0;
+        let (mut pages, mut touched, mut broken, mut next) = ([0u64; EVENTS], 0, false, 0);
         for &item in run {
             let (_, client, mask) = triple(item);
-            let bit = 1 << (client & 63);
-            touched |= mask;
-            for_each_bit(mask, |i| {
-                if let Some(lane) = lanes.get_mut(i) {
-                    lane.broken |= lane.bits >= bit;
-                    lane.bits |= bit;
-                }
-            });
+            let offset = client & 63;
+            (touched, broken, next) = (touched | mask, broken | (offset < next), offset + 1);
+            // A lone event's page is its clients' bits, a burst's a transpose away.
+            let bits = if EVENTS == 1 { 1 << offset } else { mask };
+            if let Some(row) = pages.get_mut(offset as usize % EVENTS) {
+                *row |= bits;
+            }
+        }
+        if let Ok(rows) = <&mut [u64; 64]>::try_from(pages.as_mut_slice()) {
+            transpose64(rows);
         }
         for_each_bit(touched, |i| {
-            if let (Some(lane), Some(out)) = (lanes.get_mut(i), payloads.get_mut(i)) {
-                let floor = if broker == lane.broker { lane.floor } else { 0 };
-                put_varint(out, broker.wrapping_sub(lane.broker));
-                put_varint(out, page.wrapping_sub(floor));
-                let count = lane.bits.count_ones() as u8;
-                out.push(if lane.broken { u8::MAX } else { count - 1 });
+            let lane = (lanes.get_mut(i), payloads.get_mut(i), pages.get(i));
+            if let (Some((pairs, last, floor)), Some(out), Some(&bits)) = lane {
+                let base = if broker == *last { *floor } else { 0 };
+                put_varint(out, broker.wrapping_sub(*last));
+                put_varint(out, page.wrapping_sub(base));
+                let count = bits.count_ones() as u8;
+                out.push(if broken { u8::MAX } else { count - 1 });
                 match count {
-                    9.. => out.extend_from_slice(&lane.bits.to_le_bytes()),
-                    _ => for_each_bit(lane.bits, |b| out.push(b as u8)),
+                    9.. => out.extend_from_slice(&bits.to_le_bytes()),
+                    _ => for_each_bit(bits, |b| out.push(b as u8)),
                 }
-                lane.pairs += u32::from(count);
-                (lane.broker, lane.floor, lane.bits, lane.broken) = (broker, page + 1, 0, false);
+                (*pairs, *last, *floor) = (*pairs + u32::from(count), broker, page + 1);
             }
         });
     }
-    lanes.map(|lane| lane.pairs)
+    lanes.map(|(pairs, ..)| pairs)
+}
+
+/// Transposes a 64 x 64 bit matrix in place (bit `c` of `rows[r]` to bit `r` of
+/// `rows[c]`): each `2w`-square swaps its off-diagonal blocks (Hacker's Delight 7-3).
+// acd-lint: hot
+fn transpose64(rows: &mut [u64; 64]) {
+    for width in [32, 16, 8, 4, 2, 1] {
+        let low = u64::MAX / ((1 << width) + 1);
+        for square in rows.chunks_exact_mut(2 * width) {
+            let (top, bottom) = square.split_at_mut(width);
+            for (a, b) in top.iter_mut().zip(bottom) {
+                let swap = (*a >> width ^ *b) & low;
+                (*a, *b) = (*a ^ swap << width, *b ^ swap);
+            }
+        }
+    }
 }
 
 /// Reads and validates one frame from `reader`, reusing `scratch` as the
@@ -687,6 +699,14 @@ mod tests {
                 epoch: 3,
             },
         ]
+    }
+
+    #[test]
+    fn a_kind_name_is_the_variant_name() {
+        for frame in frames() {
+            let debug = format!("{frame:?}");
+            assert_eq!(Some(frame.kind_name()), debug.split([' ', '{']).next());
+        }
     }
 
     #[test]
@@ -1036,5 +1056,136 @@ mod tests {
             );
         }
         assert_eq!(buf.capacity(), cap, "steady-state encode must not grow");
+    }
+
+    #[test]
+    fn encode_publish_writes_the_bytes_of_encode_frame() {
+        let (mut direct, mut framed) = (Vec::new(), Vec::new());
+        for values in [vec![], vec![1.5], vec![-0.0, f64::MAX, 3.25]] {
+            encode_publish(6, &values, &mut direct);
+            encode_frame(&Frame::Publish { at: 6, values }, &mut framed);
+            assert_eq!(direct, framed);
+        }
+    }
+
+    /// A xorshift stream: the encoder tests' only source of randomness.
+    fn stream(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    #[test]
+    fn transpose64_is_the_naive_bit_loop() {
+        let mut next = stream(0x2545_f491_4f6c_dd1d);
+        let mut matrices = vec![
+            std::array::from_fn(|r| 1u64 << r), // the identity
+            [u64::MAX; 64],                     // all ones
+            std::array::from_fn(|r| u64::from(r == 17) * 0xdead_beef_f00d_cafe), // one row
+            std::array::from_fn(|r| u64::from(r % 3 == 1) << 40), // one column
+        ];
+        matrices.extend((0..20).map(|_| std::array::from_fn(|_| next())));
+        for rows in matrices {
+            let mut naive = [0u64; 64];
+            for (r, row) in rows.iter().enumerate() {
+                for (c, out) in naive.iter_mut().enumerate() {
+                    *out |= (row >> c & 1) << r;
+                }
+            }
+            let mut fast = rows;
+            transpose64(&mut fast);
+            assert_eq!(fast, naive, "{rows:x?}");
+            transpose64(&mut fast);
+            assert_eq!(fast, rows, "a transpose is its own inverse");
+        }
+    }
+
+    /// Random ascending triples for a chunk of `events`: five brokers, page
+    /// 0 and pages above it, each page's clients (a quarter of the pages
+    /// empty) and each client's mask (of the chunk's events only) dense or
+    /// sparse.
+    fn burst(next: &mut impl FnMut() -> u64, events: usize) -> Vec<Triple> {
+        let lanes = u64::MAX >> (64 - events);
+        let mut triples = Vec::new();
+        for broker in [0, 1, 2, 130, usize::MAX] {
+            for page in [0u64, 1, 3, 200, u64::MAX >> 6] {
+                let clients = match next() % 4 {
+                    0 => 0,
+                    1 => next() & next() & next(), // sparse
+                    _ => next() | next(),          // dense
+                };
+                for offset in (0..64).filter(|b| clients >> b & 1 == 1) {
+                    let mask = match next() % 3 {
+                        0 => 1 << (next() % events as u64),
+                        _ => next() | next(),
+                    } & lanes;
+                    if mask != 0 {
+                        triples.push((broker, page << 6 | offset, mask));
+                    }
+                }
+            }
+        }
+        triples
+    }
+
+    #[test]
+    fn put_deliveries_frames_writes_each_events_encode_frame() {
+        let mut next = stream(0x9e37_79b9_7f4a_7c15);
+        let (mut out, mut payloads, mut expected, mut one) = (vec![], vec![], vec![], vec![]);
+        for events in [1, 2, 63, 64] {
+            for _ in 0..20 {
+                let triples = burst(&mut next, events);
+                out.clear();
+                put_deliveries_frames(&mut out, &triples, events, &mut payloads);
+                expected.clear();
+                for event in 0..events {
+                    let pairs = triples
+                        .iter()
+                        .filter(|&&(_, _, mask)| mask >> event & 1 == 1)
+                        .map(|&(broker, client, _)| (broker, client))
+                        .collect();
+                    encode_frame(&Frame::Deliveries { pairs }, &mut one);
+                    expected.extend_from_slice(&one);
+                }
+                assert_eq!(out, expected, "{events} events: {triples:?}");
+            }
+        }
+    }
+
+    /// Runs that break the ascent, as a burst: a page of every event the
+    /// run touches is marked, so its frame does not read back (release
+    /// builds only: debug builds assert the ascent).
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn a_burst_run_that_does_not_ascend_reads_back_as_corrupt() {
+        let unsorted = vec![(0, 1, 0b100), (3, 9, 0b011), (3, 4, 0b001), (5, 0, 0b100)];
+        let duplicated = vec![(0, 1, 0b100), (3, 9, 0b001), (3, 9, 0b010), (5, 0, 0b100)];
+        for triples in [unsorted, duplicated] {
+            let mut out = Vec::new();
+            put_deliveries_frames(&mut out, &triples, 3, &mut Vec::new());
+            let mut reader = out.as_slice();
+            for event in 0..3 {
+                let frame = read_frame(&mut reader, &mut Vec::new());
+                if event < 2 {
+                    let reason = corrupt_reason(frame);
+                    assert!(reason.contains("page count"), "{triples:?}: {reason}");
+                } else {
+                    let pairs = vec![(0, 1), (5, 0)];
+                    assert_eq!(frame.unwrap(), Frame::Deliveries { pairs });
+                }
+            }
+        }
+    }
+
+    /// The same bursts in a debug build: the encoder's assertion fires.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn a_burst_run_that_does_not_ascend_trips_the_debug_assertion() {
+        let triples = [(3, 9, 0b011), (3, 4, 0b001)];
+        put_deliveries_frames(&mut Vec::new(), &triples, 2, &mut Vec::new());
     }
 }
