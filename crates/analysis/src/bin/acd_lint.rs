@@ -14,8 +14,8 @@ use std::process::ExitCode;
 use acd_analysis::{lint_paths, lint_workspace, render_json, Config, Report};
 
 const USAGE: &str = "\
-acd-lint: zero-dependency invariant checker (lock-order, hot-path-alloc,
-panic-hygiene, vendor-discipline)
+acd-lint: zero-dependency invariant checker (hot-path-alloc, panic-hygiene,
+vendor-discipline)
 
 USAGE:
     acd-lint --workspace [OPTIONS]     lint the whole workspace

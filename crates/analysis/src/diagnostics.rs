@@ -27,9 +27,9 @@ impl Diagnostic {
     /// Renders the diagnostic in the rustc-inspired two-line form:
     ///
     /// ```text
-    /// error[lock-order]: acquired `daemon` … while holding `netreg` …
-    ///   --> crates/broker/src/session.rs:123:17
-    ///    |         let ledger = state.ledger.lock();
+    /// error[panic-hygiene]: called `unwrap()` in library code; …
+    ///   --> crates/broker/src/wire.rs:5:23
+    ///    |     let first = input.unwrap();
     /// ```
     pub fn render(&self) -> String {
         let mut out = String::new();

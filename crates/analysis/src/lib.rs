@@ -7,13 +7,13 @@
 //! binary and by in-tree `#[test]`s, so CI and `cargo test` agree on what
 //! "clean" means.
 //!
-//! Lints: `lock-order` (the documented lock hierarchy), `hot-path-alloc`
-//! (no allocations in `// acd-lint: hot` functions), `panic-hygiene`
-//! (no `unwrap`/panicking macros in library code), `vendor-discipline`
-//! (no registry/git dependencies). Suppress a finding with
-//! `// acd-lint: allow(<lint>) <reason>` — the reason is mandatory, and
-//! reason-less or unknown-lint directives are themselves reported under the
-//! reserved `lint-directive` name.
+//! Lints: `hot-path-alloc` (no allocations in `// acd-lint: hot`
+//! functions), `panic-hygiene` (no `unwrap`/panicking macros in library
+//! code), `vendor-discipline` (no registry/git dependencies). The lock
+//! order needs no lint: `acd-broker`'s `lock` module makes it a type.
+//! Suppress a finding with `// acd-lint: allow(<lint>) <reason>` — the
+//! reason is mandatory, and reason-less or unknown-lint directives are
+//! themselves reported under the reserved `lint-directive` name.
 
 pub mod diagnostics;
 pub mod lexer;
@@ -42,17 +42,6 @@ impl Config {
             root: root.into(),
             strict_indexing: false,
         }
-    }
-
-    fn registry(&self) -> Vec<Box<dyn lints::Lint>> {
-        vec![
-            Box::new(lints::lock_order::LockOrder),
-            Box::new(lints::hot_alloc::HotPathAlloc),
-            Box::new(lints::panic_hygiene::PanicHygiene {
-                strict_indexing: self.strict_indexing,
-            }),
-            Box::new(lints::vendor::VendorDiscipline),
-        ]
     }
 }
 
@@ -131,7 +120,7 @@ pub fn lint_paths(config: &Config, paths: &[PathBuf]) -> io::Result<Report> {
 }
 
 fn lint_files(config: &Config, sources: &[PathBuf], manifests: &[PathBuf]) -> io::Result<Report> {
-    let registry = config.registry();
+    let registry = lints::registry(config.strict_indexing);
     let known = lints::known_lints();
     let mut diagnostics = Vec::new();
     let mut suppressed = 0usize;

@@ -4,7 +4,7 @@
 //! and returns diagnostics; the driver ([`crate::lint_workspace`]) applies
 //! inline `allow` suppressions afterwards, so lints themselves stay oblivious
 //! to suppression mechanics. Adding a lint is: implement [`Lint`], append it
-//! in [`default_registry`], document it in the README.
+//! in [`registry`], document it in the README.
 
 use std::path::Path;
 
@@ -12,7 +12,6 @@ use crate::diagnostics::Diagnostic;
 use crate::source::SourceFile;
 
 pub mod hot_alloc;
-pub mod lock_order;
 pub mod panic_hygiene;
 pub mod vendor;
 
@@ -32,20 +31,17 @@ pub trait Lint {
     }
 }
 
-/// The registry `acd-lint --workspace` runs: every invariant the hand-tuned
-/// hot paths and the documented lock hierarchy depend on.
-pub fn default_registry() -> Vec<Box<dyn Lint>> {
+/// Every lint, in the order a lint run applies them; `strict_indexing` also
+/// flags slice/array indexing (`--strict-indexing`).
+pub fn registry(strict_indexing: bool) -> Vec<Box<dyn Lint>> {
     vec![
-        Box::new(lock_order::LockOrder),
         Box::new(hot_alloc::HotPathAlloc),
-        Box::new(panic_hygiene::PanicHygiene {
-            strict_indexing: false,
-        }),
+        Box::new(panic_hygiene::PanicHygiene { strict_indexing }),
         Box::new(vendor::VendorDiscipline),
     ]
 }
 
 /// Names of every registered lint (used to validate `allow(...)` directives).
 pub fn known_lints() -> Vec<&'static str> {
-    default_registry().iter().map(|l| l.name()).collect()
+    registry(false).iter().map(|l| l.name()).collect()
 }

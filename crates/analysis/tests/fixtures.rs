@@ -34,11 +34,6 @@ fn expected(stem: &str) -> String {
 }
 
 #[test]
-fn lock_order_fixture_matches_snapshot() {
-    assert_eq!(rendered("lock_order_bad.rs"), expected("lock_order_bad"));
-}
-
-#[test]
 fn hot_alloc_fixture_matches_snapshot() {
     assert_eq!(rendered("hot_alloc_bad.rs"), expected("hot_alloc_bad"));
 }
@@ -77,7 +72,6 @@ fn run_binary(args: &[&str]) -> (i32, String) {
 #[test]
 fn binary_exits_nonzero_on_every_failing_fixture() {
     for fixture in [
-        "lock_order_bad.rs",
         "hot_alloc_bad.rs",
         "panic_hygiene_bad.rs",
         "vendor_bad.toml",

@@ -1,7 +1,7 @@
 //! Control fixture: violates nothing. Not compiled — linted by
 //! `tests/fixtures.rs`.
 
-/// Ordered acquisition, no allocation markers, no panics.
+/// No allocation markers, no panics.
 pub fn well_behaved(
     ledger: &std::sync::Mutex<Vec<u64>>,
     registered: &std::sync::Mutex<u64>,

@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use acd_broker::{BrokerConfig, Topology};
+use acd_broker::{Broker, BrokerConfig, Topology};
 use acd_covering::CoveringPolicy;
 use acd_workload::{ChurnConfig, ChurnOp, ChurnWorkload, Scenario};
 
@@ -89,7 +89,7 @@ pub fn run(scale: RunScale) -> Vec<Table> {
                 metrics.subscriptions_suppressed as f64 / offered as f64
             };
             let suppressed_entries: usize = (0..brokers)
-                .map(|b| net.broker(b).unwrap().suppressed_entries())
+                .map(|b| net.inspect(b, Broker::suppressed_entries).unwrap())
                 .sum();
             table.add_row(vec![
                 label.to_string(),

@@ -643,10 +643,9 @@ const LOCAL_CAP: usize = 512;
 ///   filed under an in-table one of its client that covers it;
 /// * `links`: one `Link` record per neighbor (`link.rs`) — `routing`, the
 ///   bounds of the subscriptions received from it, used to decide where an
-///   event must be forwarded; `sent` + `sent_ids`, the covering index and id
-///   set of the subscriptions already forwarded to it (a new subscription is
-///   only forwarded if no already-sent one covers it: sender-side
-///   suppression); `held`, the ones held back, each filed under the sent
+///   event must be forwarded; `sent`, the covering index of the
+///   subscriptions already forwarded to it (a new subscription is only
+///   forwarded if no already-sent one covers it: sender-side suppression); `held`, the ones held back, each filed under the sent
 ///   subscription that covers it (its witness), so that retracting a witness
 ///   re-advertises exactly what it masked.
 ///
@@ -866,7 +865,7 @@ impl Broker {
         let broker = self.id;
         for (&neighbor, link) in &self.links {
             link.audit(broker, neighbor, registered, found);
-            let records = link.sent_ids.iter().map(|&id| (id, true));
+            let records = link.sent.ids().map(|id| (id, true));
             for (id, out) in records.chain(link.routing.ids.iter().map(|&id| (id, false))) {
                 if !registered.contains_key(&id) {
                     found.push(Violation::DeadId(broker, neighbor, id));
@@ -984,7 +983,7 @@ impl Broker {
     /// the bitmask of `active` chunk events that match at least one
     /// subscription received from `neighbor`. Slot-outer, an event leaving
     /// the remaining set once a slot claims it, until a block seam finds at
-    /// most [`ROUTE_TAIL`] left: each then takes the serial filter over the
+    /// most `ROUTE_TAIL` left: each then takes the serial filter over the
     /// rest of the table. Allocation-free.
     // acd-lint: hot
     pub fn neighbor_interested_mask(
@@ -1575,8 +1574,8 @@ pub(crate) mod tests {
         b.add_received(1, &wide);
         b.add_received(2, &wide);
         b.add_received(2, &narrow);
-        assert!(b.link_mut(1).offer(&wide).unwrap().forward);
-        assert!(!b.link_mut(1).offer(&narrow).unwrap().forward);
+        assert!(!b.link_mut(1).offer(&wide).unwrap().is_covered());
+        assert!(b.link_mut(1).offer(&narrow).unwrap().is_covered());
         assert_eq!(b.local_subscriptions(), 2);
         assert_eq!(b.routing_table_entries(), 3);
         assert_eq!(b.suppressed_entries(), 1);
@@ -1586,7 +1585,7 @@ pub(crate) mod tests {
         let readvertised = readvertised.expect("wide was sent");
         assert_eq!(readvertised.len(), 1);
         assert_eq!(readvertised[0].0, narrow);
-        assert!(readvertised[0].1.forward);
+        assert!(!readvertised[0].1.is_covered());
         assert_eq!(b.suppressed_entries(), 0);
 
         assert!(b.remove_received(2, 1));

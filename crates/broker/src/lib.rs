@@ -63,6 +63,7 @@ pub mod client;
 mod error;
 pub mod faults;
 mod link;
+pub mod lock;
 pub mod metrics;
 pub mod network;
 mod pool;
@@ -77,7 +78,7 @@ pub use client::{BatchError, BrokerClient};
 pub use error::{BrokerError, ServiceError};
 pub use faults::{FaultPlan, FaultyStream};
 pub use metrics::NetworkMetrics;
-pub use network::{BrokerConfig, BrokerNetwork, BrokerRef, Violation};
+pub use network::{BrokerConfig, BrokerNetwork, Violation};
 pub use resilient::{ClientStats, GaveUp, Resilience, ResilientClient, RetryPolicy};
 pub use service::{BrokerDaemon, DaemonOptions};
 pub use topology::Topology;

@@ -4,9 +4,9 @@
 //! link shares with the broker's local tables.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use acd_covering::{CoveringIndex, CoveringPolicy};
+use acd_covering::{CoveringIndex, CoveringPolicy, QueryOutcome};
 use acd_subscription::{Schema, SubId, Subscription};
 
 use crate::broker::{BrokerId, ClientId, MatchTable};
@@ -109,9 +109,9 @@ impl Held {
 /// each held-back subscription under its *witness*, the sent subscription
 /// the covering query named as its cover.
 ///
-/// Invariant: `held` is over live subscriptions, none of them in
-/// `sent_ids`, and **every witness is in `sent_ids` and covers what it
-/// holds back** on raw bounds ([`Subscription::covers`]), so it matches
+/// Invariant: `held` is over live subscriptions, none of them in `sent`,
+/// and **every witness is in `sent` and covers what it holds back** on raw
+/// bounds ([`Subscription::covers`]), so it matches
 /// every event the held-back one does. Nothing sweeps `held` to keep that
 /// true, because the two ways in and the two ways out already do. A
 /// subscription enters only in [`offer`](Self::offer), at a broker it
@@ -133,14 +133,11 @@ pub(crate) struct Link {
     /// Routing table: the bounds of the subscriptions received from the
     /// neighbor, deciding whether an event is forwarded to it.
     pub(crate) routing: MatchTable,
-    /// Covering index over the subscriptions already sent to the neighbor
-    /// (`None` when the policy disables covering). It holds exactly
-    /// `sent_ids`, so `retract` reports a sent id missing from it as an
-    /// error.
-    sent: Option<Box<dyn CoveringIndex>>,
-    /// Identifiers sent on the link — the authoritative record
-    /// unsubscription follows, and the neighbor's routing entries for it.
-    pub(crate) sent_ids: HashSet<SubId>,
+    /// Covering index over the subscriptions sent to the neighbor — the
+    /// authoritative record unsubscription follows, and the neighbor's
+    /// routing entries for it. Under [`CoveringPolicy::None`] it never
+    /// names a cover.
+    pub(crate) sent: Box<dyn CoveringIndex>,
     /// The subscriptions covering held back, each under the sent one the
     /// index named, so that retracting a witness re-advertises exactly
     /// what it masked.
@@ -154,63 +151,44 @@ impl Link {
         Ok(Link {
             routing: MatchTable::new(schema),
             sent: policy.build_index(schema)?,
-            sent_ids: HashSet::new(),
             held: Held::default(),
         })
     }
 
-    /// Decides whether `subscription` goes out on the link and records the
-    /// verdict: sent (index and id set) or held back behind the witness the
-    /// index named.
-    pub(crate) fn offer(&mut self, subscription: &Subscription) -> Result<ForwardDecision> {
-        let mut decision = ForwardDecision {
-            forward: true,
-            covering_query: false,
-            runs_probed: 0,
-            comparisons: 0,
-        };
-        // No covering detection (`None`): always forward.
-        if let Some(index) = &mut self.sent {
-            let outcome = index.find_covering(subscription)?;
-            decision.covering_query = true;
-            decision.runs_probed = outcome.stats.runs_probed;
-            decision.comparisons = outcome.stats.subscriptions_compared;
-            if let Some(witness) = outcome.covering {
-                decision.forward = false;
-                self.held.hold(witness, subscription.clone());
-                return Ok(decision);
-            }
-            index.insert(subscription)?;
+    /// Asks the sent index for a cover of `subscription` and records the
+    /// answer: held back behind the cover it names, else sent.
+    pub(crate) fn offer(&mut self, subscription: &Subscription) -> Result<QueryOutcome> {
+        let outcome = self.sent.find_covering(subscription)?;
+        match outcome.covering {
+            Some(witness) => self.held.hold(witness, subscription.clone()),
+            None => self.sent.insert(subscription)?,
         }
-        self.sent_ids.insert(subscription.id());
-        Ok(decision)
+        Ok(outcome)
     }
 
     /// Takes `removed` off the link. `Some` when it had been sent: the list
     /// it was the witness of (nothing else: the rest still have theirs),
-    /// each offered again in arrival order, with its decision — empty, with
+    /// each offered again in arrival order, with its answer — empty, with
     /// no covering query and no allocation, in the common case. `None` when
     /// it was never sent, where at most its own held-back entry had to go.
     pub(crate) fn retract(
         &mut self,
         removed: &Subscription,
-    ) -> Result<Option<Vec<(Subscription, ForwardDecision)>>> {
+    ) -> Result<Option<Vec<(Subscription, QueryOutcome)>>> {
         let id = removed.id();
-        if !self.sent_ids.remove(&id) {
+        if !self.sent.contains(id) {
             self.held.release(id);
             return Ok(None);
         }
-        if let Some(index) = &mut self.sent {
-            index.remove(id)?;
-        }
+        self.sent.remove(id)?;
         let masked = self.held.take(id);
-        let mut decisions = Vec::with_capacity(masked.len());
+        let mut offered = Vec::with_capacity(masked.len());
         for candidate in masked {
             debug_assert!(removed.covers(&candidate), "witness must cover");
-            let decision = self.offer(&candidate)?;
-            decisions.push((candidate, decision));
+            let outcome = self.offer(&candidate)?;
+            offered.push((candidate, outcome));
         }
-        Ok(Some(decisions))
+        Ok(Some(offered))
     }
 
     /// The held-back half of [`crate::BrokerNetwork::audit`] on `broker`'s
@@ -230,39 +208,23 @@ impl Link {
             if !registered.contains_key(&id) {
                 found.push(Violation::DeadId(broker, neighbor, id));
             }
-            let cover = self.sent.as_ref().and_then(|index| index.get(witness));
-            found.push(if self.sent_ids.contains(&id) {
-                Violation::SentAndHeld(broker, neighbor, id)
-            } else if !self.sent_ids.contains(&witness) {
-                Violation::UnsentWitness(broker, neighbor, witness, id)
-            } else if !cover.is_some_and(|cover| cover.covers(held)) {
-                Violation::UncoveringWitness(broker, Some(neighbor), witness, id)
-            } else {
-                continue;
+            found.push(match self.sent.get(witness) {
+                _ if self.sent.contains(id) => Violation::SentAndHeld(broker, neighbor, id),
+                None => Violation::UnsentWitness(broker, neighbor, witness, id),
+                Some(cover) if !cover.covers(held) => {
+                    Violation::UncoveringWitness(broker, Some(neighbor), witness, id)
+                }
+                Some(_) => continue,
             });
         }
     }
-}
-
-/// The outcome of a sender-side covering check for one (subscription, link)
-/// pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ForwardDecision {
-    /// Whether the subscription must be sent on the link.
-    pub(crate) forward: bool,
-    /// Whether a covering query was issued (false under
-    /// [`CoveringPolicy::None`]).
-    pub(crate) covering_query: bool,
-    /// Runs probed by the covering query (SFC policies).
-    pub(crate) runs_probed: usize,
-    /// Subscriptions compared by the covering query (linear policy).
-    pub(crate) comparisons: usize,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::broker::tests::{schema, sub};
+    use acd_covering::QueryStats;
 
     #[test]
     fn covering_policy_suppresses_covered_forwards() {
@@ -270,11 +232,11 @@ mod tests {
         let mut link = Link::new(&s, CoveringPolicy::ExactSfc).unwrap();
         let wide = sub(&s, 1, (0.0, 100.0), (0.0, 100.0));
         let narrow = sub(&s, 2, (10.0, 20.0), (10.0, 20.0));
-        let d1 = link.offer(&wide).unwrap();
-        assert!(d1.forward && d1.covering_query);
+        assert!(!link.offer(&wide).unwrap().is_covered());
         let d2 = link.offer(&narrow).unwrap();
-        assert!(!d2.forward, "narrow subscription must be suppressed");
-        assert_eq!(link.sent_ids.len(), 1);
+        assert!(d2.is_covered(), "narrow subscription must be suppressed");
+        assert_eq!(link.sent.len(), 1);
+        assert_eq!(queries(&link), 2);
     }
 
     #[test]
@@ -286,11 +248,11 @@ mod tests {
         let narrow = sub(&s, 2, (10.0, 20.0), (10.0, 20.0));
         for subscription in [&wide, &narrow] {
             let d = link.offer(subscription).unwrap();
-            assert!(d.forward);
-            assert!(!d.covering_query);
+            assert!(!d.is_covered());
+            assert_eq!(d.stats, QueryStats::default());
         }
-        assert_eq!(link.sent_ids.len(), 2);
-        assert_eq!(unused.sent_ids.len(), 0);
+        assert_eq!((link.sent.len(), unused.sent.len()), (2, 0));
+        assert_eq!(queries(&link), 0);
         // Nothing is ever held back, so a retraction has nothing to offer
         // again and neither map is ever populated.
         assert_eq!(link.retract(&wide).unwrap(), Some(vec![]));
@@ -309,7 +271,7 @@ mod tests {
 
     /// Covering queries `link` has asked its sent index.
     fn queries(link: &Link) -> u64 {
-        link.sent.as_ref().unwrap().stats().queries
+        link.sent.stats().queries
     }
 
     #[test]
@@ -324,9 +286,9 @@ mod tests {
         let narrow = sub(&s, 3, (30.0, 40.0), (30.0, 40.0));
         for policy in [CoveringPolicy::ExactSfc, CoveringPolicy::ExactLinear] {
             let mut link = Link::new(&s, policy).unwrap();
-            assert!(link.offer(&wide[0]).unwrap().forward);
-            assert!(link.offer(&wide[1]).unwrap().forward);
-            assert!(!link.offer(&narrow).unwrap().forward);
+            assert!(!link.offer(&wide[0]).unwrap().is_covered());
+            assert!(!link.offer(&wide[1]).unwrap().is_covered());
+            assert!(link.offer(&narrow).unwrap().is_covered());
             let [(3, witness)] = held_back(&link)[..] else {
                 panic!("narrow is held back once: {:?}", held_back(&link));
             };
@@ -345,7 +307,7 @@ mod tests {
 
             // With the other cover back, the witness goes: narrow is offered
             // again and ends held back behind the survivor.
-            assert!(link.offer(other).unwrap().forward);
+            assert!(!link.offer(other).unwrap().is_covered());
             let asked = queries(&link);
             let offered = link
                 .retract(witness)
@@ -354,14 +316,14 @@ mod tests {
             assert_eq!(queries(&link), asked + 1);
             assert_eq!(offered.len(), 1);
             assert_eq!(offered[0].0, narrow);
-            assert!(!offered[0].1.forward && offered[0].1.covering_query);
+            assert!(offered[0].1.is_covered());
             assert_eq!(held_back(&link), [(3, other.id())]);
 
             // The survivor goes too: narrow goes out.
             let offered = link.retract(other).unwrap().expect("the survivor was sent");
             assert_eq!(offered.len(), 1);
-            assert!(offered[0].1.forward);
-            assert_eq!(link.sent_ids, HashSet::from([3]));
+            assert!(!offered[0].1.is_covered());
+            assert_eq!(link.sent.ids().collect::<Vec<_>>(), [3]);
             assert!(held_back(&link).is_empty());
         }
     }
@@ -373,15 +335,17 @@ mod tests {
         let wide = sub(&s, 1, (0.0, 100.0), (0.0, 100.0));
         let middle = sub(&s, 2, (10.0, 60.0), (10.0, 60.0));
         let narrow = sub(&s, 3, (20.0, 30.0), (20.0, 30.0));
-        assert!(link.offer(&wide).unwrap().forward);
-        assert!(!link.offer(&middle).unwrap().forward);
-        assert!(!link.offer(&narrow).unwrap().forward);
+        assert!(!link.offer(&wide).unwrap().is_covered());
+        assert!(link.offer(&middle).unwrap().is_covered());
+        assert!(link.offer(&narrow).unwrap().is_covered());
         assert_eq!(held_back(&link), [(2, 1), (3, 1)]);
         // `middle` arrived first, so it goes out first and `narrow` ends
         // behind it; the other order would send both.
         let offered = link.retract(&wide).unwrap().expect("wide was sent");
-        let verdicts: Vec<(SubId, bool)> =
-            offered.iter().map(|(s, d)| (s.id(), d.forward)).collect();
+        let verdicts: Vec<(SubId, bool)> = offered
+            .iter()
+            .map(|(s, d)| (s.id(), !d.is_covered()))
+            .collect();
         assert_eq!(verdicts, [(2, true), (3, false)]);
         assert_eq!(held_back(&link), [(3, 2)]);
     }
@@ -400,7 +364,7 @@ mod tests {
         assert_eq!(apart[0].grid_bounds(), apart[1].grid_bounds());
         assert!(!apart[0].covers(&apart[1]) && !apart[1].covers(&apart[0]));
         for twin in &apart {
-            assert!(link.offer(twin).unwrap().forward);
+            assert!(!link.offer(twin).unwrap().is_covered());
         }
         assert!(held_back(&link).is_empty());
         assert_eq!(link.retract(&apart[0]).unwrap(), Some(vec![]));
@@ -412,20 +376,20 @@ mod tests {
         let outer = sub(&s, 1, (10.0, 20.1), (10.0, 20.1));
         let inner = sub(&s, 2, (10.1, 20.0), (10.1, 20.0));
         assert_eq!(outer.grid_bounds(), inner.grid_bounds());
-        assert!(link.offer(&outer).unwrap().forward);
-        assert!(!link.offer(&inner).unwrap().forward);
+        assert!(!link.offer(&outer).unwrap().is_covered());
+        assert!(link.offer(&inner).unwrap().is_covered());
         assert_eq!(held_back(&link), [(2, 1)]);
         let offered = link.retract(&outer).unwrap().expect("was sent");
         assert_eq!(offered.len(), 1);
-        assert!(offered[0].0 == inner && offered[0].1.forward);
-        assert!(link.offer(&outer).unwrap().forward);
+        assert!(offered[0].0 == inner && !offered[0].1.is_covered());
+        assert!(!link.offer(&outer).unwrap().is_covered());
         assert!(held_back(&link).is_empty());
 
         // Equal raw bounds: each covers the other, so they hand over.
         let mut link = Link::new(&s, CoveringPolicy::ExactSfc).unwrap();
         let twins = [outer.clone(), outer.with_id(2)];
-        assert!(link.offer(&twins[0]).unwrap().forward);
-        assert!(!link.offer(&twins[1]).unwrap().forward);
+        assert!(!link.offer(&twins[0]).unwrap().is_covered());
+        assert!(link.offer(&twins[1]).unwrap().is_covered());
         assert_eq!(held_back(&link), [(2, 1)]);
         // Each retraction sends the held-back twin; re-registering the
         // retracted one files it behind the twin that took over.
@@ -433,9 +397,9 @@ mod tests {
             let offered = link.retract(&twins[gone]).unwrap().expect("was sent");
             assert_eq!(offered.len(), 1);
             assert_eq!(offered[0].0, twins[stays]);
-            assert!(offered[0].1.forward);
+            assert!(!offered[0].1.is_covered());
             assert!(held_back(&link).is_empty());
-            assert!(!link.offer(&twins[gone]).unwrap().forward);
+            assert!(link.offer(&twins[gone]).unwrap().is_covered());
             assert_eq!(held_back(&link), [(twins[gone].id(), twins[stays].id())]);
         }
     }
@@ -447,29 +411,31 @@ mod tests {
         let wide = sub(&s, 1, (0.0, 50.0), (0.0, 100.0));
         let inside = sub(&s, 2, (10.0, 20.0), (10.0, 20.0));
         let outside = sub(&s, 2, (60.0, 70.0), (10.0, 20.0));
-        assert!(link.offer(&wide).unwrap().forward);
+        assert!(!link.offer(&wide).unwrap().is_covered());
         for _ in 0..2 {
             // Held back, unsubscribed: its entry leaves both maps, and the
             // emptied list leaves `lists`.
-            assert!(!link.offer(&inside).unwrap().forward);
+            assert!(link.offer(&inside).unwrap().is_covered());
             assert_eq!(held_back(&link), [(2, 1)]);
             assert_eq!(link.retract(&inside).unwrap(), None);
             assert!(held_back(&link).is_empty());
             // The same id again, where nothing covers it: sent, so the
             // witness has nothing of it to offer when it goes.
-            assert!(link.offer(&outside).unwrap().forward);
+            assert!(!link.offer(&outside).unwrap().is_covered());
             assert!(held_back(&link).is_empty());
             assert_eq!(link.retract(&wide).unwrap(), Some(vec![]));
             assert_eq!(link.retract(&outside).unwrap(), Some(vec![]));
-            assert!(link.offer(&wide).unwrap().forward);
+            assert!(!link.offer(&wide).unwrap().is_covered());
         }
         // Held back, then sent by its witness's retraction, then gone: the
         // id comes back clean as well.
-        assert!(!link.offer(&inside).unwrap().forward);
-        assert!(link.retract(&wide).unwrap().expect("sent")[0].1.forward);
+        assert!(link.offer(&inside).unwrap().is_covered());
+        assert!(!link.retract(&wide).unwrap().expect("sent")[0]
+            .1
+            .is_covered());
         assert_eq!(link.retract(&inside).unwrap(), Some(vec![]));
-        assert!(link.offer(&inside).unwrap().forward);
+        assert!(!link.offer(&inside).unwrap().is_covered());
         assert!(held_back(&link).is_empty());
-        assert_eq!(link.sent_ids, HashSet::from([2]));
+        assert_eq!(link.sent.ids().collect::<Vec<_>>(), [2]);
     }
 }

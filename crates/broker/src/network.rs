@@ -4,19 +4,23 @@
 //! [`BrokerNetwork`] is a service layer: [`subscribe`], [`unsubscribe`] and
 //! [`publish`] take `&self` and are callable from many threads at once (the
 //! TCP daemon in [`crate::service`] drives one network from a whole worker
-//! team). Concurrency control is two lock classes registered in
-//! `LOCKING.md` and the `acd-lint` rank table:
+//! team). Concurrency control is the last two levels of the lock chain in
+//! [`crate::lock`] (`LOCKING.md`):
 //!
-//! * the network-wide registration map sits behind an [`OrderedMutex`]
-//!   (class `netreg`, rank 4), and it is the **writer lock**: a subscribe,
-//!   an unsubscribe and an [`audit`] hold it from start to end, so the
-//!   overlay has one writer and its walks never interleave;
-//! * every broker sits behind its own [`OrderedRwLock`] (class `broker`,
-//!   rank 5). The overlay holds **at most one broker lock at a time**: a
-//!   subscribe or unsubscribe is a `Walk` that takes one broker lock per
-//!   step — the routing entry of what arrived there, then every outgoing
-//!   link's decision (`Link::offer` / `Link::retract`, `link.rs`) — and a
-//!   publish, which takes no registry lock, reads one broker at a time.
+//! * the network-wide registration map is the [`Netreg`](lock::Netreg)
+//!   mutex, and it is the **writer lock**: a subscribe, an unsubscribe and
+//!   an [`audit`] hold it from start to end, so the overlay has one writer
+//!   and its walks never interleave;
+//! * every broker sits behind its own [`Broker`](lock::Broker)-level lock.
+//!   A broker guard borrows the one token of the level below, so the
+//!   overlay holds **at most one broker lock at a time**: a subscribe or
+//!   unsubscribe is a `Walk` that takes one broker lock per step — the
+//!   routing entry of what arrived there, then every outgoing link's
+//!   decision (`Link::offer` / `Link::retract`, `link.rs`) — and a publish,
+//!   which takes no registry lock, reads one broker at a time.
+//!
+//! Each public method mints the chain's [`Root`] and calls a crate-private
+//! form that takes a token; the daemon calls those forms under its own lock.
 //!
 //! Counters are plain relaxed atomics (see [`crate::metrics`]).
 //!
@@ -33,17 +37,18 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::ops::{Deref, Range};
+use std::ops::Range;
 use std::rc::Rc;
 use std::slice;
 
-use acd_covering::ordered::{OrderedMutexGuard, OrderedReadGuard, RANK_BROKER, RANK_NET_REGISTRY};
-use acd_covering::{CoveringPolicy, OrderedMutex, OrderedRwLock};
+use std::sync::MutexGuard;
+
+use acd_covering::{CoveringPolicy, QueryOutcome};
 use acd_subscription::{Event, Schema, SubId, Subscription};
 
 use crate::broker::{Broker, BrokerId, ClientId, EventCells, EventChunk};
 use crate::error::BrokerError;
-use crate::link::ForwardDecision;
+use crate::lock::{self, Before, Locked, Mutex, Root, RwLock};
 use crate::metrics::{MetricCounters, NetworkMetrics};
 use crate::topology::Topology;
 use crate::Result;
@@ -103,14 +108,14 @@ impl BrokerConfig {
         let mut brokers = Vec::with_capacity(self.topology.brokers());
         for id in 0..self.topology.brokers() {
             let broker = Broker::new(id, self.topology.neighbors(id), &self.schema, self.policy)?;
-            brokers.push(OrderedRwLock::new(RANK_BROKER, "broker", broker));
+            brokers.push(RwLock::new(broker));
         }
         Ok(BrokerNetwork {
             topology: self.topology,
             schema: self.schema,
             policy: self.policy,
             brokers,
-            registered: OrderedMutex::new(RANK_NET_REGISTRY, "netreg", HashMap::new()),
+            registered: Mutex::new(HashMap::new()),
             counters: MetricCounters::default(),
         })
     }
@@ -147,29 +152,12 @@ pub struct BrokerNetwork {
     topology: Topology,
     schema: Schema,
     policy: CoveringPolicy,
-    /// Per-broker routing and covering state; lock class `broker` (rank 5),
-    /// at most one held at a time.
-    brokers: Vec<OrderedRwLock<Broker>>,
+    /// Per-broker routing and covering state, at most one held at a time.
+    brokers: Vec<RwLock<Broker, lock::Broker>>,
     /// Live subscription id → owning client, the key its home broker finds
-    /// its local slot by; lock class `netreg` (rank 4), held by a walk from
-    /// start to end: the writer lock.
-    registered: OrderedMutex<Registry>,
+    /// its local slot by; held by a walk from start to end: the writer lock.
+    registered: Mutex<Registry, lock::Netreg>,
     counters: MetricCounters,
-}
-
-/// A read guard over one broker, for inspection in tests and experiments;
-/// dereferences to [`Broker`].
-#[derive(Debug)]
-pub struct BrokerRef<'a> {
-    guard: OrderedReadGuard<'a, Broker>,
-}
-
-impl Deref for BrokerRef<'_> {
-    type Target = Broker;
-
-    fn deref(&self) -> &Broker {
-        &self.guard
-    }
 }
 
 /// One breach of the overlay's invariants, as [`BrokerNetwork::audit`]
@@ -225,9 +213,9 @@ impl BrokerNetwork {
     /// locking one broker at a time).
     pub fn metrics(&self) -> NetworkMetrics {
         let mut metrics = self.counters.snapshot();
-        let mut entries = 0u64;
+        let (mut entries, mut root) = (0u64, Root::mint());
         for cell in &self.brokers {
-            entries += cell.read().routing_table_entries() as u64;
+            entries += cell.read(root.token()).routing_table_entries() as u64;
         }
         metrics.routing_table_entries = entries;
         metrics
@@ -240,18 +228,16 @@ impl BrokerNetwork {
         &self.counters
     }
 
-    /// Read access to an individual broker (for inspection in tests and
-    /// experiments). The returned guard holds the broker's read lock — drop
-    /// it before calling back into the network.
+    /// Runs `inspect` on broker `id` under its read lock, for tests and
+    /// experiments. `inspect` must not call back into the network: a debug
+    /// build panics if it does, and a release build may deadlock.
     ///
     /// # Errors
     ///
     /// Returns an error if `id` is out of range.
-    pub fn broker(&self, id: BrokerId) -> Result<BrokerRef<'_>> {
+    pub fn inspect<R>(&self, id: BrokerId, inspect: impl FnOnce(&Broker) -> R) -> Result<R> {
         self.topology.check_broker(id)?;
-        Ok(BrokerRef {
-            guard: self.cell(id).read(),
-        })
+        Ok(inspect(&self.cell(id).read(Root::mint().token())))
     }
 
     /// The lock cell of broker `id`.
@@ -259,7 +245,7 @@ impl BrokerNetwork {
     /// Every caller passes an id that was validated at the public boundary
     /// (`check_broker`) or produced by the topology's adjacency lists, which
     /// only hold in-range ids — a miss here is a bug, not bad input.
-    fn cell(&self, id: BrokerId) -> &OrderedRwLock<Broker> {
+    fn cell(&self, id: BrokerId) -> &RwLock<Broker, lock::Broker> {
         self.brokers
             .get(id)
             .expect("broker ids are validated before they reach the overlay walk")
@@ -281,21 +267,32 @@ impl BrokerNetwork {
         client: ClientId,
         subscription: &Subscription,
     ) -> Result<()> {
-        let mut walk = self.subscription(at, client, subscription)?;
-        while walk.step(self)? {}
-        Ok(())
+        self.subscribe_under(Root::mint().token(), at, client, subscription)
+    }
+
+    /// [`subscribe`](Self::subscribe) with `token`.
+    pub(crate) fn subscribe_under<P: Before<lock::Netreg>>(
+        &self,
+        token: &mut Locked<'_, P>,
+        at: BrokerId,
+        client: ClientId,
+        subscription: &Subscription,
+    ) -> Result<()> {
+        self.subscription(token, at, client, subscription)?
+            .run(self)
     }
 
     /// [`subscribe`](Self::subscribe) up to its overlay walk: registers
     /// `subscription` for `client` and adds it to broker `at`'s local
     /// tables, returning the walk that offers it on the links, not yet
     /// stepped, with the writer lock.
-    pub(crate) fn subscription(
-        &self,
+    pub(crate) fn subscription<'a, P: Before<lock::Netreg>>(
+        &'a self,
+        token: &'a mut Locked<'_, P>,
         at: BrokerId,
         client: ClientId,
         subscription: &Subscription,
-    ) -> Result<Walk<'_>> {
+    ) -> Result<Walk<'a>> {
         self.topology.check_broker(at)?;
         if subscription.schema() != &self.schema {
             return Err(BrokerError::Subscription(
@@ -303,34 +300,35 @@ impl BrokerNetwork {
             ));
         }
         let id = subscription.id();
-        let mut registered = self.registered.lock();
+        let (mut registered, mut token) = self.registered.lock(token);
         match registered.entry(id) {
             Entry::Occupied(_) => return Err(BrokerError::DuplicateSubscription { id }),
             Entry::Vacant(slot) => slot.insert(client),
         };
         MetricCounters::bump(&self.counters.subscriptions_registered);
         self.cell(at)
-            .write()
+            .write(&mut token)
             .add_local(client, subscription.clone());
         let job = Job::Offer(Rc::new(subscription.clone()));
-        Ok(Walk::new(registered, at, job))
+        Ok(Walk::new(registered, token, at, job))
     }
 
-    /// Folds one link's decision into the counters, returning whether the
-    /// subscription goes out on the link.
-    fn fold(&self, decision: ForwardDecision) -> bool {
-        let counters = &self.counters;
-        if decision.covering_query {
+    /// Folds one link's answer to an offer into the counters, returning
+    /// whether the subscription goes out on the link.
+    fn fold(&self, outcome: &QueryOutcome) -> bool {
+        let (counters, stats) = (&self.counters, &outcome.stats);
+        if self.policy.detects_covering() {
             MetricCounters::bump(&counters.covering_queries);
-            MetricCounters::add(&counters.covering_runs_probed, decision.runs_probed as u64);
-            MetricCounters::add(&counters.covering_comparisons, decision.comparisons as u64);
+            MetricCounters::add(&counters.covering_runs_probed, stats.runs_probed as u64);
+            let compared = stats.subscriptions_compared as u64;
+            MetricCounters::add(&counters.covering_comparisons, compared);
         }
-        MetricCounters::bump(if decision.forward {
-            &counters.subscription_messages
-        } else {
+        MetricCounters::bump(if outcome.is_covered() {
             &counters.subscriptions_suppressed
+        } else {
+            &counters.subscription_messages
         });
-        decision.forward
+        !outcome.is_covered()
     }
 
     /// Unregisters subscription `id` (which must have been registered by a
@@ -348,22 +346,35 @@ impl BrokerNetwork {
     /// Returns an error if the broker does not exist or the subscription is
     /// not registered at it.
     pub fn unsubscribe(&self, at: BrokerId, id: SubId) -> Result<()> {
-        let mut walk = self.retraction(at, id)?;
-        while walk.step(self)? {}
-        Ok(())
+        self.unsubscribe_under(Root::mint().token(), at, id)
+    }
+
+    /// [`unsubscribe`](Self::unsubscribe) with `token`.
+    pub(crate) fn unsubscribe_under<P: Before<lock::Netreg>>(
+        &self,
+        token: &mut Locked<'_, P>,
+        at: BrokerId,
+        id: SubId,
+    ) -> Result<()> {
+        self.retraction(token, at, id)?.run(self)
     }
 
     /// [`unsubscribe`](Self::unsubscribe) up to its overlay walk: unregisters
     /// `id` and takes it out of broker `at`'s local tables, returning the
     /// walk that retracts it from the links, not yet stepped, with the
     /// writer lock.
-    pub(crate) fn retraction(&self, at: BrokerId, id: SubId) -> Result<Walk<'_>> {
+    pub(crate) fn retraction<'a, P: Before<lock::Netreg>>(
+        &'a self,
+        token: &'a mut Locked<'_, P>,
+        at: BrokerId,
+        id: SubId,
+    ) -> Result<Walk<'a>> {
         self.topology.check_broker(at)?;
-        let mut registered = self.registered.lock();
+        let (mut registered, mut token) = self.registered.lock(token);
         let Some(&client) = registered.get(&id) else {
             return Err(BrokerError::UnknownSubscription { id });
         };
-        let Some(subscription) = self.cell(at).write().remove_local(client, id) else {
+        let Some(subscription) = self.cell(at).write(&mut token).remove_local(client, id) else {
             // Registered at another broker: the same error, and the
             // registration stays intact.
             return Err(BrokerError::UnknownSubscription { id });
@@ -371,7 +382,7 @@ impl BrokerNetwork {
         registered.remove(&id);
         MetricCounters::bump(&self.counters.unsubscriptions);
         let job = Job::Retract(Rc::new(subscription));
-        Ok(Walk::new(registered, at, job))
+        Ok(Walk::new(registered, token, at, job))
     }
 
     /// Every breach of the overlay's invariants, in no order: none when it
@@ -385,11 +396,12 @@ impl BrokerNetwork {
     /// Holds the writer lock throughout, reading one broker at a time
     /// (`LOCKING.md`), so no walk is in flight while it runs.
     pub fn audit(&self) -> Vec<Violation> {
-        let registered = self.registered.lock();
+        let mut root = Root::mint();
+        let (registered, mut token) = self.registered.lock(root.token());
         let mut unplaced: HashSet<SubId> = registered.keys().copied().collect();
         let (mut found, mut sent, mut routed) = (Vec::new(), HashSet::new(), HashSet::new());
         for (broker, cell) in self.brokers.iter().enumerate() {
-            let guard = cell.read();
+            let guard = cell.read(&mut token);
             for id in guard.audit(&registered, &mut found, &mut sent, &mut routed) {
                 if !unplaced.remove(&id) && registered.contains_key(&id) {
                     found.push(Violation::Misplaced(Some(broker), id));
@@ -452,18 +464,25 @@ impl BrokerNetwork {
         events: &[Event],
     ) -> Result<Vec<Vec<(BrokerId, ClientId)>>> {
         let mut lists: Vec<Vec<(BrokerId, ClientId)>> = Vec::with_capacity(events.len());
-        self.publish_chunks(at, events, &mut Vec::new(), |triples, chunk| {
-            let first = lists.len();
-            lists.resize_with(first + chunk, Vec::new);
-            for &(broker, client, mask) in triples {
-                for_each_bit(mask, |i| {
-                    lists
-                        .get_mut(first + i)
-                        .into_iter()
-                        .for_each(|list| list.push((broker, client)))
-                });
-            }
-        })?;
+        let mut root = Root::mint();
+        self.publish_chunks(
+            root.token(),
+            at,
+            events,
+            &mut Vec::new(),
+            |triples, chunk| {
+                let first = lists.len();
+                lists.resize_with(first + chunk, Vec::new);
+                for &(broker, client, mask) in triples {
+                    for_each_bit(mask, |i| {
+                        lists
+                            .get_mut(first + i)
+                            .into_iter()
+                            .for_each(|list| list.push((broker, client)))
+                    });
+                }
+            },
+        )?;
         Ok(lists)
     }
 
@@ -472,8 +491,9 @@ impl BrokerNetwork {
     /// counts the events, and hands `answer` each chunk's matches, in input
     /// order, with the chunk's length. `triples` is reused scratch.
     // acd-lint: hot
-    pub(crate) fn publish_chunks(
+    pub(crate) fn publish_chunks<P: Before<lock::Broker>>(
         &self,
+        token: &mut Locked<'_, P>,
         at: BrokerId,
         events: &[Event],
         triples: &mut Vec<Triple>,
@@ -487,6 +507,7 @@ impl BrokerNetwork {
                 triples.clear();
                 let chunk = EventChunk::new(&self.schema, events);
                 self.walk(
+                    token,
                     at,
                     chunk.valid(),
                     triples,
@@ -509,6 +530,7 @@ impl BrokerNetwork {
                 // domain) matches nothing anywhere.
                 if let Some(cells) = EventCells::new(&self.schema, event) {
                     self.walk(
+                        token,
                         at,
                         1,
                         triples,
@@ -532,8 +554,9 @@ impl BrokerNetwork {
     /// the events `interested` says the neighbor wants. Advances
     /// `event_messages` per (event, link) crossing and `deliveries` per pair.
     // acd-lint: hot
-    fn walk(
+    fn walk<P: Before<lock::Broker>>(
         &self,
+        token: &mut Locked<'_, P>,
         at: BrokerId,
         valid: u64,
         matched: &mut Vec<Triple>,
@@ -544,7 +567,7 @@ impl BrokerNetwork {
         let mut queue: VecDeque<(BrokerId, Option<BrokerId>, u64)> = VecDeque::new();
         queue.push_back((at, None, valid));
         while let Some((broker_id, from, active)) = queue.pop_front() {
-            let broker = self.cell(broker_id).read();
+            let broker = self.cell(broker_id).read(token);
             let start = matched.len();
             matching(&broker, broker_id, active, matched);
             shares.record(broker_id, start..matched.len());
@@ -583,10 +606,13 @@ type Registry = HashMap<SubId, ClientId>;
 /// takes to never go back). First in, first out, so each broker runs its
 /// jobs in the order they were decided — a re-advertised candidate's offer
 /// before the retraction that freed it. A walk owns the registry guard, the
-/// writer lock, until it is dropped: no two walks exist at once.
+/// writer lock, until it is dropped: no two walks exist at once. It owns
+/// the registry's token too: each step, and a publish between steps, takes
+/// its broker locks with it.
 #[derive(Debug)]
 pub(crate) struct Walk<'a> {
-    _writer: OrderedMutexGuard<'a, Registry>,
+    _writer: MutexGuard<'a, Registry>,
+    token: Locked<'a, lock::Netreg>,
     queue: VecDeque<(BrokerId, Option<BrokerId>, Job)>,
 }
 
@@ -600,9 +626,24 @@ enum Job {
 }
 
 impl<'a> Walk<'a> {
-    fn new(_writer: OrderedMutexGuard<'a, Registry>, at: BrokerId, job: Job) -> Walk<'a> {
+    fn new(
+        _writer: MutexGuard<'a, Registry>,
+        token: Locked<'a, lock::Netreg>,
+        at: BrokerId,
+        job: Job,
+    ) -> Walk<'a> {
         let queue = VecDeque::from([(at, None, job)]);
-        Walk { _writer, queue }
+        Walk {
+            _writer,
+            token,
+            queue,
+        }
+    }
+
+    /// Steps the walk to its end.
+    fn run(mut self, net: &BrokerNetwork) -> Result<()> {
+        while self.step(net)? {}
+        Ok(())
     }
 
     /// Runs the next arrival under its broker's write lock: the
@@ -613,7 +654,7 @@ impl<'a> Walk<'a> {
         let Some((at, from, job)) = self.queue.pop_front() else {
             return Ok(false);
         };
-        let mut broker = net.cell(at).write();
+        let mut broker = net.cell(at).write(&mut self.token);
         let onward = net
             .topology
             .neighbors(at)
@@ -625,7 +666,7 @@ impl<'a> Walk<'a> {
                     broker.add_received(from, &subscription);
                 }
                 for &neighbor in onward {
-                    if net.fold(broker.link_mut(neighbor).offer(&subscription)?) {
+                    if net.fold(&broker.link_mut(neighbor).offer(&subscription)?) {
                         let job = Job::Offer(Rc::clone(&subscription));
                         self.queue.push_back((neighbor, Some(at), job));
                     }
@@ -642,8 +683,8 @@ impl<'a> Walk<'a> {
                         continue;
                     };
                     MetricCounters::bump(&net.counters.unsubscription_messages);
-                    for (candidate, decision) in offered {
-                        if net.fold(decision) {
+                    for (candidate, outcome) in offered {
+                        if net.fold(&outcome) {
                             let job = Job::Offer(Rc::new(candidate));
                             self.queue.push_back((neighbor, Some(at), job));
                         }
@@ -847,11 +888,12 @@ mod tests {
         assert_eq!(net.metrics().subscription_messages, 4);
         assert_eq!(net.metrics().routing_table_entries, 4);
         // Each non-origin broker holds exactly one routing entry.
+        let entries = |id| net.inspect(id, Broker::routing_table_entries).unwrap();
         for id in [0usize, 1, 3, 4] {
-            assert_eq!(net.broker(id).unwrap().routing_table_entries(), 1);
+            assert_eq!(entries(id), 1);
         }
-        assert_eq!(net.broker(2).unwrap().routing_table_entries(), 0);
-        assert_eq!(net.broker(2).unwrap().local_subscriptions(), 1);
+        assert_eq!(entries(2), 0);
+        assert_eq!(net.inspect(2, Broker::local_subscriptions).unwrap(), 1);
     }
 
     #[test]
@@ -953,7 +995,7 @@ mod tests {
                 .collect();
             next_id += 4;
             assert_eq!(net.audit(), [], "round {round}");
-            assert!(net.broker(0).unwrap().suppressed_entries() > 0);
+            assert!(net.inspect(0, Broker::suppressed_entries).unwrap() > 0);
 
             // Retire the round in cover-first order, which exercises the
             // re-advertise + re-suppress chain every time.
@@ -1177,7 +1219,7 @@ mod tests {
             net.subscribe(at, client, &subscription).unwrap();
             live.push((at, client, subscription));
         }
-        assert!(net.broker(5).unwrap().local_table_slots().len() > 1);
+        assert!(net.inspect(5, |b| b.local_table_slots().len()).unwrap() > 1);
         let events: Vec<Event> = (0..EventChunk::WIDTH)
             .map(|i| Event::new(&s, vec![(i * 13 % 100) as f64, (i * 29 % 100) as f64]).unwrap())
             .collect();
@@ -1226,7 +1268,9 @@ mod tests {
         let mut triples = Vec::new();
         let walk = |at, triples: &mut Vec<Triple>| {
             let mut pairs = 0;
-            net.publish_chunks(at, slice::from_ref(&event), triples, |t, _| pairs = t.len())
+            let event = slice::from_ref(&event);
+            let mut root = Root::mint();
+            net.publish_chunks(root.token(), at, event, triples, |t, _| pairs = t.len())
                 .unwrap();
             assert_eq!(pairs, 7, "from {at}");
             assert!(triples.is_sorted(), "from {at}: {triples:?}");
@@ -1295,18 +1339,35 @@ mod tests {
                     "retract" => [&live[..i], &live[i + 1..]].concat(),
                     _ => [&live, slice::from_ref(&copy)].concat(),
                 };
+                let mut root = Root::mint();
                 let mut walk = match verb {
-                    "retract" => net.retraction(*at, square.id()).unwrap(),
-                    _ => net.subscription(copy.0, copy.1, &copy.2).unwrap(),
+                    "retract" => net.retraction(root.token(), *at, square.id()).unwrap(),
+                    _ => net
+                        .subscription(root.token(), copy.0, copy.1, &copy.2)
+                        .unwrap(),
                 };
                 let both: Vec<&Home> = live.iter().filter(|h| after.contains(h)).collect();
                 let either: Vec<&Home> = live.iter().chain(&after).collect();
                 let trial = format!("{name}, {verb} {}", square.id());
                 for step in 0.. {
+                    // Each event's deliveries, through the walk's own token (a
+                    // root would be a second) on the daemon's path.
+                    let mut publish = |at, events: &[Event]| {
+                        let (mut lists, mut first) = (vec![Vec::new(); events.len()], 0);
+                        let token = &mut walk.token;
+                        net.publish_chunks(token, at, events, &mut Vec::new(), |triples, chunk| {
+                            for &(broker, client, mask) in triples {
+                                for_each_bit(mask, |i| lists[first + i].push((broker, client)));
+                            }
+                            first += chunk;
+                        })
+                        .unwrap();
+                        lists
+                    };
                     for at in 0..n {
-                        let batched = net.publish_batch(at, &events).unwrap();
+                        let batched = publish(at, &events);
                         for (event, batched) in events.iter().zip(batched) {
-                            let serial = net.publish(at, event).unwrap();
+                            let serial = publish(at, slice::from_ref(event)).remove(0);
                             let (lower, upper) = (matched(&both, event), matched(&either, event));
                             let inside = |got: &Vec<_>| {
                                 lower.iter().all(|p| got.contains(p))
@@ -1324,6 +1385,7 @@ mod tests {
                     }
                 }
                 drop(walk);
+                drop(root);
                 assert_eq!(net.audit(), [], "{trial}");
             }
         }
@@ -1360,31 +1422,55 @@ mod tests {
         type Plant<'a> = &'a dyn Fn(&BrokerNetwork);
         let cases: [(Violation, Plant); 9] = [
             (Violation::Unmirrored(0, Some(1), 2), &|net| {
-                net.cell(0).write().link_mut(1).held.witness_of.remove(&2);
+                net.cell(0)
+                    .write(Root::mint().token())
+                    .link_mut(1)
+                    .held
+                    .witness_of
+                    .remove(&2);
             }),
             (Violation::UncoveringWitness(0, Some(1), 4, 2), &|net| {
-                refile(&mut net.cell(0).write().link_mut(1).held, 4);
+                refile(
+                    &mut net.cell(0).write(Root::mint().token()).link_mut(1).held,
+                    4,
+                );
             }),
             (Violation::UnsentWitness(1, 0, 1, 2), &|net| {
-                net.cell(1).write().link_mut(0).held.hold(1, narrow.clone());
+                net.cell(1)
+                    .write(Root::mint().token())
+                    .link_mut(0)
+                    .held
+                    .hold(1, narrow.clone());
             }),
             (Violation::SentAndHeld(0, 1, 3), &|net| {
-                net.cell(0).write().link_mut(1).held.hold(1, mid.clone());
+                net.cell(0)
+                    .write(Root::mint().token())
+                    .link_mut(1)
+                    .held
+                    .hold(1, mid.clone());
             }),
             (Violation::DeadId(0, 1, 9), &|net| {
-                net.cell(0).write().link_mut(1).held.hold(1, ghost.clone());
+                net.cell(0)
+                    .write(Root::mint().token())
+                    .link_mut(1)
+                    .held
+                    .hold(1, ghost.clone());
             }),
             (Violation::OneSidedRoute(0, 1, 1), &|net| {
-                net.cell(1).write().remove_received(0, 1);
+                net.cell(1)
+                    .write(Root::mint().token())
+                    .remove_received(0, 1);
             }),
             (Violation::ForeignWitness(0, 5, 2), &|net| {
-                refile(&mut net.cell(0).write().held, 5);
+                refile(&mut net.cell(0).write(Root::mint().token()).held, 5);
             }),
             (Violation::Misplaced(Some(2), 9), &|net| {
-                net.cell(2).write().add_local(100, ghost.clone());
+                net.cell(2)
+                    .write(Root::mint().token())
+                    .add_local(100, ghost.clone());
             }),
             (Violation::Misplaced(None, 9), &|net| {
-                net.registered.lock().insert(9, 100);
+                net.registered.lock(Root::mint().token()).0.insert(9, 100);
             }),
         ];
         for (violation, plant) in cases {
@@ -1394,7 +1480,11 @@ mod tests {
         }
         // A dead held-back entry is still checked as a live one is.
         let net = build();
-        net.cell(1).write().link_mut(0).held.hold(1, ghost.clone());
+        net.cell(1)
+            .write(Root::mint().token())
+            .link_mut(0)
+            .held
+            .hold(1, ghost.clone());
         let unsent = Violation::UnsentWitness(1, 0, 1, 9);
         assert_eq!(net.audit(), [Violation::DeadId(1, 0, 9), unsent]);
     }

@@ -40,10 +40,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use acd_covering::ordered::{OrderedMutex, RANK_DAEMON};
-
 use crate::error::ServiceError::{self, CorruptFrame, VersionMismatch};
 use crate::faults::{FaultPlan, FaultyStream};
+use crate::lock::{self, Mutex};
 use crate::metrics::MetricCounters;
 use crate::network::BrokerNetwork;
 use crate::pool::WorkerPool;
@@ -104,11 +103,11 @@ pub(crate) struct DaemonState {
     chaos: Option<Arc<FaultPlan>>,
     shutdown: AtomicBool,
     /// The session map and the journal: the daemon's one mutation lock,
-    /// rank `daemon` (3). Every subscribe, unsubscribe and closing session
-    /// holds it *across* its `network.subscribe` / `unsubscribe` calls and
-    /// its journal append, so the daemon's mutations run one at a time —
-    /// see `LOCKING.md`.
-    pub(crate) ledger: OrderedMutex<Ledger>,
+    /// the first level of the chain. Every subscribe, unsubscribe and
+    /// closing session holds it *across* its overlay walks, which it takes
+    /// with this lock's token, and its journal append, so the daemon's
+    /// mutations run one at a time — see `LOCKING.md`.
+    pub(crate) ledger: Mutex<Ledger, lock::Daemon>,
     active: AtomicUsize,
 }
 
@@ -132,7 +131,7 @@ impl DaemonState {
             options,
             chaos,
             shutdown: AtomicBool::new(false),
-            ledger: OrderedMutex::new(RANK_DAEMON, "daemon", ledger),
+            ledger: Mutex::new(ledger),
             active: AtomicUsize::new(0),
         })
     }
@@ -518,6 +517,7 @@ impl<S: Read> Read for PatientStream<'_, S> {
 mod tests {
     use super::*;
     use crate::client::BrokerClient;
+    use crate::lock::Root;
     use crate::session::tests::{durable_ids, responses, state_with, test_network};
     use acd_covering::CoveringPolicy;
     use acd_subscription::{Event, SubscriptionBuilder};
@@ -966,7 +966,13 @@ mod tests {
                     buf[..self.data.len()].copy_from_slice(&self.data);
                     return Ok(self.data.len());
                 }
-                let live = self.state.ledger.lock().sessions.len();
+                let live = self
+                    .state
+                    .ledger
+                    .lock(Root::mint().token())
+                    .0
+                    .sessions
+                    .len();
                 self.sessions_seen.store(live, Ordering::SeqCst);
                 panic!("transport panic must not leak the session");
             }
@@ -995,7 +1001,15 @@ mod tests {
             1,
             "the subscribe must have registered before the panic"
         );
-        assert!(state.ledger.lock().sessions.is_empty(), "sessions drained");
+        assert!(
+            state
+                .ledger
+                .lock(Root::mint().token())
+                .0
+                .sessions
+                .is_empty(),
+            "sessions drained"
+        );
         assert_eq!(state.network.metrics().routing_table_entries, 0);
         assert_eq!(state.active.load(Ordering::SeqCst), active_before);
     }

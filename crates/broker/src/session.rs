@@ -31,6 +31,7 @@ use acd_subscription::{Event, SubId, Subscription};
 
 use crate::broker::{BrokerId, ClientId};
 use crate::error::{BrokerError, ServiceError};
+use crate::lock::Root;
 use crate::metrics::MetricCounters;
 use crate::network::{BrokerNetwork, Triple};
 use crate::service::DaemonState;
@@ -148,7 +149,10 @@ impl Session {
             }
             let payloads = &mut self.payloads;
             let answer = |triples: &[_], n| put_deliveries_frames(out, triples, n, payloads);
-            if let Err(e) = network.publish_chunks(at, &self.events, &mut self.triples, answer) {
+            let (events, triples) = (&self.events, &mut self.triples);
+            if let Err(e) =
+                network.publish_chunks(Root::mint().token(), at, events, triples, answer)
+            {
                 // The burst shares one origin broker, so a network-level
                 // refusal (unknown broker) applies to every event, and it
                 // came before any counter moved.
@@ -204,7 +208,8 @@ impl Session {
     /// a graceful shutdown skip its journal entry and leave an ownerless
     /// registration in the shutdown snapshot.
     pub(crate) fn on_close(&self, state: &DaemonState, cause: Close) {
-        let mut ledger = state.ledger.lock();
+        let mut root = Root::mint();
+        let (mut ledger, mut token) = state.ledger.lock(root.token());
         let owned: Vec<(SubId, BrokerId)> = ledger
             .sessions
             .iter()
@@ -222,7 +227,7 @@ impl Session {
             // A vanished *client* is retracted and journaled (best-effort)
             // like an unsubscribe; racing an in-process unsubscribe is
             // benign: the entry is gone either way.
-            let _ = state.network.unsubscribe(at, id);
+            let _ = state.network.unsubscribe_under(&mut token, at, id);
             let _ = ledger.journal_append(JournalRecord::Unsubscribe { at: at as u64, id });
         }
     }
@@ -287,7 +292,8 @@ pub(crate) fn recover(network: &BrokerNetwork, dir: &Path) -> Result<Ledger, Ser
 /// journal — a no-op without a data directory. Only for a quiescent state:
 /// no session may be mutating it.
 pub(crate) fn compact(state: &DaemonState) -> Result<(), StorageError> {
-    let mut ledger = state.ledger.lock();
+    let mut root = Root::mint();
+    let mut ledger = state.ledger.lock(root.token()).0;
     let Some(persistence) = ledger.persistence.as_mut() else {
         return Ok(());
     };
@@ -346,8 +352,9 @@ fn install(
 ) -> Result<(), String> {
     let subscription = Subscription::from_raw_bounds(state.network.schema(), id, &bounds)
         .map_err(|e| e.to_string())?;
-    let counters = state.network.counters();
-    let mut ledger = state.ledger.lock();
+    let (network, counters) = (&state.network, state.network.counters());
+    let mut root = Root::mint();
+    let (mut ledger, mut token) = state.ledger.lock(root.token());
     // Only a `Resubscribe` looks for a registration to take over.
     let previous = epoch.and_then(|_| ledger.sessions.get(&id).copied());
     if let (Some(epoch), Some(entry)) = (epoch, previous) {
@@ -358,7 +365,7 @@ fn install(
             return Ok(());
         }
         ledger.sessions.remove(&id);
-        match state.network.unsubscribe(entry.at, id) {
+        match network.unsubscribe_under(&mut token, entry.at, id) {
             Ok(()) | Err(BrokerError::UnknownSubscription { .. }) => {}
             Err(e) => return Err(e.to_string()),
         }
@@ -369,7 +376,7 @@ fn install(
         };
         MetricCounters::bump(counter);
     }
-    if let Err(e) = state.network.subscribe(at, client, &subscription) {
+    if let Err(e) = network.subscribe_under(&mut token, at, client, &subscription) {
         if previous.is_some() {
             // The reinstall failed after the old registration was
             // retracted: bring the durable state along (best effort — the
@@ -387,7 +394,7 @@ fn install(
     if let Err(message) = ledger.journal_append(record) {
         // Durable-ack discipline: an unjournaled mutation is not
         // acknowledged — roll it back and report.
-        let _ = state.network.unsubscribe(at, id);
+        let _ = network.unsubscribe_under(&mut token, at, id);
         return Err(message);
     }
     let epoch = epoch.unwrap_or(0);
@@ -410,7 +417,8 @@ fn retract(
     epoch: Option<u64>,
 ) -> Result<(), String> {
     let counters = state.network.counters();
-    let mut ledger = state.ledger.lock();
+    let mut root = Root::mint();
+    let (mut ledger, mut token) = state.ledger.lock(root.token());
     let previous = epoch.and_then(|_| ledger.sessions.get(&id).copied());
     if let (Some(epoch), Some(entry)) = (epoch, previous) {
         if epoch < entry.epoch {
@@ -421,7 +429,7 @@ fn retract(
         ledger.sessions.remove(&id);
         at = entry.at;
     }
-    match state.network.unsubscribe(at, id) {
+    match state.network.unsubscribe_under(&mut token, at, id) {
         Ok(()) => {
             ledger.sessions.remove(&id);
         }
@@ -476,14 +484,21 @@ pub(crate) mod tests {
     /// The ids of the durable live set the shutdown snapshot is written
     /// from.
     pub(crate) fn durable_ids(state: &DaemonState) -> Vec<SubId> {
-        let ledger = state.ledger.lock();
+        let mut root = Root::mint();
+        let ledger = state.ledger.lock(root.token()).0;
         let live = &ledger.persistence.as_ref().unwrap().live;
         live.keys().copied().collect()
     }
 
     /// Id `id`'s session entry, as `(conn, epoch, at)`.
     fn entry(state: &DaemonState, id: SubId) -> Option<(u64, u64, BrokerId)> {
-        let entry = state.ledger.lock().sessions.get(&id).copied();
+        let entry = state
+            .ledger
+            .lock(Root::mint().token())
+            .0
+            .sessions
+            .get(&id)
+            .copied();
         entry.map(|e| (e.conn, e.epoch, e.at))
     }
 
@@ -639,7 +654,12 @@ pub(crate) mod tests {
         assert_eq!(metrics.routing_table_entries, 0);
         let event = Event::new(state.network.schema(), vec![25.0]).unwrap();
         assert_eq!(state.network.publish(2, &event).unwrap(), vec![]);
-        assert!(state.ledger.lock().sessions.is_empty());
+        assert!(state
+            .ledger
+            .lock(Root::mint().token())
+            .0
+            .sessions
+            .is_empty());
     }
 
     /// A session the daemon ends forgets who owned the registrations and
@@ -664,7 +684,15 @@ pub(crate) mod tests {
 
         session.on_close(&state, Close::Daemon);
 
-        assert!(state.ledger.lock().sessions.is_empty(), "sessions drained");
+        assert!(
+            state
+                .ledger
+                .lock(Root::mint().token())
+                .0
+                .sessions
+                .is_empty(),
+            "sessions drained"
+        );
         let metrics = state.network.metrics();
         assert_eq!(metrics.routing_table_entries, entries);
         assert_eq!(metrics.unsubscriptions, 0);

@@ -31,7 +31,7 @@
 
 use acd_broker::wire::{encode_frame, read_frame, Frame};
 use acd_broker::{
-    BrokerConfig, BrokerDaemon, BrokerId, BrokerNetwork, ClientId, DaemonOptions, Topology,
+    Broker, BrokerConfig, BrokerDaemon, BrokerId, BrokerNetwork, ClientId, DaemonOptions, Topology,
 };
 use acd_covering::CoveringPolicy;
 use acd_subscription::{Event, Schema, SubId, Subscription};
@@ -225,14 +225,17 @@ impl Model {
 
 /// The slots of broker `at`'s local tables.
 fn local_slots(net: &BrokerNetwork, at: BrokerId) -> usize {
-    net.broker(at).unwrap().local_table_slots().iter().sum()
+    net.inspect(at, |broker| broker.local_table_slots().iter().sum())
+        .unwrap()
 }
 
 /// The local subscriptions broker `at` holds back off its tables, read
 /// under one broker guard.
 fn held_locally(net: &BrokerNetwork, at: BrokerId) -> usize {
-    let broker = net.broker(at).unwrap();
-    broker.local_subscriptions() - broker.local_table_slots().iter().sum::<usize>()
+    let held = |broker: &Broker| {
+        broker.local_subscriptions() - broker.local_table_slots().iter().sum::<usize>()
+    };
+    net.inspect(at, held).unwrap()
 }
 
 proptest! {

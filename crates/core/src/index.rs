@@ -73,6 +73,9 @@ pub trait CoveringIndex: std::fmt::Debug + Send + Sync {
     /// The subscription stored under `id`, if any.
     fn get(&self, id: SubId) -> Option<&Subscription>;
 
+    /// The identifiers of the stored subscriptions, in no order.
+    fn ids(&self) -> Box<dyn Iterator<Item = SubId> + '_>;
+
     /// Whether a subscription with the given identifier is stored.
     fn contains(&self, id: SubId) -> bool {
         self.get(id).is_some()
@@ -115,6 +118,9 @@ mod tests {
             }
             fn get(&self, _: SubId) -> Option<&Subscription> {
                 None
+            }
+            fn ids(&self) -> Box<dyn Iterator<Item = SubId> + '_> {
+                Box::new(std::iter::empty())
             }
             fn stats(&self) -> IndexStats {
                 IndexStats::default()

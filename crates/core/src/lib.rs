@@ -60,9 +60,9 @@
 pub mod config;
 pub mod dominance;
 mod error;
+mod flooding;
 pub mod index;
 pub mod linear;
-pub mod ordered;
 pub mod policy;
 pub mod sfc_index;
 pub mod stats;
@@ -72,7 +72,6 @@ pub use dominance::PointDominanceIndex;
 pub use error::CoveringError;
 pub use index::CoveringIndex;
 pub use linear::LinearScanIndex;
-pub use ordered::{OrderedMutex, OrderedRwLock};
 pub use policy::CoveringPolicy;
 pub use sfc_index::SfcCoveringIndex;
 pub use stats::{IndexStats, QueryOutcome, QueryStats};

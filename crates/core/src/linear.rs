@@ -124,6 +124,10 @@ impl CoveringIndex for LinearScanIndex {
         self.subscriptions.get(*self.by_id.get(&id)?)
     }
 
+    fn ids(&self) -> Box<dyn Iterator<Item = SubId> + '_> {
+        Box::new(self.by_id.keys().copied())
+    }
+
     fn stats(&self) -> IndexStats {
         self.stats
     }

@@ -5,6 +5,7 @@ use serde::{Deserialize, Serialize};
 use acd_subscription::Schema;
 
 use crate::config::ApproxConfig;
+use crate::flooding::Flooding;
 use crate::index::CoveringIndex;
 use crate::linear::LinearScanIndex;
 use crate::sfc_index::SfcCoveringIndex;
@@ -37,21 +38,23 @@ impl CoveringPolicy {
         !matches!(self, CoveringPolicy::None)
     }
 
-    /// Builds the covering index this policy prescribes, or `None` for
-    /// [`CoveringPolicy::None`].
+    /// Builds the covering index this policy prescribes. That of
+    /// [`CoveringPolicy::None`] stores what it is given and never finds a
+    /// cover.
     ///
     /// # Errors
     ///
     /// Returns an error if the policy's parameters are invalid (e.g. ε
     /// outside `(0, 1)`).
-    pub fn build_index(&self, schema: &Schema) -> Result<Option<Box<dyn CoveringIndex>>> {
+    pub fn build_index(&self, schema: &Schema) -> Result<Box<dyn CoveringIndex>> {
         Ok(match self {
-            CoveringPolicy::None => None,
-            CoveringPolicy::ExactLinear => Some(Box::new(LinearScanIndex::new(schema))),
-            CoveringPolicy::ExactSfc => Some(Box::new(SfcCoveringIndex::exhaustive(schema)?)),
-            CoveringPolicy::Approximate { epsilon } => Some(Box::new(
-                SfcCoveringIndex::approximate(schema, ApproxConfig::with_epsilon(*epsilon)?)?,
-            )),
+            CoveringPolicy::None => Box::<Flooding>::default(),
+            CoveringPolicy::ExactLinear => Box::new(LinearScanIndex::new(schema)),
+            CoveringPolicy::ExactSfc => Box::new(SfcCoveringIndex::exhaustive(schema)?),
+            CoveringPolicy::Approximate { epsilon } => Box::new(SfcCoveringIndex::approximate(
+                schema,
+                ApproxConfig::with_epsilon(*epsilon)?,
+            )?),
         })
     }
 
@@ -83,22 +86,37 @@ mod tests {
     #[test]
     fn build_index_matches_policy() {
         let s = schema();
-        assert!(CoveringPolicy::None.build_index(&s).unwrap().is_none());
-        let lin = CoveringPolicy::ExactLinear
-            .build_index(&s)
-            .unwrap()
-            .unwrap();
+        assert_eq!(CoveringPolicy::None.build_index(&s).unwrap().name(), "none");
+        let lin = CoveringPolicy::ExactLinear.build_index(&s).unwrap();
         assert_eq!(lin.name(), "linear-scan");
-        let sfc = CoveringPolicy::ExactSfc.build_index(&s).unwrap().unwrap();
+        let sfc = CoveringPolicy::ExactSfc.build_index(&s).unwrap();
         assert_eq!(sfc.name(), "sfc-z-exhaustive");
         let approx = CoveringPolicy::Approximate { epsilon: 0.05 }
             .build_index(&s)
-            .unwrap()
             .unwrap();
         assert_eq!(approx.name(), "sfc-z-approximate");
         assert!(CoveringPolicy::Approximate { epsilon: 2.0 }
             .build_index(&s)
             .is_err());
+    }
+
+    #[test]
+    fn the_none_index_stores_what_it_is_given_and_never_covers() {
+        let s = schema();
+        let mut none = CoveringPolicy::None.build_index(&s).unwrap();
+        let wide = SubscriptionBuilder::new(&s).build(1).unwrap();
+        let narrow = SubscriptionBuilder::new(&s)
+            .range("a", 4.0, 6.0)
+            .build(2)
+            .unwrap();
+        none.insert(&wide).unwrap();
+        assert!(none.insert(&wide).is_err());
+        assert_eq!(none.find_covering(&narrow).unwrap().covering, None);
+        assert_eq!((none.len(), none.ids().collect::<Vec<_>>()), (1, vec![1]));
+        assert_eq!(none.get(1), Some(&wide));
+        none.remove(1).unwrap();
+        assert!(none.remove(1).is_err() && none.is_empty());
+        assert_eq!(none.stats().queries, 0);
     }
 
     #[test]
@@ -109,7 +127,7 @@ mod tests {
             CoveringPolicy::ExactSfc,
             CoveringPolicy::Approximate { epsilon: 0.1 },
         ] {
-            let mut idx = policy.build_index(&s).unwrap().unwrap();
+            let mut idx = policy.build_index(&s).unwrap();
             let wide = SubscriptionBuilder::new(&s)
                 .range("a", 0.0, 10.0)
                 .range("b", 0.0, 10.0)

@@ -435,6 +435,10 @@ impl CoveringIndex for SfcCoveringIndex {
         self.subscriptions.get(&id)
     }
 
+    fn ids(&self) -> Box<dyn Iterator<Item = SubId> + '_> {
+        Box::new(self.subscriptions.keys().copied())
+    }
+
     fn stats(&self) -> IndexStats {
         self.stats
     }

@@ -1,7 +1,6 @@
-//! Workspace-level invariant gate: the whole repository must pass `acd-lint`,
-//! and the lint's static lock-rank table must agree with the runtime table
-//! compiled into `acd-covering`. Running under `cargo test` means a violation
-//! fails the same command CI runs — no separate lint step can drift.
+//! Workspace-level invariant gate: the whole repository must pass `acd-lint`.
+//! Running under `cargo test` means a violation fails the same command CI
+//! runs — no separate lint step can drift.
 
 use std::path::PathBuf;
 
@@ -87,25 +86,4 @@ fn covering_crate_passes_strict_indexing() {
 #[test]
 fn storage_crate_passes_strict_indexing() {
     assert_strict_indexing_clean("crates/storage/src", 6);
-}
-
-#[test]
-fn static_and_runtime_rank_tables_agree() {
-    let runtime = acd_covering::ordered::rank_table();
-    let stat = acd_analysis::lints::lock_order::LOCK_CLASSES;
-    assert_eq!(
-        runtime.len(),
-        stat.len(),
-        "lock class tables differ in length; update LOCKING.md and both tables together"
-    );
-    for (&(rank, name), class) in runtime.iter().zip(stat) {
-        assert_eq!(
-            (rank, name),
-            (class.rank, class.name),
-            "lock class mismatch between acd_covering::ordered::rank_table() and \
-             acd_analysis LOCK_CLASSES; update LOCKING.md and both tables together"
-        );
-    }
-    // Both tables must list classes in acquisition (ascending-rank) order.
-    assert!(runtime.windows(2).all(|w| w[0].0 < w[1].0));
 }
