@@ -18,9 +18,10 @@
 //! A second group, `deliveries_codec`, times what follows the walk on either
 //! path: `encode_frame` and `read_frame` over one event's `Deliveries` — the
 //! repo benchmark's 330 pairs (7 brokers, 47 of 64 clients each) and the
-//! empty list every non-matching publish answers with — and, as
-//! `encode_burst`, the daemon's encoder for a whole 64-event chunk
-//! (`wire::put_deliveries_frames`), fed the triples a walk emits.
+//! empty list every non-matching publish answers with — and the daemon's
+//! encoder (`wire::put_deliveries_frames`) fed the triples a walk emits: as
+//! `encode_burst`, for a whole 64-event chunk, and as `encode_lone`, for one
+//! event's pages, the same 330 pairs as seven 47-client pages.
 
 use std::time::Duration;
 
@@ -148,8 +149,20 @@ fn bench_deliveries_codec(c: &mut Criterion) {
             b.iter(|| read_frame(&mut std::hint::black_box(encoded.as_slice()), &mut scratch));
         });
     }
-    let triples = burst_triples();
+    // One page per broker, holding the 47 clients `spread` delivers.
+    let page = (0..64u64)
+        .filter(|client| client * 47 / 64 != (client + 1) * 47 / 64)
+        .fold(0u64, |bits, client| bits | 1 << client);
+    let pages: Vec<Triple> = (0..7).map(|broker| (broker, 0, page)).collect();
     let (mut out, mut payloads) = (Vec::new(), Vec::new());
+    group.bench_function("encode_lone", |b| {
+        b.iter(|| {
+            out.clear();
+            put_deliveries_frames(&mut out, std::hint::black_box(&pages), 1, &mut payloads);
+            std::hint::black_box(out.len())
+        });
+    });
+    let triples = burst_triples();
     group.bench_function("encode_burst", |b| {
         b.iter(|| {
             out.clear();

@@ -2,10 +2,10 @@
 //! per-interface covering suppression state.
 //!
 //! Everything an event is matched against lives in one storage, the
-//! column-major `MatchTable`: `lo[attr][slot]` / `hi[attr][slot]` raw
-//! bounds — the one exact store — beside `cell_lo[attr][slot]` /
-//! `cell_hi[attr][slot]`, the same bounds as 16-bit grid cells, plus an
-//! `ids` column. A local table adds a `clients` column and keeps its slots
+//! `MatchTable`: the raw bounds, row-major (`raw`, a slot's `(lo, hi)` pairs
+//! side by side, the one exact store), beside the column-major
+//! `cell_lo[attr][slot]` / `cell_hi[attr][slot]`, the same bounds as 16-bit
+//! grid cells, plus an `ids` column. A local table adds a `clients` column and keeps its slots
 //! **ordered by client**, so a client's matches are adjacent and every
 //! client is emitted once. A broker's local tables are one client-ordered
 //! sequence: every client of a table comes before every client of the
@@ -29,9 +29,10 @@
 //! matching: the event is quantised once ([`EventCells`]), the grid filter
 //! (`MatchTable::candidates`) compares its cells with 64 slots' cell columns
 //! at a time — eight 16-bit lanes where a raw `f64` compare gets two — and
-//! only what the grid cannot rule out is confirmed on the raw bounds
-//! (`MatchTable::confirm`), a client's run of slots being skipped once one
-//! of them has delivered. Bounds and values go through the one monotone
+//! only what the grid cannot rule out is confirmed on a slot's raw row
+//! (`MatchTable::confirm`): one per client run, its first candidate (the
+//! leader pass of [`Broker::matching_clients`]), the next only if that fails.
+//! Bounds and values go through the one monotone
 //! [`Schema::quantize`], so `lo <= v <= hi` implies
 //! `cell(lo) <= cell(v) <= cell(hi)`: the filter never drops a match, and
 //! nothing is reported that the raw compare did not confirm. Batched publish
@@ -125,14 +126,13 @@ impl<'a> EventCells<'a> {
 /// the methods below touch them, so they stay aligned.
 #[derive(Debug)]
 pub(crate) struct MatchTable {
-    /// `lo[attr][slot]`: inclusive raw lower bounds, one column per
-    /// schema attribute. With `hi`, **the truth**: the one exact store,
-    /// read by [`confirm`](Self::confirm) and by the batched kernel's cold
-    /// path.
-    lo: Vec<Vec<f64>>,
-    /// `hi[attr][slot]`: inclusive raw upper bounds.
-    hi: Vec<Vec<f64>>,
-    /// `cell_lo[attr][slot]`: the grid cell of `lo[attr][slot]`
+    /// `raw[slot * arity + attr]`: the inclusive raw `(lo, hi)` bounds,
+    /// row-major, one row of `arity` pairs per slot. **The truth**: the one
+    /// exact store, read a row at a time by [`confirm`](Self::confirm),
+    /// `cover_masks` and the batched kernel's cold path, each of which asks
+    /// about one slot across its attributes.
+    raw: Vec<(f64, f64)>,
+    /// `cell_lo[attr][slot]`: the grid cell of the slot's raw lower bound
     /// (`Subscription::grid_bounds`, as [`cell_of`] narrows it). With
     /// `cell_hi`, **the filter** [`candidates`](Self::candidates) reads, and
     /// the keys the batched kernel looks a chunk's masks up by. The filter
@@ -143,17 +143,16 @@ pub(crate) struct MatchTable {
     /// ever reads fixed 64-lane arrays: the slots past `len()` hold
     /// `(PAD_LO, PAD_HI)`, bounds no cell lies inside.
     cell_lo: Vec<Vec<u16>>,
-    /// `cell_hi[attr][slot]`: the grid cell of `hi[attr][slot]`.
+    /// `cell_hi[attr][slot]`: the grid cell of the raw upper bound.
     cell_hi: Vec<Vec<u16>>,
-    /// `open[attr / 4][slot]`: which of the slot's bounds are *open* — bit
-    /// `2 * (attr % 4)` set where `lo[attr][slot]` lies above its domain's
-    /// minimum, the bit above it where `hi[attr][slot]` lies below its
+    /// `open[slot]`: which of the slot's bounds are *open* — bit `2 * attr`
+    /// set where its raw lower bound on `attr` lies above its domain's
+    /// minimum, the bit above it where its upper bound lies below the
     /// maximum. A valid value can fall on the far side of an open bound
     /// inside the bound's own cell, and of no other bound, so these flags
     /// are all the batched kernel needs to know of the raw bounds until an
-    /// event shares such a cell. One byte per four attributes, as long as
-    /// `ids`.
-    open: Vec<Vec<u8>>,
+    /// event shares such a cell. One word per slot, as long as `ids`.
+    open: Vec<u64>,
     /// The `cell_of` shift of the schema the table is filled under.
     shift: u32,
     /// Subscription identifier of each slot.
@@ -163,9 +162,9 @@ pub(crate) struct MatchTable {
     clients: Vec<ClientId>,
     /// Local table only: one bit per slot (bit `slot % 64` of word
     /// `slot / 64`), set where the slot is the last of its client's run, so
-    /// the emit loop can drop the rest of a delivered run from a block's
-    /// mask with one shift. Kept by a bit insert / remove at the slot plus
-    /// one neighbour bit, never rebuilt.
+    /// the serial kernel finds every run's first candidate in a block at
+    /// once. Kept by a bit insert / remove at the slot plus one neighbour
+    /// bit, never rebuilt.
     run_ends: Vec<u64>,
     /// Local table only: the handle `remove_local` returns so the network
     /// can retract the subscription from the links it was sent on.
@@ -179,17 +178,14 @@ impl MatchTable {
     /// `c <= PAD_HI` cannot both hold.
     const PAD_LO: u16 = u16::MAX;
     const PAD_HI: u16 = 0;
-    /// Attributes per byte of an `open` column: two bits each.
-    const OPEN_PER_BYTE: usize = 4;
 
     pub(crate) fn new(schema: &Schema) -> MatchTable {
         let arity = schema.arity();
         MatchTable {
-            lo: vec![Vec::new(); arity],
-            hi: vec![Vec::new(); arity],
+            raw: Vec::new(),
             cell_lo: vec![Vec::new(); arity],
             cell_hi: vec![Vec::new(); arity],
-            open: vec![Vec::new(); arity.div_ceil(Self::OPEN_PER_BYTE)],
+            open: Vec::new(),
             shift: cell_shift(schema),
             ids: Vec::new(),
             clients: Vec::new(),
@@ -202,34 +198,36 @@ impl MatchTable {
         self.ids.len()
     }
 
+    /// Attributes per slot: the cell columns, one each.
+    fn arity(&self) -> usize {
+        self.cell_lo.len()
+    }
+
+    /// The raw bounds of `slot`, one pair per attribute (`None` for a slot
+    /// that does not exist).
+    #[inline]
+    fn row(&self, slot: usize) -> Option<&[(f64, f64)]> {
+        self.raw.get(slot * self.arity()..)?.get(..self.arity())
+    }
+
     /// Writes `subscription`'s bounds, cells, open flags and identifier at
     /// `slot`, shifting the later slots up.
     fn insert_bounds(&mut self, slot: usize, subscription: &Subscription) {
-        debug_assert_eq!(subscription.raw_bounds().len(), self.lo.len());
-        debug_assert_eq!(subscription.grid_bounds().len(), self.lo.len());
-        let columns = self.lo.iter_mut().zip(&mut self.hi);
-        for ((lo, hi), &(low, high)) in columns.zip(subscription.raw_bounds()) {
-            lo.insert(slot, low);
-            hi.insert(slot, high);
-        }
+        debug_assert_eq!(subscription.raw_bounds().len(), self.arity());
+        debug_assert_eq!(subscription.grid_bounds().len(), self.arity());
+        let (at, raw) = (slot * self.arity(), subscription.raw_bounds());
+        self.raw.splice(at..at, raw.iter().copied());
         let columns = self.cell_lo.iter_mut().zip(&mut self.cell_hi);
         for ((lo, hi), &(low, high)) in columns.zip(subscription.grid_bounds()) {
             lo.insert(slot, cell_of(low, self.shift));
             hi.insert(slot, cell_of(high, self.shift));
         }
-        let bounds = subscription.raw_bounds().chunks(Self::OPEN_PER_BYTE);
-        let domains = subscription
-            .schema()
-            .attributes()
-            .chunks(Self::OPEN_PER_BYTE);
-        for (column, (bounds, domains)) in self.open.iter_mut().zip(bounds.zip(domains)) {
-            let mut flags = 0u8;
-            for (pair, (&(low, high), domain)) in bounds.iter().zip(domains).enumerate() {
-                let open = u8::from(low > domain.min()) | u8::from(high < domain.max()) << 1;
-                flags |= open << (2 * pair);
-            }
-            column.insert(slot, flags);
-        }
+        let domains = raw.iter().zip(subscription.schema().attributes());
+        let flags = domains.enumerate().map(|(attr, (&(low, high), domain))| {
+            (u64::from(low > domain.min()) | u64::from(high < domain.max()) << 1) << (2 * attr)
+        });
+        let open = flags.fold(0, |open, flag| open | flag);
+        self.open.insert(slot, open);
         self.pad_cells(self.len() + 1);
         self.ids.insert(slot, subscription.id());
     }
@@ -280,22 +278,18 @@ impl MatchTable {
     /// Local table: how the raw bounds of the (at most 64) slots `slots`
     /// stand to `bounds`. Bit `i` of the first mask is set where slot
     /// `slots.start + i` contains them on every attribute, of the second
-    /// where it lies inside them: [`Subscription::covers`], one column at a
-    /// time, under which every event the inner bounds match the outer ones
-    /// match too. One pass down each raw column.
+    /// where it lies inside them: [`Subscription::covers`], on each slot's
+    /// row, under which every event the inner bounds match the outer ones
+    /// match too.
     fn cover_masks(&self, slots: Range<usize>, bounds: &[(f64, f64)]) -> (u64, u64) {
-        let (mut outer, mut inner) = (u64::MAX, u64::MAX);
-        for ((lo, hi), &(low, high)) in self.lo.iter().zip(&self.hi).zip(bounds) {
-            let (Some(lo), Some(hi)) = (lo.get(slots.clone()), hi.get(slots.clone())) else {
-                return (0, 0);
-            };
-            let (mut contains, mut inside) = (0, 0);
-            for (bit, (&lo, &hi)) in lo.iter().zip(hi).take(Self::BLOCK).enumerate() {
-                contains |= u64::from(lo <= low && high <= hi) << bit;
-                inside |= u64::from(low <= lo && hi <= high) << bit;
-            }
-            outer &= contains;
-            inner &= inside;
+        let (mut outer, mut inner) = (0, 0);
+        let rows = slots.map_while(|slot| self.row(slot)).take(Self::BLOCK);
+        for (bit, row) in rows.enumerate() {
+            let pairs = || row.iter().zip(bounds);
+            let contains = pairs().all(|(&(lo, hi), &(low, high))| lo <= low && high <= hi);
+            let inside = pairs().all(|(&(lo, hi), &(low, high))| low <= lo && hi <= high);
+            outer |= u64::from(contains) << bit;
+            inner |= u64::from(inside) << bit;
         }
         (outer, inner)
     }
@@ -333,15 +327,12 @@ impl MatchTable {
     /// Local table: removes slot `slot`, which is `client`'s, preserving
     /// client order.
     fn remove_slot(&mut self, client: ClientId, slot: usize) -> Subscription {
-        for column in self.lo.iter_mut().chain(&mut self.hi) {
-            column.remove(slot);
-        }
+        let at = slot * self.arity();
+        self.raw.drain(at..at + self.arity());
         for column in self.cell_lo.iter_mut().chain(&mut self.cell_hi) {
             column.remove(slot);
         }
-        for column in &mut self.open {
-            column.remove(slot);
-        }
+        self.open.remove(slot);
         self.pad_cells(self.len() - 1);
         self.ids.remove(slot);
         let ended_run = remove_bit(&mut self.run_ends, self.clients.len(), slot);
@@ -379,11 +370,10 @@ impl MatchTable {
                 .collect()
         }
         let mut upper = MatchTable {
-            lo: split(&mut self.lo, at),
-            hi: split(&mut self.hi, at),
+            raw: self.raw.split_off(at * self.arity()),
             cell_lo: split(&mut self.cell_lo, at),
             cell_hi: split(&mut self.cell_hi, at),
-            open: split(&mut self.open, at),
+            open: self.open.split_off(at),
             shift: self.shift,
             ids: self.ids.split_off(at),
             clients: self.clients.split_off(at),
@@ -402,18 +392,13 @@ impl MatchTable {
     /// after this table's.
     fn append(&mut self, mut next: MatchTable) {
         let (len, live) = (self.len(), next.len());
-        let columns = self.lo.iter_mut().zip(&mut next.lo);
-        for (column, tail) in columns.chain(self.hi.iter_mut().zip(&mut next.hi)) {
-            column.append(tail);
-        }
+        self.raw.append(&mut next.raw);
         let columns = self.cell_lo.iter_mut().zip(&next.cell_lo);
         for (column, tail) in columns.chain(self.cell_hi.iter_mut().zip(&next.cell_hi)) {
             column.truncate(len);
             column.extend(tail.iter().take(live));
         }
-        for (column, tail) in self.open.iter_mut().zip(&mut next.open) {
-            column.append(tail);
-        }
+        self.open.append(&mut next.open);
         self.pad_cells(len + live);
         self.ids.append(&mut next.ids);
         self.clients.append(&mut next.clients);
@@ -422,15 +407,11 @@ impl MatchTable {
     }
 
     fn shrink_to_fit(&mut self) {
-        for column in self.lo.iter_mut().chain(&mut self.hi) {
-            column.shrink_to_fit();
-        }
+        self.raw.shrink_to_fit();
         for column in self.cell_lo.iter_mut().chain(&mut self.cell_hi) {
             column.shrink_to_fit();
         }
-        for column in &mut self.open {
-            column.shrink_to_fit();
-        }
+        self.open.shrink_to_fit();
         self.ids.shrink_to_fit();
         self.clients.shrink_to_fit();
         self.run_ends.shrink_to_fit();
@@ -443,15 +424,13 @@ impl MatchTable {
         let Some(slot) = self.ids.iter().position(|&i| i == id) else {
             return false;
         };
-        for column in self.lo.iter_mut().chain(&mut self.hi) {
-            column.swap_remove(slot);
-        }
-        for column in &mut self.open {
-            column.swap_remove(slot);
-        }
+        let last = self.len() - 1;
+        let arity = self.arity();
+        self.raw.copy_within(last * arity.., slot * arity);
+        self.raw.truncate(last * arity);
+        self.open.swap_remove(slot);
         // The last *slot* moves in, not the padding behind it: its place is
         // taken by the padding element `remove` shifts down.
-        let last = self.len() - 1;
         for column in self.cell_lo.iter_mut().chain(&mut self.cell_hi) {
             column.swap(slot, last);
             column.remove(last);
@@ -468,8 +447,9 @@ impl MatchTable {
     /// `cell_lo`), so the result is a superset of the block's matches and
     /// [`confirm`](Self::confirm) decides. Branch-free over fixed 64-lane
     /// arrays, which is what lets the compiler compare eight slots an
-    /// instruction: one byte flag per slot, AND-ed per attribute over the
-    /// contiguous cell columns, then packed eight flags at a time.
+    /// instruction: per slot, the saturating distances from the event's cell
+    /// down to `cell_lo` and up to `cell_hi` are OR-ed over the attributes,
+    /// and a slot is a candidate where they all are zero.
     // acd-lint: hot
     fn candidates(&self, event: &EventCells<'_>, block: usize) -> u64 {
         let start = block * Self::BLOCK;
@@ -477,15 +457,19 @@ impl MatchTable {
         if live == 0 {
             return 0;
         }
-        let mut flags = [1u8; Self::BLOCK];
+        let mut outside = [0u16; Self::BLOCK];
         let columns = self.cell_lo.iter().zip(&self.cell_hi);
         for ((lo, hi), &cell) in columns.zip(event.cells()) {
             let (Some(lo), Some(hi)) = (block_of(lo, start), block_of(hi, start)) else {
                 return 0; // the cell columns are padded to whole blocks
             };
-            for ((flag, &low), &high) in flags.iter_mut().zip(lo).zip(hi) {
-                *flag &= u8::from((low <= cell) & (cell <= high));
+            for ((distance, &low), &high) in outside.iter_mut().zip(lo).zip(hi) {
+                *distance |= low.saturating_sub(cell) | cell.saturating_sub(high);
             }
+        }
+        let mut flags = [0u8; Self::BLOCK];
+        for (flag, &distance) in flags.iter_mut().zip(&outside) {
+            *flag = u8::from(distance == 0);
         }
         let mut mask = 0u64;
         for (byte, eight) in flags.as_chunks::<8>().0.iter().enumerate() {
@@ -507,11 +491,10 @@ impl MatchTable {
     // acd-lint: hot
     #[inline]
     fn confirm(&self, event: &EventCells<'_>, slot: usize) -> bool {
-        let mut columns = self.lo.iter().zip(&self.hi).zip(event.values);
-        slot < self.len()
-            && columns.all(|((lo, hi), &v)| {
-                matches!((lo.get(slot), hi.get(slot)), (Some(&lo), Some(&hi)) if lo <= v && v <= hi)
-            })
+        self.row(slot).is_some_and(|row| {
+            let mut pairs = row.iter().zip(event.values);
+            pairs.all(|(&(lo, hi), &v)| lo <= v && v <= hi)
+        })
     }
 
     /// Whether a slot from block `first` on holds `event` (grid, then raw); inlined into both walks.
@@ -537,15 +520,24 @@ fn block_of(column: &[u16], start: usize) -> Option<&[u16; MatchTable::BLOCK]> {
     column.get(start..)?.first_chunk()
 }
 
-/// `mask` without the bits up to the end of the run that bit `bit` lies in:
-/// `ends` has a bit set on the last slot of every run, and a run with no end
-/// in this block takes the rest of the block with it.
+/// The slots from bit `bit` to the end of its run: `ends` has a bit set on
+/// the last slot of every run, and a run with no end in this block takes the
+/// rest of the block.
 #[inline]
-fn past_run(mask: u64, ends: u64, bit: u32) -> u64 {
-    match bit + (ends >> bit).trailing_zeros() {
-        end if end + 1 < u64::BITS => mask & (u64::MAX << (end + 1)),
-        _ => 0,
-    }
+fn run_from(ends: u64, bit: u32) -> u64 {
+    let after = ends & (u64::MAX << bit);
+    (after ^ after.wrapping_sub(1)) & (u64::MAX << bit)
+}
+
+/// The first candidate of every run of a block, all at once: `ends` marks
+/// the last slot of each run, so `ends << 1 | 1` marks the first, and
+/// subtracting those from `cand | ends` borrows, within each run, from its
+/// lowest set bit, which is its first candidate or else its end (Warren's
+/// rightmost-bit identities, per run).
+#[inline]
+fn leaders(cand: u64, ends: u64) -> u64 {
+    let z = cand | ends;
+    z & !z.wrapping_sub(ends << 1 | 1) & cand
 }
 
 /// A local table's `run_ends`, from scratch: what the incremental updates
@@ -913,31 +905,36 @@ impl Broker {
     /// in-table witness does not (see `Broker::local`). `event` was
     /// quantised under the network's schema, which checked the event's own
     /// (once per publish, not once per subscription). Slots are ordered by
-    /// client, so a client's slots are one run: the first candidate of a
-    /// run that the raw bounds confirm (`MatchTable::confirm`) delivers, and
-    /// the rest of the run leaves the mask unvisited (`last` carries a
-    /// delivered run across a block seam). Allocation-free.
+    /// client, so a client's slots are one run: per block, every run's first
+    /// candidate (its leader) is found at once, and only the leaders go to
+    /// the raw bounds (`MatchTable::confirm`). A leader that fails hands on
+    /// to its run's next candidate, and the first that holds delivers. A run
+    /// carried over a block seam leaves the next block's candidates when its
+    /// client was delivered before the seam. Allocation-free.
     // acd-lint: hot
     pub fn matching_clients<F: FnMut(ClientId)>(&self, event: &EventCells<'_>, mut deliver: F) {
         for table in &self.local {
             let mut last = None;
             let blocks = table.clients.chunks(MatchTable::BLOCK).zip(&table.run_ends);
             for (block, (clients, &ends)) in blocks.enumerate() {
-                let mut mask = table.candidates(event, block);
-                while mask != 0 {
-                    let bit = mask.trailing_zeros();
-                    let Some(&client) = clients.get(bit as usize) else {
-                        break; // candidates only sets bits of existing slots
-                    };
-                    let delivered = last == Some(client);
-                    if delivered || table.confirm(event, block * MatchTable::BLOCK + bit as usize) {
-                        if !delivered {
-                            last = Some(client);
-                            deliver(client);
-                        }
-                        mask = past_run(mask, ends, bit);
-                    } else {
-                        mask &= mask - 1;
+                let mut cand = table.candidates(event, block);
+                if clients.first().copied() == last {
+                    cand &= !run_from(ends, 0);
+                }
+                let (mut runs, start) = (leaders(cand, ends), block * MatchTable::BLOCK);
+                while runs != 0 {
+                    // The leader, else its run's next candidate the raw bounds
+                    // confirm; none left reads bit 64, past every client.
+                    let mut tries = cand & run_from(ends, runs.trailing_zeros());
+                    runs &= runs - 1;
+                    while tries != 0
+                        && !table.confirm(event, start + tries.trailing_zeros() as usize)
+                    {
+                        tries &= tries - 1;
+                    }
+                    if let Some(&client) = clients.get(tries.trailing_zeros() as usize) {
+                        last = Some(client);
+                        deliver(client);
                     }
                 }
             }
@@ -1179,18 +1176,10 @@ impl<'a> EventChunk<'a> {
         let mut lanes = [Lane::default(); MAX_ATTRIBUTES];
         let cells = table.cell_lo.iter().zip(&table.cell_hi);
         let mut arity = 0;
-        for (attr, (lane, ((lo, hi), column))) in
-            lanes.iter_mut().zip(cells.zip(&self.columns)).enumerate()
-        {
+        for (lane, ((lo, hi), column)) in lanes.iter_mut().zip(cells.zip(&self.columns)) {
             *lane = Lane {
                 cell_lo: lo.get(..len).unwrap_or_default(),
                 cell_hi: hi.get(..len).unwrap_or_default(),
-                open: table
-                    .open
-                    .get(attr / MatchTable::OPEN_PER_BYTE)
-                    .map(Vec::as_slice)
-                    .unwrap_or_default(),
-                shift: 2 * (attr % MatchTable::OPEN_PER_BYTE) as u32,
                 cells: &column.cells,
                 absent: column.absent,
             };
@@ -1207,10 +1196,9 @@ impl<'a> EventChunk<'a> {
 }
 
 /// An [`EventChunk`] laid against one match table, built once per (chunk,
-/// table): per attribute, the table's cell columns and open flags next to
-/// the chunk's cell table, so that the slot loop reads slices it holds
-/// rather than finding them in the table's and the chunk's column lists at
-/// every slot.
+/// table): per attribute, the table's cell columns next to the chunk's cell
+/// table, so that the slot loop reads slices it holds rather than finding
+/// them in the table's and the chunk's column lists at every slot.
 struct KernelView<'a> {
     chunk: &'a EventChunk<'a>,
     table: &'a MatchTable,
@@ -1227,10 +1215,6 @@ struct Lane<'a> {
     /// The table's cell columns, cut to its slots.
     cell_lo: &'a [u16],
     cell_hi: &'a [u16],
-    /// The table's `open` column holding the attribute's flags, and the
-    /// position of the lower bound's flag in a byte of it.
-    open: &'a [u8],
-    shift: u32,
     /// The chunk's cell table and absent events for the attribute.
     cells: &'a [CellMasks],
     absent: u64,
@@ -1252,14 +1236,13 @@ impl KernelView<'_> {
     // acd-lint: hot
     #[inline]
     fn mask(&self, slot: usize, active: u64) -> u64 {
-        let mut mask = active;
-        let mut unsure = 0u64;
+        let (mut mask, mut unsure) = (active, 0u64);
+        let Some(&(mut open)) = self.table.open.get(slot) else {
+            return 0;
+        };
         for lane in self.lanes.get(..self.arity).unwrap_or_default() {
-            let (Some(&cell_lo), Some(&cell_hi), Some(&open)) = (
-                lane.cell_lo.get(slot),
-                lane.cell_hi.get(slot),
-                lane.open.get(slot),
-            ) else {
+            let (Some(&cell_lo), Some(&cell_hi)) = (lane.cell_lo.get(slot), lane.cell_hi.get(slot))
+            else {
                 return 0;
             };
             // The table spans every narrowed cell, so these never miss.
@@ -1270,9 +1253,9 @@ impl KernelView<'_> {
                 return 0;
             };
             mask &= high.upto & !low.below | lane.absent;
-            let open = u64::from(open >> lane.shift);
             unsure |= low.inside() & (open & 1).wrapping_neg()
                 | high.inside() & (open >> 1 & 1).wrapping_neg();
+            open >>= 2;
         }
         if mask & unsure != 0 {
             self.exact_mask(slot, mask)
@@ -1295,14 +1278,12 @@ impl KernelView<'_> {
             .exact_paths
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut mask = active;
-        let raw = self.table.lo.iter().zip(&self.table.hi);
-        for (attr, (lane, (lo, hi))) in self.lanes.iter().zip(raw).enumerate() {
-            let (Some(&lo), Some(&hi), Some(&cell_lo), Some(&cell_hi)) = (
-                lo.get(slot),
-                hi.get(slot),
-                lane.cell_lo.get(slot),
-                lane.cell_hi.get(slot),
-            ) else {
+        let Some(row) = self.table.row(slot) else {
+            return 0;
+        };
+        for (attr, (lane, &(lo, hi))) in self.lanes.iter().zip(row).enumerate() {
+            let (Some(&cell_lo), Some(&cell_hi)) = (lane.cell_lo.get(slot), lane.cell_hi.get(slot))
+            else {
                 return 0;
             };
             let inside = |cell: u16| {
@@ -1351,8 +1332,7 @@ pub(crate) mod tests {
 
     /// The bounds stored at `slot`, read back across the attribute columns.
     fn bounds_at(table: &MatchTable, slot: usize) -> Vec<(f64, f64)> {
-        let columns = table.lo.iter().zip(&table.hi);
-        columns.map(|(lo, hi)| (lo[slot], hi[slot])).collect()
+        table.row(slot).unwrap().to_vec()
     }
 
     /// Asserts that `table` holds `subscription` at `slot`: its raw bounds,
@@ -1375,9 +1355,9 @@ pub(crate) mod tests {
         };
         let expected: Vec<(u16, u16)> = subscription.grid_bounds().iter().map(narrow).collect();
         assert_eq!(stored, expected, "slot {slot}");
-        let open: Vec<(bool, bool)> = (0..table.lo.len())
+        let open: Vec<(bool, bool)> = (0..table.arity())
             .map(|attr| {
-                let flags = table.open[attr / 4][slot] >> (2 * (attr % 4));
+                let flags = table.open[slot] >> (2 * attr);
                 (flags & 1 == 1, flags & 2 == 2)
             })
             .collect();
@@ -1397,9 +1377,8 @@ pub(crate) mod tests {
     /// marks exactly the last slot of every client's run.
     fn assert_aligned(table: &MatchTable, local: bool) {
         let n = table.len();
-        assert!(table.lo.iter().chain(&table.hi).all(|c| c.len() == n));
-        assert_eq!(table.open.len(), table.lo.len().div_ceil(4));
-        assert!(table.open.iter().all(|c| c.len() == n));
+        assert_eq!(table.raw.len(), n * table.arity());
+        assert_eq!(table.open.len(), n);
         // The cell columns run on to the end of their last block, padded
         // with bounds no cell lies inside.
         let padding = n..n.next_multiple_of(MatchTable::BLOCK);
@@ -1561,6 +1540,120 @@ pub(crate) mod tests {
         assert_eq!(emitted(&b, &s, &[97.0, 97.0]), vec![8]);
         assert_eq!(emitted(&b, &s, &[70.5, 70.5]), vec![5, 9]);
         assert!(emitted(&b, &s, &[99.0, 99.0]).is_empty());
+    }
+
+    /// `leaders` names the first candidate of every run of a block, as a
+    /// scan of each run does: random blocks, dense and sparse, of long and
+    /// short runs, a run open at the block's top included.
+    #[test]
+    fn the_leader_identity_is_a_per_run_scan() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..200_000 {
+            let (cand, ends) = match round % 4 {
+                0 => (next(), next()),
+                1 => (next() & next(), next() & next() & next()),
+                2 => (next() | next(), next() & next() & next() & next()),
+                _ => (next(), 0),
+            };
+            let (mut expected, mut open) = (0u64, true);
+            for bit in 0..64 {
+                if open && cand >> bit & 1 == 1 {
+                    expected |= 1 << bit;
+                    open = false;
+                }
+                open |= ends >> bit & 1 == 1;
+            }
+            assert_eq!(leaders(cand, ends), expected, "{cand:#x} / {ends:#x}");
+        }
+    }
+
+    /// The leader pass at a block seam and on the raw bounds, against the
+    /// oracle. Client 100's run takes slots 60 on, across the seam at 64,
+    /// behind 60 one-slot clients no event here reaches and before client
+    /// 200, which every event reaches. 25.1 and 25.15 share a grid cell
+    /// (a cell is 100 / 64 wide), so a slot whose lower bound is 25.15 is a
+    /// candidate of x = 25.1 that its raw bounds refuse.
+    #[test]
+    fn the_leader_pass_meets_the_oracle_at_block_seams() {
+        let s = schema();
+        let full = (0.0, 100.0);
+        let cases: [(&str, Vec<_>, usize); 4] = [
+            (
+                "a run delivered before the seam and carried over it",
+                (0..8)
+                    .map(|i| (20.0 + f64::from(i) * 0.1, 30.0 + f64::from(i)))
+                    .collect(),
+                60,
+            ),
+            (
+                "a run carried over the seam undelivered, its candidates refused before it",
+                (0..8)
+                    .map(|i| match i {
+                        0..4 => (25.15 + f64::from(i) * 0.01, 40.0 + f64::from(i)),
+                        _ => (20.0 + f64::from(i) * 0.1, 30.0 + f64::from(i)),
+                    })
+                    .collect(),
+                64,
+            ),
+            (
+                "a leader refused on an open bound's cell, a later slot confirming",
+                vec![(25.15, 40.0), (20.0, 30.5)],
+                61,
+            ),
+            (
+                "a run whose every candidate is refused",
+                (0..3)
+                    .map(|i| (25.15 + f64::from(i) * 0.01, 40.0 + f64::from(i)))
+                    .collect(),
+                usize::MAX,
+            ),
+        ];
+        for (case, run, delivering) in cases {
+            let mut b = Broker::new(0, &[], &s, CoveringPolicy::None).unwrap();
+            let mut live = Vec::new();
+            let filler = (0..60).map(|c| (c, (c as f64 * 0.01, 1.0 + c as f64 * 0.01)));
+            let seam = run.iter().map(|&x| (100, x));
+            for (id, (client, x)) in (0..).zip(filler.chain(seam).chain([(200, full)])) {
+                let subscription = sub(&s, id, x, full);
+                b.add_local(client, subscription.clone());
+                live.push((client, subscription));
+            }
+            assert_eq!(
+                (b.held.len(), b.local.len()),
+                (0, 1),
+                "{case}: one table, no nesting"
+            );
+            let event = Event::new(&s, vec![25.1, 50.0]).unwrap();
+            let cells = EventCells::new(&s, &event).unwrap();
+            let table = &b.local[0];
+            let candidate =
+                |slot: usize| table.candidates(&cells, slot / 64) >> (slot % 64) & 1 == 1;
+            let confirms: Vec<usize> = (60..60 + run.len())
+                .filter(|&slot| table.confirm(&cells, slot))
+                .collect();
+            assert!(
+                (60..60 + run.len()).all(candidate),
+                "{case}: every slot of the run a candidate"
+            );
+            assert_eq!(
+                confirms.first().copied().unwrap_or(usize::MAX),
+                delivering,
+                "{case}"
+            );
+            let mut expected: Vec<ClientId> = live
+                .iter()
+                .filter(|(_, subscription)| subscription.matches(&event))
+                .map(|&(client, _)| client)
+                .collect();
+            expected.dedup();
+            assert_eq!(emitted(&b, &s, &[25.1, 50.0]), expected, "{case}");
+        }
     }
 
     #[test]

@@ -474,11 +474,11 @@ impl BrokerNetwork {
                 let first = lists.len();
                 lists.resize_with(first + chunk, Vec::new);
                 for &(broker, client, mask) in triples {
+                    // A lone event's mask bits are clients, a chunk's events.
                     for_each_bit(mask, |i| {
-                        lists
-                            .get_mut(first + i)
-                            .into_iter()
-                            .for_each(|list| list.push((broker, client)))
+                        let (event, offset) = if chunk == 1 { (0, i) } else { (i, 0) };
+                        let list = lists.get_mut(first + event).into_iter();
+                        list.for_each(|list| list.push((broker, client | offset as u64)));
                     });
                 }
             },
@@ -535,7 +535,14 @@ impl BrokerNetwork {
                         1,
                         triples,
                         |broker, id, _, out| {
-                            broker.matching_clients(&cells, |client| out.push((id, client, 1)));
+                            // Each client joins its page: the last triple, or a new one.
+                            broker.matching_clients(&cells, |client| {
+                                let (page, bit) = (client & !63, 1 << (client & 63));
+                                match out.last_mut() {
+                                    Some((b, p, bits)) if (*b, *p) == (id, page) => *bits |= bit,
+                                    _ => out.push((id, page, bit)),
+                                }
+                            });
                         },
                         |broker, neighbor, _| {
                             u64::from(broker.neighbor_interested(neighbor, &cells))
@@ -698,8 +705,10 @@ impl<'a> Walk<'a> {
     }
 }
 
-/// A delivery `(broker, client)` with the mask of the chunk events it is
-/// for, as the walks emit them: ascending by `(broker, client)`.
+/// What the walks emit, ascending by `(broker, client)`. For a chunk of
+/// events, a client x event mask: `(broker, client, events it is for)`. For a
+/// lone event, a page x client mask: `(broker, first client of a 64-client
+/// page, clients of the page)`, the transpose the wire's burst encoder takes.
 pub type Triple = (BrokerId, ClientId, u64);
 
 /// Calls `f` with the index of every set bit of `mask`, lowest first.
@@ -714,10 +723,11 @@ pub(crate) fn for_each_bit(mut mask: u64, mut f: impl FnMut(usize)) {
 /// The chunk length below which [`BrokerNetwork::publish_batch`] runs the
 /// serial walk per event: a rank pass costs per slot, a serial walk per
 /// event. At 10 000 subscriptions over 64 clients (README "Batched publish
-/// execution", the rank kernel forced on) rank ÷ serial reads 1.36–1.47 at
-/// 8 events, 0.98–1.03 at 12, 0.90–0.96 at 13 and 0.87–0.92 at 14. With one
-/// client per subscription, where every matching slot is a delivery of its
-/// own, the curves cross higher, between 16 and 24.
+/// execution", the rank kernel forced on) rank ÷ serial reads 0.95–0.98 at
+/// 12 events, 0.77–0.88 at 14, 0.77–0.85 at 16 and 0.67–0.78 at 20; with
+/// one client per subscription 0.85–0.94, 0.82–0.98, 0.79–0.82 and
+/// 0.72–0.74. The leader pass and lone pages raised each by 0.03–0.07, too
+/// little to move the crossover by two events on either population.
 const SERIAL_BELOW: usize = 14;
 
 /// Where each broker's share of a walk's output lies — `spans[b]` is the
@@ -1050,7 +1060,10 @@ mod tests {
             let brokers = Topology::balanced_tree(2, 3).unwrap().brokers();
             let build = || {
                 let net = network(Topology::balanced_tree(2, 3).unwrap(), &s, policy);
-                for i in 0..12u64 {
+                // Four subscriptions a broker, of clients 100 to 159: a lone
+                // event's deliveries at a broker span pages 1 and 2 of 64
+                // clients, some pages holding several clients.
+                for i in 0..60u64 {
                     let lo = (i * 7 % 80) as f64;
                     net.subscribe(
                         (i as usize) % brokers,
@@ -1357,7 +1370,10 @@ mod tests {
                         let token = &mut walk.token;
                         net.publish_chunks(token, at, events, &mut Vec::new(), |triples, chunk| {
                             for &(broker, client, mask) in triples {
-                                for_each_bit(mask, |i| lists[first + i].push((broker, client)));
+                                for_each_bit(mask, |i| match chunk {
+                                    1 => lists[first].push((broker, client | i as u64)),
+                                    _ => lists[first + i].push((broker, client)),
+                                });
                             }
                             first += chunk;
                         })

@@ -50,11 +50,11 @@
 //! count byte `0xff`, which no page has. So a list that does not ascend
 //! strictly decodes to [`ServiceError::CorruptFrame`], never to a different
 //! list. A 330-pair benchmark response takes about 92 bytes (364 in v2).
-//! One encoder writes it, for one list ([`encode_frame`]) or for each event
-//! of a burst's match triples ([`put_deliveries_frames`]), with the same bytes.
+//! One page writer writes each record: for one list ([`encode_frame`]), for
+//! a lone event's pages, and for each event of a burst's match triples
+//! ([`put_deliveries_frames`]), with the same bytes.
 
 use std::io::Read;
-use std::slice;
 
 use acd_covering::storage::codec::{put_bounds, put_bytes, put_varint, Cursor, DecodeError};
 use acd_covering::storage::crc32_update;
@@ -332,7 +332,15 @@ pub(crate) fn append_frame(frame: &Frame, out: &mut Vec<u8>) {
         Frame::Publish { at, values } => put_publish(out, *at, values),
         Frame::Deliveries { pairs } => {
             out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-            put_deliveries::<_, 1>(pairs, |(b, c)| (b, c, 1), slice::from_mut(out));
+            let mut lane = (0, 0, 0);
+            for run in pairs.chunk_by(|a, b| (a.0, a.1 >> 6) == (b.0, b.1 >> 6)) {
+                let (broker, client) = run.first().copied().unwrap_or_default();
+                let (bits, broken) = run.iter().fold((0u64, false), |(bits, broken), pair| {
+                    let bit = 1 << (pair.1 & 63);
+                    (bits | bit, broken | (bit <= bits))
+                });
+                put_page(out, &mut lane, (broker, client, bits, broken));
+            }
         }
         Frame::Ok => {}
         Frame::Err { message } => {
@@ -402,8 +410,8 @@ fn seal_frame(out: &mut Vec<u8>, start: usize) {
 
 /// Appends [`encode_frame`]'s bytes for each event's list of a chunk of
 /// `events` (at most 64) to `out`, from the chunk's [`Triple`]s, strictly
-/// ascending by `(broker, client)`: bit `i` of a mask puts the pair in event
-/// `i`'s list. `payloads` is reused scratch, one buffer per event.
+/// ascending by `(broker, client)`: a lone event's pages, or bit `i` of a
+/// mask puts the pair in event `i`'s list. `payloads` is reused scratch.
 // acd-lint: hot
 pub fn put_deliveries_frames(
     out: &mut Vec<u8>,
@@ -412,16 +420,19 @@ pub fn put_deliveries_frames(
     payloads: &mut Vec<Vec<u8>>,
 ) {
     if events == 1 {
-        // A lone event's masks, all 1, are a constant the page loops fold away.
         let start = open_frame(out, kind::DELIVERIES);
-        out.extend_from_slice(&(triples.len() as u32).to_le_bytes());
-        put_deliveries::<_, 1>(triples, |(b, c, _)| (b, c, 1), slice::from_mut(out));
+        let pairs: u32 = triples.iter().map(|&(.., bits)| bits.count_ones()).sum();
+        out.extend_from_slice(&pairs.to_le_bytes());
+        let mut lane = (0, 0, 0);
+        for &(broker, client, bits) in triples {
+            put_page(out, &mut lane, (broker, client, bits, false));
+        }
         return seal_frame(out, start);
     }
     payloads.resize_with(payloads.len().max(events), Vec::new);
     let payloads = payloads.get_mut(..events).unwrap_or_default();
     payloads.iter_mut().for_each(Vec::clear);
-    let counts = put_deliveries::<_, 64>(triples, |triple| triple, payloads);
+    let counts = put_deliveries(triples, payloads);
     for (payload, count) in payloads.iter().zip(counts) {
         let start = open_frame(out, kind::DELIVERIES);
         out.extend_from_slice(&count.to_le_bytes());
@@ -430,59 +441,58 @@ pub fn put_deliveries_frames(
     }
 }
 
-/// The one `Deliveries` encoder: appends to `payloads[i]` the page records
-/// of the list bit `i < EVENTS` of the event masks selects, and returns each
-/// list's pair count. Each `(broker, page)` run ORs a client's mask into row
-/// `client & 63`, which [`transpose64`] turns into one page per event. A run
-/// whose clients do not ascend writes the count byte [`u8::MAX`] and a key
-/// that steps back wraps, so a broken list encodes to bytes the decoder rejects.
+/// The burst encoder: appends to `payloads[i]` the page records of the list
+/// bit `i` of the event masks selects, and returns each list's pair count.
+/// Each `(broker, page)` run ORs a client's mask into row `client & 63`,
+/// which [`transpose64`] turns into one page per event.
 // acd-lint: hot
-fn put_deliveries<T: Copy, const EVENTS: usize>(
-    items: &[T],
-    triple: impl Fn(T) -> Triple,
-    payloads: &mut [Vec<u8>],
-) -> [u32; EVENTS] {
-    let pair = |item| (triple(item).0, triple(item).1);
-    debug_assert!(
-        items.is_sorted_by(|&a, &b| pair(a) < pair(b)),
-        "a Deliveries list is strictly ascending by (broker, client)"
-    );
-    // Per event: its pairs, and its last record's broker and page + 1.
-    let mut lanes = [(0u32, 0u64, 0u64); EVENTS];
-    let key = |item| (triple(item).0 as u64, triple(item).1 >> 6);
-    for run in items.chunk_by(|&a, &b| key(a) == key(b)) {
-        let (broker, page) = run.first().map_or((0, 0), |&item| key(item));
-        let (mut pages, mut touched, mut broken, mut next) = ([0u64; EVENTS], 0, false, 0);
-        for &item in run {
-            let (_, client, mask) = triple(item);
+fn put_deliveries(triples: &[Triple], payloads: &mut [Vec<u8>]) -> [u32; 64] {
+    let mut lanes = [(0u32, 0u64, 0u64); 64];
+    let key = |&(broker, client, _): &Triple| (broker, client & !63);
+    for run in triples.chunk_by(|a, b| key(a) == key(b)) {
+        let (broker, base) = run.first().map_or((0, 0), key);
+        let (mut rows, mut touched, mut broken, mut next) = ([0u64; 64], 0, false, 0);
+        for &(_, client, mask) in run {
             let offset = client & 63;
             (touched, broken, next) = (touched | mask, broken | (offset < next), offset + 1);
-            // A lone event's page is its clients' bits, a burst's a transpose away.
-            let bits = if EVENTS == 1 { 1 << offset } else { mask };
-            if let Some(row) = pages.get_mut(offset as usize % EVENTS) {
-                *row |= bits;
+            if let Some(row) = rows.get_mut(offset as usize) {
+                *row |= mask;
             }
         }
-        if let Ok(rows) = <&mut [u64; 64]>::try_from(pages.as_mut_slice()) {
-            transpose64(rows);
-        }
+        transpose64(&mut rows);
         for_each_bit(touched, |i| {
-            let lane = (lanes.get_mut(i), payloads.get_mut(i), pages.get(i));
-            if let (Some((pairs, last, floor)), Some(out), Some(&bits)) = lane {
-                let base = if broker == *last { *floor } else { 0 };
-                put_varint(out, broker.wrapping_sub(*last));
-                put_varint(out, page.wrapping_sub(base));
-                let count = bits.count_ones() as u8;
-                out.push(if broken { u8::MAX } else { count - 1 });
-                match count {
-                    9.. => out.extend_from_slice(&bits.to_le_bytes()),
-                    _ => for_each_bit(bits, |b| out.push(b as u8)),
-                }
-                (*pairs, *last, *floor) = (*pairs + u32::from(count), broker, page + 1);
+            let lane = (lanes.get_mut(i), payloads.get_mut(i), rows.get(i));
+            if let (Some(lane), Some(out), Some(&bits)) = lane {
+                put_page(out, lane, (broker, base, bits, broken));
             }
         });
     }
     lanes.map(|(pairs, ..)| pairs)
+}
+
+/// The one page-record writer: appends the page of `broker` that `client` is
+/// on, holding the clients `bits`, to a list whose pair count, last broker
+/// and last page + 1 are `lane`. A page whose clients break the ascent (or
+/// that holds none) writes the count byte [`u8::MAX`], which no page has, and
+/// a key that steps back wraps, so such a list reads back as corrupt.
+// acd-lint: hot
+#[inline]
+fn put_page(out: &mut Vec<u8>, lane: &mut (u32, u64, u64), page: (BrokerId, ClientId, u64, bool)) {
+    let ((pairs, last, floor), (broker, client, bits, broken)) = (*lane, page);
+    let (broker, page) = (broker as u64, client >> 6);
+    let ascends = (broker, page) >= (last, floor) && !broken;
+    debug_assert!(ascends, "a Deliveries list is strictly ascending");
+    let base = if broker == last { floor } else { 0 };
+    put_varint(out, broker.wrapping_sub(last));
+    put_varint(out, page.wrapping_sub(base));
+    let count = bits.count_ones() as u8;
+    // `count - 1`; a broken or empty page wraps to `u8::MAX`.
+    out.push(if broken { 0 } else { count }.wrapping_sub(1));
+    match count {
+        9.. => out.extend_from_slice(&bits.to_le_bytes()),
+        _ => for_each_bit(bits, |b| out.push(b as u8)),
+    }
+    *lane = (pairs + u32::from(count), broker, page + 1);
 }
 
 /// Transposes a 64 x 64 bit matrix in place (bit `c` of `rows[r]` to bit `r` of
@@ -1131,11 +1141,13 @@ mod tests {
         triples
     }
 
+    /// A burst's client x event triples (a lone event's are pages: see
+    /// `a_lone_events_pages_write_its_encode_frame`).
     #[test]
     fn put_deliveries_frames_writes_each_events_encode_frame() {
         let mut next = stream(0x9e37_79b9_7f4a_7c15);
         let (mut out, mut payloads, mut expected, mut one) = (vec![], vec![], vec![], vec![]);
-        for events in [1, 2, 63, 64] {
+        for events in [2, 3, 63, 64] {
             for _ in 0..20 {
                 let triples = burst(&mut next, events);
                 out.clear();
@@ -1152,6 +1164,81 @@ mod tests {
                 }
                 assert_eq!(out, expected, "{events} events: {triples:?}");
             }
+        }
+    }
+
+    /// `put_deliveries_frames(.., 1, ..)` on the page triples a serial walk
+    /// emits for one event writes `encode_frame`'s bytes for the pairs they
+    /// spell, and they read back: random ascending lists over several
+    /// brokers, pages of 1, 8, 9 and 64 clients (either side of the
+    /// array/bitmap edge) under page keys at the varint edges, and the empty
+    /// list. The triples are built here by a map from page key to bits, not
+    /// by the walk's own grouping.
+    #[test]
+    fn a_lone_events_pages_write_its_encode_frame() {
+        let mut next = stream(0x2f6b_1c4d_8a93_e057);
+        let pages = [
+            0u64,
+            1,
+            2,
+            127,
+            128,
+            129,
+            16_383,
+            16_384,
+            1 << 21,
+            u64::MAX >> 6,
+        ];
+        let brokers = [0, 1, 5, 127, 128, usize::MAX];
+        let mut lists: Vec<Vec<(BrokerId, ClientId)>> = vec![Vec::new()];
+        for _ in 0..200 {
+            let mut pairs = Vec::new();
+            for broker in brokers {
+                for page in pages {
+                    let bits = match next() % 6 {
+                        0..3 => continue, // half the pages empty
+                        3 => 1 << (next() % 64),
+                        4 => next() & next() & next(),
+                        _ => next() | next(),
+                    };
+                    pairs.extend(
+                        (0..64)
+                            .filter(|b| bits >> b & 1 == 1)
+                            .map(|b| (broker, page << 6 | b)),
+                    );
+                }
+            }
+            lists.push(pairs);
+        }
+        for (count, page) in [1u64, 8, 9, 64]
+            .into_iter()
+            .flat_map(|c| pages.map(|p| (c, p)))
+        {
+            let clients = (0..count).map(|b| page << 6 | (b * 7 % 64));
+            let mut pairs: Vec<(BrokerId, ClientId)> = clients.map(|c| (3, c)).collect();
+            pairs.sort_unstable();
+            let twin: Vec<_> = pairs.iter().map(|&(_, c)| (2, c)).collect();
+            lists.push([twin, pairs].concat());
+        }
+        let (mut out, mut expected) = (Vec::new(), Vec::new());
+        for pairs in lists {
+            let mut keyed = std::collections::BTreeMap::<(BrokerId, u64), u64>::new();
+            for &(broker, client) in &pairs {
+                *keyed.entry((broker, client >> 6)).or_default() |= 1 << (client & 63);
+            }
+            let triples: Vec<Triple> = keyed
+                .into_iter()
+                .map(|((b, p), bits)| (b, p << 6, bits))
+                .collect();
+            out.clear();
+            put_deliveries_frames(&mut out, &triples, 1, &mut Vec::new());
+            let frame = Frame::Deliveries { pairs };
+            encode_frame(&frame, &mut expected);
+            assert_eq!(out, expected, "{triples:?}");
+            assert_eq!(
+                read_frame(&mut out.as_slice(), &mut Vec::new()).unwrap(),
+                frame
+            );
         }
     }
 
