@@ -9,7 +9,8 @@
 //! `retraction`: subscribe/unsubscribe pairs on a populated overlay, split
 //! by whether the retracted subscription had been sent (the link may be its
 //! witness for others and must offer those again) or held back (only its
-//! own entry goes).
+//! own entry goes), and `churn/stock-ticker-10000`, the repo benchmark's
+//! `subscription_churn` stream in process.
 
 use std::time::Duration;
 
@@ -229,7 +230,48 @@ fn bench_retraction(c: &mut Criterion) {
             }
         }
     }
+    bench_churn(&mut group);
     group.finish();
+}
+
+/// The repo benchmark's `subscription_churn` stream without the daemon:
+/// 10 000 standing StockTicker subscriptions, subscription `id` at broker
+/// `id % 7` for client `id % 64`, under `ExactSfc` on `balanced_tree(2, 2)`,
+/// then pairs "subscribe the next fresh one, unsubscribe the oldest
+/// churning one" over a pool of 2 048 with 512 live at any time. One
+/// iteration is one pair; the stream is stationary, so the pairs a sample
+/// times are alike wherever the pool stands.
+fn bench_churn(group: &mut criterion::BenchmarkGroup<'_>) {
+    const STANDING: usize = 10_000;
+    const WINDOW: usize = 512;
+
+    let config = Scenario::StockTicker.workload_config(1);
+    let mut workload = SubscriptionWorkload::new(&config).unwrap();
+    let schema = workload.schema().clone();
+    let standing = workload.take(STANDING);
+    let pool = workload.take(4 * WINDOW);
+    let home = |s: &Subscription| ((s.id() % 7) as usize, s.id() % 64);
+    let net = BrokerConfig::new(Topology::balanced_tree(2, 2).unwrap(), &schema)
+        .policy(CoveringPolicy::ExactSfc)
+        .build()
+        .unwrap();
+    for s in standing.iter().chain(&pool[..WINDOW]) {
+        let (at, client) = home(s);
+        net.subscribe(at, client, s).unwrap();
+    }
+    let mut step = 0;
+    group.bench_function("churn/stock-ticker-10000", |b| {
+        b.iter(|| {
+            let (fresh, oldest) = (
+                &pool[(step + WINDOW) % pool.len()],
+                &pool[step % pool.len()],
+            );
+            let (at, client) = home(fresh);
+            net.subscribe(at, client, fresh).unwrap();
+            net.unsubscribe(home(oldest).0, oldest.id()).unwrap();
+            step += 1;
+        });
+    });
 }
 
 criterion_group!(

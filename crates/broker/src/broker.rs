@@ -54,7 +54,7 @@ use acd_subscription::schema::MAX_ATTRIBUTES;
 use acd_subscription::{Event, Schema, SubId, Subscription};
 
 use crate::link::{Held, Link};
-use crate::network::{for_each_bit, Violation};
+use crate::network::{for_each_bit, Registry, Violation};
 use crate::Result;
 
 /// Identifier of a broker inside a [`crate::BrokerNetwork`] (an index into
@@ -129,7 +129,7 @@ pub(crate) struct MatchTable {
     /// `raw[slot * arity + attr]`: the inclusive raw `(lo, hi)` bounds,
     /// row-major, one row of `arity` pairs per slot. **The truth**: the one
     /// exact store, read a row at a time by [`confirm`](Self::confirm),
-    /// `cover_masks` and the batched kernel's cold path, each of which asks
+    /// `cover_in_run` and the batched kernel's cold path, each of which asks
     /// about one slot across its attributes.
     raw: Vec<(f64, f64)>,
     /// `cell_lo[attr][slot]`: the grid cell of the slot's raw lower bound
@@ -166,9 +166,6 @@ pub(crate) struct MatchTable {
     /// once. Kept by a bit insert / remove at the slot plus one neighbour
     /// bit, never rebuilt.
     run_ends: Vec<u64>,
-    /// Local table only: the handle `remove_local` returns so the network
-    /// can retract the subscription from the links it was sent on.
-    handles: Vec<Subscription>,
 }
 
 impl MatchTable {
@@ -190,7 +187,6 @@ impl MatchTable {
             ids: Vec::new(),
             clients: Vec::new(),
             run_ends: Vec::new(),
-            handles: Vec::new(),
         }
     }
 
@@ -246,9 +242,9 @@ impl MatchTable {
 
     /// Local table: inserts after the last slot of `client`, keeping the
     /// slots ordered by client.
-    fn insert_local(&mut self, client: ClientId, subscription: Subscription) {
+    fn insert_local(&mut self, client: ClientId, subscription: &Subscription) {
         let slot = self.clients.partition_point(|&c| c <= client);
-        self.insert_bounds(slot, &subscription);
+        self.insert_bounds(slot, subscription);
         // The new slot ends its client's run; the slot before it, if it is
         // the same client's, no longer does.
         insert_bit(&mut self.run_ends, self.clients.len(), slot, true);
@@ -256,7 +252,6 @@ impl MatchTable {
             set_bit(&mut self.run_ends, slot - 1, false);
         }
         self.clients.insert(slot, client);
-        self.handles.insert(slot, subscription);
         debug_assert_eq!(self.run_ends, run_ends_of(&self.clients));
     }
 
@@ -268,56 +263,44 @@ impl MatchTable {
     }
 
     /// Local table: removes `client`'s slot holding `id`, preserving client
-    /// order. Only that client's run is searched.
-    fn remove_local(&mut self, client: ClientId, id: SubId) -> Option<Subscription> {
+    /// order (`None` when there is none). Only that client's run is searched.
+    fn remove_local(&mut self, client: ClientId, id: SubId) -> Option<()> {
         let run = self.run_of(client);
         let slot = run.start + self.ids.get(run)?.iter().position(|&i| i == id)?;
-        Some(self.remove_slot(client, slot))
-    }
-
-    /// Local table: how the raw bounds of the (at most 64) slots `slots`
-    /// stand to `bounds`. Bit `i` of the first mask is set where slot
-    /// `slots.start + i` contains them on every attribute, of the second
-    /// where it lies inside them: [`Subscription::covers`], on each slot's
-    /// row, under which every event the inner bounds match the outer ones
-    /// match too.
-    fn cover_masks(&self, slots: Range<usize>, bounds: &[(f64, f64)]) -> (u64, u64) {
-        let (mut outer, mut inner) = (0, 0);
-        let rows = slots.map_while(|slot| self.row(slot)).take(Self::BLOCK);
-        for (bit, row) in rows.enumerate() {
-            let pairs = || row.iter().zip(bounds);
-            let contains = pairs().all(|(&(lo, hi), &(low, high))| lo <= low && high <= hi);
-            let inside = pairs().all(|(&(lo, hi), &(low, high))| low <= lo && hi <= high);
-            outer |= u64::from(contains) << bit;
-            inner |= u64::from(inside) << bit;
-        }
-        (outer, inner)
+        self.remove_slot(client, slot);
+        Some(())
     }
 
     /// Local table: the id of the first slot of `client`'s run whose raw
-    /// bounds contain `bounds` (see [`cover_masks`](Self::cover_masks)), and
-    /// whether any slot of the run lies inside them.
+    /// bounds contain `bounds` (`contains`), and whether a slot before it
+    /// (any slot, when none does) lies inside them.
     fn cover_in_run(&self, client: ClientId, bounds: &[(f64, f64)]) -> (Option<SubId>, bool) {
-        let run = self.run_of(client);
         let mut covered = false;
-        for start in run.clone().step_by(Self::BLOCK) {
-            let (outer, inner) = self.cover_masks(start..run.end.min(start + Self::BLOCK), bounds);
-            if outer != 0 {
-                let slot = start + outer.trailing_zeros() as usize;
-                return (self.ids.get(slot).copied(), covered);
+        for slot in self.run_of(client) {
+            let (Some(&id), Some(row)) = (self.ids.get(slot), self.row(slot)) else {
+                break;
+            };
+            if contains(row, bounds) {
+                return (Some(id), covered);
             }
-            covered |= inner != 0;
+            covered |= contains(bounds, row);
         }
         (None, covered)
     }
 
     /// Local table: removes every slot of `client`'s run whose raw bounds
-    /// lie inside `bounds`, returning their handles in slot order.
-    fn remove_covered(&mut self, client: ClientId, bounds: &[(f64, f64)]) -> Vec<Subscription> {
+    /// lie inside `cover`'s, returning them in slot order, each rebuilt from
+    /// its row under `cover`'s schema (demotions are rare).
+    fn remove_covered(&mut self, client: ClientId, cover: &Subscription) -> Vec<Subscription> {
         let mut removed = Vec::new();
         for slot in self.run_of(client).rev() {
-            if self.cover_masks(slot..slot + 1, bounds).1 != 0 {
-                removed.push(self.remove_slot(client, slot));
+            let (Some(&id), Some(row)) = (self.ids.get(slot), self.row(slot)) else {
+                continue;
+            };
+            if contains(cover.raw_bounds(), row) {
+                let rebuilt = Subscription::from_raw_bounds(cover.schema(), id, row);
+                removed.push(rebuilt.expect("a slot's row was validated when it was stored"));
+                self.remove_slot(client, slot);
             }
         }
         removed.reverse(); // slot order
@@ -326,7 +309,7 @@ impl MatchTable {
 
     /// Local table: removes slot `slot`, which is `client`'s, preserving
     /// client order.
-    fn remove_slot(&mut self, client: ClientId, slot: usize) -> Subscription {
+    fn remove_slot(&mut self, client: ClientId, slot: usize) {
         let at = slot * self.arity();
         self.raw.drain(at..at + self.arity());
         for column in self.cell_lo.iter_mut().chain(&mut self.cell_hi) {
@@ -342,7 +325,6 @@ impl MatchTable {
             set_bit(&mut self.run_ends, slot - 1, true);
         }
         debug_assert_eq!(self.run_ends, run_ends_of(&self.clients));
-        self.handles.remove(slot)
     }
 
     /// Local table: the client boundary nearest the middle slot, where the
@@ -378,7 +360,6 @@ impl MatchTable {
             ids: self.ids.split_off(at),
             clients: self.clients.split_off(at),
             run_ends: Vec::new(),
-            handles: self.handles.split_off(at),
         };
         for table in [&mut *self, &mut upper] {
             table.pad_cells(table.len());
@@ -402,7 +383,6 @@ impl MatchTable {
         self.pad_cells(len + live);
         self.ids.append(&mut next.ids);
         self.clients.append(&mut next.clients);
-        self.handles.append(&mut next.handles);
         self.run_ends = run_ends_of(&self.clients);
     }
 
@@ -415,13 +395,14 @@ impl MatchTable {
         self.ids.shrink_to_fit();
         self.clients.shrink_to_fit();
         self.run_ends.shrink_to_fit();
-        self.handles.shrink_to_fit();
     }
 
     /// Routing table: removes the slot holding `id` by moving the last slot
     /// into it, returning whether it was present.
     fn swap_remove_routing(&mut self, id: SubId) -> bool {
-        let Some(slot) = self.ids.iter().position(|&i| i == id) else {
+        // Newest first: the churning entries are the latest appended, and a
+        // swap-remove keeps them at the tail.
+        let Some(slot) = self.ids.iter().rposition(|&i| i == id) else {
             return false;
         };
         let last = self.len() - 1;
@@ -512,6 +493,13 @@ impl MatchTable {
             false
         })
     }
+}
+
+/// Whether the raw bounds `outer` contain `inner` on every attribute:
+/// [`Subscription::covers`] on two rows.
+fn contains(outer: &[(f64, f64)], inner: &[(f64, f64)]) -> bool {
+    let mut pairs = outer.iter().zip(inner);
+    pairs.all(|(&(lo, hi), &(low, high))| lo <= low && high <= hi)
 }
 
 /// The block of a cell column that starts at slot `start`.
@@ -632,7 +620,9 @@ const LOCAL_CAP: usize = 512;
 ///   it (with the owning client, so deliveries can be attributed): in one
 ///   client-ordered sequence of capped match tables those no other
 ///   subscription of the same client covers, and off-table the rest, each
-///   filed under an in-table one of its client that covers it;
+///   filed under an in-table one of its client that covers it. Under a
+///   covering policy only the in-table ones go out on the links: the rest
+///   are covered there by their witness;
 /// * `links`: one `Link` record per neighbor (`link.rs`) — `routing`, the
 ///   bounds of the subscriptions received from it, used to decide where an
 ///   event must be forwarded; `sent`, the covering index of the
@@ -656,7 +646,7 @@ pub struct Broker {
     /// between them fold into one; an emptied table goes. Never empty, and
     /// a table is empty only when it is the only one.
     ///
-    /// Invariant: no slot is raw-covered (`MatchTable::cover_masks`) by
+    /// Invariant: no slot is raw-covered (`contains`) by
     /// another slot of the same client, and every subscription in `held` is
     /// filed under an in-table slot of the same client that raw-covers it.
     /// Every event a held subscription matches its witness matches, so the
@@ -713,29 +703,33 @@ impl Broker {
     /// client's run raw-covers it (equal bounds included) it is held behind
     /// that slot and no table changes; otherwise every slot of the run it
     /// raw-covers is demoted — filed under it with everything that slot was
-    /// holding back — and it takes a slot of its own.
-    pub fn add_local(&mut self, client: ClientId, subscription: Subscription) {
+    /// holding back — and it takes a slot of its own. Returns the demoted
+    /// slots, or `None` when it was held.
+    pub fn add_local(
+        &mut self,
+        client: ClientId,
+        subscription: Subscription,
+    ) -> Option<Vec<Subscription>> {
         let at = self.local_table(client);
         let table = self
             .local
             .get_mut(at)
             .expect("a broker keeps at least one local table");
-        let bounds = subscription.raw_bounds();
-        let (witness, covers) = table.cover_in_run(client, bounds);
+        let (witness, covers) = table.cover_in_run(client, subscription.raw_bounds());
         if let Some(witness) = witness {
             self.held.hold(witness, subscription);
-            return;
+            return None;
         }
-        if covers {
-            for demoted in table.remove_covered(client, bounds) {
-                let list = self.held.take(demoted.id());
-                self.held.hold(subscription.id(), demoted);
-                for held in list {
-                    self.held.hold(subscription.id(), held);
-                }
+        let demoted = covers.then(|| table.remove_covered(client, &subscription));
+        let demoted = demoted.unwrap_or_default();
+        for slot in &demoted {
+            let list = self.held.take(slot.id());
+            self.held.hold(subscription.id(), slot.clone());
+            for held in list {
+                self.held.hold(subscription.id(), held);
             }
         }
-        table.insert_local(client, subscription);
+        table.insert_local(client, &subscription);
         if covers {
             // At least one slot was demoted: the table did not grow.
             self.fold(at);
@@ -745,6 +739,7 @@ impl Broker {
                 self.local.insert(at + 1, upper);
             }
         }
+        Some(demoted)
     }
 
     /// The local table that holds `client`'s run, or takes it: the first
@@ -781,14 +776,14 @@ impl Broker {
         self.links.values().map(|link| link.routing.len()).sum()
     }
 
-    /// Removes the local subscription `id` of `client`, returning it if it
-    /// was registered here for that client. Binary searches find the
-    /// client's table and run; only the run is scanned. A held-back
+    /// Removes the local subscription `id` of `client`, if it was registered
+    /// here for that client. Binary searches find the client's table and
+    /// run; only the run is scanned. A held-back
     /// subscription just leaves its witness's list. An in-table one leaves
     /// its table, and what it was holding back is added again, in arrival
     /// order, as [`add_local`](Self::add_local) adds it: each ends behind
-    /// another witness or back in the table.
-    pub fn remove_local(&mut self, client: ClientId, id: SubId) -> Option<Subscription> {
+    /// another witness or back in the table, and the latter are returned.
+    pub fn remove_local(&mut self, client: ClientId, id: SubId) -> Option<Vec<Subscription>> {
         let at = self.local_table(client);
         if let Some(witness) = self.held.witness(id) {
             let table = self.local.get(at)?;
@@ -796,14 +791,17 @@ impl Broker {
             if !table.ids.get(table.run_of(client))?.contains(&witness) {
                 return None;
             }
-            return self.held.release(id);
+            return self.held.release(id).map(|_| Vec::new());
         }
-        let removed = self.local.get_mut(at)?.remove_local(client, id)?;
+        self.local.get_mut(at)?.remove_local(client, id)?;
         self.fold(at);
-        for orphan in self.held.take(id) {
-            self.add_local(client, orphan);
+        let mut promoted = self.held.take(id);
+        for orphan in &promoted {
+            self.add_local(client, orphan.clone());
         }
-        Some(removed)
+        // An orphan that a later one covers ends behind it, off-table.
+        promoted.retain(|orphan| self.held.witness(orphan.id()).is_none());
+        Some(promoted)
     }
 
     /// After a removal or demotion from local table `at`: drops it if it
@@ -846,10 +844,14 @@ impl Broker {
     /// registry's copy (live id → client): every link's ([`Link::audit`], and
     /// its live sent ids and routing entries, into `sent` and `routed` as
     /// `(sender, receiver, id)`), then `Broker::local`'s invariant and each
-    /// slot registered for its client. Returns the local ids.
+    /// slot registered for its client, then that a live local subscription
+    /// is on every link (sent or held back there) exactly when it holds a
+    /// slot or the policy does not detect covering (`covering`). Returns the
+    /// local ids.
     pub(crate) fn audit(
         &self,
-        registered: &HashMap<SubId, ClientId>,
+        registered: &Registry,
+        covering: bool,
         found: &mut Vec<Violation>,
         sent: &mut HashSet<(BrokerId, BrokerId, SubId)>,
         routed: &mut HashSet<(BrokerId, BrokerId, SubId)>,
@@ -870,10 +872,10 @@ impl Broker {
         }
         let mut slots = HashMap::new();
         for table in &self.local {
-            for (&client, handle) in table.clients.iter().zip(&table.handles) {
-                slots.insert(handle.id(), (client, handle));
-                if registered.get(&handle.id()) != Some(&client) {
-                    found.push(Violation::Misplaced(Some(broker), handle.id()));
+            for (slot, (&id, &client)) in table.ids.iter().zip(&table.clients).enumerate() {
+                slots.insert(id, (client, table.row(slot).unwrap_or_default()));
+                if registered.get(&id) != Some(&client) {
+                    found.push(Violation::Misplaced(Some(broker), id));
                 }
             }
         }
@@ -883,8 +885,8 @@ impl Broker {
             let id = held.id();
             found.push(match (registered.get(&id), slots.get(&witness)) {
                 (None, _) => Violation::Misplaced(Some(broker), id),
-                (Some(client), Some((owner, cover))) if client == owner => {
-                    if cover.covers(held) {
+                (Some(client), Some(&(owner, row))) if *client == owner => {
+                    if contains(row, held.raw_bounds()) {
                         continue;
                     }
                     Violation::UncoveringWitness(broker, None, witness, id)
@@ -892,9 +894,17 @@ impl Broker {
                 _ => Violation::ForeignWitness(broker, witness, id),
             });
         }
-        let tables = self.local.iter().flat_map(|table| &table.handles);
-        let mut local: Vec<SubId> = tables.map(Subscription::id).collect();
+        let mut local: Vec<SubId> = self.local.iter().flat_map(|t| &t.ids).copied().collect();
+        let slotted = local.len();
         local.extend(self.held.entries().map(|(_, held)| held.id()));
+        for (&neighbor, link) in &self.links {
+            for (at, &id) in local.iter().enumerate() {
+                let on = link.sent.contains(id) || link.held.witness(id).is_some();
+                if on != (at < slotted || !covering) && registered.contains_key(&id) {
+                    found.push(Violation::Misadvertised(broker, neighbor, id));
+                }
+            }
+        }
         local
     }
 
@@ -1371,11 +1381,20 @@ pub(crate) mod tests {
         assert_eq!(open, expected, "slot {slot}");
     }
 
+    /// The subscriptions `table`'s slots hold under schema `s`, in slot
+    /// order, rebuilt from their rows.
+    fn handles(table: &MatchTable, s: &Schema) -> Vec<Subscription> {
+        let slots = table.ids.iter().enumerate();
+        let rebuilt =
+            slots.map(|(slot, &id)| Subscription::from_raw_bounds(s, id, table.row(slot).unwrap()));
+        rebuilt.collect::<Result<_, _>>().unwrap()
+    }
+
     /// Every column is as long as `ids` (the cell columns: as its whole
-    /// blocks), and (local tables) slots are client-ordered with the handle,
-    /// id, bounds, cells and open flags of one subscription, and `run_ends`
-    /// marks exactly the last slot of every client's run.
-    fn assert_aligned(table: &MatchTable, local: bool) {
+    /// blocks), slots hold the cells and open flags of their rows under
+    /// schema `s`, and (local tables) slots are client-ordered and
+    /// `run_ends` marks exactly the last slot of every client's run.
+    fn assert_aligned(table: &MatchTable, s: &Schema, local: bool) {
         let n = table.len();
         assert_eq!(table.raw.len(), n * table.arity());
         assert_eq!(table.open.len(), n);
@@ -1388,10 +1407,9 @@ pub(crate) mod tests {
             assert!(hi[padding.clone()].iter().all(|&pad| pad == 0));
         }
         let owned = if local { n } else { 0 };
-        assert_eq!((table.clients.len(), table.handles.len()), (owned, owned));
+        assert_eq!((table.ids.len(), table.clients.len()), (n, owned));
         assert!(table.clients.is_sorted(), "{:?}", table.clients);
-        for (slot, handle) in table.handles.iter().enumerate() {
-            assert_eq!(table.ids[slot], handle.id());
+        for (slot, handle) in handles(table, s).iter().enumerate() {
             assert_slot_holds(table, slot, handle);
         }
         let mut ends = vec![0u64; owned.div_ceil(MatchTable::BLOCK)];
@@ -1448,7 +1466,7 @@ pub(crate) mod tests {
             let lo = (i * 7 % 60) as f64;
             let fresh = sub(&s, i, (lo, (lo + 45.0).min(100.0)), (lo / 2.0, lo + 1.0));
             let client = i * 5 % 13;
-            local.insert_local(client, fresh.clone());
+            local.insert_local(client, &fresh);
             routing.insert_bounds(routing.len(), &fresh);
             live.push((client, fresh));
             if i % 3 == 2 {
@@ -1457,22 +1475,22 @@ pub(crate) mod tests {
                     local.remove_local(client + 1, gone.id()).is_none(),
                     "not its client"
                 );
-                let removed = local
-                    .remove_local(client, gone.id())
-                    .expect("registered above");
-                assert_eq!(removed, gone);
+                assert!(
+                    local.remove_local(client, gone.id()).is_some(),
+                    "registered above"
+                );
                 assert!(routing.swap_remove_routing(gone.id()));
                 assert!(!routing.swap_remove_routing(gone.id()), "already gone");
                 assert!(local.remove_local(client, gone.id()).is_none());
             }
-            assert_aligned(&local, true);
-            assert_aligned(&routing, false);
+            assert_aligned(&local, &s, true);
+            assert_aligned(&routing, &s, false);
             // Every table length from 1 to ~100 (both sides of a seam), every
             // live subscription's own low corner.
             for (_, subscription) in &live {
                 let corner = subscription.raw_bounds().iter().map(|&(low, _)| low);
                 let event = Event::new(&s, corner.collect()).unwrap();
-                assert_kernel_matches_oracle(&local, &local.handles, &event);
+                assert_kernel_matches_oracle(&local, &handles(&local, &s), &event);
             }
             assert_eq!((local.len(), routing.len()), (live.len(), live.len()));
             // The routing table holds exactly the live bounds, cells and
@@ -1674,7 +1692,7 @@ pub(crate) mod tests {
         assert_eq!(b.suppressed_entries(), 1);
 
         // Retracting the cover re-advertises the one it masked, in place.
-        let readvertised = b.link_mut(1).retract(&wide).unwrap();
+        let readvertised = b.link_mut(1).retract(wide.id()).unwrap();
         let readvertised = readvertised.expect("wide was sent");
         assert_eq!(readvertised.len(), 1);
         assert_eq!(readvertised[0].0, narrow);
@@ -1685,7 +1703,11 @@ pub(crate) mod tests {
         assert!(!b.remove_received(2, 1));
         assert!(!b.remove_received(9, 2), "unknown interface");
         assert_eq!(b.remove_local(8, 1), None, "not client 8's");
-        assert_eq!(b.remove_local(7, 1), Some(wide));
+        assert_eq!(
+            b.remove_local(7, 1),
+            Some(vec![narrow]),
+            "narrow takes the slot"
+        );
         assert_eq!(b.remove_local(7, 1), None);
         assert_eq!(b.local_subscriptions(), 1);
         assert_eq!(b.routing_table_entries(), 2);
@@ -1722,11 +1744,11 @@ pub(crate) mod tests {
         assert_eq!(emitted(&b, &s, &[15.0, 15.0]), [7, 8]);
 
         assert_eq!(b.remove_local(8, 2), None, "not client 8's");
-        assert_eq!(b.remove_local(7, 1), Some(first));
+        assert_eq!(b.remove_local(7, 1), Some(vec![twin]));
         assert_eq!(slots_of(&b, 7), [2]);
         assert_eq!(b.held.len(), 0);
         assert_eq!(emitted(&b, &s, &[15.0, 15.0]), [7, 8]);
-        assert_eq!(b.remove_local(7, 2), Some(twin));
+        assert_eq!(b.remove_local(7, 2), Some(vec![]));
         assert_eq!(emitted(&b, &s, &[15.0, 15.0]), [8]);
     }
 
@@ -1743,8 +1765,13 @@ pub(crate) mod tests {
         }
         b.add_local(7, sub(&s, 4, (0.0, 90.0), (60.0, 70.0)));
         assert_eq!(slots_of(&b, 7), [1, 2, 3, 4]);
+        let ids = |moved: Vec<Subscription>| moved.iter().map(Subscription::id).collect::<Vec<_>>();
         let newcomer = sub(&s, 5, (5.0, 65.0), (15.0, 45.0));
-        b.add_local(7, newcomer.clone());
+        assert_eq!(
+            b.add_local(7, newcomer).map(ids),
+            Some(vec![1, 2, 3]),
+            "demoted"
+        );
         assert_eq!(slots_of(&b, 7), [4, 5]);
         assert_eq!(held_behind(&b, 5), [1, 11, 2, 12, 3, 13]);
         assert_eq!(b.held.len(), 6, "the demoted lists are gone");
@@ -1753,7 +1780,11 @@ pub(crate) mod tests {
 
         // The newcomer goes: what it held is added again in that order, so
         // each demoted slot comes back with its own entry behind it.
-        assert_eq!(b.remove_local(7, 5), Some(newcomer));
+        assert_eq!(
+            b.remove_local(7, 5).map(ids),
+            Some(vec![1, 2, 3]),
+            "promoted"
+        );
         assert_eq!(slots_of(&b, 7), [4, 1, 2, 3]);
         for k in 1..=3 {
             assert_eq!(held_behind(&b, k), [10 + k]);
@@ -1951,7 +1982,7 @@ pub(crate) mod tests {
                     })
                     .collect();
                 let fresh = Subscription::from_raw_bounds(&s, id, &bounds).unwrap();
-                local.insert_local(id % 5, fresh.clone());
+                local.insert_local(id % 5, &fresh);
                 broker.add_received(1, &fresh);
                 received.push(fresh);
             }
@@ -2005,7 +2036,7 @@ pub(crate) mod tests {
                     bits
                 );
             }
-            for (table, stored) in [(&local, &local.handles), (routing, &received)] {
+            for (table, stored) in [(&local, &handles(&local, &s)), (routing, &received)] {
                 let view = chunk.view(table);
                 for (slot, subscription) in stored.iter().enumerate() {
                     let (mut compared, mut matched) = (0u64, 0u64);
@@ -2090,15 +2121,15 @@ pub(crate) mod tests {
                     })
                     .collect();
                 let fresh = Subscription::from_raw_bounds(&s, id, &bounds).unwrap();
-                local.insert_local(id * 7 % 5, fresh.clone());
+                local.insert_local(id * 7 % 5, &fresh);
                 routing.insert_bounds(routing.len(), &fresh);
                 received.push(fresh);
             }
-            assert_aligned(&local, true);
-            assert_aligned(&routing, false);
+            assert_aligned(&local, &s, true);
+            assert_aligned(&routing, &s, false);
             for _ in 0..24 {
                 let event = Event::new(&s, (0..arity).map(&mut point).collect()).unwrap();
-                assert_kernel_matches_oracle(&local, &local.handles, &event);
+                assert_kernel_matches_oracle(&local, &handles(&local, &s), &event);
                 assert_kernel_matches_oracle(&routing, &received, &event);
             }
         }
@@ -2135,7 +2166,7 @@ pub(crate) mod tests {
         let mut received = Vec::new();
         for (id, bounds) in (0..).zip(&bounds) {
             let fresh = Subscription::from_raw_bounds(&s, id, bounds).unwrap();
-            local.insert_local(id, fresh.clone());
+            local.insert_local(id, &fresh);
             routing.insert_bounds(routing.len(), &fresh);
             received.push(fresh);
         }
@@ -2170,7 +2201,7 @@ pub(crate) mod tests {
             chunk.valid(),
             u64::MAX >> (EventChunk::WIDTH - events.len())
         );
-        for (table, stored) in [(&local, &local.handles), (&routing, &received)] {
+        for (table, stored) in [(&local, &handles(&local, &s)), (&routing, &received)] {
             let view = chunk.view(table);
             for (slot, subscription) in stored.iter().enumerate() {
                 let mut oracle = 0u64;
@@ -2237,13 +2268,15 @@ pub(crate) mod tests {
         let s = schema();
         let mut table = MatchTable::new(&s);
         for id in 0..3 {
-            table.insert_local(id, sub(&s, id, (10.0, 20.0), (10.0, 20.0)));
+            table.insert_local(id, &sub(&s, id, (10.0, 20.0), (10.0, 20.0)));
         }
         let empty = unchecked(&s, &[]);
-        assert!(table.handles.iter().all(|handle| handle.matches(&empty)));
+        assert!(handles(&table, &s)
+            .iter()
+            .all(|handle| handle.matches(&empty)));
         let cells = EventCells::new(&s, &empty).unwrap();
         assert_eq!(table.candidates(&cells, 0), 0b111);
-        assert_kernel_matches_oracle(&table, &table.handles, &empty);
+        assert_kernel_matches_oracle(&table, &handles(&table, &s), &empty);
     }
 
     /// Every client `matching_clients` emits for an event holding `values`,
@@ -2263,7 +2296,7 @@ pub(crate) mod tests {
     fn assert_local_tables(b: &Broker) {
         assert!(!b.local.is_empty());
         for table in &b.local {
-            assert_aligned(table, true);
+            assert_aligned(table, &schema(), true);
             assert!(table.len() > 0 || b.local.len() == 1, "an empty table");
             let one_client = table.clients.first() == table.clients.last();
             assert!(
@@ -2288,21 +2321,25 @@ pub(crate) mod tests {
         live: &[(ClientId, Subscription)],
         antichain: impl Fn(ClientId, usize) -> bool,
     ) {
-        let registered = live.iter().map(|(client, s)| (s.id(), *client)).collect();
+        let registered: Registry = live.iter().map(|(client, s)| (s.id(), *client)).collect();
         let (mut found, mut sent, mut routed) = (Vec::new(), HashSet::new(), HashSet::new());
-        let mut local = b.audit(&registered, &mut found, &mut sent, &mut routed);
+        let mut local = b.audit(&registered, true, &mut found, &mut sent, &mut routed);
         let mut ids: Vec<SubId> = registered.into_keys().collect();
         local.sort_unstable();
         ids.sort_unstable();
         assert_eq!((found, local), (vec![], ids));
         let by_id: HashMap<SubId, &Subscription> = live.iter().map(|(_, s)| (s.id(), s)).collect();
-        let held = b.held.entries().map(|(_, held)| held);
-        let mut stored = b.local.iter().flat_map(|table| &table.handles).chain(held);
-        assert!(stored.all(|s| by_id[&s.id()] == s));
+        let held = b.held.entries().map(|(_, held)| held.clone());
+        let mut stored = b
+            .local
+            .iter()
+            .flat_map(|table| handles(table, &schema()))
+            .chain(held);
+        assert!(stored.all(|s| by_id[&s.id()] == &s));
         for table in &b.local {
-            let mut start = 0;
+            let (mut start, slots) = (0, handles(table, &schema()));
             for run in table.clients.chunk_by(|a, c| a == c) {
-                let handles = &table.handles[start..start + run.len()];
+                let handles = &slots[start..start + run.len()];
                 start += run.len();
                 if !antichain(run[0], run.len()) {
                     continue;
@@ -2396,7 +2433,12 @@ pub(crate) mod tests {
                     client
                 } else {
                     let (client, gone) = live.swap_remove(next() as usize % live.len());
-                    prop_assert_eq!(b.remove_local(client, gone.id()), Some(gone));
+                    let held = b.held.witness(gone.id()).is_some();
+                    let promoted = b.remove_local(client, gone.id()).expect("registered");
+                    prop_assert!(!held || promoted.is_empty());
+                    for orphan in &promoted {
+                        prop_assert!(b.held.witness(orphan.id()).is_none(), "took a slot");
+                    }
                     client
                 };
                 assert_local_tables(&b);

@@ -9,8 +9,8 @@ use std::collections::HashMap;
 use acd_covering::{CoveringIndex, CoveringPolicy, QueryOutcome};
 use acd_subscription::{Schema, SubId, Subscription};
 
-use crate::broker::{BrokerId, ClientId, MatchTable};
-use crate::network::Violation;
+use crate::broker::{BrokerId, MatchTable};
+use crate::network::{Registry, Violation};
 use crate::Result;
 
 /// Subscriptions held back behind a *witness*, a subscription that covers
@@ -166,25 +166,27 @@ impl Link {
         Ok(outcome)
     }
 
-    /// Takes `removed` off the link. `Some` when it had been sent: the list
-    /// it was the witness of (nothing else: the rest still have theirs),
-    /// each offered again in arrival order, with its answer — empty, with
-    /// no covering query and no allocation, in the common case. `None` when
-    /// it was never sent, where at most its own held-back entry had to go.
+    /// Takes `id` off the link. `Some` when it had been sent: the list it
+    /// was the witness of (nothing else: the rest still have theirs), each
+    /// offered again in arrival order, with its answer — empty, with no
+    /// covering query and no allocation, in the common case. `None` when it
+    /// was never sent, where at most its own held-back entry had to go.
     pub(crate) fn retract(
         &mut self,
-        removed: &Subscription,
+        id: SubId,
     ) -> Result<Option<Vec<(Subscription, QueryOutcome)>>> {
-        let id = removed.id();
-        if !self.sent.contains(id) {
+        let Some(witness) = self.sent.get(id) else {
             self.held.release(id);
             return Ok(None);
-        }
-        self.sent.remove(id)?;
+        };
         let masked = self.held.take(id);
+        debug_assert!(
+            masked.iter().all(|s| witness.covers(s)),
+            "witness must cover"
+        );
+        self.sent.remove(id)?;
         let mut offered = Vec::with_capacity(masked.len());
         for candidate in masked {
-            debug_assert!(removed.covers(&candidate), "witness must cover");
             let outcome = self.offer(&candidate)?;
             offered.push((candidate, outcome));
         }
@@ -198,7 +200,7 @@ impl Link {
         &self,
         broker: BrokerId,
         neighbor: BrokerId,
-        registered: &HashMap<SubId, ClientId>,
+        registered: &Registry,
         found: &mut Vec<Violation>,
     ) {
         let odd = self.held.disagreements().into_iter();
@@ -255,8 +257,8 @@ mod tests {
         assert_eq!(queries(&link), 0);
         // Nothing is ever held back, so a retraction has nothing to offer
         // again and neither map is ever populated.
-        assert_eq!(link.retract(&wide).unwrap(), Some(vec![]));
-        assert_eq!(unused.retract(&wide).unwrap(), None);
+        assert_eq!(link.retract(wide.id()).unwrap(), Some(vec![]));
+        assert_eq!(unused.retract(wide.id()).unwrap(), None);
         assert!(held_back(&link).is_empty() && held_back(&unused).is_empty());
     }
 
@@ -301,7 +303,7 @@ mod tests {
             // The other cover goes: narrow still has its witness, so nothing
             // is offered again and the index is asked nothing.
             let asked = queries(&link);
-            assert_eq!(link.retract(other).unwrap(), Some(vec![]));
+            assert_eq!(link.retract(other.id()).unwrap(), Some(vec![]));
             assert_eq!(queries(&link), asked, "policy {}", policy.label());
             assert_eq!(held_back(&link), [(3, witness.id())]);
 
@@ -310,7 +312,7 @@ mod tests {
             assert!(!link.offer(other).unwrap().is_covered());
             let asked = queries(&link);
             let offered = link
-                .retract(witness)
+                .retract(witness.id())
                 .unwrap()
                 .expect("the witness was sent");
             assert_eq!(queries(&link), asked + 1);
@@ -320,7 +322,10 @@ mod tests {
             assert_eq!(held_back(&link), [(3, other.id())]);
 
             // The survivor goes too: narrow goes out.
-            let offered = link.retract(other).unwrap().expect("the survivor was sent");
+            let offered = link
+                .retract(other.id())
+                .unwrap()
+                .expect("the survivor was sent");
             assert_eq!(offered.len(), 1);
             assert!(!offered[0].1.is_covered());
             assert_eq!(link.sent.ids().collect::<Vec<_>>(), [3]);
@@ -341,7 +346,7 @@ mod tests {
         assert_eq!(held_back(&link), [(2, 1), (3, 1)]);
         // `middle` arrived first, so it goes out first and `narrow` ends
         // behind it; the other order would send both.
-        let offered = link.retract(&wide).unwrap().expect("wide was sent");
+        let offered = link.retract(wide.id()).unwrap().expect("wide was sent");
         let verdicts: Vec<(SubId, bool)> = offered
             .iter()
             .map(|(s, d)| (s.id(), !d.is_covered()))
@@ -367,7 +372,7 @@ mod tests {
             assert!(!link.offer(twin).unwrap().is_covered());
         }
         assert!(held_back(&link).is_empty());
-        assert_eq!(link.retract(&apart[0]).unwrap(), Some(vec![]));
+        assert_eq!(link.retract(apart[0].id()).unwrap(), Some(vec![]));
 
         // Raw-nested in the same cells: the inner one is held back, goes out
         // when the outer one goes, and does not hold the outer one back when
@@ -379,7 +384,7 @@ mod tests {
         assert!(!link.offer(&outer).unwrap().is_covered());
         assert!(link.offer(&inner).unwrap().is_covered());
         assert_eq!(held_back(&link), [(2, 1)]);
-        let offered = link.retract(&outer).unwrap().expect("was sent");
+        let offered = link.retract(outer.id()).unwrap().expect("was sent");
         assert_eq!(offered.len(), 1);
         assert!(offered[0].0 == inner && !offered[0].1.is_covered());
         assert!(!link.offer(&outer).unwrap().is_covered());
@@ -394,7 +399,7 @@ mod tests {
         // Each retraction sends the held-back twin; re-registering the
         // retracted one files it behind the twin that took over.
         for (gone, stays) in [(0, 1), (1, 0), (0, 1)] {
-            let offered = link.retract(&twins[gone]).unwrap().expect("was sent");
+            let offered = link.retract(twins[gone].id()).unwrap().expect("was sent");
             assert_eq!(offered.len(), 1);
             assert_eq!(offered[0].0, twins[stays]);
             assert!(!offered[0].1.is_covered());
@@ -417,23 +422,23 @@ mod tests {
             // emptied list leaves `lists`.
             assert!(link.offer(&inside).unwrap().is_covered());
             assert_eq!(held_back(&link), [(2, 1)]);
-            assert_eq!(link.retract(&inside).unwrap(), None);
+            assert_eq!(link.retract(inside.id()).unwrap(), None);
             assert!(held_back(&link).is_empty());
             // The same id again, where nothing covers it: sent, so the
             // witness has nothing of it to offer when it goes.
             assert!(!link.offer(&outside).unwrap().is_covered());
             assert!(held_back(&link).is_empty());
-            assert_eq!(link.retract(&wide).unwrap(), Some(vec![]));
-            assert_eq!(link.retract(&outside).unwrap(), Some(vec![]));
+            assert_eq!(link.retract(wide.id()).unwrap(), Some(vec![]));
+            assert_eq!(link.retract(outside.id()).unwrap(), Some(vec![]));
             assert!(!link.offer(&wide).unwrap().is_covered());
         }
         // Held back, then sent by its witness's retraction, then gone: the
         // id comes back clean as well.
         assert!(link.offer(&inside).unwrap().is_covered());
-        assert!(!link.retract(&wide).unwrap().expect("sent")[0]
+        assert!(!link.retract(wide.id()).unwrap().expect("sent")[0]
             .1
             .is_covered());
-        assert_eq!(link.retract(&inside).unwrap(), Some(vec![]));
+        assert_eq!(link.retract(inside.id()).unwrap(), Some(vec![]));
         assert!(!link.offer(&inside).unwrap().is_covered());
         assert!(held_back(&link).is_empty());
         assert_eq!(link.sent.ids().collect::<Vec<_>>(), [2]);

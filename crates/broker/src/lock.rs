@@ -126,9 +126,6 @@ impl<T, L> RwLock<T, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broker::tests::{schema, sub};
-    use crate::network::BrokerConfig;
-    use crate::topology::Topology;
     use std::sync::Arc;
 
     #[test]
@@ -166,6 +163,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "a lock chain is already held")]
     fn an_entry_point_called_from_inside_a_chain_panics() {
+        use crate::broker::tests::{schema, sub};
+        use crate::{BrokerConfig, Topology};
         let s = schema();
         let net = BrokerConfig::new(Topology::line(2).unwrap(), &s)
             .build()

@@ -17,7 +17,9 @@
 //!   unsubscribe is a `Walk` that takes one broker lock per step — the
 //!   routing entry of what arrived there, then every outgoing link's
 //!   decision (`Link::offer` / `Link::retract`, `link.rs`) — and a publish,
-//!   which takes no registry lock, reads one broker at a time.
+//!   which takes no registry lock, reads one broker at a time. A walk starts
+//!   with its home broker's jobs, offers before retractions; under covering,
+//!   a subscription its own client covers there has none (see `Walk`).
 //!
 //! Each public method mints the chain's [`Root`] and calls a crate-private
 //! form that takes a token; the daemon calls those forms under its own lock.
@@ -187,6 +189,10 @@ pub enum Violation {
     /// `(broker, neighbor, id)`: `neighbor` routes the live `id` from
     /// `broker`, which did not send it, or the reverse (or routes it twice).
     OneSidedRoute(BrokerId, BrokerId, SubId),
+    /// `(broker, neighbor, id)`: the live `id`, local at `broker`, is on its
+    /// link to `neighbor` (sent or held back) though a slot of its client
+    /// covers it, or is not though it holds a slot or covering is off.
+    Misadvertised(BrokerId, BrokerId, SubId),
     /// `(broker, id)`: `broker` holds `id` locally where the registry does
     /// not put it (unregistered, another client's, or a second copy); with
     /// no broker, `id` is registered and local nowhere.
@@ -284,8 +290,8 @@ impl BrokerNetwork {
 
     /// [`subscribe`](Self::subscribe) up to its overlay walk: registers
     /// `subscription` for `client` and adds it to broker `at`'s local
-    /// tables, returning the walk that offers it on the links, not yet
-    /// stepped, with the writer lock.
+    /// tables, returning the walk that offers it on the links, then retracts
+    /// the slots it demoted, not yet stepped, with the writer lock.
     pub(crate) fn subscription<'a, P: Before<lock::Netreg>>(
         &'a self,
         token: &'a mut Locked<'_, P>,
@@ -306,11 +312,20 @@ impl BrokerNetwork {
             Entry::Vacant(slot) => slot.insert(client),
         };
         MetricCounters::bump(&self.counters.subscriptions_registered);
-        self.cell(at)
+        let demoted = self
+            .cell(at)
             .write(&mut token)
             .add_local(client, subscription.clone());
-        let job = Job::Offer(Rc::new(subscription.clone()));
-        Ok(Walk::new(registered, token, at, job))
+        // Under covering a local subscription is on its broker's links
+        // exactly when it holds a slot: one a slot of its client covers is
+        // covered there already, and a demoted slot is covered by this one.
+        let covering = self.policy.detects_covering();
+        let offer = demoted.is_some() || !covering;
+        let offer = offer.then(|| Job::Offer(Rc::new(subscription.clone())));
+        let demoted = demoted.into_iter().flatten().filter(|_| covering);
+        let retractions = demoted.map(|slot| Job::Retract(slot.id()));
+        let jobs = offer.into_iter().chain(retractions);
+        Ok(Walk::new(registered, token, at, jobs))
     }
 
     /// Folds one link's answer to an offer into the counters, returning
@@ -361,8 +376,8 @@ impl BrokerNetwork {
 
     /// [`unsubscribe`](Self::unsubscribe) up to its overlay walk: unregisters
     /// `id` and takes it out of broker `at`'s local tables, returning the
-    /// walk that retracts it from the links, not yet stepped, with the
-    /// writer lock.
+    /// walk that offers those of its orphans that took a slot, then retracts
+    /// it from the links, not yet stepped, with the writer lock.
     pub(crate) fn retraction<'a, P: Before<lock::Netreg>>(
         &'a self,
         token: &'a mut Locked<'_, P>,
@@ -374,15 +389,22 @@ impl BrokerNetwork {
         let Some(&client) = registered.get(&id) else {
             return Err(BrokerError::UnknownSubscription { id });
         };
-        let Some(subscription) = self.cell(at).write(&mut token).remove_local(client, id) else {
+        let covering = self.policy.detects_covering();
+        let mut broker = self.cell(at).write(&mut token);
+        // Under covering, one that a slot of its client held back never went out.
+        let went_out = !covering || broker.held.witness(id).is_none();
+        let Some(promoted) = broker.remove_local(client, id) else {
             // Registered at another broker: the same error, and the
             // registration stays intact.
             return Err(BrokerError::UnknownSubscription { id });
         };
+        drop(broker);
         registered.remove(&id);
         MetricCounters::bump(&self.counters.unsubscriptions);
-        let job = Job::Retract(Rc::new(subscription));
-        Ok(Walk::new(registered, token, at, job))
+        let promoted = promoted.into_iter().filter(|_| covering);
+        let offers = promoted.map(|s| Job::Offer(Rc::new(s)));
+        let jobs = offers.chain(went_out.then_some(Job::Retract(id)));
+        Ok(Walk::new(registered, token, at, jobs))
     }
 
     /// Every breach of the overlay's invariants, in no order: none when it
@@ -400,9 +422,10 @@ impl BrokerNetwork {
         let (registered, mut token) = self.registered.lock(root.token());
         let mut unplaced: HashSet<SubId> = registered.keys().copied().collect();
         let (mut found, mut sent, mut routed) = (Vec::new(), HashSet::new(), HashSet::new());
+        let covering = self.policy.detects_covering();
         for (broker, cell) in self.brokers.iter().enumerate() {
             let guard = cell.read(&mut token);
-            for id in guard.audit(&registered, &mut found, &mut sent, &mut routed) {
+            for id in guard.audit(&registered, covering, &mut found, &mut sent, &mut routed) {
                 if !unplaced.remove(&id) && registered.contains_key(&id) {
                     found.push(Violation::Misplaced(Some(broker), id));
                 }
@@ -605,17 +628,17 @@ impl BrokerNetwork {
 }
 
 /// The live registrations: subscription id → owning client.
-type Registry = HashMap<SubId, ClientId>;
+pub(crate) type Registry = HashMap<SubId, ClientId>;
 
 /// The overlay walk of one [`BrokerNetwork::subscribe`] or
 /// [`BrokerNetwork::unsubscribe`], as a value: the arrivals still to run,
 /// each a job at a broker and the neighbor it came from (in a tree, all it
-/// takes to never go back). First in, first out, so each broker runs its
-/// jobs in the order they were decided — a re-advertised candidate's offer
-/// before the retraction that freed it. A walk owns the registry guard, the
-/// writer lock, until it is dropped: no two walks exist at once. It owns
-/// the registry's token too: each step, and a publish between steps, takes
-/// its broker locks with it.
+/// takes to never go back), from the home broker's, offers first. First in,
+/// first out, so each broker runs its jobs in the order they were decided —
+/// an offer before the retraction it makes safe. A walk owns the registry
+/// guard, the writer lock, until it is dropped: no two walks exist at once.
+/// It owns the registry's token too: each step, and a publish between
+/// steps, takes its broker locks with it.
 #[derive(Debug)]
 pub(crate) struct Walk<'a> {
     _writer: MutexGuard<'a, Registry>,
@@ -629,7 +652,7 @@ pub(crate) struct Walk<'a> {
 #[derive(Debug)]
 enum Job {
     Offer(Rc<Subscription>),
-    Retract(Rc<Subscription>),
+    Retract(SubId),
 }
 
 impl<'a> Walk<'a> {
@@ -637,9 +660,9 @@ impl<'a> Walk<'a> {
         _writer: MutexGuard<'a, Registry>,
         token: Locked<'a, lock::Netreg>,
         at: BrokerId,
-        job: Job,
+        jobs: impl IntoIterator<Item = Job>,
     ) -> Walk<'a> {
-        let queue = VecDeque::from([(at, None, job)]);
+        let queue = jobs.into_iter().map(|job| (at, None, job)).collect();
         Walk {
             _writer,
             token,
@@ -679,14 +702,14 @@ impl<'a> Walk<'a> {
                     }
                 }
             }
-            Job::Retract(subscription) => {
+            Job::Retract(id) => {
                 if let Some(from) = from {
-                    broker.remove_received(from, subscription.id());
+                    broker.remove_received(from, id);
                 }
                 // Only the links it was sent on lead on; a link it was held
                 // back on just drops the entry, inside `retract`.
                 for &neighbor in onward {
-                    let Some(offered) = broker.link_mut(neighbor).retract(&subscription)? else {
+                    let Some(offered) = broker.link_mut(neighbor).retract(id)? else {
                         continue;
                     };
                     MetricCounters::bump(&net.counters.unsubscription_messages);
@@ -696,8 +719,7 @@ impl<'a> Walk<'a> {
                             self.queue.push_back((neighbor, Some(at), job));
                         }
                     }
-                    let job = Job::Retract(Rc::clone(&subscription));
-                    self.queue.push_back((neighbor, Some(at), job));
+                    self.queue.push_back((neighbor, Some(at), Job::Retract(id)));
                 }
             }
         }
@@ -776,7 +798,7 @@ impl Shares {
 mod tests {
     use super::*;
     use crate::broker::tests::{schema, sub};
-    use crate::link::Held;
+    use crate::link::{Held, Link};
     use acd_subscription::SubscriptionBuilder;
 
     fn network(topology: Topology, schema: &Schema, policy: CoveringPolicy) -> BrokerNetwork {
@@ -1299,20 +1321,24 @@ mod tests {
     }
 
     /// What a publish sees mid-walk. Each trial steps one walk, under its
-    /// writer lock, on a fresh overlay of nested squares (so a retraction
-    /// re-advertises what a square held back): the retraction of a square,
-    /// or the subscribe of a copy of it elsewhere. Before each step and after
-    /// the last, every event is published from every broker, alone and in
-    /// one batch, and must reach what L ∩ L′ matches and nothing L ∪ L′ does
-    /// not (L, L′: the live sets before and after the walk). A broker that
-    /// took a retraction before the re-advertisement it freed breaks it.
+    /// writer lock, on a fresh overlay: the retraction of a subscription, or
+    /// the subscribe of one more. Before each step and after the last, every
+    /// event is published from every broker, alone and in one batch, and
+    /// must reach what L ∩ L′ matches and nothing L ∪ L′ does not (L, L′: the
+    /// live sets before and after the walk). A broker that took a retraction
+    /// before the offer it makes safe breaks it.
+    ///
+    /// The overlays: nested squares spread over the brokers and clients (so
+    /// a retraction re-advertises what a square held back), each retracted,
+    /// and each copied to another broker and client. Then, at one leaf, one
+    /// client's squares: an in-table witness leaving while it holds three
+    /// local orphans (one of which the next demotes, two of which take a
+    /// slot and go out), and a newcomer demoting two slots (one holding an
+    /// orphan of its own).
     #[test]
     fn a_publish_between_walk_steps_delivers_between_the_live_sets() {
         type Home = (BrokerId, ClientId, Subscription);
         let s = schema();
-        // Square `i` spans `[lo[i], hi[i]]` on both axes.
-        let lo = [0, 10, 20, 5, 40, 50, 0, 60];
-        let hi = [90, 60, 30, 95, 80, 55, 40, 99];
         // A 4 × 4 grid, enough for the batch to take the rank kernel.
         let grid = |i: u32| f64::from(i * 25 + 10);
         let events: Vec<Event> = (0..16)
@@ -1323,6 +1349,74 @@ mod tests {
             let hits = homes.iter().filter(|(.., s)| s.matches(event));
             hits.map(|&&(at, client, _)| (at, client)).collect()
         };
+        // Square `id` spans `[lo, hi]` on both axes, at `(at, client)`.
+        let square = |id: SubId, (lo, hi): (u32, u32), at, client| -> Home {
+            let bounds = (f64::from(lo), f64::from(hi));
+            (at, client, sub(&s, id, bounds, bounds))
+        };
+        // One trial: `live` subscribed, then the walk that retracts `live[i]`
+        // (`Err(i)`) or subscribes `Ok(copy)`, stepped and published between.
+        let trial = |name: &str, topology: &Topology, live: &[Home], verb: Result<Home, usize>| {
+            let net = network(topology.clone(), &s, CoveringPolicy::ExactSfc);
+            for (at, client, subscription) in live {
+                net.subscribe(*at, *client, subscription).unwrap();
+            }
+            let after = match &verb {
+                Err(i) => [&live[..*i], &live[i + 1..]].concat(),
+                Ok(copy) => [live, slice::from_ref(copy)].concat(),
+            };
+            let mut root = Root::mint();
+            let mut walk = match &verb {
+                Err(i) => net.retraction(root.token(), live[*i].0, live[*i].2.id()),
+                Ok((at, client, copy)) => net.subscription(root.token(), *at, *client, copy),
+            }
+            .unwrap();
+            let both: Vec<&Home> = live.iter().filter(|h| after.contains(h)).collect();
+            let either: Vec<&Home> = live.iter().chain(&after).collect();
+            for step in 0.. {
+                // Each event's deliveries, through the walk's own token (a
+                // root would be a second) on the daemon's path.
+                let mut publish = |at, events: &[Event]| {
+                    let (mut lists, mut first) = (vec![Vec::new(); events.len()], 0);
+                    let token = &mut walk.token;
+                    net.publish_chunks(token, at, events, &mut Vec::new(), |triples, chunk| {
+                        for &(broker, client, mask) in triples {
+                            for_each_bit(mask, |i| match chunk {
+                                1 => lists[first].push((broker, client | i as u64)),
+                                _ => lists[first + i].push((broker, client)),
+                            });
+                        }
+                        first += chunk;
+                    })
+                    .unwrap();
+                    lists
+                };
+                for at in 0..topology.brokers() {
+                    let batched = publish(at, &events);
+                    for (event, batched) in events.iter().zip(batched) {
+                        let serial = publish(at, slice::from_ref(event)).remove(0);
+                        let (lower, upper) = (matched(&both, event), matched(&either, event));
+                        let inside = |got: &Vec<_>| {
+                            lower.iter().all(|p| got.contains(p))
+                                && got.iter().all(|p| upper.contains(p))
+                        };
+                        assert!(
+                            inside(&serial) && inside(&batched),
+                            "{name}, step {step}, broker {at}, event {event}: serial \
+                             {serial:?}, batched {batched:?}, bounds {lower:?} ⊆ · ⊆ {upper:?}"
+                        );
+                    }
+                }
+                if !walk.step(&net).unwrap() {
+                    break;
+                }
+            }
+            drop(walk);
+            drop(root);
+            assert_eq!(net.audit(), [], "{name}");
+        };
+        let lo = [0, 10, 20, 5, 40, 50, 0, 60];
+        let hi = [90, 60, 30, 95, 80, 55, 40, 99];
         let topologies = [
             ("line(4)", Topology::line(4)),
             ("balanced_tree(2, 2)", Topology::balanced_tree(2, 2)),
@@ -1335,75 +1429,40 @@ mod tests {
             let n = topology.brokers();
             let live: Vec<Home> = (1..)
                 .zip(lo.into_iter().zip(hi))
-                .map(|(id, (lo, hi)): (SubId, (u32, u32))| {
-                    let bounds = (f64::from(lo), f64::from(hi));
-                    (id as usize * 3 % n, id % 3, sub(&s, id, bounds, bounds))
-                })
+                .map(|(id, bounds): (SubId, _)| square(id, bounds, id as usize * 3 % n, id % 3))
                 .collect();
-            for (i, verb) in (0..live.len()).flat_map(|i| [(i, "retract"), (i, "subscribe")]) {
-                let (at, client, square) = &live[i];
-                let twin = square.with_id(square.id() + 100);
-                let copy = ((at + 1) % n, (client + 1) % 3, twin);
-                let net = network(topology.clone(), &s, CoveringPolicy::ExactSfc);
-                for (at, client, subscription) in &live {
-                    net.subscribe(*at, *client, subscription).unwrap();
-                }
-                let after = match verb {
-                    "retract" => [&live[..i], &live[i + 1..]].concat(),
-                    _ => [&live, slice::from_ref(&copy)].concat(),
-                };
-                let mut root = Root::mint();
-                let mut walk = match verb {
-                    "retract" => net.retraction(root.token(), *at, square.id()).unwrap(),
-                    _ => net
-                        .subscription(root.token(), copy.0, copy.1, &copy.2)
-                        .unwrap(),
-                };
-                let both: Vec<&Home> = live.iter().filter(|h| after.contains(h)).collect();
-                let either: Vec<&Home> = live.iter().chain(&after).collect();
-                let trial = format!("{name}, {verb} {}", square.id());
-                for step in 0.. {
-                    // Each event's deliveries, through the walk's own token (a
-                    // root would be a second) on the daemon's path.
-                    let mut publish = |at, events: &[Event]| {
-                        let (mut lists, mut first) = (vec![Vec::new(); events.len()], 0);
-                        let token = &mut walk.token;
-                        net.publish_chunks(token, at, events, &mut Vec::new(), |triples, chunk| {
-                            for &(broker, client, mask) in triples {
-                                for_each_bit(mask, |i| match chunk {
-                                    1 => lists[first].push((broker, client | i as u64)),
-                                    _ => lists[first + i].push((broker, client)),
-                                });
-                            }
-                            first += chunk;
-                        })
-                        .unwrap();
-                        lists
-                    };
-                    for at in 0..n {
-                        let batched = publish(at, &events);
-                        for (event, batched) in events.iter().zip(batched) {
-                            let serial = publish(at, slice::from_ref(event)).remove(0);
-                            let (lower, upper) = (matched(&both, event), matched(&either, event));
-                            let inside = |got: &Vec<_>| {
-                                lower.iter().all(|p| got.contains(p))
-                                    && got.iter().all(|p| upper.contains(p))
-                            };
-                            assert!(
-                                inside(&serial) && inside(&batched),
-                                "{trial}, step {step}, broker {at}, event {event}: serial \
-                                 {serial:?}, batched {batched:?}, bounds {lower:?} ⊆ · ⊆ {upper:?}"
-                            );
-                        }
-                    }
-                    if !walk.step(&net).unwrap() {
-                        break;
-                    }
-                }
-                drop(walk);
-                drop(root);
-                assert_eq!(net.audit(), [], "{trial}");
+            for (i, (at, client, square)) in live.iter().enumerate() {
+                let copy = (
+                    (at + 1) % n,
+                    (client + 1) % 3,
+                    square.with_id(square.id() + 100),
+                );
+                let id = square.id();
+                trial(&format!("{name}, retract {id}"), &topology, &live, Err(i));
+                trial(
+                    &format!("{name}, subscribe {id}"),
+                    &topology,
+                    &live,
+                    Ok(copy),
+                );
             }
+            // One client's squares at the last broker, a leaf, and one other
+            // square elsewhere.
+            let (leaf, other) = (n - 1, square(9, (30, 70), 0, 3));
+            let witness = [(1, (0, 90)), (2, (20, 30)), (3, (10, 60)), (4, (65, 85))];
+            let mut live: Vec<Home> = witness.map(|(id, b)| square(id, b, leaf, 7)).to_vec();
+            live.push(other.clone());
+            trial(&format!("{name}, witness leaves"), &topology, &live, Err(0));
+            let slots = [(1, (10, 30)), (2, (15, 20)), (3, (40, 60))];
+            let mut live: Vec<Home> = slots.map(|(id, b)| square(id, b, leaf, 7)).to_vec();
+            live.push(other);
+            let newcomer = square(4, (5, 70), leaf, 7);
+            trial(
+                &format!("{name}, newcomer demotes"),
+                &topology,
+                &live,
+                Ok(newcomer),
+            );
         }
     }
 
@@ -1420,65 +1479,62 @@ mod tests {
         ];
         let [wide, narrow, mid, far] = squares.map(|(id, lo, hi)| sub(&s, id, (lo, hi), (lo, hi)));
         let ghost = narrow.with_id(9);
-        // `wide` covers `mid`, sent first, and holds `narrow` back on the links
-        // and locally; client 200's twin of `wide` is held back on the links.
+        // `wide` demotes `mid`, which went out first and is retracted, and
+        // holds client 300's `narrow` back on the links; client 200's twin of
+        // `wide` is held back on the links too. `mid` stays at home.
         let build = || {
             let net = network(Topology::line(3).unwrap(), &s, CoveringPolicy::ExactSfc);
-            for subscription in [&mid, &wide, &narrow, &far] {
-                net.subscribe(0, 100, subscription).unwrap();
-            }
+            net.subscribe(0, 100, &mid).unwrap();
+            net.subscribe(0, 100, &wide).unwrap();
+            net.subscribe(0, 300, &narrow).unwrap();
+            net.subscribe(0, 100, &far).unwrap();
             net.subscribe(0, 200, &wide.with_id(5)).unwrap();
             assert_eq!(net.audit(), []);
             net
         };
-        let refile = |held: &mut Held, witness| {
-            held.release(2);
-            held.hold(witness, narrow.clone());
+        let refile = |held: &mut Held, witness, subscription: &Subscription| {
+            held.release(subscription.id());
+            held.hold(witness, subscription.clone());
+        };
+        let link = |net: &BrokerNetwork, at, neighbor, plant: &dyn Fn(&mut Link)| {
+            plant(net.cell(at).write(Root::mint().token()).link_mut(neighbor));
         };
         type Plant<'a> = &'a dyn Fn(&BrokerNetwork);
-        let cases: [(Violation, Plant); 9] = [
-            (Violation::Unmirrored(0, Some(1), 2), &|net| {
-                net.cell(0)
-                    .write(Root::mint().token())
-                    .link_mut(1)
-                    .held
-                    .witness_of
-                    .remove(&2);
+        let cases: [(Violation, Plant); 11] = [
+            (Violation::Unmirrored(0, Some(1), 4), &|net| {
+                link(net, 0, 1, &|link| {
+                    link.held.witness_of.insert(4, 1);
+                });
             }),
             (Violation::UncoveringWitness(0, Some(1), 4, 2), &|net| {
-                refile(
-                    &mut net.cell(0).write(Root::mint().token()).link_mut(1).held,
-                    4,
-                );
+                link(net, 0, 1, &|link| refile(&mut link.held, 4, &narrow));
             }),
             (Violation::UnsentWitness(1, 0, 1, 2), &|net| {
-                net.cell(1)
-                    .write(Root::mint().token())
-                    .link_mut(0)
-                    .held
-                    .hold(1, narrow.clone());
+                link(net, 1, 0, &|link| link.held.hold(1, narrow.clone()));
             }),
-            (Violation::SentAndHeld(0, 1, 3), &|net| {
-                net.cell(0)
-                    .write(Root::mint().token())
-                    .link_mut(1)
-                    .held
-                    .hold(1, mid.clone());
+            (Violation::SentAndHeld(0, 1, 4), &|net| {
+                link(net, 0, 1, &|link| link.held.hold(1, far.clone()));
             }),
             (Violation::DeadId(0, 1, 9), &|net| {
-                net.cell(0)
-                    .write(Root::mint().token())
-                    .link_mut(1)
-                    .held
-                    .hold(1, ghost.clone());
+                link(net, 0, 1, &|link| link.held.hold(1, ghost.clone()));
             }),
             (Violation::OneSidedRoute(0, 1, 1), &|net| {
                 net.cell(1)
                     .write(Root::mint().token())
                     .remove_received(0, 1);
             }),
-            (Violation::ForeignWitness(0, 5, 2), &|net| {
-                refile(&mut net.cell(0).write(Root::mint().token()).held, 5);
+            (Violation::ForeignWitness(0, 5, 3), &|net| {
+                refile(&mut net.cell(0).write(Root::mint().token()).held, 5, &mid);
+            }),
+            // Held at home behind `wide`, yet on the link.
+            (Violation::Misadvertised(0, 1, 3), &|net| {
+                link(net, 0, 1, &|link| link.held.hold(1, mid.clone()));
+            }),
+            // In a table, yet missing from the link.
+            (Violation::Misadvertised(0, 1, 2), &|net| {
+                link(net, 0, 1, &|link| {
+                    link.held.release(2);
+                });
             }),
             (Violation::Misplaced(Some(2), 9), &|net| {
                 net.cell(2)
@@ -1496,13 +1552,42 @@ mod tests {
         }
         // A dead held-back entry is still checked as a live one is.
         let net = build();
-        net.cell(1)
-            .write(Root::mint().token())
-            .link_mut(0)
-            .held
-            .hold(1, ghost.clone());
+        link(&net, 1, 0, &|link| link.held.hold(1, ghost.clone()));
         let unsent = Violation::UnsentWitness(1, 0, 1, 9);
         assert_eq!(net.audit(), [Violation::DeadId(1, 0, 9), unsent]);
+    }
+
+    /// Under `CoveringPolicy::None` a subscription a slot of its own client
+    /// covers is still sent on every link, and retracted from every link
+    /// when it goes; a local subscription missing from a link is a breach.
+    #[test]
+    fn without_covering_a_locally_covered_subscription_still_floods() {
+        let s = schema();
+        let net = network(Topology::star(3).unwrap(), &s, CoveringPolicy::None);
+        let wide = sub(&s, 1, (0.0, 90.0), (0.0, 90.0));
+        let narrow = sub(&s, 2, (20.0, 30.0), (20.0, 30.0));
+        net.subscribe(0, 100, &wide).unwrap();
+        net.subscribe(0, 100, &narrow).unwrap();
+        assert_eq!(net.inspect(0, |b| b.held.witness(2)).unwrap(), Some(1));
+        for at in [1, 2] {
+            assert_eq!(net.inspect(at, Broker::routing_table_entries).unwrap(), 2);
+        }
+        assert_eq!(net.metrics().subscription_messages, 4);
+        assert_eq!(net.audit(), []);
+        net.unsubscribe(0, 2).unwrap();
+        assert_eq!(net.metrics().unsubscription_messages, 2);
+        for at in [1, 2] {
+            assert_eq!(net.inspect(at, Broker::routing_table_entries).unwrap(), 1);
+        }
+        // Registered and held at home, but on no link.
+        net.registered.lock(Root::mint().token()).0.insert(2, 100);
+        net.cell(0)
+            .write(Root::mint().token())
+            .add_local(100, narrow);
+        let mut found = net.audit();
+        found.sort_by_key(|violation| format!("{violation:?}"));
+        let missing = |neighbor| Violation::Misadvertised(0, neighbor, 2);
+        assert_eq!(found, [missing(1), missing(2)]);
     }
 
     #[test]

@@ -93,9 +93,8 @@ impl QueryEngine {
 
 /// Full configuration of an SFC covering index's query behaviour.
 ///
-/// Besides the [`QueryMode`], the configuration carries two guards:
-///
-/// * `work_cap` — the maximum number of standard cubes one query may
+/// Besides the [`QueryMode`], the configuration carries one guard,
+/// `work_cap`: the maximum number of standard cubes one query may
 ///   enumerate from the greedy decomposition. The paper's cost bounds grow as
 ///   `(2d/ε)^{d−1}` (Theorem 3.1) and `ℓ^{d−1}` (Theorem 4.1); when a query
 ///   region is so fragmented that its decomposition exceeds this budget, the
@@ -104,10 +103,6 @@ impl QueryEngine {
 ///   ever searches **more** volume than requested, so answers stay correct
 ///   for both exhaustive and ε-approximate modes; it simply bounds every
 ///   query by `O(work_cap + n)`.
-/// * `max_runs` — an optional hard cap on runs probed, after which the query
-///   reports how much volume it managed to search. Unlike `work_cap` this may
-///   produce additional misses; it is disabled by default and exists for
-///   latency-critical deployments.
 ///
 /// The [`QueryEngine`] selects the algorithm itself: the default
 /// [`QueryEngine::SkipPopulated`] sweep (Z curve only) probes only populated
@@ -120,9 +115,6 @@ impl QueryEngine {
 pub struct ApproxConfig {
     /// The query mode (exhaustive or ε-approximate).
     pub mode: QueryMode,
-    /// If set, a query gives up (reporting how much volume it searched) after
-    /// probing this many runs.
-    pub max_runs: Option<usize>,
     /// Maximum number of cubes to enumerate (eager engine) or sweep
     /// iterations to run (skip engine) before falling back to the exact
     /// point scan; `None` disables the fallback.
@@ -132,19 +124,18 @@ pub struct ApproxConfig {
 }
 
 impl ApproxConfig {
-    /// An exhaustive configuration (ε = 0, default work cap, no run cap,
-    /// populated-key skip engine).
+    /// An exhaustive configuration (ε = 0, default work cap, populated-key
+    /// skip engine).
     pub fn exhaustive() -> Self {
         ApproxConfig {
             mode: QueryMode::Exhaustive,
-            max_runs: None,
             work_cap: Some(DEFAULT_WORK_CAP),
             engine: QueryEngine::SkipPopulated,
         }
     }
 
-    /// An ε-approximate configuration with the default work cap, no run
-    /// cap and the populated-key skip engine.
+    /// An ε-approximate configuration with the default work cap and the
+    /// populated-key skip engine.
     ///
     /// # Errors
     ///
@@ -156,16 +147,9 @@ impl ApproxConfig {
         }
         Ok(ApproxConfig {
             mode: QueryMode::Approximate { epsilon },
-            max_runs: None,
             work_cap: Some(DEFAULT_WORK_CAP),
             engine: QueryEngine::SkipPopulated,
         })
-    }
-
-    /// Returns a copy with a cap on the number of runs probed per query.
-    pub fn max_runs(mut self, cap: usize) -> Self {
-        self.max_runs = Some(cap);
-        self
     }
 
     /// Returns a copy with a different cube-enumeration budget, or `None` to
@@ -223,15 +207,13 @@ mod tests {
     fn default_is_the_papers_running_example() {
         let d = ApproxConfig::default();
         assert_eq!(d.epsilon(), 0.05);
-        assert_eq!(d.max_runs, None);
         assert_eq!(d.work_cap, Some(DEFAULT_WORK_CAP));
         assert_eq!(d.engine, QueryEngine::SkipPopulated);
     }
 
     #[test]
-    fn run_and_work_caps_are_preserved() {
-        let c = ApproxConfig::exhaustive().max_runs(1000).work_cap(Some(64));
-        assert_eq!(c.max_runs, Some(1000));
+    fn the_work_cap_is_preserved() {
+        let c = ApproxConfig::exhaustive().work_cap(Some(64));
         assert_eq!(c.work_cap, Some(64));
         let unbounded = ApproxConfig::exhaustive().work_cap(None);
         assert_eq!(unbounded.work_cap, None);

@@ -312,23 +312,13 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
             found
         };
 
-        let mut exceeded_work_cap = false;
+        let work_cap = config.work_cap.map(|cap| self.effective_work_budget(cap));
         for cube in decomposition.iter() {
-            // Respect the run cap before doing more work.
-            if let Some(cap) = config.max_runs {
-                if stats.runs_probed >= cap {
-                    stats.hit_run_cap = true;
-                    break;
-                }
-            }
             // When the decomposition is finer than the point population could
             // possibly justify, abandon it and scan the points exactly
             // instead (see `ApproxConfig::work_cap`).
-            if let Some(cap) = config.work_cap {
-                if stats.cubes_enumerated >= self.effective_work_budget(cap) {
-                    exceeded_work_cap = true;
-                    break;
-                }
+            if work_cap.is_some_and(|cap| stats.cubes_enumerated >= cap) {
+                return self.scan_fallback(query, &mut accept, stats);
             }
 
             stats.cubes_enumerated += 1;
@@ -342,10 +332,8 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
                 }
                 Some(run) => {
                     // Flush the pending run.
-                    let flushed = run.clone();
-                    let flushed_fraction = pending_fraction;
-                    pending = Some(range);
-                    pending_fraction = cube_fraction;
+                    let flushed = std::mem::replace(run, range);
+                    let flushed_fraction = std::mem::replace(&mut pending_fraction, cube_fraction);
                     if let Some(v) = probe(&flushed, &mut stats, &mut accept) {
                         stats.volume_fraction_searched = searched_fraction + flushed_fraction;
                         return Ok((Some(v), stats));
@@ -364,21 +352,14 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
             }
         }
 
-        // Flush the final pending run (unless a cap already fired).
+        // Flush the final pending run.
         if let Some(run) = pending {
-            if !stats.hit_run_cap && !exceeded_work_cap {
-                if let Some(v) = probe(&run, &mut stats, &mut accept) {
-                    stats.volume_fraction_searched = searched_fraction + pending_fraction;
-                    return Ok((Some(v), stats));
-                }
-                searched_fraction += pending_fraction;
+            if let Some(v) = probe(&run, &mut stats, &mut accept) {
+                stats.volume_fraction_searched = searched_fraction + pending_fraction;
+                return Ok((Some(v), stats));
             }
+            searched_fraction += pending_fraction;
         }
-
-        if exceeded_work_cap {
-            return self.scan_fallback(query, &mut accept, stats);
-        }
-
         stats.volume_fraction_searched = searched_fraction;
         Ok((None, stats))
     }
@@ -429,10 +410,6 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
                 cursor = Some(orthant_key);
                 continue;
             }
-            if config.max_runs.is_some_and(|cap| stats.runs_probed >= cap) {
-                stats.hit_run_cap = true;
-                return Ok((None, stats));
-            }
             if let Some(found) = Self::probe_cell(bucket, &mut accept, &mut stats) {
                 break Some(found);
             }
@@ -480,10 +457,6 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
                 stats.runs_skipped += 1;
                 cursor = Some(orthant_key);
                 continue;
-            }
-            if config.max_runs.is_some_and(|cap| stats.runs_probed >= cap) {
-                stats.hit_run_cap = true;
-                return Ok((None, stats));
             }
             if let Some(found) = Self::probe_cell(bucket, &mut accept, &mut stats) {
                 break Some(found);
@@ -753,47 +726,6 @@ mod tests {
         // must have fallen back.
         let (_, stats) = idx.query_dominating(&p(&[255, 255, 255, 254])).unwrap();
         let _ = stats;
-    }
-
-    #[test]
-    fn run_cap_is_respected() {
-        let u = universe(2, 10);
-        let mut idx = PointDominanceIndex::new(
-            ZCurve::new(u),
-            ApproxConfig::exhaustive()
-                .max_runs(5)
-                .work_cap(None)
-                .engine(QueryEngine::EagerRuns),
-        );
-        idx.insert(p(&[0, 0]), 1u64).unwrap();
-        let q = p(&[1023 - 256, 1023 - 256]);
-        let (hit, stats) = idx.query_dominating(&q).unwrap();
-        assert_eq!(hit, None);
-        assert!(stats.hit_run_cap);
-        assert!(stats.runs_probed <= 6);
-        assert!(stats.volume_fraction_searched < 1.0);
-    }
-
-    #[test]
-    fn run_cap_also_bounds_the_skip_sweep() {
-        // Stored points along the misaligned strip of a 17x17 top-corner
-        // region fall into many distinct unit-cell runs; with an accept
-        // filter that rejects everything, the sweep must probe one run per
-        // populated cell until the run cap stops it with the flag set.
-        let u = universe(2, 6);
-        let mut idx = PointDominanceIndex::new(
-            ZCurve::new(u),
-            ApproxConfig::exhaustive().max_runs(3).work_cap(None),
-        );
-        for i in 0..17u64 {
-            idx.insert(p(&[47, 47 + i]), i).unwrap();
-        }
-        let (hit, stats) = idx
-            .query_dominating_where(&p(&[47, 47]), |_| false)
-            .unwrap();
-        assert_eq!(hit, None);
-        assert!(stats.hit_run_cap, "{stats:?}");
-        assert!(stats.runs_probed <= 3);
     }
 
     #[test]

@@ -893,6 +893,33 @@ mod tests {
         }
     }
 
+    /// A manifest written while `ApproxConfig` still had a `max_runs` field
+    /// carries `"max_runs":null`; the field is looked up by name, so the
+    /// manifest still opens, to the same configuration.
+    #[test]
+    fn a_manifest_naming_the_removed_run_cap_opens() {
+        let s = schema();
+        let dir = std::env::temp_dir().join(format!("acd-sfc-max-runs-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let subs = random_subs(&s, 20, 3);
+        let built =
+            SfcCoveringIndex::build_from(&s, ApproxConfig::exhaustive(), CurveKind::Z, &subs)
+                .unwrap();
+        built.save_segments(&dir).unwrap();
+        let (_, path) = acd_storage::latest_commit(&dir).unwrap().unwrap();
+        let mut manifest = acd_storage::read_commit(&path).unwrap();
+        assert!(!manifest.config_json.contains("max_runs"));
+        let config = manifest
+            .config_json
+            .replacen('{', r#"{"max_runs":null,"#, 1);
+        manifest.config_json = config;
+        acd_storage::write_commit(&dir, &manifest).unwrap();
+        let reopened = SfcCoveringIndex::open_segments(&dir).unwrap();
+        assert_eq!(reopened.config(), built.config());
+        assert_eq!(reopened.len(), subs.len());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn saves_are_generational_and_old_files_are_pruned() {
         let s = schema();

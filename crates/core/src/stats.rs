@@ -35,11 +35,8 @@ pub struct QueryStats {
     /// Meaningful per-probe under the eager engine (whose ε guarantee it
     /// tracks). Under the skip engine it is 1.0 on a completed sweep (misses
     /// are exact: the whole region was provably searched) and 0.0 otherwise
-    /// — a hit stops at the first dominating cell, and a run-cap abort gives
-    /// no volume guarantee at all.
+    /// — a hit stops at the first dominating cell.
     pub volume_fraction_searched: f64,
-    /// Whether the query stopped early because it hit the configured run cap.
-    pub hit_run_cap: bool,
     /// Whether the query abandoned the cube decomposition (work cap exceeded)
     /// and fell back to the exact point scan.
     pub fell_back_to_scan: bool,
