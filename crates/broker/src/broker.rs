@@ -496,10 +496,11 @@ impl MatchTable {
 }
 
 /// Whether the raw bounds `outer` contain `inner` on every attribute:
-/// [`Subscription::covers`] on two rows.
+/// [`Subscription::covers`] on two rows, which must be of one length (a
+/// missing row, read as empty, contains nothing).
 fn contains(outer: &[(f64, f64)], inner: &[(f64, f64)]) -> bool {
     let mut pairs = outer.iter().zip(inner);
-    pairs.all(|(&(lo, hi), &(low, high))| lo <= low && high <= hi)
+    outer.len() == inner.len() && pairs.all(|(&(lo, hi), &(low, high))| lo <= low && high <= hi)
 }
 
 /// The block of a cell column that starts at slot `start`.
@@ -1830,6 +1831,22 @@ pub(crate) mod tests {
         let events =
             [[50.3, 50.3], [50.9, 50.9], [51.1, 51.1]].map(|v| Event::new(&s, v.to_vec()).unwrap());
         assert_eq!(emitted_mask(&b, &s, &events), [(7, 0b011)]);
+    }
+
+    /// A witness slot whose row is missing covers nothing: the audit names
+    /// what it holds back rather than read the missing row as a cover.
+    #[test]
+    fn a_witness_slot_without_a_row_covers_nothing() {
+        let s = schema();
+        let mut b = Broker::new(0, &[], &s, CoveringPolicy::ExactSfc).unwrap();
+        b.add_local(7, sub(&s, 1, (0.0, 90.0), (0.0, 90.0)));
+        b.add_local(7, sub(&s, 2, (20.0, 30.0), (20.0, 30.0)));
+        assert_eq!(b.held.witness(2), Some(1));
+        b.local[0].raw.clear();
+        let registered: Registry = [(1, 7), (2, 7)].into();
+        let (mut found, mut sent, mut routed) = (Vec::new(), HashSet::new(), HashSet::new());
+        b.audit(&registered, true, &mut found, &mut sent, &mut routed);
+        assert_eq!(found, [Violation::UncoveringWitness(0, None, 1, 2)]);
     }
 
     #[test]

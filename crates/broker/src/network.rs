@@ -1500,10 +1500,17 @@ mod tests {
             plant(net.cell(at).write(Root::mint().token()).link_mut(neighbor));
         };
         type Plant<'a> = &'a dyn Fn(&BrokerNetwork);
-        let cases: [(Violation, Plant); 11] = [
+        let cases: [(Violation, Plant); 12] = [
+            // Mirrored only.
             (Violation::Unmirrored(0, Some(1), 4), &|net| {
                 link(net, 0, 1, &|link| {
                     link.held.witness_of.insert(4, 1);
+                });
+            }),
+            // Listed under `wide`, mirrored to `far`: still on the link.
+            (Violation::Unmirrored(0, Some(1), 2), &|net| {
+                link(net, 0, 1, &|link| {
+                    link.held.witness_of.insert(2, 4);
                 });
             }),
             (Violation::UncoveringWitness(0, Some(1), 4, 2), &|net| {
