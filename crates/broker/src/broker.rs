@@ -431,7 +431,6 @@ impl MatchTable {
     /// instruction: per slot, the saturating distances from the event's cell
     /// down to `cell_lo` and up to `cell_hi` are OR-ed over the attributes,
     /// and a slot is a candidate where they all are zero.
-    // acd-lint: hot
     fn candidates(&self, event: &EventCells<'_>, block: usize) -> u64 {
         let start = block * Self::BLOCK;
         let live = Self::BLOCK.min(self.len().saturating_sub(start));
@@ -469,7 +468,6 @@ impl MatchTable {
     /// bounds on every attribute it has a value for (`false` for a slot that
     /// does not exist) — `Subscription::matches`' own compare, on the
     /// columns. Nothing is delivered or forwarded without it.
-    // acd-lint: hot
     #[inline]
     fn confirm(&self, event: &EventCells<'_>, slot: usize) -> bool {
         self.row(slot).is_some_and(|row| {
@@ -479,7 +477,6 @@ impl MatchTable {
     }
 
     /// Whether a slot from block `first` on holds `event` (grid, then raw); inlined into both walks.
-    // acd-lint: hot
     #[inline(always)]
     fn holds(&self, event: &EventCells<'_>, first: usize) -> bool {
         (first..self.len().div_ceil(Self::BLOCK)).any(|block| {
@@ -922,7 +919,6 @@ impl Broker {
     /// to its run's next candidate, and the first that holds delivers. A run
     /// carried over a block seam leaves the next block's candidates when its
     /// client was delivered before the seam. Allocation-free.
-    // acd-lint: hot
     pub fn matching_clients<F: FnMut(ClientId)>(&self, event: &EventCells<'_>, mut deliver: F) {
         for table in &self.local {
             let mut last = None;
@@ -961,7 +957,6 @@ impl Broker {
     /// asked only about the events the run has not claimed yet — and the
     /// clients are emitted once each, ascending. As for the serial path,
     /// held-back subscriptions are not read. Allocation-free.
-    // acd-lint: hot
     pub fn matching_clients_mask<F: FnMut(ClientId, u64)>(
         &self,
         chunk: &EventChunk<'_>,
@@ -993,7 +988,6 @@ impl Broker {
     /// the remaining set once a slot claims it, until a block seam finds at
     /// most `ROUTE_TAIL` left: each then takes the serial filter over the
     /// rest of the table. Allocation-free.
-    // acd-lint: hot
     pub fn neighbor_interested_mask(
         &self,
         neighbor: BrokerId,
@@ -1026,7 +1020,6 @@ impl Broker {
     /// first candidate the raw bounds confirm. As for
     /// [`matching_clients`](Self::matching_clients), `event` was quantised
     /// under the network's schema.
-    // acd-lint: hot
     pub fn neighbor_interested(&self, neighbor: BrokerId, event: &EventCells<'_>) -> bool {
         let link = self.links.get(&neighbor);
         link.is_some_and(|link| link.routing.holds(event, 0))
@@ -1244,7 +1237,6 @@ impl KernelView<'_> {
     /// [`exact_mask`](Self::exact_mask); the branch is per slot and rarely
     /// taken. No table holds an invalid event, so the result never does
     /// either, whatever `active` says.
-    // acd-lint: hot
     #[inline]
     fn mask(&self, slot: usize, active: u64) -> u64 {
         let (mut mask, mut unsure) = (active, 0u64);
@@ -1280,7 +1272,6 @@ impl KernelView<'_> {
     /// own cell is compared with the raw bound — the oracle's own compare,
     /// so ties, values equal to the bound and `-0.0` against `0.0` need no
     /// special case. The others lie in cells strictly between the bounds'.
-    // acd-lint: hot
     #[cold]
     #[inline(never)]
     fn exact_mask(&self, slot: usize, active: u64) -> u64 {

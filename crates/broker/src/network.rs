@@ -450,7 +450,6 @@ impl BrokerNetwork {
     /// # Errors
     ///
     /// Returns an error if the broker does not exist.
-    // acd-lint: hot
     pub fn publish(&self, at: BrokerId, event: &Event) -> Result<Vec<(BrokerId, ClientId)>> {
         let mut lists = self.publish_batch(at, slice::from_ref(event))?;
         Ok(lists.pop().unwrap_or_default())
@@ -513,7 +512,6 @@ impl BrokerNetwork {
     /// [`publish_batch`](Self::publish_batch) and the daemon: validates `at`,
     /// counts the events, and hands `answer` each chunk's matches, in input
     /// order, with the chunk's length. `triples` is reused scratch.
-    // acd-lint: hot
     pub(crate) fn publish_chunks<P: Before<lock::Broker>>(
         &self,
         token: &mut Locked<'_, P>,
@@ -583,7 +581,6 @@ impl BrokerNetwork {
     /// every client `matching` finds at a broker, and crosses each link with
     /// the events `interested` says the neighbor wants. Advances
     /// `event_messages` per (event, link) crossing and `deliveries` per pair.
-    // acd-lint: hot
     fn walk<P: Before<lock::Broker>>(
         &self,
         token: &mut Locked<'_, P>,

@@ -300,14 +300,12 @@ pub fn check_footer(received: u32, computed: u32) -> Result<(), ServiceError> {
 
 /// Encodes `frame` into `out`, replacing its contents. `out` is a reusable
 /// scratch buffer: after warm-up, encoding allocates nothing.
-// acd-lint: hot
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
     out.clear();
     append_frame(frame, out);
 }
 
 /// Appends `frame`, envelope and checksum included, to `out`.
-// acd-lint: hot
 pub(crate) fn append_frame(frame: &Frame, out: &mut Vec<u8>) {
     let start = open_frame(out, frame.kind());
     match frame {
@@ -372,7 +370,6 @@ pub(crate) fn append_frame(frame: &Frame, out: &mut Vec<u8>) {
 }
 
 /// [`encode_frame`] of a `Publish` frame, from values it need not own.
-// acd-lint: hot
 pub(crate) fn encode_publish(at: BrokerId, values: &[f64], out: &mut Vec<u8>) {
     out.clear();
     let start = open_frame(out, kind::PUBLISH);
@@ -412,7 +409,6 @@ fn seal_frame(out: &mut Vec<u8>, start: usize) {
 /// `events` (at most 64) to `out`, from the chunk's [`Triple`]s, strictly
 /// ascending by `(broker, client)`: a lone event's pages, or bit `i` of a
 /// mask puts the pair in event `i`'s list. `payloads` is reused scratch.
-// acd-lint: hot
 pub fn put_deliveries_frames(
     out: &mut Vec<u8>,
     triples: &[Triple],
@@ -445,7 +441,6 @@ pub fn put_deliveries_frames(
 /// bit `i` of the event masks selects, and returns each list's pair count.
 /// Each `(broker, page)` run ORs a client's mask into row `client & 63`,
 /// which [`transpose64`] turns into one page per event.
-// acd-lint: hot
 fn put_deliveries(triples: &[Triple], payloads: &mut [Vec<u8>]) -> [u32; 64] {
     let mut lanes = [(0u32, 0u64, 0u64); 64];
     let key = |&(broker, client, _): &Triple| (broker, client & !63);
@@ -475,7 +470,6 @@ fn put_deliveries(triples: &[Triple], payloads: &mut [Vec<u8>]) -> [u32; 64] {
 /// and last page + 1 are `lane`. A page whose clients break the ascent (or
 /// that holds none) writes the count byte [`u8::MAX`], which no page has, and
 /// a key that steps back wraps, so such a list reads back as corrupt.
-// acd-lint: hot
 #[inline]
 fn put_page(out: &mut Vec<u8>, lane: &mut (u32, u64, u64), page: (BrokerId, ClientId, u64, bool)) {
     let ((pairs, last, floor), (broker, client, bits, broken)) = (*lane, page);
@@ -497,7 +491,6 @@ fn put_page(out: &mut Vec<u8>, lane: &mut (u32, u64, u64), page: (BrokerId, Clie
 
 /// Transposes a 64 x 64 bit matrix in place (bit `c` of `rows[r]` to bit `r` of
 /// `rows[c]`): each `2w`-square swaps its off-diagonal blocks (Hacker's Delight 7-3).
-// acd-lint: hot
 fn transpose64(rows: &mut [u64; 64]) {
     for width in [32, 16, 8, 4, 2, 1] {
         let low = u64::MAX / ((1 << width) + 1);

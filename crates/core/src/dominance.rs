@@ -368,7 +368,6 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
     /// the stored keys in key order, probe a cell only when it lies inside
     /// the query's orthant, and whenever a stored key lands in a gap jump to
     /// the orthant's next key at or after it with the closed-form seek.
-    // acd-lint: hot
     fn sweep_orthant<F>(
         &self,
         query: &Point,

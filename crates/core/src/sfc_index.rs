@@ -408,7 +408,6 @@ impl CoveringIndex for SfcCoveringIndex {
         Ok(())
     }
 
-    // acd-lint: hot
     fn find_covering(&mut self, query: &Subscription) -> Result<QueryOutcome> {
         self.check_schema(query)?;
         let query_point = dominance_point(query)?;

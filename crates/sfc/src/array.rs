@@ -659,7 +659,6 @@ impl<'a, V> SweepCursor<'a, V> {
     /// probe keys over 128 bits, at a fraction of the per-step cost. An
     /// array whose keys fit 128 bits keeps no [`Key`] column, so there this
     /// finds nothing.
-    // acd-lint: hot
     pub fn next_at_or_after(&mut self, key: &Key) -> Option<(&'a Key, &'a [V])> {
         let (main, staging) = (self.main, self.staging);
         self.main_pos = gallop_sorted(&main.wide, self.main_pos, key);
@@ -679,7 +678,6 @@ impl<'a, V> SweepCursor<'a, V> {
     /// probe and the returned key are the keys' `u128` values, read
     /// straight from the two levels' packed columns. An array whose keys
     /// exceed 128 bits keeps no packed column, so there this finds nothing.
-    // acd-lint: hot
     pub fn next_packed_at_or_after(&mut self, key: u128) -> Option<(u128, &'a [V])> {
         let (main, staging) = (self.main, self.staging);
         self.main_pos = crate::simd::lower_bound_u128_from(&main.packed, self.main_pos, key);

@@ -11,7 +11,9 @@
 //! galloping variant keeps the `O(log gap)` cost of a monotone sweep and
 //! only swaps the final narrow phase for lanes.
 //!
-//! Everything here is allocation-free and `// acd-lint: hot`-gated.
+//! Everything here reads a slice and returns an index, so nothing allocates;
+//! the sweep cursors that call these kernels are held to the churn budgets
+//! of the root package's `tests/allocations.rs`.
 
 /// Lane width of the hand-rolled comparators (a `u128x4` shape).
 pub const LANES: usize = 4;
@@ -25,7 +27,6 @@ const LANE_WINDOW: usize = 8 * LANES;
 /// Number of elements of `xs` strictly below `v`, counted branch-free in
 /// four independent lanes. On a sorted slice this equals
 /// `xs.partition_point(|&x| x < v)`.
-// acd-lint: hot
 #[inline]
 pub fn count_below_u128x4(xs: &[u128], v: u128) -> usize {
     let mut lanes = [0usize; LANES];
@@ -46,7 +47,6 @@ pub fn count_below_u128x4(xs: &[u128], v: u128) -> usize {
 /// First index into sorted `xs` whose element is ≥ `v`: binary search
 /// narrowed to a `LANE_WINDOW`, finished with one lane count. Equivalent
 /// to `xs.partition_point(|&x| x < v)`.
-// acd-lint: hot
 pub fn lower_bound_u128(xs: &[u128], v: u128) -> usize {
     let (mut lo, mut hi) = (0usize, xs.len());
     while hi - lo > LANE_WINDOW {
@@ -65,7 +65,6 @@ pub fn lower_bound_u128(xs: &[u128], v: u128) -> usize {
 /// `O(log distance)` like the plain gallop, with the final narrow phase
 /// replaced by branch-free lanes. The packed key column's sweep cursors use
 /// this for monotone probe sequences.
-// acd-lint: hot
 pub fn lower_bound_u128_from(xs: &[u128], from: usize, v: u128) -> usize {
     let n = xs.len();
     let mut lo = from;

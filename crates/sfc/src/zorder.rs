@@ -306,7 +306,6 @@ impl OrthantSeeker<'_> {
     /// The smallest packed key at or after `key` whose cell lies in the
     /// orthant; `key` itself exactly when its cell does. There always is
     /// one, since the top corner's key is the largest key of all.
-    // acd-lint: hot
     #[inline]
     pub fn seek_packed(&self, key: u128) -> u128 {
         match *self {
@@ -378,7 +377,6 @@ impl Word for u128 {
 
 /// The smallest key at or after `k` in the orthant of `q`, where `masks`
 /// holds each dimension's key bits.
-// acd-lint: hot
 #[inline]
 fn orthant_min<W: Word>(masks: &[W], k: W, q: W) -> W {
     // The bits where a below dimension differs from `q`.

@@ -79,6 +79,10 @@ pub mod file_kind {
 // the unaligned tail); `TABLES[k][v]` is the CRC of byte `v` followed by
 // `k` zero bytes, which is what lets the 16 per-chunk contributions be
 // computed independently and XOR-combined.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "const table builder: `k` and `i` are the loop bounds, the inner index is masked to 0..256"
+)]
 const CRC_TABLES: [[u32; 256]; 16] = {
     let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
@@ -93,7 +97,6 @@ const CRC_TABLES: [[u32; 256]; 16] = {
             };
             bit += 1;
         }
-        // acd-lint: allow(panic-hygiene) const-fn table builder; `i` is the loop bound over the table length
         tables[0][i] = crc;
         i += 1;
     }
@@ -101,9 +104,7 @@ const CRC_TABLES: [[u32; 256]; 16] = {
     while k < 16 {
         let mut i = 0;
         while i < 256 {
-            // acd-lint: allow(panic-hygiene) const-fn table builder; `k` and `i` are the loop bounds
             let prev = tables[k - 1][i];
-            // acd-lint: allow(panic-hygiene) index is masked to 0..256 on a 256-entry table
             tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
@@ -132,8 +133,8 @@ pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
         u32::from_le_bytes(b.try_into().expect("caller slices exactly four bytes"))
     }
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "masked into a 256-entry table")]
     fn tab(t: &[u32; 256], v: u32) -> u32 {
-        // acd-lint: allow(panic-hygiene) index is masked to 0..256 on a 256-entry table
         t[(v & 0xFF) as usize]
     }
     let [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15] = &CRC_TABLES;
@@ -312,7 +313,6 @@ pub(crate) fn sync_parent_dir(_path: &std::path::Path) -> std::io::Result<()> {
 
 /// Appends a `u32` length and then `bytes`: what [`Cursor::take_string`]
 /// reads.
-// acd-lint: hot
 #[inline(always)]
 pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
@@ -321,7 +321,6 @@ pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 
 /// Appends a `u32` count and then each `(lo, hi)` range as two `f64`s:
 /// what [`Cursor::take_bounds`] reads.
-// acd-lint: hot
 #[inline(always)]
 pub fn put_bounds(out: &mut Vec<u8>, bounds: &[(f64, f64)]) {
     out.extend_from_slice(&(bounds.len() as u32).to_le_bytes());
@@ -333,7 +332,6 @@ pub fn put_bounds(out: &mut Vec<u8>, bounds: &[(f64, f64)]) {
 
 /// Appends `value` as a LEB128 varint: seven bits a byte, low bits first,
 /// the high bit set on every byte but the last.
-// acd-lint: hot
 #[inline(always)]
 pub fn put_varint(out: &mut Vec<u8>, mut value: u64) {
     while value >= 0x80 {
@@ -453,7 +451,6 @@ impl<'a> Cursor<'a> {
     /// Reads one LEB128 varint. Only what [`put_varint`] writes is accepted:
     /// at most ten bytes, no bits beyond the 64th, and no zero padding, so
     /// every value has exactly one encoding.
-    // acd-lint: hot
     #[inline(always)]
     pub fn take_varint(&mut self) -> Result<u64, DecodeError> {
         let mut value = 0u64;

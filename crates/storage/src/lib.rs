@@ -44,6 +44,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No hand-made panics outside tests; a waiver is a reasoned `#[expect]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
 
 pub mod codec;
 mod commit;

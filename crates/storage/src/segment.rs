@@ -178,9 +178,12 @@ impl SegmentWriter {
         if pack {
             for (key, values) in array.sorted_cells() {
                 let packed = key.to_u128().expect("≤128-bit keys fit");
+                let bytes = packed.to_le_bytes();
+                let bytes = bytes
+                    .get(..key_width)
+                    .expect("a packed key is ≤ 128 bits, so key_byte_width ≤ 16");
                 for _ in values {
-                    self.data
-                        .extend_from_slice(&packed.to_le_bytes()[..key_width]);
+                    self.data.extend_from_slice(bytes);
                 }
             }
         }
@@ -192,7 +195,11 @@ impl SegmentWriter {
                 .expect("a stored key has its universe's width");
             for _ in values {
                 for &c in point.coords() {
-                    self.data.extend_from_slice(&c.to_le_bytes()[..coord_width]);
+                    let bytes = c.to_le_bytes();
+                    let bytes = bytes
+                        .get(..coord_width)
+                        .expect("bits_per_dim ≤ MAX_BITS_PER_DIM = 62, so coord_byte_width ≤ 8");
+                    self.data.extend_from_slice(bytes);
                 }
             }
         }

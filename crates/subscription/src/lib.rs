@@ -45,6 +45,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No hand-made panics outside tests; a waiver is a reasoned `#[expect]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented))]
 #![warn(missing_debug_implementations)]
 
 pub mod builder;
