@@ -126,19 +126,8 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         })
     }
 
-    /// Wraps an already-built array (e.g. one decoded from a durable
-    /// segment by `acd-storage`) without re-keying or re-sorting anything.
-    pub fn from_array(array: SfcArray<V, C>, config: ApproxConfig) -> Self {
-        let universe = array.curve().universe().clone();
-        PointDominanceIndex {
-            array,
-            universe,
-            config,
-        }
-    }
-
-    /// The underlying SFC array (read-only; used by the storage layer to
-    /// stream the sorted cells into a segment file).
+    /// The underlying SFC array (read-only): its curve, and its entries in
+    /// key order for a caller that saves them.
     pub fn array(&self) -> &SfcArray<V, C> {
         &self.array
     }

@@ -42,7 +42,7 @@ pub enum CoveringError {
     Subscription(SubscriptionError),
     /// An error bubbled up from the space-filling-curve substrate.
     Sfc(SfcError),
-    /// An error bubbled up from the durable segment storage layer
+    /// An error bubbled up from the storage layer
     /// (`Arc`-wrapped so this enum stays `Clone` — `std::io::Error` is not).
     Storage(Arc<StorageError>),
 }

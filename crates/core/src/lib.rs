@@ -84,8 +84,8 @@ pub use stats::{IndexStats, QueryOutcome, QueryStats};
 // types through a single dependency if they wish.
 pub use acd_subscription::{SubId, Subscription};
 
-// The durable-segment layer behind `save_segments`/`open_segments`, re-
-// exported whole so callers can match on `StorageError` (and the daemon can
+// The storage layer behind `save_segments`/`open_segments`, re-exported
+// whole so callers can match on `StorageError` (and the daemon can
 // reach the journal) without a direct `acd-storage` dependency.
 pub use acd_storage as storage;
 

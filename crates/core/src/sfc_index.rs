@@ -25,10 +25,8 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use acd_sfc::{CurveKind, SpaceFillingCurve};
-use acd_storage::{
-    commit_file_name, curve_from_tag, curve_tag, latest_commit, prune, read_commit, segment_stem,
-    write_commit, CommitManifest, SegmentReader, SegmentWriter, ShardRef, StorageError,
-};
+use acd_storage::codec::{self, Cursor, DecodeError};
+use acd_storage::{curve_from_tag, curve_tag, file_kind, StorageError};
 use acd_subscription::{dominance_point, dominance_universe, Schema, SubId, Subscription};
 
 use crate::config::ApproxConfig;
@@ -172,207 +170,118 @@ impl SfcCoveringIndex {
         Ok(())
     }
 
-    /// Persists the index into `dir` as one immutable segment under a fresh
-    /// commit generation, then prunes files the new commit does not
-    /// reference. Crash-safe at every point: the generation becomes visible
-    /// only when its commit file lands (atomic rename), and the previous
-    /// generation's files are deleted only after that.
+    /// Persists the index as one file, `dir/index.acd`: the curve, the
+    /// schema and the query configuration, then each subscription's id and
+    /// raw bounds in the dominance array's key order, so the same index
+    /// always writes the same bytes. The dominance array itself is not
+    /// stored: it is a function of the subscriptions, rebuilt on open. The
+    /// file lands through a synced temp file and a rename, so a crash at any
+    /// point leaves the previous save readable.
     ///
     /// # Errors
     ///
     /// Returns a [`CoveringError::Storage`] error if writing fails.
     pub fn save_segments(&self, dir: &Path) -> Result<()> {
         std::fs::create_dir_all(dir).map_err(|e| StorageError::io(dir.display().to_string(), e))?;
-        let generation = latest_commit(dir)?.map_or(1, |(g, _)| g + 1);
-        let segment = self.write_segment(dir, &segment_stem(generation, 0), generation)?;
-        let manifest = CommitManifest {
-            generation,
-            curve_tag: curve_tag(self.curve()),
-            schema_json: encode_json(&self.schema, dir)?,
-            config_json: encode_json(self.forward.config(), dir)?,
-            starts: Vec::new(),
-            shards: vec![segment],
-        };
-        write_commit(dir, &manifest)?;
-        prune(dir, &manifest)?;
+        let rows: Vec<&Subscription> = self
+            .forward
+            .array()
+            .iter()
+            .filter_map(|(_, id)| self.subscriptions.get(id))
+            .collect();
+        let schema = encode_json(&self.schema, dir)?;
+        let config = encode_json(self.forward.config(), dir)?;
+        let count = u32::try_from(rows.len())
+            .map_err(|_| save_failed(dir, format!("{} rows overflow a u32 count", rows.len())))?;
+        let mut out = codec::begin_file(file_kind::INDEX);
+        out.push(curve_tag(self.curve()));
+        codec::put_bytes(&mut out, schema.as_bytes());
+        codec::put_bytes(&mut out, config.as_bytes());
+        out.extend_from_slice(&count.to_le_bytes());
+        for sub in rows {
+            out.extend_from_slice(&sub.id().to_le_bytes());
+            codec::put_bounds(&mut out, sub.raw_bounds());
+        }
+        codec::write_atomic(&dir.join(INDEX_FILE), &codec::finish_file(out))?;
         Ok(())
     }
 
-    /// Reopens the most recent [`save_segments`](Self::save_segments)
-    /// generation in `dir` **without rebuilding anything**: the segment's
-    /// columns are already in curve order, so the dominance arrays are
-    /// gathered back with no keying pass and no sort.
+    /// Reopens what [`save_segments`](Self::save_segments) wrote to `dir`:
+    /// every stored row is validated as a subscription of the stored schema,
+    /// and the index is rebuilt from them through
+    /// [`build_from`](Self::build_from).
     ///
     /// # Errors
     ///
     /// [`StorageError::NoCommit`] (wrapped in [`CoveringError::Storage`])
-    /// if the directory holds no commit; `CorruptSegment` on any
-    /// malformation of the files.
+    /// if `dir` holds no saved index; `CorruptSegment` on any malformation
+    /// of the file: a bad checksum, a truncation, invalid bounds or a
+    /// duplicate id.
     pub fn open_segments(dir: &Path) -> Result<Self> {
-        let Some((_, path)) = latest_commit(dir)? else {
-            return Err(StorageError::NoCommit {
-                dir: dir.display().to_string(),
+        let path = dir.join(INDEX_FILE);
+        let file = path.display().to_string();
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                let dir = dir.display().to_string();
+                return Err(StorageError::NoCommit { dir }.into());
             }
-            .into());
+            Err(e) => return Err(StorageError::io(file, e).into()),
         };
-        let manifest = read_commit(&path)?;
-        let segment = match manifest.shards.as_slice() {
-            [segment] if manifest.starts.is_empty() => segment,
-            _ => {
-                return Err(StorageError::corrupt(
-                    commit_file_name(manifest.generation),
-                    format!(
-                        "commit describes {} segments and {} key boundaries; this build \
-                         writes and reads exactly one segment and no boundary",
-                        manifest.shards.len(),
-                        manifest.starts.len()
-                    ),
-                )
-                .into())
+        let payload = codec::open_envelope(&bytes, file_kind::INDEX, &file)?;
+        let (curve, schema, config, subscriptions) =
+            decode_index(payload).map_err(|e| StorageError::corrupt(&file, e.into_reason()))?;
+        Self::build_from(&schema, config, curve, &subscriptions).map_err(|e| match e {
+            CoveringError::DuplicateSubscription { id } => {
+                StorageError::corrupt(&file, format!("duplicate subscription id {id}")).into()
             }
-        };
-        Self::open_segment(dir, &manifest, segment)
-    }
-
-    /// Streams this index into one segment file pair.
-    fn write_segment(&self, dir: &Path, stem: &str, generation: u64) -> Result<ShardRef> {
-        let mut writer = SegmentWriter::new(generation);
-        // The table is stored in array order — row `i` describes entry `i` —
-        // which is what lets `open_segment` check one against the other in
-        // a single zip.
-        let rows = self
-            .forward
-            .array()
-            .iter()
-            .filter_map(|(_, id)| self.subscriptions.get(id));
-        writer.subscriptions(self.schema.arity(), rows);
-        writer.forward_array(self.forward.array());
-        Ok(writer.write(dir, stem)?)
-    }
-
-    /// Loads the segment the manifest names back into a full index.
-    fn open_segment(dir: &Path, manifest: &CommitManifest, segment: &ShardRef) -> Result<Self> {
-        let commit_name = commit_file_name(manifest.generation);
-        let schema: Schema = decode_json(&manifest.schema_json, &commit_name, "schema")?;
-        let config: ApproxConfig = decode_json(&manifest.config_json, &commit_name, "config")?;
-        let Some(curve) = curve_from_tag(manifest.curve_tag) else {
-            return Err(StorageError::corrupt(
-                &commit_name,
-                format!("unknown curve tag {}", manifest.curve_tag),
-            )
-            .into());
-        };
-        config.engine.check_curve(curve)?;
-        let reader = SegmentReader::open(dir, &segment.stem)?;
-        let data_file = format!("{}.dat", segment.stem);
-        // The commit re-pins each data file: a checksum-intact segment from
-        // a different save can never be substituted under a live commit.
-        if reader.meta.data_crc != segment.data_crc {
-            return Err(StorageError::corrupt(
-                &data_file,
-                "segment checksum disagrees with the commit manifest",
-            )
-            .into());
-        }
-        if reader.meta.sub_count != segment.entries {
-            return Err(StorageError::corrupt(
-                &data_file,
-                "segment entry count disagrees with the commit manifest",
-            )
-            .into());
-        }
-
-        // The two sections are independent once the reader has verified
-        // the envelopes and checksums, so the subscription table and the
-        // dominance array decode on their own threads: a cold open's wall
-        // clock is the *longer* section, not the sum. (Restart time is the
-        // whole point of segments — a daemon is unavailable until this
-        // returns.)
-        let universe = dominance_universe(&schema)?;
-        let keyer = curve.build(universe.clone());
-        let decode_array = || -> Result<Forward> {
-            let array = reader.array(curve.build(universe))?;
-            Ok(PointDominanceIndex::from_array(array, config))
-        };
-        let decode_subscriptions = || -> Result<(HashMap<SubId, Subscription>, Vec<_>)> {
-            let mut subscriptions = HashMap::with_capacity(reader.meta.sub_count as usize);
-            let mut rows = Vec::with_capacity(reader.meta.sub_count as usize);
-            reader.for_each_subscription_row(|id, bounds| {
-                // Checksums catch accidents; a crafted checksum-valid file
-                // can still carry impossible bounds (wrong arity, inverted
-                // or out-of-domain ranges), which must surface as
-                // corruption rather than as a schema error.
-                // `from_raw_bounds` validates all of that without the
-                // per-attribute name lookups of the builder path.
-                let sub = Subscription::from_raw_bounds(&schema, id, bounds)
-                    .and_then(|sub| Ok((keyer.key_of_point(&dominance_point(&sub)?)?, sub)));
-                let (key, sub) = sub.map_err(|e| {
-                    StorageError::corrupt(&data_file, format!("stored bounds are invalid: {e}"))
-                })?;
-                rows.push((key, id));
-                if subscriptions.insert(id, sub).is_some() {
-                    return Err(StorageError::corrupt(
-                        &data_file,
-                        format!("duplicate subscription id {id}"),
-                    ));
-                }
-                Ok(())
-            })?;
-            Ok((subscriptions, rows))
-        };
-        let (subscriptions, forward) = std::thread::scope(|s| {
-            let forward = s.spawn(decode_array);
-            let subscriptions = decode_subscriptions();
-            (
-                subscriptions,
-                forward.join().expect("array decode does not panic"),
-            )
-        });
-        let ((subscriptions, rows), forward) = (subscriptions?, forward?);
-        // The array must index exactly the table: entry `i` carries row
-        // `i`'s id (unique, the decode above saw to that) at the key of row
-        // `i`'s dominance point, and neither side has entries left over. A
-        // checksum-valid segment pairing another population's array with
-        // this table would otherwise answer covering queries with false
-        // covers.
-        if !forward.array().iter().map(|(k, &id)| (k, id)).eq(rows) {
-            return Err(StorageError::corrupt(
-                &data_file,
-                "array section disagrees with the subscription table",
-            )
-            .into());
-        }
-        let stats = IndexStats {
-            inserts: subscriptions.len() as u64,
-            ..IndexStats::default()
-        };
-        Ok(SfcCoveringIndex {
-            schema,
-            forward,
-            subscriptions,
-            stats,
+            e => e,
         })
     }
 }
 
-/// JSON-encodes a manifest field; an encoding failure is an I/O-shaped
-/// defect of the save, not corruption.
-fn encode_json<T: serde::Serialize>(value: &T, dir: &Path) -> Result<String> {
-    serde_json::to_string(value).map_err(|e| {
-        StorageError::io(
-            dir.display().to_string(),
-            std::io::Error::other(format!("manifest field failed to encode: {e}")),
-        )
-        .into()
-    })
+/// The name of the one file [`SfcCoveringIndex::save_segments`] writes.
+const INDEX_FILE: &str = "index.acd";
+
+/// A saved index's payload, as [`SfcCoveringIndex::save_segments`] writes
+/// it: the curve, the schema, the configuration and the subscriptions.
+fn decode_index(
+    payload: &[u8],
+) -> Result<(CurveKind, Schema, ApproxConfig, Vec<Subscription>), DecodeError> {
+    let mut c = Cursor::new(payload);
+    let tag = c.take_u8()?;
+    let curve =
+        curve_from_tag(tag).ok_or_else(|| DecodeError::new(format!("unknown curve tag {tag}")))?;
+    let schema: Schema = decode_json(&c.take_string()?, "schema")?;
+    let config: ApproxConfig = decode_json(&c.take_string()?, "config")?;
+    // The smallest row is an id and an empty bounds list.
+    let subscriptions = c.take_list(8 + 4, |c| {
+        let id = c.take_u64()?;
+        // Checksums catch accidents; a crafted checksum-valid file can still
+        // carry impossible bounds (wrong arity, inverted or out-of-domain
+        // ranges), which must surface as corruption.
+        Subscription::from_raw_bounds(&schema, id, &c.take_bounds()?)
+            .map_err(|e| DecodeError::new(format!("subscription {id} has invalid bounds: {e}")))
+    })?;
+    c.finish()?;
+    Ok((curve, schema, config, subscriptions))
 }
 
-/// JSON-decodes a manifest field; parse failures are corruption of the
-/// commit file.
-fn decode_json<T: serde::Deserialize>(json: &str, commit_name: &str, what: &str) -> Result<T> {
-    serde_json::from_str(json).map_err(|e| {
-        StorageError::corrupt(commit_name, format!("{what} does not parse: {e}")).into()
-    })
+/// A save that cannot be encoded: an I/O-shaped defect of the save into
+/// `dir`, not corruption.
+fn save_failed(dir: &Path, reason: String) -> CoveringError {
+    StorageError::io(dir.display().to_string(), std::io::Error::other(reason)).into()
+}
+
+/// JSON-encodes a stored field.
+fn encode_json<T: serde::Serialize>(value: &T, dir: &Path) -> Result<String> {
+    serde_json::to_string(value)
+        .map_err(|e| save_failed(dir, format!("index field failed to encode: {e}")))
+}
+
+/// JSON-decodes a stored field.
+fn decode_json<T: serde::Deserialize>(json: &str, what: &str) -> Result<T, DecodeError> {
+    serde_json::from_str(json).map_err(|e| DecodeError::new(format!("{what} does not parse: {e}")))
 }
 
 impl CoveringIndex for SfcCoveringIndex {
@@ -892,70 +801,44 @@ mod tests {
         }
     }
 
-    /// A manifest written while `ApproxConfig` still had a `max_runs` field
-    /// carries `"max_runs":null`; the field is looked up by name, so the
-    /// manifest still opens, to the same configuration.
-    #[test]
-    fn a_manifest_naming_the_removed_run_cap_opens() {
-        let s = schema();
-        let dir = std::env::temp_dir().join(format!("acd-sfc-max-runs-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let subs = random_subs(&s, 20, 3);
-        let built =
-            SfcCoveringIndex::build_from(&s, ApproxConfig::exhaustive(), CurveKind::Z, &subs)
-                .unwrap();
-        built.save_segments(&dir).unwrap();
-        let (_, path) = acd_storage::latest_commit(&dir).unwrap().unwrap();
-        let mut manifest = acd_storage::read_commit(&path).unwrap();
-        assert!(!manifest.config_json.contains("max_runs"));
-        let config = manifest
-            .config_json
-            .replacen('{', r#"{"max_runs":null,"#, 1);
-        manifest.config_json = config;
-        acd_storage::write_commit(&dir, &manifest).unwrap();
-        let reopened = SfcCoveringIndex::open_segments(&dir).unwrap();
-        assert_eq!(reopened.config(), built.config());
-        assert_eq!(reopened.len(), subs.len());
-        std::fs::remove_dir_all(&dir).ok();
+    /// The names in `dir`, sorted.
+    fn files_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
-    fn saves_are_generational_and_old_files_are_pruned() {
+    fn a_save_is_one_file_that_the_next_save_replaces() {
         let s = schema();
-        let dir = std::env::temp_dir().join(format!("acd-sfc-gen-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("acd-sfc-save-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let first = SfcCoveringIndex::build_from(
-            &s,
-            ApproxConfig::exhaustive(),
-            CurveKind::Z,
-            &random_subs(&s, 30, 1),
-        )
-        .unwrap();
-        first.save_segments(&dir).unwrap();
-        let second_subs = random_subs(&s, 45, 2);
-        let second = SfcCoveringIndex::build_from(
-            &s,
-            ApproxConfig::exhaustive(),
-            CurveKind::Z,
-            &second_subs,
-        )
-        .unwrap();
+        let build = |n, seed| {
+            let subs = random_subs(&s, n, seed);
+            SfcCoveringIndex::build_from(&s, ApproxConfig::exhaustive(), CurveKind::Z, &subs)
+                .unwrap()
+        };
+        build(30, 1).save_segments(&dir).unwrap();
+        assert_eq!(files_in(&dir), [INDEX_FILE]);
+        let second = build(45, 2);
         second.save_segments(&dir).unwrap();
-        // The newest generation wins and the first generation's files are
-        // gone.
-        let reopened = SfcCoveringIndex::open_segments(&dir).unwrap();
-        assert_eq!(reopened.len(), second_subs.len());
-        let seg_files = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("seg-")
-            })
-            .count();
-        assert_eq!(seg_files, 2, "one .dat + one .meta for the live generation");
+        assert_eq!(files_in(&dir), [INDEX_FILE]);
+        // The same index writes the same bytes.
+        let saved = std::fs::read(dir.join(INDEX_FILE)).unwrap();
+        second.save_segments(&dir).unwrap();
+        assert_eq!(std::fs::read(dir.join(INDEX_FILE)).unwrap(), saved);
+        // A save cut before its rename leaves a temp file behind; the last
+        // completed save still opens, and the next save takes the temp name
+        // over.
+        let tmp = dir.join(format!("{INDEX_FILE}.tmp"));
+        std::fs::write(&tmp, &saved[..saved.len() / 2]).unwrap();
+        assert_eq!(SfcCoveringIndex::open_segments(&dir).unwrap().len(), 45);
+        build(12, 3).save_segments(&dir).unwrap();
+        assert_eq!(files_in(&dir), [INDEX_FILE]);
+        assert_eq!(SfcCoveringIndex::open_segments(&dir).unwrap().len(), 12);
         // An empty directory is a typed NoCommit error, not a panic.
         let empty = std::env::temp_dir().join(format!("acd-sfc-empty-{}", std::process::id()));
         std::fs::create_dir_all(&empty).unwrap();

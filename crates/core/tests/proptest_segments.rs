@@ -1,7 +1,7 @@
-//! Property tests for the durable segment layer, in the discipline of the
-//! wire codec's `proptest_wire.rs`: a saved index reopens **identical**
-//! for arbitrary populations, and damage anywhere in any on-disk file —
-//! a flipped bit, a truncation, wholesale garbage — surfaces as a typed
+//! Property tests for the saved index, in the discipline of the wire
+//! codec's `proptest_wire.rs`: a saved index reopens **identical** for
+//! arbitrary populations, and damage anywhere in its one file — a flipped
+//! bit, a truncation, wholesale garbage — surfaces as a typed
 //! [`StorageError::CorruptSegment`], never a panic and never a silently
 //! different index.
 
@@ -10,13 +10,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use acd_covering::storage::{
-    latest_commit, read_commit, segment_stem, write_commit, CommitManifest, SegmentWriter,
-    StorageError,
-};
+use acd_covering::storage::{codec, StorageError, MAGIC, VERSION};
 use acd_covering::{ApproxConfig, CoveringError, CoveringIndex, QueryEngine, SfcCoveringIndex};
-use acd_sfc::{CurveKind, SfcArray, ZCurve};
-use acd_subscription::{dominance_point, dominance_universe, RangePredicate, Schema, Subscription};
+use acd_sfc::CurveKind;
+use acd_subscription::{dominance_universe, RangePredicate, Schema, Subscription};
 
 fn schema() -> Schema {
     Schema::builder()
@@ -83,15 +80,14 @@ fn build_index(
     (index, subs)
 }
 
-/// The saved on-disk state, smallest file first so a damage offset maps
-/// to the same byte for the same seed regardless of directory order.
-fn segment_files(dir: &Path) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+/// The one file a save leaves in `dir`.
+fn saved_file(dir: &Path) -> PathBuf {
+    let files: Vec<PathBuf> = std::fs::read_dir(dir)
         .expect("the save created the directory")
         .map(|entry| entry.expect("readable directory entry").path())
         .collect();
-    files.sort();
-    files
+    assert_eq!(files.len(), 1, "a save is one file: {files:?}");
+    files.into_iter().next().unwrap()
 }
 
 /// Asserts the reopened index stores every subscription of `stored` as the
@@ -137,80 +133,131 @@ fn assert_corrupt<T>(result: Result<T, CoveringError>) {
     );
 }
 
-/// A segment whose every envelope, checksum, pin and count is valid — it is
-/// written through the public writer and committed — but whose dominance
-/// array belongs to another population than its subscription table. Opened
-/// on trust it would answer covering queries with ids the table does not
-/// hold (a false cover); it must be refused as corruption, with or without
-/// the one key boundary an earlier build's one-shard layout recorded.
+/// A data directory an earlier build left: a commit manifest and one
+/// segment's `.meta`/`.dat` pair, each in a checksum-valid envelope of its
+/// retired kind (commit 3, meta 1, data 2). It holds no `index.acd`, so the
+/// open is a typed storage error, not an empty index; and a `.dat` renamed
+/// to `index.acd` is refused by its kind.
 #[test]
-fn an_array_of_another_population_is_a_typed_corruption() {
-    let s = schema();
-    let narrow: Vec<Subscription> = (1..=3u64)
-        .map(|id| build_sub(&s, id, &[(40.0, 45.0), (40.0, 45.0)]))
-        .collect();
-    let wide: Vec<Subscription> = (101..=103u64)
-        .map(|id| build_sub(&s, id, &[(0.0, 100.0), (0.0, 100.0)]))
-        .collect();
-    let array = SfcArray::from_sorted(
-        ZCurve::new(dominance_universe(&s).unwrap()),
-        wide.iter()
-            .map(|sub| (dominance_point(sub).unwrap(), sub.id()))
-            .collect(),
-    )
-    .unwrap();
-    for starts in [vec![], vec![0]] {
-        let dir = fresh_dir("crafted");
-        // A real save supplies the manifest's schema and config fields.
-        let (index, _) = build_index(&s, CurveKind::Z, &[]);
-        index.save_segments(&dir).unwrap();
-        let saved = read_commit(&latest_commit(&dir).unwrap().unwrap().1).unwrap();
-        let mut writer = SegmentWriter::new(2);
-        writer.subscriptions(s.arity(), &narrow);
-        writer.forward_array(&array);
-        let shard = writer.write(&dir, &segment_stem(2, 0)).unwrap();
-        write_commit(
-            &dir,
-            &CommitManifest {
-                generation: 2,
-                starts,
-                shards: vec![shard],
-                ..saved
-            },
-        )
-        .unwrap();
-        assert_corrupt(SfcCoveringIndex::open_segments(&dir));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-/// A data directory left by an earlier build's sharded index — a commit
-/// with key-range boundaries and one segment per shard — is refused as
-/// corruption, not opened as its first shard alone.
-#[test]
-fn the_retired_sharded_layout_is_refused_as_corrupt() {
-    let dir = fresh_dir("sharded");
-    let (index, _) = build_index(&schema(), CurveKind::Z, &[vec![(0.0, 10.0), (0.0, 10.0)]]);
-    index.save_segments(&dir).unwrap();
-    let saved = read_commit(&latest_commit(&dir).unwrap().unwrap().1).unwrap();
-    // The refusal comes before any segment is read, so the live segment
-    // can stand in for both shards.
-    let shard = saved.shards[0].clone();
-    write_commit(
-        &dir,
-        &CommitManifest {
-            generation: 2,
-            starts: vec![0, 1 << 63],
-            shards: vec![shard.clone(), shard],
-            ..saved
-        },
-    )
-    .unwrap();
+fn an_old_data_directory_is_a_typed_error() {
+    let dir = fresh_dir("old-layout");
+    std::fs::create_dir_all(&dir).unwrap();
+    let old_file = |name: &str, kind: u8| {
+        let mut bytes = MAGIC.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[VERSION, kind]);
+        bytes.extend_from_slice(&1u64.to_le_bytes()); // its generation
+        bytes.extend_from_slice(b"payload of the retired layout");
+        std::fs::write(dir.join(name), codec::finish_file(bytes)).unwrap();
+    };
+    old_file("commit-0000000001.acd", 3);
+    old_file("seg-0000000001-000.meta", 1);
+    old_file("seg-0000000001-000.dat", 2);
+    let err = SfcCoveringIndex::open_segments(&dir).unwrap_err();
+    assert!(
+        matches!(err.as_storage(), Some(StorageError::NoCommit { .. })),
+        "{err}"
+    );
+    std::fs::copy(dir.join("seg-0000000001-000.dat"), dir.join("index.acd")).unwrap();
     let err = SfcCoveringIndex::open_segments(&dir).unwrap_err();
     assert!(
         err.as_storage().is_some_and(StorageError::is_corrupt),
         "{err}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checksum-valid file can still carry rows the index must refuse: a
+/// duplicate id, an inverted range, a bound outside its domain. Each is a
+/// typed corruption, not a schema or duplicate-id error.
+#[test]
+fn rows_the_index_refuses_are_typed_corruptions() {
+    let s = schema();
+    let two = [
+        vec![(0.0, 10.0), (0.0, 10.0)],
+        vec![(5.0, 20.0), (5.0, 20.0)],
+    ];
+    let (index, _) = build_index(&s, CurveKind::Z, &two);
+    let dir = fresh_dir("rows");
+    index.save_segments(&dir).unwrap();
+    let file = saved_file(&dir);
+    let saved = std::fs::read(&file).unwrap();
+    // The two rows close the payload: an 8-byte id, a 4-byte range count
+    // and two ranges of two `f64`s each.
+    let row = 8 + 4 + 2 * 16;
+    let body = saved.len() - codec::FOOTER_LEN;
+    let (first, second) = (body - 2 * row, body - row);
+    let first_id: [u8; 8] = saved[first..first + 8].try_into().unwrap();
+    // Each damage overwrites 8 bytes of the second row.
+    let damages = [
+        ("duplicate id", second, first_id),
+        ("inverted range", second + 12, 50.0f64.to_le_bytes()),
+        (
+            "bound outside its domain",
+            second + 20,
+            1e6f64.to_le_bytes(),
+        ),
+    ];
+    for (what, at, patch) in damages {
+        let mut bytes = saved[..body].to_vec();
+        bytes[at..at + 8].copy_from_slice(&patch);
+        std::fs::write(&file, codec::finish_file(bytes)).unwrap();
+        let err = SfcCoveringIndex::open_segments(&dir).unwrap_err();
+        assert!(
+            err.as_storage().is_some_and(StorageError::is_corrupt),
+            "{what}: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An index whose dominance keys are wider than 128 bits (7 attributes of
+/// 10 bits, 2 coordinates an attribute: 140 bits, the shape of
+/// `tests/allocations.rs`' wide population) saves and reopens with the
+/// same subscriptions and the same answers.
+#[test]
+fn a_wide_key_index_reopens_identically() {
+    let names = ["a", "b", "c", "d", "e", "f", "g"];
+    let s = names
+        .iter()
+        .fold(Schema::builder(), |b, &name| b.attribute(name, 0.0, 100.0))
+        .bits_per_attribute(10)
+        .build()
+        .unwrap();
+    assert_eq!(dominance_universe(&s).unwrap().key_bits(), 140);
+    // Uniform centres, widths 5–50 % of each domain.
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut population = |n: usize| -> Vec<Vec<(f64, f64)>> {
+        (0..n)
+            .map(|_| {
+                (0..names.len())
+                    .map(|_| {
+                        let (centre, width) = (next() * 100.0, 5.0 + next() * 45.0);
+                        let lo = (centre - width / 2.0).max(0.0);
+                        (lo, (lo + width).min(100.0))
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let (stored, probes) = (population(300), population(100));
+    let (mut index, subs) = build_index(&s, CurveKind::Z, &stored);
+    let mut queries: Vec<Subscription> = probes
+        .iter()
+        .enumerate()
+        .map(|(i, b)| build_sub(&s, 10_000 + i as u64, b))
+        .collect();
+    // Each stored subscription's twin has a cover to find.
+    queries.extend(subs.iter().map(|sub| sub.with_id(20_000 + sub.id())));
+    let dir = fresh_dir("wide");
+    index.save_segments(&dir).unwrap();
+    let mut loaded = SfcCoveringIndex::open_segments(&dir).unwrap();
+    assert_identical(&mut index, &mut loaded, &subs, &queries);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -239,9 +286,8 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Flipping any single bit of any segment file — commit manifest,
-    /// `.meta`, or `.dat` — is caught by a checksum and reported as
-    /// `CorruptSegment`.
+    /// Flipping any single bit of the saved file is caught by its checksum
+    /// and reported as `CorruptSegment`.
     #[test]
     fn a_flipped_bit_anywhere_is_a_typed_corruption(
         all_bounds in bounds_strategy(1..24),
@@ -253,48 +299,36 @@ proptest! {
         let (index, _) = build_index(&s, curve, &all_bounds);
         let dir = fresh_dir("flip");
         index.save_segments(&dir).unwrap();
-        let files = segment_files(&dir);
-        let total: usize = files
-            .iter()
-            .map(|f| std::fs::metadata(f).unwrap().len() as usize)
-            .sum();
-        let mut offset = (position % total as u64) as usize;
-        for file in &files {
-            let mut bytes = std::fs::read(file).unwrap();
-            if offset < bytes.len() {
-                bytes[offset] ^= 1 << bit;
-                std::fs::write(file, &bytes).unwrap();
-                break;
-            }
-            offset -= bytes.len();
-        }
+        let file = saved_file(&dir);
+        let mut bytes = std::fs::read(&file).unwrap();
+        let offset = (position % bytes.len() as u64) as usize;
+        bytes[offset] ^= 1 << bit;
+        std::fs::write(&file, &bytes).unwrap();
         assert_corrupt(SfcCoveringIndex::open_segments(&dir));
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Truncating any file at any point — the torn-write crash artifact —
+    /// Truncating the file at any point — the torn-write crash artifact —
     /// is caught the same way.
     #[test]
     fn any_truncation_is_a_typed_corruption(
         all_bounds in bounds_strategy(1..24),
         curve in curve_strategy(),
-        which in any::<u64>(),
         cut in any::<u64>(),
     ) {
         let s = schema();
         let (index, _) = build_index(&s, curve, &all_bounds);
         let dir = fresh_dir("truncate");
         index.save_segments(&dir).unwrap();
-        let files = segment_files(&dir);
-        let file = &files[(which % files.len() as u64) as usize];
-        let bytes = std::fs::read(file).unwrap();
+        let file = saved_file(&dir);
+        let bytes = std::fs::read(&file).unwrap();
         let cut = (cut % bytes.len() as u64) as usize;
-        std::fs::write(file, &bytes[..cut]).unwrap();
+        std::fs::write(&file, &bytes[..cut]).unwrap();
         assert_corrupt(SfcCoveringIndex::open_segments(&dir));
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Replacing any file with arbitrary garbage never panics the reader,
+    /// Replacing the file with arbitrary garbage never panics the reader,
     /// and never yields an index that differs from the saved one: either
     /// the open fails typed, or (if the garbage happened to be a byte-exact
     /// valid file) the answers are unchanged.
@@ -302,16 +336,13 @@ proptest! {
     fn garbage_files_never_panic_and_never_load_silently_wrong(
         all_bounds in bounds_strategy(1..16),
         curve in curve_strategy(),
-        which in any::<u64>(),
         garbage in prop::collection::vec(any::<u8>(), 0..96),
     ) {
         let s = schema();
         let (mut index, subs) = build_index(&s, curve, &all_bounds);
         let dir = fresh_dir("garbage");
         index.save_segments(&dir).unwrap();
-        let files = segment_files(&dir);
-        let file = &files[(which % files.len() as u64) as usize];
-        std::fs::write(file, &garbage).unwrap();
+        std::fs::write(saved_file(&dir), &garbage).unwrap();
         if let Ok(mut loaded) = SfcCoveringIndex::open_segments(&dir) {
             assert_identical(&mut index, &mut loaded, &subs, &subs);
         }

@@ -375,74 +375,11 @@ impl<V, C: SpaceFillingCurve> SfcArray<V, C> {
         })
     }
 
-    /// Bulk-builds the array from entries **already in curve-key order**,
-    /// each carrying its packed ≤128-bit key: no sort — one gather pass
-    /// straight into the flat layout. This is the segment-load path of the
-    /// storage layer: a segment file stores exactly the stream
-    /// [`sorted_cells`](SfcArray::sorted_cells) exported, so opening it
-    /// skips the sort that dominates
-    /// [`from_sorted`](SfcArray::from_sorted).
-    ///
-    /// Every entry is checked: its key must be the curve key of its point
-    /// (so the point lies inside the universe) and must not decrease, so a
-    /// corrupt-but-checksum-valid batch cannot construct a malformed array,
-    /// nor one whose keys name other cells than its points. Duplicate keys
-    /// group into one cell in batch order, exactly as `from_sorted` would.
-    ///
-    /// Accepts any iterator so the segment loader can stream decoded rows
-    /// straight off its column slices — cold open never materializes an
-    /// intermediate entry vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the universe's keys exceed 128 bits, a point lies
-    /// outside the universe, a key is not its point's curve key
-    /// ([`crate::SfcError::KeyMismatch`]) or a key decreases
-    /// ([`crate::SfcError::UnsortedBatch`]).
-    pub fn from_sorted_packed<I>(curve: C, entries: I) -> Result<Self>
-    where
-        I: IntoIterator<Item = (u128, Point, V)>,
-    {
-        let bits = curve.universe().key_bits();
-        if bits > 128 {
-            return Err(crate::SfcError::KeyLengthMismatch {
-                expected: bits,
-                actual: 128,
-            });
-        }
-        let entries = entries.into_iter();
-        let mut main = Level::new(bits);
-        let (reserve, _) = entries.size_hint();
-        main.buckets.reserve(reserve);
-        main.packed.reserve(reserve);
-        let mut prev = 0u128;
-        let mut len = 0usize;
-        for (index, (key, point, value)) in entries.enumerate() {
-            if curve.key_of_point(&point)?.to_u128() != Some(key) {
-                return Err(crate::SfcError::KeyMismatch { index });
-            }
-            if key < prev {
-                return Err(crate::SfcError::UnsortedBatch { index });
-            }
-            prev = key;
-            main.push(key, value);
-            len += 1;
-        }
-        Ok(SfcArray {
-            curve,
-            main,
-            staging: Level::new(bits),
-            len,
-        })
-    }
-
     /// All occupied cells in key order, merged across the two levels: each
-    /// item is the cell's key plus the values stored there. This is the
-    /// column-wise export stream consumed by segment persistence — the same
-    /// order [`from_sorted_packed`](SfcArray::from_sorted_packed) accepts
-    /// back, so a save/load round trip never re-sorts. Because the view
-    /// merges staging into the stream, saving through it *flushes* the
-    /// staging level: the reloaded array is fully compacted.
+    /// item is the cell's key plus the values stored there, in insertion
+    /// order. Rebuilding from this stream with
+    /// [`from_sorted`](SfcArray::from_sorted) yields the same entries in the
+    /// same order, with nothing staged.
     pub fn sorted_cells(&self) -> impl Iterator<Item = (Key, &[V])> {
         self.cells_in(0..self.main.cells(), 0..self.staging.cells())
             .map(|(level, i)| (level.key(i), level.values(i)))
@@ -932,30 +869,6 @@ mod tests {
         let u = Universe::new(2, 4).unwrap();
         let batch = vec![(p(1, 1), 1u32), (p(16, 0), 2)];
         assert!(SfcArray::from_sorted(ZCurve::new(u), batch).is_err());
-    }
-
-    #[test]
-    fn from_sorted_packed_checks_every_key_against_its_point() {
-        let curve = ZCurve::new(Universe::new(2, 4).unwrap());
-        let key = |x, y| curve.key_of_point(&p(x, y)).unwrap().to_u128().unwrap();
-        let rows = || vec![(key(1, 1), p(1, 1), 1u32), (key(2, 3), p(2, 3), 2)];
-        let a = SfcArray::from_sorted_packed(curve.clone(), rows()).unwrap();
-        assert_eq!(entries(&a), vec![(p(1, 1), 1), (p(2, 3), 2)]);
-
-        let mut wrong = rows();
-        wrong[1].1 = p(3, 2);
-        assert_eq!(
-            SfcArray::from_sorted_packed(curve.clone(), wrong).unwrap_err(),
-            crate::SfcError::KeyMismatch { index: 1 }
-        );
-        let mut unsorted = rows();
-        unsorted.reverse();
-        assert_eq!(
-            SfcArray::from_sorted_packed(curve.clone(), unsorted).unwrap_err(),
-            crate::SfcError::UnsortedBatch { index: 1 }
-        );
-        let outside = vec![(key(1, 1), p(16, 0), 1u32)];
-        assert!(SfcArray::from_sorted_packed(curve, outside).is_err());
     }
 
     #[test]

@@ -60,18 +60,6 @@ pub enum SfcError {
         /// The offending value.
         epsilon: f64,
     },
-    /// A pre-sorted bulk load ([`crate::SfcArray::from_sorted_packed`]) was
-    /// handed a batch whose keys decrease.
-    UnsortedBatch {
-        /// Index of the first out-of-order entry.
-        index: usize,
-    },
-    /// A pre-sorted bulk load ([`crate::SfcArray::from_sorted_packed`]) was
-    /// handed an entry whose key is not the curve key of its point.
-    KeyMismatch {
-        /// Index of the offending entry.
-        index: usize,
-    },
     /// An empty point set or region where a non-empty one is required.
     Empty,
 }
@@ -109,13 +97,6 @@ impl fmt::Display for SfcError {
             SfcError::InvalidEpsilon { epsilon } => {
                 write!(f, "epsilon {epsilon} is outside the open interval (0, 1)")
             }
-            SfcError::UnsortedBatch { index } => {
-                write!(f, "pre-sorted batch is out of key order at entry {index}")
-            }
-            SfcError::KeyMismatch { index } => write!(
-                f,
-                "pre-sorted batch entry {index} carries a key that is not its point's curve key"
-            ),
             SfcError::Empty => write!(f, "operation requires a non-empty region or point set"),
         }
     }

@@ -260,9 +260,8 @@ impl Point {
     /// allocation-free when `dims` fits the inline buffer. The hot-path
     /// constructor for derived points (dominance transforms).
     ///
-    /// `f` is called exactly once per dimension, in ascending order —
-    /// callers may drive a stateful iterator from it (the segment decoder
-    /// streams coordinates off a column slice this way).
+    /// `f` is called exactly once per dimension, in ascending order, so
+    /// callers may drive a stateful iterator from it.
     ///
     /// # Panics
     ///

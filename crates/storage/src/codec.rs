@@ -1,30 +1,30 @@
 //! The one codec: the CRC-32 kernel, the envelope shared by every storage
 //! file, and the bounds-checked [`Cursor`] and field writers that every
-//! decoder and encoder in the workspace uses — this crate's files and the
-//! broker's wire frames alike.
+//! decoder and encoder in the workspace uses — this crate's files, the
+//! covering index's saved file and the broker's wire frames alike.
 //!
 //! Every file this crate writes has the same envelope:
 //!
 //! ```text
-//! +--------+---------+------+------------+----------------+----------+
-//! | magic  | version | kind | generation | payload        | checksum |
-//! | u32 LE | u8      | u8   | u64 LE     | length-defined | u32 LE   |
-//! +--------+---------+------+------------+----------------+----------+
+//! +--------+---------+------+----------+----------------+----------+
+//! | magic  | version | kind | reserved | payload        | checksum |
+//! | u32 LE | u8      | u8   | u64 LE   | length-defined | u32 LE   |
+//! +--------+---------+------+----------+----------------+----------+
 //! ```
 //!
 //! * `magic` is [`MAGIC`] (`"ACDS"`): a file that is not a storage file at
 //!   all is rejected as corrupt;
 //! * `version` is [`VERSION`]; a file from a future codec surfaces as
 //!   [`StorageError::UnsupportedVersion`], never a misparse;
-//! * `kind` says what the file *is* ([`file_kind`]) so a meta file handed
-//!   to the data decoder (or vice versa) is a typed error;
-//! * `generation` ties the file to one commit generation — a meta and data
-//!   file only pair up when their generations agree;
+//! * `kind` says what the file *is* ([`file_kind`]) so a journal handed to
+//!   the index decoder (or vice versa) is a typed error;
+//! * `reserved` is written as zero and ignored on read (it numbered the
+//!   generations of a retired multi-file save);
 //! * `checksum` is a CRC-32 (IEEE polynomial) over **everything before
 //!   it**, header included, so a flipped bit anywhere in the file is
 //!   caught before a single payload byte is interpreted.
 //!
-//! `open_envelope` verifies the checksum before it reads a header byte, so
+//! [`open_envelope`] verifies the checksum before it reads a header byte, so
 //! a bit flip in the version field reads as the corruption it is
 //! ([`StorageError::CorruptSegment`]); only a file whose checksum is intact
 //! can claim to be from a future codec. The journal has no checksum
@@ -40,6 +40,8 @@
 use std::borrow::Cow;
 use std::fmt;
 
+use acd_sfc::CurveKind;
+
 use crate::error::StorageError;
 use crate::Result;
 
@@ -49,7 +51,7 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"ACDS");
 /// Codec version this build reads and writes.
 pub const VERSION: u8 = 1;
 
-/// Envelope bytes before the payload: magic + version + kind + generation.
+/// Envelope bytes before the payload: magic + version + kind + reserved.
 pub const HEADER_LEN: usize = 14;
 
 /// Envelope bytes after the payload: the CRC-32.
@@ -58,18 +60,36 @@ pub const FOOTER_LEN: usize = 4;
 /// Longest LEB128 encoding of a `u64`: nine 7-bit groups and one last bit.
 const VARINT_MAX_LEN: usize = 10;
 
-/// The `kind` byte of the file envelope: what a storage file is.
+/// The `kind` byte of the file envelope: what a storage file is. Kinds 1–3
+/// named the retired segment layout's `.meta`, `.dat` and commit files; no
+/// reader accepts them.
 pub mod file_kind {
-    /// Segment metadata (`.meta`): describes and pins a data file.
-    pub const META: u8 = 1;
-    /// Segment data (`.dat`): the column-encoded index payload.
-    pub const DATA: u8 = 2;
-    /// Generation commit manifest (`commit-*.acd`).
-    pub const COMMIT: u8 = 3;
     /// Append-only subscription journal (`journal.acd`).
     pub const JOURNAL: u8 = 4;
     /// Compacted subscription snapshot (`snapshot.acd`).
     pub const SNAPSHOT: u8 = 5;
+    /// A saved covering index (`index.acd`).
+    pub const INDEX: u8 = 6;
+}
+
+/// The on-disk tag of a curve family.
+pub fn curve_tag(kind: CurveKind) -> u8 {
+    match kind {
+        CurveKind::Z => 0,
+        CurveKind::Hilbert => 1,
+        CurveKind::Gray => 2,
+    }
+}
+
+/// Decodes a curve tag written by [`curve_tag`], or `None` for a foreign
+/// value (which readers surface as corruption).
+pub fn curve_from_tag(tag: u8) -> Option<CurveKind> {
+    match tag {
+        0 => Some(CurveKind::Z),
+        1 => Some(CurveKind::Hilbert),
+        2 => Some(CurveKind::Gray),
+        _ => None,
+    }
 }
 
 // CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-16 table-driven:
@@ -115,8 +135,8 @@ const CRC_TABLES: [[u32; 256]; 16] = {
 
 /// CRC-32 (IEEE) of `bytes`.
 ///
-/// Slice-by-16: segment opens checksum the whole data file before trusting
-/// a byte of it, and the broker's wire codec checksums every frame, so this
+/// Slice-by-16: opening a saved index or snapshot checksums the whole file
+/// before trusting a byte of it, and the broker's wire codec checksums every frame, so this
 /// kernel sits on both critical paths and is several times faster than a
 /// byte-at-a-time loop.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -172,14 +192,13 @@ pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
 }
 
 /// Validates the fixed header at the front of `bytes` — magic, codec
-/// version, file kind — and returns the generation it was written under.
-/// Reads nothing past the header.
+/// version, file kind. Reads nothing past the header.
 ///
 /// # Errors
 ///
 /// [`StorageError::CorruptSegment`] on a short file, bad magic, or wrong
 /// kind; [`StorageError::UnsupportedVersion`] on a foreign version byte.
-pub(crate) fn check_index_header(bytes: &[u8], expected_kind: u8, file: &str) -> Result<u64> {
+pub(crate) fn check_index_header(bytes: &[u8], expected_kind: u8, file: &str) -> Result<()> {
     let Some(header) = bytes.first_chunk::<HEADER_LEN>() else {
         return Err(StorageError::corrupt(
             file,
@@ -189,7 +208,7 @@ pub(crate) fn check_index_header(bytes: &[u8], expected_kind: u8, file: &str) ->
             ),
         ));
     };
-    let [m0, m1, m2, m3, version, kind, generation @ ..] = *header;
+    let [m0, m1, m2, m3, version, kind, ..] = *header;
     let magic = u32::from_le_bytes([m0, m1, m2, m3]);
     if magic != MAGIC {
         return Err(StorageError::corrupt(
@@ -209,7 +228,7 @@ pub(crate) fn check_index_header(bytes: &[u8], expected_kind: u8, file: &str) ->
             format!("file kind {kind} where kind {expected_kind} was expected"),
         ));
     }
-    Ok(u64::from_le_bytes(generation))
+    Ok(())
 }
 
 /// Validates a storage file's trailing CRC-32 against the bytes before it,
@@ -239,32 +258,34 @@ pub(crate) fn check_footer<'a>(bytes: &'a [u8], file: &str) -> Result<&'a [u8]> 
 }
 
 /// Fully validates a file's envelope — checksum, then magic, version and
-/// kind — and returns `(generation, payload)`. The checksum is verified
-/// **before** any header byte is trusted, so any single flipped bit
-/// anywhere in the file reads as [`StorageError::CorruptSegment`].
-pub(crate) fn open_envelope<'a>(
-    bytes: &'a [u8],
-    expected_kind: u8,
-    file: &str,
-) -> Result<(u64, &'a [u8])> {
+/// kind — and returns its payload. The checksum is verified **before** any
+/// header byte is trusted, so any single flipped bit anywhere in the file
+/// reads as [`StorageError::CorruptSegment`] naming `file`.
+///
+/// # Errors
+///
+/// [`StorageError::CorruptSegment`] on any malformation of the envelope;
+/// [`StorageError::UnsupportedVersion`] on a checksum-intact file from
+/// another codec version.
+pub fn open_envelope<'a>(bytes: &'a [u8], expected_kind: u8, file: &str) -> Result<&'a [u8]> {
     let body = check_footer(bytes, file)?;
-    let generation = check_index_header(body, expected_kind, file)?;
-    Ok((generation, body.get(HEADER_LEN..).unwrap_or_default()))
+    check_index_header(body, expected_kind, file)?;
+    Ok(body.get(HEADER_LEN..).unwrap_or_default())
 }
 
-/// Starts a file: writes the envelope header into a fresh buffer.
-pub(crate) fn begin_file(kind: u8, generation: u64) -> Vec<u8> {
+/// Starts a file of `kind`: writes the envelope header into a fresh buffer.
+pub fn begin_file(kind: u8) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.push(VERSION);
     out.push(kind);
-    out.extend_from_slice(&generation.to_le_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes());
     out
 }
 
 /// Finishes a file: appends the CRC-32 footer over everything written so
 /// far and returns the completed bytes.
-pub(crate) fn finish_file(mut out: Vec<u8>) -> Vec<u8> {
+pub fn finish_file(mut out: Vec<u8>) -> Vec<u8> {
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -277,7 +298,11 @@ pub(crate) fn finish_file(mut out: Vec<u8>) -> Vec<u8> {
 /// rename (a rename can otherwise outlive its contents on power loss) and
 /// the directory is fsynced after it, so the new name itself survives an
 /// OS crash, not just a process death.
-pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<()> {
+///
+/// # Errors
+///
+/// [`StorageError::Io`] if any step fails.
+pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<()> {
     use std::io::Write;
 
     let display = path.display().to_string();
@@ -592,24 +617,23 @@ mod tests {
 
     #[test]
     fn envelope_round_trips() {
-        let mut out = begin_file(file_kind::DATA, 7);
+        let mut out = begin_file(file_kind::INDEX);
         out.extend_from_slice(b"payload");
         let bytes = finish_file(out);
-        let (generation, payload) = open_envelope(&bytes, file_kind::DATA, "test").unwrap();
-        assert_eq!(generation, 7);
+        let payload = open_envelope(&bytes, file_kind::INDEX, "test").unwrap();
         assert_eq!(payload, b"payload");
     }
 
     #[test]
     fn every_flipped_bit_is_a_corrupt_segment() {
-        let mut out = begin_file(file_kind::META, 3);
-        out.extend_from_slice(b"some meta payload");
+        let mut out = begin_file(file_kind::SNAPSHOT);
+        out.extend_from_slice(b"some snapshot payload");
         let bytes = finish_file(out);
         for i in 0..bytes.len() {
             for bit in 0..8 {
                 let mut flipped = bytes.clone();
                 flipped[i] ^= 1 << bit;
-                let err = open_envelope(&flipped, file_kind::META, "test")
+                let err = open_envelope(&flipped, file_kind::SNAPSHOT, "test")
                     .expect_err("flipped bit must not validate");
                 assert!(
                     err.is_corrupt(),
@@ -621,11 +645,11 @@ mod tests {
 
     #[test]
     fn truncations_are_corrupt() {
-        let mut out = begin_file(file_kind::COMMIT, 1);
+        let mut out = begin_file(file_kind::INDEX);
         out.extend_from_slice(&[9u8; 32]);
         let bytes = finish_file(out);
         for len in 0..bytes.len() {
-            let err = open_envelope(&bytes[..len], file_kind::COMMIT, "test")
+            let err = open_envelope(&bytes[..len], file_kind::INDEX, "test")
                 .expect_err("truncation must not validate");
             assert!(err.is_corrupt(), "length {len}: {err}");
         }
@@ -633,18 +657,18 @@ mod tests {
 
     #[test]
     fn wrong_kind_is_corrupt_and_future_version_is_typed() {
-        let bytes = finish_file(begin_file(file_kind::DATA, 1));
-        assert!(open_envelope(&bytes, file_kind::META, "test")
+        let bytes = finish_file(begin_file(file_kind::SNAPSHOT));
+        assert!(open_envelope(&bytes, file_kind::INDEX, "test")
             .unwrap_err()
             .is_corrupt());
 
         // A genuinely future version (checksum intact) is the typed
         // version error, not corruption.
-        let mut future = begin_file(file_kind::DATA, 1);
+        let mut future = begin_file(file_kind::INDEX);
         future[4] = VERSION + 1;
         let future = finish_file(future);
         assert!(matches!(
-            open_envelope(&future, file_kind::DATA, "test").unwrap_err(),
+            open_envelope(&future, file_kind::INDEX, "test").unwrap_err(),
             StorageError::UnsupportedVersion { found, .. } if found == VERSION + 1
         ));
     }
@@ -660,5 +684,13 @@ mod tests {
         assert!(c.check_remaining(usize::MAX, 8).is_err());
         c.take(2).unwrap();
         assert!(c.finish().is_err());
+    }
+
+    #[test]
+    fn curve_tags_round_trip_and_reject_foreign_values() {
+        for kind in [CurveKind::Z, CurveKind::Hilbert, CurveKind::Gray] {
+            assert_eq!(curve_from_tag(curve_tag(kind)), Some(kind));
+        }
+        assert_eq!(curve_from_tag(9), None);
     }
 }

@@ -1,13 +1,13 @@
 use std::error::Error;
 use std::fmt;
 
-/// Error type for the segment storage layer.
+/// Error type for the storage layer.
 ///
 /// The variant that matters for robustness is [`CorruptSegment`]: **every**
 /// malformation of on-disk bytes — a flipped bit anywhere in a file, a
-/// truncation, a meta/data mismatch, an entry count that disagrees with the
-/// bytes behind it — surfaces as this typed error. Decoding never panics on
-/// file bytes and never constructs a silently wrong index.
+/// truncation, a count that disagrees with the bytes behind it, a stored
+/// value the reader refuses — surfaces as this typed error. Decoding never
+/// panics on file bytes and never constructs a silently wrong index.
 ///
 /// [`CorruptSegment`]: StorageError::CorruptSegment
 #[derive(Debug)]
@@ -20,10 +20,10 @@ pub enum StorageError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// A file's bytes are not valid for its kind (a segment, commit,
-    /// journal header or snapshot): bad magic, checksum mismatch,
-    /// truncation, impossible lengths or counts, or a meta file that does
-    /// not match its data file.
+    /// A file's bytes are not valid for its kind (a saved index, a journal
+    /// header or a snapshot): bad magic, wrong kind, checksum mismatch,
+    /// truncation, impossible lengths or counts, or stored values the
+    /// reader refuses.
     CorruptSegment {
         /// File the corruption was detected in.
         file: String,
@@ -38,7 +38,8 @@ pub enum StorageError {
         /// The version byte found.
         found: u8,
     },
-    /// A directory was opened for reading but holds no commit file.
+    /// A directory was opened for reading but holds no saved index
+    /// (`index.acd`).
     NoCommit {
         /// The directory that was scanned.
         dir: String,
@@ -80,7 +81,7 @@ impl fmt::Display for StorageError {
                 "{file} was written by codec version {found}, which this build cannot read"
             ),
             StorageError::NoCommit { dir } => {
-                write!(f, "no commit file found in {dir}")
+                write!(f, "no saved index found in {dir}")
             }
         }
     }

@@ -27,7 +27,7 @@
 //! error) — and the file is truncated back to that prefix, so the slack
 //! never outlives the process that wrote it and every byte a later append
 //! lands on is a zero this process wrote and synced. This
-//! prefix-tolerance is deliberately looser than the segment codec's
+//! prefix-tolerance is deliberately looser than the snapshot's
 //! all-or-nothing discipline — a journal's tail is the one place where a
 //! half-written record is a normal crash artifact.
 //!
@@ -232,7 +232,7 @@ impl SubscriptionJournal {
             .map_err(|e| StorageError::io(&display, e))?;
 
         let (records, end) = if bytes.is_empty() {
-            let header = codec::begin_file(file_kind::JOURNAL, 0);
+            let header = codec::begin_file(file_kind::JOURNAL);
             file.write_all(&header)
                 .and_then(|()| file.sync_data())
                 .and_then(|()| codec::sync_parent_dir(path))
@@ -334,7 +334,7 @@ impl SubscriptionJournal {
 ///
 /// [`StorageError::Io`] if the write fails.
 pub fn write_snapshot(path: &Path, records: &[JournalRecord]) -> Result<()> {
-    let mut out = codec::begin_file(file_kind::SNAPSHOT, 0);
+    let mut out = codec::begin_file(file_kind::SNAPSHOT);
     out.extend_from_slice(&(records.len() as u64).to_le_bytes());
     let mut scratch = Vec::new();
     for record in records {
@@ -361,7 +361,7 @@ pub fn read_snapshot(path: &Path) -> Result<Option<Vec<JournalRecord>>> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(StorageError::io(&display, e)),
     };
-    let (_, payload) = codec::open_envelope(&bytes, file_kind::SNAPSHOT, &display)?;
+    let payload = codec::open_envelope(&bytes, file_kind::SNAPSHOT, &display)?;
     decode_snapshot(payload)
         .map(Some)
         .map_err(|e| e.in_file(&display))
@@ -443,7 +443,7 @@ mod tests {
 
     /// The parent format: a header and contiguous records, no slack.
     fn image_of(records: &[JournalRecord]) -> Vec<u8> {
-        let mut image = codec::begin_file(file_kind::JOURNAL, 0);
+        let mut image = codec::begin_file(file_kind::JOURNAL);
         for record in records {
             image.extend_from_slice(&encoded(record));
         }

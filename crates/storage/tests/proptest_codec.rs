@@ -160,7 +160,7 @@ proptest! {
         std::fs::write(dir.journal(), &image).unwrap();
         match replay(&dir.journal()) {
             Ok(replayed) => {
-                // A header byte the open accepted was in the generation,
+                // A header byte the open accepted was in the reserved field,
                 // which the journal does not read.
                 let expected = if at < HEADER_LEN && !truncate {
                     records.len()

@@ -81,8 +81,8 @@ impl Subscription {
     }
 
     /// Builds a subscription directly from per-attribute raw bounds in
-    /// schema declaration order — the bulk-reload fast path (segment opens,
-    /// rebuild baselines): no predicate list, no attribute-name lookups.
+    /// schema declaration order — the bulk-reload fast path (saved-index
+    /// opens, rebuild baselines): no predicate list, no attribute-name lookups.
     ///
     /// Validation is not relaxed: the arity must match the schema, every
     /// range must be non-empty, and every bound is quantized against its
