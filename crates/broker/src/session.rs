@@ -17,9 +17,9 @@
 //!   carry the client's session *epoch*; a stale one is absorbed, so a
 //!   stalled request from a pre-reconnect connection can never clobber
 //!   state the reconnected client already replayed.
-//! * **Recovery replays `snapshot ∘ journal`** from the data directory;
-//!   what it restores is owned by no connection until a client takes it
-//!   over by resubscribing.
+//! * **Recovery installs the fold of `snapshot ∘ journal`**, which shutdown
+//!   writes back as the snapshot; what it restores is owned by no
+//!   connection until a client takes it over by resubscribing.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -72,16 +72,13 @@ pub(crate) struct Ledger {
     persistence: Option<Persistence>,
 }
 
-/// The daemon's durable half: the open journal, the directory it lives
-/// in, and the durable live set (id → its `Subscribe` record, in id
-/// order), maintained in lockstep with every append so the shutdown
-/// snapshot needs no replay. It is not the session map: a session the
-/// daemon ends leaves the map but stays durable.
+/// The daemon's durable half: the open journal and its directory. It holds
+/// no live set (recovery and compaction [`fold`] one from the files), and a
+/// session the daemon ends leaves the session map but stays durable.
 #[derive(Debug)]
 struct Persistence {
     dir: PathBuf,
     journal: SubscriptionJournal,
-    live: BTreeMap<SubId, JournalRecord>,
 }
 
 /// How a session ended: the client went away (EOF, a protocol error,
@@ -210,14 +207,10 @@ impl Session {
     pub(crate) fn on_close(&self, state: &DaemonState, cause: Close) {
         let mut root = Root::mint();
         let (mut ledger, mut token) = state.ledger.lock(root.token());
-        let owned: Vec<(SubId, BrokerId)> = ledger
+        let owned = ledger
             .sessions
-            .iter()
-            .filter(|(_, entry)| entry.conn == self.conn)
-            .map(|(id, entry)| (*id, entry.at))
-            .collect();
-        for (id, at) in owned {
-            ledger.sessions.remove(&id);
+            .extract_if(|_, entry| entry.conn == self.conn);
+        for (id, SessionEntry { at, .. }) in owned.collect::<Vec<_>>() {
             // A daemon-initiated end retracts nothing: the registrations
             // must survive into the shutdown snapshot so a restarted daemon
             // serves them again (clients take them over by resubscribing).
@@ -240,22 +233,18 @@ fn unexpected(frame: &Frame) -> ServiceError {
     }
 }
 
-/// Loads `snapshot ∘ journal` from the data directory, re-registers every
-/// surviving subscription with the network, and seeds the session map
-/// (owner [`RECOVERED_CONN`]) so reconnecting clients take their
-/// registrations over with an ordinary `Resubscribe`.
+/// Folds `snapshot ∘ journal` from the data directory and installs the fold
+/// as it consumes it, in id order, seeding the session map (owner
+/// [`RECOVERED_CONN`]) so reconnecting clients take their registrations over
+/// with an ordinary `Resubscribe`. Nothing of the fold outlives the call.
 pub(crate) fn recover(network: &BrokerNetwork, dir: &Path) -> Result<Ledger, ServiceError> {
     std::fs::create_dir_all(dir)
         .map_err(|e| ServiceError::Io(format!("create {}: {e}", dir.display())))?;
     let storage = |e: StorageError| ServiceError::Io(e.to_string());
     let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE)).map_err(storage)?;
     let (journal, tail) = SubscriptionJournal::open(&dir.join(JOURNAL_FILE)).map_err(storage)?;
-    let mut live = BTreeMap::new();
-    for record in snapshot.unwrap_or_default().into_iter().chain(tail) {
-        apply(&mut live, record);
-    }
     let mut sessions = HashMap::new();
-    for record in live.values() {
+    for record in fold(snapshot, tail).into_values() {
         let JournalRecord::Subscribe {
             at,
             client,
@@ -265,72 +254,68 @@ pub(crate) fn recover(network: &BrokerNetwork, dir: &Path) -> Result<Ledger, Ser
         else {
             continue;
         };
-        let subscription = Subscription::from_raw_bounds(network.schema(), *id, bounds)
+        let subscription = Subscription::from_raw_bounds(network.schema(), id, &bounds)
             .map_err(|e| ServiceError::Io(format!("recovered subscription {id}: {e}")))?;
-        let at = *at as BrokerId;
-        network
-            .subscribe(at, *client, &subscription)
-            .map_err(ServiceError::Broker)?;
-        sessions.insert(
-            *id,
-            SessionEntry {
-                conn: RECOVERED_CONN,
-                epoch: 0,
-                at,
-            },
-        );
+        let (at, conn, epoch) = (at as BrokerId, RECOVERED_CONN, 0);
+        network.subscribe(at, client, &subscription)?;
+        sessions.insert(id, SessionEntry { conn, epoch, at });
     }
     let dir = dir.to_owned();
-    let persistence = Some(Persistence { dir, journal, live });
+    let persistence = Some(Persistence { dir, journal });
     Ok(Ledger {
         sessions,
         persistence,
     })
 }
 
-/// Compacts the durable live set into an atomic snapshot and resets the
-/// journal — a no-op without a data directory. Only for a quiescent state:
-/// no session may be mutating it.
+/// Folds the snapshot on disk with the journal's acked records, writes the
+/// fold as the new snapshot and resets the journal; a no-op without a data
+/// directory. Only for a quiescent state: no session may be mutating it.
 pub(crate) fn compact(state: &DaemonState) -> Result<(), StorageError> {
     let mut root = Root::mint();
     let mut ledger = state.ledger.lock(root.token()).0;
-    let Some(persistence) = ledger.persistence.as_mut() else {
+    let Some(Persistence { dir, journal }) = ledger.persistence.as_mut() else {
         return Ok(());
     };
-    let records: Vec<JournalRecord> = persistence.live.values().cloned().collect();
-    write_snapshot(&persistence.dir.join(SNAPSHOT_FILE), &records)?;
-    persistence.journal.reset()
+    let path = dir.join(SNAPSHOT_FILE);
+    // The acked prefix, read through the open handle: never the remains of
+    // a failed append behind it, which a re-open would replay.
+    let live = fold(read_snapshot(&path)?, journal.read_acked()?);
+    let records: Vec<JournalRecord> = live.into_values().collect();
+    write_snapshot(&path, &records)?;
+    journal.reset()
 }
 
 impl Ledger {
-    /// Appends one record to the journal (and the mirrored live set) — a
-    /// no-op without a data directory. It takes the ledger, so it runs under
-    /// the daemon lock, and appends land in the order the mutations were
-    /// serialised in. A failure comes back as the message of the `Err`
-    /// reply that replaces the ack.
+    /// Appends one record to the journal — a no-op without a data
+    /// directory. It takes the ledger, so it runs under the daemon lock, and
+    /// appends land in the order the mutations were serialised in. A failure
+    /// comes back as the message of the `Err` reply that replaces the ack.
     fn journal_append(&mut self, record: JournalRecord) -> Result<(), String> {
         let Some(persistence) = self.persistence.as_mut() else {
             return Ok(());
         };
-        if let Err(e) = persistence.journal.append(&record) {
-            return Err(format!("journal write failed: {e}"));
-        }
-        apply(&mut persistence.live, record);
-        Ok(())
+        persistence
+            .journal
+            .append(&record)
+            .map_err(|e| format!("journal write failed: {e}"))
     }
 }
 
-/// Applies `record` to a live set: a `Subscribe` sets its id's entry, an
-/// `Unsubscribe` drops it.
-fn apply(live: &mut BTreeMap<SubId, JournalRecord>, record: JournalRecord) {
-    match record {
-        JournalRecord::Subscribe { id, .. } => {
-            live.insert(id, record);
-        }
-        JournalRecord::Unsubscribe { id, .. } => {
-            live.remove(&id);
-        }
+/// The live set `snapshot` then `journal` leave, by id: the last `Subscribe`
+/// of an id wins and an `Unsubscribe` drops it.
+fn fold(
+    snapshot: Option<Vec<JournalRecord>>,
+    journal: Vec<JournalRecord>,
+) -> BTreeMap<SubId, JournalRecord> {
+    let mut live = BTreeMap::new();
+    for record in snapshot.unwrap_or_default().into_iter().chain(journal) {
+        match record {
+            JournalRecord::Subscribe { id, .. } => live.insert(id, record),
+            JournalRecord::Unsubscribe { id, .. } => live.remove(&id),
+        };
     }
+    live
 }
 
 /// Registers subscription `id` (bounds in attribute order, so no attribute
@@ -482,12 +467,15 @@ pub(crate) mod tests {
     }
 
     /// The ids of the durable live set the shutdown snapshot is written
-    /// from.
+    /// from: `compact`'s fold of the files.
     pub(crate) fn durable_ids(state: &DaemonState) -> Vec<SubId> {
         let mut root = Root::mint();
         let ledger = state.ledger.lock(root.token()).0;
-        let live = &ledger.persistence.as_ref().unwrap().live;
-        live.keys().copied().collect()
+        let Persistence { dir, journal } = ledger.persistence.as_ref().unwrap();
+        let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE)).unwrap();
+        fold(snapshot, journal.read_acked().unwrap())
+            .into_keys()
+            .collect()
     }
 
     /// Id `id`'s session entry, as `(conn, epoch, at)`.
@@ -698,6 +686,92 @@ pub(crate) mod tests {
         assert_eq!(metrics.unsubscriptions, 0);
         assert_eq!(durable_ids(&state), [1, 2, 3]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `Subscribe` of `id` for `client` at broker `at` over `[lo, hi]`.
+    fn record(at: u64, client: u64, id: SubId, (lo, hi): (f64, f64)) -> JournalRecord {
+        let bounds = vec![(lo, hi)];
+        JournalRecord::Subscribe {
+            at,
+            client,
+            id,
+            bounds,
+        }
+    }
+
+    /// Recovery folds the snapshot with the journal's tail before it
+    /// installs anything, and a clean shutdown writes that same fold back.
+    /// The tail moves id 2, drops 3, adds 5, and adds then drops 6.
+    #[test]
+    fn recovery_and_compaction_fold_the_snapshot_with_the_journal_tail() {
+        let dir = std::env::temp_dir().join(format!("acd-fold-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let snapshot = [
+            record(0, 7, 1, (0.0, 30.0)),
+            record(0, 8, 2, (20.0, 60.0)),
+            record(1, 7, 3, (40.0, 80.0)),
+            record(2, 9, 4, (70.0, 100.0)),
+        ];
+        write_snapshot(&dir.join(SNAPSHOT_FILE), &snapshot).unwrap();
+        let moved = record(2, 8, 2, (25.0, 65.0));
+        let added = record(1, 6, 5, (10.0, 90.0));
+        let tail = [
+            moved.clone(),
+            JournalRecord::Unsubscribe { at: 1, id: 3 },
+            added.clone(),
+            record(2, 6, 6, (0.0, 100.0)),
+            JournalRecord::Unsubscribe { at: 2, id: 6 },
+        ];
+        let journal_path = dir.join(JOURNAL_FILE);
+        let mut journal = SubscriptionJournal::open(&journal_path).unwrap().0;
+        for record in &tail {
+            journal.append(record).unwrap();
+        }
+        drop(journal);
+
+        let state = state_with(DaemonOptions {
+            data_dir: Some(dir.clone()),
+            ..DaemonOptions::default()
+        });
+        let survivors = [snapshot[0].clone(), moved, snapshot[3].clone(), added];
+        assert_eq!(state.network.audit(), []);
+        let metrics = state.network.metrics();
+        assert_eq!(
+            (metrics.subscriptions_registered, metrics.unsubscriptions),
+            (4, 0),
+            "one registration per surviving id, none for id 6"
+        );
+        for x in (0..=100).step_by(5).map(f64::from) {
+            let mut oracle: Vec<(BrokerId, ClientId)> = survivors
+                .iter()
+                .filter_map(|r| match r {
+                    JournalRecord::Subscribe {
+                        at, client, bounds, ..
+                    } => (bounds[0].0 <= x && x <= bounds[0].1).then_some((*at as _, *client)),
+                    JournalRecord::Unsubscribe { .. } => None,
+                })
+                .collect();
+            oracle.sort_unstable();
+            oracle.dedup();
+            let event = Event::new(state.network.schema(), vec![x]).unwrap();
+            for at in 0..3 {
+                assert_eq!(
+                    state.network.publish(at, &event).unwrap(),
+                    oracle,
+                    "{x} at {at}"
+                );
+            }
+        }
+        assert_eq!(durable_ids(&state), [1, 2, 4, 5]);
+
+        compact(&state).unwrap();
+        drop(state);
+        let written = read_snapshot(&dir.join(SNAPSHOT_FILE)).unwrap();
+        let journal_len = std::fs::metadata(&journal_path).unwrap().len();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(written, Some(survivors.to_vec()));
+        assert_eq!(journal_len, acd_covering::storage::codec::HEADER_LEN as u64);
     }
 
     #[test]

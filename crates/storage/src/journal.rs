@@ -1,42 +1,34 @@
 //! The broker daemon's subscription journal and snapshot.
 //!
 //! The journal (`journal.acd`) is a record log: each accepted
-//! subscribe/unsubscribe is encoded as a length-prefixed, CRC-framed
-//! record and fsynced (`fdatasync`) before the daemon acknowledges the
-//! request, so even an OS crash or power loss can lose at most operations
-//! that were never acked — not just a kill -9.
+//! subscribe/unsubscribe is encoded as a length-prefixed, CRC-framed record
+//! and fsynced (`fdatasync`) before the daemon acknowledges it, so even an
+//! OS crash or power loss loses only operations that were never acked.
 //!
-//! On disk the file is `header ‖ records ‖ slack`: the records are
-//! contiguous from the header, and behind them the file is **zero-filled
-//! up to a length it already owns**. An append overwrites the head of that
-//! slack instead of growing the file, because an `fdatasync` after a write
-//! that changed the file's length must also commit the new length (on
-//! ext4, a jbd2 transaction) before it may return, while one after an
-//! in-place overwrite flushes the data block and nothing else. When the
-//! slack runs out the file is extended by a fixed chunk of zeros and that
-//! new length is fsynced, metadata included, *before* any record is
-//! written into it — see [`SubscriptionJournal::append`] for the order. The saving
-//! depends on the filesystem: where an overwrite is no cheaper than an
-//! append (copy-on-write filesystems) the layout costs nothing and gains
-//! nothing.
+//! On disk the file is `header ‖ records ‖ slack`: behind the records it is
+//! **zero-filled up to a length it already owns**, and an append overwrites
+//! the head of that slack. An `fdatasync` after a write that changed the
+//! file's length must also commit the length (on ext4, a jbd2 transaction);
+//! one after an in-place overwrite flushes the data block alone. Where an
+//! overwrite is no cheaper (copy-on-write filesystems) the layout gains and
+//! costs nothing. [`SubscriptionJournal::append`] gives the order in which
+//! the slack is extended, the record written and each synced.
 //!
-//! On restart the journal is replayed up to its **durable prefix**:
-//! replay stops at the first record whose envelope does not validate — a
-//! zero length field (the slack), a length that overruns the file, a CRC
-//! mismatch (a torn tail from a crash mid-append is expected, not an
-//! error) — and the file is truncated back to that prefix, so the slack
-//! never outlives the process that wrote it and every byte a later append
-//! lands on is a zero this process wrote and synced. This
-//! prefix-tolerance is deliberately looser than the snapshot's
-//! all-or-nothing discipline — a journal's tail is the one place where a
-//! half-written record is a normal crash artifact.
+//! On restart the journal is replayed up to its **durable prefix**: replay
+//! stops at the first record whose envelope does not validate — a zero
+//! length field (the slack), a length that overruns the file, a CRC
+//! mismatch (a torn tail from a crash mid-append is expected, not an error)
+//! — and the file is truncated there, so every byte a later append lands on
+//! is a zero this process wrote and synced. This is deliberately looser than
+//! the snapshot's all-or-nothing discipline: a journal's tail is the one
+//! place where a half-written record is a normal crash artifact.
 //!
-//! The snapshot (`snapshot.acd`) compacts the journal on graceful
-//! shutdown: the live subscription set is written as one
+//! The snapshot (`snapshot.acd`) compacts the journal on graceful shutdown:
+//! the live set, folded from the snapshot and the journal's acked records
+//! ([`SubscriptionJournal::read_acked`]), is written as one
 //! checksummed-envelope file (temp + rename, so it is never seen
-//! half-written) and the journal is reset. Start-up state is
-//! `snapshot ∘ journal`: load the snapshot if present, then replay the
-//! journal tail over it.
+//! half-written), and the journal is reset. Start-up state is
+//! `snapshot ∘ journal`: the snapshot if present, then the journal over it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -307,6 +299,27 @@ impl SubscriptionJournal {
         self.file.sync_data()?;
         self.end = record_end;
         Ok(())
+    }
+
+    /// Reads back the acked records, `header..len` of the file this handle
+    /// holds — unlike a re-[`open`](Self::open), not the remains of a failed
+    /// append behind them.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Io`] if the read fails, [`StorageError::CorruptSegment`]
+    /// if an acked record no longer decodes.
+    pub fn read_acked(&self) -> Result<Vec<JournalRecord>> {
+        let display = self.path.display().to_string();
+        let mut bytes = vec![0; (self.end - codec::HEADER_LEN as u64) as usize];
+        let mut file = &self.file;
+        file.seek(SeekFrom::Start(codec::HEADER_LEN as u64))
+            .and_then(|_| file.read_exact(&mut bytes))
+            .map_err(|e| StorageError::io(&display, e))?;
+        match decode_records(&bytes) {
+            (records, durable) if durable == bytes.len() => Ok(records),
+            _ => Err(StorageError::corrupt(display, "acked record corrupt")),
+        }
     }
 
     /// Resets the journal to empty (header only), slack included, so no
@@ -677,6 +690,33 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(read_snapshot(&path).unwrap_err().is_corrupt());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The read-back stops at `len`: the remains of a failed append behind
+    /// it are not acked, though a re-open would replay them.
+    #[test]
+    fn read_acked_returns_exactly_the_acked_prefix() {
+        let path = TempPath::new("acked");
+        let [a, b, c] = sample_records().try_into().unwrap();
+        let (mut journal, _) = reopen(&path.0);
+        journal.append(&a).unwrap();
+        journal.append(&b).unwrap();
+        // A failed append leaves C's bytes at `len`, over the slack.
+        let mut other = OpenOptions::new().write(true).open(&path.0).unwrap();
+        write_at(&mut other, journal.len(), &encoded(&c)).unwrap();
+        drop(other);
+        assert_eq!(journal.read_acked().unwrap(), [a.clone(), b.clone()]);
+        let (_, replayed) = SubscriptionJournal::open(&path.0).unwrap();
+        assert_eq!(replayed, [a.clone(), b.clone(), c.clone()]);
+
+        journal.reset().unwrap();
+        assert!(journal.read_acked().unwrap().is_empty());
+        journal.append(&a).unwrap();
+        drop(journal);
+        let (mut journal, replayed) = reopen(&path.0);
+        assert_eq!(replayed, std::slice::from_ref(&a));
+        journal.append(&c).unwrap();
+        assert_eq!(journal.read_acked().unwrap(), [a, c]);
     }
 
     #[test]

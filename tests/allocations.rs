@@ -2,12 +2,17 @@
 //!
 //! A counting global allocator counts every `alloc`, `alloc_zeroed` and
 //! `realloc` in the process, and separately the ones made on the calling
-//! thread. An in-process daemon (1 worker, `balanced_tree(2, 2)`,
+//! thread; it also keeps the process's live heap bytes. An in-process daemon (1 worker, `balanced_tree(2, 2)`,
 //! `ExactSfc`) serves one client over loopback; after a warm-up, each request
 //! kind runs a fixed number of ops and its **daemon-side** allocations per op
 //! (the process count less this thread's, which is the client's) must stay
 //! within the kind's committed budget. Lowering a budget is free; raising one
 //! needs a reason in CHANGES.md.
+//!
+//! The same population also bounds what a durable daemon keeps resident: one
+//! recovered from a snapshot of the installed set may hold at most
+//! [`RECOVERY_EXCESS`] more live heap than one that installed the same set
+//! over the socket, both measured once the client has connected.
 //!
 //! The file is one `#[test]`, in its own binary, so no other test shares the
 //! count. Run with `--nocapture` to see each kind's mean against its budget.
@@ -15,7 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use acd::broker::{
@@ -38,8 +43,14 @@ thread_local! {
     static MINE: Cell<u64> = const { Cell::new(0) };
 }
 
-fn tick() {
+/// Heap bytes allocated and not yet freed, by any thread. A `realloc` adds
+/// the difference of its sizes, so the sum is kept modulo 2^64.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts one allocation that changes the live bytes by `delta`.
+fn tick(delta: usize) {
     ALL.fetch_add(1, Ordering::Relaxed);
+    LIVE.fetch_add(delta, Ordering::Relaxed);
     let _ = MINE.try_with(|n| n.set(n.get() + 1));
 }
 
@@ -47,24 +58,25 @@ fn tick() {
 // unchanged; the counters touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tick();
+        tick(layout.size());
         // SAFETY: forwarded as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        tick();
+        tick(layout.size());
         // SAFETY: forwarded as received.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tick();
+        tick(new_size.wrapping_sub(layout.size()));
         // SAFETY: forwarded as received.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: forwarded as received.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -83,6 +95,16 @@ fn daemon_side(runs: usize, per: usize, mut op: impl FnMut(usize)) -> f64 {
     let all = ALL.load(Ordering::SeqCst) - all;
     let mine = MINE.with(Cell::get) - mine;
     (all - mine) as f64 / (runs * per) as f64
+}
+
+/// `serve`'s result and the live heap bytes it added, once it returned.
+fn resident<T>(serve: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE.load(Ordering::SeqCst);
+    let served = serve();
+    (
+        served,
+        LIVE.load(Ordering::SeqCst).wrapping_sub(before) as i64,
+    )
 }
 
 /// Brokers of `balanced_tree(2, 2)`.
@@ -214,9 +236,10 @@ const BURST_EVENT: f64 = 1.0 + 6.0 / 64.0;
 ///   list (`Held::hold`), and orphans re-offered on a retraction.
 const CHURN_PAIR: f64 = 9.0;
 
-/// A data dir adds the live set's `BTreeMap` nodes (`session::apply`); the
-/// journal writes into a buffer it already owns.
-const CHURN_PAIR_DURABLE: f64 = 9.1;
+/// A data dir adds nothing a pair: the journal writes into a buffer it
+/// already owns, and the durable live set is only ever folded from the files,
+/// at start-up and at shutdown.
+const CHURN_PAIR_DURABLE: f64 = 9.0;
 
 /// On 140-bit keys a dominance key spills out of the packed `u128`, and the
 /// covering index's sweep (`sweep_keys`) allocates a spilled `Key` about
@@ -231,13 +254,20 @@ const CHURN_PAIR_WIDE: f64 = 300.0;
 /// and removal: at most 2 a pair.
 const DEBUG_CHECKS: f64 = if cfg!(debug_assertions) { 2.0 } else { 0.0 };
 
+/// How many more live heap bytes a daemon recovered from a snapshot may hold
+/// than one that installed the same subscriptions over the socket: what the
+/// connection's buffers and the session's scratch may differ by, and no
+/// second copy of the live set (a copy costs ~165 B a subscription, ~350 KB
+/// here).
+const RECOVERY_EXCESS: i64 = 64 * 1024;
+
 #[test]
 fn daemon_request_path_allocates_within_budget() {
     let mut report = Vec::new();
     let stock = Population::generate(&Scenario::StockTicker.workload_config(1), 2000, 128);
 
-    {
-        let (_daemon, mut client) = stock.serve(None);
+    let over_socket = {
+        let ((_daemon, mut client), over_socket) = resident(|| stock.serve(None));
         let publish = |client: &mut BrokerClient, i: usize| {
             let event = &stock.events[i % stock.events.len()];
             client
@@ -265,12 +295,13 @@ fn daemon_request_path_allocates_within_budget() {
         }
         let per_op = daemon_side(4096, 1, |i| stock.churn(&mut client, i));
         report.push(("churn pair, in memory", per_op, CHURN_PAIR + DEBUG_CHECKS));
-    }
+        over_socket
+    };
 
-    {
+    let recovered = {
         let dir = std::env::temp_dir().join(format!("acd-allocations-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (daemon, mut client) = stock.serve(Some(&dir));
+        let ((daemon, mut client), recovered) = resident(|| stock.serve(Some(&dir)));
         for i in 0..stock.pool.len() {
             stock.churn(&mut client, i);
         }
@@ -279,7 +310,8 @@ fn daemon_request_path_allocates_within_budget() {
         report.push(("churn pair, data dir", per_op, budget));
         drop((client, daemon));
         let _ = std::fs::remove_dir_all(&dir);
-    }
+        recovered
+    };
 
     {
         let wide = Population::generate(&wide_config(), 500, 64);
@@ -296,9 +328,18 @@ fn daemon_request_path_allocates_within_budget() {
         .iter()
         .map(|(kind, per_op, budget)| format!("{kind}: {per_op:.3} (budget {budget:.3})\n"))
         .collect();
-    println!("{table}");
+    let installed = stock.installed().count() as i64;
+    let excess = recovered - over_socket;
+    let resident = format!(
+        "live heap once connected: {over_socket} B installed over the socket, \
+         {recovered} B recovered from a snapshot; excess {excess} B \
+         ({} B a subscription of {installed}; limit {RECOVERY_EXCESS} B)",
+        excess / installed
+    );
+    println!("{table}{resident}");
     assert!(
         report.iter().all(|&(_, per_op, budget)| per_op <= budget),
         "daemon-side allocations per op over budget:\n{table}"
     );
+    assert!(excess <= RECOVERY_EXCESS, "{resident}");
 }
