@@ -10,13 +10,16 @@
 //! by whether the retracted subscription had been sent (the link may be its
 //! witness for others and must offer those again) or held back (only its
 //! own entry goes), and `churn/stock-ticker-10000`, the repo benchmark's
-//! `subscription_churn` stream in process.
+//! `subscription_churn` stream in process, and `recovery`: the set a
+//! restarted `durable_churn` daemon recovers, installed into a fresh
+//! overlay in id order and in covering order.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use acd_broker::{Broker, BrokerConfig, EventCells, EventChunk, Topology};
+use acd_broker::network::covering_order;
+use acd_broker::{Broker, BrokerConfig, BrokerNetwork, EventCells, EventChunk, Topology};
 use acd_covering::CoveringPolicy;
 use acd_subscription::Subscription;
 use acd_workload::{EventWorkload, Scenario, SubscriptionWorkload};
@@ -274,11 +277,58 @@ fn bench_churn(group: &mut criterion::BenchmarkGroup<'_>) {
     });
 }
 
+/// A durable daemon's restart without the daemon: the set `durable_churn`
+/// recovers (the 10 000 standing StockTicker subscriptions of seed 1 and
+/// the churn window's first 512, subscription `id` at broker `id % 7` for
+/// client `id % 64`) installed into a fresh `ExactSfc` overlay on
+/// `balanced_tree(2, 2)`. One iteration is one whole install, dropping the
+/// overlay included; `id-order` is how recovery installed before,
+/// `covering-order` ([`covering_order`], covers first) how it installs now.
+/// Each case prints the overlay's counters once.
+fn bench_recovery(c: &mut Criterion) {
+    let config = Scenario::StockTicker.workload_config(1);
+    let mut workload = SubscriptionWorkload::new(&config).unwrap();
+    let schema = workload.schema().clone();
+    let by_id = workload.take(10_000 + 512);
+    let mut covers_first = by_id.clone();
+    covers_first.sort_by(covering_order);
+    let network = || {
+        BrokerConfig::new(Topology::balanced_tree(2, 2).unwrap(), &schema)
+            .policy(CoveringPolicy::ExactSfc)
+            .build()
+            .unwrap()
+    };
+    let install = |net: BrokerNetwork, set: &[Subscription]| {
+        for s in set {
+            net.subscribe((s.id() % 7) as usize, s.id() % 64, s)
+                .unwrap();
+        }
+        net
+    };
+
+    let mut group = c.benchmark_group("recovery");
+    group.measurement_time(Duration::from_secs(3));
+    group.warm_up_time(Duration::from_millis(500));
+    group.sample_size(10);
+    for (case, set) in [("id-order", &by_id), ("covering-order", &covers_first)] {
+        let metrics = install(network(), set).metrics();
+        println!(
+            "recovery/{case}: {} covering queries, {} subscription messages, {} routing entries",
+            metrics.covering_queries, metrics.subscription_messages, metrics.routing_table_entries
+        );
+        group.bench_function(case, |b| {
+            b.iter_batched(network, |net| install(net, set), BatchSize::LargeInput);
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_propagation,
     bench_delivery,
     bench_match_kernels,
-    bench_retraction
+    bench_retraction,
+    bench_recovery
 );
 criterion_main!(benches);

@@ -64,6 +64,14 @@ fn parse_policy(s: &str) -> Result<CoveringPolicy, String> {
     }
 }
 
+/// `value`, the value of `flag`, parsed as a `T`.
+fn parsed<T: std::str::FromStr<Err: std::fmt::Display>>(
+    flag: &str,
+    value: String,
+) -> Result<T, String> {
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:0".into(),
@@ -86,47 +94,15 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--addr" => args.addr = value("--addr")?,
             "--topology" => args.topology = value("--topology")?,
-            "--brokers" => {
-                args.brokers = value("--brokers")?
-                    .parse()
-                    .map_err(|e| format!("--brokers: {e}"))?
-            }
+            "--brokers" => args.brokers = parsed(&flag, value(&flag)?)?,
             "--policy" => args.policy = parse_policy(&value("--policy")?)?,
-            "--workers" => {
-                args.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--attributes" => {
-                args.attributes = value("--attributes")?
-                    .parse()
-                    .map_err(|e| format!("--attributes: {e}"))?
-            }
-            "--bits" => {
-                args.bits = value("--bits")?
-                    .parse()
-                    .map_err(|e| format!("--bits: {e}"))?
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--max-connections" => {
-                args.max_connections = value("--max-connections")?
-                    .parse()
-                    .map_err(|e| format!("--max-connections: {e}"))?
-            }
-            "--max-inflight" => {
-                args.max_inflight = value("--max-inflight")?
-                    .parse()
-                    .map_err(|e| format!("--max-inflight: {e}"))?
-            }
-            "--idle-timeout-ms" => {
-                args.idle_timeout_ms = value("--idle-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--idle-timeout-ms: {e}"))?
-            }
+            "--workers" => args.workers = parsed(&flag, value(&flag)?)?,
+            "--attributes" => args.attributes = parsed(&flag, value(&flag)?)?,
+            "--bits" => args.bits = parsed(&flag, value(&flag)?)?,
+            "--seed" => args.seed = parsed(&flag, value(&flag)?)?,
+            "--max-connections" => args.max_connections = parsed(&flag, value(&flag)?)?,
+            "--max-inflight" => args.max_inflight = parsed(&flag, value(&flag)?)?,
+            "--idle-timeout-ms" => args.idle_timeout_ms = parsed(&flag, value(&flag)?)?,
             "--chaos" => args.chaos = Some(FaultPlan::parse(&value("--chaos")?)?),
             "--data-dir" => args.data_dir = Some(std::path::PathBuf::from(value("--data-dir")?)),
             other => return Err(format!("unknown flag {other:?}")),

@@ -30,6 +30,14 @@ struct Args {
     seed: u64,
 }
 
+/// `value`, the value of `flag`, parsed as a `T`.
+fn parsed<T: std::str::FromStr<Err: std::fmt::Display>>(
+    flag: &str,
+    value: String,
+) -> Result<T, String> {
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: String::new(),
@@ -45,32 +53,12 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match flag.as_str() {
             "--addr" => args.addr = value("--addr")?,
-            "--connections" => {
-                args.connections = value("--connections")?
-                    .parse()
-                    .map_err(|e| format!("--connections: {e}"))?
-            }
-            "--ops" => args.ops = value("--ops")?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--brokers" => {
-                args.brokers = value("--brokers")?
-                    .parse()
-                    .map_err(|e| format!("--brokers: {e}"))?
-            }
-            "--attributes" => {
-                args.attributes = value("--attributes")?
-                    .parse()
-                    .map_err(|e| format!("--attributes: {e}"))?
-            }
-            "--bits" => {
-                args.bits = value("--bits")?
-                    .parse()
-                    .map_err(|e| format!("--bits: {e}"))?
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
+            "--connections" => args.connections = parsed(&flag, value(&flag)?)?,
+            "--ops" => args.ops = parsed(&flag, value(&flag)?)?,
+            "--brokers" => args.brokers = parsed(&flag, value(&flag)?)?,
+            "--attributes" => args.attributes = parsed(&flag, value(&flag)?)?,
+            "--bits" => args.bits = parsed(&flag, value(&flag)?)?,
+            "--seed" => args.seed = parsed(&flag, value(&flag)?)?,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }

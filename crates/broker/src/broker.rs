@@ -1332,6 +1332,21 @@ pub(crate) mod tests {
             .unwrap()
     }
 
+    /// Each of `broker`'s links, by neighbor: the subscriptions sent on it
+    /// and the ids routed from it.
+    pub(crate) fn link_records(broker: &Broker) -> Vec<(BrokerId, Vec<Subscription>, Vec<SubId>)> {
+        let mut records: Vec<_> = broker
+            .links
+            .iter()
+            .map(|(&neighbor, link)| {
+                let sent = link.sent.ids().filter_map(|id| link.sent.get(id).cloned());
+                (neighbor, sent.collect(), link.routing.ids.clone())
+            })
+            .collect();
+        records.sort_by_key(|&(neighbor, ..)| neighbor);
+        records
+    }
+
     /// The bounds stored at `slot`, read back across the attribute columns.
     fn bounds_at(table: &MatchTable, slot: usize) -> Vec<(f64, f64)> {
         table.row(slot).unwrap().to_vec()

@@ -51,13 +51,14 @@ impl Held {
     }
 
     /// Takes `id` out of its witness's list, returning its handle (`None`
-    /// when it is not held).
+    /// when it is not held). The scan starts at the newest entry, where
+    /// churn's short-lived subscriptions are, and the rest keep their order.
     pub(crate) fn release(&mut self, id: SubId) -> Option<Subscription> {
         let witness = self.witness_of.remove(&id)?;
         let Entry::Occupied(mut list) = self.lists.entry(witness) else {
             return None;
         };
-        let at = list.get().iter().position(|s| s.id() == id)?;
+        let at = list.get().iter().rposition(|s| s.id() == id)?;
         let released = list.get_mut().remove(at);
         if list.get().is_empty() {
             list.remove();
@@ -353,6 +354,26 @@ mod tests {
             .collect();
         assert_eq!(verdicts, [(2, true), (3, false)]);
         assert_eq!(held_back(&link), [(3, 2)]);
+    }
+
+    /// A release scans from the newest entry; what stays keeps its arrival
+    /// order, which `take` hands back.
+    #[test]
+    fn a_release_leaves_the_rest_in_arrival_order() {
+        let s = schema();
+        let mut held = Held::default();
+        for id in 2..=6 {
+            held.hold(1, sub(&s, id, (10.0, 20.0 + id as f64), (10.0, 20.0)));
+        }
+        for gone in [6, 4] {
+            assert_eq!(held.release(gone).map(|s| s.id()), Some(gone));
+        }
+        assert_eq!(held.release(4), None);
+        assert_eq!(held.disagreements(), []);
+        assert_eq!(held.witness(5), Some(1));
+        let taken: Vec<SubId> = held.take(1).iter().map(Subscription::id).collect();
+        assert_eq!(taken, [2, 3, 5]);
+        assert_eq!(held.len(), 0);
     }
 
     #[test]

@@ -627,6 +627,22 @@ impl BrokerNetwork {
 /// The live registrations: subscription id → owning client.
 pub(crate) type Registry = HashMap<SubId, ClientId>;
 
+/// The order a whole live set installs in, covers first: widest first by
+/// the sum of each raw bound's width as a fraction of its attribute's
+/// domain, ties by id. A cover ([`Subscription::covers`]) is at least as
+/// wide on every attribute, so it sorts first (twins keep id order, and a
+/// strict cover can tie only by rounding), and each link then sends only
+/// the maximal subscriptions on its side.
+pub fn covering_order(a: &Subscription, b: &Subscription) -> std::cmp::Ordering {
+    let breadth = |s: &Subscription| -> f64 {
+        let bounds = s.raw_bounds().iter().zip(s.schema().attributes());
+        bounds
+            .map(|(&(lo, hi), d)| (hi - lo) / (d.max() - d.min()))
+            .sum()
+    };
+    breadth(b).total_cmp(&breadth(a)).then(a.id().cmp(&b.id()))
+}
+
 /// The overlay walk of one [`BrokerNetwork::subscribe`] or
 /// [`BrokerNetwork::unsubscribe`], as a value: the arrivals still to run,
 /// each a job at a broker and the neighbor it came from (in a tree, all it

@@ -17,9 +17,9 @@
 //!   carry the client's session *epoch*; a stale one is absorbed, so a
 //!   stalled request from a pre-reconnect connection can never clobber
 //!   state the reconnected client already replayed.
-//! * **Recovery installs the fold of `snapshot ∘ journal`**, which shutdown
-//!   writes back as the snapshot; what it restores is owned by no
-//!   connection until a client takes it over by resubscribing.
+//! * **Recovery installs the fold of `snapshot ∘ journal`**, covers first;
+//!   shutdown writes the fold back as the snapshot. What it restores is
+//!   owned by no connection until a client takes it over by resubscribing.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -33,7 +33,7 @@ use crate::broker::{BrokerId, ClientId};
 use crate::error::{BrokerError, ServiceError};
 use crate::lock::Root;
 use crate::metrics::MetricCounters;
-use crate::network::{BrokerNetwork, Triple};
+use crate::network::{covering_order, BrokerNetwork, Triple};
 use crate::service::DaemonState;
 use crate::wire::{append_frame, put_deliveries_frames, Frame};
 
@@ -233,32 +233,38 @@ fn unexpected(frame: &Frame) -> ServiceError {
     }
 }
 
-/// Folds `snapshot ∘ journal` from the data directory and installs the fold
-/// as it consumes it, in id order, seeding the session map (owner
-/// [`RECOVERED_CONN`]) so reconnecting clients take their registrations over
-/// with an ordinary `Resubscribe`. Nothing of the fold outlives the call.
+/// Folds `snapshot ∘ journal` from the data directory, builds each
+/// subscription as it consumes the fold, and installs them in
+/// [`covering_order`], covers first, so every link holds back all it can
+/// and sends only the maximal subscriptions on its side. It seeds the
+/// session map (owner [`RECOVERED_CONN`]) so reconnecting clients take their
+/// registrations over with an ordinary `Resubscribe`. Nothing of the fold
+/// outlives the call.
 pub(crate) fn recover(network: &BrokerNetwork, dir: &Path) -> Result<Ledger, ServiceError> {
     std::fs::create_dir_all(dir)
         .map_err(|e| ServiceError::Io(format!("create {}: {e}", dir.display())))?;
     let storage = |e: StorageError| ServiceError::Io(e.to_string());
     let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE)).map_err(storage)?;
     let (journal, tail) = SubscriptionJournal::open(&dir.join(JOURNAL_FILE)).map_err(storage)?;
-    let mut sessions = HashMap::new();
-    for record in fold(snapshot, tail).into_values() {
+    let live = fold(snapshot, tail);
+    let mut installs = Vec::with_capacity(live.len());
+    for (id, record) in live {
         let JournalRecord::Subscribe {
-            at,
-            client,
-            id,
-            bounds,
+            at, client, bounds, ..
         } = record
         else {
             continue;
         };
         let subscription = Subscription::from_raw_bounds(network.schema(), id, &bounds)
             .map_err(|e| ServiceError::Io(format!("recovered subscription {id}: {e}")))?;
-        let (at, conn, epoch) = (at as BrokerId, RECOVERED_CONN, 0);
+        installs.push((subscription, at as BrokerId, client));
+    }
+    installs.sort_unstable_by(|a, b| covering_order(&a.0, &b.0));
+    let (conn, epoch) = (RECOVERED_CONN, 0);
+    let mut sessions = HashMap::with_capacity(installs.len());
+    for (subscription, at, client) in installs {
         network.subscribe(at, client, &subscription)?;
-        sessions.insert(id, SessionEntry { conn, epoch, at });
+        sessions.insert(subscription.id(), SessionEntry { conn, epoch, at });
     }
     let dir = dir.to_owned();
     let persistence = Some(Persistence { dir, journal });
@@ -772,6 +778,138 @@ pub(crate) mod tests {
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(written, Some(survivors.to_vec()));
         assert_eq!(journal_len, acd_covering::storage::codec::HEADER_LEN as u64);
+    }
+
+    /// Recovery installs covers first, so every link of the recovered
+    /// overlay sends only the maximal subscriptions on its side: no sent one
+    /// covers another, and the neighbor routes exactly what was sent. The
+    /// snapshot numbers a nested population narrowest first (chains around
+    /// four centres, two incomparable crosses, twins), spread over seven
+    /// brokers and three clients, so id order would send covers after what
+    /// they cover. The journal tail moves id 6 to another broker, drops id
+    /// 11, and adds then drops id 100.
+    #[test]
+    fn a_recovered_overlay_sends_only_the_maximal_subscriptions() {
+        use crate::broker::tests::{link_records, schema};
+        let dir = std::env::temp_dir().join(format!("acd-maximal-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let square =
+            |(x, y): (f64, f64), half: f64| vec![(x - half, x + half), (y - half, y + half)];
+        let mut bounds = Vec::new();
+        for half in [2.5, 5.0, 10.0, 20.0] {
+            for centre in [(30.0, 30.0), (30.0, 70.0), (70.0, 50.0), (50.0, 50.0)] {
+                bounds.push(square(centre, half));
+            }
+        }
+        bounds.extend([
+            vec![(10.0, 90.0), (45.0, 55.0)],
+            vec![(45.0, 55.0), (10.0, 90.0)],
+        ]);
+        bounds.extend([bounds[5].clone(), bounds[9].clone(), bounds[16].clone()]);
+        let subscription = |id, bounds: &[_]| Subscription::from_raw_bounds(&schema(), id, bounds);
+        let mut survivors: Vec<(BrokerId, ClientId, Subscription)> = (1..)
+            .zip(bounds)
+            .map(|(id, bounds)| {
+                (
+                    (id % 7) as BrokerId,
+                    id % 3,
+                    subscription(id, &bounds).unwrap(),
+                )
+            })
+            .collect();
+        let record =
+            |(at, client, s): &(BrokerId, ClientId, Subscription)| JournalRecord::Subscribe {
+                at: *at as u64,
+                client: *client,
+                id: s.id(),
+                bounds: s.raw_bounds().to_vec(),
+            };
+        let snapshot: Vec<JournalRecord> = survivors.iter().map(record).collect();
+        write_snapshot(&dir.join(SNAPSHOT_FILE), &snapshot).unwrap();
+        survivors[5].0 = 0;
+        let dropped = survivors.remove(10).2.id();
+        let everything = (3, 1, subscription(100, &[(0.0, 100.0); 2]).unwrap());
+        let tail = [
+            record(&survivors[5]),
+            JournalRecord::Unsubscribe { at: 4, id: dropped },
+            record(&everything),
+            JournalRecord::Unsubscribe { at: 3, id: 100 },
+        ];
+        let mut journal = SubscriptionJournal::open(&dir.join(JOURNAL_FILE))
+            .unwrap()
+            .0;
+        for record in &tail {
+            journal.append(record).unwrap();
+        }
+        drop(journal);
+        let network = || {
+            let topology = Topology::balanced_tree(2, 2).unwrap();
+            let config = BrokerConfig::new(topology, &schema());
+            Arc::new(config.policy(CoveringPolicy::ExactSfc).build().unwrap())
+        };
+        let options = DaemonOptions {
+            data_dir: Some(dir.clone()),
+            ..DaemonOptions::default()
+        };
+        let state = DaemonState::new(network(), options).unwrap();
+        let net = &state.network;
+        assert_eq!(net.audit(), []);
+        assert_eq!(net.metrics().subscriptions_registered, 20);
+
+        let steps = (0..=40).map(|i| f64::from(i) * 2.5);
+        let events = steps
+            .clone()
+            .flat_map(|x| steps.clone().map(move |y| [x, y]));
+        for (n, values) in events.enumerate() {
+            let event = Event::new(net.schema(), values.to_vec()).unwrap();
+            let mut oracle: Vec<(BrokerId, ClientId)> = survivors
+                .iter()
+                .filter(|(.., s)| s.matches(&event))
+                .map(|&(at, client, _)| (at, client))
+                .collect();
+            oracle.sort_unstable();
+            oracle.dedup();
+            assert_eq!(net.publish(n % 7, &event).unwrap(), oracle, "{values:?}");
+        }
+
+        let records: Vec<_> = (0..7)
+            .map(|b| net.inspect(b, link_records).unwrap())
+            .collect();
+        for (broker, links) in records.iter().enumerate() {
+            for (neighbor, sent, _) in links {
+                for (a, b) in sent.iter().flat_map(|a| sent.iter().map(move |b| (a, b))) {
+                    assert!(
+                        a.id() == b.id() || !a.covers(b),
+                        "{broker} → {neighbor}: sent {} covers sent {}",
+                        a.id(),
+                        b.id()
+                    );
+                }
+                let back = records[*neighbor].iter().find(|(n, ..)| *n == broker);
+                let mut routed = back.unwrap().2.clone();
+                let mut sent: Vec<SubId> = sent.iter().map(Subscription::id).collect();
+                routed.sort_unstable();
+                sent.sort_unstable();
+                assert_eq!(routed, sent, "{broker} → {neighbor}");
+            }
+        }
+
+        let in_id_order = network();
+        let mut by_id: Vec<_> = survivors.iter().collect();
+        by_id.sort_by_key(|(.., s)| s.id());
+        for (at, client, subscription) in by_id {
+            in_id_order.subscribe(*at, *client, subscription).unwrap();
+        }
+        let entries = |net: &BrokerNetwork| net.metrics().routing_table_entries;
+        assert!(
+            entries(net) < entries(&in_id_order),
+            "recovered {} routing entries, id order {}",
+            entries(net),
+            entries(&in_id_order)
+        );
+        drop(state);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
