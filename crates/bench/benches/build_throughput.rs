@@ -1,7 +1,7 @@
 //! Criterion bench: index-construction throughput — `n` incremental inserts
 //! against the one-sort bulk path (`SfcCoveringIndex::build_from`), at
-//! several population sizes. Companion to `scalability_n`, which measures
-//! query latency on the same workload shape.
+//! several population sizes. Query latency over populations of these sizes
+//! is `experiments e05`'s table.
 
 use std::time::Duration;
 

@@ -22,7 +22,8 @@
 //! kill -9) serves the same registrations.
 //!
 //! The schema is the synthetic-workload one (`attr0..attrN-1`, domain
-//! `[0, 1e6]`), so `acd-brokerload` streams are compatible out of the box.
+//! `[0, 1e6]`, `--bits` per attribute), so `acd_workload`'s generated
+//! subscriptions and events fit it as they are.
 //! On startup the daemon prints exactly one line, `listening on ADDR`, to
 //! stdout — scripts (and the e2e integration test) parse it to learn the
 //! ephemeral port.
@@ -31,7 +32,8 @@ use std::io::Write;
 use std::sync::Arc;
 
 use acd_broker::{BrokerConfig, BrokerDaemon, CoveringPolicy, DaemonOptions, FaultPlan, Topology};
-use acd_workload::{SubscriptionWorkload, WorkloadConfig};
+use acd_workload::subscriptions::build_schema;
+use acd_workload::WorkloadConfig;
 
 struct Args {
     addr: String,
@@ -143,10 +145,7 @@ fn run() -> Result<(), String> {
         .seed(args.seed)
         .build()
         .map_err(|e| e.to_string())?;
-    let schema = SubscriptionWorkload::new(&workload)
-        .map_err(|e| e.to_string())?
-        .schema()
-        .clone();
+    let schema = build_schema(&workload).map_err(|e| e.to_string())?;
     let network = Arc::new(
         BrokerConfig::new(topology, &schema)
             .policy(args.policy)

@@ -83,7 +83,7 @@ pub use error::{BrokerError, ServiceError};
 pub use faults::{FaultPlan, FaultyStream};
 pub use metrics::NetworkMetrics;
 pub use network::{BrokerConfig, BrokerNetwork, Violation};
-pub use resilient::{ClientStats, GaveUp, Resilience, ResilientClient, RetryPolicy};
+pub use resilient::{ClientStats, GaveUp, ResilientClient, RetryPolicy};
 pub use service::{BrokerDaemon, DaemonOptions};
 pub use topology::Topology;
 

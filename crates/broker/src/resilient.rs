@@ -20,8 +20,7 @@
 //!   connection (see `session.rs`).
 //! * **Typed outcomes instead of panics** — operations return [`GaveUp`]
 //!   (attempt count + final error) when the policy is exhausted, and
-//!   [`last_outcome`](ResilientClient::last_outcome) reports
-//!   [`Resilience::Degraded`] when an operation needed repair to succeed.
+//!   [`stats`](ResilientClient::stats) counts the repair work absorbed.
 //!
 //! What is retried: transport failures (I/O errors, corrupt or truncated
 //! frames, protocol desync) after a reconnect, and [`ServiceError::
@@ -106,20 +105,6 @@ impl From<GaveUp> for ServiceError {
     }
 }
 
-/// How the most recent successful operation went.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Resilience {
-    /// First attempt succeeded on the existing connection.
-    Healthy,
-    /// The operation succeeded, but only after repair work.
-    Degraded {
-        /// Failed attempts absorbed before success.
-        retries: u64,
-        /// Connections (re-)established during the operation.
-        reconnects: u64,
-    },
-}
-
 /// Cumulative repair counters for one client.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientStats {
@@ -175,7 +160,6 @@ pub struct ResilientClient {
     subs: BTreeMap<SubId, TrackedSub>,
     schema: Option<Schema>,
     stats: ClientStats,
-    last: Resilience,
 }
 
 impl ResilientClient {
@@ -211,7 +195,6 @@ impl ResilientClient {
             subs: BTreeMap::new(),
             schema: None,
             stats: ClientStats::default(),
-            last: Resilience::Healthy,
         };
         client.with_retries(|_, _| Ok(()))?;
         Ok(client)
@@ -228,11 +211,6 @@ impl ResilientClient {
     /// Cumulative repair counters.
     pub fn stats(&self) -> ClientStats {
         self.stats
-    }
-
-    /// How the most recent successful operation went.
-    pub fn last_outcome(&self) -> Resilience {
-        self.last
     }
 
     /// The ids of the subscriptions this client tracks as live (the set
@@ -343,7 +321,6 @@ impl ResilientClient {
         &mut self,
         mut op: impl FnMut(&mut BrokerClient, u64) -> Result<T, ServiceError>,
     ) -> Result<T, GaveUp> {
-        let before = self.stats;
         let mut last_error = ServiceError::Io("no attempt was made".into());
         let attempts = self.policy.max_attempts.max(1);
         for attempt in 1..=attempts {
@@ -360,10 +337,7 @@ impl ResilientClient {
                 .as_mut()
                 .expect("ensure_connected just installed the connection");
             match op(conn, epoch) {
-                Ok(value) => {
-                    self.settle(before, attempt);
-                    return Ok(value);
-                }
+                Ok(value) => return Ok(value),
                 Err(error) => {
                     match verdict(&error) {
                         Verdict::Fatal => {
@@ -420,18 +394,6 @@ impl ResilientClient {
     fn note_retry(&mut self, last_error: &mut ServiceError, error: ServiceError) {
         self.stats.retries += 1;
         *last_error = error;
-    }
-
-    /// Records the outcome of a successful operation.
-    fn settle(&mut self, before: ClientStats, attempt: usize) {
-        self.last = if attempt == 1 && self.stats == before {
-            Resilience::Healthy
-        } else {
-            Resilience::Degraded {
-                retries: self.stats.retries - before.retries,
-                reconnects: self.stats.reconnects - before.reconnects,
-            }
-        };
     }
 
     /// Sleeps the backoff for retry number `attempt - 1`: exponential from
@@ -584,7 +546,11 @@ mod tests {
         client.subscribe(0, 7, &sub).unwrap();
         let event = Event::new(&schema, vec![25.0]).unwrap();
         assert_eq!(client.publish(2, &event).unwrap(), vec![(0, 7)]);
-        assert_eq!(client.last_outcome(), Resilience::Healthy);
+        assert_eq!(
+            client.stats(),
+            ClientStats::default(),
+            "a healthy daemon needs no retry and no reconnect"
+        );
 
         // The daemon dies and comes back on the same port with an empty
         // network — the client must notice, reconnect, and replay.
@@ -596,11 +562,7 @@ mod tests {
             vec![(0, 7)],
             "replayed subscription must match again after the restart"
         );
-        assert!(matches!(
-            client.last_outcome(),
-            Resilience::Degraded { reconnects, .. } if reconnects >= 1
-        ));
-        assert!(client.stats().reconnects >= 1);
+        assert!(client.stats().reconnects >= 1, "{:?}", client.stats());
         assert_eq!(client.tracked_subscriptions(), vec![1]);
         assert_eq!(daemon.network().metrics().subscriptions_registered, 1);
     }

@@ -7,14 +7,20 @@
 //! subscription/client id spaces, so its deliveries are exactly
 //! predictable from its own live set regardless of how the daemon's
 //! worker team interleaves the connections.
+//!
+//! The overlapping case drops the slices: the connections subscribe over
+//! the whole domain, so one connection's subscriptions cover another's in
+//! the overlay, and deliveries are checked between rounds against the union
+//! of every connection's live set.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Barrier;
 use std::time::Duration;
 
 use acd_broker::{BrokerClient, ServiceError};
-use acd_subscription::{Event, Schema, Subscription, SubscriptionBuilder};
+use acd_subscription::{Event, Schema, SubId, Subscription, SubscriptionBuilder};
 
 const CONNECTIONS: usize = 4;
 const OPS_PER_CONNECTION: usize = 200;
@@ -200,25 +206,111 @@ fn concurrent_connections_get_oracle_exact_deliveries_flooding() {
     churn_over_daemon("none");
 }
 
+/// Grid cells per attribute of the daemon's default schema (`--bits 10`).
+const CELLS: u64 = 1 << 10;
+const ROUNDS: usize = 30;
+const OPS_PER_ROUND: usize = 12;
+
+/// One connection's live subscriptions in the overlapping case, with their
+/// home brokers.
+type Owned = Vec<(usize, Subscription)>;
+
+/// The value at the middle of grid cell `cell`. Every bound and event value
+/// is one, so grid covering is raw covering and the oracle is exact (no
+/// cell-boundary slack).
+fn mid(cell: u64) -> f64 {
+    (cell as f64 + 0.5) * DOMAIN / CELLS as f64
+}
+
+/// One connection's share of one round: subscribes drawn from the whole
+/// domain — one in four wide enough to cover most of what any connection
+/// holds — and unsubscribes of its own.
+fn overlap_round(
+    client: &mut BrokerClient,
+    rng: &mut Rng,
+    next_id: &mut SubId,
+    own: &mut Owned,
+) -> Result<(), ServiceError> {
+    for _ in 0..OPS_PER_ROUND {
+        if rng.below(5) < 3 {
+            let mut range = || {
+                let (lo, len) = match rng.below(4) {
+                    0 => (rng.below(CELLS / 8), CELLS / 2 + rng.below(CELLS / 2)),
+                    _ => (rng.below(CELLS), rng.below(CELLS / 5)),
+                };
+                (mid(lo), mid((lo + len).min(CELLS - 1)))
+            };
+            *next_id += 1;
+            let bounds = [range(), range()];
+            let sub = Subscription::from_raw_bounds(client.schema(), *next_id, &bounds)
+                .map_err(|e| ServiceError::Io(e.to_string()))?;
+            let home = (*next_id % BROKERS as u64) as usize;
+            client.subscribe(home, *next_id, &sub)?;
+            own.push((home, sub));
+        } else if !own.is_empty() {
+            let victim = rng.below(own.len() as u64) as usize;
+            let (home, sub) = own.swap_remove(victim);
+            client.unsubscribe(home, sub.id())?;
+        }
+    }
+    Ok(())
+}
+
+/// Publishes probe events through `client` on the quiescent daemon: each
+/// answer must be exactly the union of every connection's live set.
+fn check_quiescent(client: &mut BrokerClient, rng: &mut Rng, owned: &[Owned]) {
+    let schema = client.schema().clone();
+    for probe in 0..16 {
+        let values = vec![mid(rng.below(CELLS)), mid(rng.below(CELLS))];
+        let event = Event::new(&schema, values).unwrap();
+        let mut expected: Vec<(usize, u64)> = owned
+            .iter()
+            .flatten()
+            .filter(|(_, sub)| sub.matches(&event))
+            .map(|(home, sub)| (*home, sub.id()))
+            .collect();
+        expected.sort_unstable();
+        let deliveries = client.publish(probe % BROKERS, &event).unwrap();
+        assert_eq!(deliveries, expected, "{event}");
+    }
+}
+
 #[test]
-fn load_generator_completes_against_a_live_daemon() {
+fn overlapping_connections_get_oracle_exact_deliveries() {
     let daemon = DaemonGuard::start("exact-sfc");
-    let status = Command::new(env!("CARGO_BIN_EXE_acd-brokerload"))
-        .args([
-            "--addr",
-            &daemon.addr,
-            "--connections",
-            "4",
-            "--ops",
-            "150",
-            "--brokers",
-            &BROKERS.to_string(),
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .status()
-        .expect("spawn acd-brokerload");
-    assert!(status.success(), "load generator failed: {status}");
+    let connect = || BrokerClient::connect(daemon.addr.as_str()).unwrap();
+    let mut clients: Vec<BrokerClient> = (0..CONNECTIONS).map(|_| connect()).collect();
+    let mut owned: Vec<Owned> = (0..CONNECTIONS).map(|_| Owned::new()).collect();
+    let mut rngs: Vec<Rng> = (0..CONNECTIONS).map(|c| Rng(0x0AC0 + c as u64)).collect();
+    let mut next_ids: Vec<SubId> = (0..CONNECTIONS).map(|c| c as u64 * 1_000_000).collect();
+    let mut probe_rng = Rng(0xACD1);
+    let mut most_live = 0;
+    for _ in 0..ROUNDS {
+        // The scope's join is the quiescent point (every request was
+        // acknowledged, so applied); the barrier makes the connections'
+        // rounds start together, so they overlap.
+        let start = Barrier::new(CONNECTIONS);
+        std::thread::scope(|scope| {
+            let shares = clients.iter_mut().zip(&mut rngs).zip(&mut next_ids);
+            for (((client, rng), next_id), own) in shares.zip(&mut owned) {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    overlap_round(client, rng, next_id, own).expect("round ran clean");
+                });
+            }
+        });
+        check_quiescent(&mut clients[0], &mut probe_rng, &owned);
+        most_live = most_live.max(owned.iter().map(Vec::len).sum::<usize>());
+    }
+    assert!(most_live > 50, "the live set stayed small: {most_live}");
+    // Drained, the daemon delivers nothing.
+    for (client, own) in clients.iter_mut().zip(&mut owned) {
+        for (home, sub) in own.drain(..) {
+            client.unsubscribe(home, sub.id()).unwrap();
+        }
+    }
+    check_quiescent(&mut clients[0], &mut probe_rng, &owned);
 }
 
 /// A pipelined burst far longer than two socket buffers hold completes

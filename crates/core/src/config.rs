@@ -93,31 +93,29 @@ impl QueryEngine {
 
 /// Full configuration of an SFC covering index's query behaviour.
 ///
-/// Besides the [`QueryMode`], the configuration carries one guard,
-/// `work_cap`: the maximum number of standard cubes one query may
-///   enumerate from the greedy decomposition. The paper's cost bounds grow as
-///   `(2d/ε)^{d−1}` (Theorem 3.1) and `ℓ^{d−1}` (Theorem 4.1); when a query
-///   region is so fragmented that its decomposition exceeds this budget, the
-///   index abandons the decomposition and falls back to an *exact* scan of
-///   the stored points, which costs O(n) dominance checks. The fallback only
-///   ever searches **more** volume than requested, so answers stay correct
-///   for both exhaustive and ε-approximate modes; it simply bounds every
-///   query by `O(work_cap + n)`.
-///
-/// The [`QueryEngine`] selects the algorithm itself: the default
+/// The [`QueryEngine`] selects the algorithm: the default
 /// [`QueryEngine::SkipPopulated`] sweep (Z curve only) probes only populated
 /// cells inside the dominance orthant, while [`QueryEngine::EagerRuns`]
-/// reproduces the paper's decomposition-driven probing on every curve (and
-/// is what the ε/work-cap cost analysis describes). Under the skip engine
-/// the `work_cap` bounds the sweep's iterations (each one gallop plus at
-/// most one orthant seek) instead of cubes, with the same exact-scan fallback.
+/// reproduces the paper's decomposition-driven probing on every curve.
+///
+/// The [`QueryMode`]'s ε and the `work_cap` act on the eager engine only.
+/// The sweep always searches the whole region, and it takes at most one
+/// iteration per populated cell, so neither can save it work. `work_cap` is
+/// the maximum number of standard cubes one eager query may enumerate from
+/// the greedy decomposition. The paper's cost bounds grow as
+/// `(2d/ε)^{d−1}` (Theorem 3.1) and `ℓ^{d−1}` (Theorem 4.1); when a query
+/// region is so fragmented that its decomposition exceeds this budget, the
+/// index abandons the decomposition and falls back to an *exact* scan of the
+/// stored points, which costs O(n) dominance checks. The fallback only ever
+/// searches **more** volume than requested, so answers stay correct for both
+/// exhaustive and ε-approximate modes; it simply bounds every eager query by
+/// `O(work_cap + n)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ApproxConfig {
     /// The query mode (exhaustive or ε-approximate).
     pub mode: QueryMode,
-    /// Maximum number of cubes to enumerate (eager engine) or sweep
-    /// iterations to run (skip engine) before falling back to the exact
-    /// point scan; `None` disables the fallback.
+    /// Maximum number of cubes the eager engine enumerates before falling
+    /// back to the exact point scan; `None` disables the fallback.
     pub work_cap: Option<usize>,
     /// The query algorithm to run.
     pub engine: QueryEngine,

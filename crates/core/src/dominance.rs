@@ -237,10 +237,10 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         }
         let curve = self.array.curve();
         if let Some(seeker) = curve.orthant_seeker(query) {
-            return self.sweep_orthant(query, seeker, config, accept);
+            return Ok(self.sweep_orthant(seeker, accept));
         }
         match curve.orthant_word_seeker(query) {
-            Some(seeker) => self.sweep_keys(query, &seeker, config, accept),
+            Some(seeker) => Ok(self.sweep_keys(&seeker, accept)),
             None => Err(CoveringError::UnsupportedEngine {
                 curve: curve.kind(),
                 engine: config.engine,
@@ -249,9 +249,9 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
     }
 
     /// The effective per-query work budget: the configured cap, additionally
-    /// scaled down with the population — enumerating (or seeking) thousands
-    /// of times to rule out a handful of points is never worthwhile when the
-    /// exact scan costs O(n).
+    /// scaled down with the population — enumerating thousands of cubes to
+    /// rule out a handful of points is never worthwhile when the exact scan
+    /// costs O(n).
     fn effective_work_budget(&self, cap: usize) -> usize {
         cap.min(64 + 16 * self.array.len())
     }
@@ -357,24 +357,16 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
     /// the stored keys in key order, probe a cell only when it lies inside
     /// the query's orthant, and whenever a stored key lands in a gap jump to
     /// the orthant's next key at or after it with the closed-form seek.
-    fn sweep_orthant<F>(
-        &self,
-        query: &Point,
-        seeker: OrthantSeeker<'_>,
-        config: &ApproxConfig,
-        mut accept: F,
-    ) -> Result<(Option<V>, QueryStats)>
+    ///
+    /// Each iteration lands on a stored key and moves the cursor past it, so
+    /// a sweep takes at most one iteration per populated cell.
+    fn sweep_orthant<F>(&self, seeker: OrthantSeeker<'_>, mut accept: F) -> (Option<V>, QueryStats)
     where
         F: FnMut(&V) -> bool,
     {
         let mut gallop = self.array.sweep_cursor();
         let mut stats = QueryStats::default();
         let top = u128::MAX >> (128 - self.universe.key_bits());
-        // Each sweep iteration does one gallop plus at most one seek; the
-        // work cap bounds those iterations — past it the exact point scan is
-        // cheaper than more sweeping.
-        let iteration_cap = config.work_cap.map(|cap| self.effective_work_budget(cap));
-        let mut iterations = 0usize;
         // The smallest key not yet accounted for; `None` once the key space
         // is exhausted. Every exit of the loop has swept the whole orthant.
         let mut cursor = Some(0);
@@ -387,10 +379,6 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
                 // No stored key remains: the rest of the orthant is empty.
                 break None;
             };
-            iterations += 1;
-            if iteration_cap.is_some_and(|cap| iterations > cap) {
-                return self.scan_fallback(query, &mut accept, stats);
-            }
             let orthant_key = seeker.seek_packed(key);
             if orthant_key != key {
                 // Gap: no orthant cell lies in [key, orthant_key).
@@ -407,7 +395,7 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         if outcome.is_none() {
             stats.volume_fraction_searched = 1.0;
         }
-        Ok((outcome, stats))
+        (outcome, stats)
     }
 
     /// The populated-key sweep on keys over 128 bits: the walk of
@@ -415,18 +403,14 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
     /// with each gap jump the seek on the keys' big-endian words.
     fn sweep_keys<F>(
         &self,
-        query: &Point,
         seeker: &OrthantWordSeeker<'_>,
-        config: &ApproxConfig,
         mut accept: F,
-    ) -> Result<(Option<V>, QueryStats)>
+    ) -> (Option<V>, QueryStats)
     where
         F: FnMut(&V) -> bool,
     {
         let mut stats = QueryStats::default();
         let mut gallop = self.array.sweep_cursor();
-        let iteration_cap = config.work_cap.map(|cap| self.effective_work_budget(cap));
-        let mut iterations = 0usize;
         let mut cursor = Some(Key::zero(self.universe.key_bits()));
         let outcome = loop {
             let Some(cur) = cursor else {
@@ -436,10 +420,6 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
             let Some((key, bucket)) = gallop.next_at_or_after(&cur) else {
                 break None;
             };
-            iterations += 1;
-            if iteration_cap.is_some_and(|cap| iterations > cap) {
-                return self.scan_fallback(query, &mut accept, stats);
-            }
             let orthant_key = seeker.seek_key(key);
             if orthant_key != *key {
                 stats.runs_skipped += 1;
@@ -454,7 +434,7 @@ impl<V: Clone, C: SpaceFillingCurve> PointDominanceIndex<V, C> {
         if outcome.is_none() {
             stats.volume_fraction_searched = 1.0;
         }
-        Ok((outcome, stats))
+        (outcome, stats)
     }
 
     /// Probes one populated cell inside the region — every entry stored
@@ -736,7 +716,7 @@ mod tests {
         let queries: Vec<Point> = (0..50)
             .map(|_| p(&[next() % 32, next() % 32, next() % 32]))
             .collect();
-        let skip_cfg = ApproxConfig::exhaustive().work_cap(None);
+        let skip_cfg = ApproxConfig::exhaustive();
         let eager_cfg = ApproxConfig::exhaustive()
             .work_cap(None)
             .engine(QueryEngine::EagerRuns);
@@ -832,10 +812,7 @@ mod tests {
         // at most a couple of gaps and issues no run probe at all, where the
         // eager engine would probe hundreds of runs (the Figure 2 region).
         let u = universe(2, 10);
-        let mut idx = PointDominanceIndex::new(
-            ZCurve::new(u.clone()),
-            ApproxConfig::exhaustive().work_cap(None),
-        );
+        let mut idx = PointDominanceIndex::new(ZCurve::new(u.clone()), ApproxConfig::exhaustive());
         idx.insert(p(&[0, 0]), 1u64).unwrap();
         let q = p(&[1023 - 256, 1023 - 256]); // 257x257 extremal region
         let (hit, stats) = idx.query_dominating(&q).unwrap();
@@ -851,34 +828,6 @@ mod tests {
         let (_, eager_stats) = idx.query_dominating_with(&q, &eager, |_| true).unwrap();
         assert!(eager_stats.runs_probed > 100);
         assert!(stats.probes * 25 < eager_stats.runs_probed);
-    }
-
-    #[test]
-    fn skip_engine_work_cap_falls_back_to_an_exact_scan() {
-        // With a work budget of zero, the very first sweep iteration exceeds
-        // the cap and the query must fall back to the exact scan — and stay
-        // exact.
-        let u = universe(3, 6);
-        let config = ApproxConfig::exhaustive().work_cap(Some(0));
-        let mut idx = PointDominanceIndex::new(ZCurve::new(u.clone()), config);
-        let mut state = 11u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) % 64
-        };
-        for i in 0..50u64 {
-            idx.insert(p(&[next(), next(), next()]), i).unwrap();
-        }
-        for _ in 0..30 {
-            let q = p(&[next(), next(), next()]);
-            let brute = dominated(&idx, &q);
-            let (hit, stats) = idx.query_dominating(&q).unwrap();
-            assert_eq!(hit.is_some(), brute, "fallback must stay exact for {q}");
-            assert!(stats.fell_back_to_scan);
-            assert_eq!(stats.volume_fraction_searched, 1.0);
-        }
     }
 
     #[test]

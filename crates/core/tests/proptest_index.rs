@@ -168,7 +168,7 @@ proptest! {
         bits in 4u32..=7,
     ) {
         let schema = schema(2, bits);
-        let skip_cfg = ApproxConfig::exhaustive().work_cap(None);
+        let skip_cfg = ApproxConfig::exhaustive();
         let eager_cfg = ApproxConfig::exhaustive()
             .work_cap(None)
             .engine(QueryEngine::EagerRuns);

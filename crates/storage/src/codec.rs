@@ -439,12 +439,6 @@ impl<'a> Cursor<'a> {
         Ok(byte)
     }
 
-    /// A little-endian `u16`.
-    #[inline(always)]
-    pub fn take_u16(&mut self) -> Result<u16, DecodeError> {
-        self.take_array().map(u16::from_le_bytes)
-    }
-
     /// A little-endian `u32`.
     #[inline(always)]
     pub fn take_u32(&mut self) -> Result<u32, DecodeError> {
