@@ -173,7 +173,6 @@ fn run() -> Result<(), String> {
             .then(|| std::time::Duration::from_millis(args.idle_timeout_ms)),
         chaos: args.chaos,
         data_dir: args.data_dir,
-        ..DaemonOptions::default()
     };
     let daemon = BrokerDaemon::start_with(network, args.addr.as_str(), options)
         .map_err(|e| e.to_string())?;

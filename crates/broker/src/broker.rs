@@ -82,30 +82,23 @@ fn cell_of(coordinate: u64, shift: u32) -> u16 {
 /// kernels take an event as valid on the same terms.
 #[derive(Debug)]
 pub struct EventCells<'a> {
-    /// The event's values, cut to the schema's arity: what `confirm`
+    /// The event's values, one per schema attribute: what `confirm`
     /// compares with the raw bounds.
     values: &'a [f64],
-    /// `cells[attr]`: the grid cell of `values[attr]`, for as many
-    /// attributes as there are values.
+    /// `cells[attr]`: the grid cell of `values[attr]`.
     cells: [u16; MAX_ATTRIBUTES],
 }
 
 impl<'a> EventCells<'a> {
     /// Quantises `event` under `schema` (the schema the match tables were
-    /// filled under). `None` for an event that can match nothing: one of a
-    /// foreign schema, or one holding a value [`Schema::quantize`] rejects
-    /// (NaN, infinite, outside its attribute's domain) — every stored bound
-    /// is inside the domain, so no raw compare against that value could
-    /// hold. An event built by [`Event::new`] has one in-domain value per
-    /// attribute; a deserialised one may carry fewer (it is matched on the
-    /// attributes it has, as [`Subscription::matches`] zips them) or more
-    /// (the surplus is ignored).
+    /// filled under). `None` for an event of a foreign schema, which can
+    /// match nothing. [`Event::new`] is the only way to build an event, so
+    /// one of `schema` has one in-domain value per attribute.
     pub fn new(schema: &Schema, event: &'a Event) -> Option<EventCells<'a>> {
         if event.schema() != schema {
             return None;
         }
         let values = event.values();
-        let values = values.get(..schema.arity()).unwrap_or(values);
         let shift = cell_shift(schema);
         let mut cells = [0u16; MAX_ATTRIBUTES];
         for (attr, (cell, &value)) in cells.iter_mut().zip(values).enumerate() {
@@ -114,7 +107,7 @@ impl<'a> EventCells<'a> {
         Some(EventCells { values, cells })
     }
 
-    /// The cells of the attributes the event has a value for.
+    /// The event's cells, one per schema attribute.
     fn cells(&self) -> &[u16] {
         self.cells.get(..self.values.len()).unwrap_or(&self.cells)
     }
@@ -423,18 +416,16 @@ impl MatchTable {
 
     /// The grid filter, one event x 64 slots: bit `i` of the result is set
     /// when slot `64 * block + i` exists and the event's cell lies inside
-    /// the slot's cell bounds on every attribute the event has a value for
-    /// — a *necessary* condition for the raw bounds to hold it (see
-    /// `cell_lo`), so the result is a superset of the block's matches and
-    /// [`confirm`](Self::confirm) decides. Branch-free over fixed 64-lane
+    /// the slot's cell bounds on every attribute — a *necessary* condition
+    /// for the raw bounds to hold it (see `cell_lo`), so the result is a
+    /// superset of the block's matches and [`confirm`](Self::confirm) decides. Branch-free over fixed 64-lane
     /// arrays, which is what lets the compiler compare eight slots an
     /// instruction: per slot, the saturating distances from the event's cell
     /// down to `cell_lo` and up to `cell_hi` are OR-ed over the attributes,
     /// and a slot is a candidate where they all are zero.
     fn candidates(&self, event: &EventCells<'_>, block: usize) -> u64 {
         let start = block * Self::BLOCK;
-        let live = Self::BLOCK.min(self.len().saturating_sub(start));
-        if live == 0 {
+        if start >= self.len() {
             return 0;
         }
         let mut outside = [0u16; Self::BLOCK];
@@ -458,16 +449,14 @@ impl MatchTable {
             let word = u64::from_le_bytes(*eight);
             mask |= (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * byte);
         }
-        // The padding of a last block fails every compare, but an event that
-        // has no value to compare (an empty list, which the oracle matches
-        // with everything) makes none.
-        mask & (u64::MAX >> (Self::BLOCK - live))
+        // The padding of a last block fails every compare.
+        mask
     }
 
     /// The truth: whether the event's raw values lie inside `slot`'s raw
-    /// bounds on every attribute it has a value for (`false` for a slot that
-    /// does not exist) — `Subscription::matches`' own compare, on the
-    /// columns. Nothing is delivered or forwarded without it.
+    /// bounds on every attribute (`false` for a slot that does not exist) —
+    /// `Subscription::matches`' own compare, on the columns. Nothing is
+    /// delivered or forwarded without it.
     #[inline]
     fn confirm(&self, event: &EventCells<'_>, slot: usize) -> bool {
         self.row(slot).is_some_and(|row| {
@@ -1075,11 +1064,8 @@ pub struct EventChunk<'a> {
 /// One attribute of an [`EventChunk`].
 #[derive(Debug)]
 struct MaskColumn {
-    /// Valid events with no value for the attribute (a deserialised event
-    /// with too few values): every slot admits them on it.
-    absent: u64,
     /// `cells[c]`: the events in the (narrowed) cells below `c` and up to
-    /// `c`. No absent event is in either.
+    /// `c`.
     cells: Vec<CellMasks>,
 }
 
@@ -1110,19 +1096,14 @@ impl MaskColumn {
         cells: usize,
     ) -> MaskColumn {
         let mut column = MaskColumn {
-            absent: 0,
             cells: vec![CellMasks::default(); cells],
         };
         for (bit, event) in events.iter().enumerate() {
-            match event.as_ref().map(|event| event.cells().get(attr)) {
-                Some(Some(&cell)) => {
-                    // The cell's own events, until the running OR below.
-                    if let Some(entry) = column.cells.get_mut(usize::from(cell >> narrow)) {
-                        entry.upto |= 1 << bit;
-                    }
+            if let Some(&cell) = event.as_ref().and_then(|event| event.cells().get(attr)) {
+                // The cell's own events, until the running OR below.
+                if let Some(entry) = column.cells.get_mut(usize::from(cell >> narrow)) {
+                    entry.upto |= 1 << bit;
                 }
-                Some(None) => column.absent |= 1 << bit,
-                None => {}
             }
         }
         let mut seen = 0u64;
@@ -1185,7 +1166,6 @@ impl<'a> EventChunk<'a> {
                 cell_lo: lo.get(..len).unwrap_or_default(),
                 cell_hi: hi.get(..len).unwrap_or_default(),
                 cells: &column.cells,
-                absent: column.absent,
             };
             arity += 1;
         }
@@ -1219,9 +1199,8 @@ struct Lane<'a> {
     /// The table's cell columns, cut to its slots.
     cell_lo: &'a [u16],
     cell_hi: &'a [u16],
-    /// The chunk's cell table and absent events for the attribute.
+    /// The chunk's cell table for the attribute.
     cells: &'a [CellMasks],
-    absent: u64,
 }
 
 impl KernelView<'_> {
@@ -1255,7 +1234,7 @@ impl KernelView<'_> {
             ) else {
                 return 0;
             };
-            mask &= high.upto & !low.below | lane.absent;
+            mask &= high.upto & !low.below;
             unsure |= low.inside() & (open & 1).wrapping_neg()
                 | high.inside() & (open >> 1 & 1).wrapping_neg();
             open >>= 2;
@@ -1872,30 +1851,6 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn an_event_with_too_few_values_meets_the_held_through_their_witness() {
-        let s = schema();
-        let mut b = Broker::new(0, &[], &s, CoveringPolicy::None).unwrap();
-        let wide = sub(&s, 1, (10.0, 20.0), (10.0, 20.0));
-        let narrow = sub(&s, 2, (12.0, 14.0), (12.0, 14.0));
-        b.add_local(7, narrow.clone());
-        b.add_local(7, wide.clone());
-        b.add_local(8, sub(&s, 3, (12.0, 14.0), (60.0, 70.0)));
-        assert_eq!((slots_of(&b, 7), held_behind(&b, 1)), (vec![1], vec![2]));
-        // Only `x`: 13 is inside every `x` range, 15 inside only `wide`'s.
-        let events = [unchecked(&s, &[13.0]), unchecked(&s, &[15.0])];
-        assert!(narrow.matches(&events[0]) && !narrow.matches(&events[1]));
-        assert!(wide.matches(&events[0]) && wide.matches(&events[1]));
-        let serial = |event: &Event| {
-            let mut out = Vec::new();
-            b.matching_clients(&EventCells::new(&s, event).unwrap(), |c| out.push(c));
-            out
-        };
-        assert_eq!(serial(&events[0]), [7, 8]);
-        assert_eq!(serial(&events[1]), [7]);
-        assert_eq!(emitted_mask(&b, &s, &events), [(7, 0b11), (8, 0b01)]);
-    }
-
     /// Every `(client, mask)` `matching_clients_mask` emits for a chunk of
     /// `events`, all of them active.
     fn emitted_mask(b: &Broker, s: &Schema, events: &[Event]) -> Vec<(ClientId, u64)> {
@@ -1905,23 +1860,6 @@ pub(crate) mod tests {
             out.push((client, mask))
         });
         out
-    }
-
-    /// An event of `s` holding `values` as it deserialises: no `Event::new`
-    /// counted or checked them.
-    fn unchecked(s: &Schema, values: &[f64]) -> Event {
-        use serde::{Deserialize, Serialize, Value};
-
-        let minimum = s.attributes().iter().map(|def| def.min()).collect();
-        let Value::Map(mut fields) = Event::new(s, minimum).unwrap().to_value() else {
-            panic!("an event serialises as a map");
-        };
-        for (name, field) in &mut fields {
-            if name == "values" {
-                *field = values.to_vec().to_value();
-            }
-        }
-        Event::from_value(&Value::Map(fields)).unwrap()
     }
 
     proptest! {
@@ -1934,10 +1872,8 @@ pub(crate) mod tests {
         /// edge, one ulp either side, the next edge, inside the cell, or the
         /// domain's ends. Grids of 1 / 10 / 12 / 13 / 16 / 17 / 31 bits take
         /// the cell tables unnarrowed and narrowed; chunks mix valid events
-        /// with foreign-schema ones, ones holding a value `quantize` rejects
-        /// (which match nothing), short ones (admitted on the attributes they
-        /// lack) and ones with a surplus value (never read). The routing
-        /// table spans up to five blocks, so a link's answer
+        /// with foreign-schema ones, which match nothing. The routing table
+        /// spans up to five blocks, so a link's answer
         /// (`neighbor_interested_mask`) meets the routing tail's switch
         /// before, at and after its first seam.
         #[test]
@@ -2012,20 +1948,11 @@ pub(crate) mod tests {
             let routing = &broker.links[&1].routing;
             let events: Vec<Event> = (0..len)
                 .map(|_| {
-                    let mut values: Vec<f64> = (0..arity).map(&mut point).collect();
-                    match pick() % 10 {
-                        0 => Event::new(&foreign, vec![0.5]).unwrap(),
-                        1 => {
-                            let rejected = [f64::NAN, f64::INFINITY, DOMAIN.1.next_up(), -2.6];
-                            values[pick() as usize % arity] = rejected[pick() as usize % 4];
-                            unchecked(&s, &values)
-                        }
-                        2 => unchecked(&s, &values[..pick() as usize % arity]),
-                        3 => {
-                            values.push(f64::NAN);
-                            unchecked(&s, &values)
-                        }
-                        _ => Event::new(&s, values).unwrap(),
+                    let values: Vec<f64> = (0..arity).map(&mut point).collect();
+                    if pick() % 10 == 0 {
+                        Event::new(&foreign, vec![0.5]).unwrap()
+                    } else {
+                        Event::new(&s, values).unwrap()
                     }
                 })
                 .collect();
@@ -2033,9 +1960,7 @@ pub(crate) mod tests {
             let chunk = EventChunk::new(&s, &events);
             let mut valid = 0u64;
             for (bit, event) in events.iter().enumerate() {
-                let values = event.values().iter().take(arity).enumerate();
-                let quantised = values.map(|(attr, &v)| s.quantize(attr, v)).all(|c| c.is_ok());
-                valid |= u64::from(event.schema() == &s && quantised) << bit;
+                valid |= u64::from(event.schema() == &s) << bit;
             }
             prop_assert_eq!(chunk.valid(), valid);
             // The link's answer: all of `active`, the lowest 16 valid events
@@ -2162,8 +2087,8 @@ pub(crate) mod tests {
     /// attributes x 16 bits, so 64 grid cells share a table entry), against
     /// `Subscription::matches`: bounds on the domain's ends, at `0.0` and
     /// `-0.0` (a cell edge), and inside cells that events share, on either
-    /// side and on the bound; events with both zeros and with too few
-    /// values; and no slot at or past the end of either table.
+    /// side and on the bound; events with both zeros; and no slot at or
+    /// past the end of either table.
     #[test]
     fn grid_masks_match_the_oracle_on_a_narrowed_grid() {
         let s = Schema::builder()
@@ -2213,11 +2138,6 @@ pub(crate) mod tests {
                 events.push(Event::new(&s, vec![a, b]).unwrap());
             }
         }
-        events.extend([
-            unchecked(&s, &[0.1]),
-            unchecked(&s, &[-0.0]),
-            unchecked(&s, &[]),
-        ]);
         let chunk = EventChunk::new(&s, &events);
         assert!(chunk.narrow > 0, "the cell tables are narrowed");
         assert_eq!(
@@ -2284,22 +2204,6 @@ pub(crate) mod tests {
         let (out, interested, paths) = exact_paths(&chunk);
         assert_eq!((out, interested), (vec![(1, 0b111), (2, 0b101)], 0b101));
         assert!(paths > 0);
-    }
-
-    #[test]
-    fn an_event_without_values_is_a_candidate_of_every_slot_and_of_no_padding() {
-        let s = schema();
-        let mut table = MatchTable::new(&s);
-        for id in 0..3 {
-            table.insert_local(id, &sub(&s, id, (10.0, 20.0), (10.0, 20.0)));
-        }
-        let empty = unchecked(&s, &[]);
-        assert!(handles(&table, &s)
-            .iter()
-            .all(|handle| handle.matches(&empty)));
-        let cells = EventCells::new(&s, &empty).unwrap();
-        assert_eq!(table.candidates(&cells, 0), 0b111);
-        assert_kernel_matches_oracle(&table, &handles(&table, &s), &empty);
     }
 
     /// Every client `matching_clients` emits for an event holding `values`,

@@ -291,3 +291,61 @@ fn unexpected(frame: Frame) -> ServiceError {
         },
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// The `Hello` schema decodes through `SchemaBuilder`: a greeting whose
+    /// schema the builder refuses (no attributes, 33, an inverted domain,
+    /// two of one name, 0 or 64 bits) is a typed error, never a client
+    /// whose `Schema::grid_size` overflows. A valid one connects.
+    #[test]
+    fn a_hello_schema_the_builder_refuses_is_a_typed_error() {
+        let attribute = |name: &str, min: f64, max: f64| {
+            format!(r#"{{"name":"{name}","min":{min},"max":{max}}}"#)
+        };
+        let many: Vec<String> = (0..33)
+            .map(|i| attribute(&format!("a{i}"), 0.0, 1.0))
+            .collect();
+        let cases = [
+            (vec![attribute("x", 0.0, 1.0)], 8, true),
+            (vec![], 8, false),
+            (many, 8, false),
+            (vec![attribute("x", 1.0, 0.0)], 8, false),
+            (
+                vec![attribute("x", 0.0, 1.0), attribute("x", 0.0, 2.0)],
+                8,
+                false,
+            ),
+            (vec![attribute("x", 0.0, 1.0)], 0, false),
+            (vec![attribute("x", 0.0, 1.0)], 64, false),
+        ];
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        for (case, (attributes, bits, valid)) in cases.into_iter().enumerate() {
+            let schema_json = format!(
+                r#"{{"inner":{{"attributes":[{}],"bits_per_attribute":{bits}}}}}"#,
+                attributes.join(",")
+            );
+            let greeter = std::thread::spawn({
+                let listener = listener.try_clone().unwrap();
+                move || {
+                    let (mut stream, _) = listener.accept().unwrap();
+                    let mut out = Vec::new();
+                    encode_frame(&Frame::Hello { schema_json }, &mut out);
+                    stream.write_all(&out).unwrap();
+                }
+            });
+            match BrokerClient::connect(addr) {
+                Ok(client) => assert!(valid && client.schema().arity() == 1, "case {case}"),
+                Err(err) => assert!(
+                    !valid && matches!(err, ServiceError::CorruptFrame { .. }),
+                    "case {case}: {err}"
+                ),
+            }
+            greeter.join().unwrap();
+        }
+    }
+}

@@ -2,8 +2,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// Counters describing one simulation run.
 ///
 /// These are exactly the quantities the paper's motivation attributes to
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// links, how many routing-table entries exist across the network, how much
 /// covering-detection work the brokers did, and — unchanged by any covering
 /// policy — how many events were delivered to subscribers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NetworkMetrics {
     /// Subscriptions registered by clients.
     pub subscriptions_registered: u64,
@@ -43,9 +41,9 @@ pub struct NetworkMetrics {
     /// Connections the daemon refused at the accept gate (connection cap)
     /// or requests it declined to execute (per-connection in-flight cap).
     pub connections_rejected: u64,
-    /// Connections the daemon evicted: slow consumers whose response writes
-    /// timed out, and idle connections the reaper closed. Each eviction
-    /// retracts the session's subscriptions exactly like `unsubscribe`.
+    /// Connections the daemon evicted: idle connections the reaper closed.
+    /// Each eviction retracts the session's subscriptions exactly like
+    /// `unsubscribe`.
     pub connections_evicted: u64,
     /// Request frames that failed structural validation (bad magic or
     /// length, checksum mismatch, truncation, foreign version).

@@ -1144,106 +1144,6 @@ mod tests {
         }
     }
 
-    /// `Event` derives `Deserialize`, so values no constructor checked can
-    /// reach the serial walk and the rank kernel, which both quantise before
-    /// they compare: they must still get `Subscription::matches`' verdict
-    /// over the live set.
-    #[test]
-    fn an_event_no_constructor_checked_gets_the_oracles_verdict() {
-        use serde::{Deserialize, Serialize, Value};
-
-        let s = schema();
-        let net = network(Topology::line(3).unwrap(), &s, CoveringPolicy::None);
-        let live = [
-            (0, 10, sub(&s, 1, (0.0, 100.0), (0.0, 100.0))),
-            (1, 20, sub(&s, 2, (0.0, 10.0), (90.0, 100.0))),
-            (2, 30, sub(&s, 3, (40.0, 60.0), (0.0, 50.0))),
-        ];
-        for (at, client, subscription) in &live {
-            net.subscribe(*at, *client, subscription).unwrap();
-        }
-        let deserialised = |values: &[f64]| {
-            let template = Event::new(&s, vec![1.0, 1.0]).unwrap().to_value();
-            let Value::Map(mut fields) = template else {
-                panic!("an event serialises as a map");
-            };
-            for (name, field) in &mut fields {
-                if name == "values" {
-                    *field = values.to_vec().to_value();
-                }
-            }
-            Event::from_value(&Value::Map(fields)).unwrap()
-        };
-        let oracle = |event: &Event| -> Vec<(BrokerId, ClientId)> {
-            let matching = live.iter().filter(|(_, _, sub)| sub.matches(event));
-            matching.map(|&(at, client, _)| (at, client)).collect()
-        };
-        // A checked event the bursts below interleave with the unchecked one.
-        let plain = Event::new(&s, vec![50.0, 5.0]).unwrap();
-        let messages = || net.metrics().event_messages;
-        let check = |values: &[f64], expected: &[(BrokerId, ClientId)]| {
-            let event = deserialised(values);
-            assert_eq!(oracle(&event), expected, "the oracle on {values:?}");
-            for at in 0..3 {
-                let before = messages();
-                assert_eq!(net.publish(at, &event).unwrap(), expected, "{values:?}");
-                let crossings = messages() - before;
-                if expected.is_empty() {
-                    assert_eq!(crossings, 0, "{values:?}");
-                }
-                let before = messages();
-                assert_eq!(net.publish(at, &plain).unwrap(), oracle(&plain));
-                let plain_crossings = messages() - before;
-                // Alternating with the checked event: a two-event burst takes
-                // the serial walk, `SERIAL_BELOW` events and a full chunk the
-                // rank kernel. Each lane keeps its own verdict, and the links
-                // are crossed as often as the serial loop crosses them.
-                for len in [2, SERIAL_BELOW, EventChunk::WIDTH] {
-                    let burst: Vec<Event> = (0..len)
-                        .map(|i| if i % 2 == 0 { &event } else { &plain }.clone())
-                        .collect();
-                    let before = messages();
-                    let lists = net.publish_batch(at, &burst).unwrap();
-                    for (i, list) in lists.iter().enumerate() {
-                        let own = if i % 2 == 0 {
-                            expected
-                        } else {
-                            &oracle(&plain)[..]
-                        };
-                        assert_eq!(list, own, "{values:?}, lane {i} of {len}");
-                    }
-                    let pairs = len as u64 / 2;
-                    let serial = pairs * (crossings + plain_crossings);
-                    assert_eq!(messages() - before, serial, "{values:?}, {len} events");
-                }
-            }
-        };
-
-        // A value `Schema::quantize` rejects has no cell. Every stored bound
-        // is inside the domain, so no raw compare could have held either: it
-        // is delivered nowhere and forwarded nowhere.
-        for rejected in [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            100.000_1,
-            -0.1,
-            1e300,
-        ] {
-            check(&[rejected, 5.0], &[]);
-            check(&[5.0, rejected], &[]);
-            check(&[rejected], &[]);
-        }
-        // Too few values: matched on the attributes it has, as `matches` zips
-        // them — none at all matches everything.
-        check(&[], &[(0, 10), (1, 20), (2, 30)]);
-        check(&[50.0], &[(0, 10), (2, 30)]);
-        check(&[5.0], &[(0, 10), (1, 20)]);
-        // Too many: the surplus is never read, whatever it holds.
-        check(&[50.0, 25.0, f64::NAN, 7.0], &[(0, 10), (2, 30)]);
-        check(&[5.0, 95.0, -1.0], &[(0, 10), (1, 20)]);
-    }
-
     /// From every broker but the root of a tree numbered level by level the
     /// BFS meets the brokers out of id order, so the walks must place the
     /// brokers' shares: every list, serial and batched, is strictly

@@ -79,9 +79,6 @@ pub struct DaemonOptions {
     /// Evict a connection that has sent no request for this long
     /// (`None` = never). Reaped sessions are retracted like `unsubscribe`.
     pub idle_timeout: Option<Duration>,
-    /// Socket write deadline (`None` = block forever). A consumer too slow
-    /// to drain its responses within the deadline is evicted.
-    pub write_timeout: Option<Duration>,
     /// Fault-injection schedule applied to every admitted connection
     /// (`None` = clean transport). See [`FaultPlan`].
     pub chaos: Option<FaultPlan>,
@@ -326,10 +323,6 @@ impl Drop for SessionGuard {
 fn serve_connection(guard: SessionGuard, stream: TcpStream) -> Result<(), ServiceError> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(READ_POLL))?;
-    if guard.state.options.write_timeout.is_some() {
-        // try_clone shares the fd, so one call covers both halves.
-        stream.set_write_timeout(guard.state.options.write_timeout)?;
-    }
     let read_half = stream.try_clone()?;
     match guard.state.chaos.clone() {
         Some(plan) => {
@@ -375,7 +368,7 @@ fn serve<S: Read, W: Write>(
     let schema_json = serde_json::to_string(state.network.schema())
         .map_err(|e| ServiceError::Io(e.to_string()))?;
     encode_frame(&Frame::Hello { schema_json }, &mut out);
-    send(&state, &mut writer, &out, true)?;
+    send(&mut writer, &out, true)?;
 
     let cap = state.options.max_inflight;
     let mut inflight = 0usize;
@@ -384,7 +377,7 @@ fn serve<S: Read, W: Write>(
         // including our own shutdown and the idle reaper) ends the loop
         // without an error.
         if reader.fill_buf()?.is_empty() {
-            send(&state, &mut writer, &[], true)?;
+            send(&mut writer, &[], true)?;
             if reader.get_ref().reaped {
                 MetricCounters::bump(&counters.connections_evicted);
             }
@@ -420,7 +413,7 @@ fn serve<S: Read, W: Write>(
             guard.session.on_round(&state, &mut round, &mut out)?;
         }
         let idle = reader.buffer().is_empty();
-        send(&state, &mut writer, &out, idle)?;
+        send(&mut writer, &out, idle)?;
         if idle {
             inflight = 0;
         }
@@ -428,23 +421,13 @@ fn serve<S: Read, W: Write>(
 }
 
 /// Writes `bytes` through the buffered writer and flushes it when `flush`
-/// says so. A write that hit the socket write deadline means the consumer
-/// is not draining: it is counted as an eviction before the error surfaces
-/// (closing the session then retracts its registrations).
-fn send<W: Write>(
-    state: &DaemonState,
-    writer: &mut W,
-    bytes: &[u8],
-    flush: bool,
-) -> Result<(), ServiceError> {
-    let written = writer.write_all(bytes);
-    let result = written.and_then(|()| if flush { writer.flush() } else { Ok(()) });
-    result.map_err(|e| {
-        if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
-            MetricCounters::bump(&state.network.counters().connections_evicted);
-        }
-        ServiceError::from(e)
-    })
+/// says so.
+fn send<W: Write>(writer: &mut W, bytes: &[u8], flush: bool) -> Result<(), ServiceError> {
+    writer.write_all(bytes)?;
+    if flush {
+        writer.flush()?;
+    }
+    Ok(())
 }
 
 /// A [`Read`] adapter that turns read timeouts into polite polling: it

@@ -8,13 +8,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::BrokerError;
 use crate::Result;
 
 /// An undirected, connected, acyclic overlay of brokers (a tree).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     brokers: usize,
     /// Edges as (smaller id, larger id) pairs.

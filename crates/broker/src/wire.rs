@@ -98,7 +98,8 @@ pub enum Frame {
     /// structural and self-describing, so JSON beats hand-rolling their
     /// encoding; everything on the hot path stays binary).
     Hello {
-        /// The serialized [`acd_subscription::Schema`].
+        /// The serialized [`acd_subscription::Schema`], which the client
+        /// decodes through `SchemaBuilder`.
         schema_json: String,
     },
     /// Client → daemon: register a subscription.

@@ -18,118 +18,18 @@
 //! responses, truncated frames, hard disconnects, stalls, and partial
 //! writes.
 
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use acd_broker::{BrokerClient, ClientStats, ResilientClient, RetryPolicy, ServiceError};
 use acd_subscription::{Event, Schema, Subscription, SubscriptionBuilder};
 
+mod support;
+use support::{restart_on, DaemonGuard, Rng, DOMAIN, LINE_OF_SIX};
+
 const CLIENTS: usize = 2;
 const OPS_PER_CLIENT: usize = 60;
-const BROKERS: usize = 6;
-/// The workload schema domain (`acd_workload::WorkloadConfig` default).
-const DOMAIN: f64 = 1_000_000.0;
-
-/// The daemon process, killed on drop so a failing test never leaks it.
-struct DaemonGuard {
-    child: Child,
-    addr: String,
-}
-
-impl DaemonGuard {
-    /// Spawns `acd-brokerd` on `addr` with `extra` flags and waits for its
-    /// `listening on` line. `Err` when the process dies before printing it
-    /// (e.g. the port is still settling after a kill).
-    fn spawn(addr: &str, extra: &[&str]) -> Result<DaemonGuard, String> {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_acd-brokerd"))
-            .args([
-                "--addr",
-                addr,
-                "--topology",
-                "line",
-                "--brokers",
-                &BROKERS.to_string(),
-                "--policy",
-                "exact-sfc",
-                "--workers",
-                "4",
-            ])
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| format!("spawn acd-brokerd: {e}"))?;
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .map_err(|e| format!("read the listening line: {e}"))?;
-        match line.trim().strip_prefix("listening on ") {
-            Some(addr) => Ok(DaemonGuard {
-                child,
-                addr: addr.to_string(),
-            }),
-            None => {
-                let _ = child.kill();
-                let _ = child.wait();
-                Err(format!("unexpected daemon greeting: {line:?}"))
-            }
-        }
-    }
-
-    fn start(extra: &[&str]) -> DaemonGuard {
-        DaemonGuard::spawn("127.0.0.1:0", extra).expect("daemon starts on an ephemeral port")
-    }
-
-    /// SIGKILL — no shutdown handshake, no flush, nothing graceful.
-    fn kill_nine(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-impl Drop for DaemonGuard {
-    fn drop(&mut self) {
-        self.kill_nine();
-    }
-}
-
-/// Restarts a daemon on the exact port a killed one held, retrying while
-/// the kernel releases the address.
-fn restart_on(addr: &str, extra: &[&str]) -> DaemonGuard {
-    let mut last = String::new();
-    for _ in 0..100 {
-        match DaemonGuard::spawn(addr, extra) {
-            Ok(daemon) => return daemon,
-            Err(e) => last = e,
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    panic!("daemon never came back on {addr}: {last}");
-}
-
-/// Deterministic splitmix64, one per client thread.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
+const BROKERS: usize = LINE_OF_SIX.brokers;
 
 /// A policy tight enough to keep fault recovery fast, patient enough to
 /// ride out every schedule in this suite.
@@ -253,7 +153,7 @@ fn churn(addr: &str, index: usize) -> (usize, ClientStats) {
 
 /// Runs the concurrent churn mix against a daemon injecting `spec`.
 fn churn_under(spec: &str) -> Vec<ClientStats> {
-    let daemon = DaemonGuard::start(&["--chaos", spec]);
+    let daemon = DaemonGuard::start(LINE_OF_SIX, &["--chaos", spec]);
     let results: Vec<(usize, ClientStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|index| {
@@ -330,7 +230,10 @@ fn batched_publishes_are_oracle_exact_under_faults() {
     // under drops and disconnects the resilient client resumes each batch
     // from its acknowledged prefix, and every event's deliveries must still
     // match the oracle exactly — no event lost, duplicated or re-executed.
-    let daemon = DaemonGuard::start(&["--chaos", "seed=18,drop=0.02,disconnect=0.01"]);
+    let daemon = DaemonGuard::start(
+        LINE_OF_SIX,
+        &["--chaos", "seed=18,drop=0.02,disconnect=0.01"],
+    );
     let mut client = ResilientClient::connect(&daemon.addr, chaos_policy(0xBA7C4))
         .expect("client connects under the fault schedule");
     let schema: Schema = client.schema().clone();
@@ -377,7 +280,7 @@ fn batched_publishes_are_oracle_exact_under_faults() {
 #[test]
 fn kill_nine_and_restart_mid_churn_leaves_every_client_resubscribed() {
     const SUBS_PER_CLIENT: usize = 4;
-    let mut daemon = DaemonGuard::start(&[]);
+    let mut daemon = DaemonGuard::start(LINE_OF_SIX, &[]);
     let addr = daemon.addr.clone();
 
     let stop = AtomicBool::new(false);
@@ -458,7 +361,7 @@ fn kill_nine_and_restart_mid_churn_leaves_every_client_resubscribed() {
         wait_for(vec![5; CLIENTS]);
         daemon.kill_nine();
         std::thread::sleep(Duration::from_millis(200));
-        daemon = restart_on(&addr, &[]);
+        daemon = restart_on(&addr, LINE_OF_SIX, &[]);
         // Every client must publish successfully against the *restarted*
         // daemon before we stop — that forces reconnect + full replay.
         let snapshot: Vec<u64> = progress
@@ -482,7 +385,7 @@ fn kill_nine_and_restart_mid_churn_leaves_every_client_resubscribed() {
 
 #[test]
 fn overload_answers_rejected_within_the_deadline() {
-    let daemon = DaemonGuard::start(&["--max-connections", "1"]);
+    let daemon = DaemonGuard::start(LINE_OF_SIX, &["--max-connections", "1"]);
     let _first = BrokerClient::connect(&daemon.addr).expect("first connection fits under the cap");
     let started = Instant::now();
     let second = BrokerClient::connect(&daemon.addr);
@@ -504,7 +407,7 @@ fn overload_answers_rejected_within_the_deadline() {
 
 #[test]
 fn resilient_client_surfaces_overload_after_bounded_retries() {
-    let daemon = DaemonGuard::start(&["--max-connections", "1"]);
+    let daemon = DaemonGuard::start(LINE_OF_SIX, &["--max-connections", "1"]);
     let _first = BrokerClient::connect(&daemon.addr).expect("first connection fits under the cap");
     let policy = RetryPolicy {
         max_attempts: 3,

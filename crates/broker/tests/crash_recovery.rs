@@ -16,8 +16,6 @@
 //! or may not have journaled it before dying — and the oracle treats it
 //! as such.
 
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -25,85 +23,13 @@ use std::time::{Duration, Instant};
 use acd_broker::BrokerClient;
 use acd_subscription::{Event, Schema, Subscription, SubscriptionBuilder};
 
-const BROKERS: usize = 6;
+mod support;
+use support::{restart_on, DaemonGuard, DOMAIN, LINE_OF_SIX};
+
+const BROKERS: usize = LINE_OF_SIX.brokers;
 const CLIENT: u64 = 7;
-/// The workload schema domain (`acd_workload::WorkloadConfig` default).
-const DOMAIN: f64 = 1_000_000.0;
 /// Kill the daemon once this many operations are acknowledged.
 const OPS_BEFORE_KILL: usize = 40;
-
-/// The daemon process, killed on drop so a failing test never leaks it.
-struct DaemonGuard {
-    child: Child,
-    addr: String,
-}
-
-impl DaemonGuard {
-    /// Spawns `acd-brokerd` on `addr` with `extra` flags and waits for its
-    /// `listening on` line.
-    fn spawn(addr: &str, extra: &[&str]) -> Result<DaemonGuard, String> {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_acd-brokerd"))
-            .args([
-                "--addr",
-                addr,
-                "--topology",
-                "line",
-                "--brokers",
-                &BROKERS.to_string(),
-                "--policy",
-                "exact-sfc",
-                "--workers",
-                "4",
-            ])
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| format!("spawn acd-brokerd: {e}"))?;
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .map_err(|e| format!("read the listening line: {e}"))?;
-        match line.trim().strip_prefix("listening on ") {
-            Some(addr) => Ok(DaemonGuard {
-                child,
-                addr: addr.to_string(),
-            }),
-            None => {
-                let _ = child.kill();
-                let _ = child.wait();
-                Err(format!("unexpected daemon greeting: {line:?}"))
-            }
-        }
-    }
-
-    /// SIGKILL — no shutdown handshake, no flush, nothing graceful.
-    fn kill_nine(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-impl Drop for DaemonGuard {
-    fn drop(&mut self) {
-        self.kill_nine();
-    }
-}
-
-/// Restarts a daemon on the exact port a killed one held, retrying while
-/// the kernel releases the address.
-fn restart_on(addr: &str, extra: &[&str]) -> DaemonGuard {
-    let mut last = String::new();
-    for _ in 0..100 {
-        match DaemonGuard::spawn(addr, extra) {
-            Ok(daemon) => return daemon,
-            Err(e) => last = e,
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    panic!("daemon never came back on {addr}: {last}");
-}
 
 /// One churn operation: subscribe `id` or retract it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,8 +78,7 @@ fn kill_nine_mid_churn_restarts_with_the_acked_subscription_set() {
     let dir = std::env::temp_dir().join(format!("acd-crash-recovery-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let dir_flag = dir.to_str().expect("temp dir is UTF-8").to_string();
-    let mut daemon = DaemonGuard::spawn("127.0.0.1:0", &["--data-dir", &dir_flag])
-        .expect("daemon starts on an ephemeral port");
+    let mut daemon = DaemonGuard::start(LINE_OF_SIX, &["--data-dir", &dir_flag]);
     let addr = daemon.addr.clone();
 
     // Churn from a second thread so the SIGKILL genuinely lands mid-churn.
@@ -236,7 +161,7 @@ fn kill_nine_mid_churn_restarts_with_the_acked_subscription_set() {
     }
 
     // Restart over the same directory — the journal is all it has.
-    let daemon = restart_on(&addr, &["--data-dir", &dir_flag]);
+    let daemon = restart_on(&addr, LINE_OF_SIX, &["--data-dir", &dir_flag]);
     let mut client = BrokerClient::connect(&*daemon.addr).expect("post-restart client connects");
     let schema = client.schema().clone();
     for &id in &seen {

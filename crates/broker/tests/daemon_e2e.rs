@@ -13,8 +13,6 @@
 //! the overlay, and deliveries are checked between rounds against the union
 //! of every connection's live set.
 
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Barrier;
 use std::time::Duration;
@@ -22,77 +20,22 @@ use std::time::Duration;
 use acd_broker::{BrokerClient, ServiceError};
 use acd_subscription::{Event, Schema, SubId, Subscription, SubscriptionBuilder};
 
+mod support;
+use support::{DaemonGuard, Flags, Rng, DOMAIN};
+
 const CONNECTIONS: usize = 4;
 const OPS_PER_CONNECTION: usize = 200;
 const BROKERS: usize = 8;
-/// The workload schema domain (`acd_workload::WorkloadConfig::DOMAIN_MAX`).
-const DOMAIN: f64 = 1_000_000.0;
 
-/// The daemon process, killed on drop so a failing test never leaks it.
-struct DaemonGuard {
-    child: Child,
-    addr: String,
-}
-
-impl DaemonGuard {
-    fn start(policy: &str) -> DaemonGuard {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_acd-brokerd"))
-            .args([
-                "--addr",
-                "127.0.0.1:0",
-                "--topology",
-                "random",
-                "--brokers",
-                &BROKERS.to_string(),
-                "--policy",
-                policy,
-                "--workers",
-                &CONNECTIONS.to_string(),
-            ])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn acd-brokerd");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("read the listening line");
-        let addr = line
-            .trim()
-            .strip_prefix("listening on ")
-            .unwrap_or_else(|| panic!("unexpected daemon greeting: {line:?}"))
-            .to_string();
-        DaemonGuard { child, addr }
-    }
-}
-
-impl Drop for DaemonGuard {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Deterministic splitmix64, one per connection.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
+/// A random overlay under `policy`, served by one worker per connection.
+fn start(policy: &str) -> DaemonGuard {
+    let flags = Flags {
+        topology: "random",
+        brokers: BROKERS,
+        policy,
+        workers: CONNECTIONS,
+    };
+    DaemonGuard::start(flags, &[])
 }
 
 /// Drives one connection's churn mix, asserting oracle-exact deliveries
@@ -170,7 +113,7 @@ fn drive(addr: &str, index: usize) -> Result<usize, ServiceError> {
 }
 
 fn churn_over_daemon(policy: &str) {
-    let daemon = DaemonGuard::start(policy);
+    let daemon = start(policy);
     let checked: Vec<usize> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CONNECTIONS)
             .map(|index| {
@@ -277,7 +220,7 @@ fn check_quiescent(client: &mut BrokerClient, rng: &mut Rng, owned: &[Owned]) {
 
 #[test]
 fn overlapping_connections_get_oracle_exact_deliveries() {
-    let daemon = DaemonGuard::start("exact-sfc");
+    let daemon = start("exact-sfc");
     let connect = || BrokerClient::connect(daemon.addr.as_str()).unwrap();
     let mut clients: Vec<BrokerClient> = (0..CONNECTIONS).map(|_| connect()).collect();
     let mut owned: Vec<Owned> = (0..CONNECTIONS).map(|_| Owned::new()).collect();
@@ -325,7 +268,7 @@ fn overlapping_connections_get_oracle_exact_deliveries() {
 #[test]
 fn a_long_publish_batch_completes_against_a_default_daemon() {
     const EVENTS: usize = 500_000;
-    let daemon = DaemonGuard::start("exact-sfc");
+    let daemon = start("exact-sfc");
     let addr = daemon.addr.clone();
     let (done, finished) = mpsc::channel();
     std::thread::spawn(move || {

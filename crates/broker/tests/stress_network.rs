@@ -20,6 +20,9 @@ use acd_broker::{BrokerConfig, BrokerNetwork, Topology};
 use acd_covering::CoveringPolicy;
 use acd_subscription::{Event, Schema, SubId, Subscription, SubscriptionBuilder};
 
+mod support;
+use support::Rng;
+
 const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 300;
 const DOMAIN: f64 = 1000.0;
@@ -31,28 +34,6 @@ fn schema() -> Schema {
         .bits_per_attribute(8)
         .build()
         .unwrap()
-}
-
-/// A tiny deterministic PRNG (splitmix64) so the stress mix needs no
-/// external dependencies and every run replays the same schedule attempts.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 /// One thread's workload: churn inside its own x-slice, checking every

@@ -1,7 +1,5 @@
 //! Covering policies: how a router uses (or ignores) covering detection.
 
-use serde::{Deserialize, Serialize};
-
 use acd_subscription::Schema;
 
 use crate::config::ApproxConfig;
@@ -17,7 +15,7 @@ use crate::Result;
 /// floods every subscription; exact covering minimizes propagation but pays
 /// the full covering-detection cost; approximate covering keeps most of the
 /// propagation savings at a fraction of the detection cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CoveringPolicy {
     /// Never detect covering: every subscription is propagated.
     None,

@@ -6,12 +6,10 @@
 //! alongside its answer, and indexes accumulate [`IndexStats`] so that the
 //! experiment harness can report averages without extra instrumentation.
 
-use serde::{Deserialize, Serialize};
-
 use acd_subscription::SubId;
 
 /// Cost counters of a single covering (point-dominance) query.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueryStats {
     /// Standard cubes enumerated from the greedy decomposition by the eager
     /// engine. Always 0 for the skip engine, which enumerates none.
@@ -45,7 +43,7 @@ pub struct QueryStats {
 }
 
 /// The result of a covering query: the answer plus its cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
     /// The identifier of a covering subscription, if one was found.
     pub covering: Option<SubId>,
@@ -77,7 +75,7 @@ impl QueryOutcome {
 }
 
 /// Accumulated statistics of an index over its lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IndexStats {
     /// Number of insert operations performed.
     pub inserts: u64,

@@ -210,6 +210,53 @@ fn rows_the_index_refuses_are_typed_corruptions() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A checksum-valid file whose schema the builder refuses (no attributes,
+/// 33, an inverted domain, two attributes of one name, 0 or 64 bits) is a
+/// typed corruption, because a stored schema decodes through
+/// `SchemaBuilder`. The same file with a valid schema opens, so the file
+/// itself is well formed.
+#[test]
+fn a_schema_the_builder_refuses_is_a_typed_corruption() {
+    let config = ApproxConfig::exhaustive().engine(QueryEngine::for_curve(CurveKind::Z));
+    let config = serde_json::to_string(&config).unwrap();
+    let attribute =
+        |name: &str, min: f64, max: f64| format!(r#"{{"name":"{name}","min":{min},"max":{max}}}"#);
+    let (x, y) = (attribute("x", 0.0, 100.0), attribute("y", 0.0, 100.0));
+    let many: Vec<String> = (0..33)
+        .map(|i| attribute(&format!("a{i}"), 0.0, 1.0))
+        .collect();
+    let dir = fresh_dir("schema");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (what, attributes, bits) in [
+        ("valid", vec![x.clone(), y.clone()], 5),
+        ("no attributes", vec![], 5),
+        ("33 attributes", many, 5),
+        ("inverted domain", vec![attribute("x", 100.0, 0.0), y], 5),
+        ("duplicate names", vec![x.clone(), x.clone()], 5),
+        ("0 bits", vec![x.clone()], 0),
+        ("64 bits", vec![x], 64),
+    ] {
+        let stored = format!(
+            r#"{{"inner":{{"attributes":[{}],"bits_per_attribute":{bits}}}}}"#,
+            attributes.join(",")
+        );
+        let mut bytes = codec::begin_file(codec::file_kind::INDEX);
+        bytes.push(codec::curve_tag(CurveKind::Z));
+        codec::put_bytes(&mut bytes, stored.as_bytes());
+        codec::put_bytes(&mut bytes, config.as_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        std::fs::write(dir.join("index.acd"), codec::finish_file(bytes)).unwrap();
+        match SfcCoveringIndex::open_segments(&dir) {
+            Ok(index) => assert!(what == "valid" && index.schema() == &schema(), "{what}"),
+            Err(err) => assert!(
+                what != "valid" && err.as_storage().is_some_and(StorageError::is_corrupt),
+                "{what}: {err}"
+            ),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// An index whose dominance keys are wider than 128 bits (7 attributes of
 /// 10 bits, 2 coordinates an attribute: 140 bits, the shape of
 /// `tests/allocations.rs`' wide population) saves and reopens with the

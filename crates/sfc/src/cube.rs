@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SfcError;
 use crate::rect::Rect;
 use crate::universe::{Point, Universe};
@@ -35,7 +33,7 @@ use crate::Result;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StandardCube {
     /// Lower corner of the cube; every coordinate is a multiple of
     /// `2^side_exp`.

@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cube::StandardCube;
 use crate::key::{Key, KeyRange};
 use crate::rect::Rect;
@@ -157,7 +155,7 @@ pub trait RegionSeeker: fmt::Debug {
 }
 
 /// Identifies one of the supported curve families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CurveKind {
     /// The Z-order (Morton) curve: bit interleaving.
     Z,

@@ -17,8 +17,6 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SfcError;
 use crate::Result;
 
@@ -58,50 +56,6 @@ pub struct Key {
     /// Total number of significant bits.
     bits: u32,
     repr: Repr,
-}
-
-/// Keys serialize as `{bits, words}` with big-endian words — identical for
-/// both in-memory layouts (so inline and spilled keys serialize the same,
-/// and the wire format matches the historical word-vector layout).
-impl Serialize for Key {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("bits".to_string(), serde::Value::U64(self.bits as u64)),
-            (
-                "words".to_string(),
-                serde::Value::Seq(
-                    (0..self.word_count())
-                        .map(|i| serde::Value::U64(self.word(i)))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for Key {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected a key map"))?;
-        let bits = u32::from_value(serde::get_field(entries, "bits"))?;
-        let words = Vec::<u64>::from_value(serde::get_field(entries, "words"))?;
-        let mut key = Key {
-            bits,
-            repr: if bits <= 128 {
-                let n = words.len();
-                let lo = words.last().copied().unwrap_or(0) as u128;
-                let hi = if n >= 2 { words[n - 2] as u128 } else { 0 };
-                Repr::Inline((hi << 64) | lo)
-            } else {
-                let mut words = words;
-                words.resize(Key::words_for(bits), 0);
-                Repr::Spill(words)
-            },
-        };
-        key.mask_slack();
-        Ok(key)
-    }
 }
 
 impl Key {
@@ -558,7 +512,7 @@ impl fmt::Binary for Key {
 /// assert!(r.contains(&Key::from_u128(5, 8)));
 /// assert!(!r.contains(&Key::from_u128(8, 8)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KeyRange {
     lo: Key,
     hi: Key,
@@ -808,25 +762,6 @@ mod tests {
         set.insert(Key::from_u128(99, 64));
         assert!(!set.insert(Key::from_u128(99, 64).with_spilled_repr()));
         assert_eq!(set.len(), 1);
-    }
-
-    #[test]
-    fn serde_round_trips_both_layouts_identically() {
-        for key in [
-            Key::from_u128(0xdead_beef, 64),
-            Key::from_u128(0xdead_beef, 64).with_spilled_repr(),
-            Key::max_value(200),
-        ] {
-            let value = key.to_value();
-            let back = Key::from_value(&value).unwrap();
-            assert_eq!(back, key);
-            assert_eq!(back.bits(), key.bits());
-            // The canonical decoded layout is inline whenever it fits.
-            assert_eq!(back.repr_is_inline(), key.bits() <= 128);
-        }
-        // Inline and spilled layouts of the same value serialize identically.
-        let k = Key::from_u128(7, 96);
-        assert_eq!(k.to_value(), k.with_spilled_repr().to_value());
     }
 
     #[test]

@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::bits;
 use crate::error::SfcError;
 use crate::universe::{Point, Universe};
@@ -30,7 +28,7 @@ use crate::Result;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Rect {
     lo: Vec<u64>,
     hi: Vec<u64>,
@@ -214,7 +212,7 @@ impl fmt::Display for Rect {
 /// its length vector `ℓ` (Section 3.1). The truncation operator
 /// [`truncate`](ExtremalRect::truncate) produces the paper's `R^m(ℓ)` and
 /// [`keep_bits_from`](ExtremalRect::keep_bits_from) produces `R(S_i(ℓ))`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ExtremalRect {
     universe: Universe,
     lengths: Vec<u64>,

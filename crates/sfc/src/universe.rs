@@ -9,8 +9,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SfcError;
 use crate::Result;
 
@@ -35,7 +33,7 @@ use crate::Result;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Universe {
     dims: usize,
     bits_per_dim: u32,
@@ -365,37 +363,6 @@ impl PartialOrd for Point {
 impl Ord for Point {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.coords().cmp(other.coords())
-    }
-}
-
-/// Points serialize as `{coords: [...]}` regardless of storage layout
-/// (matching the historical shared-vector wire format).
-impl Serialize for Point {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![(
-            "coords".to_string(),
-            serde::Value::Seq(
-                self.coords()
-                    .iter()
-                    .map(|&c| serde::Value::U64(c))
-                    .collect(),
-            ),
-        )])
-    }
-}
-
-impl Deserialize for Point {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected a point map"))?;
-        let coords = Vec::<u64>::from_value(serde::get_field(entries, "coords"))?;
-        if coords.is_empty() {
-            return Err(serde::Error::custom(
-                "point must have at least one coordinate",
-            ));
-        }
-        Ok(Point::from_vec(coords))
     }
 }
 

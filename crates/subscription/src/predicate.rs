@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SubscriptionError;
 use crate::schema::Schema;
 use crate::Result;
@@ -26,7 +24,7 @@ use crate::Result;
 /// assert!(p.accepts(42.0));
 /// assert!(!p.accepts(95.5));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RangePredicate {
     attribute: String,
     low: f64,

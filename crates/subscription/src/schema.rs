@@ -11,7 +11,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::error::SubscriptionError;
 use crate::Result;
@@ -23,7 +23,7 @@ use crate::Result;
 pub const MAX_ATTRIBUTES: usize = 32;
 
 /// One attribute: a name plus a closed real-valued domain `[min, max]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AttributeDef {
     name: String,
     min: f64,
@@ -74,7 +74,7 @@ impl AttributeDef {
 /// Schemas are immutable and cheaply cloneable ([`Arc`]-backed); equality is
 /// structural. Two subscriptions can only be compared (matched, covered,
 /// indexed) when they were built against equal schemas.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Schema {
     inner: Arc<SchemaInner>,
 }
@@ -90,7 +90,7 @@ impl PartialEq for Schema {
 
 impl Eq for Schema {}
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 struct SchemaInner {
     attributes: Vec<AttributeDef>,
     bits_per_attribute: u32,
@@ -197,6 +197,29 @@ impl fmt::Display for Schema {
             write!(f, "{}:[{}, {}]", a.name, a.min, a.max)?;
         }
         write!(f, "; {} bits)", self.inner.bits_per_attribute)
+    }
+}
+
+/// Decodes through [`SchemaBuilder`], so a decoded schema obeys its rules.
+impl Deserialize for Schema {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, serde::Error> {
+            let map = v
+                .as_map()
+                .ok_or_else(|| serde::Error::custom("expected a map"))?;
+            T::from_value(serde::get_field(map, name))
+        }
+        let inner: Value = field(v, "inner")?;
+        let mut builder =
+            Schema::builder().bits_per_attribute(field(&inner, "bits_per_attribute")?);
+        for a in field::<Vec<Value>>(&inner, "attributes")? {
+            builder = builder.attribute(
+                field::<String>(&a, "name")?,
+                field(&a, "min")?,
+                field(&a, "max")?,
+            );
+        }
+        builder.build().map_err(serde::Error::custom)
     }
 }
 
@@ -410,7 +433,41 @@ mod tests {
     fn serde_round_trip() {
         let s = schema();
         let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(
+            json,
+            r#"{"inner":{"attributes":[{"name":"volume","min":0.0,"max":1000.0},{"name":"price","min":-50.0,"max":50.0}],"bits_per_attribute":8}}"#
+        );
         let back: Schema = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
+        // A decoded schema goes through the builder, so it is refused on the
+        // builder's terms.
+        let decode = |attributes: &[(&str, f64, f64)], bits: u32| {
+            let attributes: Vec<String> = attributes
+                .iter()
+                .map(|(name, min, max)| format!(r#"{{"name":"{name}","min":{min},"max":{max}}}"#))
+                .collect();
+            let json = format!(
+                r#"{{"inner":{{"attributes":[{}],"bits_per_attribute":{bits}}}}}"#,
+                attributes.join(",")
+            );
+            serde_json::from_str::<Schema>(&json)
+        };
+        assert_eq!(decode(&[("a", 0.0, 1.0)], 8).unwrap().arity(), 1);
+        let names: Vec<String> = (0..=MAX_ATTRIBUTES).map(|i| format!("a{i}")).collect();
+        let too_many: Vec<_> = names.iter().map(|n| (n.as_str(), 0.0, 1.0)).collect();
+        for (attributes, bits, why) in [
+            (&[][..], 8, "no attributes"),
+            (&too_many[..], 8, "too many attributes"),
+            (&[("a", 1.0, 0.0)][..], 8, "inverted domain"),
+            (
+                &[("a", 0.0, 1.0), ("a", 0.0, 2.0)][..],
+                8,
+                "duplicate names",
+            ),
+            (&[("a", 0.0, 1.0)][..], 0, "zero precision"),
+            (&[("a", 0.0, 1.0)][..], 64, "too much precision"),
+        ] {
+            assert!(decode(attributes, bits).is_err(), "{why}");
+        }
     }
 }

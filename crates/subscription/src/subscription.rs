@@ -4,8 +4,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use acd_sfc::Rect;
 
 use crate::error::SubscriptionError;
@@ -24,7 +22,7 @@ pub type SubId = u64;
 /// exactly the model of the paper. Subscriptions are immutable once built;
 /// construct them through [`crate::SubscriptionBuilder`] or
 /// [`Subscription::from_predicates`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Subscription {
     id: SubId,
     schema: Schema,

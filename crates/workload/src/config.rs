@@ -1,14 +1,12 @@
 //! Workload configuration: what the subscription and event populations look
 //! like.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::WorkloadError;
 use crate::Result;
 
 /// How subscription (and event) centers are distributed over the attribute
 /// space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CenterDistribution {
     /// Centers are uniform over the whole domain of every attribute.
     Uniform,
@@ -31,7 +29,7 @@ pub enum CenterDistribution {
 }
 
 /// How subscription widths (one per attribute) are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WidthModel {
     /// Every attribute's width is a uniform fraction of its domain drawn from
     /// `[min, max]`.
@@ -66,7 +64,7 @@ pub enum WidthModel {
 /// Build one through [`WorkloadConfig::builder`]; the generated schema has
 /// `attributes` attributes named `attr0`, `attr1`, … each with domain
 /// `[0, 1_000_000]` and `bits_per_attribute` bits of quantization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadConfig {
     /// Number of subscription attributes β.
     pub attributes: usize,
@@ -292,24 +290,5 @@ mod tests {
             })
             .build()
             .is_err());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let c = WorkloadConfig::builder()
-            .attributes(4)
-            .center_distribution(CenterDistribution::Clustered {
-                clusters: 5,
-                spread: 0.02,
-            })
-            .width_model(WidthModel::SkewedAspect {
-                wide_fraction: 0.3,
-                alpha_bits: 3,
-            })
-            .build()
-            .unwrap();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: WorkloadConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 }

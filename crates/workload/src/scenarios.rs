@@ -5,8 +5,6 @@
 //! whose distributions mimic the application the paper's introduction
 //! motivates (financial tickers, wide-area sensor monitoring).
 
-use serde::{Deserialize, Serialize};
-
 use acd_subscription::Schema;
 
 use crate::churn::ChurnConfig;
@@ -14,7 +12,7 @@ use crate::config::{CenterDistribution, WidthModel, WorkloadConfig};
 use crate::Result;
 
 /// A named application scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scenario {
     /// A stock-ticker feed: subscriptions constrain symbol rank, traded
     /// volume and price; interest is heavily skewed toward a few hot
