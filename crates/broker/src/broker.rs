@@ -126,7 +126,7 @@ pub(crate) struct MatchTable {
     /// about one slot across its attributes.
     raw: Vec<(f64, f64)>,
     /// `cell_lo[attr][slot]`: the grid cell of the slot's raw lower bound
-    /// (`Subscription::grid_bounds`, as [`cell_of`] narrows it). With
+    /// (`Subscription::grid_cells`, as [`cell_of`] narrows it). With
     /// `cell_hi`, **the filter** [`candidates`](Self::candidates) reads, and
     /// the keys the batched kernel looks a chunk's masks up by. The filter
     /// cannot miss: bounds and event values go through the same monotone
@@ -203,11 +203,10 @@ impl MatchTable {
     /// `slot`, shifting the later slots up.
     fn insert_bounds(&mut self, slot: usize, subscription: &Subscription) {
         debug_assert_eq!(subscription.raw_bounds().len(), self.arity());
-        debug_assert_eq!(subscription.grid_bounds().len(), self.arity());
         let (at, raw) = (slot * self.arity(), subscription.raw_bounds());
         self.raw.splice(at..at, raw.iter().copied());
         let columns = self.cell_lo.iter_mut().zip(&mut self.cell_hi);
-        for ((lo, hi), &(low, high)) in columns.zip(subscription.grid_bounds()) {
+        for ((lo, hi), (low, high)) in columns.zip(subscription.grid_cells()) {
             lo.insert(slot, cell_of(low, self.shift));
             hi.insert(slot, cell_of(high, self.shift));
         }

@@ -44,8 +44,8 @@ fn build_sub(schema: &Schema, id: u64, bounds: &[(f64, f64)]) -> Subscription {
 /// Whether `a`'s quantized bounds contain `b`'s on every attribute: the
 /// relation dominance of the transformed points decides.
 fn grid_contains(a: &Subscription, b: &Subscription) -> bool {
-    let mut bounds = a.grid_bounds().iter().zip(b.grid_bounds());
-    bounds.all(|(&(alo, ahi), &(blo, bhi))| alo <= blo && bhi <= ahi)
+    let mut bounds = a.grid_cells().zip(b.grid_cells());
+    bounds.all(|((alo, ahi), (blo, bhi))| alo <= blo && bhi <= ahi)
 }
 
 /// `n` subscriptions' bounds, one pair per attribute of the widest schema

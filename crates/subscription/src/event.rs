@@ -48,8 +48,7 @@ impl Event {
             });
         }
         for (i, &v) in values.iter().enumerate() {
-            // quantize() performs the domain check; discard the result here.
-            schema.quantize(i, v)?;
+            schema.check_value(i, v)?;
         }
         Ok(Event {
             schema: schema.clone(),

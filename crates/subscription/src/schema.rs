@@ -149,6 +149,14 @@ impl Schema {
     /// outside the attribute's declared domain and
     /// [`SubscriptionError::UnknownAttribute`] if the index is out of range.
     pub fn quantize(&self, attribute: usize, value: f64) -> Result<u64> {
+        let def = self.check_value(attribute, value)?;
+        Ok(self.cell(def, value))
+    }
+
+    /// The definition of `attribute`, once `value` is known to lie in its
+    /// domain: the one domain rule events, subscriptions and
+    /// [`quantize`](Self::quantize) obey.
+    pub(crate) fn check_value(&self, attribute: usize, value: f64) -> Result<&AttributeDef> {
         let def = self.attribute_def(attribute)?;
         if !value.is_finite() || value < def.min || value > def.max {
             return Err(SubscriptionError::ValueOutOfDomain {
@@ -158,11 +166,18 @@ impl Schema {
                 max: def.max,
             });
         }
+        Ok(def)
+    }
+
+    /// The grid cell of `value`, which lies in `def`'s domain:
+    /// [`quantize`](Self::quantize) without the check.
+    pub(crate) fn cell(&self, def: &AttributeDef, value: f64) -> u64 {
         let cells = self.grid_size();
-        let span = def.max - def.min;
-        let normalized = (value - def.min) / span; // in [0, 1]
-        let cell = (normalized * cells as f64).floor() as u64;
-        Ok(cell.min(cells - 1))
+        // In [0, 1], so truncation is the floor, without the libm call
+        // `f64::floor` compiles to on baseline x86-64.
+        let normalized = (value - def.min) / (def.max - def.min);
+        let cell = (normalized * cells as f64) as u64;
+        cell.min(cells - 1)
     }
 
     /// The raw value at the lower edge of grid cell `cell` of `attribute`.
@@ -402,6 +417,45 @@ mod tests {
         assert!(s.quantize(0, 1000.1).is_err());
         assert!(s.quantize(0, f64::NAN).is_err());
         assert!(s.quantize(5, 0.0).is_err(), "attribute index out of range");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// `quantize` truncates where it used to call `floor`: the cells
+        /// agree at every precision, on random values and where a slip
+        /// would show: the domain's ends, `-0.0`, and one ulp either side of
+        /// a cell edge.
+        #[test]
+        fn truncation_agrees_with_floor(
+            bits in 1u32..=31,
+            zero_min in proptest::prelude::any::<bool>(),
+            (low, width) in (-1e6f64..1e6, 1e-3f64..1e6),
+            fractions in proptest::collection::vec(0.0f64..=1.0, 16),
+            edges in proptest::collection::vec(0u64..1 << 31, 16),
+        ) {
+            let min = if zero_min { 0.0 } else { low };
+            let max = min + width;
+            let s = Schema::builder()
+                .attribute("a", min, max)
+                .bits_per_attribute(bits)
+                .build()
+                .unwrap();
+            let cells = s.grid_size();
+            let floor = |v: f64| {
+                let cell = ((v - min) / (max - min) * cells as f64).floor() as u64;
+                cell.min(cells - 1)
+            };
+            let mut values = vec![min, max, -0.0];
+            values.extend(fractions.iter().map(|f| min + f * width));
+            for edge in edges.iter().map(|&c| s.dequantize(0, c % cells).unwrap()) {
+                values.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+            for v in values.into_iter().filter(|v| (min..=max).contains(v)) {
+                let cell = s.quantize(0, v).unwrap();
+                proptest::prop_assert_eq!(cell, floor(v), "{} bits, {}", bits, v);
+            }
+        }
     }
 
     #[test]

@@ -26,15 +26,17 @@ pub type SubId = u64;
 pub struct Subscription {
     id: SubId,
     schema: Schema,
-    /// Per-attribute quantized bounds `[lo, hi]` (inclusive), in attribute
-    /// declaration order. `Arc`-shared so cloning a subscription (routing
-    /// tables, index snapshots, bulk builds) is a reference bump, not two
-    /// vector allocations.
-    grid_bounds: Arc<Vec<(u64, u64)>>,
     /// Per-attribute raw bounds `[low, high]` (inclusive), in attribute
-    /// declaration order.
-    raw_bounds: Arc<Vec<(f64, f64)>>,
+    /// declaration order: the subscription's only allocation, shared by its
+    /// clones. Everything derived from them, the grid cells and the
+    /// dominance point, is computed where it is used
+    /// ([`grid_cells`](Self::grid_cells)), never stored.
+    raw_bounds: Arc<[(f64, f64)]>,
 }
+
+// Every routing table, offer and replay list holds subscriptions by value;
+// a cached field would grow each of them.
+const _: () = assert!(size_of::<Subscription>() <= 32);
 
 impl Subscription {
     /// Builds a subscription from a set of predicates; unconstrained
@@ -49,44 +51,27 @@ impl Subscription {
         id: SubId,
         predicates: &[RangePredicate],
     ) -> Result<Self> {
-        let arity = schema.arity();
-        let mut raw_bounds: Vec<Option<(f64, f64)>> = vec![None; arity];
+        let mut bounds: Vec<Option<(f64, f64)>> = vec![None; schema.arity()];
         for p in predicates {
             let idx = schema.attribute_index(p.attribute())?;
-            if raw_bounds[idx].is_some() {
+            if bounds[idx].is_some() {
                 return Err(SubscriptionError::DuplicateAttribute {
                     name: p.attribute().to_string(),
                 });
             }
-            raw_bounds[idx] = Some((p.low(), p.high()));
+            bounds[idx] = Some((p.low(), p.high()));
         }
-        let mut raw = Vec::with_capacity(arity);
-        let mut grid = Vec::with_capacity(arity);
-        for (idx, maybe) in raw_bounds.into_iter().enumerate() {
-            let def = &schema.attributes()[idx];
-            let (low, high) = maybe.unwrap_or((def.min(), def.max()));
-            let lo_cell = schema.quantize(idx, low)?;
-            let hi_cell = schema.quantize(idx, high)?;
-            raw.push((low, high));
-            grid.push((lo_cell, hi_cell));
-        }
-        Ok(Subscription {
-            id,
-            schema: schema.clone(),
-            grid_bounds: Arc::new(grid),
-            raw_bounds: Arc::new(raw),
-        })
+        let domains = bounds.iter().zip(schema.attributes());
+        let bounds: Vec<(f64, f64)> = domains
+            .map(|(maybe, def)| maybe.unwrap_or((def.min(), def.max())))
+            .collect();
+        Self::from_raw_bounds(schema, id, &bounds)
     }
 
-    /// Builds a subscription directly from per-attribute raw bounds in
-    /// schema declaration order — the bulk-reload fast path (saved-index
-    /// opens, rebuild baselines): no predicate list, no attribute-name lookups.
-    ///
-    /// Validation is not relaxed: the arity must match the schema, every
-    /// range must be non-empty, and every bound is quantized against its
-    /// attribute's domain exactly as [`Subscription::from_predicates`]
-    /// would, so out-of-domain or inverted bounds from a hostile source
-    /// surface as errors rather than as a malformed subscription.
+    /// Builds a subscription from per-attribute raw bounds in schema
+    /// declaration order, in one allocation: no predicate list, no
+    /// attribute-name lookups. Bounds from a hostile source are checked as
+    /// strictly as [`Subscription::from_predicates`] checks its own.
     ///
     /// # Errors
     ///
@@ -100,7 +85,6 @@ impl Subscription {
                 actual: bounds.len(),
             });
         }
-        let mut grid = Vec::with_capacity(arity);
         for (idx, &(low, high)) in bounds.iter().enumerate() {
             if low > high {
                 return Err(SubscriptionError::EmptyRange {
@@ -109,13 +93,13 @@ impl Subscription {
                     high,
                 });
             }
-            grid.push((schema.quantize(idx, low)?, schema.quantize(idx, high)?));
+            schema.check_value(idx, low)?;
+            schema.check_value(idx, high)?;
         }
         Ok(Subscription {
             id,
             schema: schema.clone(),
-            grid_bounds: Arc::new(grid),
-            raw_bounds: Arc::new(bounds.to_vec()),
+            raw_bounds: Arc::from(bounds),
         })
     }
 
@@ -129,9 +113,17 @@ impl Subscription {
         &self.schema
     }
 
-    /// Per-attribute quantized bounds `[lo, hi]` (inclusive).
-    pub fn grid_bounds(&self) -> &[(u64, u64)] {
-        &self.grid_bounds
+    /// Per-attribute quantized bounds `[lo, hi]` (inclusive), each the
+    /// [`Schema::quantize`] cell of its raw bound. Derived on each call
+    /// without allocating.
+    pub fn grid_cells(&self) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
+        let domains = self.raw_bounds.iter().zip(self.schema.attributes());
+        domains.map(|(&(low, high), def)| (self.schema.cell(def, low), self.schema.cell(def, high)))
+    }
+
+    /// [`grid_cells`](Self::grid_cells), collected.
+    pub fn grid_bounds(&self) -> Vec<(u64, u64)> {
+        self.grid_cells().collect()
     }
 
     /// Per-attribute raw bounds `[low, high]` (inclusive).
@@ -146,8 +138,7 @@ impl Subscription {
 
     /// The subscription as a rectangle on the quantization grid.
     pub fn grid_rect(&self) -> Rect {
-        let lo: Vec<u64> = self.grid_bounds.iter().map(|&(l, _)| l).collect();
-        let hi: Vec<u64> = self.grid_bounds.iter().map(|&(_, h)| h).collect();
+        let (lo, hi) = self.grid_cells().unzip();
         Rect::new(lo, hi).expect("subscription bounds are validated at construction")
     }
 
@@ -186,9 +177,8 @@ impl Subscription {
     /// matches, in `(0, 1]`.
     pub fn selectivity(&self) -> f64 {
         let k = self.schema.bits_per_attribute() as f64;
-        self.grid_bounds
-            .iter()
-            .map(|&(lo, hi)| ((hi - lo + 1) as f64) / 2f64.powf(k))
+        self.grid_cells()
+            .map(|(lo, hi)| ((hi - lo + 1) as f64) / 2f64.powf(k))
             .product()
     }
 
@@ -256,6 +246,12 @@ mod tests {
         assert_eq!(only_volume.raw_bounds()[1], (0.0, 100.0));
         assert_eq!(only_volume.grid_bounds()[1], (0, 1023));
         assert_eq!(only_volume.id(), 7);
+        // The cells are derived: each is its raw bound's `quantize` cell.
+        let quantized = only_volume.raw_bounds().iter().enumerate();
+        let quantized: Vec<(u64, u64)> = quantized
+            .map(|(i, &(lo, hi))| (s.quantize(i, lo).unwrap(), s.quantize(i, hi).unwrap()))
+            .collect();
+        assert_eq!(only_volume.grid_bounds(), quantized);
     }
 
     #[test]

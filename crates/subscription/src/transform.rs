@@ -48,20 +48,15 @@ pub fn dominance_universe(schema: &Schema) -> Result<Universe> {
 ///
 /// Returns an error if the dominance universe cannot be constructed.
 pub fn dominance_point(subscription: &Subscription) -> Result<Point> {
-    let k = subscription.schema().bits_per_attribute();
-    let max = (1u64 << k) - 1;
-    let bounds = subscription.grid_bounds();
-    if bounds.is_empty() {
+    let max = subscription.schema().grid_size() - 1;
+    let cells = subscription.grid_cells();
+    if cells.len() == 0 {
         return Err(acd_sfc::SfcError::Empty.into());
     }
-    Ok(Point::build(bounds.len() * 2, |i| {
-        let (lo, hi) = bounds[i / 2];
-        if i % 2 == 0 {
-            max - lo
-        } else {
-            hi
-        }
-    }))
+    let dims = cells.len() * 2;
+    let mut coords = cells.flat_map(|(lo, hi)| [max - lo, hi]);
+    // `build` asks for each dimension once, in order.
+    Ok(Point::build(dims, |_| coords.next().unwrap_or(0)))
 }
 
 #[cfg(test)]
@@ -113,8 +108,8 @@ mod tests {
 
     /// Whether `a`'s quantized bounds contain `b`'s on every attribute.
     fn grid_contains(a: &Subscription, b: &Subscription) -> bool {
-        let mut bounds = a.grid_bounds().iter().zip(b.grid_bounds());
-        bounds.all(|(&(alo, ahi), &(blo, bhi))| alo <= blo && bhi <= ahi)
+        let mut bounds = a.grid_cells().zip(b.grid_cells());
+        bounds.all(|((alo, ahi), (blo, bhi))| alo <= blo && bhi <= ahi)
     }
 
     #[test]

@@ -30,8 +30,8 @@ fn bounds_strategy(attributes: usize) -> impl Strategy<Value = Vec<(f64, f64)>> 
 
 /// Whether `a`'s quantized bounds contain `b`'s on every attribute.
 fn grid_contains(a: &Subscription, b: &Subscription) -> bool {
-    let mut bounds = a.grid_bounds().iter().zip(b.grid_bounds());
-    bounds.all(|(&(alo, ahi), &(blo, bhi))| alo <= blo && bhi <= ahi)
+    let mut bounds = a.grid_cells().zip(b.grid_cells());
+    bounds.all(|((alo, ahi), (blo, bhi))| alo <= blo && bhi <= ahi)
 }
 
 fn build_sub(schema: &Schema, id: u64, bounds: &[(f64, f64)]) -> Subscription {

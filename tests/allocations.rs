@@ -7,14 +7,16 @@
 //! kind runs a fixed number of ops and its **daemon-side** allocations per op
 //! (the process count less this thread's, which is the client's) must stay
 //! within the kind's committed budget. Lowering a budget is free; raising one
-//! needs a reason in CHANGES.md.
+//! needs a reason in CHANGES.md. One kind is counted on this thread instead:
+//! building a subscription from its raw bounds.
 //!
-//! The same population also bounds what a durable daemon keeps resident: one
-//! recovered from a snapshot of the installed set must hold at least
-//! [`RECOVERY_SAVING`] less live heap than one that installed the same set
-//! over the socket, both measured once the client has connected. Recovery
-//! installs covers first, so its links hold back every subscription a sent
-//! one covers and keep fewer routing entries than the socket's id order.
+//! The same population also bounds what a daemon keeps resident, measured
+//! once the client has connected. One that installed it over the socket may
+//! hold at most [`INSTALLED_PER_SUB`] live heap bytes a subscription, and one
+//! recovered from a snapshot of the same set must hold at least
+//! [`RECOVERY_SAVING`] less. Recovery installs covers first, so its links
+//! hold back every subscription a sent one covers and keep fewer routing
+//! entries than the socket's id order.
 //!
 //! The file is one `#[test]`, in its own binary, so no other test shares the
 //! count. Run with `--nocapture` to see each kind's mean against its budget.
@@ -97,6 +99,15 @@ fn daemon_side(runs: usize, per: usize, mut op: impl FnMut(usize)) -> f64 {
     let all = ALL.load(Ordering::SeqCst) - all;
     let mine = MINE.with(Cell::get) - mine;
     (all - mine) as f64 / (runs * per) as f64
+}
+
+/// This thread's allocations per op over `runs` runs of `op`.
+fn own(runs: usize, mut op: impl FnMut(usize)) -> f64 {
+    let mine = MINE.with(Cell::get);
+    for i in 0..runs {
+        op(i);
+    }
+    (MINE.with(Cell::get) - mine) as f64 / runs as f64
 }
 
 /// `serve`'s result and the live heap bytes it added, once it returned.
@@ -226,22 +237,26 @@ const PUBLISH: f64 = 3.0;
 /// StockTicker attribute (three), `Shares::new`, and the walk's `VecDeque`.
 const BURST_EVENT: f64 = 1.0 + 6.0 / 64.0;
 
+/// `Subscription::from_raw_bounds`: the raw bounds' one `Arc<[_]>`. Grid
+/// cells are derived where they are read, never stored.
+const FROM_RAW_BOUNDS: f64 = 1.0;
+
 /// A subscribe + unsubscribe pair's, as a mean over the churn stream.
-/// - The subscribe, 5: `decode_payload`'s bounds `Vec`, and
-///   `Subscription::from_raw_bounds`' four (the grid and the raw bounds, each
-///   a `Vec` in an `Arc`).
+/// - The subscribe, 2: `decode_payload`'s bounds `Vec`, and
+///   `Subscription::from_raw_bounds`' one ([`FROM_RAW_BOUNDS`]).
 /// - Each walk, 2 on a subscribe and 1 on an unsubscribe: the offered
 ///   `Rc<Subscription>` and the walk's `VecDeque`. A subscription its own
 ///   client covers stays home and walks nothing (1 pair in 8 here).
 /// - Covering bookkeeping, about 1: a slot the newcomer demotes is rebuilt as
-///   a `Subscription` (`MatchTable::remove_covered`), a new witness's masked
-///   list (`Held::hold`), and orphans re-offered on a retraction.
-const CHURN_PAIR: f64 = 9.0;
+///   a `Subscription` (`MatchTable::remove_covered`, one allocation), a new
+///   witness's masked list (`Held::hold`), and orphans re-offered on a
+///   retraction.
+const CHURN_PAIR: f64 = 6.0;
 
 /// A data dir adds nothing a pair: the journal writes into a buffer it
 /// already owns, and the durable live set is only ever folded from the files,
 /// at start-up and at shutdown.
-const CHURN_PAIR_DURABLE: f64 = 9.0;
+const CHURN_PAIR_DURABLE: f64 = 6.0;
 
 /// On 140-bit keys a dominance key spills out of the packed `u128`, and the
 /// covering index's sweep (`sweep_keys`) allocates a spilled `Key` about
@@ -264,10 +279,24 @@ const DEBUG_CHECKS: f64 = if cfg!(debug_assertions) { 2.0 } else { 0.0 };
 /// and recovering in id order saves nothing.
 const RECOVERY_SAVING: i64 = 128 * 1024;
 
+/// Live heap bytes per installed subscription a daemon that installed the
+/// population over the socket may hold once the client has connected: its
+/// match tables, routing entries and covering indexes, and one copy of each
+/// subscription. Measured at 878 B; a second, derived copy of each
+/// subscription's bounds (its grid cells) would cost ~110 B more.
+const INSTALLED_PER_SUB: i64 = 930;
+
 #[test]
 fn daemon_request_path_allocates_within_budget() {
     let mut report = Vec::new();
     let stock = Population::generate(&Scenario::StockTicker.workload_config(1), 2000, 128);
+    let schema = stock.events[0].schema();
+    let per_op = own(stock.standing.len(), |i| {
+        let s = &stock.standing[i];
+        let built = Subscription::from_raw_bounds(schema, s.id(), s.raw_bounds());
+        drop(std::hint::black_box(built));
+    });
+    report.push(("Subscription::from_raw_bounds", per_op, FROM_RAW_BOUNDS));
 
     let over_socket = {
         let ((_daemon, mut client), over_socket) = resident(|| stock.serve(None));
@@ -334,15 +363,18 @@ fn daemon_request_path_allocates_within_budget() {
     let installed = stock.installed().count() as i64;
     let excess = recovered - over_socket;
     let resident = format!(
-        "live heap once connected: {over_socket} B installed over the socket, \
+        "live heap once connected: {over_socket} B installed over the socket \
+         ({} B a subscription of {installed}; at most {INSTALLED_PER_SUB} B), \
          {recovered} B recovered from a snapshot; excess {excess} B \
-         ({} B a subscription of {installed}; at most -{RECOVERY_SAVING} B)",
+         ({} B a subscription; at most -{RECOVERY_SAVING} B)",
+        over_socket / installed,
         excess / installed
     );
     println!("{table}{resident}");
     assert!(
         report.iter().all(|&(_, per_op, budget)| per_op <= budget),
-        "daemon-side allocations per op over budget:\n{table}"
+        "allocations per op over budget:\n{table}"
     );
+    assert!(over_socket <= INSTALLED_PER_SUB * installed, "{resident}");
     assert!(excess <= -RECOVERY_SAVING, "{resident}");
 }
